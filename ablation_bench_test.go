@@ -15,10 +15,10 @@ import (
 	"testing"
 
 	"dfg"
-	"dfg/internal/codegen"
 	"dfg/internal/expr"
 	"dfg/internal/ocl"
 	"dfg/internal/strategy"
+	"dfg/internal/vm"
 	"dfg/internal/vortex"
 )
 
@@ -212,9 +212,9 @@ func BenchmarkAblation_VMTier(b *testing.B) {
 }
 
 // BenchmarkAblation_ExecutorMode compares the blocked (NumExpr-style)
-// fused-plan executor against the per-element interpreter on the
-// Q-criterion kernel. Results are bitwise identical; only host wall
-// time differs.
+// executor behind the fused kernel against the per-element reference
+// interpreter the differential tests use as oracle, on the Q-criterion
+// program. Results are bitwise identical; only host wall time differs.
 func BenchmarkAblation_ExecutorMode(b *testing.B) {
 	m, f := benchGrid(b)
 	bind := benchBindings(b, m, f)
@@ -222,33 +222,27 @@ func BenchmarkAblation_ExecutorMode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []codegen.Mode{codegen.ModeBlocked, codegen.ModeElementwise} {
-		b.Run(mode.String(), func(b *testing.B) {
-			prog, err := codegen.FuseWithMode(net, "qcrit", mode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			env := ocl.NewEnv(ocl.NewDevice(ocl.XeonX5660Spec(64)))
-			bufs := make([]*ocl.Buffer, len(prog.Args))
-			for i, a := range prog.Args {
-				switch a.Kind {
-				case codegen.ArgSource:
-					src := bind.Sources[a.Name]
-					buf, err := env.Upload(a.Name, src.Data, src.Width)
-					if err != nil {
-						b.Fatal(err)
-					}
-					bufs[i] = buf
-				default:
-					bufs[i] = env.Context().MustBuffer(a.Name, bind.N, a.Width)
-				}
-			}
+	low, err := vm.Lower(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	views := make([]ocl.View, len(low.Buffers))
+	for i, a := range low.Buffers {
+		data := bind.Sources[a.Name].Data
+		if a.Kind != vm.BufSource {
+			data = make([]float32, bind.N*a.Width)
+		}
+		views[i] = ocl.View{Data: data, Elems: bind.N, Width: a.Width}
+	}
+	prog := low.Program()
+	for name, run := range map[string]func(){
+		"blocked":   func() { prog.RunPass(0, 0, bind.N, views) },
+		"reference": func() { low.Reference(bind.N, views) },
+	} {
+		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(bind.N) * 4)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := env.Run(prog.Kernel, bind.N, bufs, nil); err != nil {
-					b.Fatal(err)
-				}
+				run()
 			}
 		})
 	}

@@ -665,10 +665,8 @@ func (e *Engine) FusedSource(text string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if f, ok := e.strat.(strategy.Fusion); ok && !f.Sched.IsFlat() {
-		return strategy.GeneratedSourceScheduled(net, "expr", f.Sched)
-	}
-	return strategy.GeneratedSource(net, "expr")
+	f, _ := e.strat.(strategy.Fusion) // any other strategy: the flat kernel
+	return strategy.GeneratedSource(net, "expr", f.Sched)
 }
 
 // NetworkScript parses an expression and renders the dataflow

@@ -15,11 +15,18 @@
 // Intermediate results live in device registers. The one exception is
 // the paper's Figure 2 scenario: when a stencil primitive consumes a
 // *computed* value, that value must be materialized in a global scratch
-// array before the stencil can read its neighbours. The generator then
-// splits the fused kernel into ordered passes with a device-wide barrier
-// between them — still a single kernel dispatch, at the cost of one
+// array before the stencil can read its neighbours. The fused kernel
+// then splits into ordered passes with a device-wide barrier between
+// them — still a single kernel dispatch, at the cost of one
 // problem-sized scratch array, which is exactly the extra memory the
 // paper's Figure 2 charges to fusion.
+//
+// The translation itself — pass assignment, materialization, the buffer
+// table, instruction order — is internal/vm's Lower. This package is
+// three views of that one lowered program: it renders the OpenCL C text
+// from the instructions (source.go), folds the device model's ocl.Cost
+// from them (cost.go), and wraps vm's executor, run range by range over
+// the launch's buffer views, as the simulated device's kernel body.
 package codegen
 
 import (
@@ -30,44 +37,25 @@ import (
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
 	"dfg/internal/passes"
+	"dfg/internal/vm"
 )
 
-// ArgKind classifies one buffer argument of a generated kernel.
-type ArgKind int
+// Arg describes one buffer argument of the generated kernel, in launch
+// order: an entry of the lowered program's buffer table.
+type (
+	Arg     = vm.BufferSpec
+	ArgKind = vm.BufKind
+)
 
 const (
 	// ArgSource is a host-provided input array (uploaded once).
-	ArgSource ArgKind = iota
+	ArgSource = vm.BufSource
 	// ArgScratch is a device-only intermediate the strategy must
 	// allocate (problem-sized; never transferred).
-	ArgScratch
+	ArgScratch = vm.BufScratch
 	// ArgOut is the kernel's result array.
-	ArgOut
+	ArgOut = vm.BufOut
 )
-
-// String names the argument kind.
-func (k ArgKind) String() string {
-	switch k {
-	case ArgSource:
-		return "source"
-	case ArgScratch:
-		return "scratch"
-	case ArgOut:
-		return "out"
-	default:
-		return fmt.Sprintf("ArgKind(%d)", int(k))
-	}
-}
-
-// Arg describes one buffer argument of the generated kernel, in launch
-// order.
-type Arg struct {
-	Kind ArgKind
-	// Name is the source name ("u", "dims") or scratch label.
-	Name string
-	// Width is the element width in float32 components.
-	Width int
-}
 
 // Program is a generated fused kernel: its OpenCL C source, the
 // executable kernel for the simulated device, and the buffer argument
@@ -75,14 +63,16 @@ type Arg struct {
 //
 // A multi-root super-network fuses to one kernel with several ArgOut
 // buffers, in the same order as the network's Roots(); single-root
-// networks keep exactly one ArgOut named "out", byte-identical to the
-// historical generator output.
+// networks keep exactly one ArgOut named "out".
 type Program struct {
 	// Source is the complete generated OpenCL C source.
 	Source string
 	// Kernel executes the fusion (single dispatch; multiple passes only
 	// in the materialization case).
 	Kernel *ocl.Kernel
+	// Exec is the lowered program the kernel's passes run — the same
+	// executor the vm strategy drives without the device.
+	Exec *vm.Program
 	// Args is the kernel's buffer argument order.
 	Args []Arg
 	// NumPasses is 1 unless materialization forced pass splits.
@@ -93,268 +83,169 @@ type Program struct {
 	// len(OutWidths) == 1 except for merged super-networks.
 	OutWidths []int
 	// Schedule is the canonical spec string of the schedule this program
-	// was generated under ("" for the flat generator). FuseScheduled
-	// sets it; plan caches and reports surface it.
+	// was generated under ("" for the flat generator).
 	Schedule string
-}
-
-// opcodes of the executable plan.
-type opcode int
-
-const (
-	opLoad opcode = iota // dst <- buf[gid] (width from instr.width)
-	opConst
-	opAdd
-	opSub
-	opMul
-	opDiv
-	opMin
-	opMax
-	opSqrt
-	opNeg
-	opAbs
-	opExp
-	opLog
-	opSin
-	opCos
-	opPow
-	opGt
-	opLt
-	opGe
-	opLe
-	opEq
-	opNe
-	opSelect
-	opNorm
-	opDecomp
-	opGrad
-	opGradAxis // single-axis gradient (instr.comp selects the axis)
-	opStore    // buf[gid] <- a (width from instr.width)
-)
-
-// instr is one step of the per-element plan. Registers are slots of four
-// float32 lanes; scalar values use lane 0.
-type instr struct {
-	op      opcode
-	dst     int
-	a, b, c int     // register operands
-	buf     int     // buffer index for load/store
-	width   int     // element width for load/store
-	comp    int     // decompose component / gradient axis
-	val     float32 // constant value
-	gbufs   [5]int  // stencils: field, dims, x, y, z buffer indices
 }
 
 // Fuse generates the fused kernel program for a validated network with a
 // designated output. name tags the generated kernel (e.g. "qcrit" gives
-// "kfused_qcrit"). The executable plan runs in the default blocked mode.
+// "kfused_qcrit").
 func Fuse(net *dataflow.Network, name string) (*Program, error) {
-	return FuseWithMode(net, name, ModeBlocked)
+	return FuseScheduled(net, name, nil)
 }
 
-// FuseWithMode is Fuse with an explicit execution mode for the plan
-// (the generated OpenCL source is identical either way; only the
-// simulated device's executable differs). ModeElementwise exists as the
-// ablation baseline for the blocked executor.
-func FuseWithMode(net *dataflow.Network, name string, mode Mode) (*Program, error) {
-	if err := net.Validate(); err != nil {
+// FuseScheduled is Fuse under a schedule: it emits the tiled /
+// vectorized / temporally blocked kernel variant instead of the single
+// flat body. A nil schedule is the flat generator; otherwise the
+// schedule must have been computed by passes.ComputeSchedule for this
+// same network — Verify re-checks it here before anything is emitted.
+//
+// The bitwise contract: every variant runs the same lowered program.
+// Tiling, register blocking and vector loads only reshape the emitted
+// source and the modeled memory traffic; temporal blocking re-runs the
+// identical producer pass over a halo-extended range into scratch the
+// consumer pass then reads back. Scheduled output is therefore zero-ULP
+// identical to flat by construction; the differential fuzz target in
+// internal/strategy enforces it end to end.
+func FuseScheduled(net *dataflow.Network, name string, sched *passes.Schedule) (*Program, error) {
+	g := &generator{name: name, sched: &passes.Schedule{}}
+	if sched != nil {
+		if err := sched.Verify(net); err != nil {
+			return nil, err
+		}
+		g.sched, g.tag = sched, sched.Spec.String()
+	}
+	var err error
+	if g.low, err = vm.Lower(net); err != nil {
 		return nil, err
 	}
-	order, err := net.TopoOrder()
-	if err != nil {
-		return nil, err
+	if sched != nil && len(g.low.Passes) != sched.Passes {
+		return nil, fmt.Errorf("codegen: schedule computed for a %d-pass network, lowering found %d passes", sched.Passes, len(g.low.Passes))
 	}
-	g := &generator{
-		net:    net,
-		name:   name,
-		mode:   mode,
-		order:  order,
-		pass:   make(map[string]int),
-		byID:   make(map[string]*dataflow.Node, len(order)),
-		reg:    make(map[string]int),
-		bufIdx: make(map[string]int),
+	g.expr = make([]string, g.low.NumVRegs)
+	g.fused = make(map[string]bool, len(g.sched.FusedScratch))
+	if g.sched.Temporal {
+		for _, id := range g.sched.FusedScratch {
+			g.fused[vm.ScratchName(id)] = true
+		}
 	}
-	for _, n := range order {
-		g.byID[n.ID] = n
+
+	// Temporally fused intermediates drop out of the argument list: they
+	// live in per-tile local arrays, which the executable stands in for
+	// with pooled views it binds per launch chunk.
+	exec := g.low.Program()
+	args := make([]Arg, 0, len(g.low.Buffers))
+	for _, b := range g.low.Buffers {
+		if !g.fused[b.Name] {
+			args = append(args, b)
+		}
 	}
-	for _, r := range net.Roots() {
-		g.roots = append(g.roots, g.byID[r])
+	var fns []ocl.KernelFunc
+	if g.sched.Temporal {
+		fns = []ocl.KernelFunc{g.temporalFn(exec)}
+	} else {
+		for p := range g.low.Passes {
+			p := p
+			fns = append(fns, func(lo, hi int, bufs []ocl.View, _ []float64) { exec.RunPass(p, lo, hi, bufs) })
+		}
 	}
-	if err := g.assignPasses(); err != nil {
-		return nil, err
-	}
-	g.planArgs()
-	g.allocRegisters()
-	return g.emit()
+
+	src := g.renderSource()
+	return &Program{
+		Source: src,
+		Kernel: &ocl.Kernel{
+			Name:    "kfused_" + name,
+			Source:  src,
+			NumBufs: len(args),
+			Cost:    g.cost(),
+			Passes:  fns,
+		},
+		Exec:      exec,
+		Args:      args,
+		NumPasses: len(fns),
+		OutWidth:  exec.OutWidth,
+		OutWidths: exec.OutWidths,
+		Schedule:  g.tag,
+	}, nil
 }
 
-// generator holds the fusion state.
+// generator holds one fusion's state: the lowered program and the
+// schedule its views are rendered under.
 type generator struct {
-	net   *dataflow.Network
-	name  string
-	mode  Mode
-	order []*dataflow.Node
-	byID  map[string]*dataflow.Node
-
-	// sched is the schedule annotation set FuseScheduled lowers against;
-	// nil for the flat generator.
+	name string
+	low  *vm.Lowering
+	// sched is the schedule annotation set; the zero Schedule (flat
+	// spec, nothing staged) for the flat generator.
 	sched *passes.Schedule
-
-	// roots are the network's sink nodes (one per Roots() entry).
-	roots []*dataflow.Node
-
-	pass        map[string]int // node ID -> pass index
-	numPasses   int
-	materialize map[string]bool // node IDs needing global scratch
-
-	args   []Arg
-	bufIdx map[string]int // source name / scratch label -> arg position
-	// virtWidths are the element widths of the temporal virtual scratch
-	// views, indexed bufIdx position minus len(args): temporally fused
-	// intermediates never become kernel arguments — the executable
-	// appends per-chunk views for them at launch time.
-	virtWidths []int
-
-	reg     map[string]int // node ID -> register slot
-	numRegs int
+	tag   string // canonical spec string; "" for the flat generator
+	// fused names the scratch buffers a temporal schedule keeps local.
+	fused map[string]bool
+	// expr is the source renderer's operand table: the C expression
+	// currently standing for each virtual register.
+	expr []string
 }
 
-// scratchName labels the scratch buffer of a materialized node.
-func scratchName(id string) string { return "scratch_" + id }
-
-// outName names the i-th output argument: a single root keeps the
-// historical "out", so single-root generated source stays byte-identical;
-// super-network roots are numbered.
-func (g *generator) outName(i int) string {
-	if len(g.roots) == 1 {
-		return "out"
-	}
-	return "out" + strconv.Itoa(i)
-}
-
-// outKey is the bufIdx key of the i-th output argument.
-func (g *generator) outKey(i int) string {
-	if len(g.roots) == 1 {
-		return "__out__"
-	}
-	return "__out" + strconv.Itoa(i) + "__"
-}
-
-// assignPasses computes each node's pass and the materialization set.
-// A stencil (grad3d or a single-axis variant) whose field input is
-// computed must run at least one pass after that input; any value
-// consumed in a later pass than it is computed in must be materialized
-// to global scratch.
-func (g *generator) assignPasses() error {
-	g.materialize = make(map[string]bool)
-	for _, n := range g.order {
-		p := 0
-		for _, in := range n.Inputs {
-			if ip := g.pass[in]; ip > p {
-				p = ip
-			}
-		}
-		if n.Info().Class == dataflow.ClassStencil {
-			field := g.byID[n.Inputs[0]]
-			for _, in := range n.Inputs[1:] {
-				if g.byID[in].Filter != "source" {
-					return fmt.Errorf("codegen: %s input %q must be a source array (dims/coords cannot be computed)", n.Filter, in)
-				}
-			}
-			if field.Filter != "source" {
-				// The stencil reads neighbours of a computed value:
-				// materialize it and synchronize before this pass.
-				g.materialize[field.ID] = true
-				if fp := g.pass[field.ID]; fp+1 > p {
-					p = fp + 1
-				}
-			}
-		}
-		g.pass[n.ID] = p
-	}
-	// Cross-pass consumption also forces materialization.
-	for _, n := range g.order {
-		for _, in := range n.Inputs {
-			src := g.byID[in]
-			if src.Filter == "source" || src.Filter == "const" {
-				continue // sources are global already; constants are literals
-			}
-			if g.pass[in] < g.pass[n.ID] {
-				g.materialize[in] = true
-			}
-		}
-	}
-	g.numPasses = 0
-	for _, r := range g.roots {
-		if p := g.pass[r.ID] + 1; p > g.numPasses {
-			g.numPasses = p
-		}
-	}
-	// A root computed before the final pass is consumed by the final
-	// store, so it must be materialized like any cross-pass value.
-	for _, r := range g.roots {
-		if r.Filter == "source" || r.Filter == "const" {
+// stencils calls f for every stencil instruction of pass p (every pass
+// when p < 0) with the name of the field array it differences.
+func (g *generator) stencils(p int, f func(in *vm.Instr, field string)) {
+	for pi, pass := range g.low.Passes {
+		if p >= 0 && pi != p {
 			continue
 		}
-		if g.pass[r.ID] < g.numPasses-1 {
-			g.materialize[r.ID] = true
-		}
-	}
-	return nil
-}
-
-// planArgs fixes the kernel's buffer argument order: live sources in
-// network declaration order, then scratch buffers in topo order, then
-// the output. Under a temporal schedule the fused intermediates drop
-// out of the argument list entirely — they live in per-tile (simulated:
-// per-chunk) virtual views the executable appends after the real
-// arguments, so their bufIdx entries point past len(args).
-func (g *generator) planArgs() {
-	fused := make(map[string]bool)
-	if g.sched != nil && g.sched.Temporal {
-		for _, id := range g.sched.FusedScratch {
-			fused[id] = true
-		}
-	}
-	live := make(map[string]bool, len(g.order))
-	for _, n := range g.order {
-		live[n.ID] = true
-	}
-	for _, s := range g.net.Sources() {
-		if live[s.ID] {
-			g.bufIdx[s.ID] = len(g.args)
-			g.args = append(g.args, Arg{Kind: ArgSource, Name: s.ID, Width: s.Width})
-		}
-	}
-	for _, n := range g.order {
-		if g.materialize[n.ID] && !fused[n.ID] {
-			label := scratchName(n.ID)
-			g.bufIdx[label] = len(g.args)
-			g.args = append(g.args, Arg{Kind: ArgScratch, Name: label, Width: n.Width})
-		}
-	}
-	for i, r := range g.roots {
-		g.bufIdx[g.outKey(i)] = len(g.args)
-		g.args = append(g.args, Arg{Kind: ArgOut, Name: g.outName(i), Width: r.Width})
-	}
-	for _, n := range g.order {
-		if fused[n.ID] {
-			g.bufIdx[scratchName(n.ID)] = len(g.args) + len(g.virtWidths)
-			g.virtWidths = append(g.virtWidths, n.Width)
+		for i := range pass {
+			if in := &pass[i]; strings.HasPrefix(in.Filter(), "grad3d") {
+				f(in, g.low.Buffers[in.GBufs[0]].Name)
+			}
 		}
 	}
 }
 
-// allocRegisters gives every live node a register slot. In the emitted
-// source, sources are read inline and constants are literals, but the
-// executable plan keeps each in a register so loads happen once per
-// element per pass.
-func (g *generator) allocRegisters() {
-	for _, n := range g.order {
-		if _, ok := g.reg[n.ID]; !ok {
-			g.reg[n.ID] = g.numRegs
-			g.numRegs++
+// temporalFn fuses the two passes into one dispatch phase. For each
+// chunk [lo, hi) the producer pass re-runs over the halo-extended range
+// [lo-halo, hi+halo) into pooled scratch views (the per-tile local
+// arrays of the emitted source), then the consumer pass runs over
+// exactly [lo, hi) reading them back. The halo is one z-plane (nx*ny
+// elements) — the farthest neighbour any stencil reads — so every value
+// the consumer touches was recomputed by the very same instructions that
+// produced it in the flat program: bitwise identity holds per element.
+func (g *generator) temporalFn(exec *vm.Program) ocl.KernelFunc {
+	dimsIdx := -1
+	g.stencils(-1, func(in *vm.Instr, _ string) {
+		if dimsIdx < 0 {
+			dimsIdx = int(in.GBufs[1])
 		}
+	})
+	buffers, fused := g.low.Buffers, g.fused
+	return func(lo, hi int, bufs []ocl.View, _ []float64) {
+		elems := bufs[len(bufs)-1].Elems // the last argument is an output
+		// Rebuild the buffer table's order: arguments as launched, with a
+		// pooled view at each fused intermediate's position.
+		all := make([]ocl.View, len(buffers))
+		next := 0
+		for i, b := range buffers {
+			if fused[b.Name] {
+				data := vm.GetScratch(elems * b.Width)
+				defer vm.PutScratch(data)
+				all[i] = ocl.View{Data: data, Elems: elems, Width: b.Width}
+			} else {
+				all[i] = bufs[next]
+				next++
+			}
+		}
+		halo := 0
+		if dimsIdx >= 0 {
+			dims := all[dimsIdx].Data
+			halo = int(dims[0]) * int(dims[1])
+		}
+		lo2, hi2 := lo-halo, hi+halo
+		if lo2 < 0 {
+			lo2 = 0
+		}
+		if hi2 > elems {
+			hi2 = elems
+		}
+		exec.RunPass(0, lo2, hi2, all)
+		exec.RunPass(1, lo, hi, all)
 	}
 }
 
@@ -367,8 +258,8 @@ func cTypeFor(width int) string {
 }
 
 // cFloat renders a float constant as OpenCL C source.
-func cFloat(v float64) string {
-	s := strconv.FormatFloat(v, 'g', -1, 32)
+func cFloat(v float32) string {
+	s := strconv.FormatFloat(float64(v), 'g', -1, 32)
 	if !strings.ContainsAny(s, ".eE") {
 		s += ".0"
 	}

@@ -11,6 +11,7 @@ import (
 	"dfg/internal/kernels"
 	"dfg/internal/mesh"
 	"dfg/internal/ocl"
+	"dfg/internal/vm"
 	"dfg/internal/vortex"
 )
 
@@ -407,9 +408,34 @@ func TestArgKindString(t *testing.T) {
 	}
 }
 
-// TestExecutionModesBitwiseEqual: the blocked executor performs the same
-// float32 operations in the same order as the element-wise interpreter,
-// so results are bitwise identical.
+// runReference evaluates the network on the per-element reference
+// interpreter over the lowering's virtual registers and returns the
+// (single) output.
+func runReference(t *testing.T, net *dataflow.Network, n int, sources map[string][]float32) []float32 {
+	t.Helper()
+	low, err := vm.Lower(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := make([]ocl.View, len(low.Buffers))
+	var out []float32
+	for i, b := range low.Buffers {
+		data, ok := sources[b.Name]
+		if b.Kind != vm.BufSource {
+			data = make([]float32, n*b.Width)
+			out = data
+		} else if !ok {
+			t.Fatalf("missing source %q", b.Name)
+		}
+		views[i] = ocl.View{Data: data, Elems: n, Width: b.Width}
+	}
+	low.Reference(n, views)
+	return out
+}
+
+// TestExecutionModesBitwiseEqual: the blocked executor behind the fused
+// kernel performs the same float32 operations in the same order as the
+// per-element reference interpreter, so results are bitwise identical.
 func TestExecutionModesBitwiseEqual(t *testing.T) {
 	m := mesh.MustUniform(mesh.Dims{NX: 11, NY: 9, NZ: 30}, 0.3, 0.5, 0.2)
 	rng := rand.New(rand.NewSource(8))
@@ -433,27 +459,17 @@ func TestExecutionModesBitwiseEqual(t *testing.T) {
 	out, _ := nw.AddFilter("mul", half, sel)
 	nw.SetOutput(out)
 
-	pBlocked, err := FuseWithMode(nw, "mix", ModeBlocked)
+	p, err := Fuse(nw, "mix")
 	if err != nil {
 		t.Fatal(err)
-	}
-	pElem, err := FuseWithMode(nw, "mix", ModeElementwise)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pBlocked.Source != pElem.Source {
-		t.Fatal("execution mode must not change generated source")
 	}
 	src := meshSources(m, field)
-	a := runProgram(t, pBlocked, m.Cells(), src)
-	b := runProgram(t, pElem, m.Cells(), src)
+	a := runProgram(t, p, m.Cells(), src)
+	b := runReference(t, nw, m.Cells(), src)
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("modes differ at %d: %v vs %v", i, a[i], b[i])
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			t.Fatalf("executor and reference differ at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-	if ModeBlocked.String() != "blocked" || ModeElementwise.String() != "elementwise" {
-		t.Fatal("mode names wrong")
 	}
 }
 
@@ -479,9 +495,9 @@ func TestBlockedModePartialBlocks(t *testing.T) {
 }
 
 // TestAllPrimitivesThroughBothExecutors runs a network touching every
-// elementwise primitive through both execution modes and checks the
-// result against a direct host computation — covering every opcode in
-// both interpreters.
+// elementwise primitive through the fused kernel's blocked executor and
+// the per-element reference, and checks both against a direct host
+// computation — covering every opcode in both interpreters.
 func TestAllPrimitivesThroughBothExecutors(t *testing.T) {
 	src := `s = u + v
 d = u - v
@@ -548,12 +564,15 @@ out = s + d + p + q + r + n + e + l + si + co + pw + c2 + c3 + c4 + c5 + c6 + se
 			b2f(a < b) + b2f(a >= b) + b2f(a <= b) + b2f(a == b) + b2f(a != b) + sel
 	}
 
-	for _, mode := range []Mode{ModeBlocked, ModeElementwise} {
-		prog, err := FuseWithMode(net, "allops", mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := runProgram(t, prog, n, map[string][]float32{"u": u, "v": v})
+	prog, err := Fuse(net, "allops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string][]float32{"u": u, "v": v}
+	for mode, got := range map[string][]float32{
+		"blocked":   runProgram(t, prog, n, sources),
+		"reference": runReference(t, net, n, sources),
+	} {
 		for i := 0; i < n; i++ {
 			if d := math.Abs(float64(got[i] - want[i])); d > 2e-4*(1+math.Abs(float64(want[i]))) {
 				t.Fatalf("%v: cell %d: %v vs %v", mode, i, got[i], want[i])

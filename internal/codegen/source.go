@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"strings"
 
-	"dfg/internal/dataflow"
 	"dfg/internal/kernels"
 	"dfg/internal/passes"
+	"dfg/internal/vm"
 )
 
-// This file renders the OpenCL C source of scheduled kernels. The text
-// is what a real OpenCL runtime would JIT — golden tests pin it per
-// transformation — while the numerics come from the executable plan in
-// schedule.go, which is shared with the flat generator.
+// This file renders the OpenCL C source of the lowered program, flat or
+// scheduled. The text is what a real OpenCL runtime would JIT — golden
+// tests pin it per transformation — while the numerics come from vm's
+// executor running the very instructions rendered here.
 
 // Schedule helper sources, emitted after the tile-geometry defines.
 const (
@@ -167,11 +167,10 @@ inline float dfg_grad3d_axis_tloc(__local const float *lf,
 `
 )
 
-// schedCtx carries the per-render bookkeeping of the scheduled source
-// walk: which helper functions the emitted statements ended up needing.
-type schedCtx struct {
+// renderCtx carries the per-render bookkeeping of the source walk: which
+// helper functions the emitted statements ended up needing.
+type renderCtx struct {
 	staged     map[string]bool // staged field arg name -> true
-	fusedNode  map[string]bool // temporally fused node ID -> true
 	needsTile  bool            // emitted a dfg_grad3d_tile call
 	needsAxisT bool            // emitted a dfg_grad3d_axis_tile call
 	needsTloc  bool            // emitted a dfg_grad3d_tloc call
@@ -180,48 +179,43 @@ type schedCtx struct {
 	needsAxisF bool            // emitted a flat dfg_grad3d_axis call
 }
 
-// renderScheduledSource assembles the scheduled kernel's OpenCL C.
-func (g *generator) renderScheduledSource(passNodes [][]*dataflow.Node) string {
+// renderSource assembles the kernel's OpenCL C: the shared primitive
+// functions, then one kernel entry per pass (a single entry in the
+// common fully-fused case, and always under temporal fusion).
+func (g *generator) renderSource() string {
 	s := g.sched
 	spec := s.Spec
-	ctx := &schedCtx{
-		staged:    make(map[string]bool, len(s.Staged)),
-		fusedNode: make(map[string]bool, len(s.FusedScratch)),
-	}
+	ctx := &renderCtx{staged: make(map[string]bool, len(s.Staged))}
 	for _, st := range s.Staged {
 		ctx.staged[st.Field] = true
 	}
-	for _, id := range s.FusedScratch {
-		ctx.fusedNode[id] = true
-	}
 	tiled := spec.Tiled() && (len(s.Staged) > 0 || s.Temporal)
+	numPasses := len(g.low.Passes)
 
 	// Render the kernel bodies first: they decide which helpers the
 	// header must include.
 	var kernelsSrc []string
 	if s.Temporal {
-		kernelsSrc = append(kernelsSrc, g.renderTiledKernel(ctx, "kfused_"+g.name, passNodes, -1))
-	} else if tiled {
-		for p := range passNodes {
-			name := "kfused_" + g.name
-			if len(passNodes) > 1 {
-				name = fmt.Sprintf("%s_pass%d", name, p)
-			}
-			kernelsSrc = append(kernelsSrc, g.renderTiledKernel(ctx, name, passNodes, p))
-		}
+		kernelsSrc = append(kernelsSrc, g.renderTiledKernel(ctx, "kfused_"+g.name, -1))
 	} else {
-		for p := range passNodes {
+		for p := 0; p < numPasses; p++ {
 			name := "kfused_" + g.name
-			if len(passNodes) > 1 {
+			if numPasses > 1 {
 				name = fmt.Sprintf("%s_pass%d", name, p)
 			}
-			kernelsSrc = append(kernelsSrc, g.renderLinearKernel(ctx, name, passNodes, p))
+			if tiled {
+				kernelsSrc = append(kernelsSrc, g.renderTiledKernel(ctx, name, p))
+			} else {
+				kernelsSrc = append(kernelsSrc, g.renderLinearKernel(ctx, name, p))
+			}
 		}
 	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "// fused derived-field kernel %q generated by dfg/codegen\n", g.name)
-	fmt.Fprintf(&b, "// schedule: %s\n", spec)
+	if g.tag != "" {
+		fmt.Fprintf(&b, "// schedule: %s\n", spec)
+	}
 	for _, st := range s.Staged {
 		fmt.Fprintf(&b, "//   stage %s -> __local %s (%d stencil(s), halo 1)\n", st.Field, st.Local, st.Stencils)
 	}
@@ -234,7 +228,7 @@ func (g *generator) renderScheduledSource(passNodes [][]*dataflow.Node) string {
 	if s.Temporal {
 		fmt.Fprintf(&b, "//   temporal: %d passes fused per tile (halo recompute, no global scratch)\n", s.Passes)
 	} else {
-		fmt.Fprintf(&b, "// %d pass(es); intermediate results in device registers\n", len(passNodes))
+		fmt.Fprintf(&b, "// %d pass(es); intermediate results in device registers\n", numPasses)
 	}
 	if tiled {
 		b.WriteString("\n")
@@ -250,7 +244,8 @@ func (g *generator) renderScheduledSource(passNodes [][]*dataflow.Node) string {
 		}
 		fmt.Fprintf(&b, "#define DFG_REG %d\n", spec.Register)
 	}
-	if ctx.needsFlat || ctx.needsAxisF || ctx.needsTile || ctx.needsAxisT || ctx.needsTloc || ctx.needsAxisL {
+	local := ctx.needsTile || ctx.needsAxisT || ctx.needsTloc || ctx.needsAxisL
+	if local || ctx.needsFlat || ctx.needsAxisF {
 		b.WriteString("\n")
 		b.WriteString(kernels.Grad3DFunction) // defines dfg_axis_diff (+ flat dfg_grad3d)
 		if ctx.needsAxisF {
@@ -258,11 +253,11 @@ func (g *generator) renderScheduledSource(passNodes [][]*dataflow.Node) string {
 			b.WriteString(kernels.Grad3DAxisFunction)
 		}
 	}
-	if ctx.needsTile || ctx.needsAxisT || ctx.needsTloc || ctx.needsAxisL {
+	if local {
 		b.WriteString("\n")
 		b.WriteString(axisDiffLocalSrc)
 	}
-	if tiled && len(stagedNonFused(s)) > 0 {
+	if tiled && len(g.stagedForPass(-1)) > 0 {
 		b.WriteString("\n")
 		if s.VectorStage {
 			b.WriteString(stageTile4Src)
@@ -291,33 +286,46 @@ func (g *generator) renderScheduledSource(passNodes [][]*dataflow.Node) string {
 	return b.String()
 }
 
-// stagedNonFused lists the staged fields that really stage from global
-// memory (temporally fused intermediates are recomputed, not staged).
-func stagedNonFused(s *passes.Schedule) []passes.StagedField {
-	fused := make(map[string]bool, len(s.FusedScratch))
-	for _, id := range s.FusedScratch {
-		fused[scratchName(id)] = true
-	}
-	var out []passes.StagedField
-	for _, st := range s.Staged {
-		if !fused[st.Field] {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
-// renderLinearKernel renders an untiled scheduled pass body: the flat
-// 1D iteration shape with vectorized loads and/or register blocking.
-func (g *generator) renderLinearKernel(ctx *schedCtx, name string, passNodes [][]*dataflow.Node, p int) string {
-	s := g.sched
-	vec := len(s.VectorLoads) > 0
-	var b strings.Builder
-	if len(passNodes) > 1 {
-		fmt.Fprintf(&b, "// pass %d (device-wide barrier before the next pass;\n", p)
+// kernelHead opens one kernel entry: the pass comment of a multi-pass
+// program, the signature and the opening brace.
+func (g *generator) kernelHead(b *strings.Builder, name string, p int) {
+	if p >= 0 && len(g.low.Passes) > 1 {
+		fmt.Fprintf(b, "// pass %d (device-wide barrier before the next pass;\n", p)
 		b.WriteString("// the runtime dispatches all passes as one fused launch)\n")
 	}
-	fmt.Fprintf(&b, "__kernel void %s(\n%s)\n{\n", name, g.renderParams())
+	params := make([]string, 0, len(g.low.Buffers))
+	for _, a := range g.low.Buffers {
+		if g.fused[a.Name] {
+			continue // temporal scratch is __local, not an argument
+		}
+		qual := "__global const "
+		if a.Kind != ArgSource {
+			qual = "__global " // scratch is written then read; out is written
+		}
+		params = append(params, fmt.Sprintf("    %s%s *%s", qual, cTypeFor(a.Width), a.Name))
+	}
+	fmt.Fprintf(b, "__kernel void %s(\n%s)\n{\n", name, strings.Join(params, ",\n"))
+}
+
+// writeStmts renders pass p's statements into b, one per line.
+func (g *generator) writeStmts(b *strings.Builder, ctx *renderCtx, p int, indent, gidExpr string, vec bool) {
+	for _, line := range g.stmts(ctx, p, gidExpr, vec) {
+		b.WriteString(indent)
+		b.WriteString(line)
+		b.WriteString("\n")
+	}
+}
+
+// renderLinearKernel renders an untiled pass body: the flat 1D iteration
+// shape, under a schedule with vectorized loads and/or register
+// blocking.
+func (g *generator) renderLinearKernel(ctx *renderCtx, name string, p int) string {
+	s := g.sched
+	// Vector loads only apply to fully elementwise networks, which are
+	// always single-pass.
+	vec := len(s.VectorLoads) > 0
+	var b strings.Builder
+	g.kernelHead(&b, name, p)
 	b.WriteString("    int gid = get_global_id(0);\n")
 	indent := "    "
 	if s.Spec.Register > 1 {
@@ -326,16 +334,10 @@ func (g *generator) renderLinearKernel(ctx *schedCtx, name string, passNodes [][
 		b.WriteString("    for (int rb = 0; rb < DFG_REG; ++rb, gid += get_global_size(0)) {\n")
 		indent = "        "
 	}
-	if vec && p == loadPassFor(g, passNodes) {
-		for _, src := range s.VectorLoads {
-			fmt.Fprintf(&b, "%sfloat%d v_%s = vload%d(gid, %s);\n", indent, s.Spec.Vector, src, s.Spec.Vector, src)
-		}
+	for _, src := range s.VectorLoads {
+		fmt.Fprintf(&b, "%sfloat%d v_%s = vload%d(gid, %s);\n", indent, s.Spec.Vector, src, s.Spec.Vector, src)
 	}
-	for _, line := range g.schedStmts(ctx, p, passNodes[p], "gid", vec) {
-		b.WriteString(indent)
-		b.WriteString(line)
-		b.WriteString("\n")
-	}
+	g.writeStmts(&b, ctx, p, indent, "gid", vec)
 	if s.Spec.Register > 1 {
 		b.WriteString("    }\n")
 	}
@@ -343,28 +345,23 @@ func (g *generator) renderLinearKernel(ctx *schedCtx, name string, passNodes [][
 	return b.String()
 }
 
-// loadPassFor returns the pass whose body carries the vector-load
-// preamble. Vector loads only apply to fully elementwise networks,
-// which are always single-pass, so this is pass 0.
-func loadPassFor(*generator, [][]*dataflow.Node) int { return 0 }
-
 // renderTiledKernel renders a tiled pass body (p == -1 renders the
 // temporally fused kernel covering both passes).
-func (g *generator) renderTiledKernel(ctx *schedCtx, name string, passNodes [][]*dataflow.Node, p int) string {
+func (g *generator) renderTiledKernel(ctx *renderCtx, name string, p int) string {
 	s := g.sched
 	spec := s.Spec
-	dimsName := g.dimsSourceName()
+
+	// Tiled kernels read nx/ny from the dims source feeding the
+	// network's stencils (every stencil shares it).
+	dimsName := "dims"
+	g.stencils(-1, func(in *vm.Instr, _ string) { dimsName = g.low.Buffers[in.GBufs[1]].Name })
 
 	// Which fields stage from global in this kernel: staged fields read
 	// by the stencils of the rendered pass(es), minus fused scratch.
-	stage := g.stagedForPass(passNodes, p)
+	stage := g.stagedForPass(p)
 
 	var b strings.Builder
-	if p >= 0 && len(passNodes) > 1 {
-		fmt.Fprintf(&b, "// pass %d (device-wide barrier before the next pass;\n", p)
-		b.WriteString("// the runtime dispatches all passes as one fused launch)\n")
-	}
-	fmt.Fprintf(&b, "__kernel void %s(\n%s)\n{\n", name, g.renderParams())
+	g.kernelHead(&b, name, p)
 	fmt.Fprintf(&b, "    int nx = (int)%s[0];\n", dimsName)
 	fmt.Fprintf(&b, "    int ny = (int)%s[1];\n", dimsName)
 	b.WriteString("    int lx = get_local_id(0);\n")
@@ -383,11 +380,10 @@ func (g *generator) renderTiledKernel(ctx *schedCtx, name string, passNodes [][]
 	for _, st := range stage {
 		fmt.Fprintf(&b, "    __local float %s[DFG_LTILE];\n", st.Local)
 	}
-	if s.Temporal {
-		for _, id := range s.FusedScratch {
-			n := g.byID[id]
+	for _, a := range g.low.Buffers {
+		if g.fused[a.Name] {
 			fmt.Fprintf(&b, "    __local %s l_%s[3 * DFG_LTILE]; // temporal scratch: z-planes below/center/above\n",
-				cTypeFor(n.Width), scratchName(id))
+				cTypeFor(a.Width), a.Name)
 		}
 	}
 
@@ -421,27 +417,15 @@ func (g *generator) renderTiledKernel(ctx *schedCtx, name string, passNodes [][]
 		b.WriteString(indent + "for (int t = lid; t < 3 * DFG_LTILE; t += lsz) {\n")
 		b.WriteString(indent + "    int hgid = tbase + ((t / DFG_LTILE) - 1) * nx * ny\n")
 		b.WriteString(indent + "             + ((t % DFG_LTILE) / DFG_LW) * nx + (t % DFG_LW);\n")
-		for _, line := range g.schedStmts(ctx, 0, passNodes[0], "hgid", false) {
-			b.WriteString(indent + "    ")
-			b.WriteString(line)
-			b.WriteString("\n")
-		}
+		g.writeStmts(&b, ctx, 0, indent+"    ", "hgid", false)
 		b.WriteString(indent + "}\n")
 		fmt.Fprintf(&b, "%sbarrier(CLK_LOCAL_MEM_FENCE);\n", indent)
-		for _, line := range g.schedStmts(ctx, 1, passNodes[1], "gid", false) {
-			b.WriteString(indent)
-			b.WriteString(line)
-			b.WriteString("\n")
-		}
+		g.writeStmts(&b, ctx, 1, indent, "gid", false)
 	} else {
 		if len(stage) > 0 {
 			fmt.Fprintf(&b, "%sbarrier(CLK_LOCAL_MEM_FENCE);\n", indent)
 		}
-		for _, line := range g.schedStmts(ctx, p, passNodes[p], "gid", false) {
-			b.WriteString(indent)
-			b.WriteString(line)
-			b.WriteString("\n")
-		}
+		g.writeStmts(&b, ctx, p, indent, "gid", false)
 	}
 
 	if spec.Register > 1 {
@@ -451,174 +435,124 @@ func (g *generator) renderTiledKernel(ctx *schedCtx, name string, passNodes [][]
 	return b.String()
 }
 
-// dimsSourceName returns the dims source feeding the network's
-// stencils (every stencil shares it; tiled kernels read nx/ny from it).
-func (g *generator) dimsSourceName() string {
-	for _, n := range g.order {
-		if n.Info().Class == dataflow.ClassStencil {
-			return n.Inputs[1]
-		}
-	}
-	return "dims"
-}
-
 // stagedForPass lists the staged fields whose stencils run in pass p
-// (p == -1: any pass), excluding temporally fused scratch.
-func (g *generator) stagedForPass(passNodes [][]*dataflow.Node, p int) []passes.StagedField {
-	fused := make(map[string]bool, len(g.sched.FusedScratch))
-	for _, id := range g.sched.FusedScratch {
-		fused[scratchName(id)] = true
-	}
+// (p == -1: any pass) and really stage from global memory — temporally
+// fused intermediates are recomputed locally, not staged.
+func (g *generator) stagedForPass(p int) []passes.StagedField {
 	want := make(map[string]bool)
-	for pp, nodes := range passNodes {
-		if p >= 0 && pp != p {
-			continue
-		}
-		for _, n := range nodes {
-			if n.Info().Class != dataflow.ClassStencil {
-				continue
-			}
-			field := g.byID[n.Inputs[0]]
-			name := field.ID
-			if field.Filter != "source" {
-				name = scratchName(field.ID)
-			}
-			want[name] = true
-		}
-	}
+	g.stencils(p, func(_ *vm.Instr, field string) { want[field] = true })
 	var out []passes.StagedField
 	for _, st := range g.sched.Staged {
-		if want[st.Field] && !fused[st.Field] {
+		if want[st.Field] && !g.fused[st.Field] {
 			out = append(out, st)
 		}
 	}
 	return out
 }
 
-// schedStmts renders one pass's statements under the schedule. gidExpr
-// is the linear element index expression ("gid", or "hgid" inside the
-// temporal recompute loop); vec widens the body to the vector type.
-func (g *generator) schedStmts(ctx *schedCtx, p int, nodes []*dataflow.Node, gidExpr string, vec bool) []string {
+// stmts renders pass p's instructions as C statements. gidExpr is the
+// linear element index expression ("gid", or "hgid" inside the temporal
+// recompute loop); vec widens the body to the vector type. Loads and
+// constants emit no statement of their own: they only set the expression
+// their register stands for (sources are read inline, constants are
+// literals), so a value is named r<N> exactly when this pass computed
+// it.
+func (g *generator) stmts(ctx *renderCtx, p int, gidExpr string, vec bool) []string {
 	s := g.sched
 	inTemporalLoop := s.Temporal && p == 0
 	scalarType := "float"
 	if vec {
 		scalarType = cTypeFor(s.Spec.Vector)
 	}
+	bufs := g.low.Buffers
+	name := func(b uint16) string { return bufs[b].Name }
 
-	operand := func(id string) string {
-		n := g.byID[id]
-		switch {
-		case n.Filter == "const":
-			return cFloat(n.Value)
-		case n.Filter == "source":
-			if vec {
-				return "v_" + id
-			}
-			return id + "[" + gidExpr + "]"
-		case g.pass[id] < p:
-			if ctx.fusedNode[id] {
+	var (
+		stmts []string
+		reads []uint16
+	)
+	pass := g.low.Passes[p]
+	for i := range pass {
+		in := &pass[i]
+		r := in.Dst
+		switch f := in.Filter(); f {
+		case "load":
+			switch buf := bufs[in.Buf]; {
+			case vec:
+				g.expr[r] = "v_" + buf.Name
+			case g.fused[buf.Name]:
 				// Temporally fused: read the center plane of the local
 				// scratch instead of a global array.
-				return fmt.Sprintf("l_%s[DFG_LTILE + lidx]", scratchName(id))
+				g.expr[r] = fmt.Sprintf("l_%s[DFG_LTILE + lidx]", buf.Name)
+			default:
+				g.expr[r] = buf.Name + "[" + gidExpr + "]"
 			}
-			return scratchName(id) + "[" + gidExpr + "]"
-		default:
-			return fmt.Sprintf("r%d", g.reg[id])
-		}
-	}
-
-	var stmts []string
-	for _, n := range nodes {
-		if n.Filter == "source" || n.Filter == "const" {
 			continue
-		}
-		r := g.reg[n.ID]
-		switch n.Filter {
-		case "grad3d", "grad3dx", "grad3dy", "grad3dz":
-			field := g.byID[n.Inputs[0]]
-			fieldArg := field.ID
-			if field.Filter != "source" {
-				fieldArg = scratchName(field.ID)
+		case "const":
+			g.expr[r] = cFloat(in.Val)
+			continue
+		case "store":
+			switch buf := bufs[in.Buf]; {
+			case g.fused[buf.Name]:
+				stmts = append(stmts, fmt.Sprintf("l_%s[t] = %s;", buf.Name, g.expr[in.A]))
+			case vec:
+				stmts = append(stmts, fmt.Sprintf("vstore%d(%s, %s, %s);", s.Spec.Vector, g.expr[in.A], gidExpr, buf.Name))
+			default:
+				stmts = append(stmts, fmt.Sprintf("%s[%s] = %s;", buf.Name, gidExpr, g.expr[in.A]))
 			}
-			axis, isAxis := kernels.GradAxisOf(n.Filter)
-			coord := ""
-			if isAxis {
-				coord = n.Inputs[2+axis]
-			}
+			continue
+		case "grad3d":
+			field := name(in.GBufs[0])
+			coords := fmt.Sprintf("%s, %s, %s, %s", name(in.GBufs[1]), name(in.GBufs[2]), name(in.GBufs[3]), name(in.GBufs[4]))
 			switch {
-			case ctx.fusedNode[field.ID] && !inTemporalLoop:
+			case g.fused[field] && !inTemporalLoop:
 				// Stencil over temporally recomputed local scratch.
-				if isAxis {
-					ctx.needsAxisL = true
-					stmts = append(stmts, fmt.Sprintf("float r%d = dfg_grad3d_axis_tloc(l_%s, %s, %s, %s, lidx, %d);",
-						r, fieldArg, n.Inputs[1], coord, gidExpr, axis))
-				} else {
-					ctx.needsTloc = true
-					stmts = append(stmts, fmt.Sprintf("float4 r%d = dfg_grad3d_tloc(l_%s, %s, %s, %s, %s, %s, lidx);",
-						r, fieldArg, n.Inputs[1], n.Inputs[2], n.Inputs[3], n.Inputs[4], gidExpr))
-				}
-			case ctx.staged[fieldArg] && !inTemporalLoop:
+				ctx.needsTloc = true
+				stmts = append(stmts, fmt.Sprintf("float4 r%d = dfg_grad3d_tloc(l_%s, %s, %s, lidx);", r, field, coords, gidExpr))
+			case ctx.staged[field] && !inTemporalLoop:
 				// Stencil over a tile staged from global memory.
-				if isAxis {
-					ctx.needsAxisT = true
-					stmts = append(stmts, fmt.Sprintf("float r%d = dfg_grad3d_axis_tile(l_%s, %s, %s, %s, %s, lidx, %d);",
-						r, fieldArg, fieldArg, n.Inputs[1], coord, gidExpr, axis))
-				} else {
-					ctx.needsTile = true
-					stmts = append(stmts, fmt.Sprintf("float4 r%d = dfg_grad3d_tile(l_%s, %s, %s, %s, %s, %s, %s, lidx);",
-						r, fieldArg, fieldArg, n.Inputs[1], n.Inputs[2], n.Inputs[3], n.Inputs[4], gidExpr))
-				}
+				ctx.needsTile = true
+				stmts = append(stmts, fmt.Sprintf("float4 r%d = dfg_grad3d_tile(l_%s, %s, %s, %s, lidx);", r, field, field, coords, gidExpr))
 			default:
 				// Flat global stencil (inside the temporal recompute
 				// loop the staged tile does not cover the halo planes).
-				if isAxis {
-					ctx.needsAxisF = true
-					stmts = append(stmts, fmt.Sprintf("float r%d = dfg_grad3d_axis(%s, %s, %s, %s, %d);",
-						r, fieldArg, n.Inputs[1], coord, gidExpr, axis))
-				} else {
-					ctx.needsFlat = true
-					stmts = append(stmts, fmt.Sprintf("float4 r%d = dfg_grad3d(%s, %s, %s, %s, %s, %s);",
-						r, fieldArg, n.Inputs[1], n.Inputs[2], n.Inputs[3], n.Inputs[4], gidExpr))
-				}
+				ctx.needsFlat = true
+				stmts = append(stmts, fmt.Sprintf("float4 r%d = dfg_grad3d(%s, %s, %s);", r, field, coords, gidExpr))
+			}
+		case "grad3dx", "grad3dy", "grad3dz":
+			// Single-axis stencil: a scalar result, reading only the one
+			// coordinate array it differences against.
+			field, dims, coord, axis := name(in.GBufs[0]), name(in.GBufs[1]), name(in.GBufs[2+in.Comp]), in.Comp
+			switch {
+			case g.fused[field] && !inTemporalLoop:
+				ctx.needsAxisL = true
+				stmts = append(stmts, fmt.Sprintf("float r%d = dfg_grad3d_axis_tloc(l_%s, %s, %s, %s, lidx, %d);", r, field, dims, coord, gidExpr, axis))
+			case ctx.staged[field] && !inTemporalLoop:
+				ctx.needsAxisT = true
+				stmts = append(stmts, fmt.Sprintf("float r%d = dfg_grad3d_axis_tile(l_%s, %s, %s, %s, %s, lidx, %d);", r, field, field, dims, coord, gidExpr, axis))
+			default:
+				ctx.needsAxisF = true
+				stmts = append(stmts, fmt.Sprintf("float r%d = dfg_grad3d_axis(%s, %s, %s, %s, %d);", r, field, dims, coord, gidExpr, axis))
 			}
 		case "decompose":
-			stmts = append(stmts, fmt.Sprintf("float r%d = %s.s%d;", r, operand(n.Inputs[0]), n.Comp))
+			stmts = append(stmts, fmt.Sprintf("float r%d = %s.s%d;", r, g.expr[in.A], in.Comp))
 		case "norm":
-			in := operand(n.Inputs[0])
-			stmts = append(stmts, fmt.Sprintf("float r%d = sqrt(%[2]s.s0*%[2]s.s0 + %[2]s.s1*%[2]s.s1 + %[2]s.s2*%[2]s.s2);", r, in))
+			stmts = append(stmts, fmt.Sprintf("float r%d = sqrt(%[2]s.s0*%[2]s.s0 + %[2]s.s1*%[2]s.s1 + %[2]s.s2*%[2]s.s2);", r, g.expr[in.A]))
 		default:
-			tmpl, ok := kernels.ExprTemplate(n.Filter)
+			tmpl, ok := kernels.ExprTemplate(f)
 			if !ok {
-				stmts = append(stmts, fmt.Sprintf("/* no fusion rule for %s */", n.Filter))
-				continue
+				// The lowering's opcode table and the template table are
+				// both static; only a bug can make them disagree.
+				panic("codegen: no expression template for lowered filter " + f)
 			}
-			exprs := make([]any, 0, len(n.Inputs))
-			for _, in := range n.Inputs {
-				exprs = append(exprs, operand(in))
+			reads = in.Reads(reads[:0])
+			exprs := make([]any, len(reads))
+			for k, a := range reads {
+				exprs[k] = g.expr[a]
 			}
 			stmts = append(stmts, fmt.Sprintf("%s r%d = %s;", scalarType, r, fmt.Sprintf(tmpl, exprs...)))
 		}
-
-		if g.materialize[n.ID] {
-			label := scratchName(n.ID)
-			if ctx.fusedNode[n.ID] {
-				stmts = append(stmts, fmt.Sprintf("l_%s[t] = r%d;", label, r))
-			} else {
-				stmts = append(stmts, fmt.Sprintf("%s[%s] = r%d;", label, gidExpr, r))
-			}
-		}
-	}
-
-	if p == g.numPasses-1 {
-		for i, root := range g.roots {
-			expr := operand(root.ID)
-			if vec {
-				stmts = append(stmts, fmt.Sprintf("vstore%d(%s, %s, %s);", s.Spec.Vector, expr, gidExpr, g.outName(i)))
-			} else {
-				stmts = append(stmts, fmt.Sprintf("%s[%s] = %s;", g.outName(i), gidExpr, expr))
-			}
-		}
+		g.expr[r] = fmt.Sprintf("r%d", r) // computed here: named by its register
 	}
 	return stmts
 }

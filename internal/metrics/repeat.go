@@ -37,9 +37,14 @@ type RepeatCase struct {
 	Reused         int64 `json:"buffers_reused"`
 	UploadsSkipped int64 `json:"uploads_skipped"`
 	// ScratchColdAllocs / ScratchWarmAllocs count fresh host-scratch
-	// slices the VM's pool allocated (cold eval vs all warm evals
-	// combined). Zero for device strategies; for the "vm" row they are
-	// the warm-path gate, since the VM touches no device memory at all.
+	// slices the executor's pool allocated (cold eval vs all warm evals
+	// combined). Recorded for the "vm" row only, where they are the
+	// warm-path gate (the VM touches no device memory at all) and exact:
+	// one sweep draws its storage in a fixed order. The fused kernel
+	// draws a register slab per launch chunk from the same pool, so on a
+	// device row the count would depend on how far the chunks' goroutines
+	// happened to overlap; its Go-heap gate is the single-chunk
+	// TestWarmFusionGoHeapGate instead.
 	ScratchColdAllocs int64 `json:"scratch_cold_allocs,omitempty"`
 	ScratchWarmAllocs int64 `json:"scratch_warm_allocs,omitempty"`
 	// Identical reports whether every warm output was bitwise equal to
@@ -192,7 +197,9 @@ func repeatCase(strat string, m *mesh.Mesh, fields map[string][]float32, warm in
 	scratchCold := vm.Stats()
 	c.ColdAllocs = afterCold.Allocated - before.Allocated
 	c.ColdWrites = cold.Profile.Writes
-	c.ScratchColdAllocs = scratchCold.Allocs - scratchBefore.Allocs
+	if strat == "vm" {
+		c.ScratchColdAllocs = scratchCold.Allocs - scratchBefore.Allocs
+	}
 
 	c.Identical = true
 	for i := 0; i < warm; i++ {
@@ -210,7 +217,9 @@ func repeatCase(strat string, m *mesh.Mesh, fields map[string][]float32, warm in
 	c.WarmAllocs = afterWarm.Allocated - afterCold.Allocated
 	c.Reused = afterWarm.Reused - afterCold.Reused
 	c.UploadsSkipped = afterWarm.UploadsSkipped - afterCold.UploadsSkipped
-	c.ScratchWarmAllocs = scratchWarm.Allocs - scratchCold.Allocs
+	if strat == "vm" {
+		c.ScratchWarmAllocs = scratchWarm.Allocs - scratchCold.Allocs
+	}
 	if strat == ScheduledName {
 		if err := c.fillScheduleGate(cold, m, fields); err != nil {
 			return c, err

@@ -12,6 +12,7 @@ import (
 
 	"dfg"
 	"dfg/internal/obs"
+	"dfg/internal/strategy"
 )
 
 // testInputs returns u/v/w arrays of n elements with deterministic
@@ -280,6 +281,32 @@ func TestPoolBadRequestsSurfaceErrors(t *testing.T) {
 	st := p.Stats()
 	if st.Failed != 2 || st.Served != 0 {
 		t.Fatalf("stats = %+v, want 2 failed", st)
+	}
+}
+
+// TestPoolShortSourceKeepsServing: a request whose bound array is
+// shorter than N gets a typed error back — under the device strategies
+// the out-of-range read used to happen inside a kernel worker
+// goroutine, beyond any recover, and took the whole process down — and
+// the pool then serves the next request as usual.
+func TestPoolShortSourceKeepsServing(t *testing.T) {
+	p := newTestPool(t, Config{Workers: 2})
+	const n = 65536 // large enough that the kernel fans out over goroutines
+	for _, strat := range []string{"fusion", "vm", "staged"} {
+		bad := testInputs(n)
+		bad["v"] = bad["v"][:n/2]
+		_, err := p.Submit(context.Background(), Request{Expr: "r = u + v", N: n, Inputs: bad, Strategy: strat})
+		var short *strategy.ShortSourceError
+		if !errors.As(err, &short) || short.Name != "v" {
+			t.Fatalf("%s: short source: err = %v, want a ShortSourceError for v", strat, err)
+		}
+		res, err := p.Submit(context.Background(), Request{Expr: "r = u + v", N: n, Inputs: testInputs(n), Strategy: strat})
+		if err != nil || len(res.Data) != n {
+			t.Fatalf("%s: pool stopped serving after the rejected request: %v", strat, err)
+		}
+	}
+	if st := p.Stats(); st.Failed != 3 || st.Served != 3 {
+		t.Fatalf("stats = %+v, want 3 failed and 3 served", st)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"dfg/internal/expr"
 	"dfg/internal/mesh"
 	"dfg/internal/ocl"
-	"dfg/internal/passes"
 	"dfg/internal/rtsim"
 	"dfg/internal/vortex"
 )
@@ -235,33 +234,6 @@ func TestStagedKeepIntermediatesAblation(t *testing.T) {
 	}
 	if env.Context().LiveBuffers() != 0 {
 		t.Fatal("ablation run must still clean up at exit")
-	}
-}
-
-func TestFusionProgramCache(t *testing.T) {
-	net, err := expr.Compile(vortex.VelMagExpr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := fusionProgram(net, passes.ScheduleSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := fusionProgram(net, passes.ScheduleSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Fatal("repeated executions of one network must reuse the generated program")
-	}
-	// A different network gets its own program.
-	net2, _ := expr.Compile(vortex.VelMagExpr)
-	p3, err := fusionProgram(net2, passes.ScheduleSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p1 {
-		t.Fatal("distinct networks must not share cache entries")
 	}
 }
 

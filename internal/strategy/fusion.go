@@ -2,50 +2,24 @@ package strategy
 
 import (
 	"fmt"
-	"sync"
 
 	"dfg/internal/codegen"
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
 	"dfg/internal/passes"
+	"dfg/internal/vm"
 )
 
-// progCache memoizes generated programs per (network, schedule), so
-// pipelines that re-execute the same expression every time step (the
-// host-application pattern) pay for kernel generation once per schedule
-// variant. Networks must not be mutated after their first execution —
-// the expression front end never does.
-var progCache sync.Map // progKey -> *codegen.Program
-
-type progKey struct {
-	net *dataflow.Network
-	tag string // canonical ScheduleSpec string; "flat" for the flat body
-}
-
-// fusionProgram returns the network's fused program under the given
-// schedule, generating it on first use.
-func fusionProgram(net *dataflow.Network, spec passes.ScheduleSpec) (*codegen.Program, error) {
-	key := progKey{net: net, tag: spec.String()}
-	if p, ok := progCache.Load(key); ok {
-		return p.(*codegen.Program), nil
-	}
-	var (
-		prog *codegen.Program
-		err  error
-	)
-	if spec.IsFlat() {
-		prog, err = codegen.Fuse(net, "expr")
-	} else {
-		var sched *passes.Schedule
-		if sched, err = passes.ComputeSchedule(net, spec); err == nil {
-			prog, err = codegen.FuseScheduled(net, "expr", sched)
-		}
-	}
+// fuse generates the network's fused program under a schedule (the
+// zero spec is the flat paper kernel). Nothing here memoizes: the plan
+// that asks owns the program, and internal/compile's bounded plan cache
+// is the only memo above it.
+func fuse(net *dataflow.Network, name string, spec passes.ScheduleSpec) (*codegen.Program, error) {
+	sched, err := passes.ComputeSchedule(net, spec) // nil for the flat spec
 	if err != nil {
 		return nil, err
 	}
-	actual, _ := progCache.LoadOrStore(key, prog)
-	return actual.(*codegen.Program), nil
+	return codegen.FuseScheduled(net, name, sched)
 }
 
 // Fusion is the paper's fastest execution strategy: the dynamic kernel
@@ -96,18 +70,22 @@ type fusionPlan struct {
 	prog *codegen.Program
 }
 
-// Plan generates (or reuses) the network's fused kernel program.
+// Plan generates the network's fused kernel program.
 func (s Fusion) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	base, err := newPlanBase("fusion", net)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := fusionProgram(net, s.Sched)
+	prog, err := fuse(net, "expr", s.Sched)
 	if err != nil {
 		return nil, err
 	}
 	return &fusionPlan{planBase: base, prog: prog}, nil
 }
+
+// program exposes the lowered program the fused kernel runs, so the
+// tiered plan's vm tier shares it instead of lowering again.
+func (p *fusionPlan) program() *vm.Program { return p.prog.Exec }
 
 // Execute generates and runs the fused kernel.
 func (s Fusion) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error) {
@@ -118,7 +96,7 @@ func (s Fusion) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (*Re
 func (p *fusionPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	// Generation happened at plan time, on the host; every event from
 	// here on is device activity.
-	if err := beginRun(env, bind); err != nil {
+	if err := p.beginRun(env, bind); err != nil {
 		return nil, err
 	}
 	n := bind.N
@@ -175,28 +153,11 @@ func (p *fusionPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	return res, nil
 }
 
-// GeneratedSource returns the fused OpenCL C source for a network
-// without executing it — the inspection hook behind cmd/dfg-fuse.
-func GeneratedSource(net *dataflow.Network, name string) (string, error) {
-	prog, err := codegen.Fuse(net, name)
-	if err != nil {
-		return "", err
-	}
-	return prog.Source, nil
-}
-
-// GeneratedSourceScheduled is GeneratedSource for a scheduled variant:
-// it lowers the spec against the network and emits the tiled /
-// vectorized / temporally blocked source (dfg-fuse -schedule).
-func GeneratedSourceScheduled(net *dataflow.Network, name string, spec passes.ScheduleSpec) (string, error) {
-	if spec.IsFlat() {
-		return GeneratedSource(net, name)
-	}
-	sched, err := passes.ComputeSchedule(net, spec)
-	if err != nil {
-		return "", err
-	}
-	prog, err := codegen.FuseScheduled(net, name, sched)
+// GeneratedSource returns the fused OpenCL C source for a network under
+// a schedule (the zero spec is the flat paper kernel) without executing
+// it — the inspection hook behind cmd/dfg-fuse.
+func GeneratedSource(net *dataflow.Network, name string, spec passes.ScheduleSpec) (string, error) {
+	prog, err := fuse(net, name, spec)
 	if err != nil {
 		return "", err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"dfg/internal/expr"
 	"dfg/internal/mesh"
+	"dfg/internal/passes"
 	"dfg/internal/rtsim"
 )
 
@@ -71,7 +72,7 @@ func TestIntroExampleFusedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := GeneratedSource(net, "intro")
+	src, err := GeneratedSource(net, "intro", passes.ScheduleSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

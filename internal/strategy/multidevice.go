@@ -7,7 +7,6 @@ import (
 	"dfg/internal/codegen"
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
-	"dfg/internal/passes"
 )
 
 // ExecuteMultiDevice is the other strategy the paper's future-work
@@ -42,7 +41,7 @@ func PlanMultiDevice(net *dataflow.Network) (*MultiPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := fusionProgram(net, passes.ScheduleSpec{})
+	prog, err := codegen.Fuse(net, "expr")
 	if err != nil {
 		return nil, err
 	}
@@ -56,14 +55,14 @@ func (p *MultiPlan) Execute(envs []*ocl.Env, bind Bindings) (*Result, error) {
 	if len(envs) == 0 {
 		return nil, fmt.Errorf("strategy: multi-device execution needs at least one device")
 	}
+	for _, env := range envs {
+		if err := p.beginRun(env, bind); err != nil {
+			return nil, err
+		}
+	}
 	geom, err := tileGeometry(p.order, bind)
 	if err != nil {
 		return nil, err
-	}
-	for _, env := range envs {
-		if err := beginRun(env, bind); err != nil {
-			return nil, err
-		}
 	}
 	prog := p.prog
 	tiles := tilePlan(geom, len(envs))

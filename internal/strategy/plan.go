@@ -41,6 +41,28 @@ type planBase struct {
 	name  string
 	net   *dataflow.Network
 	order []*dataflow.Node
+	// needs lists the live sources in topological order with whether an
+	// execution indexes them per element (problem-sized) or only reads
+	// the three-entry dims header.
+	needs []sourceNeed
+}
+
+type sourceNeed struct {
+	name string
+	perN bool
+}
+
+// ShortSourceError reports a bound source array too short for the
+// requested global work size. Every strategy checks before touching the
+// device: an unchecked short array would fault inside a kernel's worker
+// goroutine, where no caller can recover.
+type ShortSourceError struct {
+	Name       string
+	Have, Need int
+}
+
+func (e *ShortSourceError) Error() string {
+	return fmt.Sprintf("strategy: source %q holds %d float32s, need %d", e.Name, e.Have, e.Need)
 }
 
 // Strategy names the planning strategy.
@@ -59,18 +81,51 @@ func newPlanBase(name string, net *dataflow.Network) (planBase, error) {
 	if err != nil {
 		return planBase{}, err
 	}
-	return planBase{name: name, net: net, order: order}, nil
+	// Every use of a source indexes it per element, except as a stencil's
+	// dims descriptor (input 1). Sources precede their consumers in order.
+	var needs []sourceNeed
+	at := make(map[string]int)
+	use := func(id string) {
+		if i, isSource := at[id]; isSource {
+			needs[i].perN = true
+		}
+	}
+	for _, n := range order {
+		if n.Filter == "source" {
+			at[n.ID] = len(needs)
+			needs = append(needs, sourceNeed{name: n.ID})
+		}
+		for i, in := range n.Inputs {
+			if i != 1 || n.Info().Class != dataflow.ClassStencil {
+				use(in)
+			}
+		}
+	}
+	for _, r := range net.Roots() {
+		use(r)
+	}
+	return planBase{name: name, net: net, order: order, needs: needs}, nil
 }
 
-// beginRun validates per-call preconditions and resets the
+// beginRun validates per-call preconditions — a positive work size, a
+// live context, every bound source long enough — and resets the
 // environment's profiling state, so the Result captures exactly this
-// run.
-func beginRun(env *ocl.Env, bind Bindings) error {
+// run. Unbound sources are left to the strategy's own lookup to report.
+func (p *planBase) beginRun(env *ocl.Env, bind Bindings) error {
 	if bind.N <= 0 {
 		return fmt.Errorf("strategy: global work size must be positive, got %d", bind.N)
 	}
 	if err := bind.canceled(); err != nil {
 		return err
+	}
+	for _, sn := range p.needs {
+		need := 3 // dims: nx, ny, nz
+		if sn.perN {
+			need = bind.N
+		}
+		if src, ok := bind.Sources[sn.name]; ok && len(src.Data) > 0 && len(src.Data) < need {
+			return &ShortSourceError{Name: sn.name, Have: len(src.Data), Need: need}
+		}
 	}
 	env.Reset()
 	return nil

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -252,3 +253,56 @@ var errDiverged = &divergedError{}
 type divergedError struct{}
 
 func (*divergedError) Error() string { return "concurrent execution diverged from reference output" }
+
+// TestShortSourceIsTypedError: a bound source shorter than the work
+// size must come back as a *ShortSourceError from every strategy, at a
+// size the device runs inline and at one it fans out over worker
+// goroutines (where an out-of-range read would be an unrecoverable
+// panic), with nothing left allocated. The dims descriptor is exempt
+// from the per-element rule but still needs its three entries.
+func TestShortSourceIsTypedError(t *testing.T) {
+	sum, err := expr.Compile("r = a + b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grad, err := expr.Compile(vortex.VortMagExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sname := range append(ExtendedNames(), "tiered") {
+		s, err := ForName(sname)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{4096, 65536} {
+			env := pooledEnv()
+			bind := Bindings{N: n, Sources: map[string]Source{
+				"a": {Data: make([]float32, n), Width: 1},
+				"b": {Data: make([]float32, n/2), Width: 1},
+			}}
+			_, err := s.Execute(env, sum, bind)
+			var short *ShortSourceError
+			if !errors.As(err, &short) || short.Name != "b" || short.Have != n/2 || short.Need != n {
+				t.Fatalf("%s n=%d: err = %v, want ShortSourceError{b, %d, %d}", sname, n, err, n/2, n)
+			}
+			env.Context().Pool().Drain()
+			if live := env.Context().LiveBuffers(); live != 0 {
+				t.Fatalf("%s n=%d: %d buffers live after the rejected run", sname, n, live)
+			}
+		}
+
+		mbind, _ := qcritSetup(t, mesh.Dims{NX: 16, NY: 16, NZ: 16})
+		for name, need := range map[string]int{"z": mbind.N, "dims": 3} {
+			bind := Bindings{N: mbind.N, Sources: map[string]Source{}}
+			for k, v := range mbind.Sources {
+				bind.Sources[k] = v
+			}
+			bind.Sources[name] = Source{Data: mbind.Sources[name].Data[:2], Width: 1}
+			_, err := s.Execute(cpuEnv(), grad, bind)
+			var short *ShortSourceError
+			if !errors.As(err, &short) || short.Name != name || short.Need != need {
+				t.Fatalf("%s: short %s: err = %v, want ShortSourceError needing %d", sname, name, err, need)
+			}
+		}
+	}
+}

@@ -64,7 +64,7 @@ func (s Roundtrip) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (
 
 // Execute runs the plan with per-primitive host round trips.
 func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
-	if err := beginRun(env, bind); err != nil {
+	if err := p.beginRun(env, bind); err != nil {
 		return nil, err
 	}
 	n := bind.N

@@ -160,38 +160,3 @@ func TestScheduledForName(t *testing.T) {
 		t.Fatalf("fusion+flat PlanCacheName = %q", got)
 	}
 }
-
-// TestScheduledProgramCached: the program cache keys on (network,
-// schedule): the same network under two specs yields two programs; the
-// same spec twice yields the identical cached pointer.
-func TestScheduledProgramCached(t *testing.T) {
-	net, err := expr.Compile(vortex.QCritExpr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := passes.ParseScheduleSpec("tile=16x16,reg=2,vec=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := fusionProgram(net, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fusionProgram(net, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("same (network, schedule) must hit the program cache")
-	}
-	flat, err := fusionProgram(net, passes.ScheduleSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat == a {
-		t.Fatal("flat and scheduled programs must not alias")
-	}
-	if flat.Schedule != "" || a.Schedule != "tile=16x16,reg=2,vec=4" {
-		t.Fatalf("schedule tags: flat=%q sched=%q", flat.Schedule, a.Schedule)
-	}
-}

@@ -77,7 +77,7 @@ func (s Staged) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (*Re
 
 // Execute runs the plan with device-resident intermediates.
 func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
-	if err := beginRun(env, bind); err != nil {
+	if err := p.beginRun(env, bind); err != nil {
 		return nil, err
 	}
 	n := bind.N

@@ -10,6 +10,7 @@ import (
 	"dfg/internal/kernels"
 	"dfg/internal/mesh"
 	"dfg/internal/ocl"
+	"dfg/internal/passes"
 	"dfg/internal/vortex"
 )
 
@@ -355,14 +356,14 @@ func TestResultIncludesEventLog(t *testing.T) {
 
 func TestGeneratedSource(t *testing.T) {
 	nw := buildVelMag(t)
-	src, err := GeneratedSource(nw, "vm")
+	src, err := GeneratedSource(nw, "vm", passes.ScheduleSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(src) == 0 {
 		t.Fatal("empty generated source")
 	}
-	if _, err := GeneratedSource(dataflow.NewNetwork(), "bad"); err == nil {
+	if _, err := GeneratedSource(dataflow.NewNetwork(), "bad", passes.ScheduleSpec{}); err == nil {
 		t.Fatal("network without output must fail")
 	}
 }

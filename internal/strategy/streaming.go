@@ -7,7 +7,6 @@ import (
 	"dfg/internal/dataflow"
 	"dfg/internal/kernels"
 	"dfg/internal/ocl"
-	"dfg/internal/passes"
 )
 
 // Streaming is the execution strategy the paper's future-work section
@@ -60,7 +59,7 @@ func (s Streaming) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := fusionProgram(net, passes.ScheduleSpec{})
+	prog, err := codegen.Fuse(net, "expr")
 	if err != nil {
 		return nil, err
 	}
@@ -78,11 +77,11 @@ func (s Streaming) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (
 
 // Execute runs the plan's fused kernel slab by slab.
 func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
-	geom, err := tileGeometry(p.order, bind)
-	if err != nil {
+	if err := p.beginRun(env, bind); err != nil {
 		return nil, err
 	}
-	if err := beginRun(env, bind); err != nil {
+	geom, err := tileGeometry(p.order, bind)
+	if err != nil {
 		return nil, err
 	}
 

@@ -5,6 +5,7 @@ import (
 
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
+	"dfg/internal/vm"
 )
 
 // DefaultVMThreshold is the tiered strategy's default cutover: requests
@@ -19,8 +20,7 @@ const DefaultVMThreshold = 4096
 // VM for small requests (N strictly below Threshold) and the configured
 // Device strategy otherwise. The choice is per-binding and made inside
 // one immutable plan, so a prepared expression serves any mesh size and
-// the decision is stable across repeated Prepare calls by construction
-// (both tiers' plans come from the shared caches).
+// the decision is stable across repeated Prepare calls by construction.
 type Tiered struct {
 	// Threshold is the cell-count cutover; 0 means DefaultVMThreshold.
 	Threshold int
@@ -66,13 +66,11 @@ type tieredPlan struct {
 	dev       Plan
 }
 
-// Plan plans both tiers (each through its own cache path).
+// Plan plans both tiers. A fusion device tier hands its lowered program
+// to the vm tier, so the network lowers once; other device tiers have
+// none to share.
 func (t Tiered) Plan(net *dataflow.Network, dev *ocl.Device) (Plan, error) {
 	base, err := newPlanBase("tiered", net)
-	if err != nil {
-		return nil, err
-	}
-	vmPlan, err := VM{}.Plan(net, dev)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +78,16 @@ func (t Tiered) Plan(net *dataflow.Network, dev *ocl.Device) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tieredPlan{planBase: base, threshold: t.threshold(), vm: vmPlan, dev: devPlan}, nil
+	var prog *vm.Program
+	if lowered, ok := devPlan.(interface{ program() *vm.Program }); ok {
+		prog = lowered.program()
+	} else if prog, err = vm.Compile(net); err != nil {
+		return nil, err
+	}
+	hostBase := base
+	hostBase.name = "vm" // the tier reports itself, not "tiered", as Resolved
+	return &tieredPlan{planBase: base, threshold: t.threshold(),
+		vm: &vmPlan{planBase: hostBase, prog: prog}, dev: devPlan}, nil
 }
 
 // Execute routes the binding to its tier.

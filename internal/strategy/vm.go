@@ -1,41 +1,19 @@
 package strategy
 
 import (
-	"fmt"
-	"sync"
-
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
 	"dfg/internal/vm"
 )
 
-// vmProgCache memoizes compiled bytecode programs per sealed network,
-// the same way progCache memoizes fused kernels: repeated executions of
-// one expression pay for bytecode compilation once.
-var vmProgCache sync.Map // *dataflow.Network -> *vm.Program
-
-// vmProgram returns the network's bytecode program, compiling it on
-// first use.
-func vmProgram(net *dataflow.Network) (*vm.Program, error) {
-	if p, ok := vmProgCache.Load(net); ok {
-		return p.(*vm.Program), nil
-	}
-	prog, err := vm.Compile(net)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := vmProgCache.LoadOrStore(net, prog)
-	return actual.(*vm.Program), nil
-}
-
-// VM executes the network as a host bytecode program (internal/vm) with
-// zero device traffic: no uploads, no kernel launches, no downloads, no
-// device buffers. It evaluates the exact instruction plan the fusion
-// strategy's generated kernel runs — the differential harness pins the
-// two at zero ULP — so it is the profitable tier for meshes small enough
-// that launch and transfer overhead dominates, and the terminal rung of
-// the degradation ladder: having no device dependency at all, it
-// survives a lost device by construction.
+// VM executes the network's lowered program (internal/vm) on the host
+// with zero device traffic: no uploads, no kernel launches, no
+// downloads, no device buffers. It is the executor the fusion strategy's
+// generated kernel runs, minus the device accounting, so it is the
+// profitable tier for meshes small enough that launch and transfer
+// overhead dominates, and the terminal rung of the degradation ladder:
+// having no device dependency at all, it survives a lost device by
+// construction.
 //
 // A VM run's Result consequently carries an empty device profile
 // (Writes = Reads = Kernels = 0), no events and a zero memory high-water
@@ -45,36 +23,36 @@ type VM struct{}
 // Name returns "vm".
 func (VM) Name() string { return "vm" }
 
-// vmPlan holds the compiled bytecode — compilation is the planning step.
+// vmPlan holds the lowered program — lowering is the planning step.
 type vmPlan struct {
 	planBase
 	prog *vm.Program
 }
 
-// Plan compiles (or reuses) the network's bytecode program. The device
-// class is ignored: the plan never touches the device.
+// Plan lowers the network. The device class is ignored: the plan never
+// touches the device.
 func (VM) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	base, err := newPlanBase("vm", net)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := vmProgram(net)
+	prog, err := vm.Compile(net)
 	if err != nil {
 		return nil, err
 	}
 	return &vmPlan{planBase: base, prog: prog}, nil
 }
 
-// Execute compiles and runs the bytecode program.
+// Execute lowers and runs the network.
 func (s VM) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error) {
 	return executeViaPlan(s, env, net, bind)
 }
 
-// Execute runs the bytecode program on the host. The environment is
+// Execute runs the lowered program on the host. The environment is
 // reset as on any other strategy so the (empty) profile captures exactly
 // this run.
 func (p *vmPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
-	if err := beginRun(env, bind); err != nil {
+	if err := p.beginRun(env, bind); err != nil {
 		return nil, err
 	}
 	src := func(name string) ([]float32, error) {
@@ -86,7 +64,7 @@ func (p *vmPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	}
 	outs, err := p.prog.RunAll(bind.N, src, bind.canceled)
 	if err != nil {
-		return nil, fmt.Errorf("vm: %w", err)
+		return nil, err
 	}
 	res := finish(env, outs[0], p.prog.OutWidth)
 	if len(outs) > 1 {

@@ -6,20 +6,25 @@ import (
 	"math/rand"
 	"testing"
 
+	"dfg/internal/dataflow"
 	"dfg/internal/expr"
 	"dfg/internal/mesh"
+	"dfg/internal/ocl"
 	"dfg/internal/passes"
+	"dfg/internal/vm"
 	"dfg/internal/vortex"
 )
 
-// VM differential harness. The host bytecode VM claims bitwise identity
-// with the fusion strategy's generated kernel — the evidence that lets
-// the tiered planner route small requests to it. These tests pin the
-// claim at zero ULP against Paper-level fusion across the paper
-// expressions, random programs, mesh sizes and optimisation levels.
-// Non-finite reference elements are excluded only when comparing across
-// optimisation levels (the O2 finite-math licence, as in the opt-level
-// harness); at a fixed level the VM must match fusion on every element.
+// Executor differential harness. The vm and fusion strategies run the
+// same lowered program on the same blocked executor, so agreement
+// between them only checks the plumbing around it — host arrays in place
+// versus device buffers and launch chunks. That is what the
+// VM-vs-fusion tests below pin (at zero ULP, across the paper
+// expressions, random programs, mesh sizes and optimisation levels); the
+// executor itself, slot allocator included, is held to the per-element
+// reference interpreter by FuzzVMDifferential. Non-finite reference
+// elements are excluded only when comparing across optimisation levels
+// (the O2 finite-math licence, as in the opt-level harness).
 
 // checkVMAgainstFusion executes one network under both evaluators and
 // requires zero-ULP agreement everywhere.
@@ -102,55 +107,151 @@ func TestVMO2MatchesPaperFusion(t *testing.T) {
 	}
 }
 
-// FuzzVMDifferential is the fuzz surface over program text: any program
-// the Paper pipeline accepts must evaluate identically on the VM and on
-// fusion — zero ULP at the same level, and zero ULP on finite Paper
-// elements for the O2-compiled VM run. This is the harness the vm-smoke
-// CI job drives.
-func FuzzVMDifferential(f *testing.F) {
-	for _, e := range vortex.Expressions() {
-		f.Add(e.Text)
+// executorVsReference lowers net once and runs both views of it over the
+// binding: the blocked executor — each pass split at cut, so the second
+// range starts at lo != 0 off a block boundary — and the per-element
+// reference over the virtual registers. With poison set, the scratch
+// pool is first stocked with NaN-filled slabs for exactly the draws the
+// executor will make (its register slab, scratch and outputs), so any
+// read of a lane or element the program did not write first shows up as
+// a NaN the reference does not have. It returns both sides' outputs, or
+// ok = false when the binding cannot run the program at all (unbound or
+// short sources, a network the lowering rejects).
+func executorVsReference(t *testing.T, net *dataflow.Network, bind Bindings, cut int, poison bool) (got, want [][]float32, ok bool) {
+	t.Helper()
+	low, err := vm.Lower(net)
+	if err != nil {
+		return nil, nil, false
 	}
-	f.Add("s = min(u, v) + max(w, 0.5)\nr = if (s >= 0) then (sqrt(s)) else (-s)")
-	f.Add("g = grad3d(u, dims, x, y, z)\nr = norm(g) * g[1]")
-	f.Fuzz(func(t *testing.T, text string) {
-		paper, _, err := expr.CompileWithPipeline(text, nil, passes.Paper, passes.RunOptions{Verify: true})
-		if err != nil {
+	n := bind.N
+	prog := low.Program()
+	const blockSize = 256 // vm's register block: one slab is Slots()*4 lanes of it
+	draws := []int{prog.Slots() * 4 * blockSize}
+	for _, b := range low.Buffers {
+		if src := bind.Sources[b.Name]; b.Kind == vm.BufSource && len(src.Data) < b.Need(n) {
+			return nil, nil, false
+		} else if b.Kind != vm.BufSource {
+			draws = append(draws, n*b.Width)
+		}
+	}
+	if poison {
+		nan := float32(math.NaN())
+		slabs := make([][]float32, len(draws))
+		for i, size := range draws {
+			slabs[i] = vm.GetScratch(size)
+		}
+		for _, s := range slabs {
+			s = s[:cap(s)]
+			for i := range s {
+				s[i] = nan
+			}
+			vm.PutScratch(s)
+		}
+	}
+
+	exec := make([]ocl.View, len(low.Buffers))
+	ref := make([]ocl.View, len(low.Buffers))
+	for i, b := range low.Buffers {
+		exec[i] = ocl.View{Data: bind.Sources[b.Name].Data, Elems: n, Width: b.Width}
+		ref[i] = exec[i]
+		if b.Kind != vm.BufSource {
+			exec[i].Data = vm.GetScratch(n * b.Width)
+			defer vm.PutScratch(exec[i].Data)
+			ref[i].Data = make([]float32, n*b.Width)
+		}
+		if b.Kind == vm.BufOut {
+			got, want = append(got, exec[i].Data), append(want, ref[i].Data)
+		}
+	}
+	cut %= n
+	for p := 0; p < prog.NumPasses(); p++ {
+		prog.RunPass(p, 0, cut, exec)
+		prog.RunPass(p, cut, n, exec)
+	}
+	low.Reference(n, ref)
+	// The outputs go back to the pool when this returns; hand out copies.
+	for i := range got {
+		got[i] = append([]float32(nil), got[i]...)
+	}
+	return got, want, true
+}
+
+// FuzzVMDifferential holds the one executor to the per-element reference
+// at zero ULP. (vm-vs-fusion is the same code on both sides since the
+// lowering merge, so that comparison would pass vacuously.) Inputs: a
+// program text, an optional second text merged with the first into a
+// multi-root super-network, mesh dims (so N is rarely a multiple of the
+// 256-element block), the element at which every pass's range is split,
+// and whether to run over a NaN-poisoned scratch pool. Any program the
+// Paper pipeline accepts must agree at the same level, and the
+// O2-lowered executor must agree with the Paper-level reference on its
+// finite elements. This is the harness the vm-smoke CI job drives.
+func FuzzVMDifferential(f *testing.F) {
+	const fig2 = "s = u*u\nr = norm(grad3d(s, dims, x, y, z))" // two passes through scratch
+	for _, e := range vortex.Expressions() {
+		f.Add(e.Text, "", uint8(6), uint8(5), uint8(4), uint16(0), false)
+	}
+	f.Add(vortex.QCritExpr, "", uint8(13), uint8(9), uint8(7), uint16(77), false)                  // N = 819, split off-block
+	f.Add(vortex.VelMagExpr, vortex.VortMagExpr, uint8(7), uint8(5), uint8(9), uint16(100), false) // multi-root
+	f.Add(fig2, "", uint8(13), uint8(9), uint8(7), uint16(300), false)
+	f.Add(fig2, vortex.QCritExpr, uint8(8), uint8(8), uint8(5), uint16(257), true) // multi-root, two passes, stale scratch
+	f.Add(vortex.QCritExpr, "", uint8(8), uint8(8), uint8(8), uint16(1), true)     // stale registers
+	f.Add("s = min(u, v) + max(w, 0.5)\nr = if (s >= 0) then (sqrt(s)) else (-s)", "", uint8(6), uint8(5), uint8(4), uint16(3), true)
+	f.Add("g = grad3d(u, dims, x, y, z)\nr = norm(g) * g[1]", "", uint8(1), uint8(9), uint8(30), uint16(256), false) // one-cell axis
+	f.Add("r = grad3d(u, dims, x, y, z)", "", uint8(9), uint8(9), uint8(9), uint16(500), true)                       // float4 output, pad lane
+	f.Fuzz(func(t *testing.T, text, text2 string, nx, ny, nz uint8, cut uint16, poison bool) {
+		lower := func(pipe *passes.Pipeline, lvl passes.Level) *dataflow.Network {
+			net, _, err := expr.CompileWithPipeline(text, nil, pipe, passes.RunOptions{Verify: true})
+			if err != nil || text2 == "" {
+				return net
+			}
+			net2, _, err := expr.CompileWithPipeline(text2, nil, pipe, passes.RunOptions{Verify: true})
+			if err != nil {
+				return nil
+			}
+			merged, err := passes.MergeNetworks([]passes.MergeMember{{Fp: "a", Net: net}, {Fp: "b", Net: net2}}, lvl, passes.RunOptions{Verify: true})
+			if err != nil {
+				t.Fatalf("members compiled but the merge failed: %v\n%s\n--\n%s", err, text, text2)
+			}
+			return merged.Net
+		}
+		paper := lower(passes.Paper, passes.LevelPaper)
+		if paper == nil {
 			t.Skip() // not a well-formed program
 		}
-		o2, _, err := expr.CompileWithPipeline(text, nil, passes.O2, passes.RunOptions{Verify: true})
-		if err != nil {
-			t.Fatalf("paper accepted but O2 rejected: %v\n%s", err, text)
+		o2 := lower(passes.O2, passes.LevelO2)
+		if o2 == nil {
+			t.Fatalf("paper accepted but O2 rejected\n%s\n--\n%s", text, text2)
 		}
-		bind := optLevelBindings(5)
-		for _, name := range []string{"f", "dims", "x", "y", "z"} {
-			if _, ok := bind.Sources[name]; !ok {
-				bind.Sources[name] = bind.Sources["u"]
+		d := mesh.Dims{NX: 1 + int(nx)%13, NY: 1 + int(ny)%11, NZ: 1 + int(nz)%31}
+		bind, _ := qcritSetup(t, d)
+		bind.Sources["f"] = bind.Sources["u"]
+
+		got, want, ok := executorVsReference(t, paper, bind, int(cut), poison)
+		if !ok {
+			return // unbound or short sources, computed coords: nothing to compare
+		}
+		for r := range want {
+			for i := range want[r] {
+				if ulpDiff(got[r][i], want[r][i]) != 0 {
+					t.Fatalf("executor diverges from the reference at root %d element %d (N=%d, cut=%d, poison=%v): %v vs %v\n%s\n--\n%s",
+						r, i, bind.N, int(cut)%bind.N, poison, got[r][i], want[r][i], text, text2)
+				}
 			}
 		}
-		fres, ferr := Fusion{}.Execute(cpuEnv(), paper, bind)
-		vres, verr := VM{}.Execute(cpuEnv(), paper, bind)
-		if (ferr != nil) != (verr != nil) {
-			t.Fatalf("fusion err %v vs vm err %v\n%s", ferr, verr, text)
+		ogot, _, ok := executorVsReference(t, o2, bind, int(cut), poison)
+		if !ok {
+			t.Fatalf("paper lowering ran but O2 did not\n%s\n--\n%s", text, text2)
 		}
-		if ferr != nil {
-			return // both reject (e.g. unbound sources) — agreed
-		}
-		for i := range fres.Data {
-			if ulpDiff(fres.Data[i], vres.Data[i]) != 0 {
-				t.Fatalf("vm diverges at element %d: %v vs %v\n%s", i, fres.Data[i], vres.Data[i], text)
-			}
-		}
-		ores, oerr := VM{}.Execute(cpuEnv(), o2, bind)
-		if oerr != nil {
-			t.Fatalf("paper vm ran but O2 vm failed: %v\n%s", oerr, text)
-		}
-		for i := range fres.Data {
-			if math.IsInf(float64(fres.Data[i]), 0) || math.IsNaN(float64(fres.Data[i])) {
-				continue
-			}
-			if ulpDiff(fres.Data[i], ores.Data[i]) != 0 {
-				t.Fatalf("O2 vm diverges at element %d: %v vs %v\n%s", i, fres.Data[i], ores.Data[i], text)
+		for r := range want {
+			for i, w := range want[r] {
+				if math.IsInf(float64(w), 0) || math.IsNaN(float64(w)) {
+					continue // finite-math rewrites need not match on non-finite elements
+				}
+				if ulpDiff(ogot[r][i], w) != 0 {
+					t.Fatalf("O2 executor diverges from the paper reference at root %d element %d: %v vs %v\n%s\n--\n%s",
+						r, i, ogot[r][i], w, text, text2)
+				}
 			}
 		}
 	})

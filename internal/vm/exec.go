@@ -5,24 +5,27 @@ import (
 	"math"
 
 	"dfg/internal/kernels"
+	"dfg/internal/ocl"
 )
 
-// blockSize matches the kernel generator's blocked executor: 256
+// blockSize is the number of elements one register block holds: 256
 // float32 lanes x 4 components = 4 KiB per register slot, so a handful
-// of live slots stay in L1. Block boundaries cannot affect results —
-// every instruction is element-independent within a pass, and the only
-// cross-element operation (the gradient stencil) reads source or
-// already-materialized arrays, never the block registers.
+// of live slots stay in L1 and dispatch overhead amortizes over the
+// block (the vector-register design NumExpr pioneered for expression
+// fusion). Block boundaries cannot affect results — every instruction is
+// element-independent within a pass, and the only cross-element
+// operation (the gradient stencil) reads source or already-materialized
+// arrays, never the block registers.
 const blockSize = 256
 
 // SourceFn resolves a bound source array by name. The returned slice is
-// read in place — the VM performs no copies of source data.
+// read in place — the executor performs no copies of source data.
 type SourceFn func(name string) ([]float32, error)
 
 // Run executes the program over n elements, resolving sources through
 // src, and returns a freshly allocated output array of n*OutWidth
 // float32s (the primary root of a multi-root program). canceled, when
-// non-nil, is checked between passes (the VM's analogue of the device
+// non-nil, is checked between passes (the analogue of the device
 // strategies' between-launch cancellation points). Register and scratch
 // storage is drawn from the package scratch pool and returned before Run
 // exits, so warm evaluations allocate nothing beyond the output
@@ -43,58 +46,55 @@ func (p *Program) RunAll(n int, src SourceFn, canceled func() error) ([][]float3
 	if n <= 0 {
 		return nil, fmt.Errorf("vm: global work size must be positive, got %d", n)
 	}
-	views := make([][]float32, len(p.buffers))
+	views := make([]ocl.View, len(p.buffers))
 	outs := make([][]float32, 0, len(p.OutWidths))
 	for i, spec := range p.buffers {
+		var data []float32
 		switch spec.Kind {
 		case BufSource:
-			data, err := src(spec.Name)
-			if err != nil {
+			var err error
+			if data, err = src(spec.Name); err != nil {
 				return nil, err
 			}
-			need := n * spec.needPerN
-			if need < spec.needFixed {
-				need = spec.needFixed
-			}
-			if len(data) < need {
+			if need := spec.Need(n); len(data) < need {
 				return nil, fmt.Errorf("vm: source %q holds %d float32s, need %d", spec.Name, len(data), need)
 			}
-			views[i] = data
 		case BufScratch:
-			s := getScratch(n * spec.Width)
-			defer putScratch(s)
-			views[i] = s
+			data = GetScratch(n * spec.Width)
+			defer PutScratch(data)
 		case BufOut:
-			out := make([]float32, n*spec.Width)
-			outs = append(outs, out)
-			views[i] = out
+			data = make([]float32, n*spec.Width)
+			outs = append(outs, data)
 		}
+		views[i] = ocl.View{Data: data, Elems: n, Width: spec.Width}
 	}
-	regs := getScratch(p.slots * 4 * blockSize)
-	defer putScratch(regs)
-
-	for pi, pass := range p.passes {
+	for pi := range p.passes {
 		if pi > 0 && canceled != nil {
 			if err := canceled(); err != nil {
 				return nil, err
 			}
 		}
-		runPass(pass, regs, views, n)
+		p.RunPass(pi, 0, n, views)
 	}
 	return outs, nil
 }
 
-// runPass executes one pass's instructions over the full range in
-// register-sized blocks; each pass boundary is the VM's equivalent of
-// the fused kernel's device-wide barrier.
-func runPass(pass []instr, regs []float32, views [][]float32, total int) {
-	for base := 0; base < total; base += blockSize {
-		n := total - base
+// RunPass executes one pass over elements [lo, hi) in register-sized
+// blocks, with views bound in buffer-table order. It is safe to call
+// concurrently on disjoint ranges (each call draws its own register slab
+// from the scratch pool), which is how the fused kernel's launch chunks
+// run; the caller provides the barrier between passes.
+func (p *Program) RunPass(pass, lo, hi int, views []ocl.View) {
+	regs := GetScratch(p.slots * 4 * blockSize)
+	defer PutScratch(regs)
+	code := p.passes[pass]
+	for base := lo; base < hi; base += blockSize {
+		n := hi - base
 		if n > blockSize {
 			n = blockSize
 		}
-		for i := range pass {
-			in := &pass[i]
+		for i := range code {
+			in := &code[i]
 			handlers[in.op](in, regs, views, base, n)
 		}
 	}
@@ -108,32 +108,29 @@ func lane(regs []float32, s uint16, l int) []float32 {
 
 // handler executes one instruction over elements [base, base+n) of the
 // current block.
-type handler func(in *instr, regs []float32, views [][]float32, base, n int)
+type handler func(in *Instr, regs []float32, views []ocl.View, base, n int)
 
-// handlers is the opcode-indexed dispatch table. Entries are generated
-// at init from the same filter table the compiler maps opcodes with
-// (elementwiseOps mirrors kernels.ForFilter), each specialized to its
-// operand shape: binary slot-to-slot loops, float64 round-trip unary
-// maps, comparison encodes, and the buffer-reading stencil ops.
+// handlers is the opcode-indexed dispatch table, each entry specialized
+// to its operand shape: binary slot-to-slot loops, float64 round-trip
+// unary maps, comparison encodes, and the buffer-reading stencil ops.
 //
-// Exact-parity note: min and max use the fused executor's comparison
-// form (`if b < a`), not kernels' math.Min/math.Max — the two differ in
-// which operand they return for NaN and signed-zero inputs, and the VM
-// must be bitwise identical to the fusion strategy.
+// min and max use the comparison form (`if b < a`), not kernels'
+// math.Min/math.Max — the two differ in which operand they return for
+// NaN and signed-zero inputs, and the emitted fmin/fmax select the same
+// way.
 var handlers [opCount]handler
 
 // binOp builds a handler for a slot-to-slot arithmetic loop.
 func binOp(f func(dst, a, b []float32, n int)) handler {
-	return func(in *instr, regs []float32, _ [][]float32, _, n int) {
-		f(lane(regs, in.dst, 0), lane(regs, in.a, 0), lane(regs, in.b, 0), n)
+	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		f(lane(regs, in.Dst, 0), lane(regs, in.A, 0), lane(regs, in.B, 0), n)
 	}
 }
 
-// mapOp builds a handler applying a float64 math function per element —
-// the same round-trip the fused executor's blockMap performs.
+// mapOp builds a handler applying a float64 math function per element.
 func mapOp(f func(float64) float64) handler {
-	return func(in *instr, regs []float32, _ [][]float32, _, n int) {
-		dst, a := lane(regs, in.dst, 0), lane(regs, in.a, 0)
+	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		dst, a := lane(regs, in.Dst, 0), lane(regs, in.A, 0)
 		for e := 0; e < n; e++ {
 			dst[e] = float32(f(float64(a[e])))
 		}
@@ -142,8 +139,8 @@ func mapOp(f func(float64) float64) handler {
 
 // cmpOp builds a handler encoding a comparison as 1.0/0.0.
 func cmpOp(f func(a, b float32) bool) handler {
-	return func(in *instr, regs []float32, _ [][]float32, _, n int) {
-		dst, a, b := lane(regs, in.dst, 0), lane(regs, in.a, 0), lane(regs, in.b, 0)
+	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		dst, a, b := lane(regs, in.Dst, 0), lane(regs, in.A, 0), lane(regs, in.B, 0)
 		for e := 0; e < n; e++ {
 			if f(a[e], b[e]) {
 				dst[e] = 1
@@ -155,24 +152,24 @@ func cmpOp(f func(a, b float32) bool) handler {
 }
 
 func init() {
-	handlers[opLoad] = func(in *instr, regs []float32, views [][]float32, base, n int) {
-		w := int(in.width)
+	handlers[opLoad] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
+		w := int(in.Width)
 		if w == 1 {
-			copy(lane(regs, in.dst, 0)[:n], views[in.buf][base:base+n])
+			copy(lane(regs, in.Dst, 0)[:n], views[in.Buf].Data[base:base+n])
 			return
 		}
-		data := views[in.buf]
+		data := views[in.Buf].Data
 		for c := 0; c < w; c++ {
-			dst := lane(regs, in.dst, c)
+			dst := lane(regs, in.Dst, c)
 			for e := 0; e < n; e++ {
 				dst[e] = data[(base+e)*w+c]
 			}
 		}
 	}
-	handlers[opConst] = func(in *instr, regs []float32, _ [][]float32, _, n int) {
-		dst := lane(regs, in.dst, 0)
+	handlers[opConst] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		dst := lane(regs, in.Dst, 0)
 		for e := 0; e < n; e++ {
-			dst[e] = in.val
+			dst[e] = in.Val
 		}
 	}
 	handlers[opAdd] = binOp(func(dst, a, b []float32, n int) {
@@ -213,20 +210,20 @@ func init() {
 			}
 		}
 	})
-	handlers[opSqrt] = func(in *instr, regs []float32, _ [][]float32, _, n int) {
-		dst, a := lane(regs, in.dst, 0), lane(regs, in.a, 0)
+	handlers[opSqrt] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		dst, a := lane(regs, in.Dst, 0), lane(regs, in.A, 0)
 		for e := 0; e < n; e++ {
 			dst[e] = float32(math.Sqrt(float64(a[e])))
 		}
 	}
-	handlers[opNeg] = func(in *instr, regs []float32, _ [][]float32, _, n int) {
-		dst, a := lane(regs, in.dst, 0), lane(regs, in.a, 0)
+	handlers[opNeg] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		dst, a := lane(regs, in.Dst, 0), lane(regs, in.A, 0)
 		for e := 0; e < n; e++ {
 			dst[e] = -a[e]
 		}
 	}
-	handlers[opAbs] = func(in *instr, regs []float32, _ [][]float32, _, n int) {
-		dst, a := lane(regs, in.dst, 0), lane(regs, in.a, 0)
+	handlers[opAbs] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		dst, a := lane(regs, in.Dst, 0), lane(regs, in.A, 0)
 		for e := 0; e < n; e++ {
 			v := a[e]
 			if v < 0 {
@@ -250,8 +247,8 @@ func init() {
 	handlers[opLe] = cmpOp(func(a, b float32) bool { return a <= b })
 	handlers[opEq] = cmpOp(func(a, b float32) bool { return a == b })
 	handlers[opNe] = cmpOp(func(a, b float32) bool { return a != b })
-	handlers[opSelect] = func(in *instr, regs []float32, _ [][]float32, _, n int) {
-		dst, c, a, b := lane(regs, in.dst, 0), lane(regs, in.a, 0), lane(regs, in.b, 0), lane(regs, in.c, 0)
+	handlers[opSelect] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		dst, c, a, b := lane(regs, in.Dst, 0), lane(regs, in.A, 0), lane(regs, in.B, 0), lane(regs, in.C, 0)
 		for e := 0; e < n; e++ {
 			if c[e] != 0 {
 				dst[e] = a[e]
@@ -260,52 +257,52 @@ func init() {
 			}
 		}
 	}
-	handlers[opNorm] = func(in *instr, regs []float32, _ [][]float32, _, n int) {
-		dst := lane(regs, in.dst, 0)
-		x, y, z := lane(regs, in.a, 0), lane(regs, in.a, 1), lane(regs, in.a, 2)
+	handlers[opNorm] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		dst := lane(regs, in.Dst, 0)
+		x, y, z := lane(regs, in.A, 0), lane(regs, in.A, 1), lane(regs, in.A, 2)
 		for e := 0; e < n; e++ {
 			dst[e] = float32(math.Sqrt(float64(x[e])*float64(x[e]) +
 				float64(y[e])*float64(y[e]) + float64(z[e])*float64(z[e])))
 		}
 	}
-	handlers[opDecomp] = func(in *instr, regs []float32, _ [][]float32, _, n int) {
-		copy(lane(regs, in.dst, 0)[:n], lane(regs, in.a, int(in.comp))[:n])
+	handlers[opDecomp] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		copy(lane(regs, in.Dst, 0)[:n], lane(regs, in.A, int(in.Comp))[:n])
 	}
-	handlers[opGrad] = func(in *instr, regs []float32, views [][]float32, base, n int) {
-		field := views[in.gbufs[0]]
-		dims := views[in.gbufs[1]]
-		x := views[in.gbufs[2]]
-		y := views[in.gbufs[3]]
-		z := views[in.gbufs[4]]
+	handlers[opGrad] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
+		field := views[in.GBufs[0]].Data
+		dims := views[in.GBufs[1]].Data
+		x := views[in.GBufs[2]].Data
+		y := views[in.GBufs[3]].Data
+		z := views[in.GBufs[4]].Data
 		nx, ny, nz := int(dims[0]), int(dims[1]), int(dims[2])
-		gx, gy, gz := lane(regs, in.dst, 0), lane(regs, in.dst, 1), lane(regs, in.dst, 2)
-		pad := lane(regs, in.dst, 3)
+		gx, gy, gz := lane(regs, in.Dst, 0), lane(regs, in.Dst, 1), lane(regs, in.Dst, 2)
+		pad := lane(regs, in.Dst, 3)
 		for e := 0; e < n; e++ {
 			gx[e], gy[e], gz[e] = kernels.GradAt(field, x, y, z, nx, ny, nz, base+e)
 			pad[e] = 0
 		}
 	}
-	handlers[opGradAxis] = func(in *instr, regs []float32, views [][]float32, base, n int) {
-		field := views[in.gbufs[0]]
-		dims := views[in.gbufs[1]]
-		x := views[in.gbufs[2]]
-		y := views[in.gbufs[3]]
-		z := views[in.gbufs[4]]
+	handlers[opGradAxis] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
+		field := views[in.GBufs[0]].Data
+		dims := views[in.GBufs[1]].Data
+		x := views[in.GBufs[2]].Data
+		y := views[in.GBufs[3]].Data
+		z := views[in.GBufs[4]].Data
 		nx, ny, nz := int(dims[0]), int(dims[1]), int(dims[2])
-		dst := lane(regs, in.dst, 0)
+		dst := lane(regs, in.Dst, 0)
 		for e := 0; e < n; e++ {
-			dst[e] = kernels.GradAxisAt(field, x, y, z, nx, ny, nz, base+e, int(in.comp))
+			dst[e] = kernels.GradAxisAt(field, x, y, z, nx, ny, nz, base+e, int(in.Comp))
 		}
 	}
-	handlers[opStore] = func(in *instr, regs []float32, views [][]float32, base, n int) {
-		w := int(in.width)
+	handlers[opStore] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
+		w := int(in.Width)
 		if w == 1 {
-			copy(views[in.buf][base:base+n], lane(regs, in.a, 0)[:n])
+			copy(views[in.Buf].Data[base:base+n], lane(regs, in.A, 0)[:n])
 			return
 		}
-		data := views[in.buf]
+		data := views[in.Buf].Data
 		for c := 0; c < w; c++ {
-			src := lane(regs, in.a, c)
+			src := lane(regs, in.A, c)
 			for e := 0; e < n; e++ {
 				data[(base+e)*w+c] = src[e]
 			}

@@ -5,10 +5,11 @@ import (
 	"sync"
 )
 
-// The scratch pool recycles the VM's host working storage — the register
-// slab and materialized-node arrays — across runs, the host-side
-// counterpart of the device buffer arena: a warm Prepared.Eval on the vm
-// strategy performs zero scratch allocations. Slices are bucketed by
+// The scratch pool recycles the executor's host working storage — the
+// register slab of every pass run, the vm strategy's materialized-node
+// arrays and the fused kernel's temporal scratch — across runs, the
+// host-side counterpart of the device buffer arena: a warm evaluation
+// performs zero scratch allocations. Slices are bucketed by
 // power-of-two capacity under a mutex; counters are deterministic
 // (unlike sync.Pool, nothing is dropped behind the program's back), so
 // the warm-vs-cold gates in metrics.RunRepeat and the allocation tests
@@ -55,12 +56,11 @@ func bucketFor(size int) int {
 	return 1 << bits.Len(uint(size-1))
 }
 
-// getScratch returns a slice of exactly size float32s backed by pooled
-// storage. Contents are unspecified: every compiled program writes each
-// register lane and scratch element before reading it (the differential
-// harness would catch any stale read as a divergence from the fused
-// kernel, whose storage is freshly zeroed).
-func getScratch(size int) []float32 {
+// GetScratch returns a slice of exactly size float32s backed by pooled
+// storage. Contents are unspecified: every program writes each register
+// lane and scratch element before reading it (the differential harness
+// runs over NaN-poisoned slabs to catch any stale read).
+func GetScratch(size int) []float32 {
 	b := bucketFor(size)
 	pool.mu.Lock()
 	if list := pool.free[b]; len(list) > 0 {
@@ -75,8 +75,8 @@ func getScratch(size int) []float32 {
 	return make([]float32, b)[:size]
 }
 
-// putScratch returns a slice obtained from getScratch to its bucket.
-func putScratch(s []float32) {
+// PutScratch returns a slice obtained from GetScratch to its bucket.
+func PutScratch(s []float32) {
 	b := cap(s)
 	if b == 0 || b&(b-1) != 0 {
 		return // not pool-originated; drop

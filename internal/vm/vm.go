@@ -1,27 +1,24 @@
-// Package vm compiles a sealed dataflow network into a compact bytecode
-// program executed entirely on the host — the tier below the device
-// strategies. At small mesh sizes the paper's Table II orderings are
-// dominated by kernel-launch and transfer overhead, so the fastest
-// "device" for a tiny request is no device at all: the VM evaluates the
-// same fused, pass-split instruction plan the dynamic kernel generator
-// (internal/codegen) produces, but over pooled host float32 scratch with
-// zero uploads, zero launches and zero downloads.
+// Package vm is the lowering and the executor of fused dataflow
+// networks. Lower translates a sealed network, once, into the paper's
+// dynamic-kernel form (Section III-C.3, Figure 2): ordered passes of
+// instructions over virtual registers plus a buffer table. Everything
+// else in the repository is a view of that one lowered form:
 //
-// The compiler deliberately mirrors the kernel generator stage for
-// stage — same pass assignment and materialization set (the paper's
-// Figure 2 barrier rule), same buffer argument order, same on-demand
-// operand loads per pass, same instruction emission order — so the
-// executed operation sequence per element is identical and the output is
-// bitwise equal to the fusion strategy's. The differential and fuzz
-// harnesses in internal/strategy enforce that at zero ULP across the
-// expression grammar; the planner only routes to the VM because that
-// evidence exists.
+//   - source: internal/codegen renders the OpenCL C text from it;
+//   - cost: internal/codegen folds the device model's ocl.Cost from its
+//     instructions;
+//   - execution: Lowering.Program remaps each pass's virtual registers
+//     onto a minimal slot set with last-use liveness, and the resulting
+//     Program runs on a handler table over a pooled register slab.
 //
-// The one place the VM improves on the generator is register allocation:
-// where codegen gives every live node its own register slot (device
-// registers are the device's problem), the VM remaps each pass's virtual
-// registers onto a minimal slot set with last-use liveness, so the
-// pooled register slab stays small for large fused expressions.
+// The fusion strategy is this executor plus device accounting (uploads,
+// one launch, downloads on the simulated device); the vm strategy is the
+// executor alone, over host arrays in place, with zero device traffic —
+// the profitable tier for meshes small enough that launch and transfer
+// overhead dominates. Both run the same Program, so their outputs are
+// bitwise equal by construction; the differential harnesses instead
+// compare the blocked executor against Lowering.Reference, a per-element
+// interpreter over the virtual registers.
 package vm
 
 import (
@@ -32,12 +29,13 @@ import (
 	"dfg/internal/kernels"
 )
 
-// opcode identifies one bytecode operation. The set matches the kernel
-// generator's executable plan one for one.
+// opcode is the executor's dispatch index. Other packages see an
+// instruction's operation through Instr.Filter, in the dataflow filter
+// vocabulary.
 type opcode uint8
 
 const (
-	opLoad opcode = iota // dst <- buf[gid] (width from instr.width)
+	opLoad opcode = iota // dst <- buf[gid] (width from Instr.Width)
 	opConst
 	opAdd
 	opSub
@@ -63,71 +61,392 @@ const (
 	opNorm
 	opDecomp
 	opGrad
-	opGradAxis // single-axis gradient (instr.comp selects the axis)
-	opStore    // buf[gid] <- a (width from instr.width)
+	opGradAxis // single-axis gradient (Instr.Comp selects the axis)
+	opStore    // buf[gid] <- a (width from Instr.Width)
 
 	opCount
 )
 
-// instr is one bytecode instruction. Register operands are slot indices
-// into the pooled register slab (four float32 lanes per slot; scalars
-// use lane 0); buf indexes the program's buffer table. The narrow field
-// types keep an instruction at 28 bytes, so whole programs stay
-// cache-resident next to the register slab.
-type instr struct {
-	op    opcode
-	width uint8  // element width for load/store
-	comp  uint8  // decompose component / gradient axis
-	dst   uint16 // destination slot
-	a     uint16 // slot operands
-	b     uint16
-	c     uint16
-	buf   uint16    // buffer index for load/store
-	val   float32   // constant value
-	gbufs [5]uint16 // stencils: field, dims, x, y, z buffer indices
+// ops names each opcode and gives the number of register operands it
+// reads (A, then B, then C). Loads, constants and stencils read none.
+// opGradAxis covers three filters, told apart by Instr.Comp; the
+// lowering recognises stencils by class, never through this name.
+var ops = [opCount]struct {
+	name  string
+	reads uint8
+}{
+	opLoad: {"load", 0}, opConst: {"const", 0},
+	opAdd: {"add", 2}, opSub: {"sub", 2}, opMul: {"mul", 2}, opDiv: {"div", 2},
+	opMin: {"min", 2}, opMax: {"max", 2},
+	opSqrt: {"sqrt", 1}, opNeg: {"neg", 1}, opAbs: {"abs", 1},
+	opExp: {"exp", 1}, opLog: {"log", 1}, opSin: {"sin", 1}, opCos: {"cos", 1},
+	opPow: {"pow", 2},
+	opGt:  {"gt", 2}, opLt: {"lt", 2}, opGe: {"ge", 2}, opLe: {"le", 2}, opEq: {"eq", 2}, opNe: {"ne", 2},
+	opSelect: {"select", 3}, opNorm: {"norm", 1}, opDecomp: {"decompose", 1},
+	opGrad: {"grad3d", 0}, opGradAxis: {"grad3d?", 0},
+	opStore: {"store", 1},
 }
 
-// BufKind classifies one entry of a program's buffer table.
+// gradAxisNames are opGradAxis's filter names by Instr.Comp.
+var gradAxisNames = [3]string{"grad3dx", "grad3dy", "grad3dz"}
+
+// opOf maps a filter name to its opcode.
+var opOf = func() map[string]opcode {
+	m := make(map[string]opcode, opCount)
+	for op, o := range ops {
+		m[o.name] = opcode(op)
+	}
+	return m
+}()
+
+// Instr is one lowered instruction. Register operands are virtual
+// registers in a Lowering (register i holds the i-th live node in
+// topological order) and slot indices into the pooled register slab in
+// a Program (four float32 lanes per slot; scalars use lane 0). Buf and
+// GBufs index the buffer table. The narrow field types keep an
+// instruction at 28 bytes, so whole programs stay cache-resident next to
+// the register slab.
+type Instr struct {
+	op    opcode
+	Width uint8  // element width for load/store
+	Comp  uint8  // decompose component / gradient axis
+	Dst   uint16 // destination register
+	A     uint16 // register operands
+	B     uint16
+	C     uint16
+	Buf   uint16    // buffer index for load/store
+	Val   float32   // constant value
+	GBufs [5]uint16 // stencils: field, dims, x, y, z buffer indices
+}
+
+// Filter names the instruction's operation: the dataflow filter it
+// computes ("add", "grad3dx", "const", ...), or "load" / "store" for
+// the buffer accesses the lowering inserted.
+func (in *Instr) Filter() string {
+	if in.op == opGradAxis {
+		return gradAxisNames[in.Comp]
+	}
+	return ops[in.op].name
+}
+
+// Reads appends the instruction's register read operands to dst.
+func (in *Instr) Reads(dst []uint16) []uint16 {
+	regs := [3]uint16{in.A, in.B, in.C}
+	return append(dst, regs[:ops[in.op].reads]...)
+}
+
+// BufKind classifies one entry of the buffer table.
 type BufKind int
 
 const (
-	// BufSource is a host-provided input array, read in place — the VM
-	// never copies or uploads it.
+	// BufSource is a host-provided input array. The executor reads it in
+	// place; the device strategies upload it once.
 	BufSource BufKind = iota
-	// BufScratch is a materialized intermediate (problem-sized), drawn
-	// from the package scratch pool for the duration of one Run.
+	// BufScratch is a materialized intermediate (problem-sized; never
+	// transferred).
 	BufScratch
-	// BufOut is the result array, freshly allocated per Run and handed
-	// to the caller.
+	// BufOut is a result array.
 	BufOut
 )
 
-// BufferSpec describes one buffer of a compiled program, in binding
-// order. The order matches the kernel generator's argument plan: live
-// sources in network declaration order, then scratch in topological
-// order, then the output.
+// String names the buffer kind.
+func (k BufKind) String() string {
+	switch k {
+	case BufSource:
+		return "source"
+	case BufScratch:
+		return "scratch"
+	case BufOut:
+		return "out"
+	default:
+		return fmt.Sprintf("BufKind(%d)", int(k))
+	}
+}
+
+// BufferSpec describes one buffer of a lowered network, in binding
+// order: live sources in network declaration order, then scratch in
+// topological order, then one output per root.
 type BufferSpec struct {
 	Kind  BufKind
-	Name  string // source name or scratch label
+	Name  string // source name, scratch label, or "out" / "out<i>"
 	Width int    // element width in float32 components
 
-	// Length requirement for one Run over n elements: needPerN*n
+	// Length requirement for one run over n elements: needPerN*n
 	// float32s, and at least needFixed regardless of n. Per-element
 	// loads and stencil field/coordinate reads need problem-sized
 	// arrays; the dims descriptor only ever has its first three
-	// elements read, matching what the device kernels require.
+	// elements read.
 	needPerN  int
 	needFixed int
 }
 
-// Program is a compiled bytecode program: per-pass instruction slices
-// over a shared buffer table and a register slot count. Programs are
-// immutable and safe to share across goroutines; all per-run state lives
-// inside Run.
-//
-// A multi-root super-network compiles to one program with several BufOut
-// entries, in the network's Roots() order; Run returns the primary root
-// and RunAll returns every root's array.
+// Need returns how many float32s a run over n elements requires the
+// buffer to hold.
+func (b BufferSpec) Need(n int) int {
+	if need := n * b.needPerN; need > b.needFixed {
+		return need
+	}
+	return b.needFixed
+}
+
+// ScratchName labels the scratch buffer of a materialized node.
+func ScratchName(id string) string { return "scratch_" + id }
+
+// Lowering is the lowered form of one sealed network: per-pass
+// instructions over virtual registers and the buffer table they index.
+// A multi-root super-network lowers to several BufOut entries, in the
+// network's Roots() order.
+type Lowering struct {
+	Buffers []BufferSpec
+	// Passes holds one instruction list per pass: 1 unless a stencil
+	// consumes a computed value (the paper's Figure 2 barrier rule).
+	Passes [][]Instr
+	// OutWidths holds every root's element width, in Roots() order.
+	OutWidths []int
+	// NumVRegs is the virtual register count (the live node count).
+	NumVRegs int
+}
+
+// lowerer holds the lowering state for one network. Per-node state is
+// indexed by the node's position in topological order, which is also its
+// virtual register.
+type lowerer struct {
+	order []*dataflow.Node
+	idx   map[string]int // node ID -> position in order
+	roots []int
+
+	pass      []int  // node -> pass index
+	mat       []bool // node needs problem-sized scratch
+	buf       []int  // node -> buffer index (sources, materialized nodes)
+	numPasses int
+
+	buffers []BufferSpec
+	outBuf  int   // buffer index of the first output
+	loaded  []int // node -> 1 + the last pass that loaded it into a register
+}
+
+// Lower translates a validated network with a designated output into its
+// lowered form.
+func Lower(net *dataflow.Network) (*Lowering, error) {
+	if err := net.Validate(); err != nil {
+		return nil, err
+	}
+	order, err := net.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	c := &lowerer{
+		order:  order,
+		idx:    make(map[string]int, len(order)),
+		pass:   make([]int, len(order)),
+		mat:    make([]bool, len(order)),
+		buf:    make([]int, len(order)),
+		loaded: make([]int, len(order)),
+	}
+	for i, n := range order {
+		c.idx[n.ID] = i
+	}
+	widths := make([]int, 0, len(net.Roots()))
+	for _, r := range net.Roots() {
+		c.roots = append(c.roots, c.idx[r])
+		widths = append(widths, order[c.idx[r]].Width)
+	}
+	if err := c.assignPasses(); err != nil {
+		return nil, err
+	}
+	c.planBuffers(net)
+	if len(order) > 1<<16-1 || len(c.buffers) > 1<<16-1 {
+		return nil, fmt.Errorf("vm: program too large (%d registers, %d buffers)", len(order), len(c.buffers))
+	}
+	low := &Lowering{Buffers: c.buffers, OutWidths: widths, NumVRegs: len(order)}
+	for p := 0; p < c.numPasses; p++ {
+		plan, err := c.emitPass(p)
+		if err != nil {
+			return nil, err
+		}
+		low.Passes = append(low.Passes, plan)
+	}
+	low.computeNeeds()
+	return low, nil
+}
+
+// computeNeeds derives each buffer's length requirement from how the
+// instructions access it.
+func (l *Lowering) computeNeeds() {
+	perN := func(b uint16, m int) {
+		if l.Buffers[b].needPerN < m {
+			l.Buffers[b].needPerN = m
+		}
+	}
+	for _, pass := range l.Passes {
+		for _, in := range pass {
+			switch in.op {
+			case opLoad, opStore:
+				perN(in.Buf, int(in.Width))
+			case opGrad, opGradAxis:
+				perN(in.GBufs[0], 1) // field, read at neighbour indices < n
+				if l.Buffers[in.GBufs[1]].needFixed < 3 {
+					l.Buffers[in.GBufs[1]].needFixed = 3 // dims: nx, ny, nz
+				}
+				for _, b := range in.GBufs[2:] {
+					perN(b, 1) // coordinate arrays, indexed per element
+				}
+			}
+		}
+	}
+}
+
+// isLeaf reports whether the node is realized on demand rather than
+// computed: sources are globally readable, constants are immediates.
+func isLeaf(n *dataflow.Node) bool { return n.Filter == "source" || n.Filter == "const" }
+
+// assignPasses computes each node's pass and the materialization set: a
+// stencil whose field input is computed runs at least one pass after
+// that input, and any value consumed in a later pass than it is computed
+// in must be materialized to problem-sized scratch.
+func (c *lowerer) assignPasses() error {
+	for i, n := range c.order {
+		p := 0
+		for _, in := range n.Inputs {
+			if ip := c.pass[c.idx[in]]; ip > p {
+				p = ip
+			}
+		}
+		if n.Info().Class == dataflow.ClassStencil {
+			for _, in := range n.Inputs[1:] {
+				if c.order[c.idx[in]].Filter != "source" {
+					return fmt.Errorf("vm: %s input %q must be a source array (dims/coords cannot be computed)", n.Filter, in)
+				}
+			}
+			if f := c.idx[n.Inputs[0]]; c.order[f].Filter != "source" {
+				// The stencil reads neighbours of a computed value:
+				// materialize it and synchronize before this pass.
+				c.mat[f] = true
+				if c.pass[f]+1 > p {
+					p = c.pass[f] + 1
+				}
+			}
+		}
+		c.pass[i] = p
+	}
+	for i, n := range c.order {
+		for _, in := range n.Inputs {
+			if j := c.idx[in]; !isLeaf(c.order[j]) && c.pass[j] < c.pass[i] {
+				c.mat[j] = true
+			}
+		}
+	}
+	for _, r := range c.roots {
+		if p := c.pass[r] + 1; p > c.numPasses {
+			c.numPasses = p
+		}
+	}
+	// A root computed before the final pass is consumed by the final
+	// store, so it must be materialized like any cross-pass value.
+	for _, r := range c.roots {
+		if !isLeaf(c.order[r]) && c.pass[r] < c.numPasses-1 {
+			c.mat[r] = true
+		}
+	}
+	return nil
+}
+
+// planBuffers fixes the buffer table: live sources in network
+// declaration order, then scratch in topological order, then the
+// outputs (a single root keeps the name "out"; super-network roots are
+// numbered).
+func (c *lowerer) planBuffers(net *dataflow.Network) {
+	for _, s := range net.Sources() {
+		if i, live := c.idx[s.ID]; live {
+			c.buf[i] = len(c.buffers)
+			c.buffers = append(c.buffers, BufferSpec{Kind: BufSource, Name: s.ID, Width: s.Width})
+		}
+	}
+	for i, n := range c.order {
+		if c.mat[i] {
+			c.buf[i] = len(c.buffers)
+			c.buffers = append(c.buffers, BufferSpec{Kind: BufScratch, Name: ScratchName(n.ID), Width: n.Width})
+		}
+	}
+	c.outBuf = len(c.buffers)
+	for i, r := range c.roots {
+		name := "out"
+		if len(c.roots) > 1 {
+			name += strconv.Itoa(i)
+		}
+		c.buffers = append(c.buffers, BufferSpec{Kind: BufOut, Name: name, Width: c.order[r].Width})
+	}
+}
+
+// emitPass produces one pass's instructions: operands load on demand the
+// first time a pass touches them, stencils read buffers directly,
+// materialized values store to scratch as soon as they are computed, and
+// the final pass ends with the output stores.
+func (c *lowerer) emitPass(p int) ([]Instr, error) {
+	// Every node contributes at most one instruction per pass, plus one
+	// store per scratch or output buffer.
+	plan := make([]Instr, 0, len(c.order)+len(c.buffers))
+
+	// operand returns the register holding node i, loading it first if
+	// this pass has not yet: a constant, a source, or a value an earlier
+	// pass left in scratch.
+	operand := func(id string) uint16 {
+		i := c.idx[id]
+		n := c.order[i]
+		if (isLeaf(n) || c.pass[i] < p) && c.loaded[i] != p+1 {
+			c.loaded[i] = p + 1
+			if n.Filter == "const" {
+				plan = append(plan, Instr{op: opConst, Dst: uint16(i), Val: float32(n.Value)})
+			} else {
+				plan = append(plan, Instr{op: opLoad, Dst: uint16(i), Buf: uint16(c.buf[i]), Width: uint8(n.Width)})
+			}
+		}
+		return uint16(i)
+	}
+
+	for i, n := range c.order {
+		if c.pass[i] != p || isLeaf(n) {
+			continue // leaves are realized on demand by operand()
+		}
+		in := Instr{Dst: uint16(i)}
+		if n.Info().Class == dataflow.ClassStencil {
+			in.op = opGrad
+			if axis, ok := kernels.GradAxisOf(n.Filter); ok {
+				in.op, in.Comp = opGradAxis, uint8(axis)
+			}
+			for k, id := range n.Inputs {
+				in.GBufs[k] = uint16(c.buf[c.idx[id]])
+			}
+		} else {
+			op, ok := opOf[n.Filter]
+			if !ok {
+				return nil, fmt.Errorf("vm: no lowering rule for filter %q", n.Filter)
+			}
+			in.op, in.Comp = op, uint8(n.Comp)
+			regs := [3]*uint16{&in.A, &in.B, &in.C}
+			for k, id := range n.Inputs {
+				*regs[k] = operand(id)
+			}
+		}
+		plan = append(plan, in)
+		if c.mat[i] {
+			plan = append(plan, Instr{op: opStore, A: uint16(i), Buf: uint16(c.buf[i]), Width: uint8(n.Width)})
+		}
+	}
+
+	if p == c.numPasses-1 {
+		for k, r := range c.roots {
+			a := operand(c.order[r].ID)
+			plan = append(plan, Instr{op: opStore, A: a, Buf: uint16(c.outBuf + k), Width: uint8(c.order[r].Width)})
+		}
+	}
+	return plan, nil
+}
+
+// Program is the executable form of a Lowering: the same passes with
+// registers remapped onto pooled slab slots. Programs are immutable and
+// safe to share across goroutines; all per-run state lives inside the
+// run.
 type Program struct {
 	// OutWidth is the primary output's element width (roots[0]).
 	OutWidth int
@@ -135,16 +454,80 @@ type Program struct {
 	OutWidths []int
 
 	buffers []BufferSpec
-	passes  [][]instr
+	passes  [][]Instr
 	slots   int // pooled register slots (max over passes after remapping)
 }
 
-// NumOuts returns the number of output arrays (roots) the program
-// produces — 1 except for merged super-networks.
-func (p *Program) NumOuts() int { return len(p.OutWidths) }
+// Compile lowers a validated network and allocates its register slots.
+func Compile(net *dataflow.Network) (*Program, error) {
+	low, err := Lower(net)
+	if err != nil {
+		return nil, err
+	}
+	return low.Program(), nil
+}
 
-// NumPasses returns the pass count (1 unless a stencil consumes a
-// computed value, exactly as in the fused kernel).
+// Program remaps each pass's virtual registers onto a minimal slot set:
+// a forward scan frees each register's slot at its last read, and
+// destinations reuse freed slots. A destination may alias a just-freed
+// operand slot — every handler reads its operand element before writing
+// the destination element, so in-place execution is safe (and keeps the
+// hot slots cache-resident). Cross-pass values never appear here: they
+// travel through scratch buffers.
+func (l *Lowering) Program() *Program {
+	const noSlot = 1<<16 - 1
+	prog := &Program{OutWidth: l.OutWidths[0], OutWidths: l.OutWidths, buffers: l.Buffers}
+	lastRead := make([]int, l.NumVRegs)
+	slotOf := make([]uint16, l.NumVRegs)
+	var reads, free []uint16
+	for _, plan := range l.Passes {
+		for i := range plan {
+			for _, r := range plan[i].Reads(reads[:0]) {
+				lastRead[r] = i
+			}
+		}
+		free = free[:0]
+		next := uint16(0)
+		out := make([]Instr, len(plan))
+		for i, in := range plan {
+			reads = in.Reads(reads[:0])
+			switch len(reads) {
+			case 3:
+				in.C = slotOf[in.C]
+				fallthrough
+			case 2:
+				in.B = slotOf[in.B]
+				fallthrough
+			case 1:
+				in.A = slotOf[in.A]
+			}
+			for _, r := range reads {
+				if lastRead[r] == i && slotOf[r] != noSlot {
+					free = append(free, slotOf[r])
+					slotOf[r] = noSlot // an operand read twice frees once
+				}
+			}
+			if in.op != opStore {
+				s := next
+				if len(free) > 0 {
+					s, free = free[len(free)-1], free[:len(free)-1]
+				} else {
+					next++
+				}
+				slotOf[in.Dst] = s
+				in.Dst = s
+			}
+			out[i] = in
+		}
+		if int(next) > prog.slots {
+			prog.slots = int(next)
+		}
+		prog.passes = append(prog.passes, out)
+	}
+	return prog
+}
+
+// NumPasses returns the pass count.
 func (p *Program) NumPasses() int { return len(p.passes) }
 
 // Slots returns the register slot count after liveness remapping.
@@ -161,405 +544,3 @@ func (p *Program) NumInstrs() int {
 
 // Buffers returns the program's buffer table (a copy).
 func (p *Program) Buffers() []BufferSpec { return append([]BufferSpec(nil), p.buffers...) }
-
-// scratchName labels the scratch buffer of a materialized node, matching
-// the kernel generator's labels.
-func scratchName(id string) string { return "scratch_" + id }
-
-// outName and outKey mirror the kernel generator's output naming: a
-// single root keeps "out"/"__out__", super-network roots are numbered.
-func (c *compiler) outName(i int) string {
-	if len(c.roots) == 1 {
-		return "out"
-	}
-	return "out" + strconv.Itoa(i)
-}
-
-func (c *compiler) outKey(i int) string {
-	if len(c.roots) == 1 {
-		return "__out__"
-	}
-	return "__out" + strconv.Itoa(i) + "__"
-}
-
-// compiler holds the compilation state for one network.
-type compiler struct {
-	net   *dataflow.Network
-	order []*dataflow.Node
-	byID  map[string]*dataflow.Node
-	roots []*dataflow.Node
-
-	pass        map[string]int // node ID -> pass index
-	numPasses   int
-	materialize map[string]bool // node IDs needing problem-sized scratch
-
-	buffers []BufferSpec
-	bufIdx  map[string]int // source name / scratch label -> buffer index
-
-	vreg     map[string]int // node ID -> virtual register (pre-remap)
-	numVRegs int
-}
-
-// Compile translates a validated network with a designated output into a
-// bytecode program.
-func Compile(net *dataflow.Network) (*Program, error) {
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := net.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	c := &compiler{
-		net:    net,
-		order:  order,
-		byID:   make(map[string]*dataflow.Node, len(order)),
-		pass:   make(map[string]int),
-		bufIdx: make(map[string]int),
-		vreg:   make(map[string]int),
-	}
-	for _, n := range order {
-		c.byID[n.ID] = n
-	}
-	for _, r := range net.Roots() {
-		c.roots = append(c.roots, c.byID[r])
-	}
-	if err := c.assignPasses(); err != nil {
-		return nil, err
-	}
-	c.planBuffers()
-	for _, n := range c.order {
-		if _, ok := c.vreg[n.ID]; !ok {
-			c.vreg[n.ID] = c.numVRegs
-			c.numVRegs++
-		}
-	}
-	if c.numVRegs > 1<<16-1 || len(c.buffers) > 1<<16-1 {
-		return nil, fmt.Errorf("vm: program too large (%d registers, %d buffers)", c.numVRegs, len(c.buffers))
-	}
-
-	passNodes := make([][]*dataflow.Node, c.numPasses)
-	for _, n := range c.order {
-		passNodes[c.pass[n.ID]] = append(passNodes[c.pass[n.ID]], n)
-	}
-	widths := make([]int, len(c.roots))
-	for i, r := range c.roots {
-		widths[i] = r.Width
-	}
-	prog := &Program{OutWidth: widths[0], OutWidths: widths, buffers: c.buffers}
-	for p := 0; p < c.numPasses; p++ {
-		plan, err := c.emitPass(p, passNodes[p])
-		if err != nil {
-			return nil, err
-		}
-		plan, slots := allocateSlots(plan)
-		if slots > prog.slots {
-			prog.slots = slots
-		}
-		prog.passes = append(prog.passes, plan)
-	}
-	prog.computeNeeds()
-	return prog, nil
-}
-
-// computeNeeds derives each buffer's length requirement from how the
-// program accesses it.
-func (p *Program) computeNeeds() {
-	perN := func(b uint16, m int) {
-		if p.buffers[b].needPerN < m {
-			p.buffers[b].needPerN = m
-		}
-	}
-	for _, pass := range p.passes {
-		for _, in := range pass {
-			switch in.op {
-			case opLoad, opStore:
-				perN(in.buf, int(in.width))
-			case opGrad, opGradAxis:
-				perN(in.gbufs[0], 1) // field, read at neighbour indices < n
-				if p.buffers[in.gbufs[1]].needFixed < 3 {
-					p.buffers[in.gbufs[1]].needFixed = 3 // dims: nx, ny, nz
-				}
-				for _, b := range in.gbufs[2:] {
-					perN(b, 1) // coordinate arrays, indexed per element
-				}
-			}
-		}
-	}
-}
-
-// assignPasses computes each node's pass and the materialization set —
-// the same rule the kernel generator applies: a stencil whose field
-// input is computed runs at least one pass after that input, and any
-// value consumed in a later pass than it is computed in must be
-// materialized to problem-sized scratch.
-func (c *compiler) assignPasses() error {
-	c.materialize = make(map[string]bool)
-	for _, n := range c.order {
-		p := 0
-		for _, in := range n.Inputs {
-			if ip := c.pass[in]; ip > p {
-				p = ip
-			}
-		}
-		if n.Info().Class == dataflow.ClassStencil {
-			field := c.byID[n.Inputs[0]]
-			for _, in := range n.Inputs[1:] {
-				if c.byID[in].Filter != "source" {
-					return fmt.Errorf("vm: %s input %q must be a source array (dims/coords cannot be computed)", n.Filter, in)
-				}
-			}
-			if field.Filter != "source" {
-				c.materialize[field.ID] = true
-				if fp := c.pass[field.ID]; fp+1 > p {
-					p = fp + 1
-				}
-			}
-		}
-		c.pass[n.ID] = p
-	}
-	for _, n := range c.order {
-		for _, in := range n.Inputs {
-			src := c.byID[in]
-			if src.Filter == "source" || src.Filter == "const" {
-				continue // sources are globally readable; constants are immediates
-			}
-			if c.pass[in] < c.pass[n.ID] {
-				c.materialize[in] = true
-			}
-		}
-	}
-	c.numPasses = 0
-	for _, r := range c.roots {
-		if p := c.pass[r.ID] + 1; p > c.numPasses {
-			c.numPasses = p
-		}
-	}
-	// A root computed before the final pass is consumed by the final
-	// store, so it must be materialized like any cross-pass value.
-	for _, r := range c.roots {
-		if r.Filter == "source" || r.Filter == "const" {
-			continue
-		}
-		if c.pass[r.ID] < c.numPasses-1 {
-			c.materialize[r.ID] = true
-		}
-	}
-	return nil
-}
-
-// planBuffers fixes the buffer table in the kernel generator's argument
-// order: live sources in network declaration order, then scratch in
-// topological order, then the output.
-func (c *compiler) planBuffers() {
-	live := make(map[string]bool, len(c.order))
-	for _, n := range c.order {
-		live[n.ID] = true
-	}
-	for _, s := range c.net.Sources() {
-		if live[s.ID] {
-			c.bufIdx[s.ID] = len(c.buffers)
-			c.buffers = append(c.buffers, BufferSpec{Kind: BufSource, Name: s.ID, Width: s.Width})
-		}
-	}
-	for _, n := range c.order {
-		if c.materialize[n.ID] {
-			label := scratchName(n.ID)
-			c.bufIdx[label] = len(c.buffers)
-			c.buffers = append(c.buffers, BufferSpec{Kind: BufScratch, Name: label, Width: n.Width})
-		}
-	}
-	for i, r := range c.roots {
-		c.bufIdx[c.outKey(i)] = len(c.buffers)
-		c.buffers = append(c.buffers, BufferSpec{Kind: BufOut, Name: c.outName(i), Width: r.Width})
-	}
-}
-
-// emitPass produces one pass's instruction plan over virtual registers,
-// in the kernel generator's emission order: operands load on demand the
-// first time a pass touches them, stencils read buffers directly,
-// materialized values store to scratch as soon as they are computed, and
-// the final pass ends with the output store.
-func (c *compiler) emitPass(p int, nodes []*dataflow.Node) ([]instr, error) {
-	var plan []instr
-	loaded := make(map[string]bool) // node IDs already in registers this pass
-
-	operand := func(id string) uint16 {
-		n := c.byID[id]
-		r := uint16(c.vreg[id])
-		switch {
-		case n.Filter == "const":
-			if !loaded[id] {
-				plan = append(plan, instr{op: opConst, dst: r, val: float32(n.Value)})
-				loaded[id] = true
-			}
-		case n.Filter == "source":
-			if !loaded[id] {
-				plan = append(plan, instr{op: opLoad, dst: r, buf: uint16(c.bufIdx[id]), width: 1})
-				loaded[id] = true
-			}
-		case c.pass[id] < p:
-			// Computed in an earlier pass: read back from scratch.
-			if !loaded[id] {
-				plan = append(plan, instr{op: opLoad, dst: r, buf: uint16(c.bufIdx[scratchName(id)]), width: uint8(n.Width)})
-				loaded[id] = true
-			}
-		}
-		return r
-	}
-
-	for _, n := range nodes {
-		if n.Filter == "source" || n.Filter == "const" {
-			continue // realized on demand by operand()
-		}
-		r := uint16(c.vreg[n.ID])
-		switch n.Filter {
-		case "grad3d", "grad3dx", "grad3dy", "grad3dz":
-			field := c.byID[n.Inputs[0]]
-			fieldArg := field.ID
-			if field.Filter != "source" {
-				fieldArg = scratchName(field.ID)
-			}
-			var gb [5]uint16
-			gb[0] = uint16(c.bufIdx[fieldArg])
-			for i, in := range n.Inputs[1:] {
-				gb[i+1] = uint16(c.bufIdx[in])
-			}
-			if axis, ok := kernels.GradAxisOf(n.Filter); ok {
-				plan = append(plan, instr{op: opGradAxis, dst: r, comp: uint8(axis), gbufs: gb})
-			} else {
-				plan = append(plan, instr{op: opGrad, dst: r, gbufs: gb})
-			}
-		case "decompose":
-			a := operand(n.Inputs[0])
-			plan = append(plan, instr{op: opDecomp, dst: r, a: a, comp: uint8(n.Comp)})
-		case "norm":
-			a := operand(n.Inputs[0])
-			plan = append(plan, instr{op: opNorm, dst: r, a: a})
-		default:
-			op, ok := opForFilter(n.Filter)
-			if !ok {
-				return nil, fmt.Errorf("vm: no bytecode rule for filter %q", n.Filter)
-			}
-			in := instr{op: op, dst: r, a: operand(n.Inputs[0])}
-			if len(n.Inputs) > 1 {
-				in.b = operand(n.Inputs[1])
-			}
-			if len(n.Inputs) > 2 {
-				in.c = operand(n.Inputs[2])
-			}
-			plan = append(plan, in)
-		}
-
-		if c.materialize[n.ID] {
-			plan = append(plan, instr{op: opStore, a: r, buf: uint16(c.bufIdx[scratchName(n.ID)]), width: uint8(n.Width)})
-		}
-	}
-
-	if p == c.numPasses-1 {
-		for i, root := range c.roots {
-			a := operand(root.ID)
-			plan = append(plan, instr{op: opStore, a: a, buf: uint16(c.bufIdx[c.outKey(i)]), width: uint8(root.Width)})
-		}
-	}
-	return plan, nil
-}
-
-// readSlots appends an instruction's register read operands to dst.
-// Loads, constants and stencils read no registers.
-func readSlots(in instr, dst []uint16) []uint16 {
-	switch in.op {
-	case opLoad, opConst, opGrad, opGradAxis:
-		return dst
-	case opAdd, opSub, opMul, opDiv, opMin, opMax, opPow,
-		opGt, opLt, opGe, opLe, opEq, opNe:
-		return append(dst, in.a, in.b)
-	case opSelect:
-		return append(dst, in.a, in.b, in.c)
-	case opStore:
-		return append(dst, in.a)
-	default: // unary, norm, decompose
-		return append(dst, in.a)
-	}
-}
-
-// writesDst reports whether the opcode writes a destination register.
-func writesDst(op opcode) bool { return op != opStore }
-
-// allocateSlots remaps one pass's virtual registers onto a minimal slot
-// set: a forward scan frees each register's slot at its last read, and
-// destinations reuse freed slots. A destination may alias a just-freed
-// operand slot — every handler reads its operand element before writing
-// the destination element, so in-place execution is safe (and keeps the
-// hot slots cache-resident). Cross-pass values never appear here: they
-// travel through scratch buffers, exactly as in the fused kernel.
-func allocateSlots(plan []instr) ([]instr, int) {
-	lastRead := make(map[uint16]int, len(plan))
-	var reads []uint16
-	for i, in := range plan {
-		reads = readSlots(in, reads[:0])
-		for _, r := range reads {
-			lastRead[r] = i
-		}
-	}
-
-	slotOf := make(map[uint16]uint16, len(plan))
-	var free []uint16
-	next := uint16(0)
-	out := make([]instr, len(plan))
-	for i, in := range plan {
-		reads = readSlots(in, reads[:0])
-		switch in.op {
-		case opSelect:
-			in.a, in.b, in.c = slotOf[in.a], slotOf[in.b], slotOf[in.c]
-		case opLoad, opConst, opGrad, opGradAxis:
-			// no register reads
-		case opAdd, opSub, opMul, opDiv, opMin, opMax, opPow,
-			opGt, opLt, opGe, opLe, opEq, opNe:
-			in.a, in.b = slotOf[in.a], slotOf[in.b]
-		default:
-			in.a = slotOf[in.a]
-		}
-		for _, r := range reads {
-			if lastRead[r] == i {
-				if s, ok := slotOf[r]; ok {
-					free = append(free, s)
-					delete(slotOf, r)
-				}
-			}
-		}
-		if writesDst(in.op) {
-			var s uint16
-			if len(free) > 0 {
-				s, free = free[len(free)-1], free[:len(free)-1]
-			} else {
-				s = next
-				next++
-			}
-			slotOf[in.dst] = s
-			in.dst = s
-		}
-		out[i] = in
-	}
-	return out, int(next)
-}
-
-// opForFilter maps an elementwise filter name to its opcode — the same
-// dispatch the kernel table (kernels.ForFilter) and the generator's
-// fusion rules use, shared here so the three stay in lockstep.
-func opForFilter(filter string) (opcode, bool) {
-	op, ok := elementwiseOps[filter]
-	return op, ok
-}
-
-// elementwiseOps is the filter-to-opcode table the compiler and the
-// handler generator share.
-var elementwiseOps = map[string]opcode{
-	"add": opAdd, "sub": opSub, "mul": opMul, "div": opDiv,
-	"min": opMin, "max": opMax,
-	"sqrt": opSqrt, "neg": opNeg, "abs": opAbs,
-	"exp": opExp, "log": opLog, "sin": opSin, "cos": opCos,
-	"pow": opPow,
-	"gt":  opGt, "lt": opLt, "ge": opGe, "le": opLe, "eq": opEq, "ne": opNe,
-	"select": opSelect,
-}

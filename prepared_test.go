@@ -1,6 +1,8 @@
 package dfg_test
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -193,5 +195,104 @@ func TestPreparedRedefineInvalidates(t *testing.T) {
 	}
 	if same {
 		t.Fatal("prepared plan did not pick up the redefinition")
+	}
+}
+
+// qcritOnMesh returns a uniform edge³ mesh with a generated velocity
+// field bound for Q-criterion.
+func qcritOnMesh(t *testing.T, edge int) (*dfg.Mesh, map[string][]float32) {
+	t.Helper()
+	m, err := dfg.NewUniformMesh(dfg.Dims{NX: edge, NY: edge, NZ: edge}, 1/float32(edge), 1/float32(edge), 1/float32(edge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, dfg.FieldInputs(dfg.GenerateRT(m, 7))
+}
+
+// TestColdOpsLeaveNoHeapBehind: every op prepares a never-seen
+// expression, evaluates it once and closes it, against a compiler whose
+// caches hold 16 entries. Once those are full, live heap must stop
+// growing: the plan owns its lowered program and the compile layer's
+// bounded plan cache is the only memo, so an evicted plan takes
+// everything with it. (Unbounded per-network program memos under that
+// cache used to retain ≈ 27 KB per expression forever.)
+func TestColdOpsLeaveNoHeapBehind(t *testing.T) {
+	comp := compile.NewCompiler()
+	comp.SetMaxEntries(16)
+	dev, err := dfg.NewDeviceFor(dfg.Config{Device: dfg.CPU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := dfg.NewWith(dev, "fusion", comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng, err = eng.WithOptLevel("O2"); err != nil {
+		t.Fatal(err)
+	}
+	m, fields := qcritOnMesh(t, 4)
+	op := 0
+	coldOps := func(count int) uint64 {
+		for end := op + count; op < end; op++ {
+			pr, err := eng.Prepare(fmt.Sprintf("%s\nt = q * %d.5 + %d", dfg.QCriterionExpr, op, op))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pr.EvalMesh(m, fields); err != nil {
+				t.Fatal(err)
+			}
+			pr.Close()
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// 2n leaked programs would be ≈ 16 MB; a steady state moves by GC
+	// timing and pool growth only.
+	const n, slack = 300, 2 << 20
+	afterN := coldOps(n)
+	after3N := coldOps(2 * n)
+	if after3N > afterN+slack {
+		t.Fatalf("live heap grew from %d to %d bytes over %d more cold ops: something retains per-expression state", afterN, after3N, 2*n)
+	}
+}
+
+// TestWarmFusionGoHeapGate is the Go-heap half of the warm gate (the
+// arena counters above only see device buffers): a warm Plan.Execute of
+// Q-criterion under fusion on an 8³ mesh — one launch chunk, so the
+// count is deterministic — may allocate the output array plus small
+// bookkeeping, and no more objects than the same call made before the
+// executor's register slab moved to the scratch pool (14 allocations,
+// 306 808 B per op, measured through Prepared.EvalMesh).
+func TestWarmFusionGoHeapGate(t *testing.T) {
+	eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "fusion"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, fields := qcritOnMesh(t, 8)
+	pr, err := eng.Prepare(dfg.QCriterionExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	eval := func() {
+		if _, err := pr.EvalMesh(m, fields); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval() // cold: fills the arena and the scratch pool
+
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, eval)
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up with one extra call
+	if outBytes := uint64(m.Cells() * 4); perOp > outBytes+4<<10 {
+		t.Errorf("warm eval allocates %d B/op, want at most the %d B output + 4 KB", perOp, outBytes)
+	}
+	if allocs > 14 {
+		t.Errorf("warm eval makes %.0f allocations/op, want at most 14", allocs)
 	}
 }
