@@ -8,6 +8,7 @@ import (
 
 	"dfg/internal/compile"
 	"dfg/internal/ocl"
+	"dfg/internal/strategy"
 	"dfg/internal/vortex"
 )
 
@@ -143,6 +144,39 @@ func TestEngineErrors(t *testing.T) {
 	}
 	if _, err := eng.Eval("a = u + v", 4, map[string][]float32{"u": make([]float32, 4)}); err == nil {
 		t.Error("missing input must fail")
+	}
+}
+
+// TestEvalBadDimsIsError: dims that do not describe an N-cell mesh used
+// to kill the process from inside a launch chunk's goroutine (a divide
+// by zero for {0,0,0}, an index out of range for 64^3 over 16 384
+// cells). They are a typed error from Eval, with recovery armed or not,
+// at a size that fans out (16 384) and one that runs inline (64).
+func TestEvalBadDimsIsError(t *testing.T) {
+	const text = "g = grad3d(u, dims, x, y, z)\nr = g[0]"
+	for _, n := range []int{16384, 64} {
+		for _, dims := range [][]float32{{0, 0, 0, 0}, {64, 64, 64, 0}} {
+			for _, armed := range []bool{false, true} {
+				eng, err := New(Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if armed {
+					if err := eng.SetRecovery(DefaultRetryPolicy()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				in := map[string][]float32{"dims": dims}
+				for _, name := range []string{"u", "x", "y", "z"} {
+					in[name] = make([]float32, n)
+				}
+				_, err = eng.Eval(text, n, in)
+				var de *strategy.DimsError
+				if !errors.As(err, &de) || de.Name != "dims" || de.N != n {
+					t.Fatalf("N=%d dims=%v armed=%v: err = %v, want a DimsError", n, dims, armed, err)
+				}
+			}
+		}
 	}
 }
 

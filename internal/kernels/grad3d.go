@@ -107,8 +107,9 @@ func gradAxisDiff(f, coord []float32, idx, p, n, stride int) float32 {
 
 // GradAt is the executable equivalent of dfg_grad3d: the gradient of the
 // cell-centered field at linear cell idx. x, y and z are problem-sized
-// per-cell center coordinate arrays. The fusion generator calls this per
-// element against the source arrays in device global memory.
+// per-cell center coordinate arrays. It is the per-element oracle
+// (vm.Lowering.Reference and the tests call it); everything that
+// executes goes through GradRows.
 func GradAt(field, x, y, z []float32, nx, ny, nz, idx int) (gx, gy, gz float32) {
 	i := idx % nx
 	rest := idx / nx
@@ -135,14 +136,99 @@ func Grad3D() *ocl.Kernel {
 			x, y, z := bufs[2].Data, bufs[3].Data, bufs[4].Data
 			out := bufs[5].Data
 			nx, ny, nz := int(dims[0]), int(dims[1]), int(dims[2])
-			for idx := lo; idx < hi; idx++ {
-				gx, gy, gz := GradAt(field, x, y, z, nx, ny, nz, idx)
-				out[4*idx+0] = gx
-				out[4*idx+1] = gy
-				out[4*idx+2] = gz
-				out[4*idx+3] = 0
+			// The walker writes contiguous lanes; the float4 output is
+			// interleaved, so each axis goes through a stack block.
+			var lane [256]float32
+			for base := lo; base < hi; base += len(lane) {
+				blk := lane[:min(len(lane), hi-base)]
+				o := out[4*base : 4*(base+len(blk))]
+				for axis, coord := range [3][]float32{x, y, z} {
+					GradRows(blk, field, coord, axis, nx, ny, nz, base)
+					for e, g := range blk {
+						o[4*e+axis] = g
+					}
+				}
+				for e := range blk {
+					o[4*e+3] = 0
+				}
 			}
 		},
+	}
+}
+
+// GradRows writes one component of the gradient for the len(dst) cells
+// starting at linear cell base: dst[e] is what GradAxisAt returns for
+// cell base+e, bit for bit. coord is the axis's per-cell center
+// coordinate array. Where GradAt decomposes every cell index and picks
+// its difference form per cell, GradRows decomposes base once, walks the
+// x-rows the window covers, and picks each row's two neighbour offsets —
+// forward, backward or central — once (once per face cell along x), so
+// the inner loop is gradAxisDiff's expression, division included, over
+// sub-slices with no index arithmetic and no branch. The window may
+// start and end mid-row and span plane boundaries.
+//
+// dims must describe the arrays: every extent >= 1 and the window inside
+// nx*ny*nz cells. Callers validate bound dims before launching
+// (strategy.DimsError), so a violation here is a bug or extents the
+// network computed itself; it panics, once per call, instead of spinning
+// on an empty row.
+func GradRows(dst, f, coord []float32, axis, nx, ny, nz, base int) {
+	if nx < 1 || ny < 1 || nz < 1 || base < 0 || base+len(dst) > nx*ny*nz {
+		panic(fmt.Sprintf("kernels: GradRows: cells [%d, %d) outside a %dx%dx%d mesh", base, base+len(dst), nx, ny, nz))
+	}
+	// p is the cell's position along the differenced axis, n that axis's
+	// extent and stride its distance between neighbours.
+	n, stride := nx, 1
+	switch axis {
+	case 1:
+		n, stride = ny, nx
+	case 2:
+		n, stride = nz, nx*ny
+	}
+	if n == 1 {
+		for e := range dst {
+			dst[e] = 0
+		}
+		return
+	}
+	i := base % nx
+	rest := base / nx
+	j, k := rest%ny, rest/ny
+	for idx := base; len(dst) > 0; {
+		seg := min(nx-i, len(dst))
+		row := dst[:seg]
+		if axis == 0 {
+			lo, hi := 0, seg // the row's central-difference cells
+			if i == 0 {
+				diffRow(row[:1], f, coord, idx, 0, 1)
+				lo = 1
+			}
+			if i+seg == nx {
+				hi--
+				diffRow(row[hi:], f, coord, idx+hi, -1, 0)
+			}
+			diffRow(row[lo:hi], f, coord, idx+lo, -1, 1)
+		} else {
+			p := j
+			if axis == 2 {
+				p = k
+			}
+			switch {
+			case p == 0:
+				diffRow(row, f, coord, idx, 0, stride)
+			case p == n-1:
+				diffRow(row, f, coord, idx, -stride, 0)
+			default:
+				diffRow(row, f, coord, idx, -stride, stride)
+			}
+		}
+		dst = dst[seg:]
+		idx += seg
+		i = 0
+		if j++; j == ny {
+			j = 0
+			k++
+		}
 	}
 }
 
@@ -258,9 +344,22 @@ __kernel void %s(__global const float *f,
 			x, y, z := bufs[2].Data, bufs[3].Data, bufs[4].Data
 			out := bufs[5].Data
 			nx, ny, nz := int(dims[0]), int(dims[1]), int(dims[2])
-			for idx := lo; idx < hi; idx++ {
-				out[idx] = GradAxisAt(field, x, y, z, nx, ny, nz, idx, axis)
-			}
+			GradRows(out[lo:hi], field, [3][]float32{x, y, z}[axis], axis, nx, ny, nz, lo)
 		},
+	}
+}
+
+// diffRow is gradAxisDiff's expression over a run of cells that share
+// their neighbour offsets: cell idx+e differences elements idx+e+a and
+// idx+e+b. The four operand windows are sliced once, so the loop carries
+// no index arithmetic and no bounds check.
+func diffRow(dst, f, coord []float32, idx, a, b int) {
+	if len(dst) == 0 {
+		return // a row with no central cells; idx+a may lie outside f
+	}
+	fa, fb := f[idx+a:][:len(dst)], f[idx+b:][:len(dst)]
+	ca, cb := coord[idx+a:][:len(dst)], coord[idx+b:][:len(dst)]
+	for e := range dst {
+		dst[e] = (fb[e] - fa[e]) / (cb[e] - ca[e])
 	}
 }

@@ -354,19 +354,52 @@ func (a *Arena) Stats() ArenaStats {
 	}
 }
 
-// hashFloats is FNV-1a over the bit patterns of the values plus the
-// length — the content fingerprint behind resident-source upload
-// skipping. 64 bits make accidental collisions negligible for the
-// simulation's purposes (a collision would silently reuse stale source
-// data; cryptographic strength is not required here).
+// hashFloats fingerprints the bit patterns of the values plus the
+// length — the content hash behind resident-source upload skipping. It
+// runs four independent FNV-1a lanes, each absorbing every fourth pair
+// of floats, so the multiplies of one stride overlap instead of forming
+// one serial chain per element (a warm 64^3 evaluation hashes 7 MB of
+// sources before it launches anything).
+//
+// Every lane absorbs one float — 32 bits — per xor-multiply step, never
+// a packed 64-bit pair. A multiply only carries a difference upward, so
+// a bit absorbed at position b can only ever mark state bits >= b: from
+// bit 31 or below that is 33 bits of state or more, but a sign bit
+// packed at bit 63 would stay a lone bit 63 for good (2^63 times an odd
+// prime is 2^63) and any two such flips would cancel — negating a
+// component on one x-face of a mesh does exactly that. The four lane
+// states, then the tail elements, then the length go through one more
+// chain of the same step, each state as two 32-bit halves for the same
+// reason, so lanes are not interchangeable. Each step is a bijection of
+// its input word: a change confined to one element always changes the
+// result.
+//
+// A collision would silently reuse stale source data; per lane this is
+// the mixing a single FNV-1a pass over the floats has, which makes an
+// accidental one negligible for the simulation's purposes
+// (cryptographic strength is not required here).
 func hashFloats(v []float32) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, f := range v {
-		h ^= uint64(math.Float32bits(f))
-		h *= prime
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	word := func(h uint64, w uint32) uint64 { return (h ^ uint64(w)) * prime }
+	step := func(h uint64, f float32) uint64 { return word(h, math.Float32bits(f)) }
+	h0, h1, h2, h3 := uint64(offset), uint64(offset), uint64(offset), uint64(offset)
+	rest := v
+	for ; len(rest) >= 8; rest = rest[8:] {
+		w := rest[:8]
+		h0 = step(step(h0, w[0]), w[1])
+		h1 = step(step(h1, w[2]), w[3])
+		h2 = step(step(h2, w[4]), w[5])
+		h3 = step(step(h3, w[6]), w[7])
 	}
-	h ^= uint64(len(v))
-	h *= prime
-	return h
+	h := uint64(offset)
+	for _, lane := range [...]uint64{h0, h1, h2, h3} {
+		h = word(word(h, uint32(lane>>32)), uint32(lane))
+	}
+	for _, f := range rest {
+		h = step(h, f)
+	}
+	return (h ^ uint64(len(v))) * prime
 }

@@ -1,7 +1,9 @@
 package ocl
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -56,7 +58,9 @@ const minParallelGrain = 4096
 // execute runs fn over the global work range [0, n), split into
 // contiguous chunks across the device's worker pool, and returns the real
 // wall time taken. fn must be safe for concurrent invocation on disjoint
-// ranges.
+// ranges. A panic in any chunk is re-raised here, on the launching
+// goroutine, once every chunk has returned: a panic that unwinds a
+// chunk's own goroutine ends the process, past every caller's recover.
 func (d *Device) execute(n int, fn func(lo, hi int)) time.Duration {
 	start := time.Now()
 	if n <= 0 {
@@ -71,20 +75,51 @@ func (d *Device) execute(n int, fn func(lo, hi int)) time.Duration {
 		return time.Since(start)
 	}
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
+	var l launch
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+		l.wg.Add(1)
+		go l.run(fn, lo, hi)
 	}
-	wg.Wait()
+	l.wg.Wait()
+	if l.panicked != nil {
+		panic(l.panicked)
+	}
 	return time.Since(start)
+}
+
+// launch is the shared state of one fanned-out execute: the barrier and
+// the first panic any chunk raised.
+type launch struct {
+	wg       sync.WaitGroup
+	once     sync.Once
+	panicked *chunkPanic
+}
+
+// run executes one chunk, keeping the launch's first panic.
+func (l *launch) run(fn func(lo, hi int), lo, hi int) {
+	defer l.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			l.once.Do(func() { l.panicked = &chunkPanic{value: r, stack: debug.Stack()} })
+		}
+	}()
+	fn(lo, hi)
+}
+
+// chunkPanic is the value execute re-panics with: the original panic
+// value and the stack of the chunk goroutine that raised it, which the
+// launching goroutine's own trace cannot show.
+type chunkPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *chunkPanic) Error() string {
+	return fmt.Sprintf("%v [recovered from a kernel launch chunk]\n%s", p.value, p.stack)
 }
 
 // transferTime models one host<->device transfer of the given size.

@@ -3,7 +3,9 @@ package ocl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -485,6 +487,232 @@ func TestExecuteCoversRangeExactlyOnce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKernelChunkPanicReachesLauncher: a kernel body that panics in a
+// fanned-out launch chunk must unwind the launching goroutine — where
+// the strategies' deferred releases and serve's panic shield are — not
+// the chunk's own goroutine, where it would end the process. The first
+// panic is re-raised after every chunk has returned, carrying the
+// original value and the chunk's stack.
+func TestKernelChunkPanicReachesLauncher(t *testing.T) {
+	dev := testDevice()
+	dev.workers = 4 // fan out whatever the host's GOMAXPROCS
+	env := NewEnv(dev)
+	ctx := env.Context()
+	base := ctx.LiveBuffers()
+	const n = 2 * minParallelGrain
+
+	var ran sync.Map // chunk lo -> true
+	boom := &Kernel{Name: "kboom", NumBufs: 1, Fn: func(lo, hi int, bufs []View, _ []float64) {
+		ran.Store(lo, true)
+		if lo > 0 {
+			panic(fmt.Sprintf("boom at %d", lo))
+		}
+		for i := lo; i < hi; i++ {
+			bufs[0].Data[i] = 1
+		}
+	}}
+	launch := func() (recovered any) {
+		buf, err := env.NewBuffer("x", n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer buf.Release()
+		defer func() { recovered = recover() }()
+		err = env.Run(boom, n, []*Buffer{buf}, nil)
+		t.Errorf("Run returned (%v) past a panicking chunk", err)
+		return nil
+	}
+	r := launch()
+	cp, ok := r.(*chunkPanic)
+	if !ok {
+		t.Fatalf("recovered %#v, want the chunk's panic re-raised on the launcher", r)
+	}
+	if v, _ := cp.value.(string); !strings.HasPrefix(v, "boom at ") {
+		t.Fatalf("re-raised value %#v, want the kernel's own", cp.value)
+	}
+	if !strings.Contains(string(cp.stack), "TestKernelChunkPanicReachesLauncher") ||
+		!strings.Contains(cp.Error(), "boom at ") {
+		t.Fatalf("re-raised panic lost the chunk's stack or value:\n%s", cp.Error())
+	}
+	chunks := 0
+	ran.Range(func(_, _ any) bool { chunks++; return true })
+	if chunks < 2 {
+		t.Fatalf("%d chunks ran, want the launch fanned out and every chunk waited for", chunks)
+	}
+	if live := ctx.LiveBuffers(); live != base {
+		t.Fatalf("%d live buffers after the panicking launch, want %d", live, base)
+	}
+
+	// The device is still usable.
+	buf := ctx.MustBuffer("y", n, 1)
+	defer buf.Release()
+	fill := &Kernel{Name: "kfill", NumBufs: 1, Fn: func(lo, hi int, bufs []View, _ []float64) {
+		for i := lo; i < hi; i++ {
+			bufs[0].Data[i] = 2
+		}
+	}}
+	if err := env.Run(fill, n, []*Buffer{buf}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHashFloatsCoversEveryBit: the resident-source fingerprint must
+// see every bit of every element and the length, at lengths around the
+// 8-float stride of its four lanes and at a large one. It hashes bit
+// patterns, so -0 differs from +0 and NaN payloads from each other.
+func TestHashFloatsCoversEveryBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	lengths := []int{100_003}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = math.Float32frombits(rng.Uint32())
+		}
+		h := hashFloats(v)
+		if hashFloats(append([]float32(nil), v...)) != h {
+			t.Fatalf("len %d: equal content hashes differently", n)
+		}
+		indexes := rng.Perm(n)
+		if n > 64 {
+			indexes = append(indexes[:48], 0, 1, 7, 8, n-9, n-8, n-2, n-1)
+		}
+		for _, i := range indexes {
+			for bit := 0; bit < 32; bit++ {
+				orig := v[i]
+				v[i] = math.Float32frombits(math.Float32bits(orig) ^ 1<<bit)
+				if hashFloats(v) == h {
+					t.Fatalf("len %d: flipping bit %d of element %d left the hash unchanged", n, bit, i)
+				}
+				v[i] = orig
+			}
+			j := indexes[rng.Intn(len(indexes))]
+			if math.Float32bits(v[i]) != math.Float32bits(v[j]) {
+				v[i], v[j] = v[j], v[i]
+				if hashFloats(v) == h {
+					t.Fatalf("len %d: swapping elements %d and %d left the hash unchanged", n, i, j)
+				}
+				v[i], v[j] = v[j], v[i]
+			}
+		}
+		// Two whole lane words trading places: lanes must not be
+		// interchangeable.
+		if n >= 8 {
+			v[0], v[1], v[2], v[3] = v[2], v[3], v[0], v[1]
+			if hashFloats(v) == h {
+				t.Fatalf("len %d: swapping the first two lanes' words left the hash unchanged", n)
+			}
+			v[0], v[1], v[2], v[3] = v[2], v[3], v[0], v[1]
+		}
+		// Only the length differs: a zero element more or less.
+		zeros := make([]float32, n+1)
+		if hashFloats(zeros[:n]) == hashFloats(zeros) {
+			t.Fatalf("len %d vs %d: all-zero arrays hash the same", n, n+1)
+		}
+		if hashFloats(v) != h {
+			t.Fatalf("len %d: the checks did not restore the array", n)
+		}
+	}
+	negZero := float32(math.Copysign(0, -1))
+	if hashFloats([]float32{0, 1}) == hashFloats([]float32{negZero, 1}) {
+		t.Fatal("-0 and +0 hash the same: the hash must be over bit patterns")
+	}
+	nan1, nan2 := math.Float32frombits(0x7fc00001), math.Float32frombits(0x7fc00002)
+	if hashFloats([]float32{nan1}) == hashFloats([]float32{nan2}) {
+		t.Fatal("two NaN payloads hash the same")
+	}
+}
+
+// TestHashFloatsCorrelatedChanges: changes that repeat along the
+// array must not cancel. A multiply only carries differences upward, so
+// a hash that absorbs two floats as one 64-bit word keeps the odd
+// float's sign bit pinned at bit 63, where two flips — elements 8 apart,
+// or a whole x-face of a mesh whose row length is a multiple of 8 —
+// erase each other; folding the high half down afterwards only moves the
+// cancellation to the next word's bit 31. Single-bit flips cannot see
+// either, so this flips pairs, whole subsets and whole mesh faces.
+func TestHashFloatsCorrelatedChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	flip := func(v []float32, i, bit int) {
+		v[i] = math.Float32frombits(math.Float32bits(v[i]) ^ 1<<bit)
+	}
+	v := make([]float32, 67) // eight full strides and a tail
+	for i := range v {
+		v[i] = math.Float32frombits(rng.Uint32())
+	}
+	h := hashFloats(v)
+	for _, gap := range []int{1, 2, 7, 8, 9, 16, 24, 40} {
+		for i := 0; i+gap < len(v); i++ {
+			for bit := 0; bit < 32; bit++ {
+				flip(v, i, bit)
+				flip(v, i+gap, bit)
+				if hashFloats(v) == h {
+					t.Fatalf("flipping bit %d of elements %d and %d left the hash unchanged", bit, i, i+gap)
+				}
+				flip(v, i, bit)
+				flip(v, i+gap, bit)
+			}
+		}
+	}
+
+	// Every subset of 16 elements flipped in the same bit is a distinct
+	// array, and 64-bit hashes of 65 536 distinct arrays that collide do
+	// so by construction, not by accident. Whole strides only and a
+	// stride plus a tail: the last elements get the least mixing.
+	for _, n := range []int{24, 29} {
+		for _, bit := range []int{31, 30, 23, 0} {
+			seen := make(map[uint64]bool, 1<<16)
+			for set := 0; set < 1<<16; set++ {
+				w := slices.Clone(v[:n])
+				for e := 0; e < 16; e++ {
+					if set>>e&1 == 1 {
+						flip(w, n-16+e, bit)
+					}
+				}
+				seen[hashFloats(w)] = true
+			}
+			if len(seen) != 1<<16 {
+				t.Errorf("len %d: the 65536 ways to flip bit %d of the last 16 elements give %d hashes", n, bit, len(seen))
+			}
+		}
+	}
+
+	// A velocity component on a 64x16x16 mesh: negating, or doubling, it
+	// on one whole face changes only sign or exponent bits, at indexes
+	// that share a residue mod 8 on the x faces.
+	const nx, ny, nz = 64, 16, 16
+	u := make([]float32, nx*ny*nz)
+	for i := range u {
+		u[i] = 1 + rng.Float32()
+	}
+	hu := hashFloats(u)
+	faces := map[string]func(i, j, k int) bool{
+		"i=0":    func(i, _, _ int) bool { return i == 0 },
+		"i=nx-1": func(i, _, _ int) bool { return i == nx-1 },
+		"j=ny-1": func(_, j, _ int) bool { return j == ny-1 },
+		"k=0":    func(_, _, k int) bool { return k == 0 },
+	}
+	edits := map[string]func(float32) float32{
+		"negating": func(x float32) float32 { return -x },
+		"doubling": func(x float32) float32 { return 2 * x },
+	}
+	for face, on := range faces {
+		for edit, f := range edits {
+			w := append([]float32(nil), u...)
+			for idx := range w {
+				if on(idx%nx, idx/nx%ny, idx/(nx*ny)) {
+					w[idx] = f(w[idx])
+				}
+			}
+			if hashFloats(w) == hu {
+				t.Errorf("%s the field on face %s left the hash unchanged", edit, face)
+			}
+		}
 	}
 }
 

@@ -310,6 +310,42 @@ func TestPoolShortSourceKeepsServing(t *testing.T) {
 	}
 }
 
+// TestPoolBadDimsKeepsServing: dims that do not describe an N-cell mesh
+// come back as a typed error — the stencil used to divide by zero or
+// index out of range on them inside a kernel worker goroutine, past the
+// panic shield, ending the process — and the pool serves the next
+// request as usual.
+func TestPoolBadDimsKeepsServing(t *testing.T) {
+	p := newTestPool(t, Config{Workers: 2})
+	const n = 16384 // fans out over goroutines under the device strategies
+	const text = "g = grad3d(u, dims, x, y, z)\nr = g[0]"
+	inputs := func(dims ...float32) map[string][]float32 {
+		in := testInputs(n)
+		in["dims"] = dims
+		for _, c := range []string{"x", "y", "z"} {
+			in[c] = in["u"] // strictly increasing, so every spacing is non-zero
+		}
+		return in
+	}
+	strats := []string{"fusion", "vm", "staged", "tiered"}
+	for _, strat := range strats {
+		for _, bad := range [][]float32{{0, 0, 0, 0}, {64, 64, 64, 0}} {
+			_, err := p.Submit(context.Background(), Request{Expr: text, N: n, Inputs: inputs(bad...), Strategy: strat})
+			var de *strategy.DimsError
+			if !errors.As(err, &de) || de.Name != "dims" || de.N != n {
+				t.Fatalf("%s dims=%v: err = %v, want a DimsError", strat, bad, err)
+			}
+		}
+		res, err := p.Submit(context.Background(), Request{Expr: text, N: n, Inputs: inputs(32, 32, 16, 0), Strategy: strat})
+		if err != nil || len(res.Data) != n {
+			t.Fatalf("%s: pool stopped serving after the rejected requests: %v", strat, err)
+		}
+	}
+	if st := p.Stats(); st.Failed != int64(2*len(strats)) || st.Served != int64(len(strats)) {
+		t.Fatalf("stats = %+v, want %d failed and %d served", st, 2*len(strats), len(strats))
+	}
+}
+
 // TestPoolGracefulShutdown: every request accepted before Close gets a
 // response; requests after Close are rejected; Close is idempotent.
 func TestPoolGracefulShutdown(t *testing.T) {

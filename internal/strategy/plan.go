@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 
 	"dfg/internal/dataflow"
 	"dfg/internal/kernels"
@@ -45,6 +46,14 @@ type planBase struct {
 	// execution indexes them per element (problem-sized) or only reads
 	// the three-entry dims header.
 	needs []sourceNeed
+	// dims names every source a stencil reads its mesh extents from
+	// (input 1), each once. Extents the network computes instead — which
+	// only roundtrip and staged accept; lowering refuses them — have no
+	// value to check before the run: for those the stencil's own geometry
+	// assert and the device's re-raise of a launch chunk's panic on the
+	// launching goroutine are the backstop, a recoverable panic rather
+	// than a DimsError.
+	dims []string
 }
 
 type sourceNeed struct {
@@ -63,6 +72,37 @@ type ShortSourceError struct {
 
 func (e *ShortSourceError) Error() string {
 	return fmt.Sprintf("strategy: source %q holds %d float32s, need %d", e.Name, e.Have, e.Need)
+}
+
+// DimsError reports a bound dims array that does not describe the mesh a
+// stencil is indexed over: an extent that is not a finite whole number
+// >= 1, or extents whose product is not the work size. The stencil
+// kernels turn dims into row lengths and neighbour offsets without
+// looking at it again, so — like a short source — it is checked before
+// anything is launched.
+type DimsError struct {
+	Name       string
+	NX, NY, NZ float32 // the first three values as bound
+	N          int     // the work size they must multiply to
+}
+
+func (e *DimsError) Error() string {
+	return fmt.Sprintf("strategy: dims source %q = {%v, %v, %v} does not describe a mesh of %d cells", e.Name, e.NX, e.NY, e.NZ, e.N)
+}
+
+// dimsCover reports whether the three extents are whole numbers >= 1
+// whose product is n. Each extent is bounded by n before it is
+// converted, and the product is checked by division, so neither a NaN,
+// an infinity nor an overflow can pass.
+func dimsCover(nx, ny, nz float32, n int) bool {
+	rest := n
+	for _, d := range [3]float32{nx, ny, nz} {
+		if !(d >= 1 && d <= float32(n)) || d != float32(int(d)) || rest%int(d) != 0 {
+			return false
+		}
+		rest /= int(d)
+	}
+	return rest == 1
 }
 
 // Strategy names the planning strategy.
@@ -84,6 +124,7 @@ func newPlanBase(name string, net *dataflow.Network) (planBase, error) {
 	// Every use of a source indexes it per element, except as a stencil's
 	// dims descriptor (input 1). Sources precede their consumers in order.
 	var needs []sourceNeed
+	var dims []string
 	at := make(map[string]int)
 	use := func(id string) {
 		if i, isSource := at[id]; isSource {
@@ -98,19 +139,22 @@ func newPlanBase(name string, net *dataflow.Network) (planBase, error) {
 		for i, in := range n.Inputs {
 			if i != 1 || n.Info().Class != dataflow.ClassStencil {
 				use(in)
+			} else if _, isSource := at[in]; isSource && !slices.Contains(dims, in) {
+				dims = append(dims, in)
 			}
 		}
 	}
 	for _, r := range net.Roots() {
 		use(r)
 	}
-	return planBase{name: name, net: net, order: order, needs: needs}, nil
+	return planBase{name: name, net: net, order: order, needs: needs, dims: dims}, nil
 }
 
 // beginRun validates per-call preconditions — a positive work size, a
-// live context, every bound source long enough — and resets the
-// environment's profiling state, so the Result captures exactly this
-// run. Unbound sources are left to the strategy's own lookup to report.
+// live context, every bound source long enough, every stencil's dims
+// describing a mesh of exactly N cells — and resets the environment's
+// profiling state, so the Result captures exactly this run. Unbound
+// sources are left to the strategy's own lookup to report.
 func (p *planBase) beginRun(env *ocl.Env, bind Bindings) error {
 	if bind.N <= 0 {
 		return fmt.Errorf("strategy: global work size must be positive, got %d", bind.N)
@@ -125,6 +169,11 @@ func (p *planBase) beginRun(env *ocl.Env, bind Bindings) error {
 		}
 		if src, ok := bind.Sources[sn.name]; ok && len(src.Data) > 0 && len(src.Data) < need {
 			return &ShortSourceError{Name: sn.name, Have: len(src.Data), Need: need}
+		}
+	}
+	for _, name := range p.dims {
+		if d := bind.Sources[name].Data; len(d) >= 3 && !dimsCover(d[0], d[1], d[2], bind.N) {
+			return &DimsError{Name: name, NX: d[0], NY: d[1], NZ: d[2], N: bind.N}
 		}
 	}
 	env.Reset()

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -302,6 +303,126 @@ func TestShortSourceIsTypedError(t *testing.T) {
 			var short *ShortSourceError
 			if !errors.As(err, &short) || short.Name != name || short.Need != need {
 				t.Fatalf("%s: short %s: err = %v, want ShortSourceError needing %d", sname, name, err, need)
+			}
+		}
+	}
+}
+
+// TestBadDimsIsTypedError: a dims array that does not describe a mesh of
+// exactly N cells must come back as a *DimsError from every strategy,
+// whatever the dims source is called, before anything is launched. The
+// stencil turns dims into row lengths and neighbour offsets unchecked:
+// {0,0,0} used to divide by zero and 64^3 over 16 384 cells to index out
+// of range, at N = 16 384 inside a launch chunk's goroutine where no
+// caller could recover. N = 64 is the inline path.
+func TestBadDimsIsTypedError(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, d := range []mesh.Dims{{NX: 32, NY: 32, NZ: 16}, {NX: 4, NY: 4, NZ: 4}} {
+		good, _ := qcritSetup(t, d)
+		n := good.N
+		bads := [][]float32{
+			{0, 0, 0, 0},
+			{64, 64, 64, 0},
+			{float32(n), 1, 0, 0},
+			{float32(d.NX), float32(d.NY), float32(d.NZ) * 2, 0}, // twice the cells
+			{float32(d.NX) / 2, float32(d.NY), float32(d.NZ), 0}, // half the cells
+			{float32(d.NX) + 0.5, float32(d.NY), float32(d.NZ), 0},
+			{-float32(d.NX), -float32(d.NY), float32(d.NZ), 0},
+			{nan, float32(d.NY), float32(d.NZ), 0},
+			{inf, float32(d.NY), float32(d.NZ), 0},
+			{1e30, 1e30, 1e30, 0},
+		}
+		for _, dimsName := range []string{"dims", "d"} {
+			net, err := expr.Compile("g = grad3d(u, " + dimsName + ", x, y, z)\nr = g[0]")
+			if err != nil {
+				t.Fatal(err)
+			}
+			bindWith := func(dims []float32) Bindings {
+				b := Bindings{N: n, Sources: map[string]Source{}}
+				for k, v := range good.Sources {
+					b.Sources[k] = v
+				}
+				delete(b.Sources, "dims")
+				b.Sources[dimsName] = Source{Data: dims, Width: 1}
+				return b
+			}
+			run := map[string]func(*ocl.Env, Bindings) (*Result, error){
+				"multidevice": func(env *ocl.Env, b Bindings) (*Result, error) {
+					return ExecuteMultiDevice([]*ocl.Env{env, pooledEnv()}, net, b)
+				},
+			}
+			for _, sname := range append(ExtendedNames(), "tiered") {
+				s, err := ForName(sname)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run[sname] = func(env *ocl.Env, b Bindings) (*Result, error) { return s.Execute(env, net, b) }
+			}
+			for sname, exec := range run {
+				for _, bad := range bads {
+					env := pooledEnv()
+					_, err := exec(env, bindWith(bad))
+					var de *DimsError
+					if !errors.As(err, &de) || de.Name != dimsName || de.N != n ||
+						math.Float32bits(de.NX) != math.Float32bits(bad[0]) || de.NY != bad[1] || de.NZ != bad[2] {
+						t.Fatalf("%s N=%d %s=%v: err = %v, want a DimsError carrying the bound values", sname, n, dimsName, bad, err)
+					}
+					env.Context().Pool().Drain()
+					if live := env.Context().LiveBuffers(); live != 0 {
+						t.Fatalf("%s N=%d: %d buffers live after the rejected run", sname, n, live)
+					}
+				}
+				// The same bindings with the true extents run. (Streaming
+				// and multidevice re-derive per-tile extents from the
+				// source named "dims" only, and say so otherwise.)
+				if _, err := exec(pooledEnv(), bindWith(good.Sources["dims"].Data)); err != nil &&
+					(dimsName == "dims" || (sname != "streaming" && sname != "multidevice")) {
+					t.Fatalf("%s N=%d: true dims rejected: %v", sname, n, err)
+				}
+			}
+		}
+	}
+}
+
+// TestComputedBadDimsPanicsOnTheCaller: beginRun can only check dims a
+// stencil reads straight from a bound source. Roundtrip and staged also
+// accept extents the network computes (the lowered strategies refuse
+// them), and those exist only once the run is under way; the backstop
+// there is GradRows' own geometry assert, or a slice bound, and the
+// device re-raising a launch chunk's panic on the launching goroutine —
+// an ordinary recoverable panic, at N = 16 384 too, with nothing leaked.
+func TestComputedBadDimsPanicsOnTheCaller(t *testing.T) {
+	net, err := expr.Compile("d = dd + 0\ng = grad3d(u, d, x, y, z)\nr = g[0]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []mesh.Dims{{NX: 32, NY: 32, NZ: 16}, {NX: 4, NY: 4, NZ: 4}} {
+		bind, _ := qcritSetup(t, d)
+		for _, extents := range [][3]float32{{0, 0, 0}, {64, 64, 64}, {float32(d.NX), float32(d.NY), float32(d.NZ)}} {
+			dd := make([]float32, bind.N)
+			copy(dd, extents[:])
+			bind.Sources["dd"] = Source{Data: dd, Width: 1}
+			good := extents[0] == float32(d.NX)
+			for _, sname := range []string{"roundtrip", "staged"} {
+				s, err := ForName(sname)
+				if err != nil {
+					t.Fatal(err)
+				}
+				env := pooledEnv()
+				func() {
+					defer func() {
+						if r := recover(); (r == nil) != good {
+							t.Errorf("%s N=%d dd=%v: recovered %v on the caller", sname, bind.N, extents, r)
+						}
+					}()
+					if _, err := s.Execute(env, net, bind); err != nil {
+						t.Errorf("%s N=%d dd=%v: %v", sname, bind.N, extents, err)
+					}
+				}()
+				env.Context().Pool().Drain()
+				if live := env.Context().LiveBuffers(); live != 0 {
+					t.Errorf("%s N=%d dd=%v: %d buffers live afterwards", sname, bind.N, extents, live)
+				}
 			}
 		}
 	}

@@ -181,8 +181,9 @@ func executorVsReference(t *testing.T, net *dataflow.Network, bind Bindings, cut
 // lowering merge, so that comparison would pass vacuously.) Inputs: a
 // program text, an optional second text merged with the first into a
 // multi-root super-network, mesh dims (so N is rarely a multiple of the
-// 256-element block), the element at which every pass's range is split,
-// and whether to run over a NaN-poisoned scratch pool. Any program the
+// 256-element block; nx >= 250 selects a few-row mesh whose rows are
+// longer than a block), the element at which every pass's range is
+// split, and whether to run over a NaN-poisoned scratch pool. Any program the
 // Paper pipeline accepts must agree at the same level, and the
 // O2-lowered executor must agree with the Paper-level reference on its
 // finite elements. This is the harness the vm-smoke CI job drives.
@@ -199,6 +200,15 @@ func FuzzVMDifferential(f *testing.F) {
 	f.Add("s = min(u, v) + max(w, 0.5)\nr = if (s >= 0) then (sqrt(s)) else (-s)", "", uint8(6), uint8(5), uint8(4), uint16(3), true)
 	f.Add("g = grad3d(u, dims, x, y, z)\nr = norm(g) * g[1]", "", uint8(1), uint8(9), uint8(30), uint16(256), false) // one-cell axis
 	f.Add("r = grad3d(u, dims, x, y, z)", "", uint8(9), uint8(9), uint8(9), uint16(500), true)                       // float4 output, pad lane
+	// The row walker: a one-cell and a two-cell x axis, rows longer than
+	// a register block (nx = 250 is 300 cells), and splits one cell past
+	// a row end.
+	const longRow = 300
+	f.Add(vortex.QCritExpr, "", uint8(0), uint8(6), uint8(5), uint16(9), false)
+	f.Add(vortex.QCritExpr, "", uint8(1), uint8(1), uint8(5), uint16(5), true)
+	f.Add(vortex.QCritExpr, "", uint8(250), uint8(1), uint8(1), uint16(longRow+1), false)
+	f.Add(fig2, vortex.VortMagExpr, uint8(250), uint8(1), uint8(0), uint16(longRow-1), true)
+	f.Add(vortex.VortMagExpr, "", uint8(12), uint8(8), uint8(6), uint16(13*9*2+14), false)
 	f.Fuzz(func(t *testing.T, text, text2 string, nx, ny, nz uint8, cut uint16, poison bool) {
 		lower := func(pipe *passes.Pipeline, lvl passes.Level) *dataflow.Network {
 			net, _, err := expr.CompileWithPipeline(text, nil, pipe, passes.RunOptions{Verify: true})
@@ -224,6 +234,9 @@ func FuzzVMDifferential(f *testing.F) {
 			t.Fatalf("paper accepted but O2 rejected\n%s\n--\n%s", text, text2)
 		}
 		d := mesh.Dims{NX: 1 + int(nx)%13, NY: 1 + int(ny)%11, NZ: 1 + int(nz)%31}
+		if nx >= 250 {
+			d = mesh.Dims{NX: longRow + 50*(int(nx)-250), NY: 1 + int(ny)%2, NZ: 1 + int(nz)%2}
+		}
 		bind, _ := qcritSetup(t, d)
 		bind.Sources["f"] = bind.Sources["u"]
 

@@ -8,14 +8,18 @@ import (
 	"dfg/internal/ocl"
 )
 
-// blockSize is the number of elements one register block holds: 256
-// float32 lanes x 4 components = 4 KiB per register slot, so a handful
-// of live slots stay in L1 and dispatch overhead amortizes over the
-// block (the vector-register design NumExpr pioneered for expression
-// fusion). Block boundaries cannot affect results — every instruction is
-// element-independent within a pass, and the only cross-element
-// operation (the gradient stencil) reads source or already-materialized
-// arrays, never the block registers.
+// blockSize is the number of elements one register block holds (the
+// vector-register design NumExpr pioneered for expression fusion):
+// dispatch overhead amortizes over the block while the live lanes stay
+// cache-resident. A slot is 4 lanes x 256 float32 = 4 KiB, but scalars
+// use lane 0 only, so Paper-level Q-criterion's 16 slots keep about
+// 16 x 1 KiB hot — L1-sized; the whole 64 KiB slab is L2-resident. A
+// sweep of 128..2048 with BenchmarkHandlers moved whole Q-criterion at
+// 64^3 by a few percent, not monotonically — inside run-to-run noise —
+// so the value is not tuned further. Block boundaries cannot affect
+// results — every instruction is element-independent within a pass, and
+// the only cross-element operation (the gradient stencil) reads source
+// or already-materialized arrays, never the block registers.
 const blockSize = 256
 
 // SourceFn resolves a bound source array by name. The returned slice is
@@ -100,10 +104,10 @@ func (p *Program) RunPass(pass, lo, hi int, views []ocl.View) {
 	}
 }
 
-// lane returns one lane of a register slot for the current block.
-func lane(regs []float32, s uint16, l int) []float32 {
+// lane returns the first n elements of one lane of a register slot.
+func lane(regs []float32, s uint16, l, n int) []float32 {
 	off := (int(s)*4 + l) * blockSize
-	return regs[off : off+blockSize]
+	return regs[off : off+n]
 }
 
 // handler executes one instruction over elements [base, base+n) of the
@@ -114,86 +118,113 @@ type handler func(in *Instr, regs []float32, views []ocl.View, base, n int)
 // to its operand shape: binary slot-to-slot loops, float64 round-trip
 // unary maps, comparison encodes, and the buffer-reading stencil ops.
 //
+// Every lane loop ranges over its n-element destination with the
+// operands resliced to the same length, which is what lets the compiler
+// prove the indexes in range and drop the bounds checks.
+//
 // min and max use the comparison form (`if b < a`), not kernels'
 // math.Min/math.Max — the two differ in which operand they return for
 // NaN and signed-zero inputs, and the emitted fmin/fmax select the same
 // way.
 var handlers [opCount]handler
 
-// binOp builds a handler for a slot-to-slot arithmetic loop.
-func binOp(f func(dst, a, b []float32, n int)) handler {
+// binOp builds a handler for a slot-to-slot arithmetic loop over
+// equal-length lanes.
+func binOp(f func(dst, a, b []float32)) handler {
 	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		f(lane(regs, in.Dst, 0), lane(regs, in.A, 0), lane(regs, in.B, 0), n)
+		f(lane(regs, in.Dst, 0, n), lane(regs, in.A, 0, n), lane(regs, in.B, 0, n))
+	}
+}
+
+// unOp builds a handler for a slot-to-slot map over equal-length lanes.
+func unOp(f func(dst, a []float32)) handler {
+	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		f(lane(regs, in.Dst, 0, n), lane(regs, in.A, 0, n))
 	}
 }
 
 // mapOp builds a handler applying a float64 math function per element.
 func mapOp(f func(float64) float64) handler {
-	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		dst, a := lane(regs, in.Dst, 0), lane(regs, in.A, 0)
-		for e := 0; e < n; e++ {
+	return unOp(func(dst, a []float32) {
+		a = a[:len(dst)]
+		for e := range dst {
 			dst[e] = float32(f(float64(a[e])))
 		}
-	}
+	})
 }
 
 // cmpOp builds a handler encoding a comparison as 1.0/0.0.
 func cmpOp(f func(a, b float32) bool) handler {
-	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		dst, a, b := lane(regs, in.Dst, 0), lane(regs, in.A, 0), lane(regs, in.B, 0)
-		for e := 0; e < n; e++ {
+	return binOp(func(dst, a, b []float32) {
+		a, b = a[:len(dst)], b[:len(dst)]
+		for e := range dst {
 			if f(a[e], b[e]) {
 				dst[e] = 1
 			} else {
 				dst[e] = 0
 			}
 		}
+	})
+}
+
+// gradBufs resolves a stencil instruction's buffers: the field, the
+// three coordinate arrays and the mesh extents.
+func gradBufs(in *Instr, views []ocl.View) (field []float32, coords [3][]float32, nx, ny, nz int) {
+	dims := views[in.GBufs[1]].Data
+	for a := range coords {
+		coords[a] = views[in.GBufs[2+a]].Data
 	}
+	return views[in.GBufs[0]].Data, coords, int(dims[0]), int(dims[1]), int(dims[2])
 }
 
 func init() {
 	handlers[opLoad] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
 		w := int(in.Width)
 		if w == 1 {
-			copy(lane(regs, in.Dst, 0)[:n], views[in.Buf].Data[base:base+n])
+			copy(lane(regs, in.Dst, 0, n), views[in.Buf].Data[base:base+n])
 			return
 		}
-		data := views[in.Buf].Data
+		data := views[in.Buf].Data[base*w : (base+n)*w]
 		for c := 0; c < w; c++ {
-			dst := lane(regs, in.Dst, c)
-			for e := 0; e < n; e++ {
-				dst[e] = data[(base+e)*w+c]
+			dst := lane(regs, in.Dst, c, n)
+			for e := range dst {
+				dst[e] = data[e*w+c]
 			}
 		}
 	}
 	handlers[opConst] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		dst := lane(regs, in.Dst, 0)
-		for e := 0; e < n; e++ {
+		dst := lane(regs, in.Dst, 0, n)
+		for e := range dst {
 			dst[e] = in.Val
 		}
 	}
-	handlers[opAdd] = binOp(func(dst, a, b []float32, n int) {
-		for e := 0; e < n; e++ {
+	handlers[opAdd] = binOp(func(dst, a, b []float32) {
+		a, b = a[:len(dst)], b[:len(dst)]
+		for e := range dst {
 			dst[e] = a[e] + b[e]
 		}
 	})
-	handlers[opSub] = binOp(func(dst, a, b []float32, n int) {
-		for e := 0; e < n; e++ {
+	handlers[opSub] = binOp(func(dst, a, b []float32) {
+		a, b = a[:len(dst)], b[:len(dst)]
+		for e := range dst {
 			dst[e] = a[e] - b[e]
 		}
 	})
-	handlers[opMul] = binOp(func(dst, a, b []float32, n int) {
-		for e := 0; e < n; e++ {
+	handlers[opMul] = binOp(func(dst, a, b []float32) {
+		a, b = a[:len(dst)], b[:len(dst)]
+		for e := range dst {
 			dst[e] = a[e] * b[e]
 		}
 	})
-	handlers[opDiv] = binOp(func(dst, a, b []float32, n int) {
-		for e := 0; e < n; e++ {
+	handlers[opDiv] = binOp(func(dst, a, b []float32) {
+		a, b = a[:len(dst)], b[:len(dst)]
+		for e := range dst {
 			dst[e] = a[e] / b[e]
 		}
 	})
-	handlers[opMin] = binOp(func(dst, a, b []float32, n int) {
-		for e := 0; e < n; e++ {
+	handlers[opMin] = binOp(func(dst, a, b []float32) {
+		a, b = a[:len(dst)], b[:len(dst)]
+		for e := range dst {
 			if b[e] < a[e] {
 				dst[e] = b[e]
 			} else {
@@ -201,8 +232,9 @@ func init() {
 			}
 		}
 	})
-	handlers[opMax] = binOp(func(dst, a, b []float32, n int) {
-		for e := 0; e < n; e++ {
+	handlers[opMax] = binOp(func(dst, a, b []float32) {
+		a, b = a[:len(dst)], b[:len(dst)]
+		for e := range dst {
 			if b[e] > a[e] {
 				dst[e] = b[e]
 			} else {
@@ -210,34 +242,35 @@ func init() {
 			}
 		}
 	})
-	handlers[opSqrt] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		dst, a := lane(regs, in.Dst, 0), lane(regs, in.A, 0)
-		for e := 0; e < n; e++ {
+	handlers[opSqrt] = unOp(func(dst, a []float32) {
+		a = a[:len(dst)]
+		for e := range dst {
 			dst[e] = float32(math.Sqrt(float64(a[e])))
 		}
-	}
-	handlers[opNeg] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		dst, a := lane(regs, in.Dst, 0), lane(regs, in.A, 0)
-		for e := 0; e < n; e++ {
+	})
+	handlers[opNeg] = unOp(func(dst, a []float32) {
+		a = a[:len(dst)]
+		for e := range dst {
 			dst[e] = -a[e]
 		}
-	}
-	handlers[opAbs] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		dst, a := lane(regs, in.Dst, 0), lane(regs, in.A, 0)
-		for e := 0; e < n; e++ {
+	})
+	handlers[opAbs] = unOp(func(dst, a []float32) {
+		a = a[:len(dst)]
+		for e := range dst {
 			v := a[e]
 			if v < 0 {
 				v = -v
 			}
 			dst[e] = v
 		}
-	}
+	})
 	handlers[opExp] = mapOp(math.Exp)
 	handlers[opLog] = mapOp(math.Log)
 	handlers[opSin] = mapOp(math.Sin)
 	handlers[opCos] = mapOp(math.Cos)
-	handlers[opPow] = binOp(func(dst, a, b []float32, n int) {
-		for e := 0; e < n; e++ {
+	handlers[opPow] = binOp(func(dst, a, b []float32) {
+		a, b = a[:len(dst)], b[:len(dst)]
+		for e := range dst {
 			dst[e] = float32(math.Pow(float64(a[e]), float64(b[e])))
 		}
 	})
@@ -248,8 +281,8 @@ func init() {
 	handlers[opEq] = cmpOp(func(a, b float32) bool { return a == b })
 	handlers[opNe] = cmpOp(func(a, b float32) bool { return a != b })
 	handlers[opSelect] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		dst, c, a, b := lane(regs, in.Dst, 0), lane(regs, in.A, 0), lane(regs, in.B, 0), lane(regs, in.C, 0)
-		for e := 0; e < n; e++ {
+		dst, c, a, b := lane(regs, in.Dst, 0, n), lane(regs, in.A, 0, n), lane(regs, in.B, 0, n), lane(regs, in.C, 0, n)
+		for e := range dst {
 			if c[e] != 0 {
 				dst[e] = a[e]
 			} else {
@@ -258,53 +291,41 @@ func init() {
 		}
 	}
 	handlers[opNorm] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		dst := lane(regs, in.Dst, 0)
-		x, y, z := lane(regs, in.A, 0), lane(regs, in.A, 1), lane(regs, in.A, 2)
-		for e := 0; e < n; e++ {
+		dst := lane(regs, in.Dst, 0, n)
+		x, y, z := lane(regs, in.A, 0, n), lane(regs, in.A, 1, n), lane(regs, in.A, 2, n)
+		for e := range dst {
 			dst[e] = float32(math.Sqrt(float64(x[e])*float64(x[e]) +
 				float64(y[e])*float64(y[e]) + float64(z[e])*float64(z[e])))
 		}
 	}
 	handlers[opDecomp] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		copy(lane(regs, in.Dst, 0)[:n], lane(regs, in.A, int(in.Comp))[:n])
+		copy(lane(regs, in.Dst, 0, n), lane(regs, in.A, int(in.Comp), n))
 	}
 	handlers[opGrad] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
-		field := views[in.GBufs[0]].Data
-		dims := views[in.GBufs[1]].Data
-		x := views[in.GBufs[2]].Data
-		y := views[in.GBufs[3]].Data
-		z := views[in.GBufs[4]].Data
-		nx, ny, nz := int(dims[0]), int(dims[1]), int(dims[2])
-		gx, gy, gz := lane(regs, in.Dst, 0), lane(regs, in.Dst, 1), lane(regs, in.Dst, 2)
-		pad := lane(regs, in.Dst, 3)
-		for e := 0; e < n; e++ {
-			gx[e], gy[e], gz[e] = kernels.GradAt(field, x, y, z, nx, ny, nz, base+e)
+		field, coords, nx, ny, nz := gradBufs(in, views)
+		for axis, coord := range coords {
+			kernels.GradRows(lane(regs, in.Dst, axis, n), field, coord, axis, nx, ny, nz, base)
+		}
+		pad := lane(regs, in.Dst, 3, n)
+		for e := range pad {
 			pad[e] = 0
 		}
 	}
 	handlers[opGradAxis] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
-		field := views[in.GBufs[0]].Data
-		dims := views[in.GBufs[1]].Data
-		x := views[in.GBufs[2]].Data
-		y := views[in.GBufs[3]].Data
-		z := views[in.GBufs[4]].Data
-		nx, ny, nz := int(dims[0]), int(dims[1]), int(dims[2])
-		dst := lane(regs, in.Dst, 0)
-		for e := 0; e < n; e++ {
-			dst[e] = kernels.GradAxisAt(field, x, y, z, nx, ny, nz, base+e, int(in.Comp))
-		}
+		field, coords, nx, ny, nz := gradBufs(in, views)
+		axis := int(in.Comp)
+		kernels.GradRows(lane(regs, in.Dst, 0, n), field, coords[axis], axis, nx, ny, nz, base)
 	}
 	handlers[opStore] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
 		w := int(in.Width)
 		if w == 1 {
-			copy(views[in.Buf].Data[base:base+n], lane(regs, in.A, 0)[:n])
+			copy(views[in.Buf].Data[base:base+n], lane(regs, in.A, 0, n))
 			return
 		}
-		data := views[in.Buf].Data
+		data := views[in.Buf].Data[base*w : (base+n)*w]
 		for c := 0; c < w; c++ {
-			src := lane(regs, in.A, c)
-			for e := 0; e < n; e++ {
-				data[(base+e)*w+c] = src[e]
+			for e, v := range lane(regs, in.A, c, n) {
+				data[e*w+c] = v
 			}
 		}
 	}

@@ -218,3 +218,59 @@ func TestExecutorMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkHandlers reports ns/element for the handlers a Q-criterion
+// evaluation spends its time in, each run block by block over a 64^3
+// mesh (rows of 64) exactly as RunPass drives it, plus the whole
+// Q-criterion program on one goroutine. blockSize's comment cites it.
+func BenchmarkHandlers(b *testing.B) {
+	d := mesh.Dims{NX: 64, NY: 64, NZ: 64}
+	src, n := meshSources(b, d)
+	view := func(name string) ocl.View {
+		data, err := src(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ocl.View{Data: data, Elems: n, Width: 1}
+	}
+	views := []ocl.View{view("u"), view("dims"), view("x"), view("y"), view("z"),
+		{Data: make([]float32, n), Elems: n, Width: 1}}
+	for _, c := range []struct {
+		name string
+		in   Instr
+	}{
+		{"add", Instr{op: opAdd, Dst: 2, A: 0, B: 1}},
+		{"mul", Instr{op: opMul, Dst: 2, A: 0, B: 1}},
+		{"load", Instr{op: opLoad, Dst: 0, Buf: 0, Width: 1}},
+		{"store", Instr{op: opStore, A: 0, Buf: 5, Width: 1}},
+		{"grad3d", Instr{op: opGrad, Dst: 2, GBufs: [5]uint16{0, 1, 2, 3, 4}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			regs := make([]float32, 3*4*blockSize)
+			for i := 0; i < b.N; i++ {
+				for base := 0; base < n; base += blockSize {
+					handlers[c.in.op](&c.in, regs, views, base, min(blockSize, n-base))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/element")
+		})
+	}
+	b.Run("qcrit", func(b *testing.B) {
+		prog := compileText(b, vortex.QCritExpr)
+		pviews := make([]ocl.View, len(prog.buffers))
+		for i, spec := range prog.buffers {
+			if spec.Kind == BufSource {
+				pviews[i] = view(spec.Name)
+			} else {
+				pviews[i] = ocl.View{Data: make([]float32, n*spec.Width), Elems: n, Width: spec.Width}
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for p := range prog.passes {
+				prog.RunPass(p, 0, n, pviews)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/element")
+	})
+}
