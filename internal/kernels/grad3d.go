@@ -352,14 +352,20 @@ __kernel void %s(__global const float *f,
 // diffRow is gradAxisDiff's expression over a run of cells that share
 // their neighbour offsets: cell idx+e differences elements idx+e+a and
 // idx+e+b. The four operand windows are sliced once, so the loop carries
-// no index arithmetic and no bounds check.
+// no index arithmetic and no bounds check. Like the lane primitives
+// (lanes.go) it runs 8 cells per step where AVX2 is available, the
+// division kept, and this loop over the rest.
 func diffRow(dst, f, coord []float32, idx, a, b int) {
 	if len(dst) == 0 {
 		return // a row with no central cells; idx+a may lie outside f
 	}
 	fa, fb := f[idx+a:][:len(dst)], f[idx+b:][:len(dst)]
 	ca, cb := coord[idx+a:][:len(dst)], coord[idx+b:][:len(dst)]
-	for e := range dst {
+	n := vectorLen(len(dst))
+	if n > 0 { // face cells and short rows skip the call
+		diffRowAVX2(dst, fa, fb, ca, cb)
+	}
+	for e := n; e < uint(len(dst)); e++ {
 		dst[e] = (fb[e] - fa[e]) / (cb[e] - ca[e])
 	}
 }

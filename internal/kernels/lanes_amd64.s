@@ -1,0 +1,86 @@
+#include "textflag.h"
+
+// LANES is the body of dst[e] = a[e] OP b[e] over len(dst)&^7 elements,
+// 8 per step. Each step loads both operands before it stores, so dst may
+// be a or b. VOP (BX)(AX*1), Y0, Y0 computes Y0 OP mem: a is the first
+// source operand, as in the Go loop.
+#define LANES(VOP) \
+	MOVQ dst_base+0(FP), DI \
+	MOVQ dst_len+8(FP), CX \
+	MOVQ a_base+24(FP), SI \
+	MOVQ b_base+48(FP), BX \
+	XORQ AX, AX \
+	SHRQ $3, CX \
+	JZ   done \
+	PCALIGN $32 \
+loop: \
+	VMOVUPS (SI)(AX*1), Y0 \
+	VOP     (BX)(AX*1), Y0, Y0 \
+	VMOVUPS Y0, (DI)(AX*1) \
+	ADDQ    $32, AX \
+	DECQ    CX \
+	JNZ     loop \
+done: \
+	VZEROUPPER \
+	RET
+
+// func addAVX2(dst, a, b []float32)
+TEXT ·addAVX2(SB), NOSPLIT, $0-72
+	LANES(VADDPS)
+
+// func subAVX2(dst, a, b []float32)
+TEXT ·subAVX2(SB), NOSPLIT, $0-72
+	LANES(VSUBPS)
+
+// func mulAVX2(dst, a, b []float32)
+TEXT ·mulAVX2(SB), NOSPLIT, $0-72
+	LANES(VMULPS)
+
+// func divAVX2(dst, a, b []float32)
+TEXT ·divAVX2(SB), NOSPLIT, $0-72
+	LANES(VDIVPS)
+
+// func diffRowAVX2(dst, fa, fb, ca, cb []float32)
+TEXT ·diffRowAVX2(SB), NOSPLIT, $0-120
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ fa_base+24(FP), R8
+	MOVQ fb_base+48(FP), R9
+	MOVQ ca_base+72(FP), R10
+	MOVQ cb_base+96(FP), R11
+	XORQ AX, AX
+	SHRQ $3, CX
+	JZ   done
+	PCALIGN $32
+loop:
+	VMOVUPS (R9)(AX*1), Y0
+	VSUBPS  (R8)(AX*1), Y0, Y0  // fb - fa
+	VMOVUPS (R11)(AX*1), Y1
+	VSUBPS  (R10)(AX*1), Y1, Y1 // cb - ca
+	VDIVPS  Y1, Y0, Y0          // (fb - fa) / (cb - ca)
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     loop
+done:
+	VZEROUPPER
+	RET
+
+// func cpuid(eax, ecx uint32) (a, b, c, d uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eax+0(FP), AX
+	MOVL ecx+4(FP), CX
+	CPUID
+	MOVL AX, a+8(FP)
+	MOVL BX, b+12(FP)
+	MOVL CX, c+16(FP)
+	MOVL DX, d+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

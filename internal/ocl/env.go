@@ -82,13 +82,14 @@ func (e *Env) Upload(label string, src []float32, width int) (*Buffer, error) {
 // across executions. key identifies the resident slot (label is the
 // buffer/event label; they differ for tiled windows). Without a pool
 // this is a plain Upload; with one, an unchanged source skips the
-// transfer entirely and skipped reports true.
-func (e *Env) UploadResident(key, label string, src []float32, width int) (*Buffer, bool, error) {
+// transfer entirely and skipped reports true. stable is
+// Arena.UploadResident's: src's backing array is never rewritten.
+func (e *Env) UploadResident(key, label string, src []float32, width int, stable bool) (*Buffer, bool, error) {
 	if e.pool == nil {
 		b, err := e.Upload(label, src, width)
 		return b, false, err
 	}
-	return e.pool.UploadResident(e.q, key, label, src, width)
+	return e.pool.UploadResident(e.q, key, label, src, width, stable)
 }
 
 // Download reads the whole buffer back to a fresh host slice, recording

@@ -981,3 +981,117 @@ func TestAccumulatorConcurrentAdds(t *testing.T) {
 		t.Fatalf("peak = %d", peak)
 	}
 }
+
+// TestUploadResidentStable: a source declared stable is recognized by
+// its backing array, so binding it again costs no content hash; anything
+// that is not that very array at that very shape takes the hash path,
+// and an undeclared source is hashed every time.
+func TestUploadResidentStable(t *testing.T) {
+	ctx := NewContext(NewDevice(XeonX5660Spec(1)))
+	a, q := ctx.Pool(), NewQueue(ctx)
+	coords := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	upload := func(what string, src []float32, stable, wantSkip bool) *Buffer {
+		t.Helper()
+		b, skipped, err := a.UploadResident(q, "x", "x", src, 1, stable)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if skipped != wantSkip {
+			t.Fatalf("%s: skipped = %v, want %v", what, skipped, wantSkip)
+		}
+		got := make([]float32, len(src))
+		if _, err := q.ReadBuffer(got, b); err != nil {
+			t.Fatal(err)
+		}
+		if !wantSkip && !slices.Equal(got, src) {
+			t.Fatalf("%s: device holds %v after uploading %v", what, got, src)
+		}
+		b.Release()
+		return b
+	}
+	first := upload("first stable bind", coords, true, false)
+	upload("same array again", coords, true, true)
+
+	// Rewriting a stable array breaks the caller's promise; that the
+	// stale copy survives shows the skip never looked at the contents.
+	coords[4] = -5
+	upload("same array, contents not examined", coords, true, true)
+	// Without the promise the same array is hashed, and re-uploaded.
+	upload("mutated array, not declared stable", coords, false, false)
+	upload("unchanged array, not declared stable", coords, false, true)
+	// The undeclared bind cleared the slot's record of the array ...
+	coords[4] = 5
+	upload("stable again after an undeclared bind: hashed", coords, true, false)
+	upload("and recognized from then on", coords, true, true)
+
+	// A different backing array falls through to the hash: equal contents
+	// skip the transfer, different contents do not; either way the slot
+	// now remembers the new array.
+	twin := slices.Clone(coords)
+	upload("equal contents in another array", twin, true, true)
+	upload("the other array again", twin, true, true)
+	other := slices.Clone(coords)
+	other[0] = 100
+	upload("a second mesh of the same shape", other, true, false)
+	upload("the second mesh again", other, true, true)
+	upload("back to the first", coords, true, false)
+
+	// A shorter window of the same array is a different shape.
+	if b := upload("same array, shorter", coords[:8], true, false); b == first {
+		t.Fatal("a reshaped slot kept its old buffer")
+	}
+	upload("the shorter window again", coords[:8], true, true)
+	// An empty source has no array to recognize; it is hashed.
+	upload("empty", nil, true, false)
+	upload("empty again", nil, true, true)
+
+	if st := a.Stats(); st.Uploads != 7 || st.UploadsSkipped != 9 {
+		t.Fatalf("uploads %d, skips %d; want 7 and 9", st.Uploads, st.UploadsSkipped)
+	}
+}
+
+// TestUploadResidentStableShared: environments sharing one arena bind
+// concurrently (run under -race) — one slot they all recognize by its
+// array, and a slot each that alternates between two meshes.
+func TestUploadResidentStableShared(t *testing.T) {
+	ctx := NewContext(NewDevice(XeonX5660Spec(1)))
+	a := ctx.Pool()
+	dims := []float32{8, 8, 8, 0}
+	meshes := [][]float32{make([]float32, 512), make([]float32, 512)}
+	for i := range meshes[1] {
+		meshes[1][i] = float32(i)
+	}
+	if _, _, err := a.UploadResident(NewQueue(ctx), "dims", "dims", dims, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			q, key := NewQueue(ctx), fmt.Sprint("x", w)
+			for i := 0; i < 200; i++ {
+				d, skipped, err := a.UploadResident(q, "dims", "dims", dims, 1, true)
+				if err != nil || !skipped {
+					t.Errorf("dims: skipped = %v, err = %v", skipped, err)
+					return
+				}
+				b, _, err := a.UploadResident(q, key, "x", meshes[(i/7)%2], 1, i%5 != 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				d.Release()
+				b.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := a.Stats(); st.Uploads != 1+4*29 {
+		t.Fatalf("%d uploads, want one for dims and 29 mesh changes per worker", st.Uploads)
+	}
+	a.Drain()
+	if live := ctx.LiveBuffers(); live != 0 {
+		t.Fatalf("%d buffers live after Drain", live)
+	}
+}

@@ -463,8 +463,8 @@ func (s *Schedule) Verify(nw *dataflow.Network) error {
 			if n == nil {
 				return fmt.Errorf("passes: schedule verify: fused intermediate %q is not in the network", id)
 			}
-			if n.Filter == "source" || n.Filter == "const" {
-				return fmt.Errorf("passes: schedule verify: fused intermediate %q is a %s", id, n.Filter)
+			if n.Filter == "source" {
+				return fmt.Errorf("passes: schedule verify: fused intermediate %q is a source", id)
 			}
 		}
 	}

@@ -66,7 +66,9 @@ func derivedFor(m *mesh.Mesh) *meshDerived {
 // The derived arrays are memoized per mesh (see meshDerivedCache), so
 // repeated binds over one mesh share the same backing arrays — which
 // also lets arena-backed executions recognize them as unchanged and
-// keep them device-resident.
+// keep them device-resident. Nothing writes them after construction, so
+// the bindings remember the memo (Bindings.stable) and the arena
+// recognizes those arrays by address, skipping even the content hash.
 func BindMesh(m *mesh.Mesh, fields map[string][]float32) (Bindings, error) {
 	if err := m.Validate(); err != nil {
 		return Bindings{}, err
@@ -81,6 +83,7 @@ func BindMesh(m *mesh.Mesh, fields map[string][]float32) (Bindings, error) {
 			"y":    {Data: d.y, Width: 1},
 			"z":    {Data: d.z, Width: 1},
 		},
+		derived: d,
 	}
 	for name, data := range fields {
 		if len(data) != n {

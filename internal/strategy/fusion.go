@@ -114,7 +114,7 @@ func (p *fusionPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			b, _, err := env.UploadResident(a.Name, a.Name, src.Data, src.Width)
+			b, _, err := env.UploadResident(a.Name, a.Name, src.Data, src.Width, bind.stable(src.Data))
 			if err != nil {
 				return nil, fmt.Errorf("fusion: source %q: %w", a.Name, err)
 			}

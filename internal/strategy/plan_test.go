@@ -152,6 +152,80 @@ func TestArenaNoStaleData(t *testing.T) {
 	}
 }
 
+// TestMeshSourcesAreStable: bindings from BindMesh know the arrays it
+// derived from the mesh as stable, so a warm run recognizes them by
+// address; the caller's fields — even one bound as "x" — are not, so one
+// rewritten in place is still noticed. A second mesh of the same shape
+// re-uploads its coordinates once, then skips, and every run equals a
+// fresh unpooled evaluation of the same bindings.
+func TestMeshSourcesAreStable(t *testing.T) {
+	d := mesh.Dims{NX: 10, NY: 10, NZ: 12}
+	bindA, _ := qcritSetup(t, d)
+	for name, src := range bindA.Sources {
+		if derived := name == "dims" || name == "x" || name == "y" || name == "z"; bindA.stable(src.Data) != derived {
+			t.Fatalf("source %q: stable = %v", name, !derived)
+		}
+		if (Bindings{N: bindA.N, Sources: bindA.Sources}).stable(src.Data) {
+			t.Fatalf("source %q is stable in hand-made bindings", name)
+		}
+	}
+	own, err := BindMesh(mesh.MustUniform(d, 1, 1, 1), map[string][]float32{"x": bindA.Sources["u"].Data})
+	if err != nil || own.stable(own.Sources["x"].Data) || !own.stable(own.Sources["y"].Data) {
+		t.Fatalf("a caller's array bound as x: stable = %v, err = %v", own.stable(own.Sources["x"].Data), err)
+	}
+	mB := mesh.MustUniform(d, 0.5, 0.25, 0.125)
+	bindB, err := BindMesh(mB, map[string][]float32{"u": bindA.Sources["u"].Data, "v": bindA.Sources["v"].Data, "w": bindA.Sources["w"].Data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := expr.Compile(vortex.QCritExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sname := range []string{"fusion", "staged", "streaming"} {
+		s, _ := ForName(sname)
+		env := pooledEnv()
+		plan, err := s.Plan(net, env.Device())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(what string, bind Bindings, wantWrites int) {
+			t.Helper()
+			want, err := s.Execute(cpuEnv(), net, bind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := plan.Execute(env, bind)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", sname, what, err)
+			}
+			if !sameFloats(want.Data, got.Data) {
+				t.Fatalf("%s: %s: pooled run diverged from a fresh environment", sname, what)
+			}
+			if wantWrites >= 0 && got.Profile.Writes != wantWrites {
+				t.Fatalf("%s: %s: %d uploads, want %d", sname, what, got.Profile.Writes, wantWrites)
+			}
+		}
+		// Streaming's tiles overlap, so one cell or one coordinate array
+		// is several windows: only "some" and "none" are exact there.
+		exact := func(writes int) int {
+			if sname == "streaming" {
+				return -1
+			}
+			return writes
+		}
+		run("cold", bindA, -1)
+		run("warm", bindA, 0)
+		u := bindA.Sources["u"].Data
+		u[len(u)/2] += 1
+		run("a field rewritten in place", bindA, exact(1))
+		run("warm again", bindA, 0)
+		run("second mesh, same shape", bindB, exact(3)) // x, y, z; dims and the fields are unchanged
+		run("second mesh again", bindB, 0)
+		u[len(u)/2] -= 1
+	}
+}
+
 // TestArenaDrainRestoresBaseline: pooled and resident buffers keep the
 // context's live-buffer count elevated between executions (that is the
 // point of the pool); Drain must return it — and the used-byte

@@ -43,6 +43,7 @@ func FuzzScheduleDifferential(f *testing.F) {
 	f.Add(vortex.GradMagExpr)
 	f.Add("g = grad3d(u*u, dims, x, y, z)\nr = g[0] + norm(g)")
 	f.Add("a = sqrt(u*u + v*v)\nr = min(a, abs(w))")
+	f.Add("g = grad3d(0, dims, x, y, z)\nr = g[0]") // a constant field is a fusable intermediate
 	f.Fuzz(func(t *testing.T, text string) {
 		net, _, err := expr.CompileWithPipeline(text, nil, passes.Paper, passes.RunOptions{Verify: true})
 		if err != nil {

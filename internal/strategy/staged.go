@@ -102,7 +102,7 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, _, err := env.UploadResident(node.ID, node.ID, src.Data, src.Width)
+		b, _, err := env.UploadResident(node.ID, node.ID, src.Data, src.Width, bind.stable(src.Data))
 		if err != nil {
 			return nil, fmt.Errorf("staged: source %q: %w", node.ID, err)
 		}

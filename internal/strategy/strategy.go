@@ -57,6 +57,22 @@ type Bindings struct {
 	// completion. The partial run's buffers are released as on any other
 	// error path.
 	Ctx context.Context
+	// derived is the per-mesh memo BindMesh took dims, x, y and z from;
+	// nil for bindings made any other way.
+	derived *meshDerived
+}
+
+// stable reports whether data is one of the arrays BindMesh derived from
+// the mesh: library-owned and never written after construction, so a
+// resident upload of the same array needs no content hash. A caller's
+// array bound under one of those names is not.
+func (b Bindings) stable(data []float32) bool {
+	d := b.derived
+	if d == nil || len(data) == 0 {
+		return false
+	}
+	p := &data[0]
+	return p == &d.dims[0] || p == &d.x[0] || p == &d.y[0] || p == &d.z[0]
 }
 
 // canceled returns the binding context's error, if a context is

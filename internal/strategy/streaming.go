@@ -143,17 +143,17 @@ func runTileOn(env *ocl.Env, prog *codegen.Program, bind Bindings, tr tileRange,
 			if err != nil {
 				return err
 			}
-			data := src.Data
+			data, stable := src.Data, bind.stable(src.Data)
 			switch {
 			case a.Name == "dims":
 				// The tile is its own sub-mesh along Z.
-				data = kernels.DimsArray(tr.nx, tr.ny, tr.nzTile)
+				data, stable = kernels.DimsArray(tr.nx, tr.ny, tr.nzTile), false
 			case src.Elems() == bind.N:
 				// Problem-sized array: upload the tile's window.
 				data = src.Data[tr.gLo*src.Width : (tr.gLo+tr.tileN)*src.Width]
 			}
 			key := fmt.Sprintf("%s@z%d+%d", a.Name, tr.gLo, tr.tileN)
-			b, _, err := env.UploadResident(key, a.Name, data, src.Width)
+			b, _, err := env.UploadResident(key, a.Name, data, src.Width, stable)
 			if err != nil {
 				return err
 			}

@@ -135,18 +135,7 @@ func executorVsReference(t *testing.T, net *dataflow.Network, bind Bindings, cut
 		}
 	}
 	if poison {
-		nan := float32(math.NaN())
-		slabs := make([][]float32, len(draws))
-		for i, size := range draws {
-			slabs[i] = vm.GetScratch(size)
-		}
-		for _, s := range slabs {
-			s = s[:cap(s)]
-			for i := range s {
-				s[i] = nan
-			}
-			vm.PutScratch(s)
-		}
+		poisonScratchPool(draws)
 	}
 
 	exec := make([]ocl.View, len(low.Buffers))
@@ -174,6 +163,68 @@ func executorVsReference(t *testing.T, net *dataflow.Network, bind Bindings, cut
 		got[i] = append([]float32(nil), got[i]...)
 	}
 	return got, want, true
+}
+
+// poisonScratchPool stocks vm's scratch pool with one NaN-filled slab per
+// draw, so the next draws of those sizes come back poisoned.
+func poisonScratchPool(draws []int) {
+	nan := float32(math.NaN())
+	slabs := make([][]float32, len(draws))
+	for i, size := range draws {
+		slabs[i] = vm.GetScratch(size)
+	}
+	for _, s := range slabs {
+		s = s[:cap(s)]
+		for i := range s {
+			s[i] = nan
+		}
+		vm.PutScratch(s)
+	}
+}
+
+// TestStencilOverConstantField: a constant used as a stencil's field is
+// filled into its scratch before the stencil reads it (the lowering used
+// to mark it materialized and then skip it as a leaf, so the stencil read
+// whatever the pool handed out, and temporal fusion refused the program
+// outright). The gradient of a constant is +0 on every cell, from the
+// executor, the reference and every tier.
+func TestStencilOverConstantField(t *testing.T) {
+	bind, _ := qcritSetup(t, mesh.Dims{NX: 13, NY: 9, NZ: 7})
+	allZero := func(what string, data []float32) {
+		t.Helper()
+		for i, v := range data {
+			if math.Float32bits(v) != 0 {
+				t.Fatalf("%s: element %d is %v (%#08x), want +0", what, i, v, math.Float32bits(v))
+			}
+		}
+	}
+	for _, text := range []string{
+		"g = grad3d(0, dims, x, y, z)\nr = g[0]",
+		"g = grad3d(2.5, dims, x, y, z)\nr = g[0]",
+		"c = 2.5\nr = norm(grad3d(c, dims, x, y, z)) + c*0", // the constant is also an operand
+	} {
+		for _, lvl := range []passes.Level{passes.LevelPaper, passes.LevelO2} {
+			net := compileAt(t, text, lvl)
+			for _, poison := range []bool{false, true} {
+				got, want, ok := executorVsReference(t, net, bind, 300, poison)
+				if !ok {
+					t.Fatalf("lowering rejected\n%s", text)
+				}
+				allZero("executor", got[0])
+				allZero("reference", want[0])
+				for _, s := range []Strategy{Fusion{}, mustSchedFusion(t, "tile=8x8,temporal"), VM{}, Tiered{Threshold: 1}, Tiered{Threshold: 1 << 20}} {
+					if poison {
+						poisonScratchPool([]int{bind.N, bind.N, 16 * 4 * 256})
+					}
+					res, err := s.Execute(cpuEnv(), net, bind)
+					if err != nil {
+						t.Fatalf("%s: %v\n%s", s.Name(), err, text)
+					}
+					allZero(s.Name(), res.Data)
+				}
+			}
+		}
+	}
 }
 
 // FuzzVMDifferential holds the one executor to the per-element reference
@@ -209,6 +260,8 @@ func FuzzVMDifferential(f *testing.F) {
 	f.Add(vortex.QCritExpr, "", uint8(250), uint8(1), uint8(1), uint16(longRow+1), false)
 	f.Add(fig2, vortex.VortMagExpr, uint8(250), uint8(1), uint8(0), uint16(longRow-1), true)
 	f.Add(vortex.VortMagExpr, "", uint8(12), uint8(8), uint8(6), uint16(13*9*2+14), false)
+	// A constant field: its scratch is filled, not left as the pool had it.
+	f.Add("g = grad3d(0, dims, x, y, z)\nr = g[0]", "", uint8(6), uint8(5), uint8(4), uint16(7), true)
 	f.Fuzz(func(t *testing.T, text, text2 string, nx, ny, nz uint8, cut uint16, poison bool) {
 		lower := func(pipe *passes.Pipeline, lvl passes.Level) *dataflow.Network {
 			net, _, err := expr.CompileWithPipeline(text, nil, pipe, passes.RunOptions{Verify: true})

@@ -13,10 +13,13 @@ import (
 // dispatch overhead amortizes over the block while the live lanes stay
 // cache-resident. A slot is 4 lanes x 256 float32 = 4 KiB, but scalars
 // use lane 0 only, so Paper-level Q-criterion's 16 slots keep about
-// 16 x 1 KiB hot — L1-sized; the whole 64 KiB slab is L2-resident. A
-// sweep of 128..2048 with BenchmarkHandlers moved whole Q-criterion at
-// 64^3 by a few percent, not monotonically — inside run-to-run noise —
-// so the value is not tuned further. Block boundaries cannot affect
+// 16 x 1 KiB hot — L1-sized; the whole 64 KiB slab is L2-resident. With
+// scalar lane loops a sweep of 128..2048 with BenchmarkHandlers moved
+// whole Q-criterion at 64^3 by a few percent, inside run-to-run noise.
+// With the 8-wide lane bodies (kernels/lanes.go) a 256-element add is
+// about 27 ns, so per-block dispatch shows: 512 read 11.8 against 14.0
+// ns/element on BenchmarkHandlers/qcrit. Re-sizing the block is its own
+// change (ROADMAP item 2), not made here. Block boundaries cannot affect
 // results — every instruction is element-independent within a pass, and
 // the only cross-element operation (the gradient stencil) reads source
 // or already-materialized arrays, never the block registers.
@@ -120,7 +123,9 @@ type handler func(in *Instr, regs []float32, views []ocl.View, base, n int)
 //
 // Every lane loop ranges over its n-element destination with the
 // operands resliced to the same length, which is what lets the compiler
-// prove the indexes in range and drop the bounds checks.
+// prove the indexes in range and drop the bounds checks. add, sub, mul
+// and div are kernels' lane primitives: the same loop behind an 8-wide
+// AVX2 body where the CPU has one.
 //
 // min and max use the comparison form (`if b < a`), not kernels'
 // math.Min/math.Max — the two differ in which operand they return for
@@ -198,30 +203,10 @@ func init() {
 			dst[e] = in.Val
 		}
 	}
-	handlers[opAdd] = binOp(func(dst, a, b []float32) {
-		a, b = a[:len(dst)], b[:len(dst)]
-		for e := range dst {
-			dst[e] = a[e] + b[e]
-		}
-	})
-	handlers[opSub] = binOp(func(dst, a, b []float32) {
-		a, b = a[:len(dst)], b[:len(dst)]
-		for e := range dst {
-			dst[e] = a[e] - b[e]
-		}
-	})
-	handlers[opMul] = binOp(func(dst, a, b []float32) {
-		a, b = a[:len(dst)], b[:len(dst)]
-		for e := range dst {
-			dst[e] = a[e] * b[e]
-		}
-	})
-	handlers[opDiv] = binOp(func(dst, a, b []float32) {
-		a, b = a[:len(dst)], b[:len(dst)]
-		for e := range dst {
-			dst[e] = a[e] / b[e]
-		}
-	})
+	handlers[opAdd] = binOp(kernels.AddLanes)
+	handlers[opSub] = binOp(kernels.SubLanes)
+	handlers[opMul] = binOp(kernels.MulLanes)
+	handlers[opDiv] = binOp(kernels.DivLanes)
 	handlers[opMin] = binOp(func(dst, a, b []float32) {
 		a, b = a[:len(dst)], b[:len(dst)]
 		for e := range dst {

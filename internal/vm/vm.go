@@ -381,7 +381,9 @@ func (c *lowerer) planBuffers(net *dataflow.Network) {
 // emitPass produces one pass's instructions: operands load on demand the
 // first time a pass touches them, stencils read buffers directly,
 // materialized values store to scratch as soon as they are computed, and
-// the final pass ends with the output stores.
+// the final pass ends with the output stores. A constant is materialized
+// only as a stencil's field: it is then emitted like a computed value, so
+// the scratch the stencil reads is filled in the pass before it.
 func (c *lowerer) emitPass(p int) ([]Instr, error) {
 	// Every node contributes at most one instruction per pass, plus one
 	// store per scratch or output buffer.
@@ -405,11 +407,15 @@ func (c *lowerer) emitPass(p int) ([]Instr, error) {
 	}
 
 	for i, n := range c.order {
-		if c.pass[i] != p || isLeaf(n) {
+		if c.pass[i] != p || isLeaf(n) && !c.mat[i] {
 			continue // leaves are realized on demand by operand()
 		}
 		in := Instr{Dst: uint16(i)}
-		if n.Info().Class == dataflow.ClassStencil {
+		switch {
+		case n.Filter == "const":
+			in.op, in.Val = opConst, float32(n.Value)
+			c.loaded[i] = p + 1
+		case n.Info().Class == dataflow.ClassStencil:
 			in.op = opGrad
 			if axis, ok := kernels.GradAxisOf(n.Filter); ok {
 				in.op, in.Comp = opGradAxis, uint8(axis)
@@ -417,7 +423,7 @@ func (c *lowerer) emitPass(p int) ([]Instr, error) {
 			for k, id := range n.Inputs {
 				in.GBufs[k] = uint16(c.buf[c.idx[id]])
 			}
-		} else {
+		default:
 			op, ok := opOf[n.Filter]
 			if !ok {
 				return nil, fmt.Errorf("vm: no lowering rule for filter %q", n.Filter)

@@ -240,10 +240,16 @@ func BenchmarkHandlers(b *testing.B) {
 		in   Instr
 	}{
 		{"add", Instr{op: opAdd, Dst: 2, A: 0, B: 1}},
+		{"sub", Instr{op: opSub, Dst: 2, A: 0, B: 1}},
 		{"mul", Instr{op: opMul, Dst: 2, A: 0, B: 1}},
+		{"div", Instr{op: opDiv, Dst: 2, A: 0, B: 1}},
 		{"load", Instr{op: opLoad, Dst: 0, Buf: 0, Width: 1}},
 		{"store", Instr{op: opStore, A: 0, Buf: 5, Width: 1}},
 		{"grad3d", Instr{op: opGrad, Dst: 2, GBufs: [5]uint16{0, 1, 2, 3, 4}}},
+		// One axis of the stencil is kernels' diffRow over 64-cell rows:
+		// whole rows along y, face cells apart from the rest along x.
+		{"diffRow", Instr{op: opGradAxis, Dst: 2, Comp: 1, GBufs: [5]uint16{0, 1, 2, 3, 4}}},
+		{"diffRowX", Instr{op: opGradAxis, Dst: 2, Comp: 0, GBufs: [5]uint16{0, 1, 2, 3, 4}}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			regs := make([]float32, 3*4*blockSize)
