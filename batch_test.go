@@ -1,7 +1,9 @@
 package dfg
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dfg/internal/passes"
@@ -188,6 +190,77 @@ func TestBatchMemberCompileErrorFailsWhole(t *testing.T) {
 	}
 }
 
+// TestSourceNamedLikeMintedID: an input array the user calls "t0" — the
+// spelling the network builder mints for internal nodes — is either
+// evaluated as the bound array or rejected with the builder's collision
+// error, the same way solo and batched, on every strategy and both
+// optimisation levels. It must never resolve to an internal node: a
+// batch used to hand member "t0" the other member's u + v.
+func TestSourceNamedLikeMintedID(t *testing.T) {
+	const n = 300
+	inputs := batchTestInputs(n)
+	ramp := make([]float32, n)
+	for i := range ramp {
+		ramp[i] = 1000 + float32(i)
+	}
+	inputs["t0"] = ramp
+	bitsEqual := func(what string, got, want []float32) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: element %d = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	doubled := make([]float32, n)
+	sum := make([]float32, n)
+	for i := range ramp {
+		doubled[i] = ramp[i] * 2
+		sum[i] = inputs["u"][i] + inputs["v"][i]
+	}
+	const collides = "a = u * 2\nr = t0 + a" // the 2 is minted t0 before the name is seen
+	for _, strat := range []string{"fusion", "vm", "staged", "roundtrip", "tiered"} {
+		for _, opt := range []string{"paper", "O2"} {
+			eng, err := New(Config{Device: CPU, Strategy: strat, Opt: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag := strat + "/" + opt
+			solo, err := eng.Eval("r = t0 * 2", n, inputs)
+			if err != nil {
+				t.Fatalf("%s: solo: %v", tag, err)
+			}
+			bitsEqual(tag+" solo", solo.Data, doubled)
+			for _, c := range []struct {
+				texts []string
+				want  [][]float32
+			}{
+				{[]string{"r = u + v", "r = t0 * 2"}, [][]float32{sum, doubled}},
+				{[]string{"r = u + v", "t0"}, [][]float32{sum, ramp}},
+				{[]string{"000", "t0"}, [][]float32{make([]float32, n), ramp}},
+			} {
+				bres, err := eng.EvalBatch(c.texts, n, inputs)
+				if err != nil {
+					t.Fatalf("%s: batch %q: %v", tag, c.texts, err)
+				}
+				for mi, want := range c.want {
+					bitsEqual(fmt.Sprintf("%s batch %q member %d", tag, c.texts, mi), bres.Results[mi].Data, want)
+				}
+			}
+			_, soloErr := eng.Eval(collides, n, inputs)
+			_, batchErr := eng.EvalBatch([]string{"r = u + v", collides}, n, inputs)
+			for what, err := range map[string]error{"solo": soloErr, "batch": batchErr} {
+				if err == nil || !strings.Contains(err.Error(), `name "t0" collides with an internal node`) {
+					t.Fatalf("%s: %s: want the collision error, got %v", tag, what, err)
+				}
+			}
+		}
+	}
+}
+
 // TestBatchPlanCacheHit: preparing the same batch shape twice must hit
 // the plan cache under the batch fingerprint — the serving layer leans
 // on this for recurring batch shapes.
@@ -223,6 +296,10 @@ func FuzzBatchDifferential(f *testing.F) {
 	f.Add(batchTestExprs[0], batchTestExprs[2])
 	f.Add("r = u + v", "r = u - v")
 	f.Add("s = min(u, v)\nr = if (s >= 0) then (sqrt(s)) else (-s)", "r = min(u, v) * w")
+	// A source spelled like a minted ID stays a source in the merge: the
+	// batch fails on the unbound t0 exactly as the solo member does.
+	f.Add("000", "t0")
+	f.Add("r = u + v", "t0")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		const n = 257 // odd size: exercises partial final workgroups
 		inputs := batchTestInputs(n)
@@ -241,7 +318,14 @@ func FuzzBatchDifferential(f *testing.F) {
 		texts := []string{a, b}
 		bres, err := eng.EvalBatch(texts, n, inputs)
 		if err != nil {
-			t.Skip() // members compile but need unbound sources — solo would too
+			// Members compile but the run fails (an unbound source, say):
+			// then some member must fail solo too.
+			for _, text := range texts {
+				if _, serr := eng.Eval(text, n, inputs); serr != nil {
+					return
+				}
+			}
+			t.Fatalf("batch failed (%v) but every member runs solo\n%s\n--\n%s", err, a, b)
 		}
 		for mi, text := range texts {
 			solo, err := eng.Eval(text, n, inputs)

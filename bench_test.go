@@ -109,7 +109,7 @@ func BenchmarkFig4_FusionCodegen(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := strategy.GeneratedSource(net, "qcrit", passes.ScheduleSpec{}); err != nil {
+		if _, err := strategy.GeneratedSource(net, "qcrit"); err != nil {
 			b.Fatal(err)
 		}
 	}

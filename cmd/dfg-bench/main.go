@@ -38,8 +38,7 @@ func main() {
 		outDir    = flag.String("out", "", "also write each artifact into this directory")
 		asJSON    = flag.Bool("json", false, "emit the sweep as machine-readable JSON on stdout (per-grid, per-strategy)")
 		repeat    = flag.Int("repeat", 0, "warm-vs-cold prepared-eval smoke: prepare Q-criterion once, eval cold then N warm times per strategy; exits 1 if warm evals allocate device buffers")
-		strat     = flag.String("strategy", "", "restrict -repeat to one strategy (e.g. vm, fusion, sched); empty runs all")
-		schedule  = flag.String("schedule", "", "kernel schedule for the fusion executor in the sweep: a spec like tile=16x16,reg=2,vec=4 or the shorthand tiled; empty keeps the flat paper kernel")
+		strat     = flag.String("strategy", "", "restrict -repeat to one strategy (e.g. vm, fusion); empty runs all")
 	)
 	flag.Parse()
 	if *all {
@@ -93,7 +92,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dfg-bench: running sweep (scale 1/%d, %d repeats)...\n", *scale, *repeats)
 		cfg := metrics.Config{
 			LinScale: *scale, MaxGrids: *grids, Repeats: *repeats, Seed: *seed,
-			IncludeStreaming: *streaming, Opt: *opt, Schedule: *schedule,
+			IncludeStreaming: *streaming, Opt: *opt,
 		}
 		results, err := metrics.RunCases(cfg)
 		if err != nil {
@@ -142,7 +141,6 @@ type jsonCase struct {
 	Expr       string `json:"expr"`
 	Opt        string `json:"opt"`
 	Strategy   string `json:"strategy"`
-	Schedule   string `json:"schedule,omitempty"`
 	Device     string `json:"device"`
 	Dims       [3]int `json:"dims"`
 	Cells      int    `json:"cells"`
@@ -171,7 +169,6 @@ func jsonDoc(cfg metrics.Config, results []metrics.CaseResult) ([]byte, error) {
 			Expr:       r.Expr,
 			Opt:        r.Opt,
 			Strategy:   r.Exec,
-			Schedule:   r.Schedule,
 			Device:     r.Device.String(),
 			Dims:       [3]int{r.Grid.Dims.NX, r.Grid.Dims.NY, r.Grid.Dims.NZ},
 			Cells:      r.Grid.Cells,
@@ -203,7 +200,6 @@ func jsonDoc(cfg metrics.Config, results []metrics.CaseResult) ([]byte, error) {
 			Seed      int64  `json:"seed"`
 			Streaming bool   `json:"streaming"`
 			Opt       string `json:"opt"`
-			Schedule  string `json:"schedule,omitempty"`
 		} `json:"config"`
 		Cases []jsonCase `json:"cases"`
 	}{Meta: perfdb.CollectMeta("CPU+GPU"), Cases: cases}
@@ -213,7 +209,6 @@ func jsonDoc(cfg metrics.Config, results []metrics.CaseResult) ([]byte, error) {
 	doc.Config.Seed = cfg.Seed
 	doc.Config.Streaming = cfg.IncludeStreaming
 	doc.Config.Opt = cfg.Opt
-	doc.Config.Schedule = cfg.Schedule
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return nil, err
@@ -229,7 +224,7 @@ func jsonDoc(cfg metrics.Config, results []metrics.CaseResult) ([]byte, error) {
 func runRepeat(warm int, strat string, asJSON bool, outDir string) {
 	names := metrics.RepeatNames()
 	if strat != "" {
-		if strat != metrics.BatchOfOneName && strat != metrics.ScheduledName {
+		if strat != metrics.BatchOfOneName {
 			if _, err := strategy.ForName(strat); err != nil {
 				fatal(err)
 			}

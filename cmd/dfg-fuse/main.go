@@ -5,8 +5,6 @@
 //	dfg-fuse -preset vortmag -dot     # dataflow network in Graphviz DOT
 //	dfg-fuse -expr 'a = u*u' -script  # network-definition API script
 //	dfg-fuse -preset qcrit -dump-passes -opt O2   # per-pass network trace
-//	dfg-fuse -preset qcrit -schedule tiled        # tiled/vectorized kernel source
-//	dfg-fuse -preset gradmag -schedule tiled -dump-passes  # + schedule annotations
 package main
 
 import (
@@ -22,13 +20,12 @@ import (
 func main() {
 	var (
 		exprText = flag.String("expr", "", "expression program text (overrides -preset)")
-		preset   = flag.String("preset", "qcrit", "expression preset: velmag, vortmag or qcrit")
+		preset   = flag.String("preset", "qcrit", "expression preset: velmag, vortmag, qcrit or gradmag")
 		dot      = flag.Bool("dot", false, "print the dataflow network as Graphviz DOT instead of source")
 		script   = flag.Bool("script", false, "print the network-definition API script instead of source")
 		grammar  = flag.Bool("grammar", false, "print the expression grammar's LALR(1) state report (PLY's parser.out)")
 		dump     = flag.Bool("dump-passes", false, "trace the optimisation pipeline: node counts and eliminated IDs before/after each pass")
 		opt      = flag.String("opt", "paper", "optimisation level for -dump-passes: paper or O2")
-		schedule = flag.String("schedule", "", "schedule transformation for the generated kernel: a spec like tile=16x16,reg=2,vec=4[,temporal], or the shorthands tiled / flat")
 	)
 	flag.Parse()
 
@@ -59,12 +56,6 @@ func main() {
 		}
 	}
 
-	spec, err := passes.ParseScheduleSpec(*schedule)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dfg-fuse:", err)
-		os.Exit(1)
-	}
-
 	if *dump {
 		lvl, err := passes.ParseLevel(*opt)
 		if err != nil {
@@ -74,26 +65,19 @@ func main() {
 		// Debug routes the per-pass trace to stdout; Verify checks the
 		// network invariants after every pass, so the dump doubles as a
 		// pipeline self-check.
-		net, _, err := expr.CompileWithPipeline(text, nil, passes.ForLevel(lvl),
+		_, _, err = expr.CompileWithPipeline(text, nil, passes.ForLevel(lvl),
 			passes.RunOptions{Debug: os.Stdout, Verify: true})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dfg-fuse:", err)
 			os.Exit(1)
 		}
-		if !spec.IsFlat() {
-			// Append the schedule-lowering stage's annotations, so the
-			// dump covers the whole lowering pipeline through codegen.
-			sched, err := passes.ComputeSchedule(net, spec)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dfg-fuse:", err)
-				os.Exit(1)
-			}
-			fmt.Print(sched.Describe())
-		}
 		return
 	}
 
-	var out string
+	var (
+		out string
+		err error
+	)
 	switch {
 	case *dot:
 		out, err = dfg.NetworkDot(text)
@@ -101,7 +85,7 @@ func main() {
 		out, err = dfg.NetworkScript(text)
 	default:
 		var eng *dfg.Engine
-		eng, err = dfg.New(dfg.Config{Schedule: *schedule})
+		eng, err = dfg.New(dfg.Config{})
 		if err == nil {
 			out, err = eng.FusedSource(text)
 		}

@@ -25,8 +25,8 @@ const (
 	// QCriterionExpr computes Hunt's Q-criterion (Figure 3C).
 	QCriterionExpr = vortex.QCritExpr
 	// GradientMagnitudeExpr (beyond the paper) computes |grad |v|| — the
-	// canonical two-pass expression whose stencil consumes a computed
-	// field, exercising the materialization split and temporal blocking.
+	// two-pass materialization example: its stencil consumes a computed
+	// field, so the fused kernel splits into passes around a scratch array.
 	GradientMagnitudeExpr = vortex.GradMagExpr
 )
 

@@ -126,14 +126,6 @@ type Config struct {
 	// ulp-identical on finite data but launches fewer kernels. All
 	// paper-reproduction harnesses leave this empty.
 	Opt string
-	// Schedule selects a schedule transformation for the fusion
-	// strategy's generated kernels: a spec like "tile=16x16,reg=2,vec=4"
-	// or "tile=16x16,reg=2,vec=4,temporal", or the shorthands "tiled"
-	// (the default schedule) and "flat"/"" (no transformation — the
-	// paper's flat kernel). Every scheduled kernel is bitwise identical
-	// to the flat one; only the emitted source and the modeled memory
-	// traffic change. Requires Strategy "" or "fusion".
-	Schedule string
 }
 
 // Engine is the host interface: it owns one device environment and one
@@ -224,10 +216,6 @@ func New(cfg Config) (*Engine, error) {
 	name := cfg.Strategy
 	if name == "tiered" && cfg.VMThreshold > 0 {
 		name = fmt.Sprintf("tiered@%d", cfg.VMThreshold)
-	}
-	name, err = scheduledStrategyName(name, cfg.Schedule)
-	if err != nil {
-		return nil, err
 	}
 	eng, err := NewWith(dev, name, compile.NewCompiler())
 	if err != nil {
@@ -356,43 +344,6 @@ func (e *Engine) WithStrategy(name string) (*Engine, error) {
 		d.evalHist = make(map[string]*obs.Histogram)
 	}
 	return &d, nil
-}
-
-// scheduledStrategyName folds a Config.Schedule spec into the strategy
-// name: the flat spec leaves the name alone; a non-flat spec requires
-// the fusion strategy (the only one with a kernel generator to
-// schedule) and appends the canonical tag, e.g. "fusion+tile=16x16,
-// reg=2,vec=4,temporal".
-func scheduledStrategyName(name, schedule string) (string, error) {
-	spec, err := passes.ParseScheduleSpec(schedule)
-	if err != nil {
-		return "", fmt.Errorf("dfg: %w", err)
-	}
-	if spec.IsFlat() {
-		return name, nil
-	}
-	if name != "" && name != "fusion" {
-		return "", fmt.Errorf("dfg: schedule %q requires the fusion strategy, not %q", schedule, name)
-	}
-	return "fusion+" + spec.CacheTag(), nil
-}
-
-// WithSchedule returns a derived engine whose fusion kernels are
-// generated under the given schedule spec ("tile=16x16,reg=2,vec=4",
-// "tiled", "flat", ...), sharing everything else with the receiver.
-// Schedule-tagged plans occupy distinct plan-cache slots, so scheduled
-// and flat plans for the same expression coexist. The receiver must be
-// a fusion engine (any schedule); like WithStrategy, the derived view
-// inherits the single-goroutine discipline.
-func (e *Engine) WithSchedule(schedule string) (*Engine, error) {
-	name, err := scheduledStrategyName("fusion", schedule)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := e.strat.(strategy.Fusion); !ok {
-		return nil, fmt.Errorf("dfg: WithSchedule requires a fusion engine, not %q", e.strat.Name())
-	}
-	return e.WithStrategy(name)
 }
 
 // Result is a derived field along with the run's device profile.
@@ -657,16 +608,12 @@ func deviceTrack(k ocl.EventKind) string {
 // FusedSource returns the OpenCL C source the fusion strategy's dynamic
 // kernel generator emits for an expression — an inspection hook, also
 // exposed by cmd/dfg-fuse.
-// When the engine's strategy is a scheduled fusion variant, the emitted
-// source is the scheduled (tiled / vectorized / temporally blocked)
-// kernel.
 func (e *Engine) FusedSource(text string) (string, error) {
 	net, err := e.compile(text)
 	if err != nil {
 		return "", err
 	}
-	f, _ := e.strat.(strategy.Fusion) // any other strategy: the flat kernel
-	return strategy.GeneratedSource(net, "expr", f.Sched)
+	return strategy.GeneratedSource(net, "expr")
 }
 
 // NetworkScript parses an expression and renders the dataflow

@@ -30,13 +30,11 @@
 package codegen
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
-	"dfg/internal/passes"
 	"dfg/internal/vm"
 )
 
@@ -82,171 +80,51 @@ type Program struct {
 	// OutWidths holds every root's element width, in Roots() order.
 	// len(OutWidths) == 1 except for merged super-networks.
 	OutWidths []int
-	// Schedule is the canonical spec string of the schedule this program
-	// was generated under ("" for the flat generator).
-	Schedule string
 }
 
 // Fuse generates the fused kernel program for a validated network with a
 // designated output. name tags the generated kernel (e.g. "qcrit" gives
 // "kfused_qcrit").
 func Fuse(net *dataflow.Network, name string) (*Program, error) {
-	return FuseScheduled(net, name, nil)
-}
-
-// FuseScheduled is Fuse under a schedule: it emits the tiled /
-// vectorized / temporally blocked kernel variant instead of the single
-// flat body. A nil schedule is the flat generator; otherwise the
-// schedule must have been computed by passes.ComputeSchedule for this
-// same network — Verify re-checks it here before anything is emitted.
-//
-// The bitwise contract: every variant runs the same lowered program.
-// Tiling, register blocking and vector loads only reshape the emitted
-// source and the modeled memory traffic; temporal blocking re-runs the
-// identical producer pass over a halo-extended range into scratch the
-// consumer pass then reads back. Scheduled output is therefore zero-ULP
-// identical to flat by construction; the differential fuzz target in
-// internal/strategy enforces it end to end.
-func FuseScheduled(net *dataflow.Network, name string, sched *passes.Schedule) (*Program, error) {
-	g := &generator{name: name, sched: &passes.Schedule{}}
-	if sched != nil {
-		if err := sched.Verify(net); err != nil {
-			return nil, err
-		}
-		g.sched, g.tag = sched, sched.Spec.String()
-	}
-	var err error
-	if g.low, err = vm.Lower(net); err != nil {
+	low, err := vm.Lower(net)
+	if err != nil {
 		return nil, err
 	}
-	if sched != nil && len(g.low.Passes) != sched.Passes {
-		return nil, fmt.Errorf("codegen: schedule computed for a %d-pass network, lowering found %d passes", sched.Passes, len(g.low.Passes))
+	g := &generator{name: name, low: low, expr: make([]string, low.NumVRegs)}
+	exec := low.Program()
+	fns := make([]ocl.KernelFunc, len(low.Passes))
+	for p := range fns {
+		fns[p] = func(lo, hi int, bufs []ocl.View, _ []float64) { exec.RunPass(p, lo, hi, bufs) }
 	}
-	g.expr = make([]string, g.low.NumVRegs)
-	g.fused = make(map[string]bool, len(g.sched.FusedScratch))
-	if g.sched.Temporal {
-		for _, id := range g.sched.FusedScratch {
-			g.fused[vm.ScratchName(id)] = true
-		}
-	}
-
-	// Temporally fused intermediates drop out of the argument list: they
-	// live in per-tile local arrays, which the executable stands in for
-	// with pooled views it binds per launch chunk.
-	exec := g.low.Program()
-	args := make([]Arg, 0, len(g.low.Buffers))
-	for _, b := range g.low.Buffers {
-		if !g.fused[b.Name] {
-			args = append(args, b)
-		}
-	}
-	var fns []ocl.KernelFunc
-	if g.sched.Temporal {
-		fns = []ocl.KernelFunc{g.temporalFn(exec)}
-	} else {
-		for p := range g.low.Passes {
-			p := p
-			fns = append(fns, func(lo, hi int, bufs []ocl.View, _ []float64) { exec.RunPass(p, lo, hi, bufs) })
-		}
-	}
-
 	src := g.renderSource()
 	return &Program{
 		Source: src,
 		Kernel: &ocl.Kernel{
 			Name:    "kfused_" + name,
 			Source:  src,
-			NumBufs: len(args),
+			NumBufs: len(low.Buffers),
 			Cost:    g.cost(),
 			Passes:  fns,
 		},
 		Exec:      exec,
-		Args:      args,
+		Args:      low.Buffers,
 		NumPasses: len(fns),
 		OutWidth:  exec.OutWidth,
 		OutWidths: exec.OutWidths,
-		Schedule:  g.tag,
 	}, nil
 }
 
-// generator holds one fusion's state: the lowered program and the
-// schedule its views are rendered under.
+// generator holds one fusion's state: the lowered program its views are
+// rendered from.
 type generator struct {
 	name string
 	low  *vm.Lowering
-	// sched is the schedule annotation set; the zero Schedule (flat
-	// spec, nothing staged) for the flat generator.
-	sched *passes.Schedule
-	tag   string // canonical spec string; "" for the flat generator
-	// fused names the scratch buffers a temporal schedule keeps local.
-	fused map[string]bool
 	// expr is the source renderer's operand table: the C expression
 	// currently standing for each virtual register.
 	expr []string
-}
-
-// stencils calls f for every stencil instruction of pass p (every pass
-// when p < 0) with the name of the field array it differences.
-func (g *generator) stencils(p int, f func(in *vm.Instr, field string)) {
-	for pi, pass := range g.low.Passes {
-		if p >= 0 && pi != p {
-			continue
-		}
-		for i := range pass {
-			if in := &pass[i]; strings.HasPrefix(in.Filter(), "grad3d") {
-				f(in, g.low.Buffers[in.GBufs[0]].Name)
-			}
-		}
-	}
-}
-
-// temporalFn fuses the two passes into one dispatch phase. For each
-// chunk [lo, hi) the producer pass re-runs over the halo-extended range
-// [lo-halo, hi+halo) into pooled scratch views (the per-tile local
-// arrays of the emitted source), then the consumer pass runs over
-// exactly [lo, hi) reading them back. The halo is one z-plane (nx*ny
-// elements) — the farthest neighbour any stencil reads — so every value
-// the consumer touches was recomputed by the very same instructions that
-// produced it in the flat program: bitwise identity holds per element.
-func (g *generator) temporalFn(exec *vm.Program) ocl.KernelFunc {
-	dimsIdx := -1
-	g.stencils(-1, func(in *vm.Instr, _ string) {
-		if dimsIdx < 0 {
-			dimsIdx = int(in.GBufs[1])
-		}
-	})
-	buffers, fused := g.low.Buffers, g.fused
-	return func(lo, hi int, bufs []ocl.View, _ []float64) {
-		elems := bufs[len(bufs)-1].Elems // the last argument is an output
-		// Rebuild the buffer table's order: arguments as launched, with a
-		// pooled view at each fused intermediate's position.
-		all := make([]ocl.View, len(buffers))
-		next := 0
-		for i, b := range buffers {
-			if fused[b.Name] {
-				data := vm.GetScratch(elems * b.Width)
-				defer vm.PutScratch(data)
-				all[i] = ocl.View{Data: data, Elems: elems, Width: b.Width}
-			} else {
-				all[i] = bufs[next]
-				next++
-			}
-		}
-		halo := 0
-		if dimsIdx >= 0 {
-			dims := all[dimsIdx].Data
-			halo = int(dims[0]) * int(dims[1])
-		}
-		lo2, hi2 := lo-halo, hi+halo
-		if lo2 < 0 {
-			lo2 = 0
-		}
-		if hi2 > elems {
-			hi2 = elems
-		}
-		exec.RunPass(0, lo2, hi2, all)
-		exec.RunPass(1, lo, hi, all)
-	}
+	// needsGrad and needsAxis record which helper functions the rendered
+	// statements call (dfg_grad3d, dfg_grad3d_axis).
+	needsGrad, needsAxis bool
 }
 
 // cTypeFor returns the OpenCL C scalar/vector type of a width.

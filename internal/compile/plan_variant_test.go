@@ -4,24 +4,23 @@ import (
 	"sync"
 	"testing"
 
-	"dfg/internal/passes"
 	"dfg/internal/strategy"
 	"dfg/internal/vortex"
 )
 
-// TestPlanCacheScheduleKeys: the same expression fingerprint planned
-// under flat fusion and under a scheduled fusion variant must occupy
-// distinct plan-cache slots — same fingerprint, different plans, two
-// builds. Concurrent planning from both variants must stay race-free
-// (run with -race) and converge on exactly one plan per variant.
-func TestPlanCacheScheduleKeys(t *testing.T) {
+// TestPlanCacheVariantKeys: the same expression fingerprint planned
+// under two configurations of one strategy must occupy distinct
+// plan-cache slots — same fingerprint, different plans, two builds.
+// Concurrent planning from both variants must stay race-free (run with
+// -race) and converge on exactly one plan per variant.
+func TestPlanCacheVariantKeys(t *testing.T) {
 	c := NewCompiler()
 	dev := cpuDev()
-	flat, err := strategy.ForName("fusion")
+	low, err := strategy.ForName("tiered@128")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiled, err := strategy.ForName("fusion+" + passes.DefaultSchedule().CacheTag())
+	high, err := strategy.ForName("tiered@4096")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func TestPlanCacheScheduleKeys(t *testing.T) {
 	fps := make([]string, 2*workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		for j, strat := range []strategy.Strategy{flat, tiled} {
+		for j, strat := range []strategy.Strategy{low, high} {
 			wg.Add(1)
 			go func(slot int, s strategy.Strategy) {
 				defer wg.Done()
@@ -51,7 +50,7 @@ func TestPlanCacheScheduleKeys(t *testing.T) {
 
 	for i := 1; i < len(fps); i++ {
 		if fps[i] != fps[0] {
-			t.Fatal("schedule must not change the network fingerprint")
+			t.Fatal("a strategy variant must not change the network fingerprint")
 		}
 	}
 	for i := 2; i < len(plans); i += 2 {
@@ -60,23 +59,19 @@ func TestPlanCacheScheduleKeys(t *testing.T) {
 		}
 	}
 	if plans[0] == plans[1] {
-		t.Fatal("flat and scheduled plans alias in the cache")
+		t.Fatal("tiered@128 and tiered@4096 plans alias in the cache")
 	}
 	if got := c.Stats().PlanBuilds; got != 2 {
-		t.Fatalf("want exactly 2 plan builds (one per schedule variant), got %d", got)
+		t.Fatalf("want exactly 2 plan builds (one per variant), got %d", got)
 	}
 
-	// A second scheduled variant is a third slot.
-	vec, err := strategy.ForName("fusion+vec=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p3, fp3, err := c.Plan(vortex.QCritExpr, vec, dev)
+	// A variant of another strategy is a third slot.
+	p3, fp3, err := c.Plan(vortex.QCritExpr, strategy.Streaming{Tiles: 16}, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fp3 != fps[0] || p3 == plans[0] || p3 == plans[1] {
-		t.Fatal("fusion+vec=4 must be its own plan under the same fingerprint")
+		t.Fatal("streaming@16 must be its own plan under the same fingerprint")
 	}
 	if got := c.Stats().PlanBuilds; got != 3 {
 		t.Fatalf("want 3 plan builds after the third variant, got %d", got)

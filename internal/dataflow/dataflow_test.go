@@ -179,6 +179,35 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestMintedIDsSkipSourceNames: a source may be spelled like a minted
+// ID; minting steps over it instead of replacing the source in the ID
+// table, and networks without such a source mint t0, t1, ... as ever.
+func TestMintedIDsSkipSourceNames(t *testing.T) {
+	nw := NewNetwork()
+	nw.AddSource("t0")
+	nw.AddSource("t2")
+	c := nw.AddConst(2)
+	m, err := nw.AddFilter("mul", "t0", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c != "t1" || m != "t3" {
+		t.Fatalf("minted %q and %q, want t1 and t3", c, m)
+	}
+	if n := nw.NodeByID("t0"); n.Filter != "source" {
+		t.Fatalf("t0 became a %s node", n.Filter)
+	}
+	if err := nw.SetOutput(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := NewNetwork().AddConst(1); got != "t0" {
+		t.Fatalf("first minted ID of a fresh network is %q, want t0", got)
+	}
+}
+
 func TestDecompose(t *testing.T) {
 	nw := NewNetwork()
 	for _, s := range []string{"u", "dims", "x", "y", "z"} {

@@ -100,11 +100,16 @@ func (nw *Network) mustMutable(op string) {
 	}
 }
 
-// genID mints the next generic node name.
+// genID mints the next generic node name, skipping any a source
+// already took: a user may name an input array "t0".
 func (nw *Network) genID() string {
-	id := "t" + strconv.Itoa(nw.nextID)
-	nw.nextID++
-	return id
+	for {
+		id := "t" + strconv.Itoa(nw.nextID)
+		nw.nextID++
+		if _, taken := nw.byID[id]; !taken {
+			return id
+		}
+	}
 }
 
 // AddSource declares a named host-provided input array and returns its

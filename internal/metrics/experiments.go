@@ -37,11 +37,6 @@ type Config struct {
 	// or "paper" for the paper's exact front end (the default every
 	// reproduction table uses), "O2" for the optimising pass pipeline.
 	Opt string
-	// Schedule, when non-empty (and non-"flat"), runs the fusion
-	// executor on scheduled kernels — a spec like
-	// "tile=16x16,reg=2,vec=4" or the "tiled" shorthand. The other
-	// executors are unaffected; the paper tables leave this empty.
-	Schedule string
 }
 
 func (c *Config) defaults() {
@@ -155,7 +150,6 @@ type CaseResult struct {
 	Expr     string
 	Opt      string // optimisation level the expression compiled at
 	Exec     string
-	Schedule string // kernel schedule the fusion executor ran under ("" = flat)
 	Device   ocl.DeviceType
 	Grid     rtsim.Grid
 	Failed   bool
@@ -204,23 +198,6 @@ func RunCases(cfg Config) ([]CaseResult, error) {
 	if cfg.IncludeStreaming {
 		execs = ExtendedExecutors()
 	}
-	sspec, err := passes.ParseScheduleSpec(cfg.Schedule)
-	if err != nil {
-		return nil, fmt.Errorf("metrics: %w", err)
-	}
-	if sspec.IsFlat() {
-		cfg.Schedule = ""
-	} else {
-		cfg.Schedule = sspec.CacheTag()
-		sf := strategy.Fusion{Sched: sspec}
-		for i := range execs {
-			if execs[i].Name == "fusion" {
-				execs[i].run = func(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, _ string) (*strategy.Result, error) {
-					return sf.Execute(env, net, bind)
-				}
-			}
-		}
-	}
 
 	var results []CaseResult
 	for _, g := range grids {
@@ -249,9 +226,6 @@ func RunCases(cfg Config) ([]CaseResult, error) {
 // runCase measures one case with the paper's repeat-and-trim protocol.
 func runCase(cfg Config, spec ocl.DeviceSpec, ex Executor, exprName string, net *dataflow.Network, bind strategy.Bindings, g rtsim.Grid) CaseResult {
 	out := CaseResult{Expr: exprName, Opt: cfg.Opt, Exec: ex.Name, Device: spec.Type, Grid: g, Device1: spec.Name}
-	if ex.Name == "fusion" {
-		out.Schedule = cfg.Schedule
-	}
 	var devTimes, walls []time.Duration
 	var last *strategy.Result
 	for r := 0; r < cfg.Repeats; r++ {

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"dfg"
-	"dfg/internal/codegen"
-	"dfg/internal/expr"
 	"dfg/internal/mesh"
-	"dfg/internal/passes"
 	"dfg/internal/rtsim"
 	"dfg/internal/strategy"
 	"dfg/internal/vm"
@@ -50,14 +47,6 @@ type RepeatCase struct {
 	// Identical reports whether every warm output was bitwise equal to
 	// the cold output.
 	Identical bool `json:"warm_output_identical"`
-	// SchedGlobalBytes / FlatGlobalBytes are the cost model's per-element
-	// global-memory traffic for the scheduled and flat fused kernels, and
-	// MatchesFlat whether the scheduled output was bitwise equal to a
-	// flat fusion run. Set only for the "sched" pseudo-strategy row —
-	// its gate: strictly fewer modeled global bytes, identical bits.
-	SchedGlobalBytes float64 `json:"sched_global_bytes,omitempty"`
-	FlatGlobalBytes  float64 `json:"flat_global_bytes,omitempty"`
-	MatchesFlat      bool    `json:"matches_flat,omitempty"`
 }
 
 // Reduced reports whether the warm path actually beat the cold path:
@@ -73,14 +62,6 @@ func (c RepeatCase) Reduced() bool {
 			c.ColdWrites == 0 && c.WarmWrites == 0 &&
 			c.ScratchColdAllocs > 0 && c.ScratchWarmAllocs == 0
 	}
-	if c.Strategy == ScheduledName {
-		// The scheduled row additionally gates the schedule contract:
-		// bitwise identity with the flat kernel AND strictly fewer
-		// modeled global-memory bytes.
-		return c.Identical && c.MatchesFlat &&
-			c.WarmAllocs == 0 && c.ColdAllocs > 0 &&
-			c.SchedGlobalBytes > 0 && c.SchedGlobalBytes < c.FlatGlobalBytes
-	}
 	return c.Identical && c.WarmAllocs == 0 && c.ColdAllocs > 0
 }
 
@@ -91,18 +72,10 @@ func (c RepeatCase) Reduced() bool {
 // perf gate pinning that batching never taxes a lone request.
 const BatchOfOneName = "batch1"
 
-// ScheduledName is the pseudo-strategy naming the scheduled-fusion
-// repeat case: the Q-criterion prepared on a fusion engine whose
-// kernels are generated under the default schedule (tiling, register
-// blocking, vectorized staging). Its Reduced gate pins the schedule
-// layer's contract — bitwise identity with the flat kernel at strictly
-// fewer modeled global-memory bytes — into the perf baseline.
-const ScheduledName = "sched"
-
 // RepeatNames is the full warm-vs-cold case list: every strategy plus
-// the batch-of-one and scheduled-fusion pseudo-strategies.
+// the batch-of-one pseudo-strategy.
 func RepeatNames() []string {
-	return append(strategy.ExtendedNames(), BatchOfOneName, ScheduledName)
+	return append(strategy.ExtendedNames(), BatchOfOneName)
 }
 
 // RunRepeat runs the warm-vs-cold comparison for the paper's Q-criterion
@@ -151,9 +124,6 @@ func repeatCase(strat string, m *mesh.Mesh, fields map[string][]float32, warm in
 	engStrat := strat
 	if strat == BatchOfOneName {
 		engStrat = "fusion"
-	}
-	if strat == ScheduledName {
-		engStrat = "fusion+" + passes.DefaultSchedule().CacheTag()
 	}
 	eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: engStrat})
 	if err != nil {
@@ -220,48 +190,7 @@ func repeatCase(strat string, m *mesh.Mesh, fields map[string][]float32, warm in
 	if strat == "vm" {
 		c.ScratchWarmAllocs = scratchWarm.Allocs - scratchCold.Allocs
 	}
-	if strat == ScheduledName {
-		if err := c.fillScheduleGate(cold, m, fields); err != nil {
-			return c, err
-		}
-	}
 	return c, nil
-}
-
-// fillScheduleGate computes the scheduled row's extra gate inputs: the
-// cost model's per-element global traffic for the scheduled and flat
-// Q-criterion kernels, and a bitwise comparison of the scheduled cold
-// output against a fresh flat fusion run.
-func (c *RepeatCase) fillScheduleGate(cold *dfg.Result, m *mesh.Mesh, fields map[string][]float32) error {
-	net, err := expr.Compile(vortex.QCritExpr)
-	if err != nil {
-		return err
-	}
-	flatProg, err := codegen.Fuse(net, "expr")
-	if err != nil {
-		return err
-	}
-	sched, err := passes.ComputeSchedule(net, passes.DefaultSchedule())
-	if err != nil {
-		return err
-	}
-	schedProg, err := codegen.FuseScheduled(net, "expr", sched)
-	if err != nil {
-		return err
-	}
-	c.FlatGlobalBytes = flatProg.Kernel.Cost.LoadBytes + flatProg.Kernel.Cost.StoreBytes
-	c.SchedGlobalBytes = schedProg.Kernel.Cost.LoadBytes + schedProg.Kernel.Cost.StoreBytes
-
-	feng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "fusion"})
-	if err != nil {
-		return err
-	}
-	fres, err := feng.EvalOnMesh(vortex.QCritExpr, m, fields)
-	if err != nil {
-		return err
-	}
-	c.MatchesFlat = bitwiseEqual(cold.Data, fres.Data)
-	return nil
 }
 
 // bitwiseEqual compares two float32 slices exactly (NaN-safe: the

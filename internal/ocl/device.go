@@ -130,28 +130,12 @@ func (d *Device) transferTime(bytes int64) time.Duration {
 
 // kernelTime models one kernel dispatch over n elements with the given
 // per-element cost: launch overhead plus a roofline over arithmetic
-// throughput and memory bandwidth. Scheduled kernels extend the memory
-// term: vectorized global access earns the spec's VectorGain effective
-// bandwidth, and local-memory traffic (staged stencil tiles, temporal
-// scratch) is priced at the much higher local bandwidth. Flat kernels
-// (LocalBytes 0, VectorWidth 0) take exactly the classic path, so every
-// pre-schedule timing is byte-identical.
+// throughput and global-memory bandwidth.
 func (d *Device) kernelTime(n int, cost Cost) time.Duration {
 	flops := cost.Flops * float64(n)
 	bytes := (cost.LoadBytes + cost.StoreBytes) * float64(n)
 	tArith := flops / (d.spec.GFLOPS * 1e9)
-	bw := d.spec.MemBandwidth
-	if cost.VectorWidth >= 2 && d.spec.VectorGain > 1 {
-		bw *= d.spec.VectorGain
-	}
-	tMem := bytes / bw
-	if cost.LocalBytes > 0 {
-		lbw := d.spec.LocalMemBandwidth
-		if lbw <= 0 {
-			lbw = defaultLocalBandwidthRatio * d.spec.MemBandwidth
-		}
-		tMem += cost.LocalBytes * float64(n) / lbw
-	}
+	tMem := bytes / d.spec.MemBandwidth
 	t := tArith
 	if tMem > t {
 		t = tMem

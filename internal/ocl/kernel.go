@@ -12,30 +12,14 @@ type Cost struct {
 	LoadBytes float64
 	// StoreBytes is bytes written to device global memory per element.
 	StoreBytes float64
-	// LocalBytes is bytes moved through work-group local memory per
-	// element (tiled schedules stage stencil neighbourhoods there).
-	// Zero for every flat kernel, so the classic roofline is unchanged.
-	LocalBytes float64
-	// VectorWidth is the widest vectorized global access the kernel
-	// performs (4 for float4 loads). Zero or one means scalar access;
-	// wider access earns the device's vector-gain effective bandwidth.
-	VectorWidth int
 }
 
-// Add returns the combined cost of running both: byte and flop terms
-// sum, and the vector width is the maximum (a kernel is as vectorized
-// as its widest access path).
+// Add returns the component-wise sum of two costs.
 func (c Cost) Add(o Cost) Cost {
-	w := c.VectorWidth
-	if o.VectorWidth > w {
-		w = o.VectorWidth
-	}
 	return Cost{
-		Flops:       c.Flops + o.Flops,
-		LoadBytes:   c.LoadBytes + o.LoadBytes,
-		StoreBytes:  c.StoreBytes + o.StoreBytes,
-		LocalBytes:  c.LocalBytes + o.LocalBytes,
-		VectorWidth: w,
+		Flops:      c.Flops + o.Flops,
+		LoadBytes:  c.LoadBytes + o.LoadBytes,
+		StoreBytes: c.StoreBytes + o.StoreBytes,
 	}
 }
 

@@ -68,23 +68,7 @@ type DeviceSpec struct {
 	TransferLatency time.Duration
 	// KernelLaunch is the fixed overhead of one kernel dispatch.
 	KernelLaunch time.Duration
-
-	// LocalMemBandwidth is aggregate work-group local-memory bandwidth
-	// in bytes/s, pricing the staged stencil tiles of scheduled kernels.
-	// Zero selects the default ratio over MemBandwidth, so specs predating
-	// the schedule layer stay valid.
-	LocalMemBandwidth float64
-	// VectorGain is the effective-bandwidth multiplier a kernel earns
-	// when its global access is vectorized (float4 loads saturate wide
-	// load units that scalar access leaves idle). Values <= 1 mean no
-	// gain; zero keeps old specs valid.
-	VectorGain float64
 }
-
-// defaultLocalBandwidthRatio is the LocalMemBandwidth/MemBandwidth ratio
-// assumed when a spec leaves LocalMemBandwidth zero: on-chip SRAM runs
-// roughly an order of magnitude ahead of DRAM on both paper devices.
-const defaultLocalBandwidthRatio = 8
 
 // Validate reports a descriptive error if the spec is not usable.
 func (s *DeviceSpec) Validate() error {
@@ -147,11 +131,6 @@ func XeonX5660Spec(memScale int64) DeviceSpec {
 		TransferBandwidth: 5.5e9,
 		TransferLatency:   25 * time.Microsecond,
 		KernelLaunch:      40 * time.Microsecond,
-		// Schedule-layer terms: "local memory" on a CPU OpenCL device is
-		// the L1/L2 working set, and float4 loads map onto the same SSE
-		// units the GFLOPS figure assumes.
-		LocalMemBandwidth: 240e9,
-		VectorGain:        1.15,
 	}
 }
 
@@ -176,10 +155,6 @@ func TeslaM2050Spec(memScale int64) DeviceSpec {
 		TransferBandwidth: 5.8e9, // PCIe gen2 x16 effective
 		TransferLatency:   15 * time.Microsecond,
 		KernelLaunch:      10 * time.Microsecond,
-		// Schedule-layer terms: Fermi shared memory (14 SMs x 64 B/clk)
-		// and the coalescer's preference for 128-bit accesses.
-		LocalMemBandwidth: 1000e9,
-		VectorGain:        1.3,
 	}
 }
 

@@ -6,8 +6,7 @@ import "dfg/internal/dataflow"
 // path shares. The solo pipelines (Paper/O2 via CSE/CSECommute) and the
 // batch merge pipelines (MergeNetworks) all key nodes through
 // CanonicalKey and build their front ends from ElimPasses, so a node
-// that unifies on the solo path unifies identically on the batch path —
-// schedule-aware plan keys derived from either can never drift.
+// that unifies on the solo path unifies identically on the batch path.
 
 // commutative lists the primitives whose results are bitwise identical
 // under argument swap for every input, including NaNs and signed zeros.

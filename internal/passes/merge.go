@@ -82,10 +82,30 @@ func MergeNetworks(members []MergeMember, lvl Level, opt RunOptions) (*Merged, e
 	}
 	sort.Strings(fps)
 
+	// Every member's sources are registered before any computed node is
+	// cloned: the builder mints IDs around names already taken, so a
+	// source spelled like a minted ID ("t0") is that source for every
+	// member and never resolves to an earlier member's internal node.
 	nw := dataflow.NewNetwork()
+	orders := make([][]*dataflow.Node, len(fps))
+	for i, fp := range fps {
+		order, err := distinct[fp].TopoOrder()
+		if err != nil {
+			return nil, fmt.Errorf("passes: merge member %q: %w", fp, err)
+		}
+		orders[i] = order
+		for _, n := range order {
+			if n.Filter != "source" || nw.NodeByID(n.ID) != nil {
+				continue // not a source, or shared with an earlier member
+			}
+			if _, err := nw.AddSource(n.ID); err != nil {
+				return nil, fmt.Errorf("passes: merge member %q: %w", fp, err)
+			}
+		}
+	}
 	roots := make([]string, len(fps))
 	for i, fp := range fps {
-		root, err := cloneInto(nw, distinct[fp])
+		root, err := cloneInto(nw, orders[i], distinct[fp].Output())
 		if err != nil {
 			return nil, fmt.Errorf("passes: merge member %q: %w", fp, err)
 		}
@@ -134,24 +154,20 @@ func mergePipeline(lvl Level) *Pipeline {
 	return mergePaper
 }
 
-// cloneInto copies src's live nodes (in topological order) into dst
-// through the builder API, unifying sources by name, and returns the ID
-// dst assigned to src's output node.
-func cloneInto(dst, src *dataflow.Network) (string, error) {
-	order, err := src.TopoOrder()
-	if err != nil {
-		return "", err
-	}
+// cloneInto copies one member's computed nodes (order is its live nodes
+// in topological order) into dst through the builder API — sources are
+// already there under their own names — and returns the ID dst assigned
+// to the member's output node.
+func cloneInto(dst *dataflow.Network, order []*dataflow.Node, output string) (string, error) {
 	remap := make(map[string]string, len(order))
 	for _, n := range order {
-		var id string
+		var (
+			id  string
+			err error
+		)
 		switch n.Filter {
 		case "source":
-			if dst.NodeByID(n.ID) != nil {
-				id = n.ID // shared with an earlier member
-			} else if id, err = dst.AddSource(n.ID); err != nil {
-				return "", err
-			}
+			id = n.ID
 		case "const":
 			id = dst.AddConst(n.Value)
 		case "decompose":
@@ -169,5 +185,5 @@ func cloneInto(dst, src *dataflow.Network) (string, error) {
 		}
 		remap[n.ID] = id
 	}
-	return remap[src.Output()], nil
+	return remap[output], nil
 }

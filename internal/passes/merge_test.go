@@ -115,3 +115,33 @@ func TestMergeNetworksBatchUnifiesEquivalentRoots(t *testing.T) {
 		t.Fatalf("commuted members kept distinct roots %q vs %q", ra, rb)
 	}
 }
+
+// TestMergeNetworksKeepsSourcesNamedLikeMintedIDs: a member's source
+// spelled "t0" or "t1" stays a source in the super-network whichever
+// member is cloned first — it never resolves to a node another member's
+// clone minted under that name.
+func TestMergeNetworksKeepsSourcesNamedLikeMintedIDs(t *testing.T) {
+	for _, lvl := range []passes.Level{passes.LevelPaper, passes.LevelO2} {
+		sum := compileMember(t, "r = u + v", lvl) // solo: add is t0
+		src := compileMember(t, "t0", lvl)
+		late := compileMember(t, "r = (u * v) - t1", lvl) // solo: mul is t0, sub skips to t2
+		m, err := passes.MergeNetworks([]passes.MergeMember{sum, src, late}, lvl, passes.RunOptions{Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"t0", "t1"} {
+			if n := m.Net.NodeByID(name); n == nil || n.Filter != "source" {
+				t.Fatalf("%v: %q in the super-network is %+v, want a source", lvl, name, n)
+			}
+		}
+		if root, _ := m.Root(src.Fp); root != "t0" {
+			t.Fatalf("%v: member %q roots at %q, want its source", lvl, src.Fp, root)
+		}
+		if root, _ := m.Root(sum.Fp); m.Net.NodeByID(root).Filter != "add" {
+			t.Fatalf("%v: member %q roots at a %s node", lvl, sum.Fp, m.Net.NodeByID(root).Filter)
+		}
+		if root, _ := m.Root(late.Fp); m.Net.NodeByID(root).Filter != "sub" {
+			t.Fatalf("%v: member %q roots at a %s node", lvl, late.Fp, m.Net.NodeByID(root).Filter)
+		}
+	}
+}

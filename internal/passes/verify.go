@@ -12,7 +12,7 @@ import (
 //   - the output is set and resolves to a live node;
 //   - every input reference resolves, and points strictly backwards in
 //     construction order (construction order is a topological order —
-//     strategies and codegen schedule straight off it);
+//     strategies and vm.Lower walk it as is);
 //   - every alias resolves to a node;
 //   - filters, arities, widths and acyclicity hold (dataflow.Validate,
 //     which also proves the output reachable via TopoOrder);

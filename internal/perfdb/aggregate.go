@@ -364,12 +364,6 @@ func LoadAny(path string) ([]Sample, Meta, error) {
 			WarmWrites        int64  `json:"warm_device_writes"`
 			UploadsSkipped    int64  `json:"uploads_skipped"`
 			ScratchWarmAllocs int64  `json:"scratch_warm_allocs"`
-			// schedule-gate fields (the "sched" pseudo-strategy row):
-			// modeled per-element global bytes, fractional, stored as
-			// millibytes so the counter stays integral.
-			SchedGlobalBytes float64 `json:"sched_global_bytes"`
-			FlatGlobalBytes  float64 `json:"flat_global_bytes"`
-			MatchesFlat      bool    `json:"matches_flat"`
 		} `json:"cases"`
 	}
 	if err := json.Unmarshal(trimmed, &doc); err != nil {
@@ -385,26 +379,15 @@ func LoadAny(path string) ([]Sample, Meta, error) {
 			// warm/cold repeat case: no wall time, counters only. The
 			// warm counters are the gate — a single fresh warm-path
 			// allocation is a regression.
-			counts := map[string]int64{
-				"cold_allocs":         *c.ColdAllocs,
-				"warm_allocs":         c.WarmAllocs,
-				"cold_writes":         c.ColdWrites,
-				"warm_writes":         c.WarmWrites,
-				"scratch_warm_allocs": c.ScratchWarmAllocs,
-			}
-			if c.SchedGlobalBytes > 0 && c.FlatGlobalBytes > 0 {
-				// Counts gate lower-is-better, so pin the modeled traffic
-				// directly and the bitwise check inverted (0 = identical).
-				counts["sched_global_millibytes"] = int64(math.Round(c.SchedGlobalBytes * 1000))
-				counts["flat_global_millibytes"] = int64(math.Round(c.FlatGlobalBytes * 1000))
-				counts["sched_flat_mismatch"] = 0
-				if !c.MatchesFlat {
-					counts["sched_flat_mismatch"] = 1
-				}
-			}
 			samples = append(samples, Sample{
 				Name: c.Expr, Strategy: c.Strategy, N: c.Cells,
-				Counts: counts,
+				Counts: map[string]int64{
+					"cold_allocs":         *c.ColdAllocs,
+					"warm_allocs":         c.WarmAllocs,
+					"cold_writes":         c.ColdWrites,
+					"warm_writes":         c.WarmWrites,
+					"scratch_warm_allocs": c.ScratchWarmAllocs,
+				},
 			})
 			continue
 		}

@@ -82,13 +82,6 @@ type Config struct {
 	// requests below it run on the host bytecode VM, at or above on the
 	// device. 0 means strategy.DefaultVMThreshold; ignored otherwise.
 	VMThreshold int
-	// Schedule selects a schedule transformation for the fusion
-	// strategy's generated kernels (a spec like "tile=16x16,reg=2,vec=4"
-	// or the shorthands "tiled"/"flat"), exactly as dfg.Config.Schedule
-	// does. Requires Strategy "" or "fusion". NewPool canonicalises and
-	// validates it; schedule-tagged plans occupy their own slots in the
-	// shared cache.
-	Schedule string
 	// Opt is the optimisation level worker engines compile at: "paper"
 	// or "O2". Default "O2" — a service cares about launching fewer
 	// kernels, not about reproducing the paper's exact event counts;
@@ -192,13 +185,6 @@ type Request struct {
 	// "tiered@N". Each strategy's plans occupy their own slots in the
 	// shared cache, so overrides never evict the pool default's plans.
 	Strategy string
-	// Schedule, if non-empty, overrides the pool's kernel schedule for
-	// this request ("tile=16x16,reg=2,vec=4", "tiled", "flat", ...).
-	// The effective strategy must be fusion. Schedule-tagged plans
-	// occupy their own cache slots, so a scheduled request never aliases
-	// the flat kernel's plan — and "flat" opts a request out of a
-	// pool-level schedule.
-	Schedule string
 }
 
 // Response is the outcome of one request.
@@ -331,20 +317,6 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 16
 	}
-	// Canonicalise the pool schedule up front: a bad spec (or a schedule
-	// on a non-fusion strategy) fails here, before any worker starts.
-	spec, err := passes.ParseScheduleSpec(cfg.Schedule)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if !spec.IsFlat() && cfg.Strategy != "" && cfg.Strategy != "fusion" {
-		return nil, fmt.Errorf("serve: schedule %q requires the fusion strategy, not %q", cfg.Schedule, cfg.Strategy)
-	}
-	if spec.IsFlat() {
-		cfg.Schedule = ""
-	} else {
-		cfg.Schedule = spec.CacheTag()
-	}
 	comp := compile.NewCompiler()
 	if cfg.MaxCacheEntries > 0 {
 		comp.SetMaxEntries(cfg.MaxCacheEntries)
@@ -445,15 +417,10 @@ func (p *Pool) newEngine(worker int) (*dfg.Engine, error) {
 }
 
 // strategyName resolves the pool's configured strategy name, folding a
-// non-zero VMThreshold into the "tiered@N" variant (as dfg.New does)
-// and a configured schedule into the "fusion+<spec>" variant. NewPool
-// already validated and canonicalised the schedule.
+// non-zero VMThreshold into the "tiered@N" variant (as dfg.New does).
 func (p *Pool) strategyName() string {
 	if p.cfg.Strategy == "tiered" && p.cfg.VMThreshold > 0 {
 		return fmt.Sprintf("tiered@%d", p.cfg.VMThreshold)
-	}
-	if p.cfg.Schedule != "" {
-		return "fusion+" + p.cfg.Schedule
 	}
 	return p.cfg.Strategy
 }
@@ -726,9 +693,9 @@ func (p *Pool) worker(id int) {
 		id:        id,
 		eng:       p.engine(id),
 		br:        p.breakers[id],
-		prepared:  make(map[string]*dfg.Prepared),
-		batches:   make(map[string]*dfg.PreparedBatch),
-		byVariant: make(map[string]*dfg.Engine),
+		prepared:  make(map[handleKey]*dfg.Prepared),
+		batches:   make(map[handleKey]*dfg.PreparedBatch),
+		byVariant: make(map[variant]*dfg.Engine),
 	}
 	defer ws.closeAll()
 	for j := range p.queue {
@@ -748,9 +715,21 @@ type workerState struct {
 	id        int
 	eng       *dfg.Engine
 	br        *breaker
-	prepared  map[string]*dfg.Prepared
-	batches   map[string]*dfg.PreparedBatch
-	byVariant map[string]*dfg.Engine
+	prepared  map[handleKey]*dfg.Prepared
+	batches   map[handleKey]*dfg.PreparedBatch
+	byVariant map[variant]*dfg.Engine
+}
+
+// variant identifies one of a worker's derived engines by the request
+// overrides that select it; the zero value is the pool default.
+type variant struct{ opt, strategy string }
+
+// handleKey keys a worker's open prepared handles: the variant engine
+// that prepared them plus, for a solo handle, the plan fingerprint and,
+// for a batch handle, the ordered member texts.
+type handleKey struct {
+	variant
+	id string
 }
 
 // closeAll closes every open prepared handle, draining the engine's
@@ -759,11 +738,11 @@ func (ws *workerState) closeAll() {
 	for _, pr := range ws.prepared {
 		pr.Close()
 	}
-	ws.prepared = make(map[string]*dfg.Prepared)
+	ws.prepared = make(map[handleKey]*dfg.Prepared)
 	for _, pb := range ws.batches {
 		pb.Close()
 	}
-	ws.batches = make(map[string]*dfg.PreparedBatch)
+	ws.batches = make(map[handleKey]*dfg.PreparedBatch)
 }
 
 // restartWorker discards the worker's (possibly poisoned) engine and its
@@ -780,7 +759,7 @@ func (p *Pool) restartWorker(ws *workerState) {
 		return
 	}
 	ws.eng = fresh
-	ws.byVariant = make(map[string]*dfg.Engine)
+	ws.byVariant = make(map[variant]*dfg.Engine)
 	p.engMu.Lock()
 	p.engines[ws.id] = fresh
 	p.engMu.Unlock()
@@ -1004,38 +983,31 @@ func (p *Pool) runShielded(ws *workerState, root *obs.Span, qwait time.Duration,
 	return evalPrepared(j.ctx, ws, root, qwait, j.req)
 }
 
-// resolveVariant routes a request overriding Opt, Strategy or Schedule
-// to the worker's derived engine for that (level, strategy, schedule)
-// triple, memoized in byVariant. Derived views share the worker's device environment and
+// resolveVariant routes a request overriding Opt or Strategy to the
+// worker's derived engine for that (level, strategy) pair, memoized in
+// byVariant. Derived views share the worker's device environment and
 // arena, preserving the single-goroutine discipline — only this worker
 // touches any of them.
-func resolveVariant(ws *workerState, req Request) (*dfg.Engine, string, error) {
-	variant := req.Opt + "|" + req.Strategy + "|" + req.Schedule
-	eng := ws.eng
-	if variant != "||" {
-		if cached, ok := ws.byVariant[variant]; ok {
-			eng = cached
-		} else {
-			d := eng
-			var err error
-			if req.Opt != "" {
-				if d, err = d.WithOptLevel(req.Opt); err != nil {
-					return nil, "", err
-				}
-			}
-			if d, err = d.WithStrategy(req.Strategy); err != nil {
-				return nil, "", err
-			}
-			if req.Schedule != "" {
-				if d, err = d.WithSchedule(req.Schedule); err != nil {
-					return nil, "", err
-				}
-			}
-			ws.byVariant[variant] = d
-			eng = d
+func resolveVariant(ws *workerState, req Request) (*dfg.Engine, variant, error) {
+	v := variant{req.Opt, req.Strategy}
+	if v == (variant{}) {
+		return ws.eng, v, nil
+	}
+	if cached, ok := ws.byVariant[v]; ok {
+		return cached, v, nil
+	}
+	d := ws.eng
+	var err error
+	if req.Opt != "" {
+		if d, err = d.WithOptLevel(req.Opt); err != nil {
+			return nil, v, err
 		}
 	}
-	return eng, variant, nil
+	if d, err = d.WithStrategy(req.Strategy); err != nil {
+		return nil, v, err
+	}
+	ws.byVariant[v] = d
+	return d, v, nil
 }
 
 // evalPrepared runs one request through the worker's prepared-plan
@@ -1050,7 +1022,7 @@ func resolveVariant(ws *workerState, req Request) (*dfg.Engine, string, error) {
 // plan it wrapped stays in the shared compiler cache, so re-preparing
 // is a map lookup.
 func evalPrepared(ctx context.Context, ws *workerState, root *obs.Span, qwait time.Duration, req Request) (*dfg.Result, error) {
-	eng, variant, err := resolveVariant(ws, req)
+	eng, v, err := resolveVariant(ws, req)
 	if err != nil {
 		return nil, err
 	}
@@ -1066,7 +1038,7 @@ func evalPrepared(ctx context.Context, ws *workerState, root *obs.Span, qwait ti
 	// Fingerprints cover the expression, its definitions and the opt
 	// level — not the strategy — so the handle cache keys on the variant
 	// too: a Strategy override must never reuse another strategy's plan.
-	key := variant + "\x00" + pr.Fingerprint()
+	key := handleKey{v, pr.Fingerprint()}
 	if cached, ok := ws.prepared[key]; ok {
 		pr.Close()
 		pr = cached
@@ -1100,12 +1072,12 @@ func evalPrepared(ctx context.Context, ws *workerState, root *obs.Span, qwait ti
 // batch's shared shape (N, inputs, variant); texts the member
 // expressions.
 func evalPreparedBatch(ws *workerState, root *obs.Span, qwait time.Duration, texts []string, req Request) (*dfg.BatchResult, error) {
-	eng, variant, err := resolveVariant(ws, req)
+	eng, v, err := resolveVariant(ws, req)
 	if err != nil {
 		return nil, err
 	}
 	eng.NoteQueueWait(qwait)
-	key := variant + "\x00" + strings.Join(texts, "\x01")
+	key := handleKey{v, strings.Join(texts, "\x01")}
 	pb, ok := ws.batches[key]
 	if !ok {
 		pb, err = eng.PrepareBatchTraced(root, texts)
@@ -1390,7 +1362,7 @@ type formingBatch struct {
 }
 
 // batchKey groups requests that may merge into one batch: same element
-// count, same Opt/Strategy/Schedule variant, and the same input binding — name
+// count, same Opt/Strategy variant, and the same input binding — name
 // for name, the same backing arrays (identity, not content: %v of a
 // slice's address and length). A merged super-network executes against
 // one binding, so requests carrying different input sets never merge.
@@ -1401,7 +1373,7 @@ func batchKey(req Request) string {
 	}
 	sort.Strings(names)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%s|%s|%s", req.N, req.Opt, req.Strategy, req.Schedule)
+	fmt.Fprintf(&b, "%d|%s|%s", req.N, req.Opt, req.Strategy)
 	for _, name := range names {
 		s := req.Inputs[name]
 		fmt.Fprintf(&b, "|%s@%p+%d", name, s, len(s))

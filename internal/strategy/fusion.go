@@ -6,21 +6,8 @@ import (
 	"dfg/internal/codegen"
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
-	"dfg/internal/passes"
 	"dfg/internal/vm"
 )
-
-// fuse generates the network's fused program under a schedule (the
-// zero spec is the flat paper kernel). Nothing here memoizes: the plan
-// that asks owns the program, and internal/compile's bounded plan cache
-// is the only memo above it.
-func fuse(net *dataflow.Network, name string, spec passes.ScheduleSpec) (*codegen.Program, error) {
-	sched, err := passes.ComputeSchedule(net, spec) // nil for the flat spec
-	if err != nil {
-		return nil, err
-	}
-	return codegen.FuseScheduled(net, name, sched)
-}
 
 // Fusion is the paper's fastest execution strategy: the dynamic kernel
 // generator (internal/codegen) fuses the entire network into a single
@@ -39,29 +26,10 @@ func fuse(net *dataflow.Network, name string, spec passes.ScheduleSpec) (*codege
 // With a buffer arena attached, warm executions of an unchanged source
 // set reduce to the kernel dispatch and the one download: sources stay
 // device-resident and the output/scratch buffers recycle from the pool.
-//
-// Sched selects a schedule transformation for the generated kernel
-// (tiling with local-memory staging, register blocking, vectorized
-// loads, temporal blocking). The zero spec keeps the flat paper kernel;
-// every scheduled variant is bitwise identical to it — only the emitted
-// source and the modeled memory traffic change.
-type Fusion struct {
-	Sched passes.ScheduleSpec
-}
+type Fusion struct{}
 
 // Name returns "fusion".
 func (Fusion) Name() string { return "fusion" }
-
-// PlanVariant distinguishes scheduled fusion variants in plan-cache
-// keys: the flat schedule keeps the bare strategy name (so existing
-// cache keys are unchanged), every other spec appends its canonical
-// tag. Same fingerprint + different schedule therefore never alias.
-func (s Fusion) PlanVariant() string {
-	if s.Sched.IsFlat() {
-		return "fusion"
-	}
-	return "fusion+" + s.Sched.CacheTag()
-}
 
 // fusionPlan holds the fused program — kernel generation is the
 // planning step.
@@ -70,13 +38,15 @@ type fusionPlan struct {
 	prog *codegen.Program
 }
 
-// Plan generates the network's fused kernel program.
-func (s Fusion) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
+// Plan generates the network's fused kernel program. Nothing here
+// memoizes: the plan owns the program, and internal/compile's bounded
+// plan cache is the only memo above it.
+func (Fusion) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	base, err := newPlanBase("fusion", net)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := fuse(net, "expr", s.Sched)
+	prog, err := codegen.Fuse(net, "expr")
 	if err != nil {
 		return nil, err
 	}
@@ -153,11 +123,10 @@ func (p *fusionPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	return res, nil
 }
 
-// GeneratedSource returns the fused OpenCL C source for a network under
-// a schedule (the zero spec is the flat paper kernel) without executing
-// it — the inspection hook behind cmd/dfg-fuse.
-func GeneratedSource(net *dataflow.Network, name string, spec passes.ScheduleSpec) (string, error) {
-	prog, err := fuse(net, name, spec)
+// GeneratedSource returns the fused OpenCL C source for a network
+// without executing it — the inspection hook behind cmd/dfg-fuse.
+func GeneratedSource(net *dataflow.Network, name string) (string, error) {
+	prog, err := codegen.Fuse(net, name)
 	if err != nil {
 		return "", err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"dfg/internal/expr"
 	"dfg/internal/mesh"
-	"dfg/internal/passes"
 	"dfg/internal/rtsim"
 )
 
@@ -72,7 +71,7 @@ func TestIntroExampleFusedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := GeneratedSource(net, "intro", passes.ScheduleSpec{})
+	src, err := GeneratedSource(net, "intro")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
-	"dfg/internal/passes"
 )
 
 // Source is one host-provided input array (a NumPy array in the original
@@ -194,14 +193,7 @@ func ForName(name string) (Strategy, error) {
 			}
 			return Tiered{Threshold: th}, nil
 		}
-		if rest, ok := strings.CutPrefix(name, "fusion+"); ok {
-			spec, err := passes.ParseScheduleSpec(rest)
-			if err != nil {
-				return nil, fmt.Errorf("strategy: bad schedule in %q: %w", name, err)
-			}
-			return Fusion{Sched: spec}, nil
-		}
-		return nil, fmt.Errorf("strategy: unknown strategy %q (want roundtrip, staged, fusion[+schedule], streaming, vm or tiered[@N])", name)
+		return nil, fmt.Errorf("strategy: unknown strategy %q (want roundtrip, staged, fusion, streaming, vm or tiered[@N])", name)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"dfg/internal/kernels"
 	"dfg/internal/mesh"
 	"dfg/internal/ocl"
-	"dfg/internal/passes"
 	"dfg/internal/vortex"
 )
 
@@ -304,8 +303,10 @@ func TestForName(t *testing.T) {
 			t.Fatalf("ForName(%q) = %v, %v", name, s, err)
 		}
 	}
-	if _, err := ForName("warp"); err == nil {
-		t.Fatal("unknown strategy must fail")
+	for _, name := range []string{"warp", "fusion+tiled"} {
+		if _, err := ForName(name); err == nil {
+			t.Fatalf("unknown strategy %q must fail", name)
+		}
 	}
 }
 
@@ -356,14 +357,14 @@ func TestResultIncludesEventLog(t *testing.T) {
 
 func TestGeneratedSource(t *testing.T) {
 	nw := buildVelMag(t)
-	src, err := GeneratedSource(nw, "vm", passes.ScheduleSpec{})
+	src, err := GeneratedSource(nw, "vm")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(src) == 0 {
 		t.Fatal("empty generated source")
 	}
-	if _, err := GeneratedSource(dataflow.NewNetwork(), "bad", passes.ScheduleSpec{}); err == nil {
+	if _, err := GeneratedSource(dataflow.NewNetwork(), "bad"); err == nil {
 		t.Fatal("network without output must fail")
 	}
 }

@@ -103,9 +103,9 @@ func TestPaperExpressionsNumericallyAgree(t *testing.T) {
 	}
 }
 
-// TestStrategiesBitwiseAgree checks the three strategies agree with each
-// other exactly (same float32 operations in the same order per element)
-// for the paper expressions.
+// TestStrategiesBitwiseAgree checks that all six strategies agree with
+// each other exactly (same float32 operations in the same order per
+// element) for the paper expressions and the two-pass gradient magnitude.
 func TestStrategiesBitwiseAgree(t *testing.T) {
 	m := mesh.MustUniform(mesh.Dims{NX: 10, NY: 10, NZ: 8}, 0.1, 0.1, 0.125)
 	f := rtsim.Generate(m, rtsim.Options{Seed: 3})
@@ -113,10 +113,11 @@ func TestStrategiesBitwiseAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range vortex.Expressions() {
+	exprs := append(vortex.Expressions(), struct{ Name, Text string }{"GradMag", vortex.GradMagExpr})
+	for _, e := range exprs {
 		net, _ := expr.Compile(e.Text)
 		var ref []float32
-		for _, sname := range Names() {
+		for _, sname := range append(ExtendedNames(), "tiered") {
 			s, _ := ForName(sname)
 			res, err := s.Execute(cpuEnv(), net, bind)
 			if err != nil {

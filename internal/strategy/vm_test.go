@@ -185,9 +185,8 @@ func poisonScratchPool(draws []int) {
 // TestStencilOverConstantField: a constant used as a stencil's field is
 // filled into its scratch before the stencil reads it (the lowering used
 // to mark it materialized and then skip it as a leaf, so the stencil read
-// whatever the pool handed out, and temporal fusion refused the program
-// outright). The gradient of a constant is +0 on every cell, from the
-// executor, the reference and every tier.
+// whatever the pool handed out). The gradient of a constant is +0 on
+// every cell, from the executor, the reference and every tier.
 func TestStencilOverConstantField(t *testing.T) {
 	bind, _ := qcritSetup(t, mesh.Dims{NX: 13, NY: 9, NZ: 7})
 	allZero := func(what string, data []float32) {
@@ -212,7 +211,7 @@ func TestStencilOverConstantField(t *testing.T) {
 				}
 				allZero("executor", got[0])
 				allZero("reference", want[0])
-				for _, s := range []Strategy{Fusion{}, mustSchedFusion(t, "tile=8x8,temporal"), VM{}, Tiered{Threshold: 1}, Tiered{Threshold: 1 << 20}} {
+				for _, s := range []Strategy{Fusion{}, VM{}, Tiered{Threshold: 1}, Tiered{Threshold: 1 << 20}} {
 					if poison {
 						poisonScratchPool([]int{bind.N, bind.N, 16 * 4 * 256})
 					}
@@ -262,6 +261,11 @@ func FuzzVMDifferential(f *testing.F) {
 	f.Add(vortex.VortMagExpr, "", uint8(12), uint8(8), uint8(6), uint16(13*9*2+14), false)
 	// A constant field: its scratch is filled, not left as the pool had it.
 	f.Add("g = grad3d(0, dims, x, y, z)\nr = g[0]", "", uint8(6), uint8(5), uint8(4), uint16(7), true)
+	// Materialized intermediates read by a stencil and again as values,
+	// and an elementwise-only program.
+	f.Add(vortex.GradMagExpr, "", uint8(6), uint8(5), uint8(4), uint16(11), false)
+	f.Add("g = grad3d(u*u, dims, x, y, z)\nr = g[0] + norm(g)", "", uint8(6), uint8(5), uint8(4), uint16(64), true)
+	f.Add("a = sqrt(u*u + v*v)\nr = min(a, abs(w))", "", uint8(6), uint8(5), uint8(4), uint16(0), false)
 	f.Fuzz(func(t *testing.T, text, text2 string, nx, ny, nz uint8, cut uint16, poison bool) {
 		lower := func(pipe *passes.Pipeline, lvl passes.Level) *dataflow.Network {
 			net, _, err := expr.CompileWithPipeline(text, nil, pipe, passes.RunOptions{Verify: true})

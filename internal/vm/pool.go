@@ -6,14 +6,13 @@ import (
 )
 
 // The scratch pool recycles the executor's host working storage — the
-// register slab of every pass run, the vm strategy's materialized-node
-// arrays and the fused kernel's temporal scratch — across runs, the
-// host-side counterpart of the device buffer arena: a warm evaluation
-// performs zero scratch allocations. Slices are bucketed by
-// power-of-two capacity under a mutex; counters are deterministic
-// (unlike sync.Pool, nothing is dropped behind the program's back), so
-// the warm-vs-cold gates in metrics.RunRepeat and the allocation tests
-// can assert exact numbers.
+// register slab of every pass run and the vm strategy's
+// materialized-node arrays — across runs, the host-side counterpart of
+// the device buffer arena: a warm evaluation performs zero scratch
+// allocations. Slices are bucketed by power-of-two capacity under a
+// mutex; counters are deterministic (unlike sync.Pool, nothing is
+// dropped behind the program's back), so the warm-vs-cold gates in
+// metrics.RunRepeat and the allocation tests can assert exact numbers.
 type scratchPool struct {
 	mu     sync.Mutex
 	free   map[int][][]float32 // pow2 capacity -> free slices

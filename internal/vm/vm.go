@@ -189,9 +189,6 @@ func (b BufferSpec) Need(n int) int {
 	return b.needFixed
 }
 
-// ScratchName labels the scratch buffer of a materialized node.
-func ScratchName(id string) string { return "scratch_" + id }
-
 // Lowering is the lowered form of one sealed network: per-pass
 // instructions over virtual registers and the buffer table they index.
 // A multi-root super-network lowers to several BufOut entries, in the
@@ -365,7 +362,7 @@ func (c *lowerer) planBuffers(net *dataflow.Network) {
 	for i, n := range c.order {
 		if c.mat[i] {
 			c.buf[i] = len(c.buffers)
-			c.buffers = append(c.buffers, BufferSpec{Kind: BufScratch, Name: ScratchName(n.ID), Width: n.Width})
+			c.buffers = append(c.buffers, BufferSpec{Kind: BufScratch, Name: "scratch_" + n.ID, Width: n.Width})
 		}
 	}
 	c.outBuf = len(c.buffers)

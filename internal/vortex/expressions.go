@@ -46,11 +46,10 @@ w_norm = w_1*w_1 + w_2*w_2 + w_3*w_3 + w_5*w_5 + w_6*w_6 + w_7*w_7
 q = 0.5 * (w_norm - s_norm)`
 
 	// GradMagExpr is not a paper figure: the gradient magnitude of the
-	// velocity magnitude. Its stencil consumes a computed field, so it is
-	// the canonical expression exercising the fusion generator's
-	// materialization pass split (Figure 2's fusion scratch array) and —
-	// under a temporal schedule — the pass-fusing transformation that
-	// deletes that scratch round-trip.
+	// velocity magnitude, the two-pass materialization example. Its
+	// stencil consumes a computed field, so it exercises the fusion
+	// generator's materialization pass split (Figure 2's fusion scratch
+	// array).
 	GradMagExpr = `m = sqrt(u*u + v*v + w*w)
 g = grad3d(m, dims, x, y, z)
 r = norm(g)`
