@@ -50,7 +50,7 @@ func BenchmarkAblation_CSE(b *testing.B) {
 			var kernels, devNs float64
 			for i := 0; i < b.N; i++ {
 				env := ocl.NewEnv(ocl.NewDevice(ocl.XeonX5660Spec(64)))
-				res, err := s.Execute(env, net, bind)
+				res, err := strategy.Execute(s, env, net, bind)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -82,7 +82,7 @@ func BenchmarkAblation_Refcounting(b *testing.B) {
 			var peak float64
 			for i := 0; i < b.N; i++ {
 				env := ocl.NewEnv(ocl.NewDevice(ocl.XeonX5660Spec(64)))
-				res, err := s.Execute(env, net, bind)
+				res, err := strategy.Execute(s, env, net, bind)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -109,7 +109,7 @@ func BenchmarkAblation_StreamingTiles(b *testing.B) {
 			var peak, devNs float64
 			for i := 0; i < b.N; i++ {
 				env := ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64)))
-				res, err := s.Execute(env, net, bind)
+				res, err := strategy.Execute(s, env, net, bind)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -136,7 +136,7 @@ func BenchmarkAblation_MultiDevice(b *testing.B) {
 		var devNs float64
 		for i := 0; i < b.N; i++ {
 			env := ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64)))
-			res, err := s.Execute(env, net, bind)
+			res, err := strategy.Execute(s, env, net, bind)
 			if err != nil {
 				b.Fatal(err)
 			}

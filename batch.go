@@ -3,11 +3,8 @@ package dfg
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"time"
 
 	"dfg/internal/obs"
-	"dfg/internal/ocl"
 	"dfg/internal/passes"
 	"dfg/internal/strategy"
 )
@@ -137,7 +134,7 @@ func (e *Engine) PrepareBatchTraced(parent *obs.Span, texts []string) (*Prepared
 		}
 		rootIdx[i] = idxOf[id]
 	}
-	e.prepCount++
+	*e.prepCount++
 	return &PreparedBatch{
 		eng: e, texts: texts, fps: fps, bfp: bfp,
 		plan: plan, rootIdx: rootIdx, shared: merged.Shared, members: len(members),
@@ -163,60 +160,33 @@ func (pb *PreparedBatch) Solo() bool { return pb.solo != nil }
 // batch), drawing device buffers from the engine's arena.
 func (pb *PreparedBatch) Eval(n int, inputs map[string][]float32) (*BatchResult, error) {
 	sp := pb.eng.tracer.Start("eval-batch")
-	res, err := pb.EvalTracedCtx(nil, sp, n, inputs)
-	sp.Finish()
-	return res, err
+	defer sp.Finish()
+	return pb.eval(nil, sp, binder{n: n, inputs: inputs})
 }
 
 // EvalTracedCtx is Eval recording its bind and execute spans under the
 // caller-owned parent span and observing a context (the run stops at
 // the next kernel-launch boundary once ctx is done).
 func (pb *PreparedBatch) EvalTracedCtx(ctx context.Context, parent *obs.Span, n int, inputs map[string][]float32) (*BatchResult, error) {
-	if pb.closed {
-		return nil, fmt.Errorf("dfg: prepared batch is closed")
-	}
-	e := pb.eng
-	if pb.solo != nil {
-		res, err := pb.solo.evalTraced(ctx, parent, n, inputs)
-		if err != nil {
-			return nil, err
-		}
-		out := &BatchResult{Results: make([]*Result, len(pb.texts)), Fingerprint: pb.bfp, Members: 1}
-		for i := range out.Results {
-			out.Results[i] = res
-		}
-		return out, nil
-	}
-	if parent != nil {
-		parent.SetAttr("strategy", e.strat.Name()).SetAttr("n", strconv.Itoa(n)).
-			SetAttr("batch", strconv.Itoa(pb.members))
-	}
-	t0 := e.clock()
-	bs := parent.Child("bind")
-	bind := strategy.Bindings{N: n, Sources: make(map[string]strategy.Source, len(inputs)), Ctx: ctx}
-	for name, data := range inputs {
-		bind.Sources[name] = strategy.Source{Data: data, Width: 1}
-	}
-	bs.Finish()
-	res, err := e.runBatchPlan(pb.plan, strategy.PlanCacheName(e.strat), bind,
-		e.env.Context().Pool(), parent, pb.bfp, t0, pb.members)
-	if err != nil {
-		return nil, err
-	}
-	return pb.demux(res), nil
+	return pb.eval(ctx, parent, binder{n: n, inputs: inputs})
 }
 
 // EvalMesh is Eval over cell-centered fields on a mesh, binding the
 // mesh-derived sources (dims, x, y, z) stencil members need.
 func (pb *PreparedBatch) EvalMesh(m *Mesh, fields map[string][]float32) (*BatchResult, error) {
+	sp := pb.eng.tracer.Start("eval-batch")
+	defer sp.Finish()
+	return pb.eval(nil, sp, binder{mesh: m, inputs: fields})
+}
+
+// eval runs the merged plan through the engine's core and demultiplexes
+// its roots; a solo batch runs its one Prepared and fans the result out.
+func (pb *PreparedBatch) eval(ctx context.Context, sp *obs.Span, b binder) (*BatchResult, error) {
 	if pb.closed {
 		return nil, fmt.Errorf("dfg: prepared batch is closed")
 	}
-	e := pb.eng
-	sp := e.tracer.Start("eval-batch")
-	defer sp.Finish()
 	if pb.solo != nil {
-		res, err := pb.solo.EvalMesh(m, fields)
+		res, err := pb.solo.eval(ctx, sp, b)
 		if err != nil {
 			return nil, err
 		}
@@ -226,19 +196,9 @@ func (pb *PreparedBatch) EvalMesh(m *Mesh, fields map[string][]float32) (*BatchR
 		}
 		return out, nil
 	}
-	if sp != nil {
-		sp.SetAttr("strategy", e.strat.Name()).SetAttr("n", strconv.Itoa(m.Cells())).
-			SetAttr("batch", strconv.Itoa(pb.members))
-	}
-	t0 := e.clock()
-	bs := sp.Child("bind")
-	bind, err := strategy.BindMesh(m, fields)
-	bs.Finish()
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.runBatchPlan(pb.plan, strategy.PlanCacheName(e.strat), bind,
-		e.env.Context().Pool(), sp, pb.bfp, t0, pb.members)
+	e := pb.eng
+	res, err := e.eval(ctx, sp, b, job{plan: pb.plan, label: strategy.PlanCacheName(e.strat),
+		fp: pb.bfp, pool: e.env.Context().Pool(), batch: pb.members})
 	if err != nil {
 		return nil, err
 	}
@@ -283,12 +243,7 @@ func (pb *PreparedBatch) Close() {
 		pb.solo.Close()
 		return
 	}
-	if pb.eng.prepCount > 0 {
-		pb.eng.prepCount--
-	}
-	if pb.eng.prepCount == 0 {
-		pb.eng.env.Context().Pool().Drain()
-	}
+	pb.eng.releaseHandle()
 }
 
 // EvalBatch evaluates a batch of expressions over n elements in one
@@ -300,35 +255,10 @@ func (pb *PreparedBatch) Close() {
 func (e *Engine) EvalBatch(texts []string, n int, inputs map[string][]float32) (*BatchResult, error) {
 	sp := e.tracer.Start("eval-batch")
 	defer sp.Finish()
-	return e.EvalBatchTracedCtx(nil, sp, texts, n, inputs)
-}
-
-// EvalBatchTracedCtx is EvalBatch recording its spans under the
-// caller-owned parent span and observing a context.
-func (e *Engine) EvalBatchTracedCtx(ctx context.Context, parent *obs.Span, texts []string, n int, inputs map[string][]float32) (*BatchResult, error) {
-	pb, err := e.PrepareBatchTraced(parent, texts)
+	pb, err := e.PrepareBatchTraced(sp, texts)
 	if err != nil {
 		return nil, err
 	}
 	defer pb.Close()
-	return pb.EvalTracedCtx(ctx, parent, n, inputs)
-}
-
-// runBatchPlan executes a merged batch plan once, outside the recovery
-// ladder (see the file comment), stamping the batch size onto the
-// evaluation's perf record.
-func (e *Engine) runBatchPlan(plan strategy.Plan, label string, bind strategy.Bindings,
-	pool *ocl.Arena, sp *obs.Span, bfp string, t0 time.Time, size int) (*Result, error) {
-	var capt *evalCapture
-	var arenaBefore ocl.ArenaStats
-	if e.perf != nil {
-		capt = &evalCapture{entry: label}
-		arenaBefore = e.ArenaStats()
-		e.pendingBatch = size
-	}
-	res, err := e.runPlanOnce(plan, label, bind, pool, sp, bfp, t0, capt)
-	if capt != nil {
-		e.recordEval(capt, res, err, bind.N, bfp, sp, t0, arenaBefore)
-	}
-	return res, err
+	return pb.eval(nil, sp, binder{n: n, inputs: inputs})
 }

@@ -309,10 +309,10 @@ func FuzzBatchDifferential(f *testing.F) {
 		}
 		// Pre-compile members solo; skip programs the pipeline rejects
 		// (PrepareBatch is all-or-nothing, mirrored here).
-		if _, err := eng.comp.CompileAt(a, passes.LevelO2); err != nil {
+		if _, _, err := eng.comp.CompileTracedAt(a, passes.LevelO2, nil); err != nil {
 			t.Skip()
 		}
-		if _, err := eng.comp.CompileAt(b, passes.LevelO2); err != nil {
+		if _, _, err := eng.comp.CompileTracedAt(b, passes.LevelO2, nil); err != nil {
 			t.Skip()
 		}
 		texts := []string{a, b}

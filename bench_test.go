@@ -173,7 +173,7 @@ func BenchmarkFig6_MemorySweep(b *testing.B) {
 	var peak float64
 	for i := 0; i < b.N; i++ {
 		env := ocl.NewEnv(ocl.NewDevice(ocl.XeonX5660Spec(64)))
-		res, err := s.Execute(env, net, bind)
+		res, err := strategy.Execute(s, env, net, bind)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func BenchmarkAblation_OptLevel(b *testing.B) {
 					var prof ocl.Profile
 					for i := 0; i < b.N; i++ {
 						env := ocl.NewEnv(ocl.NewDevice(ocl.XeonX5660Spec(64)))
-						res, err := s.Execute(env, nets[lvl], bind)
+						res, err := strategy.Execute(s, env, nets[lvl], bind)
 						if err != nil {
 							b.Fatal(err)
 						}

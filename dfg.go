@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"dfg/internal/compile"
-	"dfg/internal/dataflow"
 	"dfg/internal/expr"
 	"dfg/internal/mesh"
 	"dfg/internal/obs"
@@ -163,9 +162,11 @@ type Engine struct {
 	// be shared across a pool through the shared registry.
 	evalHist map[string]*obs.Histogram
 
-	// prepCount tracks open Prepared handles; when the last one closes,
-	// the engine drains its buffer arena (see Prepared.Close).
-	prepCount int
+	// prepCount tracks open Prepared handles on the device environment;
+	// when the last one closes, the buffer arena drains (see
+	// Prepared.Close). Derived views (WithOptLevel, WithStrategy) share
+	// the arena, so they share the count.
+	prepCount *int
 
 	// rec, when non-nil, is the armed fault-recovery state
 	// (SetRecovery): transient retries with backoff and the capacity
@@ -177,10 +178,9 @@ type Engine struct {
 	// pendingWait and pendingPlan stage the queue-wait and compile+plan
 	// durations the next record consumes (engine methods are
 	// single-goroutine, so plain fields suffice).
-	perf         *perfdb.Recorder
-	pendingWait  time.Duration
-	pendingPlan  time.Duration
-	pendingBatch int
+	perf        *perfdb.Recorder
+	pendingWait time.Duration
+	pendingPlan time.Duration
 
 	// lvl is the optimisation level every compile goes through
 	// (Config.Opt, parsed). The zero value is the Paper level.
@@ -230,12 +230,6 @@ func New(cfg Config) (*Engine, error) {
 	return eng, nil
 }
 
-// NewOn builds an engine on an existing device (used by the distributed
-// runner, where two engines share a node but each owns one GPU).
-func NewOn(dev *ocl.Device, strategyName string) (*Engine, error) {
-	return NewWith(dev, strategyName, compile.NewCompiler())
-}
-
 // NewWith builds an engine on an existing device that fronts a shared
 // compiler. All engines sharing the compiler see one definition database
 // and one compiled-network cache; internal/serve uses this to give every
@@ -253,10 +247,11 @@ func NewWith(dev *ocl.Device, strategyName string, comp *compile.Compiler) (*Eng
 		comp = compile.NewCompiler()
 	}
 	return &Engine{
-		cfg:   Config{Strategy: strategyName},
-		env:   ocl.NewEnv(dev),
-		strat: strat,
-		comp:  comp,
+		cfg:       Config{Strategy: strategyName},
+		env:       ocl.NewEnv(dev),
+		strat:     strat,
+		comp:      comp,
+		prepCount: new(int),
 	}, nil
 }
 
@@ -295,11 +290,6 @@ func (e *Engine) OptLevel() string { return e.lvl.String() }
 // environment is shared, the derived engine inherits the receiver's
 // single-goroutine discipline: use either engine at a time, not both
 // concurrently.
-//
-// The derived engine has its own Prepared-handle count, so closing the
-// last Prepared on one view drains the shared buffer arena even if the
-// other view still holds handles — a performance (re-allocation) effect
-// only, never a correctness one.
 func (e *Engine) WithOptLevel(level string) (*Engine, error) {
 	lvl, err := passes.ParseLevel(level)
 	if err != nil {
@@ -311,7 +301,6 @@ func (e *Engine) WithOptLevel(level string) (*Engine, error) {
 	d := *e
 	d.cfg.Opt = lvl.String()
 	d.lvl = lvl
-	d.prepCount = 0
 	return &d, nil
 }
 
@@ -321,8 +310,8 @@ func (e *Engine) WithOptLevel(level string) (*Engine, error) {
 // environment, compiler (strategy variants occupy distinct plan-cache
 // slots, so plans for both coexist), optimisation level and
 // observability hooks. Like WithOptLevel, the derived engine inherits
-// the receiver's single-goroutine discipline and owns its own
-// Prepared-handle count. An empty name returns the receiver unchanged.
+// the receiver's single-goroutine discipline. An empty name returns the
+// receiver unchanged.
 func (e *Engine) WithStrategy(name string) (*Engine, error) {
 	if name == "" {
 		return e, nil
@@ -337,7 +326,6 @@ func (e *Engine) WithStrategy(name string) (*Engine, error) {
 	d := *e
 	d.cfg.Strategy = name
 	d.strat = strat
-	d.prepCount = 0
 	if d.reg != nil {
 		// The latency series is labeled by strategy: start a fresh memo so
 		// the derived view records under its own name.
@@ -388,66 +376,16 @@ func (e *Engine) Define(name, text string) error {
 // Definitions lists the names in the engine's expression database.
 func (e *Engine) Definitions() []string { return e.comp.Definitions() }
 
-// compile parses expression text to an optimized sealed network through
-// the engine's (possibly shared) compile cache — pipelines re-execute
-// the same expression every time step, so a hot expression compiles
-// once.
-func (e *Engine) compile(text string) (*dataflow.Network, error) {
-	return e.comp.CompileAt(text, e.lvl)
-}
-
 // Eval evaluates an expression program over n elements with the given
 // named input arrays. The last statement's value is returned. If the
 // engine is instrumented (Instrument), each call records a pipeline
-// trace and a latency-histogram observation.
+// trace — compile (parse, fingerprint, cache, build), bind, execute,
+// plus the run's device events on their own tracks — and a
+// latency-histogram observation.
 func (e *Engine) Eval(text string, n int, inputs map[string][]float32) (*Result, error) {
 	sp := e.tracer.Start("eval")
-	res, err := e.EvalTraced(sp, text, n, inputs)
-	sp.Finish()
-	return res, err
-}
-
-// EvalCtx is Eval observing a context: the run is abandoned at the
-// next kernel-launch boundary once ctx is done, and with recovery
-// armed (SetRecovery) a done context also stops further retries and
-// fallbacks.
-func (e *Engine) EvalCtx(ctx context.Context, text string, n int, inputs map[string][]float32) (*Result, error) {
-	sp := e.tracer.Start("eval")
-	res, err := e.evalTraced(ctx, sp, text, n, inputs)
-	sp.Finish()
-	return res, err
-}
-
-// EvalTraced is Eval recording its pipeline spans — compile (parse,
-// fingerprint, cache, build), bind, execute, plus the run's device
-// events on their own tracks — as children of the caller-owned parent
-// span. internal/serve uses it to root each worker evaluation under a
-// per-request span that also covers queue wait. A nil parent disables
-// tracing for the call (metrics still fire if a registry is attached).
-func (e *Engine) EvalTraced(parent *obs.Span, text string, n int, inputs map[string][]float32) (*Result, error) {
-	return e.evalTraced(nil, parent, text, n, inputs)
-}
-
-// evalTraced is the shared Eval core; ctx may be nil.
-func (e *Engine) evalTraced(ctx context.Context, parent *obs.Span, text string, n int, inputs map[string][]float32) (*Result, error) {
-	if parent != nil { // guard: strconv.Itoa must not run on the no-op path
-		parent.SetAttr("strategy", e.strat.Name()).SetAttr("n", strconv.Itoa(n))
-	}
-	t0 := e.clock()
-	plan, fp, err := e.comp.PlanTracedAt(text, e.lvl, e.strat, e.env.Device(), parent)
-	if err != nil {
-		return nil, err
-	}
-	if e.perf != nil {
-		e.pendingPlan = time.Since(t0)
-	}
-	bs := parent.Child("bind")
-	bind := strategy.Bindings{N: n, Sources: make(map[string]strategy.Source, len(inputs)), Ctx: ctx}
-	for name, data := range inputs {
-		bind.Sources[name] = strategy.Source{Data: data, Width: 1}
-	}
-	bs.Finish()
-	return e.runPlan(text, nil, plan, strategy.PlanCacheName(e.strat), bind, nil, parent, fp, t0)
+	defer sp.Finish()
+	return e.eval(nil, sp, binder{n: n, inputs: inputs}, job{text: text})
 }
 
 // EvalOnMesh evaluates an expression over cell-centered fields on a
@@ -456,73 +394,123 @@ func (e *Engine) evalTraced(ctx context.Context, parent *obs.Span, text string, 
 func (e *Engine) EvalOnMesh(text string, m *Mesh, fields map[string][]float32) (*Result, error) {
 	sp := e.tracer.Start("eval")
 	defer sp.Finish()
-	if sp != nil {
-		sp.SetAttr("strategy", e.strat.Name()).SetAttr("n", strconv.Itoa(m.Cells()))
+	return e.eval(nil, sp, binder{mesh: m, inputs: fields}, job{text: text})
+}
+
+// binder is what an evaluation binds: named arrays over n elements, or —
+// when mesh is set — cell-centered fields on it plus the mesh-derived
+// sources (dims, x, y, z). A value, so the warm path allocates nothing
+// for it.
+type binder struct {
+	n      int
+	inputs map[string][]float32
+	mesh   *Mesh
+}
+
+func (b binder) bind(ctx context.Context) (strategy.Bindings, error) {
+	if b.mesh != nil {
+		bind, err := strategy.BindMesh(b.mesh, b.inputs)
+		bind.Ctx = ctx
+		return bind, err
+	}
+	bind := strategy.Bindings{N: b.n, Sources: make(map[string]strategy.Source, len(b.inputs)), Ctx: ctx}
+	for name, data := range b.inputs {
+		bind.Sources[name] = strategy.Source{Data: data, Width: 1}
+	}
+	return bind, nil
+}
+
+// job is what an evaluation runs. A one-shot Eval sets only text: the
+// core compiles and plans it under the evaluation's span and runs it
+// without an arena, so per-run allocate/free — and with it the paper's
+// Table II event counts and Figure 6 memory profile — stays exact. A
+// Prepared sets all of text, pr, plan, label, fp and pool; a merged
+// batch has no text and sets batch.
+type job struct {
+	text  string        // what the recovery ladder re-plans
+	pr    *Prepared     // where a degraded run parks its landing rung
+	plan  strategy.Plan // nil: compile and plan text first
+	label string        // plan's rung (strategy.PlanCacheName at entry)
+	fp    string
+	pool  *ocl.Arena // attached to the environment for the run
+	batch int        // > 0: merged members; runs outside the recovery ladder
+}
+
+// eval is the one evaluation core: annotate the span, plan if the job
+// has not, bind, run. ctx may be nil; once it is done the run is
+// abandoned at the next kernel-launch boundary, and with recovery armed
+// (SetRecovery) further retries and fallbacks stop too.
+func (e *Engine) eval(ctx context.Context, sp *obs.Span, b binder, j job) (*Result, error) {
+	if sp != nil { // guard: strconv.Itoa must not run on the no-op path
+		n := b.n
+		if b.mesh != nil {
+			n = b.mesh.Cells()
+		}
+		sp.SetAttr("strategy", e.strat.Name()).SetAttr("n", strconv.Itoa(n))
+		if j.batch > 0 {
+			sp.SetAttr("batch", strconv.Itoa(j.batch))
+		}
 	}
 	t0 := e.clock()
-	plan, fp, err := e.comp.PlanTracedAt(text, e.lvl, e.strat, e.env.Device(), sp)
-	if err != nil {
-		return nil, err
-	}
-	if e.perf != nil {
-		e.pendingPlan = time.Since(t0)
+	if j.plan == nil {
+		var err error
+		j.plan, j.fp, err = e.comp.PlanTracedAt(j.text, e.lvl, e.strat, e.env.Device(), sp)
+		if err != nil {
+			return nil, err
+		}
+		j.label = strategy.PlanCacheName(e.strat)
+		if e.perf != nil {
+			e.pendingPlan = time.Since(t0)
+		}
 	}
 	bs := sp.Child("bind")
-	bind, err := strategy.BindMesh(m, fields)
+	bind, err := b.bind(ctx)
 	bs.Finish()
 	if err != nil {
 		return nil, err
 	}
-	return e.runPlan(text, nil, plan, strategy.PlanCacheName(e.strat), bind, nil, sp, fp, t0)
+	return e.runPlan(j, bind, sp, t0)
 }
 
-// runPlan executes a plan, wrapped in the engine's recovery loop when
-// one is armed (SetRecovery): transient faults retry the same plan
-// with backoff, capacity faults re-plan text down the degradation
-// ladder. pr, when non-nil, is the Prepared handle the execution runs
-// under; a degraded run parks its landing rung there so warm
-// evaluations start from it. label names plan's rung
-// (strategy.PlanCacheName at entry).
-func (e *Engine) runPlan(text string, pr *Prepared, plan strategy.Plan, label string,
-	bind strategy.Bindings, pool *ocl.Arena, sp *obs.Span, fp string, t0 time.Time) (*Result, error) {
+// runPlan executes a job's plan, wrapped in the engine's recovery loop
+// when one is armed (SetRecovery): transient faults retry the same plan
+// with backoff, capacity faults re-plan the job's text down the
+// degradation ladder. Merged batches run outside the ladder (see
+// batch.go).
+func (e *Engine) runPlan(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time) (*Result, error) {
 	var capt *evalCapture
 	var arenaBefore ocl.ArenaStats
 	if e.perf != nil {
-		capt = &evalCapture{entry: label}
+		capt = &evalCapture{entry: j.label}
 		arenaBefore = e.ArenaStats()
 	}
 	var res *Result
 	var err error
-	if e.rec == nil {
-		res, err = e.runPlanOnce(plan, label, bind, pool, sp, fp, t0, capt)
+	if e.rec == nil || j.batch > 0 {
+		res, err = e.runPlanOnce(j, bind, sp, t0, capt)
 	} else {
-		res, err = e.rec.run(e, text, pr, plan, label, bind, pool, sp, fp, t0, capt)
+		res, err = e.rec.run(e, j, bind, sp, t0, capt)
 	}
 	if capt != nil {
-		e.recordEval(capt, res, err, bind.N, fp, sp, t0, arenaBefore)
+		e.recordEval(capt, res, err, j, bind.N, sp, t0, arenaBefore)
 	}
 	return res, err
 }
 
-// runPlanOnce executes a prepared plan once, recording the execute span
+// runPlanOnce executes a job's plan once, recording the execute span
 // (with the simulated device events attached as fixed-time children on
 // per-category tracks) and the per-(fingerprint, strategy, resolved)
-// latency observation. label names the rung being attempted (the plan
+// latency observation. j.label names the rung being attempted (the plan
 // cache name at entry, or the ladder rung on fallback attempts); the
 // resolved execution path — the tiered plan's chosen tier, else the
 // label itself — lands on the span, the histogram and the perf capture.
-// pool, when non-nil, is attached to the environment for the duration
-// of the execution (the Prepared warm path); one-shot Eval passes nil
-// so per-run allocate/free — and with it the paper's Table II event
-// counts and Figure 6 memory profile — stays exact.
-func (e *Engine) runPlanOnce(plan strategy.Plan, label string, bind strategy.Bindings,
-	pool *ocl.Arena, sp *obs.Span, fp string, t0 time.Time, capt *evalCapture) (*Result, error) {
-	if pool != nil {
-		e.env.SetPool(pool)
+func (e *Engine) runPlanOnce(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time, capt *evalCapture) (*Result, error) {
+	if j.pool != nil {
+		e.env.SetPool(j.pool)
 		defer e.env.SetPool(nil)
 	}
 	es := sp.Child("execute")
-	res, err := plan.Execute(e.env, bind)
+	res, err := j.plan.Execute(e.env, bind)
 	es.Finish()
 	if err != nil {
 		if es != nil {
@@ -532,7 +520,7 @@ func (e *Engine) runPlanOnce(plan strategy.Plan, label string, bind strategy.Bin
 	}
 	resolved := res.Resolved
 	if resolved == "" {
-		resolved = label
+		resolved = j.label
 	}
 	capt.setResolved(resolved)
 	if sp != nil {
@@ -540,7 +528,7 @@ func (e *Engine) runPlanOnce(plan strategy.Plan, label string, bind strategy.Bin
 	}
 	attachDeviceEvents(es, res.Events)
 	if e.reg != nil {
-		e.evalHistogram(fp, resolved).ObserveEx(time.Since(t0), sp.ID())
+		e.evalHistogram(j.fp, resolved).ObserveEx(time.Since(t0), sp.ID())
 	}
 	return &Result{
 		Data:            res.Data,
@@ -609,7 +597,7 @@ func deviceTrack(k ocl.EventKind) string {
 // kernel generator emits for an expression — an inspection hook, also
 // exposed by cmd/dfg-fuse.
 func (e *Engine) FusedSource(text string) (string, error) {
-	net, err := e.compile(text)
+	net, _, err := e.comp.CompileTracedAt(text, e.lvl, nil)
 	if err != nil {
 		return "", err
 	}

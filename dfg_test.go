@@ -73,11 +73,11 @@ func TestEvalOnMeshAllExpressionsAllStrategiesBothDevices(t *testing.T) {
 
 func TestEngineCachesCompiledNetworks(t *testing.T) {
 	eng, _ := New(Config{})
-	n1, err := eng.compile(VelocityMagnitudeExpr)
+	n1, _, err := eng.comp.CompileTracedAt(VelocityMagnitudeExpr, eng.lvl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := eng.compile(VelocityMagnitudeExpr)
+	n2, _, err := eng.comp.CompileTracedAt(VelocityMagnitudeExpr, eng.lvl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +228,9 @@ func TestDeviceKindString(t *testing.T) {
 	}
 }
 
-func TestNewOnSharesDevice(t *testing.T) {
+func TestNewWithDefaults(t *testing.T) {
 	dev := ocl.NewDevice(ocl.TeslaM2050Spec(64))
-	e1, err := NewOn(dev, "")
+	e1, err := NewWith(dev, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestNewOnSharesDevice(t *testing.T) {
 	if e1.Device() != "NVIDIA Tesla M2050" {
 		t.Fatalf("device name %q", e1.Device())
 	}
-	if _, err := NewOn(dev, "bogus"); err == nil {
+	if _, err := NewWith(dev, "bogus", nil); err == nil {
 		t.Fatal("bad strategy must fail")
 	}
 }
@@ -320,5 +320,46 @@ func TestEngineDefinitions(t *testing.T) {
 	}
 	if res2.Data[0] != 10 || res2.Data[1] != 20 {
 		t.Fatalf("redefinition not picked up: %v", res2.Data)
+	}
+}
+
+// TestComputedDimsRejectedAtPlanTime: a stencil's mesh extents must be
+// a bound source. A network that computes them is refused once, at
+// plan time, with the same typed error on every strategy, solo and as
+// a batch member. O2 folds `dims + 0` back to the source, so that
+// spelling runs there.
+func TestComputedDimsRejectedAtPlanTime(t *testing.T) {
+	m, _ := NewUniformMesh(Dims{NX: 4, NY: 4, NZ: 4}, 1, 1, 1)
+	fields := FieldInputs(GenerateRT(m, 8))
+	for _, tc := range []struct {
+		dims, opt, stencil, computedBy string // computedBy "" means the network runs
+	}{
+		{"dims + 0", "paper", "grad3d", "add"},
+		{"dims + 0", "O2", "", ""},
+		{"sqrt(dims)", "paper", "grad3d", "sqrt"},
+		{"sqrt(dims)", "O2", "grad3dx", "sqrt"}, // g[0] of grad3d, strength-reduced
+	} {
+		text := "d = " + tc.dims + "\ng = grad3d(u, d, x, y, z)\nr = g[0]"
+		want := ""
+		if tc.computedBy != "" {
+			want = (&strategy.ComputedDimsError{Stencil: tc.stencil, Input: tc.computedBy}).Error()
+		}
+		for _, sname := range []string{"roundtrip", "staged", "fusion", "streaming", "vm", "tiered"} {
+			eng, err := New(Config{Strategy: sname, Opt: tc.opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, solo := eng.EvalOnMesh(text, m, fields)
+			_, batch := eng.PrepareBatch([]string{text, "q = u*u"})
+			for how, err := range map[string]error{"solo": solo, "batch": batch} {
+				var ce *strategy.ComputedDimsError
+				if got := errors.As(err, &ce); got != (want != "") || (got && err.Error() != want) {
+					t.Errorf("%s %s %q %s: err = %v, want %q", tc.opt, sname, tc.dims, how, err, want)
+				}
+			}
+			if live := eng.LiveBuffers(); want != "" && live != 0 {
+				t.Errorf("%s %s %q: %d buffers live after the refusal", tc.opt, sname, tc.dims, live)
+			}
+		}
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"dfg/internal/obs"
 	"dfg/internal/passes"
@@ -18,10 +16,10 @@ import (
 // set of already-compiled member networks, merges them into one
 // multi-root super-network (passes.MergeNetworks) with cross-expression
 // CSE, and caches the merged result under the batch fingerprint with
-// the same singleflight + LRU discipline as the single-expression
-// caches. Batch plans then flow through the ordinary plan cache via
-// PlanNetTraced, keyed PlanKey(batch fingerprint, strategy, device
-// class), so a recurring batch shape pays merge and plan costs once.
+// the same cache type as the single-expression caches. Batch plans then
+// flow through the ordinary plan cache via PlanNetTraced, keyed (batch
+// fingerprint, strategy, device class), so a recurring batch shape pays
+// merge and plan costs once.
 
 // BatchFingerprint returns the cache fingerprint of a batch: a digest
 // over the sorted, de-duplicated member fingerprints. Member order and
@@ -48,16 +46,6 @@ func BatchFingerprint(fps []string) string {
 	return "batch:" + hex.EncodeToString(h.Sum(nil))
 }
 
-// mergeEntry is one merged-network cache slot, with the same
-// singleflight shape as entry/planEntry.
-type mergeEntry struct {
-	once    sync.Once
-	done    atomic.Bool
-	merged  *passes.Merged
-	err     error
-	lastUse atomic.Int64
-}
-
 // MergeTraced returns the merged super-network for a set of compiled
 // members, merging on first use. Members must already be sealed
 // networks from this compiler (Fp is their CompileTracedAt
@@ -81,68 +69,12 @@ func (c *Compiler) MergeTraced(members []passes.MergeMember, lvl passes.Level, p
 		ms.SetAttr("members", strconv.Itoa(len(members)))
 	}
 
-	me := c.mergeLookup(bfp)
-	wasDone := me.done.Load()
-	ran := false
-	me.once.Do(func() {
-		ran = true
-		c.mergeBuilds.Add(1)
-		me.merged, me.err = passes.MergeNetworks(members, lvl, passes.RunOptions{Parent: ms})
-		me.done.Store(true)
+	merged, outcome, err := c.merges.get(bfp, func() (*passes.Merged, error) {
+		return passes.MergeNetworks(members, lvl, passes.RunOptions{Parent: ms})
 	})
-	switch {
-	case ran:
-		ms.SetAttr("outcome", "miss")
-	case wasDone:
-		ms.SetAttr("outcome", "hit")
-	default:
-		ms.SetAttr("outcome", "singleflight-wait")
+	ms.SetAttr("outcome", outcome)
+	if merged != nil && ms != nil {
+		ms.SetAttr("shared", strconv.Itoa(merged.Shared))
 	}
-	if me.merged != nil && ms != nil {
-		ms.SetAttr("shared", strconv.Itoa(me.merged.Shared))
-	}
-	return me.merged, bfp, me.err
-}
-
-// mergeLookup returns the merge entry for key, creating (and bounding
-// the merge cache) as needed.
-func (c *Compiler) mergeLookup(key string) *mergeEntry {
-	now := c.clock.Add(1)
-	c.mu.RLock()
-	me := c.merges[key]
-	c.mu.RUnlock()
-	if me != nil {
-		c.mergeHits.Add(1)
-		me.lastUse.Store(now)
-		return me
-	}
-	c.mu.Lock()
-	if me = c.merges[key]; me == nil {
-		c.mergeMisses.Add(1)
-		me = &mergeEntry{}
-		me.lastUse.Store(now)
-		c.merges[key] = me
-		c.evictMergesLocked()
-	} else {
-		c.mergeHits.Add(1)
-		me.lastUse.Store(now)
-	}
-	c.mu.Unlock()
-	return me
-}
-
-// evictMergesLocked drops least-recently-used merged networks until the
-// merge cache fits the shared bound. Merged networks are sealed and
-// immutable, so holders of an evicted entry keep executing it safely.
-func (c *Compiler) evictMergesLocked() {
-	for len(c.merges) > c.maxEntries {
-		var oldestKey string
-		oldest := int64(1<<63 - 1)
-		for k, me := range c.merges {
-			if u := me.lastUse.Load(); u < oldest {
-				oldest, oldestKey = u, k
-			}
-		}
-		delete(c.merges, oldestKey)
-	}
+	return merged, bfp, err
 }

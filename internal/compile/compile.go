@@ -12,10 +12,15 @@
 // references, so redefining a name invalidates the entries that depend
 // on it — and only those.
 //
-// Concurrency: a sync.RWMutex guards the cache map (reads take the read
-// lock), and each entry carries a sync.Once so a missing network is
-// compiled exactly once no matter how many goroutines request it
-// simultaneously (singleflight-style deduplication).
+// Concurrency: the network, plan and merge caches are three
+// instantiations of one type (cache, in cache.go): a read-locked map hit,
+// a sync.Once per entry so a missing value is built exactly once no
+// matter how many goroutines request it simultaneously
+// (singleflight-style deduplication), and an approximate-LRU bound.
+//
+// Every text is parsed once in its lifetime: Define keeps the program it
+// parses to validate a definition, and resolve hands the one parse of an
+// expression on to both its fingerprint and, on a miss, its build.
 package compile
 
 import (
@@ -44,30 +49,31 @@ const DefaultMaxEntries = 512
 // cache. All methods are safe for concurrent use by any number of
 // goroutines; the networks it returns are sealed and likewise shareable.
 type Compiler struct {
-	mu         sync.RWMutex
-	defs       map[string]string // copy-on-write: replaced wholesale, never mutated
-	entries    map[string]*entry
-	plans      map[string]*planEntry  // keyed (fingerprint, strategy, device class)
-	merges     map[string]*mergeEntry // keyed by batch fingerprint
-	maxEntries int
+	mu   sync.RWMutex
+	defs map[string]definition // copy-on-write: replaced wholesale, never mutated
 
-	clock    atomic.Int64 // advances on every cache touch, for LRU eviction
-	compiles atomic.Int64 // networks actually built (cache misses that ran)
-	hits     atomic.Int64
-	misses   atomic.Int64
-	inflight atomic.Int64 // builds currently running (singleflight leaders)
+	nets   cache[string, *dataflow.Network] // keyed by levelKey fingerprint
+	plans  cache[planKey, strategy.Plan]
+	merges cache[string, *passes.Merged] // keyed by batch fingerprint
 
-	planBuilds atomic.Int64 // plans actually constructed
-	planHits   atomic.Int64
-	planMisses atomic.Int64
-
-	mergeBuilds atomic.Int64 // super-networks actually merged
-	mergeHits   atomic.Int64
-	mergeMisses atomic.Int64
+	inflight atomic.Int64 // network builds currently running (singleflight leaders)
 
 	passMu    sync.Mutex
 	passStats map[string]*passAgg // pass name -> cumulative counters
 }
+
+// definition is one named expression: its text (what fingerprints
+// digest) and the program Define parsed to validate it (what builds
+// expand), so a definition is never parsed again.
+type definition struct {
+	text string
+	prog *expr.Program
+}
+
+// planKey identifies a plan: the network fingerprint, the strategy's
+// plan-cache name (strategy.PlanCacheName, so configured variants such
+// as streaming tile counts occupy distinct slots) and the device class.
+type planKey struct{ fp, strategy, device string }
 
 // passAgg accumulates one optimisation pass's counters across every
 // network this compiler built (at any level).
@@ -77,68 +83,41 @@ type passAgg struct {
 	seconds      float64
 }
 
-// entry is one cache slot. once guarantees the compile runs exactly one
-// time even when many goroutines miss on the same key concurrently; done
-// flips after the build completes, letting latecomers distinguish a pure
-// cache hit from a singleflight wait on a build still in flight.
-type entry struct {
-	once    sync.Once
-	done    atomic.Bool
-	net     *dataflow.Network
-	err     error
-	lastUse atomic.Int64
-}
-
-// planEntry is one plan-cache slot, with the same singleflight shape as
-// entry: the plan is built exactly once per (fingerprint, strategy,
-// device class) no matter how many engines request it concurrently.
-type planEntry struct {
-	once    sync.Once
-	done    atomic.Bool
-	plan    strategy.Plan
-	err     error
-	lastUse atomic.Int64
-}
-
 // NewCompiler returns an empty compiler with the default cache bound.
 func NewCompiler() *Compiler {
-	return &Compiler{
-		defs:       map[string]string{},
-		entries:    make(map[string]*entry),
-		plans:      make(map[string]*planEntry),
-		merges:     make(map[string]*mergeEntry),
-		maxEntries: DefaultMaxEntries,
-		passStats:  make(map[string]*passAgg),
-	}
+	return &Compiler{passStats: make(map[string]*passAgg)}
 }
 
-// SetMaxEntries adjusts the cache bound (minimum 1).
+// SetMaxEntries adjusts the bound of each cache (minimum 1).
 func (c *Compiler) SetMaxEntries(n int) {
 	if n < 1 {
 		n = 1
 	}
-	c.mu.Lock()
-	c.maxEntries = n
-	c.mu.Unlock()
+	c.nets.setMax(n)
+	c.plans.setMax(n)
+	c.merges.setMax(n)
 }
 
 // Define registers (or replaces) a named expression definition. The text
-// must parse. Cached networks whose expressions reference name become
-// unreachable (their fingerprints no longer match) and age out of the
-// cache; entries for unrelated expressions are untouched.
+// must parse, and the parsed program is kept: nothing re-parses a
+// definition once it is registered. Cached networks whose expressions
+// reference name become unreachable (their fingerprints no longer match)
+// and age out of the cache; entries for unrelated expressions are
+// untouched.
 func (c *Compiler) Define(name, text string) error {
 	if name == "" {
 		return fmt.Errorf("compile: definition needs a name")
 	}
-	if _, err := expr.Parse(text); err != nil {
+	prog, err := expr.Parse(text)
+	if err != nil {
 		return fmt.Errorf("compile: definition %q: %w", name, err)
 	}
 	c.mu.Lock()
-	next := make(map[string]string, len(c.defs)+1)
+	next := make(map[string]definition, len(c.defs)+1)
 	for k, v := range c.defs {
 		next[k] = v
 	}
-	next[name] = text
+	next[name] = definition{text: text, prog: prog}
 	c.defs = next
 	c.mu.Unlock()
 	return nil
@@ -157,44 +136,47 @@ func (c *Compiler) Definitions() []string {
 
 // snapshot returns the current definition map. The map is copy-on-write:
 // callers must treat it as read-only.
-func (c *Compiler) snapshot() map[string]string {
+func (c *Compiler) snapshot() map[string]definition {
 	c.mu.RLock()
 	defs := c.defs
 	c.mu.RUnlock()
 	return defs
 }
 
-// Compile returns the sealed network for text against the current
-// definitions, compiling on first use. Concurrent calls for the same
-// (text, referenced definitions) pair share one compilation.
-func (c *Compiler) Compile(text string) (*dataflow.Network, error) {
-	net, _, err := c.CompileTraced(text, nil)
-	return net, err
+// resolve parses text — the one parse of its lifetime — and derives
+// what both the fingerprint and a build need from it: the program, the
+// programs of exactly the definitions it transitively references, and
+// the cache key (a digest of the text plus those definitions' texts,
+// tagged with the level). Unparseable text keys with no definitions.
+// The "parse" and "fingerprint" spans open under cs.
+func (c *Compiler) resolve(text string, lvl passes.Level, cs *obs.Span) (*expr.Program, map[string]*expr.Program, string, error) {
+	defs := c.snapshot()
+	ps := cs.Child("parse")
+	p, err := expr.Parse(text)
+	ps.Finish()
+	if err != nil {
+		return nil, nil, levelKey(Digest(text, nil), lvl), err
+	}
+	fs := cs.Child("fingerprint")
+	texts, progs := referencedDefs(p, defs)
+	key := levelKey(Digest(text, texts), lvl)
+	fs.Finish()
+	return p, progs, key, nil
 }
 
-// CompileAt is Compile at an explicit optimisation level. Networks at
-// different levels cache under different fingerprints, so a compiler
-// serves mixed-level traffic without cross-talk.
-func (c *Compiler) CompileAt(text string, lvl passes.Level) (*dataflow.Network, error) {
-	net, _, err := c.CompileTracedAt(text, lvl, nil)
-	return net, err
-}
-
-// CompileTraced is Compile with pipeline tracing: it opens a "compile"
-// span under parent covering the front-end stages — "parse" (lex + LALR
-// parse to the AST), "fingerprint" (definition resolution + digest), the
-// "cache" lookup annotated with its outcome (hit, miss, or
-// singleflight-wait when another goroutine is mid-build on the same
-// key), and, on a miss, the "build" stage (AST -> network construction,
-// the optimisation pass pipeline with one "pass:<name>" child span per
-// pass, seal). It also returns the cache fingerprint, which metrics use
-// to key latency histograms. A nil parent span is the no-op path —
-// exactly Compile plus the fingerprint return.
-func (c *Compiler) CompileTraced(text string, parent *obs.Span) (*dataflow.Network, string, error) {
-	return c.CompileTracedAt(text, passes.LevelPaper, parent)
-}
-
-// CompileTracedAt is CompileTraced at an explicit optimisation level.
+// CompileTracedAt returns the sealed network for text against the
+// current definitions at an optimisation level, compiling on first use;
+// concurrent calls for the same (text, referenced definitions, level)
+// share one compilation. It opens a "compile" span under parent covering
+// the front-end stages — "parse" (lex + LALR parse to the AST),
+// "fingerprint" (definition resolution + digest), the "cache" lookup
+// annotated with its outcome (hit, miss, or singleflight-wait when
+// another goroutine is mid-build on the same key), and, on a miss, the
+// "build" stage (AST -> network construction, the optimisation pass
+// pipeline with one "pass:<name>" child span per pass, seal). It also
+// returns the cache fingerprint, which metrics use to key latency
+// histograms. A nil parent span is the no-op path.
+//
 // The Paper level's cache keys are exactly the pre-pipeline Digest
 // fingerprints; other levels append the level's cache tag, so the same
 // expression compiled at two levels occupies two cache slots.
@@ -202,54 +184,41 @@ func (c *Compiler) CompileTracedAt(text string, lvl passes.Level, parent *obs.Sp
 	cs := parent.Child("compile")
 	defer cs.Finish()
 
-	defs := c.snapshot()
-	ps := cs.Child("parse")
-	p, err := expr.Parse(text)
-	ps.Finish()
+	p, defs, key, err := c.resolve(text, lvl, cs)
 	if err != nil {
 		// Parse failures are cheap to rediscover; don't cache them.
 		if cs != nil {
 			cs.SetAttr("error", err.Error())
 		}
-		return nil, levelKey(Digest(text, nil), lvl), err
+		return nil, key, err
 	}
-	fs := cs.Child("fingerprint")
-	relevant := referencedDefs(p, defs)
-	key := levelKey(Digest(text, relevant), lvl)
-	fs.Finish()
 	if cs != nil {
 		cs.SetAttr("fingerprint", ShortKey(key))
 		cs.SetAttr("opt", lvl.String())
 	}
 
 	ls := cs.Child("cache")
-	e, _ := c.lookup(key)
-	wasDone := e.done.Load()
-	ran := false
-	e.once.Do(func() {
-		ran = true
+	net, outcome, err := c.nets.get(key, func() (*dataflow.Network, error) {
 		c.inflight.Add(1)
 		defer c.inflight.Add(-1)
-		c.compiles.Add(1)
 		bs := cs.Child("build")
-		var res *passes.Result
-		e.net, res, e.err = expr.CompileWithPipeline(text, relevant, passes.ForLevel(lvl), passes.RunOptions{Parent: bs})
-		e.done.Store(true)
-		bs.Finish()
+		defer bs.Finish()
+		net, err := expr.BuildNetworkWithDefinitions(p, defs)
+		if err != nil {
+			return nil, err
+		}
+		res, err := passes.ForLevel(lvl).RunWith(net, passes.RunOptions{Parent: bs})
+		if err != nil {
+			return nil, err
+		}
+		// Sealed: strategies, engines and this cache read it concurrently.
+		net.Seal()
 		c.recordPasses(res)
+		return net, nil
 	})
-	switch {
-	case ran:
-		ls.SetAttr("outcome", "miss")
-	case wasDone:
-		ls.SetAttr("outcome", "hit")
-	default:
-		// The entry existed but its build was still running: once.Do
-		// blocked until the leader finished.
-		ls.SetAttr("outcome", "singleflight-wait")
-	}
+	ls.SetAttr("outcome", outcome)
 	ls.Finish()
-	return e.net, key, e.err
+	return net, key, err
 }
 
 // levelKey appends a non-Paper level's cache tag to a digest. Digests
@@ -317,30 +286,9 @@ func (c *Compiler) PassStats() []PassStat {
 	return out
 }
 
-// PlanKey builds the plan-cache key for a network fingerprint executed
-// under a strategy on a device class. The strategy component should be
-// strategy.PlanCacheName's result so configured variants (e.g.
-// streaming tile counts) occupy distinct slots. Components are
-// NUL-separated; fingerprints are hex and names never contain NUL, so
-// the encoding is injective.
-func PlanKey(fingerprint, strategyName, deviceClass string) string {
-	return fingerprint + "\x00" + strategyName + "\x00" + deviceClass
-}
-
-// Plan returns the cached execution plan for text under strat on dev,
-// compiling and planning on first use.
-func (c *Compiler) Plan(text string, strat strategy.Strategy, dev *ocl.Device) (strategy.Plan, string, error) {
-	return c.PlanTraced(text, strat, dev, nil)
-}
-
-// PlanTraced is PlanTracedAt at the Paper level.
-func (c *Compiler) PlanTraced(text string, strat strategy.Strategy, dev *ocl.Device, parent *obs.Span) (strategy.Plan, string, error) {
-	return c.PlanTracedAt(text, passes.LevelPaper, strat, dev, parent)
-}
-
-// PlanTraced is the prepared-execution front door: it compiles text via
-// CompileTraced, then resolves the strategy's execution plan from a
-// second cache keyed by (network fingerprint, strategy name, device
+// PlanTracedAt is the prepared-execution front door: it compiles text
+// via CompileTracedAt, then resolves the strategy's execution plan from
+// a second cache keyed by (network fingerprint, strategy name, device
 // class). Plans precompute everything that depends only on the network
 // and the device — topological order, kernel resolution, fused program
 // generation — so engines sharing this compiler also share one plan per
@@ -368,71 +316,12 @@ func (c *Compiler) PlanTracedAt(text string, lvl passes.Level, strat strategy.St
 // network's content (both digest families guarantee this), since it
 // keys the shared plan cache.
 func (c *Compiler) PlanNetTraced(net *dataflow.Network, fp string, strat strategy.Strategy, dev *ocl.Device, parent *obs.Span) (strategy.Plan, error) {
-	key := PlanKey(fp, strategy.PlanCacheName(strat), dev.Name())
-
 	ps := parent.Child("plan")
 	defer ps.Finish()
-	pe := c.planLookup(key)
-	wasDone := pe.done.Load()
-	ran := false
-	pe.once.Do(func() {
-		ran = true
-		c.planBuilds.Add(1)
-		pe.plan, pe.err = strat.Plan(net, dev)
-		pe.done.Store(true)
-	})
-	switch {
-	case ran:
-		ps.SetAttr("outcome", "miss")
-	case wasDone:
-		ps.SetAttr("outcome", "hit")
-	default:
-		ps.SetAttr("outcome", "singleflight-wait")
-	}
-	return pe.plan, pe.err
-}
-
-// planLookup returns the plan entry for key, creating (and bounding the
-// plan cache) as needed.
-func (c *Compiler) planLookup(key string) *planEntry {
-	now := c.clock.Add(1)
-	c.mu.RLock()
-	pe := c.plans[key]
-	c.mu.RUnlock()
-	if pe != nil {
-		c.planHits.Add(1)
-		pe.lastUse.Store(now)
-		return pe
-	}
-	c.mu.Lock()
-	if pe = c.plans[key]; pe == nil {
-		c.planMisses.Add(1)
-		pe = &planEntry{}
-		pe.lastUse.Store(now)
-		c.plans[key] = pe
-		c.evictPlansLocked()
-	} else {
-		c.planHits.Add(1)
-		pe.lastUse.Store(now)
-	}
-	c.mu.Unlock()
-	return pe
-}
-
-// evictPlansLocked drops least-recently-used plans until the plan cache
-// fits the shared bound. Plans are immutable, so a goroutine holding an
-// evicted plan keeps executing it safely.
-func (c *Compiler) evictPlansLocked() {
-	for len(c.plans) > c.maxEntries {
-		var oldestKey string
-		oldest := int64(1<<63 - 1)
-		for k, pe := range c.plans {
-			if u := pe.lastUse.Load(); u < oldest {
-				oldest, oldestKey = u, k
-			}
-		}
-		delete(c.plans, oldestKey)
-	}
+	plan, outcome, err := c.plans.get(planKey{fp, strategy.PlanCacheName(strat), dev.Name()},
+		func() (strategy.Plan, error) { return strat.Plan(net, dev) })
+	ps.SetAttr("outcome", outcome)
+	return plan, err
 }
 
 // ShortKey abbreviates a cache fingerprint for use as a label or span
@@ -444,68 +333,14 @@ func ShortKey(key string) string {
 	return key
 }
 
-// Fingerprint returns the cache key Compile would use for text under the
-// current definitions: a digest of the text plus exactly the referenced
-// definitions. Unparseable text digests with no definitions.
-func (c *Compiler) Fingerprint(text string) string {
-	return c.FingerprintAt(text, passes.LevelPaper)
-}
-
-// FingerprintAt is Fingerprint at an explicit optimisation level: the
-// Paper key is the bare digest; other levels carry their cache tag.
+// FingerprintAt returns the cache key CompileTracedAt would use for text
+// under the current definitions at an optimisation level: a digest of
+// the text plus exactly the referenced definitions (the Paper key is the
+// bare digest; other levels carry their cache tag). Unparseable text
+// digests with no definitions.
 func (c *Compiler) FingerprintAt(text string, lvl passes.Level) string {
-	defs := c.snapshot()
-	p, err := expr.Parse(text)
-	if err != nil {
-		return levelKey(Digest(text, nil), lvl)
-	}
-	return levelKey(Digest(text, referencedDefs(p, defs)), lvl)
-}
-
-// lookup returns the entry for key, creating (and bounding the cache) as
-// needed, and reports whether the entry already existed. The fast path
-// is a read-locked map hit.
-func (c *Compiler) lookup(key string) (*entry, bool) {
-	now := c.clock.Add(1)
-	c.mu.RLock()
-	e := c.entries[key]
-	c.mu.RUnlock()
-	if e != nil {
-		c.hits.Add(1)
-		e.lastUse.Store(now)
-		return e, true
-	}
-	hit := false
-	c.mu.Lock()
-	if e = c.entries[key]; e == nil {
-		c.misses.Add(1)
-		e = &entry{}
-		e.lastUse.Store(now)
-		c.entries[key] = e
-		c.evictLocked()
-	} else {
-		hit = true
-		c.hits.Add(1)
-		e.lastUse.Store(now)
-	}
-	c.mu.Unlock()
-	return e, hit
-}
-
-// evictLocked drops least-recently-used entries until the cache fits.
-// Goroutines already holding an evicted entry still complete normally —
-// the result simply isn't cached anymore.
-func (c *Compiler) evictLocked() {
-	for len(c.entries) > c.maxEntries {
-		var oldestKey string
-		oldest := int64(1<<63 - 1)
-		for k, e := range c.entries {
-			if u := e.lastUse.Load(); u < oldest {
-				oldest, oldestKey = u, k
-			}
-		}
-		delete(c.entries, oldestKey)
-	}
+	_, _, key, _ := c.resolve(text, lvl, nil)
+	return key
 }
 
 // Stats is a snapshot of the compiler's counters.
@@ -535,26 +370,23 @@ type Stats struct {
 	MergeEntries int
 }
 
-// Stats returns a consistent snapshot of the counters.
+// Stats returns a snapshot of the counters.
 func (c *Compiler) Stats() Stats {
-	c.mu.RLock()
-	entries, ndefs, plans, merges := len(c.entries), len(c.defs), len(c.plans), len(c.merges)
-	c.mu.RUnlock()
 	return Stats{
-		Compiles:     c.compiles.Load(),
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
+		Compiles:     c.nets.builds.Load(),
+		Hits:         c.nets.hits.Load(),
+		Misses:       c.nets.misses.Load(),
 		Inflight:     c.inflight.Load(),
-		Entries:      entries,
-		Definitions:  ndefs,
-		PlanBuilds:   c.planBuilds.Load(),
-		PlanHits:     c.planHits.Load(),
-		PlanMisses:   c.planMisses.Load(),
-		PlanEntries:  plans,
-		MergeBuilds:  c.mergeBuilds.Load(),
-		MergeHits:    c.mergeHits.Load(),
-		MergeMisses:  c.mergeMisses.Load(),
-		MergeEntries: merges,
+		Entries:      c.nets.len(),
+		Definitions:  len(c.snapshot()),
+		PlanBuilds:   c.plans.builds.Load(),
+		PlanHits:     c.plans.hits.Load(),
+		PlanMisses:   c.plans.misses.Load(),
+		PlanEntries:  c.plans.len(),
+		MergeBuilds:  c.merges.builds.Load(),
+		MergeHits:    c.merges.hits.Load(),
+		MergeMisses:  c.merges.misses.Load(),
+		MergeEntries: c.merges.len(),
 	}
 }
 
@@ -584,19 +416,18 @@ func Digest(text string, defs map[string]string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// referencedDefs returns the subset of defs the program transitively
-// references, mirroring the network builder's name resolution: a
-// reference resolves to a definition only if it was not assigned earlier
-// in its own scope, and each definition body is scanned in its own local
-// scope. Definition bodies that fail to parse contribute nothing (the
-// compile will report the error); reference cycles terminate the walk
+// referencedDefs returns the texts and programs of the subset of defs
+// the program transitively references, mirroring the network builder's
+// name resolution: a reference resolves to a definition only if it was
+// not assigned earlier in its own scope, and each definition body is
+// scanned in its own local scope. Reference cycles terminate the walk
 // (the builder rejects them).
-func referencedDefs(p *expr.Program, defs map[string]string) map[string]string {
+func referencedDefs(p *expr.Program, defs map[string]definition) (map[string]string, map[string]*expr.Program) {
 	if len(defs) == 0 {
-		return nil
+		return nil, nil
 	}
-	used := make(map[string]string)
-	visiting := make(map[string]bool)
+	texts := make(map[string]string)
+	progs := make(map[string]*expr.Program)
 	var scanProgram func(prog *expr.Program)
 	var scanNode func(n expr.Node, locals map[string]bool)
 
@@ -606,19 +437,15 @@ func referencedDefs(p *expr.Program, defs map[string]string) map[string]string {
 			if locals[t.Name] {
 				return
 			}
-			text, ok := defs[t.Name]
+			def, ok := defs[t.Name]
 			if !ok {
 				return
 			}
-			if _, done := used[t.Name]; done || visiting[t.Name] {
+			if _, seen := texts[t.Name]; seen {
 				return
 			}
-			used[t.Name] = text
-			visiting[t.Name] = true
-			if dp, err := expr.Parse(text); err == nil {
-				scanProgram(dp)
-			}
-			delete(visiting, t.Name)
+			texts[t.Name], progs[t.Name] = def.text, def.prog
+			scanProgram(def.prog)
 		case *expr.Unary:
 			scanNode(t.X, locals)
 		case *expr.Binary:
@@ -646,8 +473,5 @@ func referencedDefs(p *expr.Program, defs map[string]string) map[string]string {
 		}
 	}
 	scanProgram(p)
-	if len(used) == 0 {
-		return nil
-	}
-	return used
+	return texts, progs
 }

@@ -5,16 +5,26 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dfg/internal/dataflow"
+	"dfg/internal/passes"
 )
+
+// compilePaper is the short spelling these tests share: Paper level, no
+// span, no fingerprint.
+func compilePaper(c *Compiler, text string) (*dataflow.Network, error) {
+	net, _, err := c.CompileTracedAt(text, passes.LevelPaper, nil)
+	return net, err
+}
 
 func TestCompileCachesRepeatedExpressions(t *testing.T) {
 	c := NewCompiler()
 	const text = "v = sqrt(u*u + w*w)"
-	n1, err := c.Compile(text)
+	n1, err := compilePaper(c, text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := c.Compile(text)
+	n2, err := compilePaper(c, text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +62,7 @@ func TestRedefinitionInvalidatesExactlyAffectedEntries(t *testing.T) {
 		"d1 = u\nd1", // shadows d1 with a local assignment: not a reference
 	}
 	for _, text := range exprs {
-		if _, err := c.Compile(text); err != nil {
+		if _, err := compilePaper(c, text); err != nil {
 			t.Fatalf("%q: %v", text, err)
 		}
 	}
@@ -65,7 +75,7 @@ func TestRedefinitionInvalidatesExactlyAffectedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, text := range exprs {
-		if _, err := c.Compile(text); err != nil {
+		if _, err := compilePaper(c, text); err != nil {
 			t.Fatalf("%q after redefine: %v", text, err)
 		}
 	}
@@ -76,7 +86,7 @@ func TestRedefinitionInvalidatesExactlyAffectedEntries(t *testing.T) {
 	}
 
 	// And the recompiled network reflects the new definition.
-	net, err := c.Compile("a = d1")
+	net, err := compilePaper(c, "a = d1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +121,7 @@ func TestCompileSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if _, err := c.Compile(text); err != nil {
+			if _, err := compilePaper(c, text); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -131,11 +141,11 @@ func TestCompileErrorsAreCachedPerFingerprint(t *testing.T) {
 	if err := c.Define("d2", "d1 + 1"); err != nil {
 		t.Fatal(err)
 	}
-	_, err1 := c.Compile("r = d1") // recursive definitions: rejected
+	_, err1 := compilePaper(c, "r = d1") // recursive definitions: rejected
 	if err1 == nil {
 		t.Fatal("recursive definitions must fail to compile")
 	}
-	_, err2 := c.Compile("r = d1")
+	_, err2 := compilePaper(c, "r = d1")
 	if err2 == nil || c.Stats().Compiles != 1 {
 		t.Fatalf("failed compile must be cached too (compiles=%d)", c.Stats().Compiles)
 	}
@@ -143,14 +153,14 @@ func TestCompileErrorsAreCachedPerFingerprint(t *testing.T) {
 	if err := c.Define("d2", "u"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Compile("r = d1"); err != nil {
+	if _, err := compilePaper(c, "r = d1"); err != nil {
 		t.Fatalf("after breaking the cycle: %v", err)
 	}
 }
 
 func TestParseErrorsAreNotCached(t *testing.T) {
 	c := NewCompiler()
-	if _, err := c.Compile("= = ="); err == nil {
+	if _, err := compilePaper(c, "= = ="); err == nil {
 		t.Fatal("garbage must fail")
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Compiles != 0 {
@@ -169,13 +179,26 @@ func TestDefineValidates(t *testing.T) {
 	if got := c.Definitions(); len(got) != 0 {
 		t.Errorf("failed defines must not register: %v", got)
 	}
+	// Builds expand the program Define parsed, so a registered body that
+	// no longer parses cannot exist: a broken redefinition is refused and
+	// the previous body keeps compiling.
+	if err := c.Define("d", "u * 2"); err != nil {
+		t.Fatal(err)
+	}
+	fp := c.FingerprintAt("r = d", passes.LevelPaper)
+	if err := c.Define("d", "u *"); err == nil {
+		t.Error("a redefinition that does not parse must fail")
+	}
+	if _, err := compilePaper(c, "r = d"); err != nil || c.FingerprintAt("r = d", passes.LevelPaper) != fp {
+		t.Errorf("refused redefinition disturbed the old body: err=%v", err)
+	}
 }
 
 func TestEvictionBoundsCache(t *testing.T) {
 	c := NewCompiler()
 	c.SetMaxEntries(2)
 	for i := 0; i < 8; i++ {
-		if _, err := c.Compile(fmt.Sprintf("r = u + %d", i)); err != nil {
+		if _, err := compilePaper(c, fmt.Sprintf("r = u + %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +207,7 @@ func TestEvictionBoundsCache(t *testing.T) {
 	}
 	// Most-recently-used entry survives eviction.
 	before := c.Stats().Compiles
-	if _, err := c.Compile("r = u + 7"); err != nil {
+	if _, err := compilePaper(c, "r = u + 7"); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().Compiles; got != before {
@@ -201,17 +224,17 @@ func TestFingerprintRelevance(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := "r = rel + 1"
-	fp := c.Fingerprint(text)
+	fp := c.FingerprintAt(text, passes.LevelPaper)
 	if err := c.Define("other", "w * 9"); err != nil {
 		t.Fatal(err)
 	}
-	if c.Fingerprint(text) != fp {
+	if c.FingerprintAt(text, passes.LevelPaper) != fp {
 		t.Fatal("redefining an unreferenced name must not change the fingerprint")
 	}
 	if err := c.Define("rel", "u * 5"); err != nil {
 		t.Fatal(err)
 	}
-	if c.Fingerprint(text) == fp {
+	if c.FingerprintAt(text, passes.LevelPaper) == fp {
 		t.Fatal("redefining a referenced name must change the fingerprint")
 	}
 }

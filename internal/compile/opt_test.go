@@ -19,15 +19,15 @@ func TestLevelKeysDistinct(t *testing.T) {
 	if paper == o2 {
 		t.Fatalf("levels share fingerprint %q", paper)
 	}
-	if got := c.Fingerprint(text); got != paper {
+	if got := c.FingerprintAt(text, passes.LevelPaper); got != paper {
 		t.Fatalf("Fingerprint = %q, want the Paper-level key %q", got, paper)
 	}
 
-	pnet, err := c.CompileAt(text, passes.LevelPaper)
+	pnet, _, err := c.CompileTracedAt(text, passes.LevelPaper, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	onet, err := c.CompileAt(text, passes.LevelO2)
+	onet, _, err := c.CompileTracedAt(text, passes.LevelO2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestLevelKeysDistinct(t *testing.T) {
 // run count, removed-node total and time.
 func TestPassStatsAccumulate(t *testing.T) {
 	c := NewCompiler()
-	if _, err := c.CompileAt("r = 1 + 1 + u*v + v*u", passes.LevelO2); err != nil {
+	if _, _, err := c.CompileTracedAt("r = 1 + 1 + u*v + v*u", passes.LevelO2, nil); err != nil {
 		t.Fatal(err)
 	}
 	byName := map[string]PassStat{}

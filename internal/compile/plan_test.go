@@ -1,10 +1,12 @@
 package compile
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"dfg/internal/ocl"
+	"dfg/internal/passes"
 	"dfg/internal/strategy"
 )
 
@@ -19,11 +21,11 @@ func TestPlanCacheSharesPlans(t *testing.T) {
 	staged, _ := strategy.ForName("staged")
 	dev := cpuDev()
 
-	p1, fp1, err := c.Plan("m = u + v", fusion, dev)
+	p1, fp1, err := c.PlanTracedAt("m = u + v", passes.LevelPaper, fusion, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, fp2, err := c.Plan("m = u + v", fusion, cpuDev()) // same class, other device
+	p2, fp2, err := c.PlanTracedAt("m = u + v", passes.LevelPaper, fusion, cpuDev(), nil) // same class, other device
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestPlanCacheSharesPlans(t *testing.T) {
 		t.Fatal("fingerprints diverged for identical text")
 	}
 
-	p3, _, err := c.Plan("m = u + v", staged, dev)
+	p3, _, err := c.PlanTracedAt("m = u + v", passes.LevelPaper, staged, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestPlanCacheSharesPlans(t *testing.T) {
 		t.Fatal("different strategies shared one plan")
 	}
 	gpu := ocl.NewDevice(ocl.TeslaM2050Spec(64))
-	p4, _, err := c.Plan("m = u + v", fusion, gpu)
+	p4, _, err := c.PlanTracedAt("m = u + v", passes.LevelPaper, fusion, gpu, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestPlanCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			plans[i], _, errs[i] = c.Plan("q = sqrt(u*u + v*v)", fusion, cpuDev())
+			plans[i], _, errs[i] = c.PlanTracedAt("q = sqrt(u*u + v*v)", passes.LevelPaper, fusion, cpuDev(), nil)
 		}(i)
 	}
 	wg.Wait()
@@ -102,18 +104,18 @@ func TestPlanCacheRedefineInvalidates(t *testing.T) {
 	if err := c.Define("speed", "sqrt(u*u + v*v)"); err != nil {
 		t.Fatal(err)
 	}
-	p1, fp1, err := c.Plan("m = speed", fusion, dev)
+	p1, fp1, err := c.PlanTracedAt("m = speed", passes.LevelPaper, fusion, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, _, err := c.Plan("m = u * v", fusion, dev)
+	other, _, err := c.PlanTracedAt("m = u * v", passes.LevelPaper, fusion, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Define("speed", "u + v"); err != nil {
 		t.Fatal(err)
 	}
-	p2, fp2, err := c.Plan("m = speed", fusion, dev)
+	p2, fp2, err := c.PlanTracedAt("m = speed", passes.LevelPaper, fusion, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestPlanCacheRedefineInvalidates(t *testing.T) {
 	if p1 == p2 {
 		t.Fatal("redefinition did not invalidate the plan")
 	}
-	again, _, err := c.Plan("m = u * v", fusion, dev)
+	again, _, err := c.PlanTracedAt("m = u * v", passes.LevelPaper, fusion, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +142,33 @@ func TestPlanCacheEviction(t *testing.T) {
 	dev := cpuDev()
 	exprs := []string{"a = u + v", "b = u - v", "c = u * v"}
 	for _, e := range exprs {
-		if _, _, err := c.Plan(e, fusion, dev); err != nil {
+		if _, _, err := c.PlanTracedAt(e, passes.LevelPaper, fusion, dev, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := c.Stats(); st.PlanEntries > 2 {
 		t.Fatalf("PlanEntries = %d exceeds bound 2", st.PlanEntries)
+	}
+}
+
+// BenchmarkColdPlanNestedDefs is one cold PlanTracedAt per op: a text
+// never seen before that references a definition referencing another,
+// so every op parses, fingerprints, builds, runs the passes and plans.
+func BenchmarkColdPlanNestedDefs(b *testing.B) {
+	c := NewCompiler()
+	if err := c.Define("inner", "sqrt(u*u + v*v)"); err != nil {
+		b.Fatal(err)
+	}
+	if err := c.Define("outer", "inner * w + inner"); err != nil {
+		b.Fatal(err)
+	}
+	fusion, _ := strategy.ForName("fusion")
+	dev := cpuDev()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := c.PlanTracedAt(fmt.Sprintf("r = outer + %d", i), passes.LevelPaper, fusion, dev, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

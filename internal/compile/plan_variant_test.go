@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"dfg/internal/passes"
 	"dfg/internal/strategy"
 	"dfg/internal/vortex"
 )
@@ -34,7 +35,7 @@ func TestPlanCacheVariantKeys(t *testing.T) {
 			wg.Add(1)
 			go func(slot int, s strategy.Strategy) {
 				defer wg.Done()
-				p, fp, err := c.Plan(vortex.QCritExpr, s, dev)
+				p, fp, err := c.PlanTracedAt(vortex.QCritExpr, passes.LevelPaper, s, dev, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -66,7 +67,7 @@ func TestPlanCacheVariantKeys(t *testing.T) {
 	}
 
 	// A variant of another strategy is a third slot.
-	p3, fp3, err := c.Plan(vortex.QCritExpr, strategy.Streaming{Tiles: 16}, dev)
+	p3, fp3, err := c.PlanTracedAt(vortex.QCritExpr, passes.LevelPaper, strategy.Streaming{Tiles: 16}, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dfg/internal/obs"
+	"dfg/internal/passes"
 )
 
 // TestCompileTracedSpans checks the span tree and cache-outcome
@@ -14,12 +15,12 @@ func TestCompileTracedSpans(t *testing.T) {
 	tr := obs.NewTracer(4)
 
 	root := tr.Start("eval")
-	net, key, err := c.CompileTraced("a = u + v", root)
+	net, key, err := c.CompileTracedAt("a = u + v", passes.LevelPaper, root)
 	root.Finish()
 	if err != nil || net == nil {
 		t.Fatalf("compile failed: %v", err)
 	}
-	if key != c.Fingerprint("a = u + v") {
+	if key != c.FingerprintAt("a = u + v", passes.LevelPaper) {
 		t.Fatal("CompileTraced key must match Fingerprint")
 	}
 	cs := root.Find("compile")
@@ -39,7 +40,7 @@ func TestCompileTracedSpans(t *testing.T) {
 	}
 
 	root2 := tr.Start("eval")
-	_, _, err = c.CompileTraced("a = u + v", root2)
+	_, _, err = c.CompileTracedAt("a = u + v", passes.LevelPaper, root2)
 	root2.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -57,11 +58,11 @@ func TestCompileTracedSpans(t *testing.T) {
 // trace.
 func TestCompileTracedNilSpan(t *testing.T) {
 	c := NewCompiler()
-	net, key, err := c.CompileTraced("a = u * u", nil)
+	net, key, err := c.CompileTracedAt("a = u * u", passes.LevelPaper, nil)
 	if err != nil || net == nil || key == "" {
 		t.Fatalf("nil-span compile: net=%v key=%q err=%v", net, key, err)
 	}
-	if _, _, err := c.CompileTraced("a = (", nil); err == nil {
+	if _, _, err := c.CompileTracedAt("a = (", passes.LevelPaper, nil); err == nil {
 		t.Fatal("parse error must still surface on the nil-span path")
 	}
 }
@@ -81,7 +82,7 @@ func TestCompileTracedConcurrentOutcomes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			root := tr.Start("eval")
-			if _, _, err := c.CompileTraced("q = sqrt(u*u + v*v + w*w)", root); err != nil {
+			if _, _, err := c.CompileTracedAt("q = sqrt(u*u + v*v + w*w)", passes.LevelPaper, root); err != nil {
 				t.Error(err)
 			}
 			root.Finish()

@@ -79,7 +79,7 @@ func Executors() []Executor {
 		out = append(out, Executor{
 			Name: name,
 			run: func(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, _ string) (*strategy.Result, error) {
-				return s.Execute(env, net, bind)
+				return strategy.Execute(s, env, net, bind)
 			},
 		})
 	}
@@ -96,7 +96,7 @@ func ExtendedExecutors() []Executor {
 	return append(Executors(), Executor{
 		Name: "streaming",
 		run: func(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, _ string) (*strategy.Result, error) {
-			return s.Execute(env, net, bind)
+			return strategy.Execute(s, env, net, bind)
 		},
 	})
 }

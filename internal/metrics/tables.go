@@ -74,7 +74,7 @@ func TableIIAt(opt string) (*Table, error) {
 		for _, sname := range strategy.Names() {
 			s, _ := strategy.ForName(sname)
 			env := ocl.NewEnv(ocl.NewDevice(ocl.XeonX5660Spec(64)))
-			res, err := s.Execute(env, net, bind)
+			res, err := strategy.Execute(s, env, net, bind)
 			if err != nil {
 				return nil, fmt.Errorf("metrics: %s/%s: %w", e.Name, sname, err)
 			}

@@ -66,19 +66,6 @@ func (c *Context) Heal() {
 	c.lost = false
 }
 
-// InjectAllocFailure arms a one-shot fault: after n more buffer
-// allocation attempts, the next allocation fails with
-// ErrOutOfDeviceMemory regardless of capacity. Real devices fail
-// allocations for reasons beyond raw capacity (fragmentation, runtime
-// reserves), and strategies must clean up wherever the failure lands;
-// the fault-injection tests sweep n across whole executions. It is
-// shorthand for attaching a fresh FaultPlan with a single
-// FailNth(FaultAlloc, n) rule — and like SetFaultPlan it replaces any
-// plan already attached.
-func (c *Context) InjectAllocFailure(n int) {
-	c.SetFaultPlan(NewFaultPlan(0).FailNth(FaultAlloc, n))
-}
-
 // faultPoint runs the fault check for one device operation: a latched
 // device loss fails everything, and otherwise the attached plan (if
 // any) decides. Injected errors are typed *FaultError; an EffectPanic

@@ -39,26 +39,6 @@ func TestFaultPlanFailNthAlloc(t *testing.T) {
 	b.Release()
 }
 
-func TestInjectAllocFailureCompat(t *testing.T) {
-	// InjectAllocFailure(n) must fail the (n+1)-th allocation attempt,
-	// exactly as the pre-FaultPlan implementation did.
-	ctx, _ := faultEnv(t)
-	ctx.InjectAllocFailure(1)
-	b, err := ctx.NewBuffer("a", 4, 1)
-	if err != nil {
-		t.Fatalf("first alloc: %v", err)
-	}
-	b.Release()
-	if _, err := ctx.NewBuffer("b", 4, 1); !errors.Is(err, ErrOutOfDeviceMemory) {
-		t.Fatalf("second alloc: got %v, want ErrOutOfDeviceMemory", err)
-	}
-	if b2, err := ctx.NewBuffer("c", 4, 1); err != nil {
-		t.Fatalf("third alloc after one-shot: %v", err)
-	} else {
-		b2.Release()
-	}
-}
-
 func TestFaultPlanTransferAndKernel(t *testing.T) {
 	ctx, q := faultEnv(t)
 	ctx.SetFaultPlan(NewFaultPlan(1).

@@ -181,7 +181,7 @@ func Run(cfg Config) (*Report, error) {
 // ranks owning disjoint sub-grids).
 func runRank(cfg Config, rank int, blocks []host.GhostBlock, output []float32) (RankReport, error) {
 	dev := ocl.NewDevice(ocl.TeslaM2050Spec(cfg.MemScale))
-	eng, err := dfg.NewOn(dev, cfg.Strategy)
+	eng, err := dfg.NewWith(dev, cfg.Strategy, nil)
 	if err != nil {
 		return RankReport{}, err
 	}

@@ -125,9 +125,8 @@ func Parse(data []byte) (Meta, []EvalRecord, error) {
 }
 
 // schemaCompatible reports whether this reader decodes a snapshot's
-// schema: the current version, plus v1, whose records are a strict
-// subset of v2 (the batch field, absent = unbatched). Empty means a
-// headerless hand-built fixture, tolerated like a missing meta line.
+// schema: the current version, or empty — a headerless hand-built
+// fixture, tolerated like a missing meta line.
 func schemaCompatible(schema string) bool {
-	return schema == "" || schema == Schema || schema == SchemaV1
+	return schema == "" || schema == Schema
 }

@@ -38,13 +38,8 @@ import (
 
 // Schema identifies the perf-database record format. Bump the version on
 // any incompatible field change; readers reject schemas they don't know.
-// v2 added the per-record batch size (EvalRecord.Batch); v1 snapshots
-// remain readable (SchemaV1), their records decoding with Batch == 0.
+// v2 added the per-record batch size (EvalRecord.Batch).
 const Schema = "dfg.perfdb/v2"
-
-// SchemaV1 is the previous record format, which this reader still
-// accepts: v2 is a strict superset (the batch field, absent = unbatched).
-const SchemaV1 = "dfg.perfdb/v1"
 
 // EvalRecord is one evaluation's compact performance record. Durations
 // are nanoseconds; modeled device times come from the run's ocl.Profile.

@@ -106,10 +106,11 @@ func TestSnapshotRoundtrip(t *testing.T) {
 }
 
 // TestParseForwardCompat checks the reader's tolerance contract: unknown
-// line kinds are skipped, a missing meta header is tolerated, the v1
-// schema still loads, and an unknown schema version is rejected.
+// line kinds are skipped, a missing meta header is tolerated, a record
+// without a batch field loads as unbatched, and any other schema
+// version is rejected.
 func TestParseForwardCompat(t *testing.T) {
-	jsonl := `{"kind":"meta","schema":"dfg.perfdb/v1","git_rev":"x"}
+	jsonl := `{"kind":"meta","schema":"dfg.perfdb/v2","git_rev":"x"}
 {"kind":"future-kind","whatever":true}
 {"kind":"eval","fp":"f","strategy":"vm","n":8,"total_ns":42}
 `
@@ -117,7 +118,7 @@ func TestParseForwardCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.GitRev != "x" || len(recs) != 1 || recs[0].TotalNS != 42 {
+	if meta.GitRev != "x" || len(recs) != 1 || recs[0].TotalNS != 42 || recs[0].Batch != 0 {
 		t.Fatalf("parse: meta=%+v recs=%+v", meta, recs)
 	}
 
@@ -127,9 +128,11 @@ func TestParseForwardCompat(t *testing.T) {
 		t.Fatalf("bare-record parse: %v, %d records", err, len(recs))
 	}
 
-	// Unknown version: rejected.
-	if _, _, err := Parse([]byte(`{"kind":"meta","schema":"dfg.perfdb/v3"}` + "\n")); err == nil {
-		t.Fatal("unknown schema version not rejected")
+	// Any other version, the writer-less v1 included: rejected.
+	for _, v := range []string{"v1", "v3"} {
+		if _, _, err := Parse([]byte(`{"kind":"meta","schema":"dfg.perfdb/` + v + `"}` + "\n")); err == nil {
+			t.Fatalf("schema version %s not rejected", v)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ func TestCanceledContextStopsMidPlan(t *testing.T) {
 
 	for _, s := range []Strategy{Roundtrip{}, Staged{}, Fusion{}, Streaming{Tiles: 4}} {
 		env := cpuEnv()
-		res, err := s.Execute(env, net, bind)
+		res, err := Execute(s, env, net, bind)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: got (%v, %v), want context.Canceled", s.Name(), res, err)
 		}
@@ -68,7 +68,7 @@ func TestCancelMidExecution(t *testing.T) {
 				}
 			}
 		}()
-		res, err := s.Execute(env, net, b)
+		res, err := Execute(s, env, net, b)
 		cancel()
 		<-done
 		if err == nil {

@@ -182,7 +182,7 @@ func TestDifferentialRandomExpressions(t *testing.T) {
 				t.Fatal(err)
 			}
 			env := cpuEnv()
-			res, err := s.Execute(env, net, bind)
+			res, err := Execute(s, env, net, bind)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v\n%s", trial, name, err, text)
 			}
@@ -214,7 +214,7 @@ func TestDifferentialRandomExpressions(t *testing.T) {
 		// instruction plan, so it must match fusion at zero ULP on every
 		// element, non-finite included.
 		env := cpuEnv()
-		vres, err := VM{}.Execute(env, net, bind)
+		vres, err := Execute(VM{}, env, net, bind)
 		if err != nil {
 			t.Fatalf("trial %d vm: %v\n%s", trial, err, text)
 		}
@@ -264,7 +264,7 @@ func TestDifferentialWithDefinitions(t *testing.T) {
 		var ref []float32
 		for _, name := range Names() {
 			s, _ := ForName(name)
-			res, err := s.Execute(cpuEnv(), net, bind)
+			res, err := Execute(s, cpuEnv(), net, bind)
 			if err != nil {
 				t.Fatalf("%s under %s: %v", text, name, err)
 			}

@@ -38,7 +38,7 @@ func TestExtensionExpressionsAgree(t *testing.T) {
 		}
 		for _, sname := range ExtendedNames() {
 			s, _ := ForName(sname)
-			res, err := s.Execute(cpuEnv(), net, bind)
+			res, err := Execute(s, cpuEnv(), net, bind)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, sname, err)
 			}
@@ -117,7 +117,7 @@ func TestTranscendentalPrimitives(t *testing.T) {
 	}
 	for _, sname := range ExtendedNames() {
 		s, _ := ForName(sname)
-		res, err := s.Execute(cpuEnv(), net, bind)
+		res, err := Execute(s, cpuEnv(), net, bind)
 		if err != nil {
 			t.Fatalf("%s: %v", sname, err)
 		}

@@ -31,12 +31,12 @@ func TestStreamingMatchesFusionBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (Fusion{}).Execute(cpuEnv(), net, bind)
+	want, err := Execute(Fusion{}, cpuEnv(), net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tiles := range []int{1, 2, 3, 4, 7, 16, 100} {
-		res, err := (Streaming{Tiles: tiles}).Execute(cpuEnv(), net, bind)
+		res, err := Execute(Streaming{Tiles: tiles}, cpuEnv(), net, bind)
 		if err != nil {
 			t.Fatalf("tiles=%d: %v", tiles, err)
 		}
@@ -54,12 +54,12 @@ func TestStreamingProfileAndMemory(t *testing.T) {
 	net, _ := expr.Compile(vortex.QCritExpr)
 
 	fuEnv := cpuEnv()
-	fu, err := (Fusion{}).Execute(fuEnv, net, bind)
+	fu, err := Execute(Fusion{}, fuEnv, net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stEnv := cpuEnv()
-	st, err := (Streaming{Tiles: 4}).Execute(stEnv, net, bind)
+	st, err := Execute(Streaming{Tiles: 4}, stEnv, net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +94,14 @@ func TestStreamingRunsWhereFusionFails(t *testing.T) {
 	spec.MaxAllocSize = spec.GlobalMemSize
 	dev := ocl.NewDevice(spec)
 
-	if _, err := (Fusion{}).Execute(ocl.NewEnv(dev), net, bind); !errors.Is(err, ocl.ErrOutOfDeviceMemory) {
+	if _, err := Execute(Fusion{}, ocl.NewEnv(dev), net, bind); !errors.Is(err, ocl.ErrOutOfDeviceMemory) {
 		t.Fatalf("fusion should run out of device memory, got %v", err)
 	}
-	res, err := (Streaming{Tiles: 8}).Execute(ocl.NewEnv(dev), net, bind)
+	res, err := Execute(Streaming{Tiles: 8}, ocl.NewEnv(dev), net, bind)
 	if err != nil {
 		t.Fatalf("streaming should fit tile by tile: %v", err)
 	}
-	want, err := (Fusion{}).Execute(cpuEnv(), net, bind)
+	want, err := Execute(Fusion{}, cpuEnv(), net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestStreamingFlatElementwise(t *testing.T) {
 	// Without stencils, streaming tiles the flat array (no dims needed).
 	nw := buildVelMag(t)
 	bind, _, _, _ := velMagBindings(rand.New(rand.NewSource(5)), 10000)
-	res, err := (Streaming{Tiles: 3}).Execute(cpuEnv(), nw, bind)
+	res, err := Execute(Streaming{Tiles: 3}, cpuEnv(), nw, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := (Fusion{}).Execute(cpuEnv(), nw, bind)
+	want, _ := Execute(Fusion{}, cpuEnv(), nw, bind)
 	for i := range want.Data {
 		if res.Data[i] != want.Data[i] {
 			t.Fatalf("flat streaming differs at %d", i)
@@ -135,7 +135,7 @@ func TestStreamingRequiresDimsForStencils(t *testing.T) {
 	bind, _ := qcritSetup(t, mesh.Dims{NX: 8, NY: 8, NZ: 8})
 	delete(bind.Sources, "dims")
 	net, _ := expr.Compile(vortex.QCritExpr)
-	if _, err := (Streaming{}).Execute(cpuEnv(), net, bind); err == nil {
+	if _, err := Execute(Streaming{}, cpuEnv(), net, bind); err == nil {
 		t.Fatal("stencil streaming without dims must fail")
 	}
 }
@@ -144,7 +144,7 @@ func TestStreamingBadDims(t *testing.T) {
 	bind, _ := qcritSetup(t, mesh.Dims{NX: 8, NY: 8, NZ: 8})
 	bind.Sources["dims"] = Source{Data: []float32{3, 3, 3, 0}, Width: 1} // 27 != 512
 	net, _ := expr.Compile(vortex.QCritExpr)
-	if _, err := (Streaming{}).Execute(cpuEnv(), net, bind); err == nil {
+	if _, err := Execute(Streaming{}, cpuEnv(), net, bind); err == nil {
 		t.Fatal("inconsistent dims must fail")
 	}
 }
@@ -163,7 +163,7 @@ func TestForNameStreaming(t *testing.T) {
 func TestMultiDeviceMatchesFusion(t *testing.T) {
 	bind, _ := qcritSetup(t, mesh.Dims{NX: 12, NY: 12, NZ: 20})
 	net, _ := expr.Compile(vortex.QCritExpr)
-	want, err := (Fusion{}).Execute(cpuEnv(), net, bind)
+	want, err := Execute(Fusion{}, cpuEnv(), net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestMultiDeviceMatchesFusion(t *testing.T) {
 		}
 	}
 	// Each device holds roughly half the data: peak under fusion's.
-	single, _ := (Fusion{}).Execute(cpuEnv(), net, bind)
+	single, _ := Execute(Fusion{}, cpuEnv(), net, bind)
 	if res.PeakBytes >= single.PeakBytes {
 		t.Fatalf("per-device peak %d should undercut single-device %d", res.PeakBytes, single.PeakBytes)
 	}
@@ -214,12 +214,12 @@ func TestStagedKeepIntermediatesAblation(t *testing.T) {
 	bind, _ := qcritSetup(t, mesh.Dims{NX: 12, NY: 12, NZ: 12})
 	net, _ := expr.Compile(vortex.QCritExpr)
 
-	eager, err := (Staged{}).Execute(cpuEnv(), net, bind)
+	eager, err := Execute(Staged{}, cpuEnv(), net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := cpuEnv()
-	hoard, err := (Staged{KeepIntermediates: true}).Execute(env, net, bind)
+	hoard, err := Execute(Staged{KeepIntermediates: true}, env, net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,12 +253,12 @@ func TestStreamingPropertyRandomGeometry(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, err := (Fusion{}).Execute(cpuEnv(), net, bind)
+		want, err := Execute(Fusion{}, cpuEnv(), net, bind)
 		if err != nil {
 			return false
 		}
 		tiles := 1 + rng.Intn(d.NZ+3) // may exceed NZ: clamps
-		got, err := (Streaming{Tiles: tiles}).Execute(cpuEnv(), net, bind)
+		got, err := Execute(Streaming{Tiles: tiles}, cpuEnv(), net, bind)
 		if err != nil {
 			t.Logf("seed %d dims %v tiles %d: %v", seed, d, tiles, err)
 			return false

@@ -27,7 +27,7 @@ func TestAllocFailureAtEveryPoint(t *testing.T) {
 
 		// Count a clean run's allocations first.
 		clean := cpuEnv()
-		if _, err := s.Execute(clean, net, bind); err != nil {
+		if _, err := Execute(s, clean, net, bind); err != nil {
 			t.Fatalf("%s: clean run failed: %v", sname, err)
 		}
 		total := clean.Context().Allocations()
@@ -38,8 +38,8 @@ func TestAllocFailureAtEveryPoint(t *testing.T) {
 				t.Fatalf("vm: run made %d device allocations, want 0", total)
 			}
 			env := cpuEnv()
-			env.Context().InjectAllocFailure(0)
-			if _, err := s.Execute(env, net, bind); err != nil {
+			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, 0))
+			if _, err := Execute(s, env, net, bind); err != nil {
 				t.Fatalf("vm: run failed under armed alloc fault: %v", err)
 			}
 			continue
@@ -50,8 +50,8 @@ func TestAllocFailureAtEveryPoint(t *testing.T) {
 
 		for k := 0; k < total; k++ {
 			env := cpuEnv()
-			env.Context().InjectAllocFailure(k)
-			_, err := s.Execute(env, net, bind)
+			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, k))
+			_, err := Execute(s, env, net, bind)
 			if !errors.Is(err, ocl.ErrOutOfDeviceMemory) {
 				t.Fatalf("%s: fault at allocation %d/%d: want ErrOutOfDeviceMemory, got %v",
 					sname, k, total, err)
@@ -66,7 +66,7 @@ func TestAllocFailureAtEveryPoint(t *testing.T) {
 
 		// After all that, an unfaulted run still works (no poisoned state).
 		env := cpuEnv()
-		if _, err := s.Execute(env, net, bind); err != nil {
+		if _, err := Execute(s, env, net, bind); err != nil {
 			t.Fatalf("%s: post-fault clean run failed: %v", sname, err)
 		}
 	}
@@ -94,7 +94,7 @@ func TestAllocFailurePooledSweep(t *testing.T) {
 		// not fire and no device memory may move.
 		{
 			env := pooledEnv()
-			env.Context().InjectAllocFailure(0)
+			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, 0))
 			if _, err := s.Plan(net, env.Device()); err != nil {
 				t.Fatalf("%s: Plan failed under armed fault: %v", sname, err)
 			}
@@ -127,7 +127,7 @@ func TestAllocFailurePooledSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.Context().InjectAllocFailure(k)
+			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, k))
 			_, err = plan.Execute(env, bind)
 			var ae *ocl.AllocError
 			if !errors.As(err, &ae) {
@@ -155,7 +155,7 @@ func TestAllocFailurePooledSweep(t *testing.T) {
 		// Warm phase: after a clean cold run, arm a fault on the next
 		// allocation. The warm run draws everything from the arena, so
 		// the fault never fires.
-		clean.Context().InjectAllocFailure(0)
+		clean.Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, 0))
 		if _, err := cleanPlan.Execute(clean, bind); err != nil {
 			t.Fatalf("%s: warm run under armed fault failed (allocated fresh memory?): %v", sname, err)
 		}
@@ -172,7 +172,7 @@ func TestMultiDeviceFaultInjection(t *testing.T) {
 			ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64))),
 			ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64))),
 		}
-		envs[faulted].Context().InjectAllocFailure(2)
+		envs[faulted].Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, 2))
 		_, err := ExecuteMultiDevice(envs, net, bind)
 		if !errors.Is(err, ocl.ErrOutOfDeviceMemory) {
 			t.Fatalf("fault on device %d: want ErrOutOfDeviceMemory, got %v", faulted, err)

@@ -57,11 +57,6 @@ func (Fusion) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 // tiered plan's vm tier shares it instead of lowering again.
 func (p *fusionPlan) program() *vm.Program { return p.prog.Exec }
 
-// Execute generates and runs the fused kernel.
-func (s Fusion) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error) {
-	return executeViaPlan(s, env, net, bind)
-}
-
 // Execute runs the fused kernel.
 func (p *fusionPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	// Generation happened at plan time, on the host; every event from

@@ -52,7 +52,7 @@ func TestIntroductionExample(t *testing.T) {
 	}
 	for _, sname := range ExtendedNames() {
 		s, _ := ForName(sname)
-		res, err := s.Execute(cpuEnv(), net, bind)
+		res, err := Execute(s, cpuEnv(), net, bind)
 		if err != nil {
 			t.Fatalf("%s: %v", sname, err)
 		}

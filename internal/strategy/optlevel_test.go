@@ -59,11 +59,11 @@ func checkOptLevelProgram(t *testing.T, text string, bind Bindings) {
 	paper := compileAt(t, text, passes.LevelPaper)
 	o2 := compileAt(t, text, passes.LevelO2)
 	for name, s := range optExecutors(t) {
-		pres, err := s.Execute(cpuEnv(), paper, bind)
+		pres, err := Execute(s, cpuEnv(), paper, bind)
 		if err != nil {
 			t.Fatalf("%s at paper level: %v\n%s", name, err, text)
 		}
-		ores, err := s.Execute(cpuEnv(), o2, bind)
+		ores, err := Execute(s, cpuEnv(), o2, bind)
 		if err != nil {
 			t.Fatalf("%s at O2: %v\n%s", name, err, text)
 		}
@@ -141,8 +141,8 @@ func FuzzOptLevelDifferential(f *testing.F) {
 			}
 		}
 		for name, s := range optExecutors(t) {
-			pres, perr := s.Execute(cpuEnv(), paper, bind)
-			ores, oerr := s.Execute(cpuEnv(), o2, bind)
+			pres, perr := Execute(s, cpuEnv(), paper, bind)
+			ores, oerr := Execute(s, cpuEnv(), o2, bind)
 			if (perr != nil) != (oerr != nil) {
 				t.Fatalf("%s: paper err %v vs O2 err %v\n%s", name, perr, oerr, text)
 			}
@@ -200,7 +200,7 @@ func TestTableIIUnchangedAtPaperLevel(t *testing.T) {
 		}
 		for _, sname := range Names() {
 			s, _ := ForName(sname)
-			res, err := s.Execute(cpuEnv(), net, bind)
+			res, err := Execute(s, cpuEnv(), net, bind)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", e.Name, sname, err)
 			}
@@ -216,7 +216,7 @@ func TestTableIIUnchangedAtPaperLevel(t *testing.T) {
 	o2 := compileAt(t, vortex.QCritExpr, passes.LevelO2)
 	for _, sname := range Names() {
 		s, _ := ForName(sname)
-		res, err := s.Execute(cpuEnv(), o2, bind)
+		res, err := Execute(s, cpuEnv(), o2, bind)
 		if err != nil {
 			t.Fatalf("Q-Crit/%s at O2: %v", sname, err)
 		}

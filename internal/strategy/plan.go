@@ -19,8 +19,8 @@ import (
 //
 // The lifecycle is compile -> Plan -> Bind -> Execute: internal/compile
 // caches plans keyed by (expression fingerprint, strategy, device
-// class), dfg.Engine.Prepare pins one plan and binds it per call, and a
-// strategy's classic one-shot Execute is now exactly Plan followed by
+// class), dfg.Engine.Prepare pins one plan and binds it per call, and
+// the one-shot package function Execute is exactly Plan followed by
 // Plan.Execute, so the cold path runs the same code.
 type Plan interface {
 	// Strategy names the strategy that produced the plan.
@@ -32,8 +32,10 @@ type Plan interface {
 	// the plan's buffers are drawn from the pool and unchanged sources
 	// stay device-resident (staged/fusion/streaming skip their
 	// re-upload); otherwise behavior — events, allocations, memory
-	// high-water mark — is identical to the strategy's one-shot
-	// Execute.
+	// high-water mark — is that of a one-shot run that allocates and
+	// frees per call. All device buffers the plan allocates are released
+	// before it returns, success or failure (with an arena attached,
+	// "released" means recycled into the pool).
 	Execute(env *ocl.Env, bind Bindings) (*Result, error)
 }
 
@@ -47,12 +49,8 @@ type planBase struct {
 	// the three-entry dims header.
 	needs []sourceNeed
 	// dims names every source a stencil reads its mesh extents from
-	// (input 1), each once. Extents the network computes instead — which
-	// only roundtrip and staged accept; lowering refuses them — have no
-	// value to check before the run: for those the stencil's own geometry
-	// assert and the device's re-raise of a launch chunk's panic on the
-	// launching goroutine are the backstop, a recoverable panic rather
-	// than a DimsError.
+	// (input 1), each once. Extents are always a source: newPlanBase
+	// refuses a network that computes them (ComputedDimsError).
 	dims []string
 }
 
@@ -88,6 +86,20 @@ type DimsError struct {
 
 func (e *DimsError) Error() string {
 	return fmt.Sprintf("strategy: dims source %q = {%v, %v, %v} does not describe a mesh of %d cells", e.Name, e.NX, e.NY, e.NZ, e.N)
+}
+
+// ComputedDimsError reports a stencil whose mesh extents (input 1) the
+// network computes. Extents have to be known before anything is
+// launched — beginRun checks them against the work size, and the
+// lowered strategies bake the dims buffer into the kernel's parameter
+// table — so every strategy refuses such a network at plan time.
+type ComputedDimsError struct {
+	Stencil string // the stencil's filter, e.g. "grad3d"
+	Input   string // the filter computing its extents, e.g. "add"
+}
+
+func (e *ComputedDimsError) Error() string {
+	return fmt.Sprintf("strategy: %s takes its mesh extents from a computed %s; they must be a bound source (dims)", e.Stencil, e.Input)
 }
 
 // dimsCover reports whether the three extents are whole numbers >= 1
@@ -139,7 +151,9 @@ func newPlanBase(name string, net *dataflow.Network) (planBase, error) {
 		for i, in := range n.Inputs {
 			if i != 1 || n.Info().Class != dataflow.ClassStencil {
 				use(in)
-			} else if _, isSource := at[in]; isSource && !slices.Contains(dims, in) {
+			} else if _, isSource := at[in]; !isSource {
+				return planBase{}, &ComputedDimsError{Stencil: n.Filter, Input: net.NodeByID(in).Filter}
+			} else if !slices.Contains(dims, in) {
 				dims = append(dims, in)
 			}
 		}
@@ -198,11 +212,12 @@ func planKernels(order []*dataflow.Node, hostSide func(filter string) bool) (map
 	return ks, nil
 }
 
-// executeViaPlan is the shared one-shot path: plan, then execute. Every
-// strategy's classic Execute routes through it, so the Table II
+// Execute is the one-shot path: plan, then execute, so the Table II
 // counting tests and the differential harness exercise the
-// Plan/Bind/Execute pipeline on every run.
-func executeViaPlan(s Strategy, env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error) {
+// Plan/Bind/Execute pipeline on every run. The environment's profile
+// and peak-memory accounting are reset at entry, so the Result captures
+// exactly this run.
+func Execute(s Strategy, env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error) {
 	p, err := s.Plan(net, env.Device())
 	if err != nil {
 		return nil, err

@@ -57,11 +57,6 @@ func (Roundtrip) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	return &roundtripPlan{planBase: base, kernels: ks}, nil
 }
 
-// Execute runs the network with per-primitive host round trips.
-func (s Roundtrip) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error) {
-	return executeViaPlan(s, env, net, bind)
-}
-
 // Execute runs the plan with per-primitive host round trips.
 func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	if err := p.beginRun(env, bind); err != nil {

@@ -70,11 +70,6 @@ func (s Staged) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	return &stagedPlan{planBase: base, keep: s.KeepIntermediates, kernels: ks, refs: refs}, nil
 }
 
-// Execute runs the network with device-resident intermediates.
-func (s Staged) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error) {
-	return executeViaPlan(s, env, net, bind)
-}
-
 // Execute runs the plan with device-resident intermediates.
 func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	if err := p.beginRun(env, bind); err != nil {

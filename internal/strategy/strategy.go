@@ -130,7 +130,7 @@ type Field struct {
 	Width int
 }
 
-// Strategy executes a dataflow network on a device environment.
+// Strategy plans a dataflow network's execution on a device class.
 type Strategy interface {
 	// Name returns the strategy's name as used in the paper.
 	Name() string
@@ -140,13 +140,6 @@ type Strategy interface {
 	// immutable and shareable; repeated executions bind and run it
 	// without re-planning.
 	Plan(net *dataflow.Network, dev *ocl.Device) (Plan, error)
-	// Execute runs the network's output computation — Plan followed by
-	// Plan.Execute. The environment's profile and peak-memory
-	// accounting are reset at entry, so the Result captures exactly
-	// this run. All device buffers the strategy allocates are released
-	// before it returns, success or failure (with an arena attached,
-	// "released" means recycled into the pool).
-	Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error)
 }
 
 // Variant is implemented by strategies whose configuration changes the

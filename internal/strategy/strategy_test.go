@@ -113,7 +113,7 @@ func TestAllStrategiesAgreeOnVelMag(t *testing.T) {
 			t.Fatal(err)
 		}
 		env := cpuEnv()
-		res, err := s.Execute(env, nw, bind)
+		res, err := Execute(s, env, nw, bind)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -151,7 +151,7 @@ func TestAllStrategiesAgreeOnGradientExpression(t *testing.T) {
 	for _, name := range Names() {
 		s, _ := ForName(name)
 		env := cpuEnv()
-		res, err := s.Execute(env, nw, bind)
+		res, err := Execute(s, env, nw, bind)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -180,7 +180,7 @@ func TestTableIIVelMagRow(t *testing.T) {
 	}
 	for name, counts := range want {
 		s, _ := ForName(name)
-		res, err := s.Execute(cpuEnv(), nw, bind)
+		res, err := Execute(s, cpuEnv(), nw, bind)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -205,7 +205,7 @@ func TestVelMagMemoryShape(t *testing.T) {
 	peaks := map[string]int64{}
 	for _, name := range Names() {
 		s, _ := ForName(name)
-		res, err := s.Execute(cpuEnv(), nw, bind)
+		res, err := Execute(s, cpuEnv(), nw, bind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestGradientMemoryShape(t *testing.T) {
 	peaks := map[string]int64{}
 	for _, name := range Names() {
 		s, _ := ForName(name)
-		res, err := s.Execute(cpuEnv(), nw, bind)
+		res, err := Execute(s, cpuEnv(), nw, bind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestStagedFailsOnSmallGPU(t *testing.T) {
 	dev := ocl.NewDevice(spec)
 
 	env := ocl.NewEnv(dev)
-	_, err := (Staged{}).Execute(env, nw, bind)
+	_, err := Execute(Staged{}, env, nw, bind)
 	if !errors.Is(err, ocl.ErrOutOfDeviceMemory) {
 		t.Fatalf("staged on small GPU: want ErrOutOfDeviceMemory, got %v", err)
 	}
@@ -291,7 +291,7 @@ func TestStagedFailsOnSmallGPU(t *testing.T) {
 	}
 
 	env2 := ocl.NewEnv(dev)
-	if _, err := (Roundtrip{}).Execute(env2, nw, bind); err != nil {
+	if _, err := Execute(Roundtrip{}, env2, nw, bind); err != nil {
 		t.Fatalf("roundtrip must fit where staged fails: %v", err)
 	}
 }
@@ -318,18 +318,18 @@ func TestExecuteValidation(t *testing.T) {
 	for _, name := range Names() {
 		s, _ := ForName(name)
 		// Zero work size.
-		if _, err := s.Execute(cpuEnv(), nw, Bindings{N: 0, Sources: bind.Sources}); err == nil {
+		if _, err := Execute(s, cpuEnv(), nw, Bindings{N: 0, Sources: bind.Sources}); err == nil {
 			t.Errorf("%s: zero N must fail", name)
 		}
 		// Missing source binding.
 		bad := Bindings{N: 100, Sources: map[string]Source{"u": bind.Sources["u"]}}
-		if _, err := s.Execute(cpuEnv(), nw, bad); err == nil {
+		if _, err := Execute(s, cpuEnv(), nw, bad); err == nil {
 			t.Errorf("%s: missing binding must fail", name)
 		}
 		// Network without output.
 		empty := dataflow.NewNetwork()
 		empty.AddSource("u")
-		if _, err := s.Execute(cpuEnv(), empty, bind); err == nil {
+		if _, err := Execute(s, cpuEnv(), empty, bind); err == nil {
 			t.Errorf("%s: network without output must fail", name)
 		}
 	}
@@ -339,7 +339,7 @@ func TestResultIncludesEventLog(t *testing.T) {
 	nw := buildVelMag(t)
 	rng := rand.New(rand.NewSource(6))
 	bind, _, _, _ := velMagBindings(rng, 256)
-	res, err := (Fusion{}).Execute(cpuEnv(), nw, bind)
+	res, err := Execute(Fusion{}, cpuEnv(), nw, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestStrategiesAgreeOnRandomNetworks(t *testing.T) {
 		var ref []float32
 		for _, name := range Names() {
 			s, _ := ForName(name)
-			res, err := s.Execute(cpuEnv(), nw, bind)
+			res, err := Execute(s, cpuEnv(), nw, bind)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}

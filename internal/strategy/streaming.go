@@ -70,11 +70,6 @@ func (s Streaming) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	return &streamingPlan{planBase: base, prog: prog, tiles: tiles}, nil
 }
 
-// Execute runs the fused kernel slab by slab.
-func (s Streaming) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error) {
-	return executeViaPlan(s, env, net, bind)
-}
-
 // Execute runs the plan's fused kernel slab by slab.
 func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	if err := p.beginRun(env, bind); err != nil {

@@ -47,7 +47,7 @@ func TestTableIIExactCounts(t *testing.T) {
 		}
 		for _, sname := range Names() {
 			s, _ := ForName(sname)
-			res, err := s.Execute(cpuEnv(), net, bind)
+			res, err := Execute(s, cpuEnv(), net, bind)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", e.Name, sname, err)
 			}
@@ -89,7 +89,7 @@ func TestPaperExpressionsNumericallyAgree(t *testing.T) {
 		want := golden[e.Name]
 		for _, sname := range Names() {
 			s, _ := ForName(sname)
-			res, err := s.Execute(cpuEnv(), net, bind)
+			res, err := Execute(s, cpuEnv(), net, bind)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", e.Name, sname, err)
 			}
@@ -119,7 +119,7 @@ func TestStrategiesBitwiseAgree(t *testing.T) {
 		var ref []float32
 		for _, sname := range append(ExtendedNames(), "tiered") {
 			s, _ := ForName(sname)
-			res, err := s.Execute(cpuEnv(), net, bind)
+			res, err := Execute(s, cpuEnv(), net, bind)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", e.Name, sname, err)
 			}

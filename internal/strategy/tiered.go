@@ -90,11 +90,6 @@ func (t Tiered) Plan(net *dataflow.Network, dev *ocl.Device) (Plan, error) {
 		vm: &vmPlan{planBase: hostBase, prog: prog}, dev: devPlan}, nil
 }
 
-// Execute routes the binding to its tier.
-func (s Tiered) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error) {
-	return executeViaPlan(s, env, net, bind)
-}
-
 // Execute routes the binding to its tier: VM strictly below the
 // threshold, the device strategy at or above it. The result's Resolved
 // field names the tier that ran, so metrics and the perf database can

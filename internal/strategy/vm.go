@@ -43,11 +43,6 @@ func (VM) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	return &vmPlan{planBase: base, prog: prog}, nil
 }
 
-// Execute lowers and runs the network.
-func (s VM) Execute(env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error) {
-	return executeViaPlan(s, env, net, bind)
-}
-
 // Execute runs the lowered program on the host. The environment is
 // reset as on any other strategy so the (empty) profile captures exactly
 // this run.

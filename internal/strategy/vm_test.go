@@ -31,11 +31,11 @@ import (
 func checkVMAgainstFusion(t *testing.T, text string, lvl passes.Level, bind Bindings) {
 	t.Helper()
 	net := compileAt(t, text, lvl)
-	fres, err := Fusion{}.Execute(cpuEnv(), net, bind)
+	fres, err := Execute(Fusion{}, cpuEnv(), net, bind)
 	if err != nil {
 		t.Fatalf("fusion at %v: %v\n%s", lvl, err, text)
 	}
-	vres, err := VM{}.Execute(cpuEnv(), net, bind)
+	vres, err := Execute(VM{}, cpuEnv(), net, bind)
 	if err != nil {
 		t.Fatalf("vm at %v: %v\n%s", lvl, err, text)
 	}
@@ -87,11 +87,11 @@ func TestVMO2MatchesPaperFusion(t *testing.T) {
 	for _, text := range progs {
 		paper := compileAt(t, text, passes.LevelPaper)
 		o2 := compileAt(t, text, passes.LevelO2)
-		fres, err := Fusion{}.Execute(cpuEnv(), paper, bind)
+		fres, err := Execute(Fusion{}, cpuEnv(), paper, bind)
 		if err != nil {
 			t.Fatalf("paper fusion: %v\n%s", err, text)
 		}
-		vres, err := VM{}.Execute(cpuEnv(), o2, bind)
+		vres, err := Execute(VM{}, cpuEnv(), o2, bind)
 		if err != nil {
 			t.Fatalf("O2 vm: %v\n%s", err, text)
 		}
@@ -215,7 +215,7 @@ func TestStencilOverConstantField(t *testing.T) {
 					if poison {
 						poisonScratchPool([]int{bind.N, bind.N, 16 * 4 * 256})
 					}
-					res, err := s.Execute(cpuEnv(), net, bind)
+					res, err := Execute(s, cpuEnv(), net, bind)
 					if err != nil {
 						t.Fatalf("%s: %v\n%s", s.Name(), err, text)
 					}
@@ -435,7 +435,7 @@ func TestVMCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	bind.Ctx = ctx
-	if _, err := (VM{}.Execute(cpuEnv(), net, bind)); err == nil {
+	if _, err := (Execute(VM{}, cpuEnv(), net, bind)); err == nil {
 		t.Fatal("canceled context must stop the vm run")
 	}
 }

@@ -79,19 +79,19 @@ func (c *evalCapture) noteFallback(to string, viaLost bool) {
 // recordEval builds and deposits the evaluation's perf record.
 // arenaBefore holds the engine's arena counters snapshotted at entry;
 // res is nil on failure.
-func (e *Engine) recordEval(c *evalCapture, res *Result, err error, n int, fp string,
+func (e *Engine) recordEval(c *evalCapture, res *Result, err error, j job, n int,
 	sp *obs.Span, t0 time.Time, arenaBefore ocl.ArenaStats) {
 	after := e.ArenaStats()
 	rec := perfdb.EvalRecord{
 		UnixNS:         time.Now().UnixNano(),
 		TraceID:        sp.ID(),
-		Fingerprint:    shortFingerprint(fp),
+		Fingerprint:    compile.ShortKey(j.fp),
 		Strategy:       c.entry,
 		Resolved:       c.resolved,
 		Opt:            e.lvl.String(),
 		Device:         e.env.Device().Name(),
 		N:              n,
-		Batch:          e.pendingBatch,
+		Batch:          j.batch,
 		QueueWaitNS:    int64(e.pendingWait),
 		PlanNS:         int64(e.pendingPlan),
 		TotalNS:        time.Since(t0).Nanoseconds(),
@@ -103,7 +103,7 @@ func (e *Engine) recordEval(c *evalCapture, res *Result, err error, n int, fp st
 		Degraded:       c.degraded,
 		DeviceLost:     c.deviceLost,
 	}
-	e.pendingWait, e.pendingPlan, e.pendingBatch = 0, 0, 0
+	e.pendingWait, e.pendingPlan = 0, 0
 	if res != nil {
 		rec.UploadNS = res.Profile.WriteTime.Nanoseconds()
 		rec.KernelNS = res.Profile.KernelTime.Nanoseconds()
@@ -120,7 +120,3 @@ func (e *Engine) recordEval(c *evalCapture, res *Result, err error, n int, fp st
 	}
 	e.perf.Record(rec)
 }
-
-// shortFingerprint is the compact fingerprint form records and metric
-// labels share.
-func shortFingerprint(fp string) string { return compile.ShortKey(fp) }

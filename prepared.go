@@ -3,7 +3,6 @@ package dfg
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"dfg/internal/compile"
 	"dfg/internal/obs"
@@ -93,7 +92,7 @@ func (e *Engine) PrepareTraced(parent *obs.Span, text string) (*Prepared, error)
 	if err != nil {
 		return nil, err
 	}
-	e.prepCount++
+	*e.prepCount++
 	return &Prepared{eng: e, plan: plan, fp: fp, text: text}, nil
 }
 
@@ -108,51 +107,17 @@ func (p *Prepared) Text() string { return p.text }
 // named input arrays, drawing device buffers from the engine's arena.
 func (p *Prepared) Eval(n int, inputs map[string][]float32) (*Result, error) {
 	sp := p.eng.tracer.Start("eval")
-	res, err := p.EvalTraced(sp, n, inputs)
-	sp.Finish()
-	return res, err
+	defer sp.Finish()
+	return p.eval(nil, sp, binder{n: n, inputs: inputs})
 }
 
-// EvalCtx is Eval observing a context: the run stops at the next
-// kernel-launch boundary once ctx is done, and a done context also
-// stops recovery retries and fallbacks.
-func (p *Prepared) EvalCtx(ctx context.Context, n int, inputs map[string][]float32) (*Result, error) {
-	sp := p.eng.tracer.Start("eval")
-	res, err := p.evalTraced(ctx, sp, n, inputs)
-	sp.Finish()
-	return res, err
-}
-
-// EvalTraced is Eval recording its bind and execute spans as children
-// of the caller-owned parent span.
-func (p *Prepared) EvalTraced(parent *obs.Span, n int, inputs map[string][]float32) (*Result, error) {
-	return p.evalTraced(nil, parent, n, inputs)
-}
-
-// EvalTracedCtx is EvalTraced observing a context (see EvalCtx); the
-// serving layer threads each request's deadline through here.
+// EvalTracedCtx is Eval recording its bind and execute spans as
+// children of the caller-owned parent span and observing a context: the
+// run stops at the next kernel-launch boundary once ctx is done, and a
+// done context also stops recovery retries and fallbacks. The serving
+// layer threads each request's span and deadline through here.
 func (p *Prepared) EvalTracedCtx(ctx context.Context, parent *obs.Span, n int, inputs map[string][]float32) (*Result, error) {
-	return p.evalTraced(ctx, parent, n, inputs)
-}
-
-// evalTraced is the shared Eval core; ctx may be nil.
-func (p *Prepared) evalTraced(ctx context.Context, parent *obs.Span, n int, inputs map[string][]float32) (*Result, error) {
-	if p.closed {
-		return nil, fmt.Errorf("dfg: prepared expression is closed")
-	}
-	e := p.eng
-	if parent != nil {
-		parent.SetAttr("strategy", e.strat.Name()).SetAttr("n", strconv.Itoa(n))
-	}
-	t0 := e.clock()
-	bs := parent.Child("bind")
-	bind := strategy.Bindings{N: n, Sources: make(map[string]strategy.Source, len(inputs)), Ctx: ctx}
-	for name, data := range inputs {
-		bind.Sources[name] = strategy.Source{Data: data, Width: 1}
-	}
-	bs.Finish()
-	plan, label := p.active()
-	return e.runPlan(p.text, p, plan, label, bind, e.env.Context().Pool(), parent, p.fp, t0)
+	return p.eval(ctx, parent, binder{n: n, inputs: inputs})
 }
 
 // EvalMesh evaluates the prepared expression over cell-centered fields
@@ -161,24 +126,20 @@ func (p *Prepared) evalTraced(ctx context.Context, parent *obs.Span, n int, inpu
 // so repeated calls over one mesh rebind the same backing arrays — and
 // the arena keeps them device-resident, skipping their re-upload.
 func (p *Prepared) EvalMesh(m *Mesh, fields map[string][]float32) (*Result, error) {
+	sp := p.eng.tracer.Start("eval")
+	defer sp.Finish()
+	return p.eval(nil, sp, binder{mesh: m, inputs: fields})
+}
+
+// eval runs the handle's active plan through the engine's core with the
+// arena attached.
+func (p *Prepared) eval(ctx context.Context, sp *obs.Span, b binder) (*Result, error) {
 	if p.closed {
 		return nil, fmt.Errorf("dfg: prepared expression is closed")
 	}
 	e := p.eng
-	sp := e.tracer.Start("eval")
-	defer sp.Finish()
-	if sp != nil {
-		sp.SetAttr("strategy", e.strat.Name()).SetAttr("n", strconv.Itoa(m.Cells()))
-	}
-	t0 := e.clock()
-	bs := sp.Child("bind")
-	bind, err := strategy.BindMesh(m, fields)
-	bs.Finish()
-	if err != nil {
-		return nil, err
-	}
 	plan, label := p.active()
-	return e.runPlan(p.text, p, plan, label, bind, e.env.Context().Pool(), sp, p.fp, t0)
+	return e.eval(ctx, sp, b, job{text: p.text, pr: p, plan: plan, label: label, fp: p.fp, pool: e.env.Context().Pool()})
 }
 
 // Close releases the prepared handle. Closing the engine's last open
@@ -196,11 +157,17 @@ func (p *Prepared) Close() {
 		return
 	}
 	p.closed = true
-	if p.eng.prepCount > 0 {
-		p.eng.prepCount--
+	p.eng.releaseHandle()
+}
+
+// releaseHandle surrenders one open-handle reference; the last one out
+// drains the arena.
+func (e *Engine) releaseHandle() {
+	if *e.prepCount > 0 {
+		*e.prepCount--
 	}
-	if p.eng.prepCount == 0 {
-		p.eng.env.Context().Pool().Drain()
+	if *e.prepCount == 0 {
+		e.env.Context().Pool().Drain()
 	}
 }
 

@@ -228,20 +228,20 @@ func (r *recovery) vmRung() (rung, bool) {
 	return rung{}, false
 }
 
-// run is the recovery-wrapped execution loop around runPlanOnce. pr,
+// run is the recovery-wrapped execution loop around runPlanOnce. j.pr,
 // when non-nil, remembers the rung a degraded run landed on, so
 // subsequent warm evaluations start there instead of re-failing the
 // primary plan.
-func (r *recovery) run(e *Engine, text string, pr *Prepared, plan strategy.Plan, label string,
-	bind strategy.Bindings, pool *ocl.Arena, sp *obs.Span, fp string, t0 time.Time, capt *evalCapture) (*Result, error) {
+func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time, capt *evalCapture) (*Result, error) {
 	retries := 0
 	fell := false    // did this call move down the ladder at all?
 	viaLost := false // was the final rung reached through a device loss?
 	for {
-		res, err := e.runPlanOnce(plan, label, bind, pool, sp, fp, t0, capt)
+		label := j.label
+		res, err := e.runPlanOnce(j, bind, sp, t0, capt)
 		if err == nil {
-			if pr != nil && fell && plan != pr.plan {
-				pr.fallback, pr.fallbackLabel, pr.fallbackLost = plan, label, viaLost
+			if pr := j.pr; pr != nil && fell && j.plan != pr.plan {
+				pr.fallback, pr.fallbackLabel, pr.fallbackLost = j.plan, label, viaLost
 			}
 			return res, nil
 		}
@@ -250,7 +250,7 @@ func (r *recovery) run(e *Engine, text string, pr *Prepared, plan strategy.Plan,
 		if bind.Ctx != nil && bind.Ctx.Err() != nil {
 			return nil, err
 		}
-		switch ocl.Classify(err) {
+		switch class := ocl.Classify(err); class {
 		case ocl.ClassTransient:
 			if retries >= r.pol.MaxRetries {
 				return nil, fmt.Errorf("dfg: %d retries exhausted: %w", retries, err)
@@ -272,9 +272,19 @@ func (r *recovery) run(e *Engine, text string, pr *Prepared, plan strategy.Plan,
 			}
 			r.sleep(d)
 
-		case ocl.ClassCapacity:
-			nxt, ok := r.next(label)
-			if !ok {
+		case ocl.ClassCapacity, ocl.ClassDeviceLost:
+			lost := class == ocl.ClassDeviceLost
+			var nxt rung
+			var ok bool
+			if lost {
+				// Nothing on the device can run again until the serving layer
+				// heals or replaces it, but the ladder's host-VM rung (if any)
+				// needs no device at all: jump straight there. Already on it,
+				// or no vm rung? Surface the loss.
+				if nxt, ok = r.vmRung(); !ok || label == nxt.label {
+					return nil, err
+				}
+			} else if nxt, ok = r.next(label); !ok {
 				return nil, fmt.Errorf("dfg: degradation ladder exhausted at %s: %w", label, err)
 			}
 			// Drain the arena so pooled and resident buffers do not count
@@ -286,7 +296,7 @@ func (r *recovery) run(e *Engine, text string, pr *Prepared, plan strategy.Plan,
 			if fs != nil {
 				fs.SetAttr("from", label).SetAttr("to", nxt.label).SetAttr("cause", err.Error())
 			}
-			np, _, perr := e.comp.PlanTracedAt(text, e.lvl, nxt.strat, e.env.Device(), fs)
+			np, _, perr := e.comp.PlanTracedAt(j.text, e.lvl, nxt.strat, e.env.Device(), fs)
 			fs.Finish()
 			if perr != nil {
 				return nil, fmt.Errorf("dfg: fallback re-plan %s -> %s: %w", label, nxt.label, perr)
@@ -296,38 +306,9 @@ func (r *recovery) run(e *Engine, text string, pr *Prepared, plan strategy.Plan,
 					"Strategy degradations by ladder edge.",
 					obs.Labels{"from": label, "to": nxt.label}).Inc()
 			}
-			plan, label = np, nxt.label
-			capt.noteFallback(nxt.label, false)
-			fell = true
-			retries = 0
-
-		case ocl.ClassDeviceLost:
-			// Nothing on the device can run again until the serving layer
-			// heals or replaces it, but the ladder's host-VM rung (if any)
-			// needs no device at all: jump straight there. Already on it,
-			// or no vm rung? Surface the loss.
-			vr, ok := r.vmRung()
-			if !ok || label == vr.label {
-				return nil, err
-			}
-			e.env.Context().Pool().Drain()
-			fs := sp.Child("fallback")
-			if fs != nil {
-				fs.SetAttr("from", label).SetAttr("to", vr.label).SetAttr("cause", err.Error())
-			}
-			np, _, perr := e.comp.PlanTracedAt(text, e.lvl, vr.strat, e.env.Device(), fs)
-			fs.Finish()
-			if perr != nil {
-				return nil, fmt.Errorf("dfg: fallback re-plan %s -> %s: %w", label, vr.label, perr)
-			}
-			if e.reg != nil {
-				e.reg.Counter("dfg_fallback_total",
-					"Strategy degradations by ladder edge.",
-					obs.Labels{"from": label, "to": vr.label}).Inc()
-			}
-			plan, label = np, vr.label
-			capt.noteFallback(vr.label, true)
-			fell, viaLost = true, true
+			j.plan, j.label = np, nxt.label
+			capt.noteFallback(nxt.label, lost)
+			fell, viaLost = true, viaLost || lost
 			retries = 0
 
 		default: // permanent

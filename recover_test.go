@@ -304,7 +304,12 @@ func TestCanceledContextStopsRecovery(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.EvalCtx(ctx, VelocityMagnitudeExpr, 1, map[string][]float32{"u": {1}, "v": {0}, "w": {0}})
+	pr, err := eng.Prepare(VelocityMagnitudeExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	_, err = pr.EvalTracedCtx(ctx, nil, 1, map[string][]float32{"u": {1}, "v": {0}, "w": {0}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -329,22 +334,22 @@ func TestPreparedCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.prepCount != 2 {
-		t.Fatalf("prepCount = %d, want 2", eng.prepCount)
+	if *eng.prepCount != 2 {
+		t.Fatalf("prepCount = %d, want 2", *eng.prepCount)
 	}
 	a.Close()
 	a.Close() // double-Close: must be a no-op
 	a.Close()
-	if eng.prepCount != 1 {
-		t.Fatalf("prepCount after triple-Close of one handle = %d, want 1", eng.prepCount)
+	if *eng.prepCount != 1 {
+		t.Fatalf("prepCount after triple-Close of one handle = %d, want 1", *eng.prepCount)
 	}
 	if _, err := a.Eval(3, map[string][]float32{"u": {3, 1, 0}, "v": {4, 2, 0}, "w": {0, 2, 5}}); err == nil {
 		t.Fatal("Eval on closed Prepared must fail")
 	}
 	b.Close()
 	b.Close()
-	if eng.prepCount != 0 {
-		t.Fatalf("prepCount = %d, want 0", eng.prepCount)
+	if *eng.prepCount != 0 {
+		t.Fatalf("prepCount = %d, want 0", *eng.prepCount)
 	}
 	// Arena Drain idempotence: extra drains on an already-drained arena
 	// are no-ops.
