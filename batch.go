@@ -55,7 +55,6 @@ type BatchResult struct {
 type PreparedBatch struct {
 	eng   *Engine
 	texts []string
-	fps   []string // per input text, in input order
 	bfp   string
 
 	// solo is the single-distinct-member fast path: the batch is an
@@ -87,28 +86,33 @@ func (e *Engine) PrepareBatchTraced(parent *obs.Span, texts []string) (*Prepared
 	if len(texts) == 0 {
 		return nil, fmt.Errorf("dfg: batch needs at least one expression")
 	}
-	members := make([]passes.MergeMember, 0, len(texts))
-	fps := make([]string, len(texts))
-	seen := make(map[string]bool, len(texts))
-	for i, text := range texts {
-		net, fp, err := e.comp.CompileTracedAt(text, e.lvl, parent)
-		if err != nil {
-			return nil, fmt.Errorf("dfg: batch member %d: %w", i, err)
-		}
-		fps[i] = fp
-		if !seen[fp] {
-			seen[fp] = true
-			members = append(members, passes.MergeMember{Fp: fp, Net: net})
+	// One text has nothing to deduplicate or merge: it skips the member
+	// compiles and takes the solo fast path below — Prepare's one compile
+	// and plan, under Prepare's own errors.
+	var members []passes.MergeMember
+	fps := make([]string, len(texts)) // per input text, in input order
+	if len(texts) > 1 {
+		seen := make(map[string]bool, len(texts))
+		for i, text := range texts {
+			net, fp, err := e.comp.CompileTracedAt(text, e.lvl, parent)
+			if err != nil {
+				return nil, fmt.Errorf("dfg: batch member %d: %w", i, err)
+			}
+			fps[i] = fp
+			if !seen[fp] {
+				seen[fp] = true
+				members = append(members, passes.MergeMember{Fp: fp, Net: net})
+			}
 		}
 	}
-	if len(members) == 1 {
+	if len(members) < 2 {
 		// Batch of one (possibly N requests for one expression): the
 		// solo fast path, byte-identical to an ordinary Prepare.
 		solo, err := e.PrepareTraced(parent, texts[0])
 		if err != nil {
 			return nil, err
 		}
-		return &PreparedBatch{eng: e, texts: texts, fps: fps, bfp: solo.fp, solo: solo, members: 1}, nil
+		return &PreparedBatch{eng: e, texts: texts, bfp: solo.fp, solo: solo, members: 1}, nil
 	}
 	merged, bfp, err := e.comp.MergeTraced(members, e.lvl, parent)
 	if err != nil {
@@ -136,7 +140,7 @@ func (e *Engine) PrepareBatchTraced(parent *obs.Span, texts []string) (*Prepared
 	}
 	*e.prepCount++
 	return &PreparedBatch{
-		eng: e, texts: texts, fps: fps, bfp: bfp,
+		eng: e, texts: texts, bfp: bfp,
 		plan: plan, rootIdx: rootIdx, shared: merged.Shared, members: len(members),
 	}, nil
 }

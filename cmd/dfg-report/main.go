@@ -4,22 +4,18 @@
 // and exits non-zero when the comparison regresses.
 //
 //	dfg-report -base results/perf_baseline.json -new perf/latest.json
-//	dfg-report -base old.jsonl -new new.jsonl -tol 0.10 -v
-//	dfg-report -base base.json -new new.json -time-warn   # CI cross-machine mode
+//	dfg-report -base old.jsonl -new new.jsonl -v
 //	dfg-report -check-flight perf/flight-*.json           # validate a postmortem dump
 //
-// Both inputs may be any persisted perf format — a perfdb JSONL snapshot
-// (what serve.Pool.FlushPerf and dfg-serve -perf-dir write), dfg-bench
-// sweep JSON (-json), or dfg-bench warm/cold JSON (-repeat -json); the
-// format is sniffed per file, so a live snapshot can be gated against a
-// committed baseline produced by a different tool.
+// Both inputs may be either persisted perf format — a perfdb JSONL
+// snapshot (what serve.Pool.FlushPerf and dfg-serve -perf-dir write) or
+// dfg-bench warm/cold JSON (-repeat -json); the format is sniffed per
+// file.
 //
-// Wall-time comparisons use minimum-of-samples against a fractional
-// tolerance with an absolute noise floor; count metrics (kernel
-// launches, device writes, warm-path allocations, ...) compare against
-// an absolute tolerance that defaults to zero — one extra warm-path
-// allocation fails the gate. -time-warn downgrades time regressions to
-// warnings for cross-machine CI baselines while counts keep hard-failing.
+// The gate speaks counts only (kernel launches, device writes, warm-path
+// allocations, ...): they are exact on any host, and compare against an
+// absolute tolerance that defaults to zero — one extra warm-path
+// allocation fails the gate. Wall-clock comparison is benchmark/'s job.
 package main
 
 import (
@@ -34,11 +30,8 @@ func main() {
 	var (
 		base        = flag.String("base", "", "baseline snapshot (perfdb JSONL or dfg-bench JSON)")
 		newer       = flag.String("new", "", "candidate snapshot to gate against the baseline")
-		tol         = flag.Float64("tol", 0, "fractional wall-time tolerance (0 = default 0.25)")
-		floor       = flag.Int64("floor-ns", 0, "ignore time regressions when both sides are under this many ns (0 = default 100000)")
 		countTol    = flag.Float64("count-tol", 0, "absolute tolerance on count metrics (default 0: +1 alloc fails)")
-		timeWarn    = flag.Bool("time-warn", false, "downgrade time regressions to warnings (counts still hard-fail)")
-		verbose     = flag.Bool("v", false, "list every compared metric, not just regressions and warnings")
+		verbose     = flag.Bool("v", false, "list every compared metric, not just regressions")
 		checkFlight = flag.String("check-flight", "", "validate a flight-recorder dump instead of comparing snapshots")
 	)
 	flag.Parse()
@@ -67,12 +60,7 @@ func main() {
 	v := perfdb.Compare(
 		perfdb.Aggregate(baseSamples),
 		perfdb.Aggregate(newSamples),
-		perfdb.CompareOptions{
-			TimeTol:      *tol,
-			MinTimeNS:    *floor,
-			CountTol:     *countTol,
-			TimeWarnOnly: *timeWarn,
-		},
+		perfdb.CompareOptions{CountTol: *countTol},
 	)
 	fmt.Print(v.Markdown(*verbose))
 	if !v.OK() {

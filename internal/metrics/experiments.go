@@ -157,7 +157,6 @@ type CaseResult struct {
 	Device1  string
 	Profile  ocl.Profile
 	DevTime  time.Duration // modeled device time (trimmed mean)
-	Wall     time.Duration // host wall time (trimmed mean)
 	PeakMem  int64
 	GPULimit int64 // the GPU's global memory at this scale
 }
@@ -226,7 +225,7 @@ func RunCases(cfg Config) ([]CaseResult, error) {
 // runCase measures one case with the paper's repeat-and-trim protocol.
 func runCase(cfg Config, spec ocl.DeviceSpec, ex Executor, exprName string, net *dataflow.Network, bind strategy.Bindings, g rtsim.Grid) CaseResult {
 	out := CaseResult{Expr: exprName, Opt: cfg.Opt, Exec: ex.Name, Device: spec.Type, Grid: g, Device1: spec.Name}
-	var devTimes, walls []time.Duration
+	var devTimes []time.Duration
 	var last *strategy.Result
 	for r := 0; r < cfg.Repeats; r++ {
 		env := ocl.NewEnv(ocl.NewDevice(spec))
@@ -243,13 +242,11 @@ func runCase(cfg Config, spec ocl.DeviceSpec, ex Executor, exprName string, net 
 			return out
 		}
 		devTimes = append(devTimes, res.Profile.DeviceTime())
-		walls = append(walls, res.Profile.Wall)
 		last = res
 	}
 	out.Profile = last.Profile
 	out.PeakMem = last.PeakBytes
 	out.DevTime = trimmedMean(devTimes)
-	out.Wall = trimmedMean(walls)
 	return out
 }
 

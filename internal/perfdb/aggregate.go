@@ -12,16 +12,16 @@ import (
 
 // Sample is the format-neutral unit the regression gate works on: one
 // measured evaluation (or aggregated case) identified by expression,
-// strategy, opt level and size, carrying an optional wall time and a
-// bag of count metrics (kernels, writes, allocs, ...). Samples come
-// from perfdb JSONL snapshots, dfg-bench sweep JSON, or dfg-bench
-// -repeat warm/cold JSON — LoadAny sniffs which.
+// strategy, opt level and size, carrying a bag of count metrics
+// (kernels, writes, allocs, ...). Counts only: they are exact on any
+// host, and wall-clock comparison is benchmark/'s job. Samples come from
+// perfdb JSONL snapshots or dfg-bench -repeat warm/cold JSON — LoadAny
+// sniffs which.
 type Sample struct {
 	Name     string // expression text or fingerprint
 	Strategy string
 	Opt      string
 	N        int
-	TimeNS   int64
 	Counts   map[string]int64
 }
 
@@ -58,23 +58,12 @@ func SizeBucket(n int) int {
 	return b
 }
 
-// Agg is the per-key aggregate: evaluation count, wall-time stats over
-// the samples that carried one, and the mean of every count metric.
+// Agg is the per-key aggregate: evaluation count and the mean of every
+// count metric.
 type Agg struct {
-	Key       Key
-	Samples   int
-	TimeCount int   // samples with TimeNS > 0
-	MinTimeNS int64 // fastest sample — the noise-robust comparison basis
-	SumTimeNS int64
-	Counts    map[string]float64 // mean per sample
-}
-
-// MeanTimeNS returns the mean wall time over timed samples (0 if none).
-func (a Agg) MeanTimeNS() int64 {
-	if a.TimeCount == 0 {
-		return 0
-	}
-	return a.SumTimeNS / int64(a.TimeCount)
+	Key     Key
+	Samples int
+	Counts  map[string]float64 // mean per sample
 }
 
 // Aggregate folds samples into per-key aggregates.
@@ -90,13 +79,6 @@ func Aggregate(samples []Sample) map[Key]*Agg {
 			counts[k] = make(map[string]int64)
 		}
 		a.Samples++
-		if s.TimeNS > 0 {
-			a.TimeCount++
-			a.SumTimeNS += s.TimeNS
-			if a.MinTimeNS == 0 || s.TimeNS < a.MinTimeNS {
-				a.MinTimeNS = s.TimeNS
-			}
-		}
 		for name, v := range s.Counts {
 			counts[k][name] += v
 		}
@@ -112,28 +94,9 @@ func Aggregate(samples []Sample) map[Key]*Agg {
 
 // CompareOptions tunes the regression gate.
 type CompareOptions struct {
-	// TimeTol is the fractional wall-time tolerance (0 -> 0.25): new
-	// min-time beyond base*(1+TimeTol) is a time regression.
-	TimeTol float64
-	// MinTimeNS ignores time regressions where both sides are faster
-	// than this floor (0 -> 100µs) — sub-noise cases aren't actionable.
-	MinTimeNS int64
 	// CountTol is the absolute tolerance on count-metric means (default
 	// 0, so a single extra warm-path allocation is flagged).
 	CountTol float64
-	// TimeWarnOnly downgrades time regressions to warnings — counts
-	// still hard-fail. This is the cross-machine CI-baseline mode.
-	TimeWarnOnly bool
-}
-
-func (o CompareOptions) withDefaults() CompareOptions {
-	if o.TimeTol <= 0 {
-		o.TimeTol = 0.25
-	}
-	if o.MinTimeNS <= 0 {
-		o.MinTimeNS = 100_000
-	}
-	return o
 }
 
 // Delta is one per-key, per-metric comparison outcome.
@@ -142,10 +105,8 @@ type Delta struct {
 	Metric string
 	Base   float64
 	New    float64
-	// Regression marks a hard failure; Warning a downgraded time
-	// regression (TimeWarnOnly) or a suspicious-but-tolerated drift.
+	// Regression marks a failure of the gate.
 	Regression bool
-	Warning    bool
 }
 
 func (d Delta) ratio() float64 {
@@ -169,32 +130,23 @@ type Verdict struct {
 	Compared int
 }
 
-// Regressions returns the hard failures.
-func (v Verdict) Regressions() []Delta { return v.filter(func(d Delta) bool { return d.Regression }) }
-
-// Warnings returns the soft failures.
-func (v Verdict) Warnings() []Delta { return v.filter(func(d Delta) bool { return d.Warning }) }
-
-func (v Verdict) filter(keep func(Delta) bool) []Delta {
+// Regressions returns the failures.
+func (v Verdict) Regressions() []Delta {
 	var out []Delta
 	for _, d := range v.Deltas {
-		if keep(d) {
+		if d.Regression {
 			out = append(out, d)
 		}
 	}
 	return out
 }
 
-// OK reports whether the gate passes (no hard regressions).
+// OK reports whether the gate passes (no regressions).
 func (v Verdict) OK() bool { return len(v.Regressions()) == 0 }
 
-// Compare judges new against base per key: wall time against the
-// fractional tolerance (minimum-of-samples vs minimum-of-samples, the
-// standard benchmark noise filter) and every shared count metric
-// against the absolute tolerance. Count regressions always hard-fail;
-// time regressions hard-fail unless TimeWarnOnly.
+// Compare judges new against base per key: every count metric both sides
+// carry, against the absolute tolerance.
 func Compare(base, new map[Key]*Agg, opts CompareOptions) Verdict {
-	opts = opts.withDefaults()
 	var v Verdict
 	keys := make([]Key, 0, len(base))
 	for k := range base {
@@ -207,20 +159,6 @@ func Compare(base, new map[Key]*Agg, opts CompareOptions) Verdict {
 		if !ok {
 			v.Missing = append(v.Missing, k)
 			continue
-		}
-		if b.TimeCount > 0 && n.TimeCount > 0 {
-			v.Compared++
-			d := Delta{Key: k, Metric: "time_ns", Base: float64(b.MinTimeNS), New: float64(n.MinTimeNS)}
-			slow := float64(n.MinTimeNS) > float64(b.MinTimeNS)*(1+opts.TimeTol)
-			aboveFloor := n.MinTimeNS > opts.MinTimeNS || b.MinTimeNS > opts.MinTimeNS
-			if slow && aboveFloor {
-				if opts.TimeWarnOnly {
-					d.Warning = true
-				} else {
-					d.Regression = true
-				}
-			}
-			v.Deltas = append(v.Deltas, d)
 		}
 		metrics := make([]string, 0, len(b.Counts))
 		for name := range b.Counts {
@@ -264,16 +202,16 @@ func sortKeys(keys []Key) {
 }
 
 // Markdown renders the verdict as a summary plus a table of every
-// regression and warning (and, verbose, every compared metric).
+// regression (and, verbose, every compared metric).
 func (v Verdict) Markdown(verbose bool) string {
 	var b strings.Builder
-	regs, warns := v.Regressions(), v.Warnings()
+	regs := v.Regressions()
 	fmt.Fprintf(&b, "## Perf comparison\n\n")
-	fmt.Fprintf(&b, "%d metrics compared · **%d regressions** · %d warnings · %d keys missing · %d keys added\n\n",
-		v.Compared, len(regs), len(warns), len(v.Missing), len(v.Added))
+	fmt.Fprintf(&b, "%d metrics compared · **%d regressions** · %d keys missing · %d keys added\n\n",
+		v.Compared, len(regs), len(v.Missing), len(v.Added))
 	rows := v.Deltas
 	if !verbose {
-		rows = append(append([]Delta{}, regs...), warns...)
+		rows = regs
 	}
 	if len(rows) > 0 {
 		fmt.Fprintf(&b, "| case | metric | base | new | ratio | verdict |\n")
@@ -282,11 +220,9 @@ func (v Verdict) Markdown(verbose bool) string {
 			verdict := "ok"
 			if d.Regression {
 				verdict = "**REGRESSION**"
-			} else if d.Warning {
-				verdict = "warn"
 			}
 			fmt.Fprintf(&b, "| %s | %s | %s | %s | %.2fx | %s |\n",
-				d.Key, d.Metric, fmtMetric(d.Metric, d.Base), fmtMetric(d.Metric, d.New), d.ratio(), verdict)
+				d.Key, d.Metric, fmtMetric(d.Base), fmtMetric(d.New), d.ratio(), verdict)
 		}
 		b.WriteString("\n")
 	}
@@ -303,10 +239,7 @@ func (v Verdict) Markdown(verbose bool) string {
 	return b.String()
 }
 
-func fmtMetric(name string, val float64) string {
-	if name == "time_ns" {
-		return fmt.Sprintf("%.3fms", val/1e6)
-	}
+func fmtMetric(val float64) string {
 	if val == math.Trunc(val) {
 		return fmt.Sprintf("%.0f", val)
 	}
@@ -315,14 +248,13 @@ func fmtMetric(name string, val float64) string {
 
 // --- Format sniffing ---------------------------------------------------
 
-// LoadAny loads samples from any of the three persisted formats:
+// LoadAny loads samples from either persisted format:
 //
 //   - a perfdb JSONL snapshot (meta header with schema "dfg.perfdb/..."),
-//   - dfg-bench sweep JSON ({"config": ..., "cases": [{"wall_ns": ...}]}),
 //   - dfg-bench -repeat warm/cold JSON ({"warm_evals": ..., "cases":
 //     [{"cold_allocs": ...}]}).
 //
-// The foreign formats are parsed through anonymous structs here rather
+// The foreign format is parsed through an anonymous struct here rather
 // than by importing dfg/internal/metrics — perfdb sits below dfg in the
 // dependency order.
 func LoadAny(path string) ([]Sample, Meta, error) {
@@ -347,18 +279,10 @@ func LoadAny(path string) ([]Sample, Meta, error) {
 		Meta      *Meta `json:"meta"`
 		WarmEvals int   `json:"warm_evals"`
 		Cases     []struct {
-			// sweep fields
-			Expr     string `json:"expr"`
-			Opt      string `json:"opt"`
-			Strategy string `json:"strategy"`
-			Cells    int    `json:"cells"`
-			Failed   bool   `json:"failed"`
-			WallNS   int64  `json:"wall_ns"`
-			Writes   int64  `json:"device_writes"`
-			Reads    int64  `json:"device_reads"`
-			Kernels  int64  `json:"kernel_launches"`
-			// warm/cold fields
-			ColdAllocs        *int64 `json:"cold_allocs"`
+			Expr              string `json:"expr"`
+			Strategy          string `json:"strategy"`
+			Cells             int    `json:"cells"`
+			ColdAllocs        *int64 `json:"cold_allocs"` // present on every warm/cold case
 			WarmAllocs        int64  `json:"warm_allocs"`
 			ColdWrites        int64  `json:"cold_device_writes"`
 			WarmWrites        int64  `json:"warm_device_writes"`
@@ -375,31 +299,19 @@ func LoadAny(path string) ([]Sample, Meta, error) {
 	}
 	var samples []Sample
 	for _, c := range doc.Cases {
-		if c.ColdAllocs != nil {
-			// warm/cold repeat case: no wall time, counters only. The
-			// warm counters are the gate — a single fresh warm-path
-			// allocation is a regression.
-			samples = append(samples, Sample{
-				Name: c.Expr, Strategy: c.Strategy, N: c.Cells,
-				Counts: map[string]int64{
-					"cold_allocs":         *c.ColdAllocs,
-					"warm_allocs":         c.WarmAllocs,
-					"cold_writes":         c.ColdWrites,
-					"warm_writes":         c.WarmWrites,
-					"scratch_warm_allocs": c.ScratchWarmAllocs,
-				},
-			})
+		if c.ColdAllocs == nil {
 			continue
 		}
-		if c.Failed {
-			continue
-		}
+		// The warm counters are the gate — a single fresh warm-path
+		// allocation is a regression.
 		samples = append(samples, Sample{
-			Name: c.Expr, Strategy: c.Strategy, Opt: c.Opt, N: c.Cells, TimeNS: c.WallNS,
+			Name: c.Expr, Strategy: c.Strategy, N: c.Cells,
 			Counts: map[string]int64{
-				"writes":  c.Writes,
-				"reads":   c.Reads,
-				"kernels": c.Kernels,
+				"cold_allocs":         *c.ColdAllocs,
+				"warm_allocs":         c.WarmAllocs,
+				"cold_writes":         c.ColdWrites,
+				"warm_writes":         c.WarmWrites,
+				"scratch_warm_allocs": c.ScratchWarmAllocs,
 			},
 		})
 	}
@@ -424,7 +336,7 @@ func recordSamples(recs []EvalRecord) []Sample {
 			continue
 		}
 		out = append(out, Sample{
-			Name: r.Fingerprint, Strategy: r.Strategy, Opt: r.Opt, N: r.N, TimeNS: r.TotalNS,
+			Name: r.Fingerprint, Strategy: r.Strategy, Opt: r.Opt, N: r.N,
 			Counts: map[string]int64{
 				"writes":  int64(r.Writes),
 				"reads":   int64(r.Reads),

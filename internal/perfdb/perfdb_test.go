@@ -136,66 +136,40 @@ func TestParseForwardCompat(t *testing.T) {
 	}
 }
 
-// sampleSet builds one key's worth of samples with the given min time
-// and alloc count.
-func sampleSet(timeNS, allocs int64) []Sample {
+// sampleSet builds one key's worth of samples with the given alloc
+// count.
+func sampleSet(allocs int64) []Sample {
 	return []Sample{
-		{Name: "q", Strategy: "fusion", Opt: "O2", N: 4096, TimeNS: timeNS + 50_000, Counts: map[string]int64{"allocs": allocs, "kernels": 3}},
-		{Name: "q", Strategy: "fusion", Opt: "O2", N: 4096, TimeNS: timeNS, Counts: map[string]int64{"allocs": allocs, "kernels": 3}},
+		{Name: "q", Strategy: "fusion", Opt: "O2", N: 4096, Counts: map[string]int64{"allocs": allocs, "kernels": 3}},
+		{Name: "q", Strategy: "fusion", Opt: "O2", N: 4096, Counts: map[string]int64{"allocs": allocs, "kernels": 3}},
 	}
 }
 
 // TestCompareGate covers the regression gate's acceptance criteria: two
-// identical runs report zero regressions, a 2x slowdown fails, one extra
-// warm-path allocation fails, and TimeWarnOnly downgrades only the time
-// verdict.
+// identical runs report zero regressions, one extra warm-path allocation
+// fails, and CountTol is what lets it through.
 func TestCompareGate(t *testing.T) {
-	base := Aggregate(sampleSet(1_000_000, 3))
+	base := Aggregate(sampleSet(3))
 
 	// Same build, same numbers: clean verdict.
-	v := Compare(base, Aggregate(sampleSet(1_000_000, 3)), CompareOptions{})
-	if !v.OK() || len(v.Warnings()) != 0 {
+	v := Compare(base, Aggregate(sampleSet(3)), CompareOptions{})
+	if !v.OK() {
 		t.Fatalf("identical runs: %s", v.Markdown(true))
 	}
-	if v.Compared == 0 {
-		t.Fatal("identical runs compared nothing")
+	if v.Compared != 2 {
+		t.Fatalf("identical runs compared %d metrics, want allocs and kernels", v.Compared)
 	}
 
-	// 2x slowdown: hard time regression.
-	v = Compare(base, Aggregate(sampleSet(2_000_000, 3)), CompareOptions{})
-	if v.OK() {
-		t.Fatalf("2x slowdown passed the gate: %s", v.Markdown(true))
-	}
-	if regs := v.Regressions(); len(regs) != 1 || regs[0].Metric != "time_ns" {
-		t.Fatalf("2x slowdown regressions = %+v, want one time_ns", regs)
-	}
-
-	// One extra allocation: hard count regression at default tolerance.
-	v = Compare(base, Aggregate(sampleSet(1_000_000, 4)), CompareOptions{})
+	// One extra allocation: count regression at default tolerance.
+	v = Compare(base, Aggregate(sampleSet(4)), CompareOptions{})
 	if v.OK() {
 		t.Fatalf("+1 alloc passed the gate: %s", v.Markdown(true))
 	}
 	if regs := v.Regressions(); len(regs) != 1 || regs[0].Metric != "allocs" {
 		t.Fatalf("+1 alloc regressions = %+v, want one allocs", regs)
 	}
-
-	// TimeWarnOnly: the slowdown demotes to a warning, the alloc still fails.
-	v = Compare(base, Aggregate(sampleSet(2_000_000, 4)), CompareOptions{TimeWarnOnly: true})
-	if regs := v.Regressions(); len(regs) != 1 || regs[0].Metric != "allocs" {
-		t.Fatalf("warn-only regressions = %+v, want only allocs", regs)
-	}
-	if warns := v.Warnings(); len(warns) != 1 || warns[0].Metric != "time_ns" {
-		t.Fatalf("warn-only warnings = %+v, want only time_ns", warns)
-	}
-}
-
-// TestCompareNoiseFloor: a big relative slowdown below the absolute
-// floor is sub-noise and must not fail the gate.
-func TestCompareNoiseFloor(t *testing.T) {
-	base := Aggregate(sampleSet(10_000, 1))
-	v := Compare(base, Aggregate(sampleSet(90_000, 1)), CompareOptions{})
-	if !v.OK() {
-		t.Fatalf("sub-floor slowdown failed the gate: %s", v.Markdown(true))
+	if v = Compare(base, Aggregate(sampleSet(4)), CompareOptions{CountTol: 1}); !v.OK() {
+		t.Fatalf("+1 alloc within CountTol 1 failed the gate: %s", v.Markdown(true))
 	}
 }
 
@@ -208,7 +182,8 @@ func TestSizeBucket(t *testing.T) {
 	}
 }
 
-// TestLoadAnySniffing feeds LoadAny all three persisted formats.
+// TestLoadAnySniffing feeds LoadAny both persisted formats, and a JSON
+// document that is neither.
 func TestLoadAnySniffing(t *testing.T) {
 	dir := t.TempDir()
 
@@ -221,34 +196,30 @@ func TestLoadAnySniffing(t *testing.T) {
 	if err != nil || len(samples) != 1 || meta.GitRev != "r1" {
 		t.Fatalf("JSONL: %v, %d samples, meta %+v", err, len(samples), meta)
 	}
-	if samples[0].Counts["kernels"] != 0 || samples[0].TimeNS != 100 {
+	if _, ok := samples[0].Counts["kernels"]; !ok || samples[0].Name != "fp" {
 		t.Fatalf("JSONL sample: %+v", samples[0])
 	}
 
-	// dfg-bench sweep JSON (failed cases skipped).
+	// A document whose cases are not warm/cold cases (the sweep JSON
+	// dfg-bench used to write) is refused, not read as zeros.
 	sweep := filepath.Join(dir, "sweep.json")
 	doc := map[string]any{
-		"meta": map[string]any{"git_rev": "r2"},
 		"cases": []map[string]any{
-			{"expr": "q", "opt": "O2", "strategy": "fusion", "cells": 4096, "wall_ns": 123456, "device_writes": 4, "device_reads": 1, "kernel_launches": 2},
-			{"expr": "q", "opt": "O2", "strategy": "roundtrip", "cells": 4096, "failed": true},
+			{"expr": "q", "opt": "O2", "strategy": "fusion", "cells": 4096, "wall_ns": 123456, "kernel_launches": 2},
 		},
 	}
 	data, _ := json.MarshalIndent(doc, "", " ")
 	if err := os.WriteFile(sweep, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	samples, meta, err = LoadAny(sweep)
-	if err != nil || len(samples) != 1 || meta.GitRev != "r2" {
-		t.Fatalf("sweep: %v, %d samples, meta %+v", err, len(samples), meta)
-	}
-	if samples[0].TimeNS != 123456 || samples[0].Counts["kernels"] != 2 {
-		t.Fatalf("sweep sample: %+v", samples[0])
+	if _, _, err = LoadAny(sweep); err == nil {
+		t.Fatal("a document without warm/cold cases loaded")
 	}
 
-	// dfg-bench -repeat warm/cold JSON (cold_allocs discriminates).
+	// dfg-bench -repeat warm/cold JSON.
 	wc := filepath.Join(dir, "warmcold.json")
 	doc = map[string]any{
+		"meta":       map[string]any{"git_rev": "r2"},
 		"warm_evals": 3,
 		"cases": []map[string]any{
 			{"expr": "q", "strategy": "vm", "cells": 13824, "cold_allocs": 7, "warm_allocs": 0, "cold_device_writes": 4, "warm_device_writes": 0},
@@ -258,12 +229,12 @@ func TestLoadAnySniffing(t *testing.T) {
 	if err := os.WriteFile(wc, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	samples, _, err = LoadAny(wc)
-	if err != nil || len(samples) != 1 {
-		t.Fatalf("warmcold: %v, %d samples", err, len(samples))
+	samples, meta, err = LoadAny(wc)
+	if err != nil || len(samples) != 1 || meta.GitRev != "r2" {
+		t.Fatalf("warmcold: %v, %d samples, meta %+v", err, len(samples), meta)
 	}
 	s := samples[0]
-	if s.TimeNS != 0 || s.Counts["cold_allocs"] != 7 || s.Counts["warm_allocs"] != 0 {
+	if s.Counts["cold_allocs"] != 7 || s.Counts["warm_allocs"] != 0 {
 		t.Fatalf("warmcold sample: %+v", s)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -184,51 +185,202 @@ func TestDeviceReplacedAfterFailedProbes(t *testing.T) {
 
 // TestRerouteOffTrippedDevice runs a two-worker pool where one device
 // dies permanently: every request still succeeds because jobs drawn by
-// the tripped worker bounce back onto the queue for the healthy one.
+// the tripped worker bounce back onto the queue for the healthy one —
+// lone requests and, on the batching row, full batches of three alike.
 func TestRerouteOffTrippedDevice(t *testing.T) {
-	pool, err := NewPool(Config{
-		Workers:   2,
-		Device:    dfg.CPU,
-		Strategy:  "fusion",
-		TraceKeep: -1,
-		// A long cooldown keeps worker 0 tripped for the whole test.
-		BreakerCooldown: time.Hour,
-		FaultPlanFor: func(worker int) *ocl.FaultPlan {
-			if worker == 0 {
-				return ocl.NewFaultPlan(1).Add(ocl.FaultRule{
-					Op: ocl.FaultKernel, Nth: 0, Times: 1 << 30, Effect: ocl.EffectDeviceLost,
-				})
+	for _, row := range []struct {
+		name  string
+		group int // requests submitted together each round
+		cfg   Config
+	}{
+		{"solo", 1, Config{}},
+		{"batch", 3, Config{BatchWindow: 20 * time.Millisecond, BatchMax: 3}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.cfg
+			cfg.Workers = 2
+			cfg.Device = dfg.CPU
+			cfg.Strategy = "fusion"
+			cfg.TraceKeep = -1
+			// A long cooldown keeps worker 0 tripped for the whole test.
+			cfg.BreakerCooldown = time.Hour
+			cfg.FaultPlanFor = func(worker int) *ocl.FaultPlan {
+				if worker == 0 {
+					return ocl.NewFaultPlan(1).Add(ocl.FaultRule{
+						Op: ocl.FaultKernel, Nth: 0, Times: 1 << 30, Effect: ocl.EffectDeviceLost,
+					})
+				}
+				return nil
+			}
+			pool, err := NewPool(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+
+			const rounds = 40
+			req := chaosReq() // one binding, so a round's requests share a batch key
+			failed := 0
+			for i := 0; i < rounds; i++ {
+				chans := make([]<-chan Response, row.group)
+				for k := range chans {
+					r := req
+					r.Expr = fmt.Sprintf("f = x*2 + %d", k+1)
+					chans[k] = pool.EvalAsync(context.Background(), r)
+				}
+				for _, ch := range chans {
+					if r := <-ch; r.Err != nil {
+						if !errors.Is(r.Err, ocl.ErrDeviceLost) {
+							t.Fatalf("round %d: unexpected error %v", i, r.Err)
+						}
+						failed++
+					}
+				}
+			}
+			// Worker 0 kills at most one request (the one that trips the
+			// breaker); everything after reroutes to worker 1.
+			if failed > 1 {
+				t.Fatalf("%d requests failed, want at most 1 (the breaker-tripping one)", failed)
+			}
+			st := pool.Stats()
+			if want := int64(rounds*row.group - 1); st.Served < want {
+				t.Fatalf("served = %d, want >= %d", st.Served, want)
+			}
+			if row.group > 1 && st.Batches == 0 {
+				t.Fatal("no batch ran merged: the batching row rode solo")
+			}
+			if err := pool.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := pool.LiveBuffers(); n != 0 {
+				t.Fatalf("live buffers after close = %d, want 0", n)
+			}
+		})
+	}
+}
+
+// TestBatchAndSoloShareOneGate drives hand-built jobs of one member and
+// of three through a worker for each way the gate can turn a job away —
+// and for the panic behind it — and requires exactly one response per
+// member, the same typed error on both shapes for the gate's outcomes,
+// and for the panic the one deliberate difference: a lone member gets
+// ErrWorkerPanic, a merged run splits and every member is served on the
+// rebuilt engine.
+func TestBatchAndSoloShareOneGate(t *testing.T) {
+	panicOnce := func() func(int) *ocl.FaultPlan {
+		var armed atomic.Bool
+		armed.Store(true)
+		return func(int) *ocl.FaultPlan {
+			if armed.CompareAndSwap(true, false) {
+				return ocl.NewFaultPlan(1).PanicAt(ocl.FaultKernel, 0)
 			}
 			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	failed := 0
-	for i := 0; i < 40; i++ {
-		if _, err := pool.Submit(context.Background(), chaosReq()); err != nil {
-			if !errors.Is(err, ocl.ErrDeviceLost) {
-				t.Fatalf("request %d: unexpected error %v", i, err)
-			}
-			failed++
 		}
 	}
-	// Worker 0 kills at most one request (the one that trips the
-	// breaker); everything after reroutes to worker 1.
-	if failed > 1 {
-		t.Fatalf("%d requests failed, want at most 1 (the breaker-tripping one)", failed)
-	}
-	st := pool.Stats()
-	if st.Served < 39 {
-		t.Fatalf("served = %d, want >= 39", st.Served)
-	}
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := pool.LiveBuffers(); n != 0 {
-		t.Fatalf("live buffers after close = %d, want 0", n)
+	for _, sc := range []struct {
+		name     string
+		workers  int
+		canceled bool // members' contexts are done before pickup
+		tripped  bool // worker 0's breaker is open, cooldown an hour
+		panics   bool // the first engine panics on its first kernel
+		wantErr  error
+		check    func(t *testing.T, members int, st Stats)
+	}{
+		{name: "expired in queue", workers: 1, canceled: true, wantErr: ErrQueueTimeout,
+			check: func(t *testing.T, members int, st Stats) {
+				if st.Expired != int64(members) || st.Served+st.Failed != 0 {
+					t.Fatalf("stats %+v, want %d expired and nothing run", st, members)
+				}
+			}},
+		{name: "breaker open, rerouted", workers: 2, tripped: true,
+			check: func(t *testing.T, members int, st Stats) {
+				if st.Rerouted == 0 || st.Served != int64(members) || st.Failed != 0 {
+					t.Fatalf("stats %+v, want a reroute and %d served", st, members)
+				}
+			}},
+		{name: "breaker open, nowhere to go", workers: 1, tripped: true, wantErr: ErrWorkerUnavailable,
+			check: func(t *testing.T, members int, st Stats) {
+				if st.Rerouted == 0 || st.Failed != int64(members) || st.Served != 0 {
+					t.Fatalf("stats %+v, want bounces and then %d failed", st, members)
+				}
+			}},
+		{name: "panic", workers: 1, panics: true,
+			check: func(t *testing.T, members int, st Stats) {
+				if st.Restarts != 1 {
+					t.Fatalf("restarts = %d, want 1", st.Restarts)
+				}
+				if members == 1 && (st.Failed != 1 || st.Served != 0 || st.BatchSplits != 0) {
+					t.Fatalf("lone member: stats %+v, want 1 failed", st)
+				}
+				if members > 1 && (st.BatchSplits != 1 || st.Served != int64(members) || st.Failed != 0) {
+					t.Fatalf("merged run: stats %+v, want one split and %d served", st, members)
+				}
+			}},
+	} {
+		for _, members := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/%d", sc.name, members), func(t *testing.T) {
+				cfg := Config{Workers: sc.workers, TraceKeep: -1, BreakerCooldown: time.Hour}
+				if sc.panics {
+					cfg.FaultPlanFor = panicOnce()
+				}
+				p, err := NewPool(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+
+				j := &job{}
+				flush := time.Now()
+				for k := 0; k < members; k++ {
+					ctx, cancel := context.WithCancel(context.Background())
+					if sc.canceled {
+						cancel()
+					}
+					req := chaosReq()
+					req.Expr = fmt.Sprintf("f = x*2 + %d", k+1)
+					m := &member{req: req, ctx: ctx, cancel: cancel, enqueued: flush, resp: make(chan Response, 1)}
+					if members > 1 {
+						m.formed = flush
+					}
+					j.members = append(j.members, m)
+				}
+				all := append([]*member(nil), j.members...) // the gate trims j.members in place
+				if sc.tripped {
+					// Worker 0's own admit step turns the job away, whichever
+					// worker the queue would have handed it to first; with the
+					// breaker open nothing evaluates on engine 0 meanwhile.
+					p.breakers[0].failure(time.Now(), true)
+					p.run(&workerState{id: 0, eng: p.engine(0), br: p.breakers[0], handles: map[handleKey]handle{}}, j)
+				} else {
+					p.queue <- j
+				}
+
+				wantErr := sc.wantErr
+				if sc.panics && members == 1 {
+					wantErr = ErrWorkerPanic
+				}
+				for k, m := range all {
+					r := <-m.resp
+					if wantErr == nil && (r.Err != nil || len(r.Result.Data) != m.req.N) {
+						t.Fatalf("member %d: err %v, want a result", k, r.Err)
+					}
+					if wantErr != nil && !errors.Is(r.Err, wantErr) {
+						t.Fatalf("member %d: err %v, want %v", k, r.Err, wantErr)
+					}
+				}
+				if err := p.Close(); err != nil { // the workers are gone: nobody can still reply
+					t.Fatal(err)
+				}
+				for k, m := range all {
+					if len(m.resp) != 0 {
+						t.Fatalf("member %d answered twice", k)
+					}
+				}
+				sc.check(t, members, p.Stats())
+				if n := p.LiveBuffers(); n != 0 {
+					t.Fatalf("live buffers after close = %d, want 0", n)
+				}
+			})
+		}
 	}
 }

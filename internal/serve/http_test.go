@@ -26,11 +26,15 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 }
 
 // TestHTTPEndpoints drives a pool through the introspection surface:
-// healthz, the Prometheus exposition (compile-cache counters, queue
-// depth, per-strategy histograms), and the slow log.
+// healthz, the Prometheus exposition (handle- and shared-cache counters,
+// queue depth, per-strategy histograms), and the slow log. One worker,
+// because handle caches are per worker: six requests for one text are
+// one miss and five hits only if one worker draws them all, and which
+// of two idle workers draws a request is the scheduler's choice. The
+// shared caches see the miss and nothing else.
 func TestHTTPEndpoints(t *testing.T) {
 	p, err := NewPool(Config{
-		Workers:       2,
+		Workers:       1,
 		Strategy:      "fusion",
 		SlowThreshold: time.Nanosecond, // every request is "slow"
 		SlowLog:       io.Discard,
@@ -68,7 +72,9 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("/metrics = %d, %d bytes", code, len(body))
 	}
 	for _, want := range []string{
-		"dfg_compile_cache_hits_total 5",
+		"dfg_handle_cache_hits_total 5",
+		"dfg_handle_cache_misses_total 1",
+		"dfg_compile_cache_hits_total 0",
 		"dfg_compile_cache_misses_total 1",
 		"# TYPE dfg_queue_depth gauge",
 		"dfg_queue_depth 0",
@@ -79,7 +85,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		`dfg_worker_utilization{worker="0"}`,
 		"dfg_device_kernels_total 6",
 		"dfg_compile_cache_entries 1",
-		"dfg_plan_cache_hits_total 5",
+		"dfg_plan_cache_hits_total 0",
 		"dfg_plan_cache_misses_total 1",
 		"dfg_plan_builds_total 1",
 		"dfg_plan_cache_entries 1",
@@ -116,7 +122,9 @@ type chromeEvent struct {
 
 // TestTraceEndpointCoversWallTime is the service-level acceptance
 // check: /trace?last=1 returns a span tree whose pipeline stages sum to
-// within 5% of the request's wall time (root span duration).
+// within 5% of the request's wall time (root span duration) — on a
+// text's first request, whose handle miss shows the compile stage, and
+// on its second, a handle hit that goes straight to bind and execute.
 func TestTraceEndpointCoversWallTime(t *testing.T) {
 	p, err := NewPool(Config{Workers: 1, Strategy: "fusion"})
 	if err != nil {
@@ -127,59 +135,68 @@ func TestTraceEndpointCoversWallTime(t *testing.T) {
 	defer srv.Close()
 
 	const n = 1 << 18 // big enough that execution dwarfs inter-span gaps
-	if _, err := p.Submit(context.Background(), Request{
-		Expr: "m = sqrt(u*u + v*v + w*w)", N: n, Inputs: testInputs(n),
-	}); err != nil {
-		t.Fatal(err)
-	}
+	inputs := testInputs(n)
+	for _, handle := range []string{"miss", "hit"} {
+		if _, err := p.Submit(context.Background(), Request{
+			Expr: "m = sqrt(u*u + v*v + w*w)", N: n, Inputs: inputs,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Tracer().Last(1)[0].Attr("handle"); got != handle {
+			t.Fatalf("request trace carries handle=%q, want %q", got, handle)
+		}
 
-	code, body := get(t, srv, "/trace?last=1")
-	if code != http.StatusOK {
-		t.Fatalf("/trace = %d", code)
-	}
-	var events []chromeEvent
-	if err := json.Unmarshal([]byte(body), &events); err != nil {
-		t.Fatalf("trace not JSON: %v", err)
-	}
+		code, body := get(t, srv, "/trace?last=1")
+		if code != http.StatusOK {
+			t.Fatalf("/trace = %d", code)
+		}
+		var events []chromeEvent
+		if err := json.Unmarshal([]byte(body), &events); err != nil {
+			t.Fatalf("trace not JSON: %v", err)
+		}
 
-	var wall, stages float64
-	stageNames := map[string]bool{"queue-wait": true, "compile": true, "bind": true, "execute": true}
-	seen := map[string]bool{}
-	for _, e := range events {
-		if e.Ph != "X" {
-			continue
+		var wall, stages float64
+		stageNames := map[string]bool{"queue-wait": true, "compile": true, "plan": true, "bind": true, "execute": true}
+		seen := map[string]bool{}
+		for _, e := range events {
+			if e.Ph != "X" {
+				continue
+			}
+			if e.Cat == "request" {
+				wall = e.Dur
+			}
+			if e.Cat == "stage" && stageNames[e.Name] {
+				stages += e.Dur
+				seen[e.Name] = true
+			}
 		}
-		if e.Cat == "request" {
-			wall = e.Dur
+		if wall <= 0 {
+			t.Fatalf("no request event in trace:\n%s", body)
 		}
-		if e.Cat == "stage" && stageNames[e.Name] {
-			stages += e.Dur
-			seen[e.Name] = true
+		for _, name := range []string{"bind", "execute", "queue-wait"} {
+			if !seen[name] {
+				t.Fatalf("handle %s: trace lacks stage %q:\n%s", handle, name, body)
+			}
 		}
-	}
-	if wall <= 0 {
-		t.Fatalf("no request event in trace:\n%s", body)
-	}
-	for _, name := range []string{"compile", "execute", "queue-wait"} {
-		if !seen[name] {
-			t.Fatalf("trace lacks stage %q:\n%s", name, body)
+		if miss := handle == "miss"; seen["compile"] != miss || seen["plan"] != miss {
+			t.Fatalf("handle %s: compile stage present = %v, plan stage present = %v:\n%s", handle, seen["compile"], seen["plan"], body)
 		}
-	}
-	if stages > wall {
-		t.Fatalf("stages %vµs exceed wall %vµs", stages, wall)
-	}
-	if gap := wall - stages; gap > wall/20 {
-		t.Fatalf("stages cover %vµs of %vµs wall (gap %vµs > 5%%)", stages, wall, gap)
-	}
-	// Device events ride along on their own tracks.
-	var kernels int
-	for _, e := range events {
-		if e.Cat == "kernel" && e.Ph == "X" {
-			kernels++
+		if stages > wall {
+			t.Fatalf("handle %s: stages %vµs exceed wall %vµs", handle, stages, wall)
 		}
-	}
-	if kernels == 0 {
-		t.Fatalf("no kernel-track events in trace:\n%s", body)
+		if gap := wall - stages; gap > wall/20 {
+			t.Fatalf("handle %s: stages cover %vµs of %vµs wall (gap %vµs > 5%%)", handle, stages, wall, gap)
+		}
+		// Device events ride along on their own tracks.
+		var kernels int
+		for _, e := range events {
+			if e.Cat == "kernel" && e.Ph == "X" {
+				kernels++
+			}
+		}
+		if kernels == 0 {
+			t.Fatalf("no kernel-track events in trace:\n%s", body)
+		}
 	}
 }
 

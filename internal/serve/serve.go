@@ -15,9 +15,10 @@
 // key (element count, opt/strategy variant, input arrays) merge into one
 // cross-expression super-network, evaluated in a single run whose root
 // outputs fan back out to every member — subtrees shared between member
-// expressions execute once. A batch of one takes the unmodified solo
-// path, and a failed merged run degrades to per-member solo evaluation
-// (recovery ladder included), so batching never drops a request.
+// expressions execute once. The queue carries jobs of members either
+// way; a job of one skips the merged attempt, and a failed merged run
+// degrades to per-member evaluation (recovery ladder included), so
+// batching never drops a request.
 //
 // Profiles from all workers are aggregated (ocl.Accumulator), giving the
 // service-level view of device traffic that the per-run ocl.Profile
@@ -200,26 +201,46 @@ type Response struct {
 	Wait, Run time.Duration
 }
 
-// job carries a request through the queue.
-type job struct {
+// member is one client request on its way through the pool: what was
+// asked, the deadline covering its queue wait, and the channel that
+// receives its one Response.
+type member struct {
 	req      Request
 	ctx      context.Context
 	cancel   context.CancelFunc
 	enqueued time.Time
 	resp     chan Response
+	// formed is when the batch former flushed the request out of its
+	// forming window (zero when batching is off). Queue wait is measured
+	// from it, so time deliberately spent forming is not misattributed to
+	// queue congestion.
+	formed time.Time
+}
+
+// reply delivers the member's one response and releases its context.
+func (m *member) reply(r Response) {
+	m.cancel()
+	m.resp <- r
+}
+
+// queuedAt is when the member entered the bounded queue: its flush out
+// of the forming window, or its submission when batching is off.
+func (m *member) queuedAt() time.Time {
+	if !m.formed.IsZero() {
+		return m.formed
+	}
+	return m.enqueued
+}
+
+// job is what the queue carries: an ordered list of members evaluated
+// together. A request that never met a compatible peer is a job of one;
+// several members share N, variant and input binding (batchKey) and run
+// as one merged super-network.
+type job struct {
+	members []*member
 	// hops counts breaker reroutes, bounding how often a job may bounce
 	// between tripped workers before failing ErrWorkerUnavailable.
 	hops int
-	// formed is when the batch former flushed the job out of its forming
-	// window (zero for jobs that never passed through the former). Queue
-	// wait is measured from it, so time deliberately spent forming is
-	// not misattributed to queue congestion.
-	formed time.Time
-	// batch, when non-nil, makes this a merged batch job: the member
-	// jobs (each carrying its own context and response channel) evaluate
-	// together as one super-network. The carrier's req, ctx and resp are
-	// unused.
-	batch []*job
 }
 
 // Pool is a fixed set of worker engines behind one shared compile cache
@@ -248,12 +269,19 @@ type Pool struct {
 	workers sync.WaitGroup
 
 	// Batch former: when BatchWindow is set, requests wait here (keyed
-	// by batch key) for up to the window before dispatching — several
-	// compatible requests as one merged batch job, a lone one as an
-	// ordinary solo job. formMu guards the map; lock order is sendMu
-	// before formMu.
+	// by batch key) for up to the window before dispatching as one job —
+	// several compatible requests, or a lone one. formMu guards the map;
+	// lock order is sendMu before formMu.
 	formMu  sync.Mutex
 	forming map[string]*formingBatch
+
+	// defGen counts successful Defines. Every worker compares it at job
+	// pickup and closes all its prepared handles when it moved — the one
+	// invalidation rule for everything a worker caches.
+	defGen atomic.Uint64
+
+	handleHits   atomic.Int64 // handle lookups answered from a worker's cache
+	handleMisses atomic.Int64 // handle lookups that had to prepare
 
 	batches     atomic.Int64 // merged batch jobs executed
 	batchSplits atomic.Int64 // batches degraded to solo member evaluations
@@ -466,6 +494,12 @@ func (p *Pool) registerMetrics() {
 	r.GaugeFunc("dfg_uptime_seconds", "Time since the pool started (frozen at Close).",
 		nil, func() float64 { return p.uptime().Seconds() })
 
+	// A hot request is answered from its worker's handle cache and never
+	// reaches the shared caches below: those count handle misses only.
+	r.CounterFunc("dfg_handle_cache_hits_total", "Requests (merged batches count once) answered from a worker's open prepared handle.",
+		nil, func() float64 { return float64(p.handleHits.Load()) })
+	r.CounterFunc("dfg_handle_cache_misses_total", "Handle lookups that prepared: first sight, evicted, or flushed by a Define.",
+		nil, func() float64 { return float64(p.handleMisses.Load()) })
 	r.CounterFunc("dfg_plan_cache_hits_total", "Shared plan-cache hits.",
 		nil, func() float64 { return float64(p.comp.Stats().PlanHits) })
 	r.CounterFunc("dfg_plan_cache_misses_total", "Shared plan-cache misses.",
@@ -652,97 +686,99 @@ func (p *Pool) FlushPerf() (string, error) {
 	return perfdb.WriteFile(p.cfg.PerfDir, p.meta, p.perf.Snapshot())
 }
 
-// maxPreparedPerWorker bounds each worker's cache of open prepared-plan
-// handles (and with it the device memory its arena keeps resident).
+// maxPreparedPerWorker bounds each worker's cache of open prepared
+// handles (and with it the device memory its arena keeps resident and
+// the engine views it keeps alive).
 const maxPreparedPerWorker = 64
 
 // worker drains the queue until it is closed, running each job on its
 // private engine. Closing the queue (not a signal channel) is what ends
-// the loop, so every job accepted before Close is still served. Solo
-// jobs run through runJob; merged batch jobs (the batch former's
-// output) through runBatch, which fans one super-network evaluation
-// back out to every member's response channel.
+// the loop, so every job accepted before Close is still served.
 //
-// Each executed job records a "request" trace rooted at enqueue time:
-// an explicit "queue-wait" child covering the time spent in the bounded
-// queue, then the engine's pipeline spans (compile/plan/bind/execute
-// with device events, plus any retry/fallback spans from the engine's
-// recovery loop) — so a request's stages account for its full
-// end-to-end latency, and the slow-request threshold applies to what
-// the client actually waited.
+// Every job — one member or several — takes the same road (run): one
+// gate, then, for several members, one merged attempt, then the
+// per-member loop for whoever the merged attempt did not answer.
 //
-// Requests run through prepared plans: the worker keeps a bounded cache
-// of open dfg.Prepared handles keyed by expression fingerprint, so a
-// hot expression's device buffers recycle through the engine's arena
-// and its unchanged sources stay device-resident across requests.
-// Fingerprints incorporate the referenced definitions, so a Define
-// invalidates exactly the prepared handles it affects (they age out of
-// the cache); when the worker exits it closes every handle, draining
-// the engine's arena.
+// The gate (admit) observes each member's queue wait, fails members that
+// expired while queued without touching the device, and asks the
+// worker's circuit breaker once for the whole job: while the breaker is
+// open the job is rerouted onto the queue for a healthy peer (or, when
+// it cannot be, every member fails ErrWorkerUnavailable); after the
+// cooldown the device is healed and the job goes through as the one
+// half-open probe; enough failed probes replace the device outright.
 //
-// The worker survives its device: evaluations are panic-shielded (an
-// injected chaos panic becomes a typed ErrWorkerPanic response and the
-// engine is rebuilt on a fresh device), and a circuit breaker tracks
-// device faults — while it is open the worker reroutes jobs back onto
-// the queue for healthy peers, after the cooldown it heals the device
-// and lets one probe through, and enough failed probes replace the
-// device outright.
+// Evaluations run through prepared handles behind one panic shield
+// (eval): the worker keeps a bounded cache of open handles keyed by
+// variant and ordered member texts, looked up BEFORE anything is parsed
+// or compiled, so a hot text costs a map lookup, its device buffers
+// recycle through the engine's arena and its unchanged sources stay
+// device-resident across requests. A Define flushes the whole cache
+// (Pool.defGen); when the worker exits it closes every handle, draining
+// the engine's arena. A panic in an evaluation — an injected chaos panic
+// or a genuine bug — becomes a typed ErrWorkerPanic and the engine is
+// rebuilt on a fresh device.
+//
+// Each member answered by the per-member loop records a "request" trace
+// rooted at enqueue time: "batch-forming" and "queue-wait" children
+// covering the time before pickup, then the engine's pipeline spans —
+// compile and plan on a handle miss only (the root carries
+// handle=hit|miss), bind and execute with device events always, plus
+// any retry/fallback spans from the engine's recovery loop — so a
+// request's stages account for its full end-to-end latency, and the
+// slow-request threshold applies to what the client actually waited. A
+// merged run records one "batch" trace with a "member" child each.
 func (p *Pool) worker(id int) {
 	defer p.workers.Done()
 	ws := &workerState{
-		id:        id,
-		eng:       p.engine(id),
-		br:        p.breakers[id],
-		prepared:  make(map[handleKey]*dfg.Prepared),
-		batches:   make(map[handleKey]*dfg.PreparedBatch),
-		byVariant: make(map[variant]*dfg.Engine),
+		id:      id,
+		eng:     p.engine(id),
+		br:      p.breakers[id],
+		handles: make(map[handleKey]handle),
 	}
 	defer ws.closeAll()
 	for j := range p.queue {
-		if j.batch != nil {
-			p.runBatch(ws, j)
-			continue
-		}
-		p.runJob(ws, j)
+		p.run(ws, j)
 	}
 }
 
-// workerState is one worker goroutine's private state: its engine (and
-// the variant views derived from it), its circuit breaker, and its
-// bounded caches of open prepared handles — solo and batch. Only the
-// owning worker touches any of it.
+// workerState is one worker goroutine's private state: its engine, its
+// circuit breaker, and its bounded cache of open prepared handles. Only
+// the owning worker touches any of it.
 type workerState struct {
-	id        int
-	eng       *dfg.Engine
-	br        *breaker
-	prepared  map[handleKey]*dfg.Prepared
-	batches   map[handleKey]*dfg.PreparedBatch
-	byVariant map[variant]*dfg.Engine
+	id      int
+	eng     *dfg.Engine
+	br      *breaker
+	handles map[handleKey]handle
+	defGen  uint64 // Pool.defGen when the handles were last flushed
 }
 
-// variant identifies one of a worker's derived engines by the request
-// overrides that select it; the zero value is the pool default.
-type variant struct{ opt, strategy string }
+// handleKey keys a worker's open handles by what a request says, never
+// by anything derived from it: the variant — the Opt and Strategy
+// overrides, both empty for the pool default — plus the ordered member
+// texts ("\x01"-joined; one text for a lone request). Ordered, because a
+// prepared batch demuxes positionally over the exact sequence it was
+// prepared with; texts, not fingerprints, because a lookup must not
+// parse — two spellings of one expression hold two handles on the one
+// shared plan.
+type handleKey struct{ opt, strategy, texts string }
 
-// handleKey keys a worker's open prepared handles: the variant engine
-// that prepared them plus, for a solo handle, the plan fingerprint and,
-// for a batch handle, the ordered member texts.
-type handleKey struct {
-	variant
-	id string
+// handle is one open prepared evaluation and the engine view that
+// prepared it (the worker's engine, or its derivation for the key's
+// variant), which is where the next perf record's queue wait is stamped.
+// A handle of one text is the PreparedBatch solo fast path: an ordinary
+// Prepared, recovery ladder and tiered routing intact.
+type handle struct {
+	eng *dfg.Engine
+	pb  *dfg.PreparedBatch
 }
 
 // closeAll closes every open prepared handle, draining the engine's
 // buffer arena.
 func (ws *workerState) closeAll() {
-	for _, pr := range ws.prepared {
-		pr.Close()
+	for _, h := range ws.handles {
+		h.pb.Close()
 	}
-	ws.prepared = make(map[handleKey]*dfg.Prepared)
-	for _, pb := range ws.batches {
-		pb.Close()
-	}
-	ws.batches = make(map[handleKey]*dfg.PreparedBatch)
+	clear(ws.handles)
 }
 
 // restartWorker discards the worker's (possibly poisoned) engine and its
@@ -759,7 +795,6 @@ func (p *Pool) restartWorker(ws *workerState) {
 		return
 	}
 	ws.eng = fresh
-	ws.byVariant = make(map[variant]*dfg.Engine)
 	p.engMu.Lock()
 	p.engines[ws.id] = fresh
 	p.engMu.Unlock()
@@ -767,89 +802,124 @@ func (p *Pool) restartWorker(ws *workerState) {
 	p.restarts[ws.id].Add(1)
 }
 
-// runJob runs one solo job: queue-wait accounting, the expired-in-queue
-// fast fail and the breaker gate, then execution via execJob.
-func (p *Pool) runJob(ws *workerState, j *job) {
+// run takes one job through the worker. A merged attempt that fails in
+// any way — a panic, a device fault, a merge or plan error, a member
+// that does not compile — answers nobody: it degrades to the per-member
+// loop, where every member re-runs alone with the recovery ladder armed
+// (the merged run bypasses it: the ladder re-plans from expression
+// text, which a super-network does not have), so a member-specific
+// failure costs only that member its result.
+func (p *Pool) run(ws *workerState, j *job) {
 	pickup := time.Now()
-	wait := pickup.Sub(j.enqueued) // what the client has waited so far
-	qwait := wait                  // the queue's share of it
-	if !j.formed.IsZero() {
-		qwait = pickup.Sub(j.formed)
+	// Handles prepared before the latest Define may hold its old body.
+	// The generation is read before anything is prepared under it, so a
+	// handle is never newer than the generation it is filed under.
+	if g := p.defGen.Load(); g != ws.defGen {
+		ws.closeAll()
+		ws.defGen = g
 	}
-	// Record queue wait for every dequeued job, including ones that
-	// expired while queued — otherwise the histogram only sees
-	// survivors and under overload (exactly when wait matters) its
-	// quantiles are biased toward short waits. A job that passed through
-	// the batch former measures from its flush stamp: the forming window
-	// was spent deliberately, and is observed separately at flush.
-	p.waitHist.Observe(qwait)
-	if err := j.ctx.Err(); err != nil {
-		// Expired (or canceled) while queued: fail fast, don't touch
-		// the device.
-		p.expired.Add(1)
-		j.cancel()
-		j.resp <- Response{Worker: ws.id, Wait: wait, Err: fmt.Errorf("%w: %v", ErrQueueTimeout, err)}
+	ok, probe := p.admit(ws, j, pickup)
+	if !ok {
 		return
 	}
-	ok, probe := ws.br.allow(pickup)
-	if !ok {
-		// Tripped device, still cooling: push the job back for a
-		// healthy peer. Holding the job briefly first (longer each
-		// hop) parks this worker while its peers sit blocked on the
-		// queue, so the requeued job hands off to one of them instead
-		// of bouncing straight back here. If it cannot be requeued
-		// (queue full, pool closing, or the job already bounced across
-		// the whole pool), fail it with the typed unavailability
-		// error.
-		hold := time.Duration(j.hops+1) * 200 * time.Microsecond
-		if hold > 2*time.Millisecond {
-			hold = 2 * time.Millisecond
-		}
-		time.Sleep(hold)
-		if p.reroute(j) {
-			p.rerouted.Add(1)
+	if len(j.members) > 1 {
+		if p.runMerged(ws, j, pickup) {
 			return
 		}
-		p.failed.Add(1)
-		j.cancel()
-		j.resp <- Response{Worker: ws.id, Wait: wait, Err: fmt.Errorf("%w: worker %d breaker open", ErrWorkerUnavailable, ws.id)}
-		return
+		pickup, probe = time.Now(), false
 	}
-	p.execJob(ws, j, pickup, qwait, probe)
+	for _, m := range j.members {
+		p.runSolo(ws, m, j.hops, pickup, probe)
+	}
 }
 
-// execJob executes one solo job on the worker's engine — the request
-// trace, the panic shield, flight filing, outcome counters and breaker
-// bookkeeping — and delivers the response. It is also the landing path
-// for batch members degraded to solo execution after a merged run
-// failed.
-func (p *Pool) execJob(ws *workerState, j *job, pickup time.Time, qwait time.Duration, probe bool) {
-	if probe {
-		// Half-open health probe: heal a latched device loss first,
-		// simulating the driver reset the cooldown stood in for.
-		ws.eng.Heal()
+// admit is the gate in front of the device. It leaves the job's live
+// members in j.members and reports whether they may run here, and
+// whether as the breaker's half-open probe.
+func (p *Pool) admit(ws *workerState, j *job, pickup time.Time) (ok, probe bool) {
+	live := j.members[:0]
+	for _, m := range j.members {
+		// Record queue wait for every dequeued member, including ones
+		// that expired while queued — otherwise the histogram only sees
+		// survivors and under overload (exactly when wait matters) its
+		// quantiles are biased toward short waits. The forming window was
+		// spent deliberately, and is observed separately at flush.
+		p.waitHist.Observe(pickup.Sub(m.queuedAt()))
+		if err := m.ctx.Err(); err != nil {
+			// Expired (or canceled) while queued: fails alone, without
+			// touching the device; the rest of the job still runs.
+			p.expired.Add(1)
+			m.reply(Response{Worker: ws.id, Wait: pickup.Sub(m.enqueued), Err: fmt.Errorf("%w: %v", ErrQueueTimeout, err)})
+			continue
+		}
+		live = append(live, m)
 	}
-	resp := Response{Worker: ws.id, Wait: pickup.Sub(j.enqueued)}
+	j.members = live
+	if len(live) == 0 {
+		return false, false
+	}
+	ok, probe = ws.br.allow(pickup)
+	if ok {
+		if probe {
+			// Half-open health probe: heal a latched device loss first,
+			// simulating the driver reset the cooldown stood in for.
+			ws.eng.Heal()
+		}
+		return true, probe
+	}
+	// Tripped device, still cooling: push the job back for a healthy
+	// peer. Holding it briefly first (longer each hop) parks this worker
+	// while its peers sit blocked on the queue, so the requeued job hands
+	// off to one of them instead of bouncing straight back here. If it
+	// cannot be requeued (queue full, pool closing, or the job already
+	// bounced across the whole pool), fail its members with the typed
+	// unavailability error.
+	hold := time.Duration(j.hops+1) * 200 * time.Microsecond
+	if hold > 2*time.Millisecond {
+		hold = 2 * time.Millisecond
+	}
+	time.Sleep(hold)
+	if p.reroute(j) {
+		p.rerouted.Add(1)
+		return false, false
+	}
+	for _, m := range live {
+		p.failed.Add(1)
+		m.reply(Response{Worker: ws.id, Wait: pickup.Sub(m.enqueued), Err: fmt.Errorf("%w: worker %d breaker open", ErrWorkerUnavailable, ws.id)})
+	}
+	return false, false
+}
+
+// runSolo evaluates one member alone on the worker's engine — the
+// request trace, flight filing, outcome counters and breaker bookkeeping
+// — and delivers its response.
+func (p *Pool) runSolo(ws *workerState, m *member, hops int, pickup time.Time, probe bool) {
 	root := p.tracer.Start("request")
 	if root != nil {
-		root.Start = j.enqueued // the trace covers queue (and forming) wait too
+		root.Start = m.enqueued // the trace covers queue (and forming) wait too
 		root.SetAttr("worker", strconv.Itoa(ws.id))
-		if !j.formed.IsZero() {
-			root.Event("batch-forming", "", j.enqueued, j.formed)
-			root.Event("queue-wait", "", j.formed, pickup)
-		} else {
-			root.Event("queue-wait", "", j.enqueued, pickup)
+		if !m.formed.IsZero() {
+			root.Event("batch-forming", "", m.enqueued, m.formed)
 		}
+		root.Event("queue-wait", "", m.queuedAt(), pickup)
 		if probe {
 			root.SetAttr("breaker", "probe")
 		}
-		if j.hops > 0 {
+		if hops > 0 {
 			// Tail retention keeps every rerouted request's trace.
-			root.SetAttr("rerouted", strconv.Itoa(j.hops))
+			root.SetAttr("rerouted", strconv.Itoa(hops))
 		}
 	}
-	res, err := p.runShielded(ws, root, qwait, j)
-	run := time.Since(pickup)
+	resp := Response{Worker: ws.id, Wait: pickup.Sub(m.enqueued)}
+	// The request's deadline threads into execution: a request that
+	// times out mid-plan stops at the next kernel-launch boundary instead
+	// of finishing work nobody is waiting for.
+	bres, err := p.eval(m.ctx, ws, root, pickup.Sub(m.queuedAt()), []string{m.req.Expr}, m.req)
+	if err == nil {
+		resp.Result = bres.Results[0]
+	}
+	resp.Err = err
+	resp.Run = time.Since(pickup)
 	if root != nil {
 		if err != nil {
 			root.SetAttr("error", err.Error())
@@ -862,77 +932,143 @@ func (p *Pool) execJob(ws *workerState, j *job, pickup time.Time, qwait time.Dur
 	if p.flight != nil {
 		fe := perfdb.FlightEntry{
 			UnixNS: pickup.UnixNano(), Worker: ws.id,
-			Expr: j.req.Expr, N: j.req.N,
-			TraceID: root.ID(), DurNS: int64(run), Span: root,
+			Expr: m.req.Expr, N: m.req.N,
+			TraceID: root.ID(), DurNS: int64(resp.Run), Span: root,
 		}
 		if err != nil {
 			fe.Err = err.Error()
 		}
 		p.flight.Note(fe)
 	}
-	p.busy[ws.id].Add(int64(run))
-	p.runHist.Observe(run)
-	resp.Run = run
-	resp.Result, resp.Err = res, err
+	p.busy[ws.id].Add(int64(resp.Run))
+	p.runHist.Observe(resp.Run)
 	if err != nil {
 		p.failed.Add(1)
 	} else {
 		p.served.Add(1)
-		p.acc.Add(res.Profile, res.PeakDeviceBytes)
+		p.acc.Add(resp.Result.Profile, resp.Result.PeakDeviceBytes)
 	}
-	switch {
-	case errors.Is(err, ErrWorkerPanic):
-		// The device (or a kernel on it) panicked; the engine state
-		// is suspect. Dump the flight ring, replace the engine, and
-		// keep serving.
-		p.flight.Dump("worker-panic")
-		p.restartWorker(ws)
-	case err == nil:
-		if ws.eng.DeviceLost() {
-			// The request was rescued by the recovery ladder's
-			// host-VM rung, but the device underneath is still lost:
-			// trip the breaker anyway so the cooldown/probe machinery
-			// heals (or replaces) it instead of every request limping
-			// through the VM forever.
-			if ws.br.failure(pickup, true) {
-				p.flight.Dump("breaker-trip")
-			}
-			if ws.br.failedProbes() >= p.cfg.ReplaceAfterProbes {
-				p.restartWorker(ws)
-			}
-		} else {
-			ws.br.success()
-		}
-	default:
-		p.noteFault(ws, err, pickup)
-	}
-	j.cancel()
-	j.resp <- resp
+	p.settle(ws, err, pickup)
+	m.reply(resp)
 }
 
-// noteFault feeds an evaluation error to the worker's breaker. Only
-// device faults count: a lost device trips the breaker immediately,
-// transient or unexplained device errors count toward the consecutive
-// threshold. Errors that are not device faults (bad expressions,
-// capacity exhaustion after the ladder ran out) say nothing about
-// device health and leave the breaker alone. Once enough half-open
-// probes have failed in a row, the device is declared dead and
-// replaced.
-func (p *Pool) noteFault(ws *workerState, err error, now time.Time) {
+// runMerged attempts the job's members as one merged super-network —
+// subtrees shared between member expressions execute once — and fans
+// the root outputs back out, one response per member. It reports
+// whether it answered them; on any failure it has answered none.
+func (p *Pool) runMerged(ws *workerState, j *job, pickup time.Time) bool {
+	members := j.members
+	req0 := members[0].req        // members share N, variant and inputs (batchKey)
+	queuedAt := members[0].formed // and the flush that queued them
+	// The batch trace: one root spanning the whole merged run, each
+	// member's request a child under it (with its forming wait), the
+	// engine's compile/merge/plan/execute spans below — /trace shows the
+	// batch as one tree.
+	root := p.tracer.Start("batch")
+	if root != nil {
+		root.Start = queuedAt
+		root.SetAttr("worker", strconv.Itoa(ws.id))
+		root.Event("queue-wait", "", queuedAt, pickup)
+		if j.hops > 0 {
+			root.SetAttr("rerouted", strconv.Itoa(j.hops))
+		}
+		root.SetAttr("batch", strconv.Itoa(len(members)))
+	}
+	texts := make([]string, len(members))
+	spans := make([]*obs.Span, len(members))
+	for i, m := range members {
+		texts[i] = m.req.Expr
+		if ms := root.Child("member"); ms != nil {
+			ms.Start = m.enqueued
+			ms.SetAttr("expr", m.req.Expr)
+			ms.Event("batch-forming", "", m.enqueued, m.formed)
+			spans[i] = ms
+		}
+	}
+	// No member's deadline governs the shared run.
+	bres, err := p.eval(nil, ws, root, pickup.Sub(queuedAt), texts, req0)
+	run := time.Since(pickup)
+	for _, ms := range spans {
+		ms.Finish()
+	}
+	if err != nil {
+		if root != nil {
+			root.SetAttr("error", err.Error())
+			root.SetAttr("degraded", "split-to-solo")
+			root.Finish()
+		}
+		p.batchSplits.Add(1)
+		p.settle(ws, err, pickup)
+		return false
+	}
+	if root != nil {
+		root.SetAttr("shared", strconv.Itoa(bres.Shared))
+		root.Finish()
+	}
+	p.batches.Add(1)
+	p.batchSizeHist.Observe(time.Duration(len(members)) * time.Microsecond)
+	p.batchShared.Add(int64(bres.Shared))
+	if p.flight != nil {
+		p.flight.Note(perfdb.FlightEntry{
+			UnixNS: pickup.UnixNano(), Worker: ws.id,
+			Expr: fmt.Sprintf("batch[%d]: %s", len(members), req0.Expr),
+			N:    req0.N, TraceID: root.ID(), DurNS: int64(run), Span: root,
+		})
+	}
+	p.busy[ws.id].Add(int64(run))
+	res0 := bres.Results[0]
+	p.acc.Add(res0.Profile, res0.PeakDeviceBytes)
+	p.settle(ws, nil, pickup)
+	for i, m := range members {
+		p.served.Add(1)
+		p.runHist.Observe(run)
+		m.reply(Response{Result: bres.Results[i], Worker: ws.id, Wait: pickup.Sub(m.enqueued), Run: run})
+	}
+	return true
+}
+
+// settle feeds one evaluation's outcome to the worker's health
+// machinery. A panic replaces the engine. Of the errors only device
+// faults count: a lost device trips the breaker immediately, transient
+// or unexplained device errors count toward the consecutive threshold;
+// errors that are not device faults (bad expressions, capacity
+// exhaustion after the ladder ran out) say nothing about device health
+// and leave the breaker alone. Once enough half-open probes have failed
+// in a row, the device is declared dead and replaced.
+func (p *Pool) settle(ws *workerState, err error, now time.Time) {
+	if errors.Is(err, ErrWorkerPanic) {
+		// The device (or a kernel on it) panicked; the engine state is
+		// suspect. Dump the flight ring, replace the engine, and keep
+		// serving.
+		p.flight.Dump("worker-panic")
+		p.restartWorker(ws)
+		return
+	}
+	lost := false
 	var fe *ocl.FaultError
-	if !errors.As(err, &fe) {
+	switch {
+	case err == nil:
+		if !ws.eng.DeviceLost() {
+			ws.br.success()
+			return
+		}
+		// The request was rescued by the recovery ladder's host-VM rung,
+		// but the device underneath is still lost: trip the breaker
+		// anyway so the cooldown/probe machinery heals (or replaces) it
+		// instead of every request limping through the VM forever.
+		lost = true
+	case !errors.As(err, &fe):
 		return
-	}
-	var opened bool
-	switch ocl.Classify(err) {
-	case ocl.ClassDeviceLost:
-		opened = ws.br.failure(now, true)
-	case ocl.ClassTransient, ocl.ClassPermanent:
-		opened = ws.br.failure(now, false)
 	default:
-		return
+		switch ocl.Classify(err) {
+		case ocl.ClassDeviceLost:
+			lost = true
+		case ocl.ClassTransient, ocl.ClassPermanent:
+		default:
+			return
+		}
 	}
-	if opened {
+	if ws.br.failure(now, lost) {
 		// The failure that opens a breaker is exactly the postmortem
 		// moment: dump the flight ring while the failing request's span
 		// tree is still in it.
@@ -967,323 +1103,71 @@ func (p *Pool) reroute(j *job) bool {
 	}
 }
 
-// runShielded is evalPrepared behind a panic shield: an injected chaos
-// panic (or a genuine bug) in the evaluation becomes a typed
-// ErrWorkerPanic error instead of crashing the worker goroutine and
-// deadlocking every queued client. Strategy cleanup runs during the
-// unwind (buffer releases are deferred), so the engine's arena still
-// drains; the caller replaces the engine anyway.
-func (p *Pool) runShielded(ws *workerState, root *obs.Span, qwait time.Duration, j *job) (res *dfg.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = fmt.Errorf("%w: worker %d: %v", ErrWorkerPanic, ws.id, r)
-		}
-	}()
-	return evalPrepared(j.ctx, ws, root, qwait, j.req)
-}
-
-// resolveVariant routes a request overriding Opt or Strategy to the
-// worker's derived engine for that (level, strategy) pair, memoized in
-// byVariant. Derived views share the worker's device environment and
-// arena, preserving the single-goroutine discipline — only this worker
-// touches any of them.
-func resolveVariant(ws *workerState, req Request) (*dfg.Engine, variant, error) {
-	v := variant{req.Opt, req.Strategy}
-	if v == (variant{}) {
-		return ws.eng, v, nil
-	}
-	if cached, ok := ws.byVariant[v]; ok {
-		return cached, v, nil
-	}
-	d := ws.eng
-	var err error
-	if req.Opt != "" {
-		if d, err = d.WithOptLevel(req.Opt); err != nil {
-			return nil, v, err
-		}
-	}
-	if d, err = d.WithStrategy(req.Strategy); err != nil {
-		return nil, v, err
-	}
-	ws.byVariant[v] = d
-	return d, v, nil
-}
-
-// evalPrepared runs one request through the worker's prepared-plan
-// cache. A request overriding Opt or Strategy is routed to the worker's
-// derived engine for that pair (resolveVariant); fingerprints
-// incorporate the level, so every variant's handles coexist in one
-// cache. Preparing records the compile and plan spans under root (both
-// are cache hits for a hot expression, so every request trace keeps the
-// full stage set); a handle already cached under the same fingerprint
-// wins, and the fresh one — which shares the cached plan anyway — is
-// closed. The cache is bounded by closing an arbitrary old handle; the
-// plan it wrapped stays in the shared compiler cache, so re-preparing
-// is a map lookup.
-func evalPrepared(ctx context.Context, ws *workerState, root *obs.Span, qwait time.Duration, req Request) (*dfg.Result, error) {
-	eng, v, err := resolveVariant(ws, req)
-	if err != nil {
-		return nil, err
-	}
-	// Stamp the measured queue wait on the engine that will actually run
-	// (variant views carry their own pending slot), so the evaluation's
-	// perf record carries it. The batch former's window is excluded —
-	// qwait is the post-flush queue share only.
-	eng.NoteQueueWait(qwait)
-	pr, err := eng.PrepareTraced(root, req.Expr)
-	if err != nil {
-		return nil, err
-	}
-	// Fingerprints cover the expression, its definitions and the opt
-	// level — not the strategy — so the handle cache keys on the variant
-	// too: a Strategy override must never reuse another strategy's plan.
-	key := handleKey{v, pr.Fingerprint()}
-	if cached, ok := ws.prepared[key]; ok {
-		pr.Close()
-		pr = cached
-	} else {
-		if len(ws.prepared) >= maxPreparedPerWorker {
-			for fp, old := range ws.prepared {
-				old.Close()
-				delete(ws.prepared, fp)
-				break
-			}
-		}
-		ws.prepared[key] = pr
-	}
-	// Thread the request's deadline into execution: a request that times
-	// out mid-plan stops at the next kernel-launch boundary instead of
-	// finishing work nobody is waiting for.
-	return pr.EvalTracedCtx(ctx, root, req.N, req.Inputs)
-}
-
-// evalPreparedBatch runs a flushed member set through the worker's
-// prepared-batch cache — the batch analogue of evalPrepared. The
-// variant engine is resolved the same way (members share Opt and
-// Strategy; both are part of the batch key), and handles are cached
-// with the same bound, so a recurring batch shape reuses its merged
-// plan and device-resident sources. The cache key is the ordered
-// member list, NOT the batch fingerprint: the fingerprint digests the
-// sorted de-duplicated members, but a prepared batch demuxes results
-// positionally over the exact text sequence it was prepared with, so
-// two flushes sharing a fingerprint with different member order or
-// duplicate multiplicity must not share a handle. req carries the
-// batch's shared shape (N, inputs, variant); texts the member
-// expressions.
-func evalPreparedBatch(ws *workerState, root *obs.Span, qwait time.Duration, texts []string, req Request) (*dfg.BatchResult, error) {
-	eng, v, err := resolveVariant(ws, req)
-	if err != nil {
-		return nil, err
-	}
-	eng.NoteQueueWait(qwait)
-	key := handleKey{v, strings.Join(texts, "\x01")}
-	pb, ok := ws.batches[key]
-	if !ok {
-		pb, err = eng.PrepareBatchTraced(root, texts)
-		if err != nil {
-			return nil, err
-		}
-		if len(ws.batches) >= maxPreparedPerWorker {
-			for k, old := range ws.batches {
-				old.Close()
-				delete(ws.batches, k)
-				break
-			}
-		}
-		ws.batches[key] = pb
-	}
-	return pb.EvalTracedCtx(nil, root, req.N, req.Inputs)
-}
-
-// runBatchShielded is evalPreparedBatch behind the same panic shield as
-// runShielded.
-func (p *Pool) runBatchShielded(ws *workerState, root *obs.Span, qwait time.Duration,
+// eval evaluates texts — one member's, or a job's in member order —
+// through the worker's handle cache, behind the worker's panic shield:
+// a panic anywhere below becomes a typed ErrWorkerPanic error instead of
+// crashing the worker goroutine and deadlocking every queued client.
+// Strategy cleanup runs during the unwind (buffer releases are
+// deferred), so the engine's arena still drains; the caller replaces
+// the engine anyway. req carries the shape the texts share (N, inputs,
+// variant); qwait lands on the evaluation's perf record.
+func (p *Pool) eval(ctx context.Context, ws *workerState, root *obs.Span, qwait time.Duration,
 	texts []string, req Request) (res *dfg.BatchResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = nil
-			err = fmt.Errorf("%w: worker %d: %v", ErrWorkerPanic, ws.id, r)
+			res, err = nil, fmt.Errorf("%w: worker %d: %v", ErrWorkerPanic, ws.id, r)
 		}
 	}()
-	return evalPreparedBatch(ws, root, qwait, texts, req)
+	h, err := p.open(ws, root, texts, req)
+	if err != nil {
+		return nil, err
+	}
+	h.eng.NoteQueueWait(qwait)
+	return h.pb.EvalTracedCtx(ctx, root, req.N, req.Inputs)
 }
 
-// runBatch runs one merged batch job: member expiry triage, the breaker
-// gate (batch granularity — an open breaker reroutes the whole batch to
-// a healthy peer), per-member compile-error isolation, then one merged
-// super-network evaluation whose root outputs fan back out to every
-// member's response. Any failure of the merged run degrades the batch
-// instead of failing it: the members re-run individually through the
-// ordinary solo path — recovery ladder included, which the merged run
-// bypasses (the ladder re-plans from expression text, which a merged
-// super-network does not have) — so a faulting member never costs the
-// others their response.
-func (p *Pool) runBatch(ws *workerState, bj *job) {
-	pickup := time.Now()
-	qwait := pickup.Sub(bj.enqueued) // members share the batch's queue wait
-	live := make([]*job, 0, len(bj.batch))
-	for _, m := range bj.batch {
-		p.waitHist.Observe(qwait)
-		if err := m.ctx.Err(); err != nil {
-			// A member that expired while the batch queued fails alone;
-			// the rest of the batch still runs.
-			p.expired.Add(1)
-			m.cancel()
-			m.resp <- Response{Worker: ws.id, Wait: pickup.Sub(m.enqueued), Err: fmt.Errorf("%w: %v", ErrQueueTimeout, err)}
-			continue
-		}
-		live = append(live, m)
+// open returns the worker's handle for texts under the request's
+// variant. A hit is a map lookup and nothing else. A miss derives the
+// variant's engine view (views share the worker's device environment
+// and arena, preserving the single-goroutine discipline), prepares the
+// texts — recording the compile and plan spans under root, so a text's
+// first request shows the full stage set — and files the handle,
+// closing an arbitrary old one at the bound; the plan that one wrapped
+// stays in the shared compiler cache, so re-preparing it is two lookups
+// there.
+func (p *Pool) open(ws *workerState, root *obs.Span, texts []string, req Request) (handle, error) {
+	key := handleKey{req.Opt, req.Strategy, strings.Join(texts, "\x01")}
+	if h, ok := ws.handles[key]; ok {
+		p.handleHits.Add(1)
+		root.SetAttr("handle", "hit")
+		return h, nil
 	}
-	if len(live) == 0 {
-		return
-	}
-	bj.batch = live
-	ok, probe := ws.br.allow(pickup)
-	if !ok {
-		hold := time.Duration(bj.hops+1) * 200 * time.Microsecond
-		if hold > 2*time.Millisecond {
-			hold = 2 * time.Millisecond
-		}
-		time.Sleep(hold)
-		if p.reroute(bj) {
-			p.rerouted.Add(1)
-			return
-		}
-		for _, m := range live {
-			p.failed.Add(1)
-			m.cancel()
-			m.resp <- Response{Worker: ws.id, Wait: pickup.Sub(m.enqueued), Err: fmt.Errorf("%w: worker %d breaker open", ErrWorkerUnavailable, ws.id)}
-		}
-		return
-	}
-	if probe {
-		ws.eng.Heal()
-	}
-
-	// The batch trace: one root spanning the whole merged run, each
-	// member's request a child under it (with its forming wait), the
-	// engine's compile/merge/plan/execute spans below — /trace shows the
-	// batch as one tree.
-	root := p.tracer.Start("batch")
-	if root != nil {
-		root.Start = bj.enqueued
-		root.SetAttr("worker", strconv.Itoa(ws.id))
-		root.Event("queue-wait", "", bj.enqueued, pickup)
-		if bj.hops > 0 {
-			root.SetAttr("rerouted", strconv.Itoa(bj.hops))
-		}
-	}
-	memberSpan := func(m *job) *obs.Span {
-		ms := root.Child("member")
-		if ms != nil {
-			ms.Start = m.enqueued
-			ms.SetAttr("expr", m.req.Expr)
-			ms.Event("batch-forming", "", m.enqueued, m.formed)
-		}
-		return ms
-	}
-
-	// Per-member compile isolation: a member that does not compile gets
-	// its own error response and is dropped before the merge — the
-	// shared cache makes the batch's re-compile of the survivors free.
-	lvl, lvlErr := passes.ParseLevel(p.memberOpt(live[0].req))
-	survivors := live[:0]
-	for _, m := range live {
-		err := lvlErr
-		if err == nil {
-			_, _, err = p.comp.CompileTracedAt(m.req.Expr, lvl, root)
-		}
-		if err != nil {
-			if ms := memberSpan(m); ms != nil {
-				ms.SetAttr("error", err.Error())
-				ms.Finish()
-			}
-			p.failed.Add(1)
-			m.cancel()
-			m.resp <- Response{Worker: ws.id, Wait: pickup.Sub(m.enqueued), Err: err}
-			continue
-		}
-		survivors = append(survivors, m)
-	}
-	if len(survivors) == 0 {
-		if root != nil {
-			root.Finish()
-		}
-		return
-	}
-	if root != nil {
-		root.SetAttr("batch", strconv.Itoa(len(survivors)))
-	}
-	spans := make([]*obs.Span, len(survivors))
-	texts := make([]string, len(survivors))
-	for i, m := range survivors {
-		spans[i] = memberSpan(m)
-		texts[i] = m.req.Expr
-	}
-	req0 := survivors[0].req
-	bres, err := p.runBatchShielded(ws, root, qwait, texts, req0)
-	run := time.Since(pickup)
-	for _, ms := range spans {
-		if ms != nil {
-			ms.Finish()
-		}
-	}
-	if err == nil {
-		if root != nil {
-			root.SetAttr("shared", strconv.Itoa(bres.Shared))
-			root.Finish()
-		}
-		p.batches.Add(1)
-		p.batchSizeHist.Observe(time.Duration(len(survivors)) * time.Microsecond)
-		p.batchShared.Add(int64(bres.Shared))
-		if p.flight != nil {
-			p.flight.Note(perfdb.FlightEntry{
-				UnixNS: pickup.UnixNano(), Worker: ws.id,
-				Expr: fmt.Sprintf("batch[%d]: %s", len(survivors), req0.Expr),
-				N:    req0.N, TraceID: root.ID(), DurNS: int64(run), Span: root,
-			})
-		}
-		p.busy[ws.id].Add(int64(run))
-		res0 := bres.Results[0]
-		p.acc.Add(res0.Profile, res0.PeakDeviceBytes)
-		ws.br.success()
-		for i, m := range survivors {
-			p.served.Add(1)
-			p.runHist.Observe(run)
-			m.cancel()
-			m.resp <- Response{Result: bres.Results[i], Worker: ws.id, Wait: pickup.Sub(m.enqueued), Run: run}
-		}
-		return
-	}
-	// The merged run failed: a panic, a device fault, or a merge/plan
-	// error. Degrade, never drop — every member re-runs through the solo
-	// path with the recovery ladder armed, so a member-specific fault
-	// costs only that member its response.
-	if root != nil {
-		root.SetAttr("error", err.Error())
-		root.SetAttr("degraded", "split-to-solo")
-		root.Finish()
-	}
-	p.batchSplits.Add(1)
-	if errors.Is(err, ErrWorkerPanic) {
-		p.flight.Dump("worker-panic")
-		p.restartWorker(ws)
-	} else {
-		p.noteFault(ws, err, pickup)
-	}
-	for _, m := range survivors {
-		p.execJob(ws, m, time.Now(), 0, false)
-	}
-}
-
-// memberOpt is the optimisation level a request compiles at — its own
-// override or the pool default.
-func (p *Pool) memberOpt(req Request) string {
+	p.handleMisses.Add(1)
+	root.SetAttr("handle", "miss")
+	eng := ws.eng
+	var err error
 	if req.Opt != "" {
-		return req.Opt
+		if eng, err = eng.WithOptLevel(req.Opt); err != nil {
+			return handle{}, err
+		}
 	}
-	return p.cfg.Opt
+	if eng, err = eng.WithStrategy(req.Strategy); err != nil {
+		return handle{}, err
+	}
+	pb, err := eng.PrepareBatchTraced(root, texts)
+	if err != nil {
+		return handle{}, err
+	}
+	if len(ws.handles) >= maxPreparedPerWorker {
+		for k, old := range ws.handles {
+			old.pb.Close()
+			delete(ws.handles, k)
+			break
+		}
+	}
+	h := handle{eng, pb}
+	ws.handles[key] = h
+	return h, nil
 }
 
 // EvalAsync submits a request and returns a buffered channel that will
@@ -1316,14 +1200,14 @@ func (p *Pool) EvalAsync(ctx context.Context, req Request) <-chan Response {
 		resp <- Response{Worker: -1, Err: ErrPoolClosed}
 		return resp
 	}
-	j := &job{req: req, ctx: ctx, cancel: cancel, enqueued: time.Now(), resp: resp}
+	m := &member{req: req, ctx: ctx, cancel: cancel, enqueued: time.Now(), resp: resp}
 	if p.cfg.BatchWindow > 0 {
-		// Batch-forming path: the job joins its forming batch under the
+		// Batch-forming arm: the member joins its forming batch under the
 		// same read lock, so Close's final sweep is guaranteed to see it.
 		// If this join filled the batch, flush it now (form already took
 		// the sender slot); the dispatch goroutine keeps EvalAsync
 		// non-blocking when the queue is full.
-		flush := p.form(j)
+		flush := p.form(m)
 		p.sendMu.RUnlock()
 		if flush != nil {
 			go p.dispatch(flush)
@@ -1333,20 +1217,23 @@ func (p *Pool) EvalAsync(ctx context.Context, req Request) <-chan Response {
 	p.senders.Add(1)
 	p.sendMu.RUnlock()
 
+	// Unbatched arm. It is not dispatch with a member list of one: this
+	// blocking send also selects on the request's own context, so a
+	// request stuck behind a full queue is rejected at its deadline; a
+	// formed batch has no one context to wait on, and its members'
+	// deadlines are checked at pickup instead.
 	go func() {
 		defer p.senders.Done()
 		select {
-		case p.queue <- j:
+		case p.queue <- &job{members: []*member{m}}:
 			// A worker owns the job now (possibly after Close: jobs that
 			// made it into the queue are drained gracefully).
 		case <-ctx.Done():
-			cancel()
 			p.rejected.Add(1)
-			resp <- Response{Worker: -1, Err: fmt.Errorf("%w: queue full: %v", ErrQueueTimeout, ctx.Err())}
+			m.reply(Response{Worker: -1, Err: fmt.Errorf("%w: queue full: %v", ErrQueueTimeout, ctx.Err())})
 		case <-p.done:
-			cancel()
 			p.rejected.Add(1)
-			resp <- Response{Worker: -1, Err: ErrPoolClosed}
+			m.reply(Response{Worker: -1, Err: ErrPoolClosed})
 		}
 	}()
 	return resp
@@ -1356,7 +1243,7 @@ func (p *Pool) EvalAsync(ctx context.Context, req Request) <-chan Response {
 // window timer fires or it fills to BatchMax.
 type formingBatch struct {
 	key     string
-	members []*job
+	members []*member
 	timer   *time.Timer
 	flushed bool
 }
@@ -1381,13 +1268,13 @@ func batchKey(req Request) string {
 	return b.String()
 }
 
-// form adds a job to its forming batch, creating the batch (and its
+// form adds a member to its forming batch, creating the batch (and its
 // window timer) on first touch. Called under sendMu.RLock so every
 // formed member is visible to Close's final sweep. Returns the member
 // set to dispatch when this join filled the batch to BatchMax — the
 // sender slot is already taken for the caller — and nil otherwise.
-func (p *Pool) form(j *job) []*job {
-	key := batchKey(j.req)
+func (p *Pool) form(m *member) []*member {
+	key := batchKey(m.req)
 	p.formMu.Lock()
 	defer p.formMu.Unlock()
 	g, ok := p.forming[key]
@@ -1396,7 +1283,7 @@ func (p *Pool) form(j *job) []*job {
 		p.forming[key] = g
 		g.timer = time.AfterFunc(p.cfg.BatchWindow, func() { p.flushTimer(g) })
 	}
-	g.members = append(g.members, j)
+	g.members = append(g.members, m)
 	if len(g.members) >= p.cfg.BatchMax {
 		g.flushed = true
 		g.timer.Stop()
@@ -1432,31 +1319,30 @@ func (p *Pool) flushTimer(g *formingBatch) {
 	p.dispatch(members)
 }
 
-// dispatch moves a flushed member set into the queue: a lone member
-// goes in as an ordinary solo job (the batch-of-one fast path — it
-// never pays the merge machinery), several as one batch job. Forming
-// wait (enqueue to flush) is observed here; the members' queue wait
-// restarts at the flush stamp. The caller holds a sender slot.
-func (p *Pool) dispatch(members []*job) {
-	defer p.senders.Done()
+// flushJob stamps a member set leaving the former and wraps it as the
+// one job the queue carries. Forming wait (enqueue to flush) is observed
+// here; the members' queue wait starts at the flush stamp.
+func (p *Pool) flushJob(members []*member) *job {
 	flush := time.Now()
 	for _, m := range members {
 		p.formingHist.Observe(flush.Sub(m.enqueued))
 		m.formed = flush
 	}
-	j := members[0]
-	if len(members) > 1 {
-		j = &job{enqueued: flush, formed: flush, batch: members}
-	}
+	return &job{members: members}
+}
+
+// dispatch moves a flushed member set into the queue. The caller holds a
+// sender slot.
+func (p *Pool) dispatch(members []*member) {
+	defer p.senders.Done()
 	select {
-	case p.queue <- j:
-		// A worker owns the batch now (possibly after Close: jobs that
+	case p.queue <- p.flushJob(members):
+		// A worker owns the job now (possibly after Close: jobs that
 		// made it into the queue are drained gracefully).
 	case <-p.done:
 		for _, m := range members {
-			m.cancel()
 			p.rejected.Add(1)
-			m.resp <- Response{Worker: -1, Err: ErrPoolClosed}
+			m.reply(Response{Worker: -1, Err: ErrPoolClosed})
 		}
 	}
 }
@@ -1477,16 +1363,7 @@ func (p *Pool) flushAllForming() {
 	p.forming = make(map[string]*formingBatch)
 	p.formMu.Unlock()
 	for _, g := range groups {
-		flush := time.Now()
-		for _, m := range g.members {
-			p.formingHist.Observe(flush.Sub(m.enqueued))
-			m.formed = flush
-		}
-		j := g.members[0]
-		if len(g.members) > 1 {
-			j = &job{enqueued: flush, formed: flush, batch: g.members}
-		}
-		p.queue <- j
+		p.queue <- p.flushJob(g.members)
 	}
 }
 
@@ -1520,12 +1397,24 @@ func (p *Pool) BreakerStates() []string {
 }
 
 // Define registers (or replaces) a named expression definition in the
-// shared compiler. Every worker sees it; cached networks that reference
-// the name are invalidated (and only those — cache keys fingerprint the
-// definitions an expression uses). Evaluations already in flight finish
-// against whichever definition snapshot they compiled with.
+// shared compiler, then invalidates what the workers hold: every request
+// submitted after Define returns evaluates against the new body.
+// Evaluations already in flight finish against whichever definition
+// snapshot they compiled with.
+//
+// Install first, bump second: a worker that prepares a handle between
+// the two files it under the old generation with the new body — merely
+// newer than required, and flushed at its next pickup. The generation
+// is coarser than the compiler's fingerprints (which invalidate exactly
+// the networks that reference the name): a Define of an unrelated name
+// costs each worker one flush, and re-preparing after it is a round of
+// shared-cache hits — nothing unrelated recompiles. Define is rare.
 func (p *Pool) Define(name, text string) error {
-	return p.comp.Define(name, text)
+	if err := p.comp.Define(name, text); err != nil {
+		return err
+	}
+	p.defGen.Add(1)
+	return nil
 }
 
 // Definitions lists the shared definition names, sorted.

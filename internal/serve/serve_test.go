@@ -110,13 +110,47 @@ func TestPoolCompilesHotExpressionOnce(t *testing.T) {
 	}
 }
 
+// evalTogether submits exprs over one shared binding back to back — on a
+// batching pool they land in one forming window — and returns their
+// results in order.
+func evalTogether(t *testing.T, p *Pool, n int, in map[string][]float32, exprs ...string) []*dfg.Result {
+	t.Helper()
+	chans := make([]<-chan Response, len(exprs))
+	for i, expr := range exprs {
+		chans[i] = p.EvalAsync(context.Background(), Request{Expr: expr, N: n, Inputs: in})
+	}
+	out := make([]*dfg.Result, len(exprs))
+	for i, ch := range chans {
+		r := <-ch
+		if r.Err != nil {
+			t.Fatalf("%s: %v", exprs[i], r.Err)
+		}
+		out[i] = r.Result
+	}
+	return out
+}
+
 // TestPoolStressDefineEval is the satellite concurrency stress test: M
 // goroutines × K expressions, mixing Define redefinitions with Eval of
 // expressions referencing the redefined name, under -race. Every result
 // must be wholly consistent with ONE definition version — a torn cache
-// read (half old coefficient, half new) fails element-wise.
+// read (half old coefficient, half new) fails element-wise — and once
+// the definer has stopped, the next responses must carry its last body.
 func TestPoolStressDefineEval(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 8, QueueDepth: 64})
+	stressDefineEval(t, Config{Workers: 8, QueueDepth: 64})
+}
+
+// TestPoolBatchStressDefineEval is the same stress with the batch former
+// on: the evaluators share one binding, so their requests merge.
+func TestPoolBatchStressDefineEval(t *testing.T) {
+	p := stressDefineEval(t, Config{Workers: 8, QueueDepth: 64, BatchWindow: 200 * time.Microsecond, BatchMax: 4})
+	if p.Stats().Batches == 0 {
+		t.Fatal("no batch formed: the batching run rode solo")
+	}
+}
+
+func stressDefineEval(t *testing.T, cfg Config) *Pool {
+	p := newTestPool(t, cfg)
 	if err := p.Define("d", "u * 2"); err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +159,38 @@ func TestPoolStressDefineEval(t *testing.T) {
 	const clients = 10
 	const perClient = 30
 	const redefines = 40
+	const distinct = 5 // K distinct expressions, all referencing d
 	in := testInputs(n)
 	u := in["u"]
 	coeffs := []float32{2, 10} // the two definition versions
 
+	// check requires data to be d + k under exactly one version of d and
+	// returns that version's coefficient.
+	check := func(k int, data []float32) float32 {
+		got := (data[0] - float32(k)) / u[0]
+		var coeff float32
+		for _, cand := range coeffs {
+			if got == cand {
+				coeff = cand
+			}
+		}
+		if coeff == 0 {
+			t.Errorf("expr k=%d: coefficient %v is neither version", k, got)
+			return 0
+		}
+		for j := 0; j < n; j++ {
+			if want := coeff*u[j] + float32(k); data[j] != want {
+				t.Errorf("torn result: expr k=%d element %d = %v, want %v (coeff %v)", k, j, data[j], want, coeff)
+				return 0
+			}
+		}
+		return coeff
+	}
+
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 
-	// Definer: flips d between u*2 and u*10.
+	// Definer: flips d between u*2 and u*10, ending on u*10.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -149,7 +207,6 @@ func TestPoolStressDefineEval(t *testing.T) {
 		}
 	}()
 
-	// Evaluators: K distinct expressions, all referencing d.
 	for c := 0; c < clients; c++ {
 		c := c
 		wg.Add(1)
@@ -157,7 +214,7 @@ func TestPoolStressDefineEval(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < perClient; i++ {
-				k := (c + i) % 5 // K=5 distinct expressions
+				k := (c + i) % distinct
 				res, err := p.Submit(context.Background(), Request{
 					Expr: fmt.Sprintf("r = d + %d", k), N: n, Inputs: in,
 				})
@@ -165,26 +222,8 @@ func TestPoolStressDefineEval(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// Recover the coefficient from element 0 and require the
-				// whole array to be consistent with it.
-				got := (res.Data[0] - float32(k)) / u[0]
-				var coeff float32
-				for _, cand := range coeffs {
-					if got == cand {
-						coeff = cand
-					}
-				}
-				if coeff == 0 {
-					t.Errorf("expr k=%d: coefficient %v is neither version", k, got)
+				if check(k, res.Data) == 0 {
 					return
-				}
-				for j := 0; j < n; j++ {
-					want := coeff*u[j] + float32(k)
-					if res.Data[j] != want {
-						t.Errorf("torn result: expr k=%d element %d = %v, want %v (coeff %v)",
-							k, j, res.Data[j], want, coeff)
-						return
-					}
 				}
 			}
 		}()
@@ -192,57 +231,155 @@ func TestPoolStressDefineEval(t *testing.T) {
 	close(start)
 	wg.Wait()
 
+	// Quiesced: every worker holds handles prepared under some earlier
+	// body of d; none may answer from them.
+	var exprs []string
+	for k := 0; k < distinct; k++ {
+		exprs = append(exprs, fmt.Sprintf("r = d + %d", k))
+	}
+	for k, res := range evalTogether(t, p, n, in, exprs...) {
+		if coeff := check(k, res.Data); coeff != 10 {
+			t.Fatalf("after the last Define(d, u * 10): expr k=%d evaluated with coefficient %v", k, coeff)
+		}
+	}
+
 	st := p.Stats()
-	if st.Served != clients*perClient {
-		t.Fatalf("served = %d, want %d", st.Served, clients*perClient)
+	if want := int64(clients*perClient + distinct); st.Served != want {
+		t.Fatalf("served = %d, want %d", st.Served, want)
 	}
 	// 5 distinct expressions × at most 2 live definition versions, plus
 	// possible recompiles as the definition flips back and forth: the
 	// compile count must stay far below the request count (the cache is
 	// doing its job) and at least 5 (each expression compiled).
-	if st.Compiles < 5 {
-		t.Fatalf("compiles = %d, want >= 5 distinct", st.Compiles)
+	if st.Compiles < distinct {
+		t.Fatalf("compiles = %d, want >= %d distinct", st.Compiles, distinct)
 	}
 	if st.Compiles >= int64(clients*perClient) {
 		t.Fatalf("compiles = %d for %d requests: cache not shared", st.Compiles, clients*perClient)
 	}
+	return p
 }
 
-// TestPoolRedefinitionInvalidatesExactly: pool-level check that
-// redefining a name recompiles only the expressions that use it.
+// dependentExpr is an expression over the definition "scale" and its
+// value given scale's and v's at one element.
+type dependentExpr struct {
+	expr string
+	want func(scale, v float32) float32
+}
+
+var redefDependents = []dependentExpr{
+	{"r = scale + 1", func(scale, v float32) float32 { return scale + 1 }},
+	{"r = scale + v", func(scale, v float32) float32 { return scale + v }},
+}
+
+// TestPoolRedefinitionInvalidatesExactly: redefining a name changes what
+// a dependent expression returns from the next request on, and
+// recompiles only it — the workers' handle flush re-prepares the
+// unrelated expression from the shared caches.
 func TestPoolRedefinitionInvalidatesExactly(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 2})
+	redefinitionInvalidatesExactly(t, Config{Workers: 2}, redefDependents[:1])
+}
+
+// TestPoolBatchRedefinitionInvalidatesExactly is the merged row: two
+// dependent expressions arrive together and fill a batch of two, so one
+// merged run answers each round — from a handle looked up by member
+// texts, which must not outlive the definition it was prepared under.
+func TestPoolBatchRedefinitionInvalidatesExactly(t *testing.T) {
+	redefinitionInvalidatesExactly(t, Config{Workers: 1, BatchWindow: 20 * time.Millisecond, BatchMax: 2}, redefDependents)
+}
+
+func redefinitionInvalidatesExactly(t *testing.T, cfg Config, dependents []dependentExpr) {
+	p := newTestPool(t, cfg)
+	const n, at = 32, 3
+	in := testInputs(n)
+	var exprs []string
+	for _, d := range dependents {
+		exprs = append(exprs, d.expr)
+	}
+	// round evaluates the dependents together, then an expression that
+	// does not use the definition, and checks the dependents' values
+	// under scale = u * coeff and the pool's cumulative compile count.
+	round := func(coeff float32, compiles int64) {
+		t.Helper()
+		batches := p.Stats().Batches
+		got := evalTogether(t, p, n, in, exprs...)
+		if len(exprs) > 1 && p.Stats().Batches != batches+1 {
+			t.Fatalf("batches = %d, want %d: the dependents did not merge", p.Stats().Batches, batches+1)
+		}
+		for i, d := range dependents {
+			if want := d.want(in["u"][at]*coeff, in["v"][at]); got[i].Data[at] != want {
+				t.Fatalf("scale = u * %v: %q element %d = %v, want %v", coeff, d.expr, at, got[i].Data[at], want)
+			}
+		}
+		evalTogether(t, p, n, in, "r = u + v")
+		if got := p.Stats().Compiles; got != compiles {
+			t.Fatalf("scale = u * %v: compiles = %d, want %d (only dependent expressions recompile)", coeff, got, compiles)
+		}
+	}
 	if err := p.Define("scale", "u * 2"); err != nil {
 		t.Fatal(err)
 	}
-	const n = 32
-	in := testInputs(n)
-	eval := func(expr string) {
-		t.Helper()
-		if _, err := p.Submit(context.Background(), Request{Expr: expr, N: n, Inputs: in}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eval("r = scale + 1") // uses the definition
-	eval("r = u + v")     // does not
-	if got := p.Stats().Compiles; got != 2 {
-		t.Fatalf("initial compiles = %d, want 2", got)
-	}
-	if err := p.Define("scale", "u * 3"); err != nil {
+	round(2, int64(len(exprs))+1)
+	if err := p.Define("scale", "u * 10"); err != nil {
 		t.Fatal(err)
 	}
-	eval("r = scale + 1")
-	eval("r = u + v")
-	if got := p.Stats().Compiles; got != 3 {
-		t.Fatalf("after redefinition compiles = %d, want 3 (only the dependent expression recompiles)", got)
-	}
-	// The recompiled expression reflects the new body.
-	res, err := p.Submit(context.Background(), Request{Expr: "r = scale + 1", N: n, Inputs: in})
+	round(10, 2*int64(len(exprs))+1)
+	round(10, 2*int64(len(exprs))+1)
+}
+
+// TestPoolHandleCacheEvicts overflows one worker's handle cache three
+// times over, revisits its first texts, then does it all again with
+// every request on its own tiered@N variant (each a derived engine view
+// that lives only as long as its handle). Which handle the bound evicts
+// is arbitrary, so nothing here counts hits exactly: every lookup is a
+// hit or a miss, each distinct (variant, text) pair misses at least
+// once, every result is the one a fresh engine computes, and closing
+// the pool closes every handle.
+func TestPoolHandleCacheEvicts(t *testing.T) {
+	p := newTestPool(t, Config{Workers: 1})
+	ref, err := dfg.New(dfg.Config{Opt: "O2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := in["u"][4]*3 + 1; res.Data[4] != want {
-		t.Fatalf("redefinition not visible: got %v want %v", res.Data[4], want)
+	const n, distinct, again = 64, 3 * maxPreparedPerWorker, 8
+	in := testInputs(n)
+	var requests, pairs int64
+	for _, tiered := range []bool{false, true} {
+		for i := 0; i < distinct+again; i++ {
+			k := i % distinct
+			req := Request{Expr: fmt.Sprintf("r = u * %d + v", k), N: n, Inputs: in}
+			if tiered {
+				req.Strategy = fmt.Sprintf("tiered@%d", k+1) // device route up to k = 63, the vm beyond
+			}
+			got, err := p.Submit(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s %q: %v", req.Strategy, req.Expr, err)
+			}
+			want, err := ref.Eval(req.Expr, n, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range want.Data {
+				if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
+					t.Fatalf("%s %q element %d = %v, want %v", req.Strategy, req.Expr, j, got.Data[j], want.Data[j])
+				}
+			}
+			requests++
+		}
+		pairs += distinct
+	}
+	hits, misses := p.handleHits.Load(), p.handleMisses.Load()
+	if served := p.Stats().Served; served != requests || hits+misses != requests {
+		t.Fatalf("served %d, handle hits %d + misses %d, want %d each", served, hits, misses, requests)
+	}
+	if misses < pairs {
+		t.Fatalf("handle misses = %d for %d distinct (variant, text) pairs", misses, pairs)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if live := p.LiveBuffers(); live != 0 {
+		t.Fatalf("live buffers after close = %d, want 0", live)
 	}
 }
 
