@@ -19,6 +19,7 @@ import (
 	"dfg/internal/ocl"
 	"dfg/internal/strategy"
 	"dfg/internal/vm"
+	"dfg/internal/vm/vmtest"
 	"dfg/internal/vortex"
 )
 
@@ -237,7 +238,7 @@ func BenchmarkAblation_ExecutorMode(b *testing.B) {
 	prog := low.Program()
 	for name, run := range map[string]func(){
 		"blocked":   func() { prog.RunPass(0, 0, bind.N, views) },
-		"reference": func() { low.Reference(bind.N, views) },
+		"reference": func() { vmtest.Reference(low, bind.N, views) },
 	} {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(bind.N) * 4)

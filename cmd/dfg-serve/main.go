@@ -66,7 +66,7 @@ func main() {
 		n         = flag.Int("n", 16384, "elements per field")
 		distinct  = flag.Int("distinct", 4, "number of distinct expressions in the mix")
 		device    = flag.String("device", "cpu", "cpu or gpu")
-		strat     = flag.String("strategy", "fusion", "roundtrip, staged or fusion")
+		strat     = flag.String("strategy", "fusion", "execution strategy: roundtrip, staged, fusion, streaming, vm or tiered[@N]")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		listen    = flag.String("listen", "", "serve /metrics, /healthz, /trace and /slow on this address (empty = off)")
 		linger    = flag.Duration("linger", 0, "keep the introspection endpoint up this long after the load completes")

@@ -12,6 +12,7 @@ import (
 	"dfg/internal/mesh"
 	"dfg/internal/ocl"
 	"dfg/internal/vm"
+	"dfg/internal/vm/vmtest"
 	"dfg/internal/vortex"
 )
 
@@ -429,7 +430,7 @@ func runReference(t *testing.T, net *dataflow.Network, n int, sources map[string
 		}
 		views[i] = ocl.View{Data: data, Elems: n, Width: b.Width}
 	}
-	low.Reference(n, views)
+	vmtest.Reference(low, n, views)
 	return out
 }
 

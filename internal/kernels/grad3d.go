@@ -108,7 +108,7 @@ func gradAxisDiff(f, coord []float32, idx, p, n, stride int) float32 {
 // GradAt is the executable equivalent of dfg_grad3d: the gradient of the
 // cell-centered field at linear cell idx. x, y and z are problem-sized
 // per-cell center coordinate arrays. It is the per-element oracle
-// (vm.Lowering.Reference and the tests call it); everything that
+// (vmtest.Reference and the tests call it); everything that
 // executes goes through GradRows.
 func GradAt(field, x, y, z []float32, nx, ny, nz, idx int) (gx, gy, gz float32) {
 	i := idx % nx

@@ -1,15 +1,20 @@
 // Package kernels is the framework's library of derived-field primitive
-// building blocks. Each primitive is written once — as a small OpenCL C
-// source function plus the equivalent executable body for the simulated
-// device — and shared by all execution strategies, exactly as in the
-// paper: roundtrip and staged dispatch the standalone kernels below,
-// while the fusion code generator composes the same primitives into a
-// single generated kernel (see internal/codegen).
+// building blocks, shared by all execution strategies, exactly as in the
+// paper. Each scalar-in/scalar-out primitive is written once, as one row
+// of the table below: its name, its OpenCL C expression and the
+// executable lane body (lanes.go) that computes what the expression
+// says. Everything else reads the row: ForFilter wraps it as the
+// standalone kernel roundtrip and staged dispatch, the fusion generator
+// (internal/codegen) renders the expression, internal/vm's executor runs
+// the lane body block by block, and internal/passes folds constants
+// through it. The structural primitives — constant fill, decompose, norm
+// and the gradient stencil (grad3d.go) — have dedicated constructors.
 package kernels
 
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"dfg/internal/ocl"
 )
@@ -18,6 +23,7 @@ import (
 var (
 	costBinary    = ocl.Cost{Flops: 1, LoadBytes: 8, StoreBytes: 4}
 	costUnary     = ocl.Cost{Flops: 2, LoadBytes: 4, StoreBytes: 4}
+	costSelect    = ocl.Cost{Flops: 1, LoadBytes: 12, StoreBytes: 4}
 	costDecompose = ocl.Cost{Flops: 0, LoadBytes: 16, StoreBytes: 4}
 	costConstFill = ocl.Cost{Flops: 0, LoadBytes: 0, StoreBytes: 4}
 	// grad3d: three axes of neighbour loads plus coordinate lookups and
@@ -29,69 +35,105 @@ var (
 // generator, which sums primitive costs when composing kernels.
 func GradCost() ocl.Cost { return costGrad3D }
 
-// BinaryCost, UnaryCost, DecomposeCost and ConstFillCost likewise expose
-// the element costs of the simple primitives.
-func BinaryCost() ocl.Cost    { return costBinary }
-func UnaryCost() ocl.Cost     { return costUnary }
-func DecomposeCost() ocl.Cost { return costDecompose }
-func ConstFillCost() ocl.Cost { return costConstFill }
-
-// binarySrc renders the OpenCL C source of a two-input elementwise
-// kernel whose body is the given C expression over a[i] and b[i].
-func binarySrc(name, expr string) string {
-	return fmt.Sprintf(`// dfg primitive: %[1]s
-__kernel void k%[1]s(__global const float *a,
-                     __global const float *b,
-                     __global float *out)
-{
-    int gid = get_global_id(0);
-    out[gid] = %[2]s;
-}
-`, name, expr)
+// Primitive is one scalar-in/scalar-out primitive: a pure per-element
+// function of Arity scalar operands.
+type Primitive struct {
+	Name  string
+	Arity int
+	// Expr is the OpenCL C expression, with one %s per operand in
+	// operand order. It is the contract: the lane body computes what a
+	// real OpenCL runtime would compile this text to.
+	Expr string
+	// The lane body, dst[e] = f(a[e], ...) over len(dst) elements, in
+	// the field of the primitive's arity; the other two are nil. dst may
+	// be any of the operands (see lanes.go).
+	Unary   func(dst, a []float32)
+	Binary  func(dst, a, b []float32)
+	Ternary func(dst, a, b, c []float32)
 }
 
-// unarySrc renders the OpenCL C source of a one-input elementwise kernel.
-func unarySrc(name, expr string) string {
-	return fmt.Sprintf(`// dfg primitive: %[1]s
-__kernel void k%[1]s(__global const float *a,
-                     __global float *out)
-{
-    int gid = get_global_id(0);
-    out[gid] = %[2]s;
-}
-`, name, expr)
-}
-
-// binary builds a standalone two-input elementwise kernel.
-// Buffers: a, b, out.
-func binary(name, srcExpr string, f func(a, b float32) float32) *ocl.Kernel {
-	return &ocl.Kernel{
-		Name:    "k" + name,
-		Source:  binarySrc(name, srcExpr),
-		NumBufs: 3,
-		Cost:    costBinary,
-		Fn: func(lo, hi int, bufs []ocl.View, _ []float64) {
-			a, b, out := bufs[0].Data, bufs[1].Data, bufs[2].Data
-			for i := lo; i < hi; i++ {
-				out[i] = f(a[i], b[i])
-			}
-		},
+// Apply runs the lane body over len(dst) elements of the operands in,
+// which holds Arity of them (fewer panics on the index).
+func (p *Primitive) Apply(dst []float32, in [][]float32) {
+	switch p.Arity {
+	case 1:
+		p.Unary(dst, in[0])
+	case 2:
+		p.Binary(dst, in[0], in[1])
+	default:
+		p.Ternary(dst, in[0], in[1], in[2])
 	}
 }
 
-// unary builds a standalone one-input elementwise kernel.
-// Buffers: a, out.
-func unary(name, srcExpr string, f func(a float32) float32) *ocl.Kernel {
+// primitives is the table. dataflow's registry specifies the same names
+// with the same arities (a test pins the two row for row); internal/vm
+// numbers its elementwise opcodes by row index.
+var primitives = []Primitive{
+	{Name: "add", Arity: 2, Expr: "(%s + %s)", Binary: addLanes},
+	{Name: "sub", Arity: 2, Expr: "(%s - %s)", Binary: subLanes},
+	{Name: "mul", Arity: 2, Expr: "(%s * %s)", Binary: mulLanes},
+	{Name: "div", Arity: 2, Expr: "(%s / %s)", Binary: divLanes},
+	{Name: "min", Arity: 2, Expr: "fmin(%s, %s)", Binary: minLanes},
+	{Name: "max", Arity: 2, Expr: "fmax(%s, %s)", Binary: maxLanes},
+	{Name: "sqrt", Arity: 1, Expr: "sqrt(%s)", Unary: sqrtLanes},
+	{Name: "neg", Arity: 1, Expr: "(-%s)", Unary: negLanes},
+	{Name: "abs", Arity: 1, Expr: "fabs(%s)", Unary: absLanes},
+	{Name: "gt", Arity: 2, Expr: "((%s > %s) ? 1.0f : 0.0f)", Binary: cmpLanes(0, 0, 1, 0)},
+	{Name: "lt", Arity: 2, Expr: "((%s < %s) ? 1.0f : 0.0f)", Binary: cmpLanes(1, 0, 0, 0)},
+	{Name: "ge", Arity: 2, Expr: "((%s >= %s) ? 1.0f : 0.0f)", Binary: cmpLanes(0, 1, 1, 0)},
+	{Name: "le", Arity: 2, Expr: "((%s <= %s) ? 1.0f : 0.0f)", Binary: cmpLanes(1, 1, 0, 0)},
+	{Name: "eq", Arity: 2, Expr: "((%s == %s) ? 1.0f : 0.0f)", Binary: cmpLanes(0, 1, 0, 0)},
+	{Name: "ne", Arity: 2, Expr: "((%s != %s) ? 1.0f : 0.0f)", Binary: cmpLanes(1, 0, 1, 1)},
+	{Name: "select", Arity: 3, Expr: "((%s != 0.0f) ? %s : %s)", Ternary: selectLanes},
+	{Name: "exp", Arity: 1, Expr: "exp(%s)", Unary: mapLanes(math.Exp)},
+	{Name: "log", Arity: 1, Expr: "log(%s)", Unary: mapLanes(math.Log)},
+	{Name: "sin", Arity: 1, Expr: "sin(%s)", Unary: mapLanes(math.Sin)},
+	{Name: "cos", Arity: 1, Expr: "cos(%s)", Unary: mapLanes(math.Cos)},
+	{Name: "pow", Arity: 2, Expr: "pow(%s, %s)", Binary: powLanes},
+}
+
+var primitiveByName = func() map[string]*Primitive {
+	m := make(map[string]*Primitive, len(primitives))
+	for i := range primitives {
+		m[primitives[i].Name] = &primitives[i]
+	}
+	return m
+}()
+
+// Primitives returns the table, in row order. Callers must not modify it.
+func Primitives() []Primitive { return primitives }
+
+// Lookup returns the named primitive's row; ok is false for the
+// structural primitives and for non-computational nodes.
+func Lookup(name string) (*Primitive, bool) {
+	p, ok := primitiveByName[name]
+	return p, ok
+}
+
+// standalone wraps a table row as the kernel roundtrip and staged
+// dispatch: the expression over a[gid], b[gid], c[gid], and the lane
+// body over each launch range. Buffers: the operands, then out.
+func (p *Primitive) standalone() *ocl.Kernel {
+	arity := p.Arity
+	var src strings.Builder
+	fmt.Fprintf(&src, "// dfg primitive: %[1]s\n__kernel void k%[1]s(", p.Name)
+	operands := make([]any, arity)
+	for i, name := range []string{"a", "b", "c"}[:arity] {
+		fmt.Fprintf(&src, "__global const float *%s,\n    ", name)
+		operands[i] = name + "[gid]"
+	}
+	fmt.Fprintf(&src, "__global float *out)\n{\n    int gid = get_global_id(0);\n    out[gid] = "+p.Expr+";\n}\n", operands...)
 	return &ocl.Kernel{
-		Name:    "k" + name,
-		Source:  unarySrc(name, srcExpr),
-		NumBufs: 2,
-		Cost:    costUnary,
+		Name:    "k" + p.Name,
+		Source:  src.String(),
+		NumBufs: arity + 1,
+		Cost:    [...]ocl.Cost{1: costUnary, 2: costBinary, 3: costSelect}[arity],
 		Fn: func(lo, hi int, bufs []ocl.View, _ []float64) {
-			a, out := bufs[0].Data, bufs[1].Data
-			for i := lo; i < hi; i++ {
-				out[i] = f(a[i])
+			var in [3][]float32
+			for i := range in[:arity] {
+				in[i] = bufs[i].Data[lo:hi]
 			}
+			p.Apply(bufs[arity].Data[lo:hi], in[:arity])
 		},
 	}
 }
@@ -160,67 +202,10 @@ __kernel void kconst_fill(__global float *out, const float value)
 // have no kernel; decompose and const have dedicated constructors but
 // are also returned here for convenience).
 func ForFilter(name string) (*ocl.Kernel, error) {
+	if p, ok := primitiveByName[name]; ok {
+		return p.standalone(), nil
+	}
 	switch name {
-	case "add":
-		return binary("add", "a[gid] + b[gid]", func(a, b float32) float32 { return a + b }), nil
-	case "sub":
-		return binary("sub", "a[gid] - b[gid]", func(a, b float32) float32 { return a - b }), nil
-	case "mul":
-		return binary("mul", "a[gid] * b[gid]", func(a, b float32) float32 { return a * b }), nil
-	case "div":
-		return binary("div", "a[gid] / b[gid]", func(a, b float32) float32 { return a / b }), nil
-	case "min":
-		return binary("min", "fmin(a[gid], b[gid])", func(a, b float32) float32 {
-			return float32(math.Min(float64(a), float64(b)))
-		}), nil
-	case "max":
-		return binary("max", "fmax(a[gid], b[gid])", func(a, b float32) float32 {
-			return float32(math.Max(float64(a), float64(b)))
-		}), nil
-	case "sqrt":
-		return unary("sqrt", "sqrt(a[gid])", func(a float32) float32 {
-			return float32(math.Sqrt(float64(a)))
-		}), nil
-	case "neg":
-		return unary("neg", "-a[gid]", func(a float32) float32 { return -a }), nil
-	case "abs":
-		return unary("abs", "fabs(a[gid])", func(a float32) float32 {
-			return float32(math.Abs(float64(a)))
-		}), nil
-	case "gt":
-		return binary("gt", "(a[gid] > b[gid]) ? 1.0f : 0.0f", func(a, b float32) float32 { return b2f(a > b) }), nil
-	case "lt":
-		return binary("lt", "(a[gid] < b[gid]) ? 1.0f : 0.0f", func(a, b float32) float32 { return b2f(a < b) }), nil
-	case "ge":
-		return binary("ge", "(a[gid] >= b[gid]) ? 1.0f : 0.0f", func(a, b float32) float32 { return b2f(a >= b) }), nil
-	case "le":
-		return binary("le", "(a[gid] <= b[gid]) ? 1.0f : 0.0f", func(a, b float32) float32 { return b2f(a <= b) }), nil
-	case "eq":
-		return binary("eq", "(a[gid] == b[gid]) ? 1.0f : 0.0f", func(a, b float32) float32 { return b2f(a == b) }), nil
-	case "ne":
-		return binary("ne", "(a[gid] != b[gid]) ? 1.0f : 0.0f", func(a, b float32) float32 { return b2f(a != b) }), nil
-	case "exp":
-		return unary("exp", "exp(a[gid])", func(a float32) float32 {
-			return float32(math.Exp(float64(a)))
-		}), nil
-	case "log":
-		return unary("log", "log(a[gid])", func(a float32) float32 {
-			return float32(math.Log(float64(a)))
-		}), nil
-	case "sin":
-		return unary("sin", "sin(a[gid])", func(a float32) float32 {
-			return float32(math.Sin(float64(a)))
-		}), nil
-	case "cos":
-		return unary("cos", "cos(a[gid])", func(a float32) float32 {
-			return float32(math.Cos(float64(a)))
-		}), nil
-	case "pow":
-		return binary("pow", "pow(a[gid], b[gid])", func(a, b float32) float32 {
-			return float32(math.Pow(float64(a), float64(b)))
-		}), nil
-	case "select":
-		return Select(), nil
 	case "norm":
 		return Norm(), nil
 	case "decompose":
@@ -229,53 +214,11 @@ func ForFilter(name string) (*ocl.Kernel, error) {
 		return ConstFill(), nil
 	case "grad3d":
 		return Grad3D(), nil
-	case "grad3dx":
-		return GradAxis(0), nil
-	case "grad3dy":
-		return GradAxis(1), nil
-	case "grad3dz":
-		return GradAxis(2), nil
-	default:
-		return nil, fmt.Errorf("kernels: no standalone kernel for filter %q", name)
 	}
-}
-
-// b2f encodes a comparison result as the framework's 1.0/0.0 convention.
-func b2f(b bool) float32 {
-	if b {
-		return 1
+	if axis, ok := GradAxisOf(name); ok {
+		return GradAxis(axis), nil
 	}
-	return 0
-}
-
-// Select builds the conditional-choice kernel select(cond, a, b):
-// out = cond != 0 ? a : b. Buffers: cond, a, b, out.
-func Select() *ocl.Kernel {
-	return &ocl.Kernel{
-		Name: "kselect",
-		Source: `// dfg primitive: select (conditional choice)
-__kernel void kselect(__global const float *cond,
-                      __global const float *a,
-                      __global const float *b,
-                      __global float *out)
-{
-    int gid = get_global_id(0);
-    out[gid] = (cond[gid] != 0.0f) ? a[gid] : b[gid];
-}
-`,
-		NumBufs: 4,
-		Cost:    ocl.Cost{Flops: 1, LoadBytes: 12, StoreBytes: 4},
-		Fn: func(lo, hi int, bufs []ocl.View, _ []float64) {
-			cond, a, b, out := bufs[0].Data, bufs[1].Data, bufs[2].Data, bufs[3].Data
-			for i := lo; i < hi; i++ {
-				if cond[i] != 0 {
-					out[i] = a[i]
-				} else {
-					out[i] = b[i]
-				}
-			}
-		},
-	}
+	return nil, fmt.Errorf("kernels: no standalone kernel for filter %q", name)
 }
 
 // Norm builds the vector-length kernel over a vector-typed value's
@@ -306,58 +249,5 @@ __kernel void knorm(__global const float4 *a, __global float *out)
 				out[i] = float32(math.Sqrt(s))
 			}
 		},
-	}
-}
-
-// ExprTemplate returns the OpenCL C expression template the fusion
-// generator uses for a simple per-element primitive, with one %s per
-// input. Complex primitives (grad3d) and non-computational nodes return
-// ok = false — the generator handles those specially.
-func ExprTemplate(filter string) (tmpl string, ok bool) {
-	switch filter {
-	case "add":
-		return "(%s + %s)", true
-	case "sub":
-		return "(%s - %s)", true
-	case "mul":
-		return "(%s * %s)", true
-	case "div":
-		return "(%s / %s)", true
-	case "min":
-		return "fmin(%s, %s)", true
-	case "max":
-		return "fmax(%s, %s)", true
-	case "sqrt":
-		return "sqrt(%s)", true
-	case "neg":
-		return "(-%s)", true
-	case "abs":
-		return "fabs(%s)", true
-	case "gt":
-		return "((%s > %s) ? 1.0f : 0.0f)", true
-	case "lt":
-		return "((%s < %s) ? 1.0f : 0.0f)", true
-	case "ge":
-		return "((%s >= %s) ? 1.0f : 0.0f)", true
-	case "le":
-		return "((%s <= %s) ? 1.0f : 0.0f)", true
-	case "eq":
-		return "((%s == %s) ? 1.0f : 0.0f)", true
-	case "ne":
-		return "((%s != %s) ? 1.0f : 0.0f)", true
-	case "select":
-		return "((%s != 0.0f) ? %s : %s)", true
-	case "exp":
-		return "exp(%s)", true
-	case "log":
-		return "log(%s)", true
-	case "sin":
-		return "sin(%s)", true
-	case "cos":
-		return "cos(%s)", true
-	case "pow":
-		return "pow(%s, %s)", true
-	default:
-		return "", false
 	}
 }

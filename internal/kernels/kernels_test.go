@@ -79,7 +79,10 @@ func TestForFilterErrors(t *testing.T) {
 func TestKernelSourcesWellFormed(t *testing.T) {
 	// Every callable primitive ships real OpenCL C source with a kernel
 	// entry point named after the filter.
-	for _, name := range []string{"add", "sub", "mul", "div", "min", "max", "sqrt", "neg", "abs", "decompose", "const", "grad3d"} {
+	for _, name := range dataflow.Filters() {
+		if name == "source" {
+			continue
+		}
 		k, err := ForFilter(name)
 		if err != nil {
 			t.Fatal(err)
@@ -343,22 +346,36 @@ func TestDimsArray(t *testing.T) {
 }
 
 func TestExprTemplateCoversElementwisePrimitives(t *testing.T) {
-	// The fusion generator must have a template for every elementwise
-	// primitive in the dataflow registry, and only those.
+	// The table and the dataflow registry's elementwise rows are the same
+	// set: same names, same arity, one %s per operand, one lane body.
+	rows := 0
 	for _, name := range dataflow.Filters() {
 		fi, _ := dataflow.Lookup(name)
-		tmpl, ok := ExprTemplate(name)
-		if fi.Class == dataflow.ClassElementwise {
-			if !ok {
-				t.Errorf("elementwise filter %q has no expression template", name)
-				continue
+		p, ok := Lookup(name)
+		if fi.Class != dataflow.ClassElementwise {
+			if ok {
+				t.Errorf("non-elementwise filter %q must not be in the primitive table", name)
 			}
-			if strings.Count(tmpl, "%s") != fi.Arity {
-				t.Errorf("template %q for %q must have %d operands", tmpl, name, fi.Arity)
-			}
-		} else if ok {
-			t.Errorf("non-elementwise filter %q should not have a template", name)
+			continue
 		}
+		rows++
+		if !ok {
+			t.Errorf("elementwise filter %q has no row in the primitive table", name)
+			continue
+		}
+		if p.Name != name || fi.OutWidth != 1 {
+			t.Errorf("%q: row %+v, registry %+v", name, p, fi)
+		}
+		// Exactly the lane body of the row's arity is set.
+		bodies := [4]bool{1: p.Unary != nil, 2: p.Binary != nil, 3: p.Ternary != nil}
+		want := [4]bool{}
+		want[fi.Arity] = true
+		if bodies != want || p.Arity != fi.Arity || strings.Count(p.Expr, "%s") != fi.Arity || strings.Count(p.Expr, "%") != fi.Arity {
+			t.Errorf("%q: lane bodies %v, arity %d, template %q; the registry says arity %d", name, bodies[1:], p.Arity, p.Expr, fi.Arity)
+		}
+	}
+	if len(Primitives()) != rows {
+		t.Errorf("the table has %d rows, the registry %d elementwise filters", len(Primitives()), rows)
 	}
 }
 
@@ -415,7 +432,11 @@ func TestSelectKernel(t *testing.T) {
 	ba, _ := env.Upload("a", a, 1)
 	bb, _ := env.Upload("b", b, 1)
 	out := env.Context().MustBuffer("out", 4, 1)
-	if err := env.Run(Select(), 4, []*ocl.Buffer{bc, ba, bb, out}, nil); err != nil {
+	k, err := ForFilter("select")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Run(k, 4, []*ocl.Buffer{bc, ba, bb, out}, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := env.Download(out)
@@ -441,18 +462,16 @@ func TestNormKernel(t *testing.T) {
 }
 
 func TestCostAccessors(t *testing.T) {
-	for name, c := range map[string]ocl.Cost{
-		"grad":      GradCost(),
-		"binary":    BinaryCost(),
-		"unary":     UnaryCost(),
-		"decompose": DecomposeCost(),
-		"constfill": ConstFillCost(),
-	} {
+	add, err := ForFilter("add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]ocl.Cost{"grad": GradCost(), "gradaxis": GradAxisCost()} {
 		if c.StoreBytes <= 0 {
 			t.Errorf("%s cost must store at least its output: %+v", name, c)
 		}
-	}
-	if GradCost().Flops <= BinaryCost().Flops {
-		t.Error("the gradient must cost more than an add")
+		if c.Flops <= add.Cost.Flops {
+			t.Errorf("%s must cost more than an add: %+v", name, c)
+		}
 	}
 }

@@ -3,15 +3,14 @@ package passes
 import (
 	"dfg/internal/dataflow"
 	"dfg/internal/kernels"
-	"dfg/internal/ocl"
 )
 
 // ConstFold returns the constant-folding pass: every elementwise node
 // whose inputs are all constants is rewritten in place into a constant.
-// The fold evaluates the node's own staged kernel on a one-element
-// buffer, so the folded value is bit-identical to what the device would
-// have produced in float32 — including the fmin/fmax NaN conventions
-// and comparison-to-1.0/0.0 encodings.
+// The fold runs the primitive's own lane body — the one every strategy
+// executes — on one-element lanes, so the folded value is bit-identical
+// to what any strategy would have computed in float32, including the
+// fmin/fmax NaN conventions and comparison-to-1.0/0.0 encodings.
 func ConstFold() Pass { return constFold{} }
 
 type constFold struct{}
@@ -19,58 +18,36 @@ type constFold struct{}
 func (constFold) Name() string { return "constfold" }
 
 func (constFold) Run(nw *dataflow.Network, st *Stats) error {
+nodes:
 	for _, n := range nw.Nodes() {
-		fi, ok := dataflow.Lookup(n.Filter)
-		if !ok || fi.Class != dataflow.ClassElementwise || len(n.Inputs) == 0 {
+		p, ok := kernels.Lookup(n.Filter)
+		if !ok || len(n.Inputs) != p.Arity {
 			continue
 		}
-		vals := make([]float64, len(n.Inputs))
-		allConst := true
-		for i, in := range n.Inputs {
-			inNode := nw.NodeByID(in)
-			if inNode == nil || inNode.Filter != "const" {
-				allConst = false
-				break
+		for _, id := range n.Inputs {
+			if c := nw.NodeByID(id); c == nil || c.Filter != "const" {
+				continue nodes
 			}
-			vals[i] = inNode.Value
 		}
-		if !allConst {
-			continue
+		in := make([][]float32, len(n.Inputs))
+		for i, id := range n.Inputs {
+			in[i] = []float32{float32(nw.NodeByID(id).Value)}
 		}
-		v, ok := foldKernel(n.Filter, vals)
-		if !ok {
-			continue
-		}
+		// The stored value is the float32 result widened to float64, so a
+		// constant of the folded node reproduces the exact bits the
+		// eliminated primitive would have written.
+		var out [1]float32
+		p.Apply(out[:], in)
 		// Rewriting in place (rather than merging into an existing
 		// const) keeps this pass purely local; the following CSE or
 		// constpool round merges equal constants, and DCE collects the
 		// operand constants that just lost their last consumer.
-		if err := nw.RewriteToConst(n.ID, v); err != nil {
+		if err := nw.RewriteToConst(n.ID, float64(out[0])); err != nil {
 			return err
 		}
 		st.Rewritten++
 	}
 	return nil
-}
-
-// foldKernel evaluates one elementwise primitive on scalar constants by
-// running its staged kernel over single-element views. The stored value
-// is the float32 result widened to float64, so a staged constant fill
-// of the folded node reproduces the exact bits the eliminated kernel
-// would have written.
-func foldKernel(filter string, in []float64) (float64, bool) {
-	k, err := kernels.ForFilter(filter)
-	if err != nil || k.Fn == nil || k.NumBufs != len(in)+1 {
-		return 0, false
-	}
-	bufs := make([]ocl.View, len(in)+1)
-	for i, v := range in {
-		bufs[i] = ocl.View{Data: []float32{float32(v)}, Elems: 1, Width: 1}
-	}
-	out := []float32{0}
-	bufs[len(in)] = ocl.View{Data: out, Elems: 1, Width: 1}
-	k.Fn(0, 1, bufs, nil)
-	return float64(out[0]), true
 }
 
 // Algebraic returns the identity-simplification pass: x*1, 1*x, x+0,

@@ -3,6 +3,7 @@ package passes_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,6 +160,33 @@ func TestConstFoldAndAlgebraic(t *testing.T) {
 	}
 	if out := net.OutputNode(); out.Filter != "const" || out.Value != 0 {
 		t.Errorf("0*exp(u) output = %q %v, want const 0", out.Filter, out.Value)
+	}
+
+	// A fold produces the bits every strategy computes: fmin/fmax yield
+	// the other operand for a NaN and keep a of a +0/-0 pair, fabs clears
+	// the sign bit.
+	for text, want := range map[string]uint32{
+		"min(1.0, 0.0/0.0)":   0x3f800000,
+		"min(0.0/0.0, 1.0)":   0x3f800000,
+		"max(1.0, 0.0/0.0)":   0x3f800000,
+		"max(0.0/0.0, 1.0)":   0x3f800000,
+		"min(0.0, -(0.0))":    0x00000000,
+		"min(-(0.0), 0.0)":    0x80000000,
+		"max(0.0, -(0.0))":    0x00000000,
+		"max(-(0.0), 0.0)":    0x80000000,
+		"abs(-(0.0))":         0x00000000,
+		"abs(-(1.0/0.0))":     0x7f800000,
+		"min(1.0, 2.0)":       0x3f800000,
+		"max(1.0, abs(-2.0))": 0x40000000,
+	} {
+		net, _, err := expr.CompileWithPipeline("r = pow(u, "+text+")", nil, passes.O2, passes.RunOptions{Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := net.NodeByID(net.OutputNode().Inputs[1])
+		if got := math.Float32bits(float32(c.Value)); c.Filter != "const" || got != want {
+			t.Errorf("%s folded to %q %#08x, want const %#08x", text, c.Filter, got, want)
+		}
 	}
 }
 

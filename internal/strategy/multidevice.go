@@ -88,11 +88,7 @@ func (p *MultiPlan) Execute(envs []*ocl.Env, bind Bindings) (*Result, error) {
 	}
 
 	res := &Result{Data: outs[0], Width: prog.OutWidth}
-	if len(outs) > 1 {
-		for i, out := range outs {
-			res.Roots = append(res.Roots, Field{Data: out, Width: prog.OutWidths[i]})
-		}
-	}
+	res.fanOut(outs, prog.OutWidths)
 	for _, env := range envs {
 		res.Profile = res.Profile.Add(env.Profile())
 		if p := env.PeakBytes(); p > res.PeakBytes {

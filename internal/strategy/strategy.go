@@ -216,3 +216,14 @@ func releaseAll(bufs map[string]*ocl.Buffer) {
 		}
 	}
 }
+
+// fanOut records every root's output (outs and widths in the network's
+// Roots() order) on a multi-root run's result; a single-root result
+// carries Data alone.
+func (r *Result) fanOut(outs [][]float32, widths []int) {
+	if len(outs) > 1 {
+		for i, out := range outs {
+			r.Roots = append(r.Roots, Field{Data: out, Width: widths[i]})
+		}
+	}
+}

@@ -93,11 +93,7 @@ func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 		}
 	}
 	res := finish(env, outs[0], p.prog.OutWidth)
-	if len(outs) > 1 {
-		for i, out := range outs {
-			res.Roots = append(res.Roots, Field{Data: out, Width: p.prog.OutWidths[i]})
-		}
-	}
+	res.fanOut(outs, p.prog.OutWidths)
 	return res, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"dfg/internal/expr"
 	"dfg/internal/mesh"
+	"dfg/internal/passes"
 	"dfg/internal/rtsim"
 	"dfg/internal/vortex"
 )
@@ -103,33 +104,80 @@ func TestPaperExpressionsNumericallyAgree(t *testing.T) {
 	}
 }
 
-// TestStrategiesBitwiseAgree checks that all six strategies agree with
-// each other exactly (same float32 operations in the same order per
-// element) for the paper expressions and the two-pass gradient magnitude.
+// TestStrategiesBitwiseAgree checks that all six strategies, at both
+// optimisation levels, agree with each other bit for bit — NaN payloads
+// included: for the paper expressions and the two-pass gradient magnitude
+// on turbulence data (same float32 operations in the same order per
+// element), and for the primitives whose NaN and signed-zero behaviour
+// the rendered OpenCL C fixes (fmin, fmax, fabs, comparisons, select) on
+// every ordered pair of special values (every strategy runs, and O2
+// folds through, the one lane body of each primitive).
 func TestStrategiesBitwiseAgree(t *testing.T) {
 	m := mesh.MustUniform(mesh.Dims{NX: 10, NY: 10, NZ: 8}, 0.1, 0.1, 0.125)
 	f := rtsim.Generate(m, rtsim.Options{Seed: 3})
-	bind, err := BindMesh(m, map[string][]float32{"u": f.U, "v": f.V, "w": f.W})
+	turbulence, err := BindMesh(m, map[string][]float32{"u": f.U, "v": f.V, "w": f.W})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exprs := append(vortex.Expressions(), struct{ Name, Text string }{"GradMag", vortex.GradMagExpr})
-	for _, e := range exprs {
-		net, _ := expr.Compile(e.Text)
+
+	var special []float32
+	for _, bits := range []uint32{
+		0x7fc00001, 0xffc00002, // NaNs, told apart by payload
+		0x00000000, 0x80000000, // +0, -0
+		0x7f800000, 0xff800000, // +Inf, -Inf
+		0x00000001, 0x807fffff, // denormals
+		0x3f800000, 0xc0200000, // 1, -2.5
+	} {
+		special = append(special, math.Float32frombits(bits))
+	}
+	L := len(special)
+	u, v := make([]float32, L*L), make([]float32, L*L)
+	for i := range u {
+		u[i], v[i] = special[i/L], special[i%L]
+	}
+	pairs, err := BindMesh(mesh.MustUniform(mesh.Dims{NX: L, NY: L, NZ: 1}, 1, 1, 1), map[string][]float32{"u": u, "v": v})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type row struct {
+		name, text string
+		bind       Bindings
+	}
+	rows := []row{{"GradMag", vortex.GradMagExpr, turbulence}}
+	for _, e := range vortex.Expressions() {
+		rows = append(rows, row{e.Name, e.Text, turbulence})
+	}
+	for _, text := range []string{
+		"r = min(u, v)",
+		"r = max(u, v)",
+		"r = 1.0 / abs(u)",
+		"r = u / abs(-(0.0))",
+		"r = if (u >= v) then (u) else (v)",
+		"r = if (min(u, v) != max(v, u)) then (abs(u)) else (-abs(v))",
+	} {
+		rows = append(rows, row{text, text, pairs})
+	}
+	for _, r := range rows {
 		var ref []float32
-		for _, sname := range append(ExtendedNames(), "tiered") {
-			s, _ := ForName(sname)
-			res, err := Execute(s, cpuEnv(), net, bind)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", e.Name, sname, err)
-			}
-			if ref == nil {
-				ref = res.Data
-				continue
-			}
-			for i := range ref {
-				if res.Data[i] != ref[i] {
-					t.Fatalf("%s/%s: cell %d differs bitwise: %v vs %v", e.Name, sname, i, res.Data[i], ref[i])
+		for _, lvl := range []passes.Level{passes.LevelPaper, passes.LevelO2} {
+			net := compileAt(t, r.text, lvl)
+			for _, sname := range append(ExtendedNames(), "tiered") {
+				s, _ := ForName(sname)
+				res, err := Execute(s, cpuEnv(), net, r.bind)
+				if err != nil {
+					t.Fatalf("%s/%s at %v: %v", r.name, sname, lvl, err)
+				}
+				if ref == nil {
+					ref = res.Data
+					continue
+				}
+				for i := range ref {
+					if got, want := math.Float32bits(res.Data[i]), math.Float32bits(ref[i]); got != want {
+						t.Errorf("%s/%s at %v: cell %d differs bitwise from roundtrip at paper: %v (%#08x) vs %v (%#08x)",
+							r.name, sname, lvl, i, res.Data[i], got, ref[i], want)
+						break
+					}
 				}
 			}
 		}

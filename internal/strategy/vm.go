@@ -62,10 +62,6 @@ func (p *vmPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 		return nil, err
 	}
 	res := finish(env, outs[0], p.prog.OutWidth)
-	if len(outs) > 1 {
-		for i, out := range outs {
-			res.Roots = append(res.Roots, Field{Data: out, Width: p.prog.OutWidths[i]})
-		}
-	}
+	res.fanOut(outs, p.prog.OutWidths)
 	return res, nil
 }

@@ -12,6 +12,7 @@ import (
 	"dfg/internal/ocl"
 	"dfg/internal/passes"
 	"dfg/internal/vm"
+	"dfg/internal/vm/vmtest"
 	"dfg/internal/vortex"
 )
 
@@ -157,7 +158,7 @@ func executorVsReference(t *testing.T, net *dataflow.Network, bind Bindings, cut
 		prog.RunPass(p, 0, cut, exec)
 		prog.RunPass(p, cut, n, exec)
 	}
-	low.Reference(n, ref)
+	vmtest.Reference(low, n, ref)
 	// The outputs go back to the pool when this returns; hand out copies.
 	for i := range got {
 		got[i] = append([]float32(nil), got[i]...)

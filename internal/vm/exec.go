@@ -117,59 +117,29 @@ func lane(regs []float32, s uint16, l, n int) []float32 {
 // current block.
 type handler func(in *Instr, regs []float32, views []ocl.View, base, n int)
 
-// handlers is the opcode-indexed dispatch table, each entry specialized
-// to its operand shape: binary slot-to-slot loops, float64 round-trip
-// unary maps, comparison encodes, and the buffer-reading stencil ops.
-//
-// Every lane loop ranges over its n-element destination with the
-// operands resliced to the same length, which is what lets the compiler
-// prove the indexes in range and drop the bounds checks. add, sub, mul
-// and div are kernels' lane primitives: the same loop behind an 8-wide
-// AVX2 body where the CPU has one.
-//
-// min and max use the comparison form (`if b < a`), not kernels'
-// math.Min/math.Max — the two differ in which operand they return for
-// NaN and signed-zero inputs, and the emitted fmin/fmax select the same
-// way.
-var handlers [opCount]handler
+// handlers is the opcode-indexed dispatch table. The structural opcodes'
+// handlers are written below; an elementwise opcode's handler is its
+// primitive's lane body (kernels.Primitives) over the operand slots.
+var handlers [numOpcodes]handler
 
-// binOp builds a handler for a slot-to-slot arithmetic loop over
-// equal-length lanes.
-func binOp(f func(dst, a, b []float32)) handler {
-	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		f(lane(regs, in.Dst, 0, n), lane(regs, in.A, 0, n), lane(regs, in.B, 0, n))
-	}
-}
-
-// unOp builds a handler for a slot-to-slot map over equal-length lanes.
+// unOp, binOp and triOp build the handler of a slot-to-slot lane body
+// with one, two or three operands.
 func unOp(f func(dst, a []float32)) handler {
 	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
 		f(lane(regs, in.Dst, 0, n), lane(regs, in.A, 0, n))
 	}
 }
 
-// mapOp builds a handler applying a float64 math function per element.
-func mapOp(f func(float64) float64) handler {
-	return unOp(func(dst, a []float32) {
-		a = a[:len(dst)]
-		for e := range dst {
-			dst[e] = float32(f(float64(a[e])))
-		}
-	})
+func binOp(f func(dst, a, b []float32)) handler {
+	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		f(lane(regs, in.Dst, 0, n), lane(regs, in.A, 0, n), lane(regs, in.B, 0, n))
+	}
 }
 
-// cmpOp builds a handler encoding a comparison as 1.0/0.0.
-func cmpOp(f func(a, b float32) bool) handler {
-	return binOp(func(dst, a, b []float32) {
-		a, b = a[:len(dst)], b[:len(dst)]
-		for e := range dst {
-			if f(a[e], b[e]) {
-				dst[e] = 1
-			} else {
-				dst[e] = 0
-			}
-		}
-	})
+func triOp(f func(dst, a, b, c []float32)) handler {
+	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
+		f(lane(regs, in.Dst, 0, n), lane(regs, in.A, 0, n), lane(regs, in.B, 0, n), lane(regs, in.C, 0, n))
+	}
 }
 
 // gradBufs resolves a stencil instruction's buffers: the field, the
@@ -183,6 +153,13 @@ func gradBufs(in *Instr, views []ocl.View) (field []float32, coords [3][]float32
 }
 
 func init() {
+	setOp(opLoad, "load", 0)
+	setOp(opConst, "const", 0)
+	setOp(opNorm, "norm", 1)
+	setOp(opDecomp, "decompose", 1)
+	setOp(opGrad, "grad3d", 0)
+	setOp(opGradAxis, "grad3d?", 0)
+	setOp(opStore, "store", 1)
 	handlers[opLoad] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
 		w := int(in.Width)
 		if w == 1 {
@@ -201,78 +178,6 @@ func init() {
 		dst := lane(regs, in.Dst, 0, n)
 		for e := range dst {
 			dst[e] = in.Val
-		}
-	}
-	handlers[opAdd] = binOp(kernels.AddLanes)
-	handlers[opSub] = binOp(kernels.SubLanes)
-	handlers[opMul] = binOp(kernels.MulLanes)
-	handlers[opDiv] = binOp(kernels.DivLanes)
-	handlers[opMin] = binOp(func(dst, a, b []float32) {
-		a, b = a[:len(dst)], b[:len(dst)]
-		for e := range dst {
-			if b[e] < a[e] {
-				dst[e] = b[e]
-			} else {
-				dst[e] = a[e]
-			}
-		}
-	})
-	handlers[opMax] = binOp(func(dst, a, b []float32) {
-		a, b = a[:len(dst)], b[:len(dst)]
-		for e := range dst {
-			if b[e] > a[e] {
-				dst[e] = b[e]
-			} else {
-				dst[e] = a[e]
-			}
-		}
-	})
-	handlers[opSqrt] = unOp(func(dst, a []float32) {
-		a = a[:len(dst)]
-		for e := range dst {
-			dst[e] = float32(math.Sqrt(float64(a[e])))
-		}
-	})
-	handlers[opNeg] = unOp(func(dst, a []float32) {
-		a = a[:len(dst)]
-		for e := range dst {
-			dst[e] = -a[e]
-		}
-	})
-	handlers[opAbs] = unOp(func(dst, a []float32) {
-		a = a[:len(dst)]
-		for e := range dst {
-			v := a[e]
-			if v < 0 {
-				v = -v
-			}
-			dst[e] = v
-		}
-	})
-	handlers[opExp] = mapOp(math.Exp)
-	handlers[opLog] = mapOp(math.Log)
-	handlers[opSin] = mapOp(math.Sin)
-	handlers[opCos] = mapOp(math.Cos)
-	handlers[opPow] = binOp(func(dst, a, b []float32) {
-		a, b = a[:len(dst)], b[:len(dst)]
-		for e := range dst {
-			dst[e] = float32(math.Pow(float64(a[e]), float64(b[e])))
-		}
-	})
-	handlers[opGt] = cmpOp(func(a, b float32) bool { return a > b })
-	handlers[opLt] = cmpOp(func(a, b float32) bool { return a < b })
-	handlers[opGe] = cmpOp(func(a, b float32) bool { return a >= b })
-	handlers[opLe] = cmpOp(func(a, b float32) bool { return a <= b })
-	handlers[opEq] = cmpOp(func(a, b float32) bool { return a == b })
-	handlers[opNe] = cmpOp(func(a, b float32) bool { return a != b })
-	handlers[opSelect] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		dst, c, a, b := lane(regs, in.Dst, 0, n), lane(regs, in.A, 0, n), lane(regs, in.B, 0, n), lane(regs, in.C, 0, n)
-		for e := range dst {
-			if c[e] != 0 {
-				dst[e] = a[e]
-			} else {
-				dst[e] = b[e]
-			}
 		}
 	}
 	handlers[opNorm] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
@@ -312,6 +217,18 @@ func init() {
 			for e, v := range lane(regs, in.A, c, n) {
 				data[e*w+c] = v
 			}
+		}
+	}
+	for i, p := range kernels.Primitives() {
+		op := opElementwise + opcode(i)
+		setOp(op, p.Name, p.Arity)
+		switch p.Arity {
+		case 1:
+			handlers[op] = unOp(p.Unary)
+		case 2:
+			handlers[op] = binOp(p.Binary)
+		default:
+			handlers[op] = triOp(p.Ternary)
 		}
 	}
 }

@@ -17,7 +17,7 @@
 // the profitable tier for meshes small enough that launch and transfer
 // overhead dominates. Both run the same Program, so their outputs are
 // bitwise equal by construction; the differential harnesses instead
-// compare the blocked executor against Lowering.Reference, a per-element
+// compare the blocked executor against vmtest.Reference, a per-element
 // interpreter over the virtual registers.
 package vm
 
@@ -37,67 +37,42 @@ type opcode uint8
 const (
 	opLoad opcode = iota // dst <- buf[gid] (width from Instr.Width)
 	opConst
-	opAdd
-	opSub
-	opMul
-	opDiv
-	opMin
-	opMax
-	opSqrt
-	opNeg
-	opAbs
-	opExp
-	opLog
-	opSin
-	opCos
-	opPow
-	opGt
-	opLt
-	opGe
-	opLe
-	opEq
-	opNe
-	opSelect
 	opNorm
 	opDecomp
 	opGrad
 	opGradAxis // single-axis gradient (Instr.Comp selects the axis)
 	opStore    // buf[gid] <- a (width from Instr.Width)
 
-	opCount
+	// opElementwise + i is row i of kernels.Primitives().
+	opElementwise
 )
 
+// numOpcodes sizes the opcode-indexed tables to the whole opcode type
+// (the elementwise row count is not a constant).
+const numOpcodes = 1 << 8
+
 // ops names each opcode and gives the number of register operands it
-// reads (A, then B, then C). Loads, constants and stencils read none.
+// reads (A, then B, then C; loads, constants and stencils read none),
+// and opOf maps a name back to its opcode. exec.go's init fills both
+// beside the handlers, the elementwise rows from the primitive table.
 // opGradAxis covers three filters, told apart by Instr.Comp; the
 // lowering recognises stencils by class, never through this name.
-var ops = [opCount]struct {
-	name  string
-	reads uint8
-}{
-	opLoad: {"load", 0}, opConst: {"const", 0},
-	opAdd: {"add", 2}, opSub: {"sub", 2}, opMul: {"mul", 2}, opDiv: {"div", 2},
-	opMin: {"min", 2}, opMax: {"max", 2},
-	opSqrt: {"sqrt", 1}, opNeg: {"neg", 1}, opAbs: {"abs", 1},
-	opExp: {"exp", 1}, opLog: {"log", 1}, opSin: {"sin", 1}, opCos: {"cos", 1},
-	opPow: {"pow", 2},
-	opGt:  {"gt", 2}, opLt: {"lt", 2}, opGe: {"ge", 2}, opLe: {"le", 2}, opEq: {"eq", 2}, opNe: {"ne", 2},
-	opSelect: {"select", 3}, opNorm: {"norm", 1}, opDecomp: {"decompose", 1},
-	opGrad: {"grad3d", 0}, opGradAxis: {"grad3d?", 0},
-	opStore: {"store", 1},
+var (
+	ops [numOpcodes]struct {
+		name  string
+		reads uint8
+	}
+	opOf = make(map[string]opcode)
+)
+
+// setOp names an opcode and gives its register read count.
+func setOp(op opcode, name string, reads int) {
+	ops[op].name, ops[op].reads = name, uint8(reads)
+	opOf[name] = op
 }
 
 // gradAxisNames are opGradAxis's filter names by Instr.Comp.
 var gradAxisNames = [3]string{"grad3dx", "grad3dy", "grad3dz"}
-
-// opOf maps a filter name to its opcode.
-var opOf = func() map[string]opcode {
-	m := make(map[string]opcode, opCount)
-	for op, o := range ops {
-		m[o.name] = opcode(op)
-	}
-	return m
-}()
 
 // Instr is one lowered instruction. Register operands are virtual
 // registers in a Lowering (register i holds the i-th live node in

@@ -3,7 +3,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 
 	"dfg/internal/expr"
@@ -178,47 +177,6 @@ func TestBucketFor(t *testing.T) {
 	}
 }
 
-// TestExecutorMatchesReference is the package-level smoke of the
-// differential the strategy fuzz harness drives at scale: the blocked
-// executor over allocated slots and the per-element reference over the
-// virtual registers agree bitwise, one pass and two.
-func TestExecutorMatchesReference(t *testing.T) {
-	src, n := meshSources(t, mesh.Dims{NX: 9, NY: 7, NZ: 6}) // 378: a full block and a partial one
-	for _, text := range []string{
-		vortex.QCritExpr,
-		vortex.VortMagExpr,
-		"s = u*u + v\nr = norm(grad3d(s, dims, x, y, z)) - s",
-	} {
-		net, err := expr.Compile(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		low, err := Lower(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := low.Program().Run(n, src, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views := make([]ocl.View, len(low.Buffers))
-		for i, b := range low.Buffers {
-			data := make([]float32, n*b.Width)
-			if b.Kind == BufSource {
-				data, _ = src(b.Name)
-			}
-			views[i] = ocl.View{Data: data, Elems: n, Width: b.Width}
-		}
-		low.Reference(n, views)
-		want := views[len(views)-1].Data
-		for i := range want {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("element %d: executor %v, reference %v\n%s", i, got[i], want[i], text)
-			}
-		}
-	}
-}
-
 // BenchmarkHandlers reports ns/element for the handlers a Q-criterion
 // evaluation spends its time in, each run block by block over a 64^3
 // mesh (rows of 64) exactly as RunPass drives it, plus the whole
@@ -239,10 +197,13 @@ func BenchmarkHandlers(b *testing.B) {
 		name string
 		in   Instr
 	}{
-		{"add", Instr{op: opAdd, Dst: 2, A: 0, B: 1}},
-		{"sub", Instr{op: opSub, Dst: 2, A: 0, B: 1}},
-		{"mul", Instr{op: opMul, Dst: 2, A: 0, B: 1}},
-		{"div", Instr{op: opDiv, Dst: 2, A: 0, B: 1}},
+		{"add", Instr{op: opOf["add"], Dst: 2, A: 0, B: 1}},
+		{"sub", Instr{op: opOf["sub"], Dst: 2, A: 0, B: 1}},
+		{"mul", Instr{op: opOf["mul"], Dst: 2, A: 0, B: 1}},
+		{"div", Instr{op: opOf["div"], Dst: 2, A: 0, B: 1}},
+		{"min", Instr{op: opOf["min"], Dst: 2, A: 0, B: 1}},
+		{"sqrt", Instr{op: opOf["sqrt"], Dst: 2, A: 0}},
+		{"select", Instr{op: opOf["select"], Dst: 2, A: 0, B: 1, C: 1}},
 		{"load", Instr{op: opLoad, Dst: 0, Buf: 0, Width: 1}},
 		{"store", Instr{op: opStore, A: 0, Buf: 5, Width: 1}},
 		{"grad3d", Instr{op: opGrad, Dst: 2, GBufs: [5]uint16{0, 1, 2, 3, 4}}},
