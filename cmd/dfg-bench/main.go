@@ -6,19 +6,16 @@
 //	dfg-bench -table2                  # just the device-event counts
 //	dfg-bench -fig5 -fig6 -scale 8     # the sweep at 1/8 linear scale
 //	dfg-bench -all -out results/       # also write results/*.txt|csv
-//	dfg-bench -repeat 3 -json          # warm-vs-cold counts for dfg-report
+//	dfg-bench -repeat 3                # warm-vs-cold counts (the repeat.golden gate)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"dfg/internal/metrics"
-	"dfg/internal/perfdb"
-	"dfg/internal/strategy"
 )
 
 func main() {
@@ -36,19 +33,17 @@ func main() {
 		streaming = flag.Bool("streaming", false, "include the future-work streaming strategy in the sweep")
 		opt       = flag.String("opt", "paper", "optimisation level expressions compile at: paper (the reproduction) or O2")
 		outDir    = flag.String("out", "", "also write each artifact into this directory")
-		asJSON    = flag.Bool("json", false, "with -repeat: emit the cases as JSON on stdout (what dfg-report gates on)")
 		repeat    = flag.Int("repeat", 0, "warm-vs-cold prepared-eval smoke: prepare Q-criterion once, eval cold then N warm times per strategy; exits 1 if warm evals allocate device buffers")
-		strat     = flag.String("strategy", "", "restrict -repeat to one strategy (e.g. vm, fusion); empty runs all")
 	)
 	flag.Parse()
 	if *all {
 		*table1, *table2, *fig2, *fig5, *fig6 = true, true, true, true, true
 	}
 	if *repeat > 0 {
-		runRepeat(*repeat, *strat, *asJSON, *outDir)
+		runRepeat(*repeat)
 		return
 	}
-	if *asJSON || !(*table1 || *table2 || *fig2 || *fig5 || *fig6) {
+	if !(*table1 || *table2 || *fig2 || *fig5 || *fig6) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -117,45 +112,15 @@ func main() {
 
 // runRepeat is the warm-vs-cold smoke mode: it prepares the Q-criterion
 // expression once per strategy, evaluates it cold and then warm times
-// warm, and fails (exit 1) if any strategy's warm evaluations allocated
-// fresh device buffers or diverged from the cold output — the CI gate
-// on the prepared-plan and buffer-arena machinery.
-func runRepeat(warm int, strat string, asJSON bool, outDir string) {
-	names := metrics.RepeatNames()
-	if strat != "" {
-		if strat != metrics.BatchOfOneName {
-			if _, err := strategy.ForName(strat); err != nil {
-				fatal(err)
-			}
-		}
-		names = []string{strat}
-	}
-	cases, err := metrics.RunRepeatFor(warm, names)
+// warm, prints the counts (what internal/metrics/testdata/repeat.golden
+// pins), and fails (exit 1) if any strategy's warm evaluations allocated
+// fresh device buffers or diverged from the cold output.
+func runRepeat(warm int) {
+	cases, err := metrics.RunRepeat(warm)
 	if err != nil {
 		fatal(err)
 	}
-	if asJSON {
-		doc, err := json.MarshalIndent(struct {
-			Meta      perfdb.Meta          `json:"meta"`
-			WarmEvals int                  `json:"warm_evals"`
-			Cases     []metrics.RepeatCase `json:"cases"`
-		}{perfdb.CollectMeta("CPU"), warm, cases}, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		doc = append(doc, '\n')
-		os.Stdout.Write(doc)
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(outDir, "warmcold.json"), doc, 0o644); err != nil {
-				fatal(err)
-			}
-		}
-	} else {
-		fmt.Println(metrics.RepeatTable(cases).Text())
-	}
+	fmt.Print(metrics.RepeatTable(cases).Text())
 	ok := true
 	for _, c := range cases {
 		if !c.Reduced() {

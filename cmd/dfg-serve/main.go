@@ -72,7 +72,7 @@ func main() {
 		linger    = flag.Duration("linger", 0, "keep the introspection endpoint up this long after the load completes")
 		slow      = flag.Duration("slow", 0, "slow-request threshold: log the full span tree of slower requests (0 = off)")
 		traceKeep = flag.Int("trace-keep", 64, "recent request traces retained for /trace (negative disables tracing)")
-		perfDir   = flag.String("perf-dir", "", "perf-database directory: write the per-evaluation record snapshot on shutdown and flight-recorder dumps on failures (empty = off)")
+		perfDir   = flag.String("perf-dir", "", "perf-database directory: write the per-evaluation record snapshot on shutdown and flight dumps on failures (empty = off)")
 		tailPct   = flag.Float64("tail", 0, "retain the slowest P% of request traces for /trace/{id} (0 = default 5; negative keeps only errored/degraded traces)")
 		pprofOn   = flag.Bool("pprof", false, "mount /debug/pprof/ on the introspection endpoint")
 
@@ -249,9 +249,9 @@ func main() {
 		fmt.Printf("%-28s seed=%d dropped=%d leaked-buffers=%d rerouted=%d rebuilds=%d\n",
 			"chaos:", *chaosSeed, dropped, leaked, st.Rerouted, st.Restarts)
 		if ctx.Err() == nil && (dropped > 0 || leaked != 0) {
-			// Leave a postmortem: the flight ring still holds the final
-			// requests' span trees and recent perf records.
-			if path := pool.FlightRecorder().Dump("chaos-soak-failure"); path != "" {
+			// Leave a postmortem: the final requests' span trees and
+			// recent perf records.
+			if path := pool.DumpFlight("chaos-soak-failure"); path != "" {
 				fmt.Fprintf(os.Stderr, "dfg-serve: flight dump written to %s\n", path)
 			}
 			fmt.Fprintln(os.Stderr, "dfg-serve: chaos soak FAILED")

@@ -17,22 +17,19 @@ import (
 // allocation and upload bill; warm evals should recycle every device
 // buffer from the arena and skip every unchanged source upload.
 type RepeatCase struct {
-	Expr      string `json:"expr"`
-	Strategy  string `json:"strategy"`
-	Cells     int    `json:"cells"`
-	WarmEvals int    `json:"warm_evals"`
+	Strategy string
 	// ColdAllocs / WarmAllocs count fresh device-buffer allocations
 	// during the cold eval and across all warm evals combined.
-	ColdAllocs int64 `json:"cold_allocs"`
-	WarmAllocs int64 `json:"warm_allocs"`
+	ColdAllocs int64
+	WarmAllocs int64
 	// ColdWrites / WarmWrites count host-to-device transfer events
 	// (cold eval vs all warm evals combined).
-	ColdWrites int `json:"cold_device_writes"`
-	WarmWrites int `json:"warm_device_writes"`
+	ColdWrites int
+	WarmWrites int
 	// Reused counts arena free-list hits and UploadsSkipped the source
 	// uploads avoided by content hash, both across the warm evals.
-	Reused         int64 `json:"buffers_reused"`
-	UploadsSkipped int64 `json:"uploads_skipped"`
+	Reused         int64
+	UploadsSkipped int64
 	// ScratchColdAllocs / ScratchWarmAllocs count fresh host-scratch
 	// slices the executor's pool allocated (cold eval vs all warm evals
 	// combined). Recorded for the "vm" row only, where they are the
@@ -42,11 +39,11 @@ type RepeatCase struct {
 	// device row the count would depend on how far the chunks' goroutines
 	// happened to overlap; its Go-heap gate is the single-chunk
 	// TestWarmFusionGoHeapGate instead.
-	ScratchColdAllocs int64 `json:"scratch_cold_allocs,omitempty"`
-	ScratchWarmAllocs int64 `json:"scratch_warm_allocs,omitempty"`
+	ScratchColdAllocs int64
+	ScratchWarmAllocs int64
 	// Identical reports whether every warm output was bitwise equal to
 	// the cold output.
-	Identical bool `json:"warm_output_identical"`
+	Identical bool
 }
 
 // Reduced reports whether the warm path actually beat the cold path:
@@ -82,14 +79,10 @@ func RepeatNames() []string {
 // expression (the most buffer-hungry of the Figure 3 expressions) under
 // every strategy plus the batch-of-one case, with warm repeated
 // evaluations per case. The grid is fixed and small — the point is
-// allocation and transfer counting, not runtime.
+// allocation and transfer counting, not runtime. The counts are
+// deterministic: RepeatTable of RunRepeat(3) is pinned byte for byte by
+// testdata/repeat.golden.
 func RunRepeat(warm int) ([]RepeatCase, error) {
-	return RunRepeatFor(warm, RepeatNames())
-}
-
-// RunRepeatFor is RunRepeat restricted to the named strategies — the
-// hook behind dfg-bench's -strategy filter.
-func RunRepeatFor(warm int, names []string) ([]RepeatCase, error) {
 	if warm < 1 {
 		warm = 3
 	}
@@ -101,6 +94,7 @@ func RunRepeatFor(warm int, names []string) ([]RepeatCase, error) {
 	f := rtsim.Generate(m, rtsim.Options{Seed: 42})
 	fields := map[string][]float32{"u": f.U, "v": f.V, "w": f.W}
 
+	names := RepeatNames()
 	out := make([]RepeatCase, 0, len(names))
 	for _, name := range names {
 		c, err := repeatCase(name, m, fields, warm)
@@ -155,7 +149,7 @@ func repeatCase(strat string, m *mesh.Mesh, fields map[string][]float32, warm in
 		eval = func() (*dfg.Result, error) { return pr.EvalMesh(m, fields) }
 	}
 
-	c := RepeatCase{Expr: "Q-Crit", Strategy: strat, Cells: m.Cells(), WarmEvals: warm}
+	c := RepeatCase{Strategy: strat}
 
 	before := eng.ArenaStats()
 	scratchBefore := vm.Stats()

@@ -1,16 +1,38 @@
 package metrics
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
-// TestRunRepeatWarmPath is the warm-vs-cold smoke check CI runs through
-// cmd/dfg-bench -repeat: for every strategy, warm prepared evaluations
-// must allocate zero fresh device buffers, reproduce the cold output
-// bitwise, and (for the resident-source strategies) skip re-uploads of
-// unchanged inputs.
+// TestRunRepeatWarmPath is the warm-vs-cold count gate: for every
+// strategy, warm prepared evaluations must allocate zero fresh device
+// buffers, reproduce the cold output bitwise, and (for the
+// resident-source strategies) skip re-uploads of unchanged inputs; and
+// the whole table must equal testdata/repeat.golden byte for byte, so
+// any count that moves — one extra cold allocation or upload included —
+// fails. Regenerate with
+// `go test ./internal/metrics -run TestRunRepeatWarmPath -update`;
+// `dfg-bench -repeat 3` prints the same table.
 func TestRunRepeatWarmPath(t *testing.T) {
 	cases, err := RunRepeat(3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	got := RepeatTable(cases).Text()
+	path := filepath.Join("testdata", "repeat.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("warm/cold counts drifted from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 	if want := len(RepeatNames()); len(cases) != want {
 		t.Fatalf("want %d cases, got %d", want, len(cases))

@@ -38,8 +38,8 @@ func WriteSnapshot(w *bufio.Writer, meta Meta, recs []EvalRecord) error {
 	return w.Flush()
 }
 
-// flushSeq disambiguates snapshot files created within one nanosecond
-// tick (and by concurrent flushers in one process).
+// flushSeq disambiguates snapshot and flight-dump files created within
+// one clock tick (and by concurrent writers in one process).
 var flushSeq atomic.Int64
 
 // WriteFile writes a snapshot into dir (created if needed) under a

@@ -5,36 +5,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dfg/internal/obs"
 )
 
-// FlightSchema identifies the flight-recorder dump format.
-const FlightSchema = "dfg.flight/v1"
-
-// FlightEntry is one recently-completed request in the flight ring:
-// enough identity to read a dump cold, plus the request's full span
-// tree when tracing was on.
-type FlightEntry struct {
-	UnixNS  int64  `json:"t"`
-	Worker  int    `json:"worker"`
-	Expr    string `json:"expr,omitempty"`
-	N       int    `json:"n,omitempty"`
-	TraceID string `json:"trace_id,omitempty"`
-	Err     string `json:"err,omitempty"`
-	DurNS   int64  `json:"dur_ns"`
-
-	// Span holds the request's root span. Finished roots are immutable,
-	// so retaining the pointer is race-free; the dump serialises it as a
-	// SpanDump tree.
-	Span *obs.Span `json:"-"`
-}
+// FlightSchema identifies the flight dump format. v2 carries the
+// tracer's own recent traces where v1 kept a second request ring.
+const FlightSchema = "dfg.flight/v2"
 
 // SpanDump is the JSON form of a span tree in a flight dump.
 type SpanDump struct {
+	ID       string      `json:"id,omitempty"` // the trace ID, on roots
 	Name     string      `json:"name"`
 	Track    string      `json:"track,omitempty"`
 	StartNS  int64       `json:"start_ns"`
@@ -49,6 +31,7 @@ func DumpSpan(s *obs.Span) *SpanDump {
 		return nil
 	}
 	d := &SpanDump{
+		ID:      s.ID(),
 		Name:    s.Name,
 		Track:   s.Track,
 		StartNS: s.Start.UnixNano(),
@@ -92,147 +75,50 @@ func (d *SpanDump) Find(name string) *SpanDump {
 	return nil
 }
 
-// FlightEntryDump is FlightEntry with the span tree inlined.
-type FlightEntryDump struct {
-	FlightEntry
-	Span *SpanDump `json:"span,omitempty"`
-}
-
 // FlightDump is the on-disk postmortem artifact: the trigger, the
-// build/host identity, the recent request ring with span trees, and
-// (when a Recorder is attached) the most recent EvalRecords.
+// build/host identity, the recent finished traces (root span trees,
+// oldest first) and the most recent EvalRecords.
 type FlightDump struct {
-	Schema   string            `json:"schema"`
-	Reason   string            `json:"reason"`
-	DumpedNS int64             `json:"dumped_ns"`
-	Meta     Meta              `json:"meta"`
-	Entries  []FlightEntryDump `json:"entries"`
-	Recent   []EvalRecord      `json:"recent,omitempty"`
+	Schema   string       `json:"schema"`
+	Reason   string       `json:"reason"`
+	DumpedNS int64        `json:"dumped_ns"`
+	Meta     Meta         `json:"meta"`
+	Traces   []*SpanDump  `json:"traces"`
+	Recent   []EvalRecord `json:"recent,omitempty"`
 }
 
-// FlightRecorder keeps a bounded ring of recent requests and writes a
-// FlightDump to disk when something trips — a circuit breaker opening,
-// a worker panic, a failed chaos soak. It exists so postmortems never
-// depend on tracing verbosity having been turned up before the crash.
-//
-// Note is cheap (mutex + ring slot); Dump is the expensive path and
-// only runs on failure. The nil *FlightRecorder is a valid no-op.
-type FlightRecorder struct {
-	mu      sync.Mutex
-	buf     []FlightEntry
-	next    int
-	full    bool
-	dir     string
-	meta    Meta
-	rec     *Recorder // optional: recent EvalRecords ride along in dumps
-	seq     atomic.Int64
-	dumped  atomic.Int64
-	lastErr atomic.Value // string
-}
-
-// DefaultFlightKeep is the ring capacity NewFlightRecorder(0) uses.
-const DefaultFlightKeep = 64
-
-// NewFlightRecorder builds a flight recorder dumping into dir. keep
-// bounds the request ring (DefaultFlightKeep if <= 0); rec optionally
-// attaches a perf recorder whose recent records are included in dumps.
-func NewFlightRecorder(dir string, keep int, meta Meta, rec *Recorder) *FlightRecorder {
-	if keep <= 0 {
-		keep = DefaultFlightKeep
+// WriteFlight writes a flight dump into dir (created if needed) as
+// flight-<ms>-<seq>-<reason>.json and returns the path. roots are
+// finished trace roots — immutable, so serialising them is race-free.
+// An empty dir writes nothing and returns ("", nil).
+func WriteFlight(dir, reason string, meta Meta, roots []*obs.Span, recent []EvalRecord) (string, error) {
+	if dir == "" {
+		return "", nil
 	}
-	return &FlightRecorder{buf: make([]FlightEntry, keep), dir: dir, meta: meta, rec: rec}
-}
-
-// Note files one completed request into the ring.
-func (f *FlightRecorder) Note(e FlightEntry) {
-	if f == nil {
-		return
-	}
-	if e.UnixNS == 0 {
-		e.UnixNS = time.Now().UnixNano()
-	}
-	f.mu.Lock()
-	f.buf[f.next] = e
-	f.next++
-	if f.next == len(f.buf) {
-		f.next, f.full = 0, true
-	}
-	f.mu.Unlock()
-}
-
-// Dumped returns how many dumps have been written.
-func (f *FlightRecorder) Dumped() int64 {
-	if f == nil {
-		return 0
-	}
-	return f.dumped.Load()
-}
-
-// LastError returns the most recent dump-write failure ("" if none) —
-// dumps run on failure paths, so they report rather than propagate.
-func (f *FlightRecorder) LastError() string {
-	if f == nil {
-		return ""
-	}
-	if s, ok := f.lastErr.Load().(string); ok {
-		return s
-	}
-	return ""
-}
-
-// Dump writes the current ring (and the attached recorder's recent
-// records) to dir as flight-<seq>-<reason>.json, returning the path.
-// Failures are recorded on the recorder, not fatal: Dump is called
-// from failure paths that must keep going.
-func (f *FlightRecorder) Dump(reason string) string {
-	if f == nil || f.dir == "" {
-		return ""
-	}
-	f.mu.Lock()
-	size := f.next
-	if f.full {
-		size = len(f.buf)
-	}
-	entries := make([]FlightEntry, 0, size)
-	for i := 0; i < size; i++ {
-		idx := i
-		if f.full {
-			idx = (f.next + i) % len(f.buf)
-		}
-		entries = append(entries, f.buf[idx])
-	}
-	f.mu.Unlock()
-
 	dump := FlightDump{
 		Schema:   FlightSchema,
 		Reason:   reason,
 		DumpedNS: time.Now().UnixNano(),
-		Meta:     f.meta,
-		Entries:  make([]FlightEntryDump, len(entries)),
-		Recent:   f.rec.Last(256),
+		Meta:     meta,
+		Traces:   make([]*SpanDump, len(roots)),
+		Recent:   recent,
 	}
-	for i, e := range entries {
-		dump.Entries[i] = FlightEntryDump{FlightEntry: e, Span: DumpSpan(e.Span)}
-	}
-	name := fmt.Sprintf("flight-%d-%d-%s.json", time.Now().UnixMilli(), f.seq.Add(1), sanitize(reason))
-	path := filepath.Join(f.dir, name)
-	if err := f.write(path, dump); err != nil {
-		f.lastErr.Store(err.Error())
-		return ""
-	}
-	f.dumped.Add(1)
-	return path
-}
-
-func (f *FlightRecorder) write(path string, dump FlightDump) error {
-	if err := os.MkdirAll(f.dir, 0o755); err != nil {
-		return err
+	for i, r := range roots {
+		dump.Traces[i] = DumpSpan(r)
 	}
 	data, err := json.MarshalIndent(dump, "", "  ")
 	if err != nil {
-		return err
+		return "", err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	name := fmt.Sprintf("flight-%d-%d-%s.json", time.Now().UnixMilli(), flushSeq.Add(1), sanitize(reason))
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return "", err
+	}
+	return path, nil
 }
 
 // sanitize keeps dump reasons filename-safe.
@@ -253,66 +139,18 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// LoadFlight reads a flight dump back. The inlined span trees come back
-// as SpanDump values on LoadedFlightEntry.
+// LoadFlight reads a flight dump back, rejecting any other schema.
 func LoadFlight(path string) (FlightDump, error) {
-	var dump FlightDump
+	var d FlightDump
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return dump, err
+		return d, err
 	}
-	// Entries' Span field is json:"-" on the write side; re-declare the
-	// shape for reading so the span trees land somewhere visible.
-	var in struct {
-		Schema   string `json:"schema"`
-		Reason   string `json:"reason"`
-		DumpedNS int64  `json:"dumped_ns"`
-		Meta     Meta   `json:"meta"`
-		Entries  []struct {
-			UnixNS  int64     `json:"t"`
-			Worker  int       `json:"worker"`
-			Expr    string    `json:"expr"`
-			N       int       `json:"n"`
-			TraceID string    `json:"trace_id"`
-			Err     string    `json:"err"`
-			DurNS   int64     `json:"dur_ns"`
-			Span    *SpanDump `json:"span"`
-		} `json:"entries"`
-		Recent []EvalRecord `json:"recent"`
+	if err := json.Unmarshal(data, &d); err != nil {
+		return d, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := json.Unmarshal(data, &in); err != nil {
-		return dump, fmt.Errorf("%s: %w", path, err)
+	if d.Schema != FlightSchema {
+		return d, fmt.Errorf("%s: schema %q, want %q", path, d.Schema, FlightSchema)
 	}
-	if in.Schema != FlightSchema {
-		return dump, fmt.Errorf("%s: schema %q, want %q", path, in.Schema, FlightSchema)
-	}
-	dump = FlightDump{Schema: in.Schema, Reason: in.Reason, DumpedNS: in.DumpedNS, Meta: in.Meta, Recent: in.Recent}
-	for _, e := range in.Entries {
-		dump.Entries = append(dump.Entries, FlightEntryDump{
-			FlightEntry: FlightEntry{UnixNS: e.UnixNS, Worker: e.Worker, Expr: e.Expr, N: e.N, TraceID: e.TraceID, Err: e.Err, DurNS: e.DurNS},
-			Span:        e.Span,
-		})
-	}
-	return dump, nil
-}
-
-// EntrySpans returns each loaded entry's span tree (nil where absent),
-// index-aligned with Entries.
-func (d FlightDump) EntrySpans() []*SpanDump {
-	out := make([]*SpanDump, len(d.Entries))
-	for i := range d.Entries {
-		out[i] = d.Entries[i].Span
-	}
-	return out
-}
-
-// EntryErrs returns the entries whose requests failed.
-func (d FlightDump) EntryErrs() []FlightEntryDump {
-	var out []FlightEntryDump
-	for _, e := range d.Entries {
-		if e.Err != "" {
-			out = append(out, e)
-		}
-	}
-	return out
+	return d, nil
 }

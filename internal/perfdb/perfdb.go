@@ -2,25 +2,24 @@
 // durable, queryable record of its own performance. Every evaluation an
 // instrumented engine runs deposits one compact EvalRecord — identity
 // (fingerprint, strategy, the *resolved* execution tier, optimisation
-// level, size, device class), the stage timings (queue wait, plan,
-// upload, kernel, download, total), device-traffic counts, arena
-// activity, and the fault-recovery flags — into a lock-cheap sharded
-// ring buffer (Recorder). Snapshots flush as schema-versioned JSONL
-// stamped with the build and host identity (Meta), so BENCH_*.json-style
-// artifacts from different PRs, machines and revisions stay comparable.
+// level, size, device class), the wall-clock stage timings (queue wait,
+// plan, total) beside the modeled device times (upload, kernel,
+// download), device-traffic counts, arena activity, and the
+// fault-recovery flags —
+// into a lock-cheap sharded ring buffer (Recorder). Snapshots flush as
+// schema-versioned JSONL stamped with the build and host identity
+// (Meta), which says where a snapshot came from.
 //
-// On top of the raw records sit three consumers:
+// On top of the raw records sit two consumers:
 //
-//   - Aggregate/Compare: per (fingerprint, strategy, opt, size-bucket)
-//     aggregation with tolerance-based regression verdicts — the engine
-//     behind cmd/dfg-report's regression gate and the future auto-tuner's
-//     offline input;
-//   - FlightRecorder: a bounded ring of recent requests with their full
-//     span trees, dumped to disk automatically on a circuit-breaker trip
-//     or worker panic, so postmortems never depend on having had tracing
-//     verbosity turned up in advance;
+//   - WriteFlight: the postmortem dump a serve pool writes on a
+//     circuit-breaker trip or worker panic — the tracer's recent span
+//     trees plus the recorder's most recent records;
 //   - the serve layer's HTTP surface, which links Prometheus histogram
 //     exemplars to retained traces by trace id.
+//
+// Counts are gated as goldens (internal/metrics/testdata), not by
+// comparing snapshots; wall-clock comparison is benchmark/'s job.
 //
 // The package deliberately depends only on internal/obs (for span
 // dumps): dfg, serve and the benchmarks all import it, so it must sit at
@@ -38,11 +37,13 @@ import (
 
 // Schema identifies the perf-database record format. Bump the version on
 // any incompatible field change; readers reject schemas they don't know.
-// v2 added the per-record batch size (EvalRecord.Batch).
-const Schema = "dfg.perfdb/v2"
+// v2 added the per-record batch size (EvalRecord.Batch); v3 renamed the
+// modeled device times to modeled_*_ns.
+const Schema = "dfg.perfdb/v3"
 
 // EvalRecord is one evaluation's compact performance record. Durations
-// are nanoseconds; modeled device times come from the run's ocl.Profile.
+// are nanoseconds: QueueWaitNS, PlanNS and TotalNS are host wall clock,
+// the Modeled* times come from the run's simulated ocl.Profile.
 type EvalRecord struct {
 	// UnixNS timestamps the record (record time, not enqueue time).
 	UnixNS int64 `json:"t"`
@@ -73,11 +74,11 @@ type EvalRecord struct {
 	QueueWaitNS int64 `json:"queue_wait_ns,omitempty"`
 	// PlanNS covers compile+plan for the call (0 on warm prepared evals,
 	// where planning happened at Prepare time).
-	PlanNS     int64 `json:"plan_ns,omitempty"`
-	UploadNS   int64 `json:"upload_ns,omitempty"`
-	KernelNS   int64 `json:"kernel_ns,omitempty"`
-	DownloadNS int64 `json:"download_ns,omitempty"`
-	TotalNS    int64 `json:"total_ns"`
+	PlanNS            int64 `json:"plan_ns,omitempty"`
+	ModeledUploadNS   int64 `json:"modeled_upload_ns,omitempty"`
+	ModeledKernelNS   int64 `json:"modeled_kernel_ns,omitempty"`
+	ModeledDownloadNS int64 `json:"modeled_download_ns,omitempty"`
+	TotalNS           int64 `json:"total_ns"`
 
 	Writes     int   `json:"writes"`
 	Reads      int   `json:"reads"`
@@ -103,8 +104,8 @@ type EvalRecord struct {
 	Err        string `json:"err,omitempty"`
 }
 
-// Meta stamps a snapshot with the identity needed to compare it against
-// snapshots from other machines, builds and revisions.
+// Meta stamps a snapshot or flight dump with the build and host that
+// produced it.
 type Meta struct {
 	Schema    string `json:"schema"`
 	Kind      string `json:"kind"` // "meta" (the JSONL header line)

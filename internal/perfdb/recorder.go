@@ -132,7 +132,7 @@ func (r *Recorder) Snapshot() []EvalRecord {
 }
 
 // Last returns up to n of the most recent records (by timestamp),
-// oldest first — the flight recorder's view of recent history.
+// oldest first — a flight dump's view of recent history.
 func (r *Recorder) Last(n int) []EvalRecord {
 	all := r.Snapshot()
 	if n <= 0 || n >= len(all) {

@@ -111,7 +111,7 @@ func (p *Pool) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleTraceByID serves one retained trace — /trace/{id} — resolving
 // the trace IDs that exemplars, /slow lines, perf-database records and
-// flight-recorder entries carry. Text by default; ?format=json returns
+// flight-dump traces carry. Text by default; ?format=json returns
 // the span tree in the flight-dump SpanDump shape.
 func (p *Pool) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	if p.tracer == nil {

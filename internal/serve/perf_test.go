@@ -146,64 +146,79 @@ func TestFlushPerfConcurrentWithClose(t *testing.T) {
 
 // TestFlightDumpOnBreakerTrip: a device loss rescued by the recovery
 // ladder still trips the breaker, which must leave a parseable flight
-// dump containing the tripping request's span tree. This is the
+// dump whose last trace is the tripping request's span tree. This is the
 // acceptance gate for the postmortem path, and runs under -race in CI.
+// With tracing off (TraceKeep < 0) the dump still carries the recent
+// perf records, and no traces.
 func TestFlightDumpOnBreakerTrip(t *testing.T) {
-	dir := t.TempDir()
-	var armed bool
-	pool, err := NewPool(Config{
-		Workers:         1,
-		Device:          dfg.CPU,
-		Strategy:        "fusion",
-		PerfDir:         dir,
-		BreakerCooldown: time.Hour, // keep the trip visible
-		FaultPlanFor: func(worker int) *ocl.FaultPlan {
-			if !armed {
-				armed = true
-				return ocl.NewFaultPlan(1).LoseDeviceAt(0)
+	for _, keep := range []int{0, -1} {
+		dir := t.TempDir()
+		var armed bool
+		pool, err := NewPool(Config{
+			Workers:         1,
+			Device:          dfg.CPU,
+			Strategy:        "fusion",
+			PerfDir:         dir,
+			TraceKeep:       keep,
+			BreakerCooldown: time.Hour, // keep the trip visible
+			FaultPlanFor: func(worker int) *ocl.FaultPlan {
+				if !armed {
+					armed = true
+					return ocl.NewFaultPlan(1).LoseDeviceAt(0)
+				}
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+
+		// The device dies on the first kernel; the VM rung rescues the
+		// request, the breaker trips, and the trip must dump.
+		req := perfReq()
+		if _, err := pool.Submit(context.Background(), req); err != nil {
+			t.Fatalf("TraceKeep %d: rescued request failed: %v", keep, err)
+		}
+		if states := pool.BreakerStates(); states[0] != "open" {
+			t.Fatalf("TraceKeep %d: breaker = %q, want open", keep, states[0])
+		}
+
+		files, err := filepath.Glob(filepath.Join(dir, "flight-*-breaker-trip.json"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("TraceKeep %d: breaker-trip dumps = %v (err=%v), want exactly one", keep, files, err)
+		}
+		d, err := perfdb.LoadFlight(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Reason != "breaker-trip" || len(d.Recent) == 0 {
+			t.Fatalf("TraceKeep %d: dump reason=%q recent=%d", keep, d.Reason, len(d.Recent))
+		}
+		if got := pool.flightDumps.Load(); got != 1 {
+			t.Fatalf("TraceKeep %d: dumps = %d, want 1", keep, got)
+		}
+		if keep < 0 {
+			if len(d.Traces) != 0 {
+				t.Fatalf("tracing off: dump carries %d traces, want 0", len(d.Traces))
 			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	// The device dies on the first kernel; the VM rung rescues the
-	// request, the breaker trips, and the trip must dump the flight ring.
-	if _, err := pool.Submit(context.Background(), perfReq()); err != nil {
-		t.Fatalf("rescued request failed: %v", err)
-	}
-	if states := pool.BreakerStates(); states[0] != "open" {
-		t.Fatalf("breaker = %q, want open", states[0])
-	}
-
-	files, err := filepath.Glob(filepath.Join(dir, "flight-*-breaker-trip.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("breaker-trip dumps = %v (err=%v), want exactly one", files, err)
-	}
-	d, err := perfdb.LoadFlight(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Reason != "breaker-trip" || len(d.Entries) == 0 {
-		t.Fatalf("dump: reason=%q entries=%d", d.Reason, len(d.Entries))
-	}
-	last := d.Entries[len(d.Entries)-1]
-	if last.Span == nil || last.Span.Name != "request" {
-		t.Fatalf("tripping request's span tree missing: %+v", last.Span)
-	}
-	// The rescue is visible in the tree: the ladder recorded a fallback
-	// and the evaluation resolved to the VM rung.
-	if last.Span.Find("fallback") == nil {
-		t.Fatalf("span tree lacks the fallback rung:\n%+v", last.Span)
-	}
-	if len(d.Recent) == 0 {
-		t.Fatal("dump carries no recent perf records")
-	}
-	if pool.FlightRecorder().Dumped() != 1 {
-		t.Fatalf("Dumped = %d, want 1", pool.FlightRecorder().Dumped())
+			continue
+		}
+		if len(d.Traces) == 0 {
+			t.Fatal("dump carries no traces")
+		}
+		last := d.Traces[len(d.Traces)-1]
+		if last.Name != "request" || last.ID == "" {
+			t.Fatalf("tripping request's span tree missing: %+v", last)
+		}
+		if last.Attr("worker") != "0" || last.Attr("expr") != req.Expr {
+			t.Fatalf("root does not name its worker and expression: %v", last.Attrs)
+		}
+		// The rescue is visible in the tree: the ladder recorded a fallback
+		// and the evaluation resolved to the VM rung.
+		if last.Find("fallback") == nil {
+			t.Fatalf("span tree lacks the fallback rung:\n%+v", last)
+		}
 	}
 }
 

@@ -112,8 +112,9 @@ type Config struct {
 	BatchMax int
 
 	// TraceKeep sizes the ring of recent request traces (the /trace
-	// endpoint's window). Zero keeps obs.DefaultKeep; negative disables
-	// request tracing entirely (metrics stay on).
+	// endpoint's window, and the traces a flight dump carries). Zero
+	// keeps obs.DefaultKeep; negative disables request tracing entirely
+	// (metrics stay on), which also empties flight dumps of traces.
 	TraceKeep int
 	// SlowThreshold, if positive, turns on the slow-request log: any
 	// request whose end-to-end latency (queue wait + execution) reaches
@@ -148,15 +149,11 @@ type Config struct {
 
 	// PerfDir, when set, is the perf-database directory: Close (and
 	// FlushPerf) write the pool's evaluation records there as
-	// schema-versioned JSONL, and the flight recorder writes its
-	// postmortem dumps there when a breaker trips or a worker panics.
-	// Empty keeps the continuous-profiling recorder in memory only (its
-	// ring is still live and inspectable) and disables flight dumps.
+	// schema-versioned JSONL, and DumpFlight writes its postmortem dumps
+	// there when a breaker trips or a worker panics. Empty keeps the
+	// continuous-profiling recorder in memory only (its ring is still
+	// live and inspectable) and disables flight dumps.
 	PerfDir string
-	// FlightKeep sizes the flight recorder's ring of recent requests
-	// (0 means perfdb.DefaultFlightKeep); negative disables the flight
-	// recorder entirely.
-	FlightKeep int
 	// TailPercent is the slowest-request percentile the tracer retains
 	// beyond its recent ring (tail-based sampling). 0 means
 	// obs.DefaultTailPercent; negative keeps only errored, degraded or
@@ -308,12 +305,12 @@ type Pool struct {
 
 	// Continuous profiling: every worker engine deposits one EvalRecord
 	// per evaluation into perf (a sharded ring shared by the whole
-	// pool); flight keeps the postmortem ring of recent requests and
-	// dumps it on breaker trips and worker panics. meta stamps both the
-	// JSONL snapshots and the flight dumps with build/host identity.
-	perf   *perfdb.Recorder
-	flight *perfdb.FlightRecorder
-	meta   perfdb.Meta
+	// pool); flightDumps counts the postmortems DumpFlight wrote. meta
+	// stamps both the JSONL snapshots and the flight dumps with
+	// build/host identity.
+	perf        *perfdb.Recorder
+	flightDumps atomic.Int64
+	meta        perfdb.Meta
 
 	start    time.Time
 	closedAt atomic.Int64 // unix ns; 0 while the pool is open
@@ -370,9 +367,6 @@ func NewPool(cfg Config) (*Pool, error) {
 	}
 	p.perf = perfdb.NewRecorder(0)
 	p.meta = perfdb.CollectMeta(cfg.Device.String())
-	if cfg.FlightKeep >= 0 {
-		p.flight = perfdb.NewFlightRecorder(cfg.PerfDir, cfg.FlightKeep, p.meta, p.perf)
-	}
 	if cfg.SlowThreshold > 0 && p.tracer != nil {
 		logw := cfg.SlowLog
 		if logw == nil {
@@ -637,7 +631,7 @@ func (p *Pool) registerMetrics() {
 	r.CounterFunc("dfg_perf_records_dropped_total", "Perf records overwritten in the ring before a flush.",
 		nil, func() float64 { return float64(p.perf.Dropped()) })
 	r.CounterFunc("dfg_flight_dumps_total", "Flight-recorder postmortem dumps written.",
-		nil, func() float64 { return float64(p.flight.Dumped()) })
+		nil, func() float64 { return float64(p.flightDumps.Load()) })
 	obs.RegisterRuntimeMetrics(r)
 
 	// Batch-forming scheduler series. The size histogram reuses the
@@ -670,10 +664,24 @@ func (p *Pool) Tracer() *obs.Tracer { return p.tracer }
 // non-nil): every worker evaluation deposits one perfdb.EvalRecord here.
 func (p *Pool) PerfRecorder() *perfdb.Recorder { return p.perf }
 
-// FlightRecorder exposes the pool's flight recorder (nil when disabled
-// via FlightKeep < 0). Embedders may call Dump on it directly — e.g. a
-// failed external soak wanting the postmortem artifact.
-func (p *Pool) FlightRecorder() *perfdb.FlightRecorder { return p.flight }
+// DumpFlight writes a postmortem flight dump into Config.PerfDir — the
+// tracer's recent traces (none when TraceKeep < 0) and the perf
+// recorder's last 256 records — and returns its path. It runs on
+// failure paths that must keep going, so a write failure is reported on
+// stderr and returns "", as does a pool without a PerfDir. Embedders may
+// call it directly, e.g. a failed external soak wanting the artifact.
+func (p *Pool) DumpFlight(reason string) string {
+	if p.cfg.PerfDir == "" {
+		return ""
+	}
+	path, err := perfdb.WriteFlight(p.cfg.PerfDir, reason, p.meta, p.tracer.Last(0), p.perf.Last(256))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "serve: flight dump %s: %v\n", reason, err)
+		return ""
+	}
+	p.flightDumps.Add(1)
+	return path
+}
 
 // FlushPerf writes the perf recorder's current contents to Config.PerfDir
 // as one schema-versioned JSONL snapshot and returns its path. It is safe
@@ -891,13 +899,13 @@ func (p *Pool) admit(ws *workerState, j *job, pickup time.Time) (ok, probe bool)
 }
 
 // runSolo evaluates one member alone on the worker's engine — the
-// request trace, flight filing, outcome counters and breaker bookkeeping
-// — and delivers its response.
+// request trace, outcome counters and breaker bookkeeping — and delivers
+// its response.
 func (p *Pool) runSolo(ws *workerState, m *member, hops int, pickup time.Time, probe bool) {
 	root := p.tracer.Start("request")
 	if root != nil {
 		root.Start = m.enqueued // the trace covers queue (and forming) wait too
-		root.SetAttr("worker", strconv.Itoa(ws.id))
+		root.SetAttr("worker", strconv.Itoa(ws.id)).SetAttr("expr", m.req.Expr)
 		if !m.formed.IsZero() {
 			root.Event("batch-forming", "", m.enqueued, m.formed)
 		}
@@ -920,25 +928,13 @@ func (p *Pool) runSolo(ws *workerState, m *member, hops int, pickup time.Time, p
 	}
 	resp.Err = err
 	resp.Run = time.Since(pickup)
+	// Finishing publishes the trace before any breaker bookkeeping, so a
+	// dump triggered by this very request includes its own span tree.
 	if root != nil {
 		if err != nil {
 			root.SetAttr("error", err.Error())
 		}
 		root.Finish()
-	}
-	// File the request into the flight ring before any breaker
-	// bookkeeping, so a dump triggered by this very request
-	// includes its own span tree.
-	if p.flight != nil {
-		fe := perfdb.FlightEntry{
-			UnixNS: pickup.UnixNano(), Worker: ws.id,
-			Expr: m.req.Expr, N: m.req.N,
-			TraceID: root.ID(), DurNS: int64(resp.Run), Span: root,
-		}
-		if err != nil {
-			fe.Err = err.Error()
-		}
-		p.flight.Note(fe)
 	}
 	p.busy[ws.id].Add(int64(resp.Run))
 	p.runHist.Observe(resp.Run)
@@ -1008,13 +1004,6 @@ func (p *Pool) runMerged(ws *workerState, j *job, pickup time.Time) bool {
 	p.batches.Add(1)
 	p.batchSizeHist.Observe(time.Duration(len(members)) * time.Microsecond)
 	p.batchShared.Add(int64(bres.Shared))
-	if p.flight != nil {
-		p.flight.Note(perfdb.FlightEntry{
-			UnixNS: pickup.UnixNano(), Worker: ws.id,
-			Expr: fmt.Sprintf("batch[%d]: %s", len(members), req0.Expr),
-			N:    req0.N, TraceID: root.ID(), DurNS: int64(run), Span: root,
-		})
-	}
 	p.busy[ws.id].Add(int64(run))
 	res0 := bres.Results[0]
 	p.acc.Add(res0.Profile, res0.PeakDeviceBytes)
@@ -1038,9 +1027,9 @@ func (p *Pool) runMerged(ws *workerState, j *job, pickup time.Time) bool {
 func (p *Pool) settle(ws *workerState, err error, now time.Time) {
 	if errors.Is(err, ErrWorkerPanic) {
 		// The device (or a kernel on it) panicked; the engine state is
-		// suspect. Dump the flight ring, replace the engine, and keep
+		// suspect. Dump the recent traces, replace the engine, and keep
 		// serving.
-		p.flight.Dump("worker-panic")
+		p.DumpFlight("worker-panic")
 		p.restartWorker(ws)
 		return
 	}
@@ -1070,9 +1059,9 @@ func (p *Pool) settle(ws *workerState, err error, now time.Time) {
 	}
 	if ws.br.failure(now, lost) {
 		// The failure that opens a breaker is exactly the postmortem
-		// moment: dump the flight ring while the failing request's span
-		// tree is still in it.
-		p.flight.Dump("breaker-trip")
+		// moment: dump while the failing request's span tree is still in
+		// the tracer's recent ring.
+		p.DumpFlight("breaker-trip")
 	}
 	if ws.br.failedProbes() >= p.cfg.ReplaceAfterProbes {
 		p.restartWorker(ws)

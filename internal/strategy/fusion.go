@@ -6,7 +6,6 @@ import (
 	"dfg/internal/codegen"
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
-	"dfg/internal/vm"
 )
 
 // Fusion is the paper's fastest execution strategy: the dynamic kernel
@@ -52,10 +51,6 @@ func (Fusion) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	}
 	return &fusionPlan{planBase: base, prog: prog}, nil
 }
-
-// program exposes the lowered program the fused kernel runs, so the
-// tiered plan's vm tier shares it instead of lowering again.
-func (p *fusionPlan) program() *vm.Program { return p.prog.Exec }
 
 // Execute runs the fused kernel.
 func (p *fusionPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {

@@ -5,7 +5,6 @@ import (
 
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
-	"dfg/internal/vm"
 )
 
 // DefaultVMThreshold is the tiered strategy's default cutover: requests
@@ -17,15 +16,13 @@ import (
 const DefaultVMThreshold = 4096
 
 // Tiered is the tiered execution model: each execution picks the host
-// VM for small requests (N strictly below Threshold) and the configured
-// Device strategy otherwise. The choice is per-binding and made inside
-// one immutable plan, so a prepared expression serves any mesh size and
-// the decision is stable across repeated Prepare calls by construction.
+// VM for small requests (N strictly below Threshold) and Fusion
+// otherwise. The choice is per-binding and made inside one immutable
+// plan, so a prepared expression serves any mesh size and the decision
+// is stable across repeated Prepare calls by construction.
 type Tiered struct {
 	// Threshold is the cell-count cutover; 0 means DefaultVMThreshold.
 	Threshold int
-	// Device is the at-or-above-threshold strategy; nil means Fusion.
-	Device Strategy
 }
 
 // Name returns "tiered".
@@ -39,23 +36,10 @@ func (t Tiered) threshold() int {
 	return t.Threshold
 }
 
-// device returns the configured device strategy with the default
-// applied.
-func (t Tiered) device() Strategy {
-	if t.Device == nil {
-		return Fusion{}
-	}
-	return t.Device
-}
-
-// PlanVariant distinguishes tiered configurations in the plan cache:
-// "tiered@N" with the default fusion device tier, "tiered@N+name"
-// otherwise.
+// PlanVariant distinguishes tiered configurations in the plan cache by
+// threshold: "tiered@N".
 func (t Tiered) PlanVariant() string {
-	if _, isFusion := t.device().(Fusion); isFusion {
-		return fmt.Sprintf("tiered@%d", t.threshold())
-	}
-	return fmt.Sprintf("tiered@%d+%s", t.threshold(), PlanCacheName(t.device()))
+	return fmt.Sprintf("tiered@%d", t.threshold())
 }
 
 // tieredPlan pins both tiers' plans; Execute picks per binding.
@@ -66,28 +50,21 @@ type tieredPlan struct {
 	dev       Plan
 }
 
-// Plan plans both tiers. A fusion device tier hands its lowered program
-// to the vm tier, so the network lowers once; other device tiers have
-// none to share.
+// Plan plans both tiers. The fusion device tier hands its lowered
+// program to the vm tier, so the network lowers once.
 func (t Tiered) Plan(net *dataflow.Network, dev *ocl.Device) (Plan, error) {
 	base, err := newPlanBase("tiered", net)
 	if err != nil {
 		return nil, err
 	}
-	devPlan, err := t.device().Plan(net, dev)
+	devPlan, err := Fusion{}.Plan(net, dev)
 	if err != nil {
-		return nil, err
-	}
-	var prog *vm.Program
-	if lowered, ok := devPlan.(interface{ program() *vm.Program }); ok {
-		prog = lowered.program()
-	} else if prog, err = vm.Compile(net); err != nil {
 		return nil, err
 	}
 	hostBase := base
 	hostBase.name = "vm" // the tier reports itself, not "tiered", as Resolved
 	return &tieredPlan{planBase: base, threshold: t.threshold(),
-		vm: &vmPlan{planBase: hostBase, prog: prog}, dev: devPlan}, nil
+		vm: &vmPlan{planBase: hostBase, prog: devPlan.(*fusionPlan).prog.Exec}, dev: devPlan}, nil
 }
 
 // Execute routes the binding to its tier: VM strictly below the

@@ -420,9 +420,6 @@ func TestTieredDefaultsAndNames(t *testing.T) {
 	if names[len(names)-1] != "vm" {
 		t.Fatalf("ExtendedNames must include vm, got %v", names)
 	}
-	if v := (Tiered{Threshold: 7, Device: Streaming{Tiles: 8}}); PlanCacheName(v) != "tiered@7+streaming@8" {
-		t.Fatalf("composed variant = %q", PlanCacheName(v))
-	}
 }
 
 // TestVMCancellation mirrors the device strategies' between-launch

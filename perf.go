@@ -105,9 +105,9 @@ func (e *Engine) recordEval(c *evalCapture, res *Result, err error, j job, n int
 	}
 	e.pendingWait, e.pendingPlan = 0, 0
 	if res != nil {
-		rec.UploadNS = res.Profile.WriteTime.Nanoseconds()
-		rec.KernelNS = res.Profile.KernelTime.Nanoseconds()
-		rec.DownloadNS = res.Profile.ReadTime.Nanoseconds()
+		rec.ModeledUploadNS = res.Profile.WriteTime.Nanoseconds()
+		rec.ModeledKernelNS = res.Profile.KernelTime.Nanoseconds()
+		rec.ModeledDownloadNS = res.Profile.ReadTime.Nanoseconds()
 		rec.Writes = res.Profile.Writes
 		rec.Reads = res.Profile.Reads
 		rec.Kernels = res.Profile.Kernels
