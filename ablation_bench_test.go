@@ -17,6 +17,7 @@ import (
 	"dfg"
 	"dfg/internal/expr"
 	"dfg/internal/ocl"
+	"dfg/internal/passes"
 	"dfg/internal/strategy"
 	"dfg/internal/vm"
 	"dfg/internal/vm/vmtest"
@@ -45,7 +46,9 @@ func BenchmarkAblation_CSE(b *testing.B) {
 				b.Fatal(err)
 			}
 			if cse {
-				net.EliminateCommonSubexpressions()
+				if _, err := passes.Paper.Run(net); err != nil {
+					b.Fatal(err)
+				}
 			}
 			s, _ := strategy.ForName("staged")
 			var kernels, devNs float64

@@ -91,6 +91,7 @@ func BenchmarkFig2_Schematic(b *testing.B) {
 func BenchmarkFig3_Parse(b *testing.B) {
 	for _, e := range vortex.Expressions() {
 		b.Run(e.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := expr.Compile(e.Text); err != nil {
 					b.Fatal(err)

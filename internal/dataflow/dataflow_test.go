@@ -246,93 +246,6 @@ func TestDecompose(t *testing.T) {
 	}
 }
 
-func TestCSEDeduplicatesConstantsAndDecomposes(t *testing.T) {
-	nw := NewNetwork()
-	for _, s := range []string{"u", "dims", "x", "y", "z"} {
-		nw.AddSource(s)
-	}
-	g1, _ := nw.AddFilter("grad3d", "u", "dims", "x", "y", "z")
-	g2, _ := nw.AddFilter("grad3d", "u", "dims", "x", "y", "z") // duplicate
-	c1 := nw.AddConst(0.5)
-	c2 := nw.AddConst(0.5) // duplicate constant
-	c3 := nw.AddConst(2.0) // distinct constant survives
-	d1, _ := nw.AddDecompose(g1, 1)
-	d2, _ := nw.AddDecompose(g2, 1) // duplicate after g2 -> g1
-	d3, _ := nw.AddDecompose(g1, 2) // distinct component survives
-	m1, _ := nw.AddFilter("mul", c1, d1)
-	m2, _ := nw.AddFilter("mul", c2, d2) // duplicate after remaps
-	a, _ := nw.AddFilter("add", m1, m2)
-	b, _ := nw.AddFilter("mul", c3, d3)
-	out, _ := nw.AddFilter("add", a, b)
-	nw.SetOutput(out)
-
-	n := nw.EliminateCommonSubexpressions()
-	// Eliminated: g2, c2, d2, m2 = 4 nodes.
-	if n != 4 {
-		t.Fatalf("want 4 eliminated nodes, got %d", n)
-	}
-	if err := nw.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// add(m1, m2) must now read m1 twice.
-	addNode := nw.Node(a)
-	if addNode.Inputs[0] != addNode.Inputs[1] {
-		t.Fatalf("duplicate mul should collapse: %v", addNode.Inputs)
-	}
-	order, err := nw.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	grads, consts, decs := 0, 0, 0
-	for _, nd := range order {
-		switch nd.Filter {
-		case "grad3d":
-			grads++
-		case "const":
-			consts++
-		case "decompose":
-			decs++
-		}
-	}
-	if grads != 1 || consts != 2 || decs != 2 {
-		t.Fatalf("after CSE: grads=%d consts=%d decs=%d, want 1/2/2", grads, consts, decs)
-	}
-}
-
-func TestCSEIsOrderSensitive(t *testing.T) {
-	// The paper's "limited" CSE must NOT merge add(a, b) with add(b, a):
-	// Q-criterion's s_1 and s_3 stay distinct kernels in Table II.
-	nw := NewNetwork()
-	nw.AddSource("a")
-	nw.AddSource("b")
-	x, _ := nw.AddFilter("add", "a", "b")
-	y, _ := nw.AddFilter("add", "b", "a")
-	out, _ := nw.AddFilter("mul", x, y)
-	nw.SetOutput(out)
-	if n := nw.EliminateCommonSubexpressions(); n != 0 {
-		t.Fatalf("commuted adds must not merge, eliminated %d", n)
-	}
-}
-
-func TestCSERemapsOutputAndAliases(t *testing.T) {
-	nw := NewNetwork()
-	nw.AddSource("a")
-	x, _ := nw.AddFilter("sqrt", "a")
-	y, _ := nw.AddFilter("sqrt", "a")
-	nw.Alias("first", x)
-	nw.Alias("second", y)
-	nw.SetOutput(y)
-	if n := nw.EliminateCommonSubexpressions(); n != 1 {
-		t.Fatalf("want 1 eliminated, got %d", n)
-	}
-	if nw.Output() != x {
-		t.Fatalf("output should remap to %q, got %q", x, nw.Output())
-	}
-	if nw.Node("second") != nw.Node("first") {
-		t.Fatal("alias should remap to the surviving node")
-	}
-}
-
 func TestScriptGolden(t *testing.T) {
 	nw := NewNetwork()
 	nw.AddSource("u")
@@ -405,8 +318,8 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestRandomNetworksScheduleValidly is a property test: randomly built
-// networks always topo-sort into an order where inputs precede users,
-// and CSE never invalidates the network.
+// networks (dead nodes included) always topo-sort into an order where
+// inputs precede users, element for element the reference order.
 func TestRandomNetworksScheduleValidly(t *testing.T) {
 	elementwise := []string{"add", "sub", "mul", "div", "min", "max"}
 	f := func(seed int64) bool {
@@ -440,10 +353,7 @@ func TestRandomNetworksScheduleValidly(t *testing.T) {
 		if err := nw.Validate(); err != nil {
 			return false
 		}
-		nw.EliminateCommonSubexpressions()
-		if err := nw.Validate(); err != nil {
-			return false
-		}
+		AssertReferenceOrder(t, "random network", nw)
 		order, err := nw.TopoOrder()
 		if err != nil {
 			return false
@@ -500,7 +410,7 @@ func TestSealFreezesNetwork(t *testing.T) {
 	mustPanic("AddDecompose", func() { nw.AddDecompose("u", 0) })
 	mustPanic("Alias", func() { nw.Alias("a", id) })
 	mustPanic("SetOutput", func() { nw.SetOutput(id) })
-	mustPanic("CSE", func() { nw.EliminateCommonSubexpressions() })
+	mustPanic("RemoveNodes", func() { nw.RemoveNodes([]string{id}) })
 
 	// Read-side still works.
 	if err := nw.Validate(); err != nil {

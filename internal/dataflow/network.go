@@ -33,24 +33,6 @@ func (n *Node) Info() FilterInfo {
 	return fi
 }
 
-// key returns the node's structural identity used by common
-// sub-expression elimination: filter, parameters and exact input order.
-// Input order matters — the paper's CSE is "limited" and does not exploit
-// commutativity, which is what keeps the Table II counts intact.
-func (n *Node) key() string {
-	k := n.Filter
-	if n.Filter == "const" {
-		k += ":" + strconv.FormatFloat(n.Value, 'g', -1, 64)
-	}
-	if n.Filter == "decompose" {
-		k += ":" + strconv.Itoa(n.Comp)
-	}
-	for _, in := range n.Inputs {
-		k += "|" + in
-	}
-	return k
-}
-
 // Network is a dataflow network specification: an ordered list of nodes
 // with exactly one designated output. Construction is "create and
 // connect": every input named when a node is added must already exist,
@@ -71,6 +53,10 @@ type Network struct {
 	roots  []string
 	nextID int
 	sealed bool
+	// Seal's one Validate and TopoOrder, returned by both from then on.
+	valid    error
+	order    []*Node
+	orderErr error
 }
 
 // NewNetwork creates an empty network.
@@ -82,11 +68,24 @@ func NewNetwork() *Network {
 }
 
 // Seal freezes the network: any subsequent mutation (adding nodes,
-// aliasing, changing the output, or running CSE) panics. Sealing is what
+// aliasing, changing the output, or rewriting) panics. Sealing is what
 // makes a compiled network shareable — engines, strategies and the
 // shared compile cache all read sealed networks concurrently without
-// locking. Sealing twice is a no-op.
-func (nw *Network) Seal() { nw.sealed = true }
+// locking. Seal validates and orders the network once and keeps both
+// answers, so Validate and TopoOrder on a sealed network are lookups;
+// it must therefore run before the network is published to other
+// goroutines. Sealing twice is a no-op.
+func (nw *Network) Seal() {
+	if nw.sealed {
+		return
+	}
+	nw.order, nw.orderErr = nw.topoOrder()
+	nw.valid = nw.checkNodes()
+	if nw.valid == nil && nw.output != "" {
+		nw.valid = nw.orderErr
+	}
+	nw.sealed = true
+}
 
 // Sealed reports whether the network has been frozen.
 func (nw *Network) Sealed() bool { return nw.sealed }
@@ -352,82 +351,122 @@ func (nw *Network) Consumers() map[string]int {
 	return counts
 }
 
-// TopoOrder returns the live nodes (those that reach the output) in a
-// valid execution order, using Kahn's algorithm over the dependency
-// graph. The order is stable with respect to construction order. An
-// error is reported if the output is unset or a cycle is detected
-// (impossible through the builder API, but specs may be hand-built).
+// TopoOrder returns the live nodes (those that reach a root) in a valid
+// execution order, using Kahn's algorithm over the dependency graph. The
+// order is stable with respect to construction order: the ready queue
+// starts with the live leaves in construction order, and each node's
+// dependents are released in construction order. An error is reported
+// if the output is unset or a cycle is detected (impossible through the
+// builder API, but specs may be hand-built). On a sealed network it
+// returns the order Seal computed, without allocating; like Roots, the
+// returned slice must not be mutated.
 func (nw *Network) TopoOrder() ([]*Node, error) {
+	if nw.sealed {
+		return nw.order, nw.orderErr
+	}
+	return nw.topoOrder()
+}
+
+// topoOrder runs Kahn's algorithm over node positions: one ID -> index
+// map, then int32 in-degrees and a CSR (compressed sparse row) array of
+// each node's dependents, so the schedule — and everything derived from
+// it, like generated kernel source — is deterministic.
+func (nw *Network) topoOrder() ([]*Node, error) {
 	if nw.output == "" {
 		return nil, fmt.Errorf("dataflow: network has no output")
 	}
-	live := nw.liveSet()
-
-	// Build edge lists in construction order so the schedule — and
-	// everything derived from it, like generated kernel source — is
-	// deterministic.
-	indeg := make(map[string]int, len(live))
-	dependents := make(map[string][]string, len(live))
-	for _, n := range nw.nodes {
-		if !live[n.ID] {
+	n := len(nw.nodes)
+	pos := make(map[string]int32, n)
+	for i, nd := range nw.nodes {
+		pos[nd.ID] = int32(i)
+	}
+	// indeg[i] is -1 while no root reaches node i; queue is the marking
+	// stack first and Kahn's ready queue after. Node j's dependents are
+	// counted into start[j+2], so that after the prefix sum start[j+1]
+	// is where row j begins, and filling row j advances it to where the
+	// row ends: deps[start[j]:start[j+1]].
+	buf := make([]int32, 3*n+2)
+	indeg, queue, start := buf[:n], buf[n:n:2*n], buf[2*n:]
+	for i := range indeg {
+		indeg[i] = -1
+	}
+	reach := func(id string) (int32, bool) {
+		j, ok := pos[id]
+		if ok && indeg[j] < 0 {
+			indeg[j] = int32(len(nw.nodes[j].Inputs)) // every input of a live node is live
+			queue = append(queue, j)
+		}
+		return j, ok
+	}
+	for _, r := range nw.Roots() {
+		reach(r) // roots resolve by construction
+	}
+	live := 0
+	for len(queue) > 0 {
+		i := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		live++
+		for _, in := range nw.nodes[i].Inputs {
+			j, ok := reach(in)
+			if !ok {
+				return nil, fmt.Errorf("dataflow: node %q: missing input %q", nw.nodes[i].ID, in)
+			}
+			start[j+2]++
+		}
+	}
+	for k := 2; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	deps := make([]int32, start[n+1])
+	for i, nd := range nw.nodes {
+		if indeg[i] < 0 {
 			continue
 		}
-		for _, in := range n.Inputs {
-			if live[in] {
-				indeg[n.ID]++
-				dependents[in] = append(dependents[in], n.ID)
+		for _, in := range nd.Inputs {
+			j := pos[in]
+			deps[start[j+1]] = int32(i)
+			start[j+1]++
+		}
+	}
+
+	for i := range nw.nodes {
+		if indeg[i] == 0 {
+			queue = append(queue, int32(i))
+		}
+	}
+	for h := 0; h < len(queue); h++ {
+		for _, d := range deps[start[queue[h]]:start[queue[h]+1]] {
+			if indeg[d]--; indeg[d] == 0 {
+				queue = append(queue, d)
 			}
 		}
 	}
-	var order []*Node
-	// Ready queue in construction order for stability.
-	for _, n := range nw.nodes {
-		if live[n.ID] && indeg[n.ID] == 0 {
-			order = append(order, n)
-		}
+	if len(queue) != live {
+		return nil, fmt.Errorf("dataflow: cycle detected (%d of %d nodes schedulable)", len(queue), live)
 	}
-	for i := 0; i < len(order); i++ {
-		for _, dep := range dependents[order[i].ID] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				order = append(order, nw.byID[dep])
-			}
-		}
-	}
-	liveCount := len(live)
-	if len(order) != liveCount {
-		return nil, fmt.Errorf("dataflow: cycle detected (%d of %d nodes schedulable)", len(order), liveCount)
+	order := make([]*Node, len(queue))
+	for k, i := range queue {
+		order[k] = nw.nodes[i]
 	}
 	return order, nil
 }
 
-// liveSet marks every node reachable backwards from any root (the
-// single output, or every sink of a multi-root super-network).
-func (nw *Network) liveSet() map[string]bool {
-	live := make(map[string]bool)
-	var visit func(id string)
-	visit = func(id string) {
-		if live[id] {
-			return
-		}
-		live[id] = true
-		n := nw.byID[id]
-		if n == nil {
-			return
-		}
-		for _, in := range n.Inputs {
-			visit(in)
-		}
+// Validate checks structural integrity: known filters, existing inputs,
+// correct arities, width agreement, and an acyclic live graph. On a
+// sealed network it returns the answer Seal computed.
+func (nw *Network) Validate() error {
+	if nw.sealed {
+		return nw.valid
 	}
-	for _, r := range nw.Roots() {
-		visit(r)
+	if err := nw.checkNodes(); err != nil || nw.output == "" {
+		return err
 	}
-	return live
+	_, err := nw.topoOrder()
+	return err
 }
 
-// Validate checks structural integrity: known filters, existing inputs,
-// correct arities, width agreement, and an acyclic live graph.
-func (nw *Network) Validate() error {
+// checkNodes is Validate without the acyclicity check.
+func (nw *Network) checkNodes() error {
 	for _, n := range nw.nodes {
 		fi, ok := Lookup(n.Filter)
 		if !ok {
@@ -460,11 +499,6 @@ func (nw *Network) Validate() error {
 			if n.Comp < 0 || n.Comp >= in.Width {
 				return fmt.Errorf("dataflow: node %q: component %d out of range (width %d)", n.ID, n.Comp, in.Width)
 			}
-		}
-	}
-	if nw.output != "" {
-		if _, err := nw.TopoOrder(); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -1,10 +1,10 @@
 // Package dataflow implements the framework's dataflow network: the
 // specification produced by the expression parser and consumed by the
 // execution strategies. Networks are "create and connect" pipelines of
-// sources, filters and one sink, with topological scheduling, reference
-// counting of intermediates, constant pooling and limited common
-// sub-expression elimination — the design described in Section III-B of
-// the paper.
+// sources, filters and one sink, with topological scheduling and
+// reference counting of intermediates — the design described in Section
+// III-B of the paper. Constant pooling and the paper's limited common
+// sub-expression elimination are passes over it (internal/passes).
 package dataflow
 
 import "fmt"

@@ -10,11 +10,6 @@ import "fmt"
 // topological order, which every later layer (strategies, codegen)
 // relies on.
 
-// Key returns the node's structural identity: filter, parameters and
-// exact input order. Two nodes with equal keys compute identical values,
-// which is the equivalence CSE-style passes merge on.
-func (n *Node) Key() string { return n.key() }
-
 // ApplyRemap redirects every reference — node inputs, the output, and
 // user aliases — through subst, chasing chains (a->b, b->c) to their
 // final target. Nodes themselves are not removed; pair with RemoveNodes.

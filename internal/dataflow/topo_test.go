@@ -1,0 +1,122 @@
+package dataflow_test
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"dfg/internal/dataflow"
+	"dfg/internal/expr"
+	"dfg/internal/passes"
+	"dfg/internal/vortex"
+)
+
+// TestTopoOrderMatchesReference: the position-based order equals the
+// map-based one on the pinned pass goldens, the paper's three
+// expressions at both levels, a multi-root merge and a cycle.
+func TestTopoOrderMatchesReference(t *testing.T) {
+	goldens, err := filepath.Glob(filepath.Join("..", "passes", "testdata", "*.json"))
+	if err != nil || len(goldens) == 0 {
+		t.Fatalf("no pass goldens found: %v", err)
+	}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := dataflow.NetworkFromJSON(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		dataflow.AssertReferenceOrder(t, path, nw)
+		nw.Seal()
+		dataflow.AssertReferenceOrder(t, path+" (sealed)", nw)
+	}
+
+	var members []passes.MergeMember
+	for _, e := range vortex.Expressions() {
+		for _, pipe := range []*passes.Pipeline{passes.Paper, passes.O2} {
+			nw, _, err := expr.CompileWithPipeline(e.Text, nil, pipe, passes.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dataflow.AssertReferenceOrder(t, e.Name+"@"+pipe.Name(), nw)
+			if pipe == passes.O2 {
+				members = append(members, passes.MergeMember{Fp: e.Name, Net: nw})
+			}
+		}
+	}
+	merged, err := passes.MergeNetworks(members, passes.LevelO2, passes.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !merged.Net.MultiRoot() {
+		t.Fatal("merge of three expressions has one root")
+	}
+	dataflow.AssertReferenceOrder(t, "merge", merged.Net)
+
+	// A hand-built cycle fails with the reference's text, sealed or not.
+	nw, _, err := expr.CompileWithPipeline(vortex.VelMagExpr, nil, passes.Paper, passes.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := nw.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cyc, err := dataflow.NetworkFromJSON(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := cyc.OutputNode()
+	cyc.NodeByID(out.Inputs[0]).Inputs[0] = out.ID
+	if _, err := cyc.TopoOrder(); err == nil {
+		t.Fatal("cycle was ordered")
+	}
+	dataflow.AssertReferenceOrder(t, "cycle", cyc)
+	cyc.Seal()
+	dataflow.AssertReferenceOrder(t, "cycle (sealed)", cyc)
+}
+
+// TestSealedTopoOrderIsFree: a sealed network hands out the order Seal
+// computed — the same backing array, with no allocation — and a sealed
+// network that failed validation keeps failing.
+func TestSealedTopoOrderIsFree(t *testing.T) {
+	nw, err := expr.Compile(vortex.QCritExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := nw.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		again, _ := nw.TopoOrder()
+		if &again[0] != &first[0] {
+			t.Fatal("sealed TopoOrder returned a new slice")
+		}
+		if nw.Validate() != nil {
+			t.Fatal("sealed network stopped validating")
+		}
+	}); allocs != 0 {
+		t.Fatalf("sealed TopoOrder + Validate allocate %.0f times per call, want 0", allocs)
+	}
+
+	bad := dataflow.NewNetwork()
+	bad.AddSource("u")
+	id, _ := bad.AddFilter("sqrt", "u")
+	if err := bad.SetOutput(id); err != nil {
+		t.Fatal(err)
+	}
+	bad.NodeByID(id).Inputs[0] = "ghost"
+	bad.Seal()
+	for i := 0; i < 2; i++ {
+		if err := bad.Validate(); err == nil {
+			t.Fatal("sealed network with a missing input validates")
+		}
+		if _, err := bad.TopoOrder(); err == nil || !strings.Contains(err.Error(), `missing input "ghost"`) {
+			t.Fatalf("sealed network with a missing input orders: %v", err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package expr
 import (
 	"testing"
 
+	"dfg/internal/passes"
 	"dfg/internal/vortex"
 )
 
@@ -44,7 +45,9 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		net.EliminateCommonSubexpressions()
+		if _, err := passes.Paper.Run(net); err != nil {
+			t.Fatalf("accepted program failed the Paper pipeline: %v\ninput: %q", err, input)
+		}
 		if err := net.Validate(); err != nil {
 			t.Fatalf("accepted program failed validation: %v\ninput: %q", err, input)
 		}

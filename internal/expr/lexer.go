@@ -39,7 +39,8 @@ func (e *LexError) Error() string {
 // leading and trailing separators dropped, so the grammar only ever sees
 // separators between statements.
 func lex(input string) ([]lalr.Token, error) {
-	var toks []lalr.Token
+	// The paper's expressions run about two bytes per token.
+	toks := make([]lalr.Token, 0, len(input)/2+16)
 	line, col := 1, 0
 	i := 0
 	n := len(input)
@@ -71,11 +72,11 @@ func lex(input string) ([]lalr.Token, error) {
 				i++
 			}
 			word := input[start:i]
+			sym := symIdent // the grammar's actions read an IDENT's Text
 			if kw, ok := keywords[word]; ok {
-				push(kw, word, nil)
-			} else {
-				push(symIdent, word, word)
+				sym = kw
 			}
+			push(sym, word, nil)
 			col += len(word) - 1
 		case ch >= '0' && ch <= '9' || ch == '.':
 			start := i

@@ -28,7 +28,7 @@ func grammar() *lalr.Grammar {
 	})
 
 	g.Rule("stmt : IDENT = rel", func(v []any) any {
-		return &Stmt{Name: v[0].(lalr.Token).Val.(string), X: v[2].(Node)}
+		return &Stmt{Name: v[0].(*lalr.Token).Text, X: v[2].(Node)}
 	})
 	g.Rule("stmt : rel", func(v []any) any {
 		return &Stmt{X: v[0].(Node)}
@@ -57,7 +57,7 @@ func grammar() *lalr.Grammar {
 	g.Rule("factor : postfix", nil)
 
 	g.Rule("postfix : postfix [ NUMBER ]", func(v []any) any {
-		f := v[2].(lalr.Token).Val.(float64)
+		f := v[2].(*lalr.Token).Val.(float64)
 		comp := int(f)
 		if f != math.Trunc(f) {
 			comp = -1 // validate() rejects out-of-range components
@@ -67,13 +67,13 @@ func grammar() *lalr.Grammar {
 	g.Rule("postfix : primary", nil)
 
 	g.Rule("primary : NUMBER", func(v []any) any {
-		return &Num{Value: v[0].(lalr.Token).Val.(float64)}
+		return &Num{Value: v[0].(*lalr.Token).Val.(float64)}
 	})
 	g.Rule("primary : IDENT", func(v []any) any {
-		return &Ref{Name: v[0].(lalr.Token).Val.(string)}
+		return &Ref{Name: v[0].(*lalr.Token).Text}
 	})
 	g.Rule("primary : IDENT ( args )", func(v []any) any {
-		return &Call{Fun: v[0].(lalr.Token).Val.(string), Args: v[2].([]Node)}
+		return &Call{Fun: v[0].(*lalr.Token).Text, Args: v[2].([]Node)}
 	})
 	g.Rule("primary : ( rel )", func(v []any) any { return v[1] })
 
@@ -135,7 +135,7 @@ func Parse(input string) (*Program, error) {
 	if len(toks) == 0 {
 		return nil, fmt.Errorf("expr: empty expression")
 	}
-	v, err := tbl.Parse(&lalr.SliceLexer{Tokens: toks})
+	v, err := tbl.Parse(toks)
 	if err != nil {
 		return nil, decorate(input, err)
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dfg/internal/passes"
 )
 
 // randomNode builds a random well-formed expression tree over the given
@@ -71,7 +73,10 @@ func TestRandomProgramsRoundTrip(t *testing.T) {
 			t.Logf("seed %d: build failed: %v", seed, err)
 			return false
 		}
-		net.EliminateCommonSubexpressions()
+		if _, err := passes.Paper.Run(net); err != nil {
+			t.Logf("seed %d: Paper pipeline failed: %v", seed, err)
+			return false
+		}
 		if err := net.Validate(); err != nil {
 			t.Logf("seed %d: post-CSE validation failed: %v", seed, err)
 			return false
@@ -96,8 +101,11 @@ func TestCSEIsIdempotent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		net.EliminateCommonSubexpressions()
-		return net.EliminateCommonSubexpressions() == 0
+		if _, err := passes.Paper.Run(net); err != nil {
+			return false
+		}
+		again, err := passes.Paper.Run(net)
+		return err == nil && again.NodesRemoved() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -18,8 +18,8 @@ import (
 	"strings"
 )
 
-// EOF is the reserved end-of-input terminal. Lexers must return a token
-// with this symbol when input is exhausted.
+// EOF is the reserved end-of-input terminal. Parse supplies it after the
+// last token, and a ParseError at the end of input carries it.
 const EOF = "$end"
 
 // epsilon-sentinel used internally for lookahead propagation.
@@ -49,7 +49,7 @@ type Prod struct {
 	Lhs string
 	Rhs []string
 	// Action computes the production's semantic value from its
-	// children's values (one per RHS symbol; terminals yield Token).
+	// children's values (one per RHS symbol; terminals yield *Token).
 	// A nil action yields the first child's value (or nil if empty).
 	Action func(vals []any) any
 	// precTerm overrides the production's precedence (yacc's %prec).

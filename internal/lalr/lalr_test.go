@@ -11,7 +11,7 @@ func tok(sym string, val any) Token { return Token{Sym: sym, Text: sym, Val: val
 
 // lexNums builds a token stream from a tiny arithmetic string where
 // every digit is a num token and everything else is an operator symbol.
-func lexNums(s string) *SliceLexer {
+func lexNums(s string) []Token {
 	var toks []Token
 	col := 0
 	for _, r := range s {
@@ -28,7 +28,7 @@ func lexNums(s string) *SliceLexer {
 		}
 		toks = append(toks, t)
 	}
-	return &SliceLexer{Tokens: toks}
+	return toks
 }
 
 // binop builds the usual arithmetic action.
@@ -36,7 +36,7 @@ func binop(f func(a, b float64) float64) func([]any) any {
 	return func(v []any) any { return f(v[0].(float64), v[2].(float64)) }
 }
 
-func num(v []any) any { return v[0].(Token).Val }
+func num(v []any) any { return v[0].(*Token).Val }
 
 // unambiguousCalc is the textbook expr/term/factor grammar.
 func unambiguousCalc(t *testing.T) *Table {
@@ -194,7 +194,7 @@ func TestReduceReduceConflict(t *testing.T) {
 		t.Fatalf("want reduce/reduce failure, got %v", err)
 	}
 	// yacc default: earlier production wins.
-	v, perr := tbl.Parse(&SliceLexer{Tokens: []Token{tok("x", nil)}})
+	v, perr := tbl.Parse([]Token{tok("x", nil)})
 	if perr != nil || v != "a" {
 		t.Fatalf("default resolution should pick the earlier rule: %v, %v", v, perr)
 	}
@@ -215,7 +215,7 @@ func TestEpsilonProductions(t *testing.T) {
 		for i := range toks {
 			toks[i] = tok("x", nil)
 		}
-		v, err := tbl.Parse(&SliceLexer{Tokens: toks})
+		v, err := tbl.Parse(toks)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -246,11 +246,11 @@ func TestLALRButNotSLR(t *testing.T) {
 	if len(tbl.Conflicts) != 0 {
 		t.Fatalf("LALR(1) grammar must build conflict-free, got %v", tbl.Conflicts)
 	}
-	v, err := tbl.Parse(&SliceLexer{Tokens: []Token{tok("*", nil), tok("id", nil), tok("=", nil), tok("id", nil)}})
+	v, err := tbl.Parse([]Token{tok("*", nil), tok("id", nil), tok("=", nil), tok("id", nil)})
 	if err != nil || v != "assign" {
 		t.Fatalf("*id = id: %v, %v", v, err)
 	}
-	v, err = tbl.Parse(&SliceLexer{Tokens: []Token{tok("id", nil)}})
+	v, err = tbl.Parse([]Token{tok("id", nil)})
 	if err != nil || v != "rvalue" {
 		t.Fatalf("id: %v, %v", v, err)
 	}
@@ -288,9 +288,61 @@ func TestParseErrors(t *testing.T) {
 
 func TestUnknownTerminalRejected(t *testing.T) {
 	tbl := unambiguousCalc(t)
-	_, err := tbl.Parse(&SliceLexer{Tokens: []Token{tok("WAT", nil)}})
+	_, err := tbl.Parse([]Token{tok("WAT", nil)})
 	if err == nil || !strings.Contains(err.Error(), "unknown terminal") {
 		t.Fatalf("unknown terminal must be rejected: %v", err)
+	}
+}
+
+// TestParseTokensErrorPaths pins Parse's error paths over a token slice:
+// an unknown terminal after valid input, the sorted Expected lists the
+// map-keyed table produced before the rows were dense, and nil actions
+// yielding their first child (or nothing for an empty right side).
+func TestParseTokensErrorPaths(t *testing.T) {
+	tbl := unambiguousCalc(t)
+	_, err := tbl.Parse(append(lexNums("1+"), tok("WAT", nil)))
+	var pe *ParseError
+	if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), `unknown terminal "WAT"`) {
+		t.Fatalf("unknown terminal after valid input: %v", err)
+	}
+
+	for in, want := range map[string]string{
+		"1+":  "( num",
+		"1 2": "$end ) * + - /",
+	} {
+		_, err := tbl.Parse(lexNums(in))
+		if !errors.As(err, &pe) {
+			t.Fatalf("%q: want *ParseError, got %v", in, err)
+		}
+		if got := strings.Join(pe.Expected, " "); got != want {
+			t.Errorf("%q: expected %q, want %q", in, got, want)
+		}
+	}
+
+	g := NewGrammar("s")
+	g.Rule("s : pair opt", nil)
+	g.Rule("pair : x y", nil)
+	g.Rule("opt :", nil)
+	tbl, err = Build(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks := []Token{tok("x", nil), tok("y", nil)}
+	v, err := tbl.Parse(toks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != &toks[0] {
+		t.Fatalf("nil actions should pass up the first child, the x token itself: got %#v", v)
+	}
+	g = NewGrammar("s")
+	g.Rule("s : opt", nil)
+	g.Rule("opt :", nil)
+	if tbl, err = Build(g); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := tbl.Parse(nil); err != nil || v != nil {
+		t.Fatalf("nil action over an empty right side: %#v, %v; want nil", v, err)
 	}
 }
 
@@ -356,7 +408,7 @@ func TestTableIntrospection(t *testing.T) {
 
 func TestDefaultActionPassesFirstValue(t *testing.T) {
 	g := NewGrammar("s")
-	g.Rule("s : num", nil) // nil action: value of first symbol (the Token)
+	g.Rule("s : num", nil) // nil action: value of first symbol (the *Token)
 	tbl, err := Build(g)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +417,7 @@ func TestDefaultActionPassesFirstValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tokv, ok := v.(Token); !ok || tokv.Val.(float64) != 7 {
+	if tokv, ok := v.(*Token); !ok || tokv.Val.(float64) != 7 {
 		t.Fatalf("default action should pass through the token, got %#v", v)
 	}
 }

@@ -2,7 +2,6 @@ package lalr
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -17,12 +16,6 @@ type Token struct {
 	Line int // 1-based line number
 	Col  int // 1-based column
 	Val  any
-}
-
-// Lexer produces the token stream. Next returns EOF-symbol tokens
-// forever once input is exhausted.
-type Lexer interface {
-	Next() (Token, error)
 }
 
 // ParseError is a syntax error with location and expectation context.
@@ -46,85 +39,75 @@ func (e *ParseError) Error() string {
 	return msg
 }
 
-// Parse runs the table-driven shift-reduce parser over the lexer's
-// tokens and returns the start symbol's semantic value.
-func (t *Table) Parse(lx Lexer) (any, error) {
-	states := []int{0}
-	values := []any{nil}
+// endOfInput is the lookahead after the last token. It is never
+// shifted, so no action sees it.
+var endOfInput = Token{Sym: EOF}
 
-	tok, err := lx.Next()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		s := states[len(states)-1]
-		act, ok := t.actions[s][tok.Sym]
-		if !ok || act.typ == actErr || act.typ == actNone {
-			if _, known := t.c.terms[tok.Sym]; !known && tok.Sym != EOF {
-				return nil, fmt.Errorf("lalr: lexer produced unknown terminal %q at line %d", tok.Sym, tok.Line)
-			}
-			return nil, &ParseError{Token: tok, Expected: t.expected(s)}
+// Parse runs the table-driven shift-reduce parser over toks followed by
+// an implicit end of input, and returns the start symbol's semantic
+// value. A shifted terminal reaches its production's action as a *Token
+// pointing into toks. An action's vals is a window of the parser's value
+// stack: it is valid only during the call, and must not be retained or
+// appended to.
+func (t *Table) Parse(toks []Token) (any, error) {
+	states := make([]int32, 1, 64)
+	values := make([]any, 1, 64)
+	next := 0
+	lookahead := func() (*Token, int, error) {
+		tok := &endOfInput
+		if next < len(toks) {
+			tok = &toks[next]
 		}
+		sym, ok := t.termID[tok.Sym]
+		if !ok {
+			return nil, 0, fmt.Errorf("lalr: lexer produced unknown terminal %q at line %d", tok.Sym, tok.Line)
+		}
+		return tok, sym, nil
+	}
+	tok, sym, err := lookahead()
+	for err == nil {
+		s := states[len(states)-1]
+		act := t.act[s][sym]
 		switch act.typ {
 		case actShift:
 			states = append(states, act.target)
 			values = append(values, tok)
-			if tok, err = lx.Next(); err != nil {
-				return nil, err
-			}
+			next++
+			tok, sym, err = lookahead()
 		case actReduce:
 			p := t.c.prods[act.target]
-			n := len(p.Rhs)
-			args := make([]any, n)
-			copy(args, values[len(values)-n:])
-			states = states[:len(states)-n]
-			values = values[:len(values)-n]
-
+			base := len(values) - len(p.Rhs)
 			var v any
 			if p.Action != nil {
-				v = p.Action(args)
-			} else if n > 0 {
-				v = args[0]
+				v = p.Action(values[base:])
+			} else if len(p.Rhs) > 0 {
+				v = values[base]
 			}
+			states = states[:len(states)-len(p.Rhs)]
 			top := states[len(states)-1]
-			next, ok := t.gotos[top][p.Lhs]
-			if !ok {
+			to := t.gto[top][t.lhs[act.target]]
+			if to == 0 {
 				return nil, fmt.Errorf("lalr: internal error: no goto from state %d on %q", top, p.Lhs)
 			}
-			states = append(states, next)
-			values = append(values, v)
+			states = append(states, to)
+			values = append(values[:base], v)
 		case actAccept:
 			return values[len(values)-1], nil
+		default:
+			return nil, &ParseError{Token: *tok, Expected: t.expected(s)}
 		}
 	}
+	return nil, err
 }
 
 // expected lists the terminals with actions in a state, sorted, for
 // error messages.
-func (t *Table) expected(state int) []string {
+func (t *Table) expected(state int32) []string {
 	var out []string
-	for term, a := range t.actions[state] {
+	for id, a := range t.act[state] {
 		if a.typ == actShift || a.typ == actReduce || a.typ == actAccept {
-			out = append(out, term)
+			out = append(out, t.terms[id])
 		}
 	}
-	sort.Strings(out)
 	return out
-}
-
-// SliceLexer adapts a pre-tokenized slice to the Lexer interface,
-// appending EOF; useful in tests.
-type SliceLexer struct {
-	Tokens []Token
-	i      int
-}
-
-// Next returns the next token, then EOF forever.
-func (s *SliceLexer) Next() (Token, error) {
-	if s.i < len(s.Tokens) {
-		t := s.Tokens[s.i]
-		s.i++
-		return t, nil
-	}
-	return Token{Sym: EOF}, nil
 }

@@ -19,19 +19,14 @@ func (t *Table) Report() string {
 		fmt.Fprintf(&b, "Rule %-3d %s\n", i, p)
 	}
 
-	fmt.Fprintf(&b, "\nTerminals: %s\n", joinSorted(keys(t.c.terms)))
-	fmt.Fprintf(&b, "Nonterminals: %s\n", joinSorted(keys(t.c.nonterm)))
+	fmt.Fprintf(&b, "\nTerminals: %s\n", strings.Join(t.terms, " "))
+	fmt.Fprintf(&b, "Nonterminals: %s\n", strings.Join(t.nonterms, " "))
 
-	fmt.Fprintf(&b, "\nStates: %d\n", t.numStates)
-	for s := 0; s < t.numStates; s++ {
+	fmt.Fprintf(&b, "\nStates: %d\n", t.States())
+	for s, row := range t.act {
 		fmt.Fprintf(&b, "\nstate %d\n", s)
-		var terms []string
-		for term := range t.actions[s] {
-			terms = append(terms, term)
-		}
-		sort.Strings(terms)
-		for _, term := range terms {
-			a := t.actions[s][term]
+		for id, a := range row {
+			term := t.terms[id]
 			switch a.typ {
 			case actShift:
 				fmt.Fprintf(&b, "    %-12s shift, go to state %d\n", term, a.target)
@@ -43,13 +38,10 @@ func (t *Table) Report() string {
 				fmt.Fprintf(&b, "    %-12s error (nonassoc)\n", term)
 			}
 		}
-		var nts []string
-		for nt := range t.gotos[s] {
-			nts = append(nts, nt)
-		}
-		sort.Strings(nts)
-		for _, nt := range nts {
-			fmt.Fprintf(&b, "    %-12s go to state %d\n", nt, t.gotos[s][nt])
+		for id, target := range t.gto[s] {
+			if target > 0 {
+				fmt.Fprintf(&b, "    %-12s go to state %d\n", t.nonterms[id], target)
+			}
 		}
 	}
 
@@ -66,17 +58,12 @@ func (t *Table) Report() string {
 	return b.String()
 }
 
-// keys collects a set's members.
-func keys(set map[string]bool) []string {
+// sortedKeys lists a set's members in name order.
+func sortedKeys(set map[string]bool) []string {
 	out := make([]string, 0, len(set))
 	for k := range set {
 		out = append(out, k)
 	}
+	sort.Strings(out)
 	return out
-}
-
-// joinSorted renders a sorted, space-joined list.
-func joinSorted(items []string) string {
-	sort.Strings(items)
-	return strings.Join(items, " ")
 }

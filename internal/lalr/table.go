@@ -20,7 +20,7 @@ const (
 // action is one ACTION table entry.
 type action struct {
 	typ    actType
-	target int // shift: next state; reduce: production index
+	target int32 // shift: next state; reduce: production index
 }
 
 // Conflict records a parse-table conflict and how it was settled.
@@ -32,19 +32,26 @@ type Conflict struct {
 	Detail   string
 }
 
-// Table is a compiled LALR(1) parse table ready to drive Parse.
+// Table is a compiled LALR(1) parse table ready to drive Parse. Symbols
+// are interned to ints in name order — terminals and nonterminals each
+// their own range — so the ACTION and GOTO tables are dense rows indexed
+// by state and symbol, and walking a row visits symbols sorted by name.
+// No goto enters the start state, so a GOTO entry of 0 means none.
 type Table struct {
-	c       *compiled
-	actions []map[string]action
-	gotos   []map[string]int
+	c        *compiled
+	terms    []string       // terminal names by ID
+	nonterms []string       // nonterminal names by ID
+	termID   map[string]int // terminal name -> ID, once per token
+	lhs      []int32        // production index -> its left side's ID
+	act      [][]action     // act[state][terminal]; actNone where absent
+	gto      [][]int32      // gto[state][nonterminal]; 0 where absent
 	// Conflicts lists every conflict encountered during construction,
 	// including those resolved by precedence declarations.
 	Conflicts []Conflict
-	numStates int
 }
 
 // States returns the number of automaton states.
-func (t *Table) States() int { return t.numStates }
+func (t *Table) States() int { return len(t.act) }
 
 // Productions returns the grammar's productions (excluding the
 // augmented start rule), for diagnostics.
@@ -62,9 +69,21 @@ func Build(g *Grammar) (*Table, error) {
 	a := buildAutomaton(c)
 	las := computeLookaheads(a)
 
-	t := &Table{c: c, numStates: len(a.states)}
-	t.actions = make([]map[string]action, len(a.states))
-	t.gotos = make([]map[string]int, len(a.states))
+	t := &Table{c: c, terms: sortedKeys(c.terms), nonterms: sortedKeys(c.nonterm)}
+	t.termID = make(map[string]int, len(t.terms))
+	for id, name := range t.terms {
+		t.termID[name] = id
+	}
+	ntID := make(map[string]int, len(t.nonterms))
+	for id, name := range t.nonterms {
+		ntID[name] = id
+	}
+	t.lhs = make([]int32, len(c.prods))
+	for i, p := range c.prods {
+		t.lhs[i] = int32(ntID[p.Lhs])
+	}
+	t.act = make([][]action, len(a.states))
+	t.gto = make([][]int32, len(a.states))
 
 	// prodPrec resolves a production's precedence: the explicit %prec
 	// terminal if given, else the last terminal of the right side.
@@ -83,17 +102,16 @@ func Build(g *Grammar) (*Table, error) {
 	}
 
 	for si, st := range a.states {
-		acts := make(map[string]action)
-		gts := make(map[string]int)
-		t.actions[si] = acts
-		t.gotos[si] = gts
+		row := make([]action, len(t.terms))
+		t.act[si] = row
+		t.gto[si] = make([]int32, len(t.nonterms))
 
 		// Shifts and gotos from the LR(0) transitions.
 		for sym, target := range st.gotos {
 			if c.nonterm[sym] {
-				gts[sym] = target
+				t.gto[si][ntID[sym]] = int32(target)
 			} else {
-				acts[sym] = action{typ: actShift, target: target}
+				row[t.termID[sym]] = action{typ: actShift, target: int32(target)}
 			}
 		}
 
@@ -120,17 +138,15 @@ func Build(g *Grammar) (*Table, error) {
 			}
 			if li.it.prod == 0 {
 				if li.la == EOF {
-					acts[EOF] = action{typ: actAccept}
+					row[t.termID[EOF]] = action{typ: actAccept}
 				}
 				continue
 			}
-			red := action{typ: actReduce, target: li.it.prod}
-			existing, ok := acts[li.la]
-			if !ok {
-				acts[li.la] = red
-				continue
-			}
-			switch existing.typ {
+			red := action{typ: actReduce, target: int32(li.it.prod)}
+			cell := &row[t.termID[li.la]]
+			switch cell.typ {
+			case actNone:
+				*cell = red
 			case actShift:
 				// shift/reduce: try precedence.
 				tPrec, tOK := g.precs[li.la]
@@ -141,17 +157,17 @@ func Build(g *Grammar) (*Table, error) {
 					conf.Resolved = true
 					switch {
 					case pPrec.level > tPrec.level:
-						acts[li.la] = red
+						*cell = red
 					case pPrec.level < tPrec.level:
 						// keep shift
 					default:
 						switch tPrec.assoc {
 						case AssocLeft:
-							acts[li.la] = red
+							*cell = red
 						case AssocRight:
 							// keep shift
 						case AssocNonassoc:
-							acts[li.la] = action{typ: actErr}
+							*cell = action{typ: actErr}
 						}
 					}
 				}
@@ -160,9 +176,9 @@ func Build(g *Grammar) (*Table, error) {
 			case actReduce:
 				// reduce/reduce: earlier production wins (yacc default).
 				conf := Conflict{State: si, Terminal: li.la, Kind: "reduce/reduce",
-					Detail: fmt.Sprintf("%v vs %v", c.prods[existing.target], p)}
-				if p2 := existing.target; li.it.prod < p2 {
-					acts[li.la] = red
+					Detail: fmt.Sprintf("%v vs %v", c.prods[cell.target], p)}
+				if red.target < cell.target {
+					*cell = red
 				}
 				t.Conflicts = append(t.Conflicts, conf)
 			case actAccept, actErr:

@@ -1,12 +1,18 @@
 package passes
 
-import "dfg/internal/dataflow"
+import (
+	"fmt"
+	"math"
 
-// This file holds the one canonicalisation helper every elimination
-// path shares. The solo pipelines (Paper/O2 via CSE/CSECommute) and the
-// batch merge pipelines (MergeNetworks) all key nodes through
-// CanonicalKey and build their front ends from ElimPasses, so a node
-// that unifies on the solo path unifies identically on the batch path.
+	"dfg/internal/dataflow"
+)
+
+// This file holds the one structural key every elimination path shares.
+// The solo pipelines (Paper/O2 via CSE and CSECommute) and the batch
+// merge pipelines (MergeNetworks) all merge nodes through eliminate
+// (ConstPool keys constants on the same bits) and build their front ends
+// from ElimPasses, so a node that unifies on the solo path unifies
+// identically on the batch path.
 
 // commutative lists the primitives whose results are bitwise identical
 // under argument swap for every input, including NaNs and signed zeros.
@@ -14,20 +20,70 @@ import "dfg/internal/dataflow"
 // argument-order dependent.
 var commutative = map[string]bool{"add": true, "mul": true, "eq": true, "ne": true}
 
-// CanonicalKey returns a node's structural identity for elimination
-// passes: its Key() — filter, parameters and inputs in order — with two
-// normalisations layered on top. Sources are pinned to their names (two
-// sources never merge across names, whatever their structure), and when
-// commute is set the argument order of bitwise-commutative two-input
-// primitives is sorted, so add(a, b) and add(b, a) share one key.
-func CanonicalKey(n *dataflow.Node, commute bool) string {
-	if n.Filter == "source" {
-		return "source:" + n.ID
+// maxArity is the most inputs a filter takes (grad3d and its single-axis
+// forms: field, dims, x, y, z).
+const maxArity = 5
+
+// key is a node's structural identity: two nodes with equal keys compute
+// identical values. A constant is keyed by the bits of its value, so +0
+// and -0, and NaNs of different payload, stay apart; an input is keyed by
+// the position of the node it reads.
+type key struct {
+	filter string
+	param  uint64 // a const's math.Float64bits, a decompose's component
+	in     [maxArity]int32
+}
+
+// eliminate merges every node into the first node with the same key:
+// filter, parameters and inputs in order. Sources are pinned to their own
+// positions (two sources never merge across names), and with commute the
+// argument order of bitwise-commutative two-input primitives is sorted,
+// so add(a, b) and add(b, a) share one key.
+func eliminate(nw *dataflow.Network, st *Stats, commute bool) error {
+	nodes := nw.Nodes()
+	pos := make(map[string]int32, len(nodes))
+	for i, n := range nodes {
+		pos[n.ID] = int32(i)
 	}
-	if commute && commutative[n.Filter] && len(n.Inputs) == 2 && n.Inputs[1] < n.Inputs[0] {
-		return n.Filter + "|" + n.Inputs[1] + "|" + n.Inputs[0]
+	canon := make([]int32, len(nodes)) // position -> position it merged into
+	first := make(map[key]int32, len(nodes))
+	remap := make(map[string]string)
+	var dead []string
+	for i, n := range nodes {
+		canon[i] = int32(i)
+		k := key{filter: n.Filter}
+		switch n.Filter {
+		case "source":
+			k.in[0] = int32(i)
+		case "const":
+			k.param = math.Float64bits(n.Value)
+		case "decompose":
+			k.param = uint64(n.Comp)
+		}
+		// Inputs are canonicalised in construction order, so by the time
+		// a node is keyed all of its inputs are already canonical and one
+		// forward pass reaches the fixpoint.
+		for a, in := range n.Inputs {
+			j, ok := pos[in]
+			if !ok {
+				return fmt.Errorf("node %q reads missing node %q", n.ID, in)
+			}
+			j = canon[j]
+			n.Inputs[a] = nodes[j].ID
+			k.in[a] = j
+		}
+		if commute && commutative[n.Filter] && len(n.Inputs) == 2 && k.in[1] < k.in[0] {
+			k.in[0], k.in[1] = k.in[1], k.in[0]
+		}
+		if j, ok := first[k]; ok {
+			canon[i] = j
+			remap[n.ID] = nodes[j].ID
+			dead = append(dead, n.ID)
+			continue
+		}
+		first[k] = int32(i)
 	}
-	return n.Key()
+	return applyMerge(nw, st, remap, dead)
 }
 
 // ElimPasses returns the canonicalisation pass list a level runs before

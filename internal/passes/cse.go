@@ -1,13 +1,13 @@
 package passes
 
 import (
-	"strconv"
+	"math"
 
 	"dfg/internal/dataflow"
 )
 
-// ConstPool returns the constant-pooling pass: equal-valued scalar
-// constants collapse to the first occurrence, exactly as the paper's
+// ConstPool returns the constant-pooling pass: scalar constants with the
+// same bits collapse to the first occurrence, exactly as the paper's
 // parser pools them. (CSE would merge them too; pooling first keeps the
 // pass observable on its own and mirrors the paper's description.)
 func ConstPool() Pass { return constPool{} }
@@ -17,20 +17,20 @@ type constPool struct{}
 func (constPool) Name() string { return "constpool" }
 
 func (constPool) Run(nw *dataflow.Network, st *Stats) error {
-	canon := make(map[string]string)
+	first := make(map[uint64]string) // the bits a key holds for a const
 	remap := make(map[string]string)
 	var dead []string
 	for _, n := range nw.Nodes() {
 		if n.Filter != "const" {
 			continue
 		}
-		key := strconv.FormatFloat(n.Value, 'g', -1, 64)
-		if id, ok := canon[key]; ok {
+		bits := math.Float64bits(n.Value)
+		if id, ok := first[bits]; ok {
 			remap[n.ID] = id
 			dead = append(dead, n.ID)
 			continue
 		}
-		canon[key] = n.ID
+		first[bits] = n.ID
 	}
 	return applyMerge(nw, st, remap, dead)
 }
@@ -59,27 +59,7 @@ func (c cse) Name() string {
 }
 
 func (c cse) Run(nw *dataflow.Network, st *Stats) error {
-	canon := make(map[string]string, nw.Len())
-	remap := make(map[string]string)
-	var dead []string
-	for _, n := range nw.Nodes() {
-		// Inputs are remapped in construction order, so by the time a
-		// node is keyed all of its inputs are already canonical and one
-		// forward pass reaches the fixpoint.
-		for i, in := range n.Inputs {
-			if r, ok := remap[in]; ok {
-				n.Inputs[i] = r
-			}
-		}
-		key := CanonicalKey(n, c.commute)
-		if id, ok := canon[key]; ok {
-			remap[n.ID] = id
-			dead = append(dead, n.ID)
-			continue
-		}
-		canon[key] = n.ID
-	}
-	return applyMerge(nw, st, remap, dead)
+	return eliminate(nw, st, c.commute)
 }
 
 // applyMerge commits a merge-style pass: redirect every reference

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -56,9 +57,46 @@ func TestPaperPipelineGoldenNetworks(t *testing.T) {
 	}
 }
 
+// legacyCSE is the historical one-pass elimination the Paper pipeline
+// replaced, kept as its oracle: pooling and CSE in one forward pass,
+// keyed by a string of the filter, the constant's shortest decimal
+// form, the component and the inputs in order.
+func legacyCSE(t *testing.T, nw *dataflow.Network) {
+	t.Helper()
+	canon := map[string]string{}
+	remap := map[string]string{}
+	var dead []string
+	for _, n := range nw.Nodes() {
+		for i, in := range n.Inputs {
+			if r, ok := remap[in]; ok {
+				n.Inputs[i] = r
+			}
+		}
+		key := n.Filter + "|" + strings.Join(n.Inputs, "|")
+		switch n.Filter {
+		case "source":
+			key = "source:" + n.ID
+		case "const":
+			key += strconv.FormatFloat(n.Value, 'g', -1, 64)
+		case "decompose":
+			key += ":" + strconv.Itoa(n.Comp)
+		}
+		if id, ok := canon[key]; ok {
+			remap[n.ID] = id
+			dead = append(dead, n.ID)
+			continue
+		}
+		canon[key] = n.ID
+	}
+	nw.ApplyRemap(remap)
+	if err := nw.RemoveNodes(dead); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPaperPipelineMatchesLegacyCSE proves the extraction faithful on
 // arbitrary programs: pooling+CSE as passes produce the same bytes as
-// the historical in-place EliminateCommonSubexpressions.
+// the historical one-pass elimination.
 func TestPaperPipelineMatchesLegacyCSE(t *testing.T) {
 	programs := []string{
 		vortex.VelMagExpr,
@@ -78,7 +116,7 @@ func TestPaperPipelineMatchesLegacyCSE(t *testing.T) {
 		if err != nil {
 			t.Fatalf("build %q: %v", text, err)
 		}
-		legacy.EliminateCommonSubexpressions()
+		legacyCSE(t, legacy)
 		legacy.Seal()
 
 		piped, _, err := expr.CompileWithPipeline(text, nil, passes.Paper, passes.RunOptions{Verify: true})

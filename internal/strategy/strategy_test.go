@@ -10,6 +10,7 @@ import (
 	"dfg/internal/kernels"
 	"dfg/internal/mesh"
 	"dfg/internal/ocl"
+	"dfg/internal/passes"
 	"dfg/internal/vortex"
 )
 
@@ -396,7 +397,9 @@ func TestStrategiesAgreeOnRandomNetworks(t *testing.T) {
 			}
 		}
 		nw.SetOutput(ids[len(ids)-1])
-		nw.EliminateCommonSubexpressions()
+		if _, err := passes.Paper.Run(nw); err != nil {
+			t.Fatal(err)
+		}
 
 		const n = 500
 		bind, _, _, _ := velMagBindings(rng, n)

@@ -304,6 +304,41 @@ func TestColdOpsLeaveNoHeapBehind(t *testing.T) {
 	}
 }
 
+// TestColdPrepareAllocBudget is the dynamic path's allocation gate, the
+// cold twin of the warm gates below: one op prepares a never-seen
+// Q-criterion variant at O2, evaluates it on a 4³ mesh and closes it —
+// the repo benchmark's cold_compile op — and may allocate at most 2 300
+// objects (3 857 before sealed networks kept their order and the parser
+// stopped allocating per token).
+func TestColdPrepareAllocBudget(t *testing.T) {
+	eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "fusion", Opt: "O2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, fields := qcritOnMesh(t, 4)
+	const runs = 50
+	texts := make([]string, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range texts {
+		texts[i] = fmt.Sprintf("%s\nt = q * %d.25 + %d", dfg.QCriterionExpr, 1000+i, i)
+	}
+	op := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		pr, err := eng.Prepare(texts[op])
+		op++
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pr.EvalMesh(m, fields); err != nil {
+			t.Fatal(err)
+		}
+		pr.Close()
+	})
+	t.Logf("cold prepare + eval + close: %.0f allocations", allocs)
+	if allocs > 2300 {
+		t.Errorf("a cold prepare + eval + close makes %.0f allocations, budget 2300", allocs)
+	}
+}
+
 // TestWarmFusionGoHeapGate is the Go-heap half of the warm gate (the
 // arena counters above only see device buffers): a warm Plan.Execute of
 // Q-criterion under fusion on an 8³ mesh — one launch chunk, so the
