@@ -104,16 +104,12 @@ type Config struct {
 	// Device picks the target architecture. Default CPU.
 	Device DeviceKind
 	// Strategy is one of "roundtrip", "staged", "fusion", "streaming",
-	// "vm" or "tiered". Default "fusion" (the paper's fastest device
+	// "vm" or "tiered[@N]". Default "fusion" (the paper's fastest device
 	// strategy). "vm" evaluates on the host bytecode VM with zero
-	// device traffic; "tiered" routes each request by size — below
-	// VMThreshold elements to the VM, at or above to the device.
+	// device traffic; "tiered@N" routes each request by size — below N
+	// elements to the VM, at or above to the device ("tiered" alone
+	// means N = strategy.DefaultVMThreshold).
 	Strategy string
-	// VMThreshold is the tier boundary for Strategy "tiered": requests
-	// with fewer elements run on the host VM, larger ones on the
-	// device. 0 means strategy.DefaultVMThreshold. Ignored for other
-	// strategies.
-	VMThreshold int
 	// MemScale divides the simulated device's memory capacity, for
 	// running the paper's memory-constraint experiments at laptop
 	// scale (grids scaled by s in each dimension pair with MemScale =
@@ -121,9 +117,9 @@ type Config struct {
 	MemScale int64
 	// Opt selects the optimisation level the engine compiles at:
 	// "paper" (or empty — the default) for the paper's exact two-pass
-	// front end, or "O2" for the full optimising pipeline, which is
-	// ulp-identical on finite data but launches fewer kernels. All
-	// paper-reproduction harnesses leave this empty.
+	// front end, or "O2" for the full optimising pipeline, which
+	// returns the same bits (any NaN for a NaN) but launches fewer
+	// kernels. All paper-reproduction harnesses leave this empty.
 	Opt string
 }
 
@@ -142,7 +138,6 @@ type Config struct {
 // compiler, so a hot expression compiles once for a whole pool of
 // engines; internal/serve packages that pattern as a service.
 type Engine struct {
-	cfg   Config
 	env   *ocl.Env
 	strat strategy.Strategy
 
@@ -213,11 +208,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	name := cfg.Strategy
-	if name == "tiered" && cfg.VMThreshold > 0 {
-		name = fmt.Sprintf("tiered@%d", cfg.VMThreshold)
-	}
-	eng, err := NewWith(dev, name, compile.NewCompiler())
+	eng, err := NewWith(dev, cfg.Strategy, compile.NewCompiler())
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +216,6 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dfg: %w", err)
 	}
-	eng.cfg = cfg
 	eng.lvl = lvl
 	return eng, nil
 }
@@ -247,7 +237,6 @@ func NewWith(dev *ocl.Device, strategyName string, comp *compile.Compiler) (*Eng
 		comp = compile.NewCompiler()
 	}
 	return &Engine{
-		cfg:       Config{Strategy: strategyName},
 		env:       ocl.NewEnv(dev),
 		strat:     strat,
 		comp:      comp,
@@ -278,10 +267,6 @@ func (e *Engine) Device() string { return e.env.Device().Name() }
 // Strategy returns the engine's execution strategy name.
 func (e *Engine) Strategy() string { return e.strat.Name() }
 
-// OptLevel returns the engine's optimisation level name ("paper" or
-// "O2").
-func (e *Engine) OptLevel() string { return e.lvl.String() }
-
 // WithOptLevel returns a derived engine that compiles at the given
 // optimisation level ("paper" or "O2") but shares everything else with
 // the receiver: the same device environment, strategy, compiler (and
@@ -299,7 +284,6 @@ func (e *Engine) WithOptLevel(level string) (*Engine, error) {
 		return e, nil
 	}
 	d := *e
-	d.cfg.Opt = lvl.String()
 	d.lvl = lvl
 	return &d, nil
 }
@@ -324,7 +308,6 @@ func (e *Engine) WithStrategy(name string) (*Engine, error) {
 		return e, nil
 	}
 	d := *e
-	d.cfg.Strategy = name
 	d.strat = strat
 	if d.reg != nil {
 		// The latency series is labeled by strategy: start a fresh memo so

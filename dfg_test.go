@@ -162,9 +162,7 @@ func TestEvalBadDimsIsError(t *testing.T) {
 					t.Fatal(err)
 				}
 				if armed {
-					if err := eng.SetRecovery(DefaultRetryPolicy()); err != nil {
-						t.Fatal(err)
-					}
+					eng.SetRecovery(1)
 				}
 				in := map[string][]float32{"dims": dims}
 				for _, name := range []string{"u", "x", "y", "z"} {
@@ -326,16 +324,17 @@ func TestEngineDefinitions(t *testing.T) {
 // TestComputedDimsRejectedAtPlanTime: a stencil's mesh extents must be
 // a bound source. A network that computes them is refused once, at
 // plan time, with the same typed error on every strategy, solo and as
-// a batch member. O2 folds `dims + 0` back to the source, so that
-// spelling runs there.
+// a batch member. O2 folds `dims + -(0.0)` back to the source, so that
+// spelling runs there; `dims + 0` is not an identity (it is +0 for -0).
 func TestComputedDimsRejectedAtPlanTime(t *testing.T) {
 	m, _ := NewUniformMesh(Dims{NX: 4, NY: 4, NZ: 4}, 1, 1, 1)
 	fields := FieldInputs(GenerateRT(m, 8))
 	for _, tc := range []struct {
 		dims, opt, stencil, computedBy string // computedBy "" means the network runs
 	}{
-		{"dims + 0", "paper", "grad3d", "add"},
-		{"dims + 0", "O2", "", ""},
+		{"dims + -(0.0)", "paper", "grad3d", "add"},
+		{"dims + -(0.0)", "O2", "", ""},
+		{"dims + 0", "O2", "grad3dx", "add"},
 		{"sqrt(dims)", "paper", "grad3d", "sqrt"},
 		{"sqrt(dims)", "O2", "grad3dx", "sqrt"}, // g[0] of grad3d, strength-reduced
 	} {

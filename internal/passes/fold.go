@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"math"
+
 	"dfg/internal/dataflow"
 	"dfg/internal/kernels"
 )
@@ -50,17 +52,39 @@ nodes:
 	return nil
 }
 
-// Algebraic returns the identity-simplification pass: x*1, 1*x, x+0,
-// 0+x, x-0, x/1 forward to x, and 0*x / x*0 forward to the zero
-// constant. Constants are matched on their float32 value (the precision
-// every kernel computes in), so 1.0000000001 does not match.
-//
-// The zero rewrites assume finite data: 0*x is exactly 0 for finite x
-// but NaN for infinite x. The engine's data model (float32 mesh fields)
-// makes non-finite intermediates an error condition already, and the
-// differential tests skip elements where the Paper-level reference is
-// non-finite.
+// Algebraic returns the identity-simplification pass: a binary node
+// with one of the identity constants below as an operand forwards to
+// its other operand x. Every row is exact under IEEE 754 for every x —
+// ±0, ±Inf, NaN and denormals included (TestAlgebraicRulesExact runs
+// each through the lane bodies) — with one caveat: the arithmetic
+// quiets a signalling NaN x and forwarding x does not, so O2 returns
+// such an x still signalling where Paper returns it quieted (same NaN
+// class, different bits). Rules that hold only for finite data are not
+// rows: x*0 is NaN for infinite x and −0 for negative x, and x + (+0)
+// or x − (−0) is +0 for x = −0.
 func Algebraic() Pass { return algebraic{} }
+
+// identity is one row: filter(x, c) (side 1) or filter(c, x) (side 0)
+// forwards to x when the constant c has exactly these float32 bits —
+// matched by bits, not by ==, which would confuse −0 with +0.
+type identity struct {
+	filter string
+	side   int
+	bits   uint32
+}
+
+const (
+	bitsPosZero = 0x00000000
+	bitsNegZero = 0x80000000
+	bitsOne     = 0x3f800000
+)
+
+var identities = []identity{
+	{"mul", 1, bitsOne}, {"mul", 0, bitsOne},
+	{"div", 1, bitsOne},
+	{"add", 1, bitsNegZero}, {"add", 0, bitsNegZero},
+	{"sub", 1, bitsPosZero},
+}
 
 type algebraic struct{}
 
@@ -78,10 +102,6 @@ func (algebraic) Run(nw *dataflow.Network, st *Stats) error {
 			id = r
 		}
 	}
-	isConst := func(id string, v float32) bool {
-		n := nw.NodeByID(id)
-		return n != nil && n.Filter == "const" && float32(n.Value) == v
-	}
 	for _, n := range nw.Nodes() {
 		// Forward substitution in construction order, like CSE: inputs
 		// are canonical before the node itself is inspected.
@@ -91,41 +111,16 @@ func (algebraic) Run(nw *dataflow.Network, st *Stats) error {
 		if len(n.Inputs) != 2 {
 			continue
 		}
-		a, b := n.Inputs[0], n.Inputs[1]
-		target := ""
-		switch n.Filter {
-		case "mul":
-			switch {
-			case isConst(a, 1):
-				target = b
-			case isConst(b, 1):
-				target = a
-			case isConst(a, 0):
-				target = a
-			case isConst(b, 0):
-				target = b
+		for _, r := range identities {
+			if r.filter != n.Filter {
+				continue
 			}
-		case "add":
-			switch {
-			case isConst(a, 0):
-				target = b
-			case isConst(b, 0):
-				target = a
-			}
-		case "sub":
-			if isConst(b, 0) {
-				target = a
-			}
-		case "div":
-			if isConst(b, 1) {
-				target = a
+			if c := nw.NodeByID(n.Inputs[r.side]); c != nil && c.Filter == "const" && math.Float32bits(float32(c.Value)) == r.bits {
+				remap[n.ID] = n.Inputs[1-r.side]
+				dead = append(dead, n.ID)
+				break
 			}
 		}
-		if target == "" {
-			continue
-		}
-		remap[n.ID] = target
-		dead = append(dead, n.ID)
 	}
 	return applyMerge(nw, st, remap, dead)
 }

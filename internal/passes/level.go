@@ -14,8 +14,8 @@ const (
 	LevelPaper Level = iota
 	// LevelO2 adds constant folding, algebraic identity simplification,
 	// commutativity-normalised CSE, decompose-forwarding and dead-node
-	// elimination. Output is ulp-identical to LevelPaper for finite
-	// data under every strategy, with fewer kernel executions.
+	// elimination. Output is bit-identical to LevelPaper (any NaN for a
+	// NaN) under every strategy, with fewer kernel executions.
 	LevelO2
 )
 

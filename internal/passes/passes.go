@@ -11,14 +11,14 @@
 // is the default everywhere a table or figure of the paper is
 // reproduced. O2 layers on constant folding, algebraic identity
 // simplification, commutativity-normalised CSE, decompose-forwarding of
-// gradients, and dead-node elimination; its output is ulp-identical to
-// Paper's under every execution strategy but needs fewer kernels.
+// gradients, and dead-node elimination; its output is bit-identical to
+// Paper's (any NaN for a NaN) under every execution strategy but needs
+// fewer kernels.
 package passes
 
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -98,14 +98,10 @@ type RunOptions struct {
 	// Debug, when non-nil, receives a line per pass with node counts
 	// and eliminated IDs (the dfg-fuse -dump-passes output).
 	Debug io.Writer
-	// Verify forces the invariant checks after every pass. They also
-	// run when the DFG_PASS_VERIFY environment variable is non-empty.
+	// Verify runs the invariant checks (VerifyInvariants) after every
+	// pass.
 	Verify bool
 }
-
-// verifyByDefault enables the per-pass invariant checks process-wide —
-// the "debug build" switch. Tests set RunOptions.Verify instead.
-var verifyByDefault = os.Getenv("DFG_PASS_VERIFY") != ""
 
 // Run optimises the network with default options.
 func (p *Pipeline) Run(nw *dataflow.Network) (*Result, error) {
@@ -122,7 +118,6 @@ func (p *Pipeline) RunWith(nw *dataflow.Network, opt RunOptions) (*Result, error
 	if nw.Output() == "" {
 		return nil, fmt.Errorf("passes: pipeline %q needs a network with an output", p.name)
 	}
-	verify := opt.Verify || verifyByDefault
 	res := &Result{Pipeline: p.name}
 	if opt.Debug != nil {
 		fmt.Fprintf(opt.Debug, "pipeline %s: %d nodes, %d edges in\n", p.name, nw.Len(), countEdges(nw))
@@ -159,7 +154,7 @@ func (p *Pipeline) RunWith(nw *dataflow.Network, opt RunOptions) (*Result, error
 			}
 			fmt.Fprintln(opt.Debug, line)
 		}
-		if verify {
+		if opt.Verify {
 			if err := VerifyInvariants(nw); err != nil {
 				return res, fmt.Errorf("passes: %s/%s broke network invariants: %w", p.name, pass.Name(), err)
 			}

@@ -19,10 +19,9 @@ import (
 //   - reference counts conserve: the consumer counts strategies use for
 //     buffer release sum to exactly edges + 1 (the output's sink ref).
 //
-// It runs after every pass when RunOptions.Verify is set or the
-// DFG_PASS_VERIFY environment variable is non-empty, turning a subtly
-// wrong rewrite into an immediate, attributed failure instead of a
-// miscounted Table II three layers later.
+// It runs after every pass when RunOptions.Verify is set, turning a
+// subtly wrong rewrite into an immediate, attributed failure instead of
+// a miscounted Table II three layers later.
 func VerifyInvariants(nw *dataflow.Network) error {
 	out := nw.Output()
 	if out == "" {

@@ -32,7 +32,7 @@ func (s breakerState) String() string {
 
 // breaker is a per-worker (per-device) circuit breaker. While closed,
 // jobs run normally and consecutive device-fault failures are counted;
-// at the threshold — or immediately on a device-lost fault — the
+// at breakerThreshold — or immediately on a device-lost fault — the
 // breaker opens and the worker reroutes its jobs back onto the queue
 // for healthy peers. After the cooldown the next job becomes a
 // half-open health probe: success recloses the breaker, failure reopens
@@ -43,18 +43,17 @@ func (s breakerState) String() string {
 // exists so metric scrapes and reports can read a consistent state from
 // other goroutines.
 type breaker struct {
-	mu        sync.Mutex
-	state     breakerState
-	threshold int           // consecutive failures that open the breaker
-	cooldown  time.Duration // open -> half-open delay
-	fails     int           // consecutive device-fault failures while closed
-	probes    int           // consecutive failed half-open probes
-	openedAt  time.Time
-	trips     int64 // total closed/half-open -> open transitions
+	mu       sync.Mutex
+	state    breakerState
+	cooldown time.Duration // open -> half-open delay
+	fails    int           // consecutive device-fault failures while closed
+	probes   int           // consecutive failed half-open probes
+	openedAt time.Time
+	trips    int64 // total closed/half-open -> open transitions
 }
 
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown}
+func newBreaker(cooldown time.Duration) *breaker {
+	return &breaker{cooldown: cooldown}
 }
 
 // allow reports whether the owning worker may run a job now. probe is
@@ -101,7 +100,7 @@ func (b *breaker) failure(now time.Time, trip bool) bool {
 		return true
 	}
 	b.fails++
-	if trip || b.fails >= b.threshold {
+	if trip || b.fails >= breakerThreshold {
 		b.state = breakerOpen
 		b.openedAt = now
 		b.trips++
@@ -113,7 +112,7 @@ func (b *breaker) failure(now time.Time, trip bool) bool {
 
 // failedProbes returns the consecutive failed half-open probes since
 // the breaker last closed; the worker replaces its device when this
-// reaches the pool's ReplaceAfterProbes.
+// reaches replaceAfterProbes.
 func (b *breaker) failedProbes() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

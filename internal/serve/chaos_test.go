@@ -134,19 +134,18 @@ func TestBreakerTripsAndProbeHeals(t *testing.T) {
 }
 
 // TestDeviceReplacedAfterFailedProbes proves a device that stays dead
-// through repeated heal-and-probe cycles is eventually replaced: the
+// through replaceAfterProbes heal-and-probe cycles is replaced: the
 // worker rebuilds its engine on a fresh device, the fault plan is
 // re-requested (now clean), and service resumes.
 func TestDeviceReplacedAfterFailedProbes(t *testing.T) {
 	cooldown := 5 * time.Millisecond
 	var builds atomic.Int64
 	pool, err := NewPool(Config{
-		Workers:            1,
-		Device:             dfg.CPU,
-		Strategy:           "fusion",
-		TraceKeep:          -1,
-		BreakerCooldown:    cooldown,
-		ReplaceAfterProbes: 2,
+		Workers:         1,
+		Device:          dfg.CPU,
+		Strategy:        "fusion",
+		TraceKeep:       -1,
+		BreakerCooldown: cooldown,
 		FaultPlanFor: func(worker int) *ocl.FaultPlan {
 			if builds.Add(1) == 1 {
 				// The first device loses itself on every kernel launch:

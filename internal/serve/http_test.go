@@ -125,77 +125,89 @@ type chromeEvent struct {
 // within 5% of the request's wall time (root span duration) — on a
 // text's first request, whose handle miss shows the compile stage, and
 // on its second, a handle hit that goes straight to bind and execute.
+// One preempted inter-span gap says nothing about whether the stages
+// can cover the wall time, so each request is judged by the best of up
+// to five attempts, each on a fresh pool.
 func TestTraceEndpointCoversWallTime(t *testing.T) {
-	p, err := NewPool(Config{Workers: 1, Strategy: "fusion"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	srv := httptest.NewServer(p.Handler())
-	defer srv.Close()
-
 	const n = 1 << 18 // big enough that execution dwarfs inter-span gaps
 	inputs := testInputs(n)
-	for _, handle := range []string{"miss", "hit"} {
-		if _, err := p.Submit(context.Background(), Request{
-			Expr: "m = sqrt(u*u + v*v + w*w)", N: n, Inputs: inputs,
-		}); err != nil {
+	handles := []string{"miss", "hit"}
+	uncovered := []float64{1, 1} // best share of wall time outside the stages, per handle
+	attempt := func() {
+		p, err := NewPool(Config{Workers: 1, Strategy: "fusion"})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.Tracer().Last(1)[0].Attr("handle"); got != handle {
-			t.Fatalf("request trace carries handle=%q, want %q", got, handle)
-		}
+		defer p.Close()
+		srv := httptest.NewServer(p.Handler())
+		defer srv.Close()
+		for i, handle := range handles {
+			if _, err := p.Submit(context.Background(), Request{
+				Expr: "m = sqrt(u*u + v*v + w*w)", N: n, Inputs: inputs,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Tracer().Last(1)[0].Attr("handle"); got != handle {
+				t.Fatalf("request trace carries handle=%q, want %q", got, handle)
+			}
 
-		code, body := get(t, srv, "/trace?last=1")
-		if code != http.StatusOK {
-			t.Fatalf("/trace = %d", code)
-		}
-		var events []chromeEvent
-		if err := json.Unmarshal([]byte(body), &events); err != nil {
-			t.Fatalf("trace not JSON: %v", err)
-		}
+			code, body := get(t, srv, "/trace?last=1")
+			if code != http.StatusOK {
+				t.Fatalf("/trace = %d", code)
+			}
+			var events []chromeEvent
+			if err := json.Unmarshal([]byte(body), &events); err != nil {
+				t.Fatalf("trace not JSON: %v", err)
+			}
 
-		var wall, stages float64
-		stageNames := map[string]bool{"queue-wait": true, "compile": true, "plan": true, "bind": true, "execute": true}
-		seen := map[string]bool{}
-		for _, e := range events {
-			if e.Ph != "X" {
-				continue
+			var wall, stages float64
+			stageNames := map[string]bool{"queue-wait": true, "compile": true, "plan": true, "bind": true, "execute": true}
+			seen := map[string]bool{}
+			for _, e := range events {
+				if e.Ph != "X" {
+					continue
+				}
+				if e.Cat == "request" {
+					wall = e.Dur
+				}
+				if e.Cat == "stage" && stageNames[e.Name] {
+					stages += e.Dur
+					seen[e.Name] = true
+				}
 			}
-			if e.Cat == "request" {
-				wall = e.Dur
+			if wall <= 0 {
+				t.Fatalf("no request event in trace:\n%s", body)
 			}
-			if e.Cat == "stage" && stageNames[e.Name] {
-				stages += e.Dur
-				seen[e.Name] = true
+			for _, name := range []string{"bind", "execute", "queue-wait"} {
+				if !seen[name] {
+					t.Fatalf("handle %s: trace lacks stage %q:\n%s", handle, name, body)
+				}
 			}
-		}
-		if wall <= 0 {
-			t.Fatalf("no request event in trace:\n%s", body)
-		}
-		for _, name := range []string{"bind", "execute", "queue-wait"} {
-			if !seen[name] {
-				t.Fatalf("handle %s: trace lacks stage %q:\n%s", handle, name, body)
+			if miss := handle == "miss"; seen["compile"] != miss || seen["plan"] != miss {
+				t.Fatalf("handle %s: compile stage present = %v, plan stage present = %v:\n%s", handle, seen["compile"], seen["plan"], body)
 			}
-		}
-		if miss := handle == "miss"; seen["compile"] != miss || seen["plan"] != miss {
-			t.Fatalf("handle %s: compile stage present = %v, plan stage present = %v:\n%s", handle, seen["compile"], seen["plan"], body)
-		}
-		if stages > wall {
-			t.Fatalf("handle %s: stages %vµs exceed wall %vµs", handle, stages, wall)
-		}
-		if gap := wall - stages; gap > wall/20 {
-			t.Fatalf("handle %s: stages cover %vµs of %vµs wall (gap %vµs > 5%%)", handle, stages, wall, gap)
-		}
-		// Device events ride along on their own tracks.
-		var kernels int
-		for _, e := range events {
-			if e.Cat == "kernel" && e.Ph == "X" {
-				kernels++
+			if stages > wall {
+				t.Fatalf("handle %s: stages %vµs exceed wall %vµs", handle, stages, wall)
+			}
+			uncovered[i] = min(uncovered[i], (wall-stages)/wall)
+			// Device events ride along on their own tracks.
+			var kernels int
+			for _, e := range events {
+				if e.Cat == "kernel" && e.Ph == "X" {
+					kernels++
+				}
+			}
+			if kernels == 0 {
+				t.Fatalf("no kernel-track events in trace:\n%s", body)
 			}
 		}
-		if kernels == 0 {
-			t.Fatalf("no kernel-track events in trace:\n%s", body)
+	}
+	for try := 0; try < 5 && max(uncovered[0], uncovered[1]) > 0.05; try++ {
+		attempt()
+	}
+	for i, share := range uncovered {
+		if share > 0.05 {
+			t.Fatalf("handle %s: in the best of 5 attempts the stages leave %.1f%% of the wall time uncovered (> 5%%)", handles[i], 100*share)
 		}
 	}
 }

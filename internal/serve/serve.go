@@ -72,17 +72,13 @@ type Config struct {
 	// QueueDepth bounds the number of queued (not yet executing)
 	// requests. Default 2*Workers.
 	QueueDepth int
-	// Device, Strategy and MemScale configure every worker's engine,
-	// exactly as dfg.Config does. Each worker gets its own simulated
-	// device (one queue, one profile), as the paper gives each instance
-	// its own OpenCL context.
+	// Device and Strategy configure every worker's engine, exactly as
+	// dfg.Config does ("tiered@N" routes requests below N elements to
+	// the host bytecode VM). Each worker gets its own simulated device
+	// (one queue, one profile), as the paper gives each instance its own
+	// OpenCL context.
 	Device   dfg.DeviceKind
 	Strategy string
-	MemScale int64
-	// VMThreshold is the tier boundary when Strategy is "tiered":
-	// requests below it run on the host bytecode VM, at or above on the
-	// device. 0 means strategy.DefaultVMThreshold; ignored otherwise.
-	VMThreshold int
 	// Opt is the optimisation level worker engines compile at: "paper"
 	// or "O2". Default "O2" — a service cares about launching fewer
 	// kernels, not about reproducing the paper's exact event counts;
@@ -93,9 +89,6 @@ type Config struct {
 	// DefaultTimeout applies to requests that don't set one. Zero means
 	// no timeout.
 	DefaultTimeout time.Duration
-	// MaxCacheEntries bounds the shared compile cache. Zero keeps the
-	// compile package default.
-	MaxCacheEntries int
 
 	// BatchWindow, when positive, turns on the batch-forming scheduler:
 	// instead of dispatching every request to a worker individually, the
@@ -125,23 +118,9 @@ type Config struct {
 	// when SlowThreshold is set.
 	SlowLog io.Writer
 
-	// Recovery is the fault-recovery policy armed on every worker engine
-	// (retry with backoff for transient faults, the degradation ladder
-	// for capacity faults). Nil arms dfg.DefaultRetryPolicy; the seed is
-	// perturbed per worker so retry jitter decorrelates across the pool.
-	// Set NoRecovery to run engines fail-fast instead.
-	Recovery   *dfg.RetryPolicy
-	NoRecovery bool
-	// BreakerThreshold is the consecutive device-fault failures that
-	// open a worker's circuit breaker (default 5); a device-lost fault
-	// trips it immediately regardless. BreakerCooldown is how long an
-	// open breaker waits before letting one half-open health probe
-	// through (default 50ms). ReplaceAfterProbes is the consecutive
-	// failed probes after which the worker gives up on the device and
-	// replaces it with a fresh one (default 3).
-	BreakerThreshold   int
-	BreakerCooldown    time.Duration
-	ReplaceAfterProbes int
+	// BreakerCooldown is how long an open circuit breaker waits before
+	// letting one half-open health probe through (default 50ms).
+	BreakerCooldown time.Duration
 	// FaultPlanFor, when set, attaches a fault plan to each worker's
 	// device context at construction (and again after every device
 	// replacement) — the chaos-testing hook behind dfg-serve -chaos.
@@ -330,25 +309,15 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.Opt == "" {
 		cfg.Opt = "O2"
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 5
-	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 50 * time.Millisecond
-	}
-	if cfg.ReplaceAfterProbes <= 0 {
-		cfg.ReplaceAfterProbes = 3
 	}
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 16
 	}
-	comp := compile.NewCompiler()
-	if cfg.MaxCacheEntries > 0 {
-		comp.SetMaxEntries(cfg.MaxCacheEntries)
-	}
 	p := &Pool{
 		cfg:      cfg,
-		comp:     comp,
+		comp:     compile.NewCompiler(),
 		queue:    make(chan *job, cfg.QueueDepth),
 		done:     make(chan struct{}),
 		forming:  make(map[string]*formingBatch),
@@ -359,7 +328,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	}
 	p.breakers = make([]*breaker, cfg.Workers)
 	for i := range p.breakers {
-		p.breakers[i] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+		p.breakers[i] = newBreaker(cfg.BreakerCooldown)
 	}
 	if cfg.TraceKeep >= 0 {
 		p.tracer = obs.NewTracer(cfg.TraceKeep)
@@ -398,15 +367,15 @@ func NewPool(cfg Config) (*Pool, error) {
 
 // newEngine builds one worker's engine on a fresh simulated device:
 // used at pool construction and again whenever a worker replaces a dead
-// or panicked device. Recovery (unless NoRecovery) is armed with a
-// per-worker jitter seed, and FaultPlanFor (if set) re-attaches the
-// worker's chaos schedule to the new context.
+// or panicked device. Recovery is armed with a per-worker jitter seed,
+// and FaultPlanFor (if set) re-attaches the worker's chaos schedule to
+// the new context.
 func (p *Pool) newEngine(worker int) (*dfg.Engine, error) {
-	dev, err := dfg.NewDeviceFor(dfg.Config{Device: p.cfg.Device, MemScale: p.cfg.MemScale})
+	dev, err := dfg.NewDeviceFor(dfg.Config{Device: p.cfg.Device})
 	if err != nil {
 		return nil, err
 	}
-	eng, err := dfg.NewWith(dev, p.strategyName(), p.comp)
+	eng, err := dfg.NewWith(dev, p.cfg.Strategy, p.comp)
 	if err != nil {
 		return nil, err
 	}
@@ -421,30 +390,11 @@ func (p *Pool) newEngine(worker int) (*dfg.Engine, error) {
 	// recorder pointer rides along into every WithOptLevel/WithStrategy
 	// copy a worker makes.
 	eng.SetPerfRecorder(p.perf)
-	if !p.cfg.NoRecovery {
-		pol := dfg.DefaultRetryPolicy()
-		if p.cfg.Recovery != nil {
-			cp := *p.cfg.Recovery
-			pol = &cp
-		}
-		pol.Seed = pol.Seed*31 + int64(worker) + 1
-		if err := eng.SetRecovery(pol); err != nil {
-			return nil, err
-		}
-	}
+	eng.SetRecovery(int64(worker) + 1)
 	if p.cfg.FaultPlanFor != nil {
 		eng.InjectFaults(p.cfg.FaultPlanFor(worker))
 	}
 	return eng, nil
-}
-
-// strategyName resolves the pool's configured strategy name, folding a
-// non-zero VMThreshold into the "tiered@N" variant (as dfg.New does).
-func (p *Pool) strategyName() string {
-	if p.cfg.Strategy == "tiered" && p.cfg.VMThreshold > 0 {
-		return fmt.Sprintf("tiered@%d", p.cfg.VMThreshold)
-	}
-	return p.cfg.Strategy
 }
 
 // engine returns worker i's current engine.
@@ -694,10 +644,20 @@ func (p *Pool) FlushPerf() (string, error) {
 	return perfdb.WriteFile(p.cfg.PerfDir, p.meta, p.perf.Snapshot())
 }
 
-// maxPreparedPerWorker bounds each worker's cache of open prepared
-// handles (and with it the device memory its arena keeps resident and
-// the engine views it keeps alive).
-const maxPreparedPerWorker = 64
+const (
+	// maxPreparedPerWorker bounds each worker's cache of open prepared
+	// handles (and with it the device memory its arena keeps resident
+	// and the engine views it keeps alive).
+	maxPreparedPerWorker = 64
+	// breakerThreshold is the consecutive device-fault failures that
+	// open a worker's circuit breaker; a device-lost fault trips it
+	// immediately regardless.
+	breakerThreshold = 5
+	// replaceAfterProbes is the consecutive failed half-open probes
+	// after which a worker gives up on its device and replaces it with
+	// a fresh one.
+	replaceAfterProbes = 3
+)
 
 // worker drains the queue until it is closed, running each job on its
 // private engine. Closing the queue (not a signal channel) is what ends
@@ -1063,7 +1023,7 @@ func (p *Pool) settle(ws *workerState, err error, now time.Time) {
 		// the tracer's recent ring.
 		p.DumpFlight("breaker-trip")
 	}
-	if ws.br.failedProbes() >= p.cfg.ReplaceAfterProbes {
+	if ws.br.failedProbes() >= replaceAfterProbes {
 		p.restartWorker(ws)
 	}
 }

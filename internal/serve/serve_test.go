@@ -679,7 +679,7 @@ func TestPoolStrategyOverride(t *testing.T) {
 // per-request device-strategy override beats the tier routing.
 func TestPoolTieredConfig(t *testing.T) {
 	const th = 128
-	p := newTestPool(t, Config{Workers: 1, Strategy: "tiered", VMThreshold: th})
+	p := newTestPool(t, Config{Workers: 1, Strategy: fmt.Sprintf("tiered@%d", th)})
 	expr := "r = sqrt(u*u + v*v + w*w)"
 
 	small, err := p.Submit(context.Background(), Request{Expr: expr, N: th - 1, Inputs: testInputs(th - 1)})

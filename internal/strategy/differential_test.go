@@ -107,8 +107,16 @@ func randProgram(rng *rand.Rand, sources []string) string {
 	return p.String()
 }
 
+// sameClass is the zero-ULP comparison: a and b have equal bits, or are
+// both NaN — IEEE 754 does not fix which NaN payload propagates, and
+// commuted CSE may swap two NaN operands. Unlike ulpDiff it tells +0
+// from -0.
+func sameClass(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
 // ulpDiff returns the distance in float32 representation steps, treating
-// equal bit patterns (and NaN vs NaN, same-signed Inf) as 0.
+// equal values (and NaN vs NaN, +0 vs -0) as 0.
 func ulpDiff(a, b float32) uint32 {
 	if a == b {
 		return 0
@@ -229,9 +237,9 @@ func TestDifferentialRandomExpressions(t *testing.T) {
 			t.Fatalf("trial %d: vm shape %d differs from fusion %d", trial, len(vres.Data), len(fref))
 		}
 		for i := range fref {
-			if d := ulpDiff(fref[i], vres.Data[i]); d != 0 {
-				t.Fatalf("trial %d: vm diverges from fusion at element %d: %v vs %v (%d ULP)\nprogram:\n%s",
-					trial, i, fref[i], vres.Data[i], d, text)
+			if !sameClass(fref[i], vres.Data[i]) {
+				t.Fatalf("trial %d: vm diverges from fusion at element %d: %v vs %v\nprogram:\n%s",
+					trial, i, fref[i], vres.Data[i], text)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,10 +19,9 @@ import (
 // element for element — under every strategy, because each O2 rewrite
 // (constant folding through each primitive's one lane body, identity elimination,
 // commuted CSE over bitwise-commutative ops, gradient-axis forwarding)
-// preserves the exact operation sequence per element. The only licensed
-// divergence is where the Paper result is non-finite: dropping an
-// `0 * x` product assumes finite math, so elements whose Paper value is
-// Inf or NaN are excluded from the comparison.
+// preserves the exact operation sequence per element. Every element is
+// compared, non-finite ones included, by sameClass: equal bits, or NaN
+// on both sides.
 
 // compileAt compiles a program at an explicit optimisation level with
 // the pipeline's invariant verification on.
@@ -73,12 +71,9 @@ func checkOptLevelProgram(t *testing.T, text string, bind Bindings) {
 				name, len(ores.Data), ores.Width, len(pres.Data), pres.Width, text)
 		}
 		for i := range pres.Data {
-			if math.IsInf(float64(pres.Data[i]), 0) || math.IsNaN(float64(pres.Data[i])) {
-				continue // finite-math rewrites need not match on non-finite elements
-			}
-			if d := ulpDiff(pres.Data[i], ores.Data[i]); d != 0 {
-				t.Fatalf("%s: O2 diverges from paper at element %d: %v vs %v (%d ULP)\nprogram:\n%s",
-					name, i, pres.Data[i], ores.Data[i], d, text)
+			if !sameClass(pres.Data[i], ores.Data[i]) {
+				t.Fatalf("%s: O2 diverges from paper at element %d: %v vs %v\nprogram:\n%s",
+					name, i, pres.Data[i], ores.Data[i], text)
 			}
 		}
 	}
@@ -126,7 +121,8 @@ func FuzzOptLevelDifferential(f *testing.F) {
 		f.Add(e.Text)
 	}
 	f.Add("s = u*1 + 0\nr = (1+2)*s + 0*v")
-	f.Add("A*0")                        // O2 drops the unbound A; Paper rejects the run
+	f.Add("r = 0*u")                    // not an identity: NaN for infinite u, -0 for negative u
+	f.Add("t = A\nr = u")               // O2 drops the dead statement's unbound A; Paper rejects the run
 	f.Add("grad3d(u, dims*1, x, y, z)") // O2 removes the identity; Paper rejects computed extents
 	f.Fuzz(func(t *testing.T, text string) {
 		paper, _, err := expr.CompileWithPipeline(text, nil, passes.Paper, passes.RunOptions{Verify: true})
@@ -153,10 +149,7 @@ func FuzzOptLevelDifferential(f *testing.F) {
 				continue // both reject, or the one licensed mismatch
 			}
 			for i := range pres.Data {
-				if math.IsInf(float64(pres.Data[i]), 0) || math.IsNaN(float64(pres.Data[i])) {
-					continue
-				}
-				if ulpDiff(pres.Data[i], ores.Data[i]) != 0 {
+				if !sameClass(pres.Data[i], ores.Data[i]) {
 					t.Fatalf("%s: element %d: %v vs %v\n%s", name, i, pres.Data[i], ores.Data[i], text)
 				}
 			}
@@ -164,12 +157,14 @@ func FuzzOptLevelDifferential(f *testing.F) {
 	})
 }
 
-// o2MayRunWherePaperRejects names the two cases in which a rewrite
-// licenses O2 to run a program Paper refuses: the Paper network reads
-// an unbound source the O2 network no longer has (`A*0` folds to 0),
-// or Paper computes a stencil's extents through an identity O2 removes
-// (`dims*1`, a ComputedDimsError). Every other disagreement about
-// whether Execute errors is a finding.
+// o2MayRunWherePaperRejects names the two cases in which O2 may run a
+// program Paper refuses. Paper keeps a dead statement's sources and O2's
+// dead-node elimination drops them, so the Paper network can read an
+// unbound source the O2 network no longer has (`t = A` then `r = u`:
+// Paper sources [A u], O2 sources [u]). And Paper may compute a
+// stencil's extents through an identity O2 removes (`dims*1`, a
+// ComputedDimsError). Every other disagreement about whether Execute
+// errors is a finding.
 func o2MayRunWherePaperRejects(paper, o2 *dataflow.Network, bind Bindings, perr, oerr error) bool {
 	if perr == nil || oerr != nil {
 		return false

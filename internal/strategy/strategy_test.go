@@ -419,7 +419,7 @@ func TestStrategiesAgreeOnRandomNetworks(t *testing.T) {
 				continue
 			}
 			for i := range ref {
-				if res.Data[i] != ref[i] && !(math.IsNaN(float64(res.Data[i])) && math.IsNaN(float64(ref[i]))) {
+				if !sameClass(res.Data[i], ref[i]) {
 					t.Fatalf("trial %d %s: result[%d] = %v differs from %v", trial, name, i, res.Data[i], ref[i])
 				}
 			}

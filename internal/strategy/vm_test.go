@@ -23,9 +23,8 @@ import (
 // VM-vs-fusion tests below pin (at zero ULP, across the paper
 // expressions, random programs, mesh sizes and optimisation levels); the
 // executor itself, slot allocator included, is held to the per-element
-// reference interpreter by FuzzVMDifferential. Non-finite reference
-// elements are excluded only when comparing across optimisation levels
-// (the O2 finite-math licence, as in the opt-level harness).
+// reference interpreter by FuzzVMDifferential. Every comparison covers
+// every element, non-finite ones included (sameClass).
 
 // checkVMAgainstFusion executes one network under both evaluators and
 // requires zero-ULP agreement everywhere.
@@ -45,9 +44,9 @@ func checkVMAgainstFusion(t *testing.T, text string, lvl passes.Level, bind Bind
 			len(vres.Data), vres.Width, len(fres.Data), fres.Width, lvl, text)
 	}
 	for i := range fres.Data {
-		if d := ulpDiff(fres.Data[i], vres.Data[i]); d != 0 {
-			t.Fatalf("vm diverges from fusion at %v, element %d: %v vs %v (%d ULP)\nprogram:\n%s",
-				lvl, i, fres.Data[i], vres.Data[i], d, text)
+		if !sameClass(fres.Data[i], vres.Data[i]) {
+			t.Fatalf("vm diverges from fusion at %v, element %d: %v vs %v\nprogram:\n%s",
+				lvl, i, fres.Data[i], vres.Data[i], text)
 		}
 	}
 }
@@ -75,9 +74,8 @@ func TestVMMatchesFusionAcrossLevelsAndSizes(t *testing.T) {
 }
 
 // TestVMO2MatchesPaperFusion is the cross-level leg: the VM running an
-// O2-optimised network must still agree with Paper-level fusion wherever
-// the Paper result is finite — the same licence the O2 pipeline itself
-// holds.
+// O2-optimised network must still agree with Paper-level fusion on
+// every element.
 func TestVMO2MatchesPaperFusion(t *testing.T) {
 	bind := optLevelBindings(23)
 	rng := rand.New(rand.NewSource(29))
@@ -97,12 +95,9 @@ func TestVMO2MatchesPaperFusion(t *testing.T) {
 			t.Fatalf("O2 vm: %v\n%s", err, text)
 		}
 		for i := range fres.Data {
-			if math.IsInf(float64(fres.Data[i]), 0) || math.IsNaN(float64(fres.Data[i])) {
-				continue // finite-math rewrites need not match on non-finite elements
-			}
-			if d := ulpDiff(fres.Data[i], vres.Data[i]); d != 0 {
-				t.Fatalf("O2 vm diverges from paper fusion at element %d: %v vs %v (%d ULP)\nprogram:\n%s",
-					i, fres.Data[i], vres.Data[i], d, text)
+			if !sameClass(fres.Data[i], vres.Data[i]) {
+				t.Fatalf("O2 vm diverges from paper fusion at element %d: %v vs %v\nprogram:\n%s",
+					i, fres.Data[i], vres.Data[i], text)
 			}
 		}
 	}
@@ -236,8 +231,8 @@ func TestStencilOverConstantField(t *testing.T) {
 // longer than a block), the element at which every pass's range is
 // split, and whether to run over a NaN-poisoned scratch pool. Any program the
 // Paper pipeline accepts must agree at the same level, and the
-// O2-lowered executor must agree with the Paper-level reference on its
-// finite elements. This is the harness the vm-smoke CI job drives.
+// O2-lowered executor must agree with the Paper-level reference on
+// every element. This is the harness the vm-smoke CI job drives.
 func FuzzVMDifferential(f *testing.F) {
 	const fig2 = "s = u*u\nr = norm(grad3d(s, dims, x, y, z))" // two passes through scratch
 	for _, e := range vortex.Expressions() {
@@ -304,7 +299,7 @@ func FuzzVMDifferential(f *testing.F) {
 		}
 		for r := range want {
 			for i := range want[r] {
-				if ulpDiff(got[r][i], want[r][i]) != 0 {
+				if !sameClass(got[r][i], want[r][i]) {
 					t.Fatalf("executor diverges from the reference at root %d element %d (N=%d, cut=%d, poison=%v): %v vs %v\n%s\n--\n%s",
 						r, i, bind.N, int(cut)%bind.N, poison, got[r][i], want[r][i], text, text2)
 				}
@@ -316,10 +311,7 @@ func FuzzVMDifferential(f *testing.F) {
 		}
 		for r := range want {
 			for i, w := range want[r] {
-				if math.IsInf(float64(w), 0) || math.IsNaN(float64(w)) {
-					continue // finite-math rewrites need not match on non-finite elements
-				}
-				if ulpDiff(ogot[r][i], w) != 0 {
+				if !sameClass(ogot[r][i], w) {
 					t.Fatalf("O2 executor diverges from the paper reference at root %d element %d: %v vs %v\n%s\n--\n%s",
 						r, i, ogot[r][i], w, text, text2)
 				}
@@ -377,7 +369,7 @@ func TestTieredThresholdProperty(t *testing.T) {
 				t.Fatalf("tiered@%d n=%d: re-planned choice flipped", th, n)
 			}
 			for i := range res.Data {
-				if ulpDiff(res.Data[i], res2.Data[i]) != 0 {
+				if !sameClass(res.Data[i], res2.Data[i]) {
 					t.Fatalf("tiered@%d n=%d: re-planned result differs at %d", th, n, i)
 				}
 			}

@@ -16,8 +16,9 @@ import (
 // evaluations alternate one by one in a single loop, so both see the same
 // host phases, and each side is read at its 5th percentile: what an
 // evaluation costs when nothing preempts it (the method behind the
-// benchmark's trace.overhead_share). Comparing whole batches instead let
-// one descheduled batch on a shared box fail the test.
+// benchmark's trace.overhead_share). A shared host can still skew one
+// whole measurement, so it is taken up to three times and the test
+// fails only if every attempt exceeds the limit.
 func TestPerfRecorderOverheadWarmVM(t *testing.T) {
 	eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "vm"})
 	if err != nil {
@@ -51,28 +52,33 @@ func TestPerfRecorderOverheadWarmVM(t *testing.T) {
 	}
 
 	const pairs = 2000
-	rec := perfdb.NewRecorder(0)
-	plain, recorded := make([]time.Duration, pairs), make([]time.Duration, pairs)
-	for i := 0; i < pairs; i++ {
-		eng.SetPerfRecorder(nil)
-		plain[i] = eval()
-		eng.SetPerfRecorder(rec)
-		recorded[i] = eval()
-	}
-	if rec.Recorded() != pairs {
-		t.Fatalf("recorder saw %d evaluations, want %d", rec.Recorded(), pairs)
-	}
 	p05 := func(d []time.Duration) time.Duration {
 		slices.Sort(d)
 		return d[len(d)/20]
 	}
-	base, with := p05(plain), p05(recorded)
-	// 5% relative budget plus 1.25µs per evaluation, so a sub-noise
-	// baseline can't produce false alarms.
-	limit := base + base/20 + 1250*time.Nanosecond
-	t.Logf("warm VM eval p05: base=%v recorded=%v limit=%v (%.1f%% overhead)",
-		base, with, limit, 100*float64(with-base)/float64(base))
-	if with > limit {
-		t.Fatalf("recorder overhead too high: base=%v recorded=%v limit=%v", base, with, limit)
+	for attempt := 1; ; attempt++ {
+		rec := perfdb.NewRecorder(0)
+		plain, recorded := make([]time.Duration, pairs), make([]time.Duration, pairs)
+		for i := 0; i < pairs; i++ {
+			eng.SetPerfRecorder(nil)
+			plain[i] = eval()
+			eng.SetPerfRecorder(rec)
+			recorded[i] = eval()
+		}
+		if rec.Recorded() != pairs {
+			t.Fatalf("recorder saw %d evaluations, want %d", rec.Recorded(), pairs)
+		}
+		base, with := p05(plain), p05(recorded)
+		// 5% relative budget plus 1.25µs per evaluation, so a sub-noise
+		// baseline can't produce false alarms.
+		limit := base + base/20 + 1250*time.Nanosecond
+		t.Logf("attempt %d: warm VM eval p05: base=%v recorded=%v limit=%v (%.1f%% overhead)",
+			attempt, base, with, limit, 100*float64(with-base)/float64(base))
+		if with <= limit {
+			return
+		}
+		if attempt == 3 {
+			t.Fatalf("recorder overhead too high in all 3 attempts: base=%v recorded=%v limit=%v", base, with, limit)
+		}
 	}
 }

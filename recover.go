@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 	"time"
 
 	"dfg/internal/obs"
@@ -12,148 +11,67 @@ import (
 	"dfg/internal/strategy"
 )
 
-// RetryPolicy configures an engine's fault recovery (SetRecovery).
-// Errors from device execution are classified (ocl.Classify) and each
-// class recovers differently:
+// Fault recovery (SetRecovery) classifies every device-execution
+// error (ocl.Classify), and each class recovers differently:
 //
 //   - transient faults (a flaky transfer or kernel launch) retry the
-//     same plan with exponential backoff plus jitter;
+//     same plan up to maxRetries times, with exponential backoff from
+//     baseBackoff doubling up to maxBackoff, each wait jittered by
+//     ±jitter of its nominal value to decorrelate retry storms across
+//     workers;
 //   - capacity faults (device OOM, over-large buffer) walk the
-//     degradation Ladder: the arena is drained and the expression is
-//     re-planned on the next-cheaper strategy, with the streaming rung
+//     degradation ladder: the arena is drained and the expression is
+//     re-planned on the next-cheaper strategy, with the streaming rungs
 //     escalating through progressively more (smaller) tiles;
-//   - device-lost faults jump straight to the ladder's "vm" rung if it
-//     has one — the host bytecode VM touches the device for nothing, so
-//     it completes even on a latched-lost device — and surface
-//     immediately otherwise; either way the device stays lost, and the
-//     serving layer's circuit breaker sees that and schedules the
-//     driver-reset probe (or replaces the device);
+//   - device-lost faults jump straight to the ladder's terminal "vm"
+//     rung — the host bytecode VM touches the device for nothing, so it
+//     completes even on a latched-lost device — and the device stays
+//     lost: the serving layer's circuit breaker sees that and schedules
+//     the driver-reset probe (or replaces the device);
 //   - permanent faults surface immediately — recovery at the engine
 //     level cannot help.
-//
-// The zero value is not useful; start from DefaultRetryPolicy.
-type RetryPolicy struct {
-	// MaxRetries is the transient-retry budget per plan (default 3).
-	MaxRetries int
-	// BaseBackoff is the first retry's backoff (default 1ms); each
-	// further retry doubles it up to MaxBackoff (default 50ms).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Jitter is the fraction of each backoff randomized symmetrically
-	// around its nominal value, to decorrelate retry storms across
-	// workers (default 0.5; 0 disables jitter).
-	Jitter float64
-	// Seed seeds the jitter generator; engines sharing a policy value
-	// should perturb it per worker for decorrelation.
-	Seed int64
-	// Ladder is the capacity-degradation order by strategy name
-	// (default fusion, staged, roundtrip, streaming, vm). A capacity
-	// fault on a strategy moves to the rung after it; a strategy not on
-	// the ladder degrades to the first rung. The terminal "vm" rung is
-	// also the device-lost refuge: it runs entirely on the host, so a
-	// lost device jumps directly to it.
-	Ladder []string
-	// StreamingTiles expands the ladder's "streaming" entry into one
-	// rung per tile count, in order (default 4, 16, 64, 256): each
-	// capacity fault under streaming halves the per-tile working set
-	// again.
-	StreamingTiles []int
-	// Sleep replaces time.Sleep for backoff waits (tests); nil means
-	// real sleeping.
-	Sleep func(time.Duration)
-}
+const (
+	maxRetries  = 3
+	baseBackoff = time.Millisecond
+	maxBackoff  = 50 * time.Millisecond
+	jitter      = 0.5
+)
 
-// DefaultRetryPolicy returns the policy described on RetryPolicy.
-func DefaultRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{
-		MaxRetries:     3,
-		BaseBackoff:    time.Millisecond,
-		MaxBackoff:     50 * time.Millisecond,
-		Jitter:         0.5,
-		Ladder:         []string{"fusion", "staged", "roundtrip", "streaming", "vm"},
-		StreamingTiles: []int{4, 16, 64, 256},
-	}
-}
-
-// rung is one position on the expanded degradation ladder.
+// rung is one position on the degradation ladder.
 type rung struct {
-	label string // e.g. "staged", "streaming@16"
+	label string // the strategy's plan cache name, e.g. "streaming@16"
 	strat strategy.Strategy
+}
+
+// ladder is the capacity-degradation order. A capacity fault on a rung
+// moves to the rung after it; a strategy not on the ladder degrades to
+// the first rung. The last rung, "vm", is also the device-lost refuge.
+var ladder = []rung{
+	{"fusion", strategy.Fusion{}},
+	{"staged", strategy.Staged{}},
+	{"roundtrip", strategy.Roundtrip{}},
+	{"streaming@4", strategy.Streaming{Tiles: 4}},
+	{"streaming@16", strategy.Streaming{Tiles: 16}},
+	{"streaming@64", strategy.Streaming{Tiles: 64}},
+	{"streaming@256", strategy.Streaming{Tiles: 256}},
+	{"vm", strategy.VM{}},
 }
 
 // recovery is an engine's armed recovery state. Like the engine it is
 // single-goroutine.
 type recovery struct {
-	pol   RetryPolicy
-	rungs []rung
 	rng   *rand.Rand
-	sleep func(time.Duration)
+	sleep func(time.Duration) // time.Sleep; tests replace it
 }
 
-// SetRecovery arms (or, with nil, disarms) fault recovery on the
-// engine. The policy value is copied; defaults fill any zero field.
+// SetRecovery arms fault recovery on the engine, seeding its retry
+// jitter; engines that share a workload should use distinct seeds.
 // Recovery is off by default: one-shot paper harnesses keep the exact
 // fail-fast semantics of the original system, while the serving layer
 // arms recovery on every worker engine.
-func (e *Engine) SetRecovery(p *RetryPolicy) error {
-	if p == nil {
-		e.rec = nil
-		return nil
-	}
-	def := DefaultRetryPolicy()
-	pol := *p
-	if pol.MaxRetries <= 0 {
-		pol.MaxRetries = def.MaxRetries
-	}
-	if pol.BaseBackoff <= 0 {
-		pol.BaseBackoff = def.BaseBackoff
-	}
-	if pol.MaxBackoff <= 0 {
-		pol.MaxBackoff = def.MaxBackoff
-	}
-	if pol.Jitter < 0 || pol.Jitter > 1 {
-		return fmt.Errorf("dfg: retry jitter %v outside [0,1]", pol.Jitter)
-	}
-	if pol.Jitter == 0 {
-		pol.Jitter = def.Jitter
-	}
-	if len(pol.Ladder) == 0 {
-		pol.Ladder = def.Ladder
-	}
-	if len(pol.StreamingTiles) == 0 {
-		pol.StreamingTiles = def.StreamingTiles
-	}
-	var rungs []rung
-	for _, name := range pol.Ladder {
-		if name == "streaming" {
-			for _, t := range pol.StreamingTiles {
-				if t < 1 {
-					return fmt.Errorf("dfg: streaming tile count %d must be positive", t)
-				}
-				s := strategy.Streaming{Tiles: t}
-				rungs = append(rungs, rung{label: s.PlanVariant(), strat: s})
-			}
-			continue
-		}
-		s, err := strategy.ForName(name)
-		if err != nil {
-			return fmt.Errorf("dfg: ladder: %w", err)
-		}
-		rungs = append(rungs, rung{label: name, strat: s})
-	}
-	if len(rungs) == 0 {
-		return fmt.Errorf("dfg: degradation ladder is empty")
-	}
-	sleep := pol.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	e.rec = &recovery{pol: pol, rungs: rungs, rng: rand.New(rand.NewSource(pol.Seed)), sleep: sleep}
-	return nil
+func (e *Engine) SetRecovery(seed int64) {
+	e.rec = &recovery{rng: rand.New(rand.NewSource(seed)), sleep: time.Sleep}
 }
-
-// Recovering reports whether fault recovery is armed.
-func (e *Engine) Recovering() bool { return e.rec != nil }
 
 // InjectFaults attaches a fault plan to the engine's device context —
 // the chaos entry point used by dfg-serve -chaos and the recovery
@@ -176,56 +94,27 @@ func (e *Engine) Heal() { e.env.Context().Heal() }
 
 // backoff computes the nth (1-based) retry's jittered backoff.
 func (r *recovery) backoff(attempt int) time.Duration {
-	d := r.pol.BaseBackoff
-	for i := 1; i < attempt; i++ {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
-		if d >= r.pol.MaxBackoff {
-			break
-		}
 	}
-	if d > r.pol.MaxBackoff {
-		d = r.pol.MaxBackoff
-	}
-	if r.pol.Jitter > 0 {
-		d = time.Duration(float64(d) * (1 + r.pol.Jitter*(2*r.rng.Float64()-1)))
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	d = min(d, maxBackoff)
+	return time.Duration(float64(d) * (1 + jitter*(2*r.rng.Float64()-1)))
 }
 
-// next finds the rung after the given label on the expanded ladder. A
-// label not on the ladder (a custom strategy) degrades to the first
-// rung; the last rung has nothing below it.
-func (r *recovery) next(label string) (rung, bool) {
-	idx := -1
-	for i, ru := range r.rungs {
-		if ru.label == label || strings.HasPrefix(ru.label, label+"@") {
-			idx = i
-			break
+// nextRung finds the rung after the given label on the ladder. A label
+// not on the ladder (a custom strategy) degrades to the first rung; the
+// last rung has nothing below it.
+func nextRung(label string) (rung, bool) {
+	for i, ru := range ladder {
+		if ru.label == label {
+			if i+1 == len(ladder) {
+				return rung{}, false
+			}
+			return ladder[i+1], true
 		}
 	}
-	if idx < 0 {
-		if r.rungs[0].label != label {
-			return r.rungs[0], true
-		}
-		return rung{}, false
-	}
-	if idx+1 >= len(r.rungs) {
-		return rung{}, false
-	}
-	return r.rungs[idx+1], true
-}
-
-// vmRung finds the ladder's "vm" rung — the device-lost refuge.
-func (r *recovery) vmRung() (rung, bool) {
-	for _, ru := range r.rungs {
-		if ru.label == "vm" {
-			return ru, true
-		}
-	}
-	return rung{}, false
+	return ladder[0], true
 }
 
 // run is the recovery-wrapped execution loop around runPlanOnce. j.pr,
@@ -252,7 +141,7 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t
 		}
 		switch class := ocl.Classify(err); class {
 		case ocl.ClassTransient:
-			if retries >= r.pol.MaxRetries {
+			if retries >= maxRetries {
 				return nil, fmt.Errorf("dfg: %d retries exhausted: %w", retries, err)
 			}
 			retries++
@@ -278,13 +167,13 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t
 			var ok bool
 			if lost {
 				// Nothing on the device can run again until the serving layer
-				// heals or replaces it, but the ladder's host-VM rung (if any)
-				// needs no device at all: jump straight there. Already on it,
-				// or no vm rung? Surface the loss.
-				if nxt, ok = r.vmRung(); !ok || label == nxt.label {
+				// heals or replaces it, but the ladder's host-VM rung needs
+				// no device at all: jump straight there. Already on it?
+				// Surface the loss.
+				if nxt = ladder[len(ladder)-1]; label == nxt.label {
 					return nil, err
 				}
-			} else if nxt, ok = r.next(label); !ok {
+			} else if nxt, ok = nextRung(label); !ok {
 				return nil, fmt.Errorf("dfg: degradation ladder exhausted at %s: %w", label, err)
 			}
 			// Drain the arena so pooled and resident buffers do not count

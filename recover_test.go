@@ -4,20 +4,22 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"dfg/internal/obs"
 	"dfg/internal/ocl"
+	"dfg/internal/strategy"
 	"dfg/internal/vortex"
 )
 
 // tinyGPU builds an engine on the paper's Tesla M2050 spec with its
-// global memory shrunk to capacity bytes, recovery armed, and an
-// instrumented registry. The 3 GB M2050 is exactly the device whose
-// missing Table II entries motivated the ladder; shrinking its memory
-// reproduces those failures at test scale.
-func tinyGPU(t *testing.T, capacity int64, pol *RetryPolicy) (*Engine, *obs.Registry) {
+// global memory shrunk to capacity bytes, recovery armed (backoff waits
+// do not really sleep), and an instrumented registry. The 3 GB M2050 is
+// exactly the device whose missing Table II entries motivated the
+// ladder; shrinking its memory reproduces those failures at test scale.
+func tinyGPU(t *testing.T, capacity int64) (*Engine, *obs.Registry) {
 	t.Helper()
 	spec := ocl.TeslaM2050Spec(1)
 	spec.GlobalMemSize = capacity
@@ -28,16 +30,42 @@ func tinyGPU(t *testing.T, capacity int64, pol *RetryPolicy) (*Engine, *obs.Regi
 	}
 	reg := obs.NewRegistry()
 	eng.Instrument(nil, reg)
-	if pol == nil {
-		pol = DefaultRetryPolicy()
-	}
-	if pol.Sleep == nil {
-		pol.Sleep = func(time.Duration) {} // tests never really sleep
-	}
-	if err := eng.SetRecovery(pol); err != nil {
-		t.Fatal(err)
-	}
+	eng.SetRecovery(0)
+	eng.rec.sleep = func(time.Duration) {}
 	return eng, reg
+}
+
+// TestRecoveryConstants pins the retry policy and the ladder, recorded
+// from the configurable policy they replaced at its defaults: the rung
+// order and the first five jittered backoffs for the seeds serve gives
+// workers 0 and 1.
+func TestRecoveryConstants(t *testing.T) {
+	var labels []string
+	for _, ru := range ladder {
+		labels = append(labels, ru.label)
+		if got := strategy.PlanCacheName(ru.strat); got != ru.label {
+			t.Errorf("rung %q plans under %q", ru.label, got)
+		}
+	}
+	want := []string{"fusion", "staged", "roundtrip", "streaming@4", "streaming@16", "streaming@64", "streaming@256", "vm"}
+	if !slices.Equal(labels, want) {
+		t.Fatalf("ladder = %q, want %q", labels, want)
+	}
+	for seed, want := range map[int64][]time.Duration{
+		1: {1104660, 2881018, 4658240, 7501713, 14794199},
+		2: {667296, 1530108, 2205952, 4951819, 17828329},
+	} {
+		eng, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetRecovery(seed)
+		for i, w := range want {
+			if got := eng.rec.backoff(i + 1); got != w {
+				t.Errorf("seed %d: backoff(%d) = %d, want %d", seed, i+1, got, w)
+			}
+		}
+	}
 }
 
 // TestOOMUnderFusionRecoversViaLadder is the flagship scenario: on a
@@ -58,7 +86,7 @@ func TestOOMUnderFusionRecoversViaLadder(t *testing.T) {
 
 	// Capacity below every whole-grid strategy's working set (7 scalar
 	// arrays at 4 B/cell already exceed it) but above a small tile's.
-	eng, reg := tinyGPU(t, 9*int64(n), nil)
+	eng, reg := tinyGPU(t, 9*int64(n))
 	baseline := eng.LiveBuffers()
 
 	// Fail-fast sanity: without recovery this is the paper's terminal
@@ -139,9 +167,8 @@ func TestOOMUnderFusionRecoversViaLadder(t *testing.T) {
 // incrementing dfg_retries_total.
 func TestTransientRetrySucceeds(t *testing.T) {
 	var slept []time.Duration
-	pol := DefaultRetryPolicy()
-	pol.Sleep = func(d time.Duration) { slept = append(slept, d) }
-	eng, reg := tinyGPU(t, 1<<30, pol)
+	eng, reg := tinyGPU(t, 1<<30)
+	eng.rec.sleep = func(d time.Duration) { slept = append(slept, d) }
 
 	eng.InjectFaults(ocl.NewFaultPlan(1).FailNth(ocl.FaultKernel, 0))
 	u := []float32{3, 1, 0}
@@ -160,49 +187,28 @@ func TestTransientRetrySucceeds(t *testing.T) {
 	if len(slept) != 1 {
 		t.Fatalf("expected exactly one backoff sleep, got %v", slept)
 	}
-	if slept[0] <= 0 || slept[0] > 2*pol.BaseBackoff {
+	if slept[0] <= 0 || slept[0] > 2*baseBackoff {
 		t.Fatalf("first backoff %v outside (0, 2*base]", slept[0])
 	}
 }
 
 // TestRetriesExhaust pins the budget: persistent transient faults
-// surface the typed error once MaxRetries is spent.
+// surface the typed error once maxRetries is spent.
 func TestRetriesExhaust(t *testing.T) {
-	pol := DefaultRetryPolicy()
-	pol.MaxRetries = 2
-	eng, _ := tinyGPU(t, 1<<30, pol)
+	var slept int
+	eng, _ := tinyGPU(t, 1<<30)
+	eng.rec.sleep = func(time.Duration) { slept++ }
 	eng.InjectFaults(ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultKernel, Nth: 0, Times: 100}))
 
 	_, err := eng.Eval(VelocityMagnitudeExpr, 1, map[string][]float32{"u": {1}, "v": {0}, "w": {0}})
 	if !errors.Is(err, ocl.ErrKernelFailed) {
 		t.Fatalf("got %v, want wrapped ErrKernelFailed", err)
 	}
+	if slept != 3 {
+		t.Fatalf("%d backoff sleeps before giving up, want 3", slept)
+	}
 	if eng.LiveBuffers() != 0 {
 		t.Fatalf("exhausted retries leaked %d buffers", eng.LiveBuffers())
-	}
-}
-
-// TestDeviceLostSurfacesWithoutVMRung pins that engine recovery never
-// retries or backs off on a lost device: with no host-VM rung on the
-// ladder there is nowhere to go, so the loss surfaces immediately —
-// healing the device is the serving layer's job.
-func TestDeviceLostSurfacesWithoutVMRung(t *testing.T) {
-	var slept int
-	pol := DefaultRetryPolicy()
-	pol.Ladder = []string{"fusion", "staged"} // no vm refuge
-	pol.Sleep = func(time.Duration) { slept++ }
-	eng, _ := tinyGPU(t, 1<<30, pol)
-	eng.InjectFaults(ocl.NewFaultPlan(1).LoseDeviceAt(0))
-
-	_, err := eng.Eval(VelocityMagnitudeExpr, 1, map[string][]float32{"u": {1}, "v": {0}, "w": {0}})
-	if !errors.Is(err, ocl.ErrDeviceLost) {
-		t.Fatalf("got %v, want ErrDeviceLost", err)
-	}
-	if slept != 0 {
-		t.Fatal("device-lost fault must not back off and retry")
-	}
-	if !eng.DeviceLost() {
-		t.Fatal("device should be latched lost")
 	}
 }
 
@@ -213,9 +219,8 @@ func TestDeviceLostSurfacesWithoutVMRung(t *testing.T) {
 // the device stays lost.
 func TestDeviceLostFallsToVM(t *testing.T) {
 	var slept int
-	pol := DefaultRetryPolicy()
-	pol.Sleep = func(time.Duration) { slept++ }
-	eng, reg := tinyGPU(t, 1<<30, pol)
+	eng, reg := tinyGPU(t, 1<<30)
+	eng.rec.sleep = func(time.Duration) { slept++ }
 	eng.InjectFaults(ocl.NewFaultPlan(1).LoseDeviceAt(0))
 
 	pr, err := eng.Prepare(VelocityMagnitudeExpr)
@@ -261,7 +266,7 @@ func TestDeviceLostFallsToVM(t *testing.T) {
 // expression returns to its primary rung, and the next evaluation
 // really runs on the device again.
 func TestHealRestoresPrimaryAfterVMRescue(t *testing.T) {
-	eng, _ := tinyGPU(t, 1<<30, nil)
+	eng, _ := tinyGPU(t, 1<<30)
 	eng.InjectFaults(ocl.NewFaultPlan(1).LoseDeviceAt(0))
 
 	pr, err := eng.Prepare(VelocityMagnitudeExpr)
@@ -298,9 +303,8 @@ func TestHealRestoresPrimaryAfterVMRescue(t *testing.T) {
 // recovery loop instead of burning retries on a request nobody wants.
 func TestCanceledContextStopsRecovery(t *testing.T) {
 	var slept int
-	pol := DefaultRetryPolicy()
-	pol.Sleep = func(time.Duration) { slept++ }
-	eng, _ := tinyGPU(t, 1<<30, pol)
+	eng, _ := tinyGPU(t, 1<<30)
+	eng.rec.sleep = func(time.Duration) { slept++ }
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -374,7 +378,7 @@ func TestLadderDrainsOnEveryFailure(t *testing.T) {
 	n := m.Cells()
 
 	for k := 0; k < 40; k++ {
-		eng, _ := tinyGPU(t, 9*int64(n), nil)
+		eng, _ := tinyGPU(t, 9*int64(n))
 		// On top of the capacity starvation, fail the k-th allocation
 		// outright, moving the failure point across the whole walk.
 		eng.InjectFaults(ocl.NewFaultPlan(int64(k)).FailNth(ocl.FaultAlloc, k))
@@ -404,7 +408,7 @@ func TestRecoveredMatchesHostGolden(t *testing.T) {
 	f := GenerateRT(m, 17)
 	golden := vortex.QCriterion(f.U, f.V, f.W, m)
 
-	eng, _ := tinyGPU(t, 9*int64(m.Cells()), nil)
+	eng, _ := tinyGPU(t, 9*int64(m.Cells()))
 	res, err := eng.EvalOnMesh(QCriterionExpr, m, FieldInputs(f))
 	if err != nil {
 		t.Fatal(err)

@@ -35,12 +35,12 @@ func tierInputs(n int) map[string][]float32 {
 }
 
 // TestEngineTieredThreshold drives the tier boundary through the public
-// Config: sizes strictly below VMThreshold run on the host VM, at or
-// above on the device, stably across repeated Prepare calls, with
-// identical results either side of the plan cache.
+// Config: under Strategy "tiered@N", sizes strictly below N run on the
+// host VM, at or above on the device, stably across repeated Prepare
+// calls, with identical results either side of the plan cache.
 func TestEngineTieredThreshold(t *testing.T) {
 	const th = 100
-	eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "tiered", VMThreshold: th})
+	eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "tiered@100"})
 	if err != nil {
 		t.Fatal(err)
 	}
