@@ -477,7 +477,7 @@ func TestExecutionModesBitwiseEqual(t *testing.T) {
 // TestBlockedModePartialBlocks covers sizes that do not divide the block
 // size (the final short block).
 func TestBlockedModePartialBlocks(t *testing.T) {
-	for _, n := range []int{1, 7, 255, 256, 257, 1000} {
+	for _, n := range []int{1, 7, 255, 256, 257, 511, 512, 513, 1000} {
 		nw := buildVelMag(t)
 		p, err := Fuse(nw, "velmag")
 		if err != nil {

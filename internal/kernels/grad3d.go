@@ -97,12 +97,18 @@ func gradAxisDiff(f, coord []float32, idx, p, n, stride int) float32 {
 	case n == 1:
 		return 0
 	case p == 0:
-		return (f[idx+stride] - f[idx]) / (coord[idx+stride] - coord[idx])
+		return quotient(f, coord, idx, idx+stride)
 	case p == n-1:
-		return (f[idx] - f[idx-stride]) / (coord[idx] - coord[idx-stride])
+		return quotient(f, coord, idx-stride, idx)
 	default:
-		return (f[idx+stride] - f[idx-stride]) / (coord[idx+stride] - coord[idx-stride])
+		return quotient(f, coord, idx-stride, idx+stride)
 	}
+}
+
+// quotient is every form of dfg_axis_diff: the difference quotient of f
+// over coord between elements a and b.
+func quotient(f, coord []float32, a, b int) float32 {
+	return (f[b] - f[a]) / (coord[b] - coord[a])
 }
 
 // GradAt is the executable equivalent of dfg_grad3d: the gradient of the
@@ -160,12 +166,12 @@ func Grad3D() *ocl.Kernel {
 // starting at linear cell base: dst[e] is what GradAxisAt returns for
 // cell base+e, bit for bit. coord is the axis's per-cell center
 // coordinate array. Where GradAt decomposes every cell index and picks
-// its difference form per cell, GradRows decomposes base once, walks the
-// x-rows the window covers, and picks each row's two neighbour offsets —
-// forward, backward or central — once (once per face cell along x), so
-// the inner loop is gradAxisDiff's expression, division included, over
-// sub-slices with no index arithmetic and no branch. The window may
-// start and end mid-row and span plane boundaries.
+// its difference form per cell, GradRows runs gradAxisDiff's expression,
+// division included, over sub-slices with no index arithmetic and no
+// branch: along y and z it walks the runs of x-rows that share their two
+// neighbour offsets — forward, backward or central — and picks them once
+// per run; along x it is gradRowsX. The window may start and end mid-row
+// and span plane boundaries. dst must not overlap f or coord.
 //
 // dims must describe the arrays: every extent >= 1 and the window inside
 // nx*ny*nz cells. Callers validate bound dims before launching
@@ -186,48 +192,66 @@ func GradRows(dst, f, coord []float32, axis, nx, ny, nz, base int) {
 		n, stride = nz, nx*ny
 	}
 	if n == 1 {
-		for e := range dst {
-			dst[e] = 0
-		}
+		clear(dst)
+		return
+	}
+	if axis == 0 {
+		gradRowsX(dst, f, coord, nx, nx*ny*nz, base)
 		return
 	}
 	i := base % nx
 	rest := base / nx
 	j, k := rest%ny, rest/ny
 	for idx := base; len(dst) > 0; {
-		seg := min(nx-i, len(dst))
-		row := dst[:seg]
-		if axis == 0 {
-			lo, hi := 0, seg // the row's central-difference cells
-			if i == 0 {
-				diffRow(row[:1], f, coord, idx, 0, 1)
-				lo = 1
-			}
-			if i+seg == nx {
-				hi--
-				diffRow(row[hi:], f, coord, idx+hi, -1, 0)
-			}
-			diffRow(row[lo:hi], f, coord, idx+lo, -1, 1)
-		} else {
-			p := j
-			if axis == 2 {
-				p = k
-			}
-			switch {
-			case p == 0:
-				diffRow(row, f, coord, idx, 0, stride)
-			case p == n-1:
-				diffRow(row, f, coord, idx, -stride, 0)
-			default:
-				diffRow(row, f, coord, idx, -stride, stride)
+		// The run is the rows from the current one on that share its
+		// neighbour offsets: along y a face row alone or the interior
+		// rows of a plane together, along z the rest of the plane.
+		p, rows := j, 1
+		if axis == 2 {
+			p, rows = k, ny-j
+		}
+		var a, b int
+		switch {
+		case p == 0:
+			a, b = 0, stride
+		case p == n-1:
+			a, b = -stride, 0
+		default:
+			a, b = -stride, stride
+			if axis == 1 {
+				rows = ny - 1 - j
 			}
 		}
+		seg := min(rows*nx-i, len(dst))
+		diffRow(dst[:seg], f, coord, idx, a, b)
 		dst = dst[seg:]
 		idx += seg
 		i = 0
-		if j++; j == ny {
+		if j += rows; j == ny {
 			j = 0
 			k++
+		}
+	}
+}
+
+// gradRowsX is GradRows along x, where a cell's neighbours are the
+// adjacent cells: one central-difference run over the whole window,
+// across row ends, and then every face cell the window holds overwritten
+// with its one-sided difference (the face cells stay scalar). The run
+// leaves out mesh cells 0 and cells-1, which are faces, so its reads stay
+// inside the arrays; what it stores at the other faces is replaced — dst
+// does not overlap f or coord, so storing twice is safe.
+func gradRowsX(dst, f, coord []float32, nx, cells, base int) {
+	end := base + len(dst)
+	if lo, hi := max(base, 1), min(end, cells-1); lo < hi {
+		diffRow(dst[lo-base:hi-base], f, coord, lo, -1, 1)
+	}
+	for c := base - base%nx; c < end; c += nx { // each row start from base's row on
+		if c >= base {
+			dst[c-base] = quotient(f, coord, c, c+1)
+		}
+		if e := c + nx - 1; e >= base && e < end {
+			dst[e-base] = quotient(f, coord, e-1, e)
 		}
 	}
 }
@@ -354,18 +378,25 @@ __kernel void %s(__global const float *f,
 // idx+e+b. The four operand windows are sliced once, so the loop carries
 // no index arithmetic and no bounds check. Like the lane primitives
 // (lanes.go) it runs 8 cells per step where AVX2 is available, the
-// division kept, and this loop over the rest.
+// division kept. A run of at least 8 cells ends with one more vector over
+// its last 8, overlapping cells the steps already stored: dst never
+// overlaps f or coord, so the overlap stores the same bits again. Shorter
+// runs take this loop.
 func diffRow(dst, f, coord []float32, idx, a, b int) {
 	if len(dst) == 0 {
-		return // a row with no central cells; idx+a may lie outside f
+		return // an empty run; idx+a may lie outside f
 	}
 	fa, fb := f[idx+a:][:len(dst)], f[idx+b:][:len(dst)]
 	ca, cb := coord[idx+a:][:len(dst)], coord[idx+b:][:len(dst)]
-	n := vectorLen(len(dst))
-	if n > 0 { // face cells and short rows skip the call
+	if n := vectorLen(len(dst)); n > 0 {
 		diffRowAVX2(dst, fa, fb, ca, cb)
+		if n < uint(len(dst)) {
+			t := len(dst) - 8
+			diffRowAVX2(dst[t:], fa[t:], fb[t:], ca[t:], cb[t:])
+		}
+		return
 	}
-	for e := n; e < uint(len(dst)); e++ {
+	for e := range dst {
 		dst[e] = (fb[e] - fa[e]) / (cb[e] - ca[e])
 	}
 }

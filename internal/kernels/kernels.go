@@ -244,7 +244,7 @@ __kernel void knorm(__global const float4 *a, __global float *out)
 				var s float64
 				for c := 0; c < 3 && c < w; c++ {
 					v := float64(in.Data[i*w+c])
-					s += v * v
+					s += v * v // exact square of a float32: an FMA contraction changes nothing
 				}
 				out[i] = float32(math.Sqrt(s))
 			}

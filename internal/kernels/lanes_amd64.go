@@ -15,6 +15,27 @@ func mulAVX2(dst, a, b []float32)
 //go:noescape
 func divAVX2(dst, a, b []float32)
 
+// The fused rows' bodies (fused.go): each computes its row over the first
+// n&^7 elements of dst from the row's inputs, a first.
+
+//go:noescape
+func accSqSumAVX2(n uint, dst, a, b, c, d *float32)
+
+//go:noescape
+func accSqDiffAVX2(n uint, dst, a, b, c, d *float32)
+
+//go:noescape
+func sqSumAVX2(n uint, dst, a, b, c, d *float32)
+
+//go:noescape
+func sqDiffAVX2(n uint, dst, a, b, c, d *float32)
+
+//go:noescape
+func dot2AVX2(n uint, dst, a, b, c, d *float32)
+
+//go:noescape
+func accMulAVX2(n uint, dst, a, b, c, d *float32)
+
 // diffRowAVX2 sets dst[e] = (fb[e] - fa[e]) / (cb[e] - ca[e]).
 //
 //go:noescape

@@ -24,6 +24,48 @@ done: \
 	VZEROUPPER \
 	RET
 
+// The fused rows (fused.go). FUSED_ENTRY loads dst into DI, the count of
+// whole 8-element steps of n into CX and the inputs a..d into R8..R11 (the
+// inputs a row does not have are nil and never dereferenced). A body leaves the
+// step's 8 results in Y0 for FUSED_EXIT to store. Each body issues its
+// row's primitive operations in step order with the row's operand order:
+// Go's VOP src2, src1, dst computes src1 OP src2, and src1 is the
+// primitive's first operand. Every step loads all operands before the
+// store; dst overlaps no input.
+#define FUSED_ENTRY \
+	MOVQ n+0(FP), CX \
+	MOVQ dst+8(FP), DI \
+	MOVQ a+16(FP), R8 \
+	MOVQ b+24(FP), R9 \
+	MOVQ c+32(FP), R10 \
+	MOVQ d+40(FP), R11 \
+	XORQ AX, AX \
+	SHRQ $3, CX \
+	JZ   done \
+	PCALIGN $32
+
+#define FUSED_EXIT \
+	VMOVUPS Y0, (DI)(AX*1) \
+	ADDQ    $32, AX \
+	DECQ    CX \
+	JNZ     loop \
+done: \
+	VZEROUPPER \
+	RET
+
+// SCALED_SQ leaves (c*(a VOP b))^2 in Y0: a, b, c as loaded.
+#define SCALED_SQ(VOP) \
+	VMOVUPS (R8)(AX*1), Y0 \
+	VOP     (R9)(AX*1), Y0, Y0 \
+	VMOVUPS (R10)(AX*1), Y1 \
+	VMULPS  Y0, Y1, Y0 \
+	VMULPS  Y0, Y0, Y0
+
+// ACC_X adds the step's value to x = d as x + Y0.
+#define ACC_X \
+	VMOVUPS (R11)(AX*1), Y1 \
+	VADDPS  Y0, Y1, Y0
+
 // func addAVX2(dst, a, b []float32)
 TEXT ·addAVX2(SB), NOSPLIT, $0-72
 	LANES(VADDPS)
@@ -39,6 +81,57 @@ TEXT ·mulAVX2(SB), NOSPLIT, $0-72
 // func divAVX2(dst, a, b []float32)
 TEXT ·divAVX2(SB), NOSPLIT, $0-72
 	LANES(VDIVPS)
+
+// func accSqSumAVX2(n uint, dst, a, b, c, d *float32)
+TEXT ·accSqSumAVX2(SB), NOSPLIT, $0-48
+	FUSED_ENTRY
+loop:
+	SCALED_SQ(VADDPS)
+	ACC_X
+	FUSED_EXIT
+
+// func accSqDiffAVX2(n uint, dst, a, b, c, d *float32)
+TEXT ·accSqDiffAVX2(SB), NOSPLIT, $0-48
+	FUSED_ENTRY
+loop:
+	SCALED_SQ(VSUBPS)
+	ACC_X
+	FUSED_EXIT
+
+// func sqSumAVX2(n uint, dst, a, b, c, d *float32)
+TEXT ·sqSumAVX2(SB), NOSPLIT, $0-48
+	FUSED_ENTRY
+loop:
+	SCALED_SQ(VADDPS)
+	FUSED_EXIT
+
+// func sqDiffAVX2(n uint, dst, a, b, c, d *float32)
+TEXT ·sqDiffAVX2(SB), NOSPLIT, $0-48
+	FUSED_ENTRY
+loop:
+	SCALED_SQ(VSUBPS)
+	FUSED_EXIT
+
+// func dot2AVX2(n uint, dst, a, b, c, d *float32): a*b + c*d.
+TEXT ·dot2AVX2(SB), NOSPLIT, $0-48
+	FUSED_ENTRY
+loop:
+	VMOVUPS (R8)(AX*1), Y0
+	VMULPS  (R9)(AX*1), Y0, Y0
+	VMOVUPS (R10)(AX*1), Y1
+	VMULPS  (R11)(AX*1), Y1, Y1
+	VADDPS  Y1, Y0, Y0
+	FUSED_EXIT
+
+// func accMulAVX2(n uint, dst, a, b, c, d *float32): c + a*b.
+TEXT ·accMulAVX2(SB), NOSPLIT, $0-48
+	FUSED_ENTRY
+loop:
+	VMOVUPS (R8)(AX*1), Y0
+	VMULPS  (R9)(AX*1), Y0, Y0
+	VMOVUPS (R10)(AX*1), Y1
+	VADDPS  Y0, Y1, Y0
+	FUSED_EXIT
 
 // func diffRowAVX2(dst, fa, fb, ca, cb []float32)
 TEXT ·diffRowAVX2(SB), NOSPLIT, $0-120

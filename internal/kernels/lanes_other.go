@@ -11,3 +11,22 @@ func divAVX2(dst, a, b []float32) { panic("kernels: no vector body on this archi
 func diffRowAVX2(dst, fa, fb, ca, cb []float32) {
 	panic("kernels: no vector body on this architecture")
 }
+
+func accSqSumAVX2(n uint, dst, a, b, c, d *float32) {
+	panic("kernels: no vector body on this architecture")
+}
+func accSqDiffAVX2(n uint, dst, a, b, c, d *float32) {
+	panic("kernels: no vector body on this architecture")
+}
+func sqSumAVX2(n uint, dst, a, b, c, d *float32) {
+	panic("kernels: no vector body on this architecture")
+}
+func sqDiffAVX2(n uint, dst, a, b, c, d *float32) {
+	panic("kernels: no vector body on this architecture")
+}
+func dot2AVX2(n uint, dst, a, b, c, d *float32) {
+	panic("kernels: no vector body on this architecture")
+}
+func accMulAVX2(n uint, dst, a, b, c, d *float32) {
+	panic("kernels: no vector body on this architecture")
+}

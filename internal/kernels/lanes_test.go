@@ -115,8 +115,8 @@ func truth(b bool) float32 {
 // TestLanesVectorMatchesGoLoop: every row's lane body — the Go loop, and
 // the vector body in front of it where there is one — produces the bits
 // of the scalar spelled above, NaN payloads included, and writes nothing
-// outside dst: for every length around the 8-wide step and the
-// executor's 256-element block, every alignment of the operands, every
+// outside dst: for every length around the 8-wide step and a register
+// block of 256 or 512 elements, every alignment of the operands, every
 // legal aliasing of dst, and every tuple of value classes (x/0 and 0/0
 // among them), called directly and through the standalone kernel.
 func TestLanesVectorMatchesGoLoop(t *testing.T) {
@@ -125,7 +125,7 @@ func TestLanesVectorMatchesGoLoop(t *testing.T) {
 
 func lanesMatchScalar(t *testing.T) {
 	L := len(laneValues)
-	lengths := []int{255, 256, 257}
+	lengths := []int{255, 256, 257, 511, 512, 513}
 	for n := 0; n <= 70; n++ {
 		lengths = append(lengths, n)
 	}
@@ -213,6 +213,96 @@ func lanesMatchScalar(t *testing.T) {
 	}
 }
 
+// TestFusedRowsMatchComposition: every fused row — its AVX2 body with the
+// composed tail, and the composed body alone — produces the bits of its
+// steps run one by one through the primitive rows' lane bodies, NaN
+// payloads included (the bodies issue the same operations in the same
+// order), for every ordered tuple of value classes and for every length
+// 0..17, 256 and 512 at every alignment, writing nothing outside dst and
+// tmp.
+func TestFusedRowsMatchComposition(t *testing.T) {
+	eachDispatch(t, fusedMatchComposition)
+}
+
+// composeSteps runs a fused row's steps through the primitive table, each
+// step into a fresh lane, over the inputs' first n elements.
+func composeSteps(r *Fused, in [4][]float32, n int) []float32 {
+	vals := make([][]float32, len(r.Steps))
+	for j, s := range r.Steps {
+		var ops [2][]float32
+		for k, ref := range s.Args {
+			if d, ok := ref.Step(); ok {
+				ops[k] = vals[d]
+			} else {
+				ops[k] = in[ref][:n]
+			}
+		}
+		p, _ := Lookup(s.Prim)
+		vals[j] = make([]float32, n)
+		p.Binary(vals[j], ops[0], ops[1])
+	}
+	return vals[len(vals)-1]
+}
+
+func fusedMatchComposition(t *testing.T) {
+	L := len(laneValues)
+	for i := range FusedRows() {
+		r := &FusedRows()[i]
+
+		// Every ordered tuple of classes, in one long lane.
+		n := 1
+		for k := 0; k < r.Inputs; k++ {
+			n *= L
+		}
+		var in [4][]float32
+		for k, stride := 0, 1; k < r.Inputs; k, stride = k+1, stride*L {
+			in[k] = make([]float32, n)
+			for e := range in[k] {
+				in[k][e] = laneValues[e/stride%L]
+			}
+		}
+		got := make([]float32, n)
+		r.Apply(got, make([]float32, n), &in)
+		sameBits(t, r.Name+" all tuples", got, composeSteps(r, in, n))
+
+		rot := 0
+		lengths := []int{256, 512}
+		for n := 0; n <= 17; n++ {
+			lengths = append(lengths, n)
+		}
+		for _, n := range lengths {
+			for off := 0; off < 8; off++ {
+				rot++
+				backD, d := window(n, off)
+				backT, tmp := window(n, (off+5)%8)
+				for e := range backD {
+					backD[e], backT[e] = 77, 77
+				}
+				var in [4][]float32
+				for k := 0; k < r.Inputs; k++ {
+					_, in[k] = window(n, (off+3*k+1)%8)
+					for e := range in[k] {
+						in[k][e] = laneValues[(e+rot+k*(rot/L))%L]
+					}
+				}
+				r.Apply(d, tmp, &in)
+				what := fmt.Sprintf("%s n=%d off=%d", r.Name, n, off)
+				sameBits(t, what, d, composeSteps(r, in, n))
+				for e := range backD {
+					if e < 8+off || e >= 8+off+n {
+						if backD[e] != 77 {
+							t.Fatalf("%s: wrote outside dst at %d", what, e-8-off)
+						}
+					}
+					if o := (off + 5) % 8; (e < 8+o || e >= 8+o+n) && backT[e] != 77 {
+						t.Fatalf("%s: wrote outside tmp at %d", what, e-8-o)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDiffRowVectorMatchesGoLoop is the same comparison for the stencil
 // row, whose four operand windows sit at unrelated alignments.
 func TestDiffRowVectorMatchesGoLoop(t *testing.T) {
@@ -247,12 +337,30 @@ func TestDiffRowVectorMatchesGoLoop(t *testing.T) {
 
 // TestLanesShortOperandPanicsBeforeWriting: an operand shorter than dst
 // is a caller bug; the reslice reports it before anything is stored —
-// the vector bodies' stores are unchecked.
+// the vector bodies' stores are unchecked. The same holds for the fused
+// rows.
 func TestLanesShortOperandPanicsBeforeWriting(t *testing.T) {
+	type body struct {
+		name  string
+		arity int
+		apply func(dst []float32, in [][]float32)
+	}
+	var bodies []body
+	for _, p := range Primitives() {
+		bodies = append(bodies, body{p.Name, p.Arity, p.Apply})
+	}
+	for i := range FusedRows() {
+		r := &FusedRows()[i]
+		bodies = append(bodies, body{r.Name, r.Inputs, func(dst []float32, in [][]float32) {
+			var a [4][]float32
+			copy(a[:], in)
+			r.Apply(dst, make([]float32, len(dst)), &a)
+		}})
+	}
 	eachDispatch(t, func(t *testing.T) {
-		for _, p := range Primitives() {
-			for short := 0; short < p.Arity; short++ {
-				dst, in := make([]float32, 24), make([][]float32, p.Arity)
+		for _, p := range bodies {
+			for short := 0; short < p.arity; short++ {
+				dst, in := make([]float32, 24), make([][]float32, p.arity)
 				for k := range in {
 					in[k] = make([]float32, 24)
 					for i := range in[k] {
@@ -263,14 +371,14 @@ func TestLanesShortOperandPanicsBeforeWriting(t *testing.T) {
 				func() {
 					defer func() {
 						if recover() == nil {
-							t.Errorf("%s accepted a short operand %d", p.Name, short)
+							t.Errorf("%s accepted a short operand %d", p.name, short)
 						}
 					}()
-					p.Apply(dst, in)
+					p.apply(dst, in)
 				}()
 				for i, v := range dst {
 					if v != 0 {
-						t.Fatalf("%s with a short operand %d wrote dst[%d] = %v before panicking", p.Name, short, i, v)
+						t.Fatalf("%s with a short operand %d wrote dst[%d] = %v before panicking", p.name, short, i, v)
 					}
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dfg/internal/dataflow"
@@ -22,7 +23,7 @@ import (
 // versus device buffers and launch chunks. That is what the
 // VM-vs-fusion tests below pin (at zero ULP, across the paper
 // expressions, random programs, mesh sizes and optimisation levels); the
-// executor itself, slot allocator included, is held to the per-element
+// executor itself, lane allocator and fused rows included, is held to the per-element
 // reference interpreter by FuzzVMDifferential. Every comparison covers
 // every element, non-finite ones included (sameClass).
 
@@ -121,8 +122,7 @@ func executorVsReference(t *testing.T, net *dataflow.Network, bind Bindings, cut
 	}
 	n := bind.N
 	prog := low.Program()
-	const blockSize = 256 // vm's register block: one slab is Slots()*4 lanes of it
-	draws := []int{prog.Slots() * 4 * blockSize}
+	draws := []int{prog.SlabLen()}
 	for _, b := range low.Buffers {
 		if src := bind.Sources[b.Name]; b.Kind == vm.BufSource && len(src.Data) < b.Need(n) {
 			return nil, nil, false
@@ -200,6 +200,10 @@ func TestStencilOverConstantField(t *testing.T) {
 	} {
 		for _, lvl := range []passes.Level{passes.LevelPaper, passes.LevelO2} {
 			net := compileAt(t, text, lvl)
+			prog, err := vm.Compile(net)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, poison := range []bool{false, true} {
 				got, want, ok := executorVsReference(t, net, bind, 300, poison)
 				if !ok {
@@ -209,7 +213,7 @@ func TestStencilOverConstantField(t *testing.T) {
 				allZero("reference", want[0])
 				for _, s := range []Strategy{Fusion{}, VM{}, Tiered{Threshold: 1}, Tiered{Threshold: 1 << 20}} {
 					if poison {
-						poisonScratchPool([]int{bind.N, bind.N, 16 * 4 * 256})
+						poisonScratchPool([]int{bind.N, bind.N, prog.SlabLen()})
 					}
 					res, err := Execute(s, cpuEnv(), net, bind)
 					if err != nil {
@@ -227,7 +231,7 @@ func TestStencilOverConstantField(t *testing.T) {
 // lowering merge, so that comparison would pass vacuously.) Inputs: a
 // program text, an optional second text merged with the first into a
 // multi-root super-network, mesh dims (so N is rarely a multiple of the
-// 256-element block; nx >= 250 selects a few-row mesh whose rows are
+// register block; nx >= 250 selects a few-row mesh whose rows are
 // longer than a block), the element at which every pass's range is
 // split, and whether to run over a NaN-poisoned scratch pool. Any program the
 // Paper pipeline accepts must agree at the same level, and the
@@ -246,10 +250,11 @@ func FuzzVMDifferential(f *testing.F) {
 	f.Add("s = min(u, v) + max(w, 0.5)\nr = if (s >= 0) then (sqrt(s)) else (-s)", "", uint8(6), uint8(5), uint8(4), uint16(3), true)
 	f.Add("g = grad3d(u, dims, x, y, z)\nr = norm(g) * g[1]", "", uint8(1), uint8(9), uint8(30), uint16(256), false) // one-cell axis
 	f.Add("r = grad3d(u, dims, x, y, z)", "", uint8(9), uint8(9), uint8(9), uint16(500), true)                       // float4 output, pad lane
+	f.Add("r = grad3d(u, dims, x, y, z)", fig2, uint8(9), uint8(9), uint8(9), uint16(300), true)                     // float4 root through scratch: a width-4 load
 	// The row walker: a one-cell and a two-cell x axis, rows longer than
-	// a register block (nx = 250 is 300 cells), and splits one cell past
+	// a register block (nx = 250 is 600 cells), and splits one cell past
 	// a row end.
-	const longRow = 300
+	const longRow = 600
 	f.Add(vortex.QCritExpr, "", uint8(0), uint8(6), uint8(5), uint16(9), false)
 	f.Add(vortex.QCritExpr, "", uint8(1), uint8(1), uint8(5), uint16(5), true)
 	f.Add(vortex.QCritExpr, "", uint8(250), uint8(1), uint8(1), uint16(longRow+1), false)
@@ -262,27 +267,41 @@ func FuzzVMDifferential(f *testing.F) {
 	f.Add(vortex.GradMagExpr, "", uint8(6), uint8(5), uint8(4), uint16(11), false)
 	f.Add("g = grad3d(u*u, dims, x, y, z)\nr = g[0] + norm(g)", "", uint8(6), uint8(5), uint8(4), uint16(64), true)
 	f.Add("a = sqrt(u*u + v*v)\nr = min(a, abs(w))", "", uint8(6), uint8(5), uint8(4), uint16(0), false)
+	// Chains the fused rows must not swallow: an intermediate with a second
+	// reader, the constant on the right of the scaled sum, and a NaN
+	// constant whose payload the row's operand order must keep.
+	f.Add("h = 0.5*(u+v)\nr = h*h + h", "", uint8(13), uint8(9), uint8(7), uint16(77), true)
+	f.Add("r = ((u+v)*0.5)*((u+v)*0.5) + w", "", uint8(13), uint8(9), uint8(7), uint16(300), true)
+	f.Add("r = (0.0/0.0)*(u-v)", "", uint8(6), uint8(5), uint8(4), uint16(5), false)
+	// Two members whose outputs O2 folds to one constant share one root.
+	f.Add("sqrt(0*0*0*1*0*2)", "0", uint8(6), uint8(5), uint8(4), uint16(0), false)
 	f.Fuzz(func(t *testing.T, text, text2 string, nx, ny, nz uint8, cut uint16, poison bool) {
-		lower := func(pipe *passes.Pipeline, lvl passes.Level) *dataflow.Network {
+		// lower returns the program's network at one level and, per member,
+		// the root that carries its output: members whose outputs unify
+		// share one root, so O2 can have fewer outputs than Paper.
+		lower := func(pipe *passes.Pipeline, lvl passes.Level) (*dataflow.Network, []string) {
 			net, _, err := expr.CompileWithPipeline(text, nil, pipe, passes.RunOptions{Verify: true})
-			if err != nil || text2 == "" {
-				return net
+			if err != nil {
+				return nil, nil
+			}
+			if text2 == "" {
+				return net, net.Roots()
 			}
 			net2, _, err := expr.CompileWithPipeline(text2, nil, pipe, passes.RunOptions{Verify: true})
 			if err != nil {
-				return nil
+				return nil, nil
 			}
 			merged, err := passes.MergeNetworks([]passes.MergeMember{{Fp: "a", Net: net}, {Fp: "b", Net: net2}}, lvl, passes.RunOptions{Verify: true})
 			if err != nil {
 				t.Fatalf("members compiled but the merge failed: %v\n%s\n--\n%s", err, text, text2)
 			}
-			return merged.Net
+			return merged.Net, merged.Roots
 		}
-		paper := lower(passes.Paper, passes.LevelPaper)
+		paper, paperRoots := lower(passes.Paper, passes.LevelPaper)
 		if paper == nil {
 			t.Skip() // not a well-formed program
 		}
-		o2 := lower(passes.O2, passes.LevelO2)
+		o2, o2Roots := lower(passes.O2, passes.LevelO2)
 		if o2 == nil {
 			t.Fatalf("paper accepted but O2 rejected\n%s\n--\n%s", text, text2)
 		}
@@ -309,11 +328,13 @@ func FuzzVMDifferential(f *testing.F) {
 		if !ok {
 			t.Fatalf("paper lowering ran but O2 did not\n%s\n--\n%s", text, text2)
 		}
-		for r := range want {
-			for i, w := range want[r] {
-				if !sameClass(ogot[r][i], w) {
-					t.Fatalf("O2 executor diverges from the paper reference at root %d element %d: %v vs %v\n%s\n--\n%s",
-						r, i, ogot[r][i], w, text, text2)
+		for m := range paperRoots {
+			w := want[slices.Index(paper.Roots(), paperRoots[m])]
+			g := ogot[slices.Index(o2.Roots(), o2Roots[m])]
+			for i := range w {
+				if !sameClass(g[i], w[i]) {
+					t.Fatalf("O2 executor diverges from the paper reference at member %d element %d: %v vs %v\n%s\n--\n%s",
+						m, i, g[i], w[i], text, text2)
 				}
 			}
 		}

@@ -11,19 +11,19 @@ import (
 // blockSize is the number of elements one register block holds (the
 // vector-register design NumExpr pioneered for expression fusion):
 // dispatch overhead amortizes over the block while the live lanes stay
-// cache-resident. A slot is 4 lanes x 256 float32 = 4 KiB, but scalars
-// use lane 0 only, so Paper-level Q-criterion's 16 slots keep about
-// 16 x 1 KiB hot — L1-sized; the whole 64 KiB slab is L2-resident. With
-// scalar lane loops a sweep of 128..2048 with BenchmarkHandlers moved
-// whole Q-criterion at 64^3 by a few percent, inside run-to-run noise.
-// With the 8-wide lane bodies (kernels/lanes.go) a 256-element add is
-// about 27 ns, so per-block dispatch shows: 512 read 11.8 against 14.0
-// ns/element on BenchmarkHandlers/qcrit. Re-sizing the block is its own
-// change (ROADMAP item 2), not made here. Block boundaries cannot affect
-// results — every instruction is element-independent within a pass, and
-// the only cross-element operation (the gradient stencil) reads source
-// or already-materialized arrays, never the block registers.
-const blockSize = 256
+// cache-resident. A lane is 512 float32 = 2 KiB; Paper-level
+// Q-criterion's view uses 17 lanes, 34 KiB, inside a 48 KiB L1. With the
+// fused rows the program is 20 steps per block, so per-step dispatch is
+// what a larger block saves: over ten alternated BenchmarkHandlers/qcrit
+// runs (one goroutine, 2-vCPU 2.1 GHz Xeon with AVX2) 512 read a median
+// 5.07 against 5.95 ns/element for 256 and won 10 of 10 (O2 Q-criterion
+// 9 of 10), and the benchmark's small_hot workload (8^3, one block
+// instead of two) read a median eval_p05_us of 7.06 against 7.23 µs.
+// Block boundaries cannot affect results — every instruction is
+// element-independent within a pass, and the only cross-element
+// operation (the gradient stencil) reads source or already-materialized
+// arrays, never the block registers.
+const blockSize = 512
 
 // SourceFn resolves a bound source array by name. The returned slice is
 // read in place — the executor performs no copies of source data.
@@ -92,67 +92,104 @@ func (p *Program) RunAll(n int, src SourceFn, canceled func() error) ([][]float3
 // from the scratch pool), which is how the fused kernel's launch chunks
 // run; the caller provides the barrier between passes.
 func (p *Program) RunPass(pass, lo, hi int, views []ocl.View) {
-	regs := GetScratch(p.slots * 4 * blockSize)
+	regs := GetScratch(p.slabLen)
 	defer PutScratch(regs)
-	code := p.passes[pass]
-	for base := lo; base < hi; base += blockSize {
-		n := hi - base
-		if n > blockSize {
-			n = blockSize
+	code := &p.passes[pass]
+	for _, c := range code.consts {
+		fill := lane(regs, c.lane, max(0, min(blockSize, hi-lo)))
+		for e := range fill {
+			fill[e] = c.val
 		}
-		for i := range code {
-			in := &code[i]
-			handlers[in.op](in, regs, views, base, n)
+	}
+	for base := lo; base < hi; base += blockSize {
+		n := min(blockSize, hi-base)
+		for i := range code.steps {
+			s := &code.steps[i]
+			handlers[s.op](s, regs, views, base, n)
 		}
 	}
 }
 
-// lane returns the first n elements of one lane of a register slot.
-func lane(regs []float32, s uint16, l, n int) []float32 {
-	off := (int(s)*4 + l) * blockSize
+// lane returns the first n elements of lane l of the register slab.
+func lane(regs []float32, l uint32, n int) []float32 {
+	off := int(l) * blockSize
 	return regs[off : off+n]
 }
 
-// handler executes one instruction over elements [base, base+n) of the
-// current block.
-type handler func(in *Instr, regs []float32, views []ocl.View, base, n int)
+// block returns what the operand addresses in the block of n elements
+// at base.
+func (o operand) block(regs []float32, views []ocl.View, base, n int) []float32 {
+	if o.buf {
+		return views[o.idx].Data[base : base+n]
+	}
+	return lane(regs, o.idx, n)
+}
+
+// handler executes one step over elements [base, base+n) of the current
+// block.
+type handler func(s *step, regs []float32, views []ocl.View, base, n int)
 
 // handlers is the opcode-indexed dispatch table. The structural opcodes'
 // handlers are written below; an elementwise opcode's handler is its
-// primitive's lane body (kernels.Primitives) over the operand slots.
+// primitive's lane body (kernels.Primitives) and a fused opcode's its
+// row's Apply (kernels.FusedRows), over the operands' blocks.
 var handlers [numOpcodes]handler
 
-// unOp, binOp and triOp build the handler of a slot-to-slot lane body
-// with one, two or three operands.
+// opFused + i is row i of kernels.FusedRows(). Fused opcodes exist only
+// in a Program, never in a Lowering.
+const opFused opcode = 1 << 7
+
+// maxFusedSteps bounds a fused row's steps (the peephole's match state).
+const maxFusedSteps = 4
+
+// fusedOps holds, per fused row, each step's elementwise opcode.
+var fusedOps [][]opcode
+
+// unOp, binOp and triOp build the handler of a lane body with one, two or
+// three operands.
 func unOp(f func(dst, a []float32)) handler {
-	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		f(lane(regs, in.Dst, 0, n), lane(regs, in.A, 0, n))
+	return func(s *step, regs []float32, views []ocl.View, base, n int) {
+		f(s.dst.block(regs, views, base, n), s.args[0].block(regs, views, base, n))
 	}
 }
 
 func binOp(f func(dst, a, b []float32)) handler {
-	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		f(lane(regs, in.Dst, 0, n), lane(regs, in.A, 0, n), lane(regs, in.B, 0, n))
+	return func(s *step, regs []float32, views []ocl.View, base, n int) {
+		f(s.dst.block(regs, views, base, n), s.args[0].block(regs, views, base, n), s.args[1].block(regs, views, base, n))
 	}
 }
 
 func triOp(f func(dst, a, b, c []float32)) handler {
-	return func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		f(lane(regs, in.Dst, 0, n), lane(regs, in.A, 0, n), lane(regs, in.B, 0, n), lane(regs, in.C, 0, n))
+	return func(s *step, regs []float32, views []ocl.View, base, n int) {
+		f(s.dst.block(regs, views, base, n), s.args[0].block(regs, views, base, n),
+			s.args[1].block(regs, views, base, n), s.args[2].block(regs, views, base, n))
 	}
 }
 
-// gradBufs resolves a stencil instruction's buffers: the field, the
-// three coordinate arrays and the mesh extents.
-func gradBufs(in *Instr, views []ocl.View) (field []float32, coords [3][]float32, nx, ny, nz int) {
-	dims := views[in.GBufs[1]].Data
-	for a := range coords {
-		coords[a] = views[in.GBufs[2+a]].Data
+// fusedOp builds a fused row's handler; lane tmpLane is its temporary.
+func fusedOp(r *kernels.Fused) handler {
+	return func(s *step, regs []float32, views []ocl.View, base, n int) {
+		var in [4][]float32
+		for k := range in[:r.Inputs] {
+			in[k] = s.args[k].block(regs, views, base, n)
+		}
+		r.Apply(s.dst.block(regs, views, base, n), lane(regs, tmpLane, n), &in)
 	}
-	return views[in.GBufs[0]].Data, coords, int(dims[0]), int(dims[1]), int(dims[2])
+}
+
+// gradBufs resolves a stencil step's buffers: the field, the three
+// coordinate arrays and the mesh extents.
+func gradBufs(s *step, views []ocl.View) (field []float32, coords [3][]float32, nx, ny, nz int) {
+	dims := views[s.gbufs[1]].Data
+	for a := range coords {
+		coords[a] = views[s.gbufs[2+a]].Data
+	}
+	return views[s.gbufs[0]].Data, coords, int(dims[0]), int(dims[1]), int(dims[2])
 }
 
 func init() {
+	// Loads of width 1, constants and decomposes are operands of the view
+	// (view.go), never steps: they have names and read counts, no handler.
 	setOp(opLoad, "load", 0)
 	setOp(opConst, "const", 0)
 	setOp(opNorm, "norm", 1)
@@ -160,61 +197,48 @@ func init() {
 	setOp(opGrad, "grad3d", 0)
 	setOp(opGradAxis, "grad3d?", 0)
 	setOp(opStore, "store", 1)
-	handlers[opLoad] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
-		w := int(in.Width)
-		if w == 1 {
-			copy(lane(regs, in.Dst, 0, n), views[in.Buf].Data[base:base+n])
-			return
-		}
-		data := views[in.Buf].Data[base*w : (base+n)*w]
+	handlers[opLoad] = func(s *step, regs []float32, views []ocl.View, base, n int) {
+		w := int(s.width)
+		data := views[s.args[0].idx].Data[base*w : (base+n)*w]
 		for c := 0; c < w; c++ {
-			dst := lane(regs, in.Dst, c, n)
+			dst := lane(regs, s.dst.idx+uint32(c), n)
 			for e := range dst {
 				dst[e] = data[e*w+c]
 			}
 		}
 	}
-	handlers[opConst] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		dst := lane(regs, in.Dst, 0, n)
+	handlers[opNorm] = func(s *step, regs []float32, views []ocl.View, base, n int) {
+		dst := s.dst.block(regs, views, base, n)
+		v := s.args[0].idx
+		x, y, z := lane(regs, v, n), lane(regs, v+1, n), lane(regs, v+2, n)
 		for e := range dst {
-			dst[e] = in.Val
-		}
-	}
-	handlers[opNorm] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		dst := lane(regs, in.Dst, 0, n)
-		x, y, z := lane(regs, in.A, 0, n), lane(regs, in.A, 1, n), lane(regs, in.A, 2, n)
-		for e := range dst {
+			// Squares of float32 values are exact in float64, so an FMA
+			// contraction of this sum cannot change the result.
 			dst[e] = float32(math.Sqrt(float64(x[e])*float64(x[e]) +
 				float64(y[e])*float64(y[e]) + float64(z[e])*float64(z[e])))
 		}
 	}
-	handlers[opDecomp] = func(in *Instr, regs []float32, _ []ocl.View, _, n int) {
-		copy(lane(regs, in.Dst, 0, n), lane(regs, in.A, int(in.Comp), n))
-	}
-	handlers[opGrad] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
-		field, coords, nx, ny, nz := gradBufs(in, views)
+	handlers[opGrad] = func(s *step, regs []float32, views []ocl.View, base, n int) {
+		field, coords, nx, ny, nz := gradBufs(s, views)
 		for axis, coord := range coords {
-			kernels.GradRows(lane(regs, in.Dst, axis, n), field, coord, axis, nx, ny, nz, base)
+			kernels.GradRows(lane(regs, s.dst.idx+uint32(axis), n), field, coord, axis, nx, ny, nz, base)
 		}
-		pad := lane(regs, in.Dst, 3, n)
-		for e := range pad {
-			pad[e] = 0
-		}
+		clear(lane(regs, s.dst.idx+3, n))
 	}
-	handlers[opGradAxis] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
-		field, coords, nx, ny, nz := gradBufs(in, views)
-		axis := int(in.Comp)
-		kernels.GradRows(lane(regs, in.Dst, 0, n), field, coords[axis], axis, nx, ny, nz, base)
+	handlers[opGradAxis] = func(s *step, regs []float32, views []ocl.View, base, n int) {
+		field, coords, nx, ny, nz := gradBufs(s, views)
+		axis := int(s.comp)
+		kernels.GradRows(s.dst.block(regs, views, base, n), field, coords[axis], axis, nx, ny, nz, base)
 	}
-	handlers[opStore] = func(in *Instr, regs []float32, views []ocl.View, base, n int) {
-		w := int(in.Width)
+	handlers[opStore] = func(s *step, regs []float32, views []ocl.View, base, n int) {
+		w := int(s.width)
 		if w == 1 {
-			copy(views[in.Buf].Data[base:base+n], lane(regs, in.A, 0, n))
+			copy(s.dst.block(regs, views, base, n), s.args[0].block(regs, views, base, n))
 			return
 		}
-		data := views[in.Buf].Data[base*w : (base+n)*w]
+		data := views[s.dst.idx].Data[base*w : (base+n)*w]
 		for c := 0; c < w; c++ {
-			for e, v := range lane(regs, in.A, c, n) {
+			for e, v := range lane(regs, s.args[0].idx+uint32(c), n) {
 				data[e*w+c] = v
 			}
 		}
@@ -229,6 +253,23 @@ func init() {
 			handlers[op] = binOp(p.Binary)
 		default:
 			handlers[op] = triOp(p.Ternary)
+		}
+	}
+	if int(opElementwise)+len(kernels.Primitives()) > int(opFused) {
+		panic("vm: elementwise opcodes overlap the fused ones")
+	}
+	rows := kernels.FusedRows()
+	fusedOps = make([][]opcode, len(rows))
+	for i := range rows {
+		r := &rows[i]
+		if len(r.Steps) > maxFusedSteps || int(opFused)+i >= numOpcodes {
+			panic("vm: fused row " + r.Name + " does not fit the executor")
+		}
+		op := opFused + opcode(i)
+		ops[op].name, ops[op].reads = r.Name, uint8(r.Inputs) // no opOf entry: the lowering never emits it
+		handlers[op] = fusedOp(r)
+		for _, st := range r.Steps {
+			fusedOps[i] = append(fusedOps[i], opOf[st.Prim])
 		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 
 // TestExecutorMatchesReference is the package-level smoke of the
 // differential the strategy fuzz harness drives at scale: the blocked
-// executor over allocated slots and the per-element reference over the
+// executor over allocated lanes and the per-element reference over the
 // virtual registers agree bitwise, one pass and two.
 func TestExecutorMatchesReference(t *testing.T) {
-	src, n := vm.MeshSources(t, mesh.Dims{NX: 9, NY: 7, NZ: 6}) // 378: a full block and a partial one
+	src, n := vm.MeshSources(t, mesh.Dims{NX: 11, NY: 9, NZ: 7}) // 693: a full block and a partial one
 	for _, text := range []string{
 		vortex.QCritExpr,
 		vortex.VortMagExpr,

@@ -7,8 +7,10 @@
 //   - source: internal/codegen renders the OpenCL C text from it;
 //   - cost: internal/codegen folds the device model's ocl.Cost from its
 //     instructions;
-//   - execution: Lowering.Program remaps each pass's virtual registers
-//     onto a minimal slot set with last-use liveness, and the resulting
+//   - execution: Lowering.Program builds the executor's view (view.go):
+//     operands that read buffers and vector lanes in place, constants
+//     filled once per range, single-use chains as fused rows, and
+//     registers on slab lanes with last-use liveness. The resulting
 //     Program runs on a handler table over a pooled register slab.
 //
 // The fusion strategy is this executor plus device accounting (uploads,
@@ -75,12 +77,8 @@ func setOp(op opcode, name string, reads int) {
 var gradAxisNames = [3]string{"grad3dx", "grad3dy", "grad3dz"}
 
 // Instr is one lowered instruction. Register operands are virtual
-// registers in a Lowering (register i holds the i-th live node in
-// topological order) and slot indices into the pooled register slab in
-// a Program (four float32 lanes per slot; scalars use lane 0). Buf and
-// GBufs index the buffer table. The narrow field types keep an
-// instruction at 28 bytes, so whole programs stay cache-resident next to
-// the register slab.
+// registers (register i holds the i-th live node in topological order);
+// Buf and GBufs index the buffer table.
 type Instr struct {
 	op    opcode
 	Width uint8  // element width for load/store
@@ -421,22 +419,7 @@ func (c *lowerer) emitPass(p int) ([]Instr, error) {
 	return plan, nil
 }
 
-// Program is the executable form of a Lowering: the same passes with
-// registers remapped onto pooled slab slots. Programs are immutable and
-// safe to share across goroutines; all per-run state lives inside the
-// run.
-type Program struct {
-	// OutWidth is the primary output's element width (roots[0]).
-	OutWidth int
-	// OutWidths holds every root's element width, in Roots() order.
-	OutWidths []int
-
-	buffers []BufferSpec
-	passes  [][]Instr
-	slots   int // pooled register slots (max over passes after remapping)
-}
-
-// Compile lowers a validated network and allocates its register slots.
+// Compile lowers a validated network and builds its executor view.
 func Compile(net *dataflow.Network) (*Program, error) {
 	low, err := Lower(net)
 	if err != nil {
@@ -444,81 +427,3 @@ func Compile(net *dataflow.Network) (*Program, error) {
 	}
 	return low.Program(), nil
 }
-
-// Program remaps each pass's virtual registers onto a minimal slot set:
-// a forward scan frees each register's slot at its last read, and
-// destinations reuse freed slots. A destination may alias a just-freed
-// operand slot — every handler reads its operand element before writing
-// the destination element, so in-place execution is safe (and keeps the
-// hot slots cache-resident). Cross-pass values never appear here: they
-// travel through scratch buffers.
-func (l *Lowering) Program() *Program {
-	const noSlot = 1<<16 - 1
-	prog := &Program{OutWidth: l.OutWidths[0], OutWidths: l.OutWidths, buffers: l.Buffers}
-	lastRead := make([]int, l.NumVRegs)
-	slotOf := make([]uint16, l.NumVRegs)
-	var reads, free []uint16
-	for _, plan := range l.Passes {
-		for i := range plan {
-			for _, r := range plan[i].Reads(reads[:0]) {
-				lastRead[r] = i
-			}
-		}
-		free = free[:0]
-		next := uint16(0)
-		out := make([]Instr, len(plan))
-		for i, in := range plan {
-			reads = in.Reads(reads[:0])
-			switch len(reads) {
-			case 3:
-				in.C = slotOf[in.C]
-				fallthrough
-			case 2:
-				in.B = slotOf[in.B]
-				fallthrough
-			case 1:
-				in.A = slotOf[in.A]
-			}
-			for _, r := range reads {
-				if lastRead[r] == i && slotOf[r] != noSlot {
-					free = append(free, slotOf[r])
-					slotOf[r] = noSlot // an operand read twice frees once
-				}
-			}
-			if in.op != opStore {
-				s := next
-				if len(free) > 0 {
-					s, free = free[len(free)-1], free[:len(free)-1]
-				} else {
-					next++
-				}
-				slotOf[in.Dst] = s
-				in.Dst = s
-			}
-			out[i] = in
-		}
-		if int(next) > prog.slots {
-			prog.slots = int(next)
-		}
-		prog.passes = append(prog.passes, out)
-	}
-	return prog
-}
-
-// NumPasses returns the pass count.
-func (p *Program) NumPasses() int { return len(p.passes) }
-
-// Slots returns the register slot count after liveness remapping.
-func (p *Program) Slots() int { return p.slots }
-
-// NumInstrs returns the total instruction count across passes.
-func (p *Program) NumInstrs() int {
-	total := 0
-	for _, pass := range p.passes {
-		total += len(pass)
-	}
-	return total
-}
-
-// Buffers returns the program's buffer table (a copy).
-func (p *Program) Buffers() []BufferSpec { return append([]BufferSpec(nil), p.buffers...) }

@@ -3,12 +3,14 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dfg/internal/expr"
 	"dfg/internal/kernels"
 	"dfg/internal/mesh"
 	"dfg/internal/ocl"
+	"dfg/internal/passes"
 	"dfg/internal/rtsim"
 	"dfg/internal/vortex"
 )
@@ -46,10 +48,58 @@ func compileText(t testing.TB, text string) *Program {
 	return prog
 }
 
+// compileAt compiles text through the pass pipeline of lvl.
+func compileAt(t testing.TB, text string, lvl passes.Level) *Program {
+	t.Helper()
+	net, _, err := expr.CompileWithPipeline(text, nil, passes.ForLevel(lvl), passes.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestExecutedInstructionCounts pins the steps RunPass runs per block, per
+// pass, for the paper's three expressions and the two-pass gradient
+// magnitude at both levels. The lowering of Paper Q-criterion has 68
+// instructions (3 grad3d, 9 decompose, 1 const, 54 binary, 1 store) and
+// O2's 56; the view runs 20 and 29. A peephole or operand form that stops
+// firing fails here.
+func TestExecutedInstructionCounts(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		text      string
+		paper, o2 []int
+	}{
+		{"VelMag", vortex.VelMagExpr, []int{3}, []int{3}},
+		{"VortMag", vortex.VortMagExpr, []int{9}, []int{12}},
+		{"Q-Crit", vortex.QCritExpr, []int{20}, []int{29}},
+		{"GradMag", vortex.GradMagExpr, []int{3, 2}, []int{3, 2}},
+	} {
+		for _, lvl := range []passes.Level{passes.LevelPaper, passes.LevelO2} {
+			want := c.paper
+			if lvl == passes.LevelO2 {
+				want = c.o2
+			}
+			prog := compileAt(t, c.text, lvl)
+			got := make([]int, prog.NumPasses())
+			for p := range got {
+				got[p] = len(prog.passes[p].steps)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s at %v: %v steps per pass, want %v", c.name, lvl, got, want)
+			}
+		}
+	}
+}
+
 // TestSlotReuseBoundsRegisterSlab: the liveness remapper must need
-// strictly fewer slots than one-register-per-node for the Q-criterion
-// network (which has dozens of live nodes but short chains), bounding
-// the pooled slab for large fused expressions.
+// strictly fewer lanes than one per node for the Q-criterion network
+// (which has dozens of live nodes but short chains), bounding the pooled
+// slab for large fused expressions.
 func TestSlotReuseBoundsRegisterSlab(t *testing.T) {
 	net, err := expr.Compile(vortex.QCritExpr)
 	if err != nil {
@@ -63,12 +113,12 @@ func TestSlotReuseBoundsRegisterSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveNodes := len(order)
-	if prog.Slots() >= liveNodes {
-		t.Fatalf("remapper used %d slots for %d live nodes — no reuse happened", prog.Slots(), liveNodes)
+	liveNodes, lanes := len(order), prog.SlabLen()/blockSize
+	if lanes >= liveNodes {
+		t.Fatalf("remapper used %d lanes for %d live nodes — no reuse happened", lanes, liveNodes)
 	}
-	if prog.Slots() < 2 {
-		t.Fatalf("suspiciously few slots (%d)", prog.Slots())
+	if lanes < 2 {
+		t.Fatalf("suspiciously few lanes (%d)", lanes)
 	}
 	// The Q-criterion network has a stencil over sources only: one pass,
 	// like the fused kernel.
@@ -179,8 +229,9 @@ func TestBucketFor(t *testing.T) {
 
 // BenchmarkHandlers reports ns/element for the handlers a Q-criterion
 // evaluation spends its time in, each run block by block over a 64^3
-// mesh (rows of 64) exactly as RunPass drives it, plus the whole
-// Q-criterion program on one goroutine. blockSize's comment cites it.
+// mesh (rows of 64) exactly as RunPass drives it, one per fused row, and
+// the whole Q-criterion program at Paper and O2 on one goroutine.
+// blockSize's comment cites it.
 func BenchmarkHandlers(b *testing.B) {
 	d := mesh.Dims{NX: 64, NY: 64, NZ: 64}
 	src, n := meshSources(b, d)
@@ -193,51 +244,65 @@ func BenchmarkHandlers(b *testing.B) {
 	}
 	views := []ocl.View{view("u"), view("dims"), view("x"), view("y"), view("z"),
 		{Data: make([]float32, n), Elems: n, Width: 1}}
-	for _, c := range []struct {
+	// Operands are register lanes 1..4, the destination lane 5 (a vector
+	// takes lanes 5..8); lane 0 is the fused rows' temporary.
+	r := func(l uint32) operand { return operand{idx: l} }
+	gbufs := [5]uint16{0, 1, 2, 3, 4}
+	type bench struct {
 		name string
-		in   Instr
-	}{
-		{"add", Instr{op: opOf["add"], Dst: 2, A: 0, B: 1}},
-		{"sub", Instr{op: opOf["sub"], Dst: 2, A: 0, B: 1}},
-		{"mul", Instr{op: opOf["mul"], Dst: 2, A: 0, B: 1}},
-		{"div", Instr{op: opOf["div"], Dst: 2, A: 0, B: 1}},
-		{"min", Instr{op: opOf["min"], Dst: 2, A: 0, B: 1}},
-		{"sqrt", Instr{op: opOf["sqrt"], Dst: 2, A: 0}},
-		{"select", Instr{op: opOf["select"], Dst: 2, A: 0, B: 1, C: 1}},
-		{"load", Instr{op: opLoad, Dst: 0, Buf: 0, Width: 1}},
-		{"store", Instr{op: opStore, A: 0, Buf: 5, Width: 1}},
-		{"grad3d", Instr{op: opGrad, Dst: 2, GBufs: [5]uint16{0, 1, 2, 3, 4}}},
+		s    step
+	}
+	cases := []bench{
+		{"add", step{op: opOf["add"], dst: r(5), args: [4]operand{r(1), r(2)}}},
+		{"sub", step{op: opOf["sub"], dst: r(5), args: [4]operand{r(1), r(2)}}},
+		{"mul", step{op: opOf["mul"], dst: r(5), args: [4]operand{r(1), r(2)}}},
+		{"div", step{op: opOf["div"], dst: r(5), args: [4]operand{r(1), r(2)}}},
+		{"min", step{op: opOf["min"], dst: r(5), args: [4]operand{r(1), r(2)}}},
+		{"sqrt", step{op: opOf["sqrt"], dst: r(5), args: [4]operand{r(1)}}},
+		{"select", step{op: opOf["select"], dst: r(5), args: [4]operand{r(1), r(2), r(2)}}},
+		{"store", step{op: opStore, width: 1, dst: operand{idx: 5, buf: true}, args: [4]operand{r(1)}}},
+		{"grad3d", step{op: opGrad, dst: r(5), gbufs: gbufs}},
 		// One axis of the stencil is kernels' diffRow over 64-cell rows:
 		// whole rows along y, face cells apart from the rest along x.
-		{"diffRow", Instr{op: opGradAxis, Dst: 2, Comp: 1, GBufs: [5]uint16{0, 1, 2, 3, 4}}},
-		{"diffRowX", Instr{op: opGradAxis, Dst: 2, Comp: 0, GBufs: [5]uint16{0, 1, 2, 3, 4}}},
-	} {
+		{"diffRow", step{op: opGradAxis, comp: 1, dst: r(5), gbufs: gbufs}},
+		{"diffRowX", step{op: opGradAxis, comp: 0, dst: r(5), gbufs: gbufs}},
+	}
+	for i, row := range kernels.FusedRows() {
+		cases = append(cases, bench{row.Name, step{op: opFused + opcode(i), dst: r(5), args: [4]operand{r(1), r(2), r(3), r(4)}}})
+	}
+	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			regs := make([]float32, 3*4*blockSize)
+			regs := make([]float32, 9*blockSize)
 			for i := 0; i < b.N; i++ {
 				for base := 0; base < n; base += blockSize {
-					handlers[c.in.op](&c.in, regs, views, base, min(blockSize, n-base))
+					handlers[c.s.op](&c.s, regs, views, base, min(blockSize, n-base))
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/element")
 		})
 	}
-	b.Run("qcrit", func(b *testing.B) {
-		prog := compileText(b, vortex.QCritExpr)
-		pviews := make([]ocl.View, len(prog.buffers))
-		for i, spec := range prog.buffers {
-			if spec.Kind == BufSource {
-				pviews[i] = view(spec.Name)
-			} else {
-				pviews[i] = ocl.View{Data: make([]float32, n*spec.Width), Elems: n, Width: spec.Width}
-			}
+	for _, lvl := range []passes.Level{passes.LevelPaper, passes.LevelO2} {
+		name := "qcrit"
+		if lvl == passes.LevelO2 {
+			name = "qcrit_o2"
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for p := range prog.passes {
-				prog.RunPass(p, 0, n, pviews)
+		b.Run(name, func(b *testing.B) {
+			prog := compileAt(b, vortex.QCritExpr, lvl)
+			pviews := make([]ocl.View, len(prog.buffers))
+			for i, spec := range prog.buffers {
+				if spec.Kind == BufSource {
+					pviews[i] = view(spec.Name)
+				} else {
+					pviews[i] = ocl.View{Data: make([]float32, n*spec.Width), Elems: n, Width: spec.Width}
+				}
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/element")
-	})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for p := range prog.passes {
+					prog.RunPass(p, 0, n, pviews)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/element")
+		})
+	}
 }

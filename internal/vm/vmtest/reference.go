@@ -13,7 +13,7 @@ import (
 // Reference evaluates the lowering over n elements one element at a
 // time, every instruction per element over the unallocated virtual
 // registers — the straightforward interpreter, held to the blocked
-// executor (and its slot allocator) at zero ULP. views are bound in
+// executor (and its lane allocator) at zero ULP. views are bound in
 // buffer-table order.
 //
 // Every primitive is spelled here by hand, from the OpenCL C text the
@@ -97,6 +97,7 @@ func Reference(l *vm.Lowering, n int, views []ocl.View) {
 					}
 				case "norm":
 					x, y, z := float64(regs[a]), float64(regs[a+1]), float64(regs[a+2])
+					// Squares of float32 values are exact in float64: an FMA contraction changes nothing.
 					regs[dst] = float32(math.Sqrt(x*x + y*y + z*z))
 				case "decompose":
 					regs[dst] = regs[a+int(in.Comp)]
