@@ -201,7 +201,7 @@ func (pb *PreparedBatch) eval(ctx context.Context, sp *obs.Span, b binder) (*Bat
 		return out, nil
 	}
 	e := pb.eng
-	res, err := e.eval(ctx, sp, b, job{plan: pb.plan, label: strategy.PlanCacheName(e.strat),
+	res, err := e.eval(ctx, sp, b, job{plan: pb.plan, label: e.rung,
 		fp: pb.bfp, pool: e.env.Context().Pool(), batch: pb.members})
 	if err != nil {
 		return nil, err

@@ -25,8 +25,10 @@
 //	dfg-serve -perf-dir perf/                  # persist the per-evaluation perf
 //	                                           # database on shutdown; flight dumps
 //	                                           # land there on breaker trips/panics
-//	dfg-serve -listen :9090 -pprof -tail 1     # pprof handlers + slowest-1% trace
-//	                                           # retention on /trace/{id}
+//	dfg-serve -listen :9090 -pprof             # pprof handlers beside /metrics;
+//	                                           # /slow lists kept traces (errored,
+//	                                           # slow, slowest 5%), /trace/{id}
+//	                                           # resolves their IDs
 //
 // Under -chaos each worker's device gets a deterministic (seeded) fault
 // plan; the engines' retry/degradation recovery and the pool's circuit
@@ -71,9 +73,8 @@ func main() {
 		listen    = flag.String("listen", "", "serve /metrics, /healthz, /trace and /slow on this address (empty = off)")
 		linger    = flag.Duration("linger", 0, "keep the introspection endpoint up this long after the load completes")
 		slow      = flag.Duration("slow", 0, "slow-request threshold: log the full span tree of slower requests (0 = off)")
-		traceKeep = flag.Int("trace-keep", 64, "recent request traces retained for /trace (negative disables tracing)")
+		traceKeep = flag.Int("trace-keep", 64, "recent (/trace) and kept (/slow) request traces retained, each ring (negative disables tracing)")
 		perfDir   = flag.String("perf-dir", "", "perf-database directory: write the per-evaluation record snapshot on shutdown and flight dumps on failures (empty = off)")
-		tailPct   = flag.Float64("tail", 0, "retain the slowest P% of request traces for /trace/{id} (0 = default 5; negative keeps only errored/degraded traces)")
 		pprofOn   = flag.Bool("pprof", false, "mount /debug/pprof/ on the introspection endpoint")
 
 		batchWindow = flag.Duration("batch-window", 0, "batch-forming window: requests arriving within it merge into one super-network evaluation (0 = batching off)")
@@ -103,7 +104,6 @@ func main() {
 		TraceKeep:      *traceKeep,
 		SlowThreshold:  *slow,
 		PerfDir:        *perfDir,
-		TailPercent:    *tailPct,
 		EnablePprof:    *pprofOn,
 		BatchWindow:    *batchWindow,
 		BatchMax:       *batchMax,

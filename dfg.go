@@ -140,6 +140,10 @@ type Config struct {
 type Engine struct {
 	env   *ocl.Env
 	strat strategy.Strategy
+	// rung is strat's plan cache name (strategy.PlanCacheName), the
+	// ladder label an evaluation enters with; computed once per view,
+	// since for tiered and streaming it is a fmt.Sprintf.
+	rung string
 
 	// comp owns the engine's named-expression database and its compiled-
 	// network cache. Private by default (New); shared when the engine was
@@ -155,7 +159,7 @@ type Engine struct {
 	// Engine methods are single-goroutine (see above), so a plain map
 	// suffices; the histograms themselves are concurrency-safe and may
 	// be shared across a pool through the shared registry.
-	evalHist map[string]*obs.Histogram
+	evalHist map[histKey]*obs.Histogram
 
 	// prepCount tracks open Prepared handles on the device environment;
 	// when the last one closes, the buffer arena drains (see
@@ -170,12 +174,10 @@ type Engine struct {
 
 	// perf, when non-nil, is the continuous-profiling sink
 	// (SetPerfRecorder): every evaluation deposits one EvalRecord.
-	// pendingWait and pendingPlan stage the queue-wait and compile+plan
-	// durations the next record consumes (engine methods are
-	// single-goroutine, so plain fields suffice).
+	// pendingWait stages the queue wait the next record consumes (engine
+	// methods are single-goroutine, so a plain field suffices).
 	perf        *perfdb.Recorder
 	pendingWait time.Duration
-	pendingPlan time.Duration
 
 	// lvl is the optimisation level every compile goes through
 	// (Config.Opt, parsed). The zero value is the Paper level.
@@ -239,6 +241,7 @@ func NewWith(dev *ocl.Device, strategyName string, comp *compile.Compiler) (*Eng
 	return &Engine{
 		env:       ocl.NewEnv(dev),
 		strat:     strat,
+		rung:      strategy.PlanCacheName(strat),
 		comp:      comp,
 		prepCount: new(int),
 	}, nil
@@ -257,7 +260,7 @@ func (e *Engine) Instrument(t *obs.Tracer, r *obs.Registry) {
 	e.tracer = t
 	e.reg = r
 	if r != nil && e.evalHist == nil {
-		e.evalHist = make(map[string]*obs.Histogram)
+		e.evalHist = make(map[histKey]*obs.Histogram)
 	}
 }
 
@@ -304,15 +307,16 @@ func (e *Engine) WithStrategy(name string) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dfg: %w", err)
 	}
-	if strategy.PlanCacheName(strat) == strategy.PlanCacheName(e.strat) {
+	rung := strategy.PlanCacheName(strat)
+	if rung == e.rung {
 		return e, nil
 	}
 	d := *e
-	d.strat = strat
+	d.strat, d.rung = strat, rung
 	if d.reg != nil {
 		// The latency series is labeled by strategy: start a fresh memo so
 		// the derived view records under its own name.
-		d.evalHist = make(map[string]*obs.Histogram)
+		d.evalHist = make(map[histKey]*obs.Histogram)
 	}
 	return &d, nil
 }
@@ -410,13 +414,14 @@ func (b binder) bind(ctx context.Context) (strategy.Bindings, error) {
 // Prepared sets all of text, pr, plan, label, fp and pool; a merged
 // batch has no text and sets batch.
 type job struct {
-	text  string        // what the recovery ladder re-plans
-	pr    *Prepared     // where a degraded run parks its landing rung
-	plan  strategy.Plan // nil: compile and plan text first
-	label string        // plan's rung (strategy.PlanCacheName at entry)
-	fp    string
-	pool  *ocl.Arena // attached to the environment for the run
-	batch int        // > 0: merged members; runs outside the recovery ladder
+	text    string        // what the recovery ladder re-plans
+	pr      *Prepared     // where a degraded run parks its landing rung
+	plan    strategy.Plan // nil: compile and plan text first
+	label   string        // plan's rung (strategy.PlanCacheName at entry)
+	fp      string
+	pool    *ocl.Arena    // attached to the environment for the run
+	batch   int           // > 0: merged members; runs outside the recovery ladder
+	planned time.Duration // compile+plan time when eval planned the job (recorded only)
 }
 
 // eval is the one evaluation core: annotate the span, plan if the job
@@ -441,9 +446,9 @@ func (e *Engine) eval(ctx context.Context, sp *obs.Span, b binder, j job) (*Resu
 		if err != nil {
 			return nil, err
 		}
-		j.label = strategy.PlanCacheName(e.strat)
+		j.label = e.rung
 		if e.perf != nil {
-			e.pendingPlan = time.Since(t0)
+			j.planned = time.Since(t0)
 		}
 	}
 	bs := sp.Child("bind")
@@ -461,21 +466,16 @@ func (e *Engine) eval(ctx context.Context, sp *obs.Span, b binder, j job) (*Resu
 // degradation ladder. Merged batches run outside the ladder (see
 // batch.go).
 func (e *Engine) runPlan(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time) (*Result, error) {
-	var capt *evalCapture
-	var arenaBefore ocl.ArenaStats
-	if e.perf != nil {
-		capt = &evalCapture{entry: j.label}
-		arenaBefore = e.ArenaStats()
-	}
 	var res *Result
+	var rt route
 	var err error
 	if e.rec == nil || j.batch > 0 {
-		res, err = e.runPlanOnce(j, bind, sp, t0, capt)
+		res, rt.resolved, err = e.runPlanOnce(j, bind, sp, t0)
 	} else {
-		res, err = e.rec.run(e, j, bind, sp, t0, capt)
+		res, rt, err = e.rec.run(e, j, bind, sp, t0)
 	}
-	if capt != nil {
-		e.recordEval(capt, res, err, j, bind.N, sp, t0, arenaBefore)
+	if e.perf != nil {
+		e.recordEval(j, rt, res, err, bind.N, sp, t0)
 	}
 	return res, err
 }
@@ -486,8 +486,8 @@ func (e *Engine) runPlan(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Ti
 // latency observation. j.label names the rung being attempted (the plan
 // cache name at entry, or the ladder rung on fallback attempts); the
 // resolved execution path — the tiered plan's chosen tier, else the
-// label itself — lands on the span, the histogram and the perf capture.
-func (e *Engine) runPlanOnce(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time, capt *evalCapture) (*Result, error) {
+// label itself — lands on the span and the histogram, and is returned.
+func (e *Engine) runPlanOnce(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time) (*Result, string, error) {
 	if j.pool != nil {
 		e.env.SetPool(j.pool)
 		defer e.env.SetPool(nil)
@@ -499,19 +499,18 @@ func (e *Engine) runPlanOnce(j job, bind strategy.Bindings, sp *obs.Span, t0 tim
 		if es != nil {
 			es.SetAttr("error", err.Error())
 		}
-		return nil, err
+		return nil, "", err
 	}
 	resolved := res.Resolved
 	if resolved == "" {
 		resolved = j.label
 	}
-	capt.setResolved(resolved)
 	if sp != nil {
 		sp.SetAttr("resolved", resolved)
 	}
 	attachDeviceEvents(es, res.Events)
 	if e.reg != nil {
-		e.evalHistogram(j.fp, resolved).ObserveEx(time.Since(t0), sp.ID())
+		e.evalHistogram(j.fp, resolved).Observe(time.Since(t0))
 	}
 	return &Result{
 		Data:            res.Data,
@@ -520,8 +519,12 @@ func (e *Engine) runPlanOnce(j job, bind strategy.Bindings, sp *obs.Span, t0 tim
 		PeakDeviceBytes: res.PeakBytes,
 		Events:          res.Events,
 		Roots:           res.Roots,
-	}, nil
+	}, resolved, nil
 }
+
+// histKey identifies one latency series of an engine view: the full
+// fingerprint and the resolved execution path.
+type histKey struct{ fp, resolved string }
 
 // evalHistogram resolves (memoized per engine) the latency series for a
 // fingerprint under the engine's strategy and the resolved execution
@@ -529,14 +532,13 @@ func (e *Engine) runPlanOnce(j job, bind strategy.Bindings, sp *obs.Span, t0 tim
 // dashboards keyed on it are stable); resolved carries the tier that
 // actually ran, un-hiding the tiered strategy's routing.
 func (e *Engine) evalHistogram(fp, resolved string) *obs.Histogram {
-	short := compile.ShortKey(fp)
-	key := short + "|" + resolved
+	key := histKey{fp, resolved}
 	if h, ok := e.evalHist[key]; ok {
 		return h
 	}
 	h := e.reg.Histogram("dfg_eval_seconds",
 		"End-to-end evaluation latency by expression fingerprint, strategy and resolved execution path.",
-		obs.Labels{"fingerprint": short, "strategy": e.strat.Name(), "resolved": resolved})
+		obs.Labels{"fingerprint": compile.ShortKey(fp), "strategy": e.strat.Name(), "resolved": resolved})
 	e.evalHist[key] = h
 	return h
 }

@@ -71,6 +71,77 @@ func TestEvalOnMeshAllExpressionsAllStrategiesBothDevices(t *testing.T) {
 	}
 }
 
+// TestMeshConstructorsRejectNonFinite: NaN and ±Inf spacing or
+// coordinates — including a finite spacing whose far coordinate
+// overflows — are errors, as are non-increasing coordinates.
+func TestMeshConstructorsRejectNonFinite(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	d := Dims{NX: 2, NY: 2, NZ: 2}
+	for _, sp := range [][3]float32{
+		{nan, 1, 1}, {1, nan, 1}, {1, 1, nan}, {inf, 1, 1}, {1, -inf, 1},
+		{0, 1, 1}, {1, -1, 1}, {math.MaxFloat32, 1, 1},
+	} {
+		if _, err := NewUniformMesh(d, sp[0], sp[1], sp[2]); err == nil {
+			t.Errorf("NewUniformMesh(spacing %v) accepted", sp)
+		}
+	}
+	ok := []float32{0, 1, 2}
+	for _, c := range [][]float32{
+		{0, nan, 2}, {nan, 1, 2}, {0, 1, nan}, {0, 1, inf}, {-inf, 0, 1}, {0, 0, 1}, {0, 2, 1},
+	} {
+		for axis, xyz := range [][3][]float32{{c, ok, ok}, {ok, c, ok}, {ok, ok, c}} {
+			if _, err := NewRectilinearMesh(xyz[0], xyz[1], xyz[2]); err == nil {
+				t.Errorf("NewRectilinearMesh accepted %v on axis %d", c, axis)
+			}
+		}
+	}
+	if _, err := NewRectilinearMesh(ok, ok, ok); err != nil {
+		t.Fatalf("NewRectilinearMesh on a valid grid: %v", err)
+	}
+}
+
+// TestRectilinearUniformMatchesUniform: a rectilinear mesh given the
+// coordinates a uniform one computes evaluates the stencil expressions
+// bit for bit like the uniform mesh.
+func TestRectilinearUniformMatchesUniform(t *testing.T) {
+	d := Dims{NX: 9, NY: 7, NZ: 6}
+	uni, err := NewUniformMesh(d, 0.125, 0.25, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	axis := func(n int, h float32) []float32 {
+		c := make([]float32, n+1)
+		for i := range c {
+			c[i] = float32(i) * h
+		}
+		return c
+	}
+	rect, err := NewRectilinearMesh(axis(d.NX, 0.125), axis(d.NY, 0.25), axis(d.NZ, 0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := FieldInputs(GenerateRT(uni, 5))
+	eng, err := New(Config{Strategy: "fusion"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{GradientMagnitudeExpr, QCriterionExpr} {
+		a, err := eng.EvalOnMesh(text, uni, fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := eng.EvalOnMesh(text, rect, fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Data {
+			if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+				t.Fatalf("%q cell %d: uniform %v, rectilinear %v", text, i, a.Data[i], b.Data[i])
+			}
+		}
+	}
+}
+
 func TestEngineCachesCompiledNetworks(t *testing.T) {
 	eng, _ := New(Config{})
 	n1, _, err := eng.comp.CompileTracedAt(VelocityMagnitudeExpr, eng.lvl, nil)

@@ -7,6 +7,7 @@ package mesh
 
 import (
 	"fmt"
+	"math"
 )
 
 // Dims is the cell extent of a rectilinear mesh. Fields are cell-centered
@@ -56,11 +57,12 @@ type Mesh struct {
 }
 
 // NewUniform builds a mesh with uniform spacing dx, dy, dz and origin 0.
+// Spacing must be positive and every resulting coordinate finite.
 func NewUniform(d Dims, dx, dy, dz float32) (*Mesh, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if dx <= 0 || dy <= 0 || dz <= 0 {
+	if !(dx > 0) || !(dy > 0) || !(dz > 0) {
 		return nil, fmt.Errorf("mesh: spacing must be positive, got %g %g %g", dx, dy, dz)
 	}
 	m := &Mesh{
@@ -78,24 +80,39 @@ func NewUniform(d Dims, dx, dy, dz float32) (*Mesh, error) {
 	for k := range m.Z {
 		m.Z[k] = float32(k) * dz
 	}
+	if err := checkAxes(m.X, m.Y, m.Z); err != nil {
+		return nil, err // an infinite spacing, or one overflowing at the far end
+	}
 	return m, nil
 }
 
 // NewRectilinear builds a mesh from explicit point coordinate arrays,
-// which must be strictly increasing and sized to the extents.
+// which must be finite, strictly increasing and sized to the extents.
 func NewRectilinear(x, y, z []float32) (*Mesh, error) {
 	d := Dims{NX: len(x) - 1, NY: len(y) - 1, NZ: len(z) - 1}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	for name, c := range map[string][]float32{"x": x, "y": y, "z": z} {
-		for i := 1; i < len(c); i++ {
-			if c[i] <= c[i-1] {
-				return nil, fmt.Errorf("mesh: %s coordinates not strictly increasing at %d", name, i)
+	if err := checkAxes(x, y, z); err != nil {
+		return nil, err
+	}
+	return &Mesh{Dims: d, X: x, Y: y, Z: z}, nil
+}
+
+// checkAxes rejects point coordinates that are not finite or not
+// strictly increasing. Every comparison is written so NaN fails it.
+func checkAxes(x, y, z []float32) error {
+	for a, c := range [3][]float32{x, y, z} {
+		for i, v := range c {
+			if !(math.Abs(float64(v)) <= math.MaxFloat32) {
+				return fmt.Errorf("mesh: %c coordinate %d is %g, not finite", "xyz"[a], i, v)
+			}
+			if i > 0 && !(v > c[i-1]) {
+				return fmt.Errorf("mesh: %c coordinates not strictly increasing at %d", "xyz"[a], i)
 			}
 		}
 	}
-	return &Mesh{Dims: d, X: x, Y: y, Z: z}, nil
+	return nil
 }
 
 // MustUniform is NewUniform for tests and examples; it panics on error.

@@ -10,10 +10,11 @@
 // simulated device events (ocl.Event) attached as fixed-time child spans
 // on their own tracks. Finished root spans are immutable; the tracer
 // keeps a bounded ring of recent traces (for the service's /trace
-// endpoint) and a second ring of "slow" traces whose duration exceeded a
-// configurable threshold, optionally invoking a slow-request log
-// callback with the full span tree. internal/metrics renders span trees
-// as multi-track Chrome-trace JSON for chrome://tracing or Perfetto.
+// endpoint) and a second ring of kept traces — errored, degraded,
+// retried or rerouted, at or above an optional slow threshold (which
+// also fires a slow-request callback with the full span tree), or in
+// the running slowest 5%. internal/metrics renders span trees as
+// multi-track Chrome-trace JSON for chrome://tracing or Perfetto.
 //
 // Metrics. A Registry holds named, labeled series — monotone Counters,
 // Gauges, callback-backed CounterFunc/GaugeFunc collectors, and

@@ -79,7 +79,6 @@ type Histogram struct {
 	count   atomic.Int64
 	sumNS   atomic.Int64
 	maxNS   atomic.Int64 // largest single observation, for overflow-bucket quantiles
-	exStore              // last/slowest exemplars (see ObserveEx)
 }
 
 const (

@@ -129,8 +129,8 @@ func TestSlowCapture(t *testing.T) {
 	slow.Start = slow.Start.Add(-20 * time.Millisecond) // backdate instead of sleeping
 	slow.Finish()
 
-	if got := tr.Slow(0); len(got) != 1 || got[0] != slow {
-		t.Fatalf("Slow ring = %v", got)
+	if got := tr.Kept(0); len(got) != 1 || got[0] != slow {
+		t.Fatalf("kept ring = %v", got)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -300,7 +300,7 @@ func TestConcurrency(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			_ = tr.Last(8)
-			_ = tr.Slow(8)
+			_ = tr.Kept(8)
 			var sb strings.Builder
 			if err := WritePrometheus(&sb, r); err != nil {
 				t.Error(err)

@@ -7,11 +7,11 @@ import (
 )
 
 // Trace IDs are assigned to every root span a tracer starts, so a
-// histogram exemplar, a /slow log line, a perf-database record and a
-// flight-recorder entry can all point at the same retained trace. The
-// ID is process-unique and cheap: a start-time prefix plus a sequence
-// number — no randomness needed, collisions across restarts are made
-// unlikely by the millisecond prefix.
+// /slow line, a perf-database record and a flight-recorder entry can
+// all point at the same kept trace. The ID is process-unique and cheap:
+// a start-time prefix plus a sequence number — no randomness needed,
+// collisions across restarts are made unlikely by the millisecond
+// prefix.
 var (
 	traceSeq  atomic.Uint64
 	traceBase = uint64(time.Now().UnixMilli()) & 0xffffffff
@@ -29,54 +29,27 @@ func (s *Span) ID() string {
 	return s.id
 }
 
-// DefaultTailPercent is the slow-tail retention fraction SetTail(0)
-// configures: the slowest 5% of requests keep their full span trees.
-const DefaultTailPercent = 5.0
+const (
+	// tailPercent is the running slowest share of roots the kept ring
+	// takes regardless of any slow threshold.
+	tailPercent = 5.0
+	// tailMinSamples is how many durations the tail estimator needs before
+	// quantile-based keeping kicks in — below it, every root would be
+	// "the slowest 5%" of a near-empty histogram.
+	tailMinSamples = 32
+)
 
-// SetTail configures tail-based trace retention: finished roots in the
-// slowest pct percent of all requests (estimated against a running
-// duration histogram, once enough samples exist), plus every root that
-// errored, degraded, retried or was rerouted, are retained in a
-// dedicated ring queryable by ByID/Retained. pct 0 applies
-// DefaultTailPercent; negative pct disables duration-based retention
-// (error/degraded/rerouted roots are still kept).
-func (t *Tracer) SetTail(pct float64) {
-	if t == nil {
-		return
-	}
-	if pct == 0 {
-		pct = DefaultTailPercent
-	}
-	t.mu.Lock()
-	t.tailPct = pct
-	if t.retained.buf == nil {
-		t.retained = newRing(len(t.recent.buf))
-	}
-	t.mu.Unlock()
-}
-
-// tailMinSamples is how many durations the tail estimator needs before
-// quantile-based retention kicks in — below it, every request would be
-// "the slowest 5%" of a near-empty histogram.
-const tailMinSamples = 32
-
-// retainTail decides, with t.mu held, whether a finished root belongs
-// in the retained ring.
-func (t *Tracer) retainTail(root *Span) bool {
-	if t.retained.buf == nil {
-		return false
-	}
-	if interesting(root) {
+// keep decides, with t.mu held, whether a finished root belongs in the
+// kept ring: it is interesting, at or above the slow threshold, or — once
+// the estimator has tailMinSamples durations — in the running slowest
+// tailPercent of all roots.
+func (t *Tracer) keep(root *Span, slow bool) bool {
+	d := root.Duration()
+	t.durations.Observe(d)
+	if slow || interesting(root) {
 		return true
 	}
-	if t.tailPct <= 0 {
-		return false
-	}
-	t.tailHist.Observe(root.Duration())
-	if t.tailHist.Count() < tailMinSamples {
-		return false
-	}
-	return root.Duration() >= t.tailHist.Quantile(1-t.tailPct/100)
+	return t.durations.Count() >= tailMinSamples && d >= t.durations.Quantile(1-tailPercent/100)
 }
 
 // interesting reports whether a trace is unconditionally worth keeping:
@@ -89,32 +62,25 @@ func interesting(root *Span) bool {
 	return root.Find("fallback") != nil || root.Find("retry") != nil
 }
 
-// Retained returns up to n retained (tail-sampled) traces, oldest
-// first. n <= 0 means all.
-func (t *Tracer) Retained(n int) []*Span {
+// Kept returns up to n kept traces, oldest first. n <= 0 means all.
+func (t *Tracer) Kept(n int) []*Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.retained.buf == nil {
-		return nil
-	}
-	return t.retained.last(n)
+	return t.kept.last(n)
 }
 
-// ByID returns the retained, slow or recent trace with the given ID
-// (nil if it has aged out of all three rings).
+// ByID returns the kept or recent trace with the given ID (nil if it
+// has aged out of both rings).
 func (t *Tracer) ByID(id string) *Span {
 	if t == nil || id == "" {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, r := range []*ring{&t.retained, &t.slow, &t.recent} {
-		if r.buf == nil {
-			continue
-		}
+	for _, r := range []*ring{&t.kept, &t.recent} {
 		spans := r.last(0)
 		for i := len(spans) - 1; i >= 0; i-- {
 			if spans[i].id == id {

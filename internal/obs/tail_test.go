@@ -28,18 +28,77 @@ func TestTraceIDs(t *testing.T) {
 		t.Fatal("nil span ID must be empty")
 	}
 	var nilTr *Tracer
-	if nilTr.ByID("x") != nil || nilTr.Retained(0) != nil {
-		t.Fatal("nil tracer tail accessors must be no-ops")
+	if nilTr.ByID("x") != nil || nilTr.Kept(0) != nil {
+		t.Fatal("nil tracer ring accessors must be no-ops")
 	}
-	nilTr.SetTail(5) // must not panic
 }
 
-// TestTailRetainsInteresting: with duration-based retention disabled
-// (negative pct), errored and rerouted roots are still retained while
-// healthy ones age out of the retained ring entirely.
+// finishAfter finishes root as if it had run for d (backdating its
+// start instead of sleeping).
+func finishAfter(root *Span, d time.Duration) {
+	root.Start = time.Now().Add(-d)
+	root.Finish()
+}
+
+// TestKeepRule pins what the kept ring takes: every interesting root
+// (error, rerouted, a retry or fallback child), every root at or above
+// the slow threshold — which alone fires the slow hook — and, once the
+// tail estimator holds tailMinSamples durations, the running slowest
+// tailPercent. Each case publishes `warm` fast (1ms) roots first, then
+// the root under test.
+func TestKeepRule(t *testing.T) {
+	const threshold = 10 * time.Millisecond
+	cases := []struct {
+		name      string
+		threshold time.Duration
+		warm      int
+		dur       time.Duration
+		mark      func(*Span)
+		kept      bool
+		hooked    bool
+	}{
+		{name: "plain", dur: 10 * time.Microsecond},
+		{name: "error", dur: 10 * time.Microsecond, mark: func(s *Span) { s.SetAttr("error", "boom") }, kept: true},
+		{name: "rerouted", dur: 10 * time.Microsecond, mark: func(s *Span) { s.SetAttr("rerouted", "2") }, kept: true},
+		{name: "retry", dur: 10 * time.Microsecond, mark: func(s *Span) { s.Child("retry").Finish() }, kept: true},
+		{name: "nested fallback", dur: 10 * time.Microsecond, mark: func(s *Span) { s.Child("execute").Child("fallback").Finish() }, kept: true},
+		{name: "at threshold", threshold: threshold, dur: 20 * time.Millisecond, kept: true, hooked: true},
+		{name: "under threshold", threshold: threshold, dur: 5 * time.Millisecond},
+		{name: "slow, 31st sample", warm: tailMinSamples - 2, dur: time.Second},
+		{name: "slow, 32nd sample", warm: tailMinSamples - 1, dur: time.Second, kept: true},
+		{name: "fast after warm-up", warm: 100, dur: 10 * time.Microsecond},
+		{name: "slowest after warm-up", warm: 100, dur: time.Second, kept: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := NewTracer(256)
+			var hooked []*Span
+			tr.SetSlow(c.threshold, func(sp *Span) { hooked = append(hooked, sp) })
+			for i := 0; i < c.warm; i++ {
+				finishAfter(tr.Start("request"), time.Millisecond)
+			}
+			root := tr.Start("request")
+			if c.mark != nil {
+				c.mark(root)
+			}
+			finishAfter(root, c.dur)
+
+			kept := tr.Kept(0)
+			if got := len(kept) > 0 && kept[len(kept)-1] == root; got != c.kept {
+				t.Fatalf("kept = %v, want %v", got, c.kept)
+			}
+			if got := len(hooked) == 1 && hooked[0] == root; got != c.hooked || len(hooked) > 1 {
+				t.Fatalf("slow hook saw %d roots (this one: %v), want this one: %v", len(hooked), got, c.hooked)
+			}
+		})
+	}
+}
+
+// TestTailRetainsInteresting: below tailMinSamples no root is kept for
+// its duration, yet errored and rerouted roots are kept while a healthy
+// one is not.
 func TestTailRetainsInteresting(t *testing.T) {
 	tr := NewTracer(8)
-	tr.SetTail(-1)
 
 	ok := tr.Start("request")
 	ok.Finish()
@@ -50,13 +109,13 @@ func TestTailRetainsInteresting(t *testing.T) {
 	moved.SetAttr("rerouted", "2")
 	moved.Finish()
 
-	kept := tr.Retained(0)
+	kept := tr.Kept(0)
 	if len(kept) != 2 {
-		t.Fatalf("retained %d traces, want 2 (error + rerouted)", len(kept))
+		t.Fatalf("kept %d traces, want 2 (error + rerouted)", len(kept))
 	}
 	for _, sp := range kept {
 		if sp == ok {
-			t.Fatal("healthy trace retained under negative tail percent")
+			t.Fatal("healthy trace kept before the tail estimator has enough samples")
 		}
 	}
 	if tr.ByID(bad.ID()) != bad {
@@ -64,69 +123,45 @@ func TestTailRetainsInteresting(t *testing.T) {
 	}
 }
 
-// TestTailRetainsSlowest: with a percentage configured, a root far above
-// the running duration distribution is retained once the estimator has
-// enough samples; the fast majority is not.
+// TestTailRetainsSlowest: a root far above the running duration
+// distribution is kept once the estimator has enough samples, with no
+// slow threshold set; the fast majority does not grow the kept ring by it.
 func TestTailRetainsSlowest(t *testing.T) {
 	tr := NewTracer(64)
-	tr.SetTail(5)
-	// Feed the estimator past tailMinSamples with fast requests.
 	for i := 0; i < tailMinSamples+8; i++ {
-		sp := tr.Start("request")
-		sp.Finish() // ~0 duration
+		finishAfter(tr.Start("request"), time.Millisecond)
 	}
-	fastRetained := len(tr.Retained(0))
+	fastKept := len(tr.Kept(0))
 
 	slow := tr.Start("request")
-	slow.Start = time.Now().Add(-time.Second) // backdate: 1s duration
-	slow.Finish()
+	finishAfter(slow, time.Second)
 
-	kept := tr.Retained(0)
-	if len(kept) != fastRetained+1 {
-		t.Fatalf("retained %d traces after slow root, want %d", len(kept), fastRetained+1)
+	kept := tr.Kept(0)
+	if len(kept) != fastKept+1 {
+		t.Fatalf("kept %d traces after slow root, want %d", len(kept), fastKept+1)
 	}
 	if got := tr.ByID(slow.ID()); got != slow {
-		t.Fatal("slow root not retained / resolvable by ID")
+		t.Fatal("slow root not kept / resolvable by ID")
 	}
 }
 
-// TestExemplars: ObserveEx tracks both the most recent and the slowest
-// observation, and the registry lists them per series.
-func TestExemplars(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("dfg_eval_seconds", "Evaluation latency.", Labels{"strategy": "vm"})
-	h.ObserveEx(5*time.Millisecond, "t-1")
-	h.ObserveEx(10*time.Millisecond, "t-2")
-	h.ObserveEx(time.Millisecond, "t-3")
-
-	if last := h.LastExemplar(); last == nil || last.TraceID != "t-3" {
-		t.Fatalf("LastExemplar = %+v, want t-3", last)
+// TestByIDFindsKeptAfterRecentWraps: a kept trace stays resolvable by ID
+// after the recent ring has overwritten it.
+func TestByIDFindsKeptAfterRecentWraps(t *testing.T) {
+	tr := NewTracer(4)
+	bad := tr.Start("request")
+	bad.SetAttr("error", "boom")
+	bad.Finish()
+	for i := 0; i < 10; i++ {
+		tr.Start("request").Finish()
 	}
-	if max := h.MaxExemplar(); max == nil || max.TraceID != "t-2" {
-		t.Fatalf("MaxExemplar = %+v, want t-2", max)
-	}
-	if h.Count() != 3 {
-		t.Fatalf("ObserveEx must still observe: count = %d", h.Count())
-	}
-
-	ex := r.Exemplars()
-	if len(ex) != 1 {
-		t.Fatalf("Exemplars listed %d series, want 1", len(ex))
-	}
-	if ex[0].Name != "dfg_eval_seconds" || !strings.Contains(ex[0].Labels, `strategy="vm"`) {
-		t.Fatalf("series identity: %+v", ex[0])
-	}
-	if ex[0].Last.TraceID != "t-3" || ex[0].Slowest.TraceID != "t-2" {
-		t.Fatalf("series exemplars: %+v", ex[0])
-	}
-
-	// Empty trace IDs observe without storing an exemplar.
-	h2 := r.Histogram("dfg_other_seconds", "Other.", nil)
-	h2.ObserveEx(time.Millisecond, "")
-	for _, s := range r.Exemplars() {
-		if s.Name == "dfg_other_seconds" {
-			t.Fatal("empty trace id must not create an exemplar")
+	for _, sp := range tr.Last(0) {
+		if sp == bad {
+			t.Fatal("recent ring did not wrap past the errored root")
 		}
+	}
+	if got := tr.ByID(bad.ID()); got != bad {
+		t.Fatalf("ByID(%q) = %v, want the kept errored root", bad.ID(), got)
 	}
 }
 

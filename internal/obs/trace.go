@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -177,39 +176,38 @@ func (s *Span) WriteText(w io.Writer) {
 	walk(s, 0)
 }
 
-// Tracer collects finished request traces. Starting spans is lock-free
-// (each request's tree is private to its goroutine); publishing and
-// reading the rings takes a mutex. The zero Tracer pointer (nil) is a
-// valid no-op tracer: Start returns a nil span and nothing is recorded.
+// Tracer collects finished request traces in two rings: recent holds
+// every finished root, kept the ones worth keeping past it (see keep).
+// Starting spans is lock-free (each request's tree is private to its
+// goroutine); publishing and reading the rings takes a mutex. The zero
+// Tracer pointer (nil) is a valid no-op tracer: Start returns a nil span
+// and nothing is recorded.
 type Tracer struct {
-	mu       sync.Mutex
-	recent   ring
-	slow     ring
-	retained ring // tail-sampled traces (see SetTail); nil buf = disabled
+	mu     sync.Mutex
+	recent ring
+	kept   ring
 
 	slowThreshold time.Duration
 	onSlow        func(*Span)
 
-	tailPct  float64   // slowest-percent retention fraction
-	tailHist Histogram // running duration distribution for the tail cut
+	durations Histogram // running root-duration distribution for the tail cut
 }
 
-// DefaultKeep is the recent-trace ring capacity NewTracer(0) uses.
+// DefaultKeep is the ring capacity NewTracer(0) uses.
 const DefaultKeep = 64
 
 // NewTracer builds a tracer retaining the last keep finished traces
-// (DefaultKeep if keep <= 0). The slow ring has the same capacity.
+// (DefaultKeep if keep <= 0). The kept ring has the same capacity.
 func NewTracer(keep int) *Tracer {
 	if keep <= 0 {
 		keep = DefaultKeep
 	}
-	return &Tracer{recent: newRing(keep), slow: newRing(keep)}
+	return &Tracer{recent: newRing(keep), kept: newRing(keep)}
 }
 
-// SetSlow configures the slow-request log: finished roots whose duration
-// is >= threshold are retained in a separate ring and passed to fn (if
-// non-nil), which must be safe for concurrent use. A zero threshold
-// disables slow capture.
+// SetSlow configures the slow-request cut: finished roots whose duration
+// is >= threshold are kept and passed to fn (if non-nil), which must be
+// safe for concurrent use. A zero threshold disables the cut.
 func (t *Tracer) SetSlow(threshold time.Duration, fn func(*Span)) {
 	if t == nil {
 		return
@@ -234,12 +232,12 @@ func (t *Tracer) publish(root *Span) {
 	var slowFn func(*Span)
 	t.mu.Lock()
 	t.recent.add(root)
-	if t.slowThreshold > 0 && root.Duration() >= t.slowThreshold {
-		t.slow.add(root)
+	slow := t.slowThreshold > 0 && root.Duration() >= t.slowThreshold
+	if slow {
 		slowFn = t.onSlow
 	}
-	if t.retainTail(root) {
-		t.retained.add(root)
+	if t.keep(root, slow) {
+		t.kept.add(root)
 	}
 	t.mu.Unlock()
 	if slowFn != nil {
@@ -256,16 +254,6 @@ func (t *Tracer) Last(n int) []*Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.recent.last(n)
-}
-
-// Slow returns up to n of the most recent slow traces, oldest first.
-func (t *Tracer) Slow(n int) []*Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.slow.last(n)
 }
 
 // ring is a fixed-capacity overwrite-oldest buffer of trace roots.
@@ -303,10 +291,4 @@ func (r *ring) last(n int) []*Span {
 		out = append(out, r.buf[idx])
 	}
 	return out
-}
-
-// SortAttrs orders a span's attributes by key, in place — export paths
-// use it for deterministic rendering of attrs gathered in any order.
-func SortAttrs(attrs []Attr) {
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Key < attrs[j].Key })
 }

@@ -80,7 +80,7 @@ func (c *Context) faultPoint(op FaultOp, name string) error {
 	if plan == nil {
 		return nil
 	}
-	effect, inj, fired := plan.fire(op)
+	effect, fired := plan.fire(op)
 	if !fired {
 		return nil
 	}
@@ -93,10 +93,7 @@ func (c *Context) faultPoint(op FaultOp, name string) error {
 		c.mu.Unlock()
 		return &FaultError{Op: op, Device: c.dev.spec.Name, Name: name, Err: ErrDeviceLost}
 	}
-	if inj == nil {
-		inj = faultSentinel(op)
-	}
-	return &FaultError{Op: op, Device: c.dev.spec.Name, Name: name, Err: inj}
+	return &FaultError{Op: op, Device: c.dev.spec.Name, Name: name, Err: faultSentinel(op)}
 }
 
 // Device returns the context's device.

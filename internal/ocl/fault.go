@@ -49,10 +49,10 @@ func (op FaultOp) String() string {
 type FaultEffect uint8
 
 const (
-	// EffectError fails the single operation with a typed error (the
-	// rule's Err, or the stream's default sentinel: ErrOutOfDeviceMemory
-	// for allocations, ErrTransferFailed for transfers, ErrKernelFailed
-	// for kernel launches). The device stays healthy.
+	// EffectError fails the single operation with the stream's typed
+	// sentinel: ErrOutOfDeviceMemory for allocations, ErrTransferFailed
+	// for transfers, ErrKernelFailed for kernel launches. The device
+	// stays healthy.
 	EffectError FaultEffect = iota
 	// EffectDeviceLost latches the whole device as lost: the triggering
 	// operation and every subsequent one fail with ErrDeviceLost until
@@ -96,7 +96,6 @@ type FaultRule struct {
 	Prob   float64     // per-operation fire probability when Nth < 0
 	Times  int         // fire budget; <= 0 = default (1 for Nth rules, unlimited for Prob rules)
 	Effect FaultEffect // what firing does
-	Err    error       // EffectError override; nil = stream's default sentinel
 }
 
 type faultRule struct {
@@ -113,11 +112,10 @@ type faultRule struct {
 // use, though each injected schedule is only deterministic for a
 // deterministic operation order.
 type FaultPlan struct {
-	mu       sync.Mutex
-	rng      *rand.Rand
-	rules    []faultRule
-	seen     [numFaultStreams]int64 // operations observed per stream; seen[FaultAny] is the total
-	injected int64
+	mu    sync.Mutex
+	rng   *rand.Rand
+	rules []faultRule
+	seen  [numFaultStreams]int64 // operations observed per stream; seen[FaultAny] is the total
 }
 
 // NewFaultPlan creates an empty fault plan whose probabilistic rules
@@ -148,11 +146,6 @@ func (p *FaultPlan) FailNth(op FaultOp, n int) *FaultPlan {
 	return p.Add(FaultRule{Op: op, Nth: n})
 }
 
-// FailNthWith is FailNth with an explicit injected error.
-func (p *FaultPlan) FailNthWith(op FaultOp, n int, err error) *FaultPlan {
-	return p.Add(FaultRule{Op: op, Nth: n, Err: err})
-}
-
 // FailEvery arms an unlimited probabilistic failure: each operation on
 // the stream fails with probability prob.
 func (p *FaultPlan) FailEvery(op FaultOp, prob float64) *FaultPlan {
@@ -178,28 +171,9 @@ func (p *FaultPlan) PanicAt(op FaultOp, n int) *FaultPlan {
 	return p.Add(FaultRule{Op: op, Nth: n, Effect: EffectPanic})
 }
 
-// Injected returns how many faults the plan has fired.
-func (p *FaultPlan) Injected() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.injected
-}
-
-// Observed returns how many operations the plan has seen on the stream
-// (FaultAny: across all streams).
-func (p *FaultPlan) Observed(op FaultOp) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if int(op) >= numFaultStreams {
-		return 0
-	}
-	return p.seen[op]
-}
-
 // fire records one operation on op's stream and reports whether a rule
-// fired for it, with the effect and injected error (nil for non-error
-// effects or when the stream default should apply).
-func (p *FaultPlan) fire(op FaultOp) (FaultEffect, error, bool) {
+// fired for it, with the effect.
+func (p *FaultPlan) fire(op FaultOp) (FaultEffect, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	idx := p.seen[op]
@@ -230,10 +204,9 @@ func (p *FaultPlan) fire(op FaultOp) (FaultEffect, error, bool) {
 		if r.remaining > 0 {
 			r.remaining--
 		}
-		p.injected++
-		return r.Effect, r.Err, true
+		return r.Effect, true
 	}
-	return EffectError, nil, false
+	return EffectError, false
 }
 
 // faultSentinel is the default injected error for a stream.

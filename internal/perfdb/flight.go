@@ -11,8 +11,9 @@ import (
 )
 
 // FlightSchema identifies the flight dump format. v2 carries the
-// tracer's own recent traces where v1 kept a second request ring.
-const FlightSchema = "dfg.flight/v2"
+// tracer's own recent traces where v1 kept a second request ring; v3
+// embeds perfdb/v4 records.
+const FlightSchema = "dfg.flight/v3"
 
 // SpanDump is the JSON form of a span tree in a flight dump.
 type SpanDump struct {

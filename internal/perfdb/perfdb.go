@@ -4,19 +4,17 @@
 // (fingerprint, strategy, the *resolved* execution tier, optimisation
 // level, size, device class), the wall-clock stage timings (queue wait,
 // plan, total) beside the modeled device times (upload, kernel,
-// download), device-traffic counts, arena activity, and the
-// fault-recovery flags —
-// into a lock-cheap sharded ring buffer (Recorder). Snapshots flush as
-// schema-versioned JSONL stamped with the build and host identity
-// (Meta), which says where a snapshot came from.
+// download), device-traffic counts and the fault-recovery flags — into
+// a lock-cheap sharded ring buffer (Recorder). A record is built from
+// what the evaluation already holds; pool-wide arena activity is
+// /metrics' dfg_arena_* series, not a per-record field. Snapshots flush
+// as schema-versioned JSONL stamped with the build and host identity
+// (Meta), which says where a snapshot came from. A record's trace_id
+// resolves on the serve layer's /trace/{id}.
 //
-// On top of the raw records sit two consumers:
-//
-//   - WriteFlight: the postmortem dump a serve pool writes on a
-//     circuit-breaker trip or worker panic — the tracer's recent span
-//     trees plus the recorder's most recent records;
-//   - the serve layer's HTTP surface, which links Prometheus histogram
-//     exemplars to retained traces by trace id.
+// WriteFlight is the postmortem dump a serve pool writes on a
+// circuit-breaker trip or worker panic — the tracer's recent span trees
+// plus the recorder's most recent records.
 //
 // Counts are gated as goldens (internal/metrics/testdata), not by
 // comparing snapshots; wall-clock comparison is benchmark/'s job.
@@ -38,8 +36,9 @@ import (
 // Schema identifies the perf-database record format. Bump the version on
 // any incompatible field change; readers reject schemas they don't know.
 // v2 added the per-record batch size (EvalRecord.Batch); v3 renamed the
-// modeled device times to modeled_*_ns.
-const Schema = "dfg.perfdb/v3"
+// modeled device times to modeled_*_ns; v4 dropped the per-record arena
+// deltas (allocs, reused, uploads, uploads_skipped).
+const Schema = "dfg.perfdb/v4"
 
 // EvalRecord is one evaluation's compact performance record. Durations
 // are nanoseconds: QueueWaitNS, PlanNS and TotalNS are host wall clock,
@@ -86,14 +85,6 @@ type EvalRecord struct {
 	WriteBytes int64 `json:"write_bytes,omitempty"`
 	ReadBytes  int64 `json:"read_bytes,omitempty"`
 	PeakBytes  int64 `json:"peak_bytes,omitempty"`
-
-	// Arena activity across the run (deltas of the engine's arena
-	// counters): fresh device-buffer allocations, free-list reuses, and
-	// resident-source uploads moved vs skipped.
-	Allocs         int64 `json:"allocs"`
-	Reused         int64 `json:"reused,omitempty"`
-	Uploads        int64 `json:"uploads,omitempty"`
-	UploadsSkipped int64 `json:"uploads_skipped,omitempty"`
 
 	// Recovery flags: transient retries burned, the ladder rung a
 	// degraded run landed on (""), whether the device was lost, and the

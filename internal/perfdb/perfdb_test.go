@@ -108,7 +108,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 // without a batch field loads as unbatched, and any other schema
 // version is rejected.
 func TestParseForwardCompat(t *testing.T) {
-	jsonl := `{"kind":"meta","schema":"dfg.perfdb/v3","git_rev":"x"}
+	jsonl := `{"kind":"meta","schema":"dfg.perfdb/v4","git_rev":"x"}
 {"kind":"future-kind","whatever":true}
 {"kind":"eval","fp":"f","strategy":"vm","n":8,"total_ns":42}
 `
@@ -127,7 +127,7 @@ func TestParseForwardCompat(t *testing.T) {
 	}
 
 	// Any other version, the writer-less v1 included: rejected.
-	for _, v := range []string{"v1", "v2", "v4"} {
+	for _, v := range []string{"v1", "v2", "v3", "v5"} {
 		if _, _, err := Parse([]byte(`{"kind":"meta","schema":"dfg.perfdb/` + v + `"}` + "\n")); err == nil {
 			t.Fatalf("schema version %s not rejected", v)
 		}

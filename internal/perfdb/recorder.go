@@ -26,9 +26,8 @@ const DefaultShardCapacity = 512
 // no-op: Record does nothing, Snapshot returns nil.
 type Recorder struct {
 	shards  [recorderShards]recorderShard
-	seq     atomic.Uint64
-	total   atomic.Int64 // records ever accepted
-	dropped atomic.Int64 // records overwritten before any snapshot
+	seq     atomic.Uint64 // records ever accepted; also picks the shard
+	dropped atomic.Int64  // records overwritten before any snapshot
 }
 
 type recorderShard struct {
@@ -69,7 +68,6 @@ func (r *Recorder) Record(rec EvalRecord) {
 		s.next, s.full = 0, true
 	}
 	s.mu.Unlock()
-	r.total.Add(1)
 }
 
 // Recorded returns the number of records ever accepted; Dropped the
@@ -78,7 +76,7 @@ func (r *Recorder) Recorded() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.total.Load()
+	return int64(r.seq.Load())
 }
 
 // Dropped returns the number of records lost to ring wrap-around.

@@ -2,9 +2,9 @@ package serve
 
 // This file is the service's HTTP introspection surface: a handler
 // exposing the pool's live state — Prometheus metrics, health, recent
-// request traces in Chrome-trace form, and the slow-request log —
-// without touching the evaluation hot path (every endpoint reads
-// counters, callback gauges, or immutable published span trees).
+// request traces in Chrome-trace form, and the kept traces — without
+// touching the evaluation hot path (every endpoint reads counters,
+// callback gauges, or immutable published span trees).
 
 import (
 	"encoding/json"
@@ -27,11 +27,12 @@ import (
 //	GET /metrics        Prometheus text exposition (version 0.0.4)
 //	GET /trace?last=N   the last N request traces as Chrome-trace JSON
 //	                    (open in Perfetto / chrome://tracing); default 16
-//	GET /trace/{id}     one retained trace by trace ID — the exemplar
-//	                    links on /exemplars and the IDs on /slow resolve
-//	                    here (text, or ?format=json for the span tree)
-//	GET /slow?last=N    the last N slow-request span trees as text
-//	GET /exemplars      per-histogram exemplar trace links (JSON)
+//	GET /trace/{id}     one kept or recent trace by trace ID — the IDs on
+//	                    /slow and in perf records resolve here (text, or
+//	                    ?format=json for the span tree)
+//	GET /slow?last=N    the last N kept span trees as text: errored,
+//	                    degraded, retried or rerouted requests, those at
+//	                    or above SlowThreshold, and the running slowest 5%
 //	GET /debug/pprof/*  Go's profiling handlers (Config.EnablePprof)
 //
 // The handler stays valid after Close — it then serves the pool's final,
@@ -44,7 +45,6 @@ func (p *Pool) Handler() http.Handler {
 	mux.HandleFunc("/trace", p.handleTrace)
 	mux.HandleFunc("/trace/", p.handleTraceByID)
 	mux.HandleFunc("/slow", p.handleSlow)
-	mux.HandleFunc("/exemplars", p.handleExemplars)
 	if p.cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -109,10 +109,10 @@ func (p *Pool) handleTrace(w http.ResponseWriter, r *http.Request) {
 	_ = metrics.WriteSpanTraces(w, p.tracer.Last(n))
 }
 
-// handleTraceByID serves one retained trace — /trace/{id} — resolving
-// the trace IDs that exemplars, /slow lines, perf-database records and
-// flight-dump traces carry. Text by default; ?format=json returns
-// the span tree in the flight-dump SpanDump shape.
+// handleTraceByID serves one kept or recent trace — /trace/{id} —
+// resolving the trace IDs that /slow lines, perf-database records and
+// flight-dump traces carry. Text by default; ?format=json returns the
+// span tree in the flight-dump SpanDump shape.
 func (p *Pool) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	if p.tracer == nil {
 		http.Error(w, "tracing disabled (TraceKeep < 0)", http.StatusNotFound)
@@ -125,7 +125,7 @@ func (p *Pool) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	}
 	sp := p.tracer.ByID(id)
 	if sp == nil {
-		http.Error(w, "trace "+id+" not retained (aged out or never existed)", http.StatusNotFound)
+		http.Error(w, "trace "+id+" not kept (aged out or never existed)", http.StatusNotFound)
 		return
 	}
 	if r.URL.Query().Get("format") == "json" {
@@ -140,22 +140,7 @@ func (p *Pool) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	sp.WriteText(w)
 }
 
-// handleExemplars serves the histogram exemplars as JSON: each series'
-// most recent and slowest observation with its trace ID, resolvable via
-// /trace/{id}. This is the out-of-band stand-in for Prometheus
-// exemplars, which the 0.0.4 text format cannot carry inline.
-func (p *Pool) handleExemplars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	ex := p.reg.Exemplars()
-	if ex == nil {
-		ex = []obs.SeriesExemplars{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(ex)
-}
-
-// handleSlow renders the retained slow-request span trees as text.
+// handleSlow renders the kept span trees as text.
 func (p *Pool) handleSlow(w http.ResponseWriter, r *http.Request) {
 	if p.tracer == nil {
 		http.Error(w, "tracing disabled (TraceKeep < 0)", http.StatusNotFound)
@@ -167,13 +152,13 @@ func (p *Pool) handleSlow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	slow := p.tracer.Slow(n)
-	if len(slow) == 0 {
-		fmt.Fprintln(w, "no slow requests recorded")
+	kept := p.tracer.Kept(n)
+	if len(kept) == 0 {
+		fmt.Fprintln(w, "no traces kept")
 		return
 	}
-	for _, sp := range slow {
-		fmt.Fprintf(w, "--- %v (threshold %v) trace_id=%s\n", sp.Duration(), p.cfg.SlowThreshold, sp.ID())
+	for _, sp := range kept {
+		fmt.Fprintf(w, "--- %v trace_id=%s\n", sp.Duration(), sp.ID())
 		sp.WriteText(w)
 	}
 }

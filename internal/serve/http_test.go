@@ -27,18 +27,13 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 
 // TestHTTPEndpoints drives a pool through the introspection surface:
 // healthz, the Prometheus exposition (handle- and shared-cache counters,
-// queue depth, per-strategy histograms), and the slow log. One worker,
-// because handle caches are per worker: six requests for one text are
-// one miss and five hits only if one worker draws them all, and which
-// of two idle workers draws a request is the scheduler's choice. The
-// shared caches see the miss and nothing else.
+// queue depth, per-strategy histograms), and the kept traces on /slow.
+// One worker, because handle caches are per worker: six requests for one
+// text are one miss and five hits only if one worker draws them all, and
+// which of two idle workers draws a request is the scheduler's choice.
+// The shared caches see the miss and nothing else.
 func TestHTTPEndpoints(t *testing.T) {
-	p, err := NewPool(Config{
-		Workers:       1,
-		Strategy:      "fusion",
-		SlowThreshold: time.Nanosecond, // every request is "slow"
-		SlowLog:       io.Discard,
-	})
+	p, err := NewPool(Config{Workers: 1, Strategy: "fusion"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +95,15 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 	}
 
+	// A request missing an input fails in execute; its trace is kept.
+	delete(inputs, "w")
+	if _, err := p.Submit(context.Background(), Request{
+		Expr: "m = sqrt(u*u + v*v + w*w)", N: 2048, Inputs: inputs,
+	}); err == nil {
+		t.Fatal("request without w succeeded")
+	}
 	code, body = get(t, srv, "/slow?last=3")
-	if code != http.StatusOK || !strings.Contains(body, "execute") {
+	if code != http.StatusOK || !strings.Contains(body, "execute") || !strings.Contains(body, `no binding for source "w"`) {
 		t.Fatalf("/slow = %d:\n%s", code, body)
 	}
 	if code, _ := get(t, srv, "/trace?last=bogus"); code != http.StatusBadRequest {

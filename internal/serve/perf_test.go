@@ -77,6 +77,39 @@ func TestPerfRecordsEveryEvaluation(t *testing.T) {
 	}
 }
 
+// TestWarmSubmitAllocBudget gates the allocations of one warm request on
+// the repo benchmark's serve pool shape (2 workers, queue 8, tiered, O2,
+// 12³ elements, tracing and the perf recorder on): a hot text answered
+// from a worker's handle cache costs at most 35 allocations, counted
+// across every goroutine the request touches. Which worker draws a
+// request is the scheduler's choice, so a measurement during which some
+// worker still had to prepare the text is taken again.
+func TestWarmSubmitAllocBudget(t *testing.T) {
+	pool := newTestPool(t, Config{Workers: 2, QueueDepth: 8, Strategy: "tiered", Opt: "O2"})
+	const n = 12 * 12 * 12
+	req := Request{Expr: "m = sqrt(u*u + v*v + w*w)\nr = m * 1.5 + w", N: n, Inputs: testInputs(n)}
+	submit := func() {
+		if _, err := pool.Submit(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		submit()
+	}
+	var allocs float64
+	for attempt := 0; attempt < 3; attempt++ {
+		misses := pool.handleMisses.Load()
+		allocs = testing.AllocsPerRun(500, submit)
+		if pool.handleMisses.Load() == misses {
+			break
+		}
+	}
+	t.Logf("warm Submit: %.2f allocations", allocs)
+	if allocs > 35 {
+		t.Fatalf("warm Submit costs %.2f allocations, budget 35", allocs)
+	}
+}
+
 // TestFlushPerfConcurrentWithClose: FlushPerf racing a draining Close
 // (and racing in-flight evaluations) must stay safe and both snapshots
 // must parse. Run under -race in CI.
@@ -222,22 +255,24 @@ func TestFlightDumpOnBreakerTrip(t *testing.T) {
 	}
 }
 
-// TestPerfHTTPSurface covers the new introspection endpoints: exemplars
-// with resolvable trace IDs, /trace/{id} lookup in both formats, the
-// trace_id on /slow, pprof gating, and the perf/runtime series on
-// /metrics.
+// TestPerfHTTPSurface covers the introspection endpoints: the trace_id
+// of a kept trace on /slow, its /trace/{id} lookup in both formats,
+// pprof gating, the perf/runtime series on /metrics, and no
+// /exemplars.
 func TestPerfHTTPSurface(t *testing.T) {
-	pool, err := NewPool(Config{
-		Workers: 1, Device: dfg.CPU, Strategy: "fusion",
-		SlowThreshold: time.Nanosecond, SlowLog: io.Discard,
-		EnablePprof: true,
-	})
+	pool, err := NewPool(Config{Workers: 1, Device: dfg.CPU, Strategy: "fusion", EnablePprof: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 	if _, err := pool.Submit(context.Background(), perfReq()); err != nil {
 		t.Fatal(err)
+	}
+	// An erroring request: its trace is kept, so /slow lists it.
+	unbound := perfReq()
+	unbound.Inputs = nil
+	if _, err := pool.Submit(context.Background(), unbound); err == nil {
+		t.Fatal("request without inputs succeeded")
 	}
 	srv := httptest.NewServer(pool.Handler())
 	defer srv.Close()
@@ -262,12 +297,11 @@ func TestPerfHTTPSurface(t *testing.T) {
 		}
 	}
 
-	code, body = get("/exemplars")
-	if code != http.StatusOK || !strings.Contains(body, "trace_id") {
-		t.Fatalf("/exemplars: %d %q", code, body)
+	if code, _ = get("/exemplars"); code != http.StatusNotFound {
+		t.Fatalf("/exemplars: %d, want 404", code)
 	}
 
-	// Pull a live trace ID off the slow log and resolve it.
+	// Pull a live trace ID off /slow and resolve it.
 	code, body = get("/slow")
 	if code != http.StatusOK || !strings.Contains(body, "trace_id=") {
 		t.Fatalf("/slow: %d %q", code, body)

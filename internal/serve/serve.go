@@ -104,19 +104,17 @@ type Config struct {
 	// 16. Ignored unless BatchWindow is set.
 	BatchMax int
 
-	// TraceKeep sizes the ring of recent request traces (the /trace
-	// endpoint's window, and the traces a flight dump carries). Zero
-	// keeps obs.DefaultKeep; negative disables request tracing entirely
-	// (metrics stay on), which also empties flight dumps of traces.
+	// TraceKeep sizes the tracer's two rings: recent request traces (the
+	// /trace endpoint's window, and the traces a flight dump carries) and
+	// kept ones (/slow). Zero keeps obs.DefaultKeep; negative disables
+	// request tracing entirely (metrics stay on), which also empties
+	// flight dumps of traces.
 	TraceKeep int
 	// SlowThreshold, if positive, turns on the slow-request log: any
 	// request whose end-to-end latency (queue wait + execution) reaches
-	// the threshold has its full span tree written to SlowLog and
-	// retained for the /slow endpoint.
+	// the threshold has its full span tree written to stderr and kept for
+	// the /slow endpoint.
 	SlowThreshold time.Duration
-	// SlowLog receives slow-request span trees. Defaults to os.Stderr
-	// when SlowThreshold is set.
-	SlowLog io.Writer
 
 	// BreakerCooldown is how long an open circuit breaker waits before
 	// letting one half-open health probe through (default 50ms).
@@ -133,11 +131,6 @@ type Config struct {
 	// continuous-profiling recorder in memory only (its ring is still
 	// live and inspectable) and disables flight dumps.
 	PerfDir string
-	// TailPercent is the slowest-request percentile the tracer retains
-	// beyond its recent ring (tail-based sampling). 0 means
-	// obs.DefaultTailPercent; negative keeps only errored, degraded or
-	// rerouted request traces.
-	TailPercent float64
 	// EnablePprof mounts net/http/pprof's handlers under /debug/pprof/
 	// on the pool's HTTP Handler.
 	EnablePprof bool
@@ -332,22 +325,17 @@ func NewPool(cfg Config) (*Pool, error) {
 	}
 	if cfg.TraceKeep >= 0 {
 		p.tracer = obs.NewTracer(cfg.TraceKeep)
-		p.tracer.SetTail(cfg.TailPercent)
 	}
 	p.perf = perfdb.NewRecorder(0)
 	p.meta = perfdb.CollectMeta(cfg.Device.String())
 	if cfg.SlowThreshold > 0 && p.tracer != nil {
-		logw := cfg.SlowLog
-		if logw == nil {
-			logw = os.Stderr
-		}
 		var logMu sync.Mutex
 		threshold := cfg.SlowThreshold
 		p.tracer.SetSlow(threshold, func(sp *obs.Span) {
 			logMu.Lock()
 			defer logMu.Unlock()
-			fmt.Fprintf(logw, "serve: slow request: %v >= %v\n", sp.Duration(), threshold)
-			sp.WriteText(logw)
+			fmt.Fprintf(os.Stderr, "serve: slow request: %v >= %v\n", sp.Duration(), threshold)
+			sp.WriteText(os.Stderr)
 		})
 	}
 	p.registerMetrics()
@@ -383,7 +371,7 @@ func (p *Pool) newEngine(worker int) (*dfg.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Workers pass their per-request span into EvalTraced, so the
+	// Workers pass their per-request span into EvalTracedCtx, so the
 	// engines get only the registry (per-fingerprint histograms).
 	eng.Instrument(nil, p.reg)
 	// Derived per-request variant engines are views of this one, so the
@@ -874,7 +862,7 @@ func (p *Pool) runSolo(ws *workerState, m *member, hops int, pickup time.Time, p
 			root.SetAttr("breaker", "probe")
 		}
 		if hops > 0 {
-			// Tail retention keeps every rerouted request's trace.
+			// The tracer keeps every rerouted request's trace.
 			root.SetAttr("rerouted", strconv.Itoa(hops))
 		}
 	}
@@ -994,7 +982,6 @@ func (p *Pool) settle(ws *workerState, err error, now time.Time) {
 		return
 	}
 	lost := false
-	var fe *ocl.FaultError
 	switch {
 	case err == nil:
 		if !ws.eng.DeviceLost() {
@@ -1006,9 +993,13 @@ func (p *Pool) settle(ws *workerState, err error, now time.Time) {
 		// anyway so the cooldown/probe machinery heals (or replaces) it
 		// instead of every request limping through the VM forever.
 		lost = true
-	case !errors.As(err, &fe):
-		return
 	default:
+		// Declared here, not at the top: errors.As moves the target to the
+		// heap, and only failures should pay for it.
+		var fe *ocl.FaultError
+		if !errors.As(err, &fe) {
+			return
+		}
 		switch ocl.Classify(err) {
 		case ocl.ClassDeviceLost:
 			lost = true
@@ -1452,9 +1443,9 @@ func (p *Pool) Report(w io.Writer) {
 	}
 	fmt.Fprintf(w, "%-28s %s\n", "aggregate device profile:", st.Profile.String())
 	fmt.Fprintf(w, "%-28s %d bytes\n", "peak device memory (1 run):", st.PeakDeviceBytes)
-	if slow := p.tracer.Slow(0); len(slow) > 0 {
-		fmt.Fprintf(w, "%-28s %d (slowest %v)\n", "slow requests:",
-			len(slow), slowest(slow).Round(time.Microsecond))
+	if kept := p.tracer.Kept(0); len(kept) > 0 {
+		fmt.Fprintf(w, "%-28s %d (slowest %v)\n", "kept traces:",
+			len(kept), slowest(kept).Round(time.Microsecond))
 	}
 }
 

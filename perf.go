@@ -5,22 +5,18 @@ import (
 
 	"dfg/internal/compile"
 	"dfg/internal/obs"
-	"dfg/internal/ocl"
 	"dfg/internal/perfdb"
 )
 
 // SetPerfRecorder attaches (or with nil detaches) a continuous-profiling
 // recorder: every evaluation deposits one perfdb.EvalRecord — identity,
-// stage timings, device-traffic counts, arena deltas, recovery flags —
-// into it. The recorder is concurrency-safe and may be shared by a whole
-// pool of engines; derived engine views (WithOptLevel, WithStrategy)
-// inherit it. Like Instrument, call before the engine is used.
+// stage timings, device-traffic counts, recovery flags — into it. The
+// recorder is concurrency-safe and may be shared by a whole pool of
+// engines; derived engine views (WithOptLevel, WithStrategy) inherit it.
+// Like Instrument, call before the engine is used.
 func (e *Engine) SetPerfRecorder(r *perfdb.Recorder) {
 	e.perf = r
 }
-
-// PerfRecorder returns the attached recorder (nil if none).
-func (e *Engine) PerfRecorder() *perfdb.Recorder { return e.perf }
 
 // NoteQueueWait stamps the queue wait the *next* evaluation's perf
 // record should carry — the serving layer measures how long a request
@@ -43,67 +39,39 @@ func (e *Engine) clock() time.Time {
 	return time.Time{}
 }
 
-// evalCapture accumulates one evaluation's recovery trajectory across
-// the retry/fallback loop, so the perf record is per-evaluation, not
-// per-attempt. Allocated only when a recorder is attached. Methods are
-// nil-safe so the recovery loop calls them unconditionally.
-type evalCapture struct {
-	entry      string // ladder label the evaluation entered with
-	resolved   string // what actually executed (set by the final attempt)
-	retries    int
-	degraded   string // rung a fallback landed on ("" if none)
-	deviceLost bool
+// route is where one evaluation ran, as its perf record reports it:
+// the tier that executed and, when recovery is armed, the retries and
+// fallback that got it there. The zero value is a failed run that never
+// left its rung.
+type route struct {
+	resolved string // the tiered plan's chosen tier, else the rung's label; "" on failure
+	retries  int
+	degraded string // rung a fallback landed on ("" if none)
+	lost     bool   // a device loss sent the run down the ladder
 }
 
-func (c *evalCapture) setResolved(label string) {
-	if c != nil {
-		c.resolved = label
-	}
-}
-
-func (c *evalCapture) noteRetry() {
-	if c != nil {
-		c.retries++
-	}
-}
-
-func (c *evalCapture) noteFallback(to string, viaLost bool) {
-	if c != nil {
-		c.degraded = to
-		if viaLost {
-			c.deviceLost = true
-		}
-	}
-}
-
-// recordEval builds and deposits the evaluation's perf record.
-// arenaBefore holds the engine's arena counters snapshotted at entry;
-// res is nil on failure.
-func (e *Engine) recordEval(c *evalCapture, res *Result, err error, j job, n int,
-	sp *obs.Span, t0 time.Time, arenaBefore ocl.ArenaStats) {
-	after := e.ArenaStats()
+// recordEval builds and deposits the evaluation's perf record from what
+// the evaluation already holds; res is nil on failure.
+func (e *Engine) recordEval(j job, rt route, res *Result, err error, n int, sp *obs.Span, t0 time.Time) {
+	now := time.Now()
 	rec := perfdb.EvalRecord{
-		UnixNS:         time.Now().UnixNano(),
-		TraceID:        sp.ID(),
-		Fingerprint:    compile.ShortKey(j.fp),
-		Strategy:       c.entry,
-		Resolved:       c.resolved,
-		Opt:            e.lvl.String(),
-		Device:         e.env.Device().Name(),
-		N:              n,
-		Batch:          j.batch,
-		QueueWaitNS:    int64(e.pendingWait),
-		PlanNS:         int64(e.pendingPlan),
-		TotalNS:        time.Since(t0).Nanoseconds(),
-		Allocs:         after.Allocated - arenaBefore.Allocated,
-		Reused:         after.Reused - arenaBefore.Reused,
-		Uploads:        after.Uploads - arenaBefore.Uploads,
-		UploadsSkipped: after.UploadsSkipped - arenaBefore.UploadsSkipped,
-		Retries:        c.retries,
-		Degraded:       c.degraded,
-		DeviceLost:     c.deviceLost,
+		UnixNS:      now.UnixNano(),
+		TraceID:     sp.ID(),
+		Fingerprint: compile.ShortKey(j.fp),
+		Strategy:    j.label,
+		Resolved:    rt.resolved,
+		Opt:         e.lvl.String(),
+		Device:      e.env.Device().Name(),
+		N:           n,
+		Batch:       j.batch,
+		QueueWaitNS: int64(e.pendingWait),
+		PlanNS:      int64(j.planned),
+		TotalNS:     now.Sub(t0).Nanoseconds(),
+		Retries:     rt.retries,
+		Degraded:    rt.degraded,
+		DeviceLost:  rt.lost,
 	}
-	e.pendingWait, e.pendingPlan = 0, 0
+	e.pendingWait = 0
 	if res != nil {
 		rec.ModeledUploadNS = res.Profile.WriteTime.Nanoseconds()
 		rec.ModeledKernelNS = res.Profile.KernelTime.Nanoseconds()

@@ -66,7 +66,7 @@ func (p *Prepared) active() (strategy.Plan, string) {
 	if p.fallback != nil {
 		return p.fallback, p.fallbackLabel
 	}
-	return p.plan, strategy.PlanCacheName(p.eng.strat)
+	return p.plan, p.eng.rung
 }
 
 // Degraded names the degradation-ladder rung this prepared expression

@@ -117,35 +117,35 @@ func nextRung(label string) (rung, bool) {
 	return ladder[0], true
 }
 
-// run is the recovery-wrapped execution loop around runPlanOnce. j.pr,
-// when non-nil, remembers the rung a degraded run landed on, so
-// subsequent warm evaluations start there instead of re-failing the
-// primary plan.
-func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time, capt *evalCapture) (*Result, error) {
-	retries := 0
-	fell := false    // did this call move down the ladder at all?
-	viaLost := false // was the final rung reached through a device loss?
+// run is the recovery-wrapped execution loop around runPlanOnce. It
+// reports the route the evaluation took: its resolved tier, the retries
+// it burned across rungs, and where (and whether through a device loss)
+// a fallback landed it. j.pr, when non-nil, remembers the rung a
+// degraded run landed on, so subsequent warm evaluations start there
+// instead of re-failing the primary plan.
+func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time) (res *Result, rt route, err error) {
+	retries := 0 // on the current rung
 	for {
 		label := j.label
-		res, err := e.runPlanOnce(j, bind, sp, t0, capt)
+		res, rt.resolved, err = e.runPlanOnce(j, bind, sp, t0)
 		if err == nil {
-			if pr := j.pr; pr != nil && fell && j.plan != pr.plan {
-				pr.fallback, pr.fallbackLabel, pr.fallbackLost = j.plan, label, viaLost
+			if pr := j.pr; pr != nil && rt.degraded != "" && j.plan != pr.plan {
+				pr.fallback, pr.fallbackLabel, pr.fallbackLost = j.plan, label, rt.lost
 			}
-			return res, nil
+			return res, rt, nil
 		}
 		// A canceled request must not burn retries or rungs; surface the
 		// error as-is (it already is, or wraps, the context's error).
 		if bind.Ctx != nil && bind.Ctx.Err() != nil {
-			return nil, err
+			return nil, rt, err
 		}
 		switch class := ocl.Classify(err); class {
 		case ocl.ClassTransient:
 			if retries >= maxRetries {
-				return nil, fmt.Errorf("dfg: %d retries exhausted: %w", retries, err)
+				return nil, rt, fmt.Errorf("dfg: %d retries exhausted: %w", retries, err)
 			}
 			retries++
-			capt.noteRetry()
+			rt.retries++
 			d := r.backoff(retries)
 			if rs := sp.Child("retry"); rs != nil {
 				rs.SetAttr("attempt", strconv.Itoa(retries)).
@@ -171,10 +171,10 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t
 				// no device at all: jump straight there. Already on it?
 				// Surface the loss.
 				if nxt = ladder[len(ladder)-1]; label == nxt.label {
-					return nil, err
+					return nil, rt, err
 				}
 			} else if nxt, ok = nextRung(label); !ok {
-				return nil, fmt.Errorf("dfg: degradation ladder exhausted at %s: %w", label, err)
+				return nil, rt, fmt.Errorf("dfg: degradation ladder exhausted at %s: %w", label, err)
 			}
 			// Drain the arena so pooled and resident buffers do not count
 			// against the smaller plan's capacity; re-planning goes through
@@ -188,7 +188,7 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t
 			np, _, perr := e.comp.PlanTracedAt(j.text, e.lvl, nxt.strat, e.env.Device(), fs)
 			fs.Finish()
 			if perr != nil {
-				return nil, fmt.Errorf("dfg: fallback re-plan %s -> %s: %w", label, nxt.label, perr)
+				return nil, rt, fmt.Errorf("dfg: fallback re-plan %s -> %s: %w", label, nxt.label, perr)
 			}
 			if e.reg != nil {
 				e.reg.Counter("dfg_fallback_total",
@@ -196,12 +196,11 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t
 					obs.Labels{"from": label, "to": nxt.label}).Inc()
 			}
 			j.plan, j.label = np, nxt.label
-			capt.noteFallback(nxt.label, lost)
-			fell, viaLost = true, viaLost || lost
+			rt.degraded, rt.lost = nxt.label, rt.lost || lost
 			retries = 0
 
 		default: // permanent
-			return nil, err
+			return nil, rt, err
 		}
 	}
 }
