@@ -4,8 +4,7 @@ package dfg_test
 //
 //   - common sub-expression elimination (the parser's "limited CSE"),
 //   - reference-count-driven buffer frees in the staged strategy,
-//   - the streaming tile count (future-work strategy),
-//   - one device vs. the node's two GPUs (future-work strategy).
+//   - the streaming tile count (future-work strategy).
 //
 // Each reports the modeled device time and/or peak device memory so the
 // effect of the design choice is visible next to the wall time.
@@ -41,7 +40,7 @@ func BenchmarkAblation_CSE(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			net, err := expr.BuildNetwork(p)
+			net, err := expr.BuildNetworkWithDefinitions(p, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -124,54 +123,6 @@ func BenchmarkAblation_StreamingTiles(b *testing.B) {
 			b.ReportMetric(devNs, "modeled-ns/op")
 		})
 	}
-}
-
-// BenchmarkAblation_MultiDevice compares Q-criterion fusion on one GPU
-// against splitting the grid across the node's two GPUs.
-func BenchmarkAblation_MultiDevice(b *testing.B) {
-	m, f := benchGrid(b)
-	bind := benchBindings(b, m, f)
-	net, err := expr.Compile(vortex.QCritExpr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("one-gpu", func(b *testing.B) {
-		s, _ := strategy.ForName("fusion")
-		var devNs float64
-		for i := 0; i < b.N; i++ {
-			env := ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64)))
-			res, err := strategy.Execute(s, env, net, bind)
-			if err != nil {
-				b.Fatal(err)
-			}
-			devNs = float64(res.Profile.DeviceTime().Nanoseconds())
-		}
-		b.ReportMetric(devNs, "modeled-ns/op")
-	})
-	b.Run("two-gpus", func(b *testing.B) {
-		var devNs float64
-		for i := 0; i < b.N; i++ {
-			envs := []*ocl.Env{
-				ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64))),
-				ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64))),
-			}
-			res, err := strategy.ExecuteMultiDevice(envs, net, bind)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Devices run concurrently: the modeled makespan is the
-			// slower device's timeline, not the sum.
-			var makespan float64
-			for _, env := range envs {
-				if d := float64(env.Queue().Now().Nanoseconds()); d > makespan {
-					makespan = d
-				}
-			}
-			devNs = makespan
-			_ = res
-		}
-		b.ReportMetric(devNs, "modeled-ns/op")
-	})
 }
 
 // BenchmarkAblation_VMTier compares end-to-end warm Q-criterion

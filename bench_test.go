@@ -66,7 +66,7 @@ func BenchmarkTableI_Generate(b *testing.B) {
 // grid).
 func BenchmarkTableII_Counts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := metrics.TableII(); err != nil {
+		if _, err := metrics.TableIIAt(""); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package dfg
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -429,6 +430,128 @@ func TestComputedDimsRejectedAtPlanTime(t *testing.T) {
 			}
 			if live := eng.LiveBuffers(); want != "" && live != 0 {
 				t.Errorf("%s %s %q: %d buffers live after the refusal", tc.opt, sname, tc.dims, live)
+			}
+		}
+	}
+}
+
+// TestOverLongSourcesMatchFusion: a source longer than the work size is
+// read for its first N elements only — by every strategy, one-shot,
+// prepared and batched. Streaming used to window a source only when it
+// held exactly N elements, so every tile read a longer one from its start
+// ("a+b" over N = 3 gave [2 2 2] for [2 4 6]), and it recognised a
+// stencil's extents only by the name "dims".
+func TestOverLongSourcesMatchFusion(t *testing.T) {
+	m, _ := NewUniformMesh(Dims{NX: 4, NY: 3, NZ: 6}, 0.5, 1, 0.25)
+	n := m.Cells()
+	rng := rand.New(rand.NewSource(3))
+	long := func(head []float32) []float32 {
+		out := append([]float32(nil), head...)
+		for len(out) < len(head)+9 {
+			out = append(out, rng.Float32()*100-50)
+		}
+		return out
+	}
+	a, b := make([]float32, n), make([]float32, n)
+	for i := range a {
+		a[i], b[i] = rng.Float32(), rng.Float32()
+	}
+	x, y, z := m.CellCenterFields()
+	in := map[string][]float32{
+		"a": long(a), "b": long(b), "x": long(x), "y": long(y), "z": long(z),
+		"d": {4, 3, 6, 0, 7, 7},
+	}
+	texts := []string{"r = a + b", "g = grad3d(a, d, x, y, z)\nr = g[2] * b"}
+
+	fu, err := New(Config{Strategy: "fusion"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]float32, len(texts))
+	for i, text := range texts {
+		res, err := fu.Eval(text, n, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Data
+	}
+	for i, got := range want[0] {
+		if len(want[0]) != n || got != a[i]+b[i] {
+			t.Fatalf("fusion a+b = %v over %d elements, want the first %d sums", want[0], len(want[0]), n)
+		}
+	}
+	check := func(how string, i int, res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s %q: %v", how, texts[i], err)
+		}
+		if len(res.Data) != n {
+			t.Fatalf("%s %q: %d values, want %d", how, texts[i], len(res.Data), n)
+		}
+		for k := range res.Data {
+			if math.Float32bits(res.Data[k]) != math.Float32bits(want[i][k]) {
+				t.Fatalf("%s %q: element %d = %v, fusion %v", how, texts[i], k, res.Data[k], want[i][k])
+			}
+		}
+	}
+	for _, sname := range batchStrategies {
+		eng, err := New(Config{Strategy: sname})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, text := range texts {
+			res, err := eng.Eval(text, n, in)
+			check(sname+" one-shot", i, res, err)
+			p, err := eng.Prepare(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err = p.Eval(n, in)
+			p.Close()
+			check(sname+" prepared", i, res, err)
+		}
+		pb, err := eng.PrepareBatch(texts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, err := pb.Eval(n, in)
+		pb.Close()
+		if err != nil {
+			t.Fatalf("%s batch: %v", sname, err)
+		}
+		for i, res := range br.Results {
+			check(sname+" batch", i, res, nil)
+		}
+	}
+}
+
+// TestZeroWorkSizeIsOneError: N = 0 is refused with the same error by
+// every strategy and entry point.
+func TestZeroWorkSizeIsOneError(t *testing.T) {
+	const want = "strategy: global work size must be positive, got 0"
+	in := map[string][]float32{"a": {1, 2}, "b": {3, 4}}
+	texts := []string{"r = a + b", "r = a * b"}
+	for _, sname := range batchStrategies {
+		eng, err := New(Config{Strategy: sname})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, oneShot := eng.Eval(texts[0], 0, in)
+		p, err := eng.Prepare(texts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, prepared := p.Eval(0, in)
+		p.Close()
+		pb, err := eng.PrepareBatch(texts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, batch := pb.Eval(0, in)
+		pb.Close()
+		for how, err := range map[string]error{"one-shot": oneShot, "prepared": prepared, "batch": batch} {
+			if err == nil || err.Error() != want {
+				t.Errorf("%s %s: err = %v, want %q", sname, how, err, want)
 			}
 		}
 	}

@@ -40,11 +40,15 @@ func runProgram(t *testing.T, p *Program, n int, sources map[string][]float32) [
 				t.Fatal(err)
 			}
 			bufs[i] = b
-		case ArgScratch:
-			bufs[i] = env.Context().MustBuffer(a.Name, n, a.Width)
-		case ArgOut:
-			out = env.Context().MustBuffer(a.Name, n, a.Width)
-			bufs[i] = out
+		case ArgScratch, ArgOut:
+			b, err := env.NewBuffer(a.Name, n, a.Width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufs[i] = b
+			if a.Kind == ArgOut {
+				out = b
+			}
 		}
 	}
 	if err := env.Run(p.Kernel, n, bufs, nil); err != nil {

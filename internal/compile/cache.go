@@ -12,7 +12,7 @@ import (
 type cache[K comparable, V any] struct {
 	mu      sync.RWMutex
 	entries map[K]*entry[V]
-	max     int // 0 means DefaultMaxEntries
+	max     int // 0 means DefaultMaxEntries; tests set a smaller bound
 
 	clock                atomic.Int64 // advances on every touch, for LRU eviction
 	hits, misses, builds atomic.Int64
@@ -95,13 +95,6 @@ func (c *cache[K, V]) evictLocked() {
 		}
 		delete(c.entries, oldestKey)
 	}
-}
-
-// setMax adjusts the bound; it takes effect at the next insertion.
-func (c *cache[K, V]) setMax(n int) {
-	c.mu.Lock()
-	c.max = n
-	c.mu.Unlock()
 }
 
 // len returns the current number of entries.

@@ -91,7 +91,7 @@ func TestCachesShareOneDiscipline(t *testing.T) {
 				t.Fatalf("repeat outcome = %q, want hit", got)
 			}
 
-			c.SetMaxEntries(2)
+			c.setMaxEntries(2)
 			for i := 1; i <= 8; i++ {
 				outcome(i)
 			}

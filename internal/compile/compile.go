@@ -40,9 +40,9 @@ import (
 	"dfg/internal/strategy"
 )
 
-// DefaultMaxEntries bounds the cache when the caller does not: old
-// entries (including those orphaned by redefinitions) are evicted in
-// approximate-LRU order once the cache exceeds this size.
+// DefaultMaxEntries bounds each cache: old entries (including those
+// orphaned by redefinitions) are evicted in approximate-LRU order once
+// the cache exceeds this size.
 const DefaultMaxEntries = 512
 
 // Compiler owns a definition database and a fingerprint-keyed network
@@ -83,19 +83,9 @@ type passAgg struct {
 	seconds      float64
 }
 
-// NewCompiler returns an empty compiler with the default cache bound.
+// NewCompiler returns an empty compiler.
 func NewCompiler() *Compiler {
 	return &Compiler{passStats: make(map[string]*passAgg)}
-}
-
-// SetMaxEntries adjusts the bound of each cache (minimum 1).
-func (c *Compiler) SetMaxEntries(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.nets.setMax(n)
-	c.plans.setMax(n)
-	c.merges.setMax(n)
 }
 
 // Define registers (or replaces) a named expression definition. The text
@@ -271,19 +261,6 @@ func (c *Compiler) PassStat(name string) PassStat {
 		st.Runs, st.NodesRemoved, st.Seconds = agg.runs, agg.nodesRemoved, agg.seconds
 	}
 	return st
-}
-
-// PassStats returns the counters for every pass that has run, sorted by
-// name.
-func (c *Compiler) PassStats() []PassStat {
-	c.passMu.Lock()
-	out := make([]PassStat, 0, len(c.passStats))
-	for name, agg := range c.passStats {
-		out = append(out, PassStat{Name: name, Runs: agg.runs, NodesRemoved: agg.nodesRemoved, Seconds: agg.seconds})
-	}
-	c.passMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // PlanTracedAt is the prepared-execution front door: it compiles text

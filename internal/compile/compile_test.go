@@ -196,7 +196,7 @@ func TestDefineValidates(t *testing.T) {
 
 func TestEvictionBoundsCache(t *testing.T) {
 	c := NewCompiler()
-	c.SetMaxEntries(2)
+	c.setMaxEntries(2)
 	for i := 0; i < 8; i++ {
 		if _, err := compilePaper(c, fmt.Sprintf("r = u + %d", i)); err != nil {
 			t.Fatal(err)

@@ -47,16 +47,8 @@ func TestPassStatsAccumulate(t *testing.T) {
 	if _, _, err := c.CompileTracedAt("r = 1 + 1 + u*v + v*u", passes.LevelO2, nil); err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]PassStat{}
-	for _, st := range c.PassStats() {
-		byName[st.Name] = st
-	}
 	for _, name := range passes.Names() {
-		st, ok := byName[name]
-		if !ok {
-			t.Errorf("no aggregate for pass %q", name)
-			continue
-		}
+		st := c.PassStat(name)
 		if st.Runs != 1 {
 			t.Errorf("%s: %d runs, want 1", name, st.Runs)
 		}
@@ -64,7 +56,7 @@ func TestPassStatsAccumulate(t *testing.T) {
 			t.Errorf("%s: no time accumulated", name)
 		}
 	}
-	if byName["constpool"].NodesRemoved == 0 {
+	if c.PassStat("constpool").NodesRemoved == 0 {
 		t.Error("constpool removed no nodes on a duplicate-constant program")
 	}
 	if got := c.PassStat("nonesuch"); got.Runs != 0 || got.Name != "nonesuch" {

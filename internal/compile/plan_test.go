@@ -137,7 +137,7 @@ func TestPlanCacheRedefineInvalidates(t *testing.T) {
 // TestPlanCacheEviction: the plan cache honors the shared entry bound.
 func TestPlanCacheEviction(t *testing.T) {
 	c := NewCompiler()
-	c.SetMaxEntries(2)
+	c.setMaxEntries(2)
 	fusion, _ := strategy.ForName("fusion")
 	dev := cpuDev()
 	exprs := []string{"a = u + v", "b = u - v", "c = u * v"}

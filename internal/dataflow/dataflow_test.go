@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"dfg/internal/kernels"
 )
 
 // buildVelMag constructs the velocity-magnitude network by hand:
@@ -46,11 +48,11 @@ func TestBuildVelMagNetwork(t *testing.T) {
 	if len(nw.Sources()) != 3 {
 		t.Fatalf("want 3 sources, got %d", len(nw.Sources()))
 	}
-	if nw.OutputNode().Filter != "sqrt" {
-		t.Fatalf("output should be the sqrt node, got %q", nw.OutputNode().Filter)
+	if nw.NodeByID(nw.Output()).Filter != "sqrt" {
+		t.Fatalf("output should be the sqrt node, got %q", nw.NodeByID(nw.Output()).Filter)
 	}
 	// Alias resolves to the same node.
-	if nw.Node("v_mag") != nw.OutputNode() {
+	if nw.Node("v_mag") != nw.NodeByID(nw.Output()) {
 		t.Fatal("alias v_mag should resolve to the output node")
 	}
 }
@@ -107,7 +109,7 @@ func TestTopoOrderRequiresOutput(t *testing.T) {
 func TestTopoOrderDetectsCycle(t *testing.T) {
 	nw := buildVelMag(t)
 	// Hand-corrupt the spec into a cycle (impossible via the API).
-	out := nw.OutputNode()
+	out := nw.NodeByID(nw.Output())
 	sq := nw.Node(out.Inputs[0])
 	sq.Inputs[0] = out.ID
 	if _, err := nw.TopoOrder(); err == nil || !strings.Contains(err.Error(), "cycle") {
@@ -294,8 +296,29 @@ func TestDot(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(Filters()) < 10 {
-		t.Fatalf("registry too small: %v", Filters())
+	if len(registry) < 10 {
+		t.Fatalf("registry too small: %v", registry)
+	}
+	// Every primitive but source has a kernel, and the elementwise ones
+	// are exactly the rows of the kernels' primitive table (which
+	// kernels' own tests check row by row).
+	elementwise := 0
+	for name, fi := range registry {
+		if name == "source" {
+			continue
+		}
+		if _, err := kernels.ForFilter(name); err != nil {
+			t.Error(err)
+		}
+		if _, ok := kernels.Lookup(name); ok != (fi.Class == ClassElementwise) {
+			t.Errorf("%q (%v): in the primitive table = %v", name, fi.Class, ok)
+		}
+		if fi.Class == ClassElementwise {
+			elementwise++
+		}
+	}
+	if n := len(kernels.Primitives()); n != elementwise {
+		t.Errorf("the primitive table has %d rows, the registry %d elementwise filters", n, elementwise)
 	}
 	fi, ok := Lookup("grad3d")
 	if !ok || fi.Class != ClassStencil || fi.Arity != 5 || fi.OutWidth != 4 {

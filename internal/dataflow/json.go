@@ -1,16 +1,11 @@
 package dataflow
 
-import (
-	"encoding/json"
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "encoding/json"
 
 // jsonSpec is the on-wire form of a network specification: the parser's
-// output can be saved, shipped between processes (the original system
+// output can be saved or shipped to another process (the original system
 // passed specifications from the Python front end to the execution
-// layer), and reloaded.
+// layer); the pass goldens are captured in it.
 type jsonSpec struct {
 	Nodes   []jsonNode        `json:"nodes"`
 	Aliases map[string]string `json:"aliases,omitempty"`
@@ -43,58 +38,4 @@ func (nw *Network) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return json.Marshal(spec)
-}
-
-// NetworkFromJSON decodes and validates a network specification. The
-// returned network is fully usable, including further building (the
-// generic-name counter resumes past the highest loaded t<N> id).
-func NetworkFromJSON(data []byte) (*Network, error) {
-	var spec jsonSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return nil, fmt.Errorf("dataflow: bad network JSON: %w", err)
-	}
-	nw := NewNetwork()
-	for _, jn := range spec.Nodes {
-		if jn.ID == "" {
-			return nil, fmt.Errorf("dataflow: node without id in JSON spec")
-		}
-		if _, dup := nw.byID[jn.ID]; dup {
-			return nil, fmt.Errorf("dataflow: duplicate node id %q in JSON spec", jn.ID)
-		}
-		fi, ok := Lookup(jn.Filter)
-		if !ok {
-			return nil, fmt.Errorf("dataflow: node %q: unknown filter %q", jn.ID, jn.Filter)
-		}
-		width := jn.Width
-		if width == 0 {
-			width = fi.OutWidth
-		}
-		n := &Node{
-			ID: jn.ID, Filter: jn.Filter, Inputs: jn.Inputs,
-			Value: jn.Value, Comp: jn.Comp, Width: width,
-		}
-		nw.nodes = append(nw.nodes, n)
-		nw.byID[n.ID] = n
-		// Resume the generic-name counter beyond loaded t<N> ids.
-		if rest, found := strings.CutPrefix(jn.ID, "t"); found {
-			if num, err := strconv.Atoi(rest); err == nil && num >= nw.nextID {
-				nw.nextID = num + 1
-			}
-		}
-	}
-	for name, id := range spec.Aliases {
-		if _, ok := nw.byID[id]; !ok {
-			return nil, fmt.Errorf("dataflow: alias %q points at unknown node %q", name, id)
-		}
-		nw.aliases[name] = id
-	}
-	if spec.Output != "" {
-		if err := nw.SetOutput(spec.Output); err != nil {
-			return nil, err
-		}
-	}
-	if err := nw.Validate(); err != nil {
-		return nil, err
-	}
-	return nw, nil
 }

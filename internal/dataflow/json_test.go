@@ -6,93 +6,6 @@ import (
 	"testing"
 )
 
-func TestNetworkJSONRoundTrip(t *testing.T) {
-	nw := buildVelMag(t)
-	data, err := json.Marshal(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := NetworkFromJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same script means same structure, aliases and output.
-	if back.Script() != nw.Script() {
-		t.Fatalf("round trip drifted:\n%s\nvs\n%s", back.Script(), nw.Script())
-	}
-	// The loaded network keeps working as a builder: new generic names
-	// must not collide with loaded ones.
-	id, err := back.AddFilter("mul", "u", "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Node(id) == nil || nw.Node(id) != nil && id == "" {
-		t.Fatal("post-load build broken")
-	}
-	for _, n := range back.Nodes() {
-		count := 0
-		for _, m := range back.Nodes() {
-			if m.ID == n.ID {
-				count++
-			}
-		}
-		if count != 1 {
-			t.Fatalf("duplicate id %q after post-load build", n.ID)
-		}
-	}
-}
-
-func TestNetworkJSONRoundTripWithVectors(t *testing.T) {
-	nw := NewNetwork()
-	for _, s := range []string{"u", "dims", "x", "y", "z"} {
-		nw.AddSource(s)
-	}
-	g, _ := nw.AddFilter("grad3d", "u", "dims", "x", "y", "z")
-	d, _ := nw.AddDecompose(g, 2)
-	c := nw.AddConst(0.5)
-	m, _ := nw.AddFilter("mul", c, d)
-	nw.Alias("halfgz", m)
-	nw.SetOutput(m)
-
-	data, err := json.Marshal(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := NetworkFromJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Node(g).Width != 4 {
-		t.Fatal("vector width lost in round trip")
-	}
-	if back.Node(d).Comp != 2 {
-		t.Fatal("decompose component lost in round trip")
-	}
-	if back.Node(c).Value != 0.5 {
-		t.Fatal("constant value lost in round trip")
-	}
-	if back.Node("halfgz") != back.Node(m) {
-		t.Fatal("alias lost in round trip")
-	}
-}
-
-func TestNetworkFromJSONErrors(t *testing.T) {
-	cases := []string{
-		"{",
-		`{"nodes":[{"filter":"add"}]}`,          // missing id
-		`{"nodes":[{"id":"a","filter":"wat"}]}`, // unknown filter
-		`{"nodes":[{"id":"a","filter":"source"},{"id":"a","filter":"source"}]}`,     // duplicate
-		`{"nodes":[{"id":"a","filter":"source"}],"aliases":{"x":"nope"}}`,           // dangling alias
-		`{"nodes":[{"id":"a","filter":"source"}],"output":"nope"}`,                  // dangling output
-		`{"nodes":[{"id":"t0","filter":"add","inputs":["t0","t0"]}],"output":"t0"}`, // self-cycle
-	}
-	for i, in := range cases {
-		if _, err := NetworkFromJSON([]byte(in)); err == nil {
-			t.Errorf("case %d: malformed spec must fail:\n%s", i, in)
-		}
-	}
-}
-
 func TestNetworkJSONShape(t *testing.T) {
 	nw := NewNetwork()
 	nw.AddSource("u")

@@ -262,14 +262,6 @@ func (nw *Network) MultiRoot() bool { return len(nw.roots) > 1 }
 // Output returns the node ID of the designated sink ("" if unset).
 func (nw *Network) Output() string { return nw.output }
 
-// OutputNode returns the sink node, or nil if unset.
-func (nw *Network) OutputNode() *Node {
-	if nw.output == "" {
-		return nil
-	}
-	return nw.byID[nw.output]
-}
-
 // resolve maps a name (node ID or user alias) to a node ID.
 func (nw *Network) resolve(name string) (string, error) {
 	if _, ok := nw.byID[name]; ok {

@@ -115,15 +115,6 @@ func Lookup(name string) (FilterInfo, bool) {
 	return fi, ok
 }
 
-// Filters returns the names of all registered primitives (unordered).
-func Filters() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	return out
-}
-
 // IsCallable reports whether name is a primitive users may invoke as a
 // function in expressions (sources and consts are created by the parser,
 // not called).

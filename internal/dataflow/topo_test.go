@@ -1,8 +1,6 @@
 package dataflow_test
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,27 +11,10 @@ import (
 )
 
 // TestTopoOrderMatchesReference: the position-based order equals the
-// map-based one on the pinned pass goldens, the paper's three
-// expressions at both levels, a multi-root merge and a cycle.
+// map-based one on the paper's three expressions at both levels (the
+// Paper-level networks are the pinned pass goldens), a multi-root merge
+// and a cycle.
 func TestTopoOrderMatchesReference(t *testing.T) {
-	goldens, err := filepath.Glob(filepath.Join("..", "passes", "testdata", "*.json"))
-	if err != nil || len(goldens) == 0 {
-		t.Fatalf("no pass goldens found: %v", err)
-	}
-	for _, path := range goldens {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw, err := dataflow.NetworkFromJSON(data)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		dataflow.AssertReferenceOrder(t, path, nw)
-		nw.Seal()
-		dataflow.AssertReferenceOrder(t, path+" (sealed)", nw)
-	}
-
 	var members []passes.MergeMember
 	for _, e := range vortex.Expressions() {
 		for _, pipe := range []*passes.Pipeline{passes.Paper, passes.O2} {
@@ -57,19 +38,15 @@ func TestTopoOrderMatchesReference(t *testing.T) {
 	dataflow.AssertReferenceOrder(t, "merge", merged.Net)
 
 	// A hand-built cycle fails with the reference's text, sealed or not.
-	nw, _, err := expr.CompileWithPipeline(vortex.VelMagExpr, nil, passes.Paper, passes.RunOptions{})
+	p, err := expr.Parse(vortex.VelMagExpr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := nw.MarshalJSON()
+	cyc, err := expr.BuildNetworkWithDefinitions(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cyc, err := dataflow.NetworkFromJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := cyc.OutputNode()
+	out := cyc.NodeByID(cyc.Output())
 	cyc.NodeByID(out.Inputs[0]).Inputs[0] = out.ID
 	if _, err := cyc.TopoOrder(); err == nil {
 		t.Fatal("cycle was ordered")

@@ -7,21 +7,18 @@ import (
 	"dfg/internal/passes"
 )
 
-// BuildNetwork traverses a parse tree and emits the dataflow network
-// specification, as the paper's parser does: filter invocations get
-// generic names, assignment statements alias them to the user's names,
-// and names never assigned become host-provided source arrays. The last
-// statement's value is the network output.
-func BuildNetwork(p *Program) (*dataflow.Network, error) {
-	return BuildNetworkWithDefinitions(p, nil)
-}
-
-// BuildNetworkWithDefinitions is BuildNetwork with a database of named
-// expression definitions — the expression-list facility visualization
-// tools provide. A reference to a defined name expands its program
-// inline (once; repeated references reuse the expansion). Definition
-// programs have their own local namespace: their assignments do not leak
-// into, or read from, the caller's names, but both share host sources.
+// BuildNetworkWithDefinitions traverses a parse tree and emits the
+// dataflow network specification, as the paper's parser does: filter
+// invocations get generic names, assignment statements alias them to the
+// user's names, and names never assigned become host-provided source
+// arrays. The last statement's value is the network output.
+//
+// defs (may be nil) is a database of named expression definitions — the
+// expression-list facility visualization tools provide. A reference to a
+// defined name expands its program inline (once; repeated references
+// reuse the expansion). Definition programs have their own local
+// namespace: their assignments do not leak into, or read from, the
+// caller's names, but both share host sources.
 func BuildNetworkWithDefinitions(p *Program, defs map[string]*Program) (*dataflow.Network, error) {
 	if len(p.Stmts) == 0 {
 		return nil, fmt.Errorf("expr: program has no statements")

@@ -20,8 +20,8 @@ func TestDefinitionsExpand(t *testing.T) {
 	if len(net.Sources()) != 3 {
 		t.Fatalf("want 3 sources from the definition, got %d", len(net.Sources()))
 	}
-	if net.OutputNode().Filter != "mul" {
-		t.Fatalf("output filter %q", net.OutputNode().Filter)
+	if net.NodeByID(net.Output()).Filter != "mul" {
+		t.Fatalf("output filter %q", net.NodeByID(net.Output()).Filter)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestDefinitionDoesNotReadCallerLocals(t *testing.T) {
 	}
 	// ...while the caller's final add reads the local mul through its
 	// alias, which survives un-clobbered.
-	out := net.OutputNode()
+	out := net.NodeByID(net.Output())
 	second := net.Node(out.Inputs[1])
 	if second.Filter != "mul" {
 		t.Fatalf("caller's base must stay bound to the local mul, got %q", second.Filter)

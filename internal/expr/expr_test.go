@@ -137,10 +137,10 @@ func TestCompileVelMag(t *testing.T) {
 	if c != (netCounts{sources: 3, consts: 0, decomposes: 0, ops: 6}) {
 		t.Fatalf("VelMag network counts %+v, want 3 sources / 6 ops", c)
 	}
-	if net.OutputNode().Filter != "sqrt" {
-		t.Fatalf("output filter %q", net.OutputNode().Filter)
+	if net.NodeByID(net.Output()).Filter != "sqrt" {
+		t.Fatalf("output filter %q", net.NodeByID(net.Output()).Filter)
 	}
-	if net.Node("v_mag") != net.OutputNode() {
+	if net.Node("v_mag") != net.NodeByID(net.Output()) {
 		t.Fatal("v_mag must alias the output")
 	}
 	// Source upload order for staged/fusion: u, v, w.
@@ -186,7 +186,7 @@ func TestCompileQCriterion(t *testing.T) {
 	if c != want {
 		t.Fatalf("Q-criterion network counts %+v, want %+v", c, want)
 	}
-	if net.Node("q") != net.OutputNode() {
+	if net.Node("q") != net.NodeByID(net.Output()) {
 		t.Fatal("q must be the output")
 	}
 }
@@ -218,7 +218,7 @@ func TestFig4QCritNetworkShape(t *testing.T) {
 	if grads != 3 {
 		t.Fatalf("Figure 4 has 3 gradient filters, got %d", grads)
 	}
-	out := net.OutputNode()
+	out := net.NodeByID(net.Output())
 	if out.Filter != "mul" {
 		t.Fatalf("output is 0.5 * (...): want mul, got %q", out.Filter)
 	}
@@ -272,7 +272,7 @@ func TestReassignmentUsesLatestBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := net.OutputNode()
+	out := net.NodeByID(net.Output())
 	if out.Filter != "add" {
 		t.Fatalf("output filter %q", out.Filter)
 	}
@@ -287,7 +287,7 @@ func TestBareExpressionStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.OutputNode().Filter != "sqrt" {
+	if net.NodeByID(net.Output()).Filter != "sqrt" {
 		t.Fatal("bare expression must become the output")
 	}
 }
@@ -380,7 +380,7 @@ func TestConditionalNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := net.OutputNode()
+	out := net.NodeByID(net.Output())
 	if out.Filter != "select" {
 		t.Fatalf("if/then/else must lower to select, got %q", out.Filter)
 	}
@@ -394,8 +394,8 @@ func TestNormParsing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.OutputNode().Filter != "norm" {
-		t.Fatalf("output filter %q", net.OutputNode().Filter)
+	if net.NodeByID(net.Output()).Filter != "norm" {
+		t.Fatalf("output filter %q", net.NodeByID(net.Output()).Filter)
 	}
 	// norm of a scalar must fail validation.
 	if _, err := Compile("n = norm(u)"); err == nil {

@@ -41,7 +41,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		net, err := BuildNetwork(p)
+		net, err := BuildNetworkWithDefinitions(p, nil)
 		if err != nil {
 			return
 		}

@@ -68,7 +68,7 @@ func TestRandomProgramsRoundTrip(t *testing.T) {
 			t.Logf("seed %d: round trip drifted:\n%s\nvs\n%s", seed, text, parsed.String())
 			return false
 		}
-		net, err := BuildNetwork(parsed)
+		net, err := BuildNetworkWithDefinitions(parsed, nil)
 		if err != nil {
 			t.Logf("seed %d: build failed: %v", seed, err)
 			return false
@@ -97,7 +97,7 @@ func TestCSEIsIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		prog := &Program{Stmts: []*Stmt{{Name: "out", X: randomNode(rng, 4, sources)}}}
-		net, err := BuildNetwork(prog)
+		net, err := BuildNetworkWithDefinitions(prog, nil)
 		if err != nil {
 			return false
 		}

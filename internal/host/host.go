@@ -18,11 +18,9 @@ package host
 
 import (
 	"fmt"
-	"io"
 
 	"dfg"
 	"dfg/internal/mesh"
-	"dfg/internal/render"
 	"dfg/internal/rtsim"
 )
 
@@ -42,8 +40,7 @@ type App struct {
 	mesh   *mesh.Mesh
 	seed   int64
 
-	timeStep int
-	field    *rtsim.Field
+	field *rtsim.Field
 
 	exprs []PythonExpression
 	// prepared caches each expression's prepared plan (compile + plan
@@ -92,14 +89,10 @@ func (a *App) AddExpression(e PythonExpression) error {
 // LoadTimeStep switches the data set to another time step ("reads it
 // from disk"), invalidating every cached derived field.
 func (a *App) LoadTimeStep(t int) {
-	a.timeStep = t
 	a.field = rtsim.Generate(a.mesh, rtsim.Options{Seed: a.seed + int64(t)})
 	a.derived = make(map[string]*dfg.Result)
 	a.dirty = true
 }
-
-// TimeStep returns the loaded time step.
-func (a *App) TimeStep() int { return a.timeStep }
 
 // Field exposes the current time step's velocity data.
 func (a *App) Field() *rtsim.Field { return a.field }
@@ -159,38 +152,11 @@ func (a *App) Render(viewpoint string) (map[string]*dfg.Result, error) {
 	return a.derived, nil
 }
 
-// Derived returns a cached derived field by name (nil before the first
-// render of the current time step).
-func (a *App) Derived(name string) *dfg.Result { return a.derived[name] }
-
 // PipelineExecutions counts how many times the pipeline actually ran.
 func (a *App) PipelineExecutions() int { return a.pipelineExecutions }
 
 // Renders counts rendering operations.
 func (a *App) Renders() int { return a.renders }
-
-// RenderImage writes a pseudo-color PPM of an axis-aligned slice through
-// a derived field — the host application's actual "rendering operation".
-// The pipeline contract applies: if the pipeline is dirty, it executes
-// first (once), and repeated image renders reuse the computed mesh.
-func (a *App) RenderImage(w io.Writer, fieldName string, axis render.Axis, index int) error {
-	fields, err := a.Render(fmt.Sprintf("image-%s-%v-%d", fieldName, axis, index))
-	if err != nil {
-		return err
-	}
-	res, ok := fields[fieldName]
-	if !ok {
-		return fmt.Errorf("host: no derived field %q in the pipeline", fieldName)
-	}
-	if res.Width != 1 {
-		return fmt.Errorf("host: cannot render vector field %q", fieldName)
-	}
-	plane, pw, ph, err := render.Slice(res.Data, a.mesh.Dims, axis, index)
-	if err != nil {
-		return err
-	}
-	return render.WritePPM(w, plane, pw, ph)
-}
 
 // GhostRequest is the framework's explicit request for ghost data
 // generation around each sub-grid of a decomposition.

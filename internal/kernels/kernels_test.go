@@ -15,6 +15,16 @@ func testEnv() *ocl.Env {
 	return ocl.NewEnv(ocl.NewDevice(ocl.XeonX5660Spec(64)))
 }
 
+// outBuffer allocates an output buffer, failing the test if it cannot.
+func outBuffer(t *testing.T, env *ocl.Env, elems, width int) *ocl.Buffer {
+	t.Helper()
+	b, err := env.NewBuffer("out", elems, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func close32(got, want, tol float64) bool { return math.Abs(got-want) <= tol }
 
 func TestElementwiseKernels(t *testing.T) {
@@ -47,7 +57,7 @@ func TestElementwiseKernels(t *testing.T) {
 				in = []float32{1, 4, 9, 2.5, 0} // keep sqrt inputs non-negative
 			}
 			ba, _ := env.Upload("a", in, 1)
-			out := env.Context().MustBuffer("out", len(in), 1)
+			out := outBuffer(t, env, len(in), 1)
 			bufs := []*ocl.Buffer{ba, out}
 			if tc.inputs == 2 {
 				bb, _ := env.Upload("b", b, 1)
@@ -77,12 +87,14 @@ func TestForFilterErrors(t *testing.T) {
 }
 
 func TestKernelSourcesWellFormed(t *testing.T) {
-	// Every callable primitive ships real OpenCL C source with a kernel
-	// entry point named after the filter.
-	for _, name := range dataflow.Filters() {
-		if name == "source" {
-			continue
-		}
+	// Every primitive ships real OpenCL C source with a kernel entry
+	// point named after the filter. (dataflow's TestRegistry checks that
+	// every registered filter is one of these.)
+	names := []string{"norm", "decompose", "const", "grad3d", "grad3dx", "grad3dy", "grad3dz"}
+	for _, p := range Primitives() {
+		names = append(names, p.Name)
+	}
+	for _, name := range names {
 		k, err := ForFilter(name)
 		if err != nil {
 			t.Fatal(err)
@@ -113,7 +125,7 @@ func TestDecomposeKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for comp := 0; comp < 4; comp++ {
-		out := env.Context().MustBuffer("out", n, 1)
+		out := outBuffer(t, env, n, 1)
 		if err := env.Run(Decompose(), n, []*ocl.Buffer{in, out}, []float64{float64(comp)}); err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +142,7 @@ func TestDecomposeKernel(t *testing.T) {
 func TestConstFillKernel(t *testing.T) {
 	env := testEnv()
 	const n = 64
-	out := env.Context().MustBuffer("out", n, 1)
+	out := outBuffer(t, env, n, 1)
 	if err := env.Run(ConstFill(), n, []*ocl.Buffer{out}, []float64{0.5}); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +179,7 @@ func TestGrad3DKernelMatchesMeshGradient(t *testing.T) {
 	bx, _ := env.Upload("x", cx, 1)
 	by, _ := env.Upload("y", cy, 1)
 	bz, _ := env.Upload("z", cz, 1)
-	out := env.Context().MustBuffer("out", n, 4)
+	out := outBuffer(t, env, n, 4)
 	if err := env.Run(Grad3D(), n, []*ocl.Buffer{bf, bd, bx, by, bz, out}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -346,36 +358,25 @@ func TestDimsArray(t *testing.T) {
 }
 
 func TestExprTemplateCoversElementwisePrimitives(t *testing.T) {
-	// The table and the dataflow registry's elementwise rows are the same
-	// set: same names, same arity, one %s per operand, one lane body.
-	rows := 0
-	for _, name := range dataflow.Filters() {
-		fi, _ := dataflow.Lookup(name)
-		p, ok := Lookup(name)
-		if fi.Class != dataflow.ClassElementwise {
-			if ok {
-				t.Errorf("non-elementwise filter %q must not be in the primitive table", name)
-			}
+	// Every row is a registered elementwise filter with the same arity,
+	// one %s per operand and one lane body. (dataflow's TestRegistry
+	// checks that every elementwise filter has a row.)
+	for _, p := range Primitives() {
+		fi, ok := dataflow.Lookup(p.Name)
+		if !ok || fi.Class != dataflow.ClassElementwise || fi.OutWidth != 1 {
+			t.Errorf("%q: row %+v, registry %+v (registered %v)", p.Name, p, fi, ok)
 			continue
 		}
-		rows++
-		if !ok {
-			t.Errorf("elementwise filter %q has no row in the primitive table", name)
-			continue
-		}
-		if p.Name != name || fi.OutWidth != 1 {
-			t.Errorf("%q: row %+v, registry %+v", name, p, fi)
+		if q, _ := Lookup(p.Name); q.Name != p.Name {
+			t.Errorf("%q: Lookup returns row %q", p.Name, q.Name)
 		}
 		// Exactly the lane body of the row's arity is set.
 		bodies := [4]bool{1: p.Unary != nil, 2: p.Binary != nil, 3: p.Ternary != nil}
 		want := [4]bool{}
 		want[fi.Arity] = true
 		if bodies != want || p.Arity != fi.Arity || strings.Count(p.Expr, "%s") != fi.Arity || strings.Count(p.Expr, "%") != fi.Arity {
-			t.Errorf("%q: lane bodies %v, arity %d, template %q; the registry says arity %d", name, bodies[1:], p.Arity, p.Expr, fi.Arity)
+			t.Errorf("%q: lane bodies %v, arity %d, template %q; the registry says arity %d", p.Name, bodies[1:], p.Arity, p.Expr, fi.Arity)
 		}
-	}
-	if len(Primitives()) != rows {
-		t.Errorf("the table has %d rows, the registry %d elementwise filters", len(Primitives()), rows)
 	}
 }
 
@@ -410,7 +411,7 @@ func TestComparisonKernels(t *testing.T) {
 		}
 		ba, _ := env.Upload("a", a, 1)
 		bb, _ := env.Upload("b", b, 1)
-		out := env.Context().MustBuffer("out", len(a), 1)
+		out := outBuffer(t, env, len(a), 1)
 		if err := env.Run(k, len(a), []*ocl.Buffer{ba, bb, out}, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +432,7 @@ func TestSelectKernel(t *testing.T) {
 	bc, _ := env.Upload("c", cond, 1)
 	ba, _ := env.Upload("a", a, 1)
 	bb, _ := env.Upload("b", b, 1)
-	out := env.Context().MustBuffer("out", 4, 1)
+	out := outBuffer(t, env, 4, 1)
 	k, err := ForFilter("select")
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +452,7 @@ func TestNormKernel(t *testing.T) {
 	env := testEnv()
 	vec := []float32{3, 4, 0, 0 /*|.|=5*/, 1, 2, 2, 9 /*|.|=3, s3 ignored*/}
 	in, _ := env.Upload("v", vec, 4)
-	out := env.Context().MustBuffer("out", 2, 1)
+	out := outBuffer(t, env, 2, 1)
 	if err := env.Run(Norm(), 2, []*ocl.Buffer{in, out}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,17 @@
 // Package lalr is a from-scratch LALR(1) parser generator and runtime,
 // modelled on PLY (Python Lex-Yacc), the tool the paper builds its
 // expression parser with. PLY in turn follows the classic yacc design:
-// a grammar of string productions with semantic actions, operator
-// precedence declarations to resolve ambiguity, LR(0) automaton
+// a grammar of string productions with semantic actions, LR(0) automaton
 // construction, LALR(1) lookahead computation (the Dragon Book's
 // spontaneous-generation/propagation algorithm), and a table-driven
-// shift-reduce parser.
+// shift-reduce parser. Grammars are written unambiguous — the paper's
+// expression grammar is stratified by precedence level — so there are no
+// precedence declarations: every conflict fails Build.
 //
 // The generator is general-purpose: internal/expr defines the paper's
 // expression grammar on top of it, and the package tests exercise it on
-// classic grammars (ambiguous expression grammars resolved by
-// precedence, nullable productions, conflict detection).
+// classic grammars (nullable productions, LALR-but-not-SLR, conflict
+// detection).
 package lalr
 
 import (
@@ -25,25 +26,6 @@ const EOF = "$end"
 // epsilon-sentinel used internally for lookahead propagation.
 const hash = "#"
 
-// Assoc is an operator associativity class.
-type Assoc int
-
-const (
-	// AssocLeft resolves an equal-precedence shift/reduce conflict by
-	// reducing (left-associative operators).
-	AssocLeft Assoc = iota
-	// AssocRight resolves by shifting (right-associative operators).
-	AssocRight
-	// AssocNonassoc makes the conflicting input a syntax error.
-	AssocNonassoc
-)
-
-// prec is one terminal's precedence entry.
-type prec struct {
-	level int // higher binds tighter
-	assoc Assoc
-}
-
 // Prod is one grammar production LHS -> RHS with a semantic action.
 type Prod struct {
 	Lhs string
@@ -52,8 +34,6 @@ type Prod struct {
 	// children's values (one per RHS symbol; terminals yield *Token).
 	// A nil action yields the first child's value (or nil if empty).
 	Action func(vals []any) any
-	// precTerm overrides the production's precedence (yacc's %prec).
-	precTerm string
 }
 
 // String renders the production in "lhs -> rhs" form.
@@ -64,57 +44,28 @@ func (p *Prod) String() string {
 	return p.Lhs + " -> " + strings.Join(p.Rhs, " ")
 }
 
-// Grammar accumulates productions and precedence declarations.
+// Grammar accumulates productions.
 type Grammar struct {
-	start     string
-	prods     []*Prod
-	precs     map[string]prec
-	precLevel int
-	errs      []error
+	start string
+	prods []*Prod
+	errs  []error
 }
 
 // NewGrammar creates a grammar with the given start symbol.
 func NewGrammar(start string) *Grammar {
-	return &Grammar{start: start, precs: make(map[string]prec)}
+	return &Grammar{start: start}
 }
-
-// declarePrec registers one precedence level for the given terminals.
-func (g *Grammar) declarePrec(a Assoc, terms []string) {
-	g.precLevel++
-	for _, t := range terms {
-		if _, dup := g.precs[t]; dup {
-			g.errs = append(g.errs, fmt.Errorf("lalr: terminal %q declared in two precedence levels", t))
-			continue
-		}
-		g.precs[t] = prec{level: g.precLevel, assoc: a}
-	}
-}
-
-// Left declares left-associative terminals at the next (tighter)
-// precedence level, like yacc's %left.
-func (g *Grammar) Left(terms ...string) { g.declarePrec(AssocLeft, terms) }
-
-// Right declares right-associative terminals (%right).
-func (g *Grammar) Right(terms ...string) { g.declarePrec(AssocRight, terms) }
-
-// Nonassoc declares non-associative terminals (%nonassoc).
-func (g *Grammar) Nonassoc(terms ...string) { g.declarePrec(AssocNonassoc, terms) }
 
 // Rule adds a production written as "lhs : sym sym ..." (or "lhs -> ...");
 // an empty right side declares an epsilon production. The action receives
 // one value per RHS symbol.
 func (g *Grammar) Rule(rule string, action func(vals []any) any) {
-	g.RulePrec(rule, "", action)
-}
-
-// RulePrec is Rule with an explicit %prec terminal override.
-func (g *Grammar) RulePrec(rule, precTerm string, action func(vals []any) any) {
 	lhs, rhs, err := splitRule(rule)
 	if err != nil {
 		g.errs = append(g.errs, err)
 		return
 	}
-	g.prods = append(g.prods, &Prod{Lhs: lhs, Rhs: rhs, Action: action, precTerm: precTerm})
+	g.prods = append(g.prods, &Prod{Lhs: lhs, Rhs: rhs, Action: action})
 }
 
 // splitRule parses "lhs : a b c" / "lhs -> a b c".

@@ -34,8 +34,6 @@ func (t *Table) Report() string {
 				fmt.Fprintf(&b, "    %-12s reduce using rule %d (%s)\n", term, a.target, t.c.prods[a.target])
 			case actAccept:
 				fmt.Fprintf(&b, "    %-12s accept\n", term)
-			case actErr:
-				fmt.Fprintf(&b, "    %-12s error (nonassoc)\n", term)
 			}
 		}
 		for id, target := range t.gto[s] {
@@ -48,11 +46,7 @@ func (t *Table) Report() string {
 	if len(t.Conflicts) > 0 {
 		fmt.Fprintf(&b, "\nConflicts: %d\n", len(t.Conflicts))
 		for _, c := range t.Conflicts {
-			status := "UNRESOLVED"
-			if c.Resolved {
-				status = "resolved by precedence"
-			}
-			fmt.Fprintf(&b, "    state %d on %q: %s (%s) — %s\n", c.State, c.Terminal, c.Kind, c.Detail, status)
+			fmt.Fprintf(&b, "    state %d on %q: %s (%s)\n", c.State, c.Terminal, c.Kind, c.Detail)
 		}
 	}
 	return b.String()

@@ -14,7 +14,6 @@ const (
 	actShift
 	actReduce
 	actAccept
-	actErr // explicit error from a nonassoc conflict
 )
 
 // action is one ACTION table entry.
@@ -23,12 +22,11 @@ type action struct {
 	target int32 // shift: next state; reduce: production index
 }
 
-// Conflict records a parse-table conflict and how it was settled.
+// Conflict records a parse-table conflict.
 type Conflict struct {
 	State    int
 	Terminal string
 	Kind     string // "shift/reduce" or "reduce/reduce"
-	Resolved bool   // true if precedence declarations settled it
 	Detail   string
 }
 
@@ -45,22 +43,17 @@ type Table struct {
 	lhs      []int32        // production index -> its left side's ID
 	act      [][]action     // act[state][terminal]; actNone where absent
 	gto      [][]int32      // gto[state][nonterminal]; 0 where absent
-	// Conflicts lists every conflict encountered during construction,
-	// including those resolved by precedence declarations.
+	// Conflicts lists every conflict encountered during construction.
 	Conflicts []Conflict
 }
 
 // States returns the number of automaton states.
 func (t *Table) States() int { return len(t.act) }
 
-// Productions returns the grammar's productions (excluding the
-// augmented start rule), for diagnostics.
-func (t *Table) Productions() []*Prod { return t.c.prods[1:] }
-
-// Build compiles the grammar into an LALR(1) parse table. Conflicts not
-// resolved by precedence declarations make Build fail; the returned
-// table (valid, with yacc-style default resolutions applied) accompanies
-// the error so callers can inspect it.
+// Build compiles the grammar into an LALR(1) parse table. Any conflict
+// makes Build fail; the returned table (valid, with yacc's default
+// resolutions applied: shift over reduce, the earlier of two reduces)
+// accompanies the error so callers can inspect it.
 func Build(g *Grammar) (*Table, error) {
 	c, err := g.compile()
 	if err != nil {
@@ -84,22 +77,6 @@ func Build(g *Grammar) (*Table, error) {
 	}
 	t.act = make([][]action, len(a.states))
 	t.gto = make([][]int32, len(a.states))
-
-	// prodPrec resolves a production's precedence: the explicit %prec
-	// terminal if given, else the last terminal of the right side.
-	prodPrec := func(p *Prod) (prec, bool) {
-		name := p.precTerm
-		if name == "" {
-			for i := len(p.Rhs) - 1; i >= 0; i-- {
-				if c.terms[p.Rhs[i]] {
-					name = p.Rhs[i]
-					break
-				}
-			}
-		}
-		pr, ok := g.precs[name]
-		return pr, ok
-	}
 
 	for si, st := range a.states {
 		row := make([]action, len(t.terms))
@@ -148,31 +125,9 @@ func Build(g *Grammar) (*Table, error) {
 			case actNone:
 				*cell = red
 			case actShift:
-				// shift/reduce: try precedence.
-				tPrec, tOK := g.precs[li.la]
-				pPrec, pOK := prodPrec(p)
-				conf := Conflict{State: si, Terminal: li.la, Kind: "shift/reduce",
-					Detail: fmt.Sprintf("shift vs reduce %v", p)}
-				if tOK && pOK {
-					conf.Resolved = true
-					switch {
-					case pPrec.level > tPrec.level:
-						*cell = red
-					case pPrec.level < tPrec.level:
-						// keep shift
-					default:
-						switch tPrec.assoc {
-						case AssocLeft:
-							*cell = red
-						case AssocRight:
-							// keep shift
-						case AssocNonassoc:
-							*cell = action{typ: actErr}
-						}
-					}
-				}
-				// Unresolved: keep the shift (yacc's default).
-				t.Conflicts = append(t.Conflicts, conf)
+				// shift/reduce: keep the shift (yacc's default).
+				t.Conflicts = append(t.Conflicts, Conflict{State: si, Terminal: li.la, Kind: "shift/reduce",
+					Detail: fmt.Sprintf("shift vs reduce %v", p)})
 			case actReduce:
 				// reduce/reduce: earlier production wins (yacc default).
 				conf := Conflict{State: si, Terminal: li.la, Kind: "reduce/reduce",
@@ -181,20 +136,18 @@ func Build(g *Grammar) (*Table, error) {
 					*cell = red
 				}
 				t.Conflicts = append(t.Conflicts, conf)
-			case actAccept, actErr:
+			case actAccept:
 				// Accept is only on EOF for the start rule; ignore.
 			}
 		}
 	}
 
-	var unresolved []string
-	for _, cf := range t.Conflicts {
-		if !cf.Resolved {
-			unresolved = append(unresolved, fmt.Sprintf("state %d on %q: %s (%s)", cf.State, cf.Terminal, cf.Kind, cf.Detail))
+	if len(t.Conflicts) > 0 {
+		lines := make([]string, len(t.Conflicts))
+		for i, cf := range t.Conflicts {
+			lines[i] = fmt.Sprintf("state %d on %q: %s (%s)", cf.State, cf.Terminal, cf.Kind, cf.Detail)
 		}
-	}
-	if len(unresolved) > 0 {
-		return t, fmt.Errorf("lalr: %d unresolved conflict(s):\n  %s", len(unresolved), strings.Join(unresolved, "\n  "))
+		return t, fmt.Errorf("lalr: %d conflict(s):\n  %s", len(lines), strings.Join(lines, "\n  "))
 	}
 	return t, nil
 }

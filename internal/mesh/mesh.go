@@ -173,10 +173,6 @@ func (m *Mesh) CellCenterFields() (x, y, z []float32) {
 	return
 }
 
-// FieldBytes returns the size in bytes of one scalar cell-centered
-// float32 field on the mesh.
-func (m *Mesh) FieldBytes() int64 { return int64(m.Cells()) * 4 }
-
 // Validate checks extents and coordinate array lengths.
 func (m *Mesh) Validate() error {
 	if err := m.Dims.Validate(); err != nil {

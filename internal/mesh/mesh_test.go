@@ -80,9 +80,6 @@ func TestNewUniform(t *testing.T) {
 	if m.X[4] != 2.0 || m.Y[3] != 3.0 || m.Z[2] != 4.0 {
 		t.Fatalf("coordinate values wrong: %v %v %v", m.X, m.Y, m.Z)
 	}
-	if m.FieldBytes() != 4*3*2*4 {
-		t.Fatalf("field bytes: %d", m.FieldBytes())
-	}
 	if _, err := NewUniform(Dims{0, 1, 1}, 1, 1, 1); err == nil {
 		t.Error("invalid dims must fail")
 	}

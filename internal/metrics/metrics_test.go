@@ -125,11 +125,11 @@ func TestTableIMatchesPaper(t *testing.T) {
 }
 
 func TestTableIIMatchesPaperExactly(t *testing.T) {
-	tbl, err := TableII()
+	tbl, err := TableIIAt("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper := PaperTableII()
+	paper := paperTableII()
 	if len(tbl.Rows) != 9 {
 		t.Fatalf("Table II has 9 rows, got %d", len(tbl.Rows))
 	}
@@ -300,8 +300,34 @@ func TestSpeedupTable(t *testing.T) {
 			}
 		}
 	}
-	c, f := GPUCompletion(results)
+	c, f := gpuCompletion(results)
 	if c+f != 24 {
 		t.Fatalf("GPU cases %d + %d != 24", c, f)
 	}
+}
+
+// paperTableII returns the published Table II values, keyed by
+// expression then strategy, for verification against TableIIAt("").
+func paperTableII() map[string]map[string][3]int {
+	return map[string]map[string][3]int{
+		"VelMag":  {"roundtrip": {11, 6, 6}, "staged": {3, 1, 6}, "fusion": {3, 1, 1}},
+		"VortMag": {"roundtrip": {32, 12, 12}, "staged": {7, 1, 18}, "fusion": {7, 1, 1}},
+		"Q-Crit":  {"roundtrip": {123, 57, 57}, "staged": {7, 1, 67}, "fusion": {7, 1, 1}},
+	}
+}
+
+// gpuCompletion summarizes the sweep's GPU completion statistics (the
+// paper's "106 of 144" sentence).
+func gpuCompletion(results []CaseResult) (completed, failed int) {
+	for _, r := range results {
+		if r.Device != ocl.GPUDevice {
+			continue
+		}
+		if r.Failed {
+			failed++
+		} else {
+			completed++
+		}
+	}
+	return
 }

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-
-	"dfg/internal/ocl"
-)
+import "fmt"
 
 // SpeedupTable derives the headline ratios of the runtime study from a
 // sweep's results: per (expression, device, grid), the speedup of fusion
@@ -44,20 +40,4 @@ func SpeedupTable(results []CaseResult) *Table {
 			ratio("roundtrip"), ratio("staged"), ratio("reference"))
 	}
 	return t
-}
-
-// GPUCompletion summarizes the sweep's GPU completion statistics (the
-// paper's "106 of 144" sentence).
-func GPUCompletion(results []CaseResult) (completed, failed int) {
-	for _, r := range results {
-		if r.Device != ocl.GPUDevice {
-			continue
-		}
-		if r.Failed {
-			failed++
-		} else {
-			completed++
-		}
-	}
-	return
 }

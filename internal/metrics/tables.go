@@ -36,15 +36,13 @@ func groupDigits(n int) string {
 	return strings.Join(parts, ",")
 }
 
-// TableII runs the three expressions under the three strategies on a
+// TableIIAt runs the three expressions under the three strategies on a
 // small grid and renders the device-event counts — the paper's Table II.
-// The counts are size-independent, so a small grid suffices.
-func TableII() (*Table, error) { return TableIIAt("") }
-
-// TableIIAt is TableII with the expressions compiled at an explicit
-// optimisation level ("", "paper" or "O2"). The Paper-level table is
-// the reproduction; the O2 table shows how many device events the
-// optimising pipeline saves on the same expressions.
+// The counts are size-independent, so a small grid suffices. The
+// expressions compile at the given optimisation level ("", "paper" or
+// "O2"): the Paper-level table is the reproduction; the O2 table shows
+// how many device events the optimising pipeline saves on the same
+// expressions.
 func TableIIAt(opt string) (*Table, error) {
 	lvl, err := passes.ParseLevel(opt)
 	if err != nil {
@@ -83,16 +81,6 @@ func TableIIAt(opt string) (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// PaperTableII returns the published Table II values, keyed by
-// expression then strategy, for verification against TableII().
-func PaperTableII() map[string]map[string][3]int {
-	return map[string]map[string][3]int{
-		"VelMag":  {"roundtrip": {11, 6, 6}, "staged": {3, 1, 6}, "fusion": {3, 1, 1}},
-		"VortMag": {"roundtrip": {32, 12, 12}, "staged": {7, 1, 18}, "fusion": {7, 1, 1}},
-		"Q-Crit":  {"roundtrip": {123, 57, 57}, "staged": {7, 1, 67}, "fusion": {7, 1, 1}},
-	}
 }
 
 // Fig5Table renders the runtime study: modeled device time per case,

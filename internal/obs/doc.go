@@ -17,14 +17,14 @@
 // multi-track Chrome-trace JSON for chrome://tracing or Perfetto.
 //
 // Metrics. A Registry holds named, labeled series — monotone Counters,
-// Gauges, callback-backed CounterFunc/GaugeFunc collectors, and
+// callback-backed CounterFunc/GaugeFunc collectors, and
 // log-bucketed latency Histograms with p50/p90/p99 estimation — and
 // writes them in the Prometheus text exposition format (WritePrometheus,
 // the service's /metrics endpoint).
 //
 // Cost discipline: instrumentation is optional everywhere. The nil
 // *Tracer and nil *Registry are valid no-op implementations — every
-// method on Span, Tracer, Counter, Gauge and Histogram is nil-safe and
+// method on Span, Tracer, Counter and Histogram is nil-safe and
 // allocation-free on the nil path — so the uninstrumented hot path pays
 // (near) zero overhead; see BenchmarkEngineEval.
 package obs

@@ -39,35 +39,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable int64. The nil *Gauge is a valid no-op.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the value by delta (either sign).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram is a log-bucketed latency histogram: bucket i counts
 // observations <= 1µs * 2^i, covering 1µs..~64s in 27 buckets plus an
 // overflow bucket. Observation is a couple of atomic adds; quantiles are
@@ -200,7 +171,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 	kindCounterFunc
 	kindGaugeFunc
@@ -221,7 +191,6 @@ func (k metricKind) promType() string {
 type series struct {
 	labels string // rendered {k="v",...} signature, possibly ""
 	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 	fn     func() float64
 }
@@ -300,8 +269,6 @@ func (r *Registry) lookupLocked(name, help string, kind metricKind, sig string) 
 		switch kind {
 		case kindCounter:
 			s.ctr = &Counter{}
-		case kindGauge:
-			s.gauge = &Gauge{}
 		case kindHistogram:
 			s.hist = &Histogram{}
 		}
@@ -318,14 +285,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 		return nil
 	}
 	return r.lookup(name, help, kindCounter, labels).ctr
-}
-
-// Gauge returns the gauge series for (name, labels).
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindGauge, labels).gauge
 }
 
 // Histogram returns the latency-histogram series for (name, labels).

@@ -54,14 +54,6 @@ func TestSpanTree(t *testing.T) {
 	if got := root.Attr("strategy"); got != "fusion" {
 		t.Fatalf("Attr = %q", got)
 	}
-	stages := root.StageDurations()
-	if _, ok := stages["parse"]; !ok {
-		t.Fatal("StageDurations missing parse")
-	}
-	if _, ok := stages["u"]; ok {
-		t.Fatal("StageDurations must skip device-track spans")
-	}
-
 	got := tr.Last(1)
 	if len(got) != 1 || got[0] != root {
 		t.Fatalf("Last(1) = %v", got)
@@ -156,17 +148,9 @@ func TestCounterGauge(t *testing.T) {
 		t.Fatal("distinct labels must get distinct series")
 	}
 
-	g := r.Gauge("depth", "queue depth", nil)
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d", g.Value())
-	}
-
 	// Nil registry: everything is a no-op but never panics.
 	var nr *Registry
 	nr.Counter("x", "", nil).Inc()
-	nr.Gauge("y", "", nil).Set(1)
 	nr.Histogram("z", "", nil).Observe(time.Second)
 	nr.GaugeFunc("w", "", nil, func() float64 { return 1 })
 }
@@ -176,10 +160,10 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Counter("m", "", nil)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge must panic")
+			t.Fatal("re-registering a counter as a histogram must panic")
 		}
 	}()
-	r.Gauge("m", "", nil)
+	r.Histogram("m", "", nil)
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -223,7 +207,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dfg_requests_total", "Requests by outcome.", Labels{"outcome": "served"}).Add(12)
 	r.Counter("dfg_requests_total", "Requests by outcome.", Labels{"outcome": "failed"}).Add(3)
-	r.Gauge("dfg_queue_depth", "Queued requests.", nil).Set(4)
+	r.GaugeFunc("dfg_queue_depth", "Queued requests.", nil, func() float64 { return 4 })
 	r.GaugeFunc("dfg_uptime_seconds", "Uptime.", nil, func() float64 { return 1.5 })
 	r.CounterFunc("dfg_cache_hits_total", "Cache hits.", nil, func() float64 { return 9 })
 	h := r.Histogram("dfg_eval_seconds", "Eval latency.", Labels{"strategy": "fusion"})

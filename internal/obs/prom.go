@@ -73,9 +73,6 @@ func writeSeries(w io.Writer, name string, kind metricKind, s *series) error {
 	case kindCounter:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", name, s.labels, s.ctr.Value())
 		return err
-	case kindGauge:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", name, s.labels, s.gauge.Value())
-		return err
 	case kindCounterFunc, kindGaugeFunc:
 		v := 0.0
 		if s.fn != nil {

@@ -130,27 +130,6 @@ func (s *Span) Find(name string) *Span {
 	return nil
 }
 
-// StageDurations sums the duration of every pipeline-track span (Track
-// == "") with the given name across the tree — e.g. total "build" time
-// within an "eval" trace.
-func (s *Span) StageDurations() map[string]time.Duration {
-	out := make(map[string]time.Duration)
-	var walk func(sp *Span)
-	walk = func(sp *Span) {
-		if sp == nil {
-			return
-		}
-		if sp.Track == "" {
-			out[sp.Name] += sp.Duration()
-		}
-		for _, c := range sp.Children {
-			walk(c)
-		}
-	}
-	walk(s)
-	return out
-}
-
 // WriteText renders the span tree as an indented text outline — the
 // slow-request log format.
 func (s *Span) WriteText(w io.Writer) {

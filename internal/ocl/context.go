@@ -99,13 +99,6 @@ func (c *Context) faultPoint(op FaultOp, name string) error {
 // Device returns the context's device.
 func (c *Context) Device() *Device { return c.dev }
 
-// Used returns the bytes currently allocated to live buffers.
-func (c *Context) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
 // Peak returns the high-water mark of allocated bytes since the context
 // was created or ResetPeak was last called.
 func (c *Context) Peak() int64 {
@@ -119,13 +112,6 @@ func (c *Context) LiveBuffers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.live
-}
-
-// Allocations returns the total number of successful buffer allocations.
-func (c *Context) Allocations() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.alloc
 }
 
 // ResetPeak sets the high-water mark to the current usage, so a fresh
@@ -221,16 +207,6 @@ func (c *Context) NewBuffer(label string, elems, width int) (*Buffer, error) {
 	}, nil
 }
 
-// MustBuffer is NewBuffer for tests and examples where allocation cannot
-// fail; it panics on error.
-func (c *Context) MustBuffer(label string, elems, width int) *Buffer {
-	b, err := c.NewBuffer(label, elems, width)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // Release frees the buffer's device memory. Releasing twice is a no-op,
 // matching clReleaseMemObject reference semantics for a single owner.
 // Arena-backed buffers do not free: a pooled buffer recycles into its
@@ -286,9 +262,6 @@ func (b *Buffer) Released() bool {
 	defer b.mu.Unlock()
 	return b.released
 }
-
-// Label returns the diagnostic label given at allocation.
-func (b *Buffer) Label() string { return b.label }
 
 // Elems returns the number of elements in the buffer.
 func (b *Buffer) Elems() int { return b.elems }

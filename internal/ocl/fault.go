@@ -140,22 +140,10 @@ func (p *FaultPlan) Add(r FaultRule) *FaultPlan {
 	return p
 }
 
-// FailNth arms a one-shot deterministic failure of the n-th (0-based)
-// operation on the stream, using the stream's default error sentinel.
-func (p *FaultPlan) FailNth(op FaultOp, n int) *FaultPlan {
-	return p.Add(FaultRule{Op: op, Nth: n})
-}
-
 // FailEvery arms an unlimited probabilistic failure: each operation on
 // the stream fails with probability prob.
 func (p *FaultPlan) FailEvery(op FaultOp, prob float64) *FaultPlan {
 	return p.Add(FaultRule{Op: op, Nth: -1, Prob: prob})
-}
-
-// LoseDeviceAt latches the device lost on the n-th (0-based) operation
-// of any kind.
-func (p *FaultPlan) LoseDeviceAt(n int) *FaultPlan {
-	return p.Add(FaultRule{Op: FaultAny, Nth: n, Effect: EffectDeviceLost})
 }
 
 // LoseDeviceEvery latches the device lost with probability prob per
@@ -163,12 +151,6 @@ func (p *FaultPlan) LoseDeviceAt(n int) *FaultPlan {
 // are moot while the device is down).
 func (p *FaultPlan) LoseDeviceEvery(prob float64) *FaultPlan {
 	return p.Add(FaultRule{Op: FaultAny, Nth: -1, Prob: prob, Times: 1, Effect: EffectDeviceLost})
-}
-
-// PanicAt panics from inside the n-th (0-based) operation on the
-// stream, simulating a driver crash in the calling goroutine.
-func (p *FaultPlan) PanicAt(op FaultOp, n int) *FaultPlan {
-	return p.Add(FaultRule{Op: op, Nth: n, Effect: EffectPanic})
 }
 
 // fire records one operation on op's stream and reports whether a rule

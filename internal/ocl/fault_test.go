@@ -14,7 +14,7 @@ func faultEnv(t *testing.T) (*Context, *Queue) {
 
 func TestFaultPlanFailNthAlloc(t *testing.T) {
 	ctx, _ := faultEnv(t)
-	ctx.SetFaultPlan(NewFaultPlan(1).FailNth(FaultAlloc, 2))
+	ctx.SetFaultPlan(NewFaultPlan(1).Add(FaultRule{Op: FaultAlloc, Nth: 2}))
 
 	for i := 0; i < 2; i++ {
 		b, err := ctx.NewBuffer("ok", 8, 1)
@@ -42,9 +42,9 @@ func TestFaultPlanFailNthAlloc(t *testing.T) {
 func TestFaultPlanTransferAndKernel(t *testing.T) {
 	ctx, q := faultEnv(t)
 	ctx.SetFaultPlan(NewFaultPlan(1).
-		FailNth(FaultWrite, 0).
-		FailNth(FaultRead, 0).
-		FailNth(FaultKernel, 0))
+		Add(FaultRule{Op: FaultWrite, Nth: 0}).
+		Add(FaultRule{Op: FaultRead, Nth: 0}).
+		Add(FaultRule{Op: FaultKernel, Nth: 0}))
 
 	b := ctx.MustBuffer("buf", 4, 1)
 	defer b.Release()
@@ -80,7 +80,7 @@ func TestFaultPlanTransferAndKernel(t *testing.T) {
 
 func TestFaultPlanDeviceLostLatch(t *testing.T) {
 	ctx, q := faultEnv(t)
-	ctx.SetFaultPlan(NewFaultPlan(1).LoseDeviceAt(1))
+	ctx.SetFaultPlan(NewFaultPlan(1).Add(FaultRule{Op: FaultAny, Nth: 1, Effect: EffectDeviceLost}))
 
 	b := ctx.MustBuffer("buf", 4, 1) // op 0: alloc passes
 	src := make([]float32, 4)
@@ -117,7 +117,7 @@ func TestFaultPlanDeviceLostLatch(t *testing.T) {
 
 func TestFaultPlanPanicEffect(t *testing.T) {
 	ctx, q := faultEnv(t)
-	ctx.SetFaultPlan(NewFaultPlan(1).PanicAt(FaultKernel, 0))
+	ctx.SetFaultPlan(NewFaultPlan(1).Add(FaultRule{Op: FaultKernel, Nth: 0, Effect: EffectPanic}))
 	b := ctx.MustBuffer("buf", 4, 1)
 	defer b.Release()
 	k := &Kernel{Name: "nop", NumBufs: 1, Fn: func(lo, hi int, bufs []View, scalars []float64) {}}

@@ -890,7 +890,7 @@ func TestConcurrentEnvsAreIndependent(t *testing.T) {
 
 func TestInjectAllocFailure(t *testing.T) {
 	ctx := NewContext(testDevice())
-	ctx.SetFaultPlan(NewFaultPlan(0).FailNth(FaultAlloc, 2))
+	ctx.SetFaultPlan(NewFaultPlan(0).Add(FaultRule{Op: FaultAlloc, Nth: 2}))
 	if _, err := ctx.NewBuffer("a", 8, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func TestPaperPipelineMatchesLegacyCSE(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", text, err)
 		}
-		legacy, err := expr.BuildNetwork(p)
+		legacy, err := expr.BuildNetworkWithDefinitions(p, nil)
 		if err != nil {
 			t.Fatalf("build %q: %v", text, err)
 		}
@@ -172,7 +172,7 @@ func TestConstFoldAndAlgebraic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := net.OutputNode()
+	out := net.NodeByID(net.Output())
 	if out.Filter != "mul" {
 		t.Fatalf("output filter = %q, want mul (x + (-0) should fold away)", out.Filter)
 	}
@@ -188,7 +188,7 @@ func TestConstFoldAndAlgebraic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := net.OutputNode(); out.Filter != "source" || out.ID != "u" {
+	if out := net.NodeByID(net.Output()); out.Filter != "source" || out.ID != "u" {
 		t.Errorf("u*1 output = %s %q, want the source u itself", out.ID, out.Filter)
 	}
 
@@ -205,7 +205,7 @@ func TestConstFoldAndAlgebraic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out := net.OutputNode(); out.Filter != want {
+		if out := net.NodeByID(net.Output()); out.Filter != want {
 			t.Errorf("%s: output = %q, want %s kept", text, out.Filter, want)
 		}
 	}
@@ -231,7 +231,7 @@ func TestConstFoldAndAlgebraic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := net.NodeByID(net.OutputNode().Inputs[1])
+		c := net.NodeByID(net.NodeByID(net.Output()).Inputs[1])
 		if got := math.Float32bits(float32(c.Value)); c.Filter != "const" || got != want {
 			t.Errorf("%s folded to %q %#08x, want const %#08x", text, c.Filter, got, want)
 		}
@@ -289,7 +289,7 @@ func TestDecomposeForwardLane3(t *testing.T) {
 	if _, err := passes.O2.RunWith(nw, passes.RunOptions{Verify: true}); err != nil {
 		t.Fatal(err)
 	}
-	out := nw.OutputNode()
+	out := nw.NodeByID(nw.Output())
 	if out.Filter != "const" || out.Value != 0 {
 		t.Fatalf("lane-3 decompose became %q %v, want const 0", out.Filter, out.Value)
 	}

@@ -1,9 +1,9 @@
 // Package render produces simple image renderings of derived fields —
 // the stand-in for the paper's Figure 7 pseudo-color visualization. It
-// writes binary PPM (color, with a diverging blue-white-red colormap
-// suited to signed fields like Q-criterion) and PGM (grayscale) images
-// of axis-aligned slices through a cell-centered field. PPM/PGM are
-// chosen because they need no image library and every viewer opens them.
+// writes binary PPM images (with a diverging blue-white-red colormap
+// suited to signed fields like Q-criterion) of axis-aligned slices
+// through a cell-centered field. PPM is chosen because it needs no image
+// library and every viewer opens it.
 package render
 
 import (
@@ -91,21 +91,6 @@ func robustRange(vals []float32) (lo, hi float64) {
 		hi = lo + 1
 	}
 	return
-}
-
-// WritePGM renders the plane as an 8-bit grayscale binary PGM.
-func WritePGM(w io.Writer, plane []float32, width, height int) error {
-	if len(plane) != width*height {
-		return fmt.Errorf("render: plane %d != %dx%d", len(plane), width, height)
-	}
-	lo, hi := robustRange(plane)
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "P5\n%d %d\n255\n", width, height)
-	for _, v := range plane {
-		t := (float64(v) - lo) / (hi - lo)
-		bw.WriteByte(toByte(t))
-	}
-	return bw.Flush()
 }
 
 // WritePPM renders the plane as a binary PPM with a diverging

@@ -68,28 +68,6 @@ func TestSliceErrors(t *testing.T) {
 	}
 }
 
-func TestWritePGM(t *testing.T) {
-	plane := []float32{0, 1, 2, 3, 4, 5}
-	var buf bytes.Buffer
-	if err := WritePGM(&buf, plane, 3, 2); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	if !strings.HasPrefix(string(out), "P5\n3 2\n255\n") {
-		t.Fatalf("PGM header wrong: %q", out[:12])
-	}
-	pix := out[len(out)-6:]
-	// Monotone data must render monotone (within the robust range clamp).
-	for i := 1; i < 6; i++ {
-		if pix[i] < pix[i-1] {
-			t.Fatalf("grayscale not monotone: %v", pix)
-		}
-	}
-	if err := WritePGM(&buf, plane, 2, 2); err == nil {
-		t.Error("shape mismatch must fail")
-	}
-}
-
 func TestWritePPMDiverging(t *testing.T) {
 	plane := []float32{-8, -4, 0, 4, 8, 0}
 	var buf bytes.Buffer
@@ -122,8 +100,5 @@ func TestConstantFieldRenders(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WritePPM(&buf, plane, 4, 4); err != nil {
 		t.Fatalf("all-zero plane must render: %v", err)
-	}
-	if err := WritePGM(&buf, plane, 4, 4); err != nil {
-		t.Fatalf("constant plane must render: %v", err)
 	}
 }

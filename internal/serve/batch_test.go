@@ -124,7 +124,7 @@ func TestPoolBatchSplitsOnFault(t *testing.T) {
 			// First engine panics on its first kernel launch — which is the
 			// merged batch run. The rebuilt engine is clean.
 			if armed.CompareAndSwap(true, false) {
-				return ocl.NewFaultPlan(1).PanicAt(ocl.FaultKernel, 0)
+				return ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultKernel, Nth: 0, Effect: ocl.EffectPanic})
 			}
 			return nil
 		},

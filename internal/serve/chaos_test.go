@@ -37,7 +37,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 		FaultPlanFor: func(worker int) *ocl.FaultPlan {
 			// Only the first engine gets the bomb; the rebuilt one is clean.
 			if armed.CompareAndSwap(true, false) {
-				return ocl.NewFaultPlan(1).PanicAt(ocl.FaultKernel, 0)
+				return ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultKernel, Nth: 0, Effect: ocl.EffectPanic})
 			}
 			return nil
 		},
@@ -91,7 +91,7 @@ func TestBreakerTripsAndProbeHeals(t *testing.T) {
 		FaultPlanFor: func(worker int) *ocl.FaultPlan {
 			if armed.CompareAndSwap(true, false) {
 				// One-shot device loss on the first kernel launch.
-				return ocl.NewFaultPlan(1).LoseDeviceAt(0)
+				return ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultAny, Nth: 0, Effect: ocl.EffectDeviceLost})
 			}
 			return nil
 		},
@@ -271,7 +271,7 @@ func TestBatchAndSoloShareOneGate(t *testing.T) {
 		armed.Store(true)
 		return func(int) *ocl.FaultPlan {
 			if armed.CompareAndSwap(true, false) {
-				return ocl.NewFaultPlan(1).PanicAt(ocl.FaultKernel, 0)
+				return ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultKernel, Nth: 0, Effect: ocl.EffectPanic})
 			}
 			return nil
 		}

@@ -197,7 +197,7 @@ func TestFlightDumpOnBreakerTrip(t *testing.T) {
 			FaultPlanFor: func(worker int) *ocl.FaultPlan {
 				if !armed {
 					armed = true
-					return ocl.NewFaultPlan(1).LoseDeviceAt(0)
+					return ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultAny, Nth: 0, Effect: ocl.EffectDeviceLost})
 				}
 				return nil
 			},

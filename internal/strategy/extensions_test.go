@@ -3,6 +3,7 @@ package strategy
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -140,12 +141,72 @@ func TestStreamingRequiresDimsForStencils(t *testing.T) {
 	}
 }
 
+// TestStreamingRefusesUntileableDims: streaming tiles one mesh along Z,
+// so two dims sources describing different meshes, or a dims source the
+// network also reads per element, are refused before any tile runs.
+// Fusion runs both networks.
+func TestStreamingRefusesUntileableDims(t *testing.T) {
+	bind, _ := qcritSetup(t, mesh.Dims{NX: 4, NY: 4, NZ: 4})
+	bind.Sources["d2"] = Source{Data: []float32{16, 4, 1, 0}, Width: 1}
+	field := make([]float32, bind.N)
+	copy(field, bind.Sources["dims"].Data)
+	bind.Sources["df"] = Source{Data: field, Width: 1}
+	for text, want := range map[string]string{
+		"g = grad3d(u, dims, x, y, z)\nh = grad3d(u, d2, x, y, z)\nr = g[0] + h[0]": "describe different meshes",
+		"g = grad3d(u, df, x, y, z)\nr = g[0] + df":                                 "both a stencil's dims and a per-element field",
+	} {
+		net, err := expr.Compile(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Execute(Fusion{}, cpuEnv(), net, bind); err != nil {
+			t.Fatalf("fusion %q: %v", text, err)
+		}
+		if _, err := Execute(Streaming{}, cpuEnv(), net, bind); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("streaming %q: err = %v, want %q", text, err, want)
+		}
+	}
+}
+
 func TestStreamingBadDims(t *testing.T) {
 	bind, _ := qcritSetup(t, mesh.Dims{NX: 8, NY: 8, NZ: 8})
 	bind.Sources["dims"] = Source{Data: []float32{3, 3, 3, 0}, Width: 1} // 27 != 512
 	net, _ := expr.Compile(vortex.QCritExpr)
 	if _, err := Execute(Streaming{}, cpuEnv(), net, bind); err == nil {
 		t.Fatal("inconsistent dims must fail")
+	}
+}
+
+// TestTilePlanCuts pins streaming's cut rule: interiors tile [0, nz) in
+// order, cut at nz·t/count; each tile grows by the halo on both Z faces,
+// clipped to the domain; a count above nz clamps to nz.
+func TestTilePlanCuts(t *testing.T) {
+	const nx, ny, slab = 2, 3, 6
+	for _, tc := range []struct {
+		nz, count, halo int
+		cuts            []int // interior boundaries in z
+	}{
+		{nz: 10, count: 4, halo: 1, cuts: []int{0, 2, 5, 7, 10}},
+		{nz: 10, count: 1, halo: 1, cuts: []int{0, 10}},
+		{nz: 7, count: 3, halo: 0, cuts: []int{0, 2, 4, 7}},
+		{nz: 3, count: 5, halo: 1, cuts: []int{0, 1, 2, 3}},
+		{nz: 1, count: 4, halo: 1, cuts: []int{0, 1}},
+	} {
+		tiles := tilePlan(tileGeom{nx: nx, ny: ny, nz: tc.nz, halo: tc.halo}, tc.count)
+		if len(tiles) != len(tc.cuts)-1 {
+			t.Fatalf("nz=%d count=%d: %d tiles, want %d", tc.nz, tc.count, len(tiles), len(tc.cuts)-1)
+		}
+		for i, tr := range tiles {
+			zLo, zHi := tc.cuts[i], tc.cuts[i+1]
+			gLo, gHi := max(zLo-tc.halo, 0), min(zHi+tc.halo, tc.nz)
+			want := tileRange{
+				gLo: gLo * slab, tileN: (gHi - gLo) * slab, nx: nx, ny: ny, nzTile: gHi - gLo,
+				intLo: (zLo - gLo) * slab, intN: (zHi - zLo) * slab, globalIntLo: zLo * slab,
+			}
+			if tr != want {
+				t.Fatalf("nz=%d count=%d tile %d: %+v, want %+v", tc.nz, tc.count, i, tr, want)
+			}
+		}
 	}
 }
 
@@ -157,56 +218,6 @@ func TestForNameStreaming(t *testing.T) {
 	names := ExtendedNames()
 	if len(names) != 5 || names[3] != "streaming" || names[4] != "vm" {
 		t.Fatalf("extended names: %v", names)
-	}
-}
-
-func TestMultiDeviceMatchesFusion(t *testing.T) {
-	bind, _ := qcritSetup(t, mesh.Dims{NX: 12, NY: 12, NZ: 20})
-	net, _ := expr.Compile(vortex.QCritExpr)
-	want, err := Execute(Fusion{}, cpuEnv(), net, bind)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Two GPUs of one Edge node.
-	envs := []*ocl.Env{
-		ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64))),
-		ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64))),
-	}
-	res, err := ExecuteMultiDevice(envs, net, bind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if res.Data[i] != want.Data[i] {
-			t.Fatalf("multi-device result differs at %d: %v vs %v", i, res.Data[i], want.Data[i])
-		}
-	}
-	// Each device ran exactly one fused kernel over its slab.
-	for i, env := range envs {
-		if p := env.Profile(); p.Kernels != 1 {
-			t.Fatalf("device %d dispatched %d kernels, want 1", i, p.Kernels)
-		}
-		if env.Context().LiveBuffers() != 0 {
-			t.Fatalf("device %d leaked buffers", i)
-		}
-	}
-	// Each device holds roughly half the data: peak under fusion's.
-	single, _ := Execute(Fusion{}, cpuEnv(), net, bind)
-	if res.PeakBytes >= single.PeakBytes {
-		t.Fatalf("per-device peak %d should undercut single-device %d", res.PeakBytes, single.PeakBytes)
-	}
-}
-
-func TestMultiDeviceValidation(t *testing.T) {
-	bind, _ := qcritSetup(t, mesh.Dims{NX: 8, NY: 8, NZ: 8})
-	net, _ := expr.Compile(vortex.QCritExpr)
-	if _, err := ExecuteMultiDevice(nil, net, bind); err == nil {
-		t.Fatal("zero devices must fail")
-	}
-	envs := []*ocl.Env{cpuEnv()}
-	if _, err := ExecuteMultiDevice(envs, net, Bindings{N: 0}); err == nil {
-		t.Fatal("bad bindings must fail")
 	}
 }
 
@@ -238,7 +249,8 @@ func TestStagedKeepIntermediatesAblation(t *testing.T) {
 }
 
 // TestStreamingPropertyRandomGeometry: streaming equals fusion bitwise
-// for random mesh shapes, tile counts and seeds.
+// for random mesh shapes, tile counts and seeds, over sources longer
+// than the mesh.
 func TestStreamingPropertyRandomGeometry(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -248,6 +260,10 @@ func TestStreamingPropertyRandomGeometry(t *testing.T) {
 		bind, err := BindMesh(m, map[string][]float32{"u": fld.U, "v": fld.V, "w": fld.W})
 		if err != nil {
 			return false
+		}
+		// Over-long sources: only the first N elements may be read.
+		for name, src := range bind.Sources {
+			bind.Sources[name] = Source{Data: append(src.Data[:len(src.Data):len(src.Data)], 7, -3, 1e30), Width: 1}
 		}
 		net, err := expr.Compile(vortex.VortMagExpr)
 		if err != nil {

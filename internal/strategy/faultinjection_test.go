@@ -26,11 +26,10 @@ func TestAllocFailureAtEveryPoint(t *testing.T) {
 		s, _ := ForName(sname)
 
 		// Count a clean run's allocations first.
-		clean := cpuEnv()
-		if _, err := Execute(s, clean, net, bind); err != nil {
+		if _, err := Execute(s, cpuEnv(), net, bind); err != nil {
 			t.Fatalf("%s: clean run failed: %v", sname, err)
 		}
-		total := clean.Context().Allocations()
+		total := allocations(cpuEnv, func(env *ocl.Env) { Execute(s, env, net, bind) })
 		if sname == "vm" {
 			// The host VM performs no device allocations, so there is
 			// nothing to fault: an armed failure must never fire.
@@ -38,7 +37,7 @@ func TestAllocFailureAtEveryPoint(t *testing.T) {
 				t.Fatalf("vm: run made %d device allocations, want 0", total)
 			}
 			env := cpuEnv()
-			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, 0))
+			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).Add(ocl.FaultRule{Op: ocl.FaultAlloc, Nth: 0}))
 			if _, err := Execute(s, env, net, bind); err != nil {
 				t.Fatalf("vm: run failed under armed alloc fault: %v", err)
 			}
@@ -50,7 +49,7 @@ func TestAllocFailureAtEveryPoint(t *testing.T) {
 
 		for k := 0; k < total; k++ {
 			env := cpuEnv()
-			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, k))
+			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).Add(ocl.FaultRule{Op: ocl.FaultAlloc, Nth: k}))
 			_, err := Execute(s, env, net, bind)
 			if !errors.Is(err, ocl.ErrOutOfDeviceMemory) {
 				t.Fatalf("%s: fault at allocation %d/%d: want ErrOutOfDeviceMemory, got %v",
@@ -59,7 +58,7 @@ func TestAllocFailureAtEveryPoint(t *testing.T) {
 			if live := env.Context().LiveBuffers(); live != 0 {
 				t.Fatalf("%s: fault at allocation %d/%d leaked %d buffers", sname, k, total, live)
 			}
-			if used := env.Context().Used(); used != 0 {
+			if used := usedBytes(env.Context()); used != 0 {
 				t.Fatalf("%s: fault at allocation %d/%d left %d bytes allocated", sname, k, total, used)
 			}
 		}
@@ -94,11 +93,11 @@ func TestAllocFailurePooledSweep(t *testing.T) {
 		// not fire and no device memory may move.
 		{
 			env := pooledEnv()
-			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, 0))
+			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).Add(ocl.FaultRule{Op: ocl.FaultAlloc, Nth: 0}))
 			if _, err := s.Plan(net, env.Device()); err != nil {
 				t.Fatalf("%s: Plan failed under armed fault: %v", sname, err)
 			}
-			if env.Context().Allocations() != 0 {
+			if env.Context().Peak() != 0 {
 				t.Fatalf("%s: Plan allocated device memory", sname)
 			}
 		}
@@ -112,7 +111,11 @@ func TestAllocFailurePooledSweep(t *testing.T) {
 		if _, err := cleanPlan.Execute(clean, bind); err != nil {
 			t.Fatalf("%s: clean pooled run failed: %v", sname, err)
 		}
-		total := clean.Context().Allocations()
+		total := allocations(pooledEnv, func(env *ocl.Env) {
+			if p, err := s.Plan(net, env.Device()); err == nil {
+				p.Execute(env, bind)
+			}
+		})
 		if sname != "vm" && total == 0 {
 			t.Fatalf("%s: no allocations to fault", sname)
 		}
@@ -127,7 +130,7 @@ func TestAllocFailurePooledSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, k))
+			env.Context().SetFaultPlan(ocl.NewFaultPlan(0).Add(ocl.FaultRule{Op: ocl.FaultAlloc, Nth: k}))
 			_, err = plan.Execute(env, bind)
 			var ae *ocl.AllocError
 			if !errors.As(err, &ae) {
@@ -146,7 +149,7 @@ func TestAllocFailurePooledSweep(t *testing.T) {
 				t.Fatalf("%s: pooled fault at allocation %d/%d leaked %d buffers after Drain",
 					sname, k, total, live)
 			}
-			if used := env.Context().Used(); used != 0 {
+			if used := usedBytes(env.Context()); used != 0 {
 				t.Fatalf("%s: pooled fault at allocation %d/%d left %d bytes after Drain",
 					sname, k, total, used)
 			}
@@ -155,32 +158,30 @@ func TestAllocFailurePooledSweep(t *testing.T) {
 		// Warm phase: after a clean cold run, arm a fault on the next
 		// allocation. The warm run draws everything from the arena, so
 		// the fault never fires.
-		clean.Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, 0))
+		clean.Context().SetFaultPlan(ocl.NewFaultPlan(0).Add(ocl.FaultRule{Op: ocl.FaultAlloc, Nth: 0}))
 		if _, err := cleanPlan.Execute(clean, bind); err != nil {
 			t.Fatalf("%s: warm run under armed fault failed (allocated fresh memory?): %v", sname, err)
 		}
 	}
 }
 
-// TestMultiDeviceFaultInjection: a failure on one of the two devices
-// fails the whole multi-device execution and both devices end clean.
-func TestMultiDeviceFaultInjection(t *testing.T) {
-	bind, _ := qcritSetup(t, mesh.Dims{NX: 8, NY: 8, NZ: 12})
-	net, _ := expr.Compile(vortex.QCritExpr)
-	for faulted := 0; faulted < 2; faulted++ {
-		envs := []*ocl.Env{
-			ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64))),
-			ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64))),
-		}
-		envs[faulted].Context().SetFaultPlan(ocl.NewFaultPlan(0).FailNth(ocl.FaultAlloc, 2))
-		_, err := ExecuteMultiDevice(envs, net, bind)
-		if !errors.Is(err, ocl.ErrOutOfDeviceMemory) {
-			t.Fatalf("fault on device %d: want ErrOutOfDeviceMemory, got %v", faulted, err)
-		}
-		for i, env := range envs {
-			if env.Context().LiveBuffers() != 0 {
-				t.Fatalf("fault on device %d: device %d leaked buffers", faulted, i)
-			}
+// allocations counts the device allocations run makes on a fresh
+// environment from newEnv: a device-lost latch armed at allocation k
+// fires exactly when the run makes more than k of them.
+func allocations(newEnv func() *ocl.Env, run func(*ocl.Env)) int {
+	for k := 0; ; k++ {
+		env := newEnv()
+		env.Context().SetFaultPlan(ocl.NewFaultPlan(0).Add(ocl.FaultRule{Op: ocl.FaultAlloc, Nth: k, Effect: ocl.EffectDeviceLost}))
+		run(env)
+		if !env.Context().Lost() {
+			return k
 		}
 	}
+}
+
+// usedBytes is the context's current allocation: ResetPeak lowers the
+// high-water mark to it.
+func usedBytes(ctx *ocl.Context) int64 {
+	ctx.ResetPeak()
+	return ctx.Peak()
 }

@@ -65,7 +65,7 @@ func FuzzFaultPlanNoLeak(f *testing.F) {
 				ctx.Heal() // a lost device must not mask a leak check
 			}
 			ctx.Pool().Drain()
-			if live, used := ctx.LiveBuffers(), ctx.Used(); live != 0 || used != 0 {
+			if live, used := ctx.LiveBuffers(), usedBytes(ctx); live != 0 || used != 0 {
 				t.Fatalf("%s: leak under schedule seed=%d %v: %d live buffers, %d bytes used",
 					sname, seed, schedule, live, used)
 			}

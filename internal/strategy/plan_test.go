@@ -57,16 +57,15 @@ func TestPlanWarmPathZeroAllocations(t *testing.T) {
 		if got := plan.Strategy(); got != sname {
 			t.Fatalf("plan.Strategy() = %q, want %q", got, sname)
 		}
-		if env.Context().Allocations() != 0 {
-			t.Fatalf("%s: planning touched device memory (%d allocations)",
-				sname, env.Context().Allocations())
+		if env.Context().Peak() != 0 {
+			t.Fatalf("%s: planning touched device memory", sname)
 		}
 
 		cold, err := plan.Execute(env, bind)
 		if err != nil {
 			t.Fatalf("%s: cold execute: %v", sname, err)
 		}
-		coldAllocs := env.Context().Allocations()
+		coldAllocs := allocations(pooledEnv, func(env *ocl.Env) { plan.Execute(env, bind) })
 		if sname == "vm" {
 			// The host VM's defining property is the inverse: even the cold
 			// run allocates no device memory.
@@ -77,6 +76,8 @@ func TestPlanWarmPathZeroAllocations(t *testing.T) {
 			t.Fatalf("%s: cold run allocated nothing", sname)
 		}
 
+		// A warm run that allocated would trip this latch.
+		env.Context().SetFaultPlan(ocl.NewFaultPlan(0).Add(ocl.FaultRule{Op: ocl.FaultAlloc, Effect: ocl.EffectDeviceLost}))
 		for i := 0; i < 3; i++ {
 			warm, err := plan.Execute(env, bind)
 			if err != nil {
@@ -90,8 +91,8 @@ func TestPlanWarmPathZeroAllocations(t *testing.T) {
 					sname, i, warm.Profile.Writes)
 			}
 		}
-		if got := env.Context().Allocations(); got != coldAllocs {
-			t.Fatalf("%s: warm runs allocated %d fresh device buffers", sname, got-coldAllocs)
+		if env.Context().Lost() {
+			t.Fatalf("%s: warm runs allocated fresh device buffers", sname)
 		}
 	}
 }
@@ -264,7 +265,7 @@ func TestArenaDrainRestoresBaseline(t *testing.T) {
 		if live := env.Context().LiveBuffers(); live != 0 {
 			t.Fatalf("%s: %d buffers still live after Drain", sname, live)
 		}
-		if used := env.Context().Used(); used != 0 {
+		if used := usedBytes(env.Context()); used != 0 {
 			t.Fatalf("%s: %d bytes still allocated after Drain", sname, used)
 		}
 	}
@@ -420,22 +421,14 @@ func TestBadDimsIsTypedError(t *testing.T) {
 				b.Sources[dimsName] = Source{Data: dims, Width: 1}
 				return b
 			}
-			run := map[string]func(*ocl.Env, Bindings) (*Result, error){
-				"multidevice": func(env *ocl.Env, b Bindings) (*Result, error) {
-					return ExecuteMultiDevice([]*ocl.Env{env, pooledEnv()}, net, b)
-				},
-			}
 			for _, sname := range append(ExtendedNames(), "tiered") {
 				s, err := ForName(sname)
 				if err != nil {
 					t.Fatal(err)
 				}
-				run[sname] = func(env *ocl.Env, b Bindings) (*Result, error) { return Execute(s, env, net, b) }
-			}
-			for sname, exec := range run {
 				for _, bad := range bads {
 					env := pooledEnv()
-					_, err := exec(env, bindWith(bad))
+					_, err := Execute(s, env, net, bindWith(bad))
 					var de *DimsError
 					if !errors.As(err, &de) || de.Name != dimsName || de.N != n ||
 						math.Float32bits(de.NX) != math.Float32bits(bad[0]) || de.NY != bad[1] || de.NZ != bad[2] {
@@ -446,11 +439,8 @@ func TestBadDimsIsTypedError(t *testing.T) {
 						t.Fatalf("%s N=%d: %d buffers live after the rejected run", sname, n, live)
 					}
 				}
-				// The same bindings with the true extents run. (Streaming
-				// and multidevice re-derive per-tile extents from the
-				// source named "dims" only, and say so otherwise.)
-				if _, err := exec(pooledEnv(), bindWith(good.Sources["dims"].Data)); err != nil &&
-					(dimsName == "dims" || (sname != "streaming" && sname != "multidevice")) {
+				// The same bindings with the true extents run.
+				if _, err := Execute(s, pooledEnv(), net, bindWith(good.Sources["dims"].Data)); err != nil {
 					t.Fatalf("%s N=%d: true dims rejected: %v", sname, n, err)
 				}
 			}

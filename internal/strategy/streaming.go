@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 
 	"dfg/internal/codegen"
 	"dfg/internal/dataflow"
@@ -75,7 +76,7 @@ func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	if err := p.beginRun(env, bind); err != nil {
 		return nil, err
 	}
-	geom, err := tileGeometry(p.order, bind)
+	geom, err := p.tileGeometry(bind)
 	if err != nil {
 		return nil, err
 	}
@@ -88,13 +89,52 @@ func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 		if err := bind.canceled(); err != nil {
 			return nil, err
 		}
-		if err := runTileOn(env, p.prog, bind, tr, outs); err != nil {
+		if err := p.runTile(env, bind, tr, outs); err != nil {
 			return nil, fmt.Errorf("streaming: tile %d: %w", t, err)
 		}
 	}
 	res := finish(env, outs[0], p.prog.OutWidth)
 	res.fanOut(outs, p.prog.OutWidths)
 	return res, nil
+}
+
+// tileGeom captures the mesh shape and stencil halo for tiling.
+type tileGeom struct {
+	nx, ny, nz int
+	halo       int
+}
+
+// tileGeometry derives the tiling geometry from the plan and bindings:
+// stencil networks tile the mesh their dims source describes (beginRun
+// has checked that it covers N cells) with a one-cell halo; pure
+// element-wise networks tile the flat array.
+func (p *streamingPlan) tileGeometry(bind Bindings) (tileGeom, error) {
+	g := tileGeom{nx: 1, ny: 1, nz: bind.N}
+	for i, name := range p.dims {
+		d := bind.Sources[name].Data
+		if len(d) < 3 {
+			return g, fmt.Errorf("strategy: stencil network needs its dims source %q bound to tile", name)
+		}
+		nx, ny, nz := int(d[0]), int(d[1]), int(d[2])
+		if i > 0 && (nx != g.nx || ny != g.ny || nz != g.nz) {
+			return g, fmt.Errorf("strategy: dims sources %q and %q describe different meshes; streaming tiles one", p.dims[0], name)
+		}
+		if p.perElement(name) {
+			return g, fmt.Errorf("strategy: source %q is both a stencil's dims and a per-element field; streaming cannot window it", name)
+		}
+		g = tileGeom{nx: nx, ny: ny, nz: nz, halo: 1}
+	}
+	return g, nil
+}
+
+// perElement reports whether an execution indexes the source per element.
+func (p *streamingPlan) perElement(name string) bool {
+	for _, sn := range p.needs {
+		if sn.name == name {
+			return sn.perN
+		}
+	}
+	return false
 }
 
 // tileRange describes one haloed Z slab in global element coordinates.
@@ -108,15 +148,46 @@ type tileRange struct {
 	globalIntLo int // first global element of the interior
 }
 
-// runTileOn uploads the tile's source windows, launches the fused kernel
+// tilePlan splits the Z axis into count haloed slabs.
+func tilePlan(g tileGeom, count int) []tileRange {
+	if count > g.nz {
+		count = g.nz
+	}
+	slab := g.nx * g.ny
+	out := make([]tileRange, 0, count)
+	for t := 0; t < count; t++ {
+		zLo := g.nz * t / count
+		zHi := g.nz * (t + 1) / count
+		gLo := zLo - g.halo
+		if gLo < 0 {
+			gLo = 0
+		}
+		gHi := zHi + g.halo
+		if gHi > g.nz {
+			gHi = g.nz
+		}
+		out = append(out, tileRange{
+			gLo: gLo * slab, tileN: (gHi - gLo) * slab,
+			nx: g.nx, ny: g.ny, nzTile: gHi - gLo,
+			intLo: (zLo - gLo) * slab, intN: (zHi - zLo) * slab,
+			globalIntLo: zLo * slab,
+		})
+	}
+	return out
+}
+
+// runTile uploads the tile's source windows, launches the fused kernel
 // on the environment and copies the interior of each output (one per
-// root) into the matching global result array. Source windows go through
-// the resident path keyed by (name, window offset), so with an arena
-// attached an unchanged window skips its upload.
-func runTileOn(env *ocl.Env, prog *codegen.Program, bind Bindings, tr tileRange, outs [][]float32) error {
+// root) into the matching global result array. Every source the kernel
+// indexes per element is windowed, however long the bound array is;
+// every stencil's dims source becomes the tile's own extents. Source
+// windows go through the resident path keyed by (name, window offset),
+// so with an arena attached an unchanged window skips its upload.
+func (p *streamingPlan) runTile(env *ocl.Env, bind Bindings, tr tileRange, outs [][]float32) error {
 	if err := bind.canceled(); err != nil {
 		return err
 	}
+	prog := p.prog
 	bufs := make([]*ocl.Buffer, len(prog.Args))
 	defer func() {
 		for _, b := range bufs {
@@ -136,11 +207,10 @@ func runTileOn(env *ocl.Env, prog *codegen.Program, bind Bindings, tr tileRange,
 			}
 			data, stable := src.Data, bind.stable(src.Data)
 			switch {
-			case a.Name == "dims":
+			case slices.Contains(p.dims, a.Name):
 				// The tile is its own sub-mesh along Z.
 				data, stable = kernels.DimsArray(tr.nx, tr.ny, tr.nzTile), false
-			case src.Elems() == bind.N:
-				// Problem-sized array: upload the tile's window.
+			case p.perElement(a.Name):
 				data = src.Data[tr.gLo*src.Width : (tr.gLo+tr.tileN)*src.Width]
 			}
 			key := fmt.Sprintf("%s@z%d+%d", a.Name, tr.gLo, tr.tileN)
@@ -174,7 +244,7 @@ func runTileOn(env *ocl.Env, prog *codegen.Program, bind Bindings, tr tileRange,
 			return err
 		}
 		w := prog.OutWidths[oi]
-		outOff := tr.outOff(w)
+		outOff := tr.globalIntLo * w
 		copy(outs[oi][outOff:outOff+tr.intN*w], tileOut[tr.intLo*w:(tr.intLo+tr.intN)*w])
 	}
 	return nil

@@ -33,7 +33,10 @@ func runReference(t *testing.T, name string, m *mesh.Mesh, u, v, w []float32) ([
 		}
 		bufs = append(bufs, b)
 	}
-	out := env.Context().MustBuffer("out", n, 1)
+	out, err := env.NewBuffer("out", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bufs = append(bufs, out)
 	if err := env.Run(k, n, bufs, nil); err != nil {
 		t.Fatal(err)

@@ -256,24 +256,15 @@ func qcritOnMesh(t *testing.T, edge int) (*dfg.Mesh, map[string][]float32) {
 }
 
 // TestColdOpsLeaveNoHeapBehind: every op prepares a never-seen
-// expression, evaluates it once and closes it, against a compiler whose
-// caches hold 16 entries. Once those are full, live heap must stop
+// expression, evaluates it once and closes it. Once the compiler's
+// caches hold compile.DefaultMaxEntries each, live heap must stop
 // growing: the plan owns its lowered program and the compile layer's
 // bounded plan cache is the only memo, so an evicted plan takes
 // everything with it. (Unbounded per-network program memos under that
 // cache used to retain ≈ 27 KB per expression forever.)
 func TestColdOpsLeaveNoHeapBehind(t *testing.T) {
-	comp := compile.NewCompiler()
-	comp.SetMaxEntries(16)
-	dev, err := dfg.NewDeviceFor(dfg.Config{Device: dfg.CPU})
+	eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "fusion", Opt: "O2"})
 	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := dfg.NewWith(dev, "fusion", comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng, err = eng.WithOptLevel("O2"); err != nil {
 		t.Fatal(err)
 	}
 	m, fields := qcritOnMesh(t, 4)
@@ -297,10 +288,10 @@ func TestColdOpsLeaveNoHeapBehind(t *testing.T) {
 	// 2n leaked programs would be ≈ 16 MB; a steady state moves by GC
 	// timing and pool growth only.
 	const n, slack = 300, 2 << 20
-	afterN := coldOps(n)
-	after3N := coldOps(2 * n)
-	if after3N > afterN+slack {
-		t.Fatalf("live heap grew from %d to %d bytes over %d more cold ops: something retains per-expression state", afterN, after3N, 2*n)
+	full := coldOps(compile.DefaultMaxEntries)
+	after := coldOps(2 * n)
+	if after > full+slack {
+		t.Fatalf("live heap grew from %d to %d bytes over %d more cold ops: something retains per-expression state", full, after, 2*n)
 	}
 }
 

@@ -157,7 +157,7 @@ func TestOOMUnderFusionRecoversViaLadder(t *testing.T) {
 	if got := eng.LiveBuffers(); got != baseline {
 		t.Fatalf("after Close: %d live buffers, want baseline %d", got, baseline)
 	}
-	if used := eng.env.Context().Used(); used != 0 {
+	if used := usedBytes(eng.env.Context()); used != 0 {
 		t.Fatalf("after Close: %d bytes still allocated", used)
 	}
 }
@@ -170,7 +170,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 	eng, reg := tinyGPU(t, 1<<30)
 	eng.rec.sleep = func(d time.Duration) { slept = append(slept, d) }
 
-	eng.InjectFaults(ocl.NewFaultPlan(1).FailNth(ocl.FaultKernel, 0))
+	eng.InjectFaults(ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultKernel, Nth: 0}))
 	u := []float32{3, 1, 0}
 	v := []float32{4, 2, 0}
 	w := []float32{0, 2, 5}
@@ -221,7 +221,7 @@ func TestDeviceLostFallsToVM(t *testing.T) {
 	var slept int
 	eng, reg := tinyGPU(t, 1<<30)
 	eng.rec.sleep = func(time.Duration) { slept++ }
-	eng.InjectFaults(ocl.NewFaultPlan(1).LoseDeviceAt(0))
+	eng.InjectFaults(ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultAny, Nth: 0, Effect: ocl.EffectDeviceLost}))
 
 	pr, err := eng.Prepare(VelocityMagnitudeExpr)
 	if err != nil {
@@ -267,7 +267,7 @@ func TestDeviceLostFallsToVM(t *testing.T) {
 // really runs on the device again.
 func TestHealRestoresPrimaryAfterVMRescue(t *testing.T) {
 	eng, _ := tinyGPU(t, 1<<30)
-	eng.InjectFaults(ocl.NewFaultPlan(1).LoseDeviceAt(0))
+	eng.InjectFaults(ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultAny, Nth: 0, Effect: ocl.EffectDeviceLost}))
 
 	pr, err := eng.Prepare(VelocityMagnitudeExpr)
 	if err != nil {
@@ -381,7 +381,7 @@ func TestLadderDrainsOnEveryFailure(t *testing.T) {
 		eng, _ := tinyGPU(t, 9*int64(n))
 		// On top of the capacity starvation, fail the k-th allocation
 		// outright, moving the failure point across the whole walk.
-		eng.InjectFaults(ocl.NewFaultPlan(int64(k)).FailNth(ocl.FaultAlloc, k))
+		eng.InjectFaults(ocl.NewFaultPlan(int64(k)).Add(ocl.FaultRule{Op: ocl.FaultAlloc, Nth: k}))
 		pr, err := eng.Prepare(QCriterionExpr)
 		if err != nil {
 			t.Fatal(err)
@@ -391,7 +391,7 @@ func TestLadderDrainsOnEveryFailure(t *testing.T) {
 		if got := eng.LiveBuffers(); got != 0 {
 			t.Fatalf("k=%d (err=%v): %d live buffers after Close, want 0", k, evalErr, got)
 		}
-		if used := eng.env.Context().Used(); used != 0 {
+		if used := usedBytes(eng.env.Context()); used != 0 {
 			t.Fatalf("k=%d: %d bytes still allocated", k, used)
 		}
 	}
@@ -418,4 +418,11 @@ func TestRecoveredMatchesHostGolden(t *testing.T) {
 			t.Fatalf("cell %d: recovered %v vs host golden %v (|d|=%v)", i, res.Data[i], golden[i], d)
 		}
 	}
+}
+
+// usedBytes is the context's current allocation: ResetPeak lowers the
+// high-water mark to it.
+func usedBytes(ctx *ocl.Context) int64 {
+	ctx.ResetPeak()
+	return ctx.Peak()
 }
