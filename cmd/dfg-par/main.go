@@ -49,8 +49,24 @@ func main() {
 		Seed:        *seed,
 	}
 
-	fmt.Printf("domain:  %v (%d cells), %d sub-grids of %v\n",
-		domain, domain.Cells(), parts[0]*parts[1]*parts[2], subDims(domain, parts))
+	boxes, err := mesh.Split(domain, parts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dfg-par:", err)
+		os.Exit(1)
+	}
+	small, large := boxes[0].Dims(), boxes[0].Dims()
+	for _, b := range boxes {
+		if d := b.Dims(); d.Cells() < small.Cells() {
+			small = d
+		} else if d.Cells() > large.Cells() {
+			large = d
+		}
+	}
+	label := small.String()
+	if large != small {
+		label += " to " + large.String()
+	}
+	fmt.Printf("domain:  %v (%d cells), %d sub-grids of %s\n", domain, domain.Cells(), len(boxes), label)
 	fmt.Printf("ranks:   %d MPI tasks on %d nodes (%d GPUs/node)\n",
 		cfg.Ranks, (cfg.Ranks+cfg.GPUsPerNode-1)/cfg.GPUsPerNode, cfg.GPUsPerNode)
 
@@ -119,20 +135,17 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dfg-par:", err)
 			os.Exit(1)
 		}
-		var maxDiff float64
-		for i := range golden {
-			if d := math.Abs(float64(rep.Output[i] - golden[i])); d > maxDiff {
-				maxDiff = d
+		// Equal bits, or NaN on both sides.
+		differ := 0
+		for i, g := range golden {
+			if d := rep.Output[i]; math.Float32bits(d) != math.Float32bits(g) && !(d != d && g != g) {
+				differ++
 			}
 		}
-		fmt.Printf("verify:  max |distributed - single-grid| = %g (seam-free)\n", maxDiff)
-		if maxDiff > 1e-4 {
+		fmt.Printf("verify:  %d of %d cells differ from the single-grid computation (bit-exact)\n", differ, len(golden))
+		if differ > 0 {
 			fmt.Fprintln(os.Stderr, "dfg-par: VERIFICATION FAILED")
 			os.Exit(1)
 		}
 	}
-}
-
-func subDims(domain mesh.Dims, parts [3]int) mesh.Dims {
-	return mesh.Dims{NX: domain.NX / parts[0], NY: domain.NY / parts[1], NZ: domain.NZ / parts[2]}
 }

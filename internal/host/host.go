@@ -184,7 +184,7 @@ func (a *App) GenerateGhostData(req GhostRequest) ([]GhostBlock, error) {
 	if req.Layers < 0 {
 		return nil, fmt.Errorf("host: negative ghost layers")
 	}
-	boxes, err := mesh.Decompose(a.mesh.Dims, req.Parts)
+	boxes, err := mesh.Split(a.mesh.Dims, req.Parts)
 	if err != nil {
 		return nil, err
 	}

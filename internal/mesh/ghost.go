@@ -3,9 +3,10 @@ package mesh
 import "fmt"
 
 // Extent is a half-open box of cells [Lo, Hi) in the global cell index
-// space of a larger mesh. The distributed-memory evaluation decomposes
-// the paper's 3072^3 mesh into 3072 such sub-grids and grows each by a
-// ghost stencil so gradients are correct at block boundaries.
+// space of a larger mesh. It is the one currency for sub-boxes: the
+// distributed-memory evaluation decomposes the paper's 3072^3 mesh into
+// 3072 such sub-grids, streaming cuts a mesh into Z slabs, and both grow
+// each box by a ghost stencil so gradients are correct at box boundaries.
 type Extent struct {
 	Lo, Hi [3]int
 }
@@ -18,16 +19,11 @@ func (e Extent) Dims() Dims {
 // Cells returns the number of cells in the box.
 func (e Extent) Cells() int { return e.Dims().Cells() }
 
-// Contains reports whether the global cell (i, j, k) lies in the box.
-func (e Extent) Contains(i, j, k int) bool {
-	return i >= e.Lo[0] && i < e.Hi[0] &&
-		j >= e.Lo[1] && j < e.Hi[1] &&
-		k >= e.Lo[2] && k < e.Hi[2]
-}
-
 // Grow expands the box by g ghost layers on every face, clipped to the
 // global domain — exactly what VisIt's ghost-data generation hands the
 // framework: interior cells plus a stencil of duplicated neighbour cells.
+// A box that already spans an axis of the domain does not grow along it,
+// so a Z slab grows by a Z-only halo.
 func (e Extent) Grow(g int, domain Dims) Extent {
 	max := [3]int{domain.NX, domain.NY, domain.NZ}
 	out := e
@@ -44,76 +40,58 @@ func (e Extent) Grow(g int, domain Dims) Extent {
 	return out
 }
 
-// LocalTo translates the box into the local cell index space of an
-// enclosing box (typically the ghost-grown block), so a rank can find its
-// interior region inside its haloed arrays.
-func (e Extent) LocalTo(outer Extent) Extent {
-	var out Extent
-	for a := 0; a < 3; a++ {
-		out.Lo[a] = e.Lo[a] - outer.Lo[a]
-		out.Hi[a] = e.Hi[a] - outer.Lo[a]
-	}
-	return out
-}
-
-// Decompose splits the domain into parts[0] x parts[1] x parts[2] boxes.
-// Extents need not divide evenly; earlier boxes get the extra cells.
-// Boxes are returned in X-fastest order.
-func Decompose(domain Dims, parts [3]int) ([]Extent, error) {
+// Split cuts the domain into parts[0] x parts[1] x parts[2] boxes. Axis
+// a of extent n is cut at n·t/parts[a] for t = 0..parts[a], so extents
+// need not divide evenly and box sizes differ by at most one cell per
+// axis. Boxes are returned in X-fastest order.
+func Split(domain Dims, parts [3]int) ([]Extent, error) {
 	n := [3]int{domain.NX, domain.NY, domain.NZ}
 	for a := 0; a < 3; a++ {
 		if parts[a] < 1 || parts[a] > n[a] {
 			return nil, fmt.Errorf("mesh: cannot split extent %d into %d parts (axis %d)", n[a], parts[a], a)
 		}
 	}
-	cuts := func(extent, p int) []int {
-		c := make([]int, p+1)
-		base, rem := extent/p, extent%p
-		for i := 1; i <= p; i++ {
-			c[i] = c[i-1] + base
-			if i <= rem {
-				c[i]++
-			}
-		}
-		return c
-	}
-	cx, cy, cz := cuts(n[0], parts[0]), cuts(n[1], parts[1]), cuts(n[2], parts[2])
 	out := make([]Extent, 0, parts[0]*parts[1]*parts[2])
 	for k := 0; k < parts[2]; k++ {
 		for j := 0; j < parts[1]; j++ {
 			for i := 0; i < parts[0]; i++ {
-				out = append(out, Extent{
-					Lo: [3]int{cx[i], cy[j], cz[k]},
-					Hi: [3]int{cx[i+1], cy[j+1], cz[k+1]},
-				})
+				var e Extent
+				for a, t := range [3]int{i, j, k} {
+					e.Lo[a], e.Hi[a] = n[a]*t/parts[a], n[a]*(t+1)/parts[a]
+				}
+				out = append(out, e)
 			}
 		}
 	}
 	return out, nil
 }
 
-// ExtractField copies the cells of box e out of a global cell-centered
-// field with extent gd into a new dense array in the box's local layout.
-// This is the "ghost data exchange": a rank's haloed input arrays are
-// extracted from the global arrays (in a real MPI run, the duplicated
-// cells come from neighbour ranks; the data is identical).
-func ExtractField(global []float32, gd Dims, e Extent) ([]float32, error) {
-	if len(global) != gd.Cells() {
-		return nil, fmt.Errorf("mesh: global field has %d cells, extent %v needs %d", len(global), gd, gd.Cells())
+// CopyBox copies the cells of box, in global coordinates, from src laid
+// out over srcBox to dst laid out over dstBox, row by row; every cell
+// carries width values. It is the ghost-data exchange (global arrays to a
+// haloed block; in a real MPI run the duplicated cells come from
+// neighbour ranks, the data is identical) and its inverse (a block's or
+// tile's interior back into the global result).
+func CopyBox(dst []float32, dstBox Extent, src []float32, srcBox Extent, box Extent, width int) error {
+	if len(src) != srcBox.Cells()*width || len(dst) != dstBox.Cells()*width {
+		return fmt.Errorf("mesh: copy needs %d source and %d destination values of width %d, got %d and %d",
+			srcBox.Cells()*width, dstBox.Cells()*width, width, len(src), len(dst))
 	}
-	ld := e.Dims()
-	if err := ld.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]float32, ld.Cells())
-	for k := 0; k < ld.NZ; k++ {
-		for j := 0; j < ld.NY; j++ {
-			srcRow := gd.Index(e.Lo[0], e.Lo[1]+j, e.Lo[2]+k)
-			dstRow := ld.Index(0, j, k)
-			copy(out[dstRow:dstRow+ld.NX], global[srcRow:srcRow+ld.NX])
+	for a := 0; a < 3; a++ {
+		if box.Lo[a] >= box.Hi[a] || box.Lo[a] < max(srcBox.Lo[a], dstBox.Lo[a]) || box.Hi[a] > min(srcBox.Hi[a], dstBox.Hi[a]) {
+			return fmt.Errorf("mesh: copy box %v is empty or outside %v or %v (axis %d)", box, srcBox, dstBox, a)
 		}
 	}
-	return out, nil
+	sd, dd := srcBox.Dims(), dstBox.Dims()
+	row := (box.Hi[0] - box.Lo[0]) * width
+	for k := box.Lo[2]; k < box.Hi[2]; k++ {
+		for j := box.Lo[1]; j < box.Hi[1]; j++ {
+			s := sd.Index(box.Lo[0]-srcBox.Lo[0], j-srcBox.Lo[1], k-srcBox.Lo[2]) * width
+			d := dd.Index(box.Lo[0]-dstBox.Lo[0], j-dstBox.Lo[1], k-dstBox.Lo[2]) * width
+			copy(dst[d:d+row], src[s:s+row])
+		}
+	}
+	return nil
 }
 
 // Submesh slices a mesh down to box e: the sub-grid's coordinate arrays

@@ -33,11 +33,6 @@ func (d Dims) Coords(idx int) (i, j, k int) {
 	return
 }
 
-// Contains reports whether the cell coordinates are inside the extent.
-func (d Dims) Contains(i, j, k int) bool {
-	return i >= 0 && i < d.NX && j >= 0 && j < d.NY && k >= 0 && k < d.NZ
-}
-
 // String formats the dims as in the paper's Table I ("192 x 192 x 0256").
 func (d Dims) String() string { return fmt.Sprintf("%d x %d x %04d", d.NX, d.NY, d.NZ) }
 

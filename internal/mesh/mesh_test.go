@@ -38,7 +38,8 @@ func TestDimsIndexCoordsProperty(t *testing.T) {
 		d := Dims{NX: int(a%13) + 1, NY: int(b%13) + 1, NZ: int(c%13) + 1}
 		idx := int(pick) % d.Cells()
 		i, j, k := d.Coords(idx)
-		return d.Contains(i, j, k) && d.Index(i, j, k) == idx
+		inside := i >= 0 && i < d.NX && j >= 0 && j < d.NY && k >= 0 && k < d.NZ
+		return inside && d.Index(i, j, k) == idx
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -217,19 +218,27 @@ func close32(got, want, tol float32) bool {
 	return float32(math.Abs(float64(got-want))) <= tol
 }
 
-func TestDecomposeCoversDomainDisjointly(t *testing.T) {
+// TestSplitCoversDomainDisjointly: every cell lies in exactly one box,
+// and box (i, j, k) of the X-fastest order spans [n·t/p, n·(t+1)/p) on
+// every axis, t being its position along that axis.
+func TestSplitCoversDomainDisjointly(t *testing.T) {
 	f := func(a, b, c, pa, pb, pc uint8) bool {
 		d := Dims{NX: int(a%17) + 1, NY: int(b%17) + 1, NZ: int(c%17) + 1}
 		parts := [3]int{int(pa)%d.NX + 1, int(pb)%d.NY + 1, int(pc)%d.NZ + 1}
-		boxes, err := Decompose(d, parts)
-		if err != nil {
+		boxes, err := Split(d, parts)
+		if err != nil || len(boxes) != parts[0]*parts[1]*parts[2] {
 			return false
 		}
-		if len(boxes) != parts[0]*parts[1]*parts[2] {
-			return false
-		}
+		n := [3]int{d.NX, d.NY, d.NZ}
+		pd := Dims{NX: parts[0], NY: parts[1], NZ: parts[2]}
 		count := make([]int, d.Cells())
-		for _, e := range boxes {
+		for bi, e := range boxes {
+			ti, tj, tk := pd.Coords(bi)
+			for ax, pos := range [3]int{ti, tj, tk} {
+				if e.Lo[ax] != n[ax]*pos/parts[ax] || e.Hi[ax] != n[ax]*(pos+1)/parts[ax] {
+					return false
+				}
+			}
 			for k := e.Lo[2]; k < e.Hi[2]; k++ {
 				for j := e.Lo[1]; j < e.Hi[1]; j++ {
 					for i := e.Lo[0]; i < e.Hi[0]; i++ {
@@ -238,8 +247,8 @@ func TestDecomposeCoversDomainDisjointly(t *testing.T) {
 				}
 			}
 		}
-		for _, n := range count {
-			if n != 1 {
+		for _, c := range count {
+			if c != 1 {
 				return false
 			}
 		}
@@ -250,11 +259,11 @@ func TestDecomposeCoversDomainDisjointly(t *testing.T) {
 	}
 }
 
-func TestDecomposePaperLayout(t *testing.T) {
+func TestSplitPaperLayout(t *testing.T) {
 	// The paper's 3072^3 mesh decomposes into 3072 sub-grids of
 	// 192x192x256: a 16 x 16 x 12 block layout.
 	d := Dims{3072, 3072, 3072}
-	boxes, err := Decompose(d, [3]int{16, 16, 12})
+	boxes, err := Split(d, [3]int{16, 16, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,12 +277,11 @@ func TestDecomposePaperLayout(t *testing.T) {
 	}
 }
 
-func TestDecomposeErrors(t *testing.T) {
-	if _, err := Decompose(Dims{4, 4, 4}, [3]int{5, 1, 1}); err == nil {
-		t.Error("more parts than cells must fail")
-	}
-	if _, err := Decompose(Dims{4, 4, 4}, [3]int{0, 1, 1}); err == nil {
-		t.Error("zero parts must fail")
+func TestSplitErrors(t *testing.T) {
+	for _, parts := range [][3]int{{5, 1, 1}, {1, 5, 1}, {1, 1, 5}, {0, 1, 1}, {1, 1, -1}} {
+		if _, err := Split(Dims{4, 4, 4}, parts); err == nil {
+			t.Errorf("split of 4x4x4 into %v must fail", parts)
+		}
 	}
 }
 
@@ -285,56 +293,74 @@ func TestExtentGrowClipsAtDomain(t *testing.T) {
 	if g != want {
 		t.Fatalf("grow: got %v want %v", g, want)
 	}
+	if g.Cells() != 3*4*3 {
+		t.Fatalf("grown cells: %d", g.Cells())
+	}
 	// Growing by zero is the identity.
 	if e.Grow(0, domain) != e {
 		t.Fatal("grow(0) must be identity")
 	}
-}
-
-func TestExtentLocalTo(t *testing.T) {
-	outer := Extent{Lo: [3]int{2, 3, 4}, Hi: [3]int{8, 9, 10}}
-	inner := Extent{Lo: [3]int{3, 4, 5}, Hi: [3]int{7, 8, 9}}
-	l := inner.LocalTo(outer)
-	want := Extent{Lo: [3]int{1, 1, 1}, Hi: [3]int{5, 5, 5}}
-	if l != want {
-		t.Fatalf("localTo: got %v want %v", l, want)
+	// A Z slab spanning X and Y grows by a Z-only halo.
+	slab := Extent{Lo: [3]int{0, 0, 4}, Hi: [3]int{10, 10, 6}}
+	if g := slab.Grow(1, domain); g != (Extent{Lo: [3]int{0, 0, 3}, Hi: [3]int{10, 10, 7}}) {
+		t.Fatalf("slab grow: got %v", g)
 	}
 }
 
-func TestExtentContains(t *testing.T) {
-	e := Extent{Lo: [3]int{1, 1, 1}, Hi: [3]int{3, 3, 3}}
-	if !e.Contains(1, 2, 2) || e.Contains(3, 2, 2) || e.Contains(0, 1, 1) {
-		t.Fatal("extent containment wrong")
-	}
-	if e.Cells() != 8 {
-		t.Fatalf("extent cells: %d", e.Cells())
-	}
-}
-
-func TestExtractField(t *testing.T) {
-	gd := Dims{4, 3, 2}
-	global := make([]float32, gd.Cells())
-	for i := range global {
-		global[i] = float32(i)
-	}
-	e := Extent{Lo: [3]int{1, 1, 0}, Hi: [3]int{3, 3, 2}}
-	got, err := ExtractField(global, gd, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld := e.Dims()
-	for k := 0; k < ld.NZ; k++ {
-		for j := 0; j < ld.NY; j++ {
-			for i := 0; i < ld.NX; i++ {
-				want := global[gd.Index(i+1, j+1, k)]
-				if got[ld.Index(i, j, k)] != want {
-					t.Fatalf("extract mismatch at (%d,%d,%d)", i, j, k)
+// TestCopyBox round-trips a block through its ghost-grown layout: global
+// to grown block, then the block's interior back into a fresh global
+// array, at width 1 and width 4. A slice shorter than its layout fails.
+func TestCopyBox(t *testing.T) {
+	gd := Dims{7, 5, 4}
+	whole := Extent{Hi: [3]int{gd.NX, gd.NY, gd.NZ}}
+	box := Extent{Lo: [3]int{2, 1, 1}, Hi: [3]int{5, 4, 3}}
+	grown := box.Grow(1, gd)
+	for _, width := range []int{1, 4} {
+		global := make([]float32, gd.Cells()*width)
+		for i := range global {
+			global[i] = float32(i)
+		}
+		block := make([]float32, grown.Cells()*width)
+		if err := CopyBox(block, grown, global, whole, grown, width); err != nil {
+			t.Fatal(err)
+		}
+		ld := grown.Dims()
+		for k := 0; k < ld.NZ; k++ {
+			for j := 0; j < ld.NY; j++ {
+				for i := 0; i < ld.NX; i++ {
+					for c := 0; c < width; c++ {
+						g := gd.Index(i+grown.Lo[0], j+grown.Lo[1], k+grown.Lo[2])*width + c
+						if got := block[ld.Index(i, j, k)*width+c]; got != global[g] {
+							t.Fatalf("width %d: block cell (%d,%d,%d)[%d] = %v, want %v", width, i, j, k, c, got, global[g])
+						}
+					}
+				}
+			}
+		}
+		back := make([]float32, len(global))
+		if err := CopyBox(back, whole, block, grown, box, width); err != nil {
+			t.Fatal(err)
+		}
+		for idx := 0; idx < gd.Cells(); idx++ {
+			i, j, k := gd.Coords(idx)
+			in := i >= box.Lo[0] && i < box.Hi[0] && j >= box.Lo[1] && j < box.Hi[1] && k >= box.Lo[2] && k < box.Hi[2]
+			for c := 0; c < width; c++ {
+				want := float32(0)
+				if in {
+					want = global[idx*width+c]
+				}
+				if back[idx*width+c] != want {
+					t.Fatalf("width %d: global cell %d[%d] = %v, want %v", width, idx, c, back[idx*width+c], want)
 				}
 			}
 		}
 	}
-	if _, err := ExtractField(global[:5], gd, e); err == nil {
-		t.Error("short global field must fail")
+	block := make([]float32, grown.Cells())
+	if err := CopyBox(block, grown, make([]float32, 5), whole, grown, 1); err == nil {
+		t.Error("short source slice must fail")
+	}
+	if err := CopyBox(block, grown, make([]float32, gd.Cells()), whole, whole, 1); err == nil {
+		t.Error("a box outside the destination must fail")
 	}
 }
 
@@ -360,8 +386,8 @@ func TestSubmesh(t *testing.T) {
 }
 
 // TestGhostGradientMatchesGlobal is the core distributed-memory
-// invariant: gradients computed on a ghost-grown block agree with the
-// global gradient on the block's interior.
+// invariant: gradients computed on a ghost-grown block equal the global
+// gradient bit for bit on the block's interior.
 func TestGhostGradientMatchesGlobal(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	gd := Dims{12, 10, 8}
@@ -372,38 +398,44 @@ func TestGhostGradientMatchesGlobal(t *testing.T) {
 	}
 	want := Gradient3D(f, m)
 
-	boxes, err := Decompose(gd, [3]int{3, 2, 2})
+	boxes, err := Split(gd, [3]int{3, 2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	whole := Extent{Hi: [3]int{gd.NX, gd.NY, gd.NZ}}
 	for _, box := range boxes {
 		grown := box.Grow(1, gd)
 		sub, err := Submesh(m, grown)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sf, err := ExtractField(f, gd, grown)
-		if err != nil {
+		sf := make([]float32, grown.Cells())
+		if err := CopyBox(sf, grown, f, whole, grown, 1); err != nil {
 			t.Fatal(err)
 		}
-		g := Gradient3D(sf, sub)
-		local := box.LocalTo(grown)
-		ld := grown.Dims()
-		for k := local.Lo[2]; k < local.Hi[2]; k++ {
-			for j := local.Lo[1]; j < local.Hi[1]; j++ {
-				for i := local.Lo[0]; i < local.Hi[0]; i++ {
-					lidx := ld.Index(i, j, k)
-					gidx := gd.Index(i+grown.Lo[0], j+grown.Lo[1], k+grown.Lo[2])
-					for c := 0; c < 3; c++ {
-						if !close32(g[4*lidx+c], want[4*gidx+c], 1e-5) {
-							t.Fatalf("block %v interior gradient mismatch at local (%d,%d,%d) comp %d: %v vs %v",
-								box, i, j, k, c, g[4*lidx+c], want[4*gidx+c])
+		got := make([]float32, len(want))
+		if err := CopyBox(got, whole, Gradient3D(sf, sub), grown, box, 4); err != nil {
+			t.Fatal(err)
+		}
+		for k := box.Lo[2]; k < box.Hi[2]; k++ {
+			for j := box.Lo[1]; j < box.Hi[1]; j++ {
+				for i := box.Lo[0]; i < box.Hi[0]; i++ {
+					gidx := gd.Index(i, j, k)
+					for c := 0; c < 4; c++ {
+						if !sameClass(got[4*gidx+c], want[4*gidx+c]) {
+							t.Fatalf("block %v interior gradient differs at (%d,%d,%d) comp %d: %v vs %v",
+								box, i, j, k, c, got[4*gidx+c], want[4*gidx+c])
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// sameClass reports equal bits, or NaN on both sides.
+func sameClass(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
 // TestGradientConvergenceOrder verifies the stencil's order of accuracy:

@@ -192,6 +192,7 @@ func runRank(cfg Config, rank int, blocks []host.GhostBlock, output []float32) (
 	}
 
 	var profile ocl.Profile
+	whole := mesh.Extent{Hi: [3]int{cfg.Domain.NX, cfg.Domain.NY, cfg.Domain.NZ}}
 	for bi := rank; bi < len(blocks); bi += cfg.Ranks {
 		b := blocks[bi]
 		res, err := eng.EvalOnMesh(cfg.Expression, b.Field.Mesh, map[string][]float32{
@@ -203,7 +204,9 @@ func runRank(cfg Config, rank int, blocks []host.GhostBlock, output []float32) (
 		if res.Width != 1 {
 			return rep, fmt.Errorf("par: rank %d: expression output width %d unsupported", rank, res.Width)
 		}
-		scatterInterior(output, cfg.Domain, b, res.Data)
+		if err := mesh.CopyBox(output, whole, res.Data, b.Grown, b.Box, 1); err != nil {
+			return rep, fmt.Errorf("par: rank %d block %d: %w", rank, bi, err)
+		}
 		rep.Blocks++
 		rep.Cells += b.Box.Cells()
 		profile = profile.Add(res.Profile)
@@ -213,22 +216,6 @@ func runRank(cfg Config, rank int, blocks []host.GhostBlock, output []float32) (
 	}
 	rep.Profile = profile
 	return rep, nil
-}
-
-// scatterInterior copies a block's interior cells from the ghost-grown
-// result into the global output array.
-func scatterInterior(global []float32, gd mesh.Dims, b host.GhostBlock, data []float32) {
-	local := b.Box.LocalTo(b.Grown)
-	ld := b.Grown.Dims()
-	for k := local.Lo[2]; k < local.Hi[2]; k++ {
-		gk := k + b.Grown.Lo[2]
-		for j := local.Lo[1]; j < local.Hi[1]; j++ {
-			gj := j + b.Grown.Lo[1]
-			src := ld.Index(local.Lo[0], j, k)
-			dst := gd.Index(b.Box.Lo[0], gj, gk)
-			copy(global[dst:dst+local.Hi[0]-local.Lo[0]], data[src:src+local.Hi[0]-local.Lo[0]])
-		}
-	}
 }
 
 // GoldenField computes the same derived field on the undecomposed global

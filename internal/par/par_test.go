@@ -11,18 +11,23 @@ import (
 
 // TestDistributedQCriterionSeamFree is the Figure 7 property: the
 // Q-criterion assembled from ghost-grown blocks processed by many ranks
-// equals the single-grid computation everywhere — including sub-grid
-// boundaries, which are only correct because of the ghost exchange.
+// equals the single-grid computation bit for bit everywhere — including
+// sub-grid boundaries, which are only correct because of the ghost
+// exchange — on an even split and on one where no axis divides evenly.
 func TestDistributedQCriterionSeamFree(t *testing.T) {
-	cfg := Config{
-		Domain:      mesh.Dims{NX: 24, NY: 18, NZ: 12},
-		Parts:       [3]int{3, 3, 2},
-		Ranks:       4,
-		GPUsPerNode: 2,
-		Ghost:       1,
-		Seed:        9,
-		MemScale:    64,
+	for _, cfg := range []Config{
+		{Domain: mesh.Dims{NX: 24, NY: 18, NZ: 12}, Parts: [3]int{3, 3, 2}},
+		{Domain: mesh.Dims{NX: 13, NY: 11, NZ: 7}, Parts: [3]int{3, 2, 2}},
+	} {
+		cfg.Ranks, cfg.GPUsPerNode, cfg.Ghost, cfg.Seed, cfg.MemScale = 4, 2, 1, 9, 64
+		assertBitExact(t, cfg)
 	}
+}
+
+// assertBitExact runs cfg distributed and compares every cell with the
+// single-grid golden: equal bits, or NaN on both sides.
+func assertBitExact(t *testing.T, cfg Config) {
+	t.Helper()
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -34,12 +39,18 @@ func TestDistributedQCriterionSeamFree(t *testing.T) {
 	if len(rep.Output) != len(golden) {
 		t.Fatalf("output size %d != %d", len(rep.Output), len(golden))
 	}
-	for i := range golden {
-		if d := math.Abs(float64(rep.Output[i] - golden[i])); d > 1e-4 {
+	for i, g := range golden {
+		if !sameClass(rep.Output[i], g) {
 			x, y, z := cfg.Domain.Coords(i)
-			t.Fatalf("seam at cell (%d,%d,%d): distributed %v vs golden %v", x, y, z, rep.Output[i], golden[i])
+			t.Fatalf("strategy %q, %v into %v: seam at cell (%d,%d,%d): distributed %v vs golden %v",
+				cfg.Strategy, cfg.Domain, cfg.Parts, x, y, z, rep.Output[i], g)
 		}
 	}
+}
+
+// sameClass reports equal bits, or NaN on both sides.
+func sameClass(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
 // TestGhostExchangeIsRequired double-checks the test above is meaningful:
@@ -64,7 +75,7 @@ func TestGhostExchangeIsRequired(t *testing.T) {
 	}
 	diffs := 0
 	for i := range golden {
-		if math.Abs(float64(rep.Output[i]-golden[i])) > 1e-4 {
+		if !sameClass(rep.Output[i], golden[i]) {
 			diffs++
 		}
 	}
@@ -166,46 +177,19 @@ func TestVelocityMagnitudeDistributed(t *testing.T) {
 		Expression: dfg.VelocityMagnitudeExpr,
 		Seed:       4,
 	}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, _, err := GoldenField(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range golden {
-		if rep.Output[i] != golden[i] {
-			t.Fatalf("velmag distributed mismatch at %d", i)
-		}
-	}
+	assertBitExact(t, cfg)
 }
 
 func TestDistributedWithStreamingBlocks(t *testing.T) {
 	// The distributed runner composes with the future-work streaming
 	// strategy: each rank streams its blocks tile by tile, and the
-	// assembled result still matches the single-grid computation.
-	cfg := Config{
-		Domain:   mesh.Dims{NX: 16, NY: 12, NZ: 12},
-		Parts:    [3]int{2, 2, 2},
-		Ranks:    3,
-		Ghost:    1,
-		Strategy: "streaming",
-		Seed:     6,
-		MemScale: 64,
-	}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, _, err := GoldenField(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range golden {
-		if math.Abs(float64(rep.Output[i]-golden[i])) > 1e-4 {
-			t.Fatalf("streaming distributed mismatch at %d", i)
-		}
+	// assembled result still equals the single-grid computation.
+	for _, cfg := range []Config{
+		{Domain: mesh.Dims{NX: 16, NY: 12, NZ: 12}, Parts: [3]int{2, 2, 2}},
+		{Domain: mesh.Dims{NX: 13, NY: 11, NZ: 7}, Parts: [3]int{3, 2, 2}},
+	} {
+		cfg.Ranks, cfg.Ghost, cfg.Strategy, cfg.Seed, cfg.MemScale = 3, 1, "streaming", 6, 64
+		assertBitExact(t, cfg)
 	}
 }
 

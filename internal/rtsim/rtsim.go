@@ -160,19 +160,16 @@ func (f *Field) SubField(e mesh.Extent) (*Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	u, err := mesh.ExtractField(f.U, f.Mesh.Dims, e)
-	if err != nil {
-		return nil, err
+	d := f.Mesh.Dims
+	whole := mesh.Extent{Hi: [3]int{d.NX, d.NY, d.NZ}}
+	var uvw [3][]float32
+	for c, src := range [3][]float32{f.U, f.V, f.W} {
+		uvw[c] = make([]float32, e.Cells())
+		if err := mesh.CopyBox(uvw[c], e, src, whole, e, 1); err != nil {
+			return nil, err
+		}
 	}
-	v, err := mesh.ExtractField(f.V, f.Mesh.Dims, e)
-	if err != nil {
-		return nil, err
-	}
-	w, err := mesh.ExtractField(f.W, f.Mesh.Dims, e)
-	if err != nil {
-		return nil, err
-	}
-	return &Field{Mesh: sm, U: u, V: v, W: w}, nil
+	return &Field{Mesh: sm, U: uvw[0], V: uvw[1], W: uvw[2]}, nil
 }
 
 // Grid is one row of the paper's Table I: a sub-grid of the RT time step

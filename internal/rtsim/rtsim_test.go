@@ -178,7 +178,7 @@ func TestFullTimeStep(t *testing.T) {
 	if domain != (mesh.Dims{NX: 3072, NY: 3072, NZ: 3072}) {
 		t.Fatalf("full domain: %v", domain)
 	}
-	boxes, err := mesh.Decompose(domain, parts)
+	boxes, err := mesh.Split(domain, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFullTimeStep(t *testing.T) {
 		t.Fatalf("sub-grid dims: %v", boxes[0].Dims())
 	}
 	sd, sp := FullTimeStep(4)
-	sb, err := mesh.Decompose(sd, sp)
+	sb, err := mesh.Split(sd, sp)
 	if err != nil {
 		t.Fatal(err)
 	}

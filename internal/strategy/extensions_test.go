@@ -177,36 +177,39 @@ func TestStreamingBadDims(t *testing.T) {
 	}
 }
 
-// TestTilePlanCuts pins streaming's cut rule: interiors tile [0, nz) in
-// order, cut at nz·t/count; each tile grows by the halo on both Z faces,
-// clipped to the domain; a count above nz clamps to nz.
-func TestTilePlanCuts(t *testing.T) {
-	const nx, ny, slab = 2, 3, 6
-	for _, tc := range []struct {
-		nz, count, halo int
-		cuts            []int // interior boundaries in z
-	}{
-		{nz: 10, count: 4, halo: 1, cuts: []int{0, 2, 5, 7, 10}},
-		{nz: 10, count: 1, halo: 1, cuts: []int{0, 10}},
-		{nz: 7, count: 3, halo: 0, cuts: []int{0, 2, 4, 7}},
-		{nz: 3, count: 5, halo: 1, cuts: []int{0, 1, 2, 3}},
-		{nz: 1, count: 4, halo: 1, cuts: []int{0, 1}},
-	} {
-		tiles := tilePlan(tileGeom{nx: nx, ny: ny, nz: tc.nz, halo: tc.halo}, tc.count)
-		if len(tiles) != len(tc.cuts)-1 {
-			t.Fatalf("nz=%d count=%d: %d tiles, want %d", tc.nz, tc.count, len(tiles), len(tc.cuts)-1)
+// TestStreamingClampsTilesToNZ: a tile count above the mesh's Z extent
+// clamps to one slab per Z layer before the split, as the recovery
+// ladder's streaming@256 needs on small meshes, and stays bitwise equal
+// to fusion. A flat element-wise network tiles N cells the same way.
+func TestStreamingClampsTilesToNZ(t *testing.T) {
+	bind, _ := qcritSetup(t, mesh.Dims{NX: 4, NY: 3, NZ: 5})
+	net, _ := expr.Compile(vortex.QCritExpr)
+	want, err := Execute(Fusion{}, cpuEnv(), net, bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tiles, kernels := range map[int]int{3: 3, 5: 5, 256: 5} {
+		res, err := Execute(Streaming{Tiles: tiles}, cpuEnv(), net, bind)
+		if err != nil {
+			t.Fatalf("tiles=%d: %v", tiles, err)
 		}
-		for i, tr := range tiles {
-			zLo, zHi := tc.cuts[i], tc.cuts[i+1]
-			gLo, gHi := max(zLo-tc.halo, 0), min(zHi+tc.halo, tc.nz)
-			want := tileRange{
-				gLo: gLo * slab, tileN: (gHi - gLo) * slab, nx: nx, ny: ny, nzTile: gHi - gLo,
-				intLo: (zLo - gLo) * slab, intN: (zHi - zLo) * slab, globalIntLo: zLo * slab,
-			}
-			if tr != want {
-				t.Fatalf("nz=%d count=%d tile %d: %+v, want %+v", tc.nz, tc.count, i, tr, want)
+		if res.Profile.Kernels != kernels {
+			t.Fatalf("tiles=%d on nz=5: %d kernels, want %d", tiles, res.Profile.Kernels, kernels)
+		}
+		for i := range want.Data {
+			if !sameClass(res.Data[i], want.Data[i]) {
+				t.Fatalf("tiles=%d: cell %d differs: %v vs %v", tiles, i, res.Data[i], want.Data[i])
 			}
 		}
+	}
+	flat := buildVelMag(t)
+	fb, _, _, _ := velMagBindings(rand.New(rand.NewSource(3)), 7)
+	res, err := Execute(Streaming{Tiles: 256}, cpuEnv(), flat, fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Profile.Kernels != 7 {
+		t.Fatalf("flat streaming@256 over 7 cells: %d kernels, want 7", res.Profile.Kernels)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"dfg/internal/codegen"
 	"dfg/internal/dataflow"
 	"dfg/internal/kernels"
+	"dfg/internal/mesh"
 	"dfg/internal/ocl"
 )
 
@@ -35,15 +36,19 @@ type Streaming struct {
 // Name returns "streaming".
 func (Streaming) Name() string { return "streaming" }
 
+// tiles returns the configured slab count with the default applied.
+func (s Streaming) tiles() int {
+	if s.Tiles < 1 {
+		return 4
+	}
+	return s.Tiles
+}
+
 // PlanVariant distinguishes plan-cache entries by slab count, so a
 // degradation ladder escalating tile counts never gets a stale plan
 // back from the shared cache.
 func (s Streaming) PlanVariant() string {
-	t := s.Tiles
-	if t < 1 {
-		t = 4
-	}
-	return fmt.Sprintf("streaming@%d", t)
+	return fmt.Sprintf("streaming@%d", s.tiles())
 }
 
 // streamingPlan holds the fused program plus the slab count; tile
@@ -64,19 +69,20 @@ func (s Streaming) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	tiles := s.Tiles
-	if tiles < 1 {
-		tiles = 4
-	}
-	return &streamingPlan{planBase: base, prog: prog, tiles: tiles}, nil
+	return &streamingPlan{planBase: base, prog: prog, tiles: s.tiles()}, nil
 }
 
-// Execute runs the plan's fused kernel slab by slab.
+// Execute runs the plan's fused kernel slab by slab: the domain is split
+// into min(tiles, NZ) Z slabs, and each slab grows by the stencil halo.
 func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	if err := p.beginRun(env, bind); err != nil {
 		return nil, err
 	}
-	geom, err := p.tileGeometry(bind)
+	domain, halo, err := p.tileGeometry(bind)
+	if err != nil {
+		return nil, err
+	}
+	slabs, err := mesh.Split(domain, [3]int{1, 1, min(p.tiles, domain.NZ)})
 	if err != nil {
 		return nil, err
 	}
@@ -85,11 +91,12 @@ func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	for i, w := range p.prog.OutWidths {
 		outs[i] = make([]float32, bind.N*w)
 	}
-	for t, tr := range tilePlan(geom, p.tiles) {
+	whole := mesh.Extent{Hi: [3]int{domain.NX, domain.NY, domain.NZ}}
+	for t, slab := range slabs {
 		if err := bind.canceled(); err != nil {
 			return nil, err
 		}
-		if err := p.runTile(env, bind, tr, outs); err != nil {
+		if err := p.runTile(env, bind, whole, slab, slab.Grow(halo, domain), outs); err != nil {
 			return nil, fmt.Errorf("streaming: tile %d: %w", t, err)
 		}
 	}
@@ -98,33 +105,28 @@ func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	return res, nil
 }
 
-// tileGeom captures the mesh shape and stencil halo for tiling.
-type tileGeom struct {
-	nx, ny, nz int
-	halo       int
-}
-
-// tileGeometry derives the tiling geometry from the plan and bindings:
-// stencil networks tile the mesh their dims source describes (beginRun
-// has checked that it covers N cells) with a one-cell halo; pure
-// element-wise networks tile the flat array.
-func (p *streamingPlan) tileGeometry(bind Bindings) (tileGeom, error) {
-	g := tileGeom{nx: 1, ny: 1, nz: bind.N}
+// tileGeometry derives the mesh to tile and its stencil halo from the
+// plan and bindings: stencil networks tile the mesh their dims source
+// describes (beginRun has checked that it covers N cells) with a one-cell
+// halo; pure element-wise networks tile the flat array as a 1 x 1 x N
+// mesh.
+func (p *streamingPlan) tileGeometry(bind Bindings) (domain mesh.Dims, halo int, err error) {
+	domain = mesh.Dims{NX: 1, NY: 1, NZ: bind.N}
 	for i, name := range p.dims {
-		d := bind.Sources[name].Data
-		if len(d) < 3 {
-			return g, fmt.Errorf("strategy: stencil network needs its dims source %q bound to tile", name)
+		v := bind.Sources[name].Data
+		if len(v) < 3 {
+			return domain, 0, fmt.Errorf("strategy: stencil network needs its dims source %q bound to tile", name)
 		}
-		nx, ny, nz := int(d[0]), int(d[1]), int(d[2])
-		if i > 0 && (nx != g.nx || ny != g.ny || nz != g.nz) {
-			return g, fmt.Errorf("strategy: dims sources %q and %q describe different meshes; streaming tiles one", p.dims[0], name)
+		d := mesh.Dims{NX: int(v[0]), NY: int(v[1]), NZ: int(v[2])}
+		if i > 0 && d != domain {
+			return domain, 0, fmt.Errorf("strategy: dims sources %q and %q describe different meshes; streaming tiles one", p.dims[0], name)
 		}
 		if p.perElement(name) {
-			return g, fmt.Errorf("strategy: source %q is both a stencil's dims and a per-element field; streaming cannot window it", name)
+			return domain, 0, fmt.Errorf("strategy: source %q is both a stencil's dims and a per-element field; streaming cannot window it", name)
 		}
-		g = tileGeom{nx: nx, ny: ny, nz: nz, halo: 1}
+		domain, halo = d, 1
 	}
-	return g, nil
+	return domain, halo, nil
 }
 
 // perElement reports whether an execution indexes the source per element.
@@ -137,57 +139,18 @@ func (p *streamingPlan) perElement(name string) bool {
 	return false
 }
 
-// tileRange describes one haloed Z slab in global element coordinates.
-type tileRange struct {
-	gLo         int // first global element of the haloed tile
-	tileN       int // elements in the haloed tile
-	nx, ny      int
-	nzTile      int // Z extent of the haloed tile
-	intLo       int // first interior element within the tile
-	intN        int // interior elements
-	globalIntLo int // first global element of the interior
-}
-
-// tilePlan splits the Z axis into count haloed slabs.
-func tilePlan(g tileGeom, count int) []tileRange {
-	if count > g.nz {
-		count = g.nz
-	}
-	slab := g.nx * g.ny
-	out := make([]tileRange, 0, count)
-	for t := 0; t < count; t++ {
-		zLo := g.nz * t / count
-		zHi := g.nz * (t + 1) / count
-		gLo := zLo - g.halo
-		if gLo < 0 {
-			gLo = 0
-		}
-		gHi := zHi + g.halo
-		if gHi > g.nz {
-			gHi = g.nz
-		}
-		out = append(out, tileRange{
-			gLo: gLo * slab, tileN: (gHi - gLo) * slab,
-			nx: g.nx, ny: g.ny, nzTile: gHi - gLo,
-			intLo: (zLo - gLo) * slab, intN: (zHi - zLo) * slab,
-			globalIntLo: zLo * slab,
-		})
-	}
-	return out
-}
-
-// runTile uploads the tile's source windows, launches the fused kernel
-// on the environment and copies the interior of each output (one per
-// root) into the matching global result array. Every source the kernel
-// indexes per element is windowed, however long the bound array is;
-// every stencil's dims source becomes the tile's own extents. Source
-// windows go through the resident path keyed by (name, window offset),
-// so with an arena attached an unchanged window skips its upload.
-func (p *streamingPlan) runTile(env *ocl.Env, bind Bindings, tr tileRange, outs [][]float32) error {
-	if err := bind.canceled(); err != nil {
-		return err
-	}
+// runTile uploads the haloed tile's source windows, launches the fused
+// kernel on the environment and copies the slab's interior of each output
+// (one per root) into the matching global result array. A tile spans X
+// and Y, so its cells are one contiguous run of the whole mesh and every
+// source the kernel indexes per element is windowed by a zero-copy slice,
+// however long the bound array is; every stencil's dims source becomes
+// the tile's own extents. Source windows go through the resident path
+// keyed by (name, window offset), so with an arena attached an unchanged
+// window skips its upload.
+func (p *streamingPlan) runTile(env *ocl.Env, bind Bindings, whole, slab, tile mesh.Extent, outs [][]float32) error {
 	prog := p.prog
+	lo, n := whole.Dims().Index(0, 0, tile.Lo[2]), tile.Cells()
 	bufs := make([]*ocl.Buffer, len(prog.Args))
 	defer func() {
 		for _, b := range bufs {
@@ -209,24 +172,25 @@ func (p *streamingPlan) runTile(env *ocl.Env, bind Bindings, tr tileRange, outs 
 			switch {
 			case slices.Contains(p.dims, a.Name):
 				// The tile is its own sub-mesh along Z.
-				data, stable = kernels.DimsArray(tr.nx, tr.ny, tr.nzTile), false
+				td := tile.Dims()
+				data, stable = kernels.DimsArray(td.NX, td.NY, td.NZ), false
 			case p.perElement(a.Name):
-				data = src.Data[tr.gLo*src.Width : (tr.gLo+tr.tileN)*src.Width]
+				data = src.Data[lo*src.Width : (lo+n)*src.Width]
 			}
-			key := fmt.Sprintf("%s@z%d+%d", a.Name, tr.gLo, tr.tileN)
+			key := fmt.Sprintf("%s@z%d+%d", a.Name, lo, n)
 			b, _, err := env.UploadResident(key, a.Name, data, src.Width, stable)
 			if err != nil {
 				return err
 			}
 			bufs[i] = b
 		case codegen.ArgScratch:
-			b, err := env.NewBuffer(a.Name, tr.tileN, a.Width)
+			b, err := env.NewBuffer(a.Name, n, a.Width)
 			if err != nil {
 				return err
 			}
 			bufs[i] = b
 		case codegen.ArgOut:
-			b, err := env.NewBuffer(a.Name, tr.tileN, a.Width)
+			b, err := env.NewBuffer(a.Name, n, a.Width)
 			if err != nil {
 				return err
 			}
@@ -235,7 +199,7 @@ func (p *streamingPlan) runTile(env *ocl.Env, bind Bindings, tr tileRange, outs 
 		}
 	}
 
-	if err := env.Run(prog.Kernel, tr.tileN, bufs, nil); err != nil {
+	if err := env.Run(prog.Kernel, n, bufs, nil); err != nil {
 		return err
 	}
 	for oi, b := range outBufs {
@@ -243,9 +207,9 @@ func (p *streamingPlan) runTile(env *ocl.Env, bind Bindings, tr tileRange, outs 
 		if err != nil {
 			return err
 		}
-		w := prog.OutWidths[oi]
-		outOff := tr.globalIntLo * w
-		copy(outs[oi][outOff:outOff+tr.intN*w], tileOut[tr.intLo*w:(tr.intLo+tr.intN)*w])
+		if err := mesh.CopyBox(outs[oi], whole, tileOut, tile, slab, prog.OutWidths[oi]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
