@@ -53,9 +53,9 @@ type BatchResult struct {
 // demultiplexes the roots. It shares the engine's single-goroutine
 // discipline and counts as one Prepared handle for arena draining.
 type PreparedBatch struct {
-	eng   *Engine
-	texts []string
-	bfp   string
+	eng *Engine
+	n   int // input texts, one Result each
+	bfp string
 
 	// solo is the single-distinct-member fast path: the batch is an
 	// ordinary prepared expression, evaluated solo (plan, recovery
@@ -112,7 +112,7 @@ func (e *Engine) PrepareBatchTraced(parent *obs.Span, texts []string) (*Prepared
 		if err != nil {
 			return nil, err
 		}
-		return &PreparedBatch{eng: e, texts: texts, bfp: solo.fp, solo: solo, members: 1}, nil
+		return &PreparedBatch{eng: e, n: len(texts), bfp: solo.fp, solo: solo, members: 1}, nil
 	}
 	merged, bfp, err := e.comp.MergeTraced(members, e.lvl, parent)
 	if err != nil {
@@ -140,7 +140,7 @@ func (e *Engine) PrepareBatchTraced(parent *obs.Span, texts []string) (*Prepared
 	}
 	*e.prepCount++
 	return &PreparedBatch{
-		eng: e, texts: texts, bfp: bfp,
+		eng: e, n: len(texts), bfp: bfp,
 		plan: plan, rootIdx: rootIdx, shared: merged.Shared, members: len(members),
 	}, nil
 }
@@ -194,7 +194,7 @@ func (pb *PreparedBatch) eval(ctx context.Context, sp *obs.Span, b binder) (*Bat
 		if err != nil {
 			return nil, err
 		}
-		out := &BatchResult{Results: make([]*Result, len(pb.texts)), Fingerprint: pb.bfp, Members: 1}
+		out := &BatchResult{Results: make([]*Result, pb.n), Fingerprint: pb.bfp, Members: 1}
 		for i := range out.Results {
 			out.Results[i] = res
 		}
@@ -218,7 +218,7 @@ func (pb *PreparedBatch) demux(res *Result) *BatchResult {
 		roots = []RootField{{Data: res.Data, Width: res.Width}}
 	}
 	out := &BatchResult{
-		Results:     make([]*Result, len(pb.texts)),
+		Results:     make([]*Result, pb.n),
 		Fingerprint: pb.bfp,
 		Shared:      pb.shared,
 		Members:     pb.members,

@@ -330,7 +330,10 @@ type Result struct {
 	Profile Profile
 	// PeakDeviceBytes is the device global-memory high-water mark.
 	PeakDeviceBytes int64
-	// Events is the raw device event log in enqueue order.
+	// Events is the raw device event log in enqueue order. One-shot
+	// evaluations (Engine.Eval, EvalOnMesh) and traced ones carry it; a
+	// warm untraced evaluation of a Prepared or PreparedBatch leaves it
+	// empty, and Profile still counts and times every event.
 	Events []Event
 	// Roots holds every root's output when the evaluated network was a
 	// merged multi-root super-network, in root order; nil for ordinary
@@ -386,8 +389,8 @@ func (e *Engine) EvalOnMesh(text string, m *Mesh, fields map[string][]float32) (
 
 // binder is what an evaluation binds: named arrays over n elements, or —
 // when mesh is set — cell-centered fields on it plus the mesh-derived
-// sources (dims, x, y, z). A value, so the warm path allocates nothing
-// for it.
+// sources (dims, x, y, z). A value, and bound by reference
+// (strategy.Bind), so the warm path allocates nothing for it.
 type binder struct {
 	n      int
 	inputs map[string][]float32
@@ -395,16 +398,9 @@ type binder struct {
 }
 
 func (b binder) bind(ctx context.Context) (strategy.Bindings, error) {
-	if b.mesh != nil {
-		bind, err := strategy.BindMesh(b.mesh, b.inputs)
-		bind.Ctx = ctx
-		return bind, err
-	}
-	bind := strategy.Bindings{N: b.n, Sources: make(map[string]strategy.Source, len(b.inputs)), Ctx: ctx}
-	for name, data := range b.inputs {
-		bind.Sources[name] = strategy.Source{Data: data, Width: 1}
-	}
-	return bind, nil
+	bind, err := strategy.Bind(b.n, b.inputs, b.mesh)
+	bind.Ctx = ctx
+	return bind, err
 }
 
 // job is what an evaluation runs. A one-shot Eval sets only text: the
@@ -493,6 +489,9 @@ func (e *Engine) runPlanOnce(j job, bind strategy.Bindings, sp *obs.Span, t0 tim
 		defer e.env.SetPool(nil)
 	}
 	es := sp.Child("execute")
+	// The per-event log feeds the trace's device tracks and one-shot
+	// Eval's Result.Events; a warm untraced run reads only the profile.
+	e.env.Queue().SetEventLog(es != nil || j.pool == nil)
 	res, err := j.plan.Execute(e.env, bind)
 	es.Finish()
 	if err != nil {

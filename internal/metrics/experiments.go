@@ -61,13 +61,13 @@ func (c Config) memScale() int64 {
 // strategies plus the paper's hand-written reference kernel.
 type Executor struct {
 	Name string
-	run  func(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, exprName string) (*strategy.Result, error)
+	run  func(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, exprName string) (strategy.Result, error)
 }
 
 // Run executes one case on the environment. exprName selects the
 // reference kernel when the executor is "reference"; the strategies use
 // the compiled network.
-func (e Executor) Run(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, exprName string) (*strategy.Result, error) {
+func (e Executor) Run(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, exprName string) (strategy.Result, error) {
 	return e.run(env, net, bind, exprName)
 }
 
@@ -78,7 +78,7 @@ func Executors() []Executor {
 		s, _ := strategy.ForName(name)
 		out = append(out, Executor{
 			Name: name,
-			run: func(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, _ string) (*strategy.Result, error) {
+			run: func(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, _ string) (strategy.Result, error) {
 				return strategy.Execute(s, env, net, bind)
 			},
 		})
@@ -95,17 +95,17 @@ func ExtendedExecutors() []Executor {
 	s := strategy.Streaming{Tiles: 8}
 	return append(Executors(), Executor{
 		Name: "streaming",
-		run: func(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, _ string) (*strategy.Result, error) {
+		run: func(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, _ string) (strategy.Result, error) {
 			return strategy.Execute(s, env, net, bind)
 		},
 	})
 }
 
 // runReference executes the hand-written kernel for the expression.
-func runReference(env *ocl.Env, _ *dataflow.Network, bind strategy.Bindings, exprName string) (*strategy.Result, error) {
+func runReference(env *ocl.Env, _ *dataflow.Network, bind strategy.Bindings, exprName string) (strategy.Result, error) {
 	k, argNames, err := vortex.ReferenceKernel(exprName)
 	if err != nil {
-		return nil, err
+		return strategy.Result{}, err
 	}
 	env.Reset()
 	bufs := make([]*ocl.Buffer, 0, len(argNames)+1)
@@ -117,27 +117,27 @@ func runReference(env *ocl.Env, _ *dataflow.Network, bind strategy.Bindings, exp
 	for _, name := range argNames {
 		src, ok := bind.Sources[name]
 		if !ok {
-			return nil, fmt.Errorf("metrics: reference kernel needs source %q", name)
+			return strategy.Result{}, fmt.Errorf("metrics: reference kernel needs source %q", name)
 		}
 		b, err := env.Upload(name, src.Data, src.Width)
 		if err != nil {
-			return nil, err
+			return strategy.Result{}, err
 		}
 		bufs = append(bufs, b)
 	}
 	out, err := env.NewBuffer("out", bind.N, 1)
 	if err != nil {
-		return nil, err
+		return strategy.Result{}, err
 	}
 	bufs = append(bufs, out)
 	if err := env.Run(k, bind.N, bufs, nil); err != nil {
-		return nil, err
+		return strategy.Result{}, err
 	}
 	data, err := env.Download(out)
 	if err != nil {
-		return nil, err
+		return strategy.Result{}, err
 	}
-	return &strategy.Result{
+	return strategy.Result{
 		Data: data, Width: 1,
 		Profile:   env.Profile(),
 		PeakBytes: env.PeakBytes(),
@@ -226,7 +226,7 @@ func RunCases(cfg Config) ([]CaseResult, error) {
 func runCase(cfg Config, spec ocl.DeviceSpec, ex Executor, exprName string, net *dataflow.Network, bind strategy.Bindings, g rtsim.Grid) CaseResult {
 	out := CaseResult{Expr: exprName, Opt: cfg.Opt, Exec: ex.Name, Device: spec.Type, Grid: g, Device1: spec.Name}
 	var devTimes []time.Duration
-	var last *strategy.Result
+	var last strategy.Result
 	for r := 0; r < cfg.Repeats; r++ {
 		env := ocl.NewEnv(ocl.NewDevice(spec))
 		res, err := ex.run(env, net, bind, exprName)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -13,12 +14,15 @@ import (
 // collisions across restarts are made unlikely by the millisecond
 // prefix.
 var (
-	traceSeq  atomic.Uint64
-	traceBase = uint64(time.Now().UnixMilli()) & 0xffffffff
+	traceSeq    atomic.Uint64
+	tracePrefix = fmt.Sprintf("%08x-", uint64(time.Now().UnixMilli())&0xffffffff)
 )
 
+// nextTraceID formats the next ID: the prefix and the hex sequence
+// number, in one allocation.
 func nextTraceID() string {
-	return fmt.Sprintf("%08x-%x", traceBase, traceSeq.Add(1))
+	var buf [32]byte
+	return string(strconv.AppendUint(append(buf[:0], tracePrefix...), traceSeq.Add(1), 16))
 }
 
 // ID returns the span's trace ID ("" on non-roots and nil spans).

@@ -197,13 +197,19 @@ func (t *Tracer) SetSlow(threshold time.Duration, fn func(*Span)) {
 	t.mu.Unlock()
 }
 
+// A root collects a request's attributes and its stage children; sizing
+// both once at Start keeps them from regrowing attribute by attribute
+// (a served request's root carries six attributes and three children).
+const rootAttrs, rootChildren = 8, 4
+
 // Start opens a root span. On a nil tracer it returns nil — the no-op
 // span — without touching the clock.
 func (t *Tracer) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{Name: name, Start: time.Now(), tracer: t, id: nextTraceID()}
+	return &Span{Name: name, Start: time.Now(), tracer: t, id: nextTraceID(),
+		Attrs: make([]Attr, 0, rootAttrs), Children: make([]*Span, 0, rootChildren)}
 }
 
 // publish files a finished root into the rings and fires the slow hook.

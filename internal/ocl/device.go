@@ -55,13 +55,15 @@ func (d *Device) GlobalMemSize() int64 { return d.spec.GlobalMemSize }
 // spawning a goroutine for; below it, fan-out overhead dominates.
 const minParallelGrain = 4096
 
-// execute runs fn over the global work range [0, n), split into
-// contiguous chunks across the device's worker pool, and returns the real
-// wall time taken. fn must be safe for concurrent invocation on disjoint
-// ranges. A panic in any chunk is re-raised here, on the launching
-// goroutine, once every chunk has returned: a panic that unwinds a
-// chunk's own goroutine ends the process, past every caller's recover.
-func (d *Device) execute(n int, fn func(lo, hi int)) time.Duration {
+// execute runs one kernel pass over the global work range [0, n), split
+// into contiguous chunks across the device's worker pool, and returns the
+// real wall time taken. The pass must be safe for concurrent invocation
+// on disjoint ranges. A launch that fits one chunk calls the pass on the
+// launching goroutine and allocates nothing. A panic in any chunk is
+// re-raised here, on the launching goroutine, once every chunk has
+// returned: a panic that unwinds a chunk's own goroutine ends the
+// process, past every caller's recover.
+func (d *Device) execute(n int, pass KernelFunc, views []View, scalars []float64) time.Duration {
 	start := time.Now()
 	if n <= 0 {
 		return time.Since(start)
@@ -71,7 +73,7 @@ func (d *Device) execute(n int, fn func(lo, hi int)) time.Duration {
 		workers = max
 	}
 	if workers <= 1 {
-		fn(0, n)
+		pass(0, n, views, scalars)
 		return time.Since(start)
 	}
 	chunk := (n + workers - 1) / workers
@@ -82,7 +84,7 @@ func (d *Device) execute(n int, fn func(lo, hi int)) time.Duration {
 			hi = n
 		}
 		l.wg.Add(1)
-		go l.run(fn, lo, hi)
+		go l.run(pass, views, scalars, lo, hi)
 	}
 	l.wg.Wait()
 	if l.panicked != nil {
@@ -100,14 +102,14 @@ type launch struct {
 }
 
 // run executes one chunk, keeping the launch's first panic.
-func (l *launch) run(fn func(lo, hi int), lo, hi int) {
+func (l *launch) run(pass KernelFunc, views []View, scalars []float64, lo, hi int) {
 	defer l.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			l.once.Do(func() { l.panicked = &chunkPanic{value: r, stack: debug.Stack()} })
 		}
 	}()
-	fn(lo, hi)
+	pass(lo, hi, views, scalars)
 }
 
 // chunkPanic is the value execute re-panics with: the original panic

@@ -102,6 +102,14 @@ func (e *Env) Download(src *Buffer) ([]float32, error) {
 	return dst, nil
 }
 
+// Views returns the environment's argument scratch, n zero views long:
+// the slice every kernel launch on the environment binds its buffers
+// into, lent to a host executor that binds a buffer table without a
+// launch. An environment runs one plan at a time, so a warm run binds its
+// arguments without allocating. The slice is valid until the next launch
+// or Views call.
+func (e *Env) Views(n int) []View { return e.q.scratch(n) }
+
 // Run launches the kernel over n elements (see Queue.Run).
 func (e *Env) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) error {
 	_, err := e.q.Run(k, n, bufs, scalars)

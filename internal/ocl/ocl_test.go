@@ -370,6 +370,55 @@ func TestSimulatedTimelineIsInOrder(t *testing.T) {
 	}
 }
 
+// TestEventLogOffFoldsProfileOnly: with the log off the same three
+// operations fold into an identical profile and timeline, and none is
+// kept; turning it back on logs again.
+func TestEventLogOffFoldsProfileOnly(t *testing.T) {
+	run := func(log bool) (Profile, time.Duration, []Event) {
+		env := NewEnv(testDevice())
+		env.Queue().SetEventLog(log)
+		b := env.Context().MustBuffer("x", 1024, 1)
+		env.Queue().WriteBuffer(b, make([]float32, 1024))
+		env.Run(addKernel(), 1024, []*Buffer{b, b, b}, nil)
+		env.Queue().ReadBuffer(make([]float32, 1024), b)
+		return env.Profile(), env.Queue().Now(), env.Queue().Events()
+	}
+	onProf, onNow, onEvs := run(true)
+	offProf, offNow, offEvs := run(false)
+	if len(onEvs) != 3 || offEvs != nil {
+		t.Fatalf("logged %d events with the log on and %d with it off, want 3 and none", len(onEvs), len(offEvs))
+	}
+	onProf.Wall, offProf.Wall = 0, 0 // real host time differs run to run
+	if onProf != offProf || onNow != offNow {
+		t.Fatalf("log off changed the profile or timeline: %+v at %v, want %+v at %v", offProf, offNow, onProf, onNow)
+	}
+}
+
+// TestWarmLaunchAllocatesNothing: a launch that fits one chunk binds its
+// buffers into the queue's argument scratch and calls the kernel on the
+// launching goroutine, so once the scratch and the event log have grown
+// it allocates nothing — and the scratch holds no buffer past it.
+func TestWarmLaunchAllocatesNothing(t *testing.T) {
+	env := NewEnv(testDevice())
+	b := env.Context().MustBuffer("x", 64, 1)
+	bufs := []*Buffer{b, b, b}
+	k := addKernel()
+	launch := func() {
+		env.Reset()
+		if err := env.Run(k, 64, bufs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, launch); allocs != 0 {
+		t.Fatalf("warm launch makes %.0f allocations, want 0", allocs)
+	}
+	for i, v := range env.Queue().views[:len(bufs)] {
+		if v.Data != nil {
+			t.Fatalf("argument scratch slot %d still holds a buffer's storage after the launch", i)
+		}
+	}
+}
+
 func TestCostModelOrdering(t *testing.T) {
 	// Given identical work, the modeled GPU kernel is clearly faster
 	// than the CPU kernel, while per-byte transfer costs are comparable
@@ -473,11 +522,11 @@ func TestExecuteCoversRangeExactlyOnce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(200_000)
 		marks := make([]int32, n)
-		dev.execute(n, func(lo, hi int) {
+		dev.execute(n, func(lo, hi int, _ []View, _ []float64) {
 			for i := lo; i < hi; i++ {
 				marks[i]++
 			}
-		})
+		}, nil, nil)
 		for _, m := range marks {
 			if m != 1 {
 				return false

@@ -2,6 +2,7 @@ package ocl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -55,24 +56,56 @@ func (e Event) Duration() time.Duration { return e.End - e.Start }
 // mirroring cl_command_queue. Every enqueue executes synchronously on the
 // host (the simulated device) and advances the queue's modeled timeline
 // by the cost model's duration for the operation.
+//
+// Every event folds into the queue's Profile. The event log — each event
+// kept in enqueue order, what Events returns — is on from NewQueue and
+// can be turned off (SetEventLog) by a caller that reads only the
+// profile, so a run that needs no per-event view copies none out.
 type Queue struct {
 	ctx *Context
+	// views is the argument scratch every launch binds its buffers into
+	// (see scratch). The queue is in order — one launch at a time — so a
+	// warm launch allocates no argument list.
+	views []View
 
 	mu     sync.Mutex
 	now    time.Duration
+	nolog  bool // SetEventLog(false): fold events into prof only
 	events []Event
 	prof   Profile
 }
 
-// NewQueue creates a profiling command queue on the context.
+// NewQueue creates a profiling command queue on the context, its event
+// log on.
 func NewQueue(ctx *Context) *Queue {
 	return &Queue{ctx: ctx}
+}
+
+// SetEventLog turns the per-event log on or off. Events recorded while it
+// is off fold into the profile — counts, bytes, modeled and wall times —
+// and are not kept.
+func (q *Queue) SetEventLog(on bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.nolog = !on
+}
+
+// scratch returns the queue's argument scratch, n zero views long. It is
+// valid until the next launch or scratch call.
+func (q *Queue) scratch(n int) []View {
+	if cap(q.views) < n {
+		q.views = make([]View, n)
+	}
+	v := q.views[:n]
+	clear(v)
+	return v
 }
 
 // Context returns the queue's context.
 func (q *Queue) Context() *Context { return q.ctx }
 
-// record appends the event and folds it into the running profile.
+// record folds the event into the running profile and, with the log on,
+// appends it to the log.
 func (q *Queue) record(kind EventKind, name string, bytes int64, n int, modeled, wall time.Duration) Event {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -87,7 +120,9 @@ func (q *Queue) record(kind EventKind, name string, bytes int64, n int, modeled,
 		Wall:       wall,
 	}
 	q.now = e.End
-	q.events = append(q.events, e)
+	if !q.nolog {
+		q.events = append(q.events, e)
+	}
 	q.prof.add(e)
 	return e
 }
@@ -133,7 +168,9 @@ func (q *Queue) ReadBuffer(dst []float32, src *Buffer) (Event, error) {
 // Run enqueues the kernel over a global work size of n elements
 // (clEnqueueNDRangeKernel with a 1-D range). The kernel body executes in
 // parallel on the simulated device; the recorded event carries the
-// modeled duration from the device cost model.
+// modeled duration from the device cost model. The buffers are bound
+// into the queue's argument scratch, so Run must not be called
+// concurrently on one queue.
 func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) (Event, error) {
 	passes := k.Passes
 	if len(passes) == 0 {
@@ -149,7 +186,7 @@ func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) (Event,
 	if n < 0 {
 		return Event{}, &ArgError{Kernel: k.Name, Index: -1, Reason: fmt.Sprintf("negative global size %d", n)}
 	}
-	views := make([]View, len(bufs))
+	views := q.scratch(len(bufs))
 	for i, b := range bufs {
 		if b == nil {
 			return Event{}, &ArgError{Kernel: k.Name, Index: i, Reason: "nil buffer"}
@@ -164,9 +201,9 @@ func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) (Event,
 	}
 	var wall time.Duration
 	for _, pass := range passes {
-		pass := pass
-		wall += q.ctx.dev.execute(n, func(lo, hi int) { pass(lo, hi, views, scalars) })
+		wall += q.ctx.dev.execute(n, pass, views, scalars)
 	}
+	clear(views) // hold no buffer's storage past the launch
 	return q.record(KernelEvent, k.Name, 0, n, q.ctx.dev.kernelTime(n, k.Cost), wall), nil
 }
 
@@ -181,13 +218,15 @@ func (q *Queue) Now() time.Duration {
 	return q.now
 }
 
-// Events returns a copy of all recorded events in enqueue order.
+// Events returns a copy of the logged events in enqueue order, or nil
+// when none were logged.
 func (q *Queue) Events() []Event {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]Event, len(q.events))
-	copy(out, q.events)
-	return out
+	if len(q.events) == 0 {
+		return nil
+	}
+	return slices.Clone(q.events)
 }
 
 // Profile returns a snapshot of the aggregated event profile.
@@ -197,11 +236,12 @@ func (q *Queue) Profile() Profile {
 	return q.prof
 }
 
-// Reset clears the event log, profile and simulated timeline.
+// Reset clears the event log, profile and simulated timeline. The log
+// keeps its storage for the next run.
 func (q *Queue) Reset() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.now = 0
-	q.events = nil
+	q.events = q.events[:0]
 	q.prof = Profile{}
 }

@@ -1124,9 +1124,14 @@ func (p *Pool) EvalAsync(ctx context.Context, req Request) <-chan Response {
 		timeout = p.cfg.DefaultTimeout
 	}
 	var cancel context.CancelFunc
-	if timeout > 0 {
+	switch {
+	case timeout > 0:
 		ctx, cancel = context.WithTimeout(ctx, timeout)
-	} else {
+	case ctx.Done() == nil:
+		// Nothing can end the request early, so there is no context of
+		// its own to derive and release.
+		cancel = func() {}
+	default:
 		ctx, cancel = context.WithCancel(ctx)
 	}
 

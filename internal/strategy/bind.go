@@ -56,12 +56,16 @@ func derivedFor(m *mesh.Mesh) *meshDerived {
 	return d
 }
 
-// BindMesh builds the bindings for an expression over cell-centered
-// fields on a mesh: the caller's field arrays plus the mesh-derived
-// sources the gradient primitive consumes — dims and the per-cell
-// center coordinate arrays x, y, z. This mirrors what the host
-// application (VisIt, in the paper) hands the framework for each
-// sub-grid. Caller-provided entries win on name collisions.
+// Bind binds caller arrays by reference, one float32 per element: the
+// map is read in place when the plan executes — never copied, never
+// written — so binding allocates nothing, which is what a warm
+// evaluation wants. With a nil mesh the arrays span n elements. With a
+// mesh they span its cells (n is ignored), each field must hold exactly
+// one value per cell, and the mesh-derived sources the gradient
+// primitive consumes — dims and the per-cell center coordinate arrays x,
+// y, z — are bound too. This mirrors what the host application (VisIt,
+// in the paper) hands the framework for each sub-grid. Fields win on
+// name collisions.
 //
 // The derived arrays are memoized per mesh (see meshDerivedCache), so
 // repeated binds over one mesh share the same backing arrays — which
@@ -69,27 +73,40 @@ func derivedFor(m *mesh.Mesh) *meshDerived {
 // keep them device-resident. Nothing writes them after construction, so
 // the bindings remember the memo (Bindings.stable) and the arena
 // recognizes those arrays by address, skipping even the content hash.
-func BindMesh(m *mesh.Mesh, fields map[string][]float32) (Bindings, error) {
+func Bind(n int, fields map[string][]float32, m *mesh.Mesh) (Bindings, error) {
+	if m == nil {
+		return Bindings{N: n, fields: fields}, nil
+	}
 	if err := m.Validate(); err != nil {
 		return Bindings{}, err
 	}
-	n := m.Cells()
-	d := derivedFor(m)
-	b := Bindings{
-		N: n,
-		Sources: map[string]Source{
-			"dims": {Data: d.dims, Width: 1},
-			"x":    {Data: d.x, Width: 1},
-			"y":    {Data: d.y, Width: 1},
-			"z":    {Data: d.z, Width: 1},
-		},
-		derived: d,
-	}
+	n = m.Cells()
 	for name, data := range fields {
 		if len(data) != n {
 			return Bindings{}, fmt.Errorf("strategy: field %q has %d values for a %d-cell mesh", name, len(data), n)
 		}
+	}
+	return Bindings{N: n, fields: fields, derived: derivedFor(m)}, nil
+}
+
+// BindMesh is Bind over a mesh made explicit: Sources names every bound
+// array — the caller's fields and dims, x, y, z — for callers that list
+// or edit the binding.
+func BindMesh(m *mesh.Mesh, fields map[string][]float32) (Bindings, error) {
+	b, err := Bind(0, fields, m)
+	if err != nil {
+		return Bindings{}, err
+	}
+	d := b.derived
+	b.Sources = map[string]Source{
+		"dims": {Data: d.dims, Width: 1},
+		"x":    {Data: d.x, Width: 1},
+		"y":    {Data: d.y, Width: 1},
+		"z":    {Data: d.z, Width: 1},
+	}
+	for name, data := range fields {
 		b.Sources[name] = Source{Data: data, Width: 1}
 	}
+	b.fields = nil
 	return b, nil
 }

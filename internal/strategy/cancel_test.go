@@ -74,7 +74,7 @@ func TestCancelMidExecution(t *testing.T) {
 		if err == nil {
 			// The run may legitimately win the race and finish; accept but
 			// require a complete result.
-			if res == nil || len(res.Data) == 0 {
+			if len(res.Data) == 0 {
 				t.Fatalf("%s: nil error but empty result", s.Name())
 			}
 		} else if !errors.Is(err, context.Canceled) {

@@ -52,64 +52,79 @@ func (Fusion) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	return &fusionPlan{planBase: base, prog: prog}, nil
 }
 
+// maxStackArgs is how many kernel arguments Execute binds without
+// allocating its argument list: every paper expression's fused kernel
+// takes fewer (Q-criterion: dims, x, y, z, u, v, w and out).
+const maxStackArgs = 16
+
 // Execute runs the fused kernel.
-func (p *fusionPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
+func (p *fusionPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	// Generation happened at plan time, on the host; every event from
 	// here on is device activity.
 	if err := p.beginRun(env, bind); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	n := bind.N
 	prog := p.prog
 
-	bufs := make([]*ocl.Buffer, len(prog.Args))
-	named := make(map[string]*ocl.Buffer, len(prog.Args))
-	defer releaseAll(named)
+	var stack [maxStackArgs]*ocl.Buffer
+	bufs := stack[:0]
+	if len(prog.Args) > len(stack) {
+		bufs = make([]*ocl.Buffer, 0, len(prog.Args))
+	}
+	defer func() {
+		for _, b := range bufs {
+			b.Release()
+		}
+	}()
 
-	var outBufs []*ocl.Buffer // one per root, in Roots() order
-	for i, a := range prog.Args {
+	for _, a := range prog.Args {
+		var b *ocl.Buffer
+		var err error
 		switch a.Kind {
 		case codegen.ArgSource:
-			src, err := bind.source(a.Name)
-			if err != nil {
-				return nil, err
+			var src Source
+			if src, err = bind.source(a.Name); err != nil {
+				return Result{}, err
 			}
-			b, _, err := env.UploadResident(a.Name, a.Name, src.Data, src.Width, bind.stable(src.Data))
-			if err != nil {
-				return nil, fmt.Errorf("fusion: source %q: %w", a.Name, err)
+			if b, _, err = env.UploadResident(a.Name, a.Name, src.Data, src.Width, bind.stable(src.Data)); err != nil {
+				return Result{}, fmt.Errorf("fusion: source %q: %w", a.Name, err)
 			}
-			bufs[i], named[a.Name] = b, b
 		case codegen.ArgScratch:
-			b, err := env.NewBuffer(a.Name, n, a.Width)
-			if err != nil {
-				return nil, fmt.Errorf("fusion: scratch %q: %w", a.Name, err)
+			if b, err = env.NewBuffer(a.Name, n, a.Width); err != nil {
+				return Result{}, fmt.Errorf("fusion: scratch %q: %w", a.Name, err)
 			}
-			bufs[i], named[a.Name] = b, b
 		case codegen.ArgOut:
-			b, err := env.NewBuffer(a.Name, n, a.Width)
-			if err != nil {
-				return nil, fmt.Errorf("fusion: output: %w", err)
+			if b, err = env.NewBuffer(a.Name, n, a.Width); err != nil {
+				return Result{}, fmt.Errorf("fusion: output: %w", err)
 			}
-			outBufs = append(outBufs, b)
-			bufs[i], named[a.Name] = b, b
 		}
+		bufs = append(bufs, b)
 	}
 
 	if err := env.Run(prog.Kernel, n, bufs, nil); err != nil {
-		return nil, fmt.Errorf("fusion: %w", err)
+		return Result{}, fmt.Errorf("fusion: %w", err)
 	}
-	fields := make([]Field, 0, len(outBufs))
-	for i, b := range outBufs {
-		data, err := env.Download(b)
-		if err != nil {
-			return nil, err
+	// Download every root's output, in Roots() order.
+	var out []float32
+	var roots []Field // multi-root runs only
+	for i, a := range prog.Args {
+		if a.Kind != codegen.ArgOut {
+			continue
 		}
-		fields = append(fields, Field{Data: data, Width: prog.OutWidths[i]})
+		data, err := env.Download(bufs[i])
+		if err != nil {
+			return Result{}, err
+		}
+		if out == nil {
+			out = data
+		}
+		if len(prog.OutWidths) > 1 {
+			roots = append(roots, Field{Data: data, Width: prog.OutWidths[len(roots)]})
+		}
 	}
-	res := finish(env, fields[0].Data, fields[0].Width)
-	if len(fields) > 1 {
-		res.Roots = fields
-	}
+	res := finish(env, out, prog.OutWidth)
+	res.Roots = roots
 	return res, nil
 }
 

@@ -36,7 +36,7 @@ type Plan interface {
 	// frees per call. All device buffers the plan allocates are released
 	// before it returns, success or failure (with an arena attached,
 	// "released" means recycled into the pool).
-	Execute(env *ocl.Env, bind Bindings) (*Result, error)
+	Execute(env *ocl.Env, bind Bindings) (Result, error)
 }
 
 // planBase carries what every plan precomputes.
@@ -181,12 +181,13 @@ func (p *planBase) beginRun(env *ocl.Env, bind Bindings) error {
 		if sn.perN {
 			need = bind.N
 		}
-		if src, ok := bind.Sources[sn.name]; ok && len(src.Data) > 0 && len(src.Data) < need {
+		if src, ok := bind.lookup(sn.name); ok && len(src.Data) > 0 && len(src.Data) < need {
 			return &ShortSourceError{Name: sn.name, Have: len(src.Data), Need: need}
 		}
 	}
 	for _, name := range p.dims {
-		if d := bind.Sources[name].Data; len(d) >= 3 && !dimsCover(d[0], d[1], d[2], bind.N) {
+		src, _ := bind.lookup(name)
+		if d := src.Data; len(d) >= 3 && !dimsCover(d[0], d[1], d[2], bind.N) {
 			return &DimsError{Name: name, NX: d[0], NY: d[1], NZ: d[2], N: bind.N}
 		}
 	}
@@ -217,10 +218,10 @@ func planKernels(order []*dataflow.Node, hostSide func(filter string) bool) (map
 // Plan/Bind/Execute pipeline on every run. The environment's profile
 // and peak-memory accounting are reset at entry, so the Result captures
 // exactly this run.
-func Execute(s Strategy, env *ocl.Env, net *dataflow.Network, bind Bindings) (*Result, error) {
+func Execute(s Strategy, env *ocl.Env, net *dataflow.Network, bind Bindings) (Result, error) {
 	p, err := s.Plan(net, env.Device())
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	return p.Execute(env, bind)
 }

@@ -58,9 +58,9 @@ func (Roundtrip) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 }
 
 // Execute runs the plan with per-primitive host round trips.
-func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
+func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	if err := p.beginRun(env, bind); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	n := bind.N
 
@@ -70,13 +70,13 @@ func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 
 	for _, node := range p.order {
 		if err := bind.canceled(); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		switch node.Filter {
 		case "source":
 			src, err := bind.source(node.ID)
 			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
 			host[node.ID] = src
 
@@ -101,7 +101,7 @@ func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 		default:
 			res, err := roundtripKernel(env, p.kernels[node.Filter], node, host, n)
 			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
 			host[node.ID] = res
 		}
@@ -109,14 +109,14 @@ func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 
 	out, ok := host[p.net.Output()]
 	if !ok {
-		return nil, fmt.Errorf("roundtrip: output %q was never computed", p.net.Output())
+		return Result{}, fmt.Errorf("roundtrip: output %q was never computed", p.net.Output())
 	}
 	res := finish(env, out.Data, out.Width)
 	if p.net.MultiRoot() {
 		for _, r := range p.net.Roots() {
 			h, ok := host[r]
 			if !ok {
-				return nil, fmt.Errorf("roundtrip: root %q was never computed", r)
+				return Result{}, fmt.Errorf("roundtrip: root %q was never computed", r)
 			}
 			res.Roots = append(res.Roots, Field{Data: h.Data, Width: h.Width})
 		}

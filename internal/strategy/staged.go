@@ -71,9 +71,9 @@ func (s Staged) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 }
 
 // Execute runs the plan with device-resident intermediates.
-func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
+func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	if err := p.beginRun(env, bind); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	n := bind.N
 
@@ -95,11 +95,11 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 		}
 		src, err := bind.source(node.ID)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		b, _, err := env.UploadResident(node.ID, node.ID, src.Data, src.Width, bind.stable(src.Data))
 		if err != nil {
-			return nil, fmt.Errorf("staged: source %q: %w", node.ID, err)
+			return Result{}, fmt.Errorf("staged: source %q: %w", node.ID, err)
 		}
 		bufs[node.ID] = b
 	}
@@ -118,7 +118,7 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 
 	for _, node := range p.order {
 		if err := bind.canceled(); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		if node.Filter == "source" {
 			continue
@@ -127,7 +127,7 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 
 		out, err := env.NewBuffer(node.ID, n, node.Width)
 		if err != nil {
-			return nil, fmt.Errorf("staged: node %q: %w", node.ID, err)
+			return Result{}, fmt.Errorf("staged: node %q: %w", node.ID, err)
 		}
 		bufs[node.ID] = out
 
@@ -147,7 +147,7 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 			for _, in := range node.Inputs {
 				b, ok := bufs[in]
 				if !ok {
-					return nil, fmt.Errorf("staged: node %q: input %q already released (refcount bug)", node.ID, in)
+					return Result{}, fmt.Errorf("staged: node %q: input %q already released (refcount bug)", node.ID, in)
 				}
 				args = append(args, b)
 			}
@@ -155,7 +155,7 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 		}
 
 		if err := env.Run(k, n, args, scalars); err != nil {
-			return nil, fmt.Errorf("staged: node %q: %w", node.ID, err)
+			return Result{}, fmt.Errorf("staged: node %q: %w", node.ID, err)
 		}
 
 		// Drain one reference per input connection.
@@ -170,11 +170,11 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 	for _, rid := range p.net.Roots() {
 		outBuf, ok := bufs[rid]
 		if !ok {
-			return nil, fmt.Errorf("staged: output %q was not retained (refcount bug)", rid)
+			return Result{}, fmt.Errorf("staged: output %q was not retained (refcount bug)", rid)
 		}
 		data, err := env.Download(outBuf)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		fields = append(fields, Field{Data: data, Width: p.net.NodeByID(rid).Width})
 		release(rid) // the sink's reference

@@ -45,19 +45,25 @@ func (s Source) Elems() int {
 }
 
 // Bindings maps the network's source names to host arrays and fixes the
-// global work size (one work item per mesh cell).
+// global work size (one work item per mesh cell). A binding is either
+// explicit — Sources names every bound array — or by reference (Bind):
+// the caller's field map, read in place, plus a mesh's derived arrays.
 type Bindings struct {
 	// N is the number of cells — the ND-range of every kernel.
 	N int
-	// Sources binds each source node name to its host array.
+	// Sources binds each source node name to its host array. When set,
+	// it is the whole binding.
 	Sources map[string]Source
 	// Ctx, when non-nil, is checked between kernel launches so a
 	// canceled or timed-out request stops mid-plan instead of running to
 	// completion. The partial run's buffers are released as on any other
 	// error path.
 	Ctx context.Context
-	// derived is the per-mesh memo BindMesh took dims, x, y and z from;
-	// nil for bindings made any other way.
+	// fields are Bind's caller arrays, one float32 per element, consulted
+	// when Sources is nil and ahead of the derived arrays.
+	fields map[string][]float32
+	// derived is the per-mesh memo dims, x, y and z come from; nil for
+	// bindings made without a mesh.
 	derived *meshDerived
 }
 
@@ -84,9 +90,34 @@ func (b Bindings) canceled() error {
 	return b.Ctx.Err()
 }
 
+// lookup resolves a bound name: from Sources when the binding is
+// explicit, else from the caller's fields, then the mesh's derived arrays.
+func (b Bindings) lookup(name string) (Source, bool) {
+	if b.Sources != nil {
+		s, ok := b.Sources[name]
+		return s, ok
+	}
+	if data, ok := b.fields[name]; ok {
+		return Source{Data: data, Width: 1}, true
+	}
+	if d := b.derived; d != nil {
+		switch name {
+		case "dims":
+			return Source{Data: d.dims, Width: 1}, true
+		case "x":
+			return Source{Data: d.x, Width: 1}, true
+		case "y":
+			return Source{Data: d.y, Width: 1}, true
+		case "z":
+			return Source{Data: d.z, Width: 1}, true
+		}
+	}
+	return Source{}, false
+}
+
 // source resolves a bound source by name.
 func (b Bindings) source(name string) (Source, error) {
-	s, ok := b.Sources[name]
+	s, ok := b.lookup(name)
 	if !ok {
 		return Source{}, fmt.Errorf("strategy: no binding for source %q", name)
 	}
@@ -110,7 +141,8 @@ type Result struct {
 	Profile ocl.Profile
 	// PeakBytes is the device global-memory high-water mark (Figure 6).
 	PeakBytes int64
-	// Events is the raw event log in enqueue order.
+	// Events is the raw event log in enqueue order; empty when the
+	// environment's queue log is off (ocl.Queue.SetEventLog).
 	Events []ocl.Event
 	// Resolved names the strategy that actually executed when the plan
 	// routes internally — the tiered plan sets it to the chosen tier
@@ -198,8 +230,8 @@ func Names() []string { return []string{"roundtrip", "staged", "fusion"} }
 func ExtendedNames() []string { return append(Names(), "streaming", "vm") }
 
 // finish collects the run's profile into the result.
-func finish(env *ocl.Env, data []float32, width int) *Result {
-	return &Result{
+func finish(env *ocl.Env, data []float32, width int) Result {
+	return Result{
 		Data:      data,
 		Width:     width,
 		Profile:   env.Profile(),
@@ -217,13 +249,13 @@ func releaseAll(bufs map[string]*ocl.Buffer) {
 	}
 }
 
-// fanOut records every root's output (outs and widths in the network's
-// Roots() order) on a multi-root run's result; a single-root result
-// carries Data alone.
-func (r *Result) fanOut(outs [][]float32, widths []int) {
+// fanOut records every root's output (in the network's Roots() order)
+// on a multi-root run's result; a single-root result carries Data alone.
+func (r *Result) fanOut(outs []ocl.View) {
 	if len(outs) > 1 {
+		r.Roots = make([]Field, len(outs))
 		for i, out := range outs {
-			r.Roots = append(r.Roots, Field{Data: out, Width: widths[i]})
+			r.Roots[i] = Field{Data: out.Data, Width: out.Width}
 		}
 	}
 }

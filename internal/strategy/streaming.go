@@ -74,34 +74,34 @@ func (s Streaming) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 
 // Execute runs the plan's fused kernel slab by slab: the domain is split
 // into min(tiles, NZ) Z slabs, and each slab grows by the stencil halo.
-func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
+func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	if err := p.beginRun(env, bind); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	domain, halo, err := p.tileGeometry(bind)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	slabs, err := mesh.Split(domain, [3]int{1, 1, min(p.tiles, domain.NZ)})
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
-	outs := make([][]float32, len(p.prog.OutWidths))
+	outs := make([]ocl.View, len(p.prog.OutWidths))
 	for i, w := range p.prog.OutWidths {
-		outs[i] = make([]float32, bind.N*w)
+		outs[i] = ocl.View{Data: make([]float32, bind.N*w), Elems: bind.N, Width: w}
 	}
 	whole := mesh.Extent{Hi: [3]int{domain.NX, domain.NY, domain.NZ}}
 	for t, slab := range slabs {
 		if err := bind.canceled(); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		if err := p.runTile(env, bind, whole, slab, slab.Grow(halo, domain), outs); err != nil {
-			return nil, fmt.Errorf("streaming: tile %d: %w", t, err)
+			return Result{}, fmt.Errorf("streaming: tile %d: %w", t, err)
 		}
 	}
-	res := finish(env, outs[0], p.prog.OutWidth)
-	res.fanOut(outs, p.prog.OutWidths)
+	res := finish(env, outs[0].Data, p.prog.OutWidth)
+	res.fanOut(outs)
 	return res, nil
 }
 
@@ -113,7 +113,8 @@ func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 func (p *streamingPlan) tileGeometry(bind Bindings) (domain mesh.Dims, halo int, err error) {
 	domain = mesh.Dims{NX: 1, NY: 1, NZ: bind.N}
 	for i, name := range p.dims {
-		v := bind.Sources[name].Data
+		src, _ := bind.lookup(name)
+		v := src.Data
 		if len(v) < 3 {
 			return domain, 0, fmt.Errorf("strategy: stencil network needs its dims source %q bound to tile", name)
 		}
@@ -148,7 +149,7 @@ func (p *streamingPlan) perElement(name string) bool {
 // the tile's own extents. Source windows go through the resident path
 // keyed by (name, window offset), so with an arena attached an unchanged
 // window skips its upload.
-func (p *streamingPlan) runTile(env *ocl.Env, bind Bindings, whole, slab, tile mesh.Extent, outs [][]float32) error {
+func (p *streamingPlan) runTile(env *ocl.Env, bind Bindings, whole, slab, tile mesh.Extent, outs []ocl.View) error {
 	prog := p.prog
 	lo, n := whole.Dims().Index(0, 0, tile.Lo[2]), tile.Cells()
 	bufs := make([]*ocl.Buffer, len(prog.Args))
@@ -207,7 +208,7 @@ func (p *streamingPlan) runTile(env *ocl.Env, bind Bindings, whole, slab, tile m
 		if err != nil {
 			return err
 		}
-		if err := mesh.CopyBox(outs[oi], whole, tileOut, tile, slab, prog.OutWidths[oi]); err != nil {
+		if err := mesh.CopyBox(outs[oi].Data, whole, tileOut, tile, slab, outs[oi].Width); err != nil {
 			return err
 		}
 	}

@@ -205,3 +205,78 @@ func TestBindMeshValidation(t *testing.T) {
 		t.Fatalf("binding shapes wrong: %+v", b)
 	}
 }
+
+// TestBindReadsInPlace: Bind reads the caller's map in place and
+// allocates nothing, resolves every name BindMesh would — caller fields
+// first, then the mesh's dims, x, y and z — and every strategy computes
+// the same bits from it as from BindMesh's explicit Sources.
+func TestBindReadsInPlace(t *testing.T) {
+	m := mesh.MustUniform(mesh.Dims{NX: 6, NY: 5, NZ: 4}, 1, 1, 1)
+	f := rtsim.Generate(m, rtsim.Options{Seed: 3})
+	fields := map[string][]float32{"u": f.U, "v": f.V, "w": f.W}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Bind(0, fields, m); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Bind over a mesh makes %.0f allocations, want 0", allocs)
+	}
+	ref, err := BindMesh(m, fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := Bind(0, fields, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazy.N != ref.N {
+		t.Fatalf("Bind spans %d cells, BindMesh %d", lazy.N, ref.N)
+	}
+	for name, want := range ref.Sources {
+		got, ok := lazy.lookup(name)
+		if !ok || &got.Data[0] != &want.Data[0] || len(got.Data) != len(want.Data) || got.Width != want.Width {
+			t.Fatalf("Bind resolves %q to a different array than BindMesh", name)
+		}
+	}
+
+	net, err := expr.Compile(vortex.QCritExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Strategy{Roundtrip{}, Staged{}, Fusion{}, Streaming{Tiles: 3}, VM{}, Tiered{Threshold: 64}} {
+		want, err := Execute(s, cpuEnv(), net, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Execute(s, cpuEnv(), net, lazy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s: cell %d differs between Bind and BindMesh", s.Name(), i)
+			}
+		}
+	}
+
+	// A caller's array wins over the mesh's, and is not taken for the
+	// never-rewritten memo; a binding without a mesh has only the fields.
+	own := make([]float32, m.Cells())
+	b, err := Bind(0, map[string][]float32{"x": own}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, _ := b.lookup("x"); &x.Data[0] != &own[0] || b.stable(x.Data) {
+		t.Fatal("a caller's x must win over the mesh's and not count as stable")
+	}
+	if y, _ := b.lookup("y"); !b.stable(y.Data) {
+		t.Fatal("the mesh's y must count as stable")
+	}
+	flat, _ := Bind(7, fields, nil)
+	if _, err := flat.source("dims"); flat.N != 7 || err == nil {
+		t.Fatalf("a binding without a mesh: N = %d, dims lookup error %v", flat.N, err)
+	}
+	if _, err := Bind(0, map[string][]float32{"u": make([]float32, 3)}, m); err == nil {
+		t.Fatal("a field shorter than the mesh must fail")
+	}
+}

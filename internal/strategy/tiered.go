@@ -72,7 +72,7 @@ func (t Tiered) Plan(net *dataflow.Network, dev *ocl.Device) (Plan, error) {
 // field names the tier that ran, so metrics and the perf database can
 // attribute the evaluation to the real execution path instead of the
 // opaque "tiered" label.
-func (p *tieredPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
+func (p *tieredPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	tier := p.dev
 	if bind.N > 0 && bind.N < p.threshold {
 		tier = p.vm

@@ -46,9 +46,9 @@ func (VM) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 // Execute runs the lowered program on the host. The environment is
 // reset as on any other strategy so the (empty) profile captures exactly
 // this run.
-func (p *vmPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
+func (p *vmPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	if err := p.beginRun(env, bind); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	src := func(name string) ([]float32, error) {
 		s, err := bind.source(name)
@@ -57,11 +57,13 @@ func (p *vmPlan) Execute(env *ocl.Env, bind Bindings) (*Result, error) {
 		}
 		return s.Data, nil
 	}
-	outs, err := p.prog.RunAll(bind.N, src, bind.canceled)
+	views := env.Views(p.prog.NumBuffers())
+	defer clear(views) // hold no array past the run
+	outs, err := p.prog.RunAll(views, bind.N, src, bind.canceled)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	res := finish(env, outs[0], p.prog.OutWidth)
-	res.fanOut(outs, p.prog.OutWidths)
+	res := finish(env, outs[0].Data, outs[0].Width)
+	res.fanOut(outs)
 	return res, nil
 }

@@ -343,7 +343,7 @@ func FuzzVMDifferential(f *testing.F) {
 
 // usedVM reports whether a Result came from the host VM tier: a VM run
 // touches the device for nothing, so its profile carries no events.
-func usedVM(r *Result) bool {
+func usedVM(r Result) bool {
 	return r.Profile.Kernels == 0 && r.Profile.Writes == 0 && r.Profile.Reads == 0
 }
 

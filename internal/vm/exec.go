@@ -35,26 +35,29 @@ type SourceFn func(name string) ([]float32, error)
 // non-nil, is checked between passes (the analogue of the device
 // strategies' between-launch cancellation points). Register and scratch
 // storage is drawn from the package scratch pool and returned before Run
-// exits, so warm evaluations allocate nothing beyond the output
-// array(s).
+// exits.
 func (p *Program) Run(n int, src SourceFn, canceled func() error) ([]float32, error) {
-	outs, err := p.RunAll(n, src, canceled)
+	outs, err := p.RunAll(make([]ocl.View, len(p.buffers)), n, src, canceled)
 	if err != nil {
 		return nil, err
 	}
-	return outs[0], nil
+	return outs[0].Data, nil
 }
 
-// RunAll is Run returning every root's output array, in the compiled
-// network's Roots() order — one entry for ordinary programs, one per
-// member for merged super-networks. All roots are produced by the same
-// single sweep over the mesh: shared subtrees execute once.
-func (p *Program) RunAll(n int, src SourceFn, canceled func() error) ([][]float32, error) {
+// RunAll is Run binding the buffer table into views — the caller's
+// scratch, at least NumBuffers long, so a caller that evaluates
+// repeatedly binds without allocating — and returning every root's
+// output, in the compiled network's Roots() order: one entry for
+// ordinary programs, one per member for merged super-networks. The
+// outputs are views' trailing entries, valid until views is reused; their
+// Data arrays are freshly allocated and the caller's to keep, and they
+// are all a warm run allocates. All roots are produced by the same single
+// sweep over the mesh: shared subtrees execute once.
+func (p *Program) RunAll(views []ocl.View, n int, src SourceFn, canceled func() error) ([]ocl.View, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("vm: global work size must be positive, got %d", n)
 	}
-	views := make([]ocl.View, len(p.buffers))
-	outs := make([][]float32, 0, len(p.OutWidths))
+	views = views[:len(p.buffers)]
 	for i, spec := range p.buffers {
 		var data []float32
 		switch spec.Kind {
@@ -71,7 +74,6 @@ func (p *Program) RunAll(n int, src SourceFn, canceled func() error) ([][]float3
 			defer PutScratch(data)
 		case BufOut:
 			data = make([]float32, n*spec.Width)
-			outs = append(outs, data)
 		}
 		views[i] = ocl.View{Data: data, Elems: n, Width: spec.Width}
 	}
@@ -83,7 +85,7 @@ func (p *Program) RunAll(n int, src SourceFn, canceled func() error) ([][]float3
 		}
 		p.RunPass(pi, 0, n, views)
 	}
-	return outs, nil
+	return views[len(views)-len(p.OutWidths):], nil
 }
 
 // RunPass executes one pass over elements [lo, hi) in register-sized

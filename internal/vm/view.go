@@ -117,6 +117,10 @@ func (p *Program) SlabLen() int { return p.slabLen }
 // Buffers returns the program's buffer table (a copy).
 func (p *Program) Buffers() []BufferSpec { return append([]BufferSpec(nil), p.buffers...) }
 
+// NumBuffers is the length of the buffer table: how many views RunAll
+// binds.
+func (p *Program) NumBuffers() int { return len(p.buffers) }
+
 // valueKind is how the view holds a virtual register.
 type valueKind uint8
 

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -174,6 +175,43 @@ func TestRunBasics(t *testing.T) {
 	}
 	if _, err := prog.Run(n, short, nil); err == nil {
 		t.Fatal("short source must fail")
+	}
+}
+
+// TestRunAllReusesViews: programs of different buffer tables run in turn
+// through one views slice compute the bits a fresh Run does, and a warm
+// RunAll allocates only its output array.
+func TestRunAllReusesViews(t *testing.T) {
+	src, n := meshSources(t, mesh.Dims{NX: 6, NY: 5, NZ: 4})
+	progs := []*Program{compileText(t, vortex.QCritExpr), compileText(t, vortex.VelMagExpr), compileText(t, "s = u*u\nr = norm(grad3d(s, dims, x, y, z))")}
+	views := make([]ocl.View, 0, 64)
+	for round := 0; round < 2; round++ {
+		for _, prog := range progs {
+			want, err := prog.Run(n, src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, err := prog.RunAll(views[:cap(views)], n, src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(outs) != 1 || len(outs[0].Data) != len(want) || outs[0].Width != prog.OutWidth {
+				t.Fatalf("RunAll returned %d outputs, first %d floats wide %d", len(outs), len(outs[0].Data), outs[0].Width)
+			}
+			for i, v := range want {
+				if math.Float32bits(outs[0].Data[i]) != math.Float32bits(v) {
+					t.Fatalf("element %d differs through reused views", i)
+				}
+			}
+		}
+	}
+	prog := progs[0]
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := prog.RunAll(views[:cap(views)], n, src, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("warm RunAll makes %.0f allocations, want the output's 1", allocs)
 	}
 }
 

@@ -330,43 +330,109 @@ func TestColdPrepareAllocBudget(t *testing.T) {
 	}
 }
 
-// TestWarmFusionGoHeapGate is the Go-heap half of the warm gate (the
-// arena counters above only see device buffers): a warm Plan.Execute of
-// Q-criterion under fusion on an 8³ mesh — one launch chunk, so the
-// count is deterministic — may allocate the output array plus small
-// bookkeeping, and no more objects than the same call made before the
-// executor's register slab moved to the scratch pool (306 808 B per op,
-// measured through Prepared.EvalMesh) — and exactly the 13 objects the
-// repo benchmark's small_hot workload reads, so the evaluation core
-// cannot gain one unnoticed.
-func TestWarmFusionGoHeapGate(t *testing.T) {
-	eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "fusion"})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestWarmEvalAllocatesItsAnswer is the warm path's Go-heap gate (the
+// arena counters above only see device buffers). Once the arena and the
+// scratch pool are warm, an untraced evaluation allocates its answer and
+// nothing else: the output array and the *Result, in objects and in
+// bytes. It covers the device strategy and the host VM over a mesh
+// (Q-criterion on 8³, one launch chunk, so the count is deterministic)
+// and named arrays (Prepared.Eval). Before bindings were read in place,
+// launches bound into reused scratch and the event log was kept only
+// for traced and one-shot runs, the fusion mesh case made 13
+// allocations (3 716 B): the figure the repo benchmark's small_hot
+// workload read.
+func TestWarmEvalAllocatesItsAnswer(t *testing.T) {
 	m, fields := qcritOnMesh(t, 8)
-	pr, err := eng.Prepare(dfg.QCriterionExpr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	eval := func() {
-		if _, err := pr.EvalMesh(m, fields); err != nil {
+	const n = 4096
+	inputs := evalInputs(n)
+	for _, tc := range []struct {
+		strategy, text string
+		cells          int
+		eval           func(*dfg.Prepared) (*dfg.Result, error)
+	}{
+		{"fusion", dfg.QCriterionExpr, m.Cells(), func(pr *dfg.Prepared) (*dfg.Result, error) { return pr.EvalMesh(m, fields) }},
+		{"vm", dfg.QCriterionExpr, m.Cells(), func(pr *dfg.Prepared) (*dfg.Result, error) { return pr.EvalMesh(m, fields) }},
+		{"fusion", "m = sqrt(u*u + v*v + w*w)", n, func(pr *dfg.Prepared) (*dfg.Result, error) { return pr.Eval(n, inputs) }},
+	} {
+		eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: tc.strategy})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	eval() // cold: fills the arena and the scratch pool
+		pr, err := eng.Prepare(tc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *dfg.Result
+		eval := func() {
+			if res, err = tc.eval(pr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eval() // cold: fills the arena and the scratch pool
 
-	const runs = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, eval)
-	runtime.ReadMemStats(&after)
-	perOp := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up with one extra call
-	if outBytes := uint64(m.Cells() * 4); perOp > outBytes+4<<10 {
-		t.Errorf("warm eval allocates %d B/op, want at most the %d B output + 4 KB", perOp, outBytes)
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, eval)
+		runtime.ReadMemStats(&after)
+		pr.Close()
+		perOp := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up with one extra call
+		if allocs > 2 {
+			t.Errorf("%s %q: warm eval makes %.0f allocations/op, want the output and the *Result", tc.strategy, tc.text, allocs)
+		}
+		if answer := uint64(tc.cells*4) + 256; perOp > answer {
+			t.Errorf("%s %q: warm eval allocates %d B/op, want at most the %d B output plus the *Result", tc.strategy, tc.text, perOp, tc.cells*4)
+		}
+		if len(res.Events) != 0 {
+			t.Errorf("%s %q: warm untraced eval copied out %d device events", tc.strategy, tc.text, len(res.Events))
+		}
 	}
-	if allocs > 13 {
-		t.Errorf("warm eval makes %.0f allocations/op, want at most 13", allocs)
+}
+
+// TestWarmEventLogOnlyWhenRead: a warm untraced evaluation leaves
+// Result.Events empty while its Profile still counts the run; a traced
+// warm evaluation and a one-shot Eval carry the per-event log, one event
+// per profiled operation.
+func TestWarmEventLogOnlyWhenRead(t *testing.T) {
+	const n = 1024
+	inputs := evalInputs(n)
+	plain, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "fusion"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, _, _ := instrumentedEngine(t)
+	for _, tc := range []struct {
+		name    string
+		eng     *dfg.Engine
+		prepare bool
+		logged  bool
+	}{
+		{"warm untraced", plain, true, false},
+		{"warm traced", traced, true, true},
+		{"one-shot", plain, false, true},
+	} {
+		var res *dfg.Result
+		if tc.prepare {
+			pr, err := tc.eng.Prepare("m = u + v*w")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ { // the second run is warm
+				if res, err = pr.Eval(n, inputs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pr.Close()
+		} else if res, err = tc.eng.Eval("m = u + v*w", n, inputs); err != nil {
+			t.Fatal(err)
+		}
+		if res.Profile.Kernels != 1 || res.Profile.Reads != 1 {
+			t.Fatalf("%s: profile %+v, want one kernel and one read", tc.name, res.Profile)
+		}
+		if got, want := len(res.Events), res.Profile.Events(); tc.logged && got != want {
+			t.Fatalf("%s: %d logged events, profile counts %d", tc.name, got, want)
+		} else if !tc.logged && got != 0 {
+			t.Fatalf("%s: %d logged events, want none", tc.name, got)
+		}
 	}
 }
