@@ -23,10 +23,13 @@
 //
 // The translation itself — pass assignment, materialization, the buffer
 // table, instruction order — is internal/vm's Lower. This package is
-// three views of that one lowered program: it renders the OpenCL C text
-// from the instructions (source.go), folds the device model's ocl.Cost
-// from them (cost.go), and wraps vm's executor, run range by range over
-// the launch's buffer views, as the simulated device's kernel body.
+// three views of that one lowered program: it folds the device model's
+// ocl.Cost from the instructions (cost.go), wraps vm's executor, run
+// range by range over the launch's buffer views, as the simulated
+// device's kernel body, and renders the OpenCL C text from the
+// instructions (source.go). The text is rendered on read — by Fuse or
+// Program.Render — not per plan: the strategies plan with Build, and
+// nothing on the evaluation path reads the source.
 package codegen
 
 import (
@@ -55,18 +58,21 @@ const (
 	ArgOut = vm.BufOut
 )
 
-// Program is a generated fused kernel: its OpenCL C source, the
-// executable kernel for the simulated device, and the buffer argument
-// plan the execution strategy binds.
+// Program is a generated fused kernel: the executable kernel for the
+// simulated device, the buffer argument plan the execution strategy
+// binds, and the lowering its OpenCL C source is rendered from.
 //
 // A multi-root super-network fuses to one kernel with several ArgOut
 // buffers, in the same order as the network's Roots(); single-root
 // networks keep exactly one ArgOut named "out".
 type Program struct {
-	// Source is the complete generated OpenCL C source.
+	// Source is the complete generated OpenCL C source. Fuse fills it;
+	// a Build program (what the strategies plan with) leaves it empty,
+	// and Render produces the same text on demand.
 	Source string
 	// Kernel executes the fusion (single dispatch; multiple passes only
-	// in the materialization case).
+	// in the materialization case). Its Source is the same text as
+	// Source.
 	Kernel *ocl.Kernel
 	// Exec is the lowered program the kernel's passes run — the same
 	// executor the vm strategy drives without the device.
@@ -80,30 +86,42 @@ type Program struct {
 	// OutWidths holds every root's element width, in Roots() order.
 	// len(OutWidths) == 1 except for merged super-networks.
 	OutWidths []int
+
+	name string
+	low  *vm.Lowering
 }
 
 // Fuse generates the fused kernel program for a validated network with a
-// designated output. name tags the generated kernel (e.g. "qcrit" gives
-// "kfused_qcrit").
+// designated output, source text included. name tags the generated
+// kernel (e.g. "qcrit" gives "kfused_qcrit").
 func Fuse(net *dataflow.Network, name string) (*Program, error) {
+	p, err := Build(net, name)
+	if err != nil {
+		return nil, err
+	}
+	p.Source = p.Render()
+	p.Kernel.Source = p.Source
+	return p, nil
+}
+
+// Build generates the fused kernel program without rendering its
+// source: the lowering, its ocl.Cost and the executable kernel. Render
+// produces the text Fuse would have filled in.
+func Build(net *dataflow.Network, name string) (*Program, error) {
 	low, err := vm.Lower(net)
 	if err != nil {
 		return nil, err
 	}
-	g := &generator{name: name, low: low, expr: make([]string, low.NumVRegs)}
 	exec := low.Program()
 	fns := make([]ocl.KernelFunc, len(low.Passes))
 	for p := range fns {
 		fns[p] = func(lo, hi int, bufs []ocl.View, _ []float64) { exec.RunPass(p, lo, hi, bufs) }
 	}
-	src := g.renderSource()
 	return &Program{
-		Source: src,
 		Kernel: &ocl.Kernel{
 			Name:    "kfused_" + name,
-			Source:  src,
 			NumBufs: len(low.Buffers),
-			Cost:    g.cost(),
+			Cost:    cost(low),
 			Passes:  fns,
 		},
 		Exec:      exec,
@@ -111,11 +129,20 @@ func Fuse(net *dataflow.Network, name string) (*Program, error) {
 		NumPasses: len(fns),
 		OutWidth:  exec.OutWidth,
 		OutWidths: exec.OutWidths,
+		name:      name,
+		low:       low,
 	}, nil
 }
 
-// generator holds one fusion's state: the lowered program its views are
-// rendered from.
+// Render returns the program's OpenCL C source, rendered from the
+// retained lowering. It is safe to call concurrently.
+func (p *Program) Render() string {
+	g := &generator{name: p.name, low: p.low, expr: make([]string, p.low.NumVRegs)}
+	return g.renderSource()
+}
+
+// generator holds one rendering's state: the lowered program the source
+// is rendered from.
 type generator struct {
 	name string
 	low  *vm.Lowering

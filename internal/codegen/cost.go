@@ -3,14 +3,14 @@ package codegen
 import (
 	"dfg/internal/kernels"
 	"dfg/internal/ocl"
+	"dfg/internal/vm"
 )
 
 // passCost folds one pass's per-element cost from its instructions: the
 // primitives' costs summed, minus the global loads and stores fusion
 // keeps in registers.
-func (g *generator) passCost(p int) ocl.Cost {
+func passCost(pass []vm.Instr) ocl.Cost {
 	var cost ocl.Cost
-	pass := g.low.Passes[p]
 	for i := range pass {
 		in := &pass[i]
 		switch in.Filter() {
@@ -36,10 +36,10 @@ func (g *generator) passCost(p int) ocl.Cost {
 }
 
 // cost prices the whole kernel: the per-pass costs summed.
-func (g *generator) cost() ocl.Cost {
+func cost(low *vm.Lowering) ocl.Cost {
 	var total ocl.Cost
-	for p := range g.low.Passes {
-		total = total.Add(g.passCost(p))
+	for _, pass := range low.Passes {
+		total = total.Add(passCost(pass))
 	}
 	return total
 }

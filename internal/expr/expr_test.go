@@ -128,6 +128,20 @@ func TestLexerLocations(t *testing.T) {
 	}
 }
 
+// TestLexAllocatesOnlyTokens: every token's text is a substring of the
+// input and a NUMBER carries no boxed value, so lexing the Q-criterion
+// allocates its token slice and nothing else.
+func TestLexAllocatesOnlyTokens(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := lex(vortex.QCritExpr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("lex(QCritExpr) makes %.0f allocations, want 1 (the token slice)", allocs)
+	}
+}
+
 func TestCompileVelMag(t *testing.T) {
 	net, err := Compile(vortex.VelMagExpr)
 	if err != nil {

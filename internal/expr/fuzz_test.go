@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzParse drives the lexer, the LALR driver, and the network builder
-// with arbitrary input: nothing may panic, and every accepted program
-// must compile into a valid network. `go test` exercises the seed
-// corpus; `go test -fuzz=FuzzParse ./internal/expr` explores further.
+// with arbitrary input: nothing may panic, every token's text is the
+// input at its position, and every accepted program must compile into a
+// valid network. `go test` exercises the seed corpus; `go test
+// -fuzz=FuzzParse ./internal/expr` explores further.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		vortex.VelMagExpr,
@@ -37,6 +38,12 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
+		toks, _ := lex(input)
+		for _, tok := range toks {
+			if end := tok.Pos + len(tok.Text); end > len(input) || input[tok.Pos:end] != tok.Text {
+				t.Fatalf("token %q at %d is not the input there\ninput: %q", tok.Text, tok.Pos, input)
+			}
+		}
 		p, err := Parse(input)
 		if err != nil {
 			return // rejection is fine; panics are not

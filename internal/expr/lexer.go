@@ -45,8 +45,11 @@ func lex(input string) ([]lalr.Token, error) {
 	i := 0
 	n := len(input)
 
-	push := func(sym, text string, val any) {
-		toks = append(toks, lalr.Token{Sym: sym, Text: text, Pos: i, Line: line, Col: col, Val: val})
+	// Every token's Text is a substring of the input and its Sym is a
+	// keyword, a symbol constant or that same substring, so the token
+	// slice is lex's only allocation.
+	push := func(sym, text string, at int) {
+		toks = append(toks, lalr.Token{Sym: sym, Text: text, Pos: at, Line: line, Col: col})
 	}
 
 	for i < n {
@@ -54,7 +57,7 @@ func lex(input string) ([]lalr.Token, error) {
 		col++
 		switch {
 		case ch == '\n' || ch == ';':
-			push(symSep, string(ch), nil)
+			push(symSep, input[i:i+1], i)
 			if ch == '\n' {
 				line++
 				col = 0
@@ -76,7 +79,7 @@ func lex(input string) ([]lalr.Token, error) {
 			if kw, ok := keywords[word]; ok {
 				sym = kw
 			}
-			push(sym, word, nil)
+			push(sym, word, start)
 			col += len(word) - 1
 		case ch >= '0' && ch <= '9' || ch == '.':
 			start := i
@@ -97,18 +100,18 @@ func lex(input string) ([]lalr.Token, error) {
 				}
 			}
 			text := input[start:i]
-			v, err := strconv.ParseFloat(text, 64)
-			if err != nil {
+			// The grammar's actions parse the value again from Text.
+			if _, err := strconv.ParseFloat(text, 64); err != nil {
 				return nil, &LexError{Line: line, Col: col, Msg: fmt.Sprintf("bad number %q", text)}
 			}
-			push(symNumber, text, v)
+			push(symNumber, text, start)
 			col += len(text) - 1
 		case ch == '>' || ch == '<' || ch == '=' || ch == '!':
 			// Relational operators and assignment; two-character forms
 			// (>=, <=, ==, !=) win over their one-character prefixes.
 			if i+1 < n && input[i+1] == '=' {
 				op := input[i : i+2]
-				push(string(op), string(op), nil)
+				push(op, op, i)
 				i += 2
 				col++
 				break
@@ -116,10 +119,10 @@ func lex(input string) ([]lalr.Token, error) {
 			if ch == '!' {
 				return nil, &LexError{Line: line, Col: col, Msg: "unexpected character '!' (did you mean !=?)"}
 			}
-			push(string(ch), string(ch), nil)
+			push(input[i:i+1], input[i:i+1], i)
 			i++
 		case strings.ContainsRune("+-*/()[],", rune(ch)):
-			push(string(ch), string(ch), nil)
+			push(input[i:i+1], input[i:i+1], i)
 			i++
 		default:
 			return nil, &LexError{Line: line, Col: col, Msg: fmt.Sprintf("unexpected character %q", ch)}

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"dfg/internal/lalr"
@@ -57,7 +58,7 @@ func grammar() *lalr.Grammar {
 	g.Rule("factor : postfix", nil)
 
 	g.Rule("postfix : postfix [ NUMBER ]", func(v []any) any {
-		f := v[2].(*lalr.Token).Val.(float64)
+		f := number(v[2])
 		comp := int(f)
 		if f != math.Trunc(f) {
 			comp = -1 // validate() rejects out-of-range components
@@ -67,7 +68,7 @@ func grammar() *lalr.Grammar {
 	g.Rule("postfix : primary", nil)
 
 	g.Rule("primary : NUMBER", func(v []any) any {
-		return &Num{Value: v[0].(*lalr.Token).Val.(float64)}
+		return &Num{Value: number(v[0])}
 	})
 	g.Rule("primary : IDENT", func(v []any) any {
 		return &Ref{Name: v[0].(*lalr.Token).Text}
@@ -92,6 +93,13 @@ func grammar() *lalr.Grammar {
 	})
 
 	return g
+}
+
+// number reads a shifted NUMBER token's value. lex accepted the text
+// only after strconv.ParseFloat did, so parsing it again cannot fail.
+func number(v any) float64 {
+	f, _ := strconv.ParseFloat(v.(*lalr.Token).Text, 64)
+	return f
 }
 
 var (

@@ -7,10 +7,11 @@ import (
 )
 
 // tok makes a test token.
-func tok(sym string, val any) Token { return Token{Sym: sym, Text: sym, Val: val, Line: 1} }
+func tok(sym string) Token { return Token{Sym: sym, Text: sym, Line: 1} }
 
 // lexNums builds a token stream from a tiny arithmetic string where
 // every digit is a num token and everything else is an operator symbol.
+// A num's value is its digit, which the num action reads from Text.
 func lexNums(s string) []Token {
 	var toks []Token
 	col := 0
@@ -20,7 +21,6 @@ func lexNums(s string) []Token {
 		switch {
 		case r >= '0' && r <= '9':
 			t.Sym = "num"
-			t.Val = float64(r - '0')
 		case r == ' ':
 			continue
 		default:
@@ -36,7 +36,7 @@ func binop(f func(a, b float64) float64) func([]any) any {
 	return func(v []any) any { return f(v[0].(float64), v[2].(float64)) }
 }
 
-func num(v []any) any { return v[0].(*Token).Val }
+func num(v []any) any { return float64(v[0].(*Token).Text[0] - '0') }
 
 // unambiguousCalc is the textbook expr/term/factor grammar.
 func unambiguousCalc(t *testing.T) *Table {
@@ -119,7 +119,7 @@ func TestReduceReduceConflict(t *testing.T) {
 		t.Fatalf("want reduce/reduce failure, got %v", err)
 	}
 	// yacc default: earlier production wins.
-	v, perr := tbl.Parse([]Token{tok("x", nil)})
+	v, perr := tbl.Parse([]Token{tok("x")})
 	if perr != nil || v != "a" {
 		t.Fatalf("default resolution should pick the earlier rule: %v, %v", v, perr)
 	}
@@ -138,7 +138,7 @@ func TestEpsilonProductions(t *testing.T) {
 	for n := 0; n <= 5; n++ {
 		toks := make([]Token, n)
 		for i := range toks {
-			toks[i] = tok("x", nil)
+			toks[i] = tok("x")
 		}
 		v, err := tbl.Parse(toks)
 		if err != nil {
@@ -171,11 +171,11 @@ func TestLALRButNotSLR(t *testing.T) {
 	if len(tbl.Conflicts) != 0 {
 		t.Fatalf("LALR(1) grammar must build conflict-free, got %v", tbl.Conflicts)
 	}
-	v, err := tbl.Parse([]Token{tok("*", nil), tok("id", nil), tok("=", nil), tok("id", nil)})
+	v, err := tbl.Parse([]Token{tok("*"), tok("id"), tok("="), tok("id")})
 	if err != nil || v != "assign" {
 		t.Fatalf("*id = id: %v, %v", v, err)
 	}
-	v, err = tbl.Parse([]Token{tok("id", nil)})
+	v, err = tbl.Parse([]Token{tok("id")})
 	if err != nil || v != "rvalue" {
 		t.Fatalf("id: %v, %v", v, err)
 	}
@@ -213,7 +213,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestUnknownTerminalRejected(t *testing.T) {
 	tbl := unambiguousCalc(t)
-	_, err := tbl.Parse([]Token{tok("WAT", nil)})
+	_, err := tbl.Parse([]Token{tok("WAT")})
 	if err == nil || !strings.Contains(err.Error(), "unknown terminal") {
 		t.Fatalf("unknown terminal must be rejected: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestUnknownTerminalRejected(t *testing.T) {
 // yielding their first child (or nothing for an empty right side).
 func TestParseTokensErrorPaths(t *testing.T) {
 	tbl := unambiguousCalc(t)
-	_, err := tbl.Parse(append(lexNums("1+"), tok("WAT", nil)))
+	_, err := tbl.Parse(append(lexNums("1+"), tok("WAT")))
 	var pe *ParseError
 	if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), `unknown terminal "WAT"`) {
 		t.Fatalf("unknown terminal after valid input: %v", err)
@@ -252,7 +252,7 @@ func TestParseTokensErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	toks := []Token{tok("x", nil), tok("y", nil)}
+	toks := []Token{tok("x"), tok("y")}
 	v, err := tbl.Parse(toks)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestDefaultActionPassesFirstValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tokv, ok := v.(*Token); !ok || tokv.Val.(float64) != 7 {
+	if tokv, ok := v.(*Token); !ok || tokv.Text != "7" {
 		t.Fatalf("default action should pass through the token, got %#v", v)
 	}
 }

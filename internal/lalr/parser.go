@@ -6,16 +6,15 @@ import (
 )
 
 // Token is one lexeme handed to the parser. Sym must be a grammar
-// terminal (or EOF); Text and position fields feed error messages; Val
-// carries an optional pre-parsed semantic value (e.g. a float for a
-// NUMBER token).
+// terminal (or EOF); Text and position fields feed error messages, and
+// an action derives a token's semantic value (a NUMBER's float) from
+// Text.
 type Token struct {
 	Sym  string
 	Text string
 	Pos  int // byte offset in the input
 	Line int // 1-based line number
 	Col  int // 1-based column
-	Val  any
 }
 
 // ParseError is a syntax error with location and expectation context.

@@ -46,7 +46,9 @@ type Kernel struct {
 	// Name is the kernel's entry-point name, e.g. "kadd" or the
 	// generated "kfused_qcrit".
 	Name string
-	// Source is the OpenCL C source of the kernel.
+	// Source is the OpenCL C source of the kernel. A fused kernel a
+	// strategy plan built carries none: codegen renders that text on
+	// read (codegen.Program.Render), not per plan.
 	Source string
 	// NumBufs is the number of buffer arguments the kernel expects; a
 	// launch with a different count fails. Zero means "unchecked".

@@ -118,14 +118,20 @@ func (p *Pipeline) RunWith(nw *dataflow.Network, opt RunOptions) (*Result, error
 	if nw.Output() == "" {
 		return nil, fmt.Errorf("passes: pipeline %q needs a network with an output", p.name)
 	}
-	res := &Result{Pipeline: p.name}
+	res := &Result{Pipeline: p.name, Records: make([]Record, 0, len(p.passes))}
 	if opt.Debug != nil {
 		fmt.Fprintf(opt.Debug, "pipeline %s: %d nodes, %d edges in\n", p.name, nw.Len(), countEdges(nw))
 	}
+	// The passes report through an interface call, so st escapes: one
+	// Stats serves the whole run, and each pass starts from a zero one.
+	var st Stats
 	for _, pass := range p.passes {
 		nb, eb := nw.Len(), countEdges(nw)
-		var st Stats
-		sp := opt.Parent.Child("pass:" + pass.Name())
+		st = Stats{}
+		var sp *obs.Span
+		if opt.Parent != nil {
+			sp = opt.Parent.Child("pass:" + pass.Name())
+		}
 		start := time.Now()
 		err := pass.Run(nw, &st)
 		d := time.Since(start)

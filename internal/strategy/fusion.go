@@ -37,15 +37,16 @@ type fusionPlan struct {
 	prog *codegen.Program
 }
 
-// Plan generates the network's fused kernel program. Nothing here
-// memoizes: the plan owns the program, and internal/compile's bounded
-// plan cache is the only memo above it.
+// Plan generates the network's fused kernel program; its OpenCL C text
+// is not rendered (GeneratedSource renders it). Nothing here memoizes:
+// the plan owns the program, and internal/compile's bounded plan cache
+// is the only memo above it.
 func (Fusion) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	base, err := newPlanBase("fusion", net)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := codegen.Fuse(net, "expr")
+	prog, err := codegen.Build(net, "expr")
 	if err != nil {
 		return nil, err
 	}

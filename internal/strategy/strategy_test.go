@@ -4,9 +4,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
+	"dfg/internal/codegen"
 	"dfg/internal/dataflow"
+	"dfg/internal/expr"
 	"dfg/internal/kernels"
 	"dfg/internal/mesh"
 	"dfg/internal/ocl"
@@ -367,6 +370,39 @@ func TestGeneratedSource(t *testing.T) {
 	}
 	if _, err := GeneratedSource(dataflow.NewNetwork(), "bad"); err == nil {
 		t.Fatal("network without output must fail")
+	}
+}
+
+// TestPlannedFusionRendersGolden: a fusion or streaming plan builds its
+// fused kernel without source text, and the program it retains renders
+// the Q-criterion golden file byte for byte on read.
+func TestPlannedFusionRendersGolden(t *testing.T) {
+	net, err := expr.Compile(vortex.QCritExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../codegen/testdata/qcrit_fused.cl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Strategy{Fusion{}, Streaming{Tiles: 4}} {
+		plan, err := s.Plan(net, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prog *codegen.Program
+		switch p := plan.(type) {
+		case *fusionPlan:
+			prog = p.prog
+		case *streamingPlan:
+			prog = p.prog
+		}
+		if prog.Source != "" || prog.Kernel.Source != "" {
+			t.Errorf("%s: planning rendered the source", s.Name())
+		}
+		if got := prog.Render(); got != string(want) {
+			t.Errorf("%s: the planned program renders other text than qcrit_fused.cl:\n%s", s.Name(), got)
+		}
 	}
 }
 

@@ -65,7 +65,7 @@ func (s Streaming) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := codegen.Fuse(net, "expr")
+	prog, err := codegen.Build(net, "expr")
 	if err != nil {
 		return nil, err
 	}
