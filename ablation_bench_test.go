@@ -3,8 +3,10 @@ package dfg_test
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
 //   - common sub-expression elimination (the parser's "limited CSE"),
-//   - reference-count-driven buffer frees in the staged strategy,
 //   - the streaming tile count (future-work strategy).
+//
+// The staged strategy's refcount ablation reaches an unexported planner,
+// so its benchmark lives in internal/strategy.
 //
 // Each reports the modeled device time and/or peak device memory so the
 // effect of the design choice is visible next to the wall time.
@@ -66,36 +68,6 @@ func BenchmarkAblation_CSE(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Refcounting compares staged Q-criterion with eager
-// reference-count-driven frees against hoarding every intermediate.
-func BenchmarkAblation_Refcounting(b *testing.B) {
-	m, f := benchGrid(b)
-	bind := benchBindings(b, m, f)
-	net, err := expr.Compile(vortex.QCritExpr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, keep := range []bool{false, true} {
-		name := "eager-free"
-		if keep {
-			name = "keep-intermediates"
-		}
-		b.Run(name, func(b *testing.B) {
-			s := strategy.Staged{KeepIntermediates: keep}
-			var peak float64
-			for i := 0; i < b.N; i++ {
-				env := ocl.NewEnv(ocl.NewDevice(ocl.XeonX5660Spec(64)))
-				res, err := strategy.Execute(s, env, net, bind)
-				if err != nil {
-					b.Fatal(err)
-				}
-				peak = float64(res.PeakBytes)
-			}
-			b.ReportMetric(peak, "peak-device-B")
-		})
-	}
-}
-
 // BenchmarkAblation_StreamingTiles sweeps the streaming strategy's tile
 // count on Q-criterion: more tiles shrink peak memory but add kernel
 // launches and halo re-uploads.
@@ -108,7 +80,7 @@ func BenchmarkAblation_StreamingTiles(b *testing.B) {
 	}
 	for _, tiles := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("tiles-%d", tiles), func(b *testing.B) {
-			s := strategy.Streaming{Tiles: tiles}
+			s := strategy.Strategy{Kind: strategy.Streaming, Tiles: tiles}
 			var peak, devNs float64
 			for i := 0; i < b.N; i++ {
 				env := ocl.NewEnv(ocl.NewDevice(ocl.TeslaM2050Spec(64)))

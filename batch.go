@@ -201,7 +201,7 @@ func (pb *PreparedBatch) eval(ctx context.Context, sp *obs.Span, b binder) (*Bat
 		return out, nil
 	}
 	e := pb.eng
-	res, err := e.eval(ctx, sp, b, job{plan: pb.plan, label: e.rung,
+	res, err := e.eval(ctx, sp, b, job{plan: pb.plan, strat: e.strat, label: e.label,
 		fp: pb.bfp, pool: e.env.Context().Pool(), batch: pb.members})
 	if err != nil {
 		return nil, err

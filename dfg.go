@@ -140,10 +140,9 @@ type Config struct {
 type Engine struct {
 	env   *ocl.Env
 	strat strategy.Strategy
-	// rung is strat's plan cache name (strategy.PlanCacheName), the
-	// ladder label an evaluation enters with; computed once per view,
-	// since for tiered and streaming it is a fmt.Sprintf.
-	rung string
+	// label is strat.String(), computed once per view (tiered's and
+	// streaming's are built): the ladder label evaluations enter with.
+	label string
 
 	// comp owns the engine's named-expression database and its compiled-
 	// network cache. Private by default (New); shared when the engine was
@@ -214,12 +213,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	lvl, err := passes.ParseLevel(cfg.Opt)
-	if err != nil {
-		return nil, fmt.Errorf("dfg: %w", err)
-	}
-	eng.lvl = lvl
-	return eng, nil
+	return eng.WithOptLevel(cfg.Opt)
 }
 
 // NewWith builds an engine on an existing device that fronts a shared
@@ -241,7 +235,7 @@ func NewWith(dev *ocl.Device, strategyName string, comp *compile.Compiler) (*Eng
 	return &Engine{
 		env:       ocl.NewEnv(dev),
 		strat:     strat,
-		rung:      strategy.PlanCacheName(strat),
+		label:     strat.String(),
 		comp:      comp,
 		prepCount: new(int),
 	}, nil
@@ -270,35 +264,21 @@ func (e *Engine) Device() string { return e.env.Device().Name() }
 // Strategy returns the engine's execution strategy name.
 func (e *Engine) Strategy() string { return e.strat.Name() }
 
-// WithOptLevel returns a derived engine that compiles at the given
-// optimisation level ("paper" or "O2") but shares everything else with
-// the receiver: the same device environment, strategy, compiler (and
-// therefore cache — the level is folded into cache keys, so the two
-// levels' plans coexist), and observability hooks. Because the device
-// environment is shared, the derived engine inherits the receiver's
-// single-goroutine discipline: use either engine at a time, not both
-// concurrently.
+// WithOptLevel is View at the named optimisation level ("paper" or
+// "O2"). The level is folded into cache keys, so the two levels' plans
+// coexist in the shared compiler.
 func (e *Engine) WithOptLevel(level string) (*Engine, error) {
 	lvl, err := passes.ParseLevel(level)
 	if err != nil {
 		return nil, fmt.Errorf("dfg: %w", err)
 	}
-	if lvl == e.lvl {
-		return e, nil
-	}
-	d := *e
-	d.lvl = lvl
-	return &d, nil
+	return e.View(lvl, e.strat), nil
 }
 
-// WithStrategy returns a derived engine that executes under the named
-// strategy (any name ForName accepts, including "vm" and "tiered@N")
-// but shares everything else with the receiver — the same device
-// environment, compiler (strategy variants occupy distinct plan-cache
-// slots, so plans for both coexist), optimisation level and
-// observability hooks. Like WithOptLevel, the derived engine inherits
-// the receiver's single-goroutine discipline. An empty name returns the
-// receiver unchanged.
+// WithStrategy is View under the named strategy (any name ForName
+// accepts, including "vm" and "tiered@N"); an empty name returns the
+// receiver. Strategy variants occupy distinct plan-cache slots, so
+// plans for both coexist.
 func (e *Engine) WithStrategy(name string) (*Engine, error) {
 	if name == "" {
 		return e, nil
@@ -307,18 +287,26 @@ func (e *Engine) WithStrategy(name string) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dfg: %w", err)
 	}
-	rung := strategy.PlanCacheName(strat)
-	if rung == e.rung {
-		return e, nil
+	return e.View(e.lvl, strat), nil
+}
+
+// View returns a derived engine that compiles at lvl and executes under
+// strat but shares everything else with the receiver — device
+// environment, compiler and observability hooks — or the receiver
+// itself when both match. The shared environment makes the view
+// single-goroutine with the receiver: use one of them at a time.
+func (e *Engine) View(lvl passes.Level, strat strategy.Strategy) *Engine {
+	if lvl == e.lvl && strat == e.strat {
+		return e
 	}
 	d := *e
-	d.strat, d.rung = strat, rung
+	d.lvl, d.strat, d.label = lvl, strat, strat.String()
 	if d.reg != nil {
-		// The latency series is labeled by strategy: start a fresh memo so
-		// the derived view records under its own name.
+		// The latency series is labeled by strategy: a fresh memo records
+		// the view's under its own name.
 		d.evalHist = make(map[histKey]*obs.Histogram)
 	}
-	return &d, nil
+	return &d
 }
 
 // Result is a derived field along with the run's device profile.
@@ -407,13 +395,14 @@ func (b binder) bind(ctx context.Context) (strategy.Bindings, error) {
 // core compiles and plans it under the evaluation's span and runs it
 // without an arena, so per-run allocate/free — and with it the paper's
 // Table II event counts and Figure 6 memory profile — stays exact. A
-// Prepared sets all of text, pr, plan, label, fp and pool; a merged
-// batch has no text and sets batch.
+// Prepared sets all of text, pr, plan, strat, label, fp and pool; a
+// merged batch has no text and sets batch.
 type job struct {
-	text    string        // what the recovery ladder re-plans
-	pr      *Prepared     // where a degraded run parks its landing rung
-	plan    strategy.Plan // nil: compile and plan text first
-	label   string        // plan's rung (strategy.PlanCacheName at entry)
+	text    string            // what the recovery ladder re-plans
+	pr      *Prepared         // where a degraded run parks its landing rung
+	plan    strategy.Plan     // nil: compile and plan text first
+	strat   strategy.Strategy // plan's ladder rung
+	label   string            // strat.String()
 	fp      string
 	pool    *ocl.Arena    // attached to the environment for the run
 	batch   int           // > 0: merged members; runs outside the recovery ladder
@@ -442,7 +431,7 @@ func (e *Engine) eval(ctx context.Context, sp *obs.Span, b binder, j job) (*Resu
 		if err != nil {
 			return nil, err
 		}
-		j.label = e.rung
+		j.strat, j.label = e.strat, e.label
 		if e.perf != nil {
 			j.planned = time.Since(t0)
 		}
@@ -479,8 +468,8 @@ func (e *Engine) runPlan(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Ti
 // runPlanOnce executes a job's plan once, recording the execute span
 // (with the simulated device events attached as fixed-time children on
 // per-category tracks) and the per-(fingerprint, strategy, resolved)
-// latency observation. j.label names the rung being attempted (the plan
-// cache name at entry, or the ladder rung on fallback attempts); the
+// latency observation. j.label names the rung being attempted (the
+// engine's strategy at entry, or the ladder rung on fallback attempts); the
 // resolved execution path — the tiered plan's chosen tier, else the
 // label itself — lands on the span and the histogram, and is returned.
 func (e *Engine) runPlanOnce(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time) (*Result, string, error) {

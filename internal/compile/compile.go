@@ -70,10 +70,13 @@ type definition struct {
 	prog *expr.Program
 }
 
-// planKey identifies a plan: the network fingerprint, the strategy's
-// plan-cache name (strategy.PlanCacheName, so configured variants such
-// as streaming tile counts occupy distinct slots) and the device class.
-type planKey struct{ fp, strategy, device string }
+// planKey identifies a plan: the network fingerprint, the device class
+// and the strategy variant — a value, so streaming@4 and streaming@16
+// occupy two slots and "tiered" and "tiered@4096" one.
+type planKey struct {
+	fp, device string
+	strat      strategy.Strategy
+}
 
 // passAgg accumulates one optimisation pass's counters across every
 // network this compiler built (at any level).
@@ -265,11 +268,11 @@ func (c *Compiler) PassStat(name string) PassStat {
 
 // PlanTracedAt is the prepared-execution front door: it compiles text
 // via CompileTracedAt, then resolves the strategy's execution plan from
-// a second cache keyed by (network fingerprint, strategy name, device
-// class). Plans precompute everything that depends only on the network
-// and the device — topological order, kernel resolution, fused program
-// generation — so engines sharing this compiler also share one plan per
-// hot expression. The "plan" child span annotates its cache outcome
+// a second cache keyed by (network fingerprint, device class, strategy
+// variant). Plans precompute everything that depends only on the
+// network and the device — topological order, kernel resolution, fused
+// program generation — so engines sharing this compiler also share one
+// plan per hot expression. The "plan" child span annotates its cache outcome
 // like the network cache does. Returns the plan, the network
 // fingerprint, and any compile or planning error.
 //
@@ -295,7 +298,7 @@ func (c *Compiler) PlanTracedAt(text string, lvl passes.Level, strat strategy.St
 func (c *Compiler) PlanNetTraced(net *dataflow.Network, fp string, strat strategy.Strategy, dev *ocl.Device, parent *obs.Span) (strategy.Plan, error) {
 	ps := parent.Child("plan")
 	defer ps.Finish()
-	plan, outcome, err := c.plans.get(planKey{fp, strategy.PlanCacheName(strat), dev.Name()},
+	plan, outcome, err := c.plans.get(planKey{fp, dev.Name(), strat},
 		func() (strategy.Plan, error) { return strat.Plan(net, dev) })
 	ps.SetAttr("outcome", outcome)
 	return plan, err

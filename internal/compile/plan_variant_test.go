@@ -67,7 +67,7 @@ func TestPlanCacheVariantKeys(t *testing.T) {
 	}
 
 	// A variant of another strategy is a third slot.
-	p3, fp3, err := c.PlanTracedAt(vortex.QCritExpr, passes.LevelPaper, strategy.Streaming{Tiles: 16}, dev, nil)
+	p3, fp3, err := c.PlanTracedAt(vortex.QCritExpr, passes.LevelPaper, strategy.Strategy{Kind: strategy.Streaming, Tiles: 16}, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func Executors() []Executor {
 // propose. Streaming tiles the mesh so even the cases that fail on the
 // GPU under every paper strategy complete.
 func ExtendedExecutors() []Executor {
-	s := strategy.Streaming{Tiles: 8}
+	s := strategy.Strategy{Kind: strategy.Streaming, Tiles: 8}
 	return append(Executors(), Executor{
 		Name: "streaming",
 		run: func(env *ocl.Env, net *dataflow.Network, bind strategy.Bindings, _ string) (strategy.Result, error) {

@@ -318,3 +318,47 @@ func TestPoolBatchKeySeparation(t *testing.T) {
 		t.Fatalf("batches = %d, want >= 2 (one per key with >1 member)", st.Batches)
 	}
 }
+
+// TestPoolBatchMergesEqualVariants: on a tiered pool, a request naming
+// no strategy and one naming "tiered" ask for the same variant over the
+// same inputs, so the former merges them into one two-member job.
+func TestPoolBatchMergesEqualVariants(t *testing.T) {
+	const n = 128
+	in := testInputs(n)
+	p := newTestPool(t, Config{Workers: 1, Strategy: "tiered", BatchWindow: time.Second, BatchMax: 2})
+	a := p.EvalAsync(context.Background(), Request{Expr: batchExprs[0], N: n, Inputs: in})
+	b := p.EvalAsync(context.Background(), Request{Expr: batchExprs[1], N: n, Inputs: in, Strategy: "tiered"})
+	for i, ch := range []<-chan Response{a, b} {
+		if r := <-ch; r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+	}
+	if st := p.Stats(); st.Batches != 1 || st.Served != 2 {
+		t.Fatalf("batches = %d, served = %d; want one merged job serving both", st.Batches, st.Served)
+	}
+}
+
+// TestBatchKeyInputIdentity: the batch key tells input arrays apart by
+// identity and length — not by content — and keys zero-length arrays
+// without an address.
+func TestBatchKeyInputIdentity(t *testing.T) {
+	u := []float32{1, 2, 3, 4}
+	twin := []float32{1, 2, 3, 4}
+	key := inputIdentity
+	if key(map[string][]float32{"u": u}) != key(map[string][]float32{"u": u[:4]}) {
+		t.Error("one array keyed twice differently")
+	}
+	for _, other := range []map[string][]float32{
+		{"u": twin}, {"u": u[:3]}, {"v": u}, {"u": u, "v": u},
+	} {
+		if key(map[string][]float32{"u": u}) == key(other) {
+			t.Errorf("%v keys like u", other)
+		}
+	}
+	if key(map[string][]float32{"u": nil}) != key(map[string][]float32{"u": u[:0]}) {
+		t.Error("zero-length inputs must key alike")
+	}
+	if key(map[string][]float32{"u": nil}) == key(map[string][]float32{"u": u}) {
+		t.Error("an empty input keys like a full one")
+	}
+}

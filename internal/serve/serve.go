@@ -37,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dfg"
 	"dfg/internal/compile"
@@ -44,6 +45,7 @@ import (
 	"dfg/internal/ocl"
 	"dfg/internal/passes"
 	"dfg/internal/perfdb"
+	"dfg/internal/strategy"
 )
 
 // ErrPoolClosed is returned for requests submitted after Close.
@@ -154,6 +156,10 @@ type Request struct {
 	// for this request — any name dfg accepts, including "vm" and
 	// "tiered@N". Each strategy's plans occupy their own slots in the
 	// shared cache, so overrides never evict the pool default's plans.
+	// EvalAsync parses both into a variant once (empty: the pool's), so
+	// equal variants share prepared handles and batches whatever their
+	// spelling: "", "tiered" and "tiered@4096" on a "tiered" pool are
+	// one. An unknown name fails its request alone, counted as Failed.
 	Strategy string
 }
 
@@ -175,6 +181,7 @@ type Response struct {
 // receives its one Response.
 type member struct {
 	req      Request
+	v        variant // req's, parsed (the pool's for an empty field)
 	ctx      context.Context
 	cancel   context.CancelFunc
 	enqueued time.Time
@@ -217,6 +224,7 @@ type job struct {
 // use.
 type Pool struct {
 	cfg   Config
+	v     variant // Config's, parsed: the workers' and requests' default
 	comp  *compile.Compiler
 	queue chan *job
 	done  chan struct{}
@@ -242,7 +250,7 @@ type Pool struct {
 	// several compatible requests, or a lone one. formMu guards the map;
 	// lock order is sendMu before formMu.
 	formMu  sync.Mutex
-	forming map[string]*formingBatch
+	forming map[batchKey]*formingBatch
 
 	// defGen counts successful Defines. Every worker compares it at job
 	// pickup and closes all its prepared handles when it moved — the one
@@ -299,21 +307,23 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2 * cfg.Workers
 	}
-	if cfg.Opt == "" {
-		cfg.Opt = "O2"
-	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 50 * time.Millisecond
 	}
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 16
 	}
+	v, err := parseVariant(Request{Opt: cfg.Opt, Strategy: cfg.Strategy}, variant{lvl: passes.LevelO2})
+	if err != nil {
+		return nil, err
+	}
 	p := &Pool{
 		cfg:      cfg,
+		v:        v,
 		comp:     compile.NewCompiler(),
 		queue:    make(chan *job, cfg.QueueDepth),
 		done:     make(chan struct{}),
-		forming:  make(map[string]*formingBatch),
+		forming:  make(map[batchKey]*formingBatch),
 		reg:      obs.NewRegistry(),
 		busy:     make([]atomic.Int64, cfg.Workers),
 		restarts: make([]atomic.Int64, cfg.Workers),
@@ -367,16 +377,12 @@ func (p *Pool) newEngine(worker int) (*dfg.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err = eng.WithOptLevel(p.cfg.Opt)
-	if err != nil {
-		return nil, err
-	}
+	eng = eng.View(p.v.lvl, p.v.strat)
 	// Workers pass their per-request span into EvalTracedCtx, so the
 	// engines get only the registry (per-fingerprint histograms).
 	eng.Instrument(nil, p.reg)
 	// Derived per-request variant engines are views of this one, so the
-	// recorder pointer rides along into every WithOptLevel/WithStrategy
-	// copy a worker makes.
+	// recorder pointer rides along into every View a worker derives.
 	eng.SetPerfRecorder(p.perf)
 	eng.SetRecovery(int64(worker) + 1)
 	if p.cfg.FaultPlanFor != nil {
@@ -708,15 +714,18 @@ type workerState struct {
 	defGen  uint64 // Pool.defGen when the handles were last flushed
 }
 
-// handleKey keys a worker's open handles by what a request says, never
-// by anything derived from it: the variant — the Opt and Strategy
-// overrides, both empty for the pool default — plus the ordered member
+// handleKey keys a worker's open handles by the request's variant — the
+// values its Opt and Strategy name, parsed once by EvalAsync, so every
+// spelling of one variant shares a handle — plus the ordered member
 // texts ("\x01"-joined; one text for a lone request). Ordered, because a
 // prepared batch demuxes positionally over the exact sequence it was
 // prepared with; texts, not fingerprints, because a lookup must not
 // parse — two spellings of one expression hold two handles on the one
 // shared plan.
-type handleKey struct{ opt, strategy, texts string }
+type handleKey struct {
+	v     variant
+	texts string
+}
 
 // handle is one open prepared evaluation and the engine view that
 // prepared it (the worker's engine, or its derivation for the key's
@@ -870,7 +879,7 @@ func (p *Pool) runSolo(ws *workerState, m *member, hops int, pickup time.Time, p
 	// The request's deadline threads into execution: a request that
 	// times out mid-plan stops at the next kernel-launch boundary instead
 	// of finishing work nobody is waiting for.
-	bres, err := p.eval(m.ctx, ws, root, pickup.Sub(m.queuedAt()), []string{m.req.Expr}, m.req)
+	bres, err := p.eval(m.ctx, ws, root, pickup.Sub(m.queuedAt()), []string{m.req.Expr}, m)
 	if err == nil {
 		resp.Result = bres.Results[0]
 	}
@@ -902,7 +911,7 @@ func (p *Pool) runSolo(ws *workerState, m *member, hops int, pickup time.Time, p
 // whether it answered them; on any failure it has answered none.
 func (p *Pool) runMerged(ws *workerState, j *job, pickup time.Time) bool {
 	members := j.members
-	req0 := members[0].req        // members share N, variant and inputs (batchKey)
+	m0 := members[0]              // members share N, variant and inputs (batchKey)
 	queuedAt := members[0].formed // and the flush that queued them
 	// The batch trace: one root spanning the whole merged run, each
 	// member's request a child under it (with its forming wait), the
@@ -930,7 +939,7 @@ func (p *Pool) runMerged(ws *workerState, j *job, pickup time.Time) bool {
 		}
 	}
 	// No member's deadline governs the shared run.
-	bres, err := p.eval(nil, ws, root, pickup.Sub(queuedAt), texts, req0)
+	bres, err := p.eval(nil, ws, root, pickup.Sub(queuedAt), texts, m0)
 	run := time.Since(pickup)
 	for _, ms := range spans {
 		ms.Finish()
@@ -1049,24 +1058,24 @@ func (p *Pool) reroute(j *job) bool {
 // crashing the worker goroutine and deadlocking every queued client.
 // Strategy cleanup runs during the unwind (buffer releases are
 // deferred), so the engine's arena still drains; the caller replaces
-// the engine anyway. req carries the shape the texts share (N, inputs,
+// the engine anyway. m carries the shape the texts share (N, inputs,
 // variant); qwait lands on the evaluation's perf record.
 func (p *Pool) eval(ctx context.Context, ws *workerState, root *obs.Span, qwait time.Duration,
-	texts []string, req Request) (res *dfg.BatchResult, err error) {
+	texts []string, m *member) (res *dfg.BatchResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("%w: worker %d: %v", ErrWorkerPanic, ws.id, r)
 		}
 	}()
-	h, err := p.open(ws, root, texts, req)
+	h, err := p.open(ws, root, texts, m)
 	if err != nil {
 		return nil, err
 	}
 	h.eng.NoteQueueWait(qwait)
-	return h.pb.EvalTracedCtx(ctx, root, req.N, req.Inputs)
+	return h.pb.EvalTracedCtx(ctx, root, m.req.N, m.req.Inputs)
 }
 
-// open returns the worker's handle for texts under the request's
+// open returns the worker's handle for texts under the member's
 // variant. A hit is a map lookup and nothing else. A miss derives the
 // variant's engine view (views share the worker's device environment
 // and arena, preserving the single-goroutine discipline), prepares the
@@ -1075,8 +1084,8 @@ func (p *Pool) eval(ctx context.Context, ws *workerState, root *obs.Span, qwait 
 // closing an arbitrary old one at the bound; the plan that one wrapped
 // stays in the shared compiler cache, so re-preparing it is two lookups
 // there.
-func (p *Pool) open(ws *workerState, root *obs.Span, texts []string, req Request) (handle, error) {
-	key := handleKey{req.Opt, req.Strategy, strings.Join(texts, "\x01")}
+func (p *Pool) open(ws *workerState, root *obs.Span, texts []string, m *member) (handle, error) {
+	key := handleKey{m.v, strings.Join(texts, "\x01")}
 	if h, ok := ws.handles[key]; ok {
 		p.handleHits.Add(1)
 		root.SetAttr("handle", "hit")
@@ -1084,16 +1093,7 @@ func (p *Pool) open(ws *workerState, root *obs.Span, texts []string, req Request
 	}
 	p.handleMisses.Add(1)
 	root.SetAttr("handle", "miss")
-	eng := ws.eng
-	var err error
-	if req.Opt != "" {
-		if eng, err = eng.WithOptLevel(req.Opt); err != nil {
-			return handle{}, err
-		}
-	}
-	if eng, err = eng.WithStrategy(req.Strategy); err != nil {
-		return handle{}, err
-	}
+	eng := ws.eng.View(m.v.lvl, m.v.strat)
 	pb, err := eng.PrepareBatchTraced(root, texts)
 	if err != nil {
 		return handle{}, err
@@ -1116,6 +1116,12 @@ func (p *Pool) open(ws *workerState, root *obs.Span, texts []string, req Request
 // worker starts executing, the evaluation runs to completion.
 func (p *Pool) EvalAsync(ctx context.Context, req Request) <-chan Response {
 	resp := make(chan Response, 1)
+	v, err := parseVariant(req, p.v)
+	if err != nil {
+		p.failed.Add(1)
+		resp <- Response{Worker: -1, Err: err}
+		return resp
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -1145,7 +1151,7 @@ func (p *Pool) EvalAsync(ctx context.Context, req Request) <-chan Response {
 		resp <- Response{Worker: -1, Err: ErrPoolClosed}
 		return resp
 	}
-	m := &member{req: req, ctx: ctx, cancel: cancel, enqueued: time.Now(), resp: resp}
+	m := &member{req: req, v: v, ctx: ctx, cancel: cancel, enqueued: time.Now(), resp: resp}
 	if p.cfg.BatchWindow > 0 {
 		// Batch-forming arm: the member joins its forming batch under the
 		// same read lock, so Close's final sweep is guaranteed to see it.
@@ -1184,33 +1190,62 @@ func (p *Pool) EvalAsync(ctx context.Context, req Request) <-chan Response {
 	return resp
 }
 
+// variant is what a request's Opt and Strategy name, as values.
+type variant struct {
+	lvl   passes.Level
+	strat strategy.Strategy
+}
+
+// parseVariant parses a request's Opt and Strategy over v, which stands
+// in for an empty field: the one place serve reads the names.
+func parseVariant(req Request, v variant) (variant, error) {
+	var err error
+	if req.Opt != "" {
+		v.lvl, err = passes.ParseLevel(req.Opt)
+	}
+	if req.Strategy != "" && err == nil {
+		v.strat, err = strategy.ForName(req.Strategy)
+	}
+	if err != nil {
+		err = fmt.Errorf("dfg: %w", err)
+	}
+	return v, err
+}
+
 // formingBatch is one in-progress batch accumulating members until its
 // window timer fires or it fills to BatchMax.
 type formingBatch struct {
-	key     string
+	key     batchKey
 	members []*member
 	timer   *time.Timer
 	flushed bool
 }
 
 // batchKey groups requests that may merge into one batch: same element
-// count, same Opt/Strategy variant, and the same input binding — name
-// for name, the same backing arrays (identity, not content: %v of a
-// slice's address and length). A merged super-network executes against
-// one binding, so requests carrying different input sets never merge.
-func batchKey(req Request) string {
-	names := make([]string, 0, len(req.Inputs))
-	for name := range req.Inputs {
-		names = append(names, name)
+// count, variant and input binding (inputIdentity). A merged
+// super-network executes against one binding, so requests carrying
+// different input sets never merge.
+type batchKey struct {
+	n      int
+	v      variant
+	inputs string
+}
+
+// inputIdentity spells a binding by identity, not content: each input's
+// quoted name (so no name can forge a separator), the address of its
+// first element and its length, in sorted order. A zero-length array
+// spells address 0 — it holds nothing, so all of them bind alike.
+func inputIdentity(inputs map[string][]float32) string {
+	ids := make([]string, 0, len(inputs))
+	for name, s := range inputs {
+		var addr uintptr
+		if len(s) > 0 {
+			addr = uintptr(unsafe.Pointer(&s[0]))
+		}
+		ids = append(ids, strconv.Quote(name)+"@"+strconv.FormatUint(uint64(addr), 16)+"+"+strconv.Itoa(len(s)))
 	}
-	sort.Strings(names)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%s|%s", req.N, req.Opt, req.Strategy)
-	for _, name := range names {
-		s := req.Inputs[name]
-		fmt.Fprintf(&b, "|%s@%p+%d", name, s, len(s))
-	}
-	return b.String()
+	sort.Strings(ids)
+	return strings.Join(ids, "|")
 }
 
 // form adds a member to its forming batch, creating the batch (and its
@@ -1219,7 +1254,7 @@ func batchKey(req Request) string {
 // set to dispatch when this join filled the batch to BatchMax — the
 // sender slot is already taken for the caller — and nil otherwise.
 func (p *Pool) form(m *member) []*member {
-	key := batchKey(m.req)
+	key := batchKey{m.req.N, m.v, inputIdentity(m.req.Inputs)}
 	p.formMu.Lock()
 	defer p.formMu.Unlock()
 	g, ok := p.forming[key]
@@ -1305,7 +1340,7 @@ func (p *Pool) flushAllForming() {
 		g.timer.Stop()
 		groups = append(groups, g)
 	}
-	p.forming = make(map[string]*formingBatch)
+	p.forming = make(map[batchKey]*formingBatch)
 	p.formMu.Unlock()
 	for _, g := range groups {
 		p.queue <- p.flushJob(g.members)

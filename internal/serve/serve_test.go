@@ -674,6 +674,26 @@ func TestPoolStrategyOverride(t *testing.T) {
 	}
 }
 
+// TestPoolTieredSpellingsShareOneHandle: six requests that spell the
+// pool's own variant six ways — Strategy "", "tiered" or "tiered@4096",
+// Opt "", "O2" or "o2" — name one variant, so the worker prepares one
+// handle and answers the other five from it.
+func TestPoolTieredSpellingsShareOneHandle(t *testing.T) {
+	p := newTestPool(t, Config{Workers: 1, Strategy: "tiered", Opt: "O2"})
+	const n = 64
+	for _, v := range []struct{ strategy, opt string }{
+		{"", ""}, {"tiered", ""}, {"tiered@4096", ""}, {"", "O2"}, {"", "o2"}, {"tiered@4096", "o2"},
+	} {
+		req := Request{Expr: "r = sqrt(u*u + v*v + w*w)", N: n, Inputs: testInputs(n), Strategy: v.strategy, Opt: v.opt}
+		if _, err := p.Submit(context.Background(), req); err != nil {
+			t.Fatalf("Strategy %q Opt %q: %v", v.strategy, v.opt, err)
+		}
+	}
+	if hits, misses := p.handleHits.Load(), p.handleMisses.Load(); misses != 1 || hits != 5 {
+		t.Fatalf("handle misses %d, hits %d; want 1 and 5", misses, hits)
+	}
+}
+
 // TestPoolTieredConfig: a tiered pool routes a below-threshold request
 // to the VM and an at-threshold request to the device, and a
 // per-request device-strategy override beats the tier routing.

@@ -24,7 +24,7 @@ func TestCanceledContextStopsMidPlan(t *testing.T) {
 	cancel()
 	bind.Ctx = ctx
 
-	for _, s := range []Strategy{Roundtrip{}, Staged{}, Fusion{}, Streaming{Tiles: 4}} {
+	for _, s := range []Strategy{{Kind: Roundtrip}, {Kind: Staged}, {Kind: Fusion}, {Kind: Streaming, Tiles: 4}} {
 		env := cpuEnv()
 		res, err := Execute(s, env, net, bind)
 		if !errors.Is(err, context.Canceled) {
@@ -46,7 +46,7 @@ func TestCancelMidExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, s := range []Strategy{Roundtrip{}, Staged{}, Streaming{Tiles: 8}} {
+	for _, s := range []Strategy{{Kind: Roundtrip}, {Kind: Staged}, {Kind: Streaming, Tiles: 8}} {
 		ctx, cancel := context.WithCancel(context.Background())
 		b := bind
 		b.Ctx = ctx
@@ -86,22 +86,26 @@ func TestCancelMidExecution(t *testing.T) {
 	}
 }
 
-// TestPlanVariantKeysDiffer pins the Variant contract: differently
-// configured streaming strategies must cache under different names,
-// while unconfigured strategies keep their plain names.
+// TestPlanVariantKeysDiffer pins the variant contract the plan cache
+// keys on: differently configured streaming strategies are different
+// values with different labels, the default spelling is the 4-tile
+// variant, and unconfigured kinds keep their plain names.
 func TestPlanVariantKeysDiffer(t *testing.T) {
-	if got := PlanCacheName(Streaming{Tiles: 8}); got != "streaming@8" {
-		t.Fatalf("PlanCacheName(Streaming{8}) = %q", got)
+	if got := (Strategy{Kind: Streaming, Tiles: 8}).String(); got != "streaming@8" {
+		t.Fatalf("Streaming{8} labeled %q", got)
 	}
-	if got := PlanCacheName(Streaming{}); got != "streaming@4" {
-		t.Fatalf("PlanCacheName(Streaming{}) = %q (default tiles must normalise to 4)", got)
+	s, err := ForName("streaming")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := PlanCacheName(Fusion{}); got != "fusion" {
-		t.Fatalf("PlanCacheName(Fusion{}) = %q", got)
+	if s != (Strategy{Kind: Streaming, Tiles: 4}) || s.String() != "streaming@4" {
+		t.Fatalf("ForName(streaming) = %+v labeled %q (default tiles must normalise to 4)", s, s)
 	}
-	a := PlanCacheName(Streaming{Tiles: 4})
-	b := PlanCacheName(Streaming{Tiles: 16})
-	if a == b {
-		t.Fatalf("tile variants collide: %q", a)
+	if got := (Strategy{Kind: Fusion}).String(); got != "fusion" {
+		t.Fatalf("Fusion labeled %q", got)
+	}
+	a, b := Strategy{Kind: Streaming, Tiles: 4}, Strategy{Kind: Streaming, Tiles: 16}
+	if a == b || a.String() == b.String() {
+		t.Fatalf("tile variants collide: %v", a)
 	}
 }

@@ -222,7 +222,7 @@ func TestDifferentialRandomExpressions(t *testing.T) {
 		// instruction plan, so it must match fusion at zero ULP on every
 		// element, non-finite included.
 		env := cpuEnv()
-		vres, err := Execute(VM{}, env, net, bind)
+		vres, err := Execute(Strategy{Kind: VM}, env, net, bind)
 		if err != nil {
 			t.Fatalf("trial %d vm: %v\n%s", trial, err, text)
 		}

@@ -32,12 +32,12 @@ func TestStreamingMatchesFusionBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Execute(Fusion{}, cpuEnv(), net, bind)
+	want, err := Execute(Strategy{Kind: Fusion}, cpuEnv(), net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tiles := range []int{1, 2, 3, 4, 7, 16, 100} {
-		res, err := Execute(Streaming{Tiles: tiles}, cpuEnv(), net, bind)
+		res, err := Execute(Strategy{Kind: Streaming, Tiles: tiles}, cpuEnv(), net, bind)
 		if err != nil {
 			t.Fatalf("tiles=%d: %v", tiles, err)
 		}
@@ -55,12 +55,12 @@ func TestStreamingProfileAndMemory(t *testing.T) {
 	net, _ := expr.Compile(vortex.QCritExpr)
 
 	fuEnv := cpuEnv()
-	fu, err := Execute(Fusion{}, fuEnv, net, bind)
+	fu, err := Execute(Strategy{Kind: Fusion}, fuEnv, net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stEnv := cpuEnv()
-	st, err := Execute(Streaming{Tiles: 4}, stEnv, net, bind)
+	st, err := Execute(Strategy{Kind: Streaming, Tiles: 4}, stEnv, net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +95,14 @@ func TestStreamingRunsWhereFusionFails(t *testing.T) {
 	spec.MaxAllocSize = spec.GlobalMemSize
 	dev := ocl.NewDevice(spec)
 
-	if _, err := Execute(Fusion{}, ocl.NewEnv(dev), net, bind); !errors.Is(err, ocl.ErrOutOfDeviceMemory) {
+	if _, err := Execute(Strategy{Kind: Fusion}, ocl.NewEnv(dev), net, bind); !errors.Is(err, ocl.ErrOutOfDeviceMemory) {
 		t.Fatalf("fusion should run out of device memory, got %v", err)
 	}
-	res, err := Execute(Streaming{Tiles: 8}, ocl.NewEnv(dev), net, bind)
+	res, err := Execute(Strategy{Kind: Streaming, Tiles: 8}, ocl.NewEnv(dev), net, bind)
 	if err != nil {
 		t.Fatalf("streaming should fit tile by tile: %v", err)
 	}
-	want, err := Execute(Fusion{}, cpuEnv(), net, bind)
+	want, err := Execute(Strategy{Kind: Fusion}, cpuEnv(), net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestStreamingFlatElementwise(t *testing.T) {
 	// Without stencils, streaming tiles the flat array (no dims needed).
 	nw := buildVelMag(t)
 	bind, _, _, _ := velMagBindings(rand.New(rand.NewSource(5)), 10000)
-	res, err := Execute(Streaming{Tiles: 3}, cpuEnv(), nw, bind)
+	res, err := Execute(Strategy{Kind: Streaming, Tiles: 3}, cpuEnv(), nw, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := Execute(Fusion{}, cpuEnv(), nw, bind)
+	want, _ := Execute(Strategy{Kind: Fusion}, cpuEnv(), nw, bind)
 	for i := range want.Data {
 		if res.Data[i] != want.Data[i] {
 			t.Fatalf("flat streaming differs at %d", i)
@@ -136,7 +136,7 @@ func TestStreamingRequiresDimsForStencils(t *testing.T) {
 	bind, _ := qcritSetup(t, mesh.Dims{NX: 8, NY: 8, NZ: 8})
 	delete(bind.Sources, "dims")
 	net, _ := expr.Compile(vortex.QCritExpr)
-	if _, err := Execute(Streaming{}, cpuEnv(), net, bind); err == nil {
+	if _, err := Execute(Strategy{Kind: Streaming, Tiles: 4}, cpuEnv(), net, bind); err == nil {
 		t.Fatal("stencil streaming without dims must fail")
 	}
 }
@@ -159,10 +159,10 @@ func TestStreamingRefusesUntileableDims(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Execute(Fusion{}, cpuEnv(), net, bind); err != nil {
+		if _, err := Execute(Strategy{Kind: Fusion}, cpuEnv(), net, bind); err != nil {
 			t.Fatalf("fusion %q: %v", text, err)
 		}
-		if _, err := Execute(Streaming{}, cpuEnv(), net, bind); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := Execute(Strategy{Kind: Streaming, Tiles: 4}, cpuEnv(), net, bind); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("streaming %q: err = %v, want %q", text, err, want)
 		}
 	}
@@ -172,7 +172,7 @@ func TestStreamingBadDims(t *testing.T) {
 	bind, _ := qcritSetup(t, mesh.Dims{NX: 8, NY: 8, NZ: 8})
 	bind.Sources["dims"] = Source{Data: []float32{3, 3, 3, 0}, Width: 1} // 27 != 512
 	net, _ := expr.Compile(vortex.QCritExpr)
-	if _, err := Execute(Streaming{}, cpuEnv(), net, bind); err == nil {
+	if _, err := Execute(Strategy{Kind: Streaming, Tiles: 4}, cpuEnv(), net, bind); err == nil {
 		t.Fatal("inconsistent dims must fail")
 	}
 }
@@ -184,12 +184,12 @@ func TestStreamingBadDims(t *testing.T) {
 func TestStreamingClampsTilesToNZ(t *testing.T) {
 	bind, _ := qcritSetup(t, mesh.Dims{NX: 4, NY: 3, NZ: 5})
 	net, _ := expr.Compile(vortex.QCritExpr)
-	want, err := Execute(Fusion{}, cpuEnv(), net, bind)
+	want, err := Execute(Strategy{Kind: Fusion}, cpuEnv(), net, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for tiles, kernels := range map[int]int{3: 3, 5: 5, 256: 5} {
-		res, err := Execute(Streaming{Tiles: tiles}, cpuEnv(), net, bind)
+		res, err := Execute(Strategy{Kind: Streaming, Tiles: tiles}, cpuEnv(), net, bind)
 		if err != nil {
 			t.Fatalf("tiles=%d: %v", tiles, err)
 		}
@@ -204,7 +204,7 @@ func TestStreamingClampsTilesToNZ(t *testing.T) {
 	}
 	flat := buildVelMag(t)
 	fb, _, _, _ := velMagBindings(rand.New(rand.NewSource(3)), 7)
-	res, err := Execute(Streaming{Tiles: 256}, cpuEnv(), flat, fb)
+	res, err := Execute(Strategy{Kind: Streaming, Tiles: 256}, cpuEnv(), flat, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +228,17 @@ func TestStagedKeepIntermediatesAblation(t *testing.T) {
 	bind, _ := qcritSetup(t, mesh.Dims{NX: 12, NY: 12, NZ: 12})
 	net, _ := expr.Compile(vortex.QCritExpr)
 
-	eager, err := Execute(Staged{}, cpuEnv(), net, bind)
+	eager, err := Execute(Strategy{Kind: Staged}, cpuEnv(), net, bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ablation is not a variant: it reaches the planner directly.
+	hp, err := planStaged(net, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := cpuEnv()
-	hoard, err := Execute(Staged{KeepIntermediates: true}, env, net, bind)
+	hoard, err := hp.Execute(env, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +253,39 @@ func TestStagedKeepIntermediatesAblation(t *testing.T) {
 	}
 	if env.Context().LiveBuffers() != 0 {
 		t.Fatal("ablation run must still clean up at exit")
+	}
+}
+
+// BenchmarkAblation_Refcounting compares staged Q-criterion with eager
+// reference-count-driven frees against hoarding every intermediate, on
+// Table I row 1 at 1/4 linear scale.
+func BenchmarkAblation_Refcounting(b *testing.B) {
+	bind, _ := qcritSetup(b, rtsim.TableIGrids(4)[0].Dims)
+	net, err := expr.Compile(vortex.QCritExpr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, keep := range []bool{false, true} {
+		name := "eager-free"
+		if keep {
+			name = "keep-intermediates"
+		}
+		b.Run(name, func(b *testing.B) {
+			p, err := planStaged(net, keep)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var peak float64
+			for i := 0; i < b.N; i++ {
+				env := ocl.NewEnv(ocl.NewDevice(ocl.XeonX5660Spec(64)))
+				res, err := p.Execute(env, bind)
+				if err != nil {
+					b.Fatal(err)
+				}
+				peak = float64(res.PeakBytes)
+			}
+			b.ReportMetric(peak, "peak-device-B")
+		})
 	}
 }
 
@@ -272,12 +310,12 @@ func TestStreamingPropertyRandomGeometry(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, err := Execute(Fusion{}, cpuEnv(), net, bind)
+		want, err := Execute(Strategy{Kind: Fusion}, cpuEnv(), net, bind)
 		if err != nil {
 			return false
 		}
 		tiles := 1 + rng.Intn(d.NZ+3) // may exceed NZ: clamps
-		got, err := Execute(Streaming{Tiles: tiles}, cpuEnv(), net, bind)
+		got, err := Execute(Strategy{Kind: Streaming, Tiles: tiles}, cpuEnv(), net, bind)
 		if err != nil {
 			t.Logf("seed %d dims %v tiles %d: %v", seed, d, tiles, err)
 			return false

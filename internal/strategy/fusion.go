@@ -8,8 +8,8 @@ import (
 	"dfg/internal/ocl"
 )
 
-// Fusion is the paper's fastest execution strategy: the dynamic kernel
-// generator (internal/codegen) fuses the entire network into a single
+// planFusion plans the paper's fastest execution strategy: the dynamic
+// kernel generator (internal/codegen) fuses the entire network into a single
 // generated OpenCL kernel. Intermediate results live in device
 // registers, constants are compiled into the kernel source, decompose
 // becomes vector component selection, and the gradient primitive reads
@@ -25,23 +25,12 @@ import (
 // With a buffer arena attached, warm executions of an unchanged source
 // set reduce to the kernel dispatch and the one download: sources stay
 // device-resident and the output/scratch buffers recycle from the pool.
-type Fusion struct{}
-
-// Name returns "fusion".
-func (Fusion) Name() string { return "fusion" }
-
-// fusionPlan holds the fused program — kernel generation is the
-// planning step.
-type fusionPlan struct {
-	planBase
-	prog *codegen.Program
-}
-
-// Plan generates the network's fused kernel program; its OpenCL C text
-// is not rendered (GeneratedSource renders it). Nothing here memoizes:
-// the plan owns the program, and internal/compile's bounded plan cache
-// is the only memo above it.
-func (Fusion) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
+//
+// Planning generates the network's fused kernel program; its OpenCL C
+// text is not rendered (GeneratedSource renders it). Nothing here
+// memoizes: the plan owns the program, and internal/compile's bounded
+// plan cache is the only memo above it.
+func planFusion(net *dataflow.Network) (Plan, error) {
 	base, err := newPlanBase("fusion", net)
 	if err != nil {
 		return nil, err
@@ -51,6 +40,13 @@ func (Fusion) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 		return nil, err
 	}
 	return &fusionPlan{planBase: base, prog: prog}, nil
+}
+
+// fusionPlan holds the fused program — kernel generation is the
+// planning step.
+type fusionPlan struct {
+	planBase
+	prog *codegen.Program
 }
 
 // maxStackArgs is how many kernel arguments Execute binds without

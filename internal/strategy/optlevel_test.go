@@ -47,7 +47,7 @@ func optExecutors(t *testing.T) map[string]Strategy {
 		}
 		out[name] = s
 	}
-	out["streaming"] = Streaming{Tiles: 2}
+	out["streaming"] = Strategy{Kind: Streaming, Tiles: 2}
 	return out
 }
 

@@ -7,7 +7,7 @@ import (
 	"dfg/internal/ocl"
 )
 
-// Roundtrip is the paper's baseline execution strategy: one kernel
+// planRoundtrip plans the paper's baseline execution strategy: one kernel
 // dispatch per derived-field primitive, with every kernel's inputs
 // uploaded fresh from host memory and its result transferred straight
 // back. Intermediates live on the host, so the device only ever holds
@@ -26,10 +26,17 @@ import (
 // (that is the strategy's defining traffic pattern) but draw their
 // buffers from the pool, so repeated and warm executions allocate no
 // fresh device memory.
-type Roundtrip struct{}
-
-// Name returns "roundtrip".
-func (Roundtrip) Name() string { return "roundtrip" }
+func planRoundtrip(net *dataflow.Network) (Plan, error) {
+	base, err := newPlanBase("roundtrip", net)
+	if err != nil {
+		return nil, err
+	}
+	ks, err := planKernels(base.order, roundtripHostSide)
+	if err != nil {
+		return nil, err
+	}
+	return &roundtripPlan{planBase: base, kernels: ks}, nil
+}
 
 // roundtripPlan precomputes the topological order and the kernel for
 // each distinct device-dispatched filter.
@@ -42,19 +49,6 @@ type roundtripPlan struct {
 // kernel dispatch.
 func roundtripHostSide(filter string) bool {
 	return filter == "const" || filter == "decompose"
-}
-
-// Plan precomputes the roundtrip execution plan for the network.
-func (Roundtrip) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
-	base, err := newPlanBase("roundtrip", net)
-	if err != nil {
-		return nil, err
-	}
-	ks, err := planKernels(base.order, roundtripHostSide)
-	if err != nil {
-		return nil, err
-	}
-	return &roundtripPlan{planBase: base, kernels: ks}, nil
 }
 
 // Execute runs the plan with per-primitive host round trips.

@@ -7,7 +7,7 @@ import (
 	"dfg/internal/ocl"
 )
 
-// Staged is the paper's middle execution strategy: one kernel dispatch
+// planStaged plans the paper's middle execution strategy: one kernel dispatch
 // per primitive, like roundtrip, but intermediate results stay in device
 // global memory between kernel invocations — no host round trips. Each
 // distinct source array is uploaded once up front and the final result
@@ -27,29 +27,12 @@ import (
 // unchanged source skips its upload entirely on warm executions, and
 // intermediates recycle through the pool instead of churning fresh
 // allocations.
-type Staged struct {
-	// KeepIntermediates disables the reference-count-driven buffer
-	// releases — an ablation of the dataflow module's refcounting
-	// design, showing how much device memory the eager frees save.
-	KeepIntermediates bool
-}
-
-// Name returns "staged".
-func (Staged) Name() string { return "staged" }
-
-// stagedPlan precomputes the topological order, the kernel for every
-// distinct filter, and the refcount schedule (consumer counts per node,
-// plus one for the sink).
-type stagedPlan struct {
-	planBase
-	keep    bool
-	kernels map[string]*ocl.Kernel
-	// refs is the immutable refcount template; Execute works on a copy.
-	refs map[string]int
-}
-
-// Plan precomputes the staged execution plan for the network.
-func (s Staged) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
+//
+// keep disables the reference-count-driven buffer releases — an
+// ablation of the dataflow module's refcounting design, showing how
+// much device memory the eager frees save. Only the ablation's tests
+// and benchmark set it; Strategy.Plan never does.
+func planStaged(net *dataflow.Network, keep bool) (Plan, error) {
 	base, err := newPlanBase("staged", net)
 	if err != nil {
 		return nil, err
@@ -67,7 +50,18 @@ func (s Staged) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	for _, r := range net.Roots() {
 		refs[r]++ // one sink reference per root
 	}
-	return &stagedPlan{planBase: base, keep: s.KeepIntermediates, kernels: ks, refs: refs}, nil
+	return &stagedPlan{planBase: base, keep: keep, kernels: ks, refs: refs}, nil
+}
+
+// stagedPlan precomputes the topological order, the kernel for every
+// distinct filter, and the refcount schedule (consumer counts per node,
+// plus one for the sink).
+type stagedPlan struct {
+	planBase
+	keep    bool
+	kernels map[string]*ocl.Kernel
+	// refs is the immutable refcount template; Execute works on a copy.
+	refs map[string]int
 }
 
 // Execute runs the plan with device-resident intermediates.

@@ -21,6 +21,7 @@ package strategy
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -162,64 +163,99 @@ type Field struct {
 	Width int
 }
 
-// Strategy plans a dataflow network's execution on a device class.
-type Strategy interface {
-	// Name returns the strategy's name as used in the paper.
-	Name() string
-	// Plan precomputes the strategy's reusable execution plan for the
-	// network on the given device class: topological order, kernel
-	// sequence or fused program, and the refcount schedule. The plan is
-	// immutable and shareable; repeated executions bind and run it
-	// without re-planning.
-	Plan(net *dataflow.Network, dev *ocl.Device) (Plan, error)
+// Kind names an execution strategy. The zero Kind is Fusion, the
+// paper's fastest device strategy and the default everywhere a strategy
+// is left unnamed; the rest follow the degradation ladder's order.
+type Kind uint8
+
+const (
+	Fusion Kind = iota
+	Staged
+	Roundtrip
+	Streaming
+	VM
+	Tiered
+)
+
+// kindNames spells each Kind as ForName accepts it.
+var kindNames = [...]string{
+	Fusion: "fusion", Staged: "staged", Roundtrip: "roundtrip",
+	Streaming: "streaming", VM: "vm", Tiered: "tiered",
 }
 
-// Variant is implemented by strategies whose configuration changes the
-// plans they produce. PlanVariant returns a cache-key-safe name that
-// distinguishes the configuration (e.g. "streaming@16" for a 16-tile
-// streaming strategy), so differently configured plans never collide in
-// the shared plan cache.
-type Variant interface {
-	PlanVariant() string
+// Strategy is one execution variant: a Kind plus the configuration its
+// plans depend on, zero for the kinds that take none. ForName applies
+// the defaults when it makes one, so two values that plan the same are
+// ==: plan-cache, ladder and serving keys compare values, not spellings.
+type Strategy struct {
+	Kind      Kind
+	Tiles     int // Streaming: the number of Z slabs
+	Threshold int // Tiered: requests below this many cells run on the host VM
 }
 
-// PlanCacheName returns the name a strategy's plans cache under: the
-// variant name when the strategy declares one, else the plain name.
-func PlanCacheName(s Strategy) string {
-	if v, ok := s.(Variant); ok {
-		return v.PlanVariant()
+// Name returns the strategy's kind as the paper names it ("tiered").
+func (s Strategy) Name() string { return kindNames[s.Kind] }
+
+// String labels the variant — the kind, and the configuration of the
+// kinds that take one ("streaming@16", "tiered@4096"): ladder rungs and
+// perf records read it.
+func (s Strategy) String() string {
+	switch s.Kind {
+	case Streaming:
+		return "streaming@" + strconv.Itoa(s.Tiles)
+	case Tiered:
+		return "tiered@" + strconv.Itoa(s.Threshold)
 	}
 	return s.Name()
 }
 
-// ForName returns the named strategy: the paper's "roundtrip", "staged"
-// or "fusion", the future-work "streaming", the host-bytecode "vm", or
-// the tiered model "tiered" (optionally "tiered@N" with an explicit
-// cell-count threshold).
-func ForName(name string) (Strategy, error) {
-	switch name {
-	case "roundtrip":
-		return Roundtrip{}, nil
-	case "staged":
-		return Staged{}, nil
-	case "fusion":
-		return Fusion{}, nil
-	case "streaming":
-		return Streaming{}, nil
-	case "vm":
-		return VM{}, nil
-	case "tiered":
-		return Tiered{}, nil
-	default:
-		if rest, ok := strings.CutPrefix(name, "tiered@"); ok {
-			th, err := strconv.Atoi(rest)
-			if err != nil || th < 1 {
-				return nil, fmt.Errorf("strategy: bad tiered threshold in %q (want tiered@N with N >= 1)", name)
-			}
-			return Tiered{Threshold: th}, nil
+// Plan precomputes the variant's reusable execution plan for the
+// network on the given device class (topological order, kernel sequence
+// or fused program, refcount schedule): immutable and shareable, so
+// repeated executions bind and run it without re-planning.
+func (s Strategy) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
+	switch s.Kind {
+	case Fusion:
+		return planFusion(net)
+	case Staged:
+		return planStaged(net, false)
+	case Roundtrip:
+		return planRoundtrip(net)
+	case Streaming:
+		if s.Tiles >= 1 {
+			return planStreaming(net, s.Tiles)
 		}
-		return nil, fmt.Errorf("strategy: unknown strategy %q (want roundtrip, staged, fusion, streaming, vm or tiered[@N])", name)
+	case VM:
+		return planVM(net)
+	case Tiered:
+		if s.Threshold >= 1 {
+			return planTiered(net, s.Threshold)
+		}
 	}
+	return nil, fmt.Errorf("strategy: cannot plan kind %d with %d tiles, threshold %d", s.Kind, s.Tiles, s.Threshold)
+}
+
+// ForName returns the named strategy: the paper's "roundtrip", "staged"
+// or "fusion", the future-work "streaming" (4 tiles), the host-bytecode
+// "vm", or the tiered model "tiered" (optionally "tiered@N" with an
+// explicit cell-count threshold; DefaultVMThreshold otherwise).
+func ForName(name string) (Strategy, error) {
+	if rest, ok := strings.CutPrefix(name, "tiered@"); ok {
+		th, err := strconv.Atoi(rest)
+		if err != nil || th < 1 {
+			return Strategy{}, fmt.Errorf("strategy: bad tiered threshold in %q (want tiered@N with N >= 1)", name)
+		}
+		return Strategy{Kind: Tiered, Threshold: th}, nil
+	}
+	switch k := Kind(slices.Index(kindNames[:], name)); k { // -1 wraps to no Kind
+	case Fusion, Staged, Roundtrip, VM:
+		return Strategy{Kind: k}, nil
+	case Streaming:
+		return Strategy{Kind: k, Tiles: 4}, nil
+	case Tiered:
+		return Strategy{Kind: k, Threshold: DefaultVMThreshold}, nil
+	}
+	return Strategy{}, fmt.Errorf("strategy: unknown strategy %q (want roundtrip, staged, fusion, streaming, vm or tiered[@N])", name)
 }
 
 // Names lists the paper's three strategies in the paper's order.

@@ -286,7 +286,7 @@ func TestStagedFailsOnSmallGPU(t *testing.T) {
 	dev := ocl.NewDevice(spec)
 
 	env := ocl.NewEnv(dev)
-	_, err := Execute(Staged{}, env, nw, bind)
+	_, err := Execute(Strategy{Kind: Staged}, env, nw, bind)
 	if !errors.Is(err, ocl.ErrOutOfDeviceMemory) {
 		t.Fatalf("staged on small GPU: want ErrOutOfDeviceMemory, got %v", err)
 	}
@@ -295,7 +295,7 @@ func TestStagedFailsOnSmallGPU(t *testing.T) {
 	}
 
 	env2 := ocl.NewEnv(dev)
-	if _, err := Execute(Roundtrip{}, env2, nw, bind); err != nil {
+	if _, err := Execute(Strategy{Kind: Roundtrip}, env2, nw, bind); err != nil {
 		t.Fatalf("roundtrip must fit where staged fails: %v", err)
 	}
 }
@@ -343,7 +343,7 @@ func TestResultIncludesEventLog(t *testing.T) {
 	nw := buildVelMag(t)
 	rng := rand.New(rand.NewSource(6))
 	bind, _, _, _ := velMagBindings(rng, 256)
-	res, err := Execute(Fusion{}, cpuEnv(), nw, bind)
+	res, err := Execute(Strategy{Kind: Fusion}, cpuEnv(), nw, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestPlannedFusionRendersGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Strategy{Fusion{}, Streaming{Tiles: 4}} {
+	for _, s := range []Strategy{{Kind: Fusion}, {Kind: Streaming, Tiles: 4}} {
 		plan, err := s.Plan(net, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -11,8 +11,8 @@ import (
 	"dfg/internal/ocl"
 )
 
-// Streaming is the execution strategy the paper's future-work section
-// proposes ("we plan to investigate the runtime performance of our
+// planStreaming plans the execution strategy the paper's future-work
+// section proposes ("we plan to investigate the runtime performance of our
 // execution strategies in a streaming context"): the mesh is tiled into
 // Z slabs, and the fused kernel runs tile by tile, so only a tile's
 // working set occupies device memory at a time. Data sets that exceed
@@ -28,39 +28,9 @@ import (
 // With a buffer arena attached, each tile's source windows become
 // device-resident (keyed by source name and window offset), so warm
 // executions over unchanged data skip every tile upload.
-type Streaming struct {
-	// Tiles is the number of Z slabs (default 4).
-	Tiles int
-}
-
-// Name returns "streaming".
-func (Streaming) Name() string { return "streaming" }
-
-// tiles returns the configured slab count with the default applied.
-func (s Streaming) tiles() int {
-	if s.Tiles < 1 {
-		return 4
-	}
-	return s.Tiles
-}
-
-// PlanVariant distinguishes plan-cache entries by slab count, so a
-// degradation ladder escalating tile counts never gets a stale plan
-// back from the shared cache.
-func (s Streaming) PlanVariant() string {
-	return fmt.Sprintf("streaming@%d", s.tiles())
-}
-
-// streamingPlan holds the fused program plus the slab count; tile
-// geometry depends on the bound dims, so it is computed per execution.
-type streamingPlan struct {
-	planBase
-	prog  *codegen.Program
-	tiles int
-}
-
-// Plan generates the fused program and fixes the slab count.
-func (s Streaming) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
+//
+// Planning generates the fused program and fixes the slab count.
+func planStreaming(net *dataflow.Network, tiles int) (Plan, error) {
 	base, err := newPlanBase("streaming", net)
 	if err != nil {
 		return nil, err
@@ -69,7 +39,15 @@ func (s Streaming) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &streamingPlan{planBase: base, prog: prog, tiles: s.tiles()}, nil
+	return &streamingPlan{planBase: base, prog: prog, tiles: tiles}, nil
+}
+
+// streamingPlan holds the fused program plus the slab count; tile
+// geometry depends on the bound dims, so it is computed per execution.
+type streamingPlan struct {
+	planBase
+	prog  *codegen.Program
+	tiles int
 }
 
 // Execute runs the plan's fused kernel slab by slab: the domain is split

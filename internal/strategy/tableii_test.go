@@ -243,7 +243,7 @@ func TestBindReadsInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Strategy{Roundtrip{}, Staged{}, Fusion{}, Streaming{Tiles: 3}, VM{}, Tiered{Threshold: 64}} {
+	for _, s := range []Strategy{{Kind: Roundtrip}, {Kind: Staged}, {Kind: Fusion}, {Kind: Streaming, Tiles: 3}, {Kind: VM}, {Kind: Tiered, Threshold: 64}} {
 		want, err := Execute(s, cpuEnv(), net, ref)
 		if err != nil {
 			t.Fatal(err)

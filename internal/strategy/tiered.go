@@ -1,8 +1,6 @@
 package strategy
 
 import (
-	"fmt"
-
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
 )
@@ -15,31 +13,26 @@ import (
 // parallelism.
 const DefaultVMThreshold = 4096
 
-// Tiered is the tiered execution model: each execution picks the host
-// VM for small requests (N strictly below Threshold) and Fusion
+// planTiered plans the tiered execution model: each execution picks the
+// host VM for small requests (N strictly below threshold) and fusion
 // otherwise. The choice is per-binding and made inside one immutable
 // plan, so a prepared expression serves any mesh size and the decision
 // is stable across repeated Prepare calls by construction.
-type Tiered struct {
-	// Threshold is the cell-count cutover; 0 means DefaultVMThreshold.
-	Threshold int
-}
-
-// Name returns "tiered".
-func (Tiered) Name() string { return "tiered" }
-
-// threshold returns the configured cutover with the default applied.
-func (t Tiered) threshold() int {
-	if t.Threshold < 1 {
-		return DefaultVMThreshold
+//
+// Both tiers are planned here. The fusion device tier hands its
+// validated order and its lowered program to the vm tier, so the
+// network is validated and lowered once.
+func planTiered(net *dataflow.Network, threshold int) (Plan, error) {
+	devPlan, err := planFusion(net)
+	if err != nil {
+		return nil, err
 	}
-	return t.Threshold
-}
-
-// PlanVariant distinguishes tiered configurations in the plan cache by
-// threshold: "tiered@N".
-func (t Tiered) PlanVariant() string {
-	return fmt.Sprintf("tiered@%d", t.threshold())
+	fused := devPlan.(*fusionPlan)
+	base, hostBase := fused.planBase, fused.planBase
+	base.name = "tiered"
+	hostBase.name = "vm" // the tier reports itself, not "tiered", as Resolved
+	return &tieredPlan{planBase: base, threshold: threshold,
+		vm: &vmPlan{planBase: hostBase, prog: fused.prog.Exec}, dev: devPlan}, nil
 }
 
 // tieredPlan pins both tiers' plans; Execute picks per binding.
@@ -48,23 +41,6 @@ type tieredPlan struct {
 	threshold int
 	vm        Plan
 	dev       Plan
-}
-
-// Plan plans both tiers. The fusion device tier hands its lowered
-// program to the vm tier, so the network lowers once.
-func (t Tiered) Plan(net *dataflow.Network, dev *ocl.Device) (Plan, error) {
-	base, err := newPlanBase("tiered", net)
-	if err != nil {
-		return nil, err
-	}
-	devPlan, err := Fusion{}.Plan(net, dev)
-	if err != nil {
-		return nil, err
-	}
-	hostBase := base
-	hostBase.name = "vm" // the tier reports itself, not "tiered", as Resolved
-	return &tieredPlan{planBase: base, threshold: t.threshold(),
-		vm: &vmPlan{planBase: hostBase, prog: devPlan.(*fusionPlan).prog.Exec}, dev: devPlan}, nil
 }
 
 // Execute routes the binding to its tier: VM strictly below the

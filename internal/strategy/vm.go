@@ -6,8 +6,8 @@ import (
 	"dfg/internal/vm"
 )
 
-// VM executes the network's lowered program (internal/vm) on the host
-// with zero device traffic: no uploads, no kernel launches, no
+// planVM plans the network's lowered program (internal/vm) for the host,
+// where it runs with zero device traffic: no uploads, no kernel launches, no
 // downloads, no device buffers. It is the executor the fusion strategy's
 // generated kernel runs, minus the device accounting, so it is the
 // profitable tier for meshes small enough that launch and transfer
@@ -18,20 +18,9 @@ import (
 // A VM run's Result consequently carries an empty device profile
 // (Writes = Reads = Kernels = 0), no events and a zero memory high-water
 // mark; tests use that signature to detect which tier served a request.
-type VM struct{}
-
-// Name returns "vm".
-func (VM) Name() string { return "vm" }
-
-// vmPlan holds the lowered program — lowering is the planning step.
-type vmPlan struct {
-	planBase
-	prog *vm.Program
-}
-
-// Plan lowers the network. The device class is ignored: the plan never
-// touches the device.
-func (VM) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
+//
+// Planning lowers the network; the plan never touches the device.
+func planVM(net *dataflow.Network) (Plan, error) {
 	base, err := newPlanBase("vm", net)
 	if err != nil {
 		return nil, err
@@ -41,6 +30,12 @@ func (VM) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 		return nil, err
 	}
 	return &vmPlan{planBase: base, prog: prog}, nil
+}
+
+// vmPlan holds the lowered program — lowering is the planning step.
+type vmPlan struct {
+	planBase
+	prog *vm.Program
 }
 
 // Execute runs the lowered program on the host. The environment is

@@ -32,11 +32,11 @@ import (
 func checkVMAgainstFusion(t *testing.T, text string, lvl passes.Level, bind Bindings) {
 	t.Helper()
 	net := compileAt(t, text, lvl)
-	fres, err := Execute(Fusion{}, cpuEnv(), net, bind)
+	fres, err := Execute(Strategy{Kind: Fusion}, cpuEnv(), net, bind)
 	if err != nil {
 		t.Fatalf("fusion at %v: %v\n%s", lvl, err, text)
 	}
-	vres, err := Execute(VM{}, cpuEnv(), net, bind)
+	vres, err := Execute(Strategy{Kind: VM}, cpuEnv(), net, bind)
 	if err != nil {
 		t.Fatalf("vm at %v: %v\n%s", lvl, err, text)
 	}
@@ -87,11 +87,11 @@ func TestVMO2MatchesPaperFusion(t *testing.T) {
 	for _, text := range progs {
 		paper := compileAt(t, text, passes.LevelPaper)
 		o2 := compileAt(t, text, passes.LevelO2)
-		fres, err := Execute(Fusion{}, cpuEnv(), paper, bind)
+		fres, err := Execute(Strategy{Kind: Fusion}, cpuEnv(), paper, bind)
 		if err != nil {
 			t.Fatalf("paper fusion: %v\n%s", err, text)
 		}
-		vres, err := Execute(VM{}, cpuEnv(), o2, bind)
+		vres, err := Execute(Strategy{Kind: VM}, cpuEnv(), o2, bind)
 		if err != nil {
 			t.Fatalf("O2 vm: %v\n%s", err, text)
 		}
@@ -211,7 +211,7 @@ func TestStencilOverConstantField(t *testing.T) {
 				}
 				allZero("executor", got[0])
 				allZero("reference", want[0])
-				for _, s := range []Strategy{Fusion{}, VM{}, Tiered{Threshold: 1}, Tiered{Threshold: 1 << 20}} {
+				for _, s := range []Strategy{{Kind: Fusion}, {Kind: VM}, {Kind: Tiered, Threshold: 1}, {Kind: Tiered, Threshold: 1 << 20}} {
 					if poison {
 						poisonScratchPool([]int{bind.N, bind.N, prog.SlabLen()})
 					}
@@ -358,7 +358,7 @@ func TestTieredThresholdProperty(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(31))
 	for _, th := range []int{2, 64, 1000, DefaultVMThreshold} {
-		s := Tiered{Threshold: th}
+		s := Strategy{Kind: Tiered, Threshold: th}
 		env := cpuEnv()
 		plan, err := s.Plan(net, env.Device())
 		if err != nil {
@@ -401,33 +401,51 @@ func TestTieredThresholdProperty(t *testing.T) {
 	}
 }
 
-// TestTieredDefaultsAndNames pins the tiered/vm naming surface: ForName
-// round-trips, the plan-cache variant encodes the threshold, and the
-// default threshold applies when none is set.
+// TestTieredDefaultsAndNames pins the one spelling of every variant:
+// each name ForName accepts maps to the value whose String() is the
+// label the ladder and the metrics read, defaults are applied when the
+// value is made (so spellings of one variant are ==, tiered included),
+// and a value missing its configuration refuses to plan.
 func TestTieredDefaultsAndNames(t *testing.T) {
-	s, err := ForName("vm")
-	if err != nil || s.Name() != "vm" {
-		t.Fatalf("ForName(vm) = %v, %v", s, err)
+	for _, tc := range []struct {
+		name, kind, label string
+		want              Strategy
+	}{
+		{"roundtrip", "roundtrip", "roundtrip", Strategy{Kind: Roundtrip}},
+		{"staged", "staged", "staged", Strategy{Kind: Staged}},
+		{"fusion", "fusion", "fusion", Strategy{}},
+		{"streaming", "streaming", "streaming@4", Strategy{Kind: Streaming, Tiles: 4}}, // the ladder's streaming@4 rung
+		{"vm", "vm", "vm", Strategy{Kind: VM}},
+		{"tiered", "tiered", "tiered@4096", Strategy{Kind: Tiered, Threshold: DefaultVMThreshold}},
+		{"tiered@4096", "tiered", "tiered@4096", Strategy{Kind: Tiered, Threshold: 4096}},
+		{"tiered@128", "tiered", "tiered@128", Strategy{Kind: Tiered, Threshold: 128}},
+	} {
+		s, err := ForName(tc.name)
+		if err != nil {
+			t.Fatalf("ForName(%q): %v", tc.name, err)
+		}
+		if s != tc.want || s.Name() != tc.kind || s.String() != tc.label {
+			t.Errorf("ForName(%q) = %+v named %q labeled %q, want %+v, %q, %q", tc.name, s, s.Name(), s.String(), tc.want, tc.kind, tc.label)
+		}
 	}
-	s, err = ForName("tiered")
-	if err != nil || s.Name() != "tiered" {
-		t.Fatalf("ForName(tiered) = %v, %v", s, err)
+	a, _ := ForName("tiered")
+	b, _ := ForName("tiered@4096")
+	if a != b {
+		t.Error("tiered and tiered@4096 are two spellings of one variant")
 	}
-	if got := PlanCacheName(s); got != "tiered@4096" {
-		t.Fatalf("default tiered variant = %q, want tiered@4096", got)
+	for _, bad := range []string{"", "warp", "tiered@zero", "tiered@0", "streaming@16", "Fusion"} {
+		if _, err := ForName(bad); err == nil {
+			t.Errorf("ForName(%q) must be rejected", bad)
+		}
 	}
-	s, err = ForName("tiered@128")
+	net, err := expr.Compile("r = u + v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := PlanCacheName(s); got != "tiered@128" {
-		t.Fatalf("tiered@128 variant = %q", got)
-	}
-	if _, err := ForName("tiered@zero"); err == nil {
-		t.Fatal("tiered@zero must be rejected")
-	}
-	if _, err := ForName("tiered@0"); err == nil {
-		t.Fatal("tiered@0 must be rejected")
+	for _, s := range []Strategy{{Kind: Streaming}, {Kind: Tiered}, {Kind: Tiered + 1}} {
+		if _, err := s.Plan(net, cpuEnv().Device()); err == nil {
+			t.Errorf("%v planned without its configuration", s)
+		}
 	}
 	names := ExtendedNames()
 	if names[len(names)-1] != "vm" {
@@ -446,7 +464,7 @@ func TestVMCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	bind.Ctx = ctx
-	if _, err := (Execute(VM{}, cpuEnv(), net, bind)); err == nil {
+	if _, err := (Execute(Strategy{Kind: VM}, cpuEnv(), net, bind)); err == nil {
 		t.Fatal("canceled context must stop the vm run")
 	}
 }

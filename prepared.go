@@ -36,17 +36,16 @@ type Prepared struct {
 	text   string
 	closed bool
 
-	// fallback, when non-nil, is the degraded plan the engine's
-	// recovery ladder landed on during an earlier evaluation, with
-	// fallbackLabel naming its rung (e.g. "streaming@16"). Warm
+	// fallback, when its plan is non-nil, is the degraded plan the
+	// engine's recovery ladder landed on during an earlier evaluation,
+	// with its rung and that rung's label (e.g. "streaming@16"). Warm
 	// evaluations start from it instead of re-failing the primary plan.
 	// Capacity degradations are engine-recovery state cleared by
 	// nothing short of a new Prepare; a device-lost degradation
 	// (fallbackLost) clears itself once the device is healed, since the
 	// primary plan was never the problem.
-	fallback      strategy.Plan
-	fallbackLabel string
-	fallbackLost  bool
+	fallback     job
+	fallbackLost bool
 }
 
 // refresh drops a device-lost fallback once the device has healed:
@@ -54,19 +53,19 @@ type Prepared struct {
 // healthy device restores it. Capacity fallbacks stay parked.
 func (p *Prepared) refresh() {
 	if p.fallbackLost && !p.eng.DeviceLost() {
-		p.fallback, p.fallbackLabel, p.fallbackLost = nil, "", false
+		p.fallback, p.fallbackLost = job{}, false
 	}
 }
 
-// active returns the plan a warm evaluation should start from and its
-// ladder label: the parked fallback if a previous run degraded, else
-// the primary plan.
-func (p *Prepared) active() (strategy.Plan, string) {
+// active returns the job a warm evaluation should start from: the
+// parked fallback and its rung if a previous run degraded, else the
+// primary plan on the engine's strategy.
+func (p *Prepared) active() job {
 	p.refresh()
-	if p.fallback != nil {
-		return p.fallback, p.fallbackLabel
+	if p.fallback.plan != nil {
+		return p.fallback
 	}
-	return p.plan, p.eng.rung
+	return job{plan: p.plan, strat: p.eng.strat, label: p.eng.label}
 }
 
 // Degraded names the degradation-ladder rung this prepared expression
@@ -75,7 +74,7 @@ func (p *Prepared) active() (strategy.Plan, string) {
 // restored the device.
 func (p *Prepared) Degraded() string {
 	p.refresh()
-	return p.fallbackLabel
+	return p.fallback.label
 }
 
 // Prepare compiles and plans an expression for repeated evaluation.
@@ -137,9 +136,9 @@ func (p *Prepared) eval(ctx context.Context, sp *obs.Span, b binder) (*Result, e
 	if p.closed {
 		return nil, fmt.Errorf("dfg: prepared expression is closed")
 	}
-	e := p.eng
-	plan, label := p.active()
-	return e.eval(ctx, sp, b, job{text: p.text, pr: p, plan: plan, label: label, fp: p.fp, pool: e.env.Context().Pool()})
+	j := p.active()
+	j.text, j.pr, j.fp, j.pool = p.text, p, p.fp, p.eng.env.Context().Pool()
+	return p.eng.eval(ctx, sp, b, j)
 }
 
 // Close releases the prepared handle. Closing the engine's last open

@@ -3,6 +3,7 @@ package dfg
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -37,24 +38,19 @@ const (
 	jitter      = 0.5
 )
 
-// rung is one position on the degradation ladder.
-type rung struct {
-	label string // the strategy's plan cache name, e.g. "streaming@16"
-	strat strategy.Strategy
-}
-
 // ladder is the capacity-degradation order. A capacity fault on a rung
 // moves to the rung after it; a strategy not on the ladder degrades to
 // the first rung. The last rung, "vm", is also the device-lost refuge.
-var ladder = []rung{
-	{"fusion", strategy.Fusion{}},
-	{"staged", strategy.Staged{}},
-	{"roundtrip", strategy.Roundtrip{}},
-	{"streaming@4", strategy.Streaming{Tiles: 4}},
-	{"streaming@16", strategy.Streaming{Tiles: 16}},
-	{"streaming@64", strategy.Streaming{Tiles: 64}},
-	{"streaming@256", strategy.Streaming{Tiles: 256}},
-	{"vm", strategy.VM{}},
+// A rung's label is its String() ("streaming@16").
+var ladder = []strategy.Strategy{
+	{Kind: strategy.Fusion},
+	{Kind: strategy.Staged},
+	{Kind: strategy.Roundtrip},
+	{Kind: strategy.Streaming, Tiles: 4},
+	{Kind: strategy.Streaming, Tiles: 16},
+	{Kind: strategy.Streaming, Tiles: 64},
+	{Kind: strategy.Streaming, Tiles: 256},
+	{Kind: strategy.VM},
 }
 
 // recovery is an engine's armed recovery state. Like the engine it is
@@ -102,19 +98,17 @@ func (r *recovery) backoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * (1 + jitter*(2*r.rng.Float64()-1)))
 }
 
-// nextRung finds the rung after the given label on the ladder. A label
-// not on the ladder (a custom strategy) degrades to the first rung; the
-// last rung has nothing below it.
-func nextRung(label string) (rung, bool) {
-	for i, ru := range ladder {
-		if ru.label == label {
-			if i+1 == len(ladder) {
-				return rung{}, false
-			}
-			return ladder[i+1], true
-		}
+// nextRung finds the rung after the given strategy on the ladder. A
+// strategy not on the ladder (tiered, or streaming at another tile
+// count) degrades to the first rung; the last rung has nothing below it.
+func nextRung(s strategy.Strategy) (strategy.Strategy, bool) {
+	switch i := slices.Index(ladder, s); {
+	case i < 0:
+		return ladder[0], true
+	case i+1 < len(ladder):
+		return ladder[i+1], true
 	}
-	return ladder[0], true
+	return strategy.Strategy{}, false
 }
 
 // run is the recovery-wrapped execution loop around runPlanOnce. It
@@ -130,7 +124,7 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t
 		res, rt.resolved, err = e.runPlanOnce(j, bind, sp, t0)
 		if err == nil {
 			if pr := j.pr; pr != nil && rt.degraded != "" && j.plan != pr.plan {
-				pr.fallback, pr.fallbackLabel, pr.fallbackLost = j.plan, label, rt.lost
+				pr.fallback, pr.fallbackLost = job{plan: j.plan, strat: j.strat, label: j.label}, rt.lost
 			}
 			return res, rt, nil
 		}
@@ -163,19 +157,20 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t
 
 		case ocl.ClassCapacity, ocl.ClassDeviceLost:
 			lost := class == ocl.ClassDeviceLost
-			var nxt rung
+			var nxt strategy.Strategy
 			var ok bool
 			if lost {
 				// Nothing on the device can run again until the serving layer
 				// heals or replaces it, but the ladder's host-VM rung needs
 				// no device at all: jump straight there. Already on it?
 				// Surface the loss.
-				if nxt = ladder[len(ladder)-1]; label == nxt.label {
+				if nxt = ladder[len(ladder)-1]; j.strat == nxt {
 					return nil, rt, err
 				}
-			} else if nxt, ok = nextRung(label); !ok {
+			} else if nxt, ok = nextRung(j.strat); !ok {
 				return nil, rt, fmt.Errorf("dfg: degradation ladder exhausted at %s: %w", label, err)
 			}
+			to := nxt.String()
 			// Drain the arena so pooled and resident buffers do not count
 			// against the smaller plan's capacity; re-planning goes through
 			// the shared plan cache, so a rung already planned anywhere is
@@ -183,20 +178,20 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t
 			e.env.Context().Pool().Drain()
 			fs := sp.Child("fallback")
 			if fs != nil {
-				fs.SetAttr("from", label).SetAttr("to", nxt.label).SetAttr("cause", err.Error())
+				fs.SetAttr("from", label).SetAttr("to", to).SetAttr("cause", err.Error())
 			}
-			np, _, perr := e.comp.PlanTracedAt(j.text, e.lvl, nxt.strat, e.env.Device(), fs)
+			np, _, perr := e.comp.PlanTracedAt(j.text, e.lvl, nxt, e.env.Device(), fs)
 			fs.Finish()
 			if perr != nil {
-				return nil, rt, fmt.Errorf("dfg: fallback re-plan %s -> %s: %w", label, nxt.label, perr)
+				return nil, rt, fmt.Errorf("dfg: fallback re-plan %s -> %s: %w", label, to, perr)
 			}
 			if e.reg != nil {
 				e.reg.Counter("dfg_fallback_total",
 					"Strategy degradations by ladder edge.",
-					obs.Labels{"from": label, "to": nxt.label}).Inc()
+					obs.Labels{"from": label, "to": to}).Inc()
 			}
-			j.plan, j.label = np, nxt.label
-			rt.degraded, rt.lost = nxt.label, rt.lost || lost
+			j.plan, j.strat, j.label = np, nxt, to
+			rt.degraded, rt.lost = to, rt.lost || lost
 			retries = 0
 
 		default: // permanent

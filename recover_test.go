@@ -42,10 +42,10 @@ func tinyGPU(t *testing.T, capacity int64) (*Engine, *obs.Registry) {
 func TestRecoveryConstants(t *testing.T) {
 	var labels []string
 	for _, ru := range ladder {
-		labels = append(labels, ru.label)
-		if got := strategy.PlanCacheName(ru.strat); got != ru.label {
-			t.Errorf("rung %q plans under %q", ru.label, got)
-		}
+		labels = append(labels, ru.String())
+	}
+	if s, _ := strategy.ForName("streaming"); !slices.Contains(ladder, s) {
+		t.Errorf("ForName(streaming) = %v is not a ladder rung", s)
 	}
 	want := []string{"fusion", "staged", "roundtrip", "streaming@4", "streaming@16", "streaming@64", "streaming@256", "vm"}
 	if !slices.Equal(labels, want) {

@@ -20,6 +20,7 @@ var surfaceAllowlist = map[string]string{
 	"dfg.Engine.CacheStats":         "public API",
 	"dfg.Engine.EvalBatch":          "public API",
 	"dfg.Engine.Fingerprint":        "public API",
+	"dfg.Engine.WithStrategy":       "public API (README); serve derives views from parsed values",
 	"dfg.Prepared.Degraded":         "public API",
 	"dfg.Prepared.Fingerprint":      "public API",
 	"dfg.PreparedBatch.Fingerprint": "public API",
