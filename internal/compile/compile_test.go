@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"dfg/internal/dataflow"
+	"dfg/internal/expr"
 	"dfg/internal/passes"
+	"dfg/internal/vortex"
 )
 
 // compilePaper is the short spelling these tests share: Paper level, no
@@ -191,6 +193,49 @@ func TestDefineValidates(t *testing.T) {
 	}
 	if _, err := compilePaper(c, "r = d"); err != nil || c.FingerprintAt("r = d", passes.LevelPaper) != fp {
 		t.Errorf("refused redefinition disturbed the old body: err=%v", err)
+	}
+}
+
+// TestDefinedProgramOutlivesLaterParses: Define keeps the parsed
+// program, whose nodes live in that parse's own arena, so a thousand
+// later parses and builds leave it byte-identical, and it still expands
+// into the same network.
+func TestDefinedProgramOutlivesLaterParses(t *testing.T) {
+	c := NewCompiler()
+	if err := c.Define("qc", vortex.QCritExpr); err != nil {
+		t.Fatal(err)
+	}
+	kept := c.snapshot()["qc"].prog
+	expand := func() string {
+		t.Helper()
+		use, err := expr.Parse("r = qc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := expr.BuildNetworkWithDefinitions(use, map[string]*expr.Program{"qc": kept})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := net.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js)
+	}
+	want, wantNet := kept.String(), expand()
+	for i := 0; i < 1000; i++ {
+		if _, err := compilePaper(c, fmt.Sprintf("r = qc * %d.5 - u", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.snapshot()["qc"].prog != kept {
+		t.Fatal("the definition was re-parsed")
+	}
+	if got := kept.String(); got != want {
+		t.Fatalf("the defined program changed after later parses:\n%s\nwant\n%s", got, want)
+	}
+	if got := expand(); got != wantNet {
+		t.Fatalf("the defined program expands differently after later parses:\n%s\nwant\n%s", got, wantNet)
 	}
 }
 

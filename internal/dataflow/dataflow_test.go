@@ -446,3 +446,71 @@ func TestSealFreezesNetwork(t *testing.T) {
 		t.Fatal("sealed network must stay readable")
 	}
 }
+
+// TestInputsWindowsAreOwned: nodes take their Inputs from one shared
+// chunk, so each window must end where its node's inputs do. Appending
+// to one node's Inputs, or rewriting it to a filter with more inputs,
+// must leave every other node's Inputs as they were.
+func TestInputsWindowsAreOwned(t *testing.T) {
+	nw := buildVelMag(t)
+	snapshot := func() []string {
+		out := make([]string, nw.Len())
+		for i, n := range nw.Nodes() {
+			out[i] = strings.Join(n.Inputs, ",")
+		}
+		return out
+	}
+	others := func(what string, changed int, before []string) {
+		t.Helper()
+		for i, n := range nw.Nodes() {
+			if got := strings.Join(n.Inputs, ","); i != changed && got != before[i] {
+				t.Errorf("%s node %q changed node %q: inputs %s, were %s", what, nw.Nodes()[changed].ID, n.ID, got, before[i])
+			}
+		}
+	}
+	out, _ := nw.Pos(nw.Output())
+	before := snapshot()
+	if err := nw.RewriteToFilter(nw.Output(), "select", []string{"u", "v", "w"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	others("rewriting", out, before)
+	// A node built after the rewrite takes the window that follows the
+	// rewritten node's, so the appends below cover that seam too.
+	if _, err := nw.AddFilter("add", "u", "w"); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range nw.Nodes() {
+		before := snapshot()
+		k := len(n.Inputs)
+		n.Inputs = append(n.Inputs, "u", "v")
+		others("appending to", i, before)
+		n.Inputs = n.Inputs[:k]
+	}
+}
+
+// TestPosTracksRemoval: Pos is the one ID -> position index, so it must
+// agree with Nodes() after every construction step and removal.
+func TestPosTracksRemoval(t *testing.T) {
+	nw := buildVelMag(t)
+	check := func() {
+		t.Helper()
+		for i, n := range nw.Nodes() {
+			if p, ok := nw.Pos(n.ID); !ok || p != i {
+				t.Fatalf("Pos(%q) = %d, %v; node is at %d", n.ID, p, ok, i)
+			}
+		}
+	}
+	dead, _ := nw.AddFilter("mul", "u", "w")
+	kept, _ := nw.AddFilter("add", "u", "v")
+	check()
+	if err := nw.RemoveNodes([]string{dead}); err != nil {
+		t.Fatal(err)
+	}
+	check()
+	if _, ok := nw.Pos(dead); ok {
+		t.Fatalf("removed node %q still has a position", dead)
+	}
+	if p, _ := nw.Pos(kept); p != nw.Len()-1 {
+		t.Fatalf("Pos(%q) = %d after removing the node before it, want %d", kept, p, nw.Len()-1)
+	}
+}

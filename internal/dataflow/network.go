@@ -42,9 +42,13 @@ func (n *Node) Info() FilterInfo {
 // once Seal is called — an immutable execution phase. Sealed networks are
 // safe to share across goroutines and engines; the expression front end
 // seals every network it compiles.
+//
+// Nodes and their Inputs live in fixed-size chunks the network owns, so
+// building a network allocates per chunk, not per node; byID is the one
+// ID -> position index, which Pos exposes to the passes.
 type Network struct {
 	nodes   []*Node
-	byID    map[string]*Node
+	byID    map[string]int32  // node ID -> position in nodes
 	aliases map[string]string // user name -> node ID (assignment statements)
 	output  string
 	// roots, when non-empty, designates multiple sinks (a super-network
@@ -53,6 +57,9 @@ type Network struct {
 	roots  []string
 	nextID int
 	sealed bool
+	// The chunks new nodes and Inputs windows are taken from.
+	slab []Node
+	ins  []string
 	// Seal's one Validate and TopoOrder, returned by both from then on.
 	valid    error
 	order    []*Node
@@ -62,7 +69,7 @@ type Network struct {
 // NewNetwork creates an empty network.
 func NewNetwork() *Network {
 	return &Network{
-		byID:    make(map[string]*Node),
+		byID:    make(map[string]int32),
 		aliases: make(map[string]string),
 	}
 }
@@ -99,16 +106,62 @@ func (nw *Network) mustMutable(op string) {
 	}
 }
 
+// Chunk sizes: how many Nodes, and how many Inputs slots, a network
+// allocates at a time.
+const (
+	nodeChunk  = 32
+	inputChunk = 64
+)
+
+// genericIDs holds the generic names t0 … t511, built once, so minting
+// an ID allocates nothing for all but the largest networks.
+var genericIDs = func() (ids [512]string) {
+	for i := range ids {
+		ids[i] = "t" + strconv.Itoa(i)
+	}
+	return ids
+}()
+
 // genID mints the next generic node name, skipping any a source
 // already took: a user may name an input array "t0".
 func (nw *Network) genID() string {
 	for {
-		id := "t" + strconv.Itoa(nw.nextID)
+		var id string
+		if i := nw.nextID; i < len(genericIDs) {
+			id = genericIDs[i]
+		} else {
+			id = "t" + strconv.Itoa(i)
+		}
 		nw.nextID++
 		if _, taken := nw.byID[id]; !taken {
 			return id
 		}
 	}
+}
+
+// add appends a node, taking its storage from the current chunk, and
+// indexes its position.
+func (nw *Network) add(n Node) *Node {
+	if len(nw.slab) == cap(nw.slab) {
+		nw.slab = make([]Node, 0, nodeChunk)
+	}
+	nw.slab = append(nw.slab, n)
+	p := &nw.slab[len(nw.slab)-1]
+	nw.byID[p.ID] = int32(len(nw.nodes))
+	nw.nodes = append(nw.nodes, p)
+	return p
+}
+
+// window returns a k-slot Inputs slice from the current chunk. Its
+// capacity ends where it does (a full-slice expression), so appending
+// to one node's Inputs reallocates instead of overrunning a neighbour.
+func (nw *Network) window(k int) []string {
+	if cap(nw.ins)-len(nw.ins) < k {
+		nw.ins = make([]string, 0, max(inputChunk, k))
+	}
+	n := len(nw.ins)
+	nw.ins = nw.ins[:n+k]
+	return nw.ins[n : n+k : n+k]
 }
 
 // AddSource declares a named host-provided input array and returns its
@@ -121,19 +174,14 @@ func (nw *Network) AddSource(name string) (string, error) {
 	if _, dup := nw.byID[name]; dup {
 		return "", fmt.Errorf("dataflow: duplicate node id %q", name)
 	}
-	n := &Node{ID: name, Filter: "source", Width: 1}
-	nw.nodes = append(nw.nodes, n)
-	nw.byID[name] = n
+	nw.add(Node{ID: name, Filter: "source", Width: 1})
 	return name, nil
 }
 
 // AddConst adds a scalar constant source and returns its node ID.
 func (nw *Network) AddConst(v float64) string {
 	nw.mustMutable("AddConst")
-	n := &Node{ID: nw.genID(), Filter: "const", Value: v, Width: 1}
-	nw.nodes = append(nw.nodes, n)
-	nw.byID[n.ID] = n
-	return n.ID
+	return nw.add(Node{ID: nw.genID(), Filter: "const", Value: v, Width: 1}).ID
 }
 
 // AddFilter adds a filter invocation on existing nodes and returns the
@@ -154,14 +202,15 @@ func (nw *Network) AddFilter(filter string, inputs ...string) (string, error) {
 	if len(inputs) != fi.Arity {
 		return "", fmt.Errorf("dataflow: filter %q takes %d inputs, got %d", filter, fi.Arity, len(inputs))
 	}
-	resolved, err := nw.resolveAll(filter, inputs)
-	if err != nil {
-		return "", err
+	resolved := nw.window(len(inputs))
+	for i, nm := range inputs {
+		id, err := nw.resolve(nm)
+		if err != nil {
+			return "", fmt.Errorf("%w (input %d of %q)", err, i, filter)
+		}
+		resolved[i] = id
 	}
-	n := &Node{ID: nw.genID(), Filter: filter, Inputs: resolved, Width: fi.OutWidth}
-	nw.nodes = append(nw.nodes, n)
-	nw.byID[n.ID] = n
-	return n.ID, nil
+	return nw.add(Node{ID: nw.genID(), Filter: filter, Inputs: resolved, Width: fi.OutWidth}).ID, nil
 }
 
 // AddDecompose adds a component selection of a vector-valued node
@@ -172,17 +221,16 @@ func (nw *Network) AddDecompose(input string, comp int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	in := nw.byID[resolved]
+	in := nw.NodeByID(resolved)
 	if in.Width < 2 {
 		return "", fmt.Errorf("dataflow: cannot decompose scalar node %q", input)
 	}
 	if comp < 0 || comp >= in.Width {
 		return "", fmt.Errorf("dataflow: component %d out of range for %q (width %d)", comp, input, in.Width)
 	}
-	n := &Node{ID: nw.genID(), Filter: "decompose", Inputs: []string{resolved}, Comp: comp, Width: 1}
-	nw.nodes = append(nw.nodes, n)
-	nw.byID[n.ID] = n
-	return n.ID, nil
+	ins := nw.window(1)
+	ins[0] = resolved
+	return nw.add(Node{ID: nw.genID(), Filter: "decompose", Inputs: ins, Comp: comp, Width: 1}).ID, nil
 }
 
 // Alias binds a user-provided name (the left side of an assignment
@@ -273,30 +321,31 @@ func (nw *Network) resolve(name string) (string, error) {
 	return "", fmt.Errorf("dataflow: unknown node or alias %q", name)
 }
 
-func (nw *Network) resolveAll(filter string, names []string) ([]string, error) {
-	out := make([]string, len(names))
-	for i, nm := range names {
-		id, err := nw.resolve(nm)
-		if err != nil {
-			return nil, fmt.Errorf("%w (input %d of %q)", err, i, filter)
-		}
-		out[i] = id
-	}
-	return out, nil
-}
-
 // Node returns the node with the given ID or alias, or nil.
 func (nw *Network) Node(name string) *Node {
 	id, err := nw.resolve(name)
 	if err != nil {
 		return nil
 	}
-	return nw.byID[id]
+	return nw.NodeByID(id)
 }
 
 // NodeByID returns the node with exactly the given ID (no alias
 // fallback), or nil.
-func (nw *Network) NodeByID(id string) *Node { return nw.byID[id] }
+func (nw *Network) NodeByID(id string) *Node {
+	if i, ok := nw.byID[id]; ok {
+		return nw.nodes[i]
+	}
+	return nil
+}
+
+// Pos returns the position of the node with exactly the given ID in
+// Nodes(). It is the network's one ID -> position index: passes and
+// the scheduler read positions here instead of building their own maps.
+func (nw *Network) Pos(id string) (int, bool) {
+	i, ok := nw.byID[id]
+	return int(i), ok
+}
 
 // Nodes returns the nodes in construction order (a valid topological
 // order, since inputs must exist when a node is added).
@@ -359,19 +408,15 @@ func (nw *Network) TopoOrder() ([]*Node, error) {
 	return nw.topoOrder()
 }
 
-// topoOrder runs Kahn's algorithm over node positions: one ID -> index
-// map, then int32 in-degrees and a CSR (compressed sparse row) array of
-// each node's dependents, so the schedule — and everything derived from
-// it, like generated kernel source — is deterministic.
+// topoOrder runs Kahn's algorithm over node positions (read from Pos),
+// int32 in-degrees and a CSR (compressed sparse row) array of each
+// node's dependents, so the schedule — and everything derived from it,
+// like generated kernel source — is deterministic.
 func (nw *Network) topoOrder() ([]*Node, error) {
 	if nw.output == "" {
 		return nil, fmt.Errorf("dataflow: network has no output")
 	}
 	n := len(nw.nodes)
-	pos := make(map[string]int32, n)
-	for i, nd := range nw.nodes {
-		pos[nd.ID] = int32(i)
-	}
 	// indeg[i] is -1 while no root reaches node i; queue is the marking
 	// stack first and Kahn's ready queue after. Node j's dependents are
 	// counted into start[j+2], so that after the prefix sum start[j+1]
@@ -383,7 +428,8 @@ func (nw *Network) topoOrder() ([]*Node, error) {
 		indeg[i] = -1
 	}
 	reach := func(id string) (int32, bool) {
-		j, ok := pos[id]
+		p, ok := nw.Pos(id)
+		j := int32(p)
 		if ok && indeg[j] < 0 {
 			indeg[j] = int32(len(nw.nodes[j].Inputs)) // every input of a live node is live
 			queue = append(queue, j)
@@ -415,7 +461,7 @@ func (nw *Network) topoOrder() ([]*Node, error) {
 			continue
 		}
 		for _, in := range nd.Inputs {
-			j := pos[in]
+			j, _ := nw.Pos(in)
 			deps[start[j+1]] = int32(i)
 			start[j+1]++
 		}
@@ -468,8 +514,8 @@ func (nw *Network) checkNodes() error {
 			return fmt.Errorf("dataflow: node %q: filter %q takes %d inputs, got %d", n.ID, n.Filter, fi.Arity, len(n.Inputs))
 		}
 		for _, in := range n.Inputs {
-			inNode, ok := nw.byID[in]
-			if !ok {
+			inNode := nw.NodeByID(in)
+			if inNode == nil {
 				return fmt.Errorf("dataflow: node %q: missing input %q", n.ID, in)
 			}
 			// Vector-typed values flow only into decompose and vector
@@ -487,7 +533,7 @@ func (nw *Network) checkNodes() error {
 			}
 		}
 		if n.Filter == "decompose" {
-			in := nw.byID[n.Inputs[0]]
+			in := nw.NodeByID(n.Inputs[0])
 			if n.Comp < 0 || n.Comp >= in.Width {
 				return fmt.Errorf("dataflow: node %q: component %d out of range (width %d)", n.ID, n.Comp, in.Width)
 			}

@@ -68,32 +68,41 @@ func (nw *Network) RemoveNodes(ids []string) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	dead := make(map[string]bool, len(ids))
+	dead := make([]bool, len(nw.nodes)) // by position
 	for _, id := range ids {
-		dead[id] = true
+		if i, ok := nw.byID[id]; ok {
+			dead[i] = true
+		}
 	}
-	if dead[nw.output] {
+	isDead := func(id string) bool {
+		i, ok := nw.byID[id]
+		return ok && dead[i]
+	}
+	if isDead(nw.output) {
 		return fmt.Errorf("dataflow: cannot remove output node %q", nw.output)
 	}
 	for _, r := range nw.roots {
-		if dead[r] {
+		if isDead(r) {
 			return fmt.Errorf("dataflow: cannot remove root node %q", r)
 		}
 	}
-	kept := nw.nodes[:0]
-	for _, n := range nw.nodes {
-		if dead[n.ID] {
-			delete(nw.byID, n.ID)
-			continue
-		}
-		kept = append(kept, n)
-	}
-	nw.nodes = kept
 	for name, id := range nw.aliases {
-		if dead[id] {
+		if isDead(id) {
 			delete(nw.aliases, name)
 		}
 	}
+	// Compact the survivors and reindex: a survivor's position moves
+	// down by the number of dead nodes before it.
+	kept := nw.nodes[:0]
+	for i, n := range nw.nodes {
+		if dead[i] {
+			delete(nw.byID, n.ID)
+			continue
+		}
+		nw.byID[n.ID] = int32(len(kept))
+		kept = append(kept, n)
+	}
+	nw.nodes = kept
 	return nil
 }
 
@@ -102,7 +111,7 @@ func (nw *Network) RemoveNodes(ids []string) error {
 // order of everything downstream).
 func (nw *Network) RewriteToConst(id string, v float64) error {
 	nw.mustMutable("RewriteToConst")
-	n := nw.byID[id]
+	n := nw.NodeByID(id)
 	if n == nil {
 		return fmt.Errorf("dataflow: RewriteToConst: unknown node %q", id)
 	}
@@ -122,7 +131,7 @@ func (nw *Network) RewriteToConst(id string, v float64) error {
 // invariant checks in internal/passes catch violations).
 func (nw *Network) RewriteToFilter(id, filter string, inputs []string, comp int) error {
 	nw.mustMutable("RewriteToFilter")
-	n := nw.byID[id]
+	n := nw.NodeByID(id)
 	if n == nil {
 		return fmt.Errorf("dataflow: RewriteToFilter: unknown node %q", id)
 	}
@@ -134,12 +143,13 @@ func (nw *Network) RewriteToFilter(id, filter string, inputs []string, comp int)
 		return fmt.Errorf("dataflow: RewriteToFilter: filter %q takes %d inputs, got %d", filter, fi.Arity, len(inputs))
 	}
 	for _, in := range inputs {
-		if _, ok := nw.byID[in]; !ok {
+		if _, ok := nw.Pos(in); !ok {
 			return fmt.Errorf("dataflow: RewriteToFilter: missing input %q", in)
 		}
 	}
 	n.Filter = filter
-	n.Inputs = append([]string(nil), inputs...)
+	n.Inputs = nw.window(len(inputs))
+	copy(n.Inputs, inputs)
 	n.Value = 0
 	n.Comp = comp
 	n.Width = fi.OutWidth

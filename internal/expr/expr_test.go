@@ -3,6 +3,7 @@ package expr
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"dfg/internal/dataflow"
@@ -117,6 +118,22 @@ func TestParseErrors(t *testing.T) {
 	for _, in := range cases {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) should fail", in)
+		}
+	}
+}
+
+// TestComponentIndexErrors: an index is reported as written when it is
+// not an integer, and by its value when it is out of range.
+func TestComponentIndexErrors(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"du = grad3d(u, dims, x, y, z)\nr = du[7]", "expr: component index 7 out of range [0, 3]"},
+		{"du = grad3d(u, dims, x, y, z)\nr = du[1.5]", "expr: component index 1.5 out of range [0, 3]"},
+		{"r = a[0.50] + b[9]", "expr: component index 0.50 out of range [0, 3]"},
+		{"r = a[9] + b[0.5]", "expr: component index 9 out of range [0, 3]"},
+	} {
+		_, err := Parse(tc.in)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) = %v, want %q", tc.in, err, tc.want)
 		}
 	}
 }
@@ -482,4 +499,69 @@ func TestSyntaxErrorAtEOF(t *testing.T) {
 // errorsAs avoids importing errors twice in this test file.
 func errorsAs(err error, target any) bool {
 	return errors.As(err, target)
+}
+
+// TestArgumentListsOwnTheirWindows: argument lists share the arena's
+// argument chunks, so a list longer than its window must move out
+// rather than run into the next call's list.
+func TestArgumentListsOwnTheirWindows(t *testing.T) {
+	p, err := Parse("r = f(a, b, c, d, e, g, h) + k(p, q)\ns = k(x, y, z, w, v, u)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.String(), "r = (f(a,b,c,d,e,g,h) + k(p,q))\ns = k(x,y,z,w,v,u)"; got != want {
+		t.Fatalf("parsed\n%s\nwant\n%s", got, want)
+	}
+}
+
+// slabExprs are the seven paper and extension expressions.
+var slabExprs = []string{
+	vortex.VelMagExpr, vortex.VortMagExpr, vortex.QCritExpr, vortex.GradMagExpr,
+	vortex.EnstrophyExpr, vortex.DivergenceExpr, vortex.HelicityExpr,
+}
+
+// TestConcurrentParsesOwnTheirTrees: each parse builds its tree in its
+// own arena, so parses running at once (run under -race) return trees
+// that render exactly as a sequential parse does, and a tree kept from
+// an earlier parse is unchanged by later ones.
+func TestConcurrentParsesOwnTheirTrees(t *testing.T) {
+	want := make([]string, len(slabExprs))
+	kept := make([]*Program, len(slabExprs))
+	for i, text := range slabExprs {
+		p, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept[i], want[i] = p, p.String()
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				i := (g + r) % len(slabExprs)
+				p, err := Parse(slabExprs[i])
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if got := p.String(); got != want[i] {
+					errs <- "concurrent parse rendered\n" + got + "\nwant\n" + want[i]
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	for i, p := range kept {
+		if got := p.String(); got != want[i] {
+			t.Errorf("a kept tree changed after later parses:\n%s\nwant\n%s", got, want[i])
+		}
+	}
 }

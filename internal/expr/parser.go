@@ -14,29 +14,42 @@ import (
 // limited grammar the paper describes: binary arithmetic, unary minus,
 // function-style filter invocation, bracket component selection,
 // parenthesized sub-expressions, and newline/semicolon-separated
-// assignment statements.
+// assignment statements. Every action takes its node from the parse's
+// arena (the env Table.Parse hands it).
 func grammar() *lalr.Grammar {
 	g := lalr.NewGrammar("program")
 
-	g.Rule("program : stmts", func(v []any) any {
-		return &Program{Stmts: v[0].([]*Stmt)}
+	// The statement list grows in place in the arena's Program, so a
+	// reduction hands on a pointer, never a boxed slice header.
+	g.Rule("program : stmts", nil)
+	g.Rule("stmts : stmts SEP stmt", func(env any, v []any) any {
+		p := v[0].(*Program)
+		p.Stmts = append(p.Stmts, v[2].(*Stmt))
+		return p
 	})
-	g.Rule("stmts : stmts SEP stmt", func(v []any) any {
-		return append(v[0].([]*Stmt), v[2].(*Stmt))
-	})
-	g.Rule("stmts : stmt", func(v []any) any {
-		return []*Stmt{v[0].(*Stmt)}
-	})
-
-	g.Rule("stmt : IDENT = rel", func(v []any) any {
-		return &Stmt{Name: v[0].(*lalr.Token).Text, X: v[2].(Node)}
-	})
-	g.Rule("stmt : rel", func(v []any) any {
-		return &Stmt{X: v[0].(Node)}
+	g.Rule("stmts : stmt", func(env any, v []any) any {
+		p := &env.(*arena).prog
+		p.Stmts = append(p.Stmts, v[0].(*Stmt))
+		return p
 	})
 
-	bin := func(op string) func([]any) any {
-		return func(v []any) any { return &Binary{Op: op, L: v[0].(Node), R: v[2].(Node)} }
+	g.Rule("stmt : IDENT = rel", func(env any, v []any) any {
+		s := take(&env.(*arena).stmts)
+		*s = Stmt{Name: v[0].(*lalr.Token).Text, X: v[2].(Node)}
+		return s
+	})
+	g.Rule("stmt : rel", func(env any, v []any) any {
+		s := take(&env.(*arena).stmts)
+		s.X = v[0].(Node)
+		return s
+	})
+
+	bin := func(op string) func(any, []any) any {
+		return func(env any, v []any) any {
+			b := take(&env.(*arena).bins)
+			*b = Binary{Op: op, L: v[0].(Node), R: v[2].(Node)}
+			return b
+		}
 	}
 	// Relational operators bind loosest and do not chain (a < b < c is
 	// a syntax error, as in most expression languages).
@@ -52,47 +65,135 @@ func grammar() *lalr.Grammar {
 	g.Rule("term : term / factor", bin("/"))
 	g.Rule("term : factor", nil)
 
-	g.Rule("factor : - factor", func(v []any) any {
-		return &Unary{Op: "-", X: v[1].(Node)}
+	g.Rule("factor : - factor", func(env any, v []any) any {
+		u := take(&env.(*arena).unaries)
+		*u = Unary{Op: "-", X: v[1].(Node)}
+		return u
 	})
 	g.Rule("factor : postfix", nil)
 
-	g.Rule("postfix : postfix [ NUMBER ]", func(v []any) any {
+	// Component indices must be small non-negative integers; the first
+	// violation in the text is the parse's error.
+	g.Rule("postfix : postfix [ NUMBER ]", func(env any, v []any) any {
+		a := env.(*arena)
 		f := number(v[2])
-		comp := int(f)
-		if f != math.Trunc(f) {
-			comp = -1 // validate() rejects out-of-range components
+		x := take(&a.indexes)
+		*x = Index{Base: v[0].(Node), Comp: int(f)}
+		switch {
+		case f != math.Trunc(f):
+			a.fail(fmt.Errorf("expr: component index %s out of range [0, 3]", v[2].(*lalr.Token).Text))
+		case x.Comp < 0 || x.Comp > 3:
+			a.fail(fmt.Errorf("expr: component index %d out of range [0, 3]", x.Comp))
 		}
-		return &Index{Base: v[0].(Node), Comp: comp}
+		return x
 	})
 	g.Rule("postfix : primary", nil)
 
-	g.Rule("primary : NUMBER", func(v []any) any {
-		return &Num{Value: number(v[0])}
+	g.Rule("primary : NUMBER", func(env any, v []any) any {
+		a := env.(*arena)
+		n := take(&a.nums)
+		n.Value = number(v[0])
+		if math.IsNaN(n.Value) || math.IsInf(n.Value, 0) {
+			a.fail(fmt.Errorf("expr: non-finite constant"))
+		}
+		return n
 	})
-	g.Rule("primary : IDENT", func(v []any) any {
-		return &Ref{Name: v[0].(*lalr.Token).Text}
+	g.Rule("primary : IDENT", func(env any, v []any) any {
+		r := take(&env.(*arena).refs)
+		r.Name = v[0].(*lalr.Token).Text
+		return r
 	})
-	g.Rule("primary : IDENT ( args )", func(v []any) any {
-		return &Call{Fun: v[0].(*lalr.Token).Text, Args: v[2].([]Node)}
+	// The argument list is the Call itself: args builds it, and the
+	// invocation only names it.
+	g.Rule("primary : IDENT ( args )", func(env any, v []any) any {
+		c := v[2].(*Call)
+		c.Fun = v[0].(*lalr.Token).Text
+		return c
 	})
-	g.Rule("primary : ( rel )", func(v []any) any { return v[1] })
+	g.Rule("primary : ( rel )", func(env any, v []any) any { return v[1] })
 
 	// The paper's introduction sketches conditional expressions:
 	// a = if (cond) then (x) else (y). Both branches are primaries, so
 	// the usual written form parenthesizes them.
-	g.Rule("primary : IF ( rel ) THEN primary ELSE primary", func(v []any) any {
-		return &If{Cond: v[2].(Node), Then: v[5].(Node), Else: v[7].(Node)}
+	g.Rule("primary : IF ( rel ) THEN primary ELSE primary", func(env any, v []any) any {
+		f := take(&env.(*arena).ifs)
+		*f = If{Cond: v[2].(Node), Then: v[5].(Node), Else: v[7].(Node)}
+		return f
 	})
 
-	g.Rule("args : args , rel", func(v []any) any {
-		return append(v[0].([]Node), v[2].(Node))
+	g.Rule("args : args , rel", func(env any, v []any) any {
+		c := v[0].(*Call)
+		c.Args = append(c.Args, v[2].(Node))
+		return c
 	})
-	g.Rule("args : rel", func(v []any) any {
-		return []Node{v[0].(Node)}
+	g.Rule("args : rel", func(env any, v []any) any {
+		a := env.(*arena)
+		c := take(&a.calls)
+		c.Args = append(a.argList(), v[0].(Node))
+		return c
 	})
 
 	return g
+}
+
+// Chunk sizes. An argument list starts in a window of argWindow slots,
+// grad3d's five arguments, the most any filter takes; a longer list
+// outgrows its window into a slice of its own.
+const (
+	chunk      = 16 // AST nodes of one type per chunk
+	argWindow  = 5
+	argWindows = 4 // argument-list windows per argument chunk
+)
+
+// arena is one parse's allocator and the env its actions receive. The
+// AST nodes come from fixed-size chunks the arena owns, so a parse
+// allocates per chunk, not per node. Every Parse makes its own arena:
+// the tree it returns is the arena's, and outlives the parse (a
+// Compiler keeps defined programs), so arenas are never pooled or
+// shared between parses.
+type arena struct {
+	prog    Program
+	stmts   []Stmt
+	refs    []Ref
+	nums    []Num
+	bins    []Binary
+	unaries []Unary
+	indexes []Index
+	calls   []Call
+	ifs     []If
+	args    []Node
+	err     error // the first semantic error, in text order
+}
+
+// take returns the next free element of a chunk, starting a new chunk
+// when this one is full. Elements are never moved, so the pointer stays
+// valid for the tree's lifetime.
+func take[T any](s *[]T) *T {
+	if len(*s) == cap(*s) {
+		*s = make([]T, 0, chunk)
+	}
+	*s = (*s)[:len(*s)+1]
+	return &(*s)[len(*s)-1]
+}
+
+// argList returns an empty argument list whose window of argWindow
+// slots lies in the arena's current argument chunk. The window is a
+// full-slice expression, so appending past it reallocates instead of
+// overrunning the next list.
+func (a *arena) argList() []Node {
+	if cap(a.args)-len(a.args) < argWindow {
+		a.args = make([]Node, 0, argWindows*argWindow)
+	}
+	n := len(a.args)
+	a.args = a.args[:n+argWindow]
+	return a.args[n : n : n+argWindow]
+}
+
+// fail records err unless an earlier error is already recorded.
+func (a *arena) fail(err error) {
+	if a.err == nil {
+		a.err = err
+	}
 }
 
 // number reads a shifted NUMBER token's value. lex accepted the text
@@ -143,58 +244,20 @@ func Parse(input string) (*Program, error) {
 	if len(toks) == 0 {
 		return nil, fmt.Errorf("expr: empty expression")
 	}
-	v, err := tbl.Parse(toks)
+	a := &arena{}
+	stmts := 1 // lex leaves separators only between statements
+	for i := range toks {
+		if toks[i].Sym == symSep {
+			stmts++
+		}
+	}
+	a.prog.Stmts = make([]*Stmt, 0, stmts)
+	v, err := tbl.Parse(toks, a)
 	if err != nil {
 		return nil, decorate(input, err)
 	}
-	p := v.(*Program)
-	if err := validate(p); err != nil {
-		return nil, err
+	if a.err != nil {
+		return nil, a.err
 	}
-	return p, nil
-}
-
-// validate applies post-parse checks that the grammar alone cannot
-// express (component indices must be small non-negative integers).
-func validate(p *Program) error {
-	var check func(n Node) error
-	check = func(n Node) error {
-		switch t := n.(type) {
-		case *Index:
-			if f := t.Comp; f < 0 || f > 3 {
-				return fmt.Errorf("expr: component index %d out of range [0, 3]", t.Comp)
-			}
-			return check(t.Base)
-		case *Unary:
-			return check(t.X)
-		case *Binary:
-			if err := check(t.L); err != nil {
-				return err
-			}
-			return check(t.R)
-		case *Call:
-			for _, a := range t.Args {
-				if err := check(a); err != nil {
-					return err
-				}
-			}
-		case *If:
-			for _, sub := range []Node{t.Cond, t.Then, t.Else} {
-				if err := check(sub); err != nil {
-					return err
-				}
-			}
-		case *Num:
-			if math.IsNaN(t.Value) || math.IsInf(t.Value, 0) {
-				return fmt.Errorf("expr: non-finite constant")
-			}
-		}
-		return nil
-	}
-	for _, s := range p.Stmts {
-		if err := check(s.X); err != nil {
-			return err
-		}
-	}
-	return nil
+	return v.(*Program), nil
 }

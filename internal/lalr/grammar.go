@@ -32,8 +32,10 @@ type Prod struct {
 	Rhs []string
 	// Action computes the production's semantic value from its
 	// children's values (one per RHS symbol; terminals yield *Token).
-	// A nil action yields the first child's value (or nil if empty).
-	Action func(vals []any) any
+	// env is the value the caller handed to Table.Parse: per-parse state
+	// such as the arena a front end builds its tree in. A nil action
+	// yields the first child's value (or nil if empty).
+	Action func(env any, vals []any) any
 }
 
 // String renders the production in "lhs -> rhs" form.
@@ -58,8 +60,8 @@ func NewGrammar(start string) *Grammar {
 
 // Rule adds a production written as "lhs : sym sym ..." (or "lhs -> ...");
 // an empty right side declares an epsilon production. The action receives
-// one value per RHS symbol.
-func (g *Grammar) Rule(rule string, action func(vals []any) any) {
+// parse's env and one value per RHS symbol.
+func (g *Grammar) Rule(rule string, action func(env any, vals []any) any) {
 	lhs, rhs, err := splitRule(rule)
 	if err != nil {
 		g.errs = append(g.errs, err)

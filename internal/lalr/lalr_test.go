@@ -32,11 +32,11 @@ func lexNums(s string) []Token {
 }
 
 // binop builds the usual arithmetic action.
-func binop(f func(a, b float64) float64) func([]any) any {
-	return func(v []any) any { return f(v[0].(float64), v[2].(float64)) }
+func binop(f func(a, b float64) float64) func(any, []any) any {
+	return func(_ any, v []any) any { return f(v[0].(float64), v[2].(float64)) }
 }
 
-func num(v []any) any { return float64(v[0].(*Token).Text[0] - '0') }
+func num(_ any, v []any) any { return float64(v[0].(*Token).Text[0] - '0') }
 
 // unambiguousCalc is the textbook expr/term/factor grammar.
 func unambiguousCalc(t *testing.T) *Table {
@@ -48,7 +48,7 @@ func unambiguousCalc(t *testing.T) *Table {
 	g.Rule("term : term * factor", binop(func(a, b float64) float64 { return a * b }))
 	g.Rule("term : term / factor", binop(func(a, b float64) float64 { return a / b }))
 	g.Rule("term : factor", nil)
-	g.Rule("factor : ( expr )", func(v []any) any { return v[1] })
+	g.Rule("factor : ( expr )", func(_ any, v []any) any { return v[1] })
 	g.Rule("factor : num", num)
 	tbl, err := Build(g)
 	if err != nil {
@@ -62,7 +62,7 @@ func unambiguousCalc(t *testing.T) *Table {
 
 func evalWith(t *testing.T, tbl *Table, input string) float64 {
 	t.Helper()
-	v, err := tbl.Parse(lexNums(input))
+	v, err := tbl.Parse(lexNums(input), nil)
 	if err != nil {
 		t.Fatalf("parse %q: %v", input, err)
 	}
@@ -102,7 +102,7 @@ func TestUnresolvedConflictFailsBuild(t *testing.T) {
 		t.Fatal("Build must return the default-resolved table alongside the error")
 	}
 	// Default resolution is shift -> right associativity.
-	v, perr := tbl.Parse(lexNums("1+2+3"))
+	v, perr := tbl.Parse(lexNums("1+2+3"), nil)
 	if perr != nil || v.(float64) != 6 {
 		t.Fatalf("default-resolved parse: %v, %v", v, perr)
 	}
@@ -112,14 +112,14 @@ func TestReduceReduceConflict(t *testing.T) {
 	g := NewGrammar("s")
 	g.Rule("s : a", nil)
 	g.Rule("s : b", nil)
-	g.Rule("a : x", func(v []any) any { return "a" })
-	g.Rule("b : x", func(v []any) any { return "b" })
+	g.Rule("a : x", func(_ any, v []any) any { return "a" })
+	g.Rule("b : x", func(_ any, v []any) any { return "b" })
 	tbl, err := Build(g)
 	if err == nil || !strings.Contains(err.Error(), "reduce/reduce") {
 		t.Fatalf("want reduce/reduce failure, got %v", err)
 	}
 	// yacc default: earlier production wins.
-	v, perr := tbl.Parse([]Token{tok("x")})
+	v, perr := tbl.Parse([]Token{tok("x")}, nil)
 	if perr != nil || v != "a" {
 		t.Fatalf("default resolution should pick the earlier rule: %v, %v", v, perr)
 	}
@@ -128,8 +128,8 @@ func TestReduceReduceConflict(t *testing.T) {
 func TestEpsilonProductions(t *testing.T) {
 	// list : list item | <empty> — counts items.
 	g := NewGrammar("list")
-	g.Rule("list : list item", func(v []any) any { return v[0].(int) + 1 })
-	g.Rule("list :", func(v []any) any { return 0 })
+	g.Rule("list : list item", func(_ any, v []any) any { return v[0].(int) + 1 })
+	g.Rule("list :", func(_ any, v []any) any { return 0 })
 	g.Rule("item : x", nil)
 	tbl, err := Build(g)
 	if err != nil {
@@ -140,7 +140,7 @@ func TestEpsilonProductions(t *testing.T) {
 		for i := range toks {
 			toks[i] = tok("x")
 		}
-		v, err := tbl.Parse(toks)
+		v, err := tbl.Parse(toks, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -159,8 +159,8 @@ func TestEpsilonProductions(t *testing.T) {
 // LALR lookaheads rather than SLR FOLLOW sets.
 func TestLALRButNotSLR(t *testing.T) {
 	g := NewGrammar("s")
-	g.Rule("s : l = r", func(v []any) any { return "assign" })
-	g.Rule("s : r", func(v []any) any { return "rvalue" })
+	g.Rule("s : l = r", func(_ any, v []any) any { return "assign" })
+	g.Rule("s : r", func(_ any, v []any) any { return "rvalue" })
 	g.Rule("l : * r", nil)
 	g.Rule("l : id", nil)
 	g.Rule("r : l", nil)
@@ -171,11 +171,11 @@ func TestLALRButNotSLR(t *testing.T) {
 	if len(tbl.Conflicts) != 0 {
 		t.Fatalf("LALR(1) grammar must build conflict-free, got %v", tbl.Conflicts)
 	}
-	v, err := tbl.Parse([]Token{tok("*"), tok("id"), tok("="), tok("id")})
+	v, err := tbl.Parse([]Token{tok("*"), tok("id"), tok("="), tok("id")}, nil)
 	if err != nil || v != "assign" {
 		t.Fatalf("*id = id: %v, %v", v, err)
 	}
-	v, err = tbl.Parse([]Token{tok("id")})
+	v, err = tbl.Parse([]Token{tok("id")}, nil)
 	if err != nil || v != "rvalue" {
 		t.Fatalf("id: %v, %v", v, err)
 	}
@@ -184,7 +184,7 @@ func TestLALRButNotSLR(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	tbl := unambiguousCalc(t)
 
-	_, err := tbl.Parse(lexNums("1+"))
+	_, err := tbl.Parse(lexNums("1+"), nil)
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *ParseError, got %v", err)
@@ -199,7 +199,7 @@ func TestParseErrors(t *testing.T) {
 		t.Fatalf("EOF error message: %q", pe.Error())
 	}
 
-	_, err = tbl.Parse(lexNums("1 2"))
+	_, err = tbl.Parse(lexNums("1 2"), nil)
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *ParseError, got %v", err)
 	}
@@ -213,7 +213,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestUnknownTerminalRejected(t *testing.T) {
 	tbl := unambiguousCalc(t)
-	_, err := tbl.Parse([]Token{tok("WAT")})
+	_, err := tbl.Parse([]Token{tok("WAT")}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown terminal") {
 		t.Fatalf("unknown terminal must be rejected: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestUnknownTerminalRejected(t *testing.T) {
 // yielding their first child (or nothing for an empty right side).
 func TestParseTokensErrorPaths(t *testing.T) {
 	tbl := unambiguousCalc(t)
-	_, err := tbl.Parse(append(lexNums("1+"), tok("WAT")))
+	_, err := tbl.Parse(append(lexNums("1+"), tok("WAT")), nil)
 	var pe *ParseError
 	if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), `unknown terminal "WAT"`) {
 		t.Fatalf("unknown terminal after valid input: %v", err)
@@ -235,7 +235,7 @@ func TestParseTokensErrorPaths(t *testing.T) {
 		"1+":  "( num",
 		"1 2": "$end ) * + - /",
 	} {
-		_, err := tbl.Parse(lexNums(in))
+		_, err := tbl.Parse(lexNums(in), nil)
 		if !errors.As(err, &pe) {
 			t.Fatalf("%q: want *ParseError, got %v", in, err)
 		}
@@ -253,7 +253,7 @@ func TestParseTokensErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	toks := []Token{tok("x"), tok("y")}
-	v, err := tbl.Parse(toks)
+	v, err := tbl.Parse(toks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestParseTokensErrorPaths(t *testing.T) {
 	if tbl, err = Build(g); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := tbl.Parse(nil); err != nil || v != nil {
+	if v, err := tbl.Parse(nil, nil); err != nil || v != nil {
 		t.Fatalf("nil action over an empty right side: %#v, %v; want nil", v, err)
 	}
 }
@@ -327,12 +327,37 @@ func TestDefaultActionPassesFirstValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := tbl.Parse(lexNums("7"))
+	v, err := tbl.Parse(lexNums("7"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tokv, ok := v.(*Token); !ok || tokv.Text != "7" {
 		t.Fatalf("default action should pass through the token, got %#v", v)
+	}
+}
+
+// TestActionsSeeParseEnv checks that every action receives the env its
+// Parse call was given, so two parses over one table keep separate
+// state.
+func TestActionsSeeParseEnv(t *testing.T) {
+	g := NewGrammar("list")
+	count := func(env any, v []any) any { *env.(*int)++; return nil }
+	g.Rule("list : list item", count)
+	g.Rule("list :", nil)
+	g.Rule("item : x", count)
+	tbl, err := Build(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b int
+	if _, err := tbl.Parse([]Token{tok("x"), tok("x")}, &a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Parse([]Token{tok("x")}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if a != 4 || b != 2 {
+		t.Fatalf("reductions seen through env: %d and %d, want 4 and 2", a, b)
 	}
 }
 

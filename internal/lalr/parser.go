@@ -44,11 +44,13 @@ var endOfInput = Token{Sym: EOF}
 
 // Parse runs the table-driven shift-reduce parser over toks followed by
 // an implicit end of input, and returns the start symbol's semantic
-// value. A shifted terminal reaches its production's action as a *Token
-// pointing into toks. An action's vals is a window of the parser's value
-// stack: it is valid only during the call, and must not be retained or
-// appended to.
-func (t *Table) Parse(toks []Token) (any, error) {
+// value. Every action receives env, so per-parse state (an arena, a
+// first error) needs no package variable and parses may run
+// concurrently. A shifted terminal reaches its production's action as a
+// *Token pointing into toks. An action's vals is a window of the
+// parser's value stack: it is valid only during the call, and must not
+// be retained or appended to.
+func (t *Table) Parse(toks []Token, env any) (any, error) {
 	states := make([]int32, 1, 64)
 	values := make([]any, 1, 64)
 	next := 0
@@ -78,7 +80,7 @@ func (t *Table) Parse(toks []Token) (any, error) {
 			base := len(values) - len(p.Rhs)
 			var v any
 			if p.Action != nil {
-				v = p.Action(values[base:])
+				v = p.Action(env, values[base:])
 			} else if len(p.Rhs) > 0 {
 				v = values[base]
 			}

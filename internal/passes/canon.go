@@ -41,10 +41,6 @@ type key struct {
 // so add(a, b) and add(b, a) share one key.
 func eliminate(nw *dataflow.Network, st *Stats, commute bool) error {
 	nodes := nw.Nodes()
-	pos := make(map[string]int32, len(nodes))
-	for i, n := range nodes {
-		pos[n.ID] = int32(i)
-	}
 	canon := make([]int32, len(nodes)) // position -> position it merged into
 	first := make(map[key]int32, len(nodes))
 	remap := make(map[string]string)
@@ -64,11 +60,11 @@ func eliminate(nw *dataflow.Network, st *Stats, commute bool) error {
 		// a node is keyed all of its inputs are already canonical and one
 		// forward pass reaches the fixpoint.
 		for a, in := range n.Inputs {
-			j, ok := pos[in]
+			p, ok := nw.Pos(in)
 			if !ok {
 				return fmt.Errorf("node %q reads missing node %q", n.ID, in)
 			}
-			j = canon[j]
+			j := canon[p]
 			n.Inputs[a] = nodes[j].ID
 			k.in[a] = j
 		}

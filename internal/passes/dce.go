@@ -18,18 +18,16 @@ type dce struct{}
 func (dce) Name() string { return "dce" }
 
 func (dce) Run(nw *dataflow.Network, st *Stats) error {
-	live := make(map[string]bool, nw.Len())
+	nodes := nw.Nodes()
+	live := make([]bool, len(nodes)) // by position
 	var visit func(id string)
 	visit = func(id string) {
-		if live[id] {
+		i, ok := nw.Pos(id)
+		if !ok || live[i] {
 			return
 		}
-		live[id] = true
-		n := nw.NodeByID(id)
-		if n == nil {
-			return
-		}
-		for _, in := range n.Inputs {
+		live[i] = true
+		for _, in := range nodes[i].Inputs {
 			visit(in)
 		}
 	}
@@ -37,8 +35,8 @@ func (dce) Run(nw *dataflow.Network, st *Stats) error {
 		visit(r)
 	}
 	var dead []string
-	for _, n := range nw.Nodes() {
-		if !live[n.ID] {
+	for i, n := range nodes {
+		if !live[i] {
 			dead = append(dead, n.ID)
 		}
 	}

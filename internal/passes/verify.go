@@ -9,6 +9,8 @@ import (
 // VerifyInvariants checks everything the later layers assume about a
 // network between (and after) passes:
 //
+//   - the network's position index (Network.Pos) agrees with
+//     construction order for every node;
 //   - the output is set and resolves to a live node;
 //   - every input reference resolves, and points strictly backwards in
 //     construction order (construction order is a topological order —
@@ -23,16 +25,20 @@ import (
 // subtly wrong rewrite into an immediate, attributed failure instead of
 // a miscounted Table II three layers later.
 func VerifyInvariants(nw *dataflow.Network) error {
+	// The index comes first: every lookup below reads it.
+	pos := make(map[string]int, nw.Len())
+	for i, n := range nw.Nodes() {
+		pos[n.ID] = i
+		if p, ok := nw.Pos(n.ID); !ok || p != i {
+			return fmt.Errorf("node %q (index %d) is indexed at %d (found %v)", n.ID, i, p, ok)
+		}
+	}
 	out := nw.Output()
 	if out == "" {
 		return fmt.Errorf("network has no output")
 	}
 	if nw.NodeByID(out) == nil {
 		return fmt.Errorf("output %q is not a node", out)
-	}
-	pos := make(map[string]int, nw.Len())
-	for i, n := range nw.Nodes() {
-		pos[n.ID] = i
 	}
 	edges := 0
 	for i, n := range nw.Nodes() {

@@ -298,11 +298,11 @@ func TestColdOpsLeaveNoHeapBehind(t *testing.T) {
 // TestColdPrepareAllocBudget is the dynamic path's allocation gate, the
 // cold twin of the warm gates below: one op prepares a never-seen
 // Q-criterion variant at O2, evaluates it on a 4³ mesh and closes it —
-// the repo benchmark's cold_compile op — and may allocate at most 900
-// objects. It made 3 857 before sealed networks kept their order and the
-// LALR driver stopped boxing each shifted token, and 1 638 before plans
-// stopped rendering the fused kernel's OpenCL C and the lexer stopped
-// allocating per token (768 after).
+// the repo benchmark's cold_compile op — and may allocate at most 350
+// objects. It reads 210: the parse takes its AST nodes, and the
+// network its nodes and input lists, from fixed-size chunks, and the
+// passes read the network's one position index instead of building
+// their own.
 func TestColdPrepareAllocBudget(t *testing.T) {
 	eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "fusion", Opt: "O2"})
 	if err != nil {
@@ -327,8 +327,8 @@ func TestColdPrepareAllocBudget(t *testing.T) {
 		pr.Close()
 	})
 	t.Logf("cold prepare + eval + close: %.0f allocations", allocs)
-	if allocs > 900 {
-		t.Errorf("a cold prepare + eval + close makes %.0f allocations, budget 900", allocs)
+	if allocs > 350 {
+		t.Errorf("a cold prepare + eval + close makes %.0f allocations, budget 350", allocs)
 	}
 }
 
