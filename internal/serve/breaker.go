@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // breakerState is a circuit breaker's position. The numeric values are
 // exported as the dfg_breaker_state gauge, so they are part of the
@@ -30,115 +27,66 @@ func (s breakerState) String() string {
 	return "unknown"
 }
 
-// breaker is a per-worker (per-device) circuit breaker. While closed,
-// jobs run normally and consecutive device-fault failures are counted;
-// at breakerThreshold — or immediately on a device-lost fault — the
-// breaker opens and the worker reroutes its jobs back onto the queue
-// for healthy peers. After the cooldown the next job becomes a
-// half-open health probe: success recloses the breaker, failure reopens
-// it and counts a failed probe, and enough failed probes tell the
-// worker to replace its device outright.
-//
-// Only the owning worker goroutine transitions the breaker; the mutex
-// exists so metric scrapes and reports can read a consistent state from
-// other goroutines.
+// breakerEvent is what a worker tells its breaker.
+type breakerEvent int
+
+const (
+	evAllow   breakerEvent = iota // a job asks to run at now
+	evSuccess                     // an evaluation the device answered
+	evFailure                     // a transient or unexplained device fault
+	evLost                        // the device is lost
+	evReset                       // the device was replaced
+)
+
+// breaker is a per-worker (per-device) circuit breaker, as a value: on
+// is its whole behaviour, and only the owning worker holds one. The pool
+// publishes each new value for scrapes (Pool.note); nothing inside
+// locks, sleeps or waits.
 type breaker struct {
-	mu       sync.Mutex
 	state    breakerState
-	cooldown time.Duration // open -> half-open delay
-	fails    int           // consecutive device-fault failures while closed
-	probes   int           // consecutive failed half-open probes
+	fails    int // consecutive device faults while closed
+	probes   int // consecutive failed half-open probes
 	openedAt time.Time
-	trips    int64 // total closed/half-open -> open transitions
+	trips    int64 // closed/half-open -> open transitions
 }
 
-func newBreaker(cooldown time.Duration) *breaker {
-	return &breaker{cooldown: cooldown}
-}
-
-// allow reports whether the owning worker may run a job now. probe is
-// true when the run is the half-open health probe after a cooldown —
-// the caller heals the device before probing.
-func (b *breaker) allow(now time.Time) (ok, probe bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		if now.Sub(b.openedAt) >= b.cooldown {
+// on is the transition table:
+//
+//	state \ event  allow              success  failure           lost  reset
+//	closed         closed             closed   open at the 5th   open  closed
+//	half-open      half-open          closed   open              open  closed
+//	open           half-open once     open     open              open  closed
+//	               the cooldown passed
+//
+// In open only the cooldown moves it — an outcome that lands after the
+// trip says nothing new about the device — and reset, which is a new
+// device. A failed probe counts toward replaceAfterProbes; every move
+// into open counts a trip and restarts the cooldown.
+func (b breaker) on(ev breakerEvent, now time.Time, cooldown time.Duration) breaker {
+	switch {
+	case ev == evReset:
+		return breaker{trips: b.trips}
+	case b.state == breakerOpen:
+		if ev == evAllow && now.Sub(b.openedAt) >= cooldown {
 			b.state = breakerHalfOpen
-			return true, true
 		}
-		return false, false
-	case breakerHalfOpen:
-		// Single-goroutine owner: at most one probe is ever in flight.
-		return true, true
-	}
-	return true, false
-}
-
-// success records a healthy run, reclosing the breaker from any state.
-func (b *breaker) success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = breakerClosed
-	b.fails = 0
-	b.probes = 0
-}
-
-// failure records a device-fault failure. trip forces the breaker open
-// regardless of the consecutive-failure count (device lost). It returns
-// true when this failure opened the breaker.
-func (b *breaker) failure(now time.Time, trip bool) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == breakerHalfOpen {
-		// The health probe itself failed.
+	case ev == evAllow:
+	case ev == evSuccess:
+		b.state, b.fails, b.probes = breakerClosed, 0, 0
+	case b.state == breakerHalfOpen: // the probe failed
 		b.probes++
-		b.state = breakerOpen
-		b.openedAt = now
-		b.trips++
-		return true
+		b.state, b.openedAt, b.trips = breakerOpen, now, b.trips+1
+	default: // closed, a device fault
+		b.fails++
+		if ev == evLost || b.fails >= breakerThreshold {
+			b.state, b.openedAt, b.trips, b.fails = breakerOpen, now, b.trips+1, 0
+		}
 	}
-	b.fails++
-	if trip || b.fails >= breakerThreshold {
-		b.state = breakerOpen
-		b.openedAt = now
-		b.trips++
-		b.fails = 0
-		return true
-	}
-	return false
+	return b
 }
 
-// failedProbes returns the consecutive failed half-open probes since
-// the breaker last closed; the worker replaces its device when this
-// reaches replaceAfterProbes.
-func (b *breaker) failedProbes() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.probes
-}
+// packed is the breaker's state and trip count in one word, which is
+// how the pool publishes it to scrapes; unpack reverses it.
+func (b breaker) packed() int64 { return b.trips<<2 | int64(b.state) }
 
-// reset returns the breaker to closed with clean counters — called
-// after the worker replaces its device.
-func (b *breaker) reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = breakerClosed
-	b.fails = 0
-	b.probes = 0
-}
-
-// State returns the current position (for the dfg_breaker_state gauge).
-func (b *breaker) State() breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// Trips returns the total number of times the breaker has opened.
-func (b *breaker) Trips() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
-}
+func unpack(w int64) (breakerState, int64) { return breakerState(w & 3), w >> 2 }

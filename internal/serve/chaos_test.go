@@ -322,7 +322,7 @@ func TestBatchAndSoloShareOneGate(t *testing.T) {
 				if sc.panics {
 					cfg.FaultPlanFor = panicOnce()
 				}
-				p, err := NewPool(cfg)
+				p, err := newPool(cfg, nil) // workers start once the job is placed
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -345,14 +345,14 @@ func TestBatchAndSoloShareOneGate(t *testing.T) {
 				}
 				all := append([]*member(nil), j.members...) // the gate trims j.members in place
 				if sc.tripped {
-					// Worker 0's own admit step turns the job away, whichever
-					// worker the queue would have handed it to first; with the
-					// breaker open nothing evaluates on engine 0 meanwhile.
-					p.breakers[0].failure(time.Now(), true)
-					p.run(&workerState{id: 0, eng: p.engine(0), br: p.breakers[0], handles: map[handleKey]handle{}}, j)
+					// Worker 0's breaker opens and its own gate turns the job
+					// away, before any worker could have drawn it first.
+					p.note(p.ws[0], evLost, time.Now())
+					p.run(p.ws[0], j)
 				} else {
 					p.queue <- j
 				}
+				p.startWorkers()
 
 				wantErr := sc.wantErr
 				if sc.panics && members == 1 {
@@ -381,5 +381,148 @@ func TestBatchAndSoloShareOneGate(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMergedTripMovesBreakerOnce runs a merged job on a one-worker pool
+// whose first kernel launch fails. The merged run opens the breaker;
+// its members still run alone (they were admitted with the job) and are
+// answered — on a lost device by the recovery ladder's vm rung — but
+// their outcomes cannot move the open breaker: one trip, still open,
+// whether a device loss opened it or a transient fault that was the
+// threshold-th in a row.
+func TestMergedTripMovesBreakerOnce(t *testing.T) {
+	for _, sc := range []struct {
+		name    string
+		members int
+		effect  ocl.FaultEffect
+		prior   int // consecutive device faults counted before the job
+	}{
+		{"lost/2", 2, ocl.EffectDeviceLost, 0},
+		{"lost/4", 4, ocl.EffectDeviceLost, 0},
+		{"threshold/2", 2, ocl.EffectError, breakerThreshold - 1},
+		{"threshold/4", 4, ocl.EffectError, breakerThreshold - 1},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			p, err := newPool(Config{
+				Workers: 1, Device: dfg.CPU, Strategy: "fusion", TraceKeep: -1, BreakerCooldown: time.Hour,
+				FaultPlanFor: func(int) *ocl.FaultPlan {
+					return ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultKernel, Nth: 0, Effect: sc.effect})
+				},
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := p.ws[0]
+			for i := 0; i < sc.prior; i++ {
+				p.note(ws, evFailure, time.Now())
+			}
+			j := &job{}
+			flush := time.Now()
+			for k := 0; k < sc.members; k++ {
+				req := chaosReq()
+				req.Expr = fmt.Sprintf("f = x*2 + %d", k+1)
+				j.members = append(j.members, &member{req: req, ctx: context.Background(), cancel: func() {},
+					enqueued: flush, formed: flush, resp: make(chan Response, 1)})
+			}
+			members := append([]*member(nil), j.members...)
+			p.run(ws, j)
+			for k, m := range members {
+				if r := <-m.resp; r.Err != nil {
+					t.Fatalf("member %d: %v, want an answer", k, r.Err)
+				}
+			}
+			if st := p.Stats(); st.BatchSplits != 1 {
+				t.Fatalf("batch splits = %d, want 1: the merged run did not fail", st.BatchSplits)
+			}
+			if ws.br.trips != 1 || ws.br.state != breakerOpen {
+				t.Fatalf("breaker %v after %d trips, want open after 1", ws.br.state, ws.br.trips)
+			}
+			if got := p.BreakerStates()[0]; got != "open" {
+				t.Fatalf("published breaker state %q, want open", got)
+			}
+			p.startWorkers()
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := p.LiveBuffers(); n != 0 {
+				t.Fatalf("live buffers after close = %d, want 0", n)
+			}
+		})
+	}
+}
+
+// TestRerouteBoundIsMaxHops: on a pool where every breaker is open, a
+// job bounces between the workers exactly 4*Workers+4 times, then its
+// member fails ErrWorkerUnavailable.
+func TestRerouteBoundIsMaxHops(t *testing.T) {
+	clock := &fakeClock{t: replayEpoch}
+	p, err := newPool(Config{Workers: 2, TraceKeep: -1, BreakerCooldown: time.Hour}, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.tick = p.tick
+	for _, ws := range p.ws {
+		p.note(ws, evLost, clock.now())
+	}
+	m := &member{req: chaosReq(), ctx: context.Background(), cancel: func() {}, enqueued: clock.now(), resp: make(chan Response, 1)}
+	j := &job{members: []*member{m}}
+	p.queue <- j
+	for k := 0; len(p.queue) > 0; k++ {
+		p.run(p.ws[k%len(p.ws)], <-p.queue)
+	}
+	if j.hops != 12 || p.Stats().Rerouted != 12 {
+		t.Fatalf("job hopped %d times (%d reroutes), want 4*2+4 = 12", j.hops, p.Stats().Rerouted)
+	}
+	if r := <-m.resp; !errors.Is(r.Err, ErrWorkerUnavailable) {
+		t.Fatalf("err %v, want ErrWorkerUnavailable", r.Err)
+	}
+}
+
+// TestBreakerTable walks every state through every event and compares
+// the result with the table on breaker.on.
+func TestBreakerTable(t *testing.T) {
+	t0 := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	const cooldown = time.Second
+	closed := breaker{}
+	halfOpen := breaker{state: breakerHalfOpen, openedAt: t0, trips: 1}
+	open := breaker{state: breakerOpen, openedAt: t0, trips: 1}
+	cooling, cooled := t0.Add(cooldown/2), t0.Add(cooldown)
+	for _, c := range []struct {
+		name string
+		from breaker
+		ev   breakerEvent
+		at   time.Time
+		want breakerState
+		trip bool
+	}{
+		{"closed/allow", closed, evAllow, cooled, breakerClosed, false},
+		{"closed/success", closed, evSuccess, cooled, breakerClosed, false},
+		{"closed/failure", closed, evFailure, cooled, breakerClosed, false},
+		{"closed/failure at the threshold", breaker{fails: breakerThreshold - 1}, evFailure, cooled, breakerOpen, true},
+		{"closed/lost", closed, evLost, cooled, breakerOpen, true},
+		{"closed/reset", closed, evReset, cooled, breakerClosed, false},
+		{"half-open/allow", halfOpen, evAllow, cooled, breakerHalfOpen, false},
+		{"half-open/success", halfOpen, evSuccess, cooled, breakerClosed, false},
+		{"half-open/failure", halfOpen, evFailure, cooled, breakerOpen, true},
+		{"half-open/lost", halfOpen, evLost, cooled, breakerOpen, true},
+		{"half-open/reset", halfOpen, evReset, cooled, breakerClosed, false},
+		{"open/allow cooling", open, evAllow, cooling, breakerOpen, false},
+		{"open/allow cooled", open, evAllow, cooled, breakerHalfOpen, false},
+		{"open/success", open, evSuccess, cooled, breakerOpen, false},
+		{"open/failure", open, evFailure, cooled, breakerOpen, false},
+		{"open/lost", open, evLost, cooled, breakerOpen, false},
+		{"open/reset", open, evReset, cooled, breakerClosed, false},
+	} {
+		got := c.from.on(c.ev, c.at, cooldown)
+		if got.state != c.want || (got.trips > c.from.trips) != c.trip {
+			t.Errorf("%s: %+v, want %v (trip %v)", c.name, got, c.want, c.trip)
+		}
+		if c.trip && !got.openedAt.Equal(c.at) || !c.trip && !got.openedAt.Equal(c.from.openedAt) && c.ev != evReset {
+			t.Errorf("%s: opened at %v, want the cooldown restarted exactly on a trip", c.name, got.openedAt)
+		}
+	}
+	if b := halfOpen.on(evFailure, cooled, cooldown); b.probes != 1 {
+		t.Errorf("a failed probe counts %d probes, want 1", b.probes)
 	}
 }

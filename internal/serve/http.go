@@ -81,28 +81,36 @@ func (p *Pool) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// lastParam parses ?last=N with a default and a sanity cap.
-func lastParam(r *http.Request, def int) int {
-	n := def
+// lastParam parses ?last=N (default 16) for a traced pool, answering
+// the request itself, and reporting false, when it cannot.
+func (p *Pool) lastParam(w http.ResponseWriter, r *http.Request) (int, bool) {
+	if !p.traced(w) {
+		return 0, false
+	}
+	n := 16
 	if s := r.URL.Query().Get("last"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil || v < 1 {
-			return -1
+			http.Error(w, "bad ?last= value", http.StatusBadRequest)
+			return 0, false
 		}
 		n = v
 	}
-	return n
+	return n, true
+}
+
+// traced answers 404, and reports false, when tracing is disabled.
+func (p *Pool) traced(w http.ResponseWriter) bool {
+	if p.tracer == nil {
+		http.Error(w, "tracing disabled (TraceKeep < 0)", http.StatusNotFound)
+	}
+	return p.tracer != nil
 }
 
 // handleTrace serves recent request traces as Chrome-trace JSON.
 func (p *Pool) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if p.tracer == nil {
-		http.Error(w, "tracing disabled (TraceKeep < 0)", http.StatusNotFound)
-		return
-	}
-	n := lastParam(r, 16)
-	if n < 0 {
-		http.Error(w, "bad ?last= value", http.StatusBadRequest)
+	n, ok := p.lastParam(w, r)
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -114,8 +122,7 @@ func (p *Pool) handleTrace(w http.ResponseWriter, r *http.Request) {
 // flight-dump traces carry. Text by default; ?format=json returns the
 // span tree in the flight-dump SpanDump shape.
 func (p *Pool) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	if p.tracer == nil {
-		http.Error(w, "tracing disabled (TraceKeep < 0)", http.StatusNotFound)
+	if !p.traced(w) {
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/trace/")
@@ -142,13 +149,8 @@ func (p *Pool) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 
 // handleSlow renders the kept span trees as text.
 func (p *Pool) handleSlow(w http.ResponseWriter, r *http.Request) {
-	if p.tracer == nil {
-		http.Error(w, "tracing disabled (TraceKeep < 0)", http.StatusNotFound)
-		return
-	}
-	n := lastParam(r, 16)
-	if n < 0 {
-		http.Error(w, "bad ?last= value", http.StatusBadRequest)
+	n, ok := p.lastParam(w, r)
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
