@@ -2,8 +2,10 @@ package dfg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -393,27 +395,43 @@ func TestEngineDefinitions(t *testing.T) {
 	}
 }
 
-// TestComputedDimsRejectedAtPlanTime: a stencil's mesh extents must be
-// a bound source. A network that computes them is refused once, at
-// plan time, with the same typed error on every strategy, solo and as
-// a batch member. O2 folds `dims + -(0.0)` back to the source, so that
+// TestComputedDimsRejectedAtPlanTime: a stencil's mesh extents and
+// coordinates must be bound sources. A network that computes one is
+// refused once, at plan time, with the same typed error on every
+// strategy, solo and as a batch member. Staged and roundtrip used to run
+// a computed coordinate and the other four to fail it untyped, inside
+// the lowering. O2 folds `dims + -(0.0)` back to the source, so that
 // spelling runs there; `dims + 0` is not an identity (it is +0 for -0).
 func TestComputedDimsRejectedAtPlanTime(t *testing.T) {
-	m, _ := NewUniformMesh(Dims{NX: 4, NY: 4, NZ: 4}, 1, 1, 1)
+	m, _ := NewUniformMesh(Dims{NX: 5, NY: 4, NZ: 3}, 1, 1, 1)
 	fields := FieldInputs(GenerateRT(m, 8))
+	inputs := []string{"u", "dims", "x", "y", "z"}
 	for _, tc := range []struct {
-		dims, opt, stencil, computedBy string // computedBy "" means the network runs
+		def                      string
+		arg                      int    // the grad3d input d replaces: 1 dims, 2-4 x, y, z
+		opt, stencil, computedBy string // computedBy "" means the network runs
 	}{
-		{"dims + -(0.0)", "paper", "grad3d", "add"},
-		{"dims + -(0.0)", "O2", "", ""},
-		{"dims + 0", "O2", "grad3dx", "add"},
-		{"sqrt(dims)", "paper", "grad3d", "sqrt"},
-		{"sqrt(dims)", "O2", "grad3dx", "sqrt"}, // g[0] of grad3d, strength-reduced
+		{"dims + -(0.0)", 1, "paper", "grad3d", "add"},
+		{"dims + -(0.0)", 1, "O2", "", ""},
+		{"dims + 0", 1, "O2", "grad3dx", "add"},
+		{"sqrt(dims)", 1, "paper", "grad3d", "sqrt"},
+		{"sqrt(dims)", 1, "O2", "grad3dx", "sqrt"}, // g[0] of grad3d, strength-reduced
+		{"x + 0", 2, "paper", "grad3d", "add"},
+		{"x * 2", 2, "O2", "grad3dx", "mul"},
+		{"y + 0", 3, "paper", "grad3d", "add"},
+		{"sqrt(z)", 4, "O2", "grad3dx", "sqrt"},
+		{"z + -(0.0)", 4, "O2", "", ""},
 	} {
-		text := "d = " + tc.dims + "\ng = grad3d(u, d, x, y, z)\nr = g[0]"
+		args := slices.Clone(inputs)
+		args[tc.arg] = "d"
+		text := "d = " + tc.def + "\ng = grad3d(" + strings.Join(args, ", ") + ")\nr = g[0]"
 		want := ""
-		if tc.computedBy != "" {
+		switch {
+		case tc.computedBy == "":
+		case tc.arg == 1:
 			want = (&strategy.ComputedDimsError{Stencil: tc.stencil, Input: tc.computedBy}).Error()
+		default:
+			want = fmt.Sprintf("strategy: %s takes its %s coordinates from a computed %s; they must be a bound source", tc.stencil, inputs[tc.arg], tc.computedBy)
 		}
 		for _, sname := range []string{"roundtrip", "staged", "fusion", "streaming", "vm", "tiered"} {
 			eng, err := New(Config{Strategy: sname, Opt: tc.opt})
@@ -424,12 +442,12 @@ func TestComputedDimsRejectedAtPlanTime(t *testing.T) {
 			_, batch := eng.PrepareBatch([]string{text, "q = u*u"})
 			for how, err := range map[string]error{"solo": solo, "batch": batch} {
 				var ce *strategy.ComputedDimsError
-				if got := errors.As(err, &ce); got != (want != "") || (got && err.Error() != want) {
-					t.Errorf("%s %s %q %s: err = %v, want %q", tc.opt, sname, tc.dims, how, err, want)
+				if got := errors.As(err, &ce); got != (want != "") || (got && err.Error() != want) || (want == "" && err != nil) {
+					t.Errorf("%s %s %q as input %d %s: err = %v, want %q", tc.opt, sname, tc.def, tc.arg, how, err, want)
 				}
 			}
 			if live := eng.LiveBuffers(); want != "" && live != 0 {
-				t.Errorf("%s %s %q: %d buffers live after the refusal", tc.opt, sname, tc.dims, live)
+				t.Errorf("%s %s %q: %d buffers live after the refusal", tc.opt, sname, tc.def, live)
 			}
 		}
 	}

@@ -7,12 +7,13 @@ import "math"
 // place an elementwise primitive's arithmetic is written. Each computes
 // what its row's OpenCL C expression says.
 //
-// add, sub, mul and div are each one function: an 8-wide AVX2 body
-// (lanes_amd64.s) over the first len(dst)&^7 elements where the CPU and
-// the OS support it, and the Go loop over the rest — all of them
-// elsewhere. Both run the same correctly rounded IEEE-754 operation on
-// the same operands in the same order under one MXCSR (no FMA, no
-// reciprocal), so they agree bit for bit, NaN payloads included.
+// add, sub, mul, div, min, max and sqrt are each one function: an
+// 8-wide AVX2 body (lanes_amd64.s) over the first len(dst)&^7 elements
+// where the CPU and the OS support it, and the Go loop over the rest —
+// all of them elsewhere. Both run the same correctly rounded IEEE-754
+// operation on the same operands in the same order under one MXCSR (no
+// FMA, no reciprocal), and min and max blend NaNs as the Go loop picks
+// them, so they agree bit for bit, NaN payloads included.
 //
 // Operands must hold at least len(dst) elements: the reslice panics on a
 // short operand before anything is stored. dst may be any of the
@@ -87,7 +88,11 @@ func divLanes(dst, a, b []float32) {
 // ordered a <= b case comes first so that it costs one comparison.
 func minLanes(dst, a, b []float32) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for e := range dst {
+	n := vectorLen(len(dst))
+	if n > 0 {
+		minAVX2(dst, a, b)
+	}
+	for e := n; e < uint(len(dst)); e++ {
 		switch x, y := a[e], b[e]; {
 		case x <= y:
 			dst[e] = x
@@ -102,7 +107,11 @@ func minLanes(dst, a, b []float32) {
 // maxLanes is fmax, with minLanes' rules mirrored.
 func maxLanes(dst, a, b []float32) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for e := range dst {
+	n := vectorLen(len(dst))
+	if n > 0 {
+		maxAVX2(dst, a, b)
+	}
+	for e := n; e < uint(len(dst)); e++ {
 		switch x, y := a[e], b[e]; {
 		case x >= y:
 			dst[e] = x
@@ -114,9 +123,17 @@ func maxLanes(dst, a, b []float32) {
 	}
 }
 
+// sqrtLanes rounds the float64 square root to float32, which is the
+// correctly rounded float32 square root: 53 >= 2*24+2 bits make the
+// double rounding innocuous. The vector body's VSQRTPS computes that
+// directly.
 func sqrtLanes(dst, a []float32) {
 	a = a[:len(dst)]
-	for e := range dst {
+	n := vectorLen(len(dst))
+	if n > 0 {
+		sqrtAVX2(dst, a)
+	}
+	for e := n; e < uint(len(dst)); e++ {
 		dst[e] = float32(math.Sqrt(float64(a[e])))
 	}
 }

@@ -15,6 +15,15 @@ func mulAVX2(dst, a, b []float32)
 //go:noescape
 func divAVX2(dst, a, b []float32)
 
+//go:noescape
+func minAVX2(dst, a, b []float32)
+
+//go:noescape
+func maxAVX2(dst, a, b []float32)
+
+//go:noescape
+func sqrtAVX2(dst, a []float32)
+
 // The fused rows' bodies (fused.go): each computes its row over the first
 // n&^7 elements of dst from the row's inputs, a first.
 

@@ -24,6 +24,35 @@ done: \
 	VZEROUPPER \
 	RET
 
+// MINMAX is the body of fmin/fmax (VOP is VMINPS or VMAXPS) over
+// len(dst)&^7 elements. The x86 instruction returns its second source
+// where the pair is unordered or tied, so with b as the first source it
+// computes the Go loop's "a unless b < a" (b > a for max), a for a NaN b
+// and a of a +0/-0 pair. The unordered compare of a with itself then
+// blends in b where a is NaN: b's value, and b's payload when both are.
+#define MINMAX(VOP) \
+	MOVQ dst_base+0(FP), DI \
+	MOVQ dst_len+8(FP), CX \
+	MOVQ a_base+24(FP), SI \
+	MOVQ b_base+48(FP), BX \
+	XORQ AX, AX \
+	SHRQ $3, CX \
+	JZ   done \
+	PCALIGN $32 \
+loop: \
+	VMOVUPS   (SI)(AX*1), Y0 \
+	VMOVUPS   (BX)(AX*1), Y1 \
+	VOP       Y0, Y1, Y2 \
+	VCMPPS    $3, Y0, Y0, Y3 \
+	VBLENDVPS Y3, Y1, Y2, Y2 \
+	VMOVUPS   Y2, (DI)(AX*1) \
+	ADDQ      $32, AX \
+	DECQ      CX \
+	JNZ       loop \
+done: \
+	VZEROUPPER \
+	RET
+
 // The fused rows (fused.go). FUSED_ENTRY loads dst into DI, the count of
 // whole 8-element steps of n into CX and the inputs a..d into R8..R11 (the
 // inputs a row does not have are nil and never dereferenced). A body leaves the
@@ -81,6 +110,34 @@ TEXT ·mulAVX2(SB), NOSPLIT, $0-72
 // func divAVX2(dst, a, b []float32)
 TEXT ·divAVX2(SB), NOSPLIT, $0-72
 	LANES(VDIVPS)
+
+// func minAVX2(dst, a, b []float32)
+TEXT ·minAVX2(SB), NOSPLIT, $0-72
+	MINMAX(VMINPS)
+
+// func maxAVX2(dst, a, b []float32)
+TEXT ·maxAVX2(SB), NOSPLIT, $0-72
+	MINMAX(VMAXPS)
+
+// func sqrtAVX2(dst, a []float32): VSQRTPS is the correctly rounded
+// float32 square root, which float32(math.Sqrt(float64(x))) also is.
+TEXT ·sqrtAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	XORQ AX, AX
+	SHRQ $3, CX
+	JZ   done
+	PCALIGN $32
+loop:
+	VSQRTPS (SI)(AX*1), Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     loop
+done:
+	VZEROUPPER
+	RET
 
 // func accSqSumAVX2(n uint, dst, a, b, c, d *float32)
 TEXT ·accSqSumAVX2(SB), NOSPLIT, $0-48

@@ -8,6 +8,9 @@ func addAVX2(dst, a, b []float32) { panic("kernels: no vector body on this archi
 func subAVX2(dst, a, b []float32) { panic("kernels: no vector body on this architecture") }
 func mulAVX2(dst, a, b []float32) { panic("kernels: no vector body on this architecture") }
 func divAVX2(dst, a, b []float32) { panic("kernels: no vector body on this architecture") }
+func minAVX2(dst, a, b []float32) { panic("kernels: no vector body on this architecture") }
+func maxAVX2(dst, a, b []float32) { panic("kernels: no vector body on this architecture") }
+func sqrtAVX2(dst, a []float32)   { panic("kernels: no vector body on this architecture") }
 func diffRowAVX2(dst, fa, fb, ca, cb []float32) {
 	panic("kernels: no vector body on this architecture")
 }

@@ -213,6 +213,43 @@ func lanesMatchScalar(t *testing.T) {
 	}
 }
 
+// TestSqrtLanesEveryExponent holds sqrt's lane body to the float64 square
+// root rounded to float32, bit for bit, over every sign and exponent:
+// for each, the lowest and highest 64 mantissas and a strided walk
+// between them. Exponent 0 holds ±0 and the denormals, exponent 255 ±Inf
+// and the quiet and signalling NaN payloads (the highest mantissas are
+// quiet, the lowest nonzero ones signalling). Each pair of sign and
+// exponent is one lane whose length is not a multiple of 8, so the
+// vector body and the Go tail both see it.
+func TestSqrtLanesEveryExponent(t *testing.T) {
+	const lo, hi, stride = 64, 1<<23 - 64, 1019
+	var mantissas []uint32
+	for m := uint32(0); m < lo; m++ {
+		mantissas = append(mantissas, m)
+	}
+	for m := uint32(lo); m < hi; m += stride {
+		mantissas = append(mantissas, m)
+	}
+	for m := uint32(hi); m < 1<<23; m++ {
+		mantissas = append(mantissas, m)
+	}
+	if len(mantissas)%8 == 0 {
+		t.Fatalf("%d mantissas leave the Go tail nothing: pick another stride", len(mantissas))
+	}
+	eachDispatch(t, func(t *testing.T) {
+		in := make([]float32, len(mantissas))
+		got, want := make([]float32, len(in)), make([]float32, len(in))
+		for top := uint32(0); top < 1<<9; top++ { // sign and exponent
+			for i, m := range mantissas {
+				in[i] = math.Float32frombits(top<<23 | m)
+				want[i] = float32(math.Sqrt(float64(in[i])))
+			}
+			sqrtLanes(got, in)
+			sameBits(t, fmt.Sprintf("sqrt sign=%d exponent=%d", top>>8, top&0xff), got, want)
+		}
+	})
+}
+
 // TestFusedRowsMatchComposition: every fused row — its AVX2 body with the
 // composed tail, and the composed body alone — produces the bits of its
 // steps run one by one through the primitive rows' lane bodies, NaN

@@ -88,17 +88,23 @@ func (e *DimsError) Error() string {
 	return fmt.Sprintf("strategy: dims source %q = {%v, %v, %v} does not describe a mesh of %d cells", e.Name, e.NX, e.NY, e.NZ, e.N)
 }
 
-// ComputedDimsError reports a stencil whose mesh extents (input 1) the
-// network computes. Extents have to be known before anything is
-// launched — beginRun checks them against the work size, and the
-// lowered strategies bake the dims buffer into the kernel's parameter
-// table — so every strategy refuses such a network at plan time.
+// ComputedDimsError reports a stencil whose mesh extents (input 1) or
+// coordinates (inputs 2–4) the network computes. Extents have to be
+// known before anything is launched — beginRun checks them against the
+// work size, and the lowered strategies bake the dims buffer into the
+// kernel's parameter table — and the lowered stencil indexes its
+// coordinate arrays as bound buffers, so every strategy refuses such a
+// network at plan time.
 type ComputedDimsError struct {
 	Stencil string // the stencil's filter, e.g. "grad3d"
-	Input   string // the filter computing its extents, e.g. "add"
+	Input   string // the filter computing the input, e.g. "add"
+	coord   string // the computed coordinate, "x", "y" or "z"; "" for the extents
 }
 
 func (e *ComputedDimsError) Error() string {
+	if e.coord != "" {
+		return fmt.Sprintf("strategy: %s takes its %s coordinates from a computed %s; they must be a bound source", e.Stencil, e.coord, e.Input)
+	}
 	return fmt.Sprintf("strategy: %s takes its mesh extents from a computed %s; they must be a bound source (dims)", e.Stencil, e.Input)
 }
 
@@ -134,7 +140,8 @@ func newPlanBase(name string, net *dataflow.Network) (planBase, error) {
 		return planBase{}, err
 	}
 	// Every use of a source indexes it per element, except as a stencil's
-	// dims descriptor (input 1). Sources precede their consumers in order.
+	// dims descriptor (input 1). A stencil's inputs after its field must
+	// be sources. Sources precede their consumers in order.
 	var needs []sourceNeed
 	var dims []string
 	at := make(map[string]int)
@@ -148,11 +155,14 @@ func newPlanBase(name string, net *dataflow.Network) (planBase, error) {
 			at[n.ID] = len(needs)
 			needs = append(needs, sourceNeed{name: n.ID})
 		}
+		stencil := n.Info().Class == dataflow.ClassStencil
 		for i, in := range n.Inputs {
-			if i != 1 || n.Info().Class != dataflow.ClassStencil {
+			if _, isSource := at[in]; stencil && i > 0 && !isSource {
+				coord := [...]string{2: "x", 3: "y", 4: "z"}[i]
+				return planBase{}, &ComputedDimsError{Stencil: n.Filter, Input: net.NodeByID(in).Filter, coord: coord}
+			}
+			if !stencil || i != 1 {
 				use(in)
-			} else if _, isSource := at[in]; !isSource {
-				return planBase{}, &ComputedDimsError{Stencil: n.Filter, Input: net.NodeByID(in).Filter}
 			} else if !slices.Contains(dims, in) {
 				dims = append(dims, in)
 			}

@@ -113,14 +113,25 @@ func TestVMO2MatchesPaperFusion(t *testing.T) {
 // read of a lane or element the program did not write first shows up as
 // a NaN the reference does not have. It returns both sides' outputs, or
 // ok = false when the binding cannot run the program at all (unbound or
-// short sources, a network the lowering rejects).
+// short sources, a network the planner or the lowering rejects, a dims
+// source that does not describe a mesh of N cells — every strategy
+// refuses the last with a DimsError before it launches anything).
 func executorVsReference(t *testing.T, net *dataflow.Network, bind Bindings, cut int, poison bool) (got, want [][]float32, ok bool) {
 	t.Helper()
-	low, err := vm.Lower(net)
+	base, err := newPlanBase("vm", net)
 	if err != nil {
 		return nil, nil, false
 	}
 	n := bind.N
+	for _, name := range base.dims {
+		if d := bind.Sources[name].Data; len(d) < 3 || !dimsCover(d[0], d[1], d[2], n) {
+			return nil, nil, false
+		}
+	}
+	low, err := vm.Lower(net)
+	if err != nil {
+		return nil, nil, false
+	}
 	prog := low.Program()
 	draws := []int{prog.SlabLen()}
 	for _, b := range low.Buffers {
@@ -275,6 +286,9 @@ func FuzzVMDifferential(f *testing.F) {
 	f.Add("r = (0.0/0.0)*(u-v)", "", uint8(6), uint8(5), uint8(4), uint16(5), false)
 	// Two members whose outputs O2 folds to one constant share one root.
 	f.Add("sqrt(0*0*0*1*0*2)", "0", uint8(6), uint8(5), uint8(4), uint16(0), false)
+	// A member whose stencil takes its extents from the coordinates: the
+	// planner refuses the binding (DimsError), so there is nothing to run.
+	f.Add("grad3d(0,dims,x,x,x)", "s=x\n(grad3d(0,x,x,x,x))", uint8(9), uint8(9), uint8(2), uint16(358), true)
 	f.Fuzz(func(t *testing.T, text, text2 string, nx, ny, nz uint8, cut uint16, poison bool) {
 		// lower returns the program's network at one level and, per member,
 		// the root that carries its output: members whose outputs unify

@@ -296,6 +296,7 @@ func BenchmarkHandlers(b *testing.B) {
 		{"mul", step{op: opOf["mul"], dst: r(5), args: [4]operand{r(1), r(2)}}},
 		{"div", step{op: opOf["div"], dst: r(5), args: [4]operand{r(1), r(2)}}},
 		{"min", step{op: opOf["min"], dst: r(5), args: [4]operand{r(1), r(2)}}},
+		{"max", step{op: opOf["max"], dst: r(5), args: [4]operand{r(1), r(2)}}},
 		{"sqrt", step{op: opOf["sqrt"], dst: r(5), args: [4]operand{r(1)}}},
 		{"select", step{op: opOf["select"], dst: r(5), args: [4]operand{r(1), r(2), r(2)}}},
 		{"store", step{op: opStore, width: 1, dst: operand{idx: 5, buf: true}, args: [4]operand{r(1)}}},
