@@ -60,6 +60,9 @@ type FilterInfo struct {
 	Class    Class
 	Arity    int // number of input connections
 	OutWidth int // float32 components per output element (1, 2 or 4)
+	// Radius is how many cells a stencil reads on each side of the one
+	// it writes; 0 for every other class.
+	Radius int
 }
 
 // registry is the library of supported primitives — the paper's "subset
@@ -80,14 +83,14 @@ var registry = map[string]FilterInfo{
 	"abs":       {Name: "abs", Class: ClassElementwise, Arity: 1, OutWidth: 1},
 	"decompose": {Name: "decompose", Class: ClassDecompose, Arity: 1, OutWidth: 1},
 	// grad3d(field, dims, x, y, z) -> float4 gradient per cell.
-	"grad3d": {Name: "grad3d", Class: ClassStencil, Arity: 5, OutWidth: 4},
+	"grad3d": {Name: "grad3d", Class: ClassStencil, Arity: 5, OutWidth: 4, Radius: 1},
 	// Single-axis gradients: the same stencil restricted to one lane of
 	// the float4 result. The optimiser's decompose-forwarding pass
 	// rewrites decompose(grad3d(...), axis) into these; the parser never
 	// creates them directly, so Paper-level networks are unaffected.
-	"grad3dx": {Name: "grad3dx", Class: ClassStencil, Arity: 5, OutWidth: 1},
-	"grad3dy": {Name: "grad3dy", Class: ClassStencil, Arity: 5, OutWidth: 1},
-	"grad3dz": {Name: "grad3dz", Class: ClassStencil, Arity: 5, OutWidth: 1},
+	"grad3dx": {Name: "grad3dx", Class: ClassStencil, Arity: 5, OutWidth: 1, Radius: 1},
+	"grad3dy": {Name: "grad3dy", Class: ClassStencil, Arity: 5, OutWidth: 1, Radius: 1},
+	"grad3dz": {Name: "grad3dz", Class: ClassStencil, Arity: 5, OutWidth: 1, Radius: 1},
 	// Comparisons produce 1.0 or 0.0, feeding select — the conditional
 	// support the paper's introduction example sketches.
 	"gt": {Name: "gt", Class: ClassElementwise, Arity: 2, OutWidth: 1},

@@ -27,7 +27,8 @@ type RepeatCase struct {
 	ColdWrites int
 	WarmWrites int
 	// Reused counts arena free-list hits and UploadsSkipped the source
-	// uploads avoided by content hash, both across the warm evals.
+	// uploads avoided because the bytes were unchanged, both across the
+	// warm evals.
 	Reused         int64
 	UploadsSkipped int64
 	// ScratchColdAllocs / ScratchWarmAllocs count fresh host-scratch

@@ -1,10 +1,11 @@
 package ocl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
+	"unsafe"
 )
 
 // Arena is a size-class device-buffer pool bound to one context — the
@@ -17,11 +18,13 @@ import (
 //     (and, for the roundtrip strategy, across kernels within one
 //     execution) with zero new allocations;
 //   - resident sources: UploadResident keeps source buffers on the
-//     device keyed by name, remembering a content hash of the last
-//     upload. When the same bytes are bound again the upload (and its
-//     host-to-device event) is skipped entirely — the paper's in-situ
-//     workload re-evaluates one expression over many timesteps where
-//     the mesh coordinate arrays never change.
+//     device keyed by name. When a bind's bytes equal the slot's, bit
+//     for bit, the upload (and its host-to-device event) is skipped
+//     entirely — the paper's in-situ workload re-evaluates one
+//     expression over many timesteps where the mesh coordinate arrays
+//     never change. The comparison reads the buffer directly, because
+//     the simulated device's memory is host memory; on a real device
+//     it stands for a host shadow of each resident source.
 //
 // Pooled and resident buffers remain allocated in the context (they
 // really occupy device memory), so Used/Peak accounting reflects the
@@ -45,15 +48,18 @@ type Arena struct {
 	residentBytes int64 // bytes held by resident source buffers
 }
 
-// residentBuf is one device-resident source: its buffer, the content
-// hash of the data it holds, and how many hand-outs are still in use.
+// residentBuf is one device-resident source: its buffer, whether an
+// upload ever filled it, and how many hand-outs are still in use.
 type residentBuf struct {
-	buf  *Buffer
-	hash uint64
+	buf *Buffer
+	// filled is set by the slot's first successful upload; until then
+	// the buffer holds no source's bytes and nothing is compared.
+	filled bool
 	// stable is the first element of the array the slot was last filled
 	// from, when the caller declared that array never rewritten; nil
-	// otherwise. The same array bound again needs no hash. Holding the
-	// pointer keeps the array alive, so its address cannot be reused.
+	// otherwise. The same array bound again needs no comparison.
+	// Holding the pointer keeps the array alive, so its address cannot
+	// be reused.
 	stable *float32
 	// refs counts UploadResident hand-outs not yet Released. Only a
 	// slot with refs == 0 may be evicted under memory pressure: a
@@ -229,11 +235,12 @@ func (a *Arena) recycle(b *Buffer) {
 // UploadResident binds data to a device-resident source buffer. key
 // identifies the source slot (usually the source name; tiled strategies
 // add a window suffix), label is the buffer's diagnostic/event label.
-// If the slot already holds a buffer of the right shape whose content
-// hash matches, the upload is skipped — no transfer, no event — and
-// skipped is true. stable declares that src's backing array is never
-// written after construction: when the slot was last filled from that
-// very array at this shape, the upload is skipped without hashing.
+// If the slot already holds a buffer of the right shape whose bytes
+// equal src's, bit for bit, the upload is skipped — no transfer, no
+// event — and skipped is true. stable declares that src's backing array
+// is never written after construction: when the slot was last filled
+// from that very array at this shape, the upload is skipped without
+// reading either side.
 // Resident buffers ignore Release; they stay on the device until the
 // arena drains or the slot's content changes shape.
 func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width int, stable bool) (b *Buffer, skipped bool, err error) {
@@ -248,26 +255,7 @@ func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width
 
 	a.mu.Lock()
 	r := a.resident[key]
-	if base != nil && r != nil && r.stable == base && r.buf.elems == elems && r.buf.width == width {
-		a.uploadSkips++
-		r.refs++
-		a.mu.Unlock()
-		return r.buf, true, nil
-	}
-	a.mu.Unlock()
-	h := hashFloats(src)
-
-	a.mu.Lock()
-	r = a.resident[key]
-	if r != nil && r.buf.elems == elems && r.buf.width == width {
-		if r.hash == h {
-			r.stable = base
-			a.uploadSkips++
-			r.refs++
-			a.mu.Unlock()
-			return r.buf, true, nil
-		}
-	} else if r != nil {
+	if r != nil && (r.buf.elems != elems || r.buf.width != width) {
 		// Shape changed: retire the old buffer to the free lists.
 		delete(a.resident, key)
 		a.residentBytes -= r.buf.bytes
@@ -280,6 +268,18 @@ func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width
 		r = nil
 		a.mu.Lock()
 	}
+	var filled bool
+	if r != nil {
+		// The hand-out is taken before the comparison, so eviction
+		// cannot retire the slot while its bytes are read.
+		r.refs++
+		if base != nil && r.stable == base {
+			a.uploadSkips++
+			a.mu.Unlock()
+			return r.buf, true, nil
+		}
+		filled = r.filled
+	}
 	a.mu.Unlock()
 
 	if r == nil {
@@ -291,22 +291,40 @@ func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width
 		nb.resident = true
 		nb.resKey = key
 		nb.mu.Unlock()
-		r = &residentBuf{buf: nb}
+		r = &residentBuf{buf: nb, refs: 1}
 		a.mu.Lock()
 		a.resident[key] = r
 		a.residentBytes += nb.bytes
 		a.mu.Unlock()
+	} else if filled && sameBits(r.buf.data, src) {
+		a.mu.Lock()
+		r.stable = base
+		a.uploadSkips++
+		a.mu.Unlock()
+		return r.buf, true, nil
 	}
 
 	if _, err := q.WriteBuffer(r.buf, src); err != nil {
+		a.mu.Lock()
+		r.refs--
+		a.mu.Unlock()
 		return nil, false, err
 	}
 	a.mu.Lock()
-	r.hash, r.stable = h, base
+	r.filled, r.stable = true, base
 	a.uploads++
-	r.refs++
 	a.mu.Unlock()
 	return r.buf, false, nil
+}
+
+// sameBits reports whether two arrays hold the same 32-bit patterns, so
+// -0 differs from +0 and NaN payloads from each other. It compares the
+// bytes, stopping at the first word that differs.
+func sameBits(x, y []float32) bool {
+	view := func(v []float32) []byte {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
+	}
+	return bytes.Equal(view(x), view(y))
 }
 
 // Drain releases every idle pooled buffer and every resident source
@@ -375,54 +393,4 @@ func (a *Arena) Stats() ArenaStats {
 		ResidentBytes:  a.residentBytes,
 		Resident:       len(a.resident),
 	}
-}
-
-// hashFloats fingerprints the bit patterns of the values plus the
-// length — the content hash behind resident-source upload skipping. It
-// runs four independent FNV-1a lanes, each absorbing every fourth pair
-// of floats, so the multiplies of one stride overlap instead of forming
-// one serial chain per element (a warm 64^3 evaluation hashes 7 MB of
-// sources before it launches anything).
-//
-// Every lane absorbs one float — 32 bits — per xor-multiply step, never
-// a packed 64-bit pair. A multiply only carries a difference upward, so
-// a bit absorbed at position b can only ever mark state bits >= b: from
-// bit 31 or below that is 33 bits of state or more, but a sign bit
-// packed at bit 63 would stay a lone bit 63 for good (2^63 times an odd
-// prime is 2^63) and any two such flips would cancel — negating a
-// component on one x-face of a mesh does exactly that. The four lane
-// states, then the tail elements, then the length go through one more
-// chain of the same step, each state as two 32-bit halves for the same
-// reason, so lanes are not interchangeable. Each step is a bijection of
-// its input word: a change confined to one element always changes the
-// result.
-//
-// A collision would silently reuse stale source data; per lane this is
-// the mixing a single FNV-1a pass over the floats has, which makes an
-// accidental one negligible for the simulation's purposes
-// (cryptographic strength is not required here).
-func hashFloats(v []float32) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	word := func(h uint64, w uint32) uint64 { return (h ^ uint64(w)) * prime }
-	step := func(h uint64, f float32) uint64 { return word(h, math.Float32bits(f)) }
-	h0, h1, h2, h3 := uint64(offset), uint64(offset), uint64(offset), uint64(offset)
-	rest := v
-	for ; len(rest) >= 8; rest = rest[8:] {
-		w := rest[:8]
-		h0 = step(step(h0, w[0]), w[1])
-		h1 = step(step(h1, w[2]), w[3])
-		h2 = step(step(h2, w[4]), w[5])
-		h3 = step(step(h3, w[6]), w[7])
-	}
-	h := uint64(offset)
-	for _, lane := range [...]uint64{h0, h1, h2, h3} {
-		h = word(word(h, uint32(lane>>32)), uint32(lane))
-	}
-	for _, f := range rest {
-		h = step(h, f)
-	}
-	return (h ^ uint64(len(v))) * prime
 }

@@ -3,7 +3,6 @@ package ocl
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -608,163 +607,6 @@ func TestKernelChunkPanicReachesLauncher(t *testing.T) {
 	}
 }
 
-// TestHashFloatsCoversEveryBit: the resident-source fingerprint must
-// see every bit of every element and the length, at lengths around the
-// 8-float stride of its four lanes and at a large one. It hashes bit
-// patterns, so -0 differs from +0 and NaN payloads from each other.
-func TestHashFloatsCoversEveryBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	lengths := []int{100_003}
-	for n := 0; n <= 17; n++ {
-		lengths = append(lengths, n)
-	}
-	for _, n := range lengths {
-		v := make([]float32, n)
-		for i := range v {
-			v[i] = math.Float32frombits(rng.Uint32())
-		}
-		h := hashFloats(v)
-		if hashFloats(append([]float32(nil), v...)) != h {
-			t.Fatalf("len %d: equal content hashes differently", n)
-		}
-		indexes := rng.Perm(n)
-		if n > 64 {
-			indexes = append(indexes[:48], 0, 1, 7, 8, n-9, n-8, n-2, n-1)
-		}
-		for _, i := range indexes {
-			for bit := 0; bit < 32; bit++ {
-				orig := v[i]
-				v[i] = math.Float32frombits(math.Float32bits(orig) ^ 1<<bit)
-				if hashFloats(v) == h {
-					t.Fatalf("len %d: flipping bit %d of element %d left the hash unchanged", n, bit, i)
-				}
-				v[i] = orig
-			}
-			j := indexes[rng.Intn(len(indexes))]
-			if math.Float32bits(v[i]) != math.Float32bits(v[j]) {
-				v[i], v[j] = v[j], v[i]
-				if hashFloats(v) == h {
-					t.Fatalf("len %d: swapping elements %d and %d left the hash unchanged", n, i, j)
-				}
-				v[i], v[j] = v[j], v[i]
-			}
-		}
-		// Two whole lane words trading places: lanes must not be
-		// interchangeable.
-		if n >= 8 {
-			v[0], v[1], v[2], v[3] = v[2], v[3], v[0], v[1]
-			if hashFloats(v) == h {
-				t.Fatalf("len %d: swapping the first two lanes' words left the hash unchanged", n)
-			}
-			v[0], v[1], v[2], v[3] = v[2], v[3], v[0], v[1]
-		}
-		// Only the length differs: a zero element more or less.
-		zeros := make([]float32, n+1)
-		if hashFloats(zeros[:n]) == hashFloats(zeros) {
-			t.Fatalf("len %d vs %d: all-zero arrays hash the same", n, n+1)
-		}
-		if hashFloats(v) != h {
-			t.Fatalf("len %d: the checks did not restore the array", n)
-		}
-	}
-	negZero := float32(math.Copysign(0, -1))
-	if hashFloats([]float32{0, 1}) == hashFloats([]float32{negZero, 1}) {
-		t.Fatal("-0 and +0 hash the same: the hash must be over bit patterns")
-	}
-	nan1, nan2 := math.Float32frombits(0x7fc00001), math.Float32frombits(0x7fc00002)
-	if hashFloats([]float32{nan1}) == hashFloats([]float32{nan2}) {
-		t.Fatal("two NaN payloads hash the same")
-	}
-}
-
-// TestHashFloatsCorrelatedChanges: changes that repeat along the
-// array must not cancel. A multiply only carries differences upward, so
-// a hash that absorbs two floats as one 64-bit word keeps the odd
-// float's sign bit pinned at bit 63, where two flips — elements 8 apart,
-// or a whole x-face of a mesh whose row length is a multiple of 8 —
-// erase each other; folding the high half down afterwards only moves the
-// cancellation to the next word's bit 31. Single-bit flips cannot see
-// either, so this flips pairs, whole subsets and whole mesh faces.
-func TestHashFloatsCorrelatedChanges(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	flip := func(v []float32, i, bit int) {
-		v[i] = math.Float32frombits(math.Float32bits(v[i]) ^ 1<<bit)
-	}
-	v := make([]float32, 67) // eight full strides and a tail
-	for i := range v {
-		v[i] = math.Float32frombits(rng.Uint32())
-	}
-	h := hashFloats(v)
-	for _, gap := range []int{1, 2, 7, 8, 9, 16, 24, 40} {
-		for i := 0; i+gap < len(v); i++ {
-			for bit := 0; bit < 32; bit++ {
-				flip(v, i, bit)
-				flip(v, i+gap, bit)
-				if hashFloats(v) == h {
-					t.Fatalf("flipping bit %d of elements %d and %d left the hash unchanged", bit, i, i+gap)
-				}
-				flip(v, i, bit)
-				flip(v, i+gap, bit)
-			}
-		}
-	}
-
-	// Every subset of 16 elements flipped in the same bit is a distinct
-	// array, and 64-bit hashes of 65 536 distinct arrays that collide do
-	// so by construction, not by accident. Whole strides only and a
-	// stride plus a tail: the last elements get the least mixing.
-	for _, n := range []int{24, 29} {
-		for _, bit := range []int{31, 30, 23, 0} {
-			seen := make(map[uint64]bool, 1<<16)
-			for set := 0; set < 1<<16; set++ {
-				w := slices.Clone(v[:n])
-				for e := 0; e < 16; e++ {
-					if set>>e&1 == 1 {
-						flip(w, n-16+e, bit)
-					}
-				}
-				seen[hashFloats(w)] = true
-			}
-			if len(seen) != 1<<16 {
-				t.Errorf("len %d: the 65536 ways to flip bit %d of the last 16 elements give %d hashes", n, bit, len(seen))
-			}
-		}
-	}
-
-	// A velocity component on a 64x16x16 mesh: negating, or doubling, it
-	// on one whole face changes only sign or exponent bits, at indexes
-	// that share a residue mod 8 on the x faces.
-	const nx, ny, nz = 64, 16, 16
-	u := make([]float32, nx*ny*nz)
-	for i := range u {
-		u[i] = 1 + rng.Float32()
-	}
-	hu := hashFloats(u)
-	faces := map[string]func(i, j, k int) bool{
-		"i=0":    func(i, _, _ int) bool { return i == 0 },
-		"i=nx-1": func(i, _, _ int) bool { return i == nx-1 },
-		"j=ny-1": func(_, j, _ int) bool { return j == ny-1 },
-		"k=0":    func(_, _, k int) bool { return k == 0 },
-	}
-	edits := map[string]func(float32) float32{
-		"negating": func(x float32) float32 { return -x },
-		"doubling": func(x float32) float32 { return 2 * x },
-	}
-	for face, on := range faces {
-		for edit, f := range edits {
-			w := append([]float32(nil), u...)
-			for idx := range w {
-				if on(idx%nx, idx/nx%ny, idx/(nx*ny)) {
-					w[idx] = f(w[idx])
-				}
-			}
-			if hashFloats(w) == hu {
-				t.Errorf("%s the field on face %s left the hash unchanged", edit, face)
-			}
-		}
-	}
-}
-
 // TestAllocReleaseConservation is a property test: any interleaving of
 // allocations and releases conserves the context's byte accounting.
 func TestAllocReleaseConservation(t *testing.T) {
@@ -1032,9 +874,9 @@ func TestAccumulatorConcurrentAdds(t *testing.T) {
 }
 
 // TestUploadResidentStable: a source declared stable is recognized by
-// its backing array, so binding it again costs no content hash; anything
-// that is not that very array at that very shape takes the hash path,
-// and an undeclared source is hashed every time.
+// its backing array, so binding it again reads nothing; anything that is
+// not that very array at that very shape is compared with the slot's
+// bytes, and an undeclared source is compared every time.
 func TestUploadResidentStable(t *testing.T) {
 	ctx := NewContext(NewDevice(XeonX5660Spec(1)))
 	a, q := ctx.Pool(), NewQueue(ctx)
@@ -1065,17 +907,17 @@ func TestUploadResidentStable(t *testing.T) {
 	// stale copy survives shows the skip never looked at the contents.
 	coords[4] = -5
 	upload("same array, contents not examined", coords, true, true)
-	// Without the promise the same array is hashed, and re-uploaded.
+	// Without the promise the same array is compared, and re-uploaded.
 	upload("mutated array, not declared stable", coords, false, false)
 	upload("unchanged array, not declared stable", coords, false, true)
 	// The undeclared bind cleared the slot's record of the array ...
 	coords[4] = 5
-	upload("stable again after an undeclared bind: hashed", coords, true, false)
+	upload("stable again after an undeclared bind: compared", coords, true, false)
 	upload("and recognized from then on", coords, true, true)
 
-	// A different backing array falls through to the hash: equal contents
-	// skip the transfer, different contents do not; either way the slot
-	// now remembers the new array.
+	// A different backing array falls through to the comparison: equal
+	// contents skip the transfer, different contents do not; either way
+	// the slot now remembers the new array.
 	twin := slices.Clone(coords)
 	upload("equal contents in another array", twin, true, true)
 	upload("the other array again", twin, true, true)
@@ -1090,7 +932,7 @@ func TestUploadResidentStable(t *testing.T) {
 		t.Fatal("a reshaped slot kept its old buffer")
 	}
 	upload("the shorter window again", coords[:8], true, true)
-	// An empty source has no array to recognize; it is hashed.
+	// An empty source has no array to recognize; it is compared.
 	upload("empty", nil, true, false)
 	upload("empty again", nil, true, true)
 

@@ -72,7 +72,8 @@ func derivedFor(m *mesh.Mesh) *meshDerived {
 // also lets arena-backed executions recognize them as unchanged and
 // keep them device-resident. Nothing writes them after construction, so
 // the bindings remember the memo (Bindings.stable) and the arena
-// recognizes those arrays by address, skipping even the content hash.
+// recognizes those arrays by address, skipping even the comparison of
+// their bytes.
 func Bind(n int, fields map[string][]float32, m *mesh.Mesh) (Bindings, error) {
 	if m == nil {
 		return Bindings{N: n, fields: fields}, nil

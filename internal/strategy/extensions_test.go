@@ -10,6 +10,7 @@ import (
 	"dfg/internal/expr"
 	"dfg/internal/mesh"
 	"dfg/internal/ocl"
+	"dfg/internal/passes"
 	"dfg/internal/rtsim"
 	"dfg/internal/vortex"
 )
@@ -45,6 +46,58 @@ func TestStreamingMatchesFusionBitwise(t *testing.T) {
 			if res.Data[i] != want.Data[i] {
 				t.Fatalf("tiles=%d: cell %d differs: %v vs %v (halo exchange broken?)",
 					tiles, i, res.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
+// TestStreamingNestedStencilsMatchFusion: a stencil over a stencil needs
+// as many halo layers as the chain is deep. Streaming at two and three
+// slabs, on a Z extent neither divides evenly, must be bit-equal to
+// fusion on every chain, at both optimisation levels (O2 rewrites the
+// gradients into single-axis ones).
+func TestStreamingNestedStencilsMatchFusion(t *testing.T) {
+	// Chains of depth 1 to 3, and one whose two paths have depths 1 and
+	// 2: a root's depth is its deepest path, not the sum over every
+	// stencil in the network.
+	nested := []struct {
+		text  string
+		depth int
+	}{
+		{"g = grad3d(u, dims, x, y, z)\nr = g[2]", 1},
+		{"g = grad3d(u, dims, x, y, z)\nh = grad3d(g[2], dims, x, y, z)\nr = h[2]", 2},
+		{"g = grad3d(u, dims, x, y, z)\nh = grad3d(g[2] * v, dims, x, y, z)\nk = grad3d(h[0] + w, dims, x, y, z)\nr = k[2] - k[1]", 3},
+		{"g = grad3d(u, dims, x, y, z)\nh = grad3d(g[1], dims, x, y, z)\nk = grad3d(v, dims, x, y, z)\nr = h[0] + k[2] * g[0]", 2},
+	}
+	bind, _ := qcritSetup(t, mesh.Dims{NX: 6, NY: 5, NZ: 17})
+	for _, lvl := range []passes.Level{passes.LevelPaper, passes.LevelO2} {
+		for _, c := range nested {
+			net := compileAt(t, c.text, lvl)
+			p, err := planStreaming(net, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := p.(*streamingPlan).depth; d != c.depth {
+				t.Fatalf("%v, %q: stencil depth %d, want %d", lvl, c.text, d, c.depth)
+			}
+			want, err := Execute(Strategy{Kind: Fusion}, cpuEnv(), net, bind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tiles := range []int{2, 3} {
+				got, err := Execute(Strategy{Kind: Streaming, Tiles: tiles}, cpuEnv(), net, bind)
+				if err != nil {
+					t.Fatalf("%v, tiles=%d: %v", lvl, tiles, err)
+				}
+				differ := 0
+				for i := range want.Data {
+					if !sameClass(got.Data[i], want.Data[i]) {
+						differ++
+					}
+				}
+				if differ != 0 {
+					t.Errorf("%v, depth %d, tiles=%d: %d of %d cells differ from fusion", lvl, c.depth, tiles, differ, len(want.Data))
+				}
 			}
 		}
 	}

@@ -52,6 +52,11 @@ type planBase struct {
 	// (input 1), each once. Extents are always a source: newPlanBase
 	// refuses a network that computes them (ComputedDimsError).
 	dims []string
+	// depth is the network's stencil depth: the largest sum of stencil
+	// radii along any path from a source to a root — how many cells
+	// away from its own a root's value can depend on. A tile needs
+	// that many halo layers.
+	depth int
 }
 
 type sourceNeed struct {
@@ -141,37 +146,55 @@ func newPlanBase(name string, net *dataflow.Network) (planBase, error) {
 	}
 	// Every use of a source indexes it per element, except as a stencil's
 	// dims descriptor (input 1). A stencil's inputs after its field must
-	// be sources. Sources precede their consumers in order.
+	// be sources. Sources precede their consumers in order. at is
+	// indexed by network position: a source's index in needs plus one
+	// (0 for every other node), and the node's stencil depth. It lives
+	// on the stack up to 128 nodes, so a cold plan allocates no more for
+	// it.
 	var needs []sourceNeed
 	var dims []string
-	at := make(map[string]int)
-	use := func(id string) {
-		if i, isSource := at[id]; isSource {
-			needs[i].perN = true
+	type slot struct{ need, depth int }
+	var small [128]slot
+	at := small[:]
+	if net.Len() > len(small) {
+		at = make([]slot, net.Len())
+	}
+	use := func(p int) {
+		if i := at[p].need; i > 0 {
+			needs[i-1].perN = true
 		}
 	}
+	depth := 0
 	for _, n := range order {
+		p, _ := net.Pos(n.ID)
 		if n.Filter == "source" {
-			at[n.ID] = len(needs)
 			needs = append(needs, sourceNeed{name: n.ID})
+			at[p].need = len(needs)
 		}
-		stencil := n.Info().Class == dataflow.ClassStencil
+		info := n.Info()
+		stencil := info.Class == dataflow.ClassStencil
+		d := 0
 		for i, in := range n.Inputs {
-			if _, isSource := at[in]; stencil && i > 0 && !isSource {
+			q, _ := net.Pos(in)
+			if stencil && i > 0 && at[q].need == 0 {
 				coord := [...]string{2: "x", 3: "y", 4: "z"}[i]
 				return planBase{}, &ComputedDimsError{Stencil: n.Filter, Input: net.NodeByID(in).Filter, coord: coord}
 			}
 			if !stencil || i != 1 {
-				use(in)
+				use(q)
 			} else if !slices.Contains(dims, in) {
 				dims = append(dims, in)
 			}
+			d = max(d, at[q].depth)
 		}
+		at[p].depth = d + info.Radius
+		depth = max(depth, at[p].depth)
 	}
 	for _, r := range net.Roots() {
-		use(r)
+		q, _ := net.Pos(r)
+		use(q)
 	}
-	return planBase{name: name, net: net, order: order, needs: needs, dims: dims}, nil
+	return planBase{name: name, net: net, order: order, needs: needs, dims: dims, depth: depth}, nil
 }
 
 // beginRun validates per-call preconditions — a positive work size, a

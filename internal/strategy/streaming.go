@@ -20,10 +20,11 @@ import (
 // under streaming, at the price of one kernel dispatch per tile and
 // re-uploading each tile's halo.
 //
-// Tiles carrying stencil primitives (grad3d) are grown by one halo layer
-// of cells on each Z face (clipped at the domain boundary), so gradients
-// are exact everywhere and streaming's output is bitwise identical to
-// fusion's.
+// Tiles carrying stencil primitives (grad3d) are grown on each Z face
+// (clipped at the domain boundary) by the network's stencil depth — one
+// layer of cells for a gradient, two for a gradient of a gradient — so
+// every stencil is exact everywhere and streaming's output is bitwise
+// identical to fusion's.
 //
 // With a buffer arena attached, each tile's source windows become
 // device-resident (keyed by source name and window offset), so warm
@@ -51,12 +52,12 @@ type streamingPlan struct {
 }
 
 // Execute runs the plan's fused kernel slab by slab: the domain is split
-// into min(tiles, NZ) Z slabs, and each slab grows by the stencil halo.
+// into min(tiles, NZ) Z slabs, and each slab grows by the stencil depth.
 func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	if err := p.beginRun(env, bind); err != nil {
 		return Result{}, err
 	}
-	domain, halo, err := p.tileGeometry(bind)
+	domain, err := p.tileGeometry(bind)
 	if err != nil {
 		return Result{}, err
 	}
@@ -74,7 +75,7 @@ func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 		if err := bind.canceled(); err != nil {
 			return Result{}, err
 		}
-		if err := p.runTile(env, bind, whole, slab, slab.Grow(halo, domain), outs); err != nil {
+		if err := p.runTile(env, bind, whole, slab, slab.Grow(p.depth, domain), outs); err != nil {
 			return Result{}, fmt.Errorf("streaming: tile %d: %w", t, err)
 		}
 	}
@@ -83,29 +84,28 @@ func (p *streamingPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	return res, nil
 }
 
-// tileGeometry derives the mesh to tile and its stencil halo from the
-// plan and bindings: stencil networks tile the mesh their dims source
-// describes (beginRun has checked that it covers N cells) with a one-cell
-// halo; pure element-wise networks tile the flat array as a 1 x 1 x N
-// mesh.
-func (p *streamingPlan) tileGeometry(bind Bindings) (domain mesh.Dims, halo int, err error) {
+// tileGeometry derives the mesh to tile from the plan and bindings:
+// stencil networks tile the mesh their dims source describes (beginRun
+// has checked that it covers N cells); pure element-wise networks tile
+// the flat array as a 1 x 1 x N mesh.
+func (p *streamingPlan) tileGeometry(bind Bindings) (domain mesh.Dims, err error) {
 	domain = mesh.Dims{NX: 1, NY: 1, NZ: bind.N}
 	for i, name := range p.dims {
 		src, _ := bind.lookup(name)
 		v := src.Data
 		if len(v) < 3 {
-			return domain, 0, fmt.Errorf("strategy: stencil network needs its dims source %q bound to tile", name)
+			return domain, fmt.Errorf("strategy: stencil network needs its dims source %q bound to tile", name)
 		}
 		d := mesh.Dims{NX: int(v[0]), NY: int(v[1]), NZ: int(v[2])}
 		if i > 0 && d != domain {
-			return domain, 0, fmt.Errorf("strategy: dims sources %q and %q describe different meshes; streaming tiles one", p.dims[0], name)
+			return domain, fmt.Errorf("strategy: dims sources %q and %q describe different meshes; streaming tiles one", p.dims[0], name)
 		}
 		if p.perElement(name) {
-			return domain, 0, fmt.Errorf("strategy: source %q is both a stencil's dims and a per-element field; streaming cannot window it", name)
+			return domain, fmt.Errorf("strategy: source %q is both a stencil's dims and a per-element field; streaming cannot window it", name)
 		}
-		domain, halo = d, 1
+		domain = d
 	}
-	return domain, halo, nil
+	return domain, nil
 }
 
 // perElement reports whether an execution indexes the source per element.
