@@ -31,6 +31,17 @@ func batchTestInputs(n int) map[string][]float32 {
 	return map[string][]float32{"u": u, "v": v, "w": w}
 }
 
+// evalTexts prepares texts in one handle, evaluates it once over n
+// elements and closes it.
+func evalTexts(eng *Engine, texts []string, n int, inputs map[string][]float32) (*Result, error) {
+	p, err := eng.Prepare(texts...)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return p.Eval(n, inputs)
+}
+
 // batchStrategies is the full execution matrix the batch differential
 // covers: the three device strategies, the streaming variant, the host
 // bytecode VM, and the size-routed tiered front.
@@ -47,11 +58,11 @@ func TestBatchMatchesSoloZeroULP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bres, err := eng.EvalBatch(batchTestExprs, n, inputs)
+		bres, err := evalTexts(eng, batchTestExprs, n, inputs)
 		if err != nil {
 			t.Fatalf("%s: batch: %v", strat, err)
 		}
-		if got := len(bres.Results); got != len(batchTestExprs) {
+		if got := len(bres.Members); got != len(batchTestExprs) {
 			t.Fatalf("%s: %d results for %d members", strat, got, len(batchTestExprs))
 		}
 		for mi, text := range batchTestExprs {
@@ -59,7 +70,7 @@ func TestBatchMatchesSoloZeroULP(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: solo member %d: %v", strat, mi, err)
 			}
-			got := bres.Results[mi].Data
+			got := bres.Members[mi].Data
 			if len(got) != len(solo.Data) {
 				t.Fatalf("%s: member %d: batch %d elements, solo %d", strat, mi, len(got), len(solo.Data))
 			}
@@ -84,16 +95,13 @@ func TestBatchSharesSubtreeWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := eng.PrepareBatch(batchTestExprs)
+	pb, err := eng.Prepare(batchTestExprs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pb.Close()
-	if pb.Solo() {
-		t.Fatal("overlapping-but-distinct batch took the solo fast path")
-	}
-	if pb.Members() != 3 {
-		t.Fatalf("distinct members = %d, want 3 (duplicate should dedup)", pb.Members())
+	if pb.merged != 3 {
+		t.Fatalf("distinct members merged = %d, want 3 (duplicate should dedup)", pb.merged)
 	}
 	if pb.Shared() == 0 {
 		t.Fatal("merge reported zero shared nodes for overlapping expressions")
@@ -110,9 +118,17 @@ func TestBatchSharesSubtreeWork(t *testing.T) {
 		}
 		soloKernels += res.Profile.Kernels
 	}
-	if bres.Results[0].Profile.Kernels >= soloKernels {
+	if bres.Profile.Kernels >= soloKernels {
 		t.Fatalf("batch dispatched %d kernels, solo members dispatch %d — batching saved nothing",
-			bres.Results[0].Profile.Kernels, soloKernels)
+			bres.Profile.Kernels, soloKernels)
+	}
+	for i, m := range bres.Members {
+		if m.Profile != bres.Profile {
+			t.Fatalf("member %d profile %+v, want the run's %+v", i, m.Profile, bres.Profile)
+		}
+	}
+	if &bres.Data[0] != &bres.Members[0].Data[0] {
+		t.Fatal("Data does not mirror the first member")
 	}
 }
 
@@ -124,21 +140,21 @@ func TestBatchDuplicateMembersShareOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bres, err := eng.EvalBatch(batchTestExprs, n, batchTestInputs(n))
+	bres, err := evalTexts(eng, batchTestExprs, n, batchTestInputs(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Members 0 and 3 are textually identical.
-	if &bres.Results[0].Data[0] != &bres.Results[3].Data[0] {
+	if &bres.Members[0].Data[0] != &bres.Members[3].Data[0] {
 		t.Fatal("duplicate members did not share a backing output array")
 	}
-	if &bres.Results[0].Data[0] == &bres.Results[1].Data[0] {
+	if &bres.Members[0].Data[0] == &bres.Members[1].Data[0] {
 		t.Fatal("distinct members share a backing output array")
 	}
 }
 
-// TestBatchOfOneSoloFastPath: a batch that deduplicates to one distinct
-// expression must take the ordinary solo path — same plan, same result,
+// TestBatchOfOneSoloFastPath: texts that deduplicate to one distinct
+// expression must take the one-text path — same plan, same result,
 // recovery ladder and tiered routing intact — so batching never costs a
 // lone request anything.
 func TestBatchOfOneSoloFastPath(t *testing.T) {
@@ -150,15 +166,13 @@ func TestBatchOfOneSoloFastPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		texts := []string{batchTestExprs[0], batchTestExprs[0]}
-		pb, err := eng.PrepareBatch(texts)
+		pb, err := eng.Prepare(texts...)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		if !pb.Solo() {
-			t.Fatalf("%s: duplicate-only batch did not take the solo fast path", strat)
-		}
-		if pb.Members() != 1 || pb.Shared() != 0 {
-			t.Fatalf("%s: members=%d shared=%d, want 1/0", strat, pb.Members(), pb.Shared())
+		if pb.merged != 0 || pb.Shared() != 0 || pb.Fingerprint() != eng.Fingerprint(texts[0]) {
+			t.Fatalf("%s: merged=%d shared=%d fingerprint %s: duplicate-only texts did not take the one-text path",
+				strat, pb.merged, pb.Shared(), pb.Fingerprint())
 		}
 		bres, err := pb.Eval(n, inputs)
 		if err != nil {
@@ -169,7 +183,10 @@ func TestBatchOfOneSoloFastPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		for _, r := range bres.Results {
+		if len(bres.Members) != len(texts) {
+			t.Fatalf("%s: %d members for %d texts", strat, len(bres.Members), len(texts))
+		}
+		for _, r := range bres.Members {
 			for i := range solo.Data {
 				if math.Float32bits(r.Data[i]) != math.Float32bits(solo.Data[i]) {
 					t.Fatalf("%s: batch-of-one diverges at element %d: %v vs %v",
@@ -180,13 +197,20 @@ func TestBatchOfOneSoloFastPath(t *testing.T) {
 	}
 }
 
-// TestBatchMemberCompileErrorFailsWhole: PrepareBatch is all-or-nothing;
-// the error names the failing member so callers can drop it and re-batch.
+// TestBatchMemberCompileErrorFailsWhole: Prepare of several texts is
+// all-or-nothing; the error names the failing member so callers can drop
+// it and re-batch. Zero texts is an error too.
 func TestBatchMemberCompileErrorFailsWhole(t *testing.T) {
 	eng, _ := New(Config{Device: CPU, Strategy: "fusion"})
-	_, err := eng.PrepareBatch([]string{batchTestExprs[0], "r = sqrt("})
-	if err == nil {
-		t.Fatal("batch with a malformed member prepared without error")
+	_, err := eng.Prepare(batchTestExprs[0], "r = sqrt(")
+	if err == nil || !strings.Contains(err.Error(), "member 1") {
+		t.Fatalf("batch with a malformed member 1: err = %v", err)
+	}
+	if _, err := eng.Prepare(); err == nil {
+		t.Fatal("Prepare of no texts succeeded")
+	}
+	if live := eng.LiveBuffers(); live != 0 || *eng.prepCount != 0 {
+		t.Fatalf("failed prepares left %d buffers and %d open handles", live, *eng.prepCount)
 	}
 }
 
@@ -242,16 +266,16 @@ func TestSourceNamedLikeMintedID(t *testing.T) {
 				{[]string{"r = u + v", "t0"}, [][]float32{sum, ramp}},
 				{[]string{"000", "t0"}, [][]float32{make([]float32, n), ramp}},
 			} {
-				bres, err := eng.EvalBatch(c.texts, n, inputs)
+				bres, err := evalTexts(eng, c.texts, n, inputs)
 				if err != nil {
 					t.Fatalf("%s: batch %q: %v", tag, c.texts, err)
 				}
 				for mi, want := range c.want {
-					bitsEqual(fmt.Sprintf("%s batch %q member %d", tag, c.texts, mi), bres.Results[mi].Data, want)
+					bitsEqual(fmt.Sprintf("%s batch %q member %d", tag, c.texts, mi), bres.Members[mi].Data, want)
 				}
 			}
 			_, soloErr := eng.Eval(collides, n, inputs)
-			_, batchErr := eng.EvalBatch([]string{"r = u + v", collides}, n, inputs)
+			_, batchErr := evalTexts(eng, []string{"r = u + v", collides}, n, inputs)
 			for what, err := range map[string]error{"solo": soloErr, "batch": batchErr} {
 				if err == nil || !strings.Contains(err.Error(), `name "t0" collides with an internal node`) {
 					t.Fatalf("%s: %s: want the collision error, got %v", tag, what, err)
@@ -269,13 +293,13 @@ func TestBatchPlanCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb1, err := eng.PrepareBatch(batchTestExprs)
+	pb1, err := eng.Prepare(batchTestExprs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pb1.Close()
 	before := eng.CacheStats().PlanHits
-	pb2, err := eng.PrepareBatch(batchTestExprs)
+	pb2, err := eng.Prepare(batchTestExprs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,52 +324,65 @@ func FuzzBatchDifferential(f *testing.F) {
 	// batch fails on the unbound t0 exactly as the solo member does.
 	f.Add("000", "t0")
 	f.Add("r = u + v", "t0")
+	// Equal texts deduplicate to the one-text path; commuted operands are
+	// two fingerprints that O2's canonical order makes one root.
+	f.Add(batchTestExprs[0], batchTestExprs[0])
+	f.Add("r = u * v + w", "r = w + v * u")
 	f.Fuzz(func(t *testing.T, a, b string) {
-		const n = 257 // odd size: exercises partial final workgroups
-		inputs := batchTestInputs(n)
-		eng, err := New(Config{Device: CPU, Strategy: "fusion"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Pre-compile members solo; skip programs the pipeline rejects
-		// (PrepareBatch is all-or-nothing, mirrored here).
-		if _, _, err := eng.comp.CompileTracedAt(a, passes.LevelO2, nil); err != nil {
-			t.Skip()
-		}
-		if _, _, err := eng.comp.CompileTracedAt(b, passes.LevelO2, nil); err != nil {
-			t.Skip()
-		}
-		texts := []string{a, b}
-		bres, err := eng.EvalBatch(texts, n, inputs)
-		if err != nil {
-			// Members compile but the run fails (an unbound source, say):
-			// then some member must fail solo too.
-			for _, text := range texts {
-				if _, serr := eng.Eval(text, n, inputs); serr != nil {
-					return
-				}
-			}
-			t.Fatalf("batch failed (%v) but every member runs solo\n%s\n--\n%s", err, a, b)
-		}
-		for mi, text := range texts {
-			solo, err := eng.Eval(text, n, inputs)
-			if err != nil {
-				t.Fatalf("batch ran but solo member %d failed: %v\n%s", mi, err, text)
-			}
-			got := bres.Results[mi].Data
-			for i := range solo.Data {
-				if math.Float32bits(got[i]) != math.Float32bits(solo.Data[i]) {
-					t.Fatalf("member %d diverges at element %d: batch %v vs solo %v\n%s",
-						mi, i, got[i], solo.Data[i], text)
-				}
-			}
+		for _, opt := range []string{"paper", "O2"} {
+			batchDifferential(t, opt, a, b)
 		}
 	})
 }
 
+// batchDifferential is one FuzzBatchDifferential case at one
+// optimisation level.
+func batchDifferential(t *testing.T, opt, a, b string) {
+	const n = 257 // odd size: exercises partial final workgroups
+	inputs := batchTestInputs(n)
+	eng, err := New(Config{Device: CPU, Strategy: "fusion", Opt: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pre-compile members solo; skip programs the pipeline rejects
+	// (Prepare is all-or-nothing, mirrored here).
+	if _, _, err := eng.comp.CompileTracedAt(a, passes.LevelO2, nil); err != nil {
+		t.Skip()
+	}
+	if _, _, err := eng.comp.CompileTracedAt(b, passes.LevelO2, nil); err != nil {
+		t.Skip()
+	}
+	texts := []string{a, b}
+	bres, err := evalTexts(eng, texts, n, inputs)
+	if err != nil {
+		// Members compile but the run fails (an unbound source, say):
+		// then some member must fail solo too.
+		for _, text := range texts {
+			if _, serr := eng.Eval(text, n, inputs); serr != nil {
+				return
+			}
+		}
+		t.Fatalf("%s: batch failed (%v) but every member runs solo\n%s\n--\n%s", opt, err, a, b)
+	}
+	for mi, text := range texts {
+		solo, err := eng.Eval(text, n, inputs)
+		if err != nil {
+			t.Fatalf("%s: batch ran but solo member %d failed: %v\n%s", opt, mi, err, text)
+		}
+		got := bres.Members[mi].Data
+		for i := range solo.Data {
+			if math.Float32bits(got[i]) != math.Float32bits(solo.Data[i]) {
+				t.Fatalf("%s: member %d diverges at element %d: batch %v vs solo %v\n%s",
+					opt, mi, i, got[i], solo.Data[i], text)
+			}
+		}
+	}
+}
+
 // BenchmarkBatchOfOneWarm measures the warm batch-of-one path against
-// the perf gate's no-regression criterion: the solo fast path should
-// make a prepared batch of one indistinguishable from a plain Prepared.
+// the perf gate's no-regression criterion: an expression prepared twice
+// in one handle deduplicates to the one-text path, and should cost what
+// a Prepared of it once does.
 func BenchmarkBatchOfOneWarm(b *testing.B) {
 	const n = 4096
 	inputs := batchTestInputs(n)
@@ -353,7 +390,7 @@ func BenchmarkBatchOfOneWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb, err := eng.PrepareBatch([]string{batchTestExprs[0]})
+	pb, err := eng.Prepare(batchTestExprs[0], batchTestExprs[0])
 	if err != nil {
 		b.Fatal(err)
 	}

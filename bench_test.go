@@ -239,7 +239,6 @@ func BenchmarkFig7_Distributed(b *testing.B) {
 		Parts:       [3]int{4, 4, 4},
 		Ranks:       8,
 		GPUsPerNode: 2,
-		Ghost:       1,
 		Seed:        42,
 		MemScale:    4096,
 	}

@@ -42,7 +42,6 @@ func main() {
 		Parts:       parts,
 		Ranks:       *ranks,
 		GPUsPerNode: *gpus,
-		Ghost:       1,
 		Expression:  dfg.QCriterionExpr,
 		Strategy:    *strategy,
 		MemScale:    int64(*scale) * int64(*scale) * int64(*scale),

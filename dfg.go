@@ -320,19 +320,36 @@ type Result struct {
 	PeakDeviceBytes int64
 	// Events is the raw device event log in enqueue order. One-shot
 	// evaluations (Engine.Eval, EvalOnMesh) and traced ones carry it; a
-	// warm untraced evaluation of a Prepared or PreparedBatch leaves it
-	// empty, and Profile still counts and times every event.
+	// warm untraced evaluation of a Prepared leaves it empty, and
+	// Profile still counts and times every event.
 	Events []Event
-	// Roots holds every root's output when the evaluated network was a
-	// merged multi-root super-network, in root order; nil for ordinary
-	// single-root evaluations. Batch demultiplexing consumes it — most
-	// callers want a BatchResult's per-member Results instead.
-	Roots []RootField
+	// Members holds one result per text of a Prepared of several texts,
+	// in text order, and Data and Width mirror Members[0]; nil for one
+	// text. Texts that deduplicated to one fingerprint share one root
+	// and therefore one backing output array. Every member's Profile,
+	// Events and PeakDeviceBytes describe the whole run — it executed
+	// once, so per-member attribution of device traffic does not exist.
+	Members []*Result
 }
 
-// RootField is one root's output array of a multi-root (batched)
-// evaluation. (Field already names a timestep of velocity data.)
-type RootField = strategy.Field
+// demux fans a run's roots out to one member per text, idx naming each
+// text's root. A single-root run carries its output in Data.
+func (r *Result) demux(roots []strategy.Field, idx []int) {
+	if roots == nil {
+		roots = []strategy.Field{{Data: r.Data, Width: r.Width}}
+	}
+	r.Members = make([]*Result, len(idx))
+	for i, ri := range idx {
+		r.Members[i] = &Result{
+			Data:            roots[ri].Data,
+			Width:           roots[ri].Width,
+			Profile:         r.Profile,
+			PeakDeviceBytes: r.PeakDeviceBytes,
+			Events:          r.Events,
+		}
+	}
+	r.Data, r.Width = r.Members[0].Data, r.Members[0].Width
+}
 
 // Define registers a named expression in the engine's expression
 // database, like the expression lists visualization tools maintain.
@@ -395,8 +412,9 @@ func (b binder) bind(ctx context.Context) (strategy.Bindings, error) {
 // core compiles and plans it under the evaluation's span and runs it
 // without an arena, so per-run allocate/free — and with it the paper's
 // Table II event counts and Figure 6 memory profile — stays exact. A
-// Prepared sets all of text, pr, plan, strat, label, fp and pool; a
-// merged batch has no text and sets batch.
+// Prepared of one text sets all of text, pr, plan, strat, label, fp and
+// pool, and one of several sets roots too; a merged one has no text and
+// sets batch.
 type job struct {
 	text    string            // what the recovery ladder re-plans
 	pr      *Prepared         // where a degraded run parks its landing rung
@@ -405,6 +423,7 @@ type job struct {
 	label   string            // strat.String()
 	fp      string
 	pool    *ocl.Arena    // attached to the environment for the run
+	roots   []int         // non-nil: fill Result.Members, text i from root roots[i]
 	batch   int           // > 0: merged members; runs outside the recovery ladder
 	planned time.Duration // compile+plan time when eval planned the job (recorded only)
 }
@@ -448,8 +467,8 @@ func (e *Engine) eval(ctx context.Context, sp *obs.Span, b binder, j job) (*Resu
 // runPlan executes a job's plan, wrapped in the engine's recovery loop
 // when one is armed (SetRecovery): transient faults retry the same plan
 // with backoff, capacity faults re-plan the job's text down the
-// degradation ladder. Merged batches run outside the ladder (see
-// batch.go).
+// degradation ladder. Merged runs stay outside the ladder (see
+// Prepared).
 func (e *Engine) runPlan(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time) (*Result, error) {
 	var res *Result
 	var rt route
@@ -500,14 +519,17 @@ func (e *Engine) runPlanOnce(j job, bind strategy.Bindings, sp *obs.Span, t0 tim
 	if e.reg != nil {
 		e.evalHistogram(j.fp, resolved).Observe(time.Since(t0))
 	}
-	return &Result{
+	out := &Result{
 		Data:            res.Data,
 		Width:           res.Width,
 		Profile:         res.Profile,
 		PeakDeviceBytes: res.PeakBytes,
 		Events:          res.Events,
-		Roots:           res.Roots,
-	}, resolved, nil
+	}
+	if j.roots != nil {
+		out.demux(res.Roots, j.roots)
+	}
+	return out, resolved, nil
 }
 
 // histKey identifies one latency series of an engine view: the full

@@ -439,7 +439,7 @@ func TestComputedDimsRejectedAtPlanTime(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, solo := eng.EvalOnMesh(text, m, fields)
-			_, batch := eng.PrepareBatch([]string{text, "q = u*u"})
+			_, batch := eng.Prepare(text, "q = u*u")
 			for how, err := range map[string]error{"solo": solo, "batch": batch} {
 				var ce *strategy.ComputedDimsError
 				if got := errors.As(err, &ce); got != (want != "") || (got && err.Error() != want) || (want == "" && err != nil) {
@@ -528,16 +528,11 @@ func TestOverLongSourcesMatchFusion(t *testing.T) {
 			p.Close()
 			check(sname+" prepared", i, res, err)
 		}
-		pb, err := eng.PrepareBatch(texts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		br, err := pb.Eval(n, in)
-		pb.Close()
+		br, err := evalTexts(eng, texts, n, in)
 		if err != nil {
 			t.Fatalf("%s batch: %v", sname, err)
 		}
-		for i, res := range br.Results {
+		for i, res := range br.Members {
 			check(sname+" batch", i, res, nil)
 		}
 	}
@@ -561,12 +556,7 @@ func TestZeroWorkSizeIsOneError(t *testing.T) {
 		}
 		_, prepared := p.Eval(0, in)
 		p.Close()
-		pb, err := eng.PrepareBatch(texts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, batch := pb.Eval(0, in)
-		pb.Close()
+		_, batch := evalTexts(eng, texts, 0, in)
 		for how, err := range map[string]error{"one-shot": oneShot, "prepared": prepared, "batch": batch} {
 			if err == nil || err.Error() != want {
 				t.Errorf("%s %s: err = %v, want %q", sname, how, err, want)

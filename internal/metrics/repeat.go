@@ -64,10 +64,11 @@ func (c RepeatCase) Reduced() bool {
 }
 
 // BatchOfOneName is the pseudo-strategy naming the batch-of-one repeat
-// case: the Q-criterion expression prepared through PrepareBatch (one
-// member) on a fusion engine. The batch front's solo fast path makes
-// this indistinguishable from the plain fusion row — the case is the
-// perf gate pinning that batching never taxes a lone request.
+// case: the Q-criterion expression prepared twice in one handle on a
+// fusion engine. The two texts deduplicate to one, and the one-text
+// path makes this indistinguishable from the plain fusion row — the
+// case is the perf gate pinning that batching never taxes a lone
+// request.
 const BatchOfOneName = "batch1"
 
 // RepeatNames is the full warm-vs-cold case list: every strategy plus
@@ -108,8 +109,8 @@ func RunRepeat(warm int) ([]RepeatCase, error) {
 }
 
 // repeatCase measures one strategy's cold and warm behavior through the
-// public Prepare/Eval API (or, for the batch-of-one pseudo-strategy,
-// the PrepareBatch front over a fusion engine).
+// public Prepare/Eval API (for the batch-of-one pseudo-strategy, two
+// copies of the expression in one handle over a fusion engine).
 func repeatCase(strat string, m *mesh.Mesh, fields map[string][]float32, warm int) (RepeatCase, error) {
 	if strat == "vm" {
 		// The VM's pooling is process-global host scratch: start the case
@@ -124,31 +125,19 @@ func repeatCase(strat string, m *mesh.Mesh, fields map[string][]float32, warm in
 	if err != nil {
 		return RepeatCase{}, err
 	}
-	var eval func() (*dfg.Result, error)
+	texts := []string{vortex.QCritExpr}
 	if strat == BatchOfOneName {
-		pb, err := eng.PrepareBatch([]string{vortex.QCritExpr})
-		if err != nil {
-			return RepeatCase{}, err
-		}
-		defer pb.Close()
-		if !pb.Solo() {
-			return RepeatCase{}, fmt.Errorf("batch of one missed the solo fast path")
-		}
-		eval = func() (*dfg.Result, error) {
-			bres, err := pb.EvalMesh(m, fields)
-			if err != nil {
-				return nil, err
-			}
-			return bres.Results[0], nil
-		}
-	} else {
-		pr, err := eng.Prepare(vortex.QCritExpr)
-		if err != nil {
-			return RepeatCase{}, err
-		}
-		defer pr.Close()
-		eval = func() (*dfg.Result, error) { return pr.EvalMesh(m, fields) }
+		texts = append(texts, vortex.QCritExpr)
 	}
+	pr, err := eng.Prepare(texts...)
+	if err != nil {
+		return RepeatCase{}, err
+	}
+	defer pr.Close()
+	if pr.Fingerprint() != eng.Fingerprint(vortex.QCritExpr) {
+		return RepeatCase{}, fmt.Errorf("batch of one missed the one-text path")
+	}
+	eval := func() (*dfg.Result, error) { return pr.EvalMesh(m, fields) }
 
 	c := RepeatCase{Strategy: strat}
 

@@ -65,8 +65,8 @@ func TestRunRepeatWarmPath(t *testing.T) {
 		}
 	}
 	// The batch-of-one case must be indistinguishable from plain fusion —
-	// the solo fast path means PrepareBatch of a single expression costs
-	// exactly what Prepare does.
+	// the one-text path means preparing an expression twice in one handle
+	// costs exactly what preparing it once does.
 	byName := map[string]RepeatCase{}
 	for _, c := range cases {
 		byName[c.Strategy] = c

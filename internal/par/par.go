@@ -6,9 +6,10 @@
 //
 // Ranks are goroutines, each with its own simulated device and engine
 // (the paper runs one framework instance per MPI task). Blocks are
-// distributed round-robin; every block is ghost-grown so the gradient
-// primitive computes correct values on sub-grid boundaries, and each
-// rank writes its interior results into the assembled global field.
+// distributed round-robin; every block is ghost-grown by the
+// expression's stencil depth so its stencils compute correct values on
+// sub-grid boundaries, and each rank writes its interior results into
+// the assembled global field.
 // Tests verify the assembled field is seam-free against a single-grid
 // golden computation — the property Figure 7's rendering demonstrates.
 package par
@@ -18,11 +19,14 @@ import (
 	"sync"
 
 	"dfg"
+	"dfg/internal/compile"
 	"dfg/internal/host"
 	"dfg/internal/mesh"
 	"dfg/internal/metrics"
 	"dfg/internal/ocl"
+	"dfg/internal/passes"
 	"dfg/internal/rtsim"
+	"dfg/internal/strategy"
 )
 
 // Config describes a distributed run.
@@ -36,8 +40,6 @@ type Config struct {
 	Ranks int
 	// GPUsPerNode controls rank->device mapping (paper: 2).
 	GPUsPerNode int
-	// Ghost is the stencil width to exchange (1 for grad3d).
-	Ghost int
 	// Expression is the derived field to compute (default Q-criterion).
 	Expression string
 	// Strategy is the execution strategy (default fusion).
@@ -46,6 +48,10 @@ type Config struct {
 	MemScale int64
 	// Seed generates the time step's data.
 	Seed int64
+
+	// ghostShort withholds that many ghost layers from the stencil
+	// depth: tests use it to show the exchange is needed.
+	ghostShort int
 }
 
 // RankReport is one MPI task's accounting.
@@ -137,6 +143,19 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
+	// The network fixes the ghost width: a block needs as many layers as
+	// the expression's stencil depth. One compiler serves every rank, so
+	// the expression compiles once.
+	comp := compile.NewCompiler()
+	net, _, err := comp.CompileTracedAt(cfg.Expression, passes.LevelPaper, nil)
+	if err != nil {
+		return nil, err
+	}
+	depth, err := strategy.StencilDepth(net)
+	if err != nil {
+		return nil, err
+	}
+
 	// The host application owns the data and fulfills the framework's
 	// explicit ghost-data request.
 	hostEng, err := dfg.New(dfg.Config{Device: dfg.CPU})
@@ -147,7 +166,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := app.GenerateGhostData(host.GhostRequest{Parts: cfg.Parts, Layers: cfg.Ghost})
+	blocks, err := app.GenerateGhostData(host.GhostRequest{Parts: cfg.Parts, Layers: depth - cfg.ghostShort})
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +180,7 @@ func Run(cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			reports[rank], errs[rank] = runRank(cfg, rank, blocks, output)
+			reports[rank], errs[rank] = runRank(cfg, comp, rank, blocks, output)
 		}(rank)
 	}
 	wg.Wait()
@@ -179,9 +198,9 @@ func Run(cfg Config) (*Report, error) {
 // its own device, writing interior results into the shared output
 // (regions are disjoint, so no synchronization is needed — exactly like
 // ranks owning disjoint sub-grids).
-func runRank(cfg Config, rank int, blocks []host.GhostBlock, output []float32) (RankReport, error) {
+func runRank(cfg Config, comp *compile.Compiler, rank int, blocks []host.GhostBlock, output []float32) (RankReport, error) {
 	dev := ocl.NewDevice(ocl.TeslaM2050Spec(cfg.MemScale))
-	eng, err := dfg.NewWith(dev, cfg.Strategy, nil)
+	eng, err := dfg.NewWith(dev, cfg.Strategy, comp)
 	if err != nil {
 		return RankReport{}, err
 	}
@@ -219,8 +238,8 @@ func runRank(cfg Config, rank int, blocks []host.GhostBlock, output []float32) (
 }
 
 // GoldenField computes the same derived field on the undecomposed global
-// mesh for seam verification. Only the paper's three expressions are
-// supported.
+// mesh for seam verification. Like Run, it binds the velocity fields
+// u, v and w.
 func GoldenField(cfg Config) ([]float32, *rtsim.Field, error) {
 	m, err := mesh.NewUniform(cfg.Domain, 1, 1, 1)
 	if err != nil {

@@ -19,8 +19,29 @@ func TestDistributedQCriterionSeamFree(t *testing.T) {
 		{Domain: mesh.Dims{NX: 24, NY: 18, NZ: 12}, Parts: [3]int{3, 3, 2}},
 		{Domain: mesh.Dims{NX: 13, NY: 11, NZ: 7}, Parts: [3]int{3, 2, 2}},
 	} {
-		cfg.Ranks, cfg.GPUsPerNode, cfg.Ghost, cfg.Seed, cfg.MemScale = 4, 2, 1, 9, 64
+		cfg.Ranks, cfg.GPUsPerNode, cfg.Seed, cfg.MemScale = 4, 2, 9, 64
 		assertBitExact(t, cfg)
+	}
+}
+
+// Stencil chains of depth 2 and 3: a gradient of a gradient reads its
+// input's neighbours, so a block needs one ghost layer per level.
+const (
+	depth2 = "g = grad3d(u, dims, x, y, z)\nh = grad3d(g[2], dims, x, y, z)\nr = h[2]"
+	depth3 = "g = grad3d(u, dims, x, y, z)\nh = grad3d(g[2] * v, dims, x, y, z)\nk = grad3d(h[0] + w, dims, x, y, z)\nr = k[2] - k[1]"
+)
+
+// TestNestedStencilsSeamFree: the ghost width comes from the network,
+// so stencil chains deeper than one are bit-equal to the single-grid
+// golden on the uneven split, with fused and with streamed blocks.
+func TestNestedStencilsSeamFree(t *testing.T) {
+	for _, strat := range []string{"fusion", "streaming"} {
+		for _, text := range []string{depth2, depth3} {
+			assertBitExact(t, Config{
+				Domain: mesh.Dims{NX: 13, NY: 11, NZ: 7}, Parts: [3]int{3, 2, 2},
+				Ranks: 3, Expression: text, Strategy: strat, Seed: 5, MemScale: 64,
+			})
+		}
 	}
 }
 
@@ -53,34 +74,44 @@ func sameClass(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
-// TestGhostExchangeIsRequired double-checks the test above is meaningful:
-// without ghost layers, block-boundary gradients are wrong and the
-// assembled field disagrees with the golden one.
+// TestGhostExchangeIsRequired double-checks the tests above are
+// meaningful: with one ghost layer fewer than the stencil depth,
+// block-boundary stencils are wrong and the assembled field disagrees
+// with the golden one.
 func TestGhostExchangeIsRequired(t *testing.T) {
-	cfg := Config{
-		Domain:   mesh.Dims{NX: 16, NY: 16, NZ: 8},
-		Parts:    [3]int{2, 2, 1},
-		Ranks:    2,
-		Ghost:    0, // no ghost data
-		Seed:     9,
-		MemScale: 64,
-	}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, _, err := GoldenField(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffs := 0
-	for i := range golden {
-		if !sameClass(rep.Output[i], golden[i]) {
-			diffs++
+	for _, c := range []struct {
+		text  string
+		parts [3]int
+	}{
+		{dfg.QCriterionExpr, [3]int{2, 2, 1}},
+		{depth2, [3]int{2, 2, 2}}, // h[2] differentiates along Z twice: split Z
+	} {
+		cfg := Config{
+			Domain:     mesh.Dims{NX: 16, NY: 16, NZ: 8},
+			Parts:      c.parts,
+			Ranks:      2,
+			Expression: c.text,
+			Seed:       9,
+			MemScale:   64,
+			ghostShort: 1,
 		}
-	}
-	if diffs == 0 {
-		t.Fatal("running without ghost data should corrupt block boundaries; the seam test would be vacuous")
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, _, err := GoldenField(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffs := 0
+		for i := range golden {
+			if !sameClass(rep.Output[i], golden[i]) {
+				diffs++
+			}
+		}
+		if diffs == 0 {
+			t.Fatalf("one ghost layer short should corrupt block boundaries of %q; the seam tests would be vacuous", c.text)
+		}
 	}
 }
 
@@ -97,7 +128,6 @@ func TestPaperRunStructure(t *testing.T) {
 		Parts:       [3]int{16, 16, 12},
 		Ranks:       256,
 		GPUsPerNode: 2,
-		Ghost:       1,
 		Seed:        1,
 		MemScale:    1 << 20,
 	}
@@ -151,7 +181,6 @@ func TestRanksOutnumberBlocks(t *testing.T) {
 		Domain: mesh.Dims{NX: 8, NY: 8, NZ: 8},
 		Parts:  [3]int{2, 1, 1},
 		Ranks:  5,
-		Ghost:  1,
 		Seed:   2,
 	}
 	rep, err := Run(cfg)
@@ -168,12 +197,12 @@ func TestRanksOutnumberBlocks(t *testing.T) {
 }
 
 func TestVelocityMagnitudeDistributed(t *testing.T) {
-	// An expression without gradients works with zero ghost layers.
+	// An expression without gradients has stencil depth 0: its blocks
+	// carry no ghost layers.
 	cfg := Config{
 		Domain:     mesh.Dims{NX: 12, NY: 12, NZ: 6},
 		Parts:      [3]int{2, 2, 1},
 		Ranks:      3,
-		Ghost:      0,
 		Expression: dfg.VelocityMagnitudeExpr,
 		Seed:       4,
 	}
@@ -188,7 +217,7 @@ func TestDistributedWithStreamingBlocks(t *testing.T) {
 		{Domain: mesh.Dims{NX: 16, NY: 12, NZ: 12}, Parts: [3]int{2, 2, 2}},
 		{Domain: mesh.Dims{NX: 13, NY: 11, NZ: 7}, Parts: [3]int{3, 2, 2}},
 	} {
-		cfg.Ranks, cfg.Ghost, cfg.Strategy, cfg.Seed, cfg.MemScale = 3, 1, "streaming", 6, 64
+		cfg.Ranks, cfg.Strategy, cfg.Seed, cfg.MemScale = 3, "streaming", 6, 64
 		assertBitExact(t, cfg)
 	}
 }
@@ -198,7 +227,6 @@ func TestReportTableAndImbalance(t *testing.T) {
 		Domain: mesh.Dims{NX: 12, NY: 12, NZ: 8},
 		Parts:  [3]int{2, 2, 2},
 		Ranks:  4,
-		Ghost:  1,
 		Seed:   2,
 	}
 	rep, err := Run(cfg)

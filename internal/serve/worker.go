@@ -49,7 +49,7 @@ type workerState struct {
 
 // handleKey keys a worker's open handles by the parsed variant (every
 // spelling of one shares a handle) and the ordered member texts
-// ("\x01"-joined): ordered, because a prepared batch demuxes
+// ("\x01"-joined): ordered, because a handle of several texts answers
 // positionally; texts, not fingerprints, because a lookup must not parse.
 type handleKey struct {
 	v     variant
@@ -57,18 +57,17 @@ type handleKey struct {
 }
 
 // handle is one open prepared evaluation and the engine view that
-// prepared it, where the next perf record's queue wait is stamped. A
-// handle of one text wraps an ordinary Prepared, recovery ladder intact.
+// prepared it, where the next perf record's queue wait is stamped.
 type handle struct {
 	eng *dfg.Engine
-	pb  *dfg.PreparedBatch
+	pr  *dfg.Prepared
 }
 
 // closeAll closes every open prepared handle, draining the engine's
 // buffer arena.
 func (ws *workerState) closeAll() {
 	for _, h := range ws.handles {
-		h.pb.Close()
+		h.pr.Close()
 	}
 	clear(ws.handles)
 }
@@ -180,7 +179,7 @@ func (p *Pool) attempt(ws *workerState, members []*member, hops int, pickup time
 	if merged {
 		ctx = nil // no member's deadline governs the shared run
 	}
-	bres, err := p.eval(ctx, ws, root, pickup.Sub(m0.queuedAt()), texts, m0)
+	res, shared, err := p.eval(ctx, ws, root, pickup.Sub(m0.queuedAt()), texts, m0)
 	run := p.clock.now().Sub(pickup)
 	// Finishing publishes the trace before any breaker bookkeeping, so a
 	// dump triggered by this very run includes its own span tree.
@@ -196,7 +195,7 @@ func (p *Pool) attempt(ws *workerState, members []*member, hops int, pickup time
 		case err != nil:
 			root.SetAttr("error", err.Error())
 		case merged:
-			root.SetAttr("shared", strconv.Itoa(bres.Shared))
+			root.SetAttr("shared", strconv.Itoa(shared))
 		}
 		root.Finish()
 	}
@@ -207,13 +206,12 @@ func (p *Pool) attempt(ws *workerState, members []*member, hops int, pickup time
 	}
 	p.busy[ws.id].Add(int64(run))
 	if err == nil {
-		res0 := bres.Results[0] // a merged run's one profile rides on its first result
-		p.acc.Add(res0.Profile, res0.PeakDeviceBytes)
+		p.acc.Add(res.Profile, res.PeakDeviceBytes)
 	}
 	if merged {
 		p.batches.Add(1)
 		p.batchSizeHist.Observe(time.Duration(len(members)) * time.Microsecond)
-		p.batchShared.Add(int64(bres.Shared))
+		p.batchShared.Add(int64(shared))
 	}
 	p.settle(ws, err, pickup)
 	for i, m := range members {
@@ -222,7 +220,10 @@ func (p *Pool) attempt(ws *workerState, members []*member, hops int, pickup time
 			p.failed.Add(1)
 		} else {
 			p.served.Add(1)
-			r.Result = bres.Results[i]
+			r.Result = res
+			if merged {
+				r.Result = res.Members[i]
+			}
 		}
 		p.runHist.Observe(run)
 		m.reply(r)
@@ -337,9 +338,10 @@ func (p *Pool) note(ws *workerState, ev breakerEvent, now time.Time) {
 // ErrWorkerPanic (buffer releases are deferred, so the arena still
 // drains) instead of killing the worker. m carries the shape the texts
 // share; qwait lands on the perf record; ctx, a lone request's
-// deadline, stops the run at the next kernel launch.
+// deadline, stops the run at the next kernel launch. shared is the
+// handle's merge saving.
 func (p *Pool) eval(ctx context.Context, ws *workerState, root *obs.Span, qwait time.Duration,
-	texts []string, m *member) (res *dfg.BatchResult, err error) {
+	texts []string, m *member) (res *dfg.Result, shared int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("%w: worker %d: %v", ErrWorkerPanic, ws.id, r)
@@ -347,10 +349,11 @@ func (p *Pool) eval(ctx context.Context, ws *workerState, root *obs.Span, qwait 
 	}()
 	h, err := p.open(ws, root, texts, m)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	h.eng.NoteQueueWait(qwait)
-	return h.pb.EvalTracedCtx(ctx, root, m.req.N, m.req.Inputs)
+	res, err = h.pr.EvalTracedCtx(ctx, root, m.req.N, m.req.Inputs)
+	return res, h.pr.Shared(), err
 }
 
 // open returns the worker's handle for texts under the member's
@@ -368,18 +371,18 @@ func (p *Pool) open(ws *workerState, root *obs.Span, texts []string, m *member) 
 	p.handleMisses.Add(1)
 	root.SetAttr("handle", "miss")
 	eng := ws.eng.View(m.v.lvl, m.v.strat)
-	pb, err := eng.PrepareBatchTraced(root, texts)
+	pr, err := eng.PrepareTraced(root, texts...)
 	if err != nil {
 		return handle{}, err
 	}
 	if len(ws.handles) >= maxPreparedPerWorker {
 		for k, old := range ws.handles {
-			old.pb.Close()
+			old.pr.Close()
 			delete(ws.handles, k)
 			break
 		}
 	}
-	h := handle{eng, pb}
+	h := handle{eng, pr}
 	ws.handles[key] = h
 	return h, nil
 }

@@ -128,6 +128,14 @@ func dimsCover(nx, ny, nz float32, n int) bool {
 	return rest == 1
 }
 
+// StencilDepth returns the network's stencil depth, as planning fixes
+// it (planBase.depth): how many halo layers a sub-domain of the mesh
+// needs for its cells to equal a whole-mesh run.
+func StencilDepth(net *dataflow.Network) (int, error) {
+	base, err := newPlanBase("", net)
+	return base.depth, err
+}
+
 // Strategy names the planning strategy.
 func (p *planBase) Strategy() string { return p.name }
 

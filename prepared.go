@@ -7,18 +7,30 @@ import (
 	"dfg/internal/compile"
 	"dfg/internal/obs"
 	"dfg/internal/ocl"
+	"dfg/internal/passes"
 	"dfg/internal/strategy"
 )
 
-// Prepared is an expression prepared for repeated evaluation: the
-// compile and planning work (parse, fingerprint, topological order,
-// kernel resolution, fused-kernel generation) is done once at Prepare
-// time, and every Eval attaches the engine's buffer arena so device
-// buffers recycle across calls and unchanged sources stay
-// device-resident. This is the in-situ pattern — one expression, many
-// timesteps — made explicit in the API; one-shot Engine.Eval remains
-// the exact paper semantics (per-run allocate/free, Table II event
-// counts).
+// Prepared is one expression, or several, prepared for repeated
+// evaluation: the compile and planning work (parse, fingerprint,
+// topological order, kernel resolution, fused-kernel generation) is done
+// once at Prepare time, and every Eval attaches the engine's buffer
+// arena so device buffers recycle across calls and unchanged sources
+// stay device-resident. This is the in-situ pattern — one expression,
+// many timesteps — made explicit in the API; one-shot Engine.Eval
+// remains the exact paper semantics (per-run allocate/free, Table II
+// event counts).
+//
+// Several texts sharing one binding are one handle too. Texts that
+// deduplicate to one fingerprint take the one-text path unchanged.
+// Distinct ones are merged into one network with cross-expression CSE
+// (internal/passes.MergeNetworks), planned once through the shared plan
+// cache under the batch fingerprint, and executed in one run, so shared
+// subtrees execute exactly once; Result.Members answers each text. A
+// merged run stays outside the engine's recovery ladder, which re-plans
+// from expression text a merged network does not have: callers degrade
+// a failed merged run by evaluating its texts alone, which re-enter the
+// ladder individually — internal/serve does exactly that.
 //
 // A Prepared is bound to its engine and shares the engine's
 // single-goroutine discipline: do not use one engine's prepared plans
@@ -33,8 +45,17 @@ type Prepared struct {
 	eng    *Engine
 	plan   strategy.Plan
 	fp     string
-	text   string
+	text   string // the first text
 	closed bool
+
+	// roots, on a handle of several texts, maps each text to its root's
+	// position in the run's root order (all 0 when they deduplicated to
+	// one expression); nil for one text. merged counts the distinct
+	// texts a merge combined (0 on the one-text path) and shared the
+	// nodes its CSE eliminated.
+	roots  []int
+	merged int
+	shared int
 
 	// fallback, when its plan is non-nil, is the degraded plan the
 	// engine's recovery ladder landed on during an earlier evaluation,
@@ -77,30 +98,100 @@ func (p *Prepared) Degraded() string {
 	return p.fallback.label
 }
 
-// Prepare compiles and plans an expression for repeated evaluation.
-func (e *Engine) Prepare(text string) (*Prepared, error) {
+// Prepare compiles and plans one expression, or several sharing one
+// binding, for repeated evaluation.
+func (e *Engine) Prepare(texts ...string) (*Prepared, error) {
 	sp := e.tracer.Start("prepare")
 	defer sp.Finish()
-	return e.PrepareTraced(sp, text)
+	return e.PrepareTraced(sp, texts...)
 }
 
-// PrepareTraced is Prepare recording its compile and plan spans under
-// the caller-owned parent span.
-func (e *Engine) PrepareTraced(parent *obs.Span, text string) (*Prepared, error) {
-	plan, fp, err := e.comp.PlanTracedAt(text, e.lvl, e.strat, e.env.Device(), parent)
-	if err != nil {
-		return nil, err
+// PrepareTraced is Prepare recording its compile, merge and plan spans
+// under the caller-owned parent span. Any text failing to compile fails
+// the whole handle — callers wanting per-text error isolation prepare
+// texts alone first (the shared cache makes the re-compile here free).
+func (e *Engine) PrepareTraced(parent *obs.Span, texts ...string) (*Prepared, error) {
+	if len(texts) == 0 {
+		return nil, fmt.Errorf("dfg: Prepare needs at least one expression")
+	}
+	p := &Prepared{eng: e, text: texts[0]}
+	if len(texts) > 1 {
+		if err := p.merge(parent, texts); err != nil {
+			return nil, err
+		}
+	}
+	if p.plan == nil { // one text, or several that deduplicated to one
+		var err error
+		if p.plan, p.fp, err = e.comp.PlanTracedAt(texts[0], e.lvl, e.strat, e.env.Device(), parent); err != nil {
+			return nil, err
+		}
 	}
 	*e.prepCount++
-	return &Prepared{eng: e, plan: plan, fp: fp, text: text}, nil
+	return p, nil
+}
+
+// merge compiles several texts and, when they hold at least two distinct
+// fingerprints, merges them and plans the merged network under the
+// batch fingerprint. Texts that deduplicate to one fingerprint leave the
+// plan unset, for the one-text path.
+func (p *Prepared) merge(parent *obs.Span, texts []string) error {
+	e := p.eng
+	p.roots = make([]int, len(texts))
+	var members []passes.MergeMember
+	fps := make([]string, len(texts))
+	seen := make(map[string]bool, len(texts))
+	for i, text := range texts {
+		net, fp, err := e.comp.CompileTracedAt(text, e.lvl, parent)
+		if err != nil {
+			return fmt.Errorf("dfg: batch member %d: %w", i, err)
+		}
+		fps[i] = fp
+		if !seen[fp] {
+			seen[fp] = true
+			members = append(members, passes.MergeMember{Fp: fp, Net: net})
+		}
+	}
+	if len(members) < 2 {
+		return nil
+	}
+	merged, bfp, err := e.comp.MergeTraced(members, e.lvl, parent)
+	if err != nil {
+		return err
+	}
+	plan, err := e.comp.PlanNetTraced(merged.Net, bfp, e.strat, e.env.Device(), parent)
+	if err != nil {
+		return err
+	}
+	// Distinct fingerprints can still CSE to one root (e.g. commuted
+	// operands at O2), so the index goes through the merged network's
+	// de-duplicated root list.
+	idxOf := make(map[string]int, len(merged.Net.Roots()))
+	for i, id := range merged.Net.Roots() {
+		idxOf[id] = i
+	}
+	for i, fp := range fps {
+		id, ok := merged.Root(fp)
+		if !ok {
+			return fmt.Errorf("dfg: batch member %d: root lost in merge", i)
+		}
+		p.roots[i] = idxOf[id]
+	}
+	p.plan, p.fp, p.merged, p.shared = plan, bfp, len(members), merged.Shared
+	return nil
 }
 
 // Fingerprint returns the prepared expression's cache fingerprint (the
-// compile-cache key at Prepare time).
+// compile-cache key at Prepare time; the batch fingerprint when several
+// texts merged).
 func (p *Prepared) Fingerprint() string { return p.fp }
 
-// Text returns the prepared expression text.
+// Text returns the prepared expression text (the first, of several).
 func (p *Prepared) Text() string { return p.text }
+
+// Shared counts the network nodes cross-expression CSE eliminated when
+// the handle's texts merged: work that would have run once per
+// duplicated subtree had the texts evaluated alone.
+func (p *Prepared) Shared() int { return p.shared }
 
 // Eval evaluates the prepared expression over n elements with the given
 // named input arrays, drawing device buffers from the engine's arena.
@@ -131,13 +222,17 @@ func (p *Prepared) EvalMesh(m *Mesh, fields map[string][]float32) (*Result, erro
 }
 
 // eval runs the handle's active plan through the engine's core with the
-// arena attached.
+// arena attached. Only the one-text path has a text for the recovery
+// ladder to re-plan.
 func (p *Prepared) eval(ctx context.Context, sp *obs.Span, b binder) (*Result, error) {
 	if p.closed {
 		return nil, fmt.Errorf("dfg: prepared expression is closed")
 	}
 	j := p.active()
-	j.text, j.pr, j.fp, j.pool = p.text, p, p.fp, p.eng.env.Context().Pool()
+	j.fp, j.roots, j.batch, j.pool = p.fp, p.roots, p.merged, p.eng.env.Context().Pool()
+	if p.merged == 0 {
+		j.text, j.pr = p.text, p
+	}
 	return p.eng.eval(ctx, sp, b, j)
 }
 

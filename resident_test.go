@@ -18,11 +18,11 @@ var (
 	collidingB = []float32{0.100975215, -1.6227407e+32, 3, 4, 5, 6, 7, 8}
 )
 
-// TestWarmEvalAnswersNewBitsAfterCollision: a warm Prepared and a warm
-// PreparedBatch, each on its own engine and evaluated on A and then on
-// B, answer B with B's bits under every strategy, streaming at two
-// slabs. tiered@1 routes the 8 elements to the device; tiered alone
-// routes them to the VM.
+// TestWarmEvalAnswersNewBitsAfterCollision: a warm Prepared of one text
+// ("Prepared") and one of two texts ("PreparedBatch"), each on its own
+// engine and evaluated on A and then on B, answer B with B's bits under
+// every strategy, streaming at two slabs. tiered@1 routes the 8 elements
+// to the device; tiered alone routes them to the VM.
 func TestWarmEvalAnswersNewBitsAfterCollision(t *testing.T) {
 	if math.Float32bits(collidingA[0]) != 0xa6cecc1b || math.Float32bits(collidingB[1]) != 0xf50002fd {
 		t.Fatal("the A/B pair did not parse to its committed bit patterns")
@@ -54,7 +54,7 @@ func TestWarmEvalAnswersNewBitsAfterCollision(t *testing.T) {
 			}, pr.Close}, nil
 		},
 		"PreparedBatch": func(eng *dfg.Engine) (handle, error) {
-			pb, err := eng.PrepareBatch([]string{"r = a * 1", "r = a * 2"})
+			pb, err := eng.Prepare("r = a * 1", "r = a * 2")
 			if err != nil {
 				return handle{}, err
 			}
@@ -63,7 +63,7 @@ func TestWarmEvalAnswersNewBitsAfterCollision(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return [][]float32{res.Results[0].Data, res.Results[1].Data}, nil
+				return [][]float32{res.Members[0].Data, res.Members[1].Data}, nil
 			}, pb.Close}, nil
 		},
 	}

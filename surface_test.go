@@ -16,15 +16,10 @@ import (
 // no caller outside tests, each with the reason. Keys are spelled as
 // surfaceScan reports them.
 var surfaceAllowlist = map[string]string{
-	"dfg.NewRectilinearMesh":        "public API",
-	"dfg.Engine.CacheStats":         "public API",
-	"dfg.Engine.EvalBatch":          "public API",
-	"dfg.Engine.Fingerprint":        "public API",
-	"dfg.Engine.WithStrategy":       "public API (README); serve derives views from parsed values",
-	"dfg.Prepared.Degraded":         "public API",
-	"dfg.Prepared.Fingerprint":      "public API",
-	"dfg.PreparedBatch.Fingerprint": "public API",
-	"dfg.PreparedBatch.Members":     "public API",
+	"dfg.NewRectilinearMesh":  "public API",
+	"dfg.Engine.CacheStats":   "public API",
+	"dfg.Engine.WithStrategy": "public API (README); serve derives views from parsed values",
+	"dfg.Prepared.Degraded":   "public API",
 
 	"dfg/internal/mesh.Gradient3D":           "oracle, ROADMAP item 1",
 	"dfg/internal/vortex.VorticityMagnitude": "oracle, ROADMAP item 1",
