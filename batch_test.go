@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dfg/internal/ocl"
 	"dfg/internal/passes"
 )
 
@@ -313,31 +314,40 @@ func TestBatchPlanCacheHit(t *testing.T) {
 }
 
 // FuzzBatchDifferential fuzzes the merge itself: any pair of programs
-// the pipeline accepts must evaluate identically batched and solo. This
-// is the harness the batch-smoke CI job drives.
+// the pipeline accepts must evaluate identically batched and solo. A
+// nonzero faultAt arms recovery and fails allocation number faultAt
+// (from 1) of the merged run, which the ladder must answer just as
+// exactly on its next rung. This is the harness the batch-smoke CI job
+// drives.
 func FuzzBatchDifferential(f *testing.F) {
-	f.Add(batchTestExprs[0], batchTestExprs[1])
-	f.Add(batchTestExprs[0], batchTestExprs[2])
-	f.Add("r = u + v", "r = u - v")
-	f.Add("s = min(u, v)\nr = if (s >= 0) then (sqrt(s)) else (-s)", "r = min(u, v) * w")
+	f.Add(batchTestExprs[0], batchTestExprs[1], uint8(0))
+	f.Add(batchTestExprs[0], batchTestExprs[2], uint8(0))
+	f.Add("r = u + v", "r = u - v", uint8(0))
+	f.Add("s = min(u, v)\nr = if (s >= 0) then (sqrt(s)) else (-s)", "r = min(u, v) * w", uint8(0))
 	// A source spelled like a minted ID stays a source in the merge: the
 	// batch fails on the unbound t0 exactly as the solo member does.
-	f.Add("000", "t0")
-	f.Add("r = u + v", "t0")
+	f.Add("000", "t0", uint8(0))
+	f.Add("r = u + v", "t0", uint8(0))
 	// Equal texts deduplicate to the one-text path; commuted operands are
 	// two fingerprints that O2's canonical order makes one root.
-	f.Add(batchTestExprs[0], batchTestExprs[0])
-	f.Add("r = u * v + w", "r = w + v * u")
-	f.Fuzz(func(t *testing.T, a, b string) {
+	f.Add(batchTestExprs[0], batchTestExprs[0], uint8(0))
+	f.Add("r = u * v + w", "r = w + v * u", uint8(0))
+	// Faulted runs: the first allocation, a later one, and one past the
+	// run's last (nothing fires).
+	f.Add(batchTestExprs[0], batchTestExprs[2], uint8(1))
+	f.Add("r = u + v", "r = u - v", uint8(3))
+	f.Add(batchTestExprs[0], batchTestExprs[0], uint8(2))
+	f.Add("r = u + v", "r = u - v", uint8(200))
+	f.Fuzz(func(t *testing.T, a, b string, faultAt uint8) {
 		for _, opt := range []string{"paper", "O2"} {
-			batchDifferential(t, opt, a, b)
+			batchDifferential(t, opt, a, b, faultAt)
 		}
 	})
 }
 
 // batchDifferential is one FuzzBatchDifferential case at one
 // optimisation level.
-func batchDifferential(t *testing.T, opt, a, b string) {
+func batchDifferential(t *testing.T, opt, a, b string, faultAt uint8) {
 	const n = 257 // odd size: exercises partial final workgroups
 	inputs := batchTestInputs(n)
 	eng, err := New(Config{Device: CPU, Strategy: "fusion", Opt: opt})
@@ -352,8 +362,16 @@ func batchDifferential(t *testing.T, opt, a, b string) {
 	if _, _, err := eng.comp.CompileTracedAt(b, passes.LevelO2, nil); err != nil {
 		t.Skip()
 	}
+	if faultAt > 0 {
+		eng.SetRecovery(int64(faultAt))
+		eng.InjectFaults(ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultAlloc, Nth: int(faultAt) - 1, Effect: ocl.EffectError}))
+	}
 	texts := []string{a, b}
 	bres, err := evalTexts(eng, texts, n, inputs)
+	eng.InjectFaults(nil)
+	if live := eng.LiveBuffers(); live != 0 {
+		t.Fatalf("%s: %d live buffers after Close\n%s\n--\n%s", opt, live, a, b)
+	}
 	if err != nil {
 		// Members compile but the run fails (an unbound source, say):
 		// then some member must fail solo too.
@@ -364,6 +382,12 @@ func batchDifferential(t *testing.T, opt, a, b string) {
 		}
 		t.Fatalf("%s: batch failed (%v) but every member runs solo\n%s\n--\n%s", opt, err, a, b)
 	}
+	// A run the ladder moved to another strategy is compared as strategies
+	// are compared with each other; one that stayed put, bit for bit.
+	same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+	if faultAt > 0 {
+		same = sameClass
+	}
 	for mi, text := range texts {
 		solo, err := eng.Eval(text, n, inputs)
 		if err != nil {
@@ -371,12 +395,19 @@ func batchDifferential(t *testing.T, opt, a, b string) {
 		}
 		got := bres.Members[mi].Data
 		for i := range solo.Data {
-			if math.Float32bits(got[i]) != math.Float32bits(solo.Data[i]) {
+			if !same(got[i], solo.Data[i]) {
 				t.Fatalf("%s: member %d diverges at element %d: batch %v vs solo %v\n%s",
 					opt, mi, i, got[i], solo.Data[i], text)
 			}
 		}
 	}
+}
+
+// sameClass is the zero-ULP comparison across strategies: a and b have
+// equal bits, or are both NaN — IEEE 754 does not fix which NaN payload
+// propagates.
+func sameClass(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
 // BenchmarkBatchOfOneWarm measures the warm batch-of-one path against

@@ -412,11 +412,11 @@ func (b binder) bind(ctx context.Context) (strategy.Bindings, error) {
 // core compiles and plans it under the evaluation's span and runs it
 // without an arena, so per-run allocate/free — and with it the paper's
 // Table II event counts and Figure 6 memory profile — stays exact. A
-// Prepared of one text sets all of text, pr, plan, strat, label, fp and
-// pool, and one of several sets roots too; a merged one has no text and
-// sets batch.
+// Prepared sets pr, plan, strat, label, fp and pool; one of several
+// texts sets roots too, and a merged one batch. Either way the recovery
+// ladder re-plans plan's network under fp.
 type job struct {
-	text    string            // what the recovery ladder re-plans
+	text    string            // one-shot Eval: what the core compiles
 	pr      *Prepared         // where a degraded run parks its landing rung
 	plan    strategy.Plan     // nil: compile and plan text first
 	strat   strategy.Strategy // plan's ladder rung
@@ -424,7 +424,7 @@ type job struct {
 	fp      string
 	pool    *ocl.Arena    // attached to the environment for the run
 	roots   []int         // non-nil: fill Result.Members, text i from root roots[i]
-	batch   int           // > 0: merged members; runs outside the recovery ladder
+	batch   int           // merged members (span and perf record only)
 	planned time.Duration // compile+plan time when eval planned the job (recorded only)
 }
 
@@ -466,14 +466,13 @@ func (e *Engine) eval(ctx context.Context, sp *obs.Span, b binder, j job) (*Resu
 
 // runPlan executes a job's plan, wrapped in the engine's recovery loop
 // when one is armed (SetRecovery): transient faults retry the same plan
-// with backoff, capacity faults re-plan the job's text down the
-// degradation ladder. Merged runs stay outside the ladder (see
-// Prepared).
+// with backoff, capacity faults re-plan the job's network down the
+// degradation ladder.
 func (e *Engine) runPlan(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time) (*Result, error) {
 	var res *Result
 	var rt route
 	var err error
-	if e.rec == nil || j.batch > 0 {
+	if e.rec == nil {
 		res, rt.resolved, err = e.runPlanOnce(j, bind, sp, t0)
 	} else {
 		res, rt, err = e.rec.run(e, j, bind, sp, t0)

@@ -290,9 +290,10 @@ func (c *Compiler) PlanTracedAt(text string, lvl passes.Level, strat strategy.St
 
 // PlanNetTraced resolves (or builds) the execution plan for an
 // already-compiled network under an explicit fingerprint — the shared
-// back half of PlanTracedAt, and the front door for merged batch
-// super-networks, whose fingerprint is a BatchFingerprint rather than
-// an expression digest. The fingerprint must uniquely identify the
+// back half of PlanTracedAt, and the front door for prepared handles
+// and the recovery ladder's rungs, which plan a network they hold; a
+// merged batch super-network's fingerprint is a BatchFingerprint rather
+// than an expression digest. The fingerprint must uniquely identify the
 // network's content (both digest families guarantee this), since it
 // keys the shared plan cache.
 func (c *Compiler) PlanNetTraced(net *dataflow.Network, fp string, strat strategy.Strategy, dev *ocl.Device, parent *obs.Span) (strategy.Plan, error) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dfg"
 	"dfg/internal/obs"
 	"dfg/internal/ocl"
 )
@@ -156,6 +157,62 @@ func TestPoolBatchSplitsOnFault(t *testing.T) {
 	}
 	if st.Served != int64(len(batchExprs)) || st.Failed != 0 {
 		t.Fatalf("served=%d failed=%d, want %d/0 — members dropped or failed", st.Served, st.Failed, len(batchExprs))
+	}
+}
+
+// TestPoolBatchAllocFaultDegradesWithoutSplit: a capacity fault under a
+// merged run moves the whole batch to the engine's next ladder rung, so
+// nothing splits to solo, every member gets its solo answer bit for
+// bit, and the breaker stays closed.
+func TestPoolBatchAllocFaultDegradesWithoutSplit(t *testing.T) {
+	const n = 512
+	in := testInputs(n)
+	solo := newTestPool(t, Config{Workers: 1, Device: dfg.CPU, Strategy: "fusion"})
+	p, err := newPool(Config{
+		Workers: 1, Device: dfg.CPU, Strategy: "fusion", TraceKeep: -1,
+		FaultPlanFor: func(int) *ocl.FaultPlan {
+			return ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultAlloc, Nth: 0, Effect: ocl.EffectError})
+		},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &job{}
+	flush := time.Now()
+	for _, expr := range batchExprs {
+		j.members = append(j.members, &member{req: Request{Expr: expr, N: n, Inputs: in}, ctx: context.Background(),
+			cancel: func() {}, enqueued: flush, formed: flush, resp: make(chan Response, 1)})
+	}
+	members := append([]*member(nil), j.members...)
+	p.run(p.ws[0], j)
+	for k, m := range members {
+		r := <-m.resp
+		if r.Err != nil {
+			t.Fatalf("member %d: %v", k, r.Err)
+		}
+		want, err := solo.Submit(context.Background(), m.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want.Data {
+			if g := r.Result.Data[i]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("member %d, element %d: %v, want %v", k, i, g, w)
+			}
+		}
+	}
+	st := p.Stats()
+	if st.BatchSplits != 0 || st.Batches != 1 || st.Served != int64(len(members)) || st.Failed != 0 {
+		t.Fatalf("stats %+v, want one batch, no split, %d served", st, len(members))
+	}
+	if ws := p.ws[0]; ws.br.state != breakerClosed || ws.br.trips != 0 {
+		t.Fatalf("breaker %v after %d trips, want closed", ws.br.state, ws.br.trips)
+	}
+	p.startWorkers()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if live := p.LiveBuffers(); live != 0 {
+		t.Fatalf("live buffers after close = %d, want 0", live)
 	}
 }
 

@@ -385,29 +385,33 @@ func TestBatchAndSoloShareOneGate(t *testing.T) {
 }
 
 // TestMergedTripMovesBreakerOnce runs a merged job on a one-worker pool
-// whose first kernel launch fails. The merged run opens the breaker;
-// its members still run alone (they were admitted with the job) and are
-// answered — on a lost device by the recovery ladder's vm rung — but
-// their outcomes cannot move the open breaker: one trip, still open,
-// whether a device loss opened it or a transient fault that was the
-// threshold-th in a row.
+// whose first kernel launches fail, and requires one trip that leaves
+// the breaker open, whether a device loss opened it or a transient fault
+// that was the threshold-th in a row. On a lost device the recovery
+// ladder's vm rung answers the merged run itself, with no split. The
+// transient fault outlasts the engine's retries (3), so the merged run
+// fails and splits; its members still run alone (they were admitted
+// with the job) and are answered, but their outcomes cannot move the
+// open breaker.
 func TestMergedTripMovesBreakerOnce(t *testing.T) {
 	for _, sc := range []struct {
 		name    string
 		members int
 		effect  ocl.FaultEffect
+		times   int // consecutive kernel launches that fail
 		prior   int // consecutive device faults counted before the job
+		splits  int64
 	}{
-		{"lost/2", 2, ocl.EffectDeviceLost, 0},
-		{"lost/4", 4, ocl.EffectDeviceLost, 0},
-		{"threshold/2", 2, ocl.EffectError, breakerThreshold - 1},
-		{"threshold/4", 4, ocl.EffectError, breakerThreshold - 1},
+		{"lost/2", 2, ocl.EffectDeviceLost, 1, 0, 0},
+		{"lost/4", 4, ocl.EffectDeviceLost, 1, 0, 0},
+		{"threshold/2", 2, ocl.EffectError, 4, breakerThreshold - 1, 1},
+		{"threshold/4", 4, ocl.EffectError, 4, breakerThreshold - 1, 1},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			p, err := newPool(Config{
 				Workers: 1, Device: dfg.CPU, Strategy: "fusion", TraceKeep: -1, BreakerCooldown: time.Hour,
 				FaultPlanFor: func(int) *ocl.FaultPlan {
-					return ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultKernel, Nth: 0, Effect: sc.effect})
+					return ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultKernel, Nth: 0, Times: sc.times, Effect: sc.effect})
 				},
 			}, nil)
 			if err != nil {
@@ -432,8 +436,8 @@ func TestMergedTripMovesBreakerOnce(t *testing.T) {
 					t.Fatalf("member %d: %v, want an answer", k, r.Err)
 				}
 			}
-			if st := p.Stats(); st.BatchSplits != 1 {
-				t.Fatalf("batch splits = %d, want 1: the merged run did not fail", st.BatchSplits)
+			if st := p.Stats(); st.BatchSplits != sc.splits {
+				t.Fatalf("batch splits = %d, want %d", st.BatchSplits, sc.splits)
 			}
 			if ws.br.trips != 1 || ws.br.state != breakerOpen {
 				t.Fatalf("breaker %v after %d trips, want open after 1", ws.br.state, ws.br.trips)

@@ -91,13 +91,13 @@ func (p *Pool) restartWorker(ws *workerState) {
 	p.restarts[ws.id].Add(1)
 }
 
-// run takes one job through the worker. A merged attempt that fails in
-// any way answers nobody: every member re-runs alone with the recovery
-// ladder armed (a super-network has no text for the ladder to re-plan),
-// so a member-specific failure costs only that member its result. The
-// re-runs were admitted with the job: they run even when the merged
-// failure opened the breaker, whose open state their outcomes cannot
-// move.
+// run takes one job through the worker. The engine's recovery ladder
+// answers a merged run's transient, capacity and device-lost faults as
+// it does a lone one's; a merged attempt that still fails answers
+// nobody, and every member re-runs alone, so a member-specific failure
+// costs only that member its result. The re-runs were admitted with the
+// job: they run even when the merged failure opened the breaker, whose
+// open state their outcomes cannot move.
 func (p *Pool) run(ws *workerState, j *job) {
 	pickup := p.clock.now()
 	// Handles prepared before the latest Define may hold its old body.

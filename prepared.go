@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dfg/internal/compile"
+	"dfg/internal/dataflow"
 	"dfg/internal/obs"
 	"dfg/internal/ocl"
 	"dfg/internal/passes"
@@ -26,11 +27,7 @@ import (
 // Distinct ones are merged into one network with cross-expression CSE
 // (internal/passes.MergeNetworks), planned once through the shared plan
 // cache under the batch fingerprint, and executed in one run, so shared
-// subtrees execute exactly once; Result.Members answers each text. A
-// merged run stays outside the engine's recovery ladder, which re-plans
-// from expression text a merged network does not have: callers degrade
-// a failed merged run by evaluating its texts alone, which re-enter the
-// ladder individually — internal/serve does exactly that.
+// subtrees execute exactly once; Result.Members answers each text.
 //
 // A Prepared is bound to its engine and shares the engine's
 // single-goroutine discipline: do not use one engine's prepared plans
@@ -115,27 +112,27 @@ func (e *Engine) PrepareTraced(parent *obs.Span, texts ...string) (*Prepared, er
 		return nil, fmt.Errorf("dfg: Prepare needs at least one expression")
 	}
 	p := &Prepared{eng: e, text: texts[0]}
-	if len(texts) > 1 {
-		if err := p.merge(parent, texts); err != nil {
-			return nil, err
-		}
+	net, err := p.build(parent, texts)
+	if err != nil {
+		return nil, err
 	}
-	if p.plan == nil { // one text, or several that deduplicated to one
-		var err error
-		if p.plan, p.fp, err = e.comp.PlanTracedAt(texts[0], e.lvl, e.strat, e.env.Device(), parent); err != nil {
-			return nil, err
-		}
+	if p.plan, err = e.comp.PlanNetTraced(net, p.fp, e.strat, e.env.Device(), parent); err != nil {
+		return nil, err
 	}
 	*e.prepCount++
 	return p, nil
 }
 
-// merge compiles several texts and, when they hold at least two distinct
-// fingerprints, merges them and plans the merged network under the
-// batch fingerprint. Texts that deduplicate to one fingerprint leave the
-// plan unset, for the one-text path.
-func (p *Prepared) merge(parent *obs.Span, texts []string) error {
+// build compiles each text once and returns the network the handle
+// plans under p.fp: the first text's, unless the texts hold at least
+// two distinct fingerprints, which merge under the batch fingerprint.
+func (p *Prepared) build(parent *obs.Span, texts []string) (*dataflow.Network, error) {
 	e := p.eng
+	if len(texts) == 1 {
+		net, fp, err := e.comp.CompileTracedAt(texts[0], e.lvl, parent)
+		p.fp = fp
+		return net, err
+	}
 	p.roots = make([]int, len(texts))
 	var members []passes.MergeMember
 	fps := make([]string, len(texts))
@@ -143,7 +140,7 @@ func (p *Prepared) merge(parent *obs.Span, texts []string) error {
 	for i, text := range texts {
 		net, fp, err := e.comp.CompileTracedAt(text, e.lvl, parent)
 		if err != nil {
-			return fmt.Errorf("dfg: batch member %d: %w", i, err)
+			return nil, fmt.Errorf("dfg: batch member %d: %w", i, err)
 		}
 		fps[i] = fp
 		if !seen[fp] {
@@ -151,16 +148,13 @@ func (p *Prepared) merge(parent *obs.Span, texts []string) error {
 			members = append(members, passes.MergeMember{Fp: fp, Net: net})
 		}
 	}
+	p.fp = fps[0]
 	if len(members) < 2 {
-		return nil
+		return members[0].Net, nil
 	}
 	merged, bfp, err := e.comp.MergeTraced(members, e.lvl, parent)
 	if err != nil {
-		return err
-	}
-	plan, err := e.comp.PlanNetTraced(merged.Net, bfp, e.strat, e.env.Device(), parent)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	// Distinct fingerprints can still CSE to one root (e.g. commuted
 	// operands at O2), so the index goes through the merged network's
@@ -172,12 +166,12 @@ func (p *Prepared) merge(parent *obs.Span, texts []string) error {
 	for i, fp := range fps {
 		id, ok := merged.Root(fp)
 		if !ok {
-			return fmt.Errorf("dfg: batch member %d: root lost in merge", i)
+			return nil, fmt.Errorf("dfg: batch member %d: root lost in merge", i)
 		}
 		p.roots[i] = idxOf[id]
 	}
-	p.plan, p.fp, p.merged, p.shared = plan, bfp, len(members), merged.Shared
-	return nil
+	p.fp, p.merged, p.shared = bfp, len(members), merged.Shared
+	return merged.Net, nil
 }
 
 // Fingerprint returns the prepared expression's cache fingerprint (the
@@ -222,17 +216,13 @@ func (p *Prepared) EvalMesh(m *Mesh, fields map[string][]float32) (*Result, erro
 }
 
 // eval runs the handle's active plan through the engine's core with the
-// arena attached. Only the one-text path has a text for the recovery
-// ladder to re-plan.
+// arena attached.
 func (p *Prepared) eval(ctx context.Context, sp *obs.Span, b binder) (*Result, error) {
 	if p.closed {
 		return nil, fmt.Errorf("dfg: prepared expression is closed")
 	}
 	j := p.active()
-	j.fp, j.roots, j.batch, j.pool = p.fp, p.roots, p.merged, p.eng.env.Context().Pool()
-	if p.merged == 0 {
-		j.text, j.pr = p.text, p
-	}
+	j.pr, j.fp, j.roots, j.batch, j.pool = p, p.fp, p.roots, p.merged, p.eng.env.Context().Pool()
 	return p.eng.eval(ctx, sp, b, j)
 }
 

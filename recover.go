@@ -21,9 +21,10 @@ import (
 //     ±jitter of its nominal value to decorrelate retry storms across
 //     workers;
 //   - capacity faults (device OOM, over-large buffer) walk the
-//     degradation ladder: the arena is drained and the expression is
-//     re-planned on the next-cheaper strategy, with the streaming rungs
-//     escalating through progressively more (smaller) tiles;
+//     degradation ladder: the arena is drained and the network the run
+//     holds (one expression's, or several merged) is re-planned on the
+//     next-cheaper strategy, with the streaming rungs escalating through
+//     progressively more (smaller) tiles;
 //   - device-lost faults jump straight to the ladder's terminal "vm"
 //     rung — the host bytecode VM touches the device for nothing, so it
 //     completes even on a latched-lost device — and the device stays
@@ -172,15 +173,17 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t
 			}
 			to := nxt.String()
 			// Drain the arena so pooled and resident buffers do not count
-			// against the smaller plan's capacity; re-planning goes through
-			// the shared plan cache, so a rung already planned anywhere is
-			// free here.
+			// against the smaller plan's capacity. The rung re-plans the
+			// network the job holds — one text's or a merged one — under
+			// its own fingerprint, so a later Define cannot reach it, and
+			// through the shared plan cache, so a rung already planned
+			// anywhere is free here.
 			e.env.Context().Pool().Drain()
 			fs := sp.Child("fallback")
 			if fs != nil {
 				fs.SetAttr("from", label).SetAttr("to", to).SetAttr("cause", err.Error())
 			}
-			np, _, perr := e.comp.PlanTracedAt(j.text, e.lvl, nxt, e.env.Device(), fs)
+			np, perr := e.comp.PlanNetTraced(j.plan.Network(), j.fp, nxt, e.env.Device(), fs)
 			fs.Finish()
 			if perr != nil {
 				return nil, rt, fmt.Errorf("dfg: fallback re-plan %s -> %s: %w", label, to, perr)

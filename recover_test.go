@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -425,4 +427,158 @@ func TestRecoveredMatchesHostGolden(t *testing.T) {
 func usedBytes(ctx *ocl.Context) int64 {
 	ctx.ResetPeak()
 	return ctx.Peak()
+}
+
+// TestMergedAndSoloDegradeUnderTheirOwnDefinition: a handle that
+// degrades re-plans the network it holds, so a Define installed after
+// Prepare cannot reach its fallback rung. Re-planning the handle's text
+// instead answered u*3+1 from a handle prepared under scale = u*2, and
+// parked that answer. Each case runs one text, or a merged pair with
+// one member reading the definition; a fresh Prepare sees the new one.
+func TestMergedAndSoloDegradeUnderTheirOwnDefinition(t *testing.T) {
+	const n = 64
+	in := map[string][]float32{"u": make([]float32, n), "v": make([]float32, n)}
+	for i := range n {
+		in["u"][i], in["v"][i] = float32(i)+1, float32(i%5)-2
+	}
+	// want evaluates texts alone on a fault-free engine under a scale
+	// definition.
+	want := func(scale string, texts []string) [][]float32 {
+		ref, err := New(Config{Device: CPU, Strategy: "fusion"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Define("scale", scale); err != nil {
+			t.Fatal(err)
+		}
+		var out [][]float32
+		for _, text := range texts {
+			res, err := ref.Eval(text, n, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res.Data)
+		}
+		return out
+	}
+	for _, texts := range [][]string{
+		{"r = scale + 1"},
+		{"r = scale + 1", "r = u * v"},
+	} {
+		t.Run(strconv.Itoa(len(texts)), func(t *testing.T) {
+			eng, _ := tinyGPU(t, 1<<30)
+			if err := eng.Define("scale", "u * 2"); err != nil {
+				t.Fatal(err)
+			}
+			pr, err := eng.Prepare(texts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pr.Close()
+			if err := eng.Define("scale", "u * 3"); err != nil {
+				t.Fatal(err)
+			}
+			eng.InjectFaults(ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultAlloc, Nth: 0, Effect: ocl.EffectError}))
+			own := want("u * 2", texts)
+			for _, pass := range []string{"degraded", "warm"} {
+				res, err := pr.Eval(n, in)
+				if err != nil {
+					t.Fatalf("%s eval: %v", pass, err)
+				}
+				if got := pr.Degraded(); got != "staged" {
+					t.Fatalf("%s eval: Degraded() = %q, want staged", pass, got)
+				}
+				for k := range texts {
+					got := res.Data
+					if len(texts) > 1 {
+						got = res.Members[k].Data
+					}
+					for i := range own[k] {
+						if math.Float32bits(got[i]) != math.Float32bits(own[k][i]) {
+							t.Fatalf("%s eval, member %d, element %d: %v, want %v under the handle's own definition",
+								pass, k, i, got[i], own[k][i])
+						}
+					}
+				}
+			}
+			fresh, err := eng.Prepare(texts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			res, err := fresh.Eval(n, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if now := want("u * 3", texts[:1])[0]; !slices.Equal(res.Data, now) {
+				t.Fatalf("fresh Prepare after Define: %v, want %v", res.Data[:4], now[:4])
+			}
+		})
+	}
+}
+
+// TestMergedCapacityFaultLandsOnNextRung: a memory-starved merged run
+// walks the degradation ladder as a whole onto a streaming rung — every
+// member answered at zero ULP against a capacious fusion reference —
+// parks the rung for warm evaluations, and drains on Close.
+func TestMergedCapacityFaultLandsOnNextRung(t *testing.T) {
+	m, err := NewUniformMesh(Dims{NX: 16, NY: 16, NZ: 32}, 1.0/16, 1.0/16, 1.0/32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := GenerateRT(m, 17)
+	texts := []string{QCriterionExpr, VorticityMagnitudeExpr}
+
+	ref, err := New(Config{Device: CPU, Strategy: "fusion"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]float32
+	for _, text := range texts {
+		res, err := ref.EvalOnMesh(text, m, FieldInputs(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res.Data)
+	}
+
+	// Below every whole-grid plan's working set, as in
+	// TestOOMUnderFusionRecoversViaLadder.
+	eng, reg := tinyGPU(t, 9*int64(m.Cells()))
+	baseline := eng.LiveBuffers()
+	pr, err := eng.Prepare(texts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstEdge := func() int64 {
+		return reg.Counter("dfg_fallback_total", "", obs.Labels{"from": "fusion", "to": "staged"}).Value()
+	}
+	var edges int64
+	for _, pass := range []string{"degraded", "warm"} {
+		res, err := pr.EvalMesh(m, FieldInputs(f))
+		if err != nil {
+			t.Fatalf("%s eval: %v", pass, err)
+		}
+		if deg := pr.Degraded(); !strings.HasPrefix(deg, "streaming@") {
+			t.Fatalf("%s eval landed on %q, want a streaming rung", pass, deg)
+		}
+		for k := range texts {
+			for i, w := range want[k] {
+				if g := res.Members[k].Data[i]; math.Float32bits(g) != math.Float32bits(w) {
+					t.Fatalf("%s eval, member %d, cell %d: %v, want %v", pass, k, i, g, w)
+				}
+			}
+		}
+		if pass == "degraded" {
+			if edges = firstEdge(); edges < 1 {
+				t.Fatal("dfg_fallback_total{from=fusion,to=staged} was not incremented")
+			}
+		} else if got := firstEdge(); got != edges {
+			t.Fatalf("warm eval re-walked the ladder: fallback count %d -> %d", edges, got)
+		}
+	}
+	pr.Close()
+	if got := eng.LiveBuffers(); got != baseline {
+		t.Fatalf("after Close: %d live buffers, want baseline %d", got, baseline)
+	}
 }
