@@ -300,3 +300,57 @@ func BenchmarkHostInterface(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWarmEval64 times the in-situ warm path at the repository
+// benchmark's insitu_large shape — a prepared fusion Q-criterion on a
+// 64^3 mesh — in three rows: unchanged fields (what insitu_large
+// times), one field rewritten before every evaluation, and all three
+// rewritten (an in-situ step with new data). A rewritten field
+// alternates between two generated sets, so each evaluation binds bytes
+// that differ from the last from the first cell on.
+func BenchmarkWarmEval64(b *testing.B) {
+	m, err := dfg.NewUniformMesh(dfg.Dims{NX: 64, NY: 64, NZ: 64}, 1.0/64, 1.0/64, 1.0/64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sets := [2]map[string][]float32{dfg.FieldInputs(dfg.GenerateRT(m, 1)), dfg.FieldInputs(dfg.GenerateRT(m, 2))}
+	rows := []struct {
+		name    string
+		changed []string // fields taken from the other set on odd evaluations
+	}{
+		{"unchanged", nil},
+		{"one-field-changed", []string{"u"}},
+		{"all-changed", []string{"u", "v", "w"}},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "fusion"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			prep, err := eng.Prepare(dfg.QCriterionExpr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer prep.Close()
+			var binds [2]map[string][]float32
+			for i := range binds {
+				binds[i] = map[string][]float32{"u": sets[0]["u"], "v": sets[0]["v"], "w": sets[0]["w"]}
+				for _, name := range row.changed {
+					binds[i][name] = sets[i][name]
+				}
+			}
+			if _, err := prep.EvalMesh(m, binds[1]); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(m.Cells()) * 3 * 4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := prep.EvalMesh(m, binds[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -119,10 +119,11 @@ func Build(net *dataflow.Network, name string) (*Program, error) {
 	}
 	return &Program{
 		Kernel: &ocl.Kernel{
-			Name:    "kfused_" + name,
-			NumBufs: len(low.Buffers),
-			Cost:    cost(low),
-			Passes:  fns,
+			Name:     "kfused_" + name,
+			NumBufs:  len(low.Buffers),
+			Cost:     cost(low),
+			Passes:   fns,
+			Verifies: true, // RunPass verifies each window it reads
 		},
 		Exec:      exec,
 		Args:      low.Buffers,

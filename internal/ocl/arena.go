@@ -24,7 +24,9 @@ import (
 //     expression over many timesteps where the mesh coordinate arrays
 //     never change. The comparison reads the buffer directly, because
 //     the simulated device's memory is host memory; on a real device
-//     it stands for a host shadow of each resident source.
+//     it stands for a host shadow of each resident source. It is
+//     deferred to the launch that reads the buffer (pendingCheck), so
+//     a warm evaluation passes over its arrays once.
 //
 // Pooled and resident buffers remain allocated in the context (they
 // really occupy device memory), so Used/Peak accounting reflects the
@@ -66,6 +68,10 @@ type residentBuf struct {
 	// positive count means some execution still has the buffer bound as
 	// a kernel argument.
 	refs int
+	// pending is the queue holding a residency check of a hand-out
+	// (pendingCheck), nil when none is outstanding: releasing the
+	// hand-out resolves that queue's checks.
+	pending *Queue
 }
 
 // newArena builds an arena on the context (see Context.Pool).
@@ -91,8 +97,10 @@ func (c *Context) Pool() *Arena {
 // Acquire returns a buffer of the requested shape, reusing an idle
 // pooled buffer of the same byte size when one exists and allocating
 // from the context otherwise. The returned buffer's Release returns it
-// to the arena rather than freeing device memory.
-func (a *Arena) Acquire(label string, elems, width int) (*Buffer, error) {
+// to the arena rather than freeing device memory. An allocation is a
+// device operation on q: the residency checks pending there resolve
+// first.
+func (a *Arena) Acquire(q *Queue, label string, elems, width int) (*Buffer, error) {
 	if elems < 0 || width < 1 {
 		return nil, fmt.Errorf("ocl: arena buffer %q: invalid shape %d x %d", label, elems, width)
 	}
@@ -109,6 +117,9 @@ func (a *Arena) Acquire(label string, elems, width int) (*Buffer, error) {
 	}
 	a.mu.Unlock()
 
+	if err := q.resolvePending(); err != nil {
+		return nil, err
+	}
 	b, err := a.ctx.NewBuffer(label, elems, width)
 	if err != nil {
 		// Genuine accounting pressure (the pool's own idle and stale
@@ -214,13 +225,27 @@ func (a *Arena) evictIdleResidents() bool {
 
 // residentReleased returns one hand-out reference for the slot; called
 // by Buffer.Release on resident buffers. The buffer argument guards
-// against a slot that was already retired and re-keyed.
+// against a slot that was already retired and re-keyed. A hand-out
+// whose residency check is still pending resolves it first — the
+// backstop for an error path that released its buffers before any
+// device operation ran; the error has nowhere to go, and resolving
+// keeps the counters those of an eager check.
 func (a *Arena) residentReleased(key string, b *Buffer) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	if r := a.resident[key]; r != nil && r.buf == b && r.refs > 0 {
+	r := a.resident[key]
+	if r == nil || r.buf != b {
+		a.mu.Unlock()
+		return
+	}
+	if q := r.pending; q != nil {
+		a.mu.Unlock()
+		_ = q.resolvePending()
+		a.mu.Lock()
+	}
+	if r.refs > 0 {
 		r.refs--
 	}
+	a.mu.Unlock()
 }
 
 // recycle returns a released pooled buffer to its free list. The caller
@@ -235,15 +260,23 @@ func (a *Arena) recycle(b *Buffer) {
 // UploadResident binds data to a device-resident source buffer. key
 // identifies the source slot (usually the source name; tiled strategies
 // add a window suffix), label is the buffer's diagnostic/event label.
-// If the slot already holds a buffer of the right shape whose bytes
-// equal src's, bit for bit, the upload is skipped — no transfer, no
-// event — and skipped is true. stable declares that src's backing array
-// is never written after construction: when the slot was last filled
-// from that very array at this shape, the upload is skipped without
-// reading either side.
+// stable declares that src's backing array is never written after
+// construction.
+//
+// A slot already filled at the right shape is handed out at once,
+// without comparing: its residency check — do the slot's bytes equal
+// src's, bit for bit? — is left pending on q and resolves in upload
+// order (pendingCheck), inside the launch that reads the buffer when
+// the kernel verifies as it reads, or before q's next other device
+// operation. An equal source skips the upload — no transfer, no event;
+// a different one is written. When the slot was last filled from this
+// very stable array it is skipped without reading either side — at
+// once, or in its turn behind checks still pending. A first fill or a
+// reshape uploads at once.
+//
 // Resident buffers ignore Release; they stay on the device until the
 // arena drains or the slot's content changes shape.
-func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width int, stable bool) (b *Buffer, skipped bool, err error) {
+func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width int, stable bool) (*Buffer, error) {
 	if width < 1 {
 		width = 1
 	}
@@ -255,6 +288,32 @@ func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width
 
 	a.mu.Lock()
 	r := a.resident[key]
+	if r != nil && r.filled && r.buf.elems == elems && r.buf.width == width {
+		// The hand-out is taken before the check, so eviction cannot
+		// retire the slot while its bytes wait to be read.
+		r.refs++
+		known := base != nil && r.stable == base
+		if known && len(q.pending) == 0 {
+			a.uploadSkips++
+			a.mu.Unlock()
+			return r.buf, nil
+		}
+		if !known {
+			r.pending = q
+		}
+		a.mu.Unlock()
+		q.pending = append(q.pending, pendingCheck{arena: a, slot: r, src: src, base: base, known: known})
+		return r.buf, nil
+	}
+	a.mu.Unlock()
+
+	// A first fill or a reshape moves data now, after the checks
+	// uploaded before it.
+	if err := q.resolvePending(); err != nil {
+		return nil, err
+	}
+	a.mu.Lock()
+	r = a.resident[key]
 	if r != nil && (r.buf.elems != elems || r.buf.width != width) {
 		// Shape changed: retire the old buffer to the free lists.
 		delete(a.resident, key)
@@ -268,24 +327,15 @@ func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width
 		r = nil
 		a.mu.Lock()
 	}
-	var filled bool
 	if r != nil {
-		// The hand-out is taken before the comparison, so eviction
-		// cannot retire the slot while its bytes are read.
 		r.refs++
-		if base != nil && r.stable == base {
-			a.uploadSkips++
-			a.mu.Unlock()
-			return r.buf, true, nil
-		}
-		filled = r.filled
 	}
 	a.mu.Unlock()
 
 	if r == nil {
-		nb, err := a.Acquire(label, elems, width)
+		nb, err := a.Acquire(q, label, elems, width)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		nb.mu.Lock()
 		nb.resident = true
@@ -296,25 +346,19 @@ func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width
 		a.resident[key] = r
 		a.residentBytes += nb.bytes
 		a.mu.Unlock()
-	} else if filled && sameBits(r.buf.data, src) {
-		a.mu.Lock()
-		r.stable = base
-		a.uploadSkips++
-		a.mu.Unlock()
-		return r.buf, true, nil
 	}
 
-	if _, err := q.WriteBuffer(r.buf, src); err != nil {
+	if _, err := q.write(r.buf, src); err != nil {
 		a.mu.Lock()
 		r.refs--
 		a.mu.Unlock()
-		return nil, false, err
+		return nil, err
 	}
 	a.mu.Lock()
 	r.filled, r.stable = true, base
 	a.uploads++
 	a.mu.Unlock()
-	return r.buf, false, nil
+	return r.buf, nil
 }
 
 // sameBits reports whether two arrays hold the same 32-bit patterns, so

@@ -78,22 +78,25 @@ func FuzzUploadResident(f *testing.F) {
 
 			want := bits(src)
 			wantSkip := held != nil && heldWidth == width && slices.Equal(held, want)
-			b, skipped, err := a.UploadResident(q, "u", "u", src, width, stable)
+			before := a.Stats().UploadsSkipped
+			b, err := a.UploadResident(q, "u", "u", src, width, stable)
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			if skipped != wantSkip {
-				t.Fatalf("step %d (op %d, stable %v): skipped = %v, want %v", step, op&7, stable, skipped, wantSkip)
-			}
+			// The read is a device operation: a pending check resolves
+			// before it.
 			got := make([]float32, len(src))
 			if _, err := q.ReadBuffer(got, b); err != nil {
 				t.Fatalf("step %d: %v", step, err)
+			}
+			if skipped := a.Stats().UploadsSkipped > before; skipped != wantSkip {
+				t.Fatalf("step %d (op %d, stable %v): skipped = %v, want %v", step, op&7, stable, skipped, wantSkip)
 			}
 			if g := bits(got); !slices.Equal(g, want) {
 				t.Fatalf("step %d: device holds %08x, source is %08x", step, g, want)
 			}
 			b.Release()
-			if !skipped {
+			if !wantSkip {
 				uploads++
 			}
 			held, heldWidth = want, width
@@ -117,12 +120,12 @@ func TestUploadResidentAfterFailedWrite(t *testing.T) {
 	ctx.SetFaultPlan(NewFaultPlan(1).Add(FaultRule{Op: FaultWrite, Nth: 0}))
 	a, q := ctx.Pool(), NewQueue(ctx)
 	zeros := make([]float32, 16)
-	if _, _, err := a.UploadResident(q, "u", "u", zeros, 1, false); !errors.Is(err, ErrTransferFailed) {
+	if _, err := a.UploadResident(q, "u", "u", zeros, 1, false); !errors.Is(err, ErrTransferFailed) {
 		t.Fatalf("first upload: err = %v, want the injected write fault", err)
 	}
-	b, skipped, err := a.UploadResident(q, "u", "u", zeros, 1, false)
-	if err != nil || skipped {
-		t.Fatalf("second upload: skipped = %v, err = %v; want an upload", skipped, err)
+	b, err := a.UploadResident(q, "u", "u", zeros, 1, false)
+	if err != nil {
+		t.Fatalf("second upload: %v", err)
 	}
 	b.Release()
 	if st := a.Stats(); st.Uploads != 1 || st.UploadsSkipped != 0 {
@@ -133,7 +136,8 @@ func TestUploadResidentAfterFailedWrite(t *testing.T) {
 	}
 }
 
-// BenchmarkUploadResident times one warm residency check of a 64^3 field:
+// BenchmarkUploadResident times one warm residency check of a 64^3 field,
+// resolved when the hand-out is released (no launch reads it here):
 // unchanged bytes (a full comparison, no copy), a change in the first or
 // the last word (the comparison stops there, then the copy), and a
 // stable array bound again (a pointer check).
@@ -159,7 +163,7 @@ func BenchmarkUploadResident(b *testing.B) {
 				src[i] = float32(i) * 0.25
 			}
 			upload := func() {
-				buf, _, err := a.UploadResident(q, "u", "u", src, 1, row.stable)
+				buf, err := a.UploadResident(q, "u", "u", src, 1, row.stable)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -176,5 +180,50 @@ func BenchmarkUploadResident(b *testing.B) {
 				upload()
 			}
 		})
+	}
+}
+
+// TestPendingChecksDropAfterFailedWrite: checks pending on a queue
+// resolve in upload order, and when one's write fails — with an error or
+// a panic from its fault point — the checks after it are dropped, as
+// the uploads after a failed eager one never happen: releasing their
+// hand-outs resolves nothing more, and no fault point is consulted
+// again.
+func TestPendingChecksDropAfterFailedWrite(t *testing.T) {
+	for _, effect := range []FaultEffect{EffectError, EffectPanic} {
+		ctx := NewContext(NewDevice(XeonX5660Spec(1)))
+		a, q := ctx.Pool(), NewQueue(ctx)
+		u, v := []float32{1, 2}, []float32{3, 4}
+		for _, key := range []string{"u", "v"} {
+			b, err := a.UploadResident(q, key, key, u, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Release()
+		}
+		plan := NewFaultPlan(1).Add(FaultRule{Op: FaultWrite, Nth: 0, Effect: effect})
+		ctx.SetFaultPlan(plan)
+		bu, err := a.UploadResident(q, "u", "u", v, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bv, err := a.UploadResident(q, "v", "v", v, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() { recover() }()
+			if _, err := q.ReadBuffer(make([]float32, 2), bu); !errors.Is(err, ErrTransferFailed) {
+				t.Fatalf("%v: read = %v, want the write fault of the check it resolves", effect, err)
+			}
+		}()
+		bu.Release()
+		bv.Release()
+		if st, writes := a.Stats(), plan.seen[FaultWrite]; st.Uploads != 2 || st.UploadsSkipped != 0 || writes != 1 {
+			t.Fatalf("%v: uploads %d, skips %d, writes attempted %d; want 2, 0 and 1", effect, st.Uploads, st.UploadsSkipped, writes)
+		}
+		if len(q.pending) != 0 {
+			t.Fatalf("%v: %d checks still pending", effect, len(q.pending))
+		}
 	}
 }

@@ -128,6 +128,9 @@ func (c *Context) ResetPeak() {
 type Buffer struct {
 	ctx   *Context
 	label string
+	// data is the buffer's storage; nil once Env.Download has handed it
+	// to the caller, until the next use refills it (mem). Only the
+	// goroutine driving the buffer's queue touches it.
 	data  []float32
 	elems int
 	width int
@@ -256,6 +259,31 @@ func (b *Buffer) adopt(label string, elems, width int) {
 	b.mu.Unlock()
 }
 
+// mem returns the buffer's storage, allocating fresh zeroed storage when
+// a download handed the old one over: the zeroing happens when the
+// buffer is next used, just before a kernel or a write fills it.
+func (b *Buffer) mem() []float32 {
+	if b.data == nil && b.bytes > 0 {
+		b.data = make([]float32, b.bytes/4)
+	}
+	return b.data
+}
+
+// handOver gives the caller the buffer's storage, leaving the buffer
+// to refill on its next use — a download without a copy.
+func (b *Buffer) handOver() []float32 {
+	data := b.mem()
+	b.data = nil
+	return data
+}
+
+// isResident reports whether the buffer is an arena's resident source.
+func (b *Buffer) isResident() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.resident
+}
+
 // Released reports whether the buffer has been released.
 func (b *Buffer) Released() bool {
 	b.mu.Lock()
@@ -275,4 +303,4 @@ func (b *Buffer) Bytes() int64 { return b.bytes }
 // Data exposes the backing storage for kernel execution. It is the
 // simulated device memory; host code outside kernels should use the
 // queue's ReadBuffer/WriteBuffer so transfers are counted and costed.
-func (b *Buffer) Data() []float32 { return b.data }
+func (b *Buffer) Data() []float32 { return b.mem() }

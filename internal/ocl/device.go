@@ -15,9 +15,11 @@ import (
 type Device struct {
 	spec DeviceSpec
 
-	// workers is the number of host goroutines used to execute kernels.
-	// It is a host execution detail; modeled timings use spec fields.
-	workers int
+	// workers is the number of host goroutines used to execute kernels,
+	// and grain the smallest per-worker slice of an ND-range worth
+	// spawning one for (minParallelGrain). They are host execution
+	// details; modeled timings use spec fields.
+	workers, grain int
 }
 
 // NewDevice constructs a device from its spec. It panics if the spec is
@@ -36,7 +38,7 @@ func NewDevice(spec DeviceSpec) *Device {
 	if w < 1 {
 		w = 1
 	}
-	return &Device{spec: spec, workers: w}
+	return &Device{spec: spec, workers: w, grain: minParallelGrain}
 }
 
 // Spec returns a copy of the device description.
@@ -69,7 +71,7 @@ func (d *Device) execute(n int, pass KernelFunc, views []View, scalars []float64
 		return time.Since(start)
 	}
 	workers := d.workers
-	if max := (n + minParallelGrain - 1) / minParallelGrain; workers > max {
+	if max := (n + d.grain - 1) / d.grain; workers > max {
 		workers = max
 	}
 	if workers <= 1 {

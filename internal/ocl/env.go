@@ -45,7 +45,7 @@ func (e *Env) Pool() *Arena { return e.pool }
 // from the attached arena when one is set.
 func (e *Env) NewBuffer(label string, elems, width int) (*Buffer, error) {
 	if e.pool != nil {
-		return e.pool.Acquire(label, elems, width)
+		return e.pool.Acquire(e.q, label, elems, width)
 	}
 	return e.ctx.NewBuffer(label, elems, width)
 }
@@ -82,19 +82,28 @@ func (e *Env) Upload(label string, src []float32, width int) (*Buffer, error) {
 // across executions. key identifies the resident slot (label is the
 // buffer/event label; they differ for tiled windows). Without a pool
 // this is a plain Upload; with one, an unchanged source skips the
-// transfer entirely and skipped reports true. stable is
-// Arena.UploadResident's: src's backing array is never rewritten.
-func (e *Env) UploadResident(key, label string, src []float32, width int, stable bool) (*Buffer, bool, error) {
+// transfer entirely — decided by a check that may run later, inside the
+// launch that reads the buffer (see Arena.UploadResident), so the
+// arena's counters (ArenaStats) tell a skip from an upload once the
+// launch has run. stable is Arena.UploadResident's: src's backing array
+// is never rewritten.
+func (e *Env) UploadResident(key, label string, src []float32, width int, stable bool) (*Buffer, error) {
 	if e.pool == nil {
-		b, err := e.Upload(label, src, width)
-		return b, false, err
+		return e.Upload(label, src, width)
 	}
 	return e.pool.UploadResident(e.q, key, label, src, width, stable)
 }
 
-// Download reads the whole buffer back to a fresh host slice, recording
-// the device-to-host event.
+// Download reads the whole buffer back to the host, recording the
+// device-to-host event. The returned slice is the buffer's storage,
+// handed over rather than copied: the download must be the buffer's
+// last read, and the buffer gets fresh storage when it is next used.
+// A resident source buffer keeps its storage, which later binds
+// compare against, and is read into a fresh slice.
 func (e *Env) Download(src *Buffer) ([]float32, error) {
+	if !src.isResident() {
+		return e.q.take(src)
+	}
 	dst := make([]float32, src.Elems()*src.Width())
 	if _, err := e.q.ReadBuffer(dst, src); err != nil {
 		return nil, err

@@ -1,5 +1,7 @@
 package ocl
 
+import "sync/atomic"
+
 // Test-only views of Context and Buffer bookkeeping.
 
 // Used returns the bytes currently allocated to live buffers.
@@ -28,3 +30,17 @@ func (c *Context) MustBuffer(label string, elems, width int) *Buffer {
 
 // Label returns the buffer's diagnostic label.
 func (b *Buffer) Label() string { return b.label }
+
+// SetChunking fixes how a launch on the device splits its ND-range: at
+// most workers chunks, none smaller than grain elements. Tests use it to
+// put chunk seams where a check must cross them.
+func (d *Device) SetChunking(workers, grain int) {
+	d.workers, d.grain = workers, grain
+}
+
+// PendingView binds data as a speculative launch binds a resident buffer
+// whose residency check is pending: data must equal want, and a
+// difference raises stale.
+func PendingView(data, want []float32, width int, stale *atomic.Bool) View {
+	return View{Data: data, Elems: len(data) / width, Width: width, want: want, stale: stale}
+}

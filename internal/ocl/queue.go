@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -67,6 +68,13 @@ type Queue struct {
 	// (see scratch). The queue is in order — one launch at a time — so a
 	// warm launch allocates no argument list.
 	views []View
+	// pending holds the resident hand-outs whose residency check has not
+	// run yet, in upload order, and stale is a speculative launch's
+	// shared flag (see pendingCheck). Like views they belong to the one
+	// goroutine that drives the queue, and keep their storage, so a warm
+	// run defers its checks without allocating.
+	pending []pendingCheck
+	stale   atomic.Bool
 
 	mu     sync.Mutex
 	now    time.Duration
@@ -130,17 +138,27 @@ func (q *Queue) record(kind EventKind, name string, bytes int64, n int, modeled,
 // WriteBuffer copies src into the device buffer (clEnqueueWriteBuffer)
 // and records a host-to-device event. src must not exceed the buffer.
 func (q *Queue) WriteBuffer(dst *Buffer, src []float32) (Event, error) {
+	if err := q.resolvePending(); err != nil {
+		return Event{}, err
+	}
+	return q.write(dst, src)
+}
+
+// write is WriteBuffer without resolving pending checks: the write a
+// resolution makes.
+func (q *Queue) write(dst *Buffer, src []float32) (Event, error) {
 	if dst.Released() {
 		return Event{}, fmt.Errorf("%w: write to %q", ErrReleasedBuffer, dst.label)
 	}
-	if len(src) > len(dst.data) {
-		return Event{}, fmt.Errorf("ocl: write to %q: %d floats exceed buffer size %d", dst.label, len(src), len(dst.data))
+	data := dst.mem()
+	if len(src) > len(data) {
+		return Event{}, fmt.Errorf("ocl: write to %q: %d floats exceed buffer size %d", dst.label, len(src), len(data))
 	}
 	if err := q.ctx.faultPoint(FaultWrite, dst.label); err != nil {
 		return Event{}, err
 	}
 	start := time.Now()
-	copy(dst.data, src)
+	copy(data, src)
 	wall := time.Since(start)
 	bytes := int64(len(src)) * 4
 	return q.record(WriteEvent, dst.label, bytes, 0, q.ctx.dev.transferTime(bytes), wall), nil
@@ -149,20 +167,45 @@ func (q *Queue) WriteBuffer(dst *Buffer, src []float32) (Event, error) {
 // ReadBuffer copies the device buffer into dst (clEnqueueReadBuffer) and
 // records a device-to-host event. dst must not exceed the buffer.
 func (q *Queue) ReadBuffer(dst []float32, src *Buffer) (Event, error) {
+	if err := q.resolvePending(); err != nil {
+		return Event{}, err
+	}
 	if src.Released() {
 		return Event{}, fmt.Errorf("%w: read from %q", ErrReleasedBuffer, src.label)
 	}
-	if len(dst) > len(src.data) {
-		return Event{}, fmt.Errorf("ocl: read from %q: %d floats exceed buffer size %d", src.label, len(dst), len(src.data))
+	data := src.mem()
+	if len(dst) > len(data) {
+		return Event{}, fmt.Errorf("ocl: read from %q: %d floats exceed buffer size %d", src.label, len(dst), len(data))
 	}
 	if err := q.ctx.faultPoint(FaultRead, src.label); err != nil {
 		return Event{}, err
 	}
 	start := time.Now()
-	copy(dst, src.data)
+	copy(dst, data)
 	wall := time.Since(start)
 	bytes := int64(len(dst)) * 4
 	return q.record(ReadEvent, src.label, bytes, 0, q.ctx.dev.transferTime(bytes), wall), nil
+}
+
+// take reads the whole buffer back like ReadBuffer — the same fault
+// point and event — by handing the caller the buffer's storage instead
+// of copying it (see Buffer.handOver).
+func (q *Queue) take(src *Buffer) ([]float32, error) {
+	if err := q.resolvePending(); err != nil {
+		return nil, err
+	}
+	if src.Released() {
+		return nil, fmt.Errorf("%w: read from %q", ErrReleasedBuffer, src.label)
+	}
+	if err := q.ctx.faultPoint(FaultRead, src.label); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	data := src.handOver()
+	wall := time.Since(start)
+	bytes := int64(len(data)) * 4
+	q.record(ReadEvent, src.label, bytes, 0, q.ctx.dev.transferTime(bytes), wall)
+	return data, nil
 }
 
 // Run enqueues the kernel over a global work size of n elements
@@ -171,6 +214,18 @@ func (q *Queue) ReadBuffer(dst []float32, src *Buffer) (Event, error) {
 // modeled duration from the device cost model. The buffers are bound
 // into the queue's argument scratch, so Run must not be called
 // concurrently on one queue.
+//
+// A kernel that verifies as it reads (Kernel.Verifies), launched with
+// every pending residency check's buffer among its arguments, runs
+// speculatively: each pending view is bound with its source, and the
+// passes compare every window before they read it, so the check runs in
+// parallel and leaves the data in cache. A clean launch counts the
+// skips, then consults the kernel fault point (discarding the output if
+// it fires) and records the event. A stale one — some window differed —
+// records nothing and consults no fault point; the checks resolve one
+// by one, as for any other operation, and the kernel runs again without
+// them. Either way the events, fault operations and arena counters are
+// those of checks resolved before the launch.
 func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) (Event, error) {
 	passes := k.Passes
 	if len(passes) == 0 {
@@ -187,6 +242,7 @@ func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) (Event,
 		return Event{}, &ArgError{Kernel: k.Name, Index: -1, Reason: fmt.Sprintf("negative global size %d", n)}
 	}
 	views := q.scratch(len(bufs))
+	defer clear(views) // hold no buffer's storage past the launch
 	for i, b := range bufs {
 		if b == nil {
 			return Event{}, &ArgError{Kernel: k.Name, Index: i, Reason: "nil buffer"}
@@ -194,7 +250,20 @@ func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) (Event,
 		if b.Released() {
 			return Event{}, &ArgError{Kernel: k.Name, Index: i, Reason: fmt.Sprintf("released buffer %q", b.label)}
 		}
-		views[i] = View{Data: b.data, Elems: b.elems, Width: b.width}
+		views[i] = View{Data: b.mem(), Elems: b.elems, Width: b.width}
+	}
+	if k.Verifies && q.bindChecks(bufs, views) {
+		if wall, clean := q.speculate(n, passes, views, scalars); clean {
+			q.settlePending()
+			if err := q.ctx.faultPoint(FaultKernel, k.Name); err != nil {
+				return Event{}, err
+			}
+			return q.record(KernelEvent, k.Name, 0, n, q.ctx.dev.kernelTime(n, k.Cost), wall), nil
+		}
+		unbindChecks(views)
+	}
+	if err := q.resolvePending(); err != nil {
+		return Event{}, err
 	}
 	if err := q.ctx.faultPoint(FaultKernel, k.Name); err != nil {
 		return Event{}, err
@@ -203,7 +272,6 @@ func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) (Event,
 	for _, pass := range passes {
 		wall += q.ctx.dev.execute(n, pass, views, scalars)
 	}
-	clear(views) // hold no buffer's storage past the launch
 	return q.record(KernelEvent, k.Name, 0, n, q.ctx.dev.kernelTime(n, k.Cost), wall), nil
 }
 

@@ -25,6 +25,9 @@ import (
 // With a buffer arena attached, warm executions of an unchanged source
 // set reduce to the kernel dispatch and the one download: sources stay
 // device-resident and the output/scratch buffers recycle from the pool.
+// The generated kernel verifies as it reads, so the residency check of
+// each source runs inside the dispatch (ocl.Queue.Run), and the download
+// hands the output buffer's storage over as the answer.
 //
 // Planning generates the network's fused kernel program; its OpenCL C
 // text is not rendered (GeneratedSource renders it). Nothing here
@@ -84,7 +87,7 @@ func (p *fusionPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 			if src, err = bind.source(a.Name); err != nil {
 				return Result{}, err
 			}
-			if b, _, err = env.UploadResident(a.Name, a.Name, src.Data, src.Width, bind.stable(src.Data)); err != nil {
+			if b, err = env.UploadResident(a.Name, a.Name, src.Data, src.Width, bind.stable(src.Data)); err != nil {
 				return Result{}, fmt.Errorf("fusion: source %q: %w", a.Name, err)
 			}
 		case codegen.ArgScratch:

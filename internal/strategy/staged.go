@@ -91,7 +91,7 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		b, _, err := env.UploadResident(node.ID, node.ID, src.Data, src.Width, bind.stable(src.Data))
+		b, err := env.UploadResident(node.ID, node.ID, src.Data, src.Width, bind.stable(src.Data))
 		if err != nil {
 			return Result{}, fmt.Errorf("staged: source %q: %w", node.ID, err)
 		}
@@ -160,6 +160,8 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 
 	// Download every root (one for ordinary networks), releasing each
 	// sink reference only after its download so shared roots survive.
+	// Roots are distinct nodes (the network collapses a merged pair), so
+	// each buffer is downloaded once and can hand its storage over.
 	fields := make([]Field, 0, 1)
 	for _, rid := range p.net.Roots() {
 		outBuf, ok := bufs[rid]

@@ -157,7 +157,7 @@ func (p *streamingPlan) runTile(env *ocl.Env, bind Bindings, whole, slab, tile m
 				data = src.Data[lo*src.Width : (lo+n)*src.Width]
 			}
 			key := fmt.Sprintf("%s@z%d+%d", a.Name, lo, n)
-			b, _, err := env.UploadResident(key, a.Name, data, src.Width, stable)
+			b, err := env.UploadResident(key, a.Name, data, src.Width, stable)
 			if err != nil {
 				return err
 			}
