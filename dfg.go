@@ -173,10 +173,7 @@ type Engine struct {
 
 	// perf, when non-nil, is the continuous-profiling sink
 	// (SetPerfRecorder): every evaluation deposits one EvalRecord.
-	// pendingWait stages the queue wait the next record consumes (engine
-	// methods are single-goroutine, so a plain field suffices).
-	perf        *perfdb.Recorder
-	pendingWait time.Duration
+	perf *perfdb.Recorder
 
 	// lvl is the optimisation level every compile goes through
 	// (Config.Opt, parsed). The zero value is the Paper level.
@@ -253,9 +250,6 @@ func NewWith(dev *ocl.Device, strategyName string, comp *compile.Compiler) (*Eng
 func (e *Engine) Instrument(t *obs.Tracer, r *obs.Registry) {
 	e.tracer = t
 	e.reg = r
-	if r != nil && e.evalHist == nil {
-		e.evalHist = make(map[histKey]*obs.Histogram)
-	}
 }
 
 // Device describes the engine's target device, e.g. "NVIDIA Tesla M2050".
@@ -300,12 +294,9 @@ func (e *Engine) View(lvl passes.Level, strat strategy.Strategy) *Engine {
 		return e
 	}
 	d := *e
-	d.lvl, d.strat, d.label = lvl, strat, strat.String()
-	if d.reg != nil {
-		// The latency series is labeled by strategy: a fresh memo records
-		// the view's under its own name.
-		d.evalHist = make(map[histKey]*obs.Histogram)
-	}
+	// The latency series is labeled by strategy: a memo of its own
+	// records the view's under its own name.
+	d.lvl, d.strat, d.label, d.evalHist = lvl, strat, strat.String(), nil
 	return &d
 }
 
@@ -378,18 +369,14 @@ func (e *Engine) Definitions() []string { return e.comp.Definitions() }
 // plus the run's device events on their own tracks — and a
 // latency-histogram observation.
 func (e *Engine) Eval(text string, n int, inputs map[string][]float32) (*Result, error) {
-	sp := e.tracer.Start("eval")
-	defer sp.Finish()
-	return e.eval(nil, sp, binder{n: n, inputs: inputs}, job{text: text})
+	return e.eval(context.Background(), binder{n: n, inputs: inputs}, job{text: text})
 }
 
 // EvalOnMesh evaluates an expression over cell-centered fields on a
 // mesh, automatically binding the mesh-derived sources the gradient
 // primitive needs: dims and the per-cell coordinate arrays x, y, z.
 func (e *Engine) EvalOnMesh(text string, m *Mesh, fields map[string][]float32) (*Result, error) {
-	sp := e.tracer.Start("eval")
-	defer sp.Finish()
-	return e.eval(nil, sp, binder{mesh: m, inputs: fields}, job{text: text})
+	return e.eval(context.Background(), binder{mesh: m, inputs: fields}, job{text: text})
 }
 
 // binder is what an evaluation binds: named arrays over n elements, or —
@@ -425,14 +412,29 @@ type job struct {
 	pool    *ocl.Arena    // attached to the environment for the run
 	roots   []int         // non-nil: fill Result.Members, text i from root roots[i]
 	batch   int           // merged members (span and perf record only)
+	t0      time.Time     // when eval began (observed engines only)
 	planned time.Duration // compile+plan time when eval planned the job (recorded only)
 }
 
-// eval is the one evaluation core: annotate the span, plan if the job
-// has not, bind, run. ctx may be nil; once it is done the run is
-// abandoned at the next kernel-launch boundary, and with recovery armed
-// (SetRecovery) further retries and fallbacks stop too.
-func (e *Engine) eval(ctx context.Context, sp *obs.Span, b binder, j job) (*Result, error) {
+// trace returns ctx carrying the span an operation records under, and
+// the span: ctx's own, or on a traced engine a new root named name,
+// also returned as root for the caller to finish. An untraced call
+// attaches nothing.
+func (e *Engine) trace(ctx context.Context, name string) (_ context.Context, sp, root *obs.Span) {
+	if sp, _ = obs.FromContext(ctx); sp != nil || e.tracer == nil {
+		return ctx, sp, nil
+	}
+	root = e.tracer.Start(name)
+	return &obs.Carrier{Context: ctx, Span: root}, root, root
+}
+
+// eval is the one evaluation core: annotate the span ctx carries (see
+// trace), plan if the job has not, bind, run. Once ctx is done the run
+// is abandoned at the next kernel-launch boundary, and with recovery
+// armed (SetRecovery) further retries and fallbacks stop too.
+func (e *Engine) eval(ctx context.Context, b binder, j job) (*Result, error) {
+	ctx, sp, root := e.trace(ctx, "eval")
+	defer root.Finish()
 	if sp != nil { // guard: strconv.Itoa must not run on the no-op path
 		n := b.n
 		if b.mesh != nil {
@@ -443,7 +445,9 @@ func (e *Engine) eval(ctx context.Context, sp *obs.Span, b binder, j job) (*Resu
 			sp.SetAttr("batch", strconv.Itoa(j.batch))
 		}
 	}
-	t0 := e.clock()
+	if e.reg != nil || e.perf != nil { // the unobserved hot path reads no clock
+		j.t0 = time.Now()
+	}
 	if j.plan == nil {
 		var err error
 		j.plan, j.fp, err = e.comp.PlanTracedAt(j.text, e.lvl, e.strat, e.env.Device(), sp)
@@ -452,7 +456,7 @@ func (e *Engine) eval(ctx context.Context, sp *obs.Span, b binder, j job) (*Resu
 		}
 		j.strat, j.label = e.strat, e.label
 		if e.perf != nil {
-			j.planned = time.Since(t0)
+			j.planned = time.Since(j.t0)
 		}
 	}
 	bs := sp.Child("bind")
@@ -461,24 +465,24 @@ func (e *Engine) eval(ctx context.Context, sp *obs.Span, b binder, j job) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return e.runPlan(j, bind, sp, t0)
+	return e.runPlan(j, bind)
 }
 
 // runPlan executes a job's plan, wrapped in the engine's recovery loop
 // when one is armed (SetRecovery): transient faults retry the same plan
 // with backoff, capacity faults re-plan the job's network down the
 // degradation ladder.
-func (e *Engine) runPlan(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time) (*Result, error) {
+func (e *Engine) runPlan(j job, bind strategy.Bindings) (*Result, error) {
 	var res *Result
 	var rt route
 	var err error
 	if e.rec == nil {
-		res, rt.resolved, err = e.runPlanOnce(j, bind, sp, t0)
+		res, rt.resolved, err = e.runPlanOnce(j, bind)
 	} else {
-		res, rt, err = e.rec.run(e, j, bind, sp, t0)
+		res, rt, err = e.rec.run(e, j, bind)
 	}
 	if e.perf != nil {
-		e.recordEval(j, rt, res, err, bind.N, sp, t0)
+		e.recordEval(j, rt, res, err, bind)
 	}
 	return res, err
 }
@@ -490,7 +494,8 @@ func (e *Engine) runPlan(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Ti
 // engine's strategy at entry, or the ladder rung on fallback attempts); the
 // resolved execution path — the tiered plan's chosen tier, else the
 // label itself — lands on the span and the histogram, and is returned.
-func (e *Engine) runPlanOnce(j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time) (*Result, string, error) {
+func (e *Engine) runPlanOnce(j job, bind strategy.Bindings) (*Result, string, error) {
+	sp, _ := obs.FromContext(bind.Ctx)
 	if j.pool != nil {
 		e.env.SetPool(j.pool)
 		defer e.env.SetPool(nil)
@@ -516,7 +521,7 @@ func (e *Engine) runPlanOnce(j job, bind strategy.Bindings, sp *obs.Span, t0 tim
 	}
 	attachDeviceEvents(es, res.Events)
 	if e.reg != nil {
-		e.evalHistogram(j.fp, resolved).Observe(time.Since(t0))
+		e.evalHistogram(j.fp, resolved).Observe(time.Since(j.t0))
 	}
 	out := &Result{
 		Data:            res.Data,
@@ -544,6 +549,9 @@ func (e *Engine) evalHistogram(fp, resolved string) *obs.Histogram {
 	key := histKey{fp, resolved}
 	if h, ok := e.evalHist[key]; ok {
 		return h
+	}
+	if e.evalHist == nil {
+		e.evalHist = make(map[histKey]*obs.Histogram)
 	}
 	h := e.reg.Histogram("dfg_eval_seconds",
 		"End-to-end evaluation latency by expression fingerprint, strategy and resolved execution path.",

@@ -99,14 +99,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the total observed time.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sumNS.Load())
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1), e.g. 0.5, 0.9, 0.99.
 // Returns 0 with no observations. Quantiles that land in the overflow
 // bucket (observations above ~67s, the top bounded bucket) return the
@@ -242,18 +234,15 @@ func labelSignature(labels Labels) string {
 	return b.String()
 }
 
-// lookup finds or creates the series for (name, labels) of a kind.
-// Registering the same name with a different kind panics: that is a
-// programming error, not a runtime condition.
-func (r *Registry) lookup(name, help string, kind metricKind, labels Labels) *series {
+// lookup finds or creates the series for (name, labels) of a kind and
+// installs fn while r.mu is held: exposition snapshots series
+// (callbacks included) under the lock. Registering the same name with a
+// different kind panics: that is a programming error, not a runtime
+// condition.
+func (r *Registry) lookup(name, help string, kind metricKind, labels Labels, fn func() float64) *series {
 	sig := labelSignature(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.lookupLocked(name, help, kind, sig)
-}
-
-// lookupLocked is lookup with r.mu already held.
-func (r *Registry) lookupLocked(name, help string, kind metricKind, sig string) *series {
 	f := r.families[name]
 	if f == nil {
 		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
@@ -275,6 +264,7 @@ func (r *Registry) lookupLocked(name, help string, kind metricKind, sig string) 
 		f.series[sig] = s
 		f.order = append(f.order, sig)
 	}
+	s.fn = fn // nil for the kinds that hold their own state
 	return s
 }
 
@@ -284,7 +274,7 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindCounter, labels).ctr
+	return r.lookup(name, help, kindCounter, labels, nil).ctr
 }
 
 // Histogram returns the latency-histogram series for (name, labels).
@@ -292,7 +282,7 @@ func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindHistogram, labels).hist
+	return r.lookup(name, help, kindHistogram, labels, nil).hist
 }
 
 // CounterFunc registers a callback-backed counter — for counters whose
@@ -300,24 +290,15 @@ func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
 // stats). fn is called at exposition time and must be concurrency-safe
 // and monotone.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	r.setFunc(name, help, kindCounterFunc, labels, fn)
+	if r != nil {
+		r.lookup(name, help, kindCounterFunc, labels, fn)
+	}
 }
 
 // GaugeFunc registers a callback-backed gauge, evaluated at exposition
 // time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.setFunc(name, help, kindGaugeFunc, labels, fn)
-}
-
-// setFunc installs a callback under r.mu: exposition snapshots series
-// (including fn) while holding the lock, so the assignment must not
-// happen after lookup unlocks.
-func (r *Registry) setFunc(name, help string, kind metricKind, labels Labels, fn func() float64) {
-	if r == nil {
-		return
+	if r != nil {
+		r.lookup(name, help, kindGaugeFunc, labels, fn)
 	}
-	sig := labelSignature(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lookupLocked(name, help, kind, sig).fn = fn
 }

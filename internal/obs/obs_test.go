@@ -182,8 +182,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Count() != 110 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if want := 100*time.Millisecond + time.Second; h.Sum() != want {
-		t.Fatalf("sum = %v, want %v", h.Sum(), want)
+	if want := 100*time.Millisecond + time.Second; time.Duration(h.sumNS.Load()) != want {
+		t.Fatalf("sum = %v, want %v", time.Duration(h.sumNS.Load()), want)
 	}
 	p50 := h.Quantile(0.5)
 	if p50 < 512*time.Microsecond || p50 > 2*time.Millisecond {

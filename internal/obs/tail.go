@@ -85,10 +85,9 @@ func (t *Tracer) ByID(id string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, r := range []*ring{&t.kept, &t.recent} {
-		spans := r.last(0)
-		for i := len(spans) - 1; i >= 0; i-- {
-			if spans[i].id == id {
-				return spans[i]
+		for _, sp := range r.last(0) { // IDs are unique: any order finds it
+			if sp.id == id {
+				return sp
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -153,6 +154,24 @@ func (s *Span) WriteText(w io.Writer) {
 		}
 	}
 	walk(s, 0)
+}
+
+// Carrier is the context a request runs under: the caller's (its
+// deadline), the span it records under and how long it queued first.
+// A long-lived Carrier passed by address attaches without allocating.
+type Carrier struct {
+	context.Context
+	Span *Span
+	Wait time.Duration
+}
+
+// FromContext returns the span and queue wait of a Carrier passed as
+// ctx itself (nothing wraps one), else nil and 0.
+func FromContext(ctx context.Context) (*Span, time.Duration) {
+	if c, ok := ctx.(*Carrier); ok {
+		return c.Span, c.Wait
+	}
+	return nil, 0
 }
 
 // Tracer collects finished request traces in two rings: recent holds

@@ -419,3 +419,30 @@ func TestBatchKeyInputIdentity(t *testing.T) {
 		t.Error("an empty input keys like a full one")
 	}
 }
+
+// TestPoolBatchHandleKeyIsInjective: a worker's handle cache keys a
+// member list so that no single text can spell it. After "b = x*3" and
+// "a = x*2" merge into one handle, a lone request whose text is the two
+// joined by the byte the key once joined them with must reach the lexer
+// and fail there, not come back with the merged handle's answers.
+func TestPoolBatchHandleKeyIsInjective(t *testing.T) {
+	in := map[string][]float32{"x": {0, 1, 2}}
+	p := newTestPool(t, Config{Workers: 1, BatchWindow: 20 * time.Millisecond, BatchMax: 2})
+	b := p.EvalAsync(context.Background(), Request{Expr: "b = x*3", N: 3, Inputs: in})
+	a := p.EvalAsync(context.Background(), Request{Expr: "a = x*2", N: 3, Inputs: in})
+	for i, ch := range []<-chan Response{b, a} {
+		if r := <-ch; r.Err != nil {
+			t.Fatalf("member %d: %v", i, r.Err)
+		}
+	}
+	if st := p.Stats(); st.Batches != 1 {
+		t.Fatalf("batches = %d, want the two texts merged once", st.Batches)
+	}
+	res, err := p.Submit(context.Background(), Request{Expr: "b = x*3\x01a = x*2", N: 3, Inputs: in})
+	if err == nil {
+		t.Fatalf("forged text answered with %v and %d members, want a lexer error", res.Data, len(res.Members))
+	}
+	if !strings.Contains(err.Error(), `unexpected character '\x01'`) {
+		t.Fatalf("forged text failed with %v, want the lexer's unexpected character", err)
+	}
+}

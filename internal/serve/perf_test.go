@@ -345,3 +345,36 @@ func TestPerfHTTPSurface(t *testing.T) {
 		t.Fatalf("/debug/pprof/ without EnablePprof: %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestPerfRecordCarriesQueueWait: the queue wait serve measures reaches
+// the request's perf record exactly, with tracing on and off. The pool
+// runs on the replay harness's fake clock, so the wait is known.
+func TestPerfRecordCarriesQueueWait(t *testing.T) {
+	const wait = 7 * time.Millisecond
+	for _, keep := range []int{0, -1} {
+		clk := &fakeClock{t: replayEpoch}
+		p, err := newPool(Config{Workers: 1, Device: dfg.CPU, Strategy: "fusion", TraceKeep: keep}, clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk.tick = p.tick
+		ch := p.EvalAsync(context.Background(), perfReq())
+		clk.advance(wait)
+		p.run(p.ws[0], <-p.queue)
+		if r := <-ch; r.Err != nil || r.Wait != wait {
+			t.Fatalf("TraceKeep %d: response waited %v (err %v), want %v", keep, r.Wait, r.Err, wait)
+		}
+		p.Close()
+		p.worker(p.ws[0]) // the queue is closed and empty: the worker exits
+		snap := p.PerfRecorder().Snapshot()
+		if len(snap) != 1 {
+			t.Fatalf("TraceKeep %d: %d records, want 1", keep, len(snap))
+		}
+		if got := time.Duration(snap[0].QueueWaitNS); got != wait {
+			t.Errorf("TraceKeep %d: QueueWaitNS = %v, want %v", keep, got, wait)
+		}
+		if traced := snap[0].TraceID != ""; traced != (keep >= 0) {
+			t.Errorf("TraceKeep %d: record trace id %q", keep, snap[0].TraceID)
+		}
+	}
+}

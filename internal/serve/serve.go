@@ -307,7 +307,7 @@ func newPool(cfg Config, c clock) (*Pool, error) {
 			return nil, err
 		}
 		p.engines[i].Store(eng)
-		p.ws = append(p.ws, &workerState{id: i, eng: eng, handles: make(map[handleKey]handle)})
+		p.ws = append(p.ws, &workerState{id: i, eng: eng, handles: make(map[handleKey]*dfg.Prepared)})
 	}
 	return p, nil
 }
@@ -356,7 +356,7 @@ func (p *Pool) newEngine(worker int) (*dfg.Engine, error) {
 		return nil, err
 	}
 	eng = eng.View(p.v.lvl, p.v.strat)
-	// Workers pass their per-request span into EvalTracedCtx, so the
+	// Workers pass each request's trace root in its context, so the
 	// engines get only the registry (per-fingerprint histograms).
 	eng.Instrument(nil, p.reg)
 	// Derived per-request variant engines are views of this one, so the

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"dfg"
@@ -43,31 +42,28 @@ type workerState struct {
 	id      int
 	eng     *dfg.Engine
 	br      breaker
-	handles map[handleKey]handle
+	handles map[handleKey]*dfg.Prepared
 	defGen  uint64 // Pool.defGen when the handles were last flushed
+	// call is the running attempt's context — its deadline, trace root
+	// and queue wait — passed by address, so attaching allocates nothing.
+	call obs.Carrier
 }
 
 // handleKey keys a worker's open handles by the parsed variant (every
-// spelling of one shares a handle) and the ordered member texts
-// ("\x01"-joined): ordered, because a handle of several texts answers
-// positionally; texts, not fingerprints, because a lookup must not parse.
+// spelling of one shares a handle) and the ordered member texts:
+// ordered, because a handle of several texts answers positionally;
+// texts, not fingerprints, because a lookup must not parse.
 type handleKey struct {
 	v     variant
-	texts string
-}
-
-// handle is one open prepared evaluation and the engine view that
-// prepared it, where the next perf record's queue wait is stamped.
-type handle struct {
-	eng *dfg.Engine
-	pr  *dfg.Prepared
+	n     int    // texts
+	texts string // the one text as is, several Go-quoted: no text spells a list
 }
 
 // closeAll closes every open prepared handle, draining the engine's
 // buffer arena.
 func (ws *workerState) closeAll() {
-	for _, h := range ws.handles {
-		h.pr.Close()
+	for _, pr := range ws.handles {
+		pr.Close()
 	}
 	clear(ws.handles)
 }
@@ -175,11 +171,11 @@ func (p *Pool) attempt(ws *workerState, members []*member, hops int, pickup time
 	merged := len(members) > 1
 	m0 := members[0] // members share N, variant, inputs (batchKey) and flush
 	root, texts := p.traceRoot(ws, members, hops, pickup, probe)
-	ctx := m0.ctx
+	ws.call = obs.Carrier{Context: m0.ctx, Span: root, Wait: pickup.Sub(m0.queuedAt())}
 	if merged {
-		ctx = nil // no member's deadline governs the shared run
+		ws.call.Context = context.Background() // no member's deadline governs the shared run
 	}
-	res, shared, err := p.eval(ctx, ws, root, pickup.Sub(m0.queuedAt()), texts, m0)
+	res, shared, err := p.eval(&ws.call, ws, texts, m0)
 	run := p.clock.now().Sub(pickup)
 	// Finishing publishes the trace before any breaker bookkeeping, so a
 	// dump triggered by this very run includes its own span tree.
@@ -337,52 +333,52 @@ func (p *Pool) note(ws *workerState, ev breakerEvent, now time.Time) {
 // cache behind the panic shield: a panic below becomes a typed
 // ErrWorkerPanic (buffer releases are deferred, so the arena still
 // drains) instead of killing the worker. m carries the shape the texts
-// share; qwait lands on the perf record; ctx, a lone request's
-// deadline, stops the run at the next kernel launch. shared is the
-// handle's merge saving.
-func (p *Pool) eval(ctx context.Context, ws *workerState, root *obs.Span, qwait time.Duration,
-	texts []string, m *member) (res *dfg.Result, shared int, err error) {
+// share; ctx carries the attempt's deadline (a lone request's stops the
+// run at the next kernel launch), its trace root and its queue wait,
+// which lands on the perf record. shared is the handle's merge saving.
+func (p *Pool) eval(ctx context.Context, ws *workerState, texts []string, m *member) (res *dfg.Result, shared int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("%w: worker %d: %v", ErrWorkerPanic, ws.id, r)
 		}
 	}()
-	h, err := p.open(ws, root, texts, m)
+	pr, err := p.open(ctx, ws, texts, m)
 	if err != nil {
 		return nil, 0, err
 	}
-	h.eng.NoteQueueWait(qwait)
-	res, err = h.pr.EvalTracedCtx(ctx, root, m.req.N, m.req.Inputs)
-	return res, h.pr.Shared(), err
+	res, err = pr.EvalContext(ctx, m.req.N, m.req.Inputs)
+	return res, pr.Shared(), err
 }
 
 // open returns the worker's handle for texts under the member's
 // variant. A hit is a map lookup. A miss derives the variant's engine
 // view (it shares the worker's device and arena), prepares the texts
-// under root and files the handle, closing an arbitrary one at the
-// bound — its plan stays in the shared cache.
-func (p *Pool) open(ws *workerState, root *obs.Span, texts []string, m *member) (handle, error) {
-	key := handleKey{m.v, strings.Join(texts, "\x01")}
-	if h, ok := ws.handles[key]; ok {
+// under ctx's trace root and files the handle, closing an arbitrary one
+// at the bound — its plan stays in the shared cache.
+func (p *Pool) open(ctx context.Context, ws *workerState, texts []string, m *member) (*dfg.Prepared, error) {
+	root, _ := obs.FromContext(ctx)
+	key := handleKey{m.v, len(texts), texts[0]}
+	if len(texts) > 1 {
+		key.texts = fmt.Sprintf("%q", texts)
+	}
+	if pr, ok := ws.handles[key]; ok {
 		p.handleHits.Add(1)
 		root.SetAttr("handle", "hit")
-		return h, nil
+		return pr, nil
 	}
 	p.handleMisses.Add(1)
 	root.SetAttr("handle", "miss")
-	eng := ws.eng.View(m.v.lvl, m.v.strat)
-	pr, err := eng.PrepareTraced(root, texts...)
+	pr, err := ws.eng.View(m.v.lvl, m.v.strat).PrepareContext(ctx, texts...)
 	if err != nil {
-		return handle{}, err
+		return nil, err
 	}
 	if len(ws.handles) >= maxPreparedPerWorker {
 		for k, old := range ws.handles {
-			old.pr.Close()
+			old.Close()
 			delete(ws.handles, k)
 			break
 		}
 	}
-	h := handle{eng, pr}
-	ws.handles[key] = h
-	return h, nil
+	ws.handles[key] = pr
+	return pr, nil
 }

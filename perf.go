@@ -6,6 +6,7 @@ import (
 	"dfg/internal/compile"
 	"dfg/internal/obs"
 	"dfg/internal/perfdb"
+	"dfg/internal/strategy"
 )
 
 // SetPerfRecorder attaches (or with nil detaches) a continuous-profiling
@@ -16,27 +17,6 @@ import (
 // Like Instrument, call before the engine is used.
 func (e *Engine) SetPerfRecorder(r *perfdb.Recorder) {
 	e.perf = r
-}
-
-// NoteQueueWait stamps the queue wait the *next* evaluation's perf
-// record should carry — the serving layer measures how long a request
-// sat in the queue before its worker picked it up, which the engine
-// cannot see. The pending value is consumed (and reset) by the next
-// recorded evaluation.
-func (e *Engine) NoteQueueWait(d time.Duration) {
-	if e.perf != nil {
-		e.pendingWait = d
-	}
-}
-
-// clock returns time.Now when the engine is observed (metrics registry
-// or perf recorder attached) and the zero time otherwise, so the
-// uninstrumented hot path takes no clock readings.
-func (e *Engine) clock() time.Time {
-	if e.reg != nil || e.perf != nil {
-		return time.Now()
-	}
-	return time.Time{}
 }
 
 // route is where one evaluation ran, as its perf record reports it:
@@ -51,8 +31,9 @@ type route struct {
 }
 
 // recordEval builds and deposits the evaluation's perf record from what
-// the evaluation already holds; res is nil on failure.
-func (e *Engine) recordEval(j job, rt route, res *Result, err error, n int, sp *obs.Span, t0 time.Time) {
+// the evaluation holds, its context too; res is nil on failure.
+func (e *Engine) recordEval(j job, rt route, res *Result, err error, bind strategy.Bindings) {
+	sp, wait := obs.FromContext(bind.Ctx)
 	now := time.Now()
 	rec := perfdb.EvalRecord{
 		UnixNS:      now.UnixNano(),
@@ -62,16 +43,15 @@ func (e *Engine) recordEval(j job, rt route, res *Result, err error, n int, sp *
 		Resolved:    rt.resolved,
 		Opt:         e.lvl.String(),
 		Device:      e.env.Device().Name(),
-		N:           n,
+		N:           bind.N,
 		Batch:       j.batch,
-		QueueWaitNS: int64(e.pendingWait),
+		QueueWaitNS: int64(wait),
 		PlanNS:      int64(j.planned),
-		TotalNS:     now.Sub(t0).Nanoseconds(),
+		TotalNS:     now.Sub(j.t0).Nanoseconds(),
 		Retries:     rt.retries,
 		Degraded:    rt.degraded,
 		DeviceLost:  rt.lost,
 	}
-	e.pendingWait = 0
 	if res != nil {
 		rec.ModeledUploadNS = res.Profile.WriteTime.Nanoseconds()
 		rec.ModeledKernelNS = res.Profile.KernelTime.Nanoseconds()

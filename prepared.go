@@ -96,38 +96,42 @@ func (p *Prepared) Degraded() string {
 }
 
 // Prepare compiles and plans one expression, or several sharing one
-// binding, for repeated evaluation.
-func (e *Engine) Prepare(texts ...string) (*Prepared, error) {
-	sp := e.tracer.Start("prepare")
-	defer sp.Finish()
-	return e.PrepareTraced(sp, texts...)
-}
-
-// PrepareTraced is Prepare recording its compile, merge and plan spans
-// under the caller-owned parent span. Any text failing to compile fails
+// binding, for repeated evaluation. Any text failing to compile fails
 // the whole handle — callers wanting per-text error isolation prepare
 // texts alone first (the shared cache makes the re-compile here free).
-func (e *Engine) PrepareTraced(parent *obs.Span, texts ...string) (*Prepared, error) {
+func (e *Engine) Prepare(texts ...string) (*Prepared, error) {
+	return e.PrepareContext(context.Background(), texts...)
+}
+
+// PrepareContext is Prepare recording its compile, merge and plan spans
+// under the span ctx carries (the serving layer's request trace), or
+// under a "prepare" root of the engine's own. Compilation observes no
+// deadline.
+func (e *Engine) PrepareContext(ctx context.Context, texts ...string) (*Prepared, error) {
+	ctx, sp, root := e.trace(ctx, "prepare")
+	defer root.Finish()
 	if len(texts) == 0 {
 		return nil, fmt.Errorf("dfg: Prepare needs at least one expression")
 	}
 	p := &Prepared{eng: e, text: texts[0]}
-	net, err := p.build(parent, texts)
+	net, err := p.build(ctx, texts)
 	if err != nil {
 		return nil, err
 	}
-	if p.plan, err = e.comp.PlanNetTraced(net, p.fp, e.strat, e.env.Device(), parent); err != nil {
+	if p.plan, err = e.comp.PlanNetTraced(net, p.fp, e.strat, e.env.Device(), sp); err != nil {
 		return nil, err
 	}
 	*e.prepCount++
 	return p, nil
 }
 
-// build compiles each text once and returns the network the handle
-// plans under p.fp: the first text's, unless the texts hold at least
-// two distinct fingerprints, which merge under the batch fingerprint.
-func (p *Prepared) build(parent *obs.Span, texts []string) (*dataflow.Network, error) {
+// build compiles each text once, under the span ctx carries, and
+// returns the network the handle plans under p.fp: the first text's,
+// unless the texts hold at least two distinct fingerprints, which merge
+// under the batch fingerprint.
+func (p *Prepared) build(ctx context.Context, texts []string) (*dataflow.Network, error) {
 	e := p.eng
+	parent, _ := obs.FromContext(ctx)
 	if len(texts) == 1 {
 		net, fp, err := e.comp.CompileTracedAt(texts[0], e.lvl, parent)
 		p.fp = fp
@@ -190,18 +194,15 @@ func (p *Prepared) Shared() int { return p.shared }
 // Eval evaluates the prepared expression over n elements with the given
 // named input arrays, drawing device buffers from the engine's arena.
 func (p *Prepared) Eval(n int, inputs map[string][]float32) (*Result, error) {
-	sp := p.eng.tracer.Start("eval")
-	defer sp.Finish()
-	return p.eval(nil, sp, binder{n: n, inputs: inputs})
+	return p.EvalContext(context.Background(), n, inputs)
 }
 
-// EvalTracedCtx is Eval recording its bind and execute spans as
-// children of the caller-owned parent span and observing a context: the
-// run stops at the next kernel-launch boundary once ctx is done, and a
-// done context also stops recovery retries and fallbacks. The serving
-// layer threads each request's span and deadline through here.
-func (p *Prepared) EvalTracedCtx(ctx context.Context, parent *obs.Span, n int, inputs map[string][]float32) (*Result, error) {
-	return p.eval(ctx, parent, binder{n: n, inputs: inputs})
+// EvalContext is Eval observing ctx: once it is done the run stops at
+// the next kernel-launch boundary, and recovery stops retrying and
+// falling back. Spans record under the one ctx carries (serve's request
+// trace, whose queue wait lands on the perf record), if any.
+func (p *Prepared) EvalContext(ctx context.Context, n int, inputs map[string][]float32) (*Result, error) {
+	return p.eval(ctx, binder{n: n, inputs: inputs})
 }
 
 // EvalMesh evaluates the prepared expression over cell-centered fields
@@ -210,20 +211,18 @@ func (p *Prepared) EvalTracedCtx(ctx context.Context, parent *obs.Span, n int, i
 // so repeated calls over one mesh rebind the same backing arrays — and
 // the arena keeps them device-resident, skipping their re-upload.
 func (p *Prepared) EvalMesh(m *Mesh, fields map[string][]float32) (*Result, error) {
-	sp := p.eng.tracer.Start("eval")
-	defer sp.Finish()
-	return p.eval(nil, sp, binder{mesh: m, inputs: fields})
+	return p.eval(context.Background(), binder{mesh: m, inputs: fields})
 }
 
 // eval runs the handle's active plan through the engine's core with the
 // arena attached.
-func (p *Prepared) eval(ctx context.Context, sp *obs.Span, b binder) (*Result, error) {
+func (p *Prepared) eval(ctx context.Context, b binder) (*Result, error) {
 	if p.closed {
 		return nil, fmt.Errorf("dfg: prepared expression is closed")
 	}
 	j := p.active()
 	j.pr, j.fp, j.roots, j.batch, j.pool = p, p.fp, p.roots, p.merged, p.eng.env.Context().Pool()
-	return p.eng.eval(ctx, sp, b, j)
+	return p.eng.eval(ctx, b, j)
 }
 
 // Close releases the prepared handle. Closing the engine's last open

@@ -1,10 +1,12 @@
 package dfg_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"dfg"
 	"dfg/internal/compile"
@@ -338,15 +340,18 @@ func TestColdPrepareAllocBudget(t *testing.T) {
 // nothing else: the output array and the *Result, in objects and in
 // bytes. It covers the device strategy and the host VM over a mesh
 // (Q-criterion on 8³, one launch chunk, so the count is deterministic)
-// and named arrays (Prepared.Eval). Before bindings were read in place,
-// launches bound into reused scratch and the event log was kept only
-// for traced and one-shot runs, the fusion mesh case made 13
-// allocations (3 716 B): the figure the repo benchmark's small_hot
-// workload read.
+// and named arrays (Prepared.Eval, and EvalContext with and without a
+// deadline: a context that carries no span attaches nothing). Before
+// bindings were read in place, launches bound into reused scratch and
+// the event log was kept only for traced and one-shot runs, the fusion
+// mesh case made 13 allocations (3 716 B): the figure the repo
+// benchmark's small_hot workload read.
 func TestWarmEvalAllocatesItsAnswer(t *testing.T) {
 	m, fields := qcritOnMesh(t, 8)
 	const n = 4096
 	inputs := evalInputs(n)
+	deadline, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	for _, tc := range []struct {
 		strategy, text string
 		cells          int
@@ -355,6 +360,12 @@ func TestWarmEvalAllocatesItsAnswer(t *testing.T) {
 		{"fusion", dfg.QCriterionExpr, m.Cells(), func(pr *dfg.Prepared) (*dfg.Result, error) { return pr.EvalMesh(m, fields) }},
 		{"vm", dfg.QCriterionExpr, m.Cells(), func(pr *dfg.Prepared) (*dfg.Result, error) { return pr.EvalMesh(m, fields) }},
 		{"fusion", "m = sqrt(u*u + v*v + w*w)", n, func(pr *dfg.Prepared) (*dfg.Result, error) { return pr.Eval(n, inputs) }},
+		{"fusion", "m = sqrt(u*u + v*v + w*w)", n, func(pr *dfg.Prepared) (*dfg.Result, error) {
+			return pr.EvalContext(context.Background(), n, inputs)
+		}},
+		{"fusion", "m = sqrt(u*u + v*v + w*w)", n, func(pr *dfg.Prepared) (*dfg.Result, error) {
+			return pr.EvalContext(deadline, n, inputs)
+		}},
 	} {
 		eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: tc.strategy})
 		if err != nil {

@@ -118,11 +118,12 @@ func nextRung(s strategy.Strategy) (strategy.Strategy, bool) {
 // a fallback landed it. j.pr, when non-nil, remembers the rung a
 // degraded run landed on, so subsequent warm evaluations start there
 // instead of re-failing the primary plan.
-func (r *recovery) run(e *Engine, j job, bind strategy.Bindings, sp *obs.Span, t0 time.Time) (res *Result, rt route, err error) {
+func (r *recovery) run(e *Engine, j job, bind strategy.Bindings) (res *Result, rt route, err error) {
+	sp, _ := obs.FromContext(bind.Ctx)
 	retries := 0 // on the current rung
 	for {
 		label := j.label
-		res, rt.resolved, err = e.runPlanOnce(j, bind, sp, t0)
+		res, rt.resolved, err = e.runPlanOnce(j, bind)
 		if err == nil {
 			if pr := j.pr; pr != nil && rt.degraded != "" && j.plan != pr.plan {
 				pr.fallback, pr.fallbackLost = job{plan: j.plan, strat: j.strat, label: j.label}, rt.lost

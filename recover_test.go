@@ -315,7 +315,7 @@ func TestCanceledContextStopsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pr.Close()
-	_, err = pr.EvalTracedCtx(ctx, nil, 1, map[string][]float32{"u": {1}, "v": {0}, "w": {0}})
+	_, err = pr.EvalContext(ctx, 1, map[string][]float32{"u": {1}, "v": {0}, "w": {0}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
