@@ -155,3 +155,62 @@ func TestFingerprintMatchesCompileKey(t *testing.T) {
 		}
 	}
 }
+
+// TestClockKeepsTouchedKey: under second-chance eviction a key hit
+// between every two misses survives any number of them, while the keys
+// that are never touched again take turns being evicted.
+func TestClockKeepsTouchedKey(t *testing.T) {
+	var c cache[int, int]
+	c.max = 4
+	get := func(k int) string {
+		_, outcome, _ := c.get(k, func() (int, error) { return k, nil })
+		return outcome
+	}
+	get(0)
+	for i := 1; i <= 12; i++ {
+		if got := get(i); got != "miss" {
+			t.Fatalf("fresh key %d: outcome %q, want miss", i, got)
+		}
+		if got := get(0); got != "hit" {
+			t.Fatalf("after %d misses the touched key's outcome is %q, want hit", i, got)
+		}
+		if n := c.len(); n > 4 {
+			t.Fatalf("%d entries under a bound of 4", n)
+		}
+	}
+	if got := c.builds.Load(); got != 13 {
+		t.Fatalf("%d builds, want 13 (the touched key once, every fresh key once)", got)
+	}
+	if got := get(1); got != "miss" {
+		t.Fatalf("the oldest untouched key: outcome %q, want miss", got)
+	}
+}
+
+// TestClockBoundHoldsUnderRace: goroutines hitting a few hot keys and
+// missing on fresh ones never see the cache above its bound.
+func TestClockBoundHoldsUnderRace(t *testing.T) {
+	var c cache[int, int]
+	c.max = 8
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := i % 3 // hot
+				if i%2 == 1 {
+					k = 1000 + g*1000 + i // fresh
+				}
+				c.get(k, func() (int, error) { return k, nil })
+				if n := c.len(); n > 8 {
+					t.Errorf("%d entries under a bound of 8", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if c.len() != 8 || len(c.ring) != 8 {
+		t.Fatalf("%d entries, %d ring slots after the run, want 8 and 8", c.len(), len(c.ring))
+	}
+}

@@ -16,7 +16,7 @@
 // instantiations of one type (cache, in cache.go): a read-locked map hit,
 // a sync.Once per entry so a missing value is built exactly once no
 // matter how many goroutines request it simultaneously
-// (singleflight-style deduplication), and an approximate-LRU bound.
+// (singleflight-style deduplication), and a second-chance (CLOCK) bound.
 //
 // Every text is parsed once in its lifetime: Define keeps the program it
 // parses to validate a definition, and resolve hands the one parse of an
@@ -40,9 +40,9 @@ import (
 	"dfg/internal/strategy"
 )
 
-// DefaultMaxEntries bounds each cache: old entries (including those
-// orphaned by redefinitions) are evicted in approximate-LRU order once
-// the cache exceeds this size.
+// DefaultMaxEntries bounds each cache: once a cache holds this many
+// entries, each miss evicts one not hit since the clock hand last passed
+// it (entries orphaned by redefinitions age out this way).
 const DefaultMaxEntries = 512
 
 // Compiler owns a definition database and a fingerprint-keyed network

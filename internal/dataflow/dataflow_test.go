@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -69,8 +70,8 @@ func TestTopoOrderRespectsDependencies(t *testing.T) {
 	}
 	for _, n := range order {
 		for _, in := range n.Inputs {
-			if pos[in] >= pos[n.ID] {
-				t.Fatalf("node %q scheduled before its input %q", n.ID, in)
+			if id := nw.Nodes()[in].ID; pos[id] >= pos[n.ID] {
+				t.Fatalf("node %q scheduled before its input %q", n.ID, id)
 			}
 		}
 	}
@@ -110,8 +111,8 @@ func TestTopoOrderDetectsCycle(t *testing.T) {
 	nw := buildVelMag(t)
 	// Hand-corrupt the spec into a cycle (impossible via the API).
 	out := nw.NodeByID(nw.Output())
-	sq := nw.Node(out.Inputs[0])
-	sq.Inputs[0] = out.ID
+	sq := nw.Nodes()[out.Inputs[0]]
+	sq.Inputs[0] = out.Pos()
 	if _, err := nw.TopoOrder(); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("want cycle error, got %v", err)
 	}
@@ -120,11 +121,11 @@ func TestTopoOrderDetectsCycle(t *testing.T) {
 func TestConsumersRefcounts(t *testing.T) {
 	nw := buildVelMag(t)
 	c := nw.Consumers()
-	if c["u"] != 2 {
-		t.Fatalf("u feeds mul(u,u) twice: want 2 consumers, got %d", c["u"])
+	if u := nw.NodeByID("u").Pos(); c[u] != 2 {
+		t.Fatalf("u feeds mul(u,u) twice: want 2 consumers, got %d", c[u])
 	}
-	if c[nw.Output()] != 1 {
-		t.Fatalf("output node should count its sink: got %d", c[nw.Output()])
+	if out := nw.Roots()[0]; c[out] != 1 {
+		t.Fatalf("output node should count its sink: got %d", c[out])
 	}
 	// Total connections: each op node contributes len(Inputs).
 	total := 0
@@ -239,12 +240,13 @@ func TestDecompose(t *testing.T) {
 	if err := nw.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Vector values must not flow into elementwise math directly.
-	if _, err := nw.AddFilter("sqrt", g); err == nil {
-		// AddFilter doesn't width-check; Validate must catch it.
-		if err := nw.Validate(); err == nil {
-			t.Error("vector input to sqrt must fail validation")
-		}
+	// Vector values must not flow into elementwise math directly, and
+	// scalars not into vector ops; the builder refuses both.
+	if _, err := nw.AddFilter("sqrt", g); err == nil || err.Error() != `dataflow: node "t2": input "t0" has width 4, want 1` {
+		t.Errorf("vector input to sqrt: %v", err)
+	}
+	if _, err := nw.AddFilter("norm", "u"); err == nil || err.Error() != `dataflow: node "t2": norm needs a vector-typed input, "u" has width 1` {
+		t.Errorf("scalar input to norm: %v", err)
 	}
 }
 
@@ -381,13 +383,13 @@ func TestRandomNetworksScheduleValidly(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pos := map[string]int{}
+		rank := make([]int, nw.Len())
 		for i, n := range order {
-			pos[n.ID] = i
+			rank[n.Pos()] = i
 		}
 		for _, n := range order {
 			for _, in := range n.Inputs {
-				if pos[in] >= pos[n.ID] {
+				if rank[in] >= rank[n.Pos()] {
 					return false
 				}
 			}
@@ -433,7 +435,8 @@ func TestSealFreezesNetwork(t *testing.T) {
 	mustPanic("AddDecompose", func() { nw.AddDecompose("u", 0) })
 	mustPanic("Alias", func() { nw.Alias("a", id) })
 	mustPanic("SetOutput", func() { nw.SetOutput(id) })
-	mustPanic("RemoveNodes", func() { nw.RemoveNodes([]string{id}) })
+	mustPanic("Compact", func() { nw.Compact([]int32{0, 1}) })
+	mustPanic("RewriteToConst", func() { nw.RewriteToConst(1, 0) })
 
 	// Read-side still works.
 	if err := nw.Validate(); err != nil {
@@ -456,24 +459,24 @@ func TestInputsWindowsAreOwned(t *testing.T) {
 	snapshot := func() []string {
 		out := make([]string, nw.Len())
 		for i, n := range nw.Nodes() {
-			out[i] = strings.Join(n.Inputs, ",")
+			out[i] = fmt.Sprint(n.Inputs)
 		}
 		return out
 	}
 	others := func(what string, changed int, before []string) {
 		t.Helper()
 		for i, n := range nw.Nodes() {
-			if got := strings.Join(n.Inputs, ","); i != changed && got != before[i] {
+			if got := fmt.Sprint(n.Inputs); i != changed && got != before[i] {
 				t.Errorf("%s node %q changed node %q: inputs %s, were %s", what, nw.Nodes()[changed].ID, n.ID, got, before[i])
 			}
 		}
 	}
-	out, _ := nw.Pos(nw.Output())
+	out := nw.Roots()[0]
 	before := snapshot()
-	if err := nw.RewriteToFilter(nw.Output(), "select", []string{"u", "v", "w"}, 0); err != nil {
+	if err := nw.RewriteToFilter(out, "select", []int32{0, 1, 2}, 0); err != nil {
 		t.Fatal(err)
 	}
-	others("rewriting", out, before)
+	others("rewriting", int(out), before)
 	// A node built after the rewrite takes the window that follows the
 	// rewritten node's, so the appends below cover that seam too.
 	if _, err := nw.AddFilter("add", "u", "w"); err != nil {
@@ -482,35 +485,61 @@ func TestInputsWindowsAreOwned(t *testing.T) {
 	for i, n := range nw.Nodes() {
 		before := snapshot()
 		k := len(n.Inputs)
-		n.Inputs = append(n.Inputs, "u", "v")
+		n.Inputs = append(n.Inputs, 0, 1)
 		others("appending to", i, before)
 		n.Inputs = n.Inputs[:k]
 	}
 }
 
-// TestPosTracksRemoval: Pos is the one ID -> position index, so it must
-// agree with Nodes() after every construction step and removal.
+// TestPosTracksRemoval: a node's Pos and the name index must agree with
+// Nodes() after every construction step and compaction, and Compact
+// must move inputs, roots and aliases to their nodes' new positions.
 func TestPosTracksRemoval(t *testing.T) {
 	nw := buildVelMag(t)
 	check := func() {
 		t.Helper()
 		for i, n := range nw.Nodes() {
-			if p, ok := nw.Pos(n.ID); !ok || p != i {
-				t.Fatalf("Pos(%q) = %d, %v; node is at %d", n.ID, p, ok, i)
+			if n.Pos() != int32(i) || nw.NodeByID(n.ID) != n {
+				t.Fatalf("node %q is at %d: Pos %d, NodeByID %p", n.ID, i, n.Pos(), nw.NodeByID(n.ID))
 			}
+		}
+		if err := nw.Validate(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	dead, _ := nw.AddFilter("mul", "u", "w")
-	kept, _ := nw.AddFilter("add", "u", "v")
+	dup, _ := nw.AddFilter("mul", "u", "u") // a second u*u
+	kept, _ := nw.AddFilter("add", dup, "v")
+	nw.Alias("d", dead)
+	nw.Alias("k", kept)
 	check()
-	if err := nw.RemoveNodes([]string{dead}); err != nil {
+	to := make([]int32, nw.Len())
+	for i := range to {
+		to[i] = int32(i)
+	}
+	uu := nw.NodeByID("t0").Pos()
+	to[nw.NodeByID(dead).Pos()] = -1
+	to[nw.NodeByID(dup).Pos()] = uu
+	if err := nw.Compact(to); err != nil {
 		t.Fatal(err)
 	}
 	check()
-	if _, ok := nw.Pos(dead); ok {
-		t.Fatalf("removed node %q still has a position", dead)
+	if nw.NodeByID(dead) != nil || nw.NodeByID(dup) != nil || nw.Node("d") != nil {
+		t.Fatal("a deleted or merged node, or an alias of one, is still there")
 	}
-	if p, _ := nw.Pos(kept); p != nw.Len()-1 {
-		t.Fatalf("Pos(%q) = %d after removing the node before it, want %d", kept, p, nw.Len()-1)
+	k := nw.Node("k")
+	if k == nil || k.Pos() != int32(nw.Len()-1) || k.Inputs[0] != uu {
+		t.Fatalf("kept node %+v after compaction, want the last node reading position %d", k, uu)
+	}
+	if nw.Output() != "t5" {
+		t.Fatalf("output %q after compaction, want t5", nw.Output())
+	}
+	to = make([]int32, nw.Len())
+	for i := range to {
+		to[i] = int32(i)
+	}
+	to[0] = 1 // a merge must point backwards
+	if err := nw.Compact(to); err == nil {
+		t.Fatal("a forward merge compacted")
 	}
 }

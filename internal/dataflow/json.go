@@ -24,17 +24,21 @@ type jsonNode struct {
 
 // MarshalJSON encodes the network specification.
 func (nw *Network) MarshalJSON() ([]byte, error) {
-	spec := jsonSpec{Output: nw.output}
+	spec := jsonSpec{Output: nw.Output()}
 	for _, n := range nw.nodes {
+		var ins []string
+		for _, in := range n.Inputs {
+			ins = append(ins, nw.nodes[in].ID)
+		}
 		spec.Nodes = append(spec.Nodes, jsonNode{
-			ID: n.ID, Filter: n.Filter, Inputs: n.Inputs,
+			ID: n.ID, Filter: n.Filter, Inputs: ins,
 			Value: n.Value, Comp: n.Comp, Width: n.Width,
 		})
 	}
 	if len(nw.aliases) > 0 {
 		spec.Aliases = make(map[string]string, len(nw.aliases))
-		for name, id := range nw.aliases {
-			spec.Aliases[name] = id
+		for name, p := range nw.aliases {
+			spec.Aliases[name] = nw.nodes[p].ID
 		}
 	}
 	return json.Marshal(spec)

@@ -2,41 +2,45 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 )
 
 // Node is one module of a dataflow network: a source, a constant, or a
-// filter invocation with named inputs.
+// filter invocation over earlier nodes.
 type Node struct {
 	// ID is the node's generic name ("t0", "t1", ...) or, for sources,
-	// the host-provided array name ("u", "dims", ...).
+	// the host-provided array name ("u", "dims", ...). It is the node's
+	// display name: scripts, DOT, JSON and generated source print it.
 	ID string
 	// Filter names the primitive ("source", "const", "add", "grad3d", ...).
 	Filter string
-	// Inputs are the IDs of this node's input nodes, in argument order.
-	Inputs []string
+	// Inputs are the positions in Nodes() of this node's input nodes, in
+	// argument order. Every input precedes its node.
+	Inputs []int32
 	// Value is the scalar for const nodes.
 	Value float64
 	// Comp is the selected component for decompose nodes.
 	Comp int
 	// Width is the node's output width in float32 components.
 	Width int
+
+	pos  int32       // position in Nodes()
+	info *FilterInfo // the filter's registry row, resolved when the node is added
 }
 
 // Info returns the node's filter metadata.
-func (n *Node) Info() FilterInfo {
-	fi, ok := Lookup(n.Filter)
-	if !ok {
-		panic(fmt.Sprintf("dataflow: node %q has unknown filter %q", n.ID, n.Filter))
-	}
-	return fi
-}
+func (n *Node) Info() FilterInfo { return *n.info }
+
+// Pos returns the node's position in its network's Nodes().
+func (n *Node) Pos() int32 { return n.pos }
 
 // Network is a dataflow network specification: an ordered list of nodes
-// with exactly one designated output. Construction is "create and
-// connect": every input named when a node is added must already exist,
-// so a network is acyclic by construction (Validate re-checks anyway).
+// with one or more designated sinks. Construction is "create and
+// connect": every input named when a node is added must already exist
+// and have the width the filter reads, so a network is acyclic and
+// well-typed by construction (Seal re-checks anyway).
 //
 // A network has two phases: a single-goroutine construction phase, and —
 // once Seal is called — an immutable execution phase. Sealed networks are
@@ -44,23 +48,25 @@ func (n *Node) Info() FilterInfo {
 // seals every network it compiles.
 //
 // Nodes and their Inputs live in fixed-size chunks the network owns, so
-// building a network allocates per chunk, not per node; byID is the one
-// ID -> position index, which Pos exposes to the passes.
+// building a network allocates per chunk, not per node. Everything after
+// the builder — passes, scheduling, lowering — addresses nodes by
+// position; byID, the name index the builder resolves through, is
+// rebuilt only when a name is looked up after a compaction.
 type Network struct {
 	nodes   []*Node
-	byID    map[string]int32  // node ID -> position in nodes
-	aliases map[string]string // user name -> node ID (assignment statements)
-	output  string
-	// roots, when non-empty, designates multiple sinks (a super-network
-	// merged from several expressions). roots[0] is always the primary
-	// output, so every single-root consumer keeps working unchanged.
-	roots  []string
+	byID    map[string]int32 // node ID -> position; nil while stale
+	aliases map[string]int32 // user name -> position (assignment statements)
+	// roots are the positions of the sinks: one for a single-output
+	// network, several for a super-network merged from several
+	// expressions. roots[0] is the primary output.
+	roots  []int32
 	nextID int
 	sealed bool
 	// The chunks new nodes and Inputs windows are taken from.
 	slab []Node
-	ins  []string
-	// Seal's one Validate and TopoOrder, returned by both from then on.
+	ins  []int32
+	// Seal's one validation and order, returned by Validate and
+	// TopoOrder from then on.
 	valid    error
 	order    []*Node
 	orderErr error
@@ -70,7 +76,7 @@ type Network struct {
 func NewNetwork() *Network {
 	return &Network{
 		byID:    make(map[string]int32),
-		aliases: make(map[string]string),
+		aliases: make(map[string]int32),
 	}
 }
 
@@ -86,9 +92,10 @@ func (nw *Network) Seal() {
 	if nw.sealed {
 		return
 	}
+	nw.index() // built now, so concurrent name lookups only read it
 	nw.order, nw.orderErr = nw.topoOrder()
 	nw.valid = nw.checkNodes()
-	if nw.valid == nil && nw.output != "" {
+	if nw.valid == nil && len(nw.roots) > 0 {
 		nw.valid = nw.orderErr
 	}
 	nw.sealed = true
@@ -104,6 +111,18 @@ func (nw *Network) mustMutable(op string) {
 	if nw.sealed {
 		panic("dataflow: " + op + " on a sealed network")
 	}
+}
+
+// index returns the ID -> position index, rebuilding it if a
+// compaction left it stale.
+func (nw *Network) index() map[string]int32 {
+	if nw.byID == nil {
+		nw.byID = make(map[string]int32, len(nw.nodes))
+		for i, n := range nw.nodes {
+			nw.byID[n.ID] = int32(i)
+		}
+	}
+	return nw.byID
 }
 
 // Chunk sizes: how many Nodes, and how many Inputs slots, a network
@@ -133,7 +152,7 @@ func (nw *Network) genID() string {
 			id = "t" + strconv.Itoa(i)
 		}
 		nw.nextID++
-		if _, taken := nw.byID[id]; !taken {
+		if _, taken := nw.index()[id]; !taken {
 			return id
 		}
 	}
@@ -145,9 +164,13 @@ func (nw *Network) add(n Node) *Node {
 	if len(nw.slab) == cap(nw.slab) {
 		nw.slab = make([]Node, 0, nodeChunk)
 	}
+	n.pos = int32(len(nw.nodes))
+	if n.info == nil {
+		n.info = registry[n.Filter]
+	}
 	nw.slab = append(nw.slab, n)
 	p := &nw.slab[len(nw.slab)-1]
-	nw.byID[p.ID] = int32(len(nw.nodes))
+	nw.index()[p.ID] = p.pos
 	nw.nodes = append(nw.nodes, p)
 	return p
 }
@@ -155,9 +178,9 @@ func (nw *Network) add(n Node) *Node {
 // window returns a k-slot Inputs slice from the current chunk. Its
 // capacity ends where it does (a full-slice expression), so appending
 // to one node's Inputs reallocates instead of overrunning a neighbour.
-func (nw *Network) window(k int) []string {
+func (nw *Network) window(k int) []int32 {
 	if cap(nw.ins)-len(nw.ins) < k {
-		nw.ins = make([]string, 0, max(inputChunk, k))
+		nw.ins = make([]int32, 0, max(inputChunk, k))
 	}
 	n := len(nw.ins)
 	nw.ins = nw.ins[:n+k]
@@ -171,7 +194,7 @@ func (nw *Network) AddSource(name string) (string, error) {
 	if name == "" {
 		return "", fmt.Errorf("dataflow: source needs a name")
 	}
-	if _, dup := nw.byID[name]; dup {
+	if _, dup := nw.index()[name]; dup {
 		return "", fmt.Errorf("dataflow: duplicate node id %q", name)
 	}
 	nw.add(Node{ID: name, Filter: "source", Width: 1})
@@ -185,11 +208,12 @@ func (nw *Network) AddConst(v float64) string {
 }
 
 // AddFilter adds a filter invocation on existing nodes and returns the
-// new node's generic ID. Input names may be user aliases; they are
-// resolved to node IDs.
+// new node's generic ID. Input names may be user aliases. The filter's
+// arity and its inputs' widths are checked here, so a network the
+// builder accepts is well-typed.
 func (nw *Network) AddFilter(filter string, inputs ...string) (string, error) {
 	nw.mustMutable("AddFilter")
-	fi, ok := Lookup(filter)
+	fi, ok := registry[filter]
 	if !ok {
 		return "", fmt.Errorf("dataflow: unknown filter %q", filter)
 	}
@@ -204,24 +228,30 @@ func (nw *Network) AddFilter(filter string, inputs ...string) (string, error) {
 	}
 	resolved := nw.window(len(inputs))
 	for i, nm := range inputs {
-		id, err := nw.resolve(nm)
+		p, err := nw.resolve(nm)
 		if err != nil {
 			return "", fmt.Errorf("%w (input %d of %q)", err, i, filter)
 		}
-		resolved[i] = id
+		resolved[i] = p
 	}
-	return nw.add(Node{ID: nw.genID(), Filter: filter, Inputs: resolved, Width: fi.OutWidth}).ID, nil
+	next := nw.nextID
+	n := Node{ID: nw.genID(), Filter: filter, Inputs: resolved, Width: fi.OutWidth, info: fi}
+	if err := nw.checkWidths(&n); err != nil {
+		nw.nextID = next // the ID was not taken
+		return "", err
+	}
+	return nw.add(n).ID, nil
 }
 
 // AddDecompose adds a component selection of a vector-valued node
 // (the parser's translation of the bracket syntax, e.g. du[1]).
 func (nw *Network) AddDecompose(input string, comp int) (string, error) {
 	nw.mustMutable("AddDecompose")
-	resolved, err := nw.resolve(input)
+	p, err := nw.resolve(input)
 	if err != nil {
 		return "", err
 	}
-	in := nw.NodeByID(resolved)
+	in := nw.nodes[p]
 	if in.Width < 2 {
 		return "", fmt.Errorf("dataflow: cannot decompose scalar node %q", input)
 	}
@@ -229,7 +259,7 @@ func (nw *Network) AddDecompose(input string, comp int) (string, error) {
 		return "", fmt.Errorf("dataflow: component %d out of range for %q (width %d)", comp, input, in.Width)
 	}
 	ins := nw.window(1)
-	ins[0] = resolved
+	ins[0] = p
 	return nw.add(Node{ID: nw.genID(), Filter: "decompose", Inputs: ins, Comp: comp, Width: 1}).ID, nil
 }
 
@@ -238,14 +268,14 @@ func (nw *Network) AddDecompose(input string, comp int) (string, error) {
 // sequential assignment semantics.
 func (nw *Network) Alias(name, id string) error {
 	nw.mustMutable("Alias")
-	resolved, err := nw.resolve(id)
+	p, err := nw.resolve(id)
 	if err != nil {
 		return err
 	}
-	if _, isNode := nw.byID[name]; isNode {
+	if _, isNode := nw.index()[name]; isNode {
 		return fmt.Errorf("dataflow: alias %q collides with a node id", name)
 	}
-	nw.aliases[name] = resolved
+	nw.aliases[name] = p
 	return nil
 }
 
@@ -253,98 +283,77 @@ func (nw *Network) Alias(name, id string) error {
 // set: a network is either single-output (SetOutput) or multi-root
 // (SetRoots), never an inconsistent mix.
 func (nw *Network) SetOutput(name string) error {
-	nw.mustMutable("SetOutput")
-	resolved, err := nw.resolve(name)
-	if err != nil {
-		return err
-	}
-	nw.output = resolved
-	nw.roots = nil
-	return nil
+	return nw.SetRoots(name)
 }
 
-// SetRoots designates multiple sinks at once — the super-network form a
-// batch merge produces. The first root becomes the primary output, so
-// Output() and every single-root code path stay meaningful. Names may be
-// node IDs or aliases; duplicates are collapsed (two merged expressions
-// whose outputs CSE'd into one node share a root).
+// SetRoots designates one or more sinks at once — several is the
+// super-network form a batch merge produces. The first root becomes the
+// primary output, so Output() and every single-root code path stay
+// meaningful. Names may be node IDs or aliases; duplicates are collapsed
+// (two merged expressions whose outputs CSE'd into one node share a
+// root).
 func (nw *Network) SetRoots(names ...string) error {
 	nw.mustMutable("SetRoots")
 	if len(names) == 0 {
 		return fmt.Errorf("dataflow: SetRoots needs at least one root")
 	}
-	resolved := make([]string, 0, len(names))
-	seen := make(map[string]bool, len(names))
+	roots := make([]int32, 0, len(names))
 	for _, nm := range names {
-		id, err := nw.resolve(nm)
+		p, err := nw.resolve(nm)
 		if err != nil {
 			return err
 		}
-		if seen[id] {
-			continue
+		if !slices.Contains(roots, p) {
+			roots = append(roots, p)
 		}
-		seen[id] = true
-		resolved = append(resolved, id)
 	}
-	nw.roots = resolved
-	nw.output = resolved[0]
+	nw.roots = roots
 	return nil
 }
 
-// Roots returns the network's sinks: the explicit multi-root set when
-// one was declared via SetRoots, else the single output (or nil when no
-// output is set). The returned slice must not be mutated.
-func (nw *Network) Roots() []string {
-	if len(nw.roots) > 0 {
-		return nw.roots
-	}
-	if nw.output == "" {
-		return nil
-	}
-	return []string{nw.output}
-}
+// Roots returns the positions of the network's sinks (nil when no
+// output is set); the first is the primary output. The returned slice
+// must not be mutated.
+func (nw *Network) Roots() []int32 { return nw.roots }
 
 // MultiRoot reports whether the network carries more than one sink.
 func (nw *Network) MultiRoot() bool { return len(nw.roots) > 1 }
 
-// Output returns the node ID of the designated sink ("" if unset).
-func (nw *Network) Output() string { return nw.output }
+// Output returns the node ID of the primary sink ("" if unset).
+func (nw *Network) Output() string {
+	if len(nw.roots) == 0 {
+		return ""
+	}
+	return nw.nodes[nw.roots[0]].ID
+}
 
-// resolve maps a name (node ID or user alias) to a node ID.
-func (nw *Network) resolve(name string) (string, error) {
-	if _, ok := nw.byID[name]; ok {
-		return name, nil
+// resolve maps a name (node ID or user alias) to a position.
+func (nw *Network) resolve(name string) (int32, error) {
+	if p, ok := nw.index()[name]; ok {
+		return p, nil
 	}
-	if id, ok := nw.aliases[name]; ok {
-		return id, nil
+	if p, ok := nw.aliases[name]; ok {
+		return p, nil
 	}
-	return "", fmt.Errorf("dataflow: unknown node or alias %q", name)
+	return 0, fmt.Errorf("dataflow: unknown node or alias %q", name)
 }
 
 // Node returns the node with the given ID or alias, or nil.
 func (nw *Network) Node(name string) *Node {
-	id, err := nw.resolve(name)
+	p, err := nw.resolve(name)
 	if err != nil {
 		return nil
 	}
-	return nw.NodeByID(id)
+	return nw.nodes[p]
 }
 
 // NodeByID returns the node with exactly the given ID (no alias
 // fallback), or nil.
 func (nw *Network) NodeByID(id string) *Node {
-	if i, ok := nw.byID[id]; ok {
-		return nw.nodes[i]
+	if p, ok := nw.index()[id]; ok {
+		return nw.nodes[p]
 	}
 	return nil
-}
-
-// Pos returns the position of the node with exactly the given ID in
-// Nodes(). It is the network's one ID -> position index: passes and
-// the scheduler read positions here instead of building their own maps.
-func (nw *Network) Pos(id string) (int, bool) {
-	i, ok := nw.byID[id]
-	return int(i), ok
 }
 
 // Nodes returns the nodes in construction order (a valid topological
@@ -365,28 +374,29 @@ func (nw *Network) Sources() []*Node {
 	return out
 }
 
-// Aliases returns a copy of the user-name bindings, sorted by name.
+// Aliases returns a copy of the user-name bindings as (name, node ID)
+// pairs, sorted by name.
 func (nw *Network) Aliases() [][2]string {
 	out := make([][2]string, 0, len(nw.aliases))
-	for name, id := range nw.aliases {
-		out = append(out, [2]string{name, id})
+	for name, p := range nw.aliases {
+		out = append(out, [2]string{name, nw.nodes[p].ID})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 
-// Consumers returns, for every node ID, how many input connections read
-// it, with the network output counted as one extra consumer of the sink.
+// Consumers returns, for every node position, how many input
+// connections read it, with each root counted as one extra consumer.
 // Strategies use these counts to release intermediate device buffers as
 // soon as they drain — the paper's reference-counting design.
-func (nw *Network) Consumers() map[string]int {
-	counts := make(map[string]int, len(nw.nodes))
+func (nw *Network) Consumers() []int {
+	counts := make([]int, len(nw.nodes))
 	for _, n := range nw.nodes {
 		for _, in := range n.Inputs {
 			counts[in]++
 		}
 	}
-	for _, r := range nw.Roots() {
+	for _, r := range nw.roots {
 		counts[r]++
 	}
 	return counts
@@ -408,12 +418,12 @@ func (nw *Network) TopoOrder() ([]*Node, error) {
 	return nw.topoOrder()
 }
 
-// topoOrder runs Kahn's algorithm over node positions (read from Pos),
-// int32 in-degrees and a CSR (compressed sparse row) array of each
-// node's dependents, so the schedule — and everything derived from it,
-// like generated kernel source — is deterministic.
+// topoOrder runs Kahn's algorithm over node positions, int32 in-degrees
+// and a CSR (compressed sparse row) array of each node's dependents, so
+// the schedule — and everything derived from it, like generated kernel
+// source — is deterministic.
 func (nw *Network) topoOrder() ([]*Node, error) {
-	if nw.output == "" {
+	if len(nw.roots) == 0 {
 		return nil, fmt.Errorf("dataflow: network has no output")
 	}
 	n := len(nw.nodes)
@@ -427,28 +437,25 @@ func (nw *Network) topoOrder() ([]*Node, error) {
 	for i := range indeg {
 		indeg[i] = -1
 	}
-	reach := func(id string) (int32, bool) {
-		p, ok := nw.Pos(id)
-		j := int32(p)
-		if ok && indeg[j] < 0 {
+	reach := func(j int32) {
+		if indeg[j] < 0 {
 			indeg[j] = int32(len(nw.nodes[j].Inputs)) // every input of a live node is live
 			queue = append(queue, j)
 		}
-		return j, ok
 	}
-	for _, r := range nw.Roots() {
-		reach(r) // roots resolve by construction
+	for _, r := range nw.roots {
+		reach(r)
 	}
 	live := 0
 	for len(queue) > 0 {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		live++
-		for _, in := range nw.nodes[i].Inputs {
-			j, ok := reach(in)
-			if !ok {
-				return nil, fmt.Errorf("dataflow: node %q: missing input %q", nw.nodes[i].ID, in)
+		for _, j := range nw.nodes[i].Inputs {
+			if j < 0 || int(j) >= n {
+				return nil, fmt.Errorf("dataflow: node %q: missing input %d", nw.nodes[i].ID, j)
 			}
+			reach(j)
 			start[j+2]++
 		}
 	}
@@ -460,8 +467,7 @@ func (nw *Network) topoOrder() ([]*Node, error) {
 		if indeg[i] < 0 {
 			continue
 		}
-		for _, in := range nd.Inputs {
-			j, _ := nw.Pos(in)
+		for _, j := range nd.Inputs {
 			deps[start[j+1]] = int32(i)
 			start[j+1]++
 		}
@@ -489,14 +495,14 @@ func (nw *Network) topoOrder() ([]*Node, error) {
 	return order, nil
 }
 
-// Validate checks structural integrity: known filters, existing inputs,
-// correct arities, width agreement, and an acyclic live graph. On a
-// sealed network it returns the answer Seal computed.
+// Validate checks structural integrity: existing inputs, correct
+// arities, width agreement, and an acyclic live graph. On a sealed
+// network it returns the answer Seal computed.
 func (nw *Network) Validate() error {
 	if nw.sealed {
 		return nw.valid
 	}
-	if err := nw.checkNodes(); err != nil || nw.output == "" {
+	if err := nw.checkNodes(); err != nil || len(nw.roots) == 0 {
 		return err
 	}
 	_, err := nw.topoOrder()
@@ -506,36 +512,40 @@ func (nw *Network) Validate() error {
 // checkNodes is Validate without the acyclicity check.
 func (nw *Network) checkNodes() error {
 	for _, n := range nw.nodes {
-		fi, ok := Lookup(n.Filter)
-		if !ok {
-			return fmt.Errorf("dataflow: node %q: unknown filter %q", n.ID, n.Filter)
-		}
-		if len(n.Inputs) != fi.Arity {
-			return fmt.Errorf("dataflow: node %q: filter %q takes %d inputs, got %d", n.ID, n.Filter, fi.Arity, len(n.Inputs))
+		if len(n.Inputs) != n.info.Arity {
+			return fmt.Errorf("dataflow: node %q: filter %q takes %d inputs, got %d", n.ID, n.Filter, n.info.Arity, len(n.Inputs))
 		}
 		for _, in := range n.Inputs {
-			inNode := nw.NodeByID(in)
-			if inNode == nil {
-				return fmt.Errorf("dataflow: node %q: missing input %q", n.ID, in)
-			}
-			// Vector-typed values flow only into decompose and vector
-			// ops; elementwise math and stencil inputs (field, dims,
-			// coords) are scalar.
-			switch fi.Class {
-			case ClassElementwise, ClassStencil:
-				if inNode.Width != 1 {
-					return fmt.Errorf("dataflow: node %q: input %q has width %d, want 1", n.ID, in, inNode.Width)
-				}
-			case ClassVectorOp:
-				if inNode.Width < 2 {
-					return fmt.Errorf("dataflow: node %q: %s needs a vector-typed input, %q has width %d", n.ID, n.Filter, in, inNode.Width)
-				}
+			if in < 0 || int(in) >= len(nw.nodes) {
+				return fmt.Errorf("dataflow: node %q: missing input %d", n.ID, in)
 			}
 		}
+		if err := nw.checkWidths(n); err != nil {
+			return err
+		}
 		if n.Filter == "decompose" {
-			in := nw.NodeByID(n.Inputs[0])
-			if n.Comp < 0 || n.Comp >= in.Width {
+			if in := nw.nodes[n.Inputs[0]]; n.Comp < 0 || n.Comp >= in.Width {
 				return fmt.Errorf("dataflow: node %q: component %d out of range (width %d)", n.ID, n.Comp, in.Width)
+			}
+		}
+	}
+	return nil
+}
+
+// checkWidths checks that n's inputs have the widths its filter reads:
+// vector-typed values flow only into decompose and vector ops;
+// elementwise math and stencil inputs (field, dims, coords) are scalar.
+func (nw *Network) checkWidths(n *Node) error {
+	for _, p := range n.Inputs {
+		in := nw.nodes[p]
+		switch n.info.Class {
+		case ClassElementwise, ClassStencil:
+			if in.Width != 1 {
+				return fmt.Errorf("dataflow: node %q: input %q has width %d, want 1", n.ID, in.ID, in.Width)
+			}
+		case ClassVectorOp:
+			if in.Width < 2 {
+				return fmt.Errorf("dataflow: node %q: %s needs a vector-typed input, %q has width %d", n.ID, n.Filter, in.ID, in.Width)
 			}
 		}
 	}

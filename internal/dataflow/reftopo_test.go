@@ -6,7 +6,8 @@ import (
 )
 
 // refTopoOrder is the map-of-strings Kahn's algorithm TopoOrder ran
-// before it moved to node positions, kept as the differential reference:
+// before it moved to node positions, kept as the differential reference
+// (it reads each input's ID through its position):
 // the new order must match it element for element, and a cycle must fail
 // with the same text.
 func refTopoOrder(nw *Network) ([]*Node, error) {
@@ -25,11 +26,11 @@ func refTopoOrder(nw *Network) ([]*Node, error) {
 			return
 		}
 		for _, in := range n.Inputs {
-			visit(in)
+			visit(nw.Nodes()[in].ID)
 		}
 	}
 	for _, r := range nw.Roots() {
-		visit(r)
+		visit(nw.Nodes()[r].ID)
 	}
 	indeg := make(map[string]int, len(live))
 	dependents := make(map[string][]string, len(live))
@@ -37,8 +38,8 @@ func refTopoOrder(nw *Network) ([]*Node, error) {
 		if !live[n.ID] {
 			continue
 		}
-		for _, in := range n.Inputs {
-			if live[in] {
+		for _, p := range n.Inputs {
+			if in := nw.Nodes()[p].ID; live[in] {
 				indeg[n.ID]++
 				dependents[in] = append(dependents[in], n.ID)
 			}

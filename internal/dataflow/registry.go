@@ -69,7 +69,7 @@ type FilterInfo struct {
 // of operations necessary to support the expressions explored": basic
 // math, square root, vector decomposition and the 3-D rectilinear mesh
 // field gradient, plus a few cheap extensions (neg, div, min, max, abs).
-var registry = map[string]FilterInfo{
+var registry = map[string]*FilterInfo{
 	"source":    {Name: "source", Class: ClassSource, Arity: 0, OutWidth: 1},
 	"const":     {Name: "const", Class: ClassConst, Arity: 0, OutWidth: 1},
 	"add":       {Name: "add", Class: ClassElementwise, Arity: 2, OutWidth: 1},
@@ -114,14 +114,16 @@ var registry = map[string]FilterInfo{
 
 // Lookup returns the filter info for a primitive name.
 func Lookup(name string) (FilterInfo, bool) {
-	fi, ok := registry[name]
-	return fi, ok
+	if fi := registry[name]; fi != nil {
+		return *fi, true
+	}
+	return FilterInfo{}, false
 }
 
 // IsCallable reports whether name is a primitive users may invoke as a
 // function in expressions (sources and consts are created by the parser,
 // not called).
 func IsCallable(name string) bool {
-	fi, ok := registry[name]
-	return ok && fi.Class != ClassSource && fi.Class != ClassConst && fi.Class != ClassDecompose
+	fi := registry[name]
+	return fi != nil && fi.Class != ClassSource && fi.Class != ClassConst && fi.Class != ClassDecompose
 }

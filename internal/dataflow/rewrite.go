@@ -1,6 +1,9 @@
 package dataflow
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the network's rewrite surface: the primitive mutations an
 // optimisation pass (internal/passes) composes into whole-network
@@ -10,132 +13,84 @@ import "fmt"
 // topological order, which every later layer (strategies, codegen)
 // relies on.
 
-// ApplyRemap redirects every reference — node inputs, the output, and
-// user aliases — through subst, chasing chains (a->b, b->c) to their
-// final target. Nodes themselves are not removed; pair with RemoveNodes.
-// A cyclic substitution panics (it is a programming error in the pass).
-func (nw *Network) ApplyRemap(subst map[string]string) {
-	nw.mustMutable("ApplyRemap")
-	if len(subst) == 0 {
-		return
-	}
-	resolve := func(id string) string {
-		for hops := 0; ; hops++ {
-			r, ok := subst[id]
-			if !ok {
-				return id
-			}
-			if hops > len(subst) {
-				panic("dataflow: ApplyRemap substitution cycle at " + id)
-			}
-			id = r
-		}
-	}
-	for _, n := range nw.nodes {
-		for i, in := range n.Inputs {
-			n.Inputs[i] = resolve(in)
-		}
-	}
-	if nw.output != "" {
-		nw.output = resolve(nw.output)
-	}
-	if len(nw.roots) > 0 {
-		// Remap the root set, collapsing roots a rewrite merged into one
-		// node (cross-expression CSE can unify two members' outputs).
-		kept := nw.roots[:0]
-		seen := make(map[string]bool, len(nw.roots))
-		for _, r := range nw.roots {
-			r = resolve(r)
-			if !seen[r] {
-				seen[r] = true
-				kept = append(kept, r)
-			}
-		}
-		nw.roots = kept
-		nw.output = kept[0]
-	}
-	for name, id := range nw.aliases {
-		nw.aliases[name] = resolve(id)
-	}
-}
-
-// RemoveNodes deletes the identified nodes, preserving the construction
-// order of the survivors. References to a removed node must have been
-// redirected first (ApplyRemap) — except aliases, which are dropped when
-// they still point at a removed node. Removing the output is an error.
-func (nw *Network) RemoveNodes(ids []string) error {
-	nw.mustMutable("RemoveNodes")
-	if len(ids) == 0 {
-		return nil
-	}
-	dead := make([]bool, len(nw.nodes)) // by position
-	for _, id := range ids {
-		if i, ok := nw.byID[id]; ok {
-			dead[i] = true
-		}
-	}
-	isDead := func(id string) bool {
-		i, ok := nw.byID[id]
-		return ok && dead[i]
-	}
-	if isDead(nw.output) {
-		return fmt.Errorf("dataflow: cannot remove output node %q", nw.output)
+// Compact merges and deletes nodes in one pass over the network. to[i]
+// says what becomes of the node at position i: to[i] == i keeps it, an
+// earlier position merges it into that node (every reference to it —
+// inputs, roots, aliases — moves there, chains included), and -1
+// deletes it, dropping the aliases still bound to it. Survivors keep
+// their construction order. Compact overwrites to with each old
+// position's new one (-1 for a deleted node). Deleting a root, or a node
+// a survivor reads, is an error; the network must then be discarded.
+func (nw *Network) Compact(to []int32) error {
+	nw.mustMutable("Compact")
+	if len(to) != len(nw.nodes) {
+		return fmt.Errorf("dataflow: Compact: %d targets for %d nodes", len(to), len(nw.nodes))
 	}
 	for _, r := range nw.roots {
-		if isDead(r) {
-			return fmt.Errorf("dataflow: cannot remove root node %q", r)
+		if to[r] < 0 {
+			return fmt.Errorf("dataflow: cannot remove root node %q", nw.nodes[r].ID)
 		}
 	}
-	for name, id := range nw.aliases {
-		if isDead(id) {
-			delete(nw.aliases, name)
-		}
-	}
-	// Compact the survivors and reindex: a survivor's position moves
-	// down by the number of dead nodes before it.
 	kept := nw.nodes[:0]
 	for i, n := range nw.nodes {
-		if dead[i] {
-			delete(nw.byID, n.ID)
-			continue
+		switch t := to[i]; {
+		case t == int32(i):
+			to[i] = int32(len(kept))
+			n.pos = to[i]
+			kept = append(kept, n)
+		case t >= 0 && t < int32(i):
+			to[i] = to[t] // t precedes i, so it already holds its new position
+		case t != -1:
+			return fmt.Errorf("dataflow: Compact: node %q merges forward into position %d", n.ID, t)
 		}
-		nw.byID[n.ID] = int32(len(kept))
-		kept = append(kept, n)
 	}
-	nw.nodes = kept
+	for _, n := range kept {
+		for a, in := range n.Inputs {
+			if n.Inputs[a] = to[in]; n.Inputs[a] < 0 {
+				return fmt.Errorf("dataflow: Compact: node %q reads deleted position %d", n.ID, in)
+			}
+		}
+	}
+	roots := nw.roots[:0]
+	for _, r := range nw.roots {
+		// Roots a merge unified collapse into one.
+		if r = to[r]; !slices.Contains(roots, r) {
+			roots = append(roots, r)
+		}
+	}
+	for name, p := range nw.aliases {
+		if to[p] < 0 {
+			delete(nw.aliases, name)
+		} else {
+			nw.aliases[name] = to[p]
+		}
+	}
+	nw.nodes, nw.roots, nw.byID = kept, roots, nil
 	return nil
 }
 
-// RewriteToConst mutates the identified node in place into a scalar
+// RewriteToConst mutates the node at position p in place into a scalar
 // constant, keeping its ID and position (and therefore the topological
 // order of everything downstream).
-func (nw *Network) RewriteToConst(id string, v float64) error {
+func (nw *Network) RewriteToConst(p int32, v float64) {
 	nw.mustMutable("RewriteToConst")
-	n := nw.NodeByID(id)
-	if n == nil {
-		return fmt.Errorf("dataflow: RewriteToConst: unknown node %q", id)
-	}
-	n.Filter = "const"
+	n := nw.nodes[p]
+	n.Filter, n.info = "const", registry["const"]
 	n.Value = v
 	n.Inputs = nil
 	n.Comp = 0
 	n.Width = 1
-	return nil
 }
 
-// RewriteToFilter mutates the identified node in place into an
-// invocation of filter over inputs (node IDs, not aliases), keeping its
-// ID and position. The caller must ensure every input node precedes the
-// rewritten node in construction order — in-place rewrites may only
-// point backwards, or the order stops being topological (the debug
-// invariant checks in internal/passes catch violations).
-func (nw *Network) RewriteToFilter(id, filter string, inputs []string, comp int) error {
+// RewriteToFilter mutates the node at position p in place into an
+// invocation of filter over inputs (positions), keeping its ID and
+// position. Every input must precede the rewritten node — in-place
+// rewrites may only point backwards, or construction order stops being
+// topological.
+func (nw *Network) RewriteToFilter(p int32, filter string, inputs []int32, comp int) error {
 	nw.mustMutable("RewriteToFilter")
-	n := nw.NodeByID(id)
-	if n == nil {
-		return fmt.Errorf("dataflow: RewriteToFilter: unknown node %q", id)
-	}
-	fi, ok := Lookup(filter)
+	n := nw.nodes[p]
+	fi, ok := registry[filter]
 	if !ok {
 		return fmt.Errorf("dataflow: RewriteToFilter: unknown filter %q", filter)
 	}
@@ -143,11 +98,11 @@ func (nw *Network) RewriteToFilter(id, filter string, inputs []string, comp int)
 		return fmt.Errorf("dataflow: RewriteToFilter: filter %q takes %d inputs, got %d", filter, fi.Arity, len(inputs))
 	}
 	for _, in := range inputs {
-		if _, ok := nw.Pos(in); !ok {
-			return fmt.Errorf("dataflow: RewriteToFilter: missing input %q", in)
+		if in < 0 || in >= p {
+			return fmt.Errorf("dataflow: RewriteToFilter: input %d does not precede node %q", in, n.ID)
 		}
 	}
-	n.Filter = filter
+	n.Filter, n.info = filter, fi
 	n.Inputs = nw.window(len(inputs))
 	copy(n.Inputs, inputs)
 	n.Value = 0

@@ -20,12 +20,12 @@ func (nw *Network) Script() string {
 		case "const":
 			fmt.Fprintf(&b, "%s = net.add_const(%g)\n", n.ID, n.Value)
 		case "decompose":
-			fmt.Fprintf(&b, "%s = net.add_decompose(%q, %d)\n", n.ID, n.Inputs[0], n.Comp)
+			fmt.Fprintf(&b, "%s = net.add_decompose(%q, %d)\n", n.ID, nw.nodes[n.Inputs[0]].ID, n.Comp)
 		default:
 			args := make([]string, 0, len(n.Inputs)+1)
 			args = append(args, fmt.Sprintf("%q", n.Filter))
 			for _, in := range n.Inputs {
-				args = append(args, fmt.Sprintf("%q", in))
+				args = append(args, fmt.Sprintf("%q", nw.nodes[in].ID))
 			}
 			fmt.Fprintf(&b, "%s = net.add_filter(%s)\n", n.ID, strings.Join(args, ", "))
 		}
@@ -33,8 +33,8 @@ func (nw *Network) Script() string {
 	for _, a := range nw.Aliases() {
 		fmt.Fprintf(&b, "net.alias(%q, %q)\n", a[0], a[1])
 	}
-	if nw.output != "" {
-		fmt.Fprintf(&b, "net.set_output(%q)\n", nw.output)
+	if out := nw.Output(); out != "" {
+		fmt.Fprintf(&b, "net.set_output(%q)\n", out)
 	}
 	return b.String()
 }
@@ -72,12 +72,12 @@ func (nw *Network) Dot() string {
 			shape = "box"
 		}
 		peripheries := 1
-		if n.ID == nw.output {
+		if n.ID == nw.Output() {
 			peripheries = 2
 		}
 		fmt.Fprintf(&b, "  %q [label=%q, shape=%s, peripheries=%d];\n", n.ID, label, shape, peripheries)
 		for _, in := range n.Inputs {
-			fmt.Fprintf(&b, "  %q -> %q;\n", in, n.ID)
+			fmt.Fprintf(&b, "  %q -> %q;\n", nw.nodes[in].ID, n.ID)
 		}
 	}
 	b.WriteString("}\n")

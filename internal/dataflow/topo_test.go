@@ -47,7 +47,7 @@ func TestTopoOrderMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := cyc.NodeByID(cyc.Output())
-	cyc.NodeByID(out.Inputs[0]).Inputs[0] = out.ID
+	cyc.Nodes()[out.Inputs[0]].Inputs[0] = out.Pos() // a forward edge
 	if _, err := cyc.TopoOrder(); err == nil {
 		t.Fatal("cycle was ordered")
 	}
@@ -86,13 +86,13 @@ func TestSealedTopoOrderIsFree(t *testing.T) {
 	if err := bad.SetOutput(id); err != nil {
 		t.Fatal(err)
 	}
-	bad.NodeByID(id).Inputs[0] = "ghost"
+	bad.NodeByID(id).Inputs[0] = 7 // out of range
 	bad.Seal()
 	for i := 0; i < 2; i++ {
 		if err := bad.Validate(); err == nil {
 			t.Fatal("sealed network with a missing input validates")
 		}
-		if _, err := bad.TopoOrder(); err == nil || !strings.Contains(err.Error(), `missing input "ghost"`) {
+		if _, err := bad.TopoOrder(); err == nil || !strings.Contains(err.Error(), `node "t0": missing input 7`) {
 			t.Fatalf("sealed network with a missing input orders: %v", err)
 		}
 	}

@@ -19,6 +19,10 @@ import (
 // reuse the expansion). Definition programs have their own local
 // namespace: their assignments do not leak into, or read from, the
 // caller's names, but both share host sources.
+//
+// The network builder checks every node as it is added (arity, widths,
+// decompose range), so the network returned is valid without a
+// Validate pass of its own.
 func BuildNetworkWithDefinitions(p *Program, defs map[string]*Program) (*dataflow.Network, error) {
 	if len(p.Stmts) == 0 {
 		return nil, fmt.Errorf("expr: program has no statements")
@@ -35,9 +39,6 @@ func BuildNetworkWithDefinitions(p *Program, defs map[string]*Program) (*dataflo
 		return nil, err
 	}
 	if err := b.net.SetOutput(last); err != nil {
-		return nil, err
-	}
-	if err := b.net.Validate(); err != nil {
 		return nil, err
 	}
 	return b.net, nil

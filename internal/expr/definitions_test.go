@@ -75,7 +75,7 @@ func TestDefinitionDoesNotReadCallerLocals(t *testing.T) {
 	// ...while the caller's final add reads the local mul through its
 	// alias, which survives un-clobbered.
 	out := net.NodeByID(net.Output())
-	second := net.Node(out.Inputs[1])
+	second := net.Nodes()[out.Inputs[1]]
 	if second.Filter != "mul" {
 		t.Fatalf("caller's base must stay bound to the local mul, got %q", second.Filter)
 	}

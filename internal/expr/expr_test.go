@@ -237,11 +237,11 @@ func TestFig4QCritNetworkShape(t *testing.T) {
 		switch n.Filter {
 		case "grad3d":
 			grads++
-			if first := net.Node(n.Inputs[0]); first.Filter != "source" {
+			if first := net.Nodes()[n.Inputs[0]]; first.Filter != "source" {
 				t.Fatal("gradients must consume velocity sources directly")
 			}
 		case "decompose":
-			if in := net.Node(n.Inputs[0]); in.Filter != "grad3d" {
+			if in := net.Nodes()[n.Inputs[0]]; in.Filter != "grad3d" {
 				t.Fatalf("decompose must select from a gradient, got %q", in.Filter)
 			}
 		}
@@ -253,10 +253,10 @@ func TestFig4QCritNetworkShape(t *testing.T) {
 	if out.Filter != "mul" {
 		t.Fatalf("output is 0.5 * (...): want mul, got %q", out.Filter)
 	}
-	if c := net.Node(out.Inputs[0]); c.Filter != "const" || c.Value != 0.5 {
+	if c := net.Nodes()[out.Inputs[0]]; c.Filter != "const" || c.Value != 0.5 {
 		t.Fatal("output's first operand must be the pooled 0.5 constant")
 	}
-	if s := net.Node(out.Inputs[1]); s.Filter != "sub" {
+	if s := net.Nodes()[out.Inputs[1]]; s.Filter != "sub" {
 		t.Fatal("output's second operand must be (w_norm - s_norm)")
 	}
 }
@@ -307,7 +307,7 @@ func TestReassignmentUsesLatestBinding(t *testing.T) {
 	if out.Filter != "add" {
 		t.Fatalf("output filter %q", out.Filter)
 	}
-	mul := net.Node(out.Inputs[0])
+	mul := net.Nodes()[out.Inputs[0]]
 	if mul.Filter != "mul" {
 		t.Fatalf("a must refer to the re-bound mul node, got %q", mul.Filter)
 	}
@@ -415,7 +415,7 @@ func TestConditionalNetwork(t *testing.T) {
 	if out.Filter != "select" {
 		t.Fatalf("if/then/else must lower to select, got %q", out.Filter)
 	}
-	if cond := net.Node(out.Inputs[0]); cond.Filter != "ge" {
+	if cond := net.Nodes()[out.Inputs[0]]; cond.Filter != "ge" {
 		t.Fatalf("condition must lower to ge, got %q", cond.Filter)
 	}
 }

@@ -241,12 +241,15 @@ __kernel void knorm(__global const float4 *a, __global float *out)
 			in, out := bufs[0], bufs[1].Data
 			w := in.Width
 			for i := lo; i < hi; i++ {
-				var s float64
+				// What the source says: float squares, summed left to
+				// right in float, and a correctly rounded sqrtf. The
+				// conversion rounds each product, so no FMA contracts it.
+				var s float32
 				for c := 0; c < 3 && c < w; c++ {
-					v := float64(in.Data[i*w+c])
-					s += v * v // exact square of a float32: an FMA contraction changes nothing
+					v := in.Data[i*w+c]
+					s += float32(v * v)
 				}
-				out[i] = float32(math.Sqrt(s))
+				out[i] = float32(math.Sqrt(float64(s)))
 			}
 		},
 	}

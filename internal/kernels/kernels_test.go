@@ -462,6 +462,51 @@ func TestNormKernel(t *testing.T) {
 	}
 }
 
+// TestNormIsFloatArithmetic pins Norm's Fn to what its source says —
+// float squares, a left-to-right float sum, sqrtf — against a float32
+// loop spelled here, over every triple of special values (signed zeros,
+// infinities, NaN, denormals, squares that underflow or overflow) and
+// random vectors. The random ones must include a vector where the
+// float64 sum the kernel once used rounds differently, or the pin would
+// not tell the two apart.
+func TestNormIsFloatArithmetic(t *testing.T) {
+	special := []float32{0, float32(math.Copysign(0, -1)), 1, -3, float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.Float32frombits(1), math.Float32frombits(0x807fffff), 1e-30, 3e19, math.MaxFloat32}
+	var vec []float32
+	for _, x := range special {
+		for _, y := range special {
+			for _, z := range special {
+				vec = append(vec, x, y, z, 7) // the fourth lane is never read
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 4096; i++ {
+		vec = append(vec, float32(rng.NormFloat64()), float32(rng.NormFloat64()*100), float32(rng.NormFloat64()/100), 0)
+	}
+	n := len(vec) / 4
+	out := make([]float32, n)
+	Norm().Fn(0, n, []ocl.View{{Data: vec, Elems: n, Width: 4}, {Data: out, Elems: n, Width: 1}}, nil)
+	widened := 0
+	for i := range out {
+		var s float32
+		for _, v := range vec[4*i : 4*i+3] {
+			s = float32(s + float32(v*v))
+		}
+		want := float32(math.Sqrt(float64(s)))
+		if math.Float32bits(out[i]) != math.Float32bits(want) && !(want != want && out[i] != out[i]) {
+			t.Fatalf("norm%v = %v (%#08x), want %v (%#08x)", vec[4*i:4*i+3], out[i], math.Float32bits(out[i]), want, math.Float32bits(want))
+		}
+		x, y, z := float64(vec[4*i]), float64(vec[4*i+1]), float64(vec[4*i+2])
+		if float32(math.Sqrt(x*x+y*y+z*z)) != want {
+			widened++
+		}
+	}
+	if widened == 0 {
+		t.Fatal("no vector tells float from float64 arithmetic apart")
+	}
+}
+
 func TestCostAccessors(t *testing.T) {
 	add, err := ForFilter("add")
 	if err != nil {

@@ -41,12 +41,9 @@ type key struct {
 // so add(a, b) and add(b, a) share one key.
 func eliminate(nw *dataflow.Network, st *Stats, commute bool) error {
 	nodes := nw.Nodes()
-	canon := make([]int32, len(nodes)) // position -> position it merged into
+	to := keepAll(nw) // position -> position it merged into
 	first := make(map[key]int32, len(nodes))
-	remap := make(map[string]string)
-	var dead []string
 	for i, n := range nodes {
-		canon[i] = int32(i)
 		k := key{filter: n.Filter}
 		switch n.Filter {
 		case "source":
@@ -56,30 +53,25 @@ func eliminate(nw *dataflow.Network, st *Stats, commute bool) error {
 		case "decompose":
 			k.param = uint64(n.Comp)
 		}
-		// Inputs are canonicalised in construction order, so by the time
-		// a node is keyed all of its inputs are already canonical and one
-		// forward pass reaches the fixpoint.
+		// Inputs precede their node, so by the time a node is keyed all
+		// of its inputs are already canonical and one forward pass
+		// reaches the fixpoint.
 		for a, in := range n.Inputs {
-			p, ok := nw.Pos(in)
-			if !ok {
-				return fmt.Errorf("node %q reads missing node %q", n.ID, in)
+			if in < 0 || int(in) >= i {
+				return fmt.Errorf("node %q reads position %d, which does not precede it", n.ID, in)
 			}
-			j := canon[p]
-			n.Inputs[a] = nodes[j].ID
-			k.in[a] = j
+			k.in[a] = to[in]
 		}
 		if commute && commutative[n.Filter] && len(n.Inputs) == 2 && k.in[1] < k.in[0] {
 			k.in[0], k.in[1] = k.in[1], k.in[0]
 		}
 		if j, ok := first[k]; ok {
-			canon[i] = j
-			remap[n.ID] = nodes[j].ID
-			dead = append(dead, n.ID)
+			to[i] = j
 			continue
 		}
 		first[k] = int32(i)
 	}
-	return applyMerge(nw, st, remap, dead)
+	return compact(nw, st, to)
 }
 
 // ElimPasses returns the canonicalisation pass list a level runs before

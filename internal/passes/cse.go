@@ -17,22 +17,20 @@ type constPool struct{}
 func (constPool) Name() string { return "constpool" }
 
 func (constPool) Run(nw *dataflow.Network, st *Stats) error {
-	first := make(map[uint64]string) // the bits a key holds for a const
-	remap := make(map[string]string)
-	var dead []string
-	for _, n := range nw.Nodes() {
+	first := make(map[uint64]int32) // a constant's bits -> its first position
+	to := keepAll(nw)
+	for i, n := range nw.Nodes() {
 		if n.Filter != "const" {
 			continue
 		}
 		bits := math.Float64bits(n.Value)
-		if id, ok := first[bits]; ok {
-			remap[n.ID] = id
-			dead = append(dead, n.ID)
+		if j, ok := first[bits]; ok {
+			to[i] = j
 			continue
 		}
-		first[bits] = n.ID
+		first[bits] = int32(i)
 	}
-	return applyMerge(nw, st, remap, dead)
+	return compact(nw, st, to)
 }
 
 // CSE returns the paper's "limited" common sub-expression elimination:
@@ -62,16 +60,27 @@ func (c cse) Run(nw *dataflow.Network, st *Stats) error {
 	return eliminate(nw, st, c.commute)
 }
 
-// applyMerge commits a merge-style pass: redirect every reference
-// through remap, drop the duplicates, and record them.
-func applyMerge(nw *dataflow.Network, st *Stats, remap map[string]string, dead []string) error {
-	if len(dead) == 0 {
+// keepAll returns the compaction that keeps every node of nw where it
+// is; a pass marks the nodes it merges or deletes in it.
+func keepAll(nw *dataflow.Network) []int32 {
+	to := make([]int32, nw.Len())
+	for i := range to {
+		to[i] = int32(i)
+	}
+	return to
+}
+
+// compact commits a pass's merges and deletions (Network.Compact's to)
+// and records the nodes that leave.
+func compact(nw *dataflow.Network, st *Stats, to []int32) error {
+	removed := len(st.Removed)
+	for i, n := range nw.Nodes() {
+		if to[i] != int32(i) {
+			st.Removed = append(st.Removed, n.ID)
+		}
+	}
+	if len(st.Removed) == removed {
 		return nil
 	}
-	nw.ApplyRemap(remap)
-	if err := nw.RemoveNodes(dead); err != nil {
-		return err
-	}
-	st.Removed = append(st.Removed, dead...)
-	return nil
+	return nw.Compact(to)
 }

@@ -1,6 +1,7 @@
 package passes_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -103,17 +104,20 @@ func TestCSERemapsOutputAndAliases(t *testing.T) {
 	}
 }
 
-// TestCSERejectsMissingInput: a hand-built network reading a node that
-// does not exist is an error, not a key that could merge unrelated nodes.
+// TestCSERejectsMissingInput: a hand-built network reading a position
+// that holds no node, or a node that does not precede the reader, is an
+// error, not a key that could merge unrelated nodes.
 func TestCSERejectsMissingInput(t *testing.T) {
-	nw := dataflow.NewNetwork()
-	nw.AddSource("a")
-	x, _ := nw.AddFilter("sqrt", "a")
-	nw.SetOutput(x)
-	nw.NodeByID(x).Inputs[0] = "ghost"
-	_, err := passes.New("cse", passes.CSE()).Run(nw)
-	if err == nil || !strings.Contains(err.Error(), `missing node "ghost"`) {
-		t.Fatalf("CSE over a missing input: %v", err)
+	for _, bad := range []int32{7, 1, -1} { // out of range, the node itself, negative
+		nw := dataflow.NewNetwork()
+		nw.AddSource("a")
+		x, _ := nw.AddFilter("sqrt", "a")
+		nw.SetOutput(x)
+		nw.NodeByID(x).Inputs[0] = bad
+		_, err := passes.New("cse", passes.CSE()).Run(nw)
+		if want := fmt.Sprintf(`node "t0" reads position %d, which does not precede it`, bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("CSE over input position %d: %v", bad, err)
+		}
 	}
 }
 
@@ -147,6 +151,30 @@ func TestConstantsKeyedByBits(t *testing.T) {
 	for i := range want {
 		if bits[i] != want[i] {
 			t.Fatalf("constants after pooling: %#x, want %#x", bits, want)
+		}
+	}
+}
+
+// TestVerifyInvariantsRejectsBadPositions: an input position out of
+// range, or one that does not precede its node (a forward edge, which
+// construction order as a schedule cannot run), fails the check.
+func TestVerifyInvariantsRejectsBadPositions(t *testing.T) {
+	for bad, want := range map[int32]string{
+		9: "reads missing position 9",
+		3: `node "t0" (index 2) reads "t1" (index 3): construction order is not topological`,
+	} {
+		nw := dataflow.NewNetwork()
+		nw.AddSource("a")
+		nw.AddSource("b")
+		x, _ := nw.AddFilter("sqrt", "a")
+		y, _ := nw.AddFilter("add", x, "b")
+		nw.SetOutput(y)
+		if err := passes.VerifyInvariants(nw); err != nil {
+			t.Fatal(err)
+		}
+		nw.NodeByID(x).Inputs[0] = bad
+		if err := passes.VerifyInvariants(nw); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("input position %d: %v, want %q", bad, err, want)
 		}
 	}
 }

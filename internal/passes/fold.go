@@ -20,20 +20,24 @@ type constFold struct{}
 func (constFold) Name() string { return "constfold" }
 
 func (constFold) Run(nw *dataflow.Network, st *Stats) error {
-nodes:
-	for _, n := range nw.Nodes() {
+	nodes := nw.Nodes()
+next:
+	for i, n := range nodes {
+		if len(n.Inputs) == 0 {
+			continue
+		}
+		for _, in := range n.Inputs {
+			if nodes[in].Filter != "const" {
+				continue next
+			}
+		}
 		p, ok := kernels.Lookup(n.Filter)
 		if !ok || len(n.Inputs) != p.Arity {
 			continue
 		}
-		for _, id := range n.Inputs {
-			if c := nw.NodeByID(id); c == nil || c.Filter != "const" {
-				continue nodes
-			}
-		}
 		in := make([][]float32, len(n.Inputs))
-		for i, id := range n.Inputs {
-			in[i] = []float32{float32(nw.NodeByID(id).Value)}
+		for k, j := range n.Inputs {
+			in[k] = []float32{float32(nodes[j].Value)}
 		}
 		// The stored value is the float32 result widened to float64, so a
 		// constant of the folded node reproduces the exact bits the
@@ -44,9 +48,7 @@ nodes:
 		// const) keeps this pass purely local; the following CSE or
 		// constpool round merges equal constants, and DCE collects the
 		// operand constants that just lost their last consumer.
-		if err := nw.RewriteToConst(n.ID, float64(out[0])); err != nil {
-			return err
-		}
+		nw.RewriteToConst(int32(i), float64(out[0]))
 		st.Rewritten++
 	}
 	return nil
@@ -91,36 +93,23 @@ type algebraic struct{}
 func (algebraic) Name() string { return "algebraic" }
 
 func (algebraic) Run(nw *dataflow.Network, st *Stats) error {
-	remap := make(map[string]string)
-	var dead []string
-	resolve := func(id string) string {
-		for {
-			r, ok := remap[id]
-			if !ok {
-				return id
-			}
-			id = r
-		}
-	}
-	for _, n := range nw.Nodes() {
-		// Forward substitution in construction order, like CSE: inputs
-		// are canonical before the node itself is inspected.
-		for i, in := range n.Inputs {
-			n.Inputs[i] = resolve(in)
-		}
+	nodes := nw.Nodes()
+	to := keepAll(nw)
+	for i, n := range nodes {
 		if len(n.Inputs) != 2 {
 			continue
 		}
+		// Forward substitution in construction order, like CSE: to[in] is
+		// an input's canonical node before the node itself is inspected.
 		for _, r := range identities {
 			if r.filter != n.Filter {
 				continue
 			}
-			if c := nw.NodeByID(n.Inputs[r.side]); c != nil && c.Filter == "const" && math.Float32bits(float32(c.Value)) == r.bits {
-				remap[n.ID] = n.Inputs[1-r.side]
-				dead = append(dead, n.ID)
+			if c := nodes[to[n.Inputs[r.side]]]; c.Filter == "const" && math.Float32bits(float32(c.Value)) == r.bits {
+				to[i] = to[n.Inputs[1-r.side]]
 				break
 			}
 		}
 	}
-	return applyMerge(nw, st, remap, dead)
+	return compact(nw, st, to)
 }

@@ -25,23 +25,18 @@ func (forwardDecompose) Name() string { return "decompose-forward" }
 var axisFilter = [3]string{"grad3dx", "grad3dy", "grad3dz"}
 
 func (forwardDecompose) Run(nw *dataflow.Network, st *Stats) error {
-	for _, n := range nw.Nodes() {
-		if n.Filter != "decompose" {
+	nodes := nw.Nodes()
+	for i, n := range nodes {
+		if n.Filter != "decompose" || nodes[n.Inputs[0]].Filter != "grad3d" {
 			continue
 		}
-		in := nw.NodeByID(n.Inputs[0])
-		if in == nil || in.Filter != "grad3d" {
-			continue
-		}
-		var err error
 		if n.Comp >= 0 && n.Comp < 3 {
-			err = nw.RewriteToFilter(n.ID, axisFilter[n.Comp], in.Inputs, 0)
+			if err := nw.RewriteToFilter(int32(i), axisFilter[n.Comp], nodes[n.Inputs[0]].Inputs, 0); err != nil {
+				return err
+			}
 		} else {
 			// Lane 3 of the float4 gradient is the 0.0f pad.
-			err = nw.RewriteToConst(n.ID, 0)
-		}
-		if err != nil {
-			return err
+			nw.RewriteToConst(int32(i), 0)
 		}
 		st.Rewritten++
 	}

@@ -105,7 +105,7 @@ func MergeNetworks(members []MergeMember, lvl Level, opt RunOptions) (*Merged, e
 	}
 	roots := make([]string, len(fps))
 	for i, fp := range fps {
-		root, err := cloneInto(nw, orders[i], distinct[fp].Output())
+		root, err := cloneInto(nw, distinct[fp], orders[i])
 		if err != nil {
 			return nil, fmt.Errorf("passes: merge member %q: %w", fp, err)
 		}
@@ -154,12 +154,12 @@ func mergePipeline(lvl Level) *Pipeline {
 	return mergePaper
 }
 
-// cloneInto copies one member's computed nodes (order is its live nodes
-// in topological order) into dst through the builder API — sources are
-// already there under their own names — and returns the ID dst assigned
-// to the member's output node.
-func cloneInto(dst *dataflow.Network, order []*dataflow.Node, output string) (string, error) {
-	remap := make(map[string]string, len(order))
+// cloneInto copies one member's computed nodes (order is src's live
+// nodes in topological order) into dst through the builder API —
+// sources are already there under their own names — and returns the ID
+// dst assigned to the member's output node.
+func cloneInto(dst, src *dataflow.Network, order []*dataflow.Node) (string, error) {
+	ids := make([]string, src.Len()) // src position -> dst ID
 	for _, n := range order {
 		var (
 			id  string
@@ -171,19 +171,19 @@ func cloneInto(dst *dataflow.Network, order []*dataflow.Node, output string) (st
 		case "const":
 			id = dst.AddConst(n.Value)
 		case "decompose":
-			if id, err = dst.AddDecompose(remap[n.Inputs[0]], n.Comp); err != nil {
-				return "", err
-			}
+			id, err = dst.AddDecompose(ids[n.Inputs[0]], n.Comp)
 		default:
-			ins := make([]string, len(n.Inputs))
+			var buf [maxArity]string
+			ins := buf[:len(n.Inputs)]
 			for i, in := range n.Inputs {
-				ins[i] = remap[in]
+				ins[i] = ids[in]
 			}
-			if id, err = dst.AddFilter(n.Filter, ins...); err != nil {
-				return "", err
-			}
+			id, err = dst.AddFilter(n.Filter, ins...)
 		}
-		remap[n.ID] = id
+		if err != nil {
+			return "", err
+		}
+		ids[n.Pos()] = id
 	}
-	return remap[output], nil
+	return ids[src.Roots()[0]], nil
 }

@@ -63,16 +63,16 @@ func TestPaperPipelineGoldenNetworks(t *testing.T) {
 // form, the component and the inputs in order.
 func legacyCSE(t *testing.T, nw *dataflow.Network) {
 	t.Helper()
-	canon := map[string]string{}
-	remap := map[string]string{}
-	var dead []string
-	for _, n := range nw.Nodes() {
-		for i, in := range n.Inputs {
-			if r, ok := remap[in]; ok {
-				n.Inputs[i] = r
-			}
+	nodes := nw.Nodes()
+	canon := map[string]int32{}
+	to := make([]int32, len(nodes)) // position -> position it merged into
+	for i, n := range nodes {
+		to[i] = int32(i)
+		ins := make([]string, len(n.Inputs))
+		for a, in := range n.Inputs {
+			ins[a] = nodes[to[in]].ID
 		}
-		key := n.Filter + "|" + strings.Join(n.Inputs, "|")
+		key := n.Filter + "|" + strings.Join(ins, "|")
 		switch n.Filter {
 		case "source":
 			key = "source:" + n.ID
@@ -81,15 +81,13 @@ func legacyCSE(t *testing.T, nw *dataflow.Network) {
 		case "decompose":
 			key += ":" + strconv.Itoa(n.Comp)
 		}
-		if id, ok := canon[key]; ok {
-			remap[n.ID] = id
-			dead = append(dead, n.ID)
+		if j, ok := canon[key]; ok {
+			to[i] = j
 			continue
 		}
-		canon[key] = n.ID
+		canon[key] = int32(i)
 	}
-	nw.ApplyRemap(remap)
-	if err := nw.RemoveNodes(dead); err != nil {
+	if err := nw.Compact(to); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -179,7 +177,7 @@ func TestConstFoldAndAlgebraic(t *testing.T) {
 	if net.Len() != 3 { // const 3, source u, mul
 		t.Errorf("network has %d nodes, want 3: %v", net.Len(), names(net))
 	}
-	c := net.NodeByID(out.Inputs[0])
+	c := net.Nodes()[out.Inputs[0]]
 	if c.Filter != "const" || c.Value != 3 {
 		t.Errorf("lhs = %s %q %v, want folded const 3", c.ID, c.Filter, c.Value)
 	}
@@ -231,7 +229,7 @@ func TestConstFoldAndAlgebraic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := net.NodeByID(net.NodeByID(net.Output()).Inputs[1])
+		c := net.Nodes()[net.NodeByID(net.Output()).Inputs[1]]
 		if got := math.Float32bits(float32(c.Value)); c.Filter != "const" || got != want {
 			t.Errorf("%s folded to %q %#08x, want const %#08x", text, c.Filter, got, want)
 		}

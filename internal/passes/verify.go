@@ -9,59 +9,52 @@ import (
 // VerifyInvariants checks everything the later layers assume about a
 // network between (and after) passes:
 //
-//   - the network's position index (Network.Pos) agrees with
-//     construction order for every node;
-//   - the output is set and resolves to a live node;
-//   - every input reference resolves, and points strictly backwards in
-//     construction order (construction order is a topological order —
-//     strategies and vm.Lower walk it as is);
+//   - every node's Pos, and the name index (NodeByID), agree with
+//     construction order;
+//   - at least one root is set, and every root is a node;
+//   - every input position is in range and strictly earlier than its
+//     node (construction order is a topological order — strategies and
+//     vm.Lower walk it as is);
 //   - every alias resolves to a node;
 //   - filters, arities, widths and acyclicity hold (dataflow.Validate,
 //     which also proves the output reachable via TopoOrder);
 //   - reference counts conserve: the consumer counts strategies use for
-//     buffer release sum to exactly edges + 1 (the output's sink ref).
+//     buffer release sum to exactly edges + one per root.
 //
 // It runs after every pass when RunOptions.Verify is set, turning a
 // subtly wrong rewrite into an immediate, attributed failure instead of
 // a miscounted Table II three layers later.
 func VerifyInvariants(nw *dataflow.Network) error {
-	// The index comes first: every lookup below reads it.
-	pos := make(map[string]int, nw.Len())
-	for i, n := range nw.Nodes() {
-		pos[n.ID] = i
-		if p, ok := nw.Pos(n.ID); !ok || p != i {
-			return fmt.Errorf("node %q (index %d) is indexed at %d (found %v)", n.ID, i, p, ok)
+	nodes := nw.Nodes()
+	for i, n := range nodes {
+		if n.Pos() != int32(i) || nw.NodeByID(n.ID) != n {
+			return fmt.Errorf("node %q (index %d) is indexed at %d", n.ID, i, n.Pos())
 		}
 	}
-	out := nw.Output()
-	if out == "" {
+	roots := nw.Roots()
+	if len(roots) == 0 {
 		return fmt.Errorf("network has no output")
 	}
-	if nw.NodeByID(out) == nil {
-		return fmt.Errorf("output %q is not a node", out)
+	for _, r := range roots {
+		if r < 0 || int(r) >= len(nodes) {
+			return fmt.Errorf("root position %d is not a node", r)
+		}
 	}
 	edges := 0
-	for i, n := range nw.Nodes() {
+	for i, n := range nodes {
 		for _, in := range n.Inputs {
-			j, ok := pos[in]
-			if !ok {
-				return fmt.Errorf("node %q reads missing node %q", n.ID, in)
+			if in < 0 || int(in) >= len(nodes) {
+				return fmt.Errorf("node %q reads missing position %d", n.ID, in)
 			}
-			if j >= i {
-				return fmt.Errorf("node %q (index %d) reads %q (index %d): construction order is not topological", n.ID, i, in, j)
+			if int(in) >= i {
+				return fmt.Errorf("node %q (index %d) reads %q (index %d): construction order is not topological", n.ID, i, nodes[in].ID, in)
 			}
 			edges++
 		}
 	}
 	for _, a := range nw.Aliases() {
-		if nw.NodeByID(a[1]) == nil {
+		if nw.Node(a[0]) == nil {
 			return fmt.Errorf("alias %q points at missing node %q", a[0], a[1])
-		}
-	}
-	roots := nw.Roots()
-	for _, r := range roots {
-		if nw.NodeByID(r) == nil {
-			return fmt.Errorf("root %q is not a node", r)
 		}
 	}
 	if err := nw.Validate(); err != nil {

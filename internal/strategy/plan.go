@@ -167,14 +167,14 @@ func newPlanBase(name string, net *dataflow.Network) (planBase, error) {
 	if net.Len() > len(small) {
 		at = make([]slot, net.Len())
 	}
-	use := func(p int) {
+	use := func(p int32) {
 		if i := at[p].need; i > 0 {
 			needs[i-1].perN = true
 		}
 	}
 	depth := 0
 	for _, n := range order {
-		p, _ := net.Pos(n.ID)
+		p := n.Pos()
 		if n.Filter == "source" {
 			needs = append(needs, sourceNeed{name: n.ID})
 			at[p].need = len(needs)
@@ -182,15 +182,14 @@ func newPlanBase(name string, net *dataflow.Network) (planBase, error) {
 		info := n.Info()
 		stencil := info.Class == dataflow.ClassStencil
 		d := 0
-		for i, in := range n.Inputs {
-			q, _ := net.Pos(in)
+		for i, q := range n.Inputs {
 			if stencil && i > 0 && at[q].need == 0 {
 				coord := [...]string{2: "x", 3: "y", 4: "z"}[i]
-				return planBase{}, &ComputedDimsError{Stencil: n.Filter, Input: net.NodeByID(in).Filter, coord: coord}
+				return planBase{}, &ComputedDimsError{Stencil: n.Filter, Input: net.Nodes()[q].Filter, coord: coord}
 			}
 			if !stencil || i != 1 {
 				use(q)
-			} else if !slices.Contains(dims, in) {
+			} else if in := net.Nodes()[q].ID; !slices.Contains(dims, in) {
 				dims = append(dims, in)
 			}
 			d = max(d, at[q].depth)
@@ -199,8 +198,7 @@ func newPlanBase(name string, net *dataflow.Network) (planBase, error) {
 		depth = max(depth, at[p].depth)
 	}
 	for _, r := range net.Roots() {
-		q, _ := net.Pos(r)
-		use(q)
+		use(r)
 	}
 	return planBase{name: name, net: net, order: order, needs: needs, dims: dims, depth: depth}, nil
 }

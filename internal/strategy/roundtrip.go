@@ -61,6 +61,7 @@ func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	// host holds every value as a host array: sources, constants and all
 	// computed intermediates.
 	host := make(map[string]Source, len(p.order))
+	nodes := p.net.Nodes()
 
 	for _, node := range p.order {
 		if err := bind.canceled(); err != nil {
@@ -84,7 +85,7 @@ func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 			host[node.ID] = Source{Data: data, Width: 1}
 
 		case "decompose":
-			in := host[node.Inputs[0]]
+			in := host[nodes[node.Inputs[0]].ID]
 			out := make([]float32, n)
 			w := in.Width
 			for i := 0; i < n; i++ {
@@ -93,7 +94,7 @@ func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 			host[node.ID] = Source{Data: out, Width: 1}
 
 		default:
-			res, err := roundtripKernel(env, p.kernels[node.Filter], node, host, n)
+			res, err := roundtripKernel(env, p.kernels[node.Filter], nodes, node, host, n)
 			if err != nil {
 				return Result{}, err
 			}
@@ -108,9 +109,9 @@ func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	res := finish(env, out.Data, out.Width)
 	if p.net.MultiRoot() {
 		for _, r := range p.net.Roots() {
-			h, ok := host[r]
+			h, ok := host[nodes[r].ID]
 			if !ok {
-				return Result{}, fmt.Errorf("roundtrip: root %q was never computed", r)
+				return Result{}, fmt.Errorf("roundtrip: root %q was never computed", nodes[r].ID)
 			}
 			res.Roots = append(res.Roots, Field{Data: h.Data, Width: h.Width})
 		}
@@ -118,10 +119,10 @@ func (p *roundtripPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	return res, nil
 }
 
-// roundtripKernel uploads the node's inputs, runs one kernel, reads the
-// result back and releases everything (recycling into the arena when
-// one is attached).
-func roundtripKernel(env *ocl.Env, k *ocl.Kernel, node *dataflow.Node, host map[string]Source, n int) (res Source, err error) {
+// roundtripKernel uploads the node's inputs (positions in nodes), runs
+// one kernel, reads the result back and releases everything (recycling
+// into the arena when one is attached).
+func roundtripKernel(env *ocl.Env, k *ocl.Kernel, nodes []*dataflow.Node, node *dataflow.Node, host map[string]Source, n int) (res Source, err error) {
 	bufs := make([]*ocl.Buffer, 0, len(node.Inputs)+1)
 	defer func() {
 		for _, b := range bufs {
@@ -129,7 +130,8 @@ func roundtripKernel(env *ocl.Env, k *ocl.Kernel, node *dataflow.Node, host map[
 		}
 	}()
 
-	for _, in := range node.Inputs {
+	for _, p := range node.Inputs {
+		in := nodes[p].ID
 		src, ok := host[in]
 		if !ok {
 			return Source{}, fmt.Errorf("roundtrip: node %q: input %q not yet computed", node.ID, in)

@@ -41,14 +41,15 @@ func planStaged(net *dataflow.Network, keep bool) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	nodes := net.Nodes()
 	refs := make(map[string]int, len(base.order))
 	for _, node := range base.order {
 		for _, in := range node.Inputs {
-			refs[in]++
+			refs[nodes[in].ID]++
 		}
 	}
 	for _, r := range net.Roots() {
-		refs[r]++ // one sink reference per root
+		refs[nodes[r].ID]++ // one sink reference per root
 	}
 	return &stagedPlan{planBase: base, keep: keep, kernels: ks, refs: refs}, nil
 }
@@ -110,6 +111,7 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 		}
 	}
 
+	nodes := p.net.Nodes()
 	for _, node := range p.order {
 		if err := bind.canceled(); err != nil {
 			return Result{}, err
@@ -134,11 +136,12 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 			args = []*ocl.Buffer{out}
 			scalars = []float64{node.Value}
 		case "decompose":
-			args = []*ocl.Buffer{bufs[node.Inputs[0]], out}
+			args = []*ocl.Buffer{bufs[nodes[node.Inputs[0]].ID], out}
 			scalars = []float64{float64(node.Comp)}
 		default:
 			args = make([]*ocl.Buffer, 0, len(node.Inputs)+1)
-			for _, in := range node.Inputs {
+			for _, p := range node.Inputs {
+				in := nodes[p].ID
 				b, ok := bufs[in]
 				if !ok {
 					return Result{}, fmt.Errorf("staged: node %q: input %q already released (refcount bug)", node.ID, in)
@@ -154,7 +157,7 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 
 		// Drain one reference per input connection.
 		for _, in := range node.Inputs {
-			release(in)
+			release(nodes[in].ID)
 		}
 	}
 
@@ -163,7 +166,8 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	// Roots are distinct nodes (the network collapses a merged pair), so
 	// each buffer is downloaded once and can hand its storage over.
 	fields := make([]Field, 0, 1)
-	for _, rid := range p.net.Roots() {
+	for _, r := range p.net.Roots() {
+		rid := nodes[r].ID
 		outBuf, ok := bufs[rid]
 		if !ok {
 			return Result{}, fmt.Errorf("staged: output %q was not retained (refcount bug)", rid)
@@ -172,7 +176,7 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		fields = append(fields, Field{Data: data, Width: p.net.NodeByID(rid).Width})
+		fields = append(fields, Field{Data: data, Width: nodes[r].Width})
 		release(rid) // the sink's reference
 	}
 	res := finish(env, fields[0].Data, fields[0].Width)

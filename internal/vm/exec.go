@@ -273,10 +273,11 @@ func init() {
 		v := s.args[0].idx
 		x, y, z := lane(regs, v, n), lane(regs, v+1, n), lane(regs, v+2, n)
 		for e := range dst {
-			// Squares of float32 values are exact in float64, so an FMA
-			// contraction of this sum cannot change the result.
-			dst[e] = float32(math.Sqrt(float64(x[e])*float64(x[e]) +
-				float64(y[e])*float64(y[e]) + float64(z[e])*float64(z[e])))
+			// kernels.Norm's arithmetic: float squares (each rounded by
+			// its conversion, so no FMA contracts it), a left-to-right
+			// float sum and a correctly rounded sqrtf.
+			s := float32(x[e]*x[e]) + float32(y[e]*y[e]) + float32(z[e]*z[e])
+			dst[e] = float32(math.Sqrt(float64(s)))
 		}
 	}
 	handlers[opGrad] = func(s *step, regs []float32, views []ocl.View, base, n int) {

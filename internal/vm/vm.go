@@ -182,7 +182,7 @@ type Lowering struct {
 // virtual register.
 type lowerer struct {
 	order []*dataflow.Node
-	idx   map[string]int // node ID -> position in order
+	rank  []int // network position -> position in order; -1 for a dead node
 	roots []int
 
 	pass      []int  // node -> pass index
@@ -207,19 +207,22 @@ func Lower(net *dataflow.Network) (*Lowering, error) {
 	}
 	c := &lowerer{
 		order:  order,
-		idx:    make(map[string]int, len(order)),
+		rank:   make([]int, net.Len()),
 		pass:   make([]int, len(order)),
 		mat:    make([]bool, len(order)),
 		buf:    make([]int, len(order)),
 		loaded: make([]int, len(order)),
 	}
+	for p := range c.rank {
+		c.rank[p] = -1
+	}
 	for i, n := range order {
-		c.idx[n.ID] = i
+		c.rank[n.Pos()] = i
 	}
 	widths := make([]int, 0, len(net.Roots()))
 	for _, r := range net.Roots() {
-		c.roots = append(c.roots, c.idx[r])
-		widths = append(widths, order[c.idx[r]].Width)
+		c.roots = append(c.roots, c.rank[r])
+		widths = append(widths, order[c.rank[r]].Width)
 	}
 	if err := c.assignPasses(); err != nil {
 		return nil, err
@@ -278,17 +281,17 @@ func (c *lowerer) assignPasses() error {
 	for i, n := range c.order {
 		p := 0
 		for _, in := range n.Inputs {
-			if ip := c.pass[c.idx[in]]; ip > p {
+			if ip := c.pass[c.rank[in]]; ip > p {
 				p = ip
 			}
 		}
 		if n.Info().Class == dataflow.ClassStencil {
 			for _, in := range n.Inputs[1:] {
-				if c.order[c.idx[in]].Filter != "source" {
-					return fmt.Errorf("vm: %s input %q must be a source array (dims/coords cannot be computed)", n.Filter, in)
+				if in := c.order[c.rank[in]]; in.Filter != "source" {
+					return fmt.Errorf("vm: %s input %q must be a source array (dims/coords cannot be computed)", n.Filter, in.ID)
 				}
 			}
-			if f := c.idx[n.Inputs[0]]; c.order[f].Filter != "source" {
+			if f := c.rank[n.Inputs[0]]; c.order[f].Filter != "source" {
 				// The stencil reads neighbours of a computed value:
 				// materialize it and synchronize before this pass.
 				c.mat[f] = true
@@ -301,7 +304,7 @@ func (c *lowerer) assignPasses() error {
 	}
 	for i, n := range c.order {
 		for _, in := range n.Inputs {
-			if j := c.idx[in]; !isLeaf(c.order[j]) && c.pass[j] < c.pass[i] {
+			if j := c.rank[in]; !isLeaf(c.order[j]) && c.pass[j] < c.pass[i] {
 				c.mat[j] = true
 			}
 		}
@@ -327,7 +330,7 @@ func (c *lowerer) assignPasses() error {
 // numbered).
 func (c *lowerer) planBuffers(net *dataflow.Network) {
 	for _, s := range net.Sources() {
-		if i, live := c.idx[s.ID]; live {
+		if i := c.rank[s.Pos()]; i >= 0 {
 			c.buf[i] = len(c.buffers)
 			c.buffers = append(c.buffers, BufferSpec{Kind: BufSource, Name: s.ID, Width: s.Width})
 		}
@@ -359,11 +362,10 @@ func (c *lowerer) emitPass(p int) ([]Instr, error) {
 	// store per scratch or output buffer.
 	plan := make([]Instr, 0, len(c.order)+len(c.buffers))
 
-	// operand returns the register holding node i, loading it first if
+	// operand returns the register holding order[i], loading it first if
 	// this pass has not yet: a constant, a source, or a value an earlier
 	// pass left in scratch.
-	operand := func(id string) uint16 {
-		i := c.idx[id]
+	operand := func(i int) uint16 {
 		n := c.order[i]
 		if (isLeaf(n) || c.pass[i] < p) && c.loaded[i] != p+1 {
 			c.loaded[i] = p + 1
@@ -390,8 +392,8 @@ func (c *lowerer) emitPass(p int) ([]Instr, error) {
 			if axis, ok := kernels.GradAxisOf(n.Filter); ok {
 				in.op, in.Comp = opGradAxis, uint8(axis)
 			}
-			for k, id := range n.Inputs {
-				in.GBufs[k] = uint16(c.buf[c.idx[id]])
+			for k, p := range n.Inputs {
+				in.GBufs[k] = uint16(c.buf[c.rank[p]])
 			}
 		default:
 			op, ok := opOf[n.Filter]
@@ -400,8 +402,8 @@ func (c *lowerer) emitPass(p int) ([]Instr, error) {
 			}
 			in.op, in.Comp = op, uint8(n.Comp)
 			regs := [3]*uint16{&in.A, &in.B, &in.C}
-			for k, id := range n.Inputs {
-				*regs[k] = operand(id)
+			for k, p := range n.Inputs {
+				*regs[k] = operand(c.rank[p])
 			}
 		}
 		plan = append(plan, in)
@@ -412,7 +414,7 @@ func (c *lowerer) emitPass(p int) ([]Instr, error) {
 
 	if p == c.numPasses-1 {
 		for k, r := range c.roots {
-			a := operand(c.order[r].ID)
+			a := operand(r)
 			plan = append(plan, Instr{op: opStore, A: a, Buf: uint16(c.outBuf + k), Width: uint8(c.order[r].Width)})
 		}
 	}

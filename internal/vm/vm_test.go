@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -270,6 +271,55 @@ func TestBucketFor(t *testing.T) {
 // mesh (rows of 64) exactly as RunPass drives it, one per fused row, and
 // the whole Q-criterion program at Paper and O2 on one goroutine.
 // blockSize's comment cites it.
+// TestNormHandlerIsFloatArithmetic pins opNorm to the rendered text —
+// float squares, a left-to-right float sum, sqrtf — against a float32
+// loop spelled here, over special values (signed zeros, infinities,
+// NaN, denormals, squares that underflow or overflow) in every lane and
+// random vectors, some of which a float64 sum rounds differently.
+func TestNormHandlerIsFloatArithmetic(t *testing.T) {
+	special := []float32{0, float32(math.Copysign(0, -1)), 1, -3, float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.Float32frombits(1), math.Float32frombits(0x807fffff), 1e-30, 3e19, math.MaxFloat32}
+	var lanes [3][]float32
+	for _, x := range special {
+		for _, y := range special {
+			for _, z := range special {
+				lanes[0], lanes[1], lanes[2] = append(lanes[0], x), append(lanes[1], y), append(lanes[2], z)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(15))
+	for len(lanes[0])%blockSize != 0 {
+		for c, scale := range []float64{1, 100, 0.01} {
+			lanes[c] = append(lanes[c], float32(rng.NormFloat64()*scale))
+		}
+	}
+	// Lanes 1..3 hold the vector, lane 5 the result.
+	s := step{op: opNorm, dst: operand{idx: 5}, args: [4]operand{{idx: 1}}}
+	regs := make([]float32, 6*blockSize)
+	widened := 0
+	for base := 0; base < len(lanes[0]); base += blockSize {
+		for c := range lanes {
+			copy(regs[(c+1)*blockSize:], lanes[c][base:base+blockSize])
+		}
+		handlers[opNorm](&s, regs, nil, base, blockSize)
+		for e, got := range regs[5*blockSize:] {
+			x, y, z := lanes[0][base+e], lanes[1][base+e], lanes[2][base+e]
+			sum := float32(float32(x*x) + float32(y*y))
+			sum = float32(sum + float32(z*z))
+			want := float32(math.Sqrt(float64(sum)))
+			if math.Float32bits(got) != math.Float32bits(want) && !(want != want && got != got) {
+				t.Fatalf("norm(%v, %v, %v) = %v (%#08x), want %v (%#08x)", x, y, z, got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+			if wx, wy, wz := float64(x), float64(y), float64(z); float32(math.Sqrt(wx*wx+wy*wy+wz*wz)) != want {
+				widened++
+			}
+		}
+	}
+	if widened == 0 {
+		t.Fatal("no vector tells float from float64 arithmetic apart")
+	}
+}
+
 func BenchmarkHandlers(b *testing.B) {
 	d := mesh.Dims{NX: 64, NY: 64, NZ: 64}
 	src, n := meshSources(b, d)

@@ -96,9 +96,10 @@ func Reference(l *vm.Lowering, n int, views []ocl.View) {
 						regs[dst] = regs[c]
 					}
 				case "norm":
-					x, y, z := float64(regs[a]), float64(regs[a+1]), float64(regs[a+2])
-					// Squares of float32 values are exact in float64: an FMA contraction changes nothing.
-					regs[dst] = float32(math.Sqrt(x*x + y*y + z*z))
+					// The rendered text: float squares, a left-to-right float
+					// sum, sqrtf. Each conversion rounds, so no FMA contracts.
+					x, y, z := regs[a], regs[a+1], regs[a+2]
+					regs[dst] = float32(math.Sqrt(float64(float32(x*x) + float32(y*y) + float32(z*z))))
 				case "decompose":
 					regs[dst] = regs[a+int(in.Comp)]
 				case "grad3d", "grad3dx", "grad3dy", "grad3dz":

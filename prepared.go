@@ -164,8 +164,8 @@ func (p *Prepared) build(ctx context.Context, texts []string) (*dataflow.Network
 	// operands at O2), so the index goes through the merged network's
 	// de-duplicated root list.
 	idxOf := make(map[string]int, len(merged.Net.Roots()))
-	for i, id := range merged.Net.Roots() {
-		idxOf[id] = i
+	for i, r := range merged.Net.Roots() {
+		idxOf[merged.Net.Nodes()[r].ID] = i
 	}
 	for i, fp := range fps {
 		id, ok := merged.Root(fp)
