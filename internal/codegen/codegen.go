@@ -119,11 +119,10 @@ func Build(net *dataflow.Network, name string) (*Program, error) {
 	}
 	return &Program{
 		Kernel: &ocl.Kernel{
-			Name:     "kfused_" + name,
-			NumBufs:  len(low.Buffers),
-			Cost:     cost(low),
-			Passes:   fns,
-			Verifies: true, // RunPass verifies each window it reads
+			Name:    "kfused_" + name,
+			NumBufs: len(low.Buffers),
+			Cost:    cost(low),
+			Passes:  fns,
 		},
 		Exec:      exec,
 		Args:      low.Buffers,

@@ -44,8 +44,8 @@ type App struct {
 
 	exprs []PythonExpression
 	// prepared caches each expression's prepared plan (compile + plan
-	// once; the arena then keeps buffers and unchanged sources — the
-	// mesh coordinates — device-resident across time steps).
+	// once; the arena then keeps buffers and the mesh coordinates
+	// device-resident across time steps).
 	prepared map[string]*dfg.Prepared
 	// derived caches each expression's result for the current time step.
 	derived map[string]*dfg.Result

@@ -15,7 +15,8 @@ import (
 // is prepared once, evaluated cold (first call, empty arena), then
 // evaluated warm repeatedly over the same inputs. Cold pays the full
 // allocation and upload bill; warm evals should recycle every device
-// buffer from the arena and skip every unchanged source upload.
+// buffer from the arena and skip the upload of every mesh-derived
+// source, which stays resident (a field is charged its write every eval).
 type RepeatCase struct {
 	Strategy string
 	// ColdAllocs / WarmAllocs count fresh device-buffer allocations
@@ -26,9 +27,8 @@ type RepeatCase struct {
 	// (cold eval vs all warm evals combined).
 	ColdWrites int
 	WarmWrites int
-	// Reused counts arena free-list hits and UploadsSkipped the source
-	// uploads avoided because the bytes were unchanged, both across the
-	// warm evals.
+	// Reused counts arena free-list hits and UploadsSkipped the binds
+	// of a stable array already resident, both across the warm evals.
 	Reused         int64
 	UploadsSkipped int64
 	// ScratchColdAllocs / ScratchWarmAllocs count fresh host-scratch

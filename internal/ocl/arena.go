@@ -1,11 +1,9 @@
 package ocl
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
-	"unsafe"
 )
 
 // Arena is a size-class device-buffer pool bound to one context — the
@@ -17,16 +15,12 @@ import (
 //     plan's intermediates and outputs are recycled across executions
 //     (and, for the roundtrip strategy, across kernels within one
 //     execution) with zero new allocations;
-//   - resident sources: UploadResident keeps source buffers on the
-//     device keyed by name. When a bind's bytes equal the slot's, bit
-//     for bit, the upload (and its host-to-device event) is skipped
-//     entirely — the paper's in-situ workload re-evaluates one
-//     expression over many timesteps where the mesh coordinate arrays
-//     never change. The comparison reads the buffer directly, because
-//     the simulated device's memory is host memory; on a real device
-//     it stands for a host shadow of each resident source. It is
-//     deferred to the launch that reads the buffer (pendingCheck), so
-//     a warm evaluation passes over its arrays once.
+//   - resident sources: UploadResident keeps a slot per source name
+//     whose buffer aliases the host's array instead of copying it — the
+//     simulated device's memory is host memory — while the model still
+//     charges the paper's transfer for every bind. A stable array (the
+//     mesh coordinates the paper's in-situ loop binds every timestep) is
+//     recognized by address and skips its upload and event entirely.
 //
 // Pooled and resident buffers remain allocated in the context (they
 // really occupy device memory), so Used/Peak accounting reflects the
@@ -43,35 +37,27 @@ type Arena struct {
 
 	reused        int64 // acquisitions served from a free list
 	allocated     int64 // acquisitions that hit Context.NewBuffer
-	uploads       int64 // resident uploads that moved data
-	uploadSkips   int64 // resident uploads skipped (content unchanged)
+	uploads       int64 // resident binds charged a transfer
+	uploadSkips   int64 // resident binds of the stable array already held
 	evictions     int64 // buffers evicted under memory pressure
 	pooledBytes   int64 // bytes idle in free lists
 	residentBytes int64 // bytes held by resident source buffers
 }
 
-// residentBuf is one device-resident source: its buffer, whether an
-// upload ever filled it, and how many hand-outs are still in use.
+// residentBuf is one device-resident source: its buffer, the stable
+// array it holds, and how many hand-outs are still in use.
 type residentBuf struct {
 	buf *Buffer
-	// filled is set by the slot's first successful upload; until then
-	// the buffer holds no source's bytes and nothing is compared.
-	filled bool
-	// stable is the first element of the array the slot was last filled
-	// from, when the caller declared that array never rewritten; nil
-	// otherwise. The same array bound again needs no comparison.
-	// Holding the pointer keeps the array alive, so its address cannot
-	// be reused.
+	// stable is the first element of the array the slot was last bound
+	// to, when the caller declared that array never rewritten; nil
+	// otherwise. The same array bound again is a skip. Holding the
+	// pointer keeps the array alive, so its address cannot be reused.
 	stable *float32
 	// refs counts UploadResident hand-outs not yet Released. Only a
 	// slot with refs == 0 may be evicted under memory pressure: a
 	// positive count means some execution still has the buffer bound as
 	// a kernel argument.
 	refs int
-	// pending is the queue holding a residency check of a hand-out
-	// (pendingCheck), nil when none is outstanding: releasing the
-	// hand-out resolves that queue's checks.
-	pending *Queue
 }
 
 // newArena builds an arena on the context (see Context.Pool).
@@ -97,10 +83,8 @@ func (c *Context) Pool() *Arena {
 // Acquire returns a buffer of the requested shape, reusing an idle
 // pooled buffer of the same byte size when one exists and allocating
 // from the context otherwise. The returned buffer's Release returns it
-// to the arena rather than freeing device memory. An allocation is a
-// device operation on q: the residency checks pending there resolve
-// first.
-func (a *Arena) Acquire(q *Queue, label string, elems, width int) (*Buffer, error) {
+// to the arena rather than freeing device memory.
+func (a *Arena) Acquire(label string, elems, width int) (*Buffer, error) {
 	if elems < 0 || width < 1 {
 		return nil, fmt.Errorf("ocl: arena buffer %q: invalid shape %d x %d", label, elems, width)
 	}
@@ -117,9 +101,6 @@ func (a *Arena) Acquire(q *Queue, label string, elems, width int) (*Buffer, erro
 	}
 	a.mu.Unlock()
 
-	if err := q.resolvePending(); err != nil {
-		return nil, err
-	}
 	b, err := a.ctx.NewBuffer(label, elems, width)
 	if err != nil {
 		// Genuine accounting pressure (the pool's own idle and stale
@@ -184,11 +165,7 @@ func (a *Arena) evictFree() bool {
 	a.evictions += int64(len(victims))
 	a.mu.Unlock()
 	for _, b := range victims {
-		b.mu.Lock()
-		b.pool = nil
-		b.pooled = false
-		b.mu.Unlock()
-		b.Release()
+		retire(b, false)
 	}
 	return len(victims) > 0
 }
@@ -212,40 +189,43 @@ func (a *Arena) evictIdleResidents() bool {
 	a.evictions += int64(len(victims))
 	a.mu.Unlock()
 	for _, b := range victims {
-		b.mu.Lock()
-		b.pool = nil
-		b.pooled = false
-		b.resident = false
-		b.resKey = ""
-		b.mu.Unlock()
-		b.Release()
+		retire(b, false)
 	}
 	return len(victims) > 0
 }
 
+// retire takes a buffer out of the arena's keeping — into the free
+// lists when recycle is set, freed otherwise — dropping the host array
+// a resident buffer may alias, so no later kernel writes into it.
+func retire(b *Buffer, recycle bool) {
+	b.mu.Lock()
+	if !recycle {
+		b.pool = nil
+	}
+	b.pooled, b.resident, b.resKey = false, false, ""
+	b.data = nil
+	b.mu.Unlock()
+	b.Release()
+}
+
 // residentReleased returns one hand-out reference for the slot; called
 // by Buffer.Release on resident buffers. The buffer argument guards
-// against a slot that was already retired and re-keyed. A hand-out
-// whose residency check is still pending resolves it first — the
-// backstop for an error path that released its buffers before any
-// device operation ran; the error has nowhere to go, and resolving
-// keeps the counters those of an eager check.
+// against a slot that was already retired and re-keyed. The last
+// hand-out of a slot holding no stable array drops the host array its
+// buffer aliases.
 func (a *Arena) residentReleased(key string, b *Buffer) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	r := a.resident[key]
 	if r == nil || r.buf != b {
-		a.mu.Unlock()
 		return
-	}
-	if q := r.pending; q != nil {
-		a.mu.Unlock()
-		_ = q.resolvePending()
-		a.mu.Lock()
 	}
 	if r.refs > 0 {
 		r.refs--
 	}
-	a.mu.Unlock()
+	if r.refs == 0 && r.stable == nil {
+		b.data = nil
+	}
 }
 
 // recycle returns a released pooled buffer to its free list. The caller
@@ -257,25 +237,25 @@ func (a *Arena) recycle(b *Buffer) {
 	a.mu.Unlock()
 }
 
-// UploadResident binds data to a device-resident source buffer. key
-// identifies the source slot (usually the source name; tiled strategies
-// add a window suffix), label is the buffer's diagnostic/event label.
-// stable declares that src's backing array is never written after
+// UploadResident binds src as a device-resident source. key identifies
+// the source slot (usually the source name; tiled strategies add a
+// window suffix), label is the buffer's diagnostic/event label. stable
+// declares that src's backing array is never written after
 // construction.
 //
-// A slot already filled at the right shape is handed out at once,
-// without comparing: its residency check — do the slot's bytes equal
-// src's, bit for bit? — is left pending on q and resolves in upload
-// order (pendingCheck), inside the launch that reads the buffer when
-// the kernel verifies as it reads, or before q's next other device
-// operation. An equal source skips the upload — no transfer, no event;
-// a different one is written. When the slot was last filled from this
-// very stable array it is skipped without reading either side — at
-// once, or in its turn behind checks still pending. A first fill or a
-// reshape uploads at once.
+// The slot's buffer does not copy src: it aliases it for as long as the
+// hand-out lasts — the simulated device's memory is host memory, and no
+// kernel writes a source. The model still charges the transfer: a bind
+// consults the write fault point and records the modeled write event
+// (Queue.bind), and counts an upload. Only the very stable array the
+// slot already holds, at the slot's shape, is a skip — no fault point,
+// no event. A first fill or a reshape takes a slot of the new shape
+// first. A bind that fails returns its hand-out and binds nothing.
 //
-// Resident buffers ignore Release; they stay on the device until the
-// arena drains or the slot's content changes shape.
+// Releasing the last hand-out of a slot that holds no stable array drops
+// the alias, so once an evaluation has released its buffers the arena
+// neither pins nor reads the caller's arrays. A stable array stays bound
+// (and pinned) until the slot is retired.
 func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width int, stable bool) (*Buffer, error) {
 	if width < 1 {
 		width = 1
@@ -288,52 +268,29 @@ func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width
 
 	a.mu.Lock()
 	r := a.resident[key]
-	if r != nil && r.filled && r.buf.elems == elems && r.buf.width == width {
-		// The hand-out is taken before the check, so eviction cannot
-		// retire the slot while its bytes wait to be read.
-		r.refs++
-		known := base != nil && r.stable == base
-		if known && len(q.pending) == 0 {
-			a.uploadSkips++
-			a.mu.Unlock()
-			return r.buf, nil
-		}
-		if !known {
-			r.pending = q
-		}
-		a.mu.Unlock()
-		q.pending = append(q.pending, pendingCheck{arena: a, slot: r, src: src, base: base, known: known})
-		return r.buf, nil
-	}
-	a.mu.Unlock()
-
-	// A first fill or a reshape moves data now, after the checks
-	// uploaded before it.
-	if err := q.resolvePending(); err != nil {
-		return nil, err
-	}
-	a.mu.Lock()
-	r = a.resident[key]
 	if r != nil && (r.buf.elems != elems || r.buf.width != width) {
 		// Shape changed: retire the old buffer to the free lists.
 		delete(a.resident, key)
 		a.residentBytes -= r.buf.bytes
 		a.mu.Unlock()
-		r.buf.mu.Lock()
-		r.buf.resident = false
-		r.buf.resKey = ""
-		r.buf.mu.Unlock()
-		r.buf.Release()
+		retire(r.buf, true)
 		r = nil
 		a.mu.Lock()
 	}
 	if r != nil {
+		// The hand-out is taken before the bind, so eviction cannot
+		// retire the slot meanwhile.
 		r.refs++
+		if base != nil && r.stable == base {
+			a.uploadSkips++
+			a.mu.Unlock()
+			return r.buf, nil
+		}
 	}
 	a.mu.Unlock()
 
 	if r == nil {
-		nb, err := a.Acquire(q, label, elems, width)
+		nb, err := a.Acquire(label, elems, width)
 		if err != nil {
 			return nil, err
 		}
@@ -348,27 +305,25 @@ func (a *Arena) UploadResident(q *Queue, key, label string, src []float32, width
 		a.mu.Unlock()
 	}
 
-	if _, err := q.write(r.buf, src); err != nil {
-		a.mu.Lock()
-		r.refs--
-		a.mu.Unlock()
+	// Return the hand-out on any failed bind — including a panic out of
+	// the fault point, where the caller never sees the buffer.
+	bound := false
+	defer func() {
+		if !bound {
+			a.mu.Lock()
+			r.refs--
+			a.mu.Unlock()
+		}
+	}()
+	if err := q.bind(r.buf, src); err != nil {
 		return nil, err
 	}
+	bound = true
 	a.mu.Lock()
-	r.filled, r.stable = true, base
+	r.stable = base
 	a.uploads++
 	a.mu.Unlock()
 	return r.buf, nil
-}
-
-// sameBits reports whether two arrays hold the same 32-bit patterns, so
-// -0 differs from +0 and NaN payloads from each other. It compares the
-// bytes, stopping at the first word that differs.
-func sameBits(x, y []float32) bool {
-	view := func(v []float32) []byte {
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
-	}
-	return bytes.Equal(view(x), view(y))
 }
 
 // Drain releases every idle pooled buffer and every resident source
@@ -394,13 +349,7 @@ func (a *Arena) Drain() {
 	a.mu.Unlock()
 
 	for _, b := range victims {
-		b.mu.Lock()
-		b.pool = nil
-		b.pooled = false
-		b.resident = false
-		b.resKey = ""
-		b.mu.Unlock()
-		b.Release()
+		retire(b, false)
 	}
 }
 
@@ -409,9 +358,9 @@ type ArenaStats struct {
 	// Reused counts buffer acquisitions served from a free list;
 	// Allocated counts acquisitions that allocated fresh device memory.
 	Reused, Allocated int64
-	// Uploads counts resident-source uploads that moved data;
-	// UploadsSkipped counts uploads avoided because the source content
-	// was unchanged.
+	// Uploads counts resident-source binds charged a transfer;
+	// UploadsSkipped counts binds of the stable array the slot already
+	// held, which are charged none.
 	Uploads, UploadsSkipped int64
 	// Evictions counts pooled or resident buffers freed under genuine
 	// memory pressure so a new allocation could fit.

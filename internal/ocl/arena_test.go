@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzUploadResident drives a random sequence of UploadResident calls on
-// one slot. Each input byte is one step — an edit of the source, then an
-// upload: action b%8, argument b/8.
+// one slot. Each input byte is one step — an edit of the source, then a
+// bind: action b%8, argument b/8.
 //
 //	0  a new array: width 1, 2 or 4, b/8 elements of fresh values
 //	1  flip bit b/8 of the first word
@@ -18,14 +18,15 @@ import (
 //	4  set the first, middle or last word to +0 or -0
 //	5  set the first, middle or last word to a NaN payload
 //	6  the same bits in a new array
-//	7  toggle whether uploads declare the array stable
+//	7  toggle whether binds declare the array stable
 //
 // An array once declared stable is never edited in place; an edit clones
-// it first, keeping the caller's promise. After every call the device
-// must hold exactly the source's bits, and the call must have skipped
-// exactly when the slot already held those bits at that shape. The
-// promise makes that hold for stable calls too: the array the slot
-// remembers cannot have changed.
+// it first, keeping the caller's promise. Every bind must hand out a
+// buffer that reads back the source's bits, and must be a skip exactly
+// when it binds, declared stable, the very array the slot's last bind
+// declared stable, at that shape; every other bind is an upload. Once
+// the hand-out is released, a slot whose last bind was not declared
+// stable holds no array.
 func FuzzUploadResident(f *testing.F) {
 	f.Add([]byte{0 | 8<<3, 1, 1 | 31<<3, 2 | 7<<3, 3, 7, 6, 6, 7, 4, 4 | 3<<3, 5, 5 | 9<<3})
 	f.Add([]byte{0 | 5<<3, 7, 3 | 31<<3, 3 | 31<<3, 0 | 6<<3, 0 | 7<<3, 0, 0, 7, 1})
@@ -35,8 +36,8 @@ func FuzzUploadResident(f *testing.F) {
 		a, q := ctx.Pool(), NewQueue(ctx)
 		src, width := []float32{1, 2, 3}, 1
 		declared, stable := false, false
-		var held []uint32 // the slot's bits; nil before the first upload
-		heldWidth, uploads := 0, int64(0)
+		var held *float32 // the stable array the slot holds, nil for none
+		heldWidth, heldLen, uploads := 0, 0, int64(0)
 		bits := func(v []float32) []uint32 {
 			w := make([]uint32, len(v))
 			for i, x := range v {
@@ -76,30 +77,39 @@ func FuzzUploadResident(f *testing.F) {
 			}
 			declared = declared || stable
 
-			want := bits(src)
-			wantSkip := held != nil && heldWidth == width && slices.Equal(held, want)
-			before := a.Stats().UploadsSkipped
+			var base *float32
+			if stable && len(src) > 0 {
+				base = &src[0]
+			}
+			wantSkip := base != nil && base == held && heldWidth == width && heldLen == len(src)
+			before := a.Stats()
 			b, err := a.UploadResident(q, "u", "u", src, width, stable)
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			// The read is a device operation: a pending check resolves
-			// before it.
+			after := a.Stats()
+			skipped, uploaded := after.UploadsSkipped > before.UploadsSkipped, after.Uploads > before.Uploads
+			if skipped != wantSkip || uploaded == wantSkip {
+				t.Fatalf("step %d (op %d, stable %v): skipped = %v, uploaded = %v, want a skip: %v", step, op&7, stable, skipped, uploaded, wantSkip)
+			}
+			if len(src) > 0 && &b.data[0] != &src[0] {
+				t.Fatalf("step %d: the slot copied its source instead of binding it", step)
+			}
 			got := make([]float32, len(src))
 			if _, err := q.ReadBuffer(got, b); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			if skipped := a.Stats().UploadsSkipped > before; skipped != wantSkip {
-				t.Fatalf("step %d (op %d, stable %v): skipped = %v, want %v", step, op&7, stable, skipped, wantSkip)
-			}
-			if g := bits(got); !slices.Equal(g, want) {
+			if g, want := bits(got), bits(src); !slices.Equal(g, want) {
 				t.Fatalf("step %d: device holds %08x, source is %08x", step, g, want)
 			}
 			b.Release()
+			if base == nil && b.data != nil {
+				t.Fatalf("step %d: a released slot still holds a source not declared stable", step)
+			}
 			if !wantSkip {
 				uploads++
 			}
-			held, heldWidth = want, width
+			held, heldWidth, heldLen = base, width, len(src)
 		}
 		if st := a.Stats(); st.Uploads != uploads || st.UploadsSkipped != int64(len(ops))-uploads {
 			t.Fatalf("uploads %d, skips %d; want %d and %d", st.Uploads, st.UploadsSkipped, uploads, int64(len(ops))-uploads)
@@ -111,10 +121,9 @@ func FuzzUploadResident(f *testing.F) {
 	})
 }
 
-// TestUploadResidentAfterFailedWrite: a slot whose first upload failed
-// holds no source's bytes, so the next bind uploads even when its bytes
-// equal the buffer's (all zeros), and the failed call returned its
-// hand-out, so the idle slot stays evictable.
+// TestUploadResidentAfterFailedWrite: a slot whose first bind failed
+// holds no array, so the next bind of the same array uploads, and the
+// failed call returned its hand-out, so the idle slot stays evictable.
 func TestUploadResidentAfterFailedWrite(t *testing.T) {
 	ctx := NewContext(NewDevice(XeonX5660Spec(1)))
 	ctx.SetFaultPlan(NewFaultPlan(1).Add(FaultRule{Op: FaultWrite, Nth: 0}))
@@ -136,22 +145,18 @@ func TestUploadResidentAfterFailedWrite(t *testing.T) {
 	}
 }
 
-// BenchmarkUploadResident times one warm residency check of a 64^3 field,
-// resolved when the hand-out is released (no launch reads it here):
-// unchanged bytes (a full comparison, no copy), a change in the first or
-// the last word (the comparison stops there, then the copy), and a
-// stable array bound again (a pointer check).
+// BenchmarkUploadResident times one warm resident bind of a 64^3 field
+// and its release: a source not declared stable (an upload: the fault
+// point and the modeled event, no copy) and a stable array bound again
+// (a skip: a pointer check).
 func BenchmarkUploadResident(b *testing.B) {
 	const n = 64 * 64 * 64
 	rows := []struct {
 		name   string
-		edit   int // index flipped before each call; -1 for none
 		stable bool
 	}{
-		{"unchanged", -1, false},
-		{"first-word-changed", 0, false},
-		{"last-word-changed", n - 1, false},
-		{"stable", -1, true},
+		{"upload", false},
+		{"stable", true},
 	}
 	for _, row := range rows {
 		b.Run(row.name, func(b *testing.B) {
@@ -174,56 +179,46 @@ func BenchmarkUploadResident(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if row.edit >= 0 {
-					src[row.edit] = math.Float32frombits(math.Float32bits(src[row.edit]) ^ 1)
-				}
 				upload()
 			}
 		})
 	}
 }
 
-// TestPendingChecksDropAfterFailedWrite: checks pending on a queue
-// resolve in upload order, and when one's write fails — with an error or
-// a panic from its fault point — the checks after it are dropped, as
-// the uploads after a failed eager one never happen: releasing their
-// hand-outs resolves nothing more, and no fault point is consulted
-// again.
-func TestPendingChecksDropAfterFailedWrite(t *testing.T) {
+// TestFaultedBindLeaksNoHandOut: a bind whose write fault point fires —
+// with an error or a panic — returns its hand-out and leaves the slot's
+// buffer as it was: the source bound before is still there while its
+// own hand-out lasts, the failed source is never bound, and once every
+// hand-out is released the slot holds no array and is evictable.
+func TestFaultedBindLeaksNoHandOut(t *testing.T) {
 	for _, effect := range []FaultEffect{EffectError, EffectPanic} {
 		ctx := NewContext(NewDevice(XeonX5660Spec(1)))
 		a, q := ctx.Pool(), NewQueue(ctx)
 		u, v := []float32{1, 2}, []float32{3, 4}
-		for _, key := range []string{"u", "v"} {
-			b, err := a.UploadResident(q, key, key, u, 1, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.Release()
+		held, err := a.UploadResident(q, "u", "u", u, 1, false)
+		if err != nil {
+			t.Fatal(err)
 		}
 		plan := NewFaultPlan(1).Add(FaultRule{Op: FaultWrite, Nth: 0, Effect: effect})
 		ctx.SetFaultPlan(plan)
-		bu, err := a.UploadResident(q, "u", "u", v, 1, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bv, err := a.UploadResident(q, "v", "v", v, 1, false)
-		if err != nil {
-			t.Fatal(err)
-		}
 		func() {
 			defer func() { recover() }()
-			if _, err := q.ReadBuffer(make([]float32, 2), bu); !errors.Is(err, ErrTransferFailed) {
-				t.Fatalf("%v: read = %v, want the write fault of the check it resolves", effect, err)
+			if _, err := a.UploadResident(q, "u", "u", v, 1, false); !errors.Is(err, ErrTransferFailed) {
+				t.Fatalf("%v: bind = %v, want the injected write fault", effect, err)
 			}
 		}()
-		bu.Release()
-		bv.Release()
-		if st, writes := a.Stats(), plan.seen[FaultWrite]; st.Uploads != 2 || st.UploadsSkipped != 0 || writes != 1 {
-			t.Fatalf("%v: uploads %d, skips %d, writes attempted %d; want 2, 0 and 1", effect, st.Uploads, st.UploadsSkipped, writes)
+		if r := a.resident["u"]; r.refs != 1 || &r.buf.data[0] != &u[0] {
+			t.Fatalf("%v: after the faulted bind the slot counts %d hand-outs, holding %v; want 1, holding u", effect, r.refs, r.buf.data)
 		}
-		if len(q.pending) != 0 {
-			t.Fatalf("%v: %d checks still pending", effect, len(q.pending))
+		held.Release()
+		if st, writes := a.Stats(), plan.seen[FaultWrite]; st.Uploads != 1 || st.UploadsSkipped != 0 || writes != 1 {
+			t.Fatalf("%v: uploads %d, skips %d, writes attempted %d; want 1, 0 and 1", effect, st.Uploads, st.UploadsSkipped, writes)
+		}
+		if n := a.HostAliases(); n != 0 {
+			t.Fatalf("%v: %d slots still hold a host array", effect, n)
+		}
+		if !a.evictIdleResidents() {
+			t.Fatalf("%v: the slot still counts a hand-out after every call returned or released it", effect)
 		}
 	}
 }

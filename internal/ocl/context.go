@@ -128,9 +128,10 @@ func (c *Context) ResetPeak() {
 type Buffer struct {
 	ctx   *Context
 	label string
-	// data is the buffer's storage; nil once Env.Download has handed it
-	// to the caller, until the next use refills it (mem). Only the
-	// goroutine driving the buffer's queue touches it.
+	// data is the buffer's storage: nil until first use (mem) and once
+	// Env.Download has handed it to the caller, and the host's own array
+	// while a resident source binds it (Queue.bind). Only the goroutine
+	// driving the buffer's queue touches it.
 	data  []float32
 	elems int
 	width int
@@ -203,7 +204,6 @@ func (c *Context) NewBuffer(label string, elems, width int) (*Buffer, error) {
 	return &Buffer{
 		ctx:   c,
 		label: label,
-		data:  make([]float32, elems*width),
 		elems: elems,
 		width: width,
 		bytes: bytes,
@@ -259,9 +259,9 @@ func (b *Buffer) adopt(label string, elems, width int) {
 	b.mu.Unlock()
 }
 
-// mem returns the buffer's storage, allocating fresh zeroed storage when
-// a download handed the old one over: the zeroing happens when the
-// buffer is next used, just before a kernel or a write fills it.
+// mem returns the buffer's storage, allocating fresh zeroed storage on
+// first use and when a download handed the old one over: the zeroing
+// happens just before a kernel or a write fills the buffer.
 func (b *Buffer) mem() []float32 {
 	if b.data == nil && b.bytes > 0 {
 		b.data = make([]float32, b.bytes/4)

@@ -10,10 +10,9 @@ type Env struct {
 	q   *Queue
 	// pool, when attached, routes buffer allocation through the
 	// context's arena: NewBuffer and Upload draw from (and recycle
-	// into) the size-class free lists, and UploadResident keeps
-	// unchanged sources device-resident. Nil for one-shot execution,
-	// where per-run allocate/free keeps the paper's memory-profile
-	// semantics exact.
+	// into) the size-class free lists, and UploadResident binds sources
+	// to resident slots. Nil for one-shot execution, where per-run
+	// allocate/free keeps the paper's memory-profile semantics exact.
 	pool *Arena
 }
 
@@ -45,7 +44,7 @@ func (e *Env) Pool() *Arena { return e.pool }
 // from the attached arena when one is set.
 func (e *Env) NewBuffer(label string, elems, width int) (*Buffer, error) {
 	if e.pool != nil {
-		return e.pool.Acquire(e.q, label, elems, width)
+		return e.pool.Acquire(label, elems, width)
 	}
 	return e.ctx.NewBuffer(label, elems, width)
 }
@@ -81,12 +80,10 @@ func (e *Env) Upload(label string, src []float32, width int) (*Buffer, error) {
 // UploadResident uploads a source that should stay device-resident
 // across executions. key identifies the resident slot (label is the
 // buffer/event label; they differ for tiled windows). Without a pool
-// this is a plain Upload; with one, an unchanged source skips the
-// transfer entirely — decided by a check that may run later, inside the
-// launch that reads the buffer (see Arena.UploadResident), so the
-// arena's counters (ArenaStats) tell a skip from an upload once the
-// launch has run. stable is Arena.UploadResident's: src's backing array
-// is never rewritten.
+// this is a plain Upload; with one, the slot's buffer aliases src until
+// it is released, and only the stable array the slot already holds
+// skips the transfer (see Arena.UploadResident). stable declares that
+// src's backing array is never rewritten.
 func (e *Env) UploadResident(key, label string, src []float32, width int, stable bool) (*Buffer, error) {
 	if e.pool == nil {
 		return e.Upload(label, src, width)
@@ -98,8 +95,8 @@ func (e *Env) UploadResident(key, label string, src []float32, width int, stable
 // device-to-host event. The returned slice is the buffer's storage,
 // handed over rather than copied: the download must be the buffer's
 // last read, and the buffer gets fresh storage when it is next used.
-// A resident source buffer keeps its storage, which later binds
-// compare against, and is read into a fresh slice.
+// A resident source buffer's storage is a host array bound as an
+// input, so it is read into a fresh slice: an answer is never an input.
 func (e *Env) Download(src *Buffer) ([]float32, error) {
 	if !src.isResident() {
 		return e.q.take(src)

@@ -1,7 +1,5 @@
 package ocl
 
-import "sync/atomic"
-
 // Test-only views of Context and Buffer bookkeeping.
 
 // Used returns the bytes currently allocated to live buffers.
@@ -38,9 +36,16 @@ func (d *Device) SetChunking(workers, grain int) {
 	d.workers, d.grain = workers, grain
 }
 
-// PendingView binds data as a speculative launch binds a resident buffer
-// whose residency check is pending: data must equal want, and a
-// difference raises stale.
-func PendingView(data, want []float32, width int, stale *atomic.Bool) View {
-	return View{Data: data, Elems: len(data) / width, Width: width, want: want, stale: stale}
+// HostAliases counts the resident slots whose buffer holds an array the
+// caller did not declare stable: none once every hand-out is released.
+func (a *Arena) HostAliases() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for _, r := range a.resident {
+		if r.stable == nil && r.buf.data != nil {
+			n++
+		}
+	}
+	return n
 }

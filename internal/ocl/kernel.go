@@ -1,7 +1,5 @@
 package ocl
 
-import "sync/atomic"
-
 // Cost is the per-element cost metadata of a kernel, used by the device
 // cost model to produce profiled timings. Primitive kernels declare their
 // cost once; the fusion code generator sums the costs of the primitives
@@ -31,35 +29,6 @@ type View struct {
 	Data  []float32
 	Elems int
 	Width int
-
-	// want and stale are set on a view a speculative launch binds
-	// before the buffer's residency check has run (see Queue.Run): Data
-	// must equal want, bit for bit, wherever the kernel reads it, and
-	// stale is the launch's shared flag, raised at the first difference.
-	want  []float32
-	stale *atomic.Bool
-}
-
-// Pending reports whether the view is bound with a residency check the
-// kernel must make before it reads the view (Verify).
-func (v *View) Pending() bool { return v.stale != nil }
-
-// Verify checks Data[lo:hi] (float32 indices) of a pending view
-// against the source it must equal, and reports whether the launch may
-// go on: false once any worker has found a difference, in this window
-// or another. An empty window only reads the flag. A kernel that
-// verifies as it reads (Kernel.Verifies) calls it on every window of a
-// pending view before reading that window, so a stale launch stops at
-// the first differing block.
-func (v *View) Verify(lo, hi int) bool {
-	if v.stale.Load() {
-		return false
-	}
-	if lo < hi && !sameBits(v.Data[lo:hi], v.want[lo:hi]) {
-		v.stale.Store(true)
-		return false
-	}
-	return true
 }
 
 // KernelFunc is the executable body of a kernel. It is invoked
@@ -96,10 +65,4 @@ type Kernel struct {
 	// stencil — the single-kernel, extra-array case of the paper's
 	// Figure 2. When Passes is non-empty it replaces Fn.
 	Passes []KernelFunc
-	// Verifies marks a kernel whose passes verify as they read: before
-	// each block, every pass calls View.Verify on the window the block
-	// reads of each pending view, and stops once it returns false. Such
-	// a launch may run speculatively over resident sources whose
-	// residency check is still pending. Only codegen.Build sets it.
-	Verifies bool
 }

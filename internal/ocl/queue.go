@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -68,13 +67,6 @@ type Queue struct {
 	// (see scratch). The queue is in order — one launch at a time — so a
 	// warm launch allocates no argument list.
 	views []View
-	// pending holds the resident hand-outs whose residency check has not
-	// run yet, in upload order, and stale is a speculative launch's
-	// shared flag (see pendingCheck). Like views they belong to the one
-	// goroutine that drives the queue, and keep their storage, so a warm
-	// run defers its checks without allocating.
-	pending []pendingCheck
-	stale   atomic.Bool
 
 	mu     sync.Mutex
 	now    time.Duration
@@ -138,15 +130,6 @@ func (q *Queue) record(kind EventKind, name string, bytes int64, n int, modeled,
 // WriteBuffer copies src into the device buffer (clEnqueueWriteBuffer)
 // and records a host-to-device event. src must not exceed the buffer.
 func (q *Queue) WriteBuffer(dst *Buffer, src []float32) (Event, error) {
-	if err := q.resolvePending(); err != nil {
-		return Event{}, err
-	}
-	return q.write(dst, src)
-}
-
-// write is WriteBuffer without resolving pending checks: the write a
-// resolution makes.
-func (q *Queue) write(dst *Buffer, src []float32) (Event, error) {
 	if dst.Released() {
 		return Event{}, fmt.Errorf("%w: write to %q", ErrReleasedBuffer, dst.label)
 	}
@@ -164,12 +147,27 @@ func (q *Queue) write(dst *Buffer, src []float32) (Event, error) {
 	return q.record(WriteEvent, dst.label, bytes, 0, q.ctx.dev.transferTime(bytes), wall), nil
 }
 
+// bind points a resident buffer at the host's array instead of copying
+// it — the simulated device's memory is host memory — and stands for
+// the transfer a real device makes: the same fault point and modeled
+// write event as WriteBuffer, with no wall time, as no byte moves. src
+// must fill the buffer.
+func (q *Queue) bind(dst *Buffer, src []float32) error {
+	if len(src) != int(dst.bytes/4) {
+		return fmt.Errorf("ocl: bind to %q: %d floats for a buffer of %d", dst.label, len(src), dst.bytes/4)
+	}
+	if err := q.ctx.faultPoint(FaultWrite, dst.label); err != nil {
+		return err
+	}
+	dst.data = src
+	bytes := int64(len(src)) * 4
+	q.record(WriteEvent, dst.label, bytes, 0, q.ctx.dev.transferTime(bytes), 0)
+	return nil
+}
+
 // ReadBuffer copies the device buffer into dst (clEnqueueReadBuffer) and
 // records a device-to-host event. dst must not exceed the buffer.
 func (q *Queue) ReadBuffer(dst []float32, src *Buffer) (Event, error) {
-	if err := q.resolvePending(); err != nil {
-		return Event{}, err
-	}
 	if src.Released() {
 		return Event{}, fmt.Errorf("%w: read from %q", ErrReleasedBuffer, src.label)
 	}
@@ -191,9 +189,6 @@ func (q *Queue) ReadBuffer(dst []float32, src *Buffer) (Event, error) {
 // point and event — by handing the caller the buffer's storage instead
 // of copying it (see Buffer.handOver).
 func (q *Queue) take(src *Buffer) ([]float32, error) {
-	if err := q.resolvePending(); err != nil {
-		return nil, err
-	}
 	if src.Released() {
 		return nil, fmt.Errorf("%w: read from %q", ErrReleasedBuffer, src.label)
 	}
@@ -214,18 +209,6 @@ func (q *Queue) take(src *Buffer) ([]float32, error) {
 // modeled duration from the device cost model. The buffers are bound
 // into the queue's argument scratch, so Run must not be called
 // concurrently on one queue.
-//
-// A kernel that verifies as it reads (Kernel.Verifies), launched with
-// every pending residency check's buffer among its arguments, runs
-// speculatively: each pending view is bound with its source, and the
-// passes compare every window before they read it, so the check runs in
-// parallel and leaves the data in cache. A clean launch counts the
-// skips, then consults the kernel fault point (discarding the output if
-// it fires) and records the event. A stale one — some window differed —
-// records nothing and consults no fault point; the checks resolve one
-// by one, as for any other operation, and the kernel runs again without
-// them. Either way the events, fault operations and arena counters are
-// those of checks resolved before the launch.
 func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) (Event, error) {
 	passes := k.Passes
 	if len(passes) == 0 {
@@ -251,19 +234,6 @@ func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) (Event,
 			return Event{}, &ArgError{Kernel: k.Name, Index: i, Reason: fmt.Sprintf("released buffer %q", b.label)}
 		}
 		views[i] = View{Data: b.mem(), Elems: b.elems, Width: b.width}
-	}
-	if k.Verifies && q.bindChecks(bufs, views) {
-		if wall, clean := q.speculate(n, passes, views, scalars); clean {
-			q.settlePending()
-			if err := q.ctx.faultPoint(FaultKernel, k.Name); err != nil {
-				return Event{}, err
-			}
-			return q.record(KernelEvent, k.Name, 0, n, q.ctx.dev.kernelTime(n, k.Cost), wall), nil
-		}
-		unbindChecks(views)
-	}
-	if err := q.resolvePending(); err != nil {
-		return Event{}, err
 	}
 	if err := q.ctx.faultPoint(FaultKernel, k.Name); err != nil {
 		return Event{}, err

@@ -71,8 +71,8 @@ func (p *Pool) registerMetrics() {
 
 		{false, "dfg_arena_buffers_reused_total", "Device buffers served from arena free lists.", arena(func(s ocl.ArenaStats) float64 { return float64(s.Reused) })},
 		{false, "dfg_arena_buffers_allocated_total", "Device buffers freshly allocated through arenas.", arena(func(s ocl.ArenaStats) float64 { return float64(s.Allocated) })},
-		{false, "dfg_arena_uploads_total", "Resident-source uploads that moved data.", arena(func(s ocl.ArenaStats) float64 { return float64(s.Uploads) })},
-		{false, "dfg_arena_upload_skips_total", "Resident-source uploads skipped (content unchanged).", arena(func(s ocl.ArenaStats) float64 { return float64(s.UploadsSkipped) })},
+		{false, "dfg_arena_uploads_total", "Resident-source binds charged a modeled transfer.", arena(func(s ocl.ArenaStats) float64 { return float64(s.Uploads) })},
+		{false, "dfg_arena_upload_skips_total", "Resident-source binds skipped: the stable array was already resident.", arena(func(s ocl.ArenaStats) float64 { return float64(s.UploadsSkipped) })},
 		{true, "dfg_arena_resident_bytes", "Device memory pinned by resident source buffers.", arena(func(s ocl.ArenaStats) float64 { return float64(s.ResidentBytes) })},
 		{true, "dfg_arena_pooled_bytes", "Device memory idle in arena free lists.", arena(func(s ocl.ArenaStats) float64 { return float64(s.PooledBytes) })},
 		{false, "dfg_arena_evictions_total", "Arena buffers evicted under device memory pressure.", arena(func(s ocl.ArenaStats) float64 { return float64(s.Evictions) })},

@@ -68,12 +68,10 @@ func derivedFor(m *mesh.Mesh) *meshDerived {
 // name collisions.
 //
 // The derived arrays are memoized per mesh (see meshDerivedCache), so
-// repeated binds over one mesh share the same backing arrays — which
-// also lets arena-backed executions recognize them as unchanged and
-// keep them device-resident. Nothing writes them after construction, so
-// the bindings remember the memo (Bindings.stable) and the arena
-// recognizes those arrays by address, skipping even the comparison of
-// their bytes.
+// repeated binds over one mesh share the same backing arrays. Nothing
+// writes them after construction, so the bindings remember the memo
+// (Bindings.stable) and the arena recognizes those arrays by address,
+// keeping them device-resident and skipping their upload.
 func Bind(n int, fields map[string][]float32, m *mesh.Mesh) (Bindings, error) {
 	if m == nil {
 		return Bindings{N: n, fields: fields}, nil

@@ -22,12 +22,10 @@ import (
 // array; this remains a single dispatch but costs one extra
 // problem-sized buffer (the paper's Figure 2 fusion column).
 //
-// With a buffer arena attached, warm executions of an unchanged source
-// set reduce to the kernel dispatch and the one download: sources stay
-// device-resident and the output/scratch buffers recycle from the pool.
-// The generated kernel verifies as it reads, so the residency check of
-// each source runs inside the dispatch (ocl.Queue.Run), and the download
-// hands the output buffer's storage over as the answer.
+// With a buffer arena attached, sources bind to resident slots that
+// alias the host's arrays (the mesh-derived ones skip their upload
+// outright), the output/scratch buffers recycle from the pool, and the
+// download hands the output buffer's storage over as the answer.
 //
 // Planning generates the network's fused kernel program; its OpenCL C
 // text is not rendered (GeneratedSource renders it). Nothing here

@@ -29,9 +29,9 @@ type Plan interface {
 	Network() *dataflow.Network
 	// Execute runs the plan against bound sources on an environment.
 	// If the environment has a buffer arena attached (ocl.Env.SetPool)
-	// the plan's buffers are drawn from the pool and unchanged sources
-	// stay device-resident (staged/fusion/streaming skip their
-	// re-upload); otherwise behavior — events, allocations, memory
+	// the plan's buffers are drawn from the pool and sources bind to
+	// resident slots (staged/fusion/streaming skip the re-upload of a
+	// mesh-derived one); otherwise behavior — events, allocations, memory
 	// high-water mark — is that of a one-shot run that allocates and
 	// frees per call. All device buffers the plan allocates are released
 	// before it returns, success or failure (with an arena attached,

@@ -23,8 +23,8 @@ import (
 //     still has the largest memory high-water mark of the three
 //     strategies, because whole chains of intermediates overlap.
 //
-// With a buffer arena attached, sources become device-resident: an
-// unchanged source skips its upload entirely on warm executions, and
+// With a buffer arena attached, sources bind to resident slots (a
+// mesh-derived source skips its upload on warm executions), and
 // intermediates recycle through the pool instead of churning fresh
 // allocations.
 //
@@ -82,8 +82,8 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	}
 
 	// Upload every live source once, in network declaration order.
-	// Sources go through the resident path: with an arena attached, an
-	// unchanged source is already on the device and skips its upload.
+	// Sources go through the resident path: with an arena attached, a
+	// mesh-derived source is already on the device and skips its upload.
 	for _, node := range p.order {
 		if node.Filter != "source" {
 			continue

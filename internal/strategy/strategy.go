@@ -70,7 +70,7 @@ type Bindings struct {
 
 // stable reports whether data is one of the arrays BindMesh derived from
 // the mesh: library-owned and never written after construction, so a
-// resident upload of the same array needs no comparison. A caller's
+// resident bind of the same array again skips its upload. A caller's
 // array bound under one of those names is not.
 func (b Bindings) stable(data []float32) bool {
 	d := b.derived

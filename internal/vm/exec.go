@@ -92,11 +92,7 @@ func (p *Program) RunAll(views []ocl.View, n int, src SourceFn, canceled func() 
 // blocks, with views bound in buffer-table order. It is safe to call
 // concurrently on disjoint ranges (each call draws its own register slab
 // from the scratch pool), which is how the fused kernel's launch chunks
-// run; the caller provides the barrier between passes. When a source
-// view is bound with a pending residency check (ocl.View.Pending),
-// RunPass verifies, before each block, the window of it that block
-// reads (verify), and returns early once the launch is stale: the
-// launch then discards the run.
+// run; the caller provides the barrier between passes.
 func (p *Program) RunPass(pass, lo, hi int, views []ocl.View) {
 	regs := GetScratch(p.slabLen)
 	defer PutScratch(regs)
@@ -107,68 +103,13 @@ func (p *Program) RunPass(pass, lo, hi int, views []ocl.View) {
 			fill[e] = c.val
 		}
 	}
-	// verified holds, per entry of code.reads, how far into the buffer
-	// this range has verified a pending view (in float32s).
-	var at [16]int
-	var verified []int
-	if pending(code.reads, views) {
-		if verified = at[:]; len(code.reads) > len(at) {
-			verified = make([]int, len(code.reads))
-		}
-	}
 	for base := lo; base < hi; base += blockSize {
 		n := min(blockSize, hi-base)
-		if verified != nil && !verify(code.reads, views, verified, base, n) {
-			return // stale: the launch discards this run
-		}
 		for i := range code.steps {
 			s := &code.steps[i]
 			handlers[s.op](s, regs, views, base, n)
 		}
 	}
-}
-
-// pending reports whether any buffer the pass reads is bound with a
-// pending residency check.
-func pending(reads []bufRead, views []ocl.View) bool {
-	for i := range reads {
-		if views[reads[i].buf].Pending() {
-			return true
-		}
-	}
-	return false
-}
-
-// verify checks the windows of the pending views that the block of n
-// elements at base reads, before it reads them, advancing each view's
-// verified cursor, and reports whether the run may go on. A pass that
-// verifies before every block reads only bytes equal to the sources the
-// views are checked against, so a launch every worker finished clean
-// computed from those sources.
-func verify(reads []bufRead, views []ocl.View, verified []int, base, n int) bool {
-	for i := range reads {
-		r := &reads[i]
-		v := &views[r.buf]
-		if !v.Pending() {
-			continue
-		}
-		w := v.Width
-		lo, hi := base*w, (base+n)*w
-		switch r.kind {
-		case readWhole:
-			lo, hi = 0, len(v.Data)
-		case readStencil:
-			dims := views[r.dims].Data
-			halo := r.radius * int(dims[0]) * int(dims[1]) * w
-			lo, hi = max(0, lo-halo), min(len(v.Data), hi+halo)
-		}
-		lo = min(max(lo, verified[i]), hi)
-		if !v.Verify(lo, hi) {
-			return false
-		}
-		verified[i] = hi
-	}
-	return true
 }
 
 // lane returns the first n elements of lane l of the register slab.

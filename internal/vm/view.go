@@ -3,7 +3,6 @@ package vm
 import (
 	"slices"
 
-	"dfg/internal/dataflow"
 	"dfg/internal/kernels"
 )
 
@@ -26,33 +25,7 @@ type Program struct {
 type passCode struct {
 	steps  []step
 	consts []constLane
-	reads  []bufRead
 }
-
-// bufRead is one source buffer a pass reads and the window of it a
-// block reads, which RunPass verifies before the block when the buffer
-// is bound with a pending residency check (ocl.View.Pending). A pass's
-// reads list whole-buffer reads first, so the dims a stencil window is
-// computed from are verified before they are used.
-type bufRead struct {
-	buf  uint16
-	kind readKind
-	// dims is the stencil's dims buffer and radius the registry's
-	// Radius: the window is the block grown by radius planes of
-	// nx*ny cells on each side (readStencil).
-	dims   uint16
-	radius int
-}
-
-// readKind is how a pass reads a buffer, ordered by the window it
-// implies: a larger kind covers a smaller one.
-type readKind uint8
-
-const (
-	readBlock   readKind = iota // a load: the block itself
-	readStencil                 // a stencil's field or coordinates: the block plus a halo
-	readWhole                   // a stencil's dims, fixed-size: the whole buffer
-)
 
 // constLane is a constant's lane of the register slab and its value.
 type constLane struct {
@@ -121,57 +94,8 @@ func (l *Lowering) Program() *Program {
 		if lanes := b.build(pass, &prog.passes[p]); lanes*blockSize > prog.slabLen {
 			prog.slabLen = lanes * blockSize
 		}
-		prog.passes[p].reads = l.sourceReads(pass)
 	}
 	return prog
-}
-
-// sourceReads lists the source buffers the pass reads, each once with
-// the largest window any instruction reads of it. Every source of the
-// buffer table is read by some pass: the lowering tables live sources
-// only. The stencil radius is the registry's, the number streaming's
-// halo and the distributed ghost width are taken from too.
-func (l *Lowering) sourceReads(pass []Instr) []bufRead {
-	sources := 0
-	for _, b := range l.Buffers {
-		sources += b2i(b.Kind == BufSource)
-	}
-	reads := make([]bufRead, 0, sources)
-	add := func(buf uint16, r bufRead) {
-		if l.Buffers[buf].Kind != BufSource {
-			return
-		}
-		r.buf = buf
-		i := 0
-		for i < len(reads) && reads[i].buf != buf {
-			i++
-		}
-		switch {
-		case i == len(reads):
-			reads = append(reads, r)
-		case reads[i].kind == readStencil && r.kind == readStencil && reads[i].dims != r.dims:
-			reads[i].kind = readWhole // two meshes: verify it all
-		case r.kind > reads[i].kind || r.kind == reads[i].kind && r.radius > reads[i].radius:
-			reads[i] = r
-		}
-	}
-	for i := range pass {
-		in := &pass[i]
-		switch in.op {
-		case opLoad:
-			add(in.Buf, bufRead{kind: readBlock})
-		case opGrad, opGradAxis:
-			info, _ := dataflow.Lookup(in.Filter())
-			halo := bufRead{kind: readStencil, dims: in.GBufs[1], radius: info.Radius}
-			add(in.GBufs[0], halo)
-			add(in.GBufs[1], bufRead{kind: readWhole})
-			for _, c := range in.GBufs[2:] {
-				add(c, halo)
-			}
-		}
-	}
-	slices.SortStableFunc(reads, func(a, b bufRead) int { return b2i(b.kind == readWhole) - b2i(a.kind == readWhole) })
-	return reads
 }
 
 // NumPasses returns the pass count.

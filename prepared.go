@@ -16,8 +16,8 @@ import (
 // evaluation: the compile and planning work (parse, fingerprint,
 // topological order, kernel resolution, fused-kernel generation) is done
 // once at Prepare time, and every Eval attaches the engine's buffer
-// arena so device buffers recycle across calls and unchanged sources
-// stay device-resident. This is the in-situ pattern — one expression,
+// arena so device buffers recycle across calls and the mesh-derived
+// sources stay device-resident. This is the in-situ pattern — one expression,
 // many timesteps — made explicit in the API; one-shot Engine.Eval
 // remains the exact paper semantics (per-run allocate/free, Table II
 // event counts).

@@ -13,9 +13,10 @@ import (
 )
 
 // TestPreparedWarmEvalReusesEverything: Prepare once, Eval repeatedly —
-// the warm evals must allocate no fresh device buffers, skip re-uploads
-// of unchanged sources, and reproduce the cold output bitwise. Close
-// must drain the arena back to the pre-Prepare level.
+// the warm evals must allocate no fresh device buffers, bind each of the
+// caller's sources to its resident slot (one modeled upload apiece: the
+// caller did not declare them stable), and reproduce the cold output
+// bitwise. Close must drain the arena back to the pre-Prepare level.
 func TestPreparedWarmEvalReusesEverything(t *testing.T) {
 	eng, err := dfg.New(dfg.Config{Device: dfg.CPU, Strategy: "fusion"})
 	if err != nil {
@@ -42,8 +43,8 @@ func TestPreparedWarmEvalReusesEverything(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm.Profile.Writes != 0 {
-			t.Fatalf("warm eval %d uploaded %d sources, want 0 (resident)", i, warm.Profile.Writes)
+		if warm.Profile.Writes != 3 {
+			t.Fatalf("warm eval %d uploaded %d sources, want 3 (u, v, w)", i, warm.Profile.Writes)
 		}
 		for j := range cold.Data {
 			if cold.Data[j] != warm.Data[j] {
@@ -55,8 +56,8 @@ func TestPreparedWarmEvalReusesEverything(t *testing.T) {
 	if afterWarm.Allocated != afterCold.Allocated {
 		t.Fatalf("warm evals allocated %d fresh buffers", afterWarm.Allocated-afterCold.Allocated)
 	}
-	if afterWarm.UploadsSkipped == 0 {
-		t.Fatal("warm evals skipped no uploads")
+	if afterWarm.Uploads-afterCold.Uploads != 9 || afterWarm.UploadsSkipped != 0 {
+		t.Fatalf("warm evals made %d resident uploads and %d skips, want 9 and 0", afterWarm.Uploads-afterCold.Uploads, afterWarm.UploadsSkipped)
 	}
 
 	pr.Close()

@@ -1,7 +1,9 @@
 package dfg_test
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dfg"
@@ -99,6 +101,156 @@ func TestWarmEvalAnswersNewBitsAfterCollision(t *testing.T) {
 							}
 						}
 					}
+				}
+			})
+		}
+	}
+}
+
+// outputs returns a result's answers: one per member of a merged handle,
+// else its one field.
+func outputs(res *dfg.Result) [][]float32 {
+	if len(res.Members) == 0 {
+		return [][]float32{res.Data}
+	}
+	out := make([][]float32, len(res.Members))
+	for i, m := range res.Members {
+		out[i] = m.Data
+	}
+	return out
+}
+
+// sameOutputs fails the test unless got and want hold the same bits.
+func sameOutputs(t *testing.T, what string, got, want [][]float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d answers, want %d", what, len(got), len(want))
+	}
+	for m := range want {
+		if len(got[m]) != len(want[m]) {
+			t.Fatalf("%s: member %d holds %d values, want %d", what, m, len(got[m]), len(want[m]))
+		}
+		for i := range want[m] {
+			if g, w := math.Float32bits(got[m][i]), math.Float32bits(want[m][i]); g != w {
+				t.Fatalf("%s: member %d, element %d: %08x, want %08x", what, m, i, g, w)
+			}
+		}
+	}
+}
+
+// aliasTexts are the handles the aliasing tests open: one text, and two
+// merged into one handle.
+var aliasTexts = [][]string{{dfg.QCriterionExpr}, {dfg.QCriterionExpr, dfg.VorticityMagnitudeExpr}}
+
+// TestWarmEvalAnswersRewrittenArrays: a resident slot binds the caller's
+// array only while an evaluation runs, so an array rewritten in place
+// after Eval returns is answered with its new bits by the next warm
+// evaluation — under fusion, staged and streaming@3, for one text and a
+// merged handle — and the first answer, which is no input array, keeps
+// its bits.
+func TestWarmEvalAnswersRewrittenArrays(t *testing.T) {
+	m, err := dfg.NewUniformMesh(dfg.Dims{NX: 9, NY: 7, NZ: 6}, 0.1, 0.2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := dfg.GenerateRT(m, 3)
+	strats := []strategy.Strategy{{Kind: strategy.Fusion}, {Kind: strategy.Staged}, {Kind: strategy.Streaming, Tiles: 3}}
+	for _, strat := range strats {
+		for _, texts := range aliasTexts {
+			t.Run(fmt.Sprint(strat, "/", len(texts)), func(t *testing.T) {
+				fields := map[string][]float32{"u": slices.Clone(f.U), "v": slices.Clone(f.V), "w": slices.Clone(f.W)}
+				// want answers each text one-shot, on an engine of its own.
+				want := func() [][]float32 {
+					var out [][]float32
+					for _, text := range texts {
+						eng, err := dfg.New(dfg.Config{Device: dfg.CPU})
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := eng.View(passes.LevelPaper, strat).EvalOnMesh(text, m, fields)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out = append(out, res.Data)
+					}
+					return out
+				}
+				eng, err := dfg.New(dfg.Config{Device: dfg.CPU})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr, err := eng.View(passes.LevelPaper, strat).Prepare(texts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pr.Close()
+				res, err := pr.EvalMesh(m, fields)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, wantFirst := outputs(res), want()
+				sameOutputs(t, "before the rewrite", first, wantFirst)
+				for _, name := range []string{"u", "v", "w"} {
+					for i, x := range fields[name] {
+						fields[name][i] = -0.5*x + float32(i%5)
+					}
+				}
+				res, err = pr.EvalMesh(m, fields)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameOutputs(t, "after the rewrite", outputs(res), want())
+				sameOutputs(t, "the first answer after the rewrite", first, wantFirst)
+			})
+		}
+	}
+}
+
+// TestAliasedInputs: one backing array bound under two names (u and v)
+// answers bit for bit what separate copies of it answer, on a warm
+// handle of one text and of two merged, under every strategy.
+func TestAliasedInputs(t *testing.T) {
+	m, err := dfg.NewUniformMesh(dfg.Dims{NX: 8, NY: 6, NZ: 7}, 0.1, 0.2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := dfg.GenerateRT(m, 4)
+	shared := map[string][]float32{"u": f.U, "v": f.U, "w": f.W}
+	copies := map[string][]float32{"u": slices.Clone(f.U), "v": slices.Clone(f.U), "w": slices.Clone(f.W)}
+	strats := []strategy.Strategy{{Kind: strategy.Streaming, Tiles: 3}}
+	for _, name := range []string{"fusion", "staged", "roundtrip", "vm"} {
+		s, err := strategy.ForName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strats = append(strats, s)
+	}
+	for _, strat := range strats {
+		for _, texts := range aliasTexts {
+			t.Run(fmt.Sprint(strat, "/", len(texts)), func(t *testing.T) {
+				answers := func(fields map[string][]float32) [][][]float32 {
+					eng, err := dfg.New(dfg.Config{Device: dfg.CPU})
+					if err != nil {
+						t.Fatal(err)
+					}
+					pr, err := eng.View(passes.LevelPaper, strat).Prepare(texts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer pr.Close()
+					var out [][][]float32
+					for range 2 { // cold, then warm
+						res, err := pr.EvalMesh(m, fields)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out = append(out, outputs(res))
+					}
+					return out
+				}
+				got, want := answers(shared), answers(copies)
+				for i := range want {
+					sameOutputs(t, fmt.Sprint("eval ", i), got[i], want[i])
 				}
 			})
 		}
