@@ -494,6 +494,9 @@ func (e *Engine) runPlan(j job, bind strategy.Bindings) (*Result, error) {
 // engine's strategy at entry, or the ladder rung on fallback attempts); the
 // resolved execution path — the tiered plan's chosen tier, else the
 // label itself — lands on the span and the histogram, and is returned.
+// The execute span ends once the run is accounted for — its device
+// events attached, its latency observed, its Result built — so a trace
+// covers that work too.
 func (e *Engine) runPlanOnce(j job, bind strategy.Bindings) (*Result, string, error) {
 	sp, _ := obs.FromContext(bind.Ctx)
 	if j.pool != nil {
@@ -505,11 +508,11 @@ func (e *Engine) runPlanOnce(j job, bind strategy.Bindings) (*Result, string, er
 	// Eval's Result.Events; a warm untraced run reads only the profile.
 	e.env.Queue().SetEventLog(es != nil || j.pool == nil)
 	res, err := j.plan.Execute(e.env, bind)
-	es.Finish()
 	if err != nil {
 		if es != nil {
 			es.SetAttr("error", err.Error())
 		}
+		es.Finish()
 		return nil, "", err
 	}
 	resolved := res.Resolved
@@ -533,6 +536,7 @@ func (e *Engine) runPlanOnce(j job, bind strategy.Bindings) (*Result, string, er
 	if j.roots != nil {
 		out.demux(res.Roots, j.roots)
 	}
+	es.Finish()
 	return out, resolved, nil
 }
 
