@@ -154,10 +154,11 @@ type Engine struct {
 	// readings and allocates nothing for observability.
 	tracer *obs.Tracer
 	reg    *obs.Registry
-	// evalHist memoizes the per-fingerprint latency histogram series.
-	// Engine methods are single-goroutine (see above), so a plain map
-	// suffices; the histograms themselves are concurrency-safe and may
-	// be shared across a pool through the shared registry.
+	// evalHist memoizes the per-fingerprint latency histogram series,
+	// at most evalSeries of them. Engine methods are single-goroutine
+	// (see above), so a plain map suffices; the histograms themselves
+	// are concurrency-safe and may be shared across a pool through the
+	// shared registry.
 	evalHist map[histKey]*obs.Histogram
 
 	// prepCount tracks open Prepared handles on the device environment;
@@ -544,22 +545,29 @@ func (e *Engine) runPlanOnce(j job, bind strategy.Bindings) (*Result, string, er
 // fingerprint and the resolved execution path.
 type histKey struct{ fp, resolved string }
 
+// evalSeries caps the fingerprints dfg_eval_seconds keeps a series of:
+// the 64 observed most recently, the handle cache's size, keep their
+// own, and the rest record under fingerprint="other".
+const evalSeries = 64
+
 // evalHistogram resolves (memoized per engine) the latency series for a
 // fingerprint under the engine's strategy and the resolved execution
 // path. The strategy label stays the engine's configured strategy (so
 // dashboards keyed on it are stable); resolved carries the tier that
-// actually ran, un-hiding the tiered strategy's routing.
+// actually ran, un-hiding the tiered strategy's routing. The memo
+// starts over when it holds evalSeries series.
 func (e *Engine) evalHistogram(fp, resolved string) *obs.Histogram {
 	key := histKey{fp, resolved}
 	if h, ok := e.evalHist[key]; ok {
 		return h
 	}
-	if e.evalHist == nil {
+	if len(e.evalHist) >= evalSeries || e.evalHist == nil {
 		e.evalHist = make(map[histKey]*obs.Histogram)
 	}
-	h := e.reg.Histogram("dfg_eval_seconds",
+	h := e.reg.CappedHistogram("dfg_eval_seconds",
 		"End-to-end evaluation latency by expression fingerprint, strategy and resolved execution path.",
-		obs.Labels{"fingerprint": compile.ShortKey(fp), "strategy": e.strat.Name(), "resolved": resolved})
+		obs.Labels{"fingerprint": compile.ShortKey(fp), "strategy": e.strat.Name(), "resolved": resolved},
+		"fingerprint", evalSeries)
 	e.evalHist[key] = h
 	return h
 }

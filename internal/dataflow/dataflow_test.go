@@ -322,14 +322,15 @@ func TestRegistry(t *testing.T) {
 	if n := len(kernels.Primitives()); n != elementwise {
 		t.Errorf("the primitive table has %d rows, the registry %d elementwise filters", n, elementwise)
 	}
-	fi, ok := Lookup("grad3d")
-	if !ok || fi.Class != ClassStencil || fi.Arity != 5 || fi.OutWidth != 4 {
+	f, ok := Callable("grad3d")
+	if fi := f.Info(); !ok || fi.Class != ClassStencil || fi.Arity != 5 || fi.OutWidth != 4 {
 		t.Fatalf("grad3d info wrong: %+v", fi)
 	}
-	if _, ok := Lookup("nonsense"); ok {
+	if _, ok := Callable("nonsense"); ok {
 		t.Fatal("unknown filter must not resolve")
 	}
-	if !IsCallable("sqrt") || IsCallable("source") || IsCallable("const") || IsCallable("decompose") {
+	callable := func(name string) bool { _, ok := Callable(name); return ok }
+	if !callable("sqrt") || callable("source") || callable("const") || callable("decompose") {
 		t.Fatal("callability classification wrong")
 	}
 	for _, c := range []Class{ClassSource, ClassConst, ClassElementwise, ClassDecompose, ClassStencil} {
@@ -541,5 +542,41 @@ func TestPosTracksRemoval(t *testing.T) {
 	to[0] = 1 // a merge must point backwards
 	if err := nw.Compact(to); err == nil {
 		t.Fatal("a forward merge compacted")
+	}
+}
+
+// TestMintedIDsAreNoUserNames: a name genID already minted is no source
+// or alias, only canonical "t<n>" names are generic, and NodeByID finds
+// minted IDs (by scan) and sources (by name) alike.
+func TestMintedIDsAreNoUserNames(t *testing.T) {
+	nw := NewNetwork()
+	if _, err := nw.AddSource("t1"); err != nil {
+		t.Fatal(err)
+	}
+	a, b := nw.AddConst(1), nw.AddConst(2)
+	if a != "t0" || b != "t2" {
+		t.Fatalf("minted %q and %q, want t0 and t2 (t1 is a source)", a, b)
+	}
+	if _, err := nw.AddSource("t0"); err == nil {
+		t.Fatal("a source took the minted ID t0")
+	}
+	if err := nw.Alias("t2", "t1"); err == nil {
+		t.Fatal("an alias took the minted ID t2")
+	}
+	for _, name := range []string{"t-1", "t01", "t+3", "t3"} {
+		if _, err := nw.AddSource(name); err != nil {
+			t.Fatalf("%q is no minted ID: %v", name, err)
+		}
+	}
+	if c := nw.AddConst(3); c != "t4" {
+		t.Fatalf("minted %q after source t3, want t4", c)
+	}
+	for id, filter := range map[string]string{"t0": "const", "t1": "source", "t2": "const", "t01": "source", "t4": "const"} {
+		if n := nw.NodeByID(id); n == nil || n.Filter != filter {
+			t.Errorf("NodeByID(%q) = %+v, want a %s", id, n, filter)
+		}
+	}
+	if nw.NodeByID("t5") != nil {
+		t.Error("NodeByID found t5, which was never minted")
 	}
 }

@@ -33,6 +33,9 @@ type Node struct {
 // Info returns the node's filter metadata.
 func (n *Node) Info() FilterInfo { return *n.info }
 
+// Prim returns the node's primitive.
+func (n *Node) Prim() Prim { return Prim{n.info} }
+
 // Pos returns the node's position in its network's Nodes().
 func (n *Node) Pos() int32 { return n.pos }
 
@@ -48,19 +51,21 @@ func (n *Node) Pos() int32 { return n.pos }
 // seals every network it compiles.
 //
 // Nodes and their Inputs live in fixed-size chunks the network owns, so
-// building a network allocates per chunk, not per node. Everything after
-// the builder — passes, scheduling, lowering — addresses nodes by
-// position; byID, the name index the builder resolves through, is
-// rebuilt only when a name is looked up after a compaction.
+// building a network allocates per chunk, not per node. The builder and
+// everything after it — passes, scheduling, lowering — address nodes by
+// position (Source and the ...At methods); the name-taking methods
+// resolve names and call those. Only sources and aliases are indexed by name: a
+// minted ID is found by a scan, which only tools and tests ask for.
 type Network struct {
 	nodes   []*Node
-	byID    map[string]int32 // node ID -> position; nil while stale
+	srcs    map[string]int32 // source name -> position
 	aliases map[string]int32 // user name -> position (assignment statements)
 	// roots are the positions of the sinks: one for a single-output
 	// network, several for a super-network merged from several
 	// expressions. roots[0] is the primary output.
 	roots  []int32
 	nextID int
+	taken  []int // generic IDs sources took before genID reached them
 	sealed bool
 	// The chunks new nodes and Inputs windows are taken from.
 	slab []Node
@@ -75,7 +80,7 @@ type Network struct {
 // NewNetwork creates an empty network.
 func NewNetwork() *Network {
 	return &Network{
-		byID:    make(map[string]int32),
+		srcs:    make(map[string]int32),
 		aliases: make(map[string]int32),
 	}
 }
@@ -92,7 +97,6 @@ func (nw *Network) Seal() {
 	if nw.sealed {
 		return
 	}
-	nw.index() // built now, so concurrent name lookups only read it
 	nw.order, nw.orderErr = nw.topoOrder()
 	nw.valid = nw.checkNodes()
 	if nw.valid == nil && len(nw.roots) > 0 {
@@ -113,16 +117,33 @@ func (nw *Network) mustMutable(op string) {
 	}
 }
 
-// index returns the ID -> position index, rebuilding it if a
-// compaction left it stale.
-func (nw *Network) index() map[string]int32 {
-	if nw.byID == nil {
-		nw.byID = make(map[string]int32, len(nw.nodes))
-		for i, n := range nw.nodes {
-			nw.byID[n.ID] = int32(i)
+// lookup returns the position of the node whose ID is id.
+func (nw *Network) lookup(id string) (int32, bool) {
+	if p, ok := nw.srcs[id]; ok || !nw.minted(id) {
+		return p, ok
+	}
+	for i, n := range nw.nodes {
+		if n.ID == id {
+			return int32(i), true
 		}
 	}
-	return nw.byID
+	return 0, false
+}
+
+// minted reports whether name is a generic ID genID has handed out, or
+// skipped because a source took it.
+func (nw *Network) minted(name string) bool {
+	k, ok := generic(name)
+	return ok && k < nw.nextID
+}
+
+// generic parses a name of the form genID mints.
+func generic(name string) (int, bool) {
+	if len(name) < 2 || name[0] != 't' {
+		return 0, false
+	}
+	k, err := strconv.Atoi(name[1:])
+	return k, err == nil && k >= 0 && strconv.Itoa(k) == name[1:]
 }
 
 // Chunk sizes: how many Nodes, and how many Inputs slots, a network
@@ -144,35 +165,32 @@ var genericIDs = func() (ids [512]string) {
 // genID mints the next generic node name, skipping any a source
 // already took: a user may name an input array "t0".
 func (nw *Network) genID() string {
-	for {
-		var id string
-		if i := nw.nextID; i < len(genericIDs) {
-			id = genericIDs[i]
-		} else {
-			id = "t" + strconv.Itoa(i)
-		}
+	for slices.Contains(nw.taken, nw.nextID) {
 		nw.nextID++
-		if _, taken := nw.index()[id]; !taken {
-			return id
-		}
 	}
+	i := nw.nextID
+	nw.nextID++
+	if i < len(genericIDs) {
+		return genericIDs[i]
+	}
+	return "t" + strconv.Itoa(i)
 }
 
-// add appends a node, taking its storage from the current chunk, and
-// indexes its position.
-func (nw *Network) add(n Node) *Node {
+// slot returns storage for the next node from the current chunk, for
+// the caller to fill in place and add.
+func (nw *Network) slot() *Node {
 	if len(nw.slab) == cap(nw.slab) {
 		nw.slab = make([]Node, 0, nodeChunk)
 	}
+	return &nw.slab[:len(nw.slab)+1][len(nw.slab)]
+}
+
+// add appends the node slot returned and returns its position.
+func (nw *Network) add(n *Node) int32 {
+	nw.slab = nw.slab[:len(nw.slab)+1]
 	n.pos = int32(len(nw.nodes))
-	if n.info == nil {
-		n.info = registry[n.Filter]
-	}
-	nw.slab = append(nw.slab, n)
-	p := &nw.slab[len(nw.slab)-1]
-	nw.index()[p.ID] = p.pos
-	nw.nodes = append(nw.nodes, p)
-	return p
+	nw.nodes = append(nw.nodes, n)
+	return n.pos
 }
 
 // window returns a k-slot Inputs slice from the current chunk. Its
@@ -187,120 +205,199 @@ func (nw *Network) window(k int) []int32 {
 	return nw.ins[n : n+k : n+k]
 }
 
+// at checks that p is a node's position.
+func (nw *Network) at(p int32) error {
+	if p < 0 || int(p) >= len(nw.nodes) {
+		return fmt.Errorf("dataflow: no node at position %d", p)
+	}
+	return nil
+}
+
+// Source returns the position of the host-provided input array called
+// name, declaring it on first use. A name another node holds as its ID
+// is an error.
+func (nw *Network) Source(name string) (int32, error) {
+	nw.mustMutable("AddSource")
+	if p, ok := nw.srcs[name]; ok {
+		return p, nil
+	}
+	if name == "" {
+		return 0, fmt.Errorf("dataflow: source needs a name")
+	}
+	if nw.minted(name) {
+		return 0, fmt.Errorf("dataflow: duplicate node id %q", name)
+	}
+	if k, ok := generic(name); ok {
+		nw.taken = append(nw.taken, k)
+	}
+	n := nw.slot()
+	*n = Node{ID: name, Filter: "source", Width: 1, info: sourceRow}
+	p := nw.add(n)
+	nw.srcs[name] = p
+	return p, nil
+}
+
 // AddSource declares a named host-provided input array and returns its
 // node ID (the source's own name).
 func (nw *Network) AddSource(name string) (string, error) {
-	nw.mustMutable("AddSource")
-	if name == "" {
-		return "", fmt.Errorf("dataflow: source needs a name")
-	}
-	if _, dup := nw.index()[name]; dup {
+	if _, dup := nw.srcs[name]; dup {
 		return "", fmt.Errorf("dataflow: duplicate node id %q", name)
 	}
-	nw.add(Node{ID: name, Filter: "source", Width: 1})
-	return name, nil
+	_, err := nw.Source(name)
+	return name, err
+}
+
+// AddConstAt adds a scalar constant source and returns its position.
+func (nw *Network) AddConstAt(v float64) int32 {
+	nw.mustMutable("AddConst")
+	n := nw.slot()
+	*n = Node{ID: nw.genID(), Filter: "const", Value: v, Width: 1, info: constRow}
+	return nw.add(n)
 }
 
 // AddConst adds a scalar constant source and returns its node ID.
 func (nw *Network) AddConst(v float64) string {
-	nw.mustMutable("AddConst")
-	return nw.add(Node{ID: nw.genID(), Filter: "const", Value: v, Width: 1}).ID
+	return nw.nodes[nw.AddConstAt(v)].ID
+}
+
+// AddFilterAt adds an invocation of the primitive f on the nodes at the
+// given positions and returns the new node's position. The filter's
+// arity and its inputs' widths are checked here, so a network the
+// builder accepts is well-typed.
+func (nw *Network) AddFilterAt(f Prim, inputs ...int32) (int32, error) {
+	nw.mustMutable("AddFilter")
+	fi := f.info
+	switch {
+	case fi == nil:
+		return 0, fmt.Errorf("dataflow: AddFilterAt needs a primitive")
+	case fi.Class == ClassSource || fi.Class == ClassConst:
+		return 0, fmt.Errorf("dataflow: use AddSource/AddConst for %q", fi.Name)
+	case fi.Class == ClassDecompose:
+		return 0, fmt.Errorf("dataflow: use AddDecompose for component selection")
+	case len(inputs) != fi.Arity:
+		return 0, fmt.Errorf("dataflow: filter %q takes %d inputs, got %d", fi.Name, fi.Arity, len(inputs))
+	}
+	for i, p := range inputs {
+		if err := nw.at(p); err != nil {
+			return 0, fmt.Errorf("%w (input %d of %q)", err, i, fi.Name)
+		}
+	}
+	next := nw.nextID
+	n := nw.slot()
+	*n = Node{ID: nw.genID(), Filter: fi.Name, Inputs: nw.window(len(inputs)), Width: fi.OutWidth, info: fi}
+	copy(n.Inputs, inputs)
+	if err := nw.checkWidths(n); err != nil {
+		nw.nextID = next // the ID and the slot were not taken
+		return 0, err
+	}
+	return nw.add(n), nil
 }
 
 // AddFilter adds a filter invocation on existing nodes and returns the
-// new node's generic ID. Input names may be user aliases. The filter's
-// arity and its inputs' widths are checked here, so a network the
-// builder accepts is well-typed.
+// new node's generic ID. Input names may be user aliases.
 func (nw *Network) AddFilter(filter string, inputs ...string) (string, error) {
-	nw.mustMutable("AddFilter")
 	fi, ok := registry[filter]
 	if !ok {
 		return "", fmt.Errorf("dataflow: unknown filter %q", filter)
 	}
-	if fi.Class == ClassSource || fi.Class == ClassConst {
-		return "", fmt.Errorf("dataflow: use AddSource/AddConst for %q", filter)
-	}
-	if filter == "decompose" {
-		return "", fmt.Errorf("dataflow: use AddDecompose for component selection")
-	}
-	if len(inputs) != fi.Arity {
-		return "", fmt.Errorf("dataflow: filter %q takes %d inputs, got %d", filter, fi.Arity, len(inputs))
-	}
-	resolved := nw.window(len(inputs))
+	ins := make([]int32, len(inputs))
 	for i, nm := range inputs {
 		p, err := nw.resolve(nm)
 		if err != nil {
 			return "", fmt.Errorf("%w (input %d of %q)", err, i, filter)
 		}
-		resolved[i] = p
+		ins[i] = p
 	}
-	next := nw.nextID
-	n := Node{ID: nw.genID(), Filter: filter, Inputs: resolved, Width: fi.OutWidth, info: fi}
-	if err := nw.checkWidths(&n); err != nil {
-		nw.nextID = next // the ID was not taken
+	p, err := nw.AddFilterAt(Prim{fi}, ins...)
+	if err != nil {
 		return "", err
 	}
-	return nw.add(n).ID, nil
+	return nw.nodes[p].ID, nil
 }
 
-// AddDecompose adds a component selection of a vector-valued node
-// (the parser's translation of the bracket syntax, e.g. du[1]).
-func (nw *Network) AddDecompose(input string, comp int) (string, error) {
+// AddDecomposeAt adds a component selection of the vector-valued node
+// at position in (the parser's translation of the bracket syntax, e.g.
+// du[1]) and returns its position.
+func (nw *Network) AddDecomposeAt(in int32, comp int) (int32, error) {
 	nw.mustMutable("AddDecompose")
+	if err := nw.at(in); err != nil {
+		return 0, err
+	}
+	n := nw.nodes[in]
+	if n.Width < 2 {
+		return 0, fmt.Errorf("dataflow: cannot decompose scalar node %q", n.ID)
+	}
+	if comp < 0 || comp >= n.Width {
+		return 0, fmt.Errorf("dataflow: component %d out of range for %q (width %d)", comp, n.ID, n.Width)
+	}
+	d := nw.slot()
+	*d = Node{ID: nw.genID(), Filter: "decompose", Inputs: nw.window(1), Comp: comp, Width: 1, info: decomposeRow}
+	d.Inputs[0] = in
+	return nw.add(d), nil
+}
+
+// AddDecompose adds a component selection of a vector-valued node by
+// ID or alias and returns the new node's ID.
+func (nw *Network) AddDecompose(input string, comp int) (string, error) {
 	p, err := nw.resolve(input)
+	if err == nil {
+		p, err = nw.AddDecomposeAt(p, comp)
+	}
 	if err != nil {
 		return "", err
 	}
-	in := nw.nodes[p]
-	if in.Width < 2 {
-		return "", fmt.Errorf("dataflow: cannot decompose scalar node %q", input)
-	}
-	if comp < 0 || comp >= in.Width {
-		return "", fmt.Errorf("dataflow: component %d out of range for %q (width %d)", comp, input, in.Width)
-	}
-	ins := nw.window(1)
-	ins[0] = p
-	return nw.add(Node{ID: nw.genID(), Filter: "decompose", Inputs: ins, Comp: comp, Width: 1}).ID, nil
+	return nw.nodes[p].ID, nil
 }
 
-// Alias binds a user-provided name (the left side of an assignment
-// statement) to a node. Re-binding an existing alias is allowed, as in
-// sequential assignment semantics.
-func (nw *Network) Alias(name, id string) error {
+// AliasAt binds a user-provided name (the left side of an assignment
+// statement) to the node at position p. Re-binding an existing alias is
+// allowed, as in sequential assignment semantics.
+func (nw *Network) AliasAt(name string, p int32) error {
 	nw.mustMutable("Alias")
-	p, err := nw.resolve(id)
-	if err != nil {
+	if err := nw.at(p); err != nil {
 		return err
 	}
-	if _, isNode := nw.index()[name]; isNode {
+	if _, src := nw.srcs[name]; src || nw.minted(name) {
 		return fmt.Errorf("dataflow: alias %q collides with a node id", name)
 	}
 	nw.aliases[name] = p
 	return nil
 }
 
-// SetOutput designates the network's sink. It resets any multi-root
-// set: a network is either single-output (SetOutput) or multi-root
-// (SetRoots), never an inconsistent mix.
-func (nw *Network) SetOutput(name string) error {
-	return nw.SetRoots(name)
+// Alias binds a user-provided name to the node with the given ID or
+// alias.
+func (nw *Network) Alias(name, id string) error {
+	p, err := nw.resolve(id)
+	if err != nil {
+		return err
+	}
+	return nw.AliasAt(name, p)
 }
 
-// SetRoots designates one or more sinks at once — several is the
-// super-network form a batch merge produces. The first root becomes the
-// primary output, so Output() and every single-root code path stay
-// meaningful. Names may be node IDs or aliases; duplicates are collapsed
-// (two merged expressions whose outputs CSE'd into one node share a
-// root).
-func (nw *Network) SetRoots(names ...string) error {
+// SetOutput designates the network's sink by ID or alias. It resets any
+// multi-root set: a network is either single-output or multi-root
+// (SetRootsAt), never an inconsistent mix.
+func (nw *Network) SetOutput(name string) error {
+	p, err := nw.resolve(name)
+	if err != nil {
+		return err
+	}
+	return nw.SetRootsAt(p)
+}
+
+// SetRootsAt designates the nodes at the given positions as the sinks —
+// several is the super-network form a batch merge produces. The first
+// root becomes the primary output, so Output() and every single-root
+// code path stay meaningful. Duplicates are collapsed (two merged
+// expressions whose outputs CSE'd into one node share a root).
+func (nw *Network) SetRootsAt(ps ...int32) error {
 	nw.mustMutable("SetRoots")
-	if len(names) == 0 {
+	if len(ps) == 0 {
 		return fmt.Errorf("dataflow: SetRoots needs at least one root")
 	}
-	roots := make([]int32, 0, len(names))
-	for _, nm := range names {
-		p, err := nw.resolve(nm)
-		if err != nil {
+	roots := make([]int32, 0, len(ps))
+	for _, p := range ps {
+		if err := nw.at(p); err != nil {
 			return err
 		}
 		if !slices.Contains(roots, p) {
@@ -329,7 +426,7 @@ func (nw *Network) Output() string {
 
 // resolve maps a name (node ID or user alias) to a position.
 func (nw *Network) resolve(name string) (int32, error) {
-	if p, ok := nw.index()[name]; ok {
+	if p, ok := nw.lookup(name); ok {
 		return p, nil
 	}
 	if p, ok := nw.aliases[name]; ok {
@@ -350,7 +447,7 @@ func (nw *Network) Node(name string) *Node {
 // NodeByID returns the node with exactly the given ID (no alias
 // fallback), or nil.
 func (nw *Network) NodeByID(id string) *Node {
-	if p, ok := nw.index()[id]; ok {
+	if p, ok := nw.lookup(id); ok {
 		return nw.nodes[p]
 	}
 	return nil
@@ -365,7 +462,7 @@ func (nw *Network) Len() int { return len(nw.nodes) }
 
 // Sources returns the source nodes in construction order.
 func (nw *Network) Sources() []*Node {
-	var out []*Node
+	out := make([]*Node, 0, len(nw.srcs))
 	for _, n := range nw.nodes {
 		if n.Filter == "source" {
 			out = append(out, n)

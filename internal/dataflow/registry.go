@@ -112,18 +112,20 @@ var registry = map[string]*FilterInfo{
 	"norm": {Name: "norm", Class: ClassVectorOp, Arity: 1, OutWidth: 1},
 }
 
-// Lookup returns the filter info for a primitive name.
-func Lookup(name string) (FilterInfo, bool) {
-	if fi := registry[name]; fi != nil {
-		return *fi, true
-	}
-	return FilterInfo{}, false
-}
+// The rows of the nodes the builder makes itself.
+var sourceRow, constRow, decomposeRow = registry["source"], registry["const"], registry["decompose"]
 
-// IsCallable reports whether name is a primitive users may invoke as a
-// function in expressions (sources and consts are created by the parser,
-// not called).
-func IsCallable(name string) bool {
+// Prim is a handle on one primitive's registry row: the builder looks a
+// filter up once and adds its nodes by handle (Network.AddFilterAt).
+type Prim struct{ info *FilterInfo }
+
+// Info returns the primitive's metadata.
+func (p Prim) Info() FilterInfo { return *p.info }
+
+// Callable returns the primitive called name if users may invoke it as
+// a function in expressions (sources, consts and decompose are created
+// by the parser, not called).
+func Callable(name string) (Prim, bool) {
 	fi := registry[name]
-	return fi != nil && fi.Class != ClassSource && fi.Class != ClassConst && fi.Class != ClassDecompose
+	return Prim{fi}, fi != nil && fi.Class != ClassSource && fi.Class != ClassConst && fi.Class != ClassDecompose
 }

@@ -17,7 +17,7 @@ import (
 // says what becomes of the node at position i: to[i] == i keeps it, an
 // earlier position merges it into that node (every reference to it —
 // inputs, roots, aliases — moves there, chains included), and -1
-// deletes it, dropping the aliases still bound to it. Survivors keep
+// deletes it, dropping its name and the aliases still bound to it. Survivors keep
 // their construction order. Compact overwrites to with each old
 // position's new one (-1 for a deleted node). Deleting a root, or a node
 // a survivor reads, is an error; the network must then be discarded.
@@ -58,14 +58,16 @@ func (nw *Network) Compact(to []int32) error {
 			roots = append(roots, r)
 		}
 	}
-	for name, p := range nw.aliases {
-		if to[p] < 0 {
-			delete(nw.aliases, name)
-		} else {
-			nw.aliases[name] = to[p]
+	for _, names := range []map[string]int32{nw.srcs, nw.aliases} {
+		for name, p := range names {
+			if to[p] < 0 {
+				delete(names, name)
+			} else {
+				names[name] = to[p]
+			}
 		}
 	}
-	nw.nodes, nw.roots, nw.byID = kept, roots, nil
+	nw.nodes, nw.roots = kept, roots
 	return nil
 }
 
@@ -75,7 +77,7 @@ func (nw *Network) Compact(to []int32) error {
 func (nw *Network) RewriteToConst(p int32, v float64) {
 	nw.mustMutable("RewriteToConst")
 	n := nw.nodes[p]
-	n.Filter, n.info = "const", registry["const"]
+	n.Filter, n.info = "const", constRow
 	n.Value = v
 	n.Inputs = nil
 	n.Comp = 0
@@ -102,7 +104,7 @@ func (nw *Network) RewriteToFilter(p int32, filter string, inputs []int32, comp 
 			return fmt.Errorf("dataflow: RewriteToFilter: input %d does not precede node %q", in, n.ID)
 		}
 	}
-	n.Filter, n.info = filter, fi
+	n.Filter, n.info = fi.Name, fi
 	n.Inputs = nw.window(len(inputs))
 	copy(n.Inputs, inputs)
 	n.Value = 0

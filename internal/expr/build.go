@@ -30,15 +30,15 @@ func BuildNetworkWithDefinitions(p *Program, defs map[string]*Program) (*dataflo
 	b := &builder{
 		net:       dataflow.NewNetwork(),
 		defs:      defs,
-		memo:      make(map[string]string),
+		memo:      make(map[string]int32),
 		expanding: make(map[string]bool),
-		locals:    make(map[string]string),
+		locals:    make(map[string]int32, len(p.Stmts)),
 	}
 	last, err := b.emitProgram(p)
 	if err != nil {
 		return nil, err
 	}
-	if err := b.net.SetOutput(last); err != nil {
+	if err := b.net.SetRootsAt(last); err != nil {
 		return nil, err
 	}
 	return b.net, nil
@@ -93,189 +93,196 @@ func CompileWithPipeline(input string, defs map[string]string, pipe *passes.Pipe
 	return net, res, nil
 }
 
-// builder carries network-emission state.
+// builder carries network-emission state. It addresses nodes by
+// position: each identifier is looked up once, in one map, and every
+// node is added by position.
 type builder struct {
 	net  *dataflow.Network
 	defs map[string]*Program
 	// memo maps an expanded definition name to its result node.
-	memo map[string]string
+	memo map[string]int32
 	// expanding guards against recursive definitions.
 	expanding map[string]bool
 	// locals maps the current scope's assigned names directly to node
-	// IDs — resolution is eager, so later shadowing (a definition
+	// positions — resolution is eager, so later shadowing (a definition
 	// introducing a source with a caller's name, or vice versa) cannot
 	// rebind earlier references. Aliases are still registered on the
 	// network ("name" at top level, "def::name" inside expansions) for
 	// external lookup.
-	locals map[string]string
+	locals map[string]int32
 	prefix string
 }
 
 // emitProgram realizes a statement list in the current scope and
 // returns the last statement's value.
-func (b *builder) emitProgram(p *Program) (string, error) {
-	var last string
+func (b *builder) emitProgram(p *Program) (int32, error) {
+	var last int32
 	for _, s := range p.Stmts {
-		id, err := b.emit(s.X)
+		at, err := b.emit(s.X)
 		if err != nil {
-			return "", err
+			return 0, err
 		}
 		if s.Name != "" {
 			key := s.Name
 			if b.prefix != "" {
 				key = b.prefix + "::" + s.Name
 			}
-			if err := b.net.Alias(key, id); err != nil {
-				return "", err
+			if err := b.net.AliasAt(key, at); err != nil {
+				return 0, err
 			}
-			node := b.net.Node(id)
-			if node == nil {
-				return "", fmt.Errorf("expr: internal error: assignment %q lost its node", s.Name)
-			}
-			b.locals[s.Name] = node.ID
+			b.locals[s.Name] = at
 		}
-		last = id
+		last = at
 	}
 	return last, nil
 }
 
 // expandDefinition inlines a named definition once and memoizes its
 // result node.
-func (b *builder) expandDefinition(name string) (string, error) {
-	if id, ok := b.memo[name]; ok {
-		return id, nil
+func (b *builder) expandDefinition(name string) (int32, error) {
+	if at, ok := b.memo[name]; ok {
+		return at, nil
 	}
 	if b.expanding[name] {
-		return "", fmt.Errorf("expr: definition %q is recursive", name)
+		return 0, fmt.Errorf("expr: definition %q is recursive", name)
 	}
 	b.expanding[name] = true
 	defer delete(b.expanding, name)
 
+	if len(b.defs[name].Stmts) == 0 {
+		return 0, fmt.Errorf("expr: definition %q produced no value", name)
+	}
 	savedLocals, savedPrefix := b.locals, b.prefix
-	b.locals = make(map[string]string)
+	b.locals = make(map[string]int32, len(b.defs[name].Stmts))
 	b.prefix = name
 	last, err := b.emitProgram(b.defs[name])
 	b.locals, b.prefix = savedLocals, savedPrefix
 	if err != nil {
-		return "", fmt.Errorf("expr: definition %q: %w", name, err)
+		return 0, fmt.Errorf("expr: definition %q: %w", name, err)
 	}
-	node := b.net.Node(last)
-	if node == nil {
-		return "", fmt.Errorf("expr: definition %q produced no value", name)
-	}
-	b.memo[name] = node.ID
-	return node.ID, nil
+	b.memo[name] = last
+	return last, nil
 }
 
-// binaryFilter maps operator tokens to primitive names.
-var binaryFilter = map[string]string{
-	"+":  "add",
-	"-":  "sub",
-	"*":  "mul",
-	"/":  "div",
-	">":  "gt",
-	"<":  "lt",
-	">=": "ge",
-	"<=": "le",
-	"==": "eq",
-	"!=": "ne",
+// prim is the callable primitive called name, which must exist.
+func prim(name string) dataflow.Prim {
+	f, ok := dataflow.Callable(name)
+	if !ok {
+		panic("expr: no primitive " + name)
+	}
+	return f
 }
+
+// binaryFilters maps operator tokens to primitives.
+var binaryFilters = []struct {
+	op string
+	f  dataflow.Prim
+}{
+	{"+", prim("add")}, {"-", prim("sub")}, {"*", prim("mul")}, {"/", prim("div")},
+	{">", prim("gt")}, {"<", prim("lt")}, {">=", prim("ge")}, {"<=", prim("le")},
+	{"==", prim("eq")}, {"!=", prim("ne")},
+}
+
+var neg, sel = prim("neg"), prim("select")
 
 // emit recursively realizes a parse-tree node in the network and
-// returns its node ID or alias key.
-func (b *builder) emit(n Node) (string, error) {
+// returns its position.
+func (b *builder) emit(n Node) (int32, error) {
 	switch t := n.(type) {
 	case *Num:
-		return b.net.AddConst(t.Value), nil
+		return b.net.AddConstAt(t.Value), nil
 
 	case *Ref:
 		// Resolution order: the current scope's assignments, then the
-		// definition database, then existing nodes (sources), then a
-		// fresh host source.
-		if id, ok := b.locals[t.Name]; ok {
-			return id, nil
+		// definition database, then the host sources (a fresh one on
+		// first use).
+		if at, ok := b.locals[t.Name]; ok {
+			return at, nil
 		}
-		if b.defs != nil {
-			if _, ok := b.defs[t.Name]; ok {
-				return b.expandDefinition(t.Name)
-			}
+		if _, ok := b.defs[t.Name]; ok {
+			return b.expandDefinition(t.Name)
 		}
-		if n := b.net.NodeByID(t.Name); n != nil {
-			if n.Filter != "source" {
-				return "", fmt.Errorf("expr: name %q collides with an internal node", t.Name)
-			}
-			return t.Name, nil
+		at, err := b.net.Source(t.Name)
+		if err != nil {
+			return 0, fmt.Errorf("expr: name %q collides with an internal node", t.Name)
 		}
-		return b.net.AddSource(t.Name)
+		return at, nil
 
 	case *Unary:
 		if t.Op != "-" {
-			return "", fmt.Errorf("expr: unsupported unary operator %q", t.Op)
+			return 0, fmt.Errorf("expr: unsupported unary operator %q", t.Op)
 		}
 		x, err := b.emit(t.X)
 		if err != nil {
-			return "", err
+			return 0, err
 		}
-		return b.net.AddFilter("neg", x)
+		return b.net.AddFilterAt(neg, x)
 
 	case *Binary:
-		filter, ok := binaryFilter[t.Op]
-		if !ok {
-			return "", fmt.Errorf("expr: unsupported operator %q", t.Op)
+		var f dataflow.Prim
+		for _, bf := range binaryFilters {
+			if bf.op == t.Op {
+				f = bf.f
+				break
+			}
+		}
+		if f == (dataflow.Prim{}) {
+			return 0, fmt.Errorf("expr: unsupported operator %q", t.Op)
 		}
 		l, err := b.emit(t.L)
 		if err != nil {
-			return "", err
+			return 0, err
 		}
 		r, err := b.emit(t.R)
 		if err != nil {
-			return "", err
+			return 0, err
 		}
-		return b.net.AddFilter(filter, l, r)
+		return b.net.AddFilterAt(f, l, r)
 
 	case *Index:
 		base, err := b.emit(t.Base)
 		if err != nil {
-			return "", err
+			return 0, err
 		}
-		return b.net.AddDecompose(base, t.Comp)
+		return b.net.AddDecomposeAt(base, t.Comp)
 
 	case *If:
 		// Array semantics: both branches are evaluated everywhere and
 		// the condition selects per element.
 		cond, err := b.emit(t.Cond)
 		if err != nil {
-			return "", err
+			return 0, err
 		}
 		then, err := b.emit(t.Then)
 		if err != nil {
-			return "", err
+			return 0, err
 		}
 		els, err := b.emit(t.Else)
 		if err != nil {
-			return "", err
+			return 0, err
 		}
-		return b.net.AddFilter("select", cond, then, els)
+		return b.net.AddFilterAt(sel, cond, then, els)
 
 	case *Call:
-		if !dataflow.IsCallable(t.Fun) {
-			return "", fmt.Errorf("expr: unknown function %q", t.Fun)
+		f, ok := dataflow.Callable(t.Fun)
+		if !ok {
+			return 0, fmt.Errorf("expr: unknown function %q", t.Fun)
 		}
-		fi, _ := dataflow.Lookup(t.Fun)
-		if len(t.Args) != fi.Arity {
-			return "", fmt.Errorf("expr: %s takes %d argument(s), got %d", t.Fun, fi.Arity, len(t.Args))
+		if arity := f.Info().Arity; len(t.Args) != arity {
+			return 0, fmt.Errorf("expr: %s takes %d argument(s), got %d", t.Fun, arity, len(t.Args))
 		}
-		args := make([]string, len(t.Args))
-		for i, a := range t.Args {
-			id, err := b.emit(a)
+		var buf [5]int32 // grad3d's five arguments, the most any filter takes
+		args := buf[:0]
+		for _, a := range t.Args {
+			at, err := b.emit(a)
 			if err != nil {
-				return "", err
+				return 0, err
 			}
-			args[i] = id
+			args = append(args, at)
 		}
-		return b.net.AddFilter(t.Fun, args...)
+		return b.net.AddFilterAt(f, args...)
 
 	default:
-		return "", fmt.Errorf("expr: unhandled node type %T", n)
+		return 0, fmt.Errorf("expr: unhandled node type %T", n)
 	}
 }

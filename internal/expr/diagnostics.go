@@ -48,8 +48,8 @@ func decorate(input string, err error) error {
 	if !errors.As(err, &pe) {
 		return err
 	}
-	line := pe.Token.Line
-	col := pe.Token.Col
+	line := int(pe.Token.Line)
+	col := int(pe.Token.Col)
 	if pe.Token.Sym == lalr.EOF {
 		// Point one past the end of the last non-empty line.
 		lines := strings.Split(input, "\n")

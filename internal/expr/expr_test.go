@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dfg/internal/dataflow"
+	"dfg/internal/lalr"
 	"dfg/internal/vortex"
 )
 
@@ -146,16 +147,23 @@ func TestLexerLocations(t *testing.T) {
 }
 
 // TestLexAllocatesOnlyTokens: every token's text is a substring of the
-// input and a NUMBER carries no boxed value, so lexing the Q-criterion
-// allocates its token slice and nothing else.
+// input, its symbol a number and a NUMBER carries no boxed value, so
+// lexing the Q-criterion allocates its token slice and nothing else, and
+// lexing into a slice that already has the room (the one Parse borrows
+// from its pool) allocates nothing.
 func TestLexAllocatesOnlyTokens(t *testing.T) {
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := lex(vortex.QCritExpr); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		into []lalr.Token
+		want float64
+	}{{nil, 1}, {make([]lalr.Token, 0, 512), 0}} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := lex(vortex.QCritExpr, tc.into); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != tc.want {
+			t.Fatalf("lex(QCritExpr) into a slice of capacity %d makes %.0f allocations, want %.0f", cap(tc.into), allocs, tc.want)
 		}
-	})
-	if allocs != 1 {
-		t.Fatalf("lex(QCritExpr) makes %.0f allocations, want 1 (the token slice)", allocs)
 	}
 }
 
@@ -563,5 +571,16 @@ func TestConcurrentParsesOwnTheirTrees(t *testing.T) {
 		if got := p.String(); got != want[i] {
 			t.Errorf("a kept tree changed after later parses:\n%s\nwant\n%s", got, want[i])
 		}
+	}
+}
+
+// TestCommentAdvancesColumn: a comment's bytes count toward the column
+// of the token after it on the same line, so a syntax error at the
+// newline that ends a comment points at that newline (it pointed just
+// past the '#').
+func TestCommentAdvancesColumn(t *testing.T) {
+	_, err := Parse("a = u >= #note\n* b")
+	if err == nil || !strings.HasPrefix(err.Error(), `syntax error at line 1, column 15: unexpected "\n"`) {
+		t.Fatalf("error at the newline ending a comment: %v", err)
 	}
 }

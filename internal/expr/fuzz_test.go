@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"strings"
 	"testing"
 
 	"dfg/internal/passes"
@@ -9,8 +10,8 @@ import (
 
 // FuzzParse drives the lexer, the LALR driver, and the network builder
 // with arbitrary input: nothing may panic, every token's text is the
-// input at its position, and every accepted program must compile into a
-// valid network. `go test` exercises the seed corpus; `go test
+// input at its line and column, and every accepted program must compile
+// into a valid network. `go test` exercises the seed corpus; `go test
 // -fuzz=FuzzParse ./internal/expr` explores further.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -38,10 +39,12 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		toks, _ := lex(input)
+		toks, _ := lex(input, nil)
+		lines := strings.SplitAfter(input, "\n")
 		for _, tok := range toks {
-			if end := tok.Pos + len(tok.Text); end > len(input) || input[tok.Pos:end] != tok.Text {
-				t.Fatalf("token %q at %d is not the input there\ninput: %q", tok.Text, tok.Pos, input)
+			l, c := int(tok.Line)-1, int(tok.Col)-1
+			if l >= len(lines) || c > len(lines[l]) || !strings.HasPrefix(lines[l][c:], tok.Text) {
+				t.Fatalf("token %q at line %d, column %d is not the input there\ninput: %q", tok.Text, tok.Line, tok.Col, input)
 			}
 		}
 		p, err := Parse(input)

@@ -206,6 +206,7 @@ func number(v any) float64 {
 var (
 	tableOnce sync.Once
 	table     *lalr.Table
+	syms      symbols // the table's terminal numbers lex emits
 	tableErr  error
 )
 
@@ -216,9 +217,17 @@ func parseTable() (*lalr.Table, error) {
 		if tableErr == nil && len(table.Conflicts) > 0 {
 			tableErr = fmt.Errorf("expr: grammar has %d conflicts", len(table.Conflicts))
 		}
+		if tableErr == nil {
+			syms, tableErr = readSymbols(table)
+		}
 	})
 	return table, tableErr
 }
+
+// tokens lends token slices to parses. No action keeps a token (the
+// tree holds only substrings of the input), so a parse hands its slice
+// back when it returns.
+var tokens = sync.Pool{New: func() any { return new([]lalr.Token) }}
 
 // GrammarReport renders the expression language's LALR(1) grammar and
 // parse table in yacc's y.output style (states, items, actions) — the
@@ -237,17 +246,20 @@ func Parse(input string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	toks, err := lex(input)
+	buf := tokens.Get().(*[]lalr.Token)
+	defer tokens.Put(buf)
+	toks, err := lex(input, *buf)
 	if err != nil {
 		return nil, err
 	}
+	*buf = toks
 	if len(toks) == 0 {
 		return nil, fmt.Errorf("expr: empty expression")
 	}
 	a := &arena{}
 	stmts := 1 // lex leaves separators only between statements
 	for i := range toks {
-		if toks[i].Sym == symSep {
+		if toks[i].Sym == syms.sep {
 			stmts++
 		}
 	}

@@ -362,9 +362,14 @@ func TestExprTemplateCoversElementwisePrimitives(t *testing.T) {
 	// one %s per operand and one lane body. (dataflow's TestRegistry
 	// checks that every elementwise filter has a row.)
 	for _, p := range Primitives() {
-		fi, ok := dataflow.Lookup(p.Name)
-		if !ok || fi.Class != dataflow.ClassElementwise || fi.OutWidth != 1 {
-			t.Errorf("%q: row %+v, registry %+v (registered %v)", p.Name, p, fi, ok)
+		f, ok := dataflow.Callable(p.Name)
+		if !ok {
+			t.Errorf("%q: no callable registry row", p.Name)
+			continue
+		}
+		fi := f.Info()
+		if fi.Class != dataflow.ClassElementwise || fi.OutWidth != 1 {
+			t.Errorf("%q: row %+v, registry %+v", p.Name, p, fi)
 			continue
 		}
 		if q, _ := Lookup(p.Name); q.Name != p.Name {

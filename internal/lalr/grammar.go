@@ -19,9 +19,8 @@ import (
 	"strings"
 )
 
-// EOF is the reserved end-of-input terminal. Parse supplies it after the
-// last token, and a ParseError at the end of input carries it.
-const EOF = "$end"
+// end names the reserved end-of-input terminal.
+const end = "$end"
 
 // epsilon-sentinel used internally for lookahead propagation.
 const hash = "#"
@@ -126,7 +125,7 @@ func (g *Grammar) compile() (*compiled, error) {
 	for i, p := range c.prods {
 		c.byLhs[p.Lhs] = append(c.byLhs[p.Lhs], i)
 		for _, s := range p.Rhs {
-			if s == EOF || s == hash {
+			if s == end || s == hash {
 				return nil, fmt.Errorf("lalr: reserved symbol %q used in %v", s, p)
 			}
 			if !c.nonterm[s] {
@@ -134,7 +133,7 @@ func (g *Grammar) compile() (*compiled, error) {
 			}
 		}
 	}
-	c.terms[EOF] = true
+	c.terms[end] = true
 	c.computeFirst()
 	return c, nil
 }

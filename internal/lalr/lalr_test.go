@@ -3,29 +3,50 @@ package lalr
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// tok makes a test token.
-func tok(sym string) Token { return Token{Sym: sym, Text: sym, Line: 1} }
+// tok makes a test token of tbl's terminal sym; a name tbl does not
+// know gets a number past its terminals.
+func tok(tbl *Table, sym string) Token {
+	id, ok := tbl.Term(sym)
+	if !ok {
+		id = 1 << 20
+	}
+	return Token{Sym: id, Text: sym, Line: 1}
+}
 
-// lexNums builds a token stream from a tiny arithmetic string where
-// every digit is a num token and everything else is an operator symbol.
-// A num's value is its digit, which the num action reads from Text.
-func lexNums(s string) []Token {
+// lexNums builds a calculator token stream (unambiguousCalc's terminal
+// numbers) from a tiny arithmetic string where every digit is a num
+// token and everything else is an operator symbol. A num's value is its
+// digit, which the num action reads from Text.
+func lexNums(s string) []Token { return lexWith(calcTable(), s) }
+
+// calcTable is the calculator's table, built once for lexNums.
+var calcTable = sync.OnceValue(func() *Table {
+	tbl, err := Build(calcGrammar())
+	if err != nil {
+		panic(err)
+	}
+	return tbl
+})
+
+// lexWith is lexNums over tbl's terminal numbers.
+func lexWith(tbl *Table, s string) []Token {
 	var toks []Token
-	col := 0
+	col := int32(0)
 	for _, r := range s {
 		col++
-		t := Token{Text: string(r), Line: 1, Col: col}
+		name := string(r)
 		switch {
 		case r >= '0' && r <= '9':
-			t.Sym = "num"
+			name = "num"
 		case r == ' ':
 			continue
-		default:
-			t.Sym = string(r)
 		}
+		t := tok(tbl, name)
+		t.Text, t.Col = string(r), col
 		toks = append(toks, t)
 	}
 	return toks
@@ -38,9 +59,21 @@ func binop(f func(a, b float64) float64) func(any, []any) any {
 
 func num(_ any, v []any) any { return float64(v[0].(*Token).Text[0] - '0') }
 
-// unambiguousCalc is the textbook expr/term/factor grammar.
+// unambiguousCalc builds the textbook expr/term/factor grammar's table.
 func unambiguousCalc(t *testing.T) *Table {
 	t.Helper()
+	tbl, err := Build(calcGrammar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Conflicts) != 0 {
+		t.Fatalf("unambiguous grammar should have no conflicts: %v", tbl.Conflicts)
+	}
+	return tbl
+}
+
+// calcGrammar is the textbook expr/term/factor grammar.
+func calcGrammar() *Grammar {
 	g := NewGrammar("expr")
 	g.Rule("expr : expr + term", binop(func(a, b float64) float64 { return a + b }))
 	g.Rule("expr : expr - term", binop(func(a, b float64) float64 { return a - b }))
@@ -50,14 +83,7 @@ func unambiguousCalc(t *testing.T) *Table {
 	g.Rule("term : factor", nil)
 	g.Rule("factor : ( expr )", func(_ any, v []any) any { return v[1] })
 	g.Rule("factor : num", num)
-	tbl, err := Build(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Conflicts) != 0 {
-		t.Fatalf("unambiguous grammar should have no conflicts: %v", tbl.Conflicts)
-	}
-	return tbl
+	return g
 }
 
 func evalWith(t *testing.T, tbl *Table, input string) float64 {
@@ -102,7 +128,7 @@ func TestUnresolvedConflictFailsBuild(t *testing.T) {
 		t.Fatal("Build must return the default-resolved table alongside the error")
 	}
 	// Default resolution is shift -> right associativity.
-	v, perr := tbl.Parse(lexNums("1+2+3"), nil)
+	v, perr := tbl.Parse(lexWith(tbl, "1+2+3"), nil)
 	if perr != nil || v.(float64) != 6 {
 		t.Fatalf("default-resolved parse: %v, %v", v, perr)
 	}
@@ -119,7 +145,7 @@ func TestReduceReduceConflict(t *testing.T) {
 		t.Fatalf("want reduce/reduce failure, got %v", err)
 	}
 	// yacc default: earlier production wins.
-	v, perr := tbl.Parse([]Token{tok("x")}, nil)
+	v, perr := tbl.Parse([]Token{tok(tbl, "x")}, nil)
 	if perr != nil || v != "a" {
 		t.Fatalf("default resolution should pick the earlier rule: %v, %v", v, perr)
 	}
@@ -138,7 +164,7 @@ func TestEpsilonProductions(t *testing.T) {
 	for n := 0; n <= 5; n++ {
 		toks := make([]Token, n)
 		for i := range toks {
-			toks[i] = tok("x")
+			toks[i] = tok(tbl, "x")
 		}
 		v, err := tbl.Parse(toks, nil)
 		if err != nil {
@@ -171,11 +197,11 @@ func TestLALRButNotSLR(t *testing.T) {
 	if len(tbl.Conflicts) != 0 {
 		t.Fatalf("LALR(1) grammar must build conflict-free, got %v", tbl.Conflicts)
 	}
-	v, err := tbl.Parse([]Token{tok("*"), tok("id"), tok("="), tok("id")}, nil)
+	v, err := tbl.Parse([]Token{tok(tbl, "*"), tok(tbl, "id"), tok(tbl, "="), tok(tbl, "id")}, nil)
 	if err != nil || v != "assign" {
 		t.Fatalf("*id = id: %v, %v", v, err)
 	}
-	v, err = tbl.Parse([]Token{tok("id")}, nil)
+	v, err = tbl.Parse([]Token{tok(tbl, "id")}, nil)
 	if err != nil || v != "rvalue" {
 		t.Fatalf("id: %v, %v", v, err)
 	}
@@ -213,7 +239,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestUnknownTerminalRejected(t *testing.T) {
 	tbl := unambiguousCalc(t)
-	_, err := tbl.Parse([]Token{tok("WAT")}, nil)
+	_, err := tbl.Parse([]Token{tok(tbl, "WAT")}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown terminal") {
 		t.Fatalf("unknown terminal must be rejected: %v", err)
 	}
@@ -225,9 +251,9 @@ func TestUnknownTerminalRejected(t *testing.T) {
 // yielding their first child (or nothing for an empty right side).
 func TestParseTokensErrorPaths(t *testing.T) {
 	tbl := unambiguousCalc(t)
-	_, err := tbl.Parse(append(lexNums("1+"), tok("WAT")), nil)
+	_, err := tbl.Parse(append(lexNums("1+"), tok(tbl, "WAT")), nil)
 	var pe *ParseError
-	if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), `unknown terminal "WAT"`) {
+	if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), "unknown terminal 1048576") {
 		t.Fatalf("unknown terminal after valid input: %v", err)
 	}
 
@@ -252,7 +278,7 @@ func TestParseTokensErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	toks := []Token{tok("x"), tok("y")}
+	toks := []Token{tok(tbl, "x"), tok(tbl, "y")}
 	v, err := tbl.Parse(toks, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +317,7 @@ func TestGrammarValidation(t *testing.T) {
 	}
 
 	g = NewGrammar("s")
-	g.Rule("s : "+EOF, nil)
+	g.Rule("s : "+end, nil)
 	if _, err := Build(g); err == nil {
 		t.Error("reserved EOF symbol in a rule must fail")
 	}
@@ -327,7 +353,7 @@ func TestDefaultActionPassesFirstValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := tbl.Parse(lexNums("7"), nil)
+	v, err := tbl.Parse(lexWith(tbl, "7"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,10 +376,10 @@ func TestActionsSeeParseEnv(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b int
-	if _, err := tbl.Parse([]Token{tok("x"), tok("x")}, &a); err != nil {
+	if _, err := tbl.Parse([]Token{tok(tbl, "x"), tok(tbl, "x")}, &a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.Parse([]Token{tok("x")}, &b); err != nil {
+	if _, err := tbl.Parse([]Token{tok(tbl, "x")}, &b); err != nil {
 		t.Fatal(err)
 	}
 	if a != 4 || b != 2 {

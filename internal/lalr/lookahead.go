@@ -75,7 +75,7 @@ func computeLookaheads(a *automaton) lookaheads {
 	}
 
 	// The augmented start item sees end-of-input.
-	addLA(kernelRef{0, item{prod: 0, dot: 0}}, EOF)
+	addLA(kernelRef{0, item{prod: 0, dot: 0}}, end)
 
 	// Discover spontaneous lookaheads and propagation links.
 	for si, st := range a.states {

@@ -5,17 +5,20 @@ import (
 	"strings"
 )
 
-// Token is one lexeme handed to the parser. Sym must be a grammar
-// terminal (or EOF); Text and position fields feed error messages, and
-// an action derives a token's semantic value (a NUMBER's float) from
-// Text.
+// Token is one lexeme handed to the parser. Sym is a grammar terminal's
+// number (Table.Term); Text and the position fields feed error
+// messages, and an action derives a token's semantic value (a NUMBER's
+// float) from Text.
 type Token struct {
-	Sym  string
 	Text string
-	Pos  int // byte offset in the input
-	Line int // 1-based line number
-	Col  int // 1-based column
+	Sym  int32
+	Line int32 // 1-based line number
+	Col  int32 // 1-based column
 }
+
+// EOF is the Sym of the end of input, which Parse supplies after the
+// last token; a ParseError at the end of input carries it.
+const EOF int32 = -1
 
 // ParseError is a syntax error with location and expectation context.
 type ParseError struct {
@@ -54,16 +57,15 @@ func (t *Table) Parse(toks []Token, env any) (any, error) {
 	states := make([]int32, 1, 64)
 	values := make([]any, 1, 64)
 	next := 0
-	lookahead := func() (*Token, int, error) {
-		tok := &endOfInput
-		if next < len(toks) {
-			tok = &toks[next]
+	lookahead := func() (*Token, int32, error) {
+		if next == len(toks) {
+			return &endOfInput, t.eof, nil
 		}
-		sym, ok := t.termID[tok.Sym]
-		if !ok {
-			return nil, 0, fmt.Errorf("lalr: lexer produced unknown terminal %q at line %d", tok.Sym, tok.Line)
+		tok := &toks[next]
+		if uint32(tok.Sym) >= uint32(len(t.terms)) {
+			return nil, 0, fmt.Errorf("lalr: lexer produced unknown terminal %d at line %d", tok.Sym, tok.Line)
 		}
-		return tok, sym, nil
+		return tok, tok.Sym, nil
 	}
 	tok, sym, err := lookahead()
 	for err == nil {

@@ -31,20 +31,29 @@ type Conflict struct {
 }
 
 // Table is a compiled LALR(1) parse table ready to drive Parse. Symbols
-// are interned to ints in name order — terminals and nonterminals each
-// their own range — so the ACTION and GOTO tables are dense rows indexed
-// by state and symbol, and walking a row visits symbols sorted by name.
-// No goto enters the start state, so a GOTO entry of 0 means none.
+// are numbered in name order — terminals and nonterminals each their own
+// range — so the ACTION and GOTO tables are dense rows indexed by state
+// and symbol, and walking a row visits symbols sorted by name. A lexer
+// emits the terminals' numbers (Term), so Parse hashes nothing. No goto
+// enters the start state, so a GOTO entry of 0 means none.
 type Table struct {
 	c        *compiled
-	terms    []string       // terminal names by ID
-	nonterms []string       // nonterminal names by ID
-	termID   map[string]int // terminal name -> ID, once per token
-	lhs      []int32        // production index -> its left side's ID
-	act      [][]action     // act[state][terminal]; actNone where absent
-	gto      [][]int32      // gto[state][nonterminal]; 0 where absent
+	terms    []string         // terminal names by number
+	nonterms []string         // nonterminal names by number
+	termID   map[string]int32 // terminal name -> number, for Term
+	eof      int32            // the end of input's number
+	lhs      []int32          // production index -> its left side's number
+	act      [][]action       // act[state][terminal]; actNone where absent
+	gto      [][]int32        // gto[state][nonterminal]; 0 where absent
 	// Conflicts lists every conflict encountered during construction.
 	Conflicts []Conflict
+}
+
+// Term returns the number of the named terminal, the Sym a lexer gives
+// its tokens.
+func (t *Table) Term(name string) (int32, bool) {
+	id, ok := t.termID[name]
+	return id, ok
 }
 
 // States returns the number of automaton states.
@@ -63,10 +72,11 @@ func Build(g *Grammar) (*Table, error) {
 	las := computeLookaheads(a)
 
 	t := &Table{c: c, terms: sortedKeys(c.terms), nonterms: sortedKeys(c.nonterm)}
-	t.termID = make(map[string]int, len(t.terms))
+	t.termID = make(map[string]int32, len(t.terms))
 	for id, name := range t.terms {
-		t.termID[name] = id
+		t.termID[name] = int32(id)
 	}
+	t.eof = t.termID[end]
 	ntID := make(map[string]int, len(t.nonterms))
 	for id, name := range t.nonterms {
 		ntID[name] = id
@@ -114,8 +124,8 @@ func Build(g *Grammar) (*Table, error) {
 				continue // not a reduce item
 			}
 			if li.it.prod == 0 {
-				if li.la == EOF {
-					row[t.termID[EOF]] = action{typ: actAccept}
+				if li.la == end {
+					row[t.termID[end]] = action{typ: actAccept}
 				}
 				continue
 			}

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,6 +52,12 @@ type Histogram struct {
 	count   atomic.Int64
 	sumNS   atomic.Int64
 	maxNS   atomic.Int64 // largest single observation, for overflow-bucket quantiles
+	// In a capped family (CappedHistogram), lastNS is when the first,
+	// 17th, 33rd … observation came (Unix ns), and fwd, once the family
+	// evicted the series, the "other" series its observations go to.
+	capped bool
+	lastNS atomic.Int64
+	fwd    atomic.Pointer[Histogram]
 }
 
 const (
@@ -66,19 +74,40 @@ func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
+	if f := h.fwd.Load(); f != nil {
+		h = f
+	}
 	ns := int64(d)
 	if ns < 0 {
 		ns = 0
 	}
 	h.buckets[bucketFor(ns)].Add(1)
-	h.count.Add(1)
+	c := h.count.Add(1)
 	h.sumNS.Add(ns)
+	h.raiseMax(ns)
+	if h.capped && c%16 == 1 { // a clock read costs ≈ 90 ns in a VM: stamp every 16th
+		h.lastNS.Store(time.Now().UnixNano())
+	}
+}
+
+// raiseMax raises the largest observation to ns.
+func (h *Histogram) raiseMax(ns int64) {
 	for {
 		max := h.maxNS.Load()
 		if ns <= max || h.maxNS.CompareAndSwap(max, ns) {
-			break
+			return
 		}
 	}
+}
+
+// merge adds from's observations to h.
+func (h *Histogram) merge(from *Histogram) {
+	for i := range from.buckets {
+		h.buckets[i].Add(from.buckets[i].Load())
+	}
+	h.count.Add(from.count.Load())
+	h.sumNS.Add(from.sumNS.Load())
+	h.raiseMax(from.maxNS.Load())
 }
 
 // bucketFor maps a duration in ns to its bucket index.
@@ -182,6 +211,7 @@ func (k metricKind) promType() string {
 // series is one (name, labels) instance.
 type series struct {
 	labels string // rendered {k="v",...} signature, possibly ""
+	lbl    Labels // the labels themselves, kept in a capped family
 	ctr    *Counter
 	hist   *Histogram
 	fn     func() float64
@@ -194,6 +224,9 @@ type family struct {
 	kind   metricKind
 	series map[string]*series
 	order  []string // label signatures in creation order
+	// values maps each value of a capped family's label to its series
+	// (CappedHistogram).
+	values map[string][]*series
 }
 
 // Registry holds metric families and hands out series, memoized by
@@ -240,9 +273,14 @@ func labelSignature(labels Labels) string {
 // different kind panics: that is a programming error, not a runtime
 // condition.
 func (r *Registry) lookup(name, help string, kind metricKind, labels Labels, fn func() float64) *series {
-	sig := labelSignature(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.lookupLocked(name, help, kind, labels, fn)
+}
+
+// lookupLocked is lookup with r.mu held.
+func (r *Registry) lookupLocked(name, help string, kind metricKind, labels Labels, fn func() float64) *series {
+	sig := labelSignature(labels)
 	f := r.families[name]
 	if f == nil {
 		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
@@ -283,6 +321,69 @@ func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
 		return nil
 	}
 	return r.lookup(name, help, kindHistogram, labels, nil).hist
+}
+
+// other is the value a capped label records under past its cap.
+const other = "other"
+
+// CappedHistogram is Histogram for a family whose label key takes at
+// most limit distinct values besides "other": a new value past the cap
+// evicts the value observed longest ago (as of every 16th observation), whose series leave the family
+// and fold into their "other" twins, as does anything recorded through
+// them later (an observation racing the eviction may be lost). So a
+// family stays bounded however many values stream through it.
+func (r *Registry) CappedHistogram(name, help string, labels Labels, key string, limit int) *Histogram {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.lookupLocked(name, help, kindHistogram, labels, nil)
+	if s.lbl != nil {
+		return s.hist
+	}
+	s.lbl, s.hist.capped = labels, true
+	f := r.families[name]
+	if f.values == nil {
+		f.values = make(map[string][]*series)
+	}
+	v := labels[key]
+	f.values[v] = append(f.values[v], s)
+	own := len(f.values)
+	if _, ok := f.values[other]; ok {
+		own--
+	}
+	if v == other || own <= limit {
+		return s.hist
+	}
+	oldest, at := "", int64(math.MaxInt64)
+	for u, ss := range f.values {
+		if u == v || u == other {
+			continue
+		}
+		last := int64(0)
+		for _, x := range ss {
+			last = max(last, x.hist.lastNS.Load())
+		}
+		if last < at {
+			oldest, at = u, last
+		}
+	}
+	for _, x := range f.values[oldest] {
+		ol := maps.Clone(x.lbl)
+		ol[key] = other
+		o := r.lookupLocked(name, help, kindHistogram, ol, nil)
+		if o.lbl == nil {
+			o.lbl = ol
+			f.values[other] = append(f.values[other], o)
+		}
+		x.hist.fwd.Store(o.hist)
+		o.hist.merge(x.hist)
+		delete(f.series, x.labels)
+		f.order = slices.DeleteFunc(f.order, func(sig string) bool { return sig == x.labels })
+	}
+	delete(f.values, oldest)
+	return s.hist
 }
 
 // CounterFunc registers a callback-backed counter — for counters whose

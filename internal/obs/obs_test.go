@@ -297,3 +297,72 @@ func TestConcurrency(t *testing.T) {
 		t.Fatalf("counter = %d, want 800", got)
 	}
 }
+
+// TestCappedHistogramKeepsRecentValues: a capped family keeps its own
+// series for the most recently observed values of the capped label; a
+// value past the cap evicts the one observed longest ago, whose counts
+// fold into the "other" series, as does anything recorded later through
+// a handle to the evicted series.
+func TestCappedHistogramKeepsRecentValues(t *testing.T) {
+	r := NewRegistry()
+	get := func(fp string) *Histogram {
+		return r.CappedHistogram("lat", "latency", Labels{"fp": fp, "s": "x"}, "fp", 2)
+	}
+	a, b := get("a"), get("b")
+	a.Observe(time.Millisecond)
+	time.Sleep(time.Millisecond)
+	b.Observe(time.Millisecond) // a is now the value observed longest ago
+	b.Observe(time.Millisecond)
+	if get("b") != b {
+		t.Fatal("a series resolved twice differs")
+	}
+	c := get("c") // evicts a
+	c.Observe(time.Millisecond)
+	a.Observe(time.Millisecond) // through the evicted handle: lands in other
+	var sb strings.Builder
+	if err := WritePrometheus(&sb, r); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		`lat_count{fp="b",s="x"} 2`,
+		`lat_count{fp="c",s="x"} 1`,
+		`lat_count{fp="other",s="x"} 2`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, `fp="a"`) {
+		t.Errorf("evicted value a still has a series:\n%s", out)
+	}
+	if n := strings.Count(out, "lat_count{"); n != 3 {
+		t.Errorf("%d series, want 3 (two values under the cap and other)", n)
+	}
+}
+
+// TestCappedHistogramConcurrent resolves and observes many values of a
+// capped label from several goroutines at once: the family never holds
+// more than the cap plus Other.
+func TestCappedHistogramConcurrent(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				h := r.CappedHistogram("lat", "latency", Labels{"fp": strconv.Itoa(g*100 + i%50)}, "fp", 8)
+				h.Observe(time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	var sb strings.Builder
+	if err := WritePrometheus(&sb, r); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(sb.String(), "lat_count{"); n > 9 {
+		t.Errorf("%d series, want at most 8 and other", n)
+	}
+}

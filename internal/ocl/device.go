@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -15,10 +16,9 @@ import (
 type Device struct {
 	spec DeviceSpec
 
-	// workers is the number of host goroutines used to execute kernels,
-	// and grain the smallest per-worker slice of an ND-range worth
-	// spawning one for (minParallelGrain). They are host execution
-	// details; modeled timings use spec fields.
+	// workers is the most chunks a launch splits into, and grain the
+	// smallest chunk of an ND-range worth its own (minParallelGrain).
+	// They are host execution details; modeled timings use spec fields.
 	workers, grain int
 }
 
@@ -54,17 +54,19 @@ func (d *Device) Type() DeviceType { return d.spec.Type }
 func (d *Device) GlobalMemSize() int64 { return d.spec.GlobalMemSize }
 
 // minParallelGrain is the smallest per-worker slice of an ND-range worth
-// spawning a goroutine for; below it, fan-out overhead dominates.
+// a chunk of its own; below it, fan-out overhead dominates.
 const minParallelGrain = 4096
 
 // execute runs one kernel pass over the global work range [0, n), split
 // into contiguous chunks across the device's worker pool, and returns the
 // real wall time taken. The pass must be safe for concurrent invocation
 // on disjoint ranges. A launch that fits one chunk calls the pass on the
-// launching goroutine and allocates nothing. A panic in any chunk is
-// re-raised here, on the launching goroutine, once every chunk has
-// returned: a panic that unwinds a chunk's own goroutine ends the
-// process, past every caller's recover.
+// launching goroutine. A wider one hands each chunk but the last to an
+// idle chunk worker, runs the last one and any that found no idle
+// worker itself, and waits for the rest; it allocates nothing either
+// way. A panic in any chunk is re-raised here, on the launching
+// goroutine, once every chunk has returned: a panic that unwinds a
+// worker's own goroutine ends the process, past every caller's recover.
 func (d *Device) execute(n int, pass KernelFunc, views []View, scalars []float64) time.Duration {
 	start := time.Now()
 	if n <= 0 {
@@ -78,40 +80,94 @@ func (d *Device) execute(n int, pass KernelFunc, views []View, scalars []float64
 		pass(0, n, views, scalars)
 		return time.Since(start)
 	}
-	chunk := (n + workers - 1) / workers
-	var l launch
+	startChunkWorkers()
+	l := launches.Get().(*launch)
+	l.pass, l.views, l.scalars = pass, views, scalars
+	chunk, handed := (n+workers-1)/workers, false
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+		hi := min(lo+chunk, n)
+		if hi < n {
+			l.wg.Add(1)
+			select {
+			case chunkQueue <- chunkJob{l, lo, hi}:
+				handed = true
+				continue
+			default: // no idle worker
+				l.wg.Done()
+			}
+		} else if handed {
+			// The last worker handed a chunk waits in this P's next
+			// slot, which an idle P steals from only after a pause
+			// (≈ 50 µs per launch on a two-vCPU VM). Yielding runs it
+			// on this P at once and queues the launcher globally,
+			// where an idle P takes it.
+			runtime.Gosched()
 		}
-		l.wg.Add(1)
-		go l.run(pass, views, scalars, lo, hi)
+		l.run(lo, hi)
 	}
 	l.wg.Wait()
-	if l.panicked != nil {
-		panic(l.panicked)
+	p := l.panicked.Swap(nil)
+	l.pass, l.views, l.scalars = nil, nil, nil
+	launches.Put(l)
+	if p != nil {
+		panic(p)
 	}
 	return time.Since(start)
 }
 
-// launch is the shared state of one fanned-out execute: the barrier and
-// the first panic any chunk raised.
+// launch is the shared state of one fanned-out execute: the pass and
+// its arguments, the barrier and the first panic any chunk raised.
+// Launches are pooled, so a fan-out allocates none.
 type launch struct {
+	pass     KernelFunc
+	views    []View
+	scalars  []float64
 	wg       sync.WaitGroup
-	once     sync.Once
-	panicked *chunkPanic
+	panicked atomic.Pointer[chunkPanic]
 }
 
+var launches = sync.Pool{New: func() any { return new(launch) }}
+
 // run executes one chunk, keeping the launch's first panic.
-func (l *launch) run(pass KernelFunc, views []View, scalars []float64, lo, hi int) {
-	defer l.wg.Done()
+func (l *launch) run(lo, hi int) {
 	defer func() {
 		if r := recover(); r != nil {
-			l.once.Do(func() { l.panicked = &chunkPanic{value: r, stack: debug.Stack()} })
+			l.panicked.CompareAndSwap(nil, &chunkPanic{value: r, stack: debug.Stack()})
 		}
 	}()
-	pass(lo, hi, views, scalars)
+	l.pass(lo, hi, l.views, l.scalars)
+}
+
+// chunkJob is one chunk of a launch handed to a chunk worker.
+type chunkJob struct {
+	l      *launch
+	lo, hi int
+}
+
+// chunkQueue hands chunks to the package's chunk workers, at most
+// GOMAXPROCS−1 goroutines that live as long as the process. It is
+// unbuffered, so a chunk is handed over only to a worker that is idle.
+var (
+	chunkQueue   = make(chan chunkJob)
+	chunkWorkers atomic.Int32
+)
+
+// startChunkWorkers starts chunk workers up to GOMAXPROCS−1.
+func startChunkWorkers() {
+	for want := int32(runtime.GOMAXPROCS(0) - 1); ; {
+		have := chunkWorkers.Load()
+		if have >= want {
+			return
+		}
+		if chunkWorkers.CompareAndSwap(have, have+1) {
+			go func() {
+				for j := range chunkQueue {
+					j.l.run(j.lo, j.hi)
+					j.l.wg.Done()
+				}
+			}()
+		}
+	}
 }
 
 // chunkPanic is the value execute re-panics with: the original panic

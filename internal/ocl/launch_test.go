@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -77,6 +78,59 @@ func TestOutputIndependentOfChunkLayout(t *testing.T) {
 							} else if !sameBits(res.Data, want) {
 								t.Fatalf("%v, %s, %s: %d workers, grain %d, run %d differs from 1 worker, grain 1", d, ex.name, name, workers, grain, run)
 							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOutputIndependentOfSchedule is the launch scheduler's property
+// test: every strategy's output is the same, element for element (equal
+// bits or both NaN), under GOMAXPROCS 1, 2 and 8 and under chunkings
+// that force 1, 2, 3 and 7 chunks (uneven at both sizes), on 16³ and
+// 33³ meshes, whichever goroutines the chunks land on.
+func TestOutputIndependentOfSchedule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps every strategy over 24 schedules")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	sameClass := func(a, b []float32) bool {
+		return slices.EqualFunc(a, b, func(x, y float32) bool {
+			return math.Float32bits(x) == math.Float32bits(y) || x != x && y != y
+		})
+	}
+	for _, edge := range []int{16, 33} {
+		m, fields := launchMesh(mesh.Dims{NX: edge, NY: edge, NZ: edge})
+		bind, err := strategy.BindMesh(m, map[string][]float32{"u": fields[0], "v": fields[1], "w": fields[2]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ex := range launchExprs {
+			net, err := expr.Compile(ex.text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range strategy.ExtendedNames() {
+				s, err := strategy.ForName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []float32
+				for _, procs := range []int{1, 2, 8} {
+					runtime.GOMAXPROCS(procs)
+					for _, chunks := range []int{1, 2, 3, 7} {
+						dev := ocl.NewDevice(ocl.XeonX5660Spec(64))
+						dev.SetChunking(chunks, 1)
+						res, err := strategy.Execute(s, ocl.NewEnv(dev), net, bind)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want == nil {
+							want = res.Data
+						} else if !sameClass(res.Data, want) {
+							t.Fatalf("%d³, %s, %s: GOMAXPROCS %d, %d chunks differs from GOMAXPROCS 1, one chunk", edge, ex.name, name, procs, chunks)
 						}
 					}
 				}

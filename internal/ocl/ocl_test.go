@@ -607,6 +607,66 @@ func TestKernelChunkPanicReachesLauncher(t *testing.T) {
 	}
 }
 
+// TestFannedOutLaunchAllocatesNothing: a launch split into chunks hands
+// them to the package's chunk workers through a pooled launch, so once
+// the workers run it allocates nothing, and every chunk runs exactly
+// once whichever goroutine takes it.
+func TestFannedOutLaunchAllocatesNothing(t *testing.T) {
+	dev := testDevice()
+	dev.SetChunking(4, 1)
+	const n = 4099 // four uneven chunks
+	data := make([]float32, n)
+	views := []View{{Data: data, Elems: n, Width: 1}}
+	pass := func(lo, hi int, bufs []View, _ []float64) {
+		for i := lo; i < hi; i++ {
+			bufs[0].Data[i]++
+		}
+	}
+	dev.execute(n, pass, views, nil) // starts the workers
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, func() { dev.execute(n, pass, views, nil) }); allocs != 0 {
+		t.Errorf("a fanned-out launch makes %.0f allocations, want 0", allocs)
+	}
+	for i, v := range data {
+		if v != runs+2 { // the start-up launch, AllocsPerRun's warm-up and the runs
+			t.Fatalf("element %d was written %v times, want %d", i, v, runs+2)
+		}
+	}
+}
+
+// TestConcurrentFannedOutLaunches: launches from several goroutines at
+// once share the chunk workers; each chunk runs once, on a worker or on
+// its own launcher, and every launch waits for all of its own.
+func TestConcurrentFannedOutLaunches(t *testing.T) {
+	const launchers, runs, n = 4, 50, 3001
+	var wg sync.WaitGroup
+	for g := 0; g < launchers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dev := testDevice()
+			dev.SetChunking(3, 1)
+			data := make([]float32, n)
+			views := []View{{Data: data, Elems: n, Width: 1}}
+			pass := func(lo, hi int, bufs []View, _ []float64) {
+				for i := lo; i < hi; i++ {
+					bufs[0].Data[i]++
+				}
+			}
+			for r := 0; r < runs; r++ {
+				dev.execute(n, pass, views, nil)
+			}
+			for i, v := range data {
+				if v != runs {
+					t.Errorf("element %d was written %v times, want %d", i, v, runs)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestAllocReleaseConservation is a property test: any interleaving of
 // allocations and releases conserves the context's byte accounting.
 func TestAllocReleaseConservation(t *testing.T) {

@@ -3,7 +3,6 @@ package passes
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"dfg/internal/dataflow"
 )
@@ -31,57 +30,67 @@ func commutative(filter string) bool {
 // forms: field, dims, x, y, z).
 const maxArity = 5
 
-// key is a node's structural identity: two nodes with equal keys compute
-// identical values. A constant is keyed by the bits of its value, so +0
-// and -0, and NaNs of different payload, stay apart; an input is keyed by
-// the position of the node it reads. The filter is keyed by the address
-// of its name's bytes in its registry row: every node's Info copies its
-// filter's one row, so the nodes of a filter share those bytes, and a
-// probe hashes no string.
-type key struct {
-	filter *byte
-	param  uint64 // a const's math.Float64bits, a decompose's component
-	in     [maxArity]int32
-}
-
-// eliminate merges every node into the first node with the same key:
-// filter, parameters and inputs in order. Sources are pinned to their own
-// positions (two sources never merge across names), and with commute the
-// argument order of bitwise-commutative two-input primitives is sorted,
-// so add(a, b) and add(b, a) share one key.
+// eliminate merges every node into the first node with the same
+// filter, parameters and inputs in order. A constant's parameter is the
+// bits of its value, so +0 and -0, and NaNs of different payload, stay
+// apart; a decompose's is its component. Sources are pinned to their
+// own positions (two sources never merge across names), and with
+// commute the argument order of bitwise-commutative two-input
+// primitives is sorted, so add(a, b) and add(b, a) merge.
+//
+// No map: the first occurrences are chained in one flat []int32 behind
+// their first canonical input (constants behind their bits modulo the
+// node count), and a node is compared only with its chain.
 func eliminate(nw *dataflow.Network, st *Stats, commute bool) error {
 	nodes := nw.Nodes()
-	to := keepAll(nw) // position -> position it merged into
-	first := make(map[key]int32, len(nodes))
-	for i, n := range nodes {
-		k := key{filter: unsafe.StringData(n.Info().Name)}
-		switch n.Filter {
-		case "source":
-			k.in[0] = int32(i)
-		case "const":
-			k.param = math.Float64bits(n.Value)
-		case "decompose":
-			k.param = uint64(n.Comp)
+	n := int32(len(nodes))
+	to := keepAll(nw)             // position -> position it merged into
+	chain := make([]int32, 3*n+1) // heads by input, heads by constant bucket, next
+	head, next := chain[:2*n+1], chain[2*n+1:]
+	for i := range head {
+		head[i] = -1
+	}
+	for i, nd := range nodes {
+		if nd.Filter == "source" {
+			continue
 		}
 		// Inputs precede their node, so by the time a node is keyed all
 		// of its inputs are already canonical and one forward pass
 		// reaches the fixpoint.
-		for a, in := range n.Inputs {
+		for _, in := range nd.Inputs {
 			if in < 0 || int(in) >= i {
-				return fmt.Errorf("node %q reads position %d, which does not precede it", n.ID, in)
+				return fmt.Errorf("node %q reads position %d, which does not precede it", nd.ID, in)
 			}
-			k.in[a] = to[in]
 		}
-		if commute && len(n.Inputs) == 2 && k.in[1] < k.in[0] && commutative(n.Filter) {
-			k.in[0], k.in[1] = k.in[1], k.in[0]
+		ins := canonical(nd, to, commute)
+		h := n + int32(math.Float64bits(nd.Value)%uint64(n+1))
+		if len(nd.Inputs) > 0 {
+			h = ins[0]
 		}
-		if j, ok := first[k]; ok {
+		j := head[h]
+		for j >= 0 && !(nodes[j].Prim() == nd.Prim() && math.Float64bits(nodes[j].Value) == math.Float64bits(nd.Value) &&
+			nodes[j].Comp == nd.Comp && len(nodes[j].Inputs) == len(nd.Inputs) && canonical(nodes[j], to, commute) == ins) {
+			j = next[j]
+		}
+		if j >= 0 {
 			to[i] = j
 			continue
 		}
-		first[k] = int32(i)
+		head[h], next[i] = int32(i), head[h]
 	}
 	return compact(nw, st, to)
+}
+
+// canonical returns nd's inputs as the positions they merged into, the
+// two of a commutative primitive sorted with commute.
+func canonical(nd *dataflow.Node, to []int32, commute bool) (ins [maxArity]int32) {
+	for a, in := range nd.Inputs {
+		ins[a] = to[in]
+	}
+	if commute && len(nd.Inputs) == 2 && ins[1] < ins[0] && commutative(nd.Filter) {
+		ins[0], ins[1] = ins[1], ins[0]
+	}
+	return ins
 }
 
 // ElimPasses returns the canonicalisation pass list a level runs before

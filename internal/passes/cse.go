@@ -2,6 +2,7 @@ package passes
 
 import (
 	"math"
+	"slices"
 
 	"dfg/internal/dataflow"
 )
@@ -73,14 +74,20 @@ func keepAll(nw *dataflow.Network) []int32 {
 // compact commits a pass's merges and deletions (Network.Compact's to)
 // and records the nodes that leave.
 func compact(nw *dataflow.Network, st *Stats, to []int32) error {
-	removed := len(st.Removed)
+	leave := 0
+	for i, t := range to {
+		if t != int32(i) {
+			leave++
+		}
+	}
+	if leave == 0 {
+		return nil
+	}
+	st.Removed = slices.Grow(st.Removed, leave)
 	for i, n := range nw.Nodes() {
 		if to[i] != int32(i) {
 			st.Removed = append(st.Removed, n.ID)
 		}
-	}
-	if len(st.Removed) == removed {
-		return nil
 	}
 	return nw.Compact(to)
 }

@@ -95,26 +95,26 @@ func MergeNetworks(members []MergeMember, lvl Level, opt RunOptions) (*Merged, e
 		}
 		orders[i] = order
 		for _, n := range order {
-			if n.Filter != "source" || nw.NodeByID(n.ID) != nil {
-				continue // not a source, or shared with an earlier member
+			if n.Filter != "source" {
+				continue
 			}
-			if _, err := nw.AddSource(n.ID); err != nil {
+			if _, err := nw.Source(n.ID); err != nil { // shared with earlier members
 				return nil, fmt.Errorf("passes: merge member %q: %w", fp, err)
 			}
 		}
 	}
-	roots := make([]string, len(fps))
+	roots := make([]int32, len(fps))
 	for i, fp := range fps {
 		root, err := cloneInto(nw, distinct[fp], orders[i])
 		if err != nil {
 			return nil, fmt.Errorf("passes: merge member %q: %w", fp, err)
 		}
 		roots[i] = root
-		if err := nw.Alias(rootAlias(i), root); err != nil {
+		if err := nw.AliasAt(rootAlias(i), root); err != nil {
 			return nil, fmt.Errorf("passes: merge member %q: %w", fp, err)
 		}
 	}
-	if err := nw.SetRoots(roots...); err != nil {
+	if err := nw.SetRootsAt(roots...); err != nil {
 		return nil, err
 	}
 
@@ -126,15 +126,16 @@ func MergeNetworks(members []MergeMember, lvl Level, opt RunOptions) (*Merged, e
 
 	// The passes remapped the provenance aliases along with everything
 	// else; read each member's final root back out before sealing.
+	ids := make([]string, len(fps))
 	for i := range fps {
 		n := nw.Node(rootAlias(i))
 		if n == nil {
 			return nil, fmt.Errorf("passes: merge lost root for member %q", fps[i])
 		}
-		roots[i] = n.ID
+		ids[i] = n.ID
 	}
 	nw.Seal()
-	return &Merged{Net: nw, Fps: fps, Roots: roots, Shared: res.NodesRemoved()}, nil
+	return &Merged{Net: nw, Fps: fps, Roots: ids, Shared: res.NodesRemoved()}, nil
 }
 
 // mergePaper and mergeO2 are the cross-expression pipelines, built from
@@ -154,36 +155,36 @@ func mergePipeline(lvl Level) *Pipeline {
 	return mergePaper
 }
 
-// cloneInto copies one member's computed nodes (order is src's live
-// nodes in topological order) into dst through the builder API —
-// sources are already there under their own names — and returns the ID
-// dst assigned to the member's output node.
-func cloneInto(dst, src *dataflow.Network, order []*dataflow.Node) (string, error) {
-	ids := make([]string, src.Len()) // src position -> dst ID
+// cloneInto copies one member's nodes (order is src's live nodes in
+// topological order) into dst by position — sources are already there
+// under their own names — and returns the position dst gave the
+// member's output node.
+func cloneInto(dst, src *dataflow.Network, order []*dataflow.Node) (int32, error) {
+	at := make([]int32, src.Len()) // src position -> dst position
 	for _, n := range order {
 		var (
-			id  string
+			p   int32
 			err error
 		)
 		switch n.Filter {
 		case "source":
-			id = n.ID
+			p, err = dst.Source(n.ID)
 		case "const":
-			id = dst.AddConst(n.Value)
+			p = dst.AddConstAt(n.Value)
 		case "decompose":
-			id, err = dst.AddDecompose(ids[n.Inputs[0]], n.Comp)
+			p, err = dst.AddDecomposeAt(at[n.Inputs[0]], n.Comp)
 		default:
-			var buf [maxArity]string
+			var buf [maxArity]int32
 			ins := buf[:len(n.Inputs)]
 			for i, in := range n.Inputs {
-				ins[i] = ids[in]
+				ins[i] = at[in]
 			}
-			id, err = dst.AddFilter(n.Filter, ins...)
+			p, err = dst.AddFilterAt(n.Prim(), ins...)
 		}
 		if err != nil {
-			return "", err
+			return 0, err
 		}
-		ids[n.Pos()] = id
+		at[n.Pos()] = p
 	}
-	return ids[src.Roots()[0]], nil
+	return at[src.Roots()[0]], nil
 }

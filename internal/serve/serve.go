@@ -59,6 +59,23 @@ var ErrWorkerPanic = errors.New("serve: worker panicked during evaluation")
 var ErrWorkerUnavailable = errors.New("serve: no healthy worker available")
 
 // Config sizes a pool.
+//
+// Nothing a pool keeps grows with the number of distinct texts it has
+// served; every per-text structure is bounded:
+//   - the shared compile caches — networks, plans and batch merges — at
+//     compile.DefaultMaxEntries (512) entries each, by CLOCK eviction;
+//   - each worker's cache of open prepared handles at 64, closing an
+//     arbitrary one to admit a new text (and with it the device memory
+//     its arena keeps resident);
+//   - the tracer's recent and kept rings at TraceKeep traces each;
+//   - the perf recorder's ring at 16 × perfdb.DefaultShardCapacity
+//     (8 192) records;
+//   - the dfg_eval_seconds histogram at 64 fingerprints: the 64
+//     observed most recently keep their own series, the rest record
+//     under fingerprint="other", and each engine's memo of its series
+//     holds at most 64;
+//   - the definitions at the names Define installs: a text never adds
+//     one.
 type Config struct {
 	// Workers is the number of engines (and goroutines). Default 4.
 	Workers int
