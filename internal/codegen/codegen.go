@@ -112,6 +112,30 @@ func Build(net *dataflow.Network, name string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	return build(low, "kfused_"+name, name), nil
+}
+
+// BuildNode generates the kernel that computes node n of nodes (its
+// network's Nodes()) by itself, from vm.LowerNode's one-pass lowering:
+// the kernel the staged and roundtrip strategies launch per node. Its
+// buffers are one per input, then out; it is named after the filter
+// ("kadd", "kgrad3dx", "kconst_fill").
+func BuildNode(nodes []*dataflow.Node, n *dataflow.Node) (*Program, error) {
+	low, err := vm.LowerNode(nodes, n)
+	if err != nil {
+		return nil, err
+	}
+	entry := "k" + n.Filter
+	if n.Filter == "const" {
+		entry = "kconst_fill"
+	}
+	return build(low, entry, n.Filter), nil
+}
+
+// build wraps a lowering as a program: the executor runs each pass over
+// the launch's buffer views, and the cost is folded from the
+// instructions. entry is the kernel's name, name the program's tag.
+func build(low *vm.Lowering, entry, name string) *Program {
 	exec := low.Program()
 	fns := make([]ocl.KernelFunc, len(low.Passes))
 	for p := range fns {
@@ -119,7 +143,7 @@ func Build(net *dataflow.Network, name string) (*Program, error) {
 	}
 	return &Program{
 		Kernel: &ocl.Kernel{
-			Name:    "kfused_" + name,
+			Name:    entry,
 			NumBufs: len(low.Buffers),
 			Cost:    cost(low),
 			Passes:  fns,
@@ -131,21 +155,22 @@ func Build(net *dataflow.Network, name string) (*Program, error) {
 		OutWidths: exec.OutWidths,
 		name:      name,
 		low:       low,
-	}, nil
+	}
 }
 
 // Render returns the program's OpenCL C source, rendered from the
 // retained lowering. It is safe to call concurrently.
 func (p *Program) Render() string {
-	g := &generator{name: p.name, low: p.low, expr: make([]string, p.low.NumVRegs)}
+	g := &generator{name: p.name, entry: p.Kernel.Name, low: p.low, expr: make([]string, p.low.NumVRegs)}
 	return g.renderSource()
 }
 
 // generator holds one rendering's state: the lowered program the source
 // is rendered from.
 type generator struct {
-	name string
-	low  *vm.Lowering
+	name  string
+	entry string // the kernel's name: each pass's entry point, numbered when there are several
+	low   *vm.Lowering
 	// expr is the source renderer's operand table: the C expression
 	// currently standing for each virtual register.
 	expr []string

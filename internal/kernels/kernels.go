@@ -3,37 +3,16 @@
 // paper. Each scalar-in/scalar-out primitive is written once, as one row
 // of the table below: its name, its OpenCL C expression and the
 // executable lane body (lanes.go) that computes what the expression
-// says. Everything else reads the row: ForFilter wraps it as the
-// standalone kernel roundtrip and staged dispatch, the fusion generator
-// (internal/codegen) renders the expression, internal/vm's executor runs
-// the lane body block by block, and internal/passes folds constants
-// through it. The structural primitives — constant fill, decompose, norm
-// and the gradient stencil (grad3d.go) — have dedicated constructors.
+// says. Everything else reads the row: internal/vm's executor runs the
+// lane body block by block — in a fused kernel's passes and in the node
+// kernels staged and roundtrip launch, one pass per node alike — the
+// source renderer (internal/codegen) spells the expression, and
+// internal/passes folds constants through it. The gradient stencil is
+// grad3d.go: its shared OpenCL C functions, its row walker and its
+// per-element oracle.
 package kernels
 
-import (
-	"fmt"
-	"math"
-	"strings"
-
-	"dfg/internal/ocl"
-)
-
-// Costs per element for the simulated device's timing model.
-var (
-	costBinary    = ocl.Cost{Flops: 1, LoadBytes: 8, StoreBytes: 4}
-	costUnary     = ocl.Cost{Flops: 2, LoadBytes: 4, StoreBytes: 4}
-	costSelect    = ocl.Cost{Flops: 1, LoadBytes: 12, StoreBytes: 4}
-	costDecompose = ocl.Cost{Flops: 0, LoadBytes: 16, StoreBytes: 4}
-	costConstFill = ocl.Cost{Flops: 0, LoadBytes: 0, StoreBytes: 4}
-	// grad3d: three axes of neighbour loads plus coordinate lookups and
-	// a float4 store.
-	costGrad3D = ocl.Cost{Flops: 15, LoadBytes: 40, StoreBytes: 16}
-)
-
-// GradCost exposes the gradient's per-element cost to the fusion
-// generator, which sums primitive costs when composing kernels.
-func GradCost() ocl.Cost { return costGrad3D }
+import "math"
 
 // Primitive is one scalar-in/scalar-out primitive: a pure per-element
 // function of Arity scalar operands.
@@ -108,149 +87,4 @@ func Primitives() []Primitive { return primitives }
 func Lookup(name string) (*Primitive, bool) {
 	p, ok := primitiveByName[name]
 	return p, ok
-}
-
-// standalone wraps a table row as the kernel roundtrip and staged
-// dispatch: the expression over a[gid], b[gid], c[gid], and the lane
-// body over each launch range. Buffers: the operands, then out.
-func (p *Primitive) standalone() *ocl.Kernel {
-	arity := p.Arity
-	var src strings.Builder
-	fmt.Fprintf(&src, "// dfg primitive: %[1]s\n__kernel void k%[1]s(", p.Name)
-	operands := make([]any, arity)
-	for i, name := range []string{"a", "b", "c"}[:arity] {
-		fmt.Fprintf(&src, "__global const float *%s,\n    ", name)
-		operands[i] = name + "[gid]"
-	}
-	fmt.Fprintf(&src, "__global float *out)\n{\n    int gid = get_global_id(0);\n    out[gid] = "+p.Expr+";\n}\n", operands...)
-	return &ocl.Kernel{
-		Name:    "k" + p.Name,
-		Source:  src.String(),
-		NumBufs: arity + 1,
-		Cost:    [...]ocl.Cost{1: costUnary, 2: costBinary, 3: costSelect}[arity],
-		Fn: func(lo, hi int, bufs []ocl.View, _ []float64) {
-			var in [3][]float32
-			for i := range in[:arity] {
-				in[i] = bufs[i].Data[lo:hi]
-			}
-			p.Apply(bufs[arity].Data[lo:hi], in[:arity])
-		},
-	}
-}
-
-// Decompose builds the component-selection kernel used by the staged
-// strategy to move one lane of a vector-typed intermediate into a scalar
-// array on the device. Buffers: in (vector-typed), out (scalar).
-// Scalars: [0] = component index.
-func Decompose() *ocl.Kernel {
-	return &ocl.Kernel{
-		Name: "kdecompose",
-		Source: `// dfg primitive: decompose (vector component selection)
-__kernel void kdecompose(__global const float4 *a,
-                         __global float *out,
-                         const int comp)
-{
-    int gid = get_global_id(0);
-    float4 v = a[gid];
-    switch (comp) {
-    case 0: out[gid] = v.s0; break;
-    case 1: out[gid] = v.s1; break;
-    case 2: out[gid] = v.s2; break;
-    default: out[gid] = v.s3; break;
-    }
-}
-`,
-		NumBufs: 2,
-		Cost:    costDecompose,
-		Fn: func(lo, hi int, bufs []ocl.View, scalars []float64) {
-			in, out := bufs[0], bufs[1].Data
-			comp := int(scalars[0])
-			w := in.Width
-			for i := lo; i < hi; i++ {
-				out[i] = in.Data[i*w+comp]
-			}
-		},
-	}
-}
-
-// ConstFill builds the device fill kernel the staged strategy uses to
-// realize a constant source without a host transfer. Buffers: out.
-// Scalars: [0] = the constant.
-func ConstFill() *ocl.Kernel {
-	return &ocl.Kernel{
-		Name: "kconst_fill",
-		Source: `// dfg primitive: constant source fill
-__kernel void kconst_fill(__global float *out, const float value)
-{
-    out[get_global_id(0)] = value;
-}
-`,
-		NumBufs: 1,
-		Cost:    costConstFill,
-		Fn: func(lo, hi int, bufs []ocl.View, scalars []float64) {
-			out := bufs[0].Data
-			v := float32(scalars[0])
-			for i := lo; i < hi; i++ {
-				out[i] = v
-			}
-		},
-	}
-}
-
-// ForFilter returns a fresh standalone kernel for the named dataflow
-// primitive, or an error for names with no standalone kernel (sources
-// have no kernel; decompose and const have dedicated constructors but
-// are also returned here for convenience).
-func ForFilter(name string) (*ocl.Kernel, error) {
-	if p, ok := primitiveByName[name]; ok {
-		return p.standalone(), nil
-	}
-	switch name {
-	case "norm":
-		return Norm(), nil
-	case "decompose":
-		return Decompose(), nil
-	case "const":
-		return ConstFill(), nil
-	case "grad3d":
-		return Grad3D(), nil
-	}
-	if axis, ok := GradAxisOf(name); ok {
-		return GradAxis(axis), nil
-	}
-	return nil, fmt.Errorf("kernels: no standalone kernel for filter %q", name)
-}
-
-// Norm builds the vector-length kernel over a vector-typed value's
-// leading three lanes (the paper's intro sketches norm(grad(b))).
-// Buffers: in (vector-typed), out (scalar).
-func Norm() *ocl.Kernel {
-	return &ocl.Kernel{
-		Name: "knorm",
-		Source: `// dfg primitive: norm (vector length of the leading 3 lanes)
-__kernel void knorm(__global const float4 *a, __global float *out)
-{
-    int gid = get_global_id(0);
-    float4 v = a[gid];
-    out[gid] = sqrt(v.s0*v.s0 + v.s1*v.s1 + v.s2*v.s2);
-}
-`,
-		NumBufs: 2,
-		Cost:    ocl.Cost{Flops: 6, LoadBytes: 16, StoreBytes: 4},
-		Fn: func(lo, hi int, bufs []ocl.View, _ []float64) {
-			in, out := bufs[0], bufs[1].Data
-			w := in.Width
-			for i := lo; i < hi; i++ {
-				// What the source says: float squares, summed left to
-				// right in float, and a correctly rounded sqrtf. The
-				// conversion rounds each product, so no FMA contracts it.
-				var s float32
-				for c := 0; c < 3 && c < w; c++ {
-					v := in.Data[i*w+c]
-					s += float32(v * v)
-				}
-				out[i] = float32(math.Sqrt(float64(s)))
-			}
-		},
-	}
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 	"testing"
 	"unsafe"
-
-	"dfg/internal/ocl"
 )
 
 // eachDispatch runs f with the Go loops as the whole body and, where the
@@ -61,155 +59,6 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("%s: element %d: got %#08x, want %#08x", what, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 		}
-	}
-}
-
-// scalars spells every primitive of the table per element, by hand from
-// its OpenCL C text, sharing nothing with the lane bodies.
-var scalars = map[string]func(a, b, c float32) float32{
-	"add": func(a, b, _ float32) float32 { return a + b },
-	"sub": func(a, b, _ float32) float32 { return a - b },
-	"mul": func(a, b, _ float32) float32 { return a * b },
-	"div": func(a, b, _ float32) float32 { return a / b },
-	"min": func(a, b, _ float32) float32 { // fmin: a NaN yields the other operand; a unless b < a
-		if a != a || (b == b && b < a) {
-			return b
-		}
-		return a
-	},
-	"max": func(a, b, _ float32) float32 {
-		if a != a || (b == b && b > a) {
-			return b
-		}
-		return a
-	},
-	"sqrt": func(a, _, _ float32) float32 { return float32(math.Sqrt(float64(a))) },
-	"neg":  func(a, _, _ float32) float32 { return -a },
-	"abs":  func(a, _, _ float32) float32 { return math.Float32frombits(math.Float32bits(a) & 0x7fffffff) },
-	"gt":   func(a, b, _ float32) float32 { return truth(a > b) },
-	"lt":   func(a, b, _ float32) float32 { return truth(a < b) },
-	"ge":   func(a, b, _ float32) float32 { return truth(a >= b) },
-	"le":   func(a, b, _ float32) float32 { return truth(a <= b) },
-	"eq":   func(a, b, _ float32) float32 { return truth(a == b) },
-	"ne":   func(a, b, _ float32) float32 { return truth(a != b) },
-	"select": func(c, a, b float32) float32 {
-		if c != 0 {
-			return a
-		}
-		return b
-	},
-	"exp": func(a, _, _ float32) float32 { return float32(math.Exp(float64(a))) },
-	"log": func(a, _, _ float32) float32 { return float32(math.Log(float64(a))) },
-	"sin": func(a, _, _ float32) float32 { return float32(math.Sin(float64(a))) },
-	"cos": func(a, _, _ float32) float32 { return float32(math.Cos(float64(a))) },
-	"pow": func(a, b, _ float32) float32 { return float32(math.Pow(float64(a), float64(b))) },
-}
-
-func truth(b bool) float32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// TestLanesVectorMatchesGoLoop: every row's lane body — the Go loop, and
-// the vector body in front of it where there is one — produces the bits
-// of the scalar spelled above, NaN payloads included, and writes nothing
-// outside dst: for every length around the 8-wide step and a register
-// block of 256 or 512 elements, every alignment of the operands, every
-// legal aliasing of dst, and every tuple of value classes (x/0 and 0/0
-// among them), called directly and through the standalone kernel.
-func TestLanesVectorMatchesGoLoop(t *testing.T) {
-	eachDispatch(t, lanesMatchScalar)
-}
-
-func lanesMatchScalar(t *testing.T) {
-	L := len(laneValues)
-	lengths := []int{255, 256, 257, 511, 512, 513}
-	for n := 0; n <= 70; n++ {
-		lengths = append(lengths, n)
-	}
-	rot := 0
-	for _, p := range Primitives() {
-		scalar, arity := scalars[p.Name], p.Arity
-		if scalar == nil {
-			t.Fatalf("%s: no scalar spelled in the test", p.Name)
-		}
-		// want evaluates the scalar over the operands' first n elements.
-		want := func(in [][]float32, n int) []float32 {
-			var x [3]float32
-			w := make([]float32, n)
-			for i := range w {
-				for k := range in {
-					x[k] = in[k][i]
-				}
-				w[i] = scalar(x[0], x[1], x[2])
-			}
-			return w
-		}
-		for _, n := range lengths {
-			for off := 0; off < 8; off++ {
-				for alias := 0; alias < 1<<arity; alias++ { // bit k: dst is operand k
-					rot++
-					backD, d := window(n, off)
-					for i := range backD {
-						backD[i] = 77
-					}
-					in := make([][]float32, arity)
-					// The last operand first, so that under aliasing the
-					// earlier operand's values win.
-					for k := arity - 1; k >= 0; k-- {
-						_, in[k] = window(n, (off+3*k+3)%8)
-						if alias>>k&1 != 0 {
-							in[k] = d
-						}
-						for i := range in[k] {
-							in[k][i] = laneValues[(i+rot+k*(rot/L))%L]
-						}
-					}
-					w := want(in, n)
-					p.Apply(d, in)
-					what := fmt.Sprintf("%s n=%d off=%d alias=%d", p.Name, n, off, alias)
-					sameBits(t, what, d, w)
-					for i, g := range backD {
-						if (i < 8+off || i >= 8+off+n) && g != 77 {
-							t.Fatalf("%s: wrote outside dst at %d", what, i-8-off)
-						}
-					}
-				}
-			}
-		}
-
-		// Every ordered tuple of classes, in one long lane.
-		n := 1
-		for k := 0; k < arity; k++ {
-			n *= L
-		}
-		in := make([][]float32, arity)
-		for k, stride := 0, 1; k < arity; k, stride = k+1, stride*L {
-			in[k] = make([]float32, n)
-			for i := range in[k] {
-				in[k][i] = laneValues[i/stride%L]
-			}
-		}
-		w, got := want(in, n), make([]float32, n)
-		p.Apply(got, in)
-		sameBits(t, p.Name+" all tuples", got, w)
-
-		// The same lane through the standalone kernel, as two launch ranges.
-		k, err := ForFilter(p.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views := make([]ocl.View, arity+1)
-		for i := range in {
-			views[i] = ocl.View{Data: in[i], Elems: n, Width: 1}
-		}
-		out := make([]float32, n)
-		views[arity] = ocl.View{Data: out, Elems: n, Width: 1}
-		k.Fn(0, n/3, views, nil)
-		k.Fn(n/3, n, views, nil)
-		sameBits(t, k.Name+" all tuples", out, w)
 	}
 }
 

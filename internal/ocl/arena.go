@@ -203,7 +203,7 @@ func retire(b *Buffer, recycle bool) {
 		b.pool = nil
 	}
 	b.pooled, b.resident, b.resKey = false, false, ""
-	b.data = nil
+	b.data, b.host = nil, false
 	b.mu.Unlock()
 	b.Release()
 }
@@ -224,7 +224,7 @@ func (a *Arena) residentReleased(key string, b *Buffer) {
 		r.refs--
 	}
 	if r.refs == 0 && r.stable == nil {
-		b.data = nil
+		b.data, b.host = nil, false
 	}
 }
 

@@ -222,3 +222,50 @@ func TestFaultedBindLeaksNoHandOut(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledUploadNeverWritesTheCallersArray: an upload binds the
+// caller's array without copying it, and its release drops the alias, so
+// the pooled buffer's next use — a kernel's output — writes into fresh
+// storage, never into the array that was uploaded. Without a pool the
+// released buffer does not pin the array either.
+func TestRecycledUploadNeverWritesTheCallersArray(t *testing.T) {
+	fill := &Kernel{Name: "kfill", NumBufs: 1, Fn: func(lo, hi int, bufs []View, _ []float64) {
+		for i := lo; i < hi; i++ {
+			bufs[0].Data[i] = 9
+		}
+	}}
+	for _, pooled := range []bool{false, true} {
+		env := NewEnv(NewDevice(XeonX5660Spec(4)))
+		if pooled {
+			env.SetPool(env.Context().Pool())
+		}
+		src := []float32{1, 2, 3, 4}
+		in, err := env.Upload("in", src, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &in.Data()[0] != &src[0] {
+			t.Fatalf("pooled=%v: the upload copied the array", pooled)
+		}
+		in.Release()
+		if in.data != nil {
+			t.Fatalf("pooled=%v: a released upload still holds the caller's array", pooled)
+		}
+		out, err := env.NewBuffer("out", 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pooled && out != in {
+			t.Fatal("the pool did not recycle the uploaded buffer")
+		}
+		if err := env.Run(fill, 4, []*Buffer{out}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(src, []float32{1, 2, 3, 4}) {
+			t.Fatalf("pooled=%v: a kernel wrote into the uploaded array: %v", pooled, src)
+		}
+		if pooled && env.Pool().HostAliases() != 0 {
+			t.Fatal("an idle buffer holds a host array")
+		}
+	}
+}

@@ -129,10 +129,11 @@ type Buffer struct {
 	ctx   *Context
 	label string
 	// data is the buffer's storage: nil until first use (mem) and once
-	// Env.Download has handed it to the caller, and the host's own array
-	// while a resident source binds it (Queue.bind). Only the goroutine
-	// driving the buffer's queue touches it.
+	// Env.Download has handed it to the caller, and the host's own array,
+	// with host set, while an upload binds it (Queue.bind). Only the
+	// goroutine driving the buffer's queue touches either.
 	data  []float32
+	host  bool
 	elems int
 	width int
 	bytes int64
@@ -223,6 +224,11 @@ func (b *Buffer) Release() {
 		b.mu.Unlock()
 		return
 	}
+	if b.host && !b.resident {
+		// Drop the bound host array, so that no later use of a recycled
+		// buffer writes into it and the buffer does not pin it.
+		b.data, b.host = nil, false
+	}
 	if b.resident {
 		pool, key := b.pool, b.resKey
 		b.mu.Unlock()
@@ -275,13 +281,6 @@ func (b *Buffer) handOver() []float32 {
 	data := b.mem()
 	b.data = nil
 	return data
-}
-
-// isResident reports whether the buffer is an arena's resident source.
-func (b *Buffer) isResident() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.resident
 }
 
 // Released reports whether the buffer has been released.

@@ -49,10 +49,14 @@ func (e *Env) NewBuffer(label string, elems, width int) (*Buffer, error) {
 	return e.ctx.NewBuffer(label, elems, width)
 }
 
-// Upload allocates a device buffer and writes src into it, recording the
-// host-to-device event. On allocation failure no event is recorded. With
-// an arena attached the buffer comes from the pool, so strategies that
-// re-upload per kernel (roundtrip) stop churning fresh allocations.
+// Upload allocates a device buffer bound to src, recording the
+// host-to-device event (Queue.bind): the buffer aliases src instead of
+// copying it until it is released, so src must not change meanwhile,
+// and kernels must only read it. On allocation failure no event is
+// recorded. With an arena attached the buffer comes from the pool, so
+// strategies that re-upload per kernel (roundtrip) stop churning fresh
+// allocations; its release drops the alias before the pool hands it out
+// again.
 func (e *Env) Upload(label string, src []float32, width int) (*Buffer, error) {
 	if width < 1 {
 		width = 1
@@ -62,15 +66,15 @@ func (e *Env) Upload(label string, src []float32, width int) (*Buffer, error) {
 		return nil, err
 	}
 	// Release on any failed hand-off — including a panic out of the
-	// write (injected faults can panic), where the caller never sees b
-	// and could not release it.
+	// fault point (injected faults can panic), where the caller never
+	// sees b and could not release it.
 	handed := false
 	defer func() {
 		if !handed {
 			b.Release()
 		}
 	}()
-	if _, err := e.q.WriteBuffer(b, src); err != nil {
+	if err := e.q.bind(b, src); err != nil {
 		return nil, err
 	}
 	handed = true
@@ -95,10 +99,10 @@ func (e *Env) UploadResident(key, label string, src []float32, width int, stable
 // device-to-host event. The returned slice is the buffer's storage,
 // handed over rather than copied: the download must be the buffer's
 // last read, and the buffer gets fresh storage when it is next used.
-// A resident source buffer's storage is a host array bound as an
-// input, so it is read into a fresh slice: an answer is never an input.
+// An uploaded buffer's storage is a host array bound as an input, so it
+// is read into a fresh slice: an answer is never an input.
 func (e *Env) Download(src *Buffer) ([]float32, error) {
-	if !src.isResident() {
+	if !src.host {
 		return e.q.take(src)
 	}
 	dst := make([]float32, src.Elems()*src.Width())

@@ -36,8 +36,9 @@ func (d *Device) SetChunking(workers, grain int) {
 	d.workers, d.grain = workers, grain
 }
 
-// HostAliases counts the resident slots whose buffer holds an array the
-// caller did not declare stable: none once every hand-out is released.
+// HostAliases counts the arena's buffers that hold an array the caller
+// did not declare stable — resident slots, and idle buffers an upload
+// bound: none once every hand-out is released.
 func (a *Arena) HostAliases() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -45,6 +46,13 @@ func (a *Arena) HostAliases() int {
 	for _, r := range a.resident {
 		if r.stable == nil && r.buf.data != nil {
 			n++
+		}
+	}
+	for _, lst := range a.free {
+		for _, b := range lst {
+			if b.host {
+				n++
+			}
 		}
 	}
 	return n

@@ -14,7 +14,7 @@ type FaultOp uint8
 const (
 	// FaultAlloc is a device buffer allocation (Context.NewBuffer).
 	FaultAlloc FaultOp = iota
-	// FaultWrite is a host-to-device transfer (Queue.WriteBuffer).
+	// FaultWrite is a host-to-device transfer (an upload's bind).
 	FaultWrite
 	// FaultRead is a device-to-host transfer (Queue.ReadBuffer).
 	FaultRead

@@ -50,7 +50,7 @@ func TestFaultPlanTransferAndKernel(t *testing.T) {
 	defer b.Release()
 	src := make([]float32, 4)
 
-	_, err := q.WriteBuffer(b, src)
+	err := q.bind(b, src)
 	if !errors.Is(err, ErrTransferFailed) {
 		t.Fatalf("write: got %v, want ErrTransferFailed", err)
 	}
@@ -61,7 +61,7 @@ func TestFaultPlanTransferAndKernel(t *testing.T) {
 	if Classify(err) != ClassTransient {
 		t.Fatalf("write fault classified %v, want transient", Classify(err))
 	}
-	if _, err := q.WriteBuffer(b, src); err != nil {
+	if err := q.bind(b, src); err != nil {
 		t.Fatalf("second write should pass: %v", err)
 	}
 
@@ -84,7 +84,7 @@ func TestFaultPlanDeviceLostLatch(t *testing.T) {
 
 	b := ctx.MustBuffer("buf", 4, 1) // op 0: alloc passes
 	src := make([]float32, 4)
-	_, err := q.WriteBuffer(b, src) // op 1: trips the latch
+	err := q.bind(b, src) // op 1: trips the latch
 	if !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("write at loss point: got %v, want ErrDeviceLost", err)
 	}

@@ -236,16 +236,16 @@ func TestQueueWriteReadRoundTrip(t *testing.T) {
 func TestQueueTransferValidation(t *testing.T) {
 	env := NewEnv(testDevice())
 	buf := env.Context().MustBuffer("b", 10, 1)
-	if _, err := env.Queue().WriteBuffer(buf, make([]float32, 11)); err == nil {
+	if _, err := env.Upload("b", make([]float32, 11), 4); err == nil {
+		t.Error("an upload of part of an element must fail")
+	}
+	if err := env.Queue().bind(buf, make([]float32, 11)); err == nil {
 		t.Error("oversized write must fail")
 	}
 	if _, err := env.Queue().ReadBuffer(make([]float32, 11), buf); err == nil {
 		t.Error("oversized read must fail")
 	}
 	buf.Release()
-	if _, err := env.Queue().WriteBuffer(buf, make([]float32, 1)); !errors.Is(err, ErrReleasedBuffer) {
-		t.Errorf("write to released buffer: want ErrReleasedBuffer, got %v", err)
-	}
 	if _, err := env.Queue().ReadBuffer(make([]float32, 1), buf); !errors.Is(err, ErrReleasedBuffer) {
 		t.Errorf("read from released buffer: want ErrReleasedBuffer, got %v", err)
 	}
@@ -339,8 +339,7 @@ func TestKernelZeroGlobalSize(t *testing.T) {
 
 func TestSimulatedTimelineIsInOrder(t *testing.T) {
 	env := NewEnv(testDevice())
-	b := env.Context().MustBuffer("x", 1024, 1)
-	env.Queue().WriteBuffer(b, make([]float32, 1024))
+	b, _ := env.Upload("x", make([]float32, 1024), 1)
 	env.Run(addKernel(), 1024, []*Buffer{b, b, b}, nil)
 	env.Queue().ReadBuffer(make([]float32, 1024), b)
 
@@ -376,8 +375,7 @@ func TestEventLogOffFoldsProfileOnly(t *testing.T) {
 	run := func(log bool) (Profile, time.Duration, []Event) {
 		env := NewEnv(testDevice())
 		env.Queue().SetEventLog(log)
-		b := env.Context().MustBuffer("x", 1024, 1)
-		env.Queue().WriteBuffer(b, make([]float32, 1024))
+		b, _ := env.Upload("x", make([]float32, 1024), 1)
 		env.Run(addKernel(), 1024, []*Buffer{b, b, b}, nil)
 		env.Queue().ReadBuffer(make([]float32, 1024), b)
 		return env.Profile(), env.Queue().Now(), env.Queue().Events()
@@ -463,8 +461,7 @@ func TestCostAdd(t *testing.T) {
 
 func TestProfileAddAndString(t *testing.T) {
 	env := NewEnv(testDevice())
-	b := env.Context().MustBuffer("x", 64, 1)
-	env.Queue().WriteBuffer(b, make([]float32, 64))
+	b, _ := env.Upload("x", make([]float32, 64), 1)
 	env.Run(addKernel(), 64, []*Buffer{b, b, b}, nil)
 	p := env.Profile()
 
@@ -488,8 +485,7 @@ func TestProfileAddAndString(t *testing.T) {
 
 func TestQueueReset(t *testing.T) {
 	env := NewEnv(testDevice())
-	b := env.Context().MustBuffer("x", 64, 1)
-	env.Queue().WriteBuffer(b, make([]float32, 64))
+	env.Upload("x", make([]float32, 64), 1)
 	env.Reset()
 	if p := env.Profile(); p.Events() != 0 {
 		t.Fatalf("reset queue should have no events: %+v", p)

@@ -127,31 +127,11 @@ func (q *Queue) record(kind EventKind, name string, bytes int64, n int, modeled,
 	return e
 }
 
-// WriteBuffer copies src into the device buffer (clEnqueueWriteBuffer)
-// and records a host-to-device event. src must not exceed the buffer.
-func (q *Queue) WriteBuffer(dst *Buffer, src []float32) (Event, error) {
-	if dst.Released() {
-		return Event{}, fmt.Errorf("%w: write to %q", ErrReleasedBuffer, dst.label)
-	}
-	data := dst.mem()
-	if len(src) > len(data) {
-		return Event{}, fmt.Errorf("ocl: write to %q: %d floats exceed buffer size %d", dst.label, len(src), len(data))
-	}
-	if err := q.ctx.faultPoint(FaultWrite, dst.label); err != nil {
-		return Event{}, err
-	}
-	start := time.Now()
-	copy(data, src)
-	wall := time.Since(start)
-	bytes := int64(len(src)) * 4
-	return q.record(WriteEvent, dst.label, bytes, 0, q.ctx.dev.transferTime(bytes), wall), nil
-}
-
-// bind points a resident buffer at the host's array instead of copying
-// it — the simulated device's memory is host memory — and stands for
-// the transfer a real device makes: the same fault point and modeled
-// write event as WriteBuffer, with no wall time, as no byte moves. src
-// must fill the buffer.
+// bind points a buffer at the host's array instead of copying it — the
+// simulated device's memory is host memory — and stands for the
+// transfer a real device makes (clEnqueueWriteBuffer): the write fault
+// point and a host-to-device event with the modeled transfer time and no
+// wall time, as no byte moves. src must fill the buffer.
 func (q *Queue) bind(dst *Buffer, src []float32) error {
 	if len(src) != int(dst.bytes/4) {
 		return fmt.Errorf("ocl: bind to %q: %d floats for a buffer of %d", dst.label, len(src), dst.bytes/4)
@@ -159,7 +139,7 @@ func (q *Queue) bind(dst *Buffer, src []float32) error {
 	if err := q.ctx.faultPoint(FaultWrite, dst.label); err != nil {
 		return err
 	}
-	dst.data = src
+	dst.data, dst.host = src, true
 	bytes := int64(len(src)) * 4
 	q.record(WriteEvent, dst.label, bytes, 0, q.ctx.dev.transferTime(bytes), 0)
 	return nil

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 
 	"dfg/internal/dataflow"
 	"dfg/internal/ocl"
@@ -18,6 +19,8 @@ import (
 //     roundtrip avoids;
 //   - constants are realized by a device fill kernel, with no
 //     host-to-device transfer;
+//   - every kernel is a node kernel (codegen.BuildNode): one pass of the
+//     lowering fusion runs, over one buffer per input;
 //   - device buffers are reference counted against the network's
 //     consumer counts and released the moment they drain, yet staged
 //     still has the largest memory high-water mark of the three
@@ -37,32 +40,31 @@ func planStaged(net *dataflow.Network, keep bool) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	ks, err := planKernels(base.order, func(string) bool { return false })
+	ks, err := nodeKernels(base)
 	if err != nil {
 		return nil, err
 	}
-	nodes := net.Nodes()
-	refs := make(map[string]int, len(base.order))
+	refs := make([]int32, net.Len())
 	for _, node := range base.order {
 		for _, in := range node.Inputs {
-			refs[nodes[in].ID]++
+			refs[in]++
 		}
 	}
 	for _, r := range net.Roots() {
-		refs[nodes[r].ID]++ // one sink reference per root
+		refs[r]++ // one sink reference per root
 	}
 	return &stagedPlan{planBase: base, keep: keep, kernels: ks, refs: refs}, nil
 }
 
-// stagedPlan precomputes the topological order, the kernel for every
-// distinct filter, and the refcount schedule (consumer counts per node,
-// plus one for the sink).
+// stagedPlan precomputes the topological order, every computed node's
+// kernel and the refcount schedule (consumer counts per node, plus one
+// for the sink), each indexed by network position.
 type stagedPlan struct {
 	planBase
 	keep    bool
-	kernels map[string]*ocl.Kernel
+	kernels []*ocl.Kernel
 	// refs is the immutable refcount template; Execute works on a copy.
-	refs map[string]int
+	refs []int32
 }
 
 // Execute runs the plan with device-resident intermediates.
@@ -71,15 +73,20 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 		return Result{}, err
 	}
 	n := bind.N
+	nodes := p.net.Nodes()
 
-	bufs := make(map[string]*ocl.Buffer, len(p.order))
-	defer releaseAll(bufs)
-	// Per-run copy of the plan's refcount schedule, so buffers release
-	// the moment they drain.
-	refs := make(map[string]int, len(p.refs))
-	for id, c := range p.refs {
-		refs[id] = c
-	}
+	// Each node's device buffer and its per-run copy of the refcount
+	// schedule, by network position, so buffers release the moment they
+	// drain.
+	bufs := make([]*ocl.Buffer, len(nodes))
+	defer func() {
+		for _, b := range bufs {
+			if b != nil {
+				b.Release()
+			}
+		}
+	}()
+	refs := slices.Clone(p.refs)
 
 	// Upload every live source once, in network declaration order.
 	// Sources go through the resident path: with an arena attached, a
@@ -96,22 +103,19 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("staged: source %q: %w", node.ID, err)
 		}
-		bufs[node.ID] = b
+		bufs[node.Pos()] = b
 	}
 
 	// release drains one reference from a node's buffer. Resident
 	// source buffers ignore the Release (the arena owns them).
-	release := func(id string) {
-		refs[id]--
-		if refs[id] <= 0 && !p.keep {
-			if b := bufs[id]; b != nil {
-				b.Release()
-				delete(bufs, id)
-			}
+	release := func(at int32) {
+		if refs[at]--; refs[at] <= 0 && !p.keep && bufs[at] != nil {
+			bufs[at].Release()
+			bufs[at] = nil
 		}
 	}
 
-	nodes := p.net.Nodes()
+	args := make([]*ocl.Buffer, 0, 6) // a stencil's five inputs and out
 	for _, node := range p.order {
 		if err := bind.canceled(); err != nil {
 			return Result{}, err
@@ -119,45 +123,27 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 		if node.Filter == "source" {
 			continue
 		}
-		k := p.kernels[node.Filter]
-
 		out, err := env.NewBuffer(node.ID, n, node.Width)
 		if err != nil {
 			return Result{}, fmt.Errorf("staged: node %q: %w", node.ID, err)
 		}
-		bufs[node.ID] = out
+		bufs[node.Pos()] = out
 
-		var (
-			args    []*ocl.Buffer
-			scalars []float64
-		)
-		switch node.Filter {
-		case "const":
-			args = []*ocl.Buffer{out}
-			scalars = []float64{node.Value}
-		case "decompose":
-			args = []*ocl.Buffer{bufs[nodes[node.Inputs[0]].ID], out}
-			scalars = []float64{float64(node.Comp)}
-		default:
-			args = make([]*ocl.Buffer, 0, len(node.Inputs)+1)
-			for _, p := range node.Inputs {
-				in := nodes[p].ID
-				b, ok := bufs[in]
-				if !ok {
-					return Result{}, fmt.Errorf("staged: node %q: input %q already released (refcount bug)", node.ID, in)
-				}
-				args = append(args, b)
+		args = args[:0]
+		for _, in := range node.Inputs {
+			b := bufs[in]
+			if b == nil {
+				return Result{}, fmt.Errorf("staged: node %q: input %q already released (refcount bug)", node.ID, nodes[in].ID)
 			}
-			args = append(args, out)
+			args = append(args, b)
 		}
-
-		if err := env.Run(k, n, args, scalars); err != nil {
+		if err := env.Run(p.kernels[node.Pos()], n, append(args, out), nil); err != nil {
 			return Result{}, fmt.Errorf("staged: node %q: %w", node.ID, err)
 		}
 
 		// Drain one reference per input connection.
 		for _, in := range node.Inputs {
-			release(nodes[in].ID)
+			release(in)
 		}
 	}
 
@@ -167,17 +153,16 @@ func (p *stagedPlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	// each buffer is downloaded once and can hand its storage over.
 	fields := make([]Field, 0, 1)
 	for _, r := range p.net.Roots() {
-		rid := nodes[r].ID
-		outBuf, ok := bufs[rid]
-		if !ok {
-			return Result{}, fmt.Errorf("staged: output %q was not retained (refcount bug)", rid)
+		outBuf := bufs[r]
+		if outBuf == nil {
+			return Result{}, fmt.Errorf("staged: output %q was not retained (refcount bug)", nodes[r].ID)
 		}
 		data, err := env.Download(outBuf)
 		if err != nil {
 			return Result{}, err
 		}
 		fields = append(fields, Field{Data: data, Width: nodes[r].Width})
-		release(rid) // the sink's reference
+		release(r) // the sink's reference
 	}
 	res := finish(env, fields[0].Data, fields[0].Width)
 	if p.net.MultiRoot() {

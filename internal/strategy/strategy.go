@@ -276,15 +276,6 @@ func finish(env *ocl.Env, data []float32, width int) Result {
 	}
 }
 
-// releaseAll releases every buffer in the map (idempotent).
-func releaseAll(bufs map[string]*ocl.Buffer) {
-	for _, b := range bufs {
-		if b != nil {
-			b.Release()
-		}
-	}
-}
-
 // fanOut records every root's output (in the network's Roots() order)
 // on a multi-root run's result; a single-root result carries Data alone.
 func (r *Result) fanOut(outs []ocl.View) {
