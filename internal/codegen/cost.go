@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"dfg/internal/kernels"
 	"dfg/internal/ocl"
 	"dfg/internal/vm"
 )
@@ -23,11 +22,12 @@ func passCost(pass []vm.Instr) ocl.Cost {
 		case "norm":
 			cost.Flops += 6
 		case "grad3d":
-			cost = cost.Add(kernels.GradCost())
-			cost.StoreBytes -= 16 // the fused gradient stays in a register
+			// three axes of neighbour loads plus coordinate lookups; the
+			// float4 result is a register until a store writes it
+			cost = cost.Add(ocl.Cost{Flops: 15, LoadBytes: 40})
 		case "grad3dx", "grad3dy", "grad3dz":
-			cost = cost.Add(kernels.GradAxisCost())
-			cost.StoreBytes -= 4 // the fused gradient component stays in a register
+			// two neighbour loads of the field and of one coordinate array
+			cost = cost.Add(ocl.Cost{Flops: 5, LoadBytes: 16})
 		default:
 			cost.Flops++
 		}
