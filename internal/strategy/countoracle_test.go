@@ -5,28 +5,35 @@ import (
 
 	"dfg/internal/dataflow"
 	"dfg/internal/expr"
+	"dfg/internal/mesh"
 	"dfg/internal/passes"
+	"dfg/internal/rtsim"
 	"dfg/internal/strategy/counttest"
 	"dfg/internal/vortex"
 )
 
 // checkCounts runs net once, cold, under each of the paper's strategies
-// and holds the run's profile and peak to the count oracle. A run the
-// strategy refuses (an unbound source, computed extents) has nothing to
-// count.
+// and streaming at two and three tiles, and holds the run's profile and
+// peak to the count oracle. A run the strategy refuses (an unbound
+// source, computed extents) has nothing to count.
 func checkCounts(t *testing.T, what string, net *dataflow.Network, bind Bindings) {
 	t.Helper()
-	srcLen := func(name string) int {
+	src := func(name string) []float32 {
 		s, _ := bind.lookup(name)
-		return len(s.Data)
+		return s.Data
 	}
-	for _, name := range Names() {
-		s, _ := ForName(name)
+	strats := []Strategy{{Kind: Roundtrip}, {Kind: Staged}, {Kind: Fusion},
+		{Kind: Streaming, Tiles: 2}, {Kind: Streaming, Tiles: 3}}
+	for _, s := range strats {
+		name := s.Name()
+		if s.Kind == Streaming {
+			name = s.String()
+		}
 		res, err := Execute(s, cpuEnv(), net, bind)
 		if err != nil {
 			continue
 		}
-		want, err := counttest.Count(name, net, bind.N, srcLen)
+		want, err := counttest.Count(name, net, bind.N, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,10 +48,16 @@ func checkCounts(t *testing.T, what string, net *dataflow.Network, bind Bindings
 	}
 }
 
-// countBindings is FuzzOptLevelDifferential's binding: the opt-level
-// mesh, with every name a fuzzed program may read bound to u's array.
+// countBindings binds a 6 x 5 x 7 mesh — NZ splits unevenly into two
+// and three streaming tiles — with every name a fuzzed program may read
+// bound to u's array.
 func countBindings() Bindings {
-	bind := optLevelBindings(5)
+	m := mesh.MustUniform(mesh.Dims{NX: 6, NY: 5, NZ: 7}, 0.5, 0.4, 0.25)
+	f := rtsim.Generate(m, rtsim.Options{Seed: 5})
+	bind, err := BindMesh(m, map[string][]float32{"u": f.U, "v": f.V, "w": f.W})
+	if err != nil {
+		panic(err)
+	}
 	for _, name := range []string{"f", "dims", "x", "y", "z"} {
 		if _, ok := bind.Sources[name]; !ok {
 			bind.Sources[name] = bind.Sources["u"]
@@ -85,13 +98,15 @@ func checkCountsOf(t *testing.T, a, b string) {
 
 // countSeeds are FuzzOptLevelDifferential's and FuzzBatchDifferential's
 // seed programs, plus the two-pass gradient magnitude (fusion's scratch
-// array) and an all-constant root (a fill kernel, no source).
+// array), a gradient of a gradient (streaming's two-layer halo) and an
+// all-constant root (a fill kernel, no source).
 var countSeeds = [][2]string{
 	{"s = u*1 + 0\nr = (1+2)*s + 0*v", ""},
 	{"r = 0*u", ""},
 	{"t = A\nr = u", ""},
 	{"grad3d(u, dims*1, x, y, z)", ""},
 	{vortex.GradMagExpr, ""},
+	{"g = grad3d(u, dims, x, y, z)\nh = grad3d(g[2], dims, x, y, z)\nr = h[2] + g[0]", ""},
 	{"r = 2.0 + 3.0", ""},
 	{"r = sqrt(u*u + v*v + w*w)", "r = u*u + v*v + w*w"},
 	{"r = sqrt(u*u + v*v + w*w)", "r = sqrt(u*u + v*v + w*w) + 2.0 * w"},
@@ -104,7 +119,7 @@ var countSeeds = [][2]string{
 }
 
 // TestCountOracle holds every cold one-shot run of the paper's
-// strategies to the accounting rules: Table II's networks and the seed
+// strategies and streaming to the accounting rules: Table II's networks and the seed
 // programs, at the Paper and O2 levels, solo and merged.
 func TestCountOracle(t *testing.T) {
 	for _, e := range vortex.Expressions() {

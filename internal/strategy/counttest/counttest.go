@@ -11,6 +11,8 @@ package counttest
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"dfg/internal/dataflow"
 )
@@ -24,10 +26,11 @@ type Counts struct {
 	Peak                   int64
 }
 
-// Count applies the named strategy's rules ("roundtrip", "staged" or
-// "fusion") to a run of net over n cells. srcLen gives each bound
-// source's length in float32s: an upload moves the whole array (the
-// dims descriptor is four floats, not n).
+// Count applies the named strategy's rules ("roundtrip", "staged",
+// "fusion" or "streaming@<tiles>") to a run of net over n cells. src
+// gives each bound source's array: an upload moves the whole array (the
+// dims descriptor is four floats, not n), and streaming reads the mesh
+// it tiles from a stencil's dims.
 //
 //   - roundtrip: one kernel per computed node except const and
 //     decompose, which run on the host. Each kernel uploads every buffer
@@ -43,7 +46,15 @@ type Counts struct {
 //     (n elements each). The peak holds every source, every output and
 //     one scratch array per value a later pass reads (Figure 2: a
 //     stencil whose field is not a source runs one pass after it).
-func Count(strategy string, net *dataflow.Network, n int, srcLen func(name string) int) (Counts, error) {
+//   - streaming@p: fusion once per tile. The mesh a stencil's dims
+//     describe (1 x 1 x n when no stencil reads one) is cut into
+//     min(p, NZ) Z slabs at NZ·t/p, each grown on both Z faces by the
+//     network's stencil depth — the largest sum of stencil radii on
+//     any path from a source to a root — and clipped at the domain. A
+//     tile writes each live source: a source only a stencil's dims read
+//     as the tile's own four-float descriptor, any other as the window
+//     of the tile's cells. The peak is the largest tile's.
+func Count(strategy string, net *dataflow.Network, n int, src func(name string) []float32) (Counts, error) {
 	order, err := net.TopoOrder()
 	if err != nil {
 		return Counts{}, err
@@ -54,7 +65,7 @@ func Count(strategy string, net *dataflow.Network, n int, srcLen func(name strin
 	size := func(p int32) int64 {
 		nd := nodes[p]
 		if nd.Filter == "source" {
-			return int64(srcLen(nd.ID) / nd.Width * nd.Width * 4)
+			return int64(len(src(nd.ID)) / nd.Width * nd.Width * 4)
 		}
 		return int64(n * nd.Width * 4)
 	}
@@ -114,26 +125,90 @@ func Count(strategy string, net *dataflow.Network, n int, srcLen func(name strin
 			c.ReadBytes += size(r)
 		}
 	case "fusion":
-		c.Kernels = 1
-		for _, nd := range order {
-			if nd.Filter == "source" {
-				c.Writes++
-				c.WriteBytes += size(nd.Pos())
-			}
-		}
-		c.Peak = c.WriteBytes
-		for _, r := range net.Roots() {
-			c.Reads++
-			c.ReadBytes += int64(n * nodes[r].Width * 4)
-		}
-		c.Peak += c.ReadBytes
-		for _, p := range scratch(order, nodes, net.Roots()) {
-			c.Peak += size(p)
-		}
+		c = fused(order, nodes, net.Roots(), n, size)
 	default:
-		return Counts{}, fmt.Errorf("counttest: no accounting rules for strategy %q", strategy)
+		tiles, err := strconv.Atoi(strings.TrimPrefix(strategy, "streaming@"))
+		if !strings.HasPrefix(strategy, "streaming@") || err != nil || tiles < 1 {
+			return Counts{}, fmt.Errorf("counttest: no accounting rules for strategy %q", strategy)
+		}
+		c = streamed(order, nodes, net.Roots(), n, tiles, src)
 	}
 	return c, nil
+}
+
+// fused counts one fused kernel over cells: one write per live source
+// (source gives its bytes), one read per root, and a peak of every
+// source, output and scratch array.
+func fused(order, nodes []*dataflow.Node, roots []int32, cells int, source func(p int32) int64) Counts {
+	size := func(p int32) int64 {
+		if nodes[p].Filter == "source" {
+			return source(p)
+		}
+		return int64(cells * nodes[p].Width * 4)
+	}
+	c := Counts{Kernels: 1}
+	for _, nd := range order {
+		if nd.Filter == "source" {
+			c.Writes++
+			c.WriteBytes += size(nd.Pos())
+		}
+	}
+	for _, r := range roots {
+		c.Reads++
+		c.ReadBytes += int64(cells * nodes[r].Width * 4)
+	}
+	c.Peak = c.WriteBytes + c.ReadBytes
+	for _, p := range scratch(order, nodes, roots) {
+		c.Peak += size(p)
+	}
+	return c
+}
+
+// streamed counts streaming's tiles, each a fused run over the tile's
+// cells.
+func streamed(order, nodes []*dataflow.Node, roots []int32, n, tiles int, src func(name string) []float32) Counts {
+	plane, nz := 1, n
+	depth := make(map[int32]int, len(order))
+	perElem := make(map[int32]bool)
+	deepest := 0
+	for _, nd := range order {
+		stencil := nd.Info().Class == dataflow.ClassStencil
+		d := 0
+		for i, in := range nd.Inputs {
+			d = max(d, depth[in])
+			if stencil && i == 1 {
+				dims := src(nodes[in].ID)
+				plane, nz = int(dims[0])*int(dims[1]), int(dims[2])
+			} else {
+				perElem[in] = true
+			}
+		}
+		depth[nd.Pos()] = d + nd.Info().Radius
+		deepest = max(deepest, depth[nd.Pos()])
+	}
+	for _, r := range roots {
+		perElem[r] = true
+	}
+	var c Counts
+	tiles = min(tiles, nz)
+	for t := 0; t < tiles; t++ {
+		lo := max(nz*t/tiles-deepest, 0)
+		hi := min(nz*(t+1)/tiles+deepest, nz)
+		cells := (hi - lo) * plane
+		tile := fused(order, nodes, roots, cells, func(p int32) int64 {
+			if !perElem[p] {
+				return 16
+			}
+			return int64(cells * nodes[p].Width * 4)
+		})
+		c.Writes += tile.Writes
+		c.Reads += tile.Reads
+		c.Kernels += tile.Kernels
+		c.WriteBytes += tile.WriteBytes
+		c.ReadBytes += tile.ReadBytes
+		c.Peak = max(c.Peak, tile.Peak)
+	}
+	return c
 }
 
 // scratch lists the values fusion materializes (Figure 2): a stencil
