@@ -497,3 +497,23 @@ func TestBadDimsIsTypedError(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPlan times planning the Q-criterion under each device
+// strategy: ns, bytes and allocations per plan.
+func BenchmarkPlan(b *testing.B) {
+	net, err := expr.Compile(vortex.QCritExpr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"roundtrip", "staged", "fusion", "streaming"} {
+		s, _ := ForName(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Plan(net, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
