@@ -139,7 +139,7 @@ func build(low *vm.Lowering, entry, name string) *Program {
 	exec := low.Program()
 	fns := make([]ocl.KernelFunc, len(low.Passes))
 	for p := range fns {
-		fns[p] = func(lo, hi int, bufs []ocl.View, _ []float64) { exec.RunPass(p, lo, hi, bufs) }
+		fns[p] = func(lo, hi int, bufs []ocl.View) { exec.RunPass(p, lo, hi, bufs) }
 	}
 	return &Program{
 		Kernel: &ocl.Kernel{

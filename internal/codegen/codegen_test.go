@@ -51,7 +51,7 @@ func runProgram(t *testing.T, p *Program, n int, sources map[string][]float32) [
 			}
 		}
 	}
-	if err := env.Run(p.Kernel, n, bufs, nil); err != nil {
+	if err := env.Run(p.Kernel, n, bufs); err != nil {
 		t.Fatal(err)
 	}
 	got, err := env.Download(out)

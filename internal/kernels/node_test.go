@@ -123,7 +123,7 @@ func TestElementwiseKernels(t *testing.T) {
 			}
 			bufs := upload(t, env, in, b)[:tc.inputs]
 			out := outBuffer(t, env, len(in), 1)
-			if err := env.Run(k, len(in), append(bufs, out), nil); err != nil {
+			if err := env.Run(k, len(in), append(bufs, out)); err != nil {
 				t.Fatal(err)
 			}
 			got, _ := env.Download(out)
@@ -176,7 +176,7 @@ func TestDecomposeKernel(t *testing.T) {
 	}
 	for comp := 0; comp < 4; comp++ {
 		out := outBuffer(t, env, n, 1)
-		if err := env.Run(nodeKernel(t, "decompose", comp).Kernel, n, []*ocl.Buffer{in, out}, nil); err != nil {
+		if err := env.Run(nodeKernel(t, "decompose", comp).Kernel, n, []*ocl.Buffer{in, out}); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := env.Download(out)
@@ -194,7 +194,7 @@ func TestConstKernel(t *testing.T) {
 	const n = 64
 	out := outBuffer(t, env, n, 1)
 	k := nodeKernel(t, "const", 0).Kernel
-	if err := env.Run(k, n, []*ocl.Buffer{out}, nil); err != nil {
+	if err := env.Run(k, n, []*ocl.Buffer{out}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := env.Download(out)
@@ -231,7 +231,7 @@ func TestGrad3DKernelMatchesMeshGradient(t *testing.T) {
 	dims := kernels.DimsArray(d.NX, d.NY, d.NZ)
 	cx, cy, cz := m.CellCenterFields()
 	out := outBuffer(t, env, n, 4)
-	if err := env.Run(nodeKernel(t, "grad3d", 0).Kernel, n, append(upload(t, env, field, dims, cx, cy, cz), out), nil); err != nil {
+	if err := env.Run(nodeKernel(t, "grad3d", 0).Kernel, n, append(upload(t, env, field, dims, cx, cy, cz), out)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := env.Download(out)
@@ -251,8 +251,8 @@ func TestGrad3DKernelMatchesMeshGradient(t *testing.T) {
 		out := make([]float32, w*n)
 		views[5] = ocl.View{Data: out, Elems: n, Width: w}
 		cut := rng.Intn(n + 1)
-		k.Passes[0](0, cut, views, nil)
-		k.Passes[0](cut, n, views, nil)
+		k.Passes[0](0, cut, views)
+		k.Passes[0](cut, n, views)
 		for idx := 0; idx < n; idx++ {
 			gx, gy, gz := kernels.GradAt(field, cx, cy, cz, d.NX, d.NY, d.NZ, idx)
 			g := []float32{gx, gy, gz, 0}
@@ -293,7 +293,7 @@ func TestComparisonKernels(t *testing.T) {
 	for name, expect := range want {
 		env := testEnv()
 		out := outBuffer(t, env, len(a), 1)
-		if err := env.Run(nodeKernel(t, name, 0).Kernel, len(a), append(upload(t, env, a, b), out), nil); err != nil {
+		if err := env.Run(nodeKernel(t, name, 0).Kernel, len(a), append(upload(t, env, a, b), out)); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := env.Download(out)
@@ -315,7 +315,7 @@ func TestSelectKernel(t *testing.T) {
 	if k.Name != "kselect" || k.NumBufs != 4 {
 		t.Fatalf("select's node kernel is %q over %d buffers, want kselect over 4", k.Name, k.NumBufs)
 	}
-	if err := env.Run(k, 4, append(upload(t, env, cond, a, b), out), nil); err != nil {
+	if err := env.Run(k, 4, append(upload(t, env, cond, a, b), out)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := env.Download(out)
@@ -331,7 +331,7 @@ func TestNormKernel(t *testing.T) {
 	vec := []float32{3, 4, 0, 0 /*|.|=5*/, 1, 2, 2, 9 /*|.|=3, s3 ignored*/}
 	in, _ := env.Upload("v", vec, 4)
 	out := outBuffer(t, env, 2, 1)
-	if err := env.Run(nodeKernel(t, "norm", 0).Kernel, 2, []*ocl.Buffer{in, out}, nil); err != nil {
+	if err := env.Run(nodeKernel(t, "norm", 0).Kernel, 2, []*ocl.Buffer{in, out}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := env.Download(out)
@@ -364,7 +364,7 @@ func TestNormIsFloatArithmetic(t *testing.T) {
 	}
 	n := len(vec) / 4
 	out := make([]float32, n)
-	nodeKernel(t, "norm", 0).Kernel.Passes[0](0, n, []ocl.View{{Data: vec, Elems: n, Width: 4}, {Data: out, Elems: n, Width: 1}}, nil)
+	nodeKernel(t, "norm", 0).Kernel.Passes[0](0, n, []ocl.View{{Data: vec, Elems: n, Width: 4}, {Data: out, Elems: n, Width: 1}})
 	widened := 0
 	for i := range out {
 		var s float32
@@ -541,8 +541,8 @@ func lanesMatchScalar(t *testing.T) {
 		}
 		out := make([]float32, n)
 		views[arity] = ocl.View{Data: out, Elems: n, Width: 1}
-		k.Passes[0](0, n/3, views, nil)
-		k.Passes[0](n/3, n, views, nil)
+		k.Passes[0](0, n/3, views)
+		k.Passes[0](n/3, n, views)
 		kernels.SameBits(t, k.Name+" all tuples", out, w)
 	}
 }

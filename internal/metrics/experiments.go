@@ -130,7 +130,7 @@ func runReference(env *ocl.Env, _ *dataflow.Network, bind strategy.Bindings, exp
 		return strategy.Result{}, err
 	}
 	bufs = append(bufs, out)
-	if err := env.Run(k, bind.N, bufs, nil); err != nil {
+	if err := env.Run(k, bind.N, bufs); err != nil {
 		return strategy.Result{}, err
 	}
 	data, err := env.Download(out)

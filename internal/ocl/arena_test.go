@@ -229,11 +229,11 @@ func TestFaultedBindLeaksNoHandOut(t *testing.T) {
 // storage, never into the array that was uploaded. Without a pool the
 // released buffer does not pin the array either.
 func TestRecycledUploadNeverWritesTheCallersArray(t *testing.T) {
-	fill := &Kernel{Name: "kfill", NumBufs: 1, Fn: func(lo, hi int, bufs []View, _ []float64) {
+	fill := &Kernel{Name: "kfill", NumBufs: 1, Passes: []KernelFunc{func(lo, hi int, bufs []View) {
 		for i := lo; i < hi; i++ {
 			bufs[0].Data[i] = 9
 		}
-	}}
+	}}}
 	for _, pooled := range []bool{false, true} {
 		env := NewEnv(NewDevice(XeonX5660Spec(4)))
 		if pooled {
@@ -258,7 +258,7 @@ func TestRecycledUploadNeverWritesTheCallersArray(t *testing.T) {
 		if pooled && out != in {
 			t.Fatal("the pool did not recycle the uploaded buffer")
 		}
-		if err := env.Run(fill, 4, []*Buffer{out}, nil); err != nil {
+		if err := env.Run(fill, 4, []*Buffer{out}); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(src, []float32{1, 2, 3, 4}) {

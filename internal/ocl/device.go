@@ -67,7 +67,7 @@ const minParallelGrain = 4096
 // way. A panic in any chunk is re-raised here, on the launching
 // goroutine, once every chunk has returned: a panic that unwinds a
 // worker's own goroutine ends the process, past every caller's recover.
-func (d *Device) execute(n int, pass KernelFunc, views []View, scalars []float64) time.Duration {
+func (d *Device) execute(n int, pass KernelFunc, views []View) time.Duration {
 	start := time.Now()
 	if n <= 0 {
 		return time.Since(start)
@@ -77,12 +77,12 @@ func (d *Device) execute(n int, pass KernelFunc, views []View, scalars []float64
 		workers = max
 	}
 	if workers <= 1 {
-		pass(0, n, views, scalars)
+		pass(0, n, views)
 		return time.Since(start)
 	}
 	startChunkWorkers()
 	l := launches.Get().(*launch)
-	l.pass, l.views, l.scalars = pass, views, scalars
+	l.pass, l.views = pass, views
 	chunk, handed := (n+workers-1)/workers, false
 	for lo := 0; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
@@ -107,7 +107,7 @@ func (d *Device) execute(n int, pass KernelFunc, views []View, scalars []float64
 	}
 	l.wg.Wait()
 	p := l.panicked.Swap(nil)
-	l.pass, l.views, l.scalars = nil, nil, nil
+	l.pass, l.views = nil, nil
 	launches.Put(l)
 	if p != nil {
 		panic(p)
@@ -121,7 +121,6 @@ func (d *Device) execute(n int, pass KernelFunc, views []View, scalars []float64
 type launch struct {
 	pass     KernelFunc
 	views    []View
-	scalars  []float64
 	wg       sync.WaitGroup
 	panicked atomic.Pointer[chunkPanic]
 }
@@ -135,7 +134,7 @@ func (l *launch) run(lo, hi int) {
 			l.panicked.CompareAndSwap(nil, &chunkPanic{value: r, stack: debug.Stack()})
 		}
 	}()
-	l.pass(lo, hi, l.views, l.scalars)
+	l.pass(lo, hi, l.views)
 }
 
 // chunkJob is one chunk of a launch handed to a chunk worker.

@@ -121,8 +121,8 @@ func (e *Env) Download(src *Buffer) ([]float32, error) {
 func (e *Env) Views(n int) []View { return e.q.scratch(n) }
 
 // Run launches the kernel over n elements (see Queue.Run).
-func (e *Env) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) error {
-	_, err := e.q.Run(k, n, bufs, scalars)
+func (e *Env) Run(k *Kernel, n int, bufs []*Buffer) error {
+	_, err := e.q.Run(k, n, bufs)
 	return err
 }
 

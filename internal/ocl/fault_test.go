@@ -69,11 +69,11 @@ func TestFaultPlanTransferAndKernel(t *testing.T) {
 		t.Fatalf("read: got %v, want ErrTransferFailed", err)
 	}
 
-	k := &Kernel{Name: "nop", NumBufs: 1, Fn: func(lo, hi int, bufs []View, scalars []float64) {}}
-	if _, err := q.Run(k, 4, []*Buffer{b}, nil); !errors.Is(err, ErrKernelFailed) {
+	k := &Kernel{Name: "nop", NumBufs: 1, Passes: []KernelFunc{func(lo, hi int, bufs []View) {}}}
+	if _, err := q.Run(k, 4, []*Buffer{b}); !errors.Is(err, ErrKernelFailed) {
 		t.Fatalf("kernel: got %v, want ErrKernelFailed", err)
 	}
-	if _, err := q.Run(k, 4, []*Buffer{b}, nil); err != nil {
+	if _, err := q.Run(k, 4, []*Buffer{b}); err != nil {
 		t.Fatalf("second kernel should pass: %v", err)
 	}
 }
@@ -120,7 +120,7 @@ func TestFaultPlanPanicEffect(t *testing.T) {
 	ctx.SetFaultPlan(NewFaultPlan(1).Add(FaultRule{Op: FaultKernel, Nth: 0, Effect: EffectPanic}))
 	b := ctx.MustBuffer("buf", 4, 1)
 	defer b.Release()
-	k := &Kernel{Name: "nop", NumBufs: 1, Fn: func(lo, hi int, bufs []View, scalars []float64) {}}
+	k := &Kernel{Name: "nop", NumBufs: 1, Passes: []KernelFunc{func(lo, hi int, bufs []View) {}}}
 
 	defer func() {
 		r := recover()
@@ -131,7 +131,7 @@ func TestFaultPlanPanicEffect(t *testing.T) {
 			t.Fatalf("unexpected panic payload: %v", r)
 		}
 	}()
-	q.Run(k, 4, []*Buffer{b}, nil)
+	q.Run(k, 4, []*Buffer{b})
 }
 
 func TestFaultPlanProbabilisticDeterministicReplay(t *testing.T) {

@@ -31,12 +31,11 @@ type View struct {
 	Width int
 }
 
-// KernelFunc is the executable body of a kernel. It is invoked
+// KernelFunc is one pass of a kernel's executable body. It is invoked
 // concurrently on disjoint sub-ranges [lo, hi) of the global work size;
-// bufs follow the argument order of the launch, and scalars carry the
-// kernel's non-buffer arguments (compile-time constants in the fusion
-// strategy arrive through source instead and are absent here).
-type KernelFunc func(lo, hi int, bufs []View, scalars []float64)
+// bufs follow the argument order of the launch. A kernel takes no
+// scalar arguments: constants are compiled into its body.
+type KernelFunc func(lo, hi int, bufs []View)
 
 // Kernel pairs an OpenCL C source string with the executable equivalent
 // that the simulated device runs. The source is what a real OpenCL
@@ -55,14 +54,12 @@ type Kernel struct {
 	NumBufs int
 	// Cost is the per-element cost used for modeled timings.
 	Cost Cost
-	// Fn is the executable kernel body.
-	Fn KernelFunc
-	// Passes optionally splits the body into ordered phases with a
+	// Passes is the executable body: one or more ordered phases with a
 	// device-wide barrier between them, all within ONE kernel dispatch.
-	// The fusion generator uses this when a stencil primitive (grad3d)
-	// consumes a computed value: the fused kernel first materializes
-	// that value to a global scratch buffer, synchronizes, then runs the
-	// stencil — the single-kernel, extra-array case of the paper's
-	// Figure 2. When Passes is non-empty it replaces Fn.
+	// The fusion generator uses several when a stencil primitive
+	// (grad3d) consumes a computed value: the fused kernel first
+	// materializes that value to a global scratch buffer, synchronizes,
+	// then runs the stencil — the single-kernel, extra-array case of the
+	// paper's Figure 2.
 	Passes []KernelFunc
 }

@@ -258,12 +258,12 @@ func addKernel() *Kernel {
 		Source:  "__kernel void kadd(__global const float *a, __global const float *b, __global float *c) { int i = get_global_id(0); c[i] = a[i] + b[i]; }",
 		NumBufs: 3,
 		Cost:    Cost{Flops: 1, LoadBytes: 8, StoreBytes: 4},
-		Fn: func(lo, hi int, bufs []View, _ []float64) {
+		Passes: []KernelFunc{func(lo, hi int, bufs []View) {
 			a, b, c := bufs[0].Data, bufs[1].Data, bufs[2].Data
 			for i := lo; i < hi; i++ {
 				c[i] = a[i] + b[i]
 			}
-		},
+		}},
 	}
 }
 
@@ -279,7 +279,7 @@ func TestKernelExecution(t *testing.T) {
 	ba, _ := env.Upload("a", a, 1)
 	bb, _ := env.Upload("b", b, 1)
 	bc := env.Context().MustBuffer("c", n, 1)
-	if err := env.Run(addKernel(), n, []*Buffer{ba, bb, bc}, nil); err != nil {
+	if err := env.Run(addKernel(), n, []*Buffer{ba, bb, bc}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := env.Download(bc)
@@ -302,22 +302,22 @@ func TestKernelLaunchValidation(t *testing.T) {
 	k := addKernel()
 	b := env.Context().MustBuffer("x", 8, 1)
 
-	if err := env.Run(k, 8, []*Buffer{b}, nil); err == nil {
+	if err := env.Run(k, 8, []*Buffer{b}); err == nil {
 		t.Error("wrong buffer count must fail")
 	}
-	if err := env.Run(k, -1, []*Buffer{b, b, b}, nil); err == nil {
+	if err := env.Run(k, -1, []*Buffer{b, b, b}); err == nil {
 		t.Error("negative global size must fail")
 	}
-	if err := env.Run(k, 8, []*Buffer{b, nil, b}, nil); err == nil {
+	if err := env.Run(k, 8, []*Buffer{b, nil, b}); err == nil {
 		t.Error("nil buffer must fail")
 	}
 	rb := env.Context().MustBuffer("y", 8, 1)
 	rb.Release()
-	if err := env.Run(k, 8, []*Buffer{b, rb, b}, nil); err == nil {
+	if err := env.Run(k, 8, []*Buffer{b, rb, b}); err == nil {
 		t.Error("released buffer must fail")
 	}
 	var ae *ArgError
-	err := env.Run(&Kernel{Name: "nofn"}, 8, nil, nil)
+	err := env.Run(&Kernel{Name: "nofn"}, 8, nil)
 	if !errors.As(err, &ae) {
 		t.Fatalf("kernel without body: want *ArgError, got %v", err)
 	}
@@ -329,7 +329,7 @@ func TestKernelLaunchValidation(t *testing.T) {
 func TestKernelZeroGlobalSize(t *testing.T) {
 	env := NewEnv(testDevice())
 	b := env.Context().MustBuffer("x", 8, 1)
-	if err := env.Run(addKernel(), 0, []*Buffer{b, b, b}, nil); err != nil {
+	if err := env.Run(addKernel(), 0, []*Buffer{b, b, b}); err != nil {
 		t.Fatalf("zero-size launch should succeed as a no-op: %v", err)
 	}
 	if env.Profile().Kernels != 1 {
@@ -340,7 +340,7 @@ func TestKernelZeroGlobalSize(t *testing.T) {
 func TestSimulatedTimelineIsInOrder(t *testing.T) {
 	env := NewEnv(testDevice())
 	b, _ := env.Upload("x", make([]float32, 1024), 1)
-	env.Run(addKernel(), 1024, []*Buffer{b, b, b}, nil)
+	env.Run(addKernel(), 1024, []*Buffer{b, b, b})
 	env.Queue().ReadBuffer(make([]float32, 1024), b)
 
 	evs := env.Queue().Events()
@@ -376,7 +376,7 @@ func TestEventLogOffFoldsProfileOnly(t *testing.T) {
 		env := NewEnv(testDevice())
 		env.Queue().SetEventLog(log)
 		b, _ := env.Upload("x", make([]float32, 1024), 1)
-		env.Run(addKernel(), 1024, []*Buffer{b, b, b}, nil)
+		env.Run(addKernel(), 1024, []*Buffer{b, b, b})
 		env.Queue().ReadBuffer(make([]float32, 1024), b)
 		return env.Profile(), env.Queue().Now(), env.Queue().Events()
 	}
@@ -402,7 +402,7 @@ func TestWarmLaunchAllocatesNothing(t *testing.T) {
 	k := addKernel()
 	launch := func() {
 		env.Reset()
-		if err := env.Run(k, 64, bufs, nil); err != nil {
+		if err := env.Run(k, 64, bufs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -462,7 +462,7 @@ func TestCostAdd(t *testing.T) {
 func TestProfileAddAndString(t *testing.T) {
 	env := NewEnv(testDevice())
 	b, _ := env.Upload("x", make([]float32, 64), 1)
-	env.Run(addKernel(), 64, []*Buffer{b, b, b}, nil)
+	env.Run(addKernel(), 64, []*Buffer{b, b, b})
 	p := env.Profile()
 
 	sum := p.Add(p)
@@ -517,11 +517,11 @@ func TestExecuteCoversRangeExactlyOnce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(200_000)
 		marks := make([]int32, n)
-		dev.execute(n, func(lo, hi int, _ []View, _ []float64) {
+		dev.execute(n, func(lo, hi int, _ []View) {
 			for i := lo; i < hi; i++ {
 				marks[i]++
 			}
-		}, nil, nil)
+		}, nil)
 		for _, m := range marks {
 			if m != 1 {
 				return false
@@ -549,7 +549,7 @@ func TestKernelChunkPanicReachesLauncher(t *testing.T) {
 	const n = 2 * minParallelGrain
 
 	var ran sync.Map // chunk lo -> true
-	boom := &Kernel{Name: "kboom", NumBufs: 1, Fn: func(lo, hi int, bufs []View, _ []float64) {
+	boom := &Kernel{Name: "kboom", NumBufs: 1, Passes: []KernelFunc{func(lo, hi int, bufs []View) {
 		ran.Store(lo, true)
 		if lo > 0 {
 			panic(fmt.Sprintf("boom at %d", lo))
@@ -557,7 +557,7 @@ func TestKernelChunkPanicReachesLauncher(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			bufs[0].Data[i] = 1
 		}
-	}}
+	}}}
 	launch := func() (recovered any) {
 		buf, err := env.NewBuffer("x", n, 1)
 		if err != nil {
@@ -565,7 +565,7 @@ func TestKernelChunkPanicReachesLauncher(t *testing.T) {
 		}
 		defer buf.Release()
 		defer func() { recovered = recover() }()
-		err = env.Run(boom, n, []*Buffer{buf}, nil)
+		err = env.Run(boom, n, []*Buffer{buf})
 		t.Errorf("Run returned (%v) past a panicking chunk", err)
 		return nil
 	}
@@ -593,12 +593,12 @@ func TestKernelChunkPanicReachesLauncher(t *testing.T) {
 	// The device is still usable.
 	buf := ctx.MustBuffer("y", n, 1)
 	defer buf.Release()
-	fill := &Kernel{Name: "kfill", NumBufs: 1, Fn: func(lo, hi int, bufs []View, _ []float64) {
+	fill := &Kernel{Name: "kfill", NumBufs: 1, Passes: []KernelFunc{func(lo, hi int, bufs []View) {
 		for i := lo; i < hi; i++ {
 			bufs[0].Data[i] = 2
 		}
-	}}
-	if err := env.Run(fill, n, []*Buffer{buf}, nil); err != nil {
+	}}}
+	if err := env.Run(fill, n, []*Buffer{buf}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -613,14 +613,14 @@ func TestFannedOutLaunchAllocatesNothing(t *testing.T) {
 	const n = 4099 // four uneven chunks
 	data := make([]float32, n)
 	views := []View{{Data: data, Elems: n, Width: 1}}
-	pass := func(lo, hi int, bufs []View, _ []float64) {
+	pass := func(lo, hi int, bufs []View) {
 		for i := lo; i < hi; i++ {
 			bufs[0].Data[i]++
 		}
 	}
-	dev.execute(n, pass, views, nil) // starts the workers
+	dev.execute(n, pass, views) // starts the workers
 	const runs = 100
-	if allocs := testing.AllocsPerRun(runs, func() { dev.execute(n, pass, views, nil) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(runs, func() { dev.execute(n, pass, views) }); allocs != 0 {
 		t.Errorf("a fanned-out launch makes %.0f allocations, want 0", allocs)
 	}
 	for i, v := range data {
@@ -644,13 +644,13 @@ func TestConcurrentFannedOutLaunches(t *testing.T) {
 			dev.SetChunking(3, 1)
 			data := make([]float32, n)
 			views := []View{{Data: data, Elems: n, Width: 1}}
-			pass := func(lo, hi int, bufs []View, _ []float64) {
+			pass := func(lo, hi int, bufs []View) {
 				for i := lo; i < hi; i++ {
 					bufs[0].Data[i]++
 				}
 			}
 			for r := 0; r < runs; r++ {
-				dev.execute(n, pass, views, nil)
+				dev.execute(n, pass, views)
 			}
 			for i, v := range data {
 				if v != runs {
@@ -707,7 +707,7 @@ func TestKernelWallTimeRecorded(t *testing.T) {
 	env := NewEnv(testDevice())
 	const n = 1 << 16
 	b := env.Context().MustBuffer("x", n, 1)
-	env.Run(addKernel(), n, []*Buffer{b, b, b}, nil)
+	env.Run(addKernel(), n, []*Buffer{b, b, b})
 	evs := env.Queue().Events()
 	if evs[0].Wall < 0 {
 		t.Fatal("wall time must be non-negative")
@@ -743,13 +743,13 @@ func TestMultiPassKernel(t *testing.T) {
 		Name: "ktwopass",
 		Cost: Cost{Flops: 2, LoadBytes: 8, StoreBytes: 8},
 		Passes: []KernelFunc{
-			func(lo, hi int, bufs []View, _ []float64) {
+			func(lo, hi int, bufs []View) {
 				a, s := bufs[0].Data, bufs[1].Data
 				for i := lo; i < hi; i++ {
 					s[i] = 2 * a[i]
 				}
 			},
-			func(lo, hi int, bufs []View, _ []float64) {
+			func(lo, hi int, bufs []View) {
 				s, o := bufs[1].Data, bufs[2].Data
 				for i := lo; i < hi; i++ {
 					// Reads a neighbour's pass-1 result: requires the
@@ -760,7 +760,7 @@ func TestMultiPassKernel(t *testing.T) {
 			},
 		},
 	}
-	if err := env.Run(k, n, []*Buffer{bin, scratch, out}, nil); err != nil {
+	if err := env.Run(k, n, []*Buffer{bin, scratch, out}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := env.Download(out)
@@ -798,7 +798,7 @@ func TestConcurrentEnvsAreIndependent(t *testing.T) {
 					return
 				}
 				out := env.Context().MustBuffer("out", n, 1)
-				if err := env.Run(k, n, []*Buffer{ba, ba, out}, nil); err != nil {
+				if err := env.Run(k, n, []*Buffer{ba, ba, out}); err != nil {
 					errs <- err
 					return
 				}
@@ -875,7 +875,6 @@ func TestAccessors(t *testing.T) {
 	if b.Label() != "x" || len(b.Data()) != 4 {
 		t.Fatal("buffer accessors wrong")
 	}
-	env.Queue().Finish() // no-op, kept for API fidelity
 }
 
 func TestMustBufferPanics(t *testing.T) {

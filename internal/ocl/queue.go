@@ -189,13 +189,9 @@ func (q *Queue) take(src *Buffer) ([]float32, error) {
 // modeled duration from the device cost model. The buffers are bound
 // into the queue's argument scratch, so Run must not be called
 // concurrently on one queue.
-func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) (Event, error) {
-	passes := k.Passes
-	if len(passes) == 0 {
-		if k.Fn == nil {
-			return Event{}, &ArgError{Kernel: k.Name, Index: -1, Reason: "kernel has no executable body"}
-		}
-		passes = []KernelFunc{k.Fn}
+func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer) (Event, error) {
+	if len(k.Passes) == 0 {
+		return Event{}, &ArgError{Kernel: k.Name, Index: -1, Reason: "kernel has no executable body"}
 	}
 	if k.NumBufs > 0 && len(bufs) != k.NumBufs {
 		return Event{}, &ArgError{Kernel: k.Name, Index: -1,
@@ -219,15 +215,11 @@ func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer, scalars []float64) (Event,
 		return Event{}, err
 	}
 	var wall time.Duration
-	for _, pass := range passes {
-		wall += q.ctx.dev.execute(n, pass, views, scalars)
+	for _, pass := range k.Passes {
+		wall += q.ctx.dev.execute(n, pass, views)
 	}
 	return q.record(KernelEvent, k.Name, 0, n, q.ctx.dev.kernelTime(n, k.Cost), wall), nil
 }
-
-// Finish blocks until all enqueued work completes. The simulated queue is
-// synchronous, so Finish is a no-op kept for API fidelity.
-func (q *Queue) Finish() {}
 
 // Now returns the queue's simulated elapsed device time.
 func (q *Queue) Now() time.Duration {

@@ -149,13 +149,13 @@ func ReferenceKernel(name string) (*ocl.Kernel, []string, error) {
 			Source:  refVelMagSrc,
 			NumBufs: 4,
 			Cost:    ocl.Cost{Flops: 6, LoadBytes: 12, StoreBytes: 4},
-			Fn: func(lo, hi int, bufs []ocl.View, _ []float64) {
+			Passes: []ocl.KernelFunc{func(lo, hi int, bufs []ocl.View) {
 				u, v, w, out := bufs[0].Data, bufs[1].Data, bufs[2].Data, bufs[3].Data
 				for i := lo; i < hi; i++ {
 					a, b, c := float64(u[i]), float64(v[i]), float64(w[i])
 					out[i] = float32(math.Sqrt(a*a + b*b + c*c))
 				}
-			},
+			}},
 		}, []string{"u", "v", "w"}, nil
 
 	case "VortMag":
@@ -164,7 +164,7 @@ func ReferenceKernel(name string) (*ocl.Kernel, []string, error) {
 			Source:  refVortMagSrc,
 			NumBufs: 8,
 			Cost:    ocl.Cost{Flops: 30, LoadBytes: 76, StoreBytes: 4},
-			Fn: func(lo, hi int, bufs []ocl.View, _ []float64) {
+			Passes: []ocl.KernelFunc{func(lo, hi int, bufs []ocl.View) {
 				u, v, w := bufs[0].Data, bufs[1].Data, bufs[2].Data
 				dims := bufs[3].Data
 				x, y, z := bufs[4].Data, bufs[5].Data, bufs[6].Data
@@ -181,7 +181,7 @@ func ReferenceKernel(name string) (*ocl.Kernel, []string, error) {
 					out[gid] = float32(math.Sqrt(float64(wx)*float64(wx) +
 						float64(wy)*float64(wy) + float64(wz)*float64(wz)))
 				}
-			},
+			}},
 		}, []string{"u", "v", "w", "dims", "x", "y", "z"}, nil
 
 	case "Q-Crit":
@@ -190,7 +190,7 @@ func ReferenceKernel(name string) (*ocl.Kernel, []string, error) {
 			Source:  refQCritSrc,
 			NumBufs: 8,
 			Cost:    ocl.Cost{Flops: 70, LoadBytes: 100, StoreBytes: 4},
-			Fn: func(lo, hi int, bufs []ocl.View, _ []float64) {
+			Passes: []ocl.KernelFunc{func(lo, hi int, bufs []ocl.View) {
 				u, v, w := bufs[0].Data, bufs[1].Data, bufs[2].Data
 				dims := bufs[3].Data
 				x, y, z := bufs[4].Data, bufs[5].Data, bufs[6].Data
@@ -222,7 +222,7 @@ func ReferenceKernel(name string) (*ocl.Kernel, []string, error) {
 					}
 					out[gid] = float32(0.5 * (wnorm - snorm))
 				}
-			},
+			}},
 		}, []string{"u", "v", "w", "dims", "x", "y", "z"}, nil
 
 	default:

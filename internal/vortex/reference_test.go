@@ -38,7 +38,7 @@ func runReference(t *testing.T, name string, m *mesh.Mesh, u, v, w []float32) ([
 		t.Fatal(err)
 	}
 	bufs = append(bufs, out)
-	if err := env.Run(k, n, bufs, nil); err != nil {
+	if err := env.Run(k, n, bufs); err != nil {
 		t.Fatal(err)
 	}
 	got, err := env.Download(out)
