@@ -413,9 +413,6 @@ func (nw *Network) SetRootsAt(ps ...int32) error {
 // must not be mutated.
 func (nw *Network) Roots() []int32 { return nw.roots }
 
-// MultiRoot reports whether the network carries more than one sink.
-func (nw *Network) MultiRoot() bool { return len(nw.roots) > 1 }
-
 // Output returns the node ID of the primary sink ("" if unset).
 func (nw *Network) Output() string {
 	if len(nw.roots) == 0 {

@@ -3,10 +3,12 @@ package strategy
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"dfg/internal/dataflow"
 	"dfg/internal/expr"
 	"dfg/internal/mesh"
 	"dfg/internal/ocl"
@@ -285,8 +287,8 @@ func TestStagedKeepIntermediatesAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ablation is not a variant: it reaches the planner directly.
-	hp, err := planStaged(net, true)
+	// The ablation is not a variant: it strips the plan's releases.
+	hp, err := keepIntermediates(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +311,20 @@ func TestStagedKeepIntermediatesAblation(t *testing.T) {
 	}
 }
 
+// keepIntermediates plans staged without its release ops — an ablation
+// of the dataflow module's refcounting design, showing how much device
+// memory the eager frees save. The run still releases every buffer at
+// its exit.
+func keepIntermediates(net *dataflow.Network) (Plan, error) {
+	p, err := planStaged(net)
+	if err != nil {
+		return nil, err
+	}
+	hoard := *p.(*devicePlan)
+	hoard.sched.ops = slices.DeleteFunc(slices.Clone(hoard.sched.ops), func(o op) bool { return o.code == opRelease })
+	return &hoard, nil
+}
+
 // BenchmarkAblation_Refcounting compares staged Q-criterion with eager
 // reference-count-driven frees against hoarding every intermediate, on
 // Table I row 1 at 1/4 linear scale.
@@ -324,7 +340,10 @@ func BenchmarkAblation_Refcounting(b *testing.B) {
 			name = "keep-intermediates"
 		}
 		b.Run(name, func(b *testing.B) {
-			p, err := planStaged(net, keep)
+			p, err := planStaged(net)
+			if keep {
+				p, err = keepIntermediates(net)
+			}
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -14,8 +14,13 @@
 //     equal to inputs + output, plus scratch only when a stencil
 //     consumes a computed value).
 //
-// The strategies reproduce the paper's Table II event counts exactly;
-// see the package tests.
+// The strategies differ only in that sequence of device operations, so
+// each device plan (the three, and streaming's tiles) compiles once to
+// a schedule of ops over numbered device and host slots — bind, upload,
+// alloc, launch, download, release, and the host-side steps — and one
+// interpreter (run, in schedule.go) executes every schedule. They
+// reproduce the paper's Table II event counts exactly; see the package
+// tests.
 package strategy
 
 import (
@@ -218,7 +223,7 @@ func (s Strategy) Plan(net *dataflow.Network, _ *ocl.Device) (Plan, error) {
 	case Fusion:
 		return planFusion(net)
 	case Staged:
-		return planStaged(net, false)
+		return planStaged(net)
 	case Roundtrip:
 		return planRoundtrip(net)
 	case Streaming:

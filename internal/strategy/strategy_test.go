@@ -392,7 +392,7 @@ func TestPlannedFusionRendersGolden(t *testing.T) {
 		}
 		var prog *codegen.Program
 		switch p := plan.(type) {
-		case *fusionPlan:
+		case *devicePlan:
 			prog = p.prog
 		case *streamingPlan:
 			prog = p.prog

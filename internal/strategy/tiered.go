@@ -27,7 +27,7 @@ func planTiered(net *dataflow.Network, threshold int) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	fused := devPlan.(*fusionPlan)
+	fused := devPlan.(*devicePlan)
 	base, hostBase := fused.planBase, fused.planBase
 	base.name = "tiered"
 	hostBase.name = "vm" // the tier reports itself, not "tiered", as Resolved
