@@ -8,34 +8,36 @@ import (
 	"dfg/internal/vortex"
 )
 
+// parseSeeds is FuzzParse's seed corpus.
+var parseSeeds = []string{
+	vortex.VelMagExpr,
+	vortex.VortMagExpr,
+	vortex.QCritExpr,
+	vortex.EnstrophyExpr,
+	"a = if (norm(grad3d(b,dims,x,y,z)) > 5) then (c*c) else (-c*c)",
+	"a = 1e10 + .5 * u[0]",
+	"a=b;c=d\n\n#comment\ne=f",
+	"a = pow(u, 2) >= exp(v)",
+	"((((((((((",
+	"= = = =",
+	"a = u u u",
+	"\x00\xff",
+	"a = -----u",
+	"t0 = u\nb = t0",
+	// Definition-shaped programs: these exercise the same grammar
+	// paths FuzzCompileWithDefinitions expands through the database.
+	"speed = sqrt(u*u + v*v + w*w)\nke = 0.5 * rho * speed * speed",
+	"d1 = d2 + 1\nd2 = d1 * 2\nr = d1",
+	"vmag2 = u*u + v*v + w*w\nr = sqrt(vmag2) + vmag2",
+}
+
 // FuzzParse drives the lexer, the LALR driver, and the network builder
 // with arbitrary input: nothing may panic, every token's text is the
 // input at its line and column, and every accepted program must compile
 // into a valid network. `go test` exercises the seed corpus; `go test
 // -fuzz=FuzzParse ./internal/expr` explores further.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		vortex.VelMagExpr,
-		vortex.VortMagExpr,
-		vortex.QCritExpr,
-		vortex.EnstrophyExpr,
-		"a = if (norm(grad3d(b,dims,x,y,z)) > 5) then (c*c) else (-c*c)",
-		"a = 1e10 + .5 * u[0]",
-		"a=b;c=d\n\n#comment\ne=f",
-		"a = pow(u, 2) >= exp(v)",
-		"((((((((((",
-		"= = = =",
-		"a = u u u",
-		"\x00\xff",
-		"a = -----u",
-		"t0 = u\nb = t0",
-		// Definition-shaped programs: these exercise the same grammar
-		// paths FuzzCompileWithDefinitions expands through the database.
-		"speed = sqrt(u*u + v*v + w*w)\nke = 0.5 * rho * speed * speed",
-		"d1 = d2 + 1\nd2 = d1 * 2\nr = d1",
-		"vmag2 = u*u + v*v + w*w\nr = sqrt(vmag2) + vmag2",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

@@ -114,13 +114,18 @@ func TestUnambiguousCalculator(t *testing.T) {
 	}
 }
 
-func TestUnresolvedConflictFailsBuild(t *testing.T) {
-	// Ambiguous grammar with no precedence: Build must fail but still
-	// return a usable table with yacc default resolutions.
+// ambiguousSum is e : e + e | num, which has a shift/reduce conflict.
+func ambiguousSum() *Grammar {
 	g := NewGrammar("e")
 	g.Rule("e : e + e", binop(func(a, b float64) float64 { return a + b }))
 	g.Rule("e : num", num)
-	tbl, err := Build(g)
+	return g
+}
+
+func TestUnresolvedConflictFailsBuild(t *testing.T) {
+	// Ambiguous grammar with no precedence: Build must fail but still
+	// return a usable table with yacc default resolutions.
+	tbl, err := Build(ambiguousSum())
 	if err == nil {
 		t.Fatal("unresolved shift/reduce must fail Build")
 	}
@@ -134,13 +139,18 @@ func TestUnresolvedConflictFailsBuild(t *testing.T) {
 	}
 }
 
-func TestReduceReduceConflict(t *testing.T) {
+// twoReductions reduces x to a or b: a reduce/reduce conflict.
+func twoReductions() *Grammar {
 	g := NewGrammar("s")
 	g.Rule("s : a", nil)
 	g.Rule("s : b", nil)
 	g.Rule("a : x", func(_ any, v []any) any { return "a" })
 	g.Rule("b : x", func(_ any, v []any) any { return "b" })
-	tbl, err := Build(g)
+	return g
+}
+
+func TestReduceReduceConflict(t *testing.T) {
+	tbl, err := Build(twoReductions())
 	if err == nil || !strings.Contains(err.Error(), "reduce/reduce") {
 		t.Fatalf("want reduce/reduce failure, got %v", err)
 	}
@@ -151,13 +161,17 @@ func TestReduceReduceConflict(t *testing.T) {
 	}
 }
 
-func TestEpsilonProductions(t *testing.T) {
-	// list : list item | <empty> — counts items.
+// countedList is list : list item | <empty>, which counts items.
+func countedList() *Grammar {
 	g := NewGrammar("list")
 	g.Rule("list : list item", func(_ any, v []any) any { return v[0].(int) + 1 })
 	g.Rule("list :", func(_ any, v []any) any { return 0 })
 	g.Rule("item : x", nil)
-	tbl, err := Build(g)
+	return g
+}
+
+func TestEpsilonProductions(t *testing.T) {
+	tbl, err := Build(countedList())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +190,17 @@ func TestEpsilonProductions(t *testing.T) {
 	}
 }
 
+// lalrNotSLR is S -> L = R | R;  L -> * R | id;  R -> L.
+func lalrNotSLR() *Grammar {
+	g := NewGrammar("s")
+	g.Rule("s : l = r", func(_ any, v []any) any { return "assign" })
+	g.Rule("s : r", func(_ any, v []any) any { return "rvalue" })
+	g.Rule("l : * r", nil)
+	g.Rule("l : id", nil)
+	g.Rule("r : l", nil)
+	return g
+}
+
 // TestLALRButNotSLR uses the textbook grammar that SLR(1) cannot handle
 // (it has a shift/reduce conflict on "=" under SLR) but LALR(1) can:
 //
@@ -184,13 +209,7 @@ func TestEpsilonProductions(t *testing.T) {
 // Building it without conflicts proves the generator computes genuine
 // LALR lookaheads rather than SLR FOLLOW sets.
 func TestLALRButNotSLR(t *testing.T) {
-	g := NewGrammar("s")
-	g.Rule("s : l = r", func(_ any, v []any) any { return "assign" })
-	g.Rule("s : r", func(_ any, v []any) any { return "rvalue" })
-	g.Rule("l : * r", nil)
-	g.Rule("l : id", nil)
-	g.Rule("r : l", nil)
-	tbl, err := Build(g)
+	tbl, err := Build(lalrNotSLR())
 	if err != nil {
 		t.Fatalf("grammar is LALR(1); Build failed: %v", err)
 	}
@@ -245,6 +264,24 @@ func TestUnknownTerminalRejected(t *testing.T) {
 	}
 }
 
+// pairThenEmpty is s : pair opt; pair : x y; opt : <empty>, all nil
+// actions.
+func pairThenEmpty() *Grammar {
+	g := NewGrammar("s")
+	g.Rule("s : pair opt", nil)
+	g.Rule("pair : x y", nil)
+	g.Rule("opt :", nil)
+	return g
+}
+
+// onlyEmpty is s : opt; opt : <empty>, nil actions.
+func onlyEmpty() *Grammar {
+	g := NewGrammar("s")
+	g.Rule("s : opt", nil)
+	g.Rule("opt :", nil)
+	return g
+}
+
 // TestParseTokensErrorPaths pins Parse's error paths over a token slice:
 // an unknown terminal after valid input, the sorted Expected lists the
 // map-keyed table produced before the rows were dense, and nil actions
@@ -270,11 +307,7 @@ func TestParseTokensErrorPaths(t *testing.T) {
 		}
 	}
 
-	g := NewGrammar("s")
-	g.Rule("s : pair opt", nil)
-	g.Rule("pair : x y", nil)
-	g.Rule("opt :", nil)
-	tbl, err = Build(g)
+	tbl, err = Build(pairThenEmpty())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +319,7 @@ func TestParseTokensErrorPaths(t *testing.T) {
 	if v != &toks[0] {
 		t.Fatalf("nil actions should pass up the first child, the x token itself: got %#v", v)
 	}
-	g = NewGrammar("s")
-	g.Rule("s : opt", nil)
-	g.Rule("opt :", nil)
-	if tbl, err = Build(g); err != nil {
+	if tbl, err = Build(onlyEmpty()); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := tbl.Parse(nil, nil); err != nil || v != nil {
@@ -346,10 +376,15 @@ func TestTableIntrospection(t *testing.T) {
 	}
 }
 
-func TestDefaultActionPassesFirstValue(t *testing.T) {
+// oneToken is s : num with a nil action, whose value is the *Token.
+func oneToken() *Grammar {
 	g := NewGrammar("s")
-	g.Rule("s : num", nil) // nil action: value of first symbol (the *Token)
-	tbl, err := Build(g)
+	g.Rule("s : num", nil)
+	return g
+}
+
+func TestDefaultActionPassesFirstValue(t *testing.T) {
+	tbl, err := Build(oneToken())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,13 +400,19 @@ func TestDefaultActionPassesFirstValue(t *testing.T) {
 // TestActionsSeeParseEnv checks that every action receives the env its
 // Parse call was given, so two parses over one table keep separate
 // state.
-func TestActionsSeeParseEnv(t *testing.T) {
+// envCounter counts its reductions of list and item through the *int
+// env.
+func envCounter() *Grammar {
 	g := NewGrammar("list")
 	count := func(env any, v []any) any { *env.(*int)++; return nil }
 	g.Rule("list : list item", count)
 	g.Rule("list :", nil)
 	g.Rule("item : x", count)
-	tbl, err := Build(g)
+	return g
+}
+
+func TestActionsSeeParseEnv(t *testing.T) {
+	tbl, err := Build(envCounter())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,14 +452,35 @@ func TestReport(t *testing.T) {
 	}
 
 	// An ambiguous grammar's table reports its conflicts.
-	g := NewGrammar("e")
-	g.Rule("e : e + e", nil)
-	g.Rule("e : num", nil)
-	tbl2, err := Build(g)
+	tbl2, err := Build(ambiguousNil())
 	if err == nil {
 		t.Fatal("ambiguous grammar must fail Build")
 	}
 	if !strings.Contains(tbl2.Report(), "Conflicts: 1\n    state") {
 		t.Errorf("report should list the conflict:\n%s", tbl2.Report())
+	}
+}
+
+// ambiguousNil is ambiguousSum with nil actions.
+func ambiguousNil() *Grammar {
+	g := NewGrammar("e")
+	g.Rule("e : e + e", nil)
+	g.Rule("e : num", nil)
+	return g
+}
+
+// testGrammars lists every grammar this file builds, by name.
+func testGrammars() []struct {
+	Name  string
+	Build func() *Grammar
+} {
+	return []struct {
+		Name  string
+		Build func() *Grammar
+	}{
+		{"calc", calcGrammar}, {"ambiguousSum", ambiguousSum}, {"ambiguousNil", ambiguousNil},
+		{"twoReductions", twoReductions}, {"countedList", countedList}, {"lalrNotSLR", lalrNotSLR},
+		{"pairThenEmpty", pairThenEmpty}, {"onlyEmpty", onlyEmpty}, {"oneToken", oneToken},
+		{"envCounter", envCounter},
 	}
 }

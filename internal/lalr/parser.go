@@ -7,10 +7,11 @@ import (
 
 // Token is one lexeme handed to the parser. Sym is a grammar terminal's
 // number (Table.Term); Text and the position fields feed error
-// messages, and an action derives a token's semantic value (a NUMBER's
-// float) from Text.
+// messages, and an action reads a token's semantic value from Text, or
+// from Num for a token the lexer already converted.
 type Token struct {
 	Text string
+	Num  float64 // the value a lexer scanned for a numeric token; Parse never reads it
 	Sym  int32
 	Line int32 // 1-based line number
 	Col  int32 // 1-based column
@@ -53,46 +54,63 @@ var endOfInput = Token{Sym: EOF}
 // *Token pointing into toks. An action's vals is a window of the
 // parser's value stack: it is valid only during the call, and must not
 // be retained or appended to.
+//
+// After a reduce's goto, Parse follows the chain of unit reductions
+// (actUnit) the new state takes on the same lookahead. Each pops the one
+// state the goto pushed and goes to from the same state below, so the
+// chain only rewrites the top state and ends where the canonical loop,
+// one iteration per reduction, would.
 func (t *Table) Parse(toks []Token, env any) (any, error) {
 	states := make([]int32, 1, 64)
 	values := make([]any, 1, 64)
+	nt, nn := int32(len(t.terms)), int32(len(t.nonterms))
 	next := 0
 	lookahead := func() (*Token, int32, error) {
 		if next == len(toks) {
 			return &endOfInput, t.eof, nil
 		}
 		tok := &toks[next]
-		if uint32(tok.Sym) >= uint32(len(t.terms)) {
+		if uint32(tok.Sym) >= uint32(nt) {
 			return nil, 0, fmt.Errorf("lalr: lexer produced unknown terminal %d at line %d", tok.Sym, tok.Line)
 		}
 		return tok, tok.Sym, nil
 	}
 	tok, sym, err := lookahead()
+	s := int32(0) // the top state
 	for err == nil {
-		s := states[len(states)-1]
-		act := t.act[s][sym]
+		act := t.act[s*nt+sym]
 		switch act.typ {
 		case actShift:
-			states = append(states, act.target)
+			s = act.target
+			states = append(states, s)
 			values = append(values, tok)
 			next++
 			tok, sym, err = lookahead()
-		case actReduce:
-			p := t.c.prods[act.target]
-			base := len(values) - len(p.Rhs)
+		case actReduce, actUnit:
+			q := act.target
+			n := int(t.rhsLen[q])
+			base := len(values) - n
 			var v any
-			if p.Action != nil {
-				v = p.Action(env, values[base:])
-			} else if len(p.Rhs) > 0 {
+			if f := t.actions[q]; f != nil {
+				v = f(env, values[base:])
+			} else if n > 0 {
 				v = values[base]
 			}
-			states = states[:len(states)-len(p.Rhs)]
+			states = states[:len(states)-n]
 			top := states[len(states)-1]
-			to := t.gto[top][t.lhs[act.target]]
-			if to == 0 {
-				return nil, fmt.Errorf("lalr: internal error: no goto from state %d on %q", top, p.Lhs)
+			lhs := act.lhs
+			for {
+				s = t.gto[top*nn+int32(lhs)]
+				a := t.act[s*nt+sym]
+				if a.typ != actUnit {
+					break
+				}
+				lhs = a.lhs
 			}
-			states = append(states, to)
+			if s == 0 {
+				return nil, fmt.Errorf("lalr: internal error: no goto from state %d on %q", top, t.nonterms[lhs])
+			}
+			states = append(states, s)
 			values = append(values[:base], v)
 		case actAccept:
 			return values[len(values)-1], nil
@@ -107,8 +125,8 @@ func (t *Table) Parse(toks []Token, env any) (any, error) {
 // error messages.
 func (t *Table) expected(state int32) []string {
 	var out []string
-	for id, a := range t.act[state] {
-		if a.typ == actShift || a.typ == actReduce || a.typ == actAccept {
+	for id, a := range t.actRow(int(state)) {
+		if a.typ != actNone {
 			out = append(out, t.terms[id])
 		}
 	}

@@ -23,20 +23,20 @@ func (t *Table) Report() string {
 	fmt.Fprintf(&b, "Nonterminals: %s\n", strings.Join(t.nonterms, " "))
 
 	fmt.Fprintf(&b, "\nStates: %d\n", t.States())
-	for s, row := range t.act {
+	for s := range t.States() {
 		fmt.Fprintf(&b, "\nstate %d\n", s)
-		for id, a := range row {
+		for id, a := range t.actRow(s) {
 			term := t.terms[id]
 			switch a.typ {
 			case actShift:
 				fmt.Fprintf(&b, "    %-12s shift, go to state %d\n", term, a.target)
-			case actReduce:
+			case actReduce, actUnit:
 				fmt.Fprintf(&b, "    %-12s reduce using rule %d (%s)\n", term, a.target, t.c.prods[a.target])
 			case actAccept:
 				fmt.Fprintf(&b, "    %-12s accept\n", term)
 			}
 		}
-		for id, target := range t.gto[s] {
+		for id, target := range t.gtoRow(s) {
 			if target > 0 {
 				fmt.Fprintf(&b, "    %-12s go to state %d\n", t.nonterms[id], target)
 			}
