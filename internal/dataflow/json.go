@@ -35,10 +35,10 @@ func (nw *Network) MarshalJSON() ([]byte, error) {
 			Value: n.Value, Comp: n.Comp, Width: n.Width,
 		})
 	}
-	if len(nw.aliases) > 0 {
-		spec.Aliases = make(map[string]string, len(nw.aliases))
-		for name, p := range nw.aliases {
-			spec.Aliases[name] = nw.nodes[p].ID
+	if aliases := nw.Aliases(); len(aliases) > 0 {
+		spec.Aliases = make(map[string]string, len(aliases))
+		for _, a := range aliases {
+			spec.Aliases[a[0]] = a[1]
 		}
 	}
 	return json.Marshal(spec)

@@ -58,13 +58,9 @@ func (nw *Network) Compact(to []int32) error {
 			roots = append(roots, r)
 		}
 	}
-	for _, names := range []map[string]int32{nw.srcs, nw.aliases} {
-		for name, p := range names {
-			if to[p] < 0 {
-				delete(names, name)
-			} else {
-				names[name] = to[p]
-			}
+	for s, p := range nw.pos {
+		if p >= 0 {
+			nw.pos[s] = to[p]
 		}
 	}
 	nw.nodes, nw.roots = kept, roots

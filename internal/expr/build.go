@@ -34,6 +34,7 @@ func BuildNetworkWithDefinitions(p *Program, defs map[string]*Program) (*dataflo
 		expanding: make(map[string]bool),
 		locals:    make(map[string]int32, len(p.Stmts)),
 	}
+	b.grow(p)
 	last, err := b.emitProgram(p)
 	if err != nil {
 		return nil, err
@@ -113,6 +114,20 @@ type builder struct {
 	prefix string
 }
 
+// sourceRoom is how many of a program's Refs the builder reserves a
+// node for: the ones that name a host source rather than an assignment.
+// Q-criterion reads seven sources; a program that reads more takes the
+// rest from a chunk.
+const sourceRoom = 8
+
+// grow sizes the network for the program the builder is about to emit,
+// from the counts its parse made: one node per non-Ref AST node, and
+// one name per assignment, each with room for the program's sources.
+func (b *builder) grow(p *Program) {
+	srcs := min(p.refs, sourceRoom)
+	b.net.Grow(p.nodes+srcs, p.named+srcs)
+}
+
 // emitProgram realizes a statement list in the current scope and
 // returns the last statement's value.
 func (b *builder) emitProgram(p *Program) (int32, error) {
@@ -153,6 +168,7 @@ func (b *builder) expandDefinition(name string) (int32, error) {
 		return 0, fmt.Errorf("expr: definition %q produced no value", name)
 	}
 	savedLocals, savedPrefix := b.locals, b.prefix
+	b.grow(b.defs[name])
 	b.locals = make(map[string]int32, len(b.defs[name].Stmts))
 	b.prefix = name
 	last, err := b.emitProgram(b.defs[name])
