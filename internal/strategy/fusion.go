@@ -3,6 +3,7 @@ package strategy
 import (
 	"dfg/internal/codegen"
 	"dfg/internal/dataflow"
+	"dfg/internal/ocl"
 )
 
 // planFusion plans the paper's fastest execution strategy: the dynamic
@@ -43,27 +44,32 @@ func planFusion(net *dataflow.Network) (Plan, error) {
 // fusedSchedule binds each source, allocates the scratch arrays and
 // outputs, launches the fused kernel once over every device slot (one
 // per kernel argument) and downloads each output into a host slot, in
-// Roots() order.
+// Roots() order. An argument's ops carry its name; the launch, the
+// kernel's.
 func fusedSchedule(base *planBase, prog *codegen.Program) schedule {
 	outs := len(prog.OutWidths)
 	ops := make([]op, 0, len(prog.Args)+1+outs)
+	labels := make([]string, len(prog.Args)+1)
 	for i, a := range prog.Args {
-		o := op{code: opAlloc, dst: int32(i), width: int8(a.Width), label: a.Name}
+		labels[i] = a.Name
+		o := op{code: opAlloc, dst: int32(i), width: int8(a.Width), label: int32(i)}
 		if a.Kind == codegen.ArgSource {
-			o = op{code: opBind, dst: int32(i), src: base.need(a.Name), label: a.Name}
+			o = op{code: opBind, dst: int32(i), src: base.need(a.Name), label: int32(i)}
 		}
 		ops = append(ops, o)
 	}
-	ops = append(ops, op{code: opLaunch, count: int32(len(prog.Args)), k: prog.Kernel, label: prog.Kernel.Name})
+	launch := int32(len(prog.Args))
+	labels[launch] = prog.Kernel.Name
+	ops = append(ops, op{code: opLaunch, count: launch, label: launch})
 	host := int32(0)
 	for i, a := range prog.Args {
 		if a.Kind == codegen.ArgOut {
-			ops = append(ops, op{code: opDownload, dst: host, src: int32(i), width: int8(a.Width), label: a.Name})
+			ops = append(ops, op{code: opDownload, dst: host, src: int32(i), width: int8(a.Width), label: int32(i)})
 			host++
 		}
 	}
-	return schedule{ops: ops, args: firstSlots(len(prog.Args)), roots: firstSlots(outs),
-		dev: int32(len(prog.Args)), host: int32(outs)}
+	return schedule{ops: ops, args: firstSlots(len(prog.Args)), kernels: []*ocl.Kernel{prog.Kernel}, labels: labels,
+		roots: firstSlots(outs), dev: int32(len(prog.Args)), host: int32(outs)}
 }
 
 // GeneratedSource returns the fused OpenCL C source for a network

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"dfg/internal/dataflow"
+	"dfg/internal/ocl"
 )
 
 // planRoundtrip plans the paper's baseline execution strategy: one kernel
@@ -37,7 +38,7 @@ func planRoundtrip(net *dataflow.Network) (Plan, error) {
 	}
 	nodes := net.Nodes()
 	kernel := nodeKernels(nodes)
-	size, slots := 0, 0
+	size, slots, launches := 0, 0, 0
 	for _, node := range base.order {
 		switch node.Filter {
 		case "source", "const", "decompose":
@@ -45,30 +46,33 @@ func planRoundtrip(net *dataflow.Network) (Plan, error) {
 		default:
 			size += 5
 			slots = max(slots, len(node.Inputs)+1)
+			launches++
 		}
 	}
 	ops := make([]op, 0, size)
+	kernels := make([]*ocl.Kernel, 0, launches)
 	for _, node := range base.order {
 		switch p := node.Pos(); node.Filter {
 		case "source":
-			ops = append(ops, op{code: opLoad, dst: p, label: node.ID})
+			ops = append(ops, op{code: opLoad, dst: p, label: p})
 		case "const":
-			ops = append(ops, op{code: opFill, dst: p, src: p, label: node.ID})
+			ops = append(ops, op{code: opFill, dst: p, src: p, label: p})
 		case "decompose":
-			ops = append(ops, op{code: opPick, dst: p, src: node.Inputs[0], at: int32(node.Comp), label: node.ID})
+			ops = append(ops, op{code: opPick, dst: p, src: node.Inputs[0], at: int32(node.Comp), label: p})
 		default:
 			k, err := kernel(node)
 			if err != nil {
 				return nil, err
 			}
 			out := int32(len(node.Inputs))
-			ops = append(ops, op{code: opUpload, src: p, label: node.ID},
-				op{code: opAlloc, dst: out, width: int8(node.Width), label: node.ID},
-				op{code: opLaunch, count: out + 1, k: k, label: node.ID},
-				op{code: opDownload, dst: p, src: out, width: int8(node.Width), label: node.ID},
+			ops = append(ops, op{code: opUpload, src: p, label: p},
+				op{code: opAlloc, dst: out, width: int8(node.Width), label: p},
+				op{code: opLaunch, src: int32(len(kernels)), count: out + 1, label: p},
+				op{code: opDownload, dst: p, src: out, width: int8(node.Width), label: p},
 				op{code: opRelease, count: out + 1})
+			kernels = append(kernels, k)
 		}
 	}
-	return &devicePlan{planBase: base, sched: schedule{ops: ops, args: firstSlots(slots), roots: net.Roots(),
-		dev: int32(slots), host: int32(len(nodes))}}, nil
+	return &devicePlan{planBase: base, sched: schedule{ops: ops, args: firstSlots(slots), kernels: kernels,
+		roots: net.Roots(), dev: int32(slots), host: int32(len(nodes))}}, nil
 }

@@ -12,31 +12,33 @@ import (
 type opCode uint8
 
 const (
-	opBind     opCode = iota // dev[dst] = live source needs[src], resident under key label (whole, window [at, at+n) or dims[count-1])
+	opBind     opCode = iota // dev[dst] = live source needs[src], resident under key label (whole, window [at, at+n) once tiled, or dims[count-1])
 	opLoad                   // host[dst] = the bound source label (roundtrip)
 	opFill                   // host[dst] = n copies of the constant at network position src (roundtrip)
 	opPick                   // host[dst] = component at of host[src] (roundtrip's decompose)
 	opUpload                 // dev[i] = host[in] for the i-th input in of the node at position src (roundtrip)
 	opAlloc                  // dev[dst] = a fresh buffer of n cells, width wide, labelled label
-	opLaunch                 // k over n cells, its arguments dev[args[at : at+count]]
+	opLaunch                 // kernels[src] over n cells, its arguments dev[args[at : at+count]]
 	opDownload               // host[dst] = dev[src] read back, width wide
 	opRelease                // dev[src : src+count] released
 	opMake                   // host[dst] = a zeroed whole-mesh array, width wide (streaming's roots)
 	opScatter                // host[src]'s interior boxes[at+1] (laid out over boxes[at]) copied into host[dst] (streaming)
+	opTile                   // the ops after it run tiled, over n = at cells (streaming)
 )
 
-// op is one step of a schedule over numbered device and host slots. n
-// is its extent in cells: a tile's, or 0 for the run's N. label names
-// the op in its error, and is the buffer or event label of what it
-// makes.
+// op is one step of a schedule over numbered device and host slots. It
+// runs over n cells: the run's N, or the tile's after an opTile. label
+// names the op in its error, and is the buffer or event label of what
+// it makes: the schedule's labels[label], or, in a schedule without
+// labels, the ID of the network node at position label. An op holds no
+// pointer, so a schedule's ops are 24 bytes each in one pointer-free
+// array.
 type op struct {
 	code      opCode
 	width     int8
 	dst, src  int32
 	at, count int32
-	n         int32
-	k         *ocl.Kernel
-	label     string
+	label     int32
 }
 
 // schedule is a device plan compiled to ops: what it binds, moves,
@@ -44,9 +46,11 @@ type op struct {
 // executions share it.
 type schedule struct {
 	ops       []op
-	args      []int32 // every launch's arguments, device slots
-	roots     []int32 // the host slots of the result, in Roots() order
-	dev, host int32   // slot counts
+	args      []int32       // every launch's arguments, device slots
+	kernels   []*ocl.Kernel // the launches' kernels
+	labels    []string      // the ops' labels; nil: node IDs by position
+	roots     []int32       // the host slots of the result, in Roots() order
+	dev, host int32         // slot counts
 	// dims and boxes are streaming's: each tile's dims array, and the
 	// whole mesh's extent followed by each tile's extent and interior.
 	dims  [][]float32
@@ -94,6 +98,14 @@ func (p *devicePlan) Execute(env *ocl.Env, bind Bindings) (Result, error) {
 	return p.run(&p.sched, env, bind)
 }
 
+// label returns the op's label.
+func (p *planBase) label(s *schedule, o *op) string {
+	if s.labels == nil {
+		return p.net.Nodes()[o.label].ID
+	}
+	return s.labels[o.label]
+}
+
 // run is the one executor of every device schedule. It checks the
 // binding's context before every launch, wraps an op's error as
 // "<strategy>: <label>: ...", and releases every live device slot on
@@ -115,14 +127,13 @@ func (p *planBase) run(s *schedule, env *ocl.Env, bind Bindings) (Result, error)
 			}
 		}
 	}()
+	n, tiled := bind.N, false
 	for i := range s.ops {
 		o := &s.ops[i]
-		n := bind.N
-		if o.n > 0 {
-			n = int(o.n)
-		}
 		var err error
 		switch o.code {
+		case opTile:
+			n, tiled = int(o.at), true
 		case opBind:
 			name := p.needs[o.src].name
 			var src Source
@@ -132,12 +143,12 @@ func (p *planBase) run(s *schedule, env *ocl.Env, bind Bindings) (Result, error)
 			data, stable := src.Data, bind.stable(src.Data)
 			if o.count > 0 {
 				data, stable = s.dims[o.count-1], true
-			} else if o.n > 0 {
+			} else if tiled {
 				data = data[int(o.at)*src.Width : (int(o.at)+n)*src.Width]
 			}
-			dev[o.dst], err = env.UploadResident(o.label, name, data, src.Width, stable)
+			dev[o.dst], err = env.UploadResident(p.label(s, o), name, data, src.Width, stable)
 		case opLoad:
-			if host[o.dst], err = bind.source(o.label); err != nil {
+			if host[o.dst], err = bind.source(p.label(s, o)); err != nil {
 				return Result{}, err
 			}
 		case opFill:
@@ -160,7 +171,7 @@ func (p *planBase) run(s *schedule, env *ocl.Env, bind Bindings) (Result, error)
 				}
 			}
 		case opAlloc:
-			dev[o.dst], err = env.NewBuffer(o.label, n, int(o.width))
+			dev[o.dst], err = env.NewBuffer(p.label(s, o), n, int(o.width))
 		case opLaunch:
 			if err := bind.canceled(); err != nil {
 				return Result{}, err
@@ -170,7 +181,7 @@ func (p *planBase) run(s *schedule, env *ocl.Env, bind Bindings) (Result, error)
 			for _, a := range s.args[o.at : o.at+o.count] {
 				args = append(args, dev[a])
 			}
-			err = env.Run(o.k, n, args)
+			err = env.Run(s.kernels[o.src], n, args)
 		case opDownload:
 			host[o.dst].Width = int(o.width)
 			host[o.dst].Data, err = env.Download(dev[o.src])
@@ -185,7 +196,7 @@ func (p *planBase) run(s *schedule, env *ocl.Env, bind Bindings) (Result, error)
 			err = mesh.CopyBox(host[o.dst].Data, s.boxes[0], host[o.src].Data, s.boxes[o.at], s.boxes[o.at+1], int(o.width))
 		}
 		if err != nil {
-			return Result{}, fmt.Errorf("%s: %s: %w", p.name, o.label, err)
+			return Result{}, fmt.Errorf("%s: %s: %w", p.name, p.label(s, o), err)
 		}
 	}
 	first := host[s.roots[0]]

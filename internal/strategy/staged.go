@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"dfg/internal/dataflow"
+	"dfg/internal/ocl"
 )
 
 // planStaged plans the paper's middle execution strategy: one kernel dispatch
@@ -40,12 +41,15 @@ func planStaged(net *dataflow.Network) (Plan, error) {
 	nodes, roots := net.Nodes(), net.Roots()
 	kernel := nodeKernels(nodes)
 	refs := make([]int32, len(nodes))
-	nargs := 0
+	nargs, launches := 0, 0
 	for _, node := range base.order {
 		for _, in := range node.Inputs {
 			refs[in]++
 		}
-		nargs += len(node.Inputs) + 1
+		if node.Filter != "source" {
+			nargs += len(node.Inputs) + 1
+			launches++
+		}
 	}
 	for _, r := range roots {
 		refs[r]++ // one sink reference per root
@@ -54,6 +58,7 @@ func planStaged(net *dataflow.Network) (Plan, error) {
 	// at most once.
 	ops := make([]op, 0, 3*len(base.order)+len(roots))
 	args := make([]int32, 0, nargs)
+	kernels := make([]*ocl.Kernel, 0, launches)
 	release := func(p int32) {
 		if refs[p]--; refs[p] == 0 {
 			ops = append(ops, op{code: opRelease, src: p, count: 1})
@@ -62,7 +67,7 @@ func planStaged(net *dataflow.Network) (Plan, error) {
 	var need int32 // needs lists the live sources in topological order
 	for _, node := range base.order {
 		if node.Filter == "source" {
-			ops = append(ops, op{code: opBind, dst: node.Pos(), src: need, label: node.ID})
+			ops = append(ops, op{code: opBind, dst: node.Pos(), src: need, label: node.Pos()})
 			need++
 		}
 	}
@@ -76,8 +81,9 @@ func planStaged(net *dataflow.Network) (Plan, error) {
 		}
 		at, p := int32(len(args)), node.Pos()
 		args = append(append(args, node.Inputs...), p)
-		ops = append(ops, op{code: opAlloc, dst: p, width: int8(node.Width), label: node.ID},
-			op{code: opLaunch, at: at, count: int32(len(node.Inputs) + 1), k: k, label: node.ID})
+		ops = append(ops, op{code: opAlloc, dst: p, width: int8(node.Width), label: p},
+			op{code: opLaunch, src: int32(len(kernels)), at: at, count: int32(len(node.Inputs) + 1), label: p})
+		kernels = append(kernels, k)
 		for _, in := range node.Inputs {
 			release(in)
 		}
@@ -87,9 +93,9 @@ func planStaged(net *dataflow.Network) (Plan, error) {
 	// merged pair), so each buffer is downloaded once and can hand its
 	// storage over.
 	for i, r := range roots {
-		ops = append(ops, op{code: opDownload, dst: int32(i), src: r, width: int8(nodes[r].Width), label: nodes[r].ID})
+		ops = append(ops, op{code: opDownload, dst: int32(i), src: r, width: int8(nodes[r].Width), label: r})
 		release(r)
 	}
-	return &devicePlan{planBase: base, sched: schedule{ops: ops, args: args, roots: firstSlots(len(roots)),
-		dev: int32(len(nodes)), host: int32(len(roots))}}, nil
+	return &devicePlan{planBase: base, sched: schedule{ops: ops, args: args, kernels: kernels,
+		roots: firstSlots(len(roots)), dev: int32(len(nodes)), host: int32(len(roots))}}, nil
 }

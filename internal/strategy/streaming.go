@@ -108,9 +108,12 @@ func (p *streamingPlan) tiled(domain mesh.Dims) (*schedule, error) {
 		return nil, err
 	}
 	fused, outs := &p.sched, p.sched.host
-	s := &schedule{args: fused.args, roots: fused.roots, dev: fused.dev, host: 2 * outs,
+	// Per tile: the opTile, fusion's ops and a scatter per output, then
+	// the release.
+	s := &schedule{args: fused.args, kernels: fused.kernels, roots: fused.roots, dev: fused.dev, host: 2 * outs,
 		dims: make([][]float32, len(slabs)), boxes: make([]mesh.Extent, 1, 1+2*len(slabs)),
-		ops: make([]op, 0, int(outs)+len(slabs)*(len(fused.ops)+int(outs)+1))}
+		ops:    make([]op, 0, int(outs)+len(slabs)*(len(fused.ops)+int(outs)+2)),
+		labels: slices.Clip(fused.labels)}
 	s.boxes[0] = mesh.Extent{Hi: [3]int{domain.NX, domain.NY, domain.NZ}}
 	for i, w := range p.prog.OutWidths {
 		s.ops = append(s.ops, op{code: opMake, dst: int32(i), width: int8(w)})
@@ -121,18 +124,21 @@ func (p *streamingPlan) tiled(domain mesh.Dims) (*schedule, error) {
 		lo, n := int32(domain.Index(0, 0, tile.Lo[2])), int32(tile.Cells())
 		s.dims[t] = kernels.DimsArray(td.NX, td.NY, td.NZ)
 		s.boxes = append(s.boxes, tile, slab)
+		s.ops = append(s.ops, op{code: opTile, at: n})
 		for _, o := range fused.ops {
-			o.n = n
 			switch o.code {
 			case opBind:
-				if slices.Contains(p.dims, o.label) {
+				name := fused.labels[o.label]
+				if slices.Contains(p.dims, name) {
 					o.count = int32(t + 1)
 				} else {
 					o.at = lo
 				}
-				o.label = fmt.Sprintf("%s@z%d+%d", o.label, lo, n)
+				o.label = int32(len(s.labels))
+				s.labels = append(s.labels, fmt.Sprintf("%s@z%d+%d", name, lo, n))
 			case opLaunch:
-				o.label = fmt.Sprintf("tile %d", t)
+				o.label = int32(len(s.labels))
+				s.labels = append(s.labels, fmt.Sprintf("tile %d", t))
 			case opDownload:
 				o.dst += outs
 				s.ops = append(s.ops, o, op{code: opScatter, dst: o.dst - outs, src: o.dst, at: int32(1 + 2*t), width: o.width, label: o.label})
