@@ -13,10 +13,11 @@ import (
 )
 
 // ciPatternMisses reads every `go test` command of a workflow and
-// returns each alternative of a -run or -fuzz pattern that names no
-// function of the packages the command tests: -run pieces must match a
-// Test or Fuzz function, -fuzz pieces a Fuzz function. "^$" selects
-// nothing on purpose and is skipped.
+// returns each alternative of a -run, -fuzz or -bench pattern that
+// names no function of the packages the command tests: -run pieces must
+// match a Test or Fuzz function, -fuzz pieces a Fuzz function and
+// -bench pieces a Benchmark function. "^$" selects nothing on purpose
+// and is skipped.
 func ciPatternMisses(workflow, root string) ([]string, error) {
 	var misses []string
 	for _, line := range strings.Split(workflow, "\n") {
@@ -25,7 +26,7 @@ func ciPatternMisses(workflow, root string) ([]string, error) {
 			continue
 		}
 		args := strings.Fields(strings.ReplaceAll(cmd, "'", ""))
-		var pkgs, runs, fuzzes []string
+		var pkgs, runs, fuzzes, benches []string
 		for i, a := range args {
 			switch {
 			case strings.HasPrefix(a, "."):
@@ -38,6 +39,10 @@ func ciPatternMisses(workflow, root string) ([]string, error) {
 				runs = append(runs, strings.TrimPrefix(a, "-run="))
 			case strings.HasPrefix(a, "-fuzz="):
 				fuzzes = append(fuzzes, strings.TrimPrefix(a, "-fuzz="))
+			case a == "-bench" && i+1 < len(args):
+				benches = append(benches, args[i+1])
+			case strings.HasPrefix(a, "-bench="):
+				benches = append(benches, strings.TrimPrefix(a, "-bench="))
 			}
 		}
 		names, err := testFuncs(root, pkgs)
@@ -47,7 +52,7 @@ func ciPatternMisses(workflow, root string) ([]string, error) {
 		for _, c := range []struct {
 			pats     []string
 			prefixes []string
-		}{{runs, []string{"Test", "Fuzz"}}, {fuzzes, []string{"Fuzz"}}} {
+		}{{runs, []string{"Test", "Fuzz"}}, {fuzzes, []string{"Fuzz"}}, {benches, []string{"Benchmark"}}} {
 			for _, pat := range c.pats {
 				for _, piece := range strings.Split(pat, "|") {
 					if piece == "^$" {
@@ -79,7 +84,7 @@ func anyMatch(re *regexp.Regexp, names, prefixes []string) bool {
 	return false
 }
 
-// testFuncs lists the top-level Test and Fuzz functions of the packages
+// testFuncs lists the top-level Test, Fuzz and Benchmark functions of the packages
 // (".", "./dir" or "./...") under root.
 func testFuncs(root string, pkgs []string) ([]string, error) {
 	var names []string
@@ -125,9 +130,10 @@ func testFuncs(root string, pkgs []string) ([]string, error) {
 	return names, nil
 }
 
-// TestCIRunPatternsMatch: every -run and -fuzz alternative in the CI
-// workflow selects a test of the packages its step names, so a renamed
-// or deleted test cannot leave a filter silently selecting nothing.
+// TestCIRunPatternsMatch: every -run, -fuzz and -bench alternative in
+// the CI workflow selects a test or benchmark of the packages its step
+// names, so a renamed or deleted one cannot leave a filter silently
+// selecting nothing.
 func TestCIRunPatternsMatch(t *testing.T) {
 	raw, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
@@ -142,16 +148,18 @@ func TestCIRunPatternsMatch(t *testing.T) {
 	}
 }
 
-// TestCIPatternScanFlagsDeadPiece: the scan reports a planted piece that
-// names no test, and only that one.
+// TestCIPatternScanFlagsDeadPiece: the scan reports the planted pieces
+// that name no test or benchmark, and only those.
 func TestCIPatternScanFlagsDeadPiece(t *testing.T) {
 	const planted = "      run: go test -race -run 'Fault|NoSuchTestAnywhere' ./internal/ocl .\n" +
-		"      run: go test -run=^$ -fuzz=FuzzFaultPlanNoLeak -fuzztime=15s ./internal/strategy\n"
+		"      run: go test -run=^$ -fuzz=FuzzFaultPlanNoLeak -fuzztime=15s ./internal/strategy\n" +
+		"      run: go test -run='^$' -bench='ColdPrepare|TestColdPrepareAllocBudget' -benchtime=1x .\n"
 	misses, err := ciPatternMisses(planted, ".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(misses) != 1 || !strings.HasPrefix(misses[0], "NoSuchTestAnywhere ") {
-		t.Fatalf("misses = %q, want the planted piece alone", misses)
+	if len(misses) != 2 || !strings.HasPrefix(misses[0], "NoSuchTestAnywhere ") ||
+		!strings.HasPrefix(misses[1], "TestColdPrepareAllocBudget ") {
+		t.Fatalf("misses = %q, want the two planted pieces alone", misses)
 	}
 }
