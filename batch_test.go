@@ -154,6 +154,54 @@ func TestBatchDuplicateMembersShareOutput(t *testing.T) {
 	}
 }
 
+// TestBatchRootsFollowTextOrder: a handle of texts [B, A, B, A'], where
+// A' commutes to A at O2 and B's key sorts after A's (so the merge's
+// member order is not the text order), answers every text bit for bit
+// as its solo run, and the texts whose roots unified — B twice, A and
+// A' — share one output array.
+func TestBatchRootsFollowTextOrder(t *testing.T) {
+	const n = 1024
+	inputs := batchTestInputs(n)
+	for _, strat := range []string{"fusion", "vm", "staged"} {
+		eng, err := New(Config{Device: CPU, Strategy: strat, Opt: "O2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, a2, b := "r = u*v + w", "r = v*u + w", "r = sqrt(u*u + 1.5) - w"
+		if eng.Fingerprint(b) < eng.Fingerprint(a) {
+			a, a2, b = b, "r = sqrt(1.5 + u*u) - w", a
+		}
+		texts := []string{b, a, b, a2}
+		pb, err := eng.Prepare(texts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pb.merged != 3 || len(pb.plan.Network().Roots()) != 2 {
+			t.Fatalf("%s: %d members merged into %d roots, want 3 into 2", strat, pb.merged, len(pb.plan.Network().Roots()))
+		}
+		bres, err := pb.Eval(n, inputs)
+		pb.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mi, text := range texts {
+			solo, err := eng.Eval(text, n, inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range solo.Data {
+				if got := bres.Members[mi].Data[i]; math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("%s: member %d (%q) diverges at element %d: %v vs solo %v", strat, mi, text, i, got, want)
+				}
+			}
+		}
+		same := func(i, j int) bool { return &bres.Members[i].Data[0] == &bres.Members[j].Data[0] }
+		if !same(0, 2) || !same(1, 3) || same(0, 1) {
+			t.Fatalf("%s: members [B A B A'] share arrays 0=2 %v, 1=3 %v, 0=1 %v; want true, true, false", strat, same(0, 2), same(1, 3), same(0, 1))
+		}
+	}
+}
+
 // TestBatchOfOneSoloFastPath: texts that deduplicate to one distinct
 // expression must take the one-text path — same plan, same result,
 // recovery ladder and tiered routing intact — so batching never costs a

@@ -400,16 +400,17 @@ func (b binder) bind(ctx context.Context) (strategy.Bindings, error) {
 // core compiles and plans it under the evaluation's span and runs it
 // without an arena, so per-run allocate/free — and with it the paper's
 // Table II event counts and Figure 6 memory profile — stays exact. A
-// Prepared sets pr, plan, strat, label, fp and pool; one of several
-// texts sets roots too, and a merged one batch. Either way the recovery
-// ladder re-plans plan's network under fp.
+// Prepared sets pr, plan, strat, label, key, short and pool; one of
+// several texts sets roots too, and a merged one batch. Either way the
+// recovery ladder re-plans plan's network under key.
 type job struct {
 	text    string            // one-shot Eval: what the core compiles
 	pr      *Prepared         // where a degraded run parks its landing rung
 	plan    strategy.Plan     // nil: compile and plan text first
 	strat   strategy.Strategy // plan's ladder rung
 	label   string            // strat.String()
-	fp      string
+	key     compile.Key
+	short   string        // key.Short(): set on observed engines only
 	pool    *ocl.Arena    // attached to the environment for the run
 	roots   []int         // non-nil: fill Result.Members, text i from root roots[i]
 	batch   int           // merged members (span and perf record only)
@@ -451,11 +452,14 @@ func (e *Engine) eval(ctx context.Context, b binder, j job) (*Result, error) {
 	}
 	if j.plan == nil {
 		var err error
-		j.plan, j.fp, err = e.comp.PlanTracedAt(j.text, e.lvl, e.strat, e.env.Device(), sp)
+		j.plan, j.key, err = e.comp.PlanTracedAt(j.text, e.lvl, e.strat, e.env.Device(), sp)
 		if err != nil {
 			return nil, err
 		}
 		j.strat, j.label = e.strat, e.label
+		if e.reg != nil || e.perf != nil {
+			j.short = j.key.Short()
+		}
 		if e.perf != nil {
 			j.planned = time.Since(j.t0)
 		}
@@ -525,7 +529,7 @@ func (e *Engine) runPlanOnce(j job, bind strategy.Bindings) (*Result, string, er
 	}
 	attachDeviceEvents(es, res.Events)
 	if e.reg != nil {
-		e.evalHistogram(j.fp, resolved).Observe(time.Since(j.t0))
+		e.evalHistogram(j.key, j.short, resolved).Observe(time.Since(j.t0))
 	}
 	out := &Result{
 		Data:            res.Data,
@@ -541,24 +545,27 @@ func (e *Engine) runPlanOnce(j job, bind strategy.Bindings) (*Result, string, er
 	return out, resolved, nil
 }
 
-// histKey identifies one latency series of an engine view: the full
-// fingerprint and the resolved execution path.
-type histKey struct{ fp, resolved string }
+// histKey identifies one latency series of an engine view: the
+// network's key and the resolved execution path.
+type histKey struct {
+	key      compile.Key
+	resolved string
+}
 
 // evalSeries caps the fingerprints dfg_eval_seconds keeps a series of:
 // the 64 observed most recently, the handle cache's size, keep their
 // own, and the rest record under fingerprint="other".
 const evalSeries = 64
 
-// evalHistogram resolves (memoized per engine) the latency series for a
-// fingerprint under the engine's strategy and the resolved execution
-// path. The strategy label stays the engine's configured strategy (so
-// dashboards keyed on it are stable); resolved carries the tier that
-// actually ran, un-hiding the tiered strategy's routing. The memo
-// starts over when it holds evalSeries series.
-func (e *Engine) evalHistogram(fp, resolved string) *obs.Histogram {
-	key := histKey{fp, resolved}
-	if h, ok := e.evalHist[key]; ok {
+// evalHistogram resolves (memoized per engine) the latency series for
+// a network's key, labelled short, under the engine's strategy and the
+// resolved execution path. The strategy label stays the engine's
+// configured strategy (so dashboards keyed on it are stable); resolved
+// carries the tier that actually ran, un-hiding the tiered strategy's
+// routing. The memo starts over when it holds evalSeries series.
+func (e *Engine) evalHistogram(key compile.Key, short, resolved string) *obs.Histogram {
+	hk := histKey{key, resolved}
+	if h, ok := e.evalHist[hk]; ok {
 		return h
 	}
 	if len(e.evalHist) >= evalSeries || e.evalHist == nil {
@@ -566,9 +573,9 @@ func (e *Engine) evalHistogram(fp, resolved string) *obs.Histogram {
 	}
 	h := e.reg.CappedHistogram("dfg_eval_seconds",
 		"End-to-end evaluation latency by expression fingerprint, strategy and resolved execution path.",
-		obs.Labels{"fingerprint": compile.ShortKey(fp), "strategy": e.strat.Name(), "resolved": resolved},
+		obs.Labels{"fingerprint": short, "strategy": e.strat.Name(), "resolved": resolved},
 		"fingerprint", evalSeries)
-	e.evalHist[key] = h
+	e.evalHist[hk] = h
 	return h
 }
 

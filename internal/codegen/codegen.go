@@ -141,10 +141,15 @@ func build(low *vm.Lowering, entry, name string) *Program {
 	for p := range fns {
 		fns[p] = func(lo, hi int, bufs []ocl.View) { exec.RunPass(p, lo, hi, bufs) }
 	}
+	needs := make([]ocl.Need, len(low.Buffers))
+	for i, b := range low.Buffers {
+		needs[i] = b.Need
+	}
 	return &Program{
 		Kernel: &ocl.Kernel{
 			Name:    entry,
 			NumBufs: len(low.Buffers),
+			Needs:   needs,
 			Cost:    cost(low),
 			Passes:  fns,
 		},

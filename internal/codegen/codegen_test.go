@@ -1,12 +1,14 @@
 package codegen
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/dftest"
 	"dfg/internal/expr"
 	"dfg/internal/kernels"
 	"dfg/internal/mesh"
@@ -26,8 +28,22 @@ func testEnv() *ocl.Env {
 func runProgram(t *testing.T, p *Program, n int, sources map[string][]float32) []float32 {
 	t.Helper()
 	env := testEnv()
-	bufs := make([]*ocl.Buffer, len(p.Args))
-	var out *ocl.Buffer
+	bufs, out := bindProgram(t, env, p, n, sources)
+	if err := env.Run(p.Kernel, n, bufs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := env.Download(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// bindProgram uploads p's sources from the given map and allocates its
+// scratch and output buffers for n elements, in argument order.
+func bindProgram(t *testing.T, env *ocl.Env, p *Program, n int, sources map[string][]float32) (bufs []*ocl.Buffer, out *ocl.Buffer) {
+	t.Helper()
+	bufs = make([]*ocl.Buffer, len(p.Args))
 	for i, a := range p.Args {
 		switch a.Kind {
 		case ArgSource:
@@ -51,20 +67,41 @@ func runProgram(t *testing.T, p *Program, n int, sources map[string][]float32) [
 			}
 		}
 	}
-	if err := env.Run(p.Kernel, n, bufs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := env.Download(out)
+	return bufs, out
+}
+
+// TestShortSourceIsArgError: a launch whose source holds fewer float32s
+// than the kernel reads over n cells — a field or coordinate array one
+// element short, a dims descriptor of two — fails with an *ocl.ArgError
+// naming that argument before any chunk runs, instead of panicking
+// inside one.
+func TestShortSourceIsArgError(t *testing.T) {
+	m := mesh.MustUniform(mesh.Dims{NX: 8, NY: 6, NZ: 4}, 0.5, 0.25, 1)
+	n := m.Cells()
+	p, err := Build(gradientNetwork(t, 1), "gradc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	for _, short := range []struct {
+		name string
+		keep int
+	}{{"f", n - 1}, {"y", n - 1}, {"dims", 2}} {
+		sources := meshSources(m, make([]float32, n))
+		sources[short.name] = sources[short.name][:short.keep]
+		env := testEnv()
+		bufs, _ := bindProgram(t, env, p, n, sources)
+		err := env.Run(p.Kernel, n, bufs)
+		var ae *ocl.ArgError
+		if !errors.As(err, &ae) || ae.Index < 0 || p.Args[ae.Index].Name != short.name {
+			t.Fatalf("%s holding %d float32s: launch error %v, want an ArgError naming it", short.name, short.keep, err)
+		}
+	}
 }
 
 // buildVelMag builds sqrt(u*u + v*v + w*w).
 func buildVelMag(t *testing.T) *dataflow.Network {
 	t.Helper()
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"u", "v", "w"} {
 		nw.AddSource(s)
 	}
@@ -77,7 +114,7 @@ func buildVelMag(t *testing.T) *dataflow.Network {
 	if err := nw.SetOutput(out); err != nil {
 		t.Fatal(err)
 	}
-	return nw
+	return nw.Network
 }
 
 func randomField(rng *rand.Rand, n int) []float32 {
@@ -154,14 +191,14 @@ func TestConstantsCompiledIntoSource(t *testing.T) {
 	// q = 0.5 * (a - b): the constant must appear as a source literal,
 	// never as a buffer argument — the paper's "source-code level
 	// insertion of constants".
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("a")
 	nw.AddSource("b")
 	c := nw.AddConst(0.5)
 	d, _ := nw.AddFilter("sub", "a", "b")
 	m, _ := nw.AddFilter("mul", c, d)
 	nw.SetOutput(m)
-	p, err := Fuse(nw, "halfdiff")
+	p, err := Fuse(nw.Network, "halfdiff")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +222,7 @@ func TestConstantsCompiledIntoSource(t *testing.T) {
 // out = grad3d(f)[comp] using source coords.
 func gradientNetwork(t *testing.T, comp int) *dataflow.Network {
 	t.Helper()
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"f", "dims", "x", "y", "z"} {
 		nw.AddSource(s)
 	}
@@ -198,7 +235,7 @@ func gradientNetwork(t *testing.T, comp int) *dataflow.Network {
 		t.Fatal(err)
 	}
 	nw.SetOutput(d)
-	return nw
+	return nw.Network
 }
 
 func meshSources(m *mesh.Mesh, field []float32) map[string][]float32 {
@@ -250,7 +287,7 @@ func TestMaterializationPassSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	field := randomField(rng, m.Cells())
 
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"f", "dims", "x", "y", "z"} {
 		nw.AddSource(s)
 	}
@@ -262,7 +299,7 @@ func TestMaterializationPassSplit(t *testing.T) {
 	d, _ := nw.AddDecompose(g, 0)
 	nw.SetOutput(d)
 
-	p, err := Fuse(nw, "gradsq")
+	p, err := Fuse(nw.Network, "gradsq")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +333,7 @@ func TestMaterializationPassSplit(t *testing.T) {
 }
 
 func TestFuseRejectsComputedCoords(t *testing.T) {
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"f", "dims", "x", "y", "z"} {
 		nw.AddSource(s)
 	}
@@ -306,16 +343,16 @@ func TestFuseRejectsComputedCoords(t *testing.T) {
 		t.Skip("network already rejects computed dims")
 	}
 	nw.SetOutput(g)
-	if _, err := Fuse(nw, "bad"); err == nil {
+	if _, err := Fuse(nw.Network, "bad"); err == nil {
 		t.Fatal("computed dims/coords must be rejected")
 	}
 }
 
 func TestFuseOutputIsSource(t *testing.T) {
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("u")
 	nw.SetOutput("u")
-	p, err := Fuse(nw, "copy")
+	p, err := Fuse(nw.Network, "copy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +368,11 @@ func TestFuseOutputIsSource(t *testing.T) {
 }
 
 func TestFuseOutputIsConst(t *testing.T) {
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("u") // dead source
 	c := nw.AddConst(2.5)
 	nw.SetOutput(c)
-	p, err := Fuse(nw, "konst")
+	p, err := Fuse(nw.Network, "konst")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,9 +389,9 @@ func TestFuseOutputIsConst(t *testing.T) {
 }
 
 func TestFuseErrors(t *testing.T) {
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("u")
-	if _, err := Fuse(nw, "noout"); err == nil {
+	if _, err := Fuse(nw.Network, "noout"); err == nil {
 		t.Fatal("fusing a network without an output must fail")
 	}
 }
@@ -382,13 +419,13 @@ func TestVectorOutput(t *testing.T) {
 	m := mesh.MustUniform(mesh.Dims{NX: 6, NY: 4, NZ: 3}, 1, 1, 1)
 	rng := rand.New(rand.NewSource(9))
 	field := randomField(rng, m.Cells())
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"f", "dims", "x", "y", "z"} {
 		nw.AddSource(s)
 	}
 	g, _ := nw.AddFilter("grad3d", "f", "dims", "x", "y", "z")
 	nw.SetOutput(g)
-	p, err := Fuse(nw, "rawgrad")
+	p, err := Fuse(nw.Network, "rawgrad")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +485,7 @@ func TestExecutionModesBitwiseEqual(t *testing.T) {
 
 	// A network exercising every op family: gradient, decompose, norm,
 	// comparisons, select, arithmetic, sqrt.
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"f", "dims", "x", "y", "z"} {
 		nw.AddSource(s)
 	}
@@ -464,13 +501,13 @@ func TestExecutionModesBitwiseEqual(t *testing.T) {
 	out, _ := nw.AddFilter("mul", half, sel)
 	nw.SetOutput(out)
 
-	p, err := Fuse(nw, "mix")
+	p, err := Fuse(nw.Network, "mix")
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := meshSources(m, field)
 	a := runProgram(t, p, m.Cells(), src)
-	b := runReference(t, nw, m.Cells(), src)
+	b := runReference(t, nw.Network, m.Cells(), src)
 	for i := range a {
 		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			t.Fatalf("executor and reference differ at %d: %v vs %v", i, a[i], b[i])

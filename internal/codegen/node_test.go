@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/dftest"
 	"dfg/internal/kernels"
 	"dfg/internal/ocl"
 )
@@ -27,7 +28,7 @@ func everyFilter() []string {
 // read a vector — and returns the network's nodes and that node.
 func nodeOf(t testing.TB, filter string) ([]*dataflow.Node, *dataflow.Node) {
 	t.Helper()
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	var srcs [5]int32
 	for i, name := range []string{"u", "dims", "x", "y", "z"} {
 		srcs[i], _ = nw.Source(name)

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"sort"
 	"testing"
 
 	"dfg/internal/dataflow"
@@ -24,14 +25,19 @@ func renderCases(t *testing.T, lvl passes.Level) map[string]*dataflow.Network {
 		"gradmag":    vortex.GradMagExpr,
 	}
 	nets := make(map[string]*dataflow.Network, len(texts)+1)
-	var members []passes.MergeMember
-	for name, text := range texts {
-		net, _, err := expr.CompileWithPipeline(text, nil, passes.ForLevel(lvl), passes.RunOptions{})
+	var members []*dataflow.Network
+	names := make([]string, 0, len(texts))
+	for name := range texts {
+		names = append(names, name)
+	}
+	sort.Strings(names) // one member order, one merged network
+	for _, name := range names {
+		net, _, err := expr.CompileWithPipeline(texts[name], nil, passes.ForLevel(lvl), passes.RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		nets[name] = net
-		members = append(members, passes.MergeMember{Fp: name, Net: net})
+		members = append(members, net)
 	}
 	merged, err := passes.MergeNetworks(members, lvl, passes.RunOptions{})
 	if err != nil {

@@ -21,12 +21,12 @@ func TestCachesShareOneDiscipline(t *testing.T) {
 	text := func(i int) string { return fmt.Sprintf("r = u * %d + v", i+2) }
 	// member compiles text(i) outside the cache under test, so the merge
 	// row's counters see only merges.
-	member := func(c *Compiler, i int) passes.MergeMember {
-		net, fp, err := c.CompileTracedAt(text(i), passes.LevelPaper, nil)
+	member := func(c *Compiler, i int) Member {
+		net, key, err := c.CompileTracedAt(text(i), passes.LevelPaper, nil)
 		if err != nil {
 			t.Error(err)
 		}
-		return passes.MergeMember{Fp: fp, Net: net}
+		return Member{Key: key, Net: net}
 	}
 	for _, tc := range []struct {
 		name, span string
@@ -48,7 +48,7 @@ func TestCachesShareOneDiscipline(t *testing.T) {
 			func(st Stats) int64 { return st.PlanBuilds }, func(st Stats) int64 { return int64(st.PlanEntries) }},
 		{"merge", "merge",
 			func(c *Compiler, i int, parent *obs.Span) error {
-				_, _, err := c.MergeTraced([]passes.MergeMember{member(c, i), member(c, i+100)}, passes.LevelPaper, parent)
+				_, _, _, err := c.MergeTraced([]Member{member(c, i), member(c, i+100)}, parent)
 				return err
 			},
 			func(st Stats) int64 { return st.MergeBuilds }, func(st Stats) int64 { return int64(st.MergeEntries) }},
@@ -126,8 +126,8 @@ func TestFingerprintMatchesCompileKey(t *testing.T) {
 		"r = inner\ninner = 3.0", // referenced before the local assignment
 		"r = u + v",              // no definitions
 	}
-	keys := func() map[string]string {
-		out := map[string]string{}
+	keys := func() map[string]Key {
+		out := map[string]Key{}
 		for _, lvl := range []passes.Level{passes.LevelPaper, passes.LevelO2} {
 			for _, text := range texts {
 				_, key, err := c.CompileTracedAt(text, lvl, nil)

@@ -1,7 +1,7 @@
 // Package compile is the framework's shared compile layer: a
 // concurrency-safe compiler that turns expression text plus a named
 // definition database into sealed dataflow networks, memoized in a
-// shared cache keyed by a content fingerprint.
+// shared cache keyed by a content fingerprint (Key).
 //
 // The paper's framework compiles per instance (one instance per MPI
 // task), so a hot expression is compiled once per task. Serving many
@@ -52,9 +52,9 @@ type Compiler struct {
 	mu   sync.RWMutex
 	defs map[string]definition // copy-on-write: replaced wholesale, never mutated
 
-	nets   cache[string, *dataflow.Network] // keyed by levelKey fingerprint
+	nets   cache[Key, *dataflow.Network]
 	plans  cache[planKey, strategy.Plan]
-	merges cache[string, *passes.Merged] // keyed by batch fingerprint
+	merges cache[Key, *passes.Merged] // keyed by batch key
 
 	inflight atomic.Int64 // network builds currently running (singleflight leaders)
 
@@ -70,12 +70,51 @@ type definition struct {
 	prog *expr.Program
 }
 
-// planKey identifies a plan: the network fingerprint, the device class
-// and the strategy variant — a value, so streaming@4 and streaming@16
+// Key identifies one compiled network: the digest of an expression's
+// text and referenced definitions (Digest) at an optimisation level, or
+// of a batch's distinct member digests. It is comparable, so it keys the
+// network, plan and merge caches as is; String and Short render it only
+// where a label is printed.
+type Key struct {
+	sum   [32]byte
+	lvl   passes.Level
+	batch bool
+}
+
+// String renders the key as its fingerprint text: the digest's 64 hex
+// characters, with "-o2" appended above the Paper level (so the Paper
+// level's keys read as the bare digest), or "batch:" and the hex digest
+// for a batch.
+func (k Key) String() string { return k.render(-1) }
+
+// Short abbreviates the key for a label or span attribute: the first
+// 12 characters of String (~48 bits, ample for a bounded cache).
+func (k Key) Short() string { return k.render(12) }
+
+// render returns String's text, cut to n bytes when n >= 0.
+func (k Key) render(n int) string {
+	var buf [len("batch:") + 2*sha256.Size]byte // the longest rendering
+	b := buf[:0]
+	if k.batch {
+		b = append(b, "batch:"...)
+	}
+	b = hex.AppendEncode(b, k.sum[:])
+	if !k.batch && k.lvl != passes.LevelPaper {
+		b = append(b, "-o2"...)
+	}
+	if n >= 0 {
+		b = b[:n]
+	}
+	return string(b)
+}
+
+// planKey identifies a plan: the network's key, the device class and
+// the strategy variant — a value, so streaming@4 and streaming@16
 // occupy two slots and "tiered" and "tiered@4096" one.
 type planKey struct {
-	fp, device string
-	strat      strategy.Strategy
+	key    Key
+	device string
+	strat  strategy.Strategy
 }
 
 // passAgg accumulates one optimisation pass's counters across every
@@ -140,19 +179,19 @@ func (c *Compiler) snapshot() map[string]definition {
 // what both the fingerprint and a build need from it: the program, the
 // programs of exactly the definitions it transitively references, and
 // the cache key (a digest of the text plus those definitions' texts,
-// tagged with the level). Unparseable text keys with no definitions.
-// The "parse" and "fingerprint" spans open under cs.
-func (c *Compiler) resolve(text string, lvl passes.Level, cs *obs.Span) (*expr.Program, map[string]*expr.Program, string, error) {
+// at the level). Unparseable text keys with no definitions. The "parse"
+// and "fingerprint" spans open under cs.
+func (c *Compiler) resolve(text string, lvl passes.Level, cs *obs.Span) (*expr.Program, map[string]*expr.Program, Key, error) {
 	defs := c.snapshot()
 	ps := cs.Child("parse")
 	p, err := expr.Parse(text)
 	ps.Finish()
 	if err != nil {
-		return nil, nil, levelKey(Digest(text, nil), lvl), err
+		return nil, nil, Key{sum: Digest(text, nil), lvl: lvl}, err
 	}
 	fs := cs.Child("fingerprint")
 	texts, progs := referencedDefs(p, defs)
-	key := levelKey(Digest(text, texts), lvl)
+	key := Key{sum: Digest(text, texts), lvl: lvl}
 	fs.Finish()
 	return p, progs, key, nil
 }
@@ -167,13 +206,10 @@ func (c *Compiler) resolve(text string, lvl passes.Level, cs *obs.Span) (*expr.P
 // another goroutine is mid-build on the same key), and, on a miss, the
 // "build" stage (AST -> network construction, the optimisation pass
 // pipeline with one "pass:<name>" child span per pass, seal). It also
-// returns the cache fingerprint, which metrics use to key latency
-// histograms. A nil parent span is the no-op path.
-//
-// The Paper level's cache keys are exactly the pre-pipeline Digest
-// fingerprints; other levels append the level's cache tag, so the same
-// expression compiled at two levels occupies two cache slots.
-func (c *Compiler) CompileTracedAt(text string, lvl passes.Level, parent *obs.Span) (*dataflow.Network, string, error) {
+// returns the cache key, which metrics use to key latency histograms.
+// A nil parent span is the no-op path. The key carries the level, so
+// the same expression compiled at two levels occupies two cache slots.
+func (c *Compiler) CompileTracedAt(text string, lvl passes.Level, parent *obs.Span) (*dataflow.Network, Key, error) {
 	cs := parent.Child("compile")
 	defer cs.Finish()
 
@@ -186,7 +222,7 @@ func (c *Compiler) CompileTracedAt(text string, lvl passes.Level, parent *obs.Sp
 		return nil, key, err
 	}
 	if cs != nil {
-		cs.SetAttr("fingerprint", ShortKey(key))
+		cs.SetAttr("fingerprint", key.Short())
 		cs.SetAttr("opt", lvl.String())
 	}
 
@@ -212,17 +248,6 @@ func (c *Compiler) CompileTracedAt(text string, lvl passes.Level, parent *obs.Sp
 	ls.SetAttr("outcome", outcome)
 	ls.Finish()
 	return net, key, err
-}
-
-// levelKey appends a non-Paper level's cache tag to a digest. Digests
-// are hex and the tag separator is not a hex character, so keys at
-// different levels never collide; the Paper level's keys are the bare
-// digests, byte-identical to the pre-pipeline fingerprints.
-func levelKey(digest string, lvl passes.Level) string {
-	if tag := lvl.CacheTag(); tag != "" {
-		return digest + "-" + tag
-	}
-	return digest
 }
 
 // recordPasses folds one pipeline run into the per-pass counters behind
@@ -268,58 +293,45 @@ func (c *Compiler) PassStat(name string) PassStat {
 
 // PlanTracedAt is the prepared-execution front door: it compiles text
 // via CompileTracedAt, then resolves the strategy's execution plan from
-// a second cache keyed by (network fingerprint, device class, strategy
+// a second cache keyed by (network key, device class, strategy
 // variant). Plans precompute everything that depends only on the
 // network and the device — topological order, kernel resolution, fused
 // program generation — so engines sharing this compiler also share one
 // plan per hot expression. The "plan" child span annotates its cache outcome
-// like the network cache does. Returns the plan, the network
-// fingerprint, and any compile or planning error.
-//
-// The level folds into the network fingerprint (levelKey), so plans for
-// the same expression at different levels occupy different plan-cache
-// slots automatically.
-func (c *Compiler) PlanTracedAt(text string, lvl passes.Level, strat strategy.Strategy, dev *ocl.Device, parent *obs.Span) (strategy.Plan, string, error) {
-	net, fp, err := c.CompileTracedAt(text, lvl, parent)
+// like the network cache does. Returns the plan, the network key, and
+// any compile or planning error. The level is part of the key, so plans
+// for the same expression at different levels occupy different
+// plan-cache slots.
+func (c *Compiler) PlanTracedAt(text string, lvl passes.Level, strat strategy.Strategy, dev *ocl.Device, parent *obs.Span) (strategy.Plan, Key, error) {
+	net, key, err := c.CompileTracedAt(text, lvl, parent)
 	if err != nil {
-		return nil, fp, err
+		return nil, key, err
 	}
-	plan, err := c.PlanNetTraced(net, fp, strat, dev, parent)
-	return plan, fp, err
+	plan, err := c.PlanNetTraced(net, key, strat, dev, parent)
+	return plan, key, err
 }
 
 // PlanNetTraced resolves (or builds) the execution plan for an
-// already-compiled network under an explicit fingerprint — the shared
-// back half of PlanTracedAt, and the front door for prepared handles
-// and the recovery ladder's rungs, which plan a network they hold; a
-// merged batch super-network's fingerprint is a BatchFingerprint rather
-// than an expression digest. The fingerprint must uniquely identify the
-// network's content (both digest families guarantee this), since it
-// keys the shared plan cache.
-func (c *Compiler) PlanNetTraced(net *dataflow.Network, fp string, strat strategy.Strategy, dev *ocl.Device, parent *obs.Span) (strategy.Plan, error) {
+// already-compiled network under its key — the shared back half of
+// PlanTracedAt, and the front door for prepared handles and the
+// recovery ladder's rungs, which plan a network they hold; a merged
+// batch super-network's key is MergeTraced's batch key. The key must be
+// the one this compiler gave the network, since it keys the shared plan
+// cache.
+func (c *Compiler) PlanNetTraced(net *dataflow.Network, key Key, strat strategy.Strategy, dev *ocl.Device, parent *obs.Span) (strategy.Plan, error) {
 	ps := parent.Child("plan")
 	defer ps.Finish()
-	plan, outcome, err := c.plans.get(planKey{fp, dev.Name(), strat},
+	plan, outcome, err := c.plans.get(planKey{key, dev.Name(), strat},
 		func() (strategy.Plan, error) { return strat.Plan(net, dev) })
 	ps.SetAttr("outcome", outcome)
 	return plan, err
 }
 
-// ShortKey abbreviates a cache fingerprint for use as a label or span
-// attribute (12 hex chars ~ 48 bits, ample for a bounded cache).
-func ShortKey(key string) string {
-	if len(key) > 12 {
-		return key[:12]
-	}
-	return key
-}
-
 // FingerprintAt returns the cache key CompileTracedAt would use for text
 // under the current definitions at an optimisation level: a digest of
-// the text plus exactly the referenced definitions (the Paper key is the
-// bare digest; other levels carry their cache tag). Unparseable text
+// the text plus exactly the referenced definitions. Unparseable text
 // digests with no definitions.
-func (c *Compiler) FingerprintAt(text string, lvl passes.Level) string {
+func (c *Compiler) FingerprintAt(text string, lvl passes.Level) Key {
 	_, _, key, _ := c.resolve(text, lvl, nil)
 	return key
 }
@@ -371,12 +383,12 @@ func (c *Compiler) Stats() Stats {
 	}
 }
 
-// Digest computes the cache fingerprint for expression text against a
+// Digest computes the digest a key holds for expression text against a
 // definition set. The encoding is injective — every component is length-
 // prefixed, definitions are sorted by name — so two different (text,
 // defs) pairs never encode identically; SHA-256 then makes key collisions
 // cryptographically negligible.
-func Digest(text string, defs map[string]string) string {
+func Digest(text string, defs map[string]string) (sum [32]byte) {
 	h := sha256.New()
 	var lenBuf [8]byte
 	put := func(s string) {
@@ -394,7 +406,8 @@ func Digest(text string, defs map[string]string) string {
 		put(name)
 		put(defs[name])
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	h.Sum(sum[:0])
+	return sum
 }
 
 // referencedDefs returns the texts and programs of the subset of defs

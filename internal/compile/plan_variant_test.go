@@ -28,7 +28,7 @@ func TestPlanCacheVariantKeys(t *testing.T) {
 
 	const workers = 8
 	plans := make([]strategy.Plan, 2*workers)
-	fps := make([]string, 2*workers)
+	fps := make([]Key, 2*workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		for j, strat := range []strategy.Strategy{low, high} {

@@ -27,7 +27,7 @@ func TestCompileTracedSpans(t *testing.T) {
 	if cs == nil {
 		t.Fatal("no compile span")
 	}
-	if cs.Attr("fingerprint") != ShortKey(key) {
+	if cs.Attr("fingerprint") != key.Short() {
 		t.Fatalf("fingerprint attr = %q", cs.Attr("fingerprint"))
 	}
 	for _, stage := range []string{"parse", "fingerprint", "cache", "build"} {
@@ -59,8 +59,8 @@ func TestCompileTracedSpans(t *testing.T) {
 func TestCompileTracedNilSpan(t *testing.T) {
 	c := NewCompiler()
 	net, key, err := c.CompileTracedAt("a = u * u", passes.LevelPaper, nil)
-	if err != nil || net == nil || key == "" {
-		t.Fatalf("nil-span compile: net=%v key=%q err=%v", net, key, err)
+	if err != nil || net == nil || key == (Key{}) {
+		t.Fatalf("nil-span compile: net=%v key=%v err=%v", net, key, err)
 	}
 	if _, _, err := c.CompileTracedAt("a = (", passes.LevelPaper, nil); err == nil {
 		t.Fatal("parse error must still surface on the nil-span path")

@@ -1,21 +1,21 @@
-package dataflow
+package dataflow_test
 
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"dfg/internal/kernels"
+	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/dftest"
 )
 
 // buildVelMag constructs the velocity-magnitude network by hand:
 // v_mag = sqrt(u*u + v*v + w*w).
-func buildVelMag(t *testing.T) *Network {
+func buildVelMag(t *testing.T) dftest.Net {
 	t.Helper()
-	nw := NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"u", "v", "w"} {
 		if _, err := nw.AddSource(s); err != nil {
 			t.Fatal(err)
@@ -101,7 +101,7 @@ func TestTopoOrderPrunesDeadNodes(t *testing.T) {
 }
 
 func TestTopoOrderRequiresOutput(t *testing.T) {
-	nw := NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("u")
 	if _, err := nw.TopoOrder(); err == nil {
 		t.Fatal("topo order without an output must fail")
@@ -143,7 +143,7 @@ func TestConsumersRefcounts(t *testing.T) {
 }
 
 func TestBuilderErrors(t *testing.T) {
-	nw := NewNetwork()
+	nw := dftest.New()
 	if _, err := nw.AddSource(""); err == nil {
 		t.Error("empty source name must fail")
 	}
@@ -187,7 +187,7 @@ func TestBuilderErrors(t *testing.T) {
 // ID; minting steps over it instead of replacing the source in the ID
 // table, and networks without such a source mint t0, t1, ... as ever.
 func TestMintedIDsSkipSourceNames(t *testing.T) {
-	nw := NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("t0")
 	nw.AddSource("t2")
 	c := nw.AddConst(2)
@@ -207,13 +207,13 @@ func TestMintedIDsSkipSourceNames(t *testing.T) {
 	if err := nw.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := NewNetwork().AddConst(1); got != "t0" {
+	if got := dftest.New().AddConst(1); got != "t0" {
 		t.Fatalf("first minted ID of a fresh network is %q, want t0", got)
 	}
 }
 
 func TestDecompose(t *testing.T) {
-	nw := NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"u", "dims", "x", "y", "z"} {
 		nw.AddSource(s)
 	}
@@ -252,7 +252,7 @@ func TestDecompose(t *testing.T) {
 }
 
 func TestScriptGolden(t *testing.T) {
-	nw := NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("u")
 	c := nw.AddConst(0.5)
 	m, _ := nw.AddFilter("mul", c, "u")
@@ -298,55 +298,6 @@ func TestDot(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	if len(registry) < 10 {
-		t.Fatalf("registry too small: %v", registry)
-	}
-	// The elementwise primitives are exactly the rows of the kernels'
-	// primitive table (which kernels' own tests check row by row), and
-	// the others but source are the structural filters codegen's
-	// TestEveryFilterHasANodeKernel builds a node kernel for, as it does
-	// for every row.
-	structural := []string{"const", "decompose", "norm", "grad3d", "grad3dx", "grad3dy", "grad3dz"}
-	elementwise := 0
-	for name, fi := range registry {
-		if name == "source" {
-			continue
-		}
-		if fi.Class != ClassElementwise && !slices.Contains(structural, name) {
-			t.Errorf("%q (%v) has no node kernel test", name, fi.Class)
-		}
-		if _, ok := kernels.Lookup(name); ok != (fi.Class == ClassElementwise) {
-			t.Errorf("%q (%v): in the primitive table = %v", name, fi.Class, ok)
-		}
-		if fi.Class == ClassElementwise {
-			elementwise++
-		}
-	}
-	if n := len(kernels.Primitives()); n != elementwise {
-		t.Errorf("the primitive table has %d rows, the registry %d elementwise filters", n, elementwise)
-	}
-	f, ok := Callable("grad3d")
-	if fi := f.Info(); !ok || fi.Class != ClassStencil || fi.Arity != 5 || fi.OutWidth != 4 {
-		t.Fatalf("grad3d info wrong: %+v", fi)
-	}
-	if _, ok := Callable("nonsense"); ok {
-		t.Fatal("unknown filter must not resolve")
-	}
-	callable := func(name string) bool { _, ok := Callable(name); return ok }
-	if !callable("sqrt") || callable("source") || callable("const") || callable("decompose") {
-		t.Fatal("callability classification wrong")
-	}
-	for _, c := range []Class{ClassSource, ClassConst, ClassElementwise, ClassDecompose, ClassStencil} {
-		if c.String() == "" || strings.HasPrefix(c.String(), "Class(") {
-			t.Errorf("class %d must have a name", c)
-		}
-	}
-	if !strings.Contains(Class(42).String(), "42") {
-		t.Error("unknown class should embed the value")
-	}
-}
-
 // TestRandomNetworksScheduleValidly is a property test: randomly built
 // networks (dead nodes included) always topo-sort into an order where
 // inputs precede users, element for element the reference order.
@@ -354,7 +305,7 @@ func TestRandomNetworksScheduleValidly(t *testing.T) {
 	elementwise := []string{"add", "sub", "mul", "div", "min", "max"}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		nw := NewNetwork()
+		nw := dftest.New()
 		ids := []string{}
 		for i := 0; i < 3; i++ {
 			id, _ := nw.AddSource(string(rune('a' + i)))
@@ -383,7 +334,7 @@ func TestRandomNetworksScheduleValidly(t *testing.T) {
 		if err := nw.Validate(); err != nil {
 			return false
 		}
-		AssertReferenceOrder(t, "random network", nw)
+		dataflow.AssertReferenceOrder(t, "random network", nw.Network)
 		order, err := nw.TopoOrder()
 		if err != nil {
 			return false
@@ -410,7 +361,7 @@ func TestRandomNetworksScheduleValidly(t *testing.T) {
 // while read-side methods keep working — the immutability contract that
 // lets compiled networks be shared across engines.
 func TestSealFreezesNetwork(t *testing.T) {
-	nw := NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("u")
 	id, _ := nw.AddFilter("sqrt", "u")
 	if err := nw.SetOutput(id); err != nil {
@@ -553,7 +504,7 @@ func TestPosTracksRemoval(t *testing.T) {
 // or alias, only canonical "t<n>" names are generic, and NodeByID finds
 // minted IDs (by scan) and sources (by name) alike.
 func TestMintedIDsAreNoUserNames(t *testing.T) {
-	nw := NewNetwork()
+	nw := dftest.New()
 	if _, err := nw.AddSource("t1"); err != nil {
 		t.Fatal(err)
 	}

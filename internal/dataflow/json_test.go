@@ -1,13 +1,15 @@
-package dataflow
+package dataflow_test
 
 import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"dfg/internal/dataflow/dftest"
 )
 
 func TestNetworkJSONShape(t *testing.T) {
-	nw := NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("u")
 	c := nw.AddConst(2)
 	m, _ := nw.AddFilter("mul", c, "u")

@@ -53,11 +53,12 @@ func (n *Node) Pos() int32 { return n.pos }
 // Nodes and their Inputs live in fixed-size chunks the network owns, so
 // building a network allocates per chunk, not per node. The builder and
 // everything after it — passes, scheduling, lowering — address nodes by
-// position (Source and the ...At methods); the name-taking methods
-// resolve names and call those. Only sources and aliases are indexed by
-// name: a minted ID is found by a scan, which only tools and tests ask
-// for. A name maps to a slot of one position slice, so Compact moves
-// every name by rewriting that slice and rehashes none.
+// position (Source and the ...At methods); networks built by hand in
+// tests name their nodes through dataflow/dftest. Only sources and
+// aliases are indexed by name: a minted ID is found by a scan, which
+// only tools and tests ask for. A name maps to a slot of one position
+// slice, so Compact moves every name by rewriting that slice and
+// rehashes none.
 type Network struct {
 	nodes   []*Node
 	srcs    map[string]int32 // source name -> slot of pos
@@ -272,27 +273,12 @@ func (nw *Network) Source(name string) (int32, error) {
 	return p, nil
 }
 
-// AddSource declares a named host-provided input array and returns its
-// node ID (the source's own name).
-func (nw *Network) AddSource(name string) (string, error) {
-	if _, dup := nw.named(nw.srcs, name); dup {
-		return "", fmt.Errorf("dataflow: duplicate node id %q", name)
-	}
-	_, err := nw.Source(name)
-	return name, err
-}
-
 // AddConstAt adds a scalar constant source and returns its position.
 func (nw *Network) AddConstAt(v float64) int32 {
 	nw.mustMutable("AddConst")
 	n := nw.slot()
 	*n = Node{ID: nw.genID(), Filter: "const", Value: v, Width: 1, info: constRow}
 	return nw.add(n)
-}
-
-// AddConst adds a scalar constant source and returns its node ID.
-func (nw *Network) AddConst(v float64) string {
-	return nw.nodes[nw.AddConstAt(v)].ID
 }
 
 // AddFilterAt adds an invocation of the primitive f on the nodes at the
@@ -328,28 +314,6 @@ func (nw *Network) AddFilterAt(f Prim, inputs ...int32) (int32, error) {
 	return nw.add(n), nil
 }
 
-// AddFilter adds a filter invocation on existing nodes and returns the
-// new node's generic ID. Input names may be user aliases.
-func (nw *Network) AddFilter(filter string, inputs ...string) (string, error) {
-	fi, ok := registry[filter]
-	if !ok {
-		return "", fmt.Errorf("dataflow: unknown filter %q", filter)
-	}
-	ins := make([]int32, len(inputs))
-	for i, nm := range inputs {
-		p, err := nw.resolve(nm)
-		if err != nil {
-			return "", fmt.Errorf("%w (input %d of %q)", err, i, filter)
-		}
-		ins[i] = p
-	}
-	p, err := nw.AddFilterAt(Prim{fi}, ins...)
-	if err != nil {
-		return "", err
-	}
-	return nw.nodes[p].ID, nil
-}
-
 // AddDecomposeAt adds a component selection of the vector-valued node
 // at position in (the parser's translation of the bracket syntax, e.g.
 // du[1]) and returns its position.
@@ -371,19 +335,6 @@ func (nw *Network) AddDecomposeAt(in int32, comp int) (int32, error) {
 	return nw.add(d), nil
 }
 
-// AddDecompose adds a component selection of a vector-valued node by
-// ID or alias and returns the new node's ID.
-func (nw *Network) AddDecompose(input string, comp int) (string, error) {
-	p, err := nw.resolve(input)
-	if err == nil {
-		p, err = nw.AddDecomposeAt(p, comp)
-	}
-	if err != nil {
-		return "", err
-	}
-	return nw.nodes[p].ID, nil
-}
-
 // AliasAt binds a user-provided name (the left side of an assignment
 // statement) to the node at position p. Re-binding an existing alias is
 // allowed, as in sequential assignment semantics.
@@ -399,47 +350,21 @@ func (nw *Network) AliasAt(name string, p int32) error {
 	return nil
 }
 
-// Alias binds a user-provided name to the node with the given ID or
-// alias.
-func (nw *Network) Alias(name, id string) error {
-	p, err := nw.resolve(id)
-	if err != nil {
-		return err
-	}
-	return nw.AliasAt(name, p)
-}
-
-// SetOutput designates the network's sink by ID or alias. It resets any
-// multi-root set: a network is either single-output or multi-root
-// (SetRootsAt), never an inconsistent mix.
-func (nw *Network) SetOutput(name string) error {
-	p, err := nw.resolve(name)
-	if err != nil {
-		return err
-	}
-	return nw.SetRootsAt(p)
-}
-
 // SetRootsAt designates the nodes at the given positions as the sinks —
-// several is the super-network form a batch merge produces. The first
-// root becomes the primary output, so Output() and every single-root
-// code path stay meaningful. Duplicates are collapsed (two merged
-// expressions whose outputs CSE'd into one node share a root).
+// several is the super-network form a batch merge produces, one per
+// member. The first root becomes the primary output, so Output() and
+// every single-root code path stay meaningful.
 func (nw *Network) SetRootsAt(ps ...int32) error {
 	nw.mustMutable("SetRoots")
 	if len(ps) == 0 {
 		return fmt.Errorf("dataflow: SetRoots needs at least one root")
 	}
-	roots := make([]int32, 0, len(ps))
 	for _, p := range ps {
 		if err := nw.at(p); err != nil {
 			return err
 		}
-		if !slices.Contains(roots, p) {
-			roots = append(roots, p)
-		}
 	}
-	nw.roots = roots
+	nw.roots = slices.Clone(ps)
 	return nil
 }
 
@@ -454,26 +379,6 @@ func (nw *Network) Output() string {
 		return ""
 	}
 	return nw.nodes[nw.roots[0]].ID
-}
-
-// resolve maps a name (node ID or user alias) to a position.
-func (nw *Network) resolve(name string) (int32, error) {
-	if p, ok := nw.lookup(name); ok {
-		return p, nil
-	}
-	if p, ok := nw.named(nw.aliases, name); ok {
-		return p, nil
-	}
-	return 0, fmt.Errorf("dataflow: unknown node or alias %q", name)
-}
-
-// Node returns the node with the given ID or alias, or nil.
-func (nw *Network) Node(name string) *Node {
-	p, err := nw.resolve(name)
-	if err != nil {
-		return nil
-	}
-	return nw.nodes[p]
 }
 
 // NodeByID returns the node with exactly the given ID (no alias

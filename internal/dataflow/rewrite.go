@@ -1,9 +1,6 @@
 package dataflow
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // This file is the network's rewrite surface: the primitive mutations an
 // optimisation pass (internal/passes) composes into whole-network
@@ -16,9 +13,10 @@ import (
 // Compact merges and deletes nodes in one pass over the network. to[i]
 // says what becomes of the node at position i: to[i] == i keeps it, an
 // earlier position merges it into that node (every reference to it —
-// inputs, roots, aliases — moves there, chains included), and -1
-// deletes it, dropping its name and the aliases still bound to it. Survivors keep
-// their construction order. Compact overwrites to with each old
+// inputs, roots, aliases — moves there, chains included; two roots
+// merged into one node stay two roots), and -1 deletes it, dropping its
+// name and the aliases still bound to it. Survivors keep their
+// construction order. Compact overwrites to with each old
 // position's new one (-1 for a deleted node). Deleting a root, or a node
 // a survivor reads, is an error; the network must then be discarded.
 func (nw *Network) Compact(to []int32) error {
@@ -51,19 +49,15 @@ func (nw *Network) Compact(to []int32) error {
 			}
 		}
 	}
-	roots := nw.roots[:0]
-	for _, r := range nw.roots {
-		// Roots a merge unified collapse into one.
-		if r = to[r]; !slices.Contains(roots, r) {
-			roots = append(roots, r)
-		}
+	for i, r := range nw.roots {
+		nw.roots[i] = to[r]
 	}
 	for s, p := range nw.pos {
 		if p >= 0 {
 			nw.pos[s] = to[p]
 		}
 	}
-	nw.nodes, nw.roots = kept, roots
+	nw.nodes = kept
 	return nil
 }
 

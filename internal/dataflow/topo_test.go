@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/dftest"
 	"dfg/internal/expr"
 	"dfg/internal/passes"
 	"dfg/internal/vortex"
@@ -15,7 +16,7 @@ import (
 // Paper-level networks are the pinned pass goldens), a multi-root merge
 // and a cycle.
 func TestTopoOrderMatchesReference(t *testing.T) {
-	var members []passes.MergeMember
+	var members []*dataflow.Network
 	for _, e := range vortex.Expressions() {
 		for _, pipe := range []*passes.Pipeline{passes.Paper, passes.O2} {
 			nw, _, err := expr.CompileWithPipeline(e.Text, nil, pipe, passes.RunOptions{})
@@ -24,7 +25,7 @@ func TestTopoOrderMatchesReference(t *testing.T) {
 			}
 			dataflow.AssertReferenceOrder(t, e.Name+"@"+pipe.Name(), nw)
 			if pipe == passes.O2 {
-				members = append(members, passes.MergeMember{Fp: e.Name, Net: nw})
+				members = append(members, nw)
 			}
 		}
 	}
@@ -80,7 +81,7 @@ func TestSealedTopoOrderIsFree(t *testing.T) {
 		t.Fatalf("sealed TopoOrder + Validate allocate %.0f times per call, want 0", allocs)
 	}
 
-	bad := dataflow.NewNetwork()
+	bad := dftest.New()
 	bad.AddSource("u")
 	id, _ := bad.AddFilter("sqrt", "u")
 	if err := bad.SetOutput(id); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/dftest"
 	"dfg/internal/vortex"
 )
 
@@ -53,7 +54,7 @@ func TestDefinitionLocalsDoNotLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	duNode := net.Node("du")
+	duNode := dftest.Net{Network: net}.Node("du")
 	if duNode == nil || duNode.Filter != "source" {
 		t.Fatalf("du outside the definition must be a source, got %+v", duNode)
 	}
@@ -69,7 +70,7 @@ func TestDefinitionDoesNotReadCallerLocals(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "base" must exist as a source (used by the definition)...
-	if n := net.Node("base"); n == nil || n.Filter != "source" {
+	if n := (dftest.Net{Network: net}).Node("base"); n == nil || n.Filter != "source" {
 		t.Fatalf("definition's base must be a host source, got %+v", n)
 	}
 	// ...while the caller's final add reads the local mul through its

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/dftest"
 	"dfg/internal/lalr"
 	"dfg/internal/vortex"
 )
@@ -183,7 +184,7 @@ func TestCompileVelMag(t *testing.T) {
 	if net.NodeByID(net.Output()).Filter != "sqrt" {
 		t.Fatalf("output filter %q", net.NodeByID(net.Output()).Filter)
 	}
-	if net.Node("v_mag") != net.NodeByID(net.Output()) {
+	if (dftest.Net{Network: net}).Node("v_mag") != net.NodeByID(net.Output()) {
 		t.Fatal("v_mag must alias the output")
 	}
 	// Source upload order for staged/fusion: u, v, w.
@@ -229,7 +230,7 @@ func TestCompileQCriterion(t *testing.T) {
 	if c != want {
 		t.Fatalf("Q-criterion network counts %+v, want %+v", c, want)
 	}
-	if net.Node("q") != net.NodeByID(net.Output()) {
+	if (dftest.Net{Network: net}).Node("q") != net.NodeByID(net.Output()) {
 		t.Fatal("q must be the output")
 	}
 }

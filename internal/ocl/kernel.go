@@ -31,6 +31,14 @@ type View struct {
 	Width int
 }
 
+// Need is how many float32s a kernel argument must hold for a launch
+// over n elements: PerN per element, and at least Fixed whatever n (a
+// dims descriptor has only its first three elements read).
+type Need struct{ PerN, Fixed int }
+
+// Of returns the float32s a launch over n elements reads.
+func (d Need) Of(n int) int { return max(n*d.PerN, d.Fixed) }
+
 // KernelFunc is one pass of a kernel's executable body. It is invoked
 // concurrently on disjoint sub-ranges [lo, hi) of the global work size;
 // bufs follow the argument order of the launch. A kernel takes no
@@ -52,6 +60,9 @@ type Kernel struct {
 	// NumBufs is the number of buffer arguments the kernel expects; a
 	// launch with a different count fails. Zero means "unchecked".
 	NumBufs int
+	// Needs holds each buffer argument's length rule; a launch whose
+	// buffer holds fewer float32s fails. Nil means "unchecked".
+	Needs []Need
 	// Cost is the per-element cost used for modeled timings.
 	Cost Cost
 	// Passes is the executable body: one or more ordered phases with a

@@ -248,7 +248,7 @@ func TestNoHostArrayAtQuiescence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := passes.MergeNetworks([]passes.MergeMember{{Fp: "q", Net: qcrit}, {Fp: "n", Net: nested}}, passes.LevelPaper, passes.RunOptions{})
+	merged, err := passes.MergeNetworks([]*dataflow.Network{nested, qcrit}, passes.LevelPaper, passes.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

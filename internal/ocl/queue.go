@@ -210,6 +210,10 @@ func (q *Queue) Run(k *Kernel, n int, bufs []*Buffer) (Event, error) {
 			return Event{}, &ArgError{Kernel: k.Name, Index: i, Reason: fmt.Sprintf("released buffer %q", b.label)}
 		}
 		views[i] = View{Data: b.mem(), Elems: b.elems, Width: b.width}
+		if i < len(k.Needs) && len(views[i].Data) < k.Needs[i].Of(n) {
+			return Event{}, &ArgError{Kernel: k.Name, Index: i,
+				Reason: fmt.Sprintf("buffer %q holds %d float32s, a launch over %d elements reads %d", b.label, len(views[i].Data), n, k.Needs[i].Of(n))}
+		}
 	}
 	if err := q.ctx.faultPoint(FaultKernel, k.Name); err != nil {
 		return Event{}, err

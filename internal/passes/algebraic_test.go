@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/dftest"
 	"dfg/internal/kernels"
 )
 
@@ -51,7 +51,7 @@ func TestAlgebraicRulesExact(t *testing.T) {
 		}
 		for side := 0; side < 2; side++ {
 			for _, c := range valueClasses {
-				nw := dataflow.NewNetwork()
+				nw := dftest.New()
 				x, err := nw.AddSource("x")
 				if err != nil {
 					t.Fatal(err)
@@ -68,7 +68,7 @@ func TestAlgebraicRulesExact(t *testing.T) {
 				if err := nw.SetOutput(id); err != nil {
 					t.Fatal(err)
 				}
-				if err := Algebraic().Run(nw, &Stats{}); err != nil {
+				if err := Algebraic().Run(nw.Network, &Stats{}); err != nil {
 					t.Fatal(err)
 				}
 				to := nw.Output()

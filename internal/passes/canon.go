@@ -44,7 +44,7 @@ const maxArity = 5
 func eliminate(nw *dataflow.Network, st *Stats, commute bool) error {
 	nodes := nw.Nodes()
 	n := int32(len(nodes))
-	to := keepAll(nw)             // position -> position it merged into
+	to := keepAll(nw, st)         // position -> position it merged into
 	chain := make([]int32, 3*n+1) // heads by input, heads by constant bucket, next
 	head, next := chain[:2*n+1], chain[2*n+1:]
 	for i := range head {

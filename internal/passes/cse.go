@@ -19,7 +19,7 @@ func (constPool) Name() string { return "constpool" }
 
 func (constPool) Run(nw *dataflow.Network, st *Stats) error {
 	first := make(map[uint64]int32) // a constant's bits -> its first position
-	to := keepAll(nw)
+	to := keepAll(nw, st)
 	for i, n := range nw.Nodes() {
 		if n.Filter != "const" {
 			continue
@@ -61,10 +61,17 @@ func (c cse) Run(nw *dataflow.Network, st *Stats) error {
 	return eliminate(nw, st, c.commute)
 }
 
+// positions returns st's position scratch, one entry per node of nw,
+// for a pass to fill: a pipeline run's passes share one.
+func positions(nw *dataflow.Network, st *Stats) []int32 {
+	st.to = slices.Grow(st.to[:0], nw.Len())[:nw.Len()]
+	return st.to
+}
+
 // keepAll returns the compaction that keeps every node of nw where it
 // is; a pass marks the nodes it merges or deletes in it.
-func keepAll(nw *dataflow.Network) []int32 {
-	to := make([]int32, nw.Len())
+func keepAll(nw *dataflow.Network, st *Stats) []int32 {
+	to := positions(nw, st)
 	for i := range to {
 		to[i] = int32(i)
 	}
@@ -83,7 +90,11 @@ func compact(nw *dataflow.Network, st *Stats, to []int32) error {
 	if leave == 0 {
 		return nil
 	}
-	st.Removed = slices.Grow(st.Removed, leave)
+	if cap(st.Removed)-len(st.Removed) < leave {
+		// No pass adds nodes, so room for every node left is room for
+		// the rest of the run's removals.
+		st.Removed = slices.Grow(st.Removed, nw.Len())
+	}
 	for i, n := range nw.Nodes() {
 		if to[i] != int32(i) {
 			st.Removed = append(st.Removed, n.ID)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/dftest"
 	"dfg/internal/passes"
 )
 
@@ -22,7 +23,7 @@ func runPaper(t *testing.T, nw *dataflow.Network) int {
 }
 
 func TestCSEDeduplicatesConstantsAndDecomposes(t *testing.T) {
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"u", "dims", "x", "y", "z"} {
 		nw.AddSource(s)
 	}
@@ -42,7 +43,7 @@ func TestCSEDeduplicatesConstantsAndDecomposes(t *testing.T) {
 	nw.SetOutput(out)
 
 	// Eliminated: g2, c2, d2, m2 = 4 nodes.
-	if n := runPaper(t, nw); n != 4 {
+	if n := runPaper(t, nw.Network); n != 4 {
 		t.Fatalf("want 4 eliminated nodes, got %d", n)
 	}
 	// add(m1, m2) must now read m1 twice.
@@ -73,27 +74,27 @@ func TestCSEDeduplicatesConstantsAndDecomposes(t *testing.T) {
 func TestCSEIsOrderSensitive(t *testing.T) {
 	// The paper's "limited" CSE must NOT merge add(a, b) with add(b, a):
 	// Q-criterion's s_1 and s_3 stay distinct kernels in Table II.
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("a")
 	nw.AddSource("b")
 	x, _ := nw.AddFilter("add", "a", "b")
 	y, _ := nw.AddFilter("add", "b", "a")
 	out, _ := nw.AddFilter("mul", x, y)
 	nw.SetOutput(out)
-	if n := runPaper(t, nw); n != 0 {
+	if n := runPaper(t, nw.Network); n != 0 {
 		t.Fatalf("commuted adds must not merge, eliminated %d", n)
 	}
 }
 
 func TestCSERemapsOutputAndAliases(t *testing.T) {
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("a")
 	x, _ := nw.AddFilter("sqrt", "a")
 	y, _ := nw.AddFilter("sqrt", "a")
 	nw.Alias("first", x)
 	nw.Alias("second", y)
 	nw.SetOutput(y)
-	if n := runPaper(t, nw); n != 1 {
+	if n := runPaper(t, nw.Network); n != 1 {
 		t.Fatalf("want 1 eliminated, got %d", n)
 	}
 	if nw.Output() != x {
@@ -109,12 +110,12 @@ func TestCSERemapsOutputAndAliases(t *testing.T) {
 // error, not a key that could merge unrelated nodes.
 func TestCSERejectsMissingInput(t *testing.T) {
 	for _, bad := range []int32{7, 1, -1} { // out of range, the node itself, negative
-		nw := dataflow.NewNetwork()
+		nw := dftest.New()
 		nw.AddSource("a")
 		x, _ := nw.AddFilter("sqrt", "a")
 		nw.SetOutput(x)
 		nw.NodeByID(x).Inputs[0] = bad
-		_, err := passes.New("cse", passes.CSE()).Run(nw)
+		_, err := passes.New("cse", passes.CSE()).Run(nw.Network)
 		if want := fmt.Sprintf(`node "t0" reads position %d, which does not precede it`, bad); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("CSE over input position %d: %v", bad, err)
 		}
@@ -124,7 +125,7 @@ func TestCSERejectsMissingInput(t *testing.T) {
 // TestConstantsKeyedByBits: pooling and CSE merge constants with the same
 // bits only — NaNs of different payload, and +0 and -0, stay apart.
 func TestConstantsKeyedByBits(t *testing.T) {
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	nw.AddSource("u")
 	values := []float64{
 		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002),
@@ -137,7 +138,7 @@ func TestConstantsKeyedByBits(t *testing.T) {
 		acc = s
 	}
 	nw.SetOutput(acc)
-	runPaper(t, nw)
+	runPaper(t, nw.Network)
 	var bits []uint64
 	for _, n := range nw.Nodes() {
 		if n.Filter == "const" {
@@ -163,17 +164,17 @@ func TestVerifyInvariantsRejectsBadPositions(t *testing.T) {
 		9: "reads missing position 9",
 		3: `node "t0" (index 2) reads "t1" (index 3): construction order is not topological`,
 	} {
-		nw := dataflow.NewNetwork()
+		nw := dftest.New()
 		nw.AddSource("a")
 		nw.AddSource("b")
 		x, _ := nw.AddFilter("sqrt", "a")
 		y, _ := nw.AddFilter("add", x, "b")
 		nw.SetOutput(y)
-		if err := passes.VerifyInvariants(nw); err != nil {
+		if err := passes.VerifyInvariants(nw.Network); err != nil {
 			t.Fatal(err)
 		}
 		nw.NodeByID(x).Inputs[0] = bad
-		if err := passes.VerifyInvariants(nw); err == nil || !strings.Contains(err.Error(), want) {
+		if err := passes.VerifyInvariants(nw.Network); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("input position %d: %v, want %q", bad, err, want)
 		}
 	}

@@ -22,7 +22,7 @@ func (dce) Name() string { return "dce" }
 // and deletes the rest.
 func (dce) Run(nw *dataflow.Network, st *Stats) error {
 	nodes := nw.Nodes()
-	to := make([]int32, len(nodes))
+	to := positions(nw, st)
 	for i := range to {
 		to[i] = -1
 	}

@@ -94,7 +94,7 @@ func (algebraic) Name() string { return "algebraic" }
 
 func (algebraic) Run(nw *dataflow.Network, st *Stats) error {
 	nodes := nw.Nodes()
-	to := keepAll(nw)
+	to := keepAll(nw, st)
 	for i, n := range nodes {
 		if len(n.Inputs) != 2 {
 			continue

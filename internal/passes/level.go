@@ -31,16 +31,6 @@ func (l Level) String() string {
 	}
 }
 
-// CacheTag returns the level's fingerprint suffix: empty for the Paper
-// level (keeping Paper cache keys identical to the pre-pipeline
-// fingerprints) and a short tag otherwise.
-func (l Level) CacheTag() string {
-	if l == LevelPaper {
-		return ""
-	}
-	return "o2"
-}
-
 // ParseLevel maps a user-facing level name to a Level. The empty string
 // means the Paper level.
 func ParseLevel(s string) (Level, error) {

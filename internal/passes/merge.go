@@ -2,8 +2,7 @@ package passes
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 
 	"dfg/internal/dataflow"
 )
@@ -14,84 +13,42 @@ import (
 // subtree shared between members (the velocity magnitude inside two
 // users' criteria) is planned and executed exactly once per batch.
 
-// MergeMember is one expression entering a merge: its compile-cache
-// fingerprint (the batch identity and demux key) and its sealed,
-// already-optimised network.
-type MergeMember struct {
-	Fp  string
-	Net *dataflow.Network
-}
-
-// Merged is a super-network produced by MergeNetworks. Fps holds the
-// distinct member fingerprints in sorted order and Roots the matching
-// sink node IDs — Roots[i] is where Fps[i]'s output lives after
-// cross-expression CSE (two members whose outputs unified share a root).
-// Shared counts the nodes the merge eliminated: duplicates that existed
-// in more than one member and now execute once.
+// Merged is a super-network produced by MergeNetworks. Root[i] is the
+// index in Net.Roots() of the i-th member's output: two members whose
+// outputs unified under cross-expression CSE share one root. Shared
+// counts the nodes the merge eliminated: duplicates that existed in more
+// than one member and now execute once.
 type Merged struct {
 	Net    *dataflow.Network
-	Fps    []string
-	Roots  []string
+	Root   []int
 	Shared int
 }
 
-// Root returns the super-network sink carrying the given member
-// fingerprint's output.
-func (m *Merged) Root(fp string) (string, bool) {
-	for i, f := range m.Fps {
-		if f == fp {
-			return m.Roots[i], true
-		}
-	}
-	return "", false
-}
-
-// rootAlias names the provenance alias for the i-th sorted member. The
-// NUL prefix keeps it out of the identifier space, so it can never
-// collide with a source name or user alias from any expression.
-func rootAlias(i int) string { return "\x00batch-root:" + strconv.Itoa(i) }
-
-// MergeNetworks clones every member's live nodes into one fresh network
-// (sources unify by name — batch members bind the same mesh, so equal
-// names mean equal arrays), declares one root per member, and runs the
-// cross-expression elimination passes: constant pooling plus the
-// order-sensitive CSE, with the commutativity-normalised CSE round added
-// at LevelO2. Both are bitwise-safe, so the super-network's per-root
-// outputs are zero-ULP identical to the members evaluated individually.
-//
-// Members are deduplicated and ordered by fingerprint before cloning, so
-// one batch membership set always produces one deterministic
-// super-network — the property the batch plan cache keys on.
-func MergeNetworks(members []MergeMember, lvl Level, opt RunOptions) (*Merged, error) {
-	if len(members) == 0 {
+// MergeNetworks clones every member's live nodes, in the order given,
+// into one fresh network (sources unify by name — batch members bind
+// the same mesh, so equal names mean equal arrays), declares one root
+// per member, and runs the cross-expression elimination passes: constant
+// pooling plus the order-sensitive CSE, with the commutativity-normalised
+// CSE round added at LevelO2. Both are bitwise-safe, so the
+// super-network's per-root outputs are zero-ULP identical to the members
+// evaluated individually. The passes move each member's root by
+// position; the last step collapses the roots that unified. One member
+// list always produces one super-network, so a caller that keys the
+// result orders the members first.
+func MergeNetworks(nets []*dataflow.Network, lvl Level, opt RunOptions) (*Merged, error) {
+	if len(nets) == 0 {
 		return nil, fmt.Errorf("passes: merge needs at least one member")
 	}
-	distinct := make(map[string]*dataflow.Network, len(members))
-	for _, m := range members {
-		if m.Net == nil {
-			return nil, fmt.Errorf("passes: merge member %q has no network", m.Fp)
-		}
-		if m.Net.Output() == "" {
-			return nil, fmt.Errorf("passes: merge member %q has no output", m.Fp)
-		}
-		distinct[m.Fp] = m.Net
-	}
-	fps := make([]string, 0, len(distinct))
-	for fp := range distinct {
-		fps = append(fps, fp)
-	}
-	sort.Strings(fps)
-
 	// Every member's sources are registered before any computed node is
 	// cloned: the builder mints IDs around names already taken, so a
 	// source spelled like a minted ID ("t0") is that source for every
 	// member and never resolves to an earlier member's internal node.
 	nw := dataflow.NewNetwork()
-	orders := make([][]*dataflow.Node, len(fps))
-	for i, fp := range fps {
-		order, err := distinct[fp].TopoOrder()
+	orders := make([][]*dataflow.Node, len(nets))
+	for i, net := range nets {
+		order, err := net.TopoOrder()
 		if err != nil {
-			return nil, fmt.Errorf("passes: merge member %q: %w", fp, err)
+			return nil, fmt.Errorf("passes: merge member %d: %w", i, err)
 		}
 		orders[i] = order
 		for _, n := range order {
@@ -99,43 +56,42 @@ func MergeNetworks(members []MergeMember, lvl Level, opt RunOptions) (*Merged, e
 				continue
 			}
 			if _, err := nw.Source(n.ID); err != nil { // shared with earlier members
-				return nil, fmt.Errorf("passes: merge member %q: %w", fp, err)
+				return nil, fmt.Errorf("passes: merge member %d: %w", i, err)
 			}
 		}
 	}
-	roots := make([]int32, len(fps))
-	for i, fp := range fps {
-		root, err := cloneInto(nw, distinct[fp], orders[i])
+	roots := make([]int32, len(nets))
+	for i, net := range nets {
+		root, err := cloneInto(nw, net, orders[i])
 		if err != nil {
-			return nil, fmt.Errorf("passes: merge member %q: %w", fp, err)
+			return nil, fmt.Errorf("passes: merge member %d: %w", i, err)
 		}
 		roots[i] = root
-		if err := nw.AliasAt(rootAlias(i), root); err != nil {
-			return nil, fmt.Errorf("passes: merge member %q: %w", fp, err)
-		}
 	}
 	if err := nw.SetRootsAt(roots...); err != nil {
 		return nil, err
 	}
-
-	pipe := mergePipeline(lvl)
-	res, err := pipe.RunWith(nw, opt)
+	res, err := mergePipeline(lvl).RunWith(nw, opt)
 	if err != nil {
 		return nil, err
 	}
 
-	// The passes remapped the provenance aliases along with everything
-	// else; read each member's final root back out before sealing.
-	ids := make([]string, len(fps))
-	for i := range fps {
-		n := nw.Node(rootAlias(i))
-		if n == nil {
-			return nil, fmt.Errorf("passes: merge lost root for member %q", fps[i])
+	// Collapse the roots that unified, keeping first occurrences in
+	// member order.
+	m := &Merged{Net: nw, Root: make([]int, len(nets)), Shared: res.NodesRemoved()}
+	roots = roots[:0]
+	for i, r := range nw.Roots() {
+		k := slices.Index(roots, r)
+		if k < 0 {
+			k, roots = len(roots), append(roots, r)
 		}
-		ids[i] = n.ID
+		m.Root[i] = k
+	}
+	if err := nw.SetRootsAt(roots...); err != nil {
+		return nil, err
 	}
 	nw.Seal()
-	return &Merged{Net: nw, Fps: fps, Roots: ids, Shared: res.NodesRemoved()}, nil
+	return m, nil
 }
 
 // mergePaper and mergeO2 are the cross-expression pipelines, built from

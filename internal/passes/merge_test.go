@@ -1,7 +1,7 @@
 package passes_test
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 
 	"dfg/internal/dataflow"
@@ -9,9 +9,8 @@ import (
 	"dfg/internal/passes"
 )
 
-// compileMember compiles one expression at the given level and wraps it
-// as a merge member.
-func compileMember(t *testing.T, text string, lvl passes.Level) passes.MergeMember {
+// compileMember compiles one expression at the given level.
+func compileMember(t *testing.T, text string, lvl passes.Level) *dataflow.Network {
 	t.Helper()
 	pipe := passes.Paper
 	if lvl == passes.LevelO2 {
@@ -21,9 +20,7 @@ func compileMember(t *testing.T, text string, lvl passes.Level) passes.MergeMemb
 	if err != nil {
 		t.Fatalf("compile %q: %v", text, err)
 	}
-	// The fingerprint is an opaque dedup/demux key at this layer; the
-	// source text serves.
-	return passes.MergeMember{Fp: text, Net: net}
+	return net
 }
 
 func liveNodes(t *testing.T, nw *dataflow.Network) int {
@@ -35,6 +32,11 @@ func liveNodes(t *testing.T, nw *dataflow.Network) int {
 	return len(order)
 }
 
+// root returns the node carrying member i's output.
+func root(m *passes.Merged, i int) *dataflow.Node {
+	return m.Net.Nodes()[m.Net.Roots()[m.Root[i]]]
+}
+
 // TestMergeNetworksBatchSharesSubtrees: merging expressions with a
 // common subtree eliminates the duplicated nodes — the super-network is
 // strictly smaller than its members combined, members keep distinct
@@ -42,77 +44,41 @@ func liveNodes(t *testing.T, nw *dataflow.Network) int {
 func TestMergeNetworksBatchSharesSubtrees(t *testing.T) {
 	a := compileMember(t, "r = sqrt(u*u + v*v + w*w)", passes.LevelO2)
 	b := compileMember(t, "r = u*u + v*v + w*w", passes.LevelO2)
-	m, err := passes.MergeNetworks([]passes.MergeMember{a, b}, passes.LevelO2, passes.RunOptions{Verify: true})
+	m, err := passes.MergeNetworks([]*dataflow.Network{a, b}, passes.LevelO2, passes.RunOptions{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Fps) != 2 || len(m.Roots) != 2 {
-		t.Fatalf("fps=%d roots=%d, want 2/2", len(m.Fps), len(m.Roots))
+	if len(m.Root) != 2 || len(m.Net.Roots()) != 2 {
+		t.Fatalf("members=%d roots=%d, want 2/2", len(m.Root), len(m.Net.Roots()))
 	}
-	if m.Roots[0] == m.Roots[1] {
-		t.Fatal("distinct members unified to one root")
+	if m.Root[0] != 0 || m.Root[1] != 1 {
+		t.Fatalf("distinct members root at %v, want [0 1]", m.Root)
+	}
+	if root(m, 0).Filter != "sqrt" || root(m, 1).Filter != "add" {
+		t.Fatalf("members root at %s and %s, want sqrt and add", root(m, 0).Filter, root(m, 1).Filter)
 	}
 	if m.Shared == 0 {
 		t.Fatal("no nodes shared between members with a common subtree")
 	}
-	if got, limit := liveNodes(t, m.Net), liveNodes(t, a.Net)+liveNodes(t, b.Net); got >= limit {
+	if got, limit := liveNodes(t, m.Net), liveNodes(t, a)+liveNodes(t, b); got >= limit {
 		t.Fatalf("super-network has %d nodes, members total %d — merge eliminated nothing", got, limit)
 	}
-	for _, fp := range m.Fps {
-		root, ok := m.Root(fp)
-		if !ok || m.Net.NodeByID(root) == nil {
-			t.Fatalf("member %q root %q missing from super-network", fp, root)
-		}
-	}
 }
 
-// TestMergeNetworksBatchDeterministic: member order must not matter —
-// one membership set, one super-network, byte for byte. The batch plan
-// cache keys on this.
-func TestMergeNetworksBatchDeterministic(t *testing.T) {
-	a := compileMember(t, "r = sqrt(u*u + v*v)", passes.LevelO2)
-	b := compileMember(t, "r = (u*u + v*v) * 0.5", passes.LevelO2)
-	fwd, err := passes.MergeNetworks([]passes.MergeMember{a, b}, passes.LevelO2, passes.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rev, err := passes.MergeNetworks([]passes.MergeMember{b, a}, passes.LevelO2, passes.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshal(t, fwd.Net), marshal(t, rev.Net)) {
-		t.Fatal("merge is order-sensitive: same members, different super-networks")
-	}
-}
-
-// TestMergeNetworksBatchDedupsMembers: the same member submitted twice
-// merges once — one fingerprint, one root.
-func TestMergeNetworksBatchDedupsMembers(t *testing.T) {
-	a := compileMember(t, "r = u + v", passes.LevelO2)
-	b := compileMember(t, "r = u - v", passes.LevelO2)
-	m, err := passes.MergeNetworks([]passes.MergeMember{a, b, a}, passes.LevelO2, passes.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Fps) != 2 {
-		t.Fatalf("fps=%d, want 2 (duplicate member must dedup)", len(m.Fps))
-	}
-}
-
-// TestMergeNetworksBatchUnifiesEquivalentRoots: members with distinct
-// fingerprints whose outputs normalise to the same node (commuted
-// operands at O2) share one root — the demux map must tolerate this.
+// TestMergeNetworksBatchUnifiesEquivalentRoots: members whose outputs
+// normalise to the same node (commuted operands at O2) share one root,
+// and so does a member given twice: the roots collapse to one, which
+// both members index.
 func TestMergeNetworksBatchUnifiesEquivalentRoots(t *testing.T) {
 	a := compileMember(t, "r = u * v", passes.LevelO2)
 	b := compileMember(t, "r = v * u", passes.LevelO2)
-	m, err := passes.MergeNetworks([]passes.MergeMember{a, b}, passes.LevelO2, passes.RunOptions{})
+	c := compileMember(t, "r = u - v", passes.LevelO2)
+	m, err := passes.MergeNetworks([]*dataflow.Network{c, a, b, c}, passes.LevelO2, passes.RunOptions{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, _ := m.Root(a.Fp)
-	rb, _ := m.Root(b.Fp)
-	if ra != rb {
-		t.Fatalf("commuted members kept distinct roots %q vs %q", ra, rb)
+	if want := []int{0, 1, 1, 0}; !slices.Equal(m.Root, want) || len(m.Net.Roots()) != 2 {
+		t.Fatalf("members root at %v of %d roots, want %v of 2", m.Root, len(m.Net.Roots()), want)
 	}
 }
 
@@ -125,7 +91,7 @@ func TestMergeNetworksKeepsSourcesNamedLikeMintedIDs(t *testing.T) {
 		sum := compileMember(t, "r = u + v", lvl) // solo: add is t0
 		src := compileMember(t, "t0", lvl)
 		late := compileMember(t, "r = (u * v) - t1", lvl) // solo: mul is t0, sub skips to t2
-		m, err := passes.MergeNetworks([]passes.MergeMember{sum, src, late}, lvl, passes.RunOptions{Verify: true})
+		m, err := passes.MergeNetworks([]*dataflow.Network{sum, src, late}, lvl, passes.RunOptions{Verify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,14 +100,14 @@ func TestMergeNetworksKeepsSourcesNamedLikeMintedIDs(t *testing.T) {
 				t.Fatalf("%v: %q in the super-network is %+v, want a source", lvl, name, n)
 			}
 		}
-		if root, _ := m.Root(src.Fp); root != "t0" {
-			t.Fatalf("%v: member %q roots at %q, want its source", lvl, src.Fp, root)
+		if id := root(m, 1).ID; id != "t0" {
+			t.Fatalf("%v: member \"t0\" roots at %q, want its source", lvl, id)
 		}
-		if root, _ := m.Root(sum.Fp); m.Net.NodeByID(root).Filter != "add" {
-			t.Fatalf("%v: member %q roots at a %s node", lvl, sum.Fp, m.Net.NodeByID(root).Filter)
+		if f := root(m, 0).Filter; f != "add" {
+			t.Fatalf("%v: member \"r = u + v\" roots at a %s node", lvl, f)
 		}
-		if root, _ := m.Root(late.Fp); m.Net.NodeByID(root).Filter != "sub" {
-			t.Fatalf("%v: member %q roots at a %s node", lvl, late.Fp, m.Net.NodeByID(root).Filter)
+		if f := root(m, 2).Filter; f != "sub" {
+			t.Fatalf("%v: member \"r = (u * v) - t1\" roots at a %s node", lvl, f)
 		}
 	}
 }

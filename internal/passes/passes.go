@@ -35,6 +35,8 @@ type Stats struct {
 	// Rewritten counts nodes mutated in place (folded to constants,
 	// forwarded to fused filters, ...).
 	Rewritten int
+
+	to []int32 // the run's position scratch (positions)
 }
 
 // Pass is one network transformation. Run mutates the (unsealed)
@@ -123,11 +125,13 @@ func (p *Pipeline) RunWith(nw *dataflow.Network, opt RunOptions) (*Result, error
 		fmt.Fprintf(opt.Debug, "pipeline %s: %d nodes, %d edges in\n", p.name, nw.Len(), countEdges(nw))
 	}
 	// The passes report through an interface call, so st escapes: one
-	// Stats serves the whole run, and each pass starts from a zero one.
+	// Stats serves the whole run, and each pass starts from a zero one
+	// but for the run's scratch: the position slice, and the room after
+	// the last pass's Removed, which the next appends into.
 	var st Stats
 	for _, pass := range p.passes {
 		nb, eb := nw.Len(), countEdges(nw)
-		st = Stats{}
+		st = Stats{Removed: st.Removed[len(st.Removed):], to: st.to}
 		var sp *obs.Span
 		if opt.Parent != nil {
 			sp = opt.Parent.Child("pass:" + pass.Name())
@@ -147,7 +151,7 @@ func (p *Pipeline) RunWith(nw *dataflow.Network, opt RunOptions) (*Result, error
 			Pass:        pass.Name(),
 			NodesBefore: nb, NodesAfter: nw.Len(),
 			EdgesBefore: eb, EdgesAfter: countEdges(nw),
-			Removed:   st.Removed,
+			Removed:   st.Removed[:len(st.Removed):len(st.Removed)],
 			Rewritten: st.Rewritten,
 			Duration:  d,
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/dftest"
 	"dfg/internal/expr"
 	"dfg/internal/passes"
 	"dfg/internal/vortex"
@@ -267,7 +268,7 @@ func TestCommuteCSE(t *testing.T) {
 // TestDecomposeForwardLane3 checks the padding lane becomes an exact
 // constant zero.
 func TestDecomposeForwardLane3(t *testing.T) {
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"f", "dims", "x", "y", "z"} {
 		if _, err := nw.AddSource(s); err != nil {
 			t.Fatal(err)
@@ -284,7 +285,7 @@ func TestDecomposeForwardLane3(t *testing.T) {
 	if err := nw.SetOutput(d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := passes.O2.RunWith(nw, passes.RunOptions{Verify: true}); err != nil {
+	if _, err := passes.O2.RunWith(nw.Network, passes.RunOptions{Verify: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := nw.NodeByID(nw.Output())
@@ -329,12 +330,6 @@ func TestLevels(t *testing.T) {
 		if c.err != (err != nil) || (!c.err && got != c.want) {
 			t.Errorf("ParseLevel(%q) = %v, %v; want %v (err=%v)", c.in, got, err, c.want, c.err)
 		}
-	}
-	if tag := passes.LevelPaper.CacheTag(); tag != "" {
-		t.Errorf("Paper cache tag = %q, want empty (Paper keys must stay byte-identical)", tag)
-	}
-	if tag := passes.LevelO2.CacheTag(); tag == "" {
-		t.Error("O2 cache tag is empty; O2 plans would collide with Paper plans")
 	}
 	if passes.ForLevel(passes.LevelPaper) != passes.Paper || passes.ForLevel(passes.LevelO2) != passes.O2 {
 		t.Error("ForLevel does not select the predefined pipelines")

@@ -53,7 +53,7 @@ func VerifyInvariants(nw *dataflow.Network) error {
 		}
 	}
 	for _, a := range nw.Aliases() {
-		if nw.Node(a[0]) == nil {
+		if nw.NodeByID(a[1]) == nil {
 			return fmt.Errorf("alias %q points at missing node %q", a[0], a[1])
 		}
 	}

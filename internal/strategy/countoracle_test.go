@@ -73,7 +73,7 @@ func checkCountsOf(t *testing.T, a, b string) {
 	t.Helper()
 	bind := countBindings()
 	for _, lvl := range []passes.Level{passes.LevelPaper, passes.LevelO2} {
-		var members []passes.MergeMember
+		var members []*dataflow.Network
 		for _, text := range []string{a, b} {
 			if text == "" {
 				continue
@@ -83,7 +83,7 @@ func checkCountsOf(t *testing.T, a, b string) {
 				return // not a well-formed program
 			}
 			checkCounts(t, lvl.String(), net, bind)
-			members = append(members, passes.MergeMember{Fp: string(rune('a' + len(members))), Net: net})
+			members = append(members, net)
 		}
 		if len(members) < 2 {
 			continue

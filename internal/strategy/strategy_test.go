@@ -9,6 +9,7 @@ import (
 
 	"dfg/internal/codegen"
 	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/dftest"
 	"dfg/internal/expr"
 	"dfg/internal/kernels"
 	"dfg/internal/mesh"
@@ -24,7 +25,7 @@ func cpuEnv() *ocl.Env {
 // buildVelMag: v_mag = sqrt(u*u + v*v + w*w).
 func buildVelMag(t testing.TB) *dataflow.Network {
 	t.Helper()
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"u", "v", "w"} {
 		nw.AddSource(s)
 	}
@@ -37,14 +38,14 @@ func buildVelMag(t testing.TB) *dataflow.Network {
 	if err := nw.SetOutput(out); err != nil {
 		t.Fatal(err)
 	}
-	return nw
+	return nw.Network
 }
 
 // buildGradMag: |grad(f)| via grad3d + decompose, exercising stencil,
 // decompose and a constant (out = 0.5 * sqrt(gx^2+gy^2+gz^2) * 2).
 func buildGradExpr(t testing.TB) *dataflow.Network {
 	t.Helper()
-	nw := dataflow.NewNetwork()
+	nw := dftest.New()
 	for _, s := range []string{"f", "dims", "x", "y", "z"} {
 		nw.AddSource(s)
 	}
@@ -68,7 +69,7 @@ func buildGradExpr(t testing.TB) *dataflow.Network {
 	if err := nw.SetOutput(out); err != nil {
 		t.Fatal(err)
 	}
-	return nw
+	return nw.Network
 }
 
 func velMagBindings(rng *rand.Rand, n int) (Bindings, []float32, []float32, []float32) {
@@ -331,9 +332,9 @@ func TestExecuteValidation(t *testing.T) {
 			t.Errorf("%s: missing binding must fail", name)
 		}
 		// Network without output.
-		empty := dataflow.NewNetwork()
+		empty := dftest.New()
 		empty.AddSource("u")
-		if _, err := Execute(s, cpuEnv(), empty, bind); err == nil {
+		if _, err := Execute(s, cpuEnv(), empty.Network, bind); err == nil {
 			t.Errorf("%s: network without output must fail", name)
 		}
 	}
@@ -413,7 +414,7 @@ func TestStrategiesAgreeOnRandomNetworks(t *testing.T) {
 	elementwise := []string{"add", "sub", "mul", "min", "max"}
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		nw := dataflow.NewNetwork()
+		nw := dftest.New()
 		ids := []string{}
 		for i := 0; i < 3; i++ {
 			id, _ := nw.AddSource(string(rune('a' + i)))
@@ -433,7 +434,7 @@ func TestStrategiesAgreeOnRandomNetworks(t *testing.T) {
 			}
 		}
 		nw.SetOutput(ids[len(ids)-1])
-		if _, err := passes.Paper.Run(nw); err != nil {
+		if _, err := passes.Paper.Run(nw.Network); err != nil {
 			t.Fatal(err)
 		}
 
@@ -446,7 +447,7 @@ func TestStrategiesAgreeOnRandomNetworks(t *testing.T) {
 		var ref []float32
 		for _, name := range Names() {
 			s, _ := ForName(name)
-			res, err := Execute(s, cpuEnv(), nw, bind)
+			res, err := Execute(s, cpuEnv(), nw.Network, bind)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"dfg/internal/dataflow"
@@ -135,7 +134,7 @@ func executorVsReference(t *testing.T, net *dataflow.Network, bind Bindings, cut
 	prog := low.Program()
 	draws := []int{prog.SlabLen()}
 	for _, b := range low.Buffers {
-		if src := bind.Sources[b.Name]; b.Kind == vm.BufSource && len(src.Data) < b.Need(n) {
+		if src := bind.Sources[b.Name]; b.Kind == vm.BufSource && len(src.Data) < b.Need.Of(n) {
 			return nil, nil, false
 		} else if b.Kind != vm.BufSource {
 			draws = append(draws, n*b.Width)
@@ -293,23 +292,23 @@ func FuzzVMDifferential(f *testing.F) {
 		// lower returns the program's network at one level and, per member,
 		// the root that carries its output: members whose outputs unify
 		// share one root, so O2 can have fewer outputs than Paper.
-		lower := func(pipe *passes.Pipeline, lvl passes.Level) (*dataflow.Network, []string) {
+		lower := func(pipe *passes.Pipeline, lvl passes.Level) (*dataflow.Network, []int) {
 			net, _, err := expr.CompileWithPipeline(text, nil, pipe, passes.RunOptions{Verify: true})
 			if err != nil {
 				return nil, nil
 			}
 			if text2 == "" {
-				return net, []string{net.Output()}
+				return net, []int{0}
 			}
 			net2, _, err := expr.CompileWithPipeline(text2, nil, pipe, passes.RunOptions{Verify: true})
 			if err != nil {
 				return nil, nil
 			}
-			merged, err := passes.MergeNetworks([]passes.MergeMember{{Fp: "a", Net: net}, {Fp: "b", Net: net2}}, lvl, passes.RunOptions{Verify: true})
+			merged, err := passes.MergeNetworks([]*dataflow.Network{net, net2}, lvl, passes.RunOptions{Verify: true})
 			if err != nil {
 				t.Fatalf("members compiled but the merge failed: %v\n%s\n--\n%s", err, text, text2)
 			}
-			return merged.Net, merged.Roots
+			return merged.Net, merged.Root
 		}
 		paper, paperRoots := lower(passes.Paper, passes.LevelPaper)
 		if paper == nil {
@@ -342,12 +341,9 @@ func FuzzVMDifferential(f *testing.F) {
 		if !ok {
 			t.Fatalf("paper lowering ran but O2 did not\n%s\n--\n%s", text, text2)
 		}
-		rootIndex := func(net *dataflow.Network, id string) int {
-			return slices.IndexFunc(net.Roots(), func(r int32) bool { return net.Nodes()[r].ID == id })
-		}
 		for m := range paperRoots {
-			w := want[rootIndex(paper, paperRoots[m])]
-			g := ogot[rootIndex(o2, o2Roots[m])]
+			w := want[paperRoots[m]]
+			g := ogot[o2Roots[m]]
 			for i := range w {
 				if !sameClass(g[i], w[i]) {
 					t.Fatalf("O2 executor diverges from the paper reference at member %d element %d: %v vs %v\n%s\n--\n%s",

@@ -66,7 +66,7 @@ func (p *Program) RunAll(views []ocl.View, n int, src SourceFn, canceled func() 
 			if data, err = src(spec.Name); err != nil {
 				return nil, err
 			}
-			if need := spec.Need(n); len(data) < need {
+			if need := spec.Need.Of(n); len(data) < need {
 				return nil, fmt.Errorf("vm: source %q holds %d float32s, need %d", spec.Name, len(data), need)
 			}
 		case BufScratch:

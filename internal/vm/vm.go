@@ -31,6 +31,7 @@ import (
 
 	"dfg/internal/dataflow"
 	"dfg/internal/kernels"
+	"dfg/internal/ocl"
 )
 
 // opcode is the executor's dispatch index. Other packages see an
@@ -146,22 +147,11 @@ type BufferSpec struct {
 	Name  string // source name, scratch label, or "out" / "out<i>"
 	Width int    // element width in float32 components
 
-	// Length requirement for one run over n elements: needPerN*n
-	// float32s, and at least needFixed regardless of n. Per-element
-	// loads and stencil field/coordinate reads need problem-sized
-	// arrays; the dims descriptor only ever has its first three
-	// elements read.
-	needPerN  int
-	needFixed int
-}
-
-// Need returns how many float32s a run over n elements requires the
-// buffer to hold.
-func (b BufferSpec) Need(n int) int {
-	if need := n * b.needPerN; need > b.needFixed {
-		return need
-	}
-	return b.needFixed
+	// Need is the length a run over n elements requires (Need.Of(n)),
+	// derived from the instructions: per-element loads and stencil
+	// field/coordinate reads need problem-sized arrays; the dims
+	// descriptor only ever has its first three elements read.
+	Need ocl.Need
 }
 
 // Lowering is the lowered form of one sealed network: per-pass
@@ -249,8 +239,8 @@ func Lower(net *dataflow.Network) (*Lowering, error) {
 // instructions access it.
 func (l *Lowering) computeNeeds() {
 	perN := func(b uint16, m int) {
-		if l.Buffers[b].needPerN < m {
-			l.Buffers[b].needPerN = m
+		if need := &l.Buffers[b].Need; need.PerN < m {
+			need.PerN = m
 		}
 	}
 	for _, pass := range l.Passes {
@@ -260,8 +250,8 @@ func (l *Lowering) computeNeeds() {
 				perN(in.Buf, int(in.Width))
 			case opGrad, opGradAxis:
 				perN(in.GBufs[0], 1) // field, read at neighbour indices < n
-				if l.Buffers[in.GBufs[1]].needFixed < 3 {
-					l.Buffers[in.GBufs[1]].needFixed = 3 // dims: nx, ny, nz
+				if need := &l.Buffers[in.GBufs[1]].Need; need.Fixed < 3 {
+					need.Fixed = 3 // dims: nx, ny, nz
 				}
 				for _, b := range in.GBufs[2:] {
 					perN(b, 1) // coordinate arrays, indexed per element

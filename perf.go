@@ -3,7 +3,6 @@ package dfg
 import (
 	"time"
 
-	"dfg/internal/compile"
 	"dfg/internal/obs"
 	"dfg/internal/perfdb"
 	"dfg/internal/strategy"
@@ -38,7 +37,7 @@ func (e *Engine) recordEval(j job, rt route, res *Result, err error, bind strate
 	rec := perfdb.EvalRecord{
 		UnixNS:      now.UnixNano(),
 		TraceID:     sp.ID(),
-		Fingerprint: compile.ShortKey(j.fp),
+		Fingerprint: j.short,
 		Strategy:    j.label,
 		Resolved:    rt.resolved,
 		Opt:         e.lvl.String(),

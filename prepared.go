@@ -8,7 +8,6 @@ import (
 	"dfg/internal/dataflow"
 	"dfg/internal/obs"
 	"dfg/internal/ocl"
-	"dfg/internal/passes"
 	"dfg/internal/strategy"
 )
 
@@ -23,11 +22,12 @@ import (
 // event counts).
 //
 // Several texts sharing one binding are one handle too. Texts that
-// deduplicate to one fingerprint take the one-text path unchanged.
-// Distinct ones are merged into one network with cross-expression CSE
-// (internal/passes.MergeNetworks), planned once through the shared plan
-// cache under the batch fingerprint, and executed in one run, so shared
-// subtrees execute exactly once; Result.Members answers each text.
+// deduplicate to one compiled expression take the one-text path
+// unchanged. Distinct ones are merged into one network with
+// cross-expression CSE (compile.Compiler's MergeTraced), planned once
+// through the shared plan cache under the batch key, and executed in one
+// run, so shared subtrees execute exactly once; Result.Members answers
+// each text.
 //
 // A Prepared is bound to its engine and shares the engine's
 // single-goroutine discipline: do not use one engine's prepared plans
@@ -41,7 +41,8 @@ import (
 type Prepared struct {
 	eng    *Engine
 	plan   strategy.Plan
-	fp     string
+	key    compile.Key
+	short  string // key.Short(), the label every eval records
 	text   string // the first text
 	closed bool
 
@@ -118,70 +119,49 @@ func (e *Engine) PrepareContext(ctx context.Context, texts ...string) (*Prepared
 	if err != nil {
 		return nil, err
 	}
-	if p.plan, err = e.comp.PlanNetTraced(net, p.fp, e.strat, e.env.Device(), sp); err != nil {
+	if p.plan, err = e.comp.PlanNetTraced(net, p.key, e.strat, e.env.Device(), sp); err != nil {
 		return nil, err
 	}
+	p.short = p.key.Short()
 	*e.prepCount++
 	return p, nil
 }
 
 // build compiles each text once, under the span ctx carries, and
-// returns the network the handle plans under p.fp: the first text's,
-// unless the texts hold at least two distinct fingerprints, which merge
-// under the batch fingerprint.
+// returns the network the handle plans under p.key: the first text's,
+// unless the texts hold at least two distinct expressions, which merge
+// under the batch key.
 func (p *Prepared) build(ctx context.Context, texts []string) (*dataflow.Network, error) {
 	e := p.eng
 	parent, _ := obs.FromContext(ctx)
 	if len(texts) == 1 {
-		net, fp, err := e.comp.CompileTracedAt(texts[0], e.lvl, parent)
-		p.fp = fp
+		net, key, err := e.comp.CompileTracedAt(texts[0], e.lvl, parent)
+		p.key = key
 		return net, err
 	}
-	p.roots = make([]int, len(texts))
-	var members []passes.MergeMember
-	fps := make([]string, len(texts))
-	seen := make(map[string]bool, len(texts))
+	members := make([]compile.Member, len(texts))
 	for i, text := range texts {
-		net, fp, err := e.comp.CompileTracedAt(text, e.lvl, parent)
+		net, key, err := e.comp.CompileTracedAt(text, e.lvl, parent)
 		if err != nil {
 			return nil, fmt.Errorf("dfg: batch member %d: %w", i, err)
 		}
-		fps[i] = fp
-		if !seen[fp] {
-			seen[fp] = true
-			members = append(members, passes.MergeMember{Fp: fp, Net: net})
-		}
+		members[i] = compile.Member{Key: key, Net: net}
 	}
-	p.fp = fps[0]
-	if len(members) < 2 {
-		return members[0].Net, nil
-	}
-	merged, bfp, err := e.comp.MergeTraced(members, e.lvl, parent)
+	merged, key, roots, err := e.comp.MergeTraced(members, parent)
 	if err != nil {
 		return nil, err
 	}
-	// Distinct fingerprints can still CSE to one root (e.g. commuted
-	// operands at O2), so the index goes through the merged network's
-	// de-duplicated root list.
-	idxOf := make(map[string]int, len(merged.Net.Roots()))
-	for i, r := range merged.Net.Roots() {
-		idxOf[merged.Net.Nodes()[r].ID] = i
+	p.key, p.roots = key, roots
+	if n := len(merged.Root); n > 1 {
+		p.merged, p.shared = n, merged.Shared
 	}
-	for i, fp := range fps {
-		id, ok := merged.Root(fp)
-		if !ok {
-			return nil, fmt.Errorf("dfg: batch member %d: root lost in merge", i)
-		}
-		p.roots[i] = idxOf[id]
-	}
-	p.fp, p.merged, p.shared = bfp, len(members), merged.Shared
 	return merged.Net, nil
 }
 
 // Fingerprint returns the prepared expression's cache fingerprint (the
-// compile-cache key at Prepare time; the batch fingerprint when several
-// texts merged).
-func (p *Prepared) Fingerprint() string { return p.fp }
+// compile-cache key at Prepare time; the batch key when several texts
+// merged), rendered.
+func (p *Prepared) Fingerprint() string { return p.key.String() }
 
 // Text returns the prepared expression text (the first, of several).
 func (p *Prepared) Text() string { return p.text }
@@ -221,7 +201,7 @@ func (p *Prepared) eval(ctx context.Context, b binder) (*Result, error) {
 		return nil, fmt.Errorf("dfg: prepared expression is closed")
 	}
 	j := p.active()
-	j.pr, j.fp, j.roots, j.batch, j.pool = p, p.fp, p.roots, p.merged, p.eng.env.Context().Pool()
+	j.pr, j.key, j.short, j.roots, j.batch, j.pool = p, p.key, p.short, p.roots, p.merged, p.eng.env.Context().Pool()
 	return p.eng.eval(ctx, b, j)
 }
 
@@ -256,7 +236,7 @@ func (e *Engine) releaseHandle() {
 
 // Fingerprint returns the compile-cache key Eval would use for text
 // under the engine's current definitions and optimisation level.
-func (e *Engine) Fingerprint(text string) string { return e.comp.FingerprintAt(text, e.lvl) }
+func (e *Engine) Fingerprint(text string) string { return e.comp.FingerprintAt(text, e.lvl).String() }
 
 // ArenaStats snapshots the engine's buffer-arena counters: buffers
 // reused vs freshly allocated, resident-source uploads vs skips, and

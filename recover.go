@@ -176,7 +176,7 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings) (res *Result, r
 			// Drain the arena so pooled and resident buffers do not count
 			// against the smaller plan's capacity. The rung re-plans the
 			// network the job holds — one text's or a merged one — under
-			// its own fingerprint, so a later Define cannot reach it, and
+			// its own key, so a later Define cannot reach it, and
 			// through the shared plan cache, so a rung already planned
 			// anywhere is free here.
 			e.env.Context().Pool().Drain()
@@ -184,7 +184,7 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings) (res *Result, r
 			if fs != nil {
 				fs.SetAttr("from", label).SetAttr("to", to).SetAttr("cause", err.Error())
 			}
-			np, perr := e.comp.PlanNetTraced(j.plan.Network(), j.fp, nxt, e.env.Device(), fs)
+			np, perr := e.comp.PlanNetTraced(j.plan.Network(), j.key, nxt, e.env.Device(), fs)
 			fs.Finish()
 			if perr != nil {
 				return nil, rt, fmt.Errorf("dfg: fallback re-plan %s -> %s: %w", label, to, perr)

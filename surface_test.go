@@ -28,16 +28,6 @@ var surfaceAllowlist = map[string]string{
 	"dfg/internal/vortex.Helicity":           "oracle, ROADMAP item 1",
 	"dfg/internal/vortex.MaxAbs":             "oracle, ROADMAP item 1",
 
-	// The by-name builder: thin wrappers over the positional ...At
-	// methods the front end and the batch merge use, kept for networks
-	// built by hand (the script form Network.Script prints).
-	"dfg/internal/dataflow.Network.AddConst":     "by-name builder",
-	"dfg/internal/dataflow.Network.AddDecompose": "by-name builder",
-	"dfg/internal/dataflow.Network.AddFilter":    "by-name builder",
-	"dfg/internal/dataflow.Network.AddSource":    "by-name builder",
-	"dfg/internal/dataflow.Network.Alias":        "by-name builder",
-	"dfg/internal/dataflow.Network.SetOutput":    "by-name builder",
-
 	"dfg/internal/vm.Program.NumPasses": "read by internal/strategy's tests, which cannot see vm's export_test.go",
 	"dfg/internal/vm.Program.SlabLen":   "read by internal/strategy's tests, which cannot see vm's export_test.go",
 }
