@@ -40,8 +40,8 @@ func byDigest(a Member, k Key) int { return bytes.Compare(a.Key.sum[:], k.sum[:]
 // the network's Roots() of members[i]'s output (two members whose
 // outputs unified share one). Members that are all one expression need
 // no merge: the result is that member's own network and key, every
-// root 0. The "merge" child span annotates its cache outcome and member
-// count like the network cache does.
+// root 0. The "merge" stage of parent annotates its cache outcome and
+// member count like the network cache does.
 func (c *Compiler) MergeTraced(members []Member, parent *obs.Span) (_ *passes.Merged, _ Key, roots []int, _ error) {
 	if len(members) == 0 {
 		return nil, Key{}, nil, fmt.Errorf("compile: merge needs at least one member")
@@ -60,8 +60,7 @@ func (c *Compiler) MergeTraced(members []Member, parent *obs.Span) (_ *passes.Me
 	}
 	h.Sum(key.sum[:0])
 
-	ms := parent.Child("merge")
-	defer ms.Finish()
+	ms := parent.Enter("merge")
 	if ms != nil {
 		ms.SetAttr("fingerprint", key.Short())
 		ms.SetAttr("members", strconv.Itoa(len(members)))

@@ -199,7 +199,7 @@ func (c *Compiler) resolve(text string, lvl passes.Level, cs *obs.Span) (*expr.P
 // CompileTracedAt returns the sealed network for text against the
 // current definitions at an optimisation level, compiling on first use;
 // concurrent calls for the same (text, referenced definitions, level)
-// share one compilation. It opens a "compile" span under parent covering
+// share one compilation. It enters a "compile" stage of parent covering
 // the front-end stages — "parse" (lex + LALR parse to the AST),
 // "fingerprint" (definition resolution + digest), the "cache" lookup
 // annotated with its outcome (hit, miss, or singleflight-wait when
@@ -210,8 +210,7 @@ func (c *Compiler) resolve(text string, lvl passes.Level, cs *obs.Span) (*expr.P
 // A nil parent span is the no-op path. The key carries the level, so
 // the same expression compiled at two levels occupies two cache slots.
 func (c *Compiler) CompileTracedAt(text string, lvl passes.Level, parent *obs.Span) (*dataflow.Network, Key, error) {
-	cs := parent.Child("compile")
-	defer cs.Finish()
+	cs := parent.Enter("compile")
 
 	p, defs, key, err := c.resolve(text, lvl, cs)
 	if err != nil {
@@ -297,7 +296,7 @@ func (c *Compiler) PassStat(name string) PassStat {
 // variant). Plans precompute everything that depends only on the
 // network and the device — topological order, kernel resolution, fused
 // program generation — so engines sharing this compiler also share one
-// plan per hot expression. The "plan" child span annotates its cache outcome
+// plan per hot expression. The "plan" stage annotates its cache outcome
 // like the network cache does. Returns the plan, the network key, and
 // any compile or planning error. The level is part of the key, so plans
 // for the same expression at different levels occupy different
@@ -319,8 +318,7 @@ func (c *Compiler) PlanTracedAt(text string, lvl passes.Level, strat strategy.St
 // the one this compiler gave the network, since it keys the shared plan
 // cache.
 func (c *Compiler) PlanNetTraced(net *dataflow.Network, key Key, strat strategy.Strategy, dev *ocl.Device, parent *obs.Span) (strategy.Plan, error) {
-	ps := parent.Child("plan")
-	defer ps.Finish()
+	ps := parent.Enter("plan")
 	plan, outcome, err := c.plans.get(planKey{key, dev.Name(), strat},
 		func() (strategy.Plan, error) { return strat.Plan(net, dev) })
 	ps.SetAttr("outcome", outcome)

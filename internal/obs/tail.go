@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -10,28 +11,53 @@ import (
 // Trace IDs are assigned to every root span a tracer starts, so a
 // /slow line, a perf-database record and a flight-recorder entry can
 // all point at the same kept trace. The ID is process-unique and cheap:
-// a start-time prefix plus a sequence number — no randomness needed,
-// collisions across restarts are made unlikely by the millisecond
-// prefix.
+// a sequence number, rendered behind a start-time prefix — no
+// randomness needed, collisions across restarts are made unlikely by
+// the millisecond prefix.
 var (
 	traceSeq    atomic.Uint64
 	tracePrefix = fmt.Sprintf("%08x-", uint64(time.Now().UnixMilli())&0xffffffff)
 )
 
-// nextTraceID formats the next ID: the prefix and the hex sequence
-// number, in one allocation.
-func nextTraceID() string {
-	var buf [32]byte
-	return string(strconv.AppendUint(append(buf[:0], tracePrefix...), traceSeq.Add(1), 16))
-}
+// TraceID numbers a root span within the process. It is formatted only
+// where it is read (String): a request carries the number.
+type TraceID uint64
 
-// ID returns the span's trace ID ("" on non-roots and nil spans).
-func (s *Span) ID() string {
-	if s == nil {
+// String renders the ID as the prefix and the hex sequence number, ""
+// for the zero ID.
+func (id TraceID) String() string {
+	if id == 0 {
 		return ""
 	}
-	return s.id
+	var buf [32]byte
+	return string(strconv.AppendUint(append(buf[:0], tracePrefix...), uint64(id), 16))
 }
+
+// parseTraceID is String's inverse: 0 for a string no ID of this
+// process renders as.
+func parseTraceID(s string) TraceID {
+	hex, ok := strings.CutPrefix(s, tracePrefix)
+	if !ok {
+		return 0
+	}
+	seq, err := strconv.ParseUint(hex, 16, 64)
+	if err != nil || strconv.FormatUint(seq, 16) != hex {
+		return 0
+	}
+	return TraceID(seq)
+}
+
+// TraceID returns the span's trace ID (0 on non-roots and nil spans).
+func (s *Span) TraceID() TraceID {
+	if s == nil || s.tree == nil {
+		return 0
+	}
+	return s.tree.id
+}
+
+// ID returns the span's trace ID rendered ("" on non-roots and nil
+// spans).
+func (s *Span) ID() string { return s.TraceID().String() }
 
 const (
 	// tailPercent is the running slowest share of roots the kept ring
@@ -79,14 +105,15 @@ func (t *Tracer) Kept(n int) []*Span {
 // ByID returns the kept or recent trace with the given ID (nil if it
 // has aged out of both rings).
 func (t *Tracer) ByID(id string) *Span {
-	if t == nil || id == "" {
+	want := parseTraceID(id)
+	if t == nil || want == 0 {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, r := range []*ring{&t.kept, &t.recent} {
 		for _, sp := range r.last(0) { // IDs are unique: any order finds it
-			if sp.id == id {
+			if sp.TraceID() == want {
 				return sp
 			}
 		}

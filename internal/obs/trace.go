@@ -20,6 +20,12 @@ type Attr struct {
 // immutable once its root is finished — only finished roots are
 // published to the tracer, so readers never race with writers.
 //
+// A span's time is partitioned by its stages (Enter, Stage): each starts
+// where its predecessor ended and the last ends where the span does, so
+// one clock reading closes one stage and opens the next. Nested work
+// that is no stage of its parent (parse inside compile, a merged
+// batch's members) opens with Child and ends with Finish.
+//
 // All methods are nil-safe: a nil *Span (what a nil Tracer hands out)
 // absorbs every call, so instrumented code needs no "is tracing on"
 // branches.
@@ -37,19 +43,42 @@ type Span struct {
 	// Children are the sub-stages, in creation order.
 	Children []*Span
 
-	tracer *Tracer // non-nil on roots only; Finish publishes there
-	id     string  // trace ID, assigned to roots by Tracer.Start (see ID)
+	stage   *Span // the stage entered last; open while its End is zero
+	isStage bool  // entered through Enter or Stage
+	tree    *tree // roots only
 }
 
-// Child opens a sub-span starting now. The caller must Finish it (or a
-// later FinishAt) before finishing the parent for durations to nest
-// sensibly; nothing enforces this.
+// tree is what a root carries beside its span: the tracer Finish
+// publishes to (nil once published), the trace ID, and the unused
+// child slots of the root's block (see Tracer.StartAt).
+type tree struct {
+	tracer *Tracer
+	id     TraceID
+	spare  []Span
+}
+
+// newChild appends a zero child span, from the root's spare slots while
+// they last.
+func (s *Span) newChild() *Span {
+	var c *Span
+	if t := s.tree; t != nil && len(t.spare) > 0 {
+		c, t.spare = &t.spare[0], t.spare[1:]
+	} else {
+		c = new(Span)
+	}
+	s.Children = append(s.Children, c)
+	return c
+}
+
+// Child opens a sub-span starting now, outside the span's stages. The
+// caller must Finish it (or Stop it) before finishing the parent for
+// durations to nest sensibly; nothing enforces this.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{Name: name, Start: time.Now()}
-	s.Children = append(s.Children, c)
+	c := s.newChild()
+	c.Name, c.Start = name, time.Now()
 	return c
 }
 
@@ -60,13 +89,62 @@ func (s *Span) Event(name, track string, start, end time.Time, attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	s.Children = append(s.Children, &Span{
-		Name:  name,
-		Track: track,
-		Start: start,
-		End:   end,
-		Attrs: attrs,
-	})
+	*s.newChild() = Span{Name: name, Track: track, Start: start, End: end, Attrs: attrs}
+}
+
+// Enter makes name the span's current stage and returns it. With a
+// stage open, one clock reading closes it and opens name; with none,
+// name opens where the last stage ended (or where the span started)
+// and the clock is not read. The last stage closes when the span
+// does (Stop, Finish).
+func (s *Span) Enter(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	at := s.Start
+	if last := s.stage; last != nil {
+		if at = last.End; at.IsZero() {
+			at = time.Now()
+			last.close(at)
+		}
+	}
+	c := s.newChild()
+	c.Name, c.Start, c.isStage = name, at, true
+	s.stage = c
+	return c
+}
+
+// Stage enters name and closes it at end, an instant the caller
+// stamped itself (serve's pickup ends the queue wait there): the next
+// stage opens at end.
+func (s *Span) Stage(name string, end time.Time) *Span {
+	c := s.Enter(name)
+	if c != nil {
+		c.End = end
+	}
+	return c
+}
+
+// Stages returns the span's stages in order.
+func (s *Span) Stages() []*Span {
+	if s == nil {
+		return nil
+	}
+	var out []*Span
+	for _, c := range s.Children {
+		if c.isStage {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// close ends the span, and its open stage with it, at at.
+func (s *Span) close(at time.Time) {
+	if last := s.stage; last != nil && last.End.IsZero() {
+		last.close(at)
+	}
+	s.End = at
 }
 
 // SetAttr annotates the span, returning it for chaining.
@@ -91,18 +169,32 @@ func (s *Span) Attr(key string) string {
 	return ""
 }
 
-// Finish stamps the end time. Finishing a root publishes the (now
+// Stop ends the span at one clock reading, closing its open stage
+// there, and returns its end; a span that has ended keeps its end. A
+// root's Finish after Stop publishes it without reading the clock, so
+// what its caller measured up to Stop (a perf record, a latency
+// observation) ends exactly where the trace does.
+func (s *Span) Stop() time.Time {
+	if s == nil {
+		return time.Time{}
+	}
+	if s.End.IsZero() {
+		s.close(time.Now())
+	}
+	return s.End
+}
+
+// Finish ends the span (see Stop). Finishing a root publishes the (now
 // immutable) tree to its tracer; finishing twice publishes once.
 func (s *Span) Finish() {
 	if s == nil {
 		return
 	}
-	if !s.End.IsZero() {
-		return
-	}
-	s.End = time.Now()
-	if s.tracer != nil {
-		s.tracer.publish(s)
+	s.Stop()
+	if t := s.tree; t != nil && t.tracer != nil {
+		tr := t.tracer
+		t.tracer = nil
+		tr.publish(s)
 	}
 }
 
@@ -157,12 +249,15 @@ func (s *Span) WriteText(w io.Writer) {
 }
 
 // Carrier is the context a request runs under: the caller's (its
-// deadline), the span it records under and how long it queued first.
-// A long-lived Carrier passed by address attaches without allocating.
+// deadline), the span it records under, when its run began (serve's
+// pickup; zero when the caller stamped none) and how long it queued
+// before that. A long-lived Carrier passed by address attaches without
+// allocating.
 type Carrier struct {
 	context.Context
-	Span *Span
-	Wait time.Duration
+	Span  *Span
+	Began time.Time
+	Wait  time.Duration
 }
 
 // FromContext returns the span and queue wait of a Carrier passed as
@@ -172,6 +267,15 @@ func FromContext(ctx context.Context) (*Span, time.Duration) {
 		return c.Span, c.Wait
 	}
 	return nil, 0
+}
+
+// BeganAt returns when the run of a Carrier passed as ctx began, else
+// the zero time.
+func BeganAt(ctx context.Context) time.Time {
+	if c, ok := ctx.(*Carrier); ok {
+		return c.Began
+	}
+	return time.Time{}
 }
 
 // Tracer collects finished request traces in two rings: recent holds
@@ -216,19 +320,40 @@ func (t *Tracer) SetSlow(threshold time.Duration, fn func(*Span)) {
 	t.mu.Unlock()
 }
 
-// A root collects a request's attributes and its stage children; sizing
-// both once at Start keeps them from regrowing attribute by attribute
-// (a served request's root carries six attributes and three children).
-const rootAttrs, rootChildren = 8, 4
+// A root and the room a served hit's trace fills are one allocation: a
+// hit's root carries six attributes (worker, expr, handle, strategy, n,
+// resolved) and three stages (queue-wait, bind, execute); a miss adds
+// compile and plan. Past its slots a trace grows on the heap. Blocks
+// are not pooled: a published root stays readable in the rings.
+const rootAttrs, rootChildren, rootSlots = 6, 5, 3
 
-// Start opens a root span. On a nil tracer it returns nil — the no-op
-// span — without touching the clock.
+type block struct {
+	root  Span
+	tree  tree
+	attrs [rootAttrs]Attr
+	kids  [rootChildren]*Span
+	slots [rootSlots]Span
+}
+
+// Start opens a root span now. On a nil tracer it returns nil — the
+// no-op span — without touching the clock.
 func (t *Tracer) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{Name: name, Start: time.Now(), tracer: t, id: nextTraceID(),
-		Attrs: make([]Attr, 0, rootAttrs), Children: make([]*Span, 0, rootChildren)}
+	return t.StartAt(name, time.Now())
+}
+
+// StartAt opens a root span that began at at — for a request, when it
+// was enqueued.
+func (t *Tracer) StartAt(name string, at time.Time) *Span {
+	if t == nil {
+		return nil
+	}
+	b := &block{}
+	b.tree = tree{tracer: t, id: TraceID(traceSeq.Add(1)), spare: b.slots[:]}
+	b.root = Span{Name: name, Start: at, Attrs: b.attrs[:0], Children: b.kids[:0], tree: &b.tree}
+	return &b.root
 }
 
 // publish files a finished root into the rings and fires the slow hook.

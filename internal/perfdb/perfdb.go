@@ -31,6 +31,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"time"
+
+	"dfg/internal/obs"
 )
 
 // Schema identifies the perf-database record format. Bump the version on
@@ -44,11 +46,13 @@ const Schema = "dfg.perfdb/v4"
 // are nanoseconds: QueueWaitNS, PlanNS and TotalNS are host wall clock,
 // the Modeled* times come from the run's simulated ocl.Profile.
 type EvalRecord struct {
-	// UnixNS timestamps the record (record time, not enqueue time).
+	// UnixNS timestamps the record: the end of the evaluation's run.
 	UnixNS int64 `json:"t"`
 	// TraceID links the record to a retained span tree, when tracing was
-	// on for the request ("" otherwise).
-	TraceID string `json:"trace_id,omitempty"`
+	// on for the request ("" otherwise). A recorded evaluation carries
+	// the number (Trace); Snapshot renders it here.
+	TraceID string      `json:"trace_id,omitempty"`
+	Trace   obs.TraceID `json:"-"`
 	// Fingerprint is the short compile-cache fingerprint of the
 	// expression (with its definitions and opt level folded in).
 	Fingerprint string `json:"fp"`

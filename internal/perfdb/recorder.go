@@ -106,7 +106,8 @@ func (r *Recorder) Len() int {
 	return n
 }
 
-// Snapshot copies out every retained record, ordered by timestamp.
+// Snapshot copies out every retained record, ordered by timestamp, its
+// trace ID rendered.
 // Records written concurrently with the snapshot may or may not appear;
 // each shard's copy is internally consistent.
 func (r *Recorder) Snapshot() []EvalRecord {
@@ -124,6 +125,11 @@ func (r *Recorder) Snapshot() []EvalRecord {
 			out = append(out, s.buf[:s.next]...)
 		}
 		s.mu.Unlock()
+	}
+	for i := range out {
+		if out[i].TraceID == "" {
+			out[i].TraceID = out[i].Trace.String()
+		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].UnixNS < out[j].UnixNS })
 	return out

@@ -44,6 +44,14 @@ type job struct {
 	hops    int // breaker reroutes so far, bounded by maxHops
 }
 
+// lone is a request submitted with batching off: its member, the job
+// that carries it alone and the job's member list, in one allocation.
+type lone struct {
+	m   member
+	j   job
+	one [1]*member
+}
+
 // EvalAsync submits a request and returns a buffered channel that will
 // receive exactly one Response. The request's deadline (Timeout, the
 // pool default, or ctx — whichever ends first) covers queue wait; once a
@@ -86,11 +94,18 @@ func (p *Pool) EvalAsync(ctx context.Context, req Request) <-chan Response {
 		resp <- Response{Worker: -1, Err: ErrPoolClosed}
 		return resp
 	}
-	m := &member{req: req, v: v, ctx: ctx, cancel: cancel, enqueued: p.clock.now(), resp: resp}
+	m := member{req: req, v: v, ctx: ctx, cancel: cancel, enqueued: p.clock.now(), resp: resp}
 	if p.cfg.BatchWindow <= 0 {
-		p.send(&job{members: []*member{m}})
-	} else if full := p.form(m); full != nil {
-		p.send(p.flushJob(full, m.enqueued))
+		l := &lone{m: m}
+		l.one[0] = &l.m
+		l.j.members = l.one[:]
+		p.send(&l.j)
+		return resp
+	}
+	fm := new(member) // m itself stays on the stack
+	*fm = m
+	if full := p.form(fm); full != nil {
+		p.send(p.flushJob(full, fm.enqueued))
 	}
 	return resp
 }

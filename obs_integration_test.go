@@ -5,12 +5,16 @@ package dfg_test
 // tracks, and the per-(fingerprint, strategy) latency histograms.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"dfg"
 	"dfg/internal/obs"
+	"dfg/internal/obs/obstest"
+	"dfg/internal/ocl"
+	"dfg/internal/perfdb"
 )
 
 func instrumentedEngine(t *testing.T) (*dfg.Engine, *obs.Tracer, *obs.Registry) {
@@ -87,6 +91,59 @@ func TestEvalTraceCoversWallTime(t *testing.T) {
 			t.Fatalf("run %d: in the best of 5 attempts the stages leave %.1f%% of the wall time uncovered (> 5%%)", i, 100*share)
 		}
 	}
+}
+
+// TestEvalStagesPartitionTheRun: each stage of an engine's own trace
+// starts at the exact instant its predecessor ended and the stages sum
+// exactly to the root — a one-shot Eval cold and warm, a Prepare and a
+// traced Prepared eval, and a run whose transient fault was retried —
+// and a recorded run's perf record ends where its trace does.
+func TestEvalStagesPartitionTheRun(t *testing.T) {
+	const n = 4096
+	const text = "m = sqrt(u*u + v*v + w*w)"
+	inputs := evalInputs(n)
+	eng, tr, _ := instrumentedEngine(t)
+	rec := perfdb.NewRecorder(0)
+	eng.SetPerfRecorder(rec)
+	check := func(what string, want ...string) {
+		t.Helper()
+		root := tr.Last(1)[0]
+		got, err := obstest.Stages(root)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: stages %q, want %q", what, got, want)
+		}
+	}
+	for _, what := range []string{"cold", "warm"} {
+		if _, err := eng.Eval(text, n, inputs); err != nil {
+			t.Fatal(err)
+		}
+		check(what, "compile", "plan", "bind", "execute")
+		root, last := tr.Last(1)[0], rec.Snapshot()
+		r := last[len(last)-1]
+		if r.TraceID != root.ID() || r.TotalNS != int64(root.Duration()) || r.PlanNS != int64(root.Stages()[2].Start.Sub(root.Start)) {
+			t.Fatalf("%s: record %+v does not match its trace (lasts %v)", what, r, root.Duration())
+		}
+	}
+	pr, err := eng.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	check("prepare", "compile", "plan")
+	if _, err := pr.Eval(n, inputs); err != nil {
+		t.Fatal(err)
+	}
+	check("prepared", "bind", "execute")
+
+	eng.SetRecovery(1)
+	eng.InjectFaults(ocl.NewFaultPlan(1).Add(ocl.FaultRule{Op: ocl.FaultKernel, Nth: 0, Effect: ocl.EffectError}))
+	if _, err := eng.Eval(text, n, inputs); err != nil {
+		t.Fatal(err)
+	}
+	check("retried", "compile", "plan", "bind", "execute", "retry", "execute")
 }
 
 // TestEvalTraceDeviceEvents checks the device events ride along as

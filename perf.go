@@ -30,13 +30,15 @@ type route struct {
 }
 
 // recordEval builds and deposits the evaluation's perf record from what
-// the evaluation holds, its context too; res is nil on failure.
-func (e *Engine) recordEval(j job, rt route, res *Result, err error, bind strategy.Bindings) {
+// the evaluation holds, its context too, for a run that ended at end;
+// res is nil on failure. Its times are the trace's boundaries: the
+// queue wait is the queue-wait stage, and TotalNS runs from the run's
+// start (serve's pickup) to the end of its last stage.
+func (e *Engine) recordEval(j job, rt route, res *Result, err error, bind strategy.Bindings, end time.Time) {
 	sp, wait := obs.FromContext(bind.Ctx)
-	now := time.Now()
 	rec := perfdb.EvalRecord{
-		UnixNS:      now.UnixNano(),
-		TraceID:     sp.ID(),
+		UnixNS:      end.UnixNano(),
+		Trace:       sp.TraceID(),
 		Fingerprint: j.short,
 		Strategy:    j.label,
 		Resolved:    rt.resolved,
@@ -46,7 +48,7 @@ func (e *Engine) recordEval(j job, rt route, res *Result, err error, bind strate
 		Batch:       j.batch,
 		QueueWaitNS: int64(wait),
 		PlanNS:      int64(j.planned),
-		TotalNS:     now.Sub(j.t0).Nanoseconds(),
+		TotalNS:     end.Sub(j.t0).Nanoseconds(),
 		Retries:     rt.retries,
 		Degraded:    rt.degraded,
 		DeviceLost:  rt.lost,

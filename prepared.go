@@ -3,6 +3,7 @@ package dfg
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"dfg/internal/compile"
 	"dfg/internal/dataflow"
@@ -65,6 +66,23 @@ type Prepared struct {
 	// primary plan was never the problem.
 	fallback     job
 	fallbackLost bool
+
+	// n and nText are the element count a trace's "n" attribute last
+	// rendered, formatted once while it stays the same.
+	n     int
+	nText string
+}
+
+// nAttr renders n for a trace's "n" attribute, once per handle while n
+// stays the same (every time for a nil handle: one-shot Eval).
+func (p *Prepared) nAttr(n int) string {
+	if p == nil {
+		return strconv.Itoa(n)
+	}
+	if p.nText == "" || p.n != n {
+		p.n, p.nText = n, strconv.Itoa(n)
+	}
+	return p.nText
 }
 
 // refresh drops a device-lost fallback once the device has healed:

@@ -143,12 +143,12 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings) (res *Result, r
 			retries++
 			rt.retries++
 			d := r.backoff(retries)
-			if rs := sp.Child("retry"); rs != nil {
+			// The retry stage covers the backoff, up to the next execute.
+			if rs := sp.Enter("retry"); rs != nil {
 				rs.SetAttr("attempt", strconv.Itoa(retries)).
 					SetAttr("strategy", label).
 					SetAttr("backoff", d.String()).
 					SetAttr("cause", err.Error())
-				rs.Finish()
 			}
 			if e.reg != nil {
 				e.reg.Counter("dfg_retries_total",
@@ -180,12 +180,13 @@ func (r *recovery) run(e *Engine, j job, bind strategy.Bindings) (res *Result, r
 			// through the shared plan cache, so a rung already planned
 			// anywhere is free here.
 			e.env.Context().Pool().Drain()
-			fs := sp.Child("fallback")
+			// The fallback stage, with the re-plan as its own stage, runs
+			// up to the next execute.
+			fs := sp.Enter("fallback")
 			if fs != nil {
 				fs.SetAttr("from", label).SetAttr("to", to).SetAttr("cause", err.Error())
 			}
 			np, perr := e.comp.PlanNetTraced(j.plan.Network(), j.key, nxt, e.env.Device(), fs)
-			fs.Finish()
 			if perr != nil {
 				return nil, rt, fmt.Errorf("dfg: fallback re-plan %s -> %s: %w", label, to, perr)
 			}
