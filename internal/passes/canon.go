@@ -40,12 +40,13 @@ const maxArity = 5
 //
 // No map: the first occurrences are chained in one flat []int32 behind
 // their first canonical input (constants behind their bits modulo the
-// node count), and a node is compared only with its chain.
+// node count), and a node is compared only with its chain. The chains
+// live behind the run's positions (chainRoom), so a pass allocates none.
 func eliminate(nw *dataflow.Network, st *Stats, commute bool) error {
 	nodes := nw.Nodes()
 	n := int32(len(nodes))
-	to := keepAll(nw, st)         // position -> position it merged into
-	chain := make([]int32, 3*n+1) // heads by input, heads by constant bucket, next
+	to := keepAll(nw, st)               // position -> position it merged into
+	chain := st.to[n:chainRoom(int(n))] // heads by input, heads by constant bucket, next
 	head, next := chain[:2*n+1], chain[2*n+1:]
 	for i := range head {
 		head[i] = -1

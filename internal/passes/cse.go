@@ -64,9 +64,16 @@ func (c cse) Run(nw *dataflow.Network, st *Stats) error {
 // positions returns st's position scratch, one entry per node of nw,
 // for a pass to fill: a pipeline run's passes share one.
 func positions(nw *dataflow.Network, st *Stats) []int32 {
-	st.to = slices.Grow(st.to[:0], nw.Len())[:nw.Len()]
+	n := nw.Len()
+	st.to = slices.Grow(st.to[:0], chainRoom(n))[:n]
 	return st.to
 }
+
+// chainRoom is the room the run's position slice holds from its first
+// use: the positions and, behind them, eliminate's chains (heads by
+// input, heads by constant bucket, next). No pass adds nodes, so the
+// first sizing serves the whole run.
+func chainRoom(n int) int { return 4*n + 1 }
 
 // keepAll returns the compaction that keeps every node of nw where it
 // is; a pass marks the nodes it merges or deletes in it.
