@@ -447,6 +447,30 @@ func TestInputsWindowsAreOwned(t *testing.T) {
 	}
 }
 
+// TestGrowReservesInputs: the Inputs slots Grow reserves are one
+// chunk, so a builder that counted its nodes' inputs up front (the
+// expression front end does, from the tokens) takes every window from
+// it: 100 slots cost one allocation where 64-slot chunks cost two.
+func TestGrowReservesInputs(t *testing.T) {
+	add, _ := dataflow.Callable("add")
+	build := func(inputs int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			nw := dataflow.NewNetwork()
+			nw.Grow(52, inputs, 1)
+			at, _ := nw.Source("u")
+			c := nw.AddConstAt(1)
+			for i := 0; i < 50; i++ {
+				if at, _ = nw.AddFilterAt(add, at, c); at < 0 {
+					t.Fatal("no node added")
+				}
+			}
+		})
+	}
+	if sized, chunked := build(100), build(0); sized != chunked-1 {
+		t.Fatalf("building 50 binary nodes made %v allocations with their 100 inputs reserved, %v without: want one fewer", sized, chunked)
+	}
+}
+
 // TestPosTracksRemoval: a node's Pos and the name index must agree with
 // Nodes() after every construction step and compaction, and Compact
 // must move inputs, roots and aliases to their nodes' new positions.

@@ -84,15 +84,20 @@ type Network struct {
 // NewNetwork creates an empty network.
 func NewNetwork() *Network { return &Network{} }
 
-// Grow reserves room for nodes more nodes and names more source and
-// alias names, so a builder that knows its size up front (the
-// expression front end counts it from the tokens) grows neither the
-// node list nor the name index while it adds them.
-func (nw *Network) Grow(nodes, names int) {
+// Grow reserves room for nodes more nodes taking inputs more Inputs
+// slots between them, and names more source and alias names, so a
+// builder that knows its size up front (the expression front end
+// counts it from the tokens) grows neither the node list, the Inputs
+// storage nor the name index while it adds them. A short reservation
+// takes a whole chunk, whose rest the next ones share.
+func (nw *Network) Grow(nodes, inputs, names int) {
 	nw.mustMutable("Grow")
 	nw.nodes = slices.Grow(nw.nodes, nodes)
 	if cap(nw.slab)-len(nw.slab) < nodes {
 		nw.slab = make([]Node, 0, nodes)
+	}
+	if cap(nw.ins)-len(nw.ins) < inputs {
+		nw.ins = make([]int32, 0, max(inputChunk, inputs))
 	}
 	if nw.aliases == nil {
 		nw.aliases = make(map[string]int32, names)
@@ -183,7 +188,7 @@ func generic(name string) (int, bool) {
 }
 
 // Chunk sizes: how many Nodes, and how many Inputs slots, a network
-// allocates at a time.
+// allocates at a time past what Grow reserved.
 const (
 	nodeChunk  = 32
 	inputChunk = 64

@@ -118,9 +118,11 @@ type Program struct {
 	Stmts []*Stmt
 	// What the network builder will add, counted from the tokens before
 	// the parse: nodes is the number of AST nodes that each emit one
-	// network node (every node but Ref), refs the number of Refs, and
-	// named the number of assignment statements, each an alias.
-	nodes, refs, named int
+	// network node (every node but Ref), inputs the number of input
+	// slots those nodes take (two a Binary, one a Unary or an Index,
+	// three an If, one per argument a Call), refs the number of Refs,
+	// and named the number of assignment statements, each an alias.
+	nodes, inputs, refs, named int
 }
 
 // String renders the program, one statement per line.

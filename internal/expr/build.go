@@ -121,11 +121,12 @@ type builder struct {
 const sourceRoom = 8
 
 // grow sizes the network for the program the builder is about to emit,
-// from the counts its parse made: one node per non-Ref AST node, and
-// one name per assignment, each with room for the program's sources.
+// from the counts its parse made: one node per non-Ref AST node, with
+// the input slots those nodes take, and one name per assignment, each
+// with room for the program's sources (which take no inputs).
 func (b *builder) grow(p *Program) {
 	srcs := min(p.refs, sourceRoom)
-	b.net.Grow(p.nodes+srcs, p.named+srcs)
+	b.net.Grow(p.nodes+srcs, p.inputs, p.named+srcs)
 }
 
 // emitProgram realizes a statement list in the current scope and

@@ -593,7 +593,8 @@ func TestCommentAdvancesColumn(t *testing.T) {
 // TestArenaChunksSizedExactly: size, which counts tokens before the
 // parse, starts every AST chunk at exactly the count the parse then
 // takes from it, so an accepted program allocates one chunk per node
-// type it uses.
+// type it uses, and counts exactly the input slots the network builder
+// reserves for the nodes.
 func TestArenaChunksSizedExactly(t *testing.T) {
 	texts := append([]string{
 		"a = -u - -v * (-w)\nb = if (a > 0) then (-a) else (a[0] - 1)",
@@ -622,6 +623,13 @@ func TestArenaChunksSizedExactly(t *testing.T) {
 		}
 		if named != a.prog.named || a.prog.nodes != got[2]+got[3]+got[4]+got[5]+got[6]+got[7] {
 			t.Errorf("%q: counted %d nodes and %d assignments, made %d and %d", text, a.prog.nodes, a.prog.named, got[2]+got[3]+got[4]+got[5]+got[6]+got[7], named)
+		}
+		inputs := 2*len(a.bins) + len(a.unaries) + len(a.indexes) + 3*len(a.ifs)
+		for _, c := range a.calls {
+			inputs += len(c.Args)
+		}
+		if inputs != a.prog.inputs {
+			t.Errorf("%q: counted %d input slots, the nodes take %d", text, a.prog.inputs, inputs)
 		}
 	}
 }

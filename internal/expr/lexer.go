@@ -37,6 +37,7 @@ const (
 	clsIf           // IF
 	clsMinus        // '-', binary or unary
 	clsBinary       // an operator that always makes a Binary
+	clsComma        // ',' between two arguments of a Call
 )
 
 // readSymbols numbers every terminal lex emits.
@@ -62,7 +63,7 @@ func readSymbols(tbl *lalr.Table) (s symbols, err error) {
 	// Every terminal lex emits has a class, so class covers each Sym.
 	classes := map[int32]uint8{s.sep: clsSep, s.ident: clsIdent, s.number: clsNumber, s.op['=']: clsAssign,
 		s.op['(']: clsOpen, s.op['[']: clsIndex, s.op[')']: clsClose, s.op[']']: clsClose, s.kwIf: clsIf, s.op['-']: clsMinus,
-		s.kwThen: clsOther, s.kwElse: clsOther, s.op[',']: clsOther}
+		s.kwThen: clsOther, s.kwElse: clsOther, s.op[',']: clsComma}
 	for _, b := range []int32{s.op['+'], s.op['*'], s.op['/'], s.op['<'], s.op['>'], s.opEq['<'], s.opEq['>'], s.opEq['='], s.opEq['!']} {
 		classes[b] = clsBinary
 	}

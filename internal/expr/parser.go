@@ -174,10 +174,11 @@ type arena struct {
 // the network builder sizes by. lex leaves separators only between
 // statements; an IDENT is an assignment's target before '=', a Call's
 // name before '(' and a Ref otherwise; a NUMBER after '[' is an
-// Index's component and a Num otherwise; and a '-' after an operand is
-// a Binary and a Unary otherwise.
+// Index's component and a Num otherwise; a '-' after an operand is a
+// Binary and a Unary otherwise; and a Call has one argument more than
+// it has commas.
 func (a *arena) size(toks []lalr.Token) {
-	stmts, named, refs, nums, bins, unaries, indexes, calls, ifs := 1, 0, 0, 0, 0, 0, 0, 0, 0
+	stmts, named, refs, nums, bins, unaries, indexes, calls, ifs, commas := 1, 0, 0, 0, 0, 0, 0, 0, 0, 0
 	prev := clsOther
 	for i := range toks {
 		c := syms.class[toks[i].Sym]
@@ -213,11 +214,14 @@ func (a *arena) size(toks []lalr.Token) {
 			}
 		case clsBinary:
 			bins++
+		case clsComma:
+			commas++
 		}
 		prev = c
 	}
 	a.prog.Stmts = make([]*Stmt, 0, stmts)
 	a.prog.nodes, a.prog.refs, a.prog.named = nums+bins+unaries+indexes+calls+ifs, refs, named
+	a.prog.inputs = 2*bins + unaries + indexes + 3*ifs + calls + commas
 	a.stmts = chunkOf[Stmt](stmts)
 	a.refs, a.nums, a.bins = chunkOf[Ref](refs), chunkOf[Num](nums), chunkOf[Binary](bins)
 	a.unaries, a.indexes, a.ifs = chunkOf[Unary](unaries), chunkOf[Index](indexes), chunkOf[If](ifs)

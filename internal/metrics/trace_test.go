@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -163,5 +164,59 @@ func TestWriteSpanTraces(t *testing.T) {
 	// Cache-outcome annotation survives into args.
 	if c := byName(1, "cache"); c["args"].(map[string]any)["outcome"] != "hit" {
 		t.Fatalf("cache args = %v", c["args"])
+	}
+}
+
+// TestWriteSpanTracesStageSum: a span its stages partition exactly
+// renders as the sum of their rendered durations, so /trace keeps the
+// partition through the rounding to float microseconds; a gap or an
+// overlap between two stages renders the span's own end−start, so it
+// shows.
+func TestWriteSpanTracesStageSum(t *testing.T) {
+	base := time.Unix(1700000000, 0)
+	at := func(ns int64) time.Time { return base.Add(time.Duration(ns)) }
+	mk := func(shift time.Duration) *obs.Span {
+		root := obs.NewTracer(1).StartAt("request", at(0))
+		root.Stage("queue-wait", at(1_234_567))
+		root.Stage("bind", at(2_345_679)).Start = at(1_234_567).Add(shift)
+		root.Stage("execute", at(9_876_543_211))
+		root.End = at(9_876_543_211)
+		return root
+	}
+	render := func(root *obs.Span) (wall, stages float64) {
+		var buf bytes.Buffer
+		if err := WriteSpanTraces(&buf, []*obs.Span{root}); err != nil {
+			t.Fatal(err)
+		}
+		var events []struct {
+			Name, Cat, Ph string
+			Dur           float64
+		}
+		if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events {
+			switch {
+			case e.Ph != "X":
+			case e.Cat == "request":
+				wall = e.Dur
+			default:
+				stages += e.Dur
+			}
+		}
+		return wall, stages
+	}
+	if wall, stages := render(mk(0)); wall != stages {
+		t.Errorf("exact partition: request renders %vµs, its stages sum to %vµs", wall, stages)
+	}
+	for _, shift := range []time.Duration{50 * time.Microsecond, -50 * time.Microsecond} {
+		root := mk(shift)
+		wall, stages := render(root)
+		if want := float64(root.Duration().Nanoseconds()) / 1e3; wall != want {
+			t.Errorf("stage shifted %v: request renders %vµs, want its end−start %vµs", shift, wall, want)
+		}
+		if gap, want := wall-stages, float64(shift.Microseconds()); math.Abs(gap-want) > 0.01 {
+			t.Errorf("stage shifted %v: request %vµs, stages %vµs: uncovered %vµs, want %vµs", shift, wall, stages, gap, want)
+		}
 	}
 }

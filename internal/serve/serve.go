@@ -182,6 +182,10 @@ type Pool struct {
 	v     variant // Config's, parsed: the workers' and requests' default
 	comp  *compile.Compiler
 	clock clock
+	// wall is set when clock is the wall clock the library reads too:
+	// only then is a run timed from the pickup clock stamped to the
+	// end the library read (see attempt).
+	wall  bool
 	queue chan *job
 	done  chan struct{}
 	ws    []*workerState // one per worker, owned by its goroutine once started
@@ -299,7 +303,7 @@ func newPool(cfg Config, c clock) (*Pool, error) {
 		restarts: make([]atomic.Int64, cfg.Workers),
 	}
 	if c == nil {
-		p.clock = &wallClock{tick: p.tick}
+		p.clock, p.wall = &wallClock{tick: p.tick}, true
 	}
 	p.start = p.clock.now()
 	if cfg.TraceKeep >= 0 {
